@@ -1,17 +1,18 @@
 // Command spacejmp-server runs the RESP/TCP serving layer over the
-// simulated SpaceJMP machine. By default a sharded worker pool serves every
+// simulated SpaceJMP machine. The backend is always the cluster router. By
+// default it fronts one co-resident node, so -workers workers serve every
 // command by switching into one shared RedisJMP VAS (§5.3); with -cluster N
-// the key space is instead hashed across N shard nodes behind a router, and
-// each node is reached either on the shared-VAS fast path (co-resident) or
-// over urpc cache-line channels (remote) — both sides of Figure 7 in one
-// process, selected per node by -mode. Drive it with cmd/spacejmp-load or
+// the key space is hashed across N shard nodes, and each node is reached
+// either on the shared-VAS fast path (co-resident) or over urpc cache-line
+// channels (remote) — both sides of Figure 7 in one process, selected per
+// node by -mode. Drive it with cmd/spacejmp-load or
 // any RESP client (GET, SET, DEL, MGET, PING, ECHO, QUIT).
 //
 // Usage:
 //
-//	spacejmp-server [-addr host:port] [-shards n] [-queue n] [-pipeline n]
-//	                [-seg bytes] [-tags] [-machine M1|M2|M3|small] [-trace n]
-//	                [-cluster n] [-mode vas|urpc|auto] [-workers n]
+//	spacejmp-server [-addr host:port] [-workers n] [-queue n] [-pipeline n]
+//	                [-seg bytes] [-machine M1|M2|M3|small] [-trace n]
+//	                [-cluster n] [-mode vas|urpc|auto]
 //	                [-admin host:port] [-replicate] [-ship-every n]
 //	                [-kill-node n] [-kill-after d]
 //	                [-add-node-after d] [-remove-node n] [-remove-node-after d]
@@ -44,12 +45,12 @@
 // With -admin, a plain HTTP surface serves /healthz, /stats (the live
 // observability snapshot as JSON, including the armed fault rules),
 // /stats/delta (long-poll delta stream), and /trace?n= (the newest
-// trace-ring events) while the server runs; with a replicated cluster,
-// /stats grows a cluster_runtime block and /healthz turns 503 when a key
-// range degrades. With -replicate, every remote cluster node gets a warm
-// standby kept fresh by checkpoint shipping and a health monitor that
-// fails its key range over on crash; -kill-node/-kill-after stage a
-// crash for failover experiments. -add-node-after grows the cluster by one
+// trace-ring events) while the server runs; /stats carries a
+// cluster_runtime block and /healthz turns 503 when a key range degrades.
+// With -replicate, every remote cluster node gets a warm standby kept
+// fresh by checkpoint shipping and a health monitor that fails its key
+// range over on crash; -kill-node/-kill-after stage a crash for failover
+// experiments. -add-node-after grows the cluster by one
 // node mid-run (and rebalances a fair share of placement slots onto it);
 // -remove-node/-remove-node-after drain a node's slots to the rest of the
 // cluster and retire it — both run live, under whatever traffic clients
@@ -91,17 +92,15 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:6379", "listen address")
-	shards := flag.Int("shards", 2, "worker shards (each claims one simulated core)")
-	queue := flag.Int("queue", 64, "per-shard queue depth (full queue replies busy)")
+	workers := flag.Int("workers", 2, "router workers (each claims one simulated core)")
+	queue := flag.Int("queue", 64, "per-worker queue depth (full queue replies busy)")
 	pipeline := flag.Int("pipeline", 32, "per-connection in-flight command cap")
-	segSize := flag.Uint64("seg", 16<<20, "shared store segment bytes")
-	tags := flag.Bool("tags", false, "enable TLB tags on the server VASes")
+	segSize := flag.Uint64("seg", 16<<20, "store segment bytes per node")
 	machine := flag.String("machine", "M1", "simulated machine: M1, M2, M3, small")
 	traceCap := flag.Int("trace", 4096, "trace ring capacity (0 disables tracing)")
 	jsonOut := flag.Bool("json", false, "dump the final stats snapshot as JSON")
-	clusterN := flag.Int("cluster", 0, "shard the key space across n cluster nodes (0 = single store)")
+	clusterN := flag.Int("cluster", 0, "shard the key space across n cluster nodes (0 = one co-resident node)")
 	modeFlag := flag.String("mode", "auto", "cluster node placement: vas, urpc, or auto")
-	workers := flag.Int("workers", 0, "cluster router workers (0 = -shards)")
 	adminAddr := flag.String("admin", "", "HTTP admin address for /healthz, /stats, /trace (empty disables)")
 	replicate := flag.Bool("replicate", false, "replicate remote cluster nodes to warm standbys with failover")
 	shipEvery := flag.Int("ship-every", 0, "ship a node's checkpoint after this many writes (0 = default)")
@@ -147,6 +146,16 @@ func main() {
 	if (*breakers || *degradedReads || *queueWatermark > 0) && *clusterN <= 0 {
 		fatal(fmt.Errorf("-breakers/-degraded-reads/-queue-watermark require -cluster"))
 	}
+	// No -cluster is the paper's single RedisJMP store: a cluster of one
+	// co-resident node, served on the VAS-switch path whatever -mode says.
+	nodes, modeName := *clusterN, *modeFlag
+	if nodes <= 0 {
+		nodes, modeName = 1, string(cluster.ModeVAS)
+	}
+	mode, err := cluster.ParseMode(modeName)
+	if err != nil {
+		fatal(err)
+	}
 	if *replicate {
 		// Replication rides NVM checkpoint generations; give machines
 		// configured without persistent memory enough to hold them.
@@ -170,10 +179,6 @@ func main() {
 	base := m.PM.AllocatedBytes()
 	var tenants *tenant.Registry
 	if *tenantsN > 0 {
-		nodes := *clusterN
-		if nodes <= 0 {
-			nodes = 1
-		}
 		tenants, err = tenant.NewDemo(*tenantsN, tenant.Config{Nodes: nodes, Stats: m.Observer()},
 			tenant.Quotas{MaxBytes: *tenantMaxBytes, MaxKeys: *tenantMaxKeys, Rate: *tenantRate})
 		if err != nil {
@@ -182,11 +187,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spacejmp-server: %s\n", tenants)
 	}
 	srvCfg := server.Config{
-		Shards:        *shards,
-		QueueDepth:    *queue,
 		PipelineDepth: *pipeline,
-		SegSize:       *segSize,
-		Tags:          *tags,
 		Tenants:       tenants,
 		// Wall-clock deadlines become cycle budgets at the machine's clock;
 		// the same rate converts each client DEADLINE <ms> override.
@@ -195,88 +196,70 @@ func main() {
 	if *deadline > 0 {
 		srvCfg.DeadlineCycles = overload.Cycles(*deadline, cfg.GHz)
 	}
-	var srv *server.Server
-	var router *cluster.Router
-	if *clusterN > 0 {
-		mode, err := cluster.ParseMode(*modeFlag)
-		if err != nil {
-			fatal(err)
-		}
-		if *workers <= 0 {
-			*workers = *shards
-		}
-		router, err = cluster.New(sys, cluster.Config{
-			Nodes:      *clusterN,
-			Workers:    *workers,
-			Mode:       mode,
-			QueueDepth: *queue,
-			SegSize:    *segSize,
-			Replication: cluster.ReplicationConfig{
-				Enabled:        *replicate,
-				ShipEvery:      *shipEvery,
-				FollowerReads:  *followerReads,
-				StaleBound:     *staleBound,
-				ProbeInterval:  *probeInterval,
-				ProbeThreshold: *probeThreshold,
-			},
-			Overload: cluster.OverloadConfig{
-				Breakers:         *breakers,
-				BreakerThreshold: *breakerThreshold,
-				BreakerCooldown:  *breakerCooldown,
-				DegradedReads:    *degradedReads,
-				QueueWatermark:   *queueWatermark,
-			},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		srv = server.NewWithBackend(sys, ln, srvCfg, router)
-		fmt.Fprintf(os.Stderr, "spacejmp-server: listening on %s (%s, queue %d, pipeline %d)\n",
-			srv.Addr(), cfg.Name, *queue, *pipeline)
-		fmt.Fprint(os.Stderr, router.String())
-		if *killNode >= 0 {
-			go func(id int, after time.Duration) {
-				time.Sleep(after)
-				if err := router.KillNode(id); err != nil {
-					fmt.Fprintf(os.Stderr, "spacejmp-server: kill-node: %v\n", err)
-					return
-				}
-				fmt.Fprintf(os.Stderr, "spacejmp-server: crashed node %d\n", id)
-			}(*killNode, *killAfter)
-		}
-		if *addNodeAfter > 0 {
-			go func(after time.Duration) {
-				time.Sleep(after)
-				id, err := router.AddNode()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "spacejmp-server: add-node: %v\n", err)
-					return
-				}
-				moved, err := router.RebalanceInto(id)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "spacejmp-server: add-node: rebalance onto %d: %v\n", id, err)
-					return
-				}
-				fmt.Fprintf(os.Stderr, "spacejmp-server: added node %d (%d slots migrated onto it)\n", id, moved)
-			}(*addNodeAfter)
-		}
-		if *removeNode >= 0 {
-			go func(id int, after time.Duration) {
-				time.Sleep(after)
-				if err := router.RemoveNode(id); err != nil {
-					fmt.Fprintf(os.Stderr, "spacejmp-server: remove-node: %v\n", err)
-					return
-				}
-				fmt.Fprintf(os.Stderr, "spacejmp-server: drained and removed node %d\n", id)
-			}(*removeNode, *removeNodeAfter)
-		}
-	} else {
-		srv, err = server.New(sys, ln, srvCfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "spacejmp-server: listening on %s (%s, %d shards, queue %d, pipeline %d)\n",
-			srv.Addr(), cfg.Name, *shards, *queue, *pipeline)
+	router, err := cluster.New(sys, cluster.Config{
+		Nodes:      nodes,
+		Workers:    *workers,
+		Mode:       mode,
+		QueueDepth: *queue,
+		SegSize:    *segSize,
+		Replication: cluster.ReplicationConfig{
+			Enabled:        *replicate,
+			ShipEvery:      *shipEvery,
+			FollowerReads:  *followerReads,
+			StaleBound:     *staleBound,
+			ProbeInterval:  *probeInterval,
+			ProbeThreshold: *probeThreshold,
+		},
+		Overload: cluster.OverloadConfig{
+			Breakers:         *breakers,
+			BreakerThreshold: *breakerThreshold,
+			BreakerCooldown:  *breakerCooldown,
+			DegradedReads:    *degradedReads,
+			QueueWatermark:   *queueWatermark,
+		},
+	})
+	if err != nil {
+		fatal(err)
+	}
+	srv := server.NewWithBackend(sys, ln, srvCfg, router)
+	fmt.Fprintf(os.Stderr, "spacejmp-server: listening on %s (%s, queue %d, pipeline %d)\n",
+		srv.Addr(), cfg.Name, *queue, *pipeline)
+	fmt.Fprint(os.Stderr, router.String())
+	if *killNode >= 0 {
+		go func(id int, after time.Duration) {
+			time.Sleep(after)
+			if err := router.KillNode(id); err != nil {
+				fmt.Fprintf(os.Stderr, "spacejmp-server: kill-node: %v\n", err)
+				return
+			}
+			fmt.Fprintf(os.Stderr, "spacejmp-server: crashed node %d\n", id)
+		}(*killNode, *killAfter)
+	}
+	if *addNodeAfter > 0 {
+		go func(after time.Duration) {
+			time.Sleep(after)
+			id, err := router.AddNode()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "spacejmp-server: add-node: %v\n", err)
+				return
+			}
+			moved, err := router.RebalanceInto(id)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "spacejmp-server: add-node: rebalance onto %d: %v\n", id, err)
+				return
+			}
+			fmt.Fprintf(os.Stderr, "spacejmp-server: added node %d (%d slots migrated onto it)\n", id, moved)
+		}(*addNodeAfter)
+	}
+	if *removeNode >= 0 {
+		go func(id int, after time.Duration) {
+			time.Sleep(after)
+			if err := router.RemoveNode(id); err != nil {
+				fmt.Fprintf(os.Stderr, "spacejmp-server: remove-node: %v\n", err)
+				return
+			}
+			fmt.Fprintf(os.Stderr, "spacejmp-server: drained and removed node %d\n", id)
+		}(*removeNode, *removeNodeAfter)
 	}
 
 	var admin *http.Server
@@ -285,13 +268,7 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("admin: %w", err))
 		}
-		// The explicit nil guard matters: assigning a nil *cluster.Router
-		// straight into the interface would make it non-nil.
-		var cl server.ClusterStatus
-		if router != nil {
-			cl = router
-		}
-		admin = &http.Server{Handler: server.AdminHandler(sys, cl, tenants)}
+		admin = &http.Server{Handler: server.AdminHandler(sys, router, tenants)}
 		go admin.Serve(aln)
 		fmt.Fprintf(os.Stderr, "spacejmp-server: admin on http://%s (/healthz /stats /trace)\n",
 			aln.Addr())
@@ -301,30 +278,12 @@ func main() {
 	schedCtx, schedCancel := context.WithCancel(context.Background())
 	defer schedCancel()
 	if spec != nil {
-		var ops chaos.Ops
-		if router != nil {
-			ops = chaos.Ops{
-				Kill: router.KillNode,
-				AddNode: func() (int, error) {
-					id, err := router.AddNode()
-					if err != nil {
-						return 0, err
-					}
-					if _, err := router.RebalanceInto(id); err != nil {
-						return id, err
-					}
-					return id, nil
-				},
-				RemoveNode:  router.RemoveNode,
-				MigrateSlot: router.MigrateSlot,
-			}
-		}
 		logf := func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "spacejmp-server: "+format+"\n", args...)
 		}
 		fmt.Fprintf(os.Stderr, "spacejmp-server: playing scenario %s (%d steps, seed %d)\n",
 			spec.Name, len(spec.Steps), *faultSeed)
-		sched = chaos.StartSchedule(schedCtx, spec.Steps, reg, ops, logf)
+		sched = chaos.StartSchedule(schedCtx, spec.Steps, reg, chaos.RouterOps(router), logf)
 	}
 
 	sigs := make(chan os.Signal, 1)

@@ -3,10 +3,10 @@
 // gracefully and print the serving-layer stats — per-shard connection and
 // command counters, backpressure rejections, and latency percentiles.
 //
-// This is the RedisJMP result (§5.3) made operational: each worker shard
-// owns a simulated core and serves every command by switching into the
-// shared server VAS, taking the store segment's lock shared for GETs and
-// exclusive for SETs.
+// This is the RedisJMP result (§5.3) made operational: the backend is a
+// cluster of one co-resident node, so each router worker owns a simulated
+// core and serves every command by switching into the shared server VAS,
+// taking the store segment's lock shared for GETs and exclusive for SETs.
 package main
 
 import (
@@ -15,6 +15,7 @@ import (
 	"net"
 	"os"
 
+	"spacejmp/internal/cluster"
 	"spacejmp/internal/hw"
 	"spacejmp/internal/kernel"
 	"spacejmp/internal/server"
@@ -30,11 +31,12 @@ func main() {
 		log.Fatal(err)
 	}
 	base := m.PM.AllocatedBytes()
-	srv, err := server.New(sys, ln, server.Config{Shards: 4, QueueDepth: 64, PipelineDepth: 16})
+	router, err := cluster.New(sys, cluster.Config{Nodes: 1, Workers: 4, Mode: cluster.ModeVAS, SegSize: 16 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("serving on %s with 4 shards (4 simulated cores)\n\n", srv.Addr())
+	srv := server.NewWithBackend(sys, ln, server.Config{PipelineDepth: 16}, router)
+	fmt.Printf("serving on %s with 4 workers (4 simulated cores)\n\n", srv.Addr())
 
 	res, err := server.RunLoad(server.LoadConfig{
 		Addr:       srv.Addr().String(),

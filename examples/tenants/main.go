@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"spacejmp/internal/caps"
+	"spacejmp/internal/cluster"
 	"spacejmp/internal/hw"
 	"spacejmp/internal/kernel"
 	"spacejmp/internal/redis"
@@ -43,10 +44,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := server.New(sys, ln, server.Config{Shards: 2, Tenants: reg})
+	router, err := cluster.New(sys, cluster.Config{Nodes: 1, Workers: 2, Mode: cluster.ModeVAS})
 	if err != nil {
 		log.Fatal(err)
 	}
+	srv := server.NewWithBackend(sys, ln, server.Config{Tenants: reg}, router)
 	fmt.Printf("serving %s on %s\n\n", reg, srv.Addr())
 
 	acme := dial(srv.Addr().String(), "acme", "sesame")

@@ -223,23 +223,7 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 		logf("chaos: admin on http://%s", aln.Addr())
 	}
 
-	sched := StartSchedule(ctx, spec.Steps, reg, Ops{
-		Kill: router.KillNode,
-		AddNode: func() (int, error) {
-			id, err := router.AddNode()
-			if err != nil {
-				return 0, err
-			}
-			// One step is the whole operator action: bring the node up AND
-			// move a fair share of slots onto it under the live load.
-			if _, err := router.RebalanceInto(id); err != nil {
-				return id, err
-			}
-			return id, nil
-		},
-		RemoveNode:  router.RemoveNode,
-		MigrateSlot: router.MigrateSlot,
-	}, logf)
+	sched := StartSchedule(ctx, spec.Steps, reg, RouterOps(router), logf)
 
 	loadCfg := server.LoadConfig{
 		Addr:        srv.Addr().String(),

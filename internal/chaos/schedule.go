@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"spacejmp/internal/cluster"
 	"spacejmp/internal/fault"
 )
 
@@ -44,13 +45,30 @@ type Ops struct {
 	// Kill hard-kills a node (cluster.node.kill).
 	Kill func(node int) error
 	// AddNode brings up a new node and returns its id (cluster.node.add).
-	// Rebalancing onto it is the hook's business — the runner's hook adds
-	// then rebalances, so one step models the whole operator action.
+	// Rebalancing onto it is the hook's business (see RouterOps).
 	AddNode func() (int, error)
 	// RemoveNode drains and decommissions a node (cluster.node.remove).
 	RemoveNode func(node int) error
 	// MigrateSlot moves one placement slot to a node (cluster.slot.migrate).
 	MigrateSlot func(slot, dst int) error
+}
+
+// RouterOps wires every hook to a live router. AddNode is the whole
+// operator action: bring the node up and move a fair share of slots onto
+// it under the live load.
+func RouterOps(r *cluster.Router) Ops {
+	return Ops{
+		Kill: r.KillNode,
+		AddNode: func() (int, error) {
+			id, err := r.AddNode()
+			if err == nil {
+				_, err = r.RebalanceInto(id)
+			}
+			return id, err
+		},
+		RemoveNode:  r.RemoveNode,
+		MigrateSlot: r.MigrateSlot,
+	}
 }
 
 // run executes one pseudo-point step, returning a description of what

@@ -81,20 +81,6 @@ type Config struct {
 	// migration accumulates while copying; on overflow the migration
 	// aborts and rolls back rather than lose ordered replay.
 	MigrationDeltaLog int
-
-	// Deprecated: set Replication.Enabled. Kept as an alias for one
-	// release; read only when Replication is entirely zero.
-	Replicate bool
-	// Deprecated: set Replication.ShipEvery.
-	ShipEvery int
-	// Deprecated: set Replication.ShipInterval.
-	ShipInterval time.Duration
-	// Deprecated: set Replication.ProbeInterval.
-	ProbeInterval time.Duration
-	// Deprecated: set Replication.ProbeThreshold.
-	ProbeThreshold int
-	// Deprecated: set Replication.DeltaLog.
-	DeltaLog int
 }
 
 // ReplicationConfig groups the replication and failover knobs. Enabled
@@ -129,10 +115,6 @@ type ReplicationConfig struct {
 	// StaleBound is the maximum age of a frozen view a follower read may
 	// be served from. Defaults to 500ms when FollowerReads is on.
 	StaleBound time.Duration
-}
-
-func (c ReplicationConfig) isZero() bool {
-	return c == ReplicationConfig{}
 }
 
 // OverloadConfig groups the overload-protection knobs. Breakers guard the
@@ -198,19 +180,6 @@ func (c Config) withDefaults() Config {
 	if c.MigrationDeltaLog <= 0 {
 		c.MigrationDeltaLog = 4096
 	}
-	// Fold the deprecated flat replication knobs into the nested config
-	// when the caller still uses them, then default and mirror back so
-	// both views agree for the alias release.
-	if c.Replication.isZero() {
-		c.Replication = ReplicationConfig{
-			Enabled:        c.Replicate,
-			ShipEvery:      c.ShipEvery,
-			ShipInterval:   c.ShipInterval,
-			ProbeInterval:  c.ProbeInterval,
-			ProbeThreshold: c.ProbeThreshold,
-			DeltaLog:       c.DeltaLog,
-		}
-	}
 	if c.Replication.ShipEvery <= 0 {
 		c.Replication.ShipEvery = 128
 	}
@@ -235,12 +204,6 @@ func (c Config) withDefaults() Config {
 	if c.Overload.BreakerCooldown <= 0 {
 		c.Overload.BreakerCooldown = 100 * time.Millisecond
 	}
-	c.Replicate = c.Replication.Enabled
-	c.ShipEvery = c.Replication.ShipEvery
-	c.ShipInterval = c.Replication.ShipInterval
-	c.ProbeInterval = c.Replication.ProbeInterval
-	c.ProbeThreshold = c.Replication.ProbeThreshold
-	c.DeltaLog = c.Replication.DeltaLog
 	return c
 }
 
@@ -359,15 +322,11 @@ func (r *Router) teardownPartial() {
 // by crashed node processes — the reaper only reclaims private segments,
 // and a crashed client's scratch heap is a named global one.
 func (r *Router) destroyStores() error {
-	proc, err := r.sys.NewProcess(core.Creds{UID: 1, GID: 1})
+	proc, th, err := r.claimThread()
 	if err != nil {
 		return err
 	}
 	defer proc.Exit()
-	th, err := proc.NewThread()
-	if err != nil {
-		return err
-	}
 	var errs error
 	// Iterate the actual node list, not cfg.Nodes: AddNode grows it past
 	// the configured size, and removed nodes' stores (already destroyed at
@@ -402,15 +361,11 @@ func (r *Router) destroyStores() error {
 // pins its live object as a COW parent; releasing first keeps the
 // live-store teardown a plain free).
 func (r *Router) closeForks() error {
-	proc, err := r.sys.NewProcess(core.Creds{UID: 1, GID: 1})
+	proc, th, err := r.claimThread()
 	if err != nil {
 		return err
 	}
 	defer proc.Exit()
-	th, err := proc.NewThread()
-	if err != nil {
-		return err
-	}
 	return r.forks.Close(th)
 }
 

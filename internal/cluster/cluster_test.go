@@ -32,7 +32,7 @@ func startCluster(t *testing.T, cfg Config, reg *fault.Registry) (*hw.Machine, *
 func startClusterSrvCfg(t *testing.T, cfg Config, reg *fault.Registry, srvCfg server.Config) (*hw.Machine, *Router, *server.Server) {
 	t.Helper()
 	hwCfg := hw.SmallTest()
-	if cfg.Replicate || cfg.Replication.Enabled {
+	if cfg.Replication.Enabled {
 		// Checkpoint shipping needs somewhere durable to put generations;
 		// the small test machine has NVM but no superblock by default.
 		hwCfg.Mem.NVMSuperblock = 1 << 20
@@ -419,13 +419,15 @@ func TestClusterSmoke(t *testing.T) {
 func replicatedConfig() Config {
 	return Config{
 		Nodes: 3, Workers: 2, Mode: ModeAuto, Locals: 2,
-		SegSize:        1 << 20,
-		Replicate:      true,
-		ShipEvery:      8,
-		ShipInterval:   25 * time.Millisecond,
-		ProbeInterval:  2 * time.Millisecond,
-		ProbeThreshold: 3,
-		DeltaLog:       256,
+		SegSize: 1 << 20,
+		Replication: ReplicationConfig{
+			Enabled:        true,
+			ShipEvery:      8,
+			ShipInterval:   25 * time.Millisecond,
+			ProbeInterval:  2 * time.Millisecond,
+			ProbeThreshold: 3,
+			DeltaLog:       256,
+		},
 	}
 }
 
@@ -466,7 +468,7 @@ func TestClusterFailoverUnderLoad(t *testing.T) {
 	// checkpoint generation carrying it lands on the standby.
 	kRemote := keyOnNode(t, r, 2)
 	shipsBefore := obs.ClusterShipsTotal()
-	for i := 0; i <= cfg.ShipEvery; i++ {
+	for i := 0; i <= cfg.Replication.ShipEvery; i++ {
 		if v, _, err := roundTrip(t, nc, br, "SET", kRemote, "survive\r\nme"); err != nil || string(v) != "OK" {
 			t.Fatalf("seed SET: %q %v", v, err)
 		}
@@ -525,7 +527,7 @@ func TestClusterFailoverUnderLoad(t *testing.T) {
 	}
 	// Updates may be lost in the crash window, but the loss is bounded by
 	// what was actually written after the last shipped checkpoint.
-	if max := out.res.Sets + uint64(cfg.ShipEvery) + 1; rep.LostUpdates > max {
+	if max := out.res.Sets + uint64(cfg.Replication.ShipEvery) + 1; rep.LostUpdates > max {
 		t.Errorf("%d lost updates, more than the %d post-checkpoint writes", rep.LostUpdates, max)
 	}
 	if snap.FaultsInjected == 0 {
@@ -545,7 +547,7 @@ func TestClusterDoubleFaultDegrades(t *testing.T) {
 	// the even-hit policy tears every header: magic lands, CRC doesn't.
 	reg.Enable(fault.MemWriteTorn, func(hit uint64, _ *rand.Rand) bool { return hit%2 == 0 })
 	cfg := replicatedConfig()
-	cfg.ShipEvery = 4
+	cfg.Replication.ShipEvery = 4
 	m, r, srv := startCluster(t, cfg, reg)
 	defer srv.Shutdown()
 	obs := m.Observer()
@@ -558,7 +560,7 @@ func TestClusterDoubleFaultDegrades(t *testing.T) {
 	br := bufio.NewReader(nc)
 
 	kLocal, kRemote := keyOnNode(t, r, 0), keyOnNode(t, r, 2)
-	for i := 0; i < cfg.ShipEvery; i++ {
+	for i := 0; i < cfg.Replication.ShipEvery; i++ {
 		if v, _, err := roundTrip(t, nc, br, "SET", kRemote, "doomed"); err != nil || string(v) != "OK" {
 			t.Fatalf("SET: %q %v", v, err)
 		}
@@ -638,7 +640,7 @@ func TestClusterReplicatedDrain(t *testing.T) {
 	br := bufio.NewReader(nc)
 	for node := 0; node < 3; node++ {
 		key := keyOnNode(t, r, node)
-		for i := 0; i <= cfg.ShipEvery; i++ {
+		for i := 0; i <= cfg.Replication.ShipEvery; i++ {
 			v, _, err := roundTrip(t, nc, br, "SET", key, "drain\r\nme")
 			if err != nil || !bytes.Equal(v, []byte("OK")) {
 				t.Fatalf("SET node %d: %q %v", node, v, err)

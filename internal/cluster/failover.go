@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"spacejmp/internal/core"
@@ -12,7 +11,7 @@ import (
 )
 
 // forkWire is the pre-encoded replication control command.
-var forkWire = redis.EncodeCommand(forkCommand)
+var forkWire = redis.EncodeCommand(redis.ClusterFork)
 
 // ship moves one checkpoint generation from node n's primary to its
 // standby, in two phases. Phase one holds the node's mutex just long enough
@@ -82,14 +81,11 @@ func (m *monitor) ship(r *Router, n *node) {
 // parseForkReply extracts the fork generation from the node's integer
 // reply; a shard error reply surfaces as the contained ReplyError.
 func parseForkReply(resp []byte) (uint64, error) {
-	s := strings.TrimSuffix(string(resp), "\r\n")
-	switch {
-	case strings.HasPrefix(s, ":"):
-		return strconv.ParseUint(s[1:], 10, 64)
-	case strings.HasPrefix(s, "-"):
-		return 0, redis.ReplyError(s[1:])
+	v, _, err := redis.DecodeReply(resp)
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("unexpected fork reply %q", s)
+	return strconv.ParseUint(string(v), 10, 64)
 }
 
 // promote fails node n's range over to its standby. The standby is rebuilt

@@ -5,24 +5,37 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"spacejmp/internal/redis"
 )
 
-// waitForFork blocks until the fork engine has published a frozen view for
-// the node (a ship completed) or the deadline passes.
+// waitForFork blocks until node's published frozen view holds every write
+// the caller has had acknowledged: a view whose generation is newer than
+// the one current now was forked after those acknowledgements. The boot
+// ship's empty view, or a ship that raced the writes, is not enough. The
+// poke asks the monitor for a ship the same way a ShipEvery trigger does,
+// so the wait does not depend on a trigger that may already have fired.
 func waitForFork(t *testing.T, r *Router, node int) {
 	t.Helper()
+	var after uint64
+	if v := r.forks.Current(node); v != nil {
+		after = v.Gen()
+	}
+	select {
+	case r.shipCh <- node:
+	default: // channel full: ships for this node are already queued
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if r.forks.Current(node) != nil {
+		if v := r.forks.Current(node); v != nil && v.Gen() > after {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("no frozen view published for node %d", node)
+	t.Fatalf("no frozen view newer than generation %d published for node %d", after, node)
 }
 
 // TestFollowerReadsServeFromFork drives the whole follower-read path over
@@ -179,4 +192,65 @@ func TestFollowerReadStaleBound(t *testing.T) {
 	if v, err := send(nc, br, "GET", key); err != nil || string(v) != "bounded" {
 		t.Fatalf("primary GET: %q %v", v, err)
 	}
+}
+
+// TestArityRefusedBeforeRouting pins the bug the command table fixed: the
+// router used to check only "at least one key", so a READONLY connection's
+// malformed GET was served from the frozen view while the same bytes on a
+// READWRITE connection were refused, and a malformed write to a remote node
+// paid a urpc round trip to be refused there. Arity is now refused once, in
+// the connection reader, identically on both kinds of connection and
+// without touching a node.
+func TestArityRefusedBeforeRouting(t *testing.T) {
+	m, r, srv := startCluster(t, Config{
+		Nodes: 3, Workers: 1, Locals: 2, SegSize: 1 << 20,
+		Replication: ReplicationConfig{
+			Enabled: true, ShipEvery: 2,
+			FollowerReads: true, StaleBound: time.Minute,
+		},
+	}, nil)
+	defer srv.Shutdown()
+	obs := m.Observer()
+
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+
+	key := keyOnNode(t, r, 2)
+	if v, err := send(nc, br, "SET", key, "v"); err != nil || string(v) != "OK" {
+		t.Fatalf("SET: %q %v", v, err)
+	}
+	waitForFork(t, r, 2)
+
+	wrongArity := func(args ...string) {
+		t.Helper()
+		_, err := send(nc, br, args...)
+		var re redis.ReplyError
+		if !errors.As(err, &re) || !strings.Contains(string(re), "wrong number of arguments") {
+			t.Errorf("%q: got %v, want the wrong-arity reply", args, err)
+		}
+	}
+	remote, follower := obs.ClusterRemoteTotal(), obs.ClusterFollowerReadsTotal()
+	for _, mode := range []string{"READONLY", "READWRITE"} {
+		if v, err := send(nc, br, mode); err != nil || string(v) != "OK" {
+			t.Fatalf("%s: %q %v", mode, v, err)
+		}
+		wrongArity("GET", key, "extra")
+		wrongArity("MGET")
+		wrongArity("SET", key)
+		wrongArity("DEL", key, "extra")
+	}
+	if got := obs.ClusterFollowerReadsTotal(); got != follower {
+		t.Errorf("a malformed read was served from the frozen view (%d follower reads)", got-follower)
+	}
+	if got := obs.ClusterRemoteTotal(); got != remote {
+		t.Errorf("a malformed command paid %d urpc round trips to be refused", got-remote)
+	}
+
+	// The connection-inline commands are table rows too.
+	wrongArity("DEADLINE")
+	wrongArity("READONLY", "x")
 }

@@ -52,13 +52,8 @@ var pingWire = redis.EncodeCommand("PING")
 // replicated node. Called after workers and nodes, so the monitor's core
 // lands after theirs.
 func (r *Router) newMonitor() error {
-	proc, err := r.sys.NewProcess(core.Creds{UID: 1, GID: 1})
+	proc, th, err := r.claimThread()
 	if err != nil {
-		return err
-	}
-	th, err := proc.NewThread()
-	if err != nil {
-		proc.Exit()
 		return err
 	}
 	m := &monitor{

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -80,13 +79,8 @@ func (r *Router) ensureEngine() (*engine, error) {
 	if r.eng != nil {
 		return r.eng, nil
 	}
-	proc, err := r.sys.NewProcess(core.Creds{UID: 1, GID: 1})
+	proc, th, err := r.claimThread()
 	if err != nil {
-		return nil, fmt.Errorf("migration engine: %w", err)
-	}
-	th, err := proc.NewThread()
-	if err != nil {
-		proc.Exit()
 		return nil, fmt.Errorf("migration engine: %w", err)
 	}
 	e := &engine{
@@ -162,13 +156,10 @@ func (e *engine) clientFor(n *node) (c *redis.Client, release func(), err error)
 // endpoint and surfaces an error reply as an error.
 func (e *engine) callCheck(n *node, wire []byte) error {
 	resp, _, err := n.call(e.epFor(n), wire, 0)
-	if err != nil {
-		return err
+	if err == nil {
+		_, _, err = redis.DecodeReply(resp) // an error reply decodes to a ReplyError
 	}
-	if len(resp) > 0 && resp[0] == '-' {
-		return errors.New(strings.TrimSpace(string(resp[1:])))
-	}
-	return nil
+	return err
 }
 
 // dumpSlot reads a slot's pairs off a node: DumpSlot on the fast path,
@@ -182,7 +173,7 @@ func (e *engine) dumpSlot(n *node, slot int) ([]redis.KV, error) {
 	if c != nil {
 		return c.DumpSlot(slot, NumSlots)
 	}
-	wire := redis.EncodeCommand(migrateCommand, strconv.Itoa(slot), strconv.Itoa(NumSlots))
+	wire := redis.EncodeCommand(redis.ClusterMigrate, strconv.Itoa(slot), strconv.Itoa(NumSlots))
 	resp, err := n.callBulk(e.epFor(n), wire)
 	if err != nil {
 		return nil, err
@@ -232,7 +223,7 @@ func (e *engine) importPairs(n *node, slot int, pairs []redis.KV) error {
 		if err := gob.NewEncoder(&buf).Encode(pairs[start:end]); err != nil {
 			return fmt.Errorf("import encode: %w", err)
 		}
-		wire := redis.EncodeCommand(importCommand, strconv.Itoa(slot), buf.String())
+		wire := redis.EncodeCommand(redis.ClusterImport, strconv.Itoa(slot), buf.String())
 		if err := e.callCheck(n, wire); err != nil {
 			return err
 		}
@@ -249,11 +240,8 @@ func (e *engine) applyEntry(n *node, args []string) error {
 	}
 	defer release()
 	if c != nil {
-		resp := redis.Execute(c, args)
-		if len(resp) > 0 && resp[0] == '-' {
-			return errors.New(strings.TrimSpace(string(resp[1:])))
-		}
-		return nil
+		_, _, err := redis.DecodeReply(redis.Execute(c, args))
+		return err
 	}
 	return e.callCheck(n, redis.EncodeCommand(args...))
 }
@@ -270,7 +258,7 @@ func (e *engine) cleanupSlot(n *node, slot int) error {
 		_, err := c.DelSlot(slot, NumSlots)
 		return err
 	}
-	wire := redis.EncodeCommand(cleanupCommand, strconv.Itoa(slot), strconv.Itoa(NumSlots))
+	wire := redis.EncodeCommand(redis.ClusterCleanup, strconv.Itoa(slot), strconv.Itoa(NumSlots))
 	return e.callCheck(n, wire)
 }
 

@@ -40,8 +40,7 @@ func keysInSlot(t *testing.T, slot, n int) []string {
 }
 
 // TestPlacementTable pins the placement API's startup contract: epoch 1
-// stripes slots round-robin, Slot/Owner agree with the deprecated NodeFor
-// wrapper, and PlacementInfo covers the whole slot space.
+// stripes slots round-robin and PlacementInfo covers the whole slot space.
 func TestPlacementTable(t *testing.T) {
 	_, r, srv := startCluster(t, Config{Nodes: 3, Workers: 1, Locals: 2}, nil)
 	defer srv.Shutdown()
@@ -53,12 +52,6 @@ func TestPlacementTable(t *testing.T) {
 	for s, owner := range tab.Owners {
 		if owner != s%3 {
 			t.Fatalf("slot %d owned by %d, want %d", s, owner, s%3)
-		}
-	}
-	for i := 0; i < 64; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if got, want := r.Owner(r.Slot(k)), r.NodeFor(k); got != want {
-			t.Fatalf("key %q: Owner(Slot)=%d, NodeFor=%d", k, got, want)
 		}
 	}
 	info := r.PlacementInfo()
@@ -327,7 +320,8 @@ func TestAddRemoveNode(t *testing.T) {
 func TestRemoveReplicatedNode(t *testing.T) {
 	_, r, srv := startCluster(t, Config{
 		Nodes: 3, Workers: 1, Locals: 2,
-		Replicate: true, ShipEvery: 4, SegSize: 1 << 20,
+		SegSize:     1 << 20,
+		Replication: ReplicationConfig{Enabled: true, ShipEvery: 4},
 	}, nil)
 	defer srv.Shutdown()
 
@@ -447,34 +441,5 @@ func TestClusterCommands(t *testing.T) {
 
 	if _, err := send(nc, br, "CLUSTER", "FORGET"); err == nil {
 		t.Fatal("unknown CLUSTER subcommand succeeded")
-	}
-}
-
-// TestReplicationConfigAliases pins the config migration contract: the
-// deprecated flat knobs fold into the nested ReplicationConfig, an
-// explicitly nested config wins, and the flat fields mirror the resolved
-// values either way.
-func TestReplicationConfigAliases(t *testing.T) {
-	flat := Config{Nodes: 3, Replicate: true, ShipEvery: 7, ProbeThreshold: 5}.withDefaults()
-	if !flat.Replication.Enabled || flat.Replication.ShipEvery != 7 || flat.Replication.ProbeThreshold != 5 {
-		t.Fatalf("flat aliases not folded: %+v", flat.Replication)
-	}
-	if flat.Replication.ShipInterval == 0 || flat.Replication.DeltaLog == 0 {
-		t.Fatalf("nested defaults not applied: %+v", flat.Replication)
-	}
-
-	nested := Config{Nodes: 3, Replication: ReplicationConfig{Enabled: true, ShipEvery: 9}}.withDefaults()
-	if nested.Replication.ShipEvery != 9 {
-		t.Fatalf("nested config lost its value: %+v", nested.Replication)
-	}
-	if !nested.Replicate || nested.ShipEvery != 9 {
-		t.Fatalf("flat mirror stale: Replicate=%v ShipEvery=%d", nested.Replicate, nested.ShipEvery)
-	}
-
-	if d := (Config{Nodes: 3}).withDefaults(); d.Replication.Enabled || d.Replicate {
-		t.Fatal("replication enabled from nothing")
-	}
-	if d := (Config{Nodes: 3}).withDefaults(); d.MigrationDeltaLog == 0 {
-		t.Fatal("migration delta log default missing")
 	}
 }

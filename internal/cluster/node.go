@@ -123,13 +123,8 @@ func (r *Router) newNode(id int, local bool) (*node, error) {
 		// client that attaches (wireWorker).
 		return n, nil
 	}
-	proc, err := r.sys.NewProcess(core.Creds{UID: 1, GID: 1})
+	proc, th, err := r.claimThread()
 	if err != nil {
-		return nil, err
-	}
-	th, err := proc.NewThread()
-	if err != nil {
-		proc.Exit()
 		return nil, err
 	}
 	var opts []core.SegOption
@@ -189,25 +184,20 @@ func (n *node) noteProbe(ok bool) {
 	}
 }
 
-// Control commands a node's handler answers beyond the data plane:
-// replication image shipping and the slot-migration copy protocol.
-const (
-	// forkCommand: fork a frozen COW view of the store and reply with the
-	// fork generation (an integer reply). The expensive image extraction
-	// happens later, off the node mutex, through the fork engine.
-	forkCommand = "CLUSTER.FORK"
-	// migrateCommand <slot> <nslots>: reply with the slot's key/value
-	// pairs, gob-encoded in a bulk reply (the migration source side).
-	migrateCommand = "CLUSTER.MIGRATE"
-	// importCommand <slot> <gob-chunk>: replay a chunk of migrated pairs
-	// into this node's store (the migration target side).
-	importCommand = "CLUSTER.IMPORT"
-	// cleanupCommand <slot> <nslots>: delete the slot's keys after its
-	// ownership flipped away (the migration source side, post-flip).
-	cleanupCommand = "CLUSTER.CLEANUP"
-)
-
-// handler is the node's urpc service routine: RESP in, RESP out. It runs
+// handler is the node's urpc service routine: RESP in, RESP out. Beyond the
+// data plane it answers the node-control commands of the command table:
+//
+//   - CLUSTER.FORK: fork a frozen COW view of the store and reply with the
+//     fork generation. The expensive image extraction happens later, off the
+//     node mutex, through the fork engine.
+//   - CLUSTER.MIGRATE <slot> <nslots>: reply with the slot's key/value pairs,
+//     gob-encoded in a bulk reply (the migration source side).
+//   - CLUSTER.IMPORT <slot> <gob-chunk>: replay a chunk of migrated pairs into
+//     this node's store (the migration target side).
+//   - CLUSTER.CLEANUP <slot> <nslots>: delete the slot's keys after its
+//     ownership flipped away (the migration source side, post-flip).
+//
+// It runs
 // with the node's core active (under n.mu), so the decode, the VAS
 // switches, and the table walk are all charged to the node — and, because
 // the urpc client busy-waits, mirrored into the calling worker's latency.
@@ -225,17 +215,18 @@ func (n *node) handler(req []byte) []byte {
 	if err != nil {
 		return redis.EncodeError("protocol error: " + err.Error())
 	}
-	switch {
-	case len(args) == 1 && strings.EqualFold(args[0], forkCommand):
+	cmd := redis.Lookup(args)
+	switch cmd.Op {
+	case redis.OpClusterFork:
 		return n.forkReply()
-	case len(args) == 3 && strings.EqualFold(args[0], migrateCommand):
+	case redis.OpClusterMigrate:
 		return n.migrateReply(args[1], args[2])
-	case len(args) == 3 && strings.EqualFold(args[0], importCommand):
+	case redis.OpClusterImport:
 		return n.importReply(args[1], args[2])
-	case len(args) == 3 && strings.EqualFold(args[0], cleanupCommand):
+	case redis.OpClusterCleanup:
 		return n.cleanupReply(args[1], args[2])
 	}
-	return redis.Execute(n.client, args)
+	return redis.Run(n.client, cmd, args)
 }
 
 // migrateReply streams this node's share of a slot to the migration

@@ -74,16 +74,6 @@ func (r *Router) Table() *SlotTable {
 	return r.table.Load()
 }
 
-// NodeFor resolves the node a key routes to right now.
-//
-// Deprecated: NodeFor predates the slot table — it answered placement when
-// placement was "hash mod len(nodes)" and could never change. Use
-// Slot/Owner (or Table for a stable epoch): a NodeFor answer is stale the
-// moment a migration flips the key's slot.
-func (r *Router) NodeFor(key string) int {
-	return r.Owner(r.Slot(key))
-}
-
 // PlacementInfo renders the current table epoch for the admin surface
 // (server.ClusterStatus).
 func (r *Router) PlacementInfo() server.PlacementInfo {

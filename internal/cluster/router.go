@@ -52,30 +52,15 @@ type frozenReader struct {
 	store *redis.Store
 }
 
-// get reads one key from the frozen view: switch in, walk the table, switch
-// out. The frozen segment is not lockable, so unlike the live read VAS no
-// shared lock is taken — the frames are immutable.
-func (f *frozenReader) get(th *core.Thread, key string) ([]byte, bool, error) {
+// read reads a key group on one switch into the frozen view — the same
+// one-switch-many-walks fast path the live MGET uses; a GET is the one-key
+// group. The frozen segment is not lockable, so unlike the live read VAS no
+// shared lock is taken — the frames are immutable. got[i] receives keys[i]'s
+// value, nil for a miss.
+func (f *frozenReader) read(th *core.Thread, keys []string, got [][]byte) error {
 	if err := th.VASSwitch(f.h); err != nil {
-		return nil, false, err
+		return err
 	}
-	val, ok, err := f.store.Get([]byte(key))
-	if serr := th.VASSwitch(core.PrimaryHandle); err == nil {
-		err = serr
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return val, ok, nil
-}
-
-// mget reads a key group on one switch into the frozen view — the same
-// one-switch-many-walks fast path the live MGET uses, minus the lock.
-func (f *frozenReader) mget(th *core.Thread, keys []string) ([][]byte, error) {
-	if err := th.VASSwitch(f.h); err != nil {
-		return nil, err
-	}
-	vals := make([][]byte, len(keys))
 	var err error
 	for i, k := range keys {
 		var v []byte
@@ -84,26 +69,34 @@ func (f *frozenReader) mget(th *core.Thread, keys []string) ([][]byte, error) {
 			break
 		}
 		if ok {
-			vals[i] = v
+			got[i] = v
 		}
 	}
 	if serr := th.VASSwitch(core.PrimaryHandle); err == nil {
 		err = serr
 	}
-	if err != nil {
-		return nil, err
-	}
-	return vals, nil
+	return err
 }
 
-func (r *Router) newWorker(id int, ctr *stats.ShardCounters) (*worker, error) {
+// claimThread spawns a process and claims a simulated core for its one
+// thread — how every agent of the cluster comes to own a core. The caller
+// owns proc.Exit.
+func (r *Router) claimThread() (*core.Process, *core.Thread, error) {
 	proc, err := r.sys.NewProcess(core.Creds{UID: 1, GID: 1})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	th, err := proc.NewThread()
 	if err != nil {
 		proc.Exit()
+		return nil, nil, err
+	}
+	return proc, th, nil
+}
+
+func (r *Router) newWorker(id int, ctr *stats.ShardCounters) (*worker, error) {
+	proc, th, err := r.claimThread()
+	if err != nil {
 		return nil, err
 	}
 	return &worker{
@@ -202,7 +195,7 @@ func (r *Router) exec(w *worker, req *server.Request) []byte {
 		n += len(a)
 	}
 	w.th.Core.AddCycles(server.EdgeCycles(n))
-	resp := r.route(w, args, req.Readonly)
+	resp := r.route(w, req)
 	w.th.Core.AddCycles(server.EdgeCycles(len(resp)))
 	if w.bud.Active() {
 		r.obs.ClusterBudgetRemaining(w.bud.Remaining(w.th.Core.Cycles()))
@@ -210,38 +203,35 @@ func (r *Router) exec(w *worker, req *server.Request) []byte {
 	return resp
 }
 
-// route sends single-key commands to the node owning their key's slot and
-// fans multi-key commands out per owner; store-less commands run in place.
-// Keyed commands hold the topology read lock end to end, so each command
-// executes against one consistent slot-table epoch and node list — a slot
-// flip or node append waits out every in-flight command before it lands.
-func (r *Router) route(w *worker, args []string, readonly bool) []byte {
-	if len(args) == 0 {
-		return redis.EncodeError("empty command")
-	}
-	switch strings.ToUpper(args[0]) {
-	case "GET", "SET", "DEL":
-		if len(args) < 2 {
-			return redis.EncodeWrongArity(args[0])
-		}
+// route dispatches on the request's resolved command: single-key commands
+// go to the node owning their key's slot, multi-key reads fan out per
+// owner, store-less commands run in place, anything else is refused before
+// any node is touched. Keyed commands hold the topology read lock end to
+// end, so each executes against one consistent slot-table epoch and node
+// list — a slot flip or node append waits out every in-flight command.
+func (r *Router) route(w *worker, req *server.Request) []byte {
+	cmd, args := req.Cmd, req.Args
+	switch cmd.By {
+	case redis.ByStore:
 		r.topoMu.RLock()
 		defer r.topoMu.RUnlock()
-		return r.exec1(w, args, readonly)
-	case "MGET":
-		if len(args) < 2 {
-			return redis.EncodeWrongArity(args[0])
+		if cmd.Op == redis.OpMGet {
+			return r.mget(w, cmd, cmd.Keys(args), req.Readonly)
 		}
-		r.topoMu.RLock()
-		defer r.topoMu.RUnlock()
-		return r.mget(w, args[1:], readonly)
-	case "CLUSTER":
-		// Read-only introspection off the published table epoch; must not
-		// take topoMu here (Topology takes its own read lock, and nesting
-		// read locks around a waiting writer self-deadlocks).
-		return r.clusterCommand(args[1:])
-	default:
-		return redis.Execute(nil, args) // PING, ECHO, unknown
+		return r.exec1(w, cmd, args, req.Readonly)
+	case redis.ByRouter:
+		// CLUSTER is read-only introspection off the published table epoch;
+		// it must not take topoMu here (Topology takes its own read lock,
+		// and nesting read locks around a waiting writer self-deadlocks).
+		switch cmd.Op {
+		case redis.OpClusterSlots:
+			return r.clusterSlotsReply()
+		case redis.OpClusterNodes:
+			return r.clusterNodesReply()
+		}
+		return redis.Run(nil, cmd, args) // PING, ECHO
 	}
+	return cmd.Refusal(args)
 }
 
 // path resolves how worker w reaches node n right now: a client for the
@@ -368,23 +358,19 @@ func (w *worker) standbyClient(r *Router, n *node) (*redis.Client, error) {
 // fenced (the flip is imminent), writes get the retryable -MOVED; reads
 // keep serving from the still-authoritative source until the flip, so no
 // slot ever goes dark.
-func (r *Router) exec1(w *worker, args []string, readonly bool) []byte {
-	slot := r.Slot(args[1])
+func (r *Router) exec1(w *worker, cmd *redis.Command, args []string, readonly bool) []byte {
+	slot := r.Slot(args[cmd.FirstKey])
 	nid := r.Owner(slot)
-	var isWrite bool
-	switch strings.ToUpper(args[0]) {
-	case "SET", "DEL":
-		isWrite = true
-	}
-	if !isWrite {
-		n := r.nodes[nid]
-		if degraded := r.degradedRead(w, n, readonly); readonly || degraded {
-			if resp, served := r.followerGet(w, n, args[1], degraded); served {
-				return resp
-			}
+	if !cmd.Write {
+		got, stale := r.frozenRead(w, r.nodes[nid], cmd.Keys(args), readonly)
+		if stale != nil {
+			return stale
+		}
+		if got != nil {
+			return redis.EncodeBulk(got[0])
 		}
 	}
-	if mig := r.migs[slot].Load(); mig != nil && isWrite {
+	if mig := r.migs[slot].Load(); mig != nil && cmd.Write {
 		if mig.fenced.Load() {
 			r.obs.ClusterMovedRetry()
 			return redis.EncodeMoved(slot, mig.dst)
@@ -395,17 +381,17 @@ func (r *Router) exec1(w *worker, args []string, readonly bool) []byte {
 			r.obs.ClusterMovedRetry()
 			return redis.EncodeMoved(slot, mig.dst)
 		}
-		resp := r.execOn(w, nid, args)
+		resp := r.execOn(w, nid, cmd, args)
 		if len(resp) > 0 && resp[0] != '-' {
 			mig.record(args, r.cfg.MigrationDeltaLog)
 		}
 		return resp
 	}
-	return r.execOn(w, nid, args)
+	return r.execOn(w, nid, cmd, args)
 }
 
 // execOn runs one command on node nid, local or remote.
-func (r *Router) execOn(w *worker, nid int, args []string) []byte {
+func (r *Router) execOn(w *worker, nid int, cmd *redis.Command, args []string) []byte {
 	n := r.nodes[nid]
 	c, ep, errReply := r.path(w, n)
 	if errReply != nil {
@@ -413,37 +399,46 @@ func (r *Router) execOn(w *worker, nid int, args []string) []byte {
 	}
 	if c != nil {
 		before := w.th.Core.Cycles()
-		resp := redis.Execute(c, args)
+		resp := redis.Run(c, cmd, args)
 		r.obs.ClusterLocal(nid, w.th.Core.Cycles()-before)
 		return resp
 	}
-	wire := redis.EncodeCommand(args...)
+	resp, errReply := r.callNode(w, n, ep, redis.EncodeCommand(args...))
+	if errReply != nil {
+		return errReply
+	}
+	if cmd.Write {
+		r.bufferWrite(n, args, resp)
+	}
+	return resp
+}
+
+// callNode performs one data call into remote node n: the wire goes out
+// under the request's remaining budget, the outcome feeds the node's
+// breaker, the cycles are attributed to the urpc path, and a transport
+// failure comes back as the ready-made error reply.
+func (r *Router) callNode(w *worker, n *node, ep *urpc.Endpoint, wire []byte) (resp, errReply []byte) {
 	before := w.th.Core.Cycles()
 	resp, callCycles, err := n.call(ep, wire, w.callBudget())
 	total := w.th.Core.Cycles() - before
 	n.noteOutcome(err)
 	if err != nil {
-		return r.remoteError(nid, err)
+		return nil, r.remoteError(n.id, err)
 	}
-	r.obs.ClusterRemote(nid, total)
+	r.obs.ClusterRemote(n.id, total)
 	r.obs.ClusterURPCCall(callCycles)
-	r.bufferWrite(n, args, resp)
-	return resp
+	return resp, nil
 }
 
-// bufferWrite records a successfully applied remote write in the node's
-// delta log (the post-checkpoint tail a promotion replays) and pokes the
-// monitor when the window crosses the ship trigger. The append happens
+// bufferWrite records a successfully applied remote write (the caller
+// checked the command's Write flag) in the node's delta log — the
+// post-checkpoint tail a promotion replays — and pokes the monitor when
+// the window crosses the ship trigger. The append happens
 // after the node's mutex is released, so an entry can land just after a
 // concurrent ship truncated the window — harmless, because SET/DEL replay
 // is idempotent.
 func (r *Router) bufferWrite(n *node, args []string, resp []byte) {
 	if !n.replicated || len(resp) == 0 || resp[0] == '-' {
-		return
-	}
-	switch strings.ToUpper(args[0]) {
-	case "SET", "DEL":
-	default:
 		return
 	}
 	if n.recordDelta(args, r.cfg.Replication.DeltaLog, r.cfg.Replication.ShipEvery) && r.shipCh != nil {
@@ -488,62 +483,35 @@ func (r *Router) followerView(n *node, degraded bool) (*fork.View, []byte) {
 	return v, nil
 }
 
-// followerGet serves one GET from node n's frozen view when the staleness
-// bound allows. served=false falls through to the primary path.
-func (r *Router) followerGet(w *worker, n *node, key string, degraded bool) (resp []byte, served bool) {
+// frozenRead serves a read of keys — all owned by node n — from n's frozen
+// view when policy says so: the connection opted into bounded staleness
+// (READONLY follower reads) or the node looks overloaded and the caller is
+// eligible for degraded reads. It returns one value per key (nil for a
+// miss). A nil got falls through to the primary; a non-nil stale reply
+// fails the whole command — a partially bounded MGET would be
+// indistinguishable from a fully bounded one.
+func (r *Router) frozenRead(w *worker, n *node, keys []string, readonly bool) (got [][]byte, stale []byte) {
+	degraded := r.degradedRead(w, n, readonly)
+	if !readonly && !degraded {
+		return nil, nil
+	}
 	v, stale := r.followerView(n, degraded)
-	if stale != nil {
-		return stale, true
-	}
 	if v == nil {
-		return nil, false
+		return nil, stale
 	}
 	fr := w.frozenReaderFor(r, n.id, v)
 	if fr == nil {
-		return nil, false
+		return nil, nil
 	}
-	val, ok, err := fr.get(w.th, key)
-	if err != nil {
-		return nil, false
+	got = make([][]byte, len(keys))
+	if err := fr.read(w.th, keys, got); err != nil {
+		return nil, nil
 	}
 	r.obs.ClusterFollowerRead()
 	if degraded {
 		r.obs.ClusterDegradedRead()
 	}
-	if !ok {
-		return redis.EncodeBulk(nil), true
-	}
-	return redis.EncodeBulk(val), true
-}
-
-// followerMGet serves one MGET key group from node n's frozen view,
-// writing hits into vals at idxs. served=false falls through to the
-// primary; a non-nil stale reply fails the whole command — a partially
-// bounded MGET would be indistinguishable from a fully bounded one.
-func (r *Router) followerMGet(w *worker, n *node, keys []string, vals [][]byte, idxs []int, degraded bool) (served bool, stale []byte) {
-	v, staleReply := r.followerView(n, degraded)
-	if staleReply != nil {
-		return false, staleReply
-	}
-	if v == nil {
-		return false, nil
-	}
-	fr := w.frozenReaderFor(r, n.id, v)
-	if fr == nil {
-		return false, nil
-	}
-	got, err := fr.mget(w.th, keys)
-	if err != nil {
-		return false, nil
-	}
-	r.obs.ClusterFollowerRead()
-	if degraded {
-		r.obs.ClusterDegradedRead()
-	}
-	for j, i := range idxs {
-		vals[i] = got[j]
-	}
-	return true, nil
+	return got, nil
 }
 
 // frozenReaderFor returns this worker's cached attachment to view v,
@@ -607,7 +575,7 @@ func (r *Router) noteSuspect(n *node) {
 // keys. Caller holds the topology read lock, so every key resolves against
 // one table epoch. Reads on migrating slots serve from the source, which
 // stays authoritative until the flip.
-func (r *Router) mget(w *worker, keys []string, readonly bool) []byte {
+func (r *Router) mget(w *worker, cmd *redis.Command, keys []string, readonly bool) []byte {
 	groups := make(map[int][]int, len(r.nodes)) // node id → indices into keys
 	for i, k := range keys {
 		nid := r.Owner(r.Slot(k))
@@ -632,52 +600,16 @@ func (r *Router) mget(w *worker, keys []string, readonly bool) []byte {
 			return redis.EncodeDeadline(fmt.Sprintf(
 				"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
 		}
-		if degraded := r.degradedRead(w, n, readonly); readonly || degraded {
-			served, stale := r.followerMGet(w, n, sub, vals, idxs, degraded)
-			if stale != nil {
-				return stale
+		got, stale := r.frozenRead(w, n, sub, readonly)
+		if stale != nil {
+			return stale
+		}
+		if got == nil {
+			var errReply []byte
+			if got, errReply = r.mgetOn(w, n, cmd, sub); errReply != nil {
+				return errReply
 			}
-			if served {
-				continue
-			}
 		}
-		c, ep, errReply := r.path(w, n)
-		if errReply != nil {
-			return errReply
-		}
-		if c != nil {
-			before := w.th.Core.Cycles()
-			got, err := c.MGet(sub)
-			r.obs.ClusterLocal(nid, w.th.Core.Cycles()-before)
-			if err != nil {
-				return redis.EncodeError(err.Error())
-			}
-			for j, i := range idxs {
-				vals[i] = got[j]
-			}
-			continue
-		}
-		wire := redis.EncodeCommand(append([]string{"MGET"}, sub...)...)
-		before := w.th.Core.Cycles()
-		resp, callCycles, err := n.call(ep, wire, w.callBudget())
-		total := w.th.Core.Cycles() - before
-		n.noteOutcome(err)
-		if err != nil {
-			return r.remoteError(nid, err)
-		}
-		got, _, err := redis.DecodeArrayReply(resp)
-		if err != nil {
-			var re redis.ReplyError
-			if errors.As(err, &re) {
-				return []byte("-" + string(re) + "\r\n") // relay the shard's refusal
-			}
-			return redis.EncodeError("shard protocol error: " + err.Error())
-		}
-		if len(got) != len(idxs) {
-			return redis.EncodeError("shard protocol error: short MGET reply")
-		}
-		r.obs.ClusterRemote(nid, total)
-		r.obs.ClusterURPCCall(callCycles)
 		for j, i := range idxs {
 			vals[i] = got[j]
 		}
@@ -685,42 +617,51 @@ func (r *Router) mget(w *worker, keys []string, readonly bool) []byte {
 	return redis.EncodeArray(vals)
 }
 
-// clusterCommand serves the read-only CLUSTER introspection subcommands,
-// Redis-compatible in shape, off the published slot-table epoch.
-func (r *Router) clusterCommand(sub []string) []byte {
-	if len(sub) == 0 {
-		return redis.EncodeError("wrong number of arguments for 'cluster' command")
+// mgetOn reads a key group from node n's primary: one VAS switch on the
+// fast path, one urpc round trip otherwise.
+func (r *Router) mgetOn(w *worker, n *node, cmd *redis.Command, keys []string) (got [][]byte, errReply []byte) {
+	c, ep, errReply := r.path(w, n)
+	if errReply != nil {
+		return nil, errReply
 	}
-	switch strings.ToUpper(sub[0]) {
-	case "SLOTS":
-		return r.clusterSlotsReply()
-	case "NODES":
-		return r.clusterNodesReply()
+	if c != nil {
+		before := w.th.Core.Cycles()
+		got, err := c.MGet(keys)
+		r.obs.ClusterLocal(n.id, w.th.Core.Cycles()-before)
+		if err != nil {
+			return nil, redis.EncodeError(err.Error())
+		}
+		return got, nil
 	}
-	return redis.EncodeError("unknown CLUSTER subcommand: " + sub[0])
+	resp, errReply := r.callNode(w, n, ep, redis.EncodeCommand(append([]string{cmd.Name}, keys...)...))
+	if errReply != nil {
+		return nil, errReply
+	}
+	got, _, err := redis.DecodeArrayReply(resp)
+	if err != nil {
+		var re redis.ReplyError
+		if errors.As(err, &re) {
+			return nil, []byte("-" + string(re) + "\r\n") // relay the shard's refusal
+		}
+		return nil, redis.EncodeError("shard protocol error: " + err.Error())
+	}
+	if len(got) != len(keys) {
+		return nil, redis.EncodeError("shard protocol error: short MGET reply")
+	}
+	return got, nil
 }
 
 // clusterSlotsReply renders CLUSTER SLOTS: an array of slot ranges, each
 // [start, end, [node-name, node-id]] — the Redis shape with the simulated
 // node's name standing in for host:port.
 func (r *Router) clusterSlotsReply() []byte {
-	t := r.Table()
-	type span struct{ start, end, owner int }
-	var spans []span
-	for s := 0; s < NumSlots; {
-		e := s
-		for e+1 < NumSlots && t.Owners[e+1] == t.Owners[s] {
-			e++
-		}
-		spans = append(spans, span{s, e, t.Owners[s]})
-		s = e + 1
-	}
+	ranges := r.PlacementInfo().Ranges
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "*%d\r\n", len(spans))
-	for _, sp := range spans {
-		name := fmt.Sprintf("node-%d", sp.owner)
+	fmt.Fprintf(&b, "*%d\r\n", len(ranges))
+	for _, rg := range ranges {
+		name := fmt.Sprintf("node-%d", rg.Node)
 		fmt.Fprintf(&b, "*3\r\n:%d\r\n:%d\r\n*2\r\n$%d\r\n%s\r\n:%d\r\n",
-			sp.start, sp.end, len(name), name, sp.owner)
+			rg.Start, rg.End, len(name), name, rg.Node)
 	}
 	return b.Bytes()
 }

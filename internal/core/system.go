@@ -562,13 +562,6 @@ func (t *Thread) SegAlloc(name string, base arch.VirtAddr, size uint64, perm arc
 	return seg.ID, nil
 }
 
-// SegAllocPages is SegAlloc with a positional page size.
-//
-// Deprecated: use SegAlloc with WithPageSize.
-func (t *Thread) SegAllocPages(name string, base arch.VirtAddr, size uint64, perm arch.Perm, pageSize uint64) (SegID, error) {
-	return t.SegAlloc(name, base, size, perm, WithPageSize(pageSize))
-}
-
 // SegFind looks a segment up by name (seg_find).
 func (t *Thread) SegFind(name string) (SegID, error) {
 	sys, done, err := t.enter(stats.OpSegFind)

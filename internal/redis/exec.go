@@ -1,50 +1,37 @@
 package redis
 
-import (
-	"errors"
-	"strings"
-)
+import "errors"
 
-// Execute runs one already-parsed command against a client's store and
-// renders the RESP reply. It is the single command table shared by every
-// execution site: the serving layer's pool workers, the cluster's shard
-// node handlers, and the router's co-resident fast path all dispatch
-// through it, so a command behaves identically whether it was served
-// locally over a VAS switch or remotely over urpc.
+// Execute resolves one already-parsed command against the command table
+// and runs it on a client's store. Callers that already hold the resolved
+// row (the router, via server.Request) call Run directly.
+func Execute(c *Client, args []string) []byte {
+	return Run(c, Lookup(args), args)
+}
+
+// Run executes a resolved command against a client's store and renders the
+// RESP reply. It is the one place commands are carried out: the router's
+// co-resident fast path and the shard node handlers both end here, so a
+// command behaves identically whether it was served locally over a VAS
+// switch or remotely over urpc. cmd must be Lookup(args) — arity is already
+// checked.
 //
 // A nil client serves only the store-less commands (PING, ECHO); data
-// commands answer with an error reply.
-func Execute(c *Client, args []string) []byte {
-	if len(args) == 0 {
-		return EncodeError("empty command")
+// commands answer with an error reply. Commands another layer answers are
+// unknown here.
+func Run(c *Client, cmd *Command, args []string) []byte {
+	if cmd.By == ByStore && c == nil {
+		return EncodeError("no store behind this handler")
 	}
-	name := strings.ToUpper(args[0])
-	switch name {
-	case "PING":
-		if len(args) > 2 {
-			return EncodeWrongArity(args[0])
-		}
+	switch cmd.Op {
+	case OpPing:
 		if len(args) == 2 {
 			return EncodeBulk([]byte(args[1]))
 		}
 		return EncodeSimple("PONG")
-	case "ECHO":
-		if len(args) != 2 {
-			return EncodeWrongArity(args[0])
-		}
+	case OpEcho:
 		return EncodeBulk([]byte(args[1]))
-	case "GET", "MGET", "SET", "DEL":
-		if c == nil {
-			return EncodeError("no store behind this handler")
-		}
-	default:
-		return EncodeUnknownCommand(args[0])
-	}
-	switch name {
-	case "GET":
-		if len(args) != 2 {
-			return EncodeWrongArity(args[0])
-		}
+	case OpGet:
 		v, ok, err := c.Get(args[1])
 		if err != nil {
 			return EncodeError(err.Error())
@@ -53,19 +40,13 @@ func Execute(c *Client, args []string) []byte {
 			return EncodeBulk(nil)
 		}
 		return EncodeBulk(v)
-	case "MGET":
-		if len(args) < 2 {
-			return EncodeWrongArity(args[0])
-		}
+	case OpMGet:
 		vals, err := c.MGet(args[1:])
 		if err != nil {
 			return EncodeError(err.Error())
 		}
 		return EncodeArray(vals)
-	case "SET":
-		if len(args) != 3 {
-			return EncodeWrongArity(args[0])
-		}
+	case OpSet:
 		if err := c.Set(args[1], []byte(args[2])); err != nil {
 			if errors.Is(err, ErrStoreFull) {
 				return EncodeError("OOM store segment full")
@@ -73,10 +54,7 @@ func Execute(c *Client, args []string) []byte {
 			return EncodeError(err.Error())
 		}
 		return EncodeSimple("OK")
-	case "DEL":
-		if len(args) != 2 {
-			return EncodeWrongArity(args[0])
-		}
+	case OpDel:
 		found, err := c.Del(args[1])
 		if err != nil {
 			return EncodeError(err.Error())
@@ -85,7 +63,6 @@ func Execute(c *Client, args []string) []byte {
 			return EncodeInt(1)
 		}
 		return EncodeInt(0)
-	default:
-		return EncodeUnknownCommand(args[0])
 	}
+	return cmd.Refusal(args)
 }

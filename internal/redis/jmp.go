@@ -29,7 +29,7 @@ const (
 
 // Names identifies one store instance in the global registries. The cluster
 // layer runs one instance per shard node; the single-machine experiments
-// and the serving layer's pool backend use DefaultNames.
+// use DefaultNames.
 type Names struct {
 	Seg      string // the shared data segment
 	ReadVAS  string // maps the segment read-only

@@ -134,30 +134,6 @@ func TestReadReplyKinds(t *testing.T) {
 	}
 }
 
-func FuzzReadCommand(f *testing.F) {
-	f.Add([]byte("*2\r\n$3\r\nGET\r\n$1\r\na\r\n"))
-	f.Add([]byte("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$4\r\na\r\nb\r\n"))
-	f.Add([]byte("*0\r\n"))
-	f.Add([]byte("*1\r\n$0\r\n\r\n"))
-	f.Add([]byte("*-1\r\n"))
-	f.Add([]byte("$5\r\nhello\r\n"))
-	f.Add([]byte("*1\r\n$999999999\r\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		args, err := ReadCommand(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return
-		}
-		// Anything that parses must survive an encode/decode round trip.
-		again, err := DecodeCommand(EncodeCommand(args...))
-		if err != nil {
-			t.Fatalf("re-decode of %q failed: %v", args, err)
-		}
-		if !reflect.DeepEqual(args, again) {
-			t.Fatalf("round trip changed %q to %q", args, again)
-		}
-	})
-}
-
 func TestArrayReplyRoundTrip(t *testing.T) {
 	vals := [][]byte{
 		[]byte("plain"),

@@ -44,9 +44,8 @@ type PlacementInfo struct {
 	Ranges  []SlotRangeInfo `json:"ranges"`
 }
 
-// ClusterStatus is what the admin surface needs from a cluster router:
+// ClusterStatus is what the admin surface needs from the cluster router:
 // live channel occupancy, per-node health, and the slot-table placement.
-// Pass nil when the server fronts a single store.
 type ClusterStatus interface {
 	PendingFrames() int
 	Health() []NodeHealth
@@ -56,9 +55,9 @@ type ClusterStatus interface {
 // AdminHandler serves the machine's live observability state over HTTP:
 //
 //	GET /stats       — the sink's counters as JSON (a stats.Snapshot), plus
-//	                   the armed fault rules (a "faults" block) and, when a
-//	                   cluster is attached, its live runtime state (pending
-//	                   urpc frames, per-node health)
+//	                   the armed fault rules (a "faults" block) and the
+//	                   cluster's live runtime state (pending urpc frames,
+//	                   per-node health)
 //	GET /stats/delta — long-poll delta stream: the first call returns the
 //	                   full snapshot and a cursor; each follow-up call with
 //	                   ?cursor= blocks (up to ?wait=, default 10s) until any
@@ -92,23 +91,19 @@ func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) 
 		// flip without a second /topology round trip.
 		type healthBody struct {
 			Status           string       `json:"status"`
-			PlacementVersion *uint64      `json:"placement_version,omitempty"`
+			PlacementVersion uint64       `json:"placement_version"`
 			Nodes            []NodeHealth `json:"nodes,omitempty"`
 		}
-		body := healthBody{Status: "ok"}
+		body := healthBody{Status: "ok", PlacementVersion: cl.PlacementInfo().Version}
 		status := http.StatusOK
-		if cl != nil {
-			v := cl.PlacementInfo().Version
-			body.PlacementVersion = &v
-			for _, n := range cl.Health() {
-				if n.Degraded || n.LostUpdates > 0 {
-					body.Nodes = append(body.Nodes, n)
-				}
+		for _, n := range cl.Health() {
+			if n.Degraded || n.LostUpdates > 0 {
+				body.Nodes = append(body.Nodes, n)
 			}
-			if len(body.Nodes) > 0 {
-				body.Status = "degraded"
-				status = http.StatusServiceUnavailable
-			}
+		}
+		if len(body.Nodes) > 0 {
+			body.Status = "degraded"
+			status = http.StatusServiceUnavailable
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
@@ -147,13 +142,6 @@ func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) 
 			return
 		}
 		faults := sys.M.Faults.Points()
-		if cl == nil {
-			writeJSON(w, struct {
-				*stats.Snapshot
-				Faults []fault.PointStatus `json:"faults,omitempty"`
-			}{snap, faults})
-			return
-		}
 		writeJSON(w, struct {
 			*stats.Snapshot
 			Faults  []fault.PointStatus `json:"faults,omitempty"`
@@ -164,10 +152,6 @@ func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) 
 		serveStatsDelta(w, r, obs, cursors)
 	})
 	mux.HandleFunc("/topology", func(w http.ResponseWriter, r *http.Request) {
-		if cl == nil {
-			http.Error(w, "no cluster attached", http.StatusNotFound)
-			return
-		}
 		writeJSON(w, struct {
 			Placement PlacementInfo `json:"placement"`
 			Nodes     []NodeHealth  `json:"nodes"`

@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"bufio"
@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"spacejmp/internal/fault"
+	"spacejmp/internal/server"
 	"spacejmp/internal/stats"
 )
 
@@ -17,7 +18,7 @@ import (
 // trace over the admin HTTP surface while the server is still running —
 // the handler must stay on the race-safe sink-only snapshot path.
 func TestAdminEndpoints(t *testing.T) {
-	sys, srv := startServer(t, Config{Shards: 1}, nil)
+	sys, r, srv := startServer(t, nil)
 	defer srv.Shutdown()
 
 	nc, err := net.Dial("tcp", srv.Addr().String())
@@ -33,7 +34,7 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("GET: %q %v", v, err)
 	}
 
-	admin := httptest.NewServer(AdminHandler(sys, nil, nil))
+	admin := httptest.NewServer(server.AdminHandler(sys, r, nil))
 	defer admin.Close()
 
 	get := func(path string) []byte {
@@ -63,8 +64,8 @@ func TestAdminEndpoints(t *testing.T) {
 	if health.Status != "ok" {
 		t.Errorf("healthz status = %q, want ok", health.Status)
 	}
-	if health.PlacementVersion != nil {
-		t.Errorf("single-store healthz reported a placement version: %d", *health.PlacementVersion)
+	if health.PlacementVersion == nil || *health.PlacementVersion != 1 {
+		t.Errorf("healthz placement version = %v, want the boot table's 1", health.PlacementVersion)
 	}
 
 	// Single-tenant server: the tenant listing is absent, loudly.
@@ -123,11 +124,11 @@ func TestAdminEndpoints(t *testing.T) {
 // checks the /stats faults block reflects the armed registry rules.
 func TestAdminStatsDelta(t *testing.T) {
 	reg := fault.New(42)
-	sys, srv := startServer(t, Config{Shards: 1}, reg)
+	sys, r, srv := startServer(t, reg)
 	defer srv.Shutdown()
 	reg.EnableAt(fault.SrvConnStall, fault.TargetAny, "p=0.5", fault.Probability(0.5))
 
-	admin := httptest.NewServer(AdminHandler(sys, nil, nil))
+	admin := httptest.NewServer(server.AdminHandler(sys, r, nil))
 	defer admin.Close()
 
 	getJSON := func(path string, out any) int {
@@ -219,27 +220,27 @@ func TestAdminStatsDelta(t *testing.T) {
 // stubCluster fakes a cluster router for the admin surface.
 type stubCluster struct {
 	frames int
-	nodes  []NodeHealth
+	nodes  []server.NodeHealth
 }
 
-func (s *stubCluster) PendingFrames() int   { return s.frames }
-func (s *stubCluster) Health() []NodeHealth { return s.nodes }
-func (s *stubCluster) PlacementInfo() PlacementInfo {
-	return PlacementInfo{Version: 1, Slots: 256, Ranges: []SlotRangeInfo{{Start: 0, End: 255, Node: 0}}}
+func (s *stubCluster) PendingFrames() int          { return s.frames }
+func (s *stubCluster) Health() []server.NodeHealth { return s.nodes }
+func (s *stubCluster) PlacementInfo() server.PlacementInfo {
+	return server.PlacementInfo{Version: 1, Slots: 256, Ranges: []server.SlotRangeInfo{{Start: 0, End: 255, Node: 0}}}
 }
 
 // TestAdminClusterHealth drives the cluster-aware admin surface: /stats
 // grows a cluster_runtime block, and /healthz flips to 503 with per-node
 // JSON detail the moment any key range is degraded.
 func TestAdminClusterHealth(t *testing.T) {
-	sys, srv := startServer(t, Config{Shards: 1}, nil)
+	sys, _, srv := startServer(t, nil)
 	defer srv.Shutdown()
 
-	cl := &stubCluster{frames: 7, nodes: []NodeHealth{
+	cl := &stubCluster{frames: 7, nodes: []server.NodeHealth{
 		{Node: 0, Local: true, State: "healthy"},
 		{Node: 1, Replicated: true, State: "healthy"},
 	}}
-	admin := httptest.NewServer(AdminHandler(sys, cl, nil))
+	admin := httptest.NewServer(server.AdminHandler(sys, cl, nil))
 	defer admin.Close()
 
 	resp, err := admin.Client().Get(admin.URL + "/healthz")
@@ -264,8 +265,8 @@ func TestAdminClusterHealth(t *testing.T) {
 
 	var wrapped struct {
 		Runtime struct {
-			PendingFrames int          `json:"pending_frames"`
-			Nodes         []NodeHealth `json:"nodes"`
+			PendingFrames int                 `json:"pending_frames"`
+			Nodes         []server.NodeHealth `json:"nodes"`
 		} `json:"cluster_runtime"`
 	}
 	resp, err = admin.Client().Get(admin.URL + "/stats")
@@ -281,7 +282,7 @@ func TestAdminClusterHealth(t *testing.T) {
 		t.Fatalf("cluster_runtime = %+v, want 7 pending frames and 2 nodes", wrapped.Runtime)
 	}
 
-	cl.nodes[1] = NodeHealth{Node: 1, Replicated: true, State: "degraded", Degraded: true,
+	cl.nodes[1] = server.NodeHealth{Node: 1, Replicated: true, State: "degraded", Degraded: true,
 		LostUpdates: 3, Detail: "no recoverable replica"}
 	resp, err = admin.Client().Get(admin.URL + "/healthz")
 	if err != nil {
@@ -293,8 +294,8 @@ func TestAdminClusterHealth(t *testing.T) {
 		t.Fatalf("degraded cluster: /healthz status %d, want 503", resp.StatusCode)
 	}
 	var report struct {
-		Status string       `json:"status"`
-		Nodes  []NodeHealth `json:"nodes"`
+		Status string              `json:"status"`
+		Nodes  []server.NodeHealth `json:"nodes"`
 	}
 	if err := json.Unmarshal(body, &report); err != nil {
 		t.Fatalf("healthz JSON: %v (body %q)", err, body)

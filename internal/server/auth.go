@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"strings"
 
 	"spacejmp/internal/caps"
 	"spacejmp/internal/redis"
@@ -54,20 +53,14 @@ func newConnTenant(reg *tenant.Registry) *connTenant {
 
 var delOneReply = []byte(":1\r\n")
 
-// admit runs tenant admission for one parsed command, rewriting key args
-// into the caller's view in place. A non-nil inline reply answers the
-// command at admission (AUTH result, denial, quota rejection) and nothing
-// reaches the backend. Otherwise settle — if non-nil — must be called with
-// the reply bytes once the backend finishes, to commit or roll back the
-// quota charge.
-func (ct *connTenant) admit(args []string) (inline []byte, settle func([]byte)) {
-	name := strings.ToUpper(args[0])
-	switch name {
-	case "AUTH":
-		return ct.auth(args), nil
-	case "GET", "MGET", "SET", "DEL":
-		// Data commands are tenant-scoped; fall through.
-	default:
+// admit runs tenant admission for one resolved command (cmd is
+// redis.Lookup(args), arity already checked), rewriting key args into the
+// caller's view in place. A non-nil inline reply answers the command at
+// admission (denial, quota rejection) and nothing reaches the backend.
+// Otherwise settle — if non-nil — must be called with the reply bytes once
+// the backend finishes, to commit or roll back the quota charge.
+func (ct *connTenant) admit(cmd *redis.Command, args []string) (inline []byte, settle func([]byte)) {
+	if cmd.By != redis.ByStore {
 		// Store-less commands (PING, ECHO) and admin commands (CLUSTER)
 		// carry no keys and pass through unauthenticated.
 		return nil, nil
@@ -76,21 +69,18 @@ func (ct *connTenant) admit(args []string) (inline []byte, settle func([]byte)) 
 		return redis.EncodeNoPerm("authentication required"), nil
 	}
 	want := caps.RightRead
-	if name == "SET" || name == "DEL" {
+	if cmd.Write {
 		want = caps.RightWrite
 	}
-	lastKey := len(args) - 1
-	if name == "SET" {
-		lastKey = 1 // args[2] is the value
-	}
-	for i := 1; i <= lastKey && i < len(args); i++ {
-		if id, _, ok := redis.SplitTenantKey(args[i]); ok {
+	keys := cmd.Keys(args)
+	for i, k := range keys {
+		if id, _, ok := redis.SplitTenantKey(k); ok {
 			// Explicitly cross-view address: the §4.2 capability check.
 			if err := ct.attach(id, want); err != nil {
 				return redis.EncodeNoPerm(err.Error()), nil
 			}
 		} else {
-			args[i] = redis.TenantKey(ct.t.ID(), args[i])
+			keys[i] = redis.TenantKey(ct.t.ID(), k)
 		}
 	}
 	// Quota admission: the caller pays the command-rate token; byte and
@@ -104,47 +94,37 @@ func (ct *connTenant) admit(args []string) (inline []byte, settle func([]byte)) 
 		payload += len(a)
 	}
 	ct.t.Count(payload)
-	if name != "SET" && name != "DEL" {
+	if !cmd.Write {
 		return nil, nil
 	}
-	if len(args) < 2 {
-		return nil, nil // let the backend render the arity error
-	}
 	billed := ct.t
-	key := args[1]
+	key := keys[0]
 	if owner, _, ok := redis.SplitTenantKey(key); ok && owner != ct.t.ID() {
 		if t, found := ct.reg.Lookup(owner); found {
 			billed = t
 		}
 	}
-	switch name {
-	case "SET":
-		if len(args) != 3 {
-			return nil, nil
-		}
-		undo, err := billed.ChargeSet(key, len(args[2]))
-		if err != nil {
-			return redis.EncodeQuota(err.Error()), nil
-		}
-		return nil, func(resp []byte) {
-			if len(resp) > 0 && resp[0] == '-' {
-				undo() // the store rejected the write; release the charge
-			}
-		}
-	default: // DEL
+	if cmd.Value == 0 {
+		// A delete credits the view once the store confirms the key went.
 		return nil, func(resp []byte) {
 			if bytes.Equal(resp, delOneReply) {
 				billed.SettleDel(key)
 			}
 		}
 	}
+	undo, err := billed.ChargeSet(key, len(args[cmd.Value]))
+	if err != nil {
+		return redis.EncodeQuota(err.Error()), nil
+	}
+	return nil, func(resp []byte) {
+		if len(resp) > 0 && resp[0] == '-' {
+			undo() // the store rejected the write; release the charge
+		}
+	}
 }
 
 // auth handles AUTH <tenant> <secret>, binding the connection's identity.
 func (ct *connTenant) auth(args []string) []byte {
-	if len(args) != 3 {
-		return redis.EncodeWrongArity(args[0])
-	}
 	t, err := ct.reg.Authenticate(args[1], args[2])
 	if err != nil {
 		return redis.EncodeNoPerm("invalid tenant credentials")

@@ -1,6 +1,29 @@
 package server
 
-import "time"
+import (
+	"time"
+
+	"spacejmp/internal/redis"
+	"spacejmp/internal/urpc"
+)
+
+// Modeled cost of moving one command across the network edge into a worker,
+// mirroring the baseline's socket model: one kernel crossing plus a
+// per-cache-line copy of the payload. The RedisJMP fast path still elides
+// the *server-side* socket hop the paper measures — this is only the edge
+// the real TCP front-end adds — but charging it keeps the simulated cycle
+// accounts honest about where bytes went. The backend's workers pay it
+// before deciding where a command runs.
+const (
+	NetSyscall = 357 // enter/leave the kernel per recv or send
+	NetPerLine = 200 // copy one cache line through the kernel
+)
+
+// EdgeCycles is the modeled cost of moving n payload bytes across the
+// network edge in one direction.
+func EdgeCycles(n int) uint64 {
+	return NetSyscall + urpc.Lines(n)*NetPerLine
+}
 
 // Request is one parsed command in flight through a Backend: filled in by a
 // connection reader, executed by whatever goroutine the backend routes it
@@ -10,6 +33,9 @@ import "time"
 type Request struct {
 	// Args is the parsed command (name first).
 	Args []string
+	// Cmd is Args resolved against the command table, once, when the
+	// request is built; backends dispatch on it and never re-read the name.
+	Cmd *redis.Command
 	// Start is when the reader accepted the command; backends use it for
 	// wall-latency accounting.
 	Start time.Time
@@ -33,9 +59,15 @@ type Request struct {
 	settle func([]byte)
 }
 
-// NewRequest builds an in-flight request for a parsed command.
+// NewRequest builds an in-flight request for a parsed command, resolving it
+// against the command table.
 func NewRequest(args []string) *Request {
-	return &Request{Args: args, Start: time.Now(), done: make(chan struct{})}
+	return newRequest(redis.Lookup(args), args)
+}
+
+// newRequest is NewRequest for a caller that already resolved the command.
+func newRequest(cmd *redis.Command, args []string) *Request {
+	return &Request{Args: args, Cmd: cmd, Start: time.Now(), done: make(chan struct{})}
 }
 
 // Finish publishes the reply and releases the connection writer waiting on
@@ -64,15 +96,14 @@ func inlineReply(resp []byte) *Request {
 	return &Request{resp: resp, done: closedDone}
 }
 
-// Backend executes parsed commands against simulated state. The front-end
-// (accept loop, connection reader/writer goroutines) is backend-agnostic:
-// the single-store worker pool of §5.3 and the sharded cluster router both
-// plug in here.
+// Backend executes parsed commands against simulated state. The one
+// production backend is the cluster router (internal/cluster), which cannot
+// be imported from here; the interface also lets tests substitute a fake.
 //
-// The concurrency contract carries over from the pool: Submit may be called
-// from many connection goroutines at once, must never block on simulated
-// state, and must return false instead of queueing without bound — the
-// conn layer turns false into an immediate busy reply.
+// The concurrency contract: Submit may be called from many connection
+// goroutines at once, must never block on simulated state, and must return
+// false instead of queueing without bound — the conn layer turns false into
+// an immediate busy reply.
 type Backend interface {
 	// Bind associates a new connection with the backend and returns the
 	// queue (shard, worker) id it landed on, for the accept trace.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -60,6 +59,7 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 	// Per-connection deadline budget, stamped onto each request in cycles:
 	// the server-wide default until the client overrides it with DEADLINE.
 	deadline := s.cfg.DeadlineCycles
+read:
 	for {
 		if s.faults.Fire(fault.SrvConnStall) {
 			time.Sleep(500 * time.Microsecond)
@@ -76,54 +76,66 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 			break
 		}
 		commands++
-		if len(args) == 1 && strings.EqualFold(args[0], "QUIT") {
-			replies <- inlineReply(redis.EncodeSimple("OK"))
-			break
-		}
-		if len(args) == 1 && (strings.EqualFold(args[0], "READONLY") || strings.EqualFold(args[0], "READWRITE")) {
-			// Per-connection follower-read opt-in, answered inline like QUIT:
-			// it flips reader-goroutine state only, so it never needs a worker.
-			readonly = strings.EqualFold(args[0], "READONLY")
-			s.obs.ServerPipeline(len(replies) + 1)
-			replies <- inlineReply(redis.EncodeSimple("OK"))
-			continue
-		}
-		if len(args) == 2 && strings.EqualFold(args[0], "DEADLINE") {
-			// Per-connection deadline override in milliseconds, answered
-			// inline like READONLY: 0 clears back to no deadline. The
-			// wall-clock allowance converts to a cycle budget at the
-			// machine's clock so every downstream layer spends one currency.
-			ms, perr := strconv.ParseUint(args[1], 10, 32)
-			if perr != nil {
-				replies <- inlineReply(redis.EncodeError("DEADLINE wants milliseconds: " + args[1]))
-				continue
-			}
-			deadline = ms * s.cfg.CyclesPerMilli
-			s.obs.ServerPipeline(len(replies) + 1)
-			replies <- inlineReply(redis.EncodeSimple("OK"))
-			continue
-		}
+		// The one place a command's name is read: everything downstream
+		// dispatches on the resolved table row.
+		cmd := redis.Lookup(args)
 		var settle func([]byte)
-		if ct != nil {
-			var inline []byte
-			if inline, settle = ct.admit(args); inline != nil {
-				// Answered at admission: AUTH, a capability denial, or a
-				// quota rejection. Nothing reaches the backend.
-				s.obs.ServerPipeline(len(replies) + 1)
+		var inline []byte
+		switch cmd.By {
+		case redis.ByNobody:
+			// Unknown command or wrong arity: refused here, once, before
+			// admission and routing.
+			inline = cmd.Refusal(args)
+		case redis.ByConn:
+			// Reader-goroutine state only, so these never need a worker.
+			inline = redis.EncodeSimple("OK")
+			switch cmd.Op {
+			case redis.OpQuit:
 				replies <- inlineReply(inline)
-				continue
+				break read
+			case redis.OpReadonly, redis.OpReadwrite:
+				// Per-connection follower-read opt-in.
+				readonly = cmd.Op == redis.OpReadonly
+			case redis.OpDeadline:
+				// Deadline override in milliseconds, 0 clears it; converted
+				// to a cycle budget at the machine's clock so every
+				// downstream layer spends one currency.
+				ms, perr := strconv.ParseUint(args[1], 10, 32)
+				if perr != nil {
+					inline = redis.EncodeError("DEADLINE wants milliseconds: " + args[1])
+				} else {
+					deadline = ms * s.cfg.CyclesPerMilli
+				}
+			case redis.OpAuth:
+				if ct == nil {
+					inline = cmd.Refusal(args) // no registry: AUTH is unknown
+				} else {
+					inline = ct.auth(args)
+				}
+			}
+		default:
+			if ct != nil {
+				// Tenant admission may answer inline too: a capability
+				// denial or a quota rejection. Nothing then reaches the
+				// backend.
+				inline, settle = ct.admit(cmd, args)
 			}
 		}
-		r := NewRequest(args)
-		r.Readonly = readonly
-		r.Deadline = deadline
-		r.settle = settle
-		if !s.backend.Submit(id, r) {
-			// Backpressure: the backend is saturated. Fail fast with an
-			// error reply instead of buffering without bound.
-			s.obs.ServerBusy()
-			r.resp = busyReply
-			r.done = closedDone
+		var r *Request
+		if inline != nil {
+			r = inlineReply(inline)
+		} else {
+			r = newRequest(cmd, args)
+			r.Readonly = readonly
+			r.Deadline = deadline
+			r.settle = settle
+			if !s.backend.Submit(id, r) {
+				// Backpressure: the backend is saturated. Fail fast with an
+				// error reply instead of buffering without bound.
+				s.obs.ServerBusy()
+				r.resp = busyReply
+				r.done = closedDone
+			}
 		}
 		s.obs.ServerPipeline(len(replies) + 1)
 		// A full pipeline blocks here (never in a worker) until the

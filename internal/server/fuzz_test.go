@@ -9,33 +9,32 @@ import (
 )
 
 // FuzzAuthCommand throws arbitrary commands at the tenant admission layer —
-// the code every untrusted connection byte reaches first. Invariants: admit
-// never panics, data commands without an identity are always answered
-// inline with -NOPERM, every inline reply is one well-formed RESP reply,
-// and after a successful AUTH every plain key arg is rewritten into the
-// tenant's view so the prefix round-trips through SplitTenantKey.
+// the code every untrusted connection byte reaches first — the way the
+// connection reader does: resolve against the command table, then AUTH goes
+// to auth and everything the reader would submit goes through admit.
+// Invariants: neither panics, data commands without an identity are always
+// answered inline with -NOPERM, every inline reply is one well-formed RESP
+// reply, and after a successful AUTH every plain key arg is rewritten into
+// the tenant's view so the prefix round-trips through SplitTenantKey.
 func FuzzAuthCommand(f *testing.F) {
-	f.Add("AUTH", "t0", "s0")
-	f.Add("AUTH", "t0", "wrong")
-	f.Add("AUTH", "", "")
-	f.Add("GET", "k", "")
-	f.Add("SET", "k", "v")
-	f.Add("SET", "t:t1:k", "v")
-	f.Add("DEL", "t:zz:x", "")
-	f.Add("MGET", "a", "t:t0:b")
-	f.Add("get", "t:", "")
-	f.Add("Set", "t::", "t:t0")
-	f.Add("PING", "", "")
-	f.Add("QUIT", "\r\n", "\x00")
-	f.Fuzz(func(t *testing.T, a0, a1, a2 string) {
-		if a0 == "" {
-			return // the conn layer never passes an empty command name
-		}
+	// Every table row at its minimum arity, the name in mixed case with a
+	// cross-view key, plus shapes the table cannot suggest.
+	for _, c := range redis.Commands() {
+		f.Add(c.Name, "k", "v", uint8(c.MinArgs))
+		f.Add(strings.ToLower(c.Name[:1])+c.Name[1:], "t:t1:k", "t:t0:b", uint8(3))
+	}
+	f.Add("AUTH", "t0", "s0", uint8(3))
+	f.Add("AUTH", "", "", uint8(3))
+	f.Add("DEL", "t:zz:x", "", uint8(2))
+	f.Add("get", "t:", "", uint8(2))
+	f.Add("Set", "t::", "t:t0", uint8(3))
+	f.Fuzz(func(t *testing.T, a0, a1, a2 string, n uint8) {
+		args := []string{a0, a1, a2}[:1+n%3]
+		cmd := redis.Lookup(args)
 		reg, err := tenant.NewDemo(2, tenant.Config{}, tenant.Quotas{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		args := []string{a0, a1, a2}
 
 		checkInline := func(resp []byte, tag string) {
 			if resp == nil {
@@ -50,67 +49,59 @@ func FuzzAuthCommand(f *testing.F) {
 			}
 		}
 
+		ct := newConnTenant(reg)
+		if cmd.Op == redis.OpAuth {
+			resp := ct.auth(args)
+			if resp == nil {
+				t.Fatalf("AUTH %q produced no inline reply", args)
+			}
+			checkInline(resp, "auth")
+			return
+		}
+		if cmd.By == redis.ByNobody || cmd.By == redis.ByConn {
+			return // the reader answers these itself; admit never sees them
+		}
+
 		// Pass 1: unauthenticated. A data command must die inline with the
 		// typed denial; nothing else may slip through to a backend.
-		ct := newConnTenant(reg)
 		unauth := append([]string(nil), args...)
-		inline, settle := ct.admit(unauth)
+		inline, settle := ct.admit(cmd, unauth)
 		checkInline(inline, "unauthenticated")
-		switch strings.ToUpper(a0) {
-		case "GET", "MGET", "SET", "DEL":
-			if inline == nil {
-				t.Fatalf("unauthenticated %q reached the backend", args)
-			}
+		if cmd.By == redis.ByStore {
 			if !strings.HasPrefix(string(inline), "-NOPERM") {
 				t.Fatalf("unauthenticated %q: inline reply %q, want -NOPERM", args, inline)
 			}
 			if settle != nil {
 				t.Fatalf("unauthenticated %q produced a settle hook", args)
 			}
-		case "AUTH":
-			if inline == nil {
-				t.Fatalf("AUTH %q produced no inline reply", args)
-			}
 		}
 
 		// Pass 2: authenticated as t0. Plain keys must be rewritten into
 		// t0's view and round-trip through SplitTenantKey; explicit
 		// cross-view keys are either denied inline or left untouched.
-		ct = newConnTenant(reg)
 		if resp := ct.auth([]string{"AUTH", tenant.DemoID(0), tenant.DemoSecret(0)}); string(resp) != "+OK\r\n" {
 			t.Fatalf("demo AUTH failed: %q", resp)
 		}
 		authed := append([]string(nil), args...)
-		inline, settle = ct.admit(authed)
+		inline, settle = ct.admit(cmd, authed)
 		checkInline(inline, "authenticated")
-		name := strings.ToUpper(a0)
-		if name == "GET" || name == "MGET" || name == "SET" || name == "DEL" {
-			lastKey := len(authed) - 1
-			if name == "SET" {
-				lastKey = 1
-			}
-			for i := 1; i <= lastKey; i++ {
-				orig, rewritten := args[i], authed[i]
-				id, rest, wasCross := redis.SplitTenantKey(orig)
-				if inline != nil {
-					// Denied or rejected at admission: args may be partially
-					// rewritten but nothing reached a backend; nothing more
-					// to hold.
-					continue
-				}
-				if wasCross {
-					if rewritten != orig {
-						t.Fatalf("cross-view key %q (-> %s/%s) was rewritten to %q", orig, id, rest, rewritten)
+		if inline == nil {
+			// Admitted (a denial may leave args partially rewritten, but
+			// then nothing reaches a backend and there is nothing to hold).
+			rewritten := cmd.Keys(authed)
+			for i, orig := range cmd.Keys(args) {
+				if id, rest, wasCross := redis.SplitTenantKey(orig); wasCross {
+					if rewritten[i] != orig {
+						t.Fatalf("cross-view key %q (-> %s/%s) was rewritten to %q", orig, id, rest, rewritten[i])
 					}
 					continue
 				}
-				wantKey := redis.TenantKey(tenant.DemoID(0), orig)
-				if rewritten != wantKey {
-					t.Fatalf("key %q rewritten to %q, want %q", orig, rewritten, wantKey)
+				if want := redis.TenantKey(tenant.DemoID(0), orig); rewritten[i] != want {
+					t.Fatalf("key %q rewritten to %q, want %q", orig, rewritten[i], want)
 				}
-				gotID, gotRest, ok := redis.SplitTenantKey(rewritten)
+				gotID, gotRest, ok := redis.SplitTenantKey(rewritten[i])
 				if !ok || gotID != tenant.DemoID(0) || gotRest != orig {
-					t.Fatalf("rewritten key %q does not round-trip: (%q, %q, %v)", rewritten, gotID, gotRest, ok)
+					t.Fatalf("rewritten key %q does not round-trip: (%q, %q, %v)", rewritten[i], gotID, gotRest, ok)
 				}
 			}
 		}
@@ -118,7 +109,6 @@ func FuzzAuthCommand(f *testing.F) {
 			// The settle hook must tolerate any reply shape the backend
 			// could produce, including errors and empty slices.
 			settle(nil)
-			settle = func([]byte) {}
 		}
 	})
 }

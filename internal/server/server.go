@@ -3,9 +3,9 @@
 // the simulated machine — many connection goroutines feed a Backend of
 // workers, and each worker owns a core.Thread attached to RedisJMP VASes
 // (§5.3), so every command runs the paper's fast path: switch into the
-// server VAS, operate on the lockable segment directly, switch out. Two
-// backends exist: the single-store worker Pool in this package, and the
-// keyspace-sharded cluster router in internal/cluster.
+// server VAS, operate on the lockable segment directly, switch out. The
+// backend is the cluster router in internal/cluster; a single store is a
+// cluster of one co-resident node.
 //
 // The concurrency contract with the simulator is strict: a simulated core's
 // cycle counter is not atomic, so exactly one goroutine — the worker that
@@ -31,21 +31,15 @@ import (
 
 // Config sizes the server. Zero values take the defaults below.
 type Config struct {
-	// Shards is the number of worker shards; each claims one simulated
-	// core for the lifetime of the server.
-	Shards int
-	// QueueDepth bounds each shard's request queue. An enqueue on a full
-	// queue fails fast with a "server busy" reply.
+	// QueueDepth and SegSize are unread — the backend sizes its own queues
+	// and stores (cluster.Config) — and stay declared because bench/stack.go
+	// sets them.
 	QueueDepth int
+	SegSize    uint64
 	// PipelineDepth bounds the commands in flight per connection. When a
 	// connection has this many awaiting replies its reader blocks, so a
 	// fast pipeliner is throttled by TCP flow control.
 	PipelineDepth int
-	// SegSize is the shared store segment size.
-	SegSize uint64
-	// Tags enables TLB tags on the server VASes (Figure 10a's tagged
-	// series).
-	Tags bool
 	// Tenants, when set, turns on multi-tenant serving: connections must
 	// AUTH against this registry, keys are qualified into the tenant's
 	// view, cross-view addresses pass capability checks, and quotas gate
@@ -63,17 +57,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = 32
-	}
-	if c.SegSize == 0 {
-		c.SegSize = 16 << 20
 	}
 	if c.CyclesPerMilli == 0 {
 		c.CyclesPerMilli = 2_000_000
@@ -102,20 +87,10 @@ type Server struct {
 	shutdownErr  error
 }
 
-// New boots the serving layer on an already-running system with the
-// single-store worker Pool as its backend, and starts the accept loop on
-// ln. The caller owns ln's address; the server owns closing it at Shutdown.
-func New(sys *core.System, ln net.Listener, cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
-	pool, err := NewPool(sys, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewWithBackend(sys, ln, cfg, pool), nil
-}
-
-// NewWithBackend boots the front-end over an already-constructed backend.
-// The server takes ownership of the backend: Shutdown closes it.
+// NewWithBackend boots the front-end over an already-constructed backend
+// and starts the accept loop on ln. The caller owns ln's address; the server
+// owns closing it at Shutdown, and takes ownership of the backend: Shutdown
+// closes it.
 func NewWithBackend(sys *core.System, ln net.Listener, cfg Config, b Backend) *Server {
 	s := &Server{
 		cfg:     cfg.withDefaults(),
@@ -172,8 +147,8 @@ func (s *Server) dropConn(nc net.Conn) {
 // detach from shared state and exit their processes, handing cores and
 // private segments to the kernel reaper, and the shared store itself is
 // destroyed). After Shutdown returns, the only simulated memory still
-// allocated is what existed before New — the leak tests hold the server to
-// exactly that.
+// allocated is what existed before the backend was built — the leak tests
+// hold the server to exactly that.
 func (s *Server) Shutdown() error {
 	s.shutdownOnce.Do(func() {
 		s.mu.Lock()

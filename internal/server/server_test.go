@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"bufio"
@@ -6,21 +6,21 @@ import (
 	"errors"
 	"io"
 	"net"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"spacejmp/internal/cluster"
 	"spacejmp/internal/core"
 	"spacejmp/internal/fault"
 	"spacejmp/internal/hw"
 	"spacejmp/internal/kernel"
 	"spacejmp/internal/redis"
+	"spacejmp/internal/server"
 )
 
-// startServer boots a small machine, a kernel, and a server, returning the
-// system and server. The caller owns Shutdown.
-func startServer(t *testing.T, cfg Config, reg *fault.Registry) (*core.System, *Server) {
+// newSystem boots a small machine and a kernel with the stats sink on.
+func newSystem(t *testing.T, reg *fault.Registry) *core.System {
 	t.Helper()
 	m := hw.NewMachine(hw.SmallTest())
 	if reg != nil {
@@ -28,15 +28,44 @@ func startServer(t *testing.T, cfg Config, reg *fault.Registry) (*core.System, *
 	}
 	sys := kernel.New(m)
 	sys.EnableStats(4096)
+	return sys
+}
+
+// serve boots the serving stack the way spacejmp-server does without
+// -cluster: the router over one co-resident node, behind the RESP
+// front-end. Every test that boots it is also a drain test: the cleanup
+// shuts the server down (Shutdown is idempotent, so tests may do it
+// earlier) and holds the drain to zero leaked simulated frames.
+func serve(t *testing.T, sys *core.System, workers, queueDepth int, cfg server.Config) (*cluster.Router, *server.Server) {
+	t.Helper()
+	base := sys.M.PM.AllocatedBytes()
+	r, err := cluster.New(sys, cluster.Config{Nodes: 1, Workers: workers, Mode: cluster.ModeVAS, QueueDepth: queueDepth})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
+		r.Close()
 		t.Fatal(err)
 	}
-	srv, err := New(sys, ln, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys, srv
+	srv := server.NewWithBackend(sys, ln, cfg, r)
+	t.Cleanup(func() {
+		if err := srv.Shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := sys.M.PM.CheckLeaks(base); err != nil {
+			t.Errorf("frame leak after drain: %v", err)
+		}
+	})
+	return r, srv
+}
+
+// startServer is newSystem + serve with one worker and default queues.
+func startServer(t *testing.T, reg *fault.Registry) (*core.System, *cluster.Router, *server.Server) {
+	t.Helper()
+	sys := newSystem(t, reg)
+	r, srv := serve(t, sys, 1, 0, server.Config{})
+	return sys, r, srv
 }
 
 // roundTrip sends one command and reads one reply on an established conn.
@@ -49,7 +78,7 @@ func roundTrip(t *testing.T, nc net.Conn, br *bufio.Reader, args ...string) ([]b
 }
 
 func TestServerBasicCommands(t *testing.T) {
-	_, srv := startServer(t, Config{Shards: 1}, nil)
+	_, _, srv := startServer(t, nil)
 	defer srv.Shutdown()
 
 	nc, err := net.Dial("tcp", srv.Addr().String())
@@ -102,7 +131,7 @@ func TestServerBasicCommands(t *testing.T) {
 }
 
 func TestServerProtocolErrorReply(t *testing.T) {
-	_, srv := startServer(t, Config{Shards: 1}, nil)
+	_, _, srv := startServer(t, nil)
 	defer srv.Shutdown()
 
 	nc, err := net.Dial("tcp", srv.Addr().String())
@@ -127,9 +156,10 @@ func TestServerProtocolErrorReply(t *testing.T) {
 // TestServerPipelinedLoad is the acceptance run: 64 concurrent connections,
 // pipeline depth 8, mixed GET/SET with binary values, over real TCP.
 func TestServerPipelinedLoad(t *testing.T) {
-	sys, srv := startServer(t, Config{Shards: 2, QueueDepth: 128, PipelineDepth: 16}, nil)
+	sys := newSystem(t, nil)
+	_, srv := serve(t, sys, 2, 128, server.Config{PipelineDepth: 16})
 
-	cfg := LoadConfig{
+	cfg := server.LoadConfig{
 		Addr:       srv.Addr().String(),
 		Conns:      64,
 		Pipeline:   8,
@@ -139,7 +169,7 @@ func TestServerPipelinedLoad(t *testing.T) {
 		ValueSize:  64,
 		Seed:       42,
 	}
-	res, err := RunLoad(cfg)
+	res, err := server.RunLoad(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,79 +230,16 @@ func TestServerPipelinedLoad(t *testing.T) {
 	}
 }
 
-// TestServerDrainReleasesEverything verifies the drain protocol: after
-// Shutdown, no server goroutines survive and the kernel reaper has
-// reclaimed every simulated frame the serving layer allocated.
-func TestServerDrainReleasesEverything(t *testing.T) {
-	m := hw.NewMachine(hw.SmallTest())
-	sys := kernel.New(m)
-	sys.EnableStats(1024)
-	base := m.PM.AllocatedBytes()
-	before := runtime.NumGoroutine()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sys, ln, Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Real traffic, then leave the connection open mid-stream so Shutdown
-	// has to unblock a parked reader.
-	nc, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	if v, _, err := roundTrip(t, nc, br, "SET", "a", "b\r\nc"); err != nil || string(v) != "OK" {
-		t.Fatalf("SET: %q %v", v, err)
-	}
-	if v, _, err := roundTrip(t, nc, br, "GET", "a"); err != nil || string(v) != "b\r\nc" {
-		t.Fatalf("GET: %q %v", v, err)
-	}
-
-	if err := srv.Shutdown(); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if _, err := br.ReadByte(); err == nil {
-		t.Error("connection still open after drain")
-	}
-
-	// Zero leaked frames: everything the serving layer allocated (worker
-	// processes, scratch heaps, the store segment, both VASes) is back.
-	if err := m.PM.CheckLeaks(base); err != nil {
-		t.Errorf("frame leak after drain: %v", err)
-	}
-
-	// Zero leaked goroutines: poll briefly while the runtime retires them.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		buf := make([]byte, 1<<16)
-		t.Errorf("goroutines leaked: %d before, %d after\n%s",
-			before, n, buf[:runtime.Stack(buf, true)])
-	}
-
-	// Shutdown is idempotent.
-	if err := srv.Shutdown(); err != nil {
-		t.Errorf("second shutdown: %v", err)
-	}
-}
-
-// TestServerBackpressure wedges the single shard behind the store's
+// TestServerBackpressure wedges the single worker behind the store's
 // exclusive segment lock and verifies that a full queue answers with busy
 // replies instead of buffering, then drains cleanly once unwedged.
 func TestServerBackpressure(t *testing.T) {
-	sys, srv := startServer(t, Config{Shards: 1, QueueDepth: 1, PipelineDepth: 16}, nil)
+	sys := newSystem(t, nil)
+	_, srv := serve(t, sys, 1, 1, server.Config{PipelineDepth: 16})
 	defer srv.Shutdown()
 
 	// The blocker process attaches the write VAS and switches in, taking
-	// the store segment's lock exclusively; the shard's next SET blocks.
+	// the store segment's lock exclusively; the worker's next SET blocks.
 	proc, err := sys.NewProcess(core.Creds{UID: 7, GID: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +248,7 @@ func TestServerBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vid, err := th.VASFind(redis.WriteVASName)
+	vid, err := th.VASFind(redis.ShardNames(0).WriteVAS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +317,7 @@ func TestServerBackpressure(t *testing.T) {
 func TestServerFaultInjection(t *testing.T) {
 	reg := fault.New(1)
 	reg.Enable(fault.SrvAccept, fault.OnNth(1))
-	_, srv := startServer(t, Config{Shards: 1}, reg)
+	_, _, srv := startServer(t, reg)
 	defer srv.Shutdown()
 
 	// First accept is failed by injection: the conn closes without

@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"bufio"
@@ -8,35 +8,25 @@ import (
 
 	"spacejmp/internal/caps"
 	"spacejmp/internal/core"
-	"spacejmp/internal/hw"
-	"spacejmp/internal/kernel"
 	"spacejmp/internal/redis"
+	"spacejmp/internal/server"
 	"spacejmp/internal/tenant"
 )
 
-// startTenantServer boots a single-store server fronted by a demo tenant
-// registry sharing the machine's stats sink.
-func startTenantServer(t *testing.T, tenants int, q tenant.Quotas) (*core.System, *Server, *tenant.Registry) {
+// startTenantServer boots the one-node serving stack fronted by a demo
+// tenant registry sharing the machine's stats sink.
+func startTenantServer(t *testing.T, tenants int, q tenant.Quotas) (*core.System, *server.Server, *tenant.Registry) {
 	t.Helper()
-	m := hw.NewMachine(hw.SmallTest())
-	sys := kernel.New(m)
-	sys.EnableStats(4096)
-	reg, err := tenant.NewDemo(tenants, tenant.Config{Nodes: 1, Stats: m.Observer()}, q)
+	sys := newSystem(t, nil)
+	reg, err := tenant.NewDemo(tenants, tenant.Config{Nodes: 1, Stats: sys.M.Observer()}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sys, ln, Config{Shards: 1, Tenants: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, srv := serve(t, sys, 1, 0, server.Config{Tenants: reg})
 	return sys, srv, reg
 }
 
-func dialTenant(t *testing.T, srv *Server, id, secret string) (net.Conn, *bufio.Reader) {
+func dialTenant(t *testing.T, srv *server.Server, id, secret string) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	nc, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
@@ -261,7 +251,7 @@ func TestTenantLoadGeneratorProbes(t *testing.T) {
 	_, srv, _ := startTenantServer(t, 2, tenant.Quotas{})
 	defer srv.Shutdown()
 
-	res, err := RunLoad(LoadConfig{
+	res, err := server.RunLoad(server.LoadConfig{
 		Addr:  srv.Addr().String(),
 		Conns: 4, Pipeline: 2, Requests: 64,
 		SetPercent: 30, Keys: 32,

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // Serving-layer counters. The RESP front-end (internal/server) is the one
 // component whose concurrency is real rather than simulated — many
-// connection goroutines feeding a sharded worker pool — so its counters
+// connection goroutines feeding the backend's workers — so its counters
 // follow the same contract as the rest of the sink: nil-safe, atomic, and
 // exported through the Snapshot path.
 

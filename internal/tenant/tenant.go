@@ -36,9 +36,8 @@ import (
 
 // Config sizes a registry.
 type Config struct {
-	// Nodes is the number of shard stores a tenant's view spans: 1 for the
-	// single-store pool backend, the cluster's node count otherwise.
-	// Defaults to 1.
+	// Nodes is the number of shard stores a tenant's view spans: the
+	// cluster's node count. Defaults to 1.
 	Nodes int
 	// Stats receives per-tenant counters. Nil disables accounting.
 	Stats *stats.Sink

@@ -54,7 +54,7 @@ cat >"$tmp/brownout.json" <<'EOF'
 EOF
 
 "$tmp/spacejmp-server" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
-    -machine small -shards 1 -cluster 3 -seg 1048576 \
+    -machine small -workers 1 -cluster 3 -seg 1048576 \
     -replicate -ship-every 4 -follower-reads -stale-bound 2s \
     -breakers -breaker-threshold 1 -breaker-cooldown 25ms \
     -probe-interval 5ms -probe-threshold 100000 \

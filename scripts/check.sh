@@ -16,30 +16,7 @@ fi
 echo "== go vet =="
 go vet ./...
 
-echo "== deprecated API gate =="
-# SegAllocPages is deprecated; the only call allowed is the wrapper's own
-# declaration in internal/core/system.go. Everything else must use
-# SegAlloc(..., WithPageSize(...)).
-offenders=$(grep -rn "SegAllocPages" --include='*.go' . | grep -v "^./internal/core/system.go:" || true)
-if [ -n "$offenders" ]; then
-    echo "deprecated SegAllocPages used outside its wrapper:" >&2
-    echo "$offenders" >&2
-    exit 1
-fi
-
-# NodeFor is deprecated: placement goes through the slot table (Slot/Owner/
-# Table on the Placement interface). The only mentions allowed are the
-# wrapper's own declaration in internal/cluster/placement.go and the test
-# that pins its equivalence.
-offenders=$(grep -rn "NodeFor" --include='*.go' . \
-    | grep -v "^./internal/cluster/placement.go:" \
-    | grep -v "^./internal/cluster/migrate_test.go:" || true)
-if [ -n "$offenders" ]; then
-    echo "deprecated NodeFor used outside its wrapper:" >&2
-    echo "$offenders" >&2
-    exit 1
-fi
-
+echo "== layering gates =="
 # The slot-table is the single placement authority: nobody outside the
 # placement implementation may hash a key straight onto a node count.
 offenders=$(grep -rn "fnv" --include='*.go' ./internal/cluster ./internal/server ./internal/chaos || true)
@@ -77,6 +54,12 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== flake gate (timer-driven packages, 10 runs each) =="
+go test -count=10 ./internal/cluster ./internal/chaos
+
+echo "== benchmark module (compiles against this tree, short tests) =="
+(cd bench && go vet ./... && go test -short ./...)
 
 echo "== fuzz smoke (RESP parser) =="
 go test -run Fuzz -fuzz=FuzzReadCommand -fuzztime=10s ./internal/redis

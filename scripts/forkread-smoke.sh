@@ -20,7 +20,7 @@ go build -o "$tmp/spacejmp-server" ./cmd/spacejmp-server
 go build -o "$tmp/spacejmp-load" ./cmd/spacejmp-load
 
 "$tmp/spacejmp-server" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
-    -machine small -shards 1 -cluster 3 -seg 1048576 \
+    -machine small -workers 1 -cluster 3 -seg 1048576 \
     -replicate -ship-every 4 -follower-reads -stale-bound 250ms \
     2>"$tmp/server.log" &
 srv_pid=$!

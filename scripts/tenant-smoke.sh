@@ -20,7 +20,7 @@ go build -o "$tmp/spacejmp-server" ./cmd/spacejmp-server
 go build -o "$tmp/spacejmp-load" ./cmd/spacejmp-load
 
 "$tmp/spacejmp-server" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
-    -machine small -shards 2 -tenants 2 -tenant-max-keys 24 \
+    -machine small -workers 2 -tenants 2 -tenant-max-keys 24 \
     2>"$tmp/server.log" &
 srv_pid=$!
 
