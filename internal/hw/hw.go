@@ -354,11 +354,11 @@ func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAdd
 	cost := &c.machine.Cfg.Cost
 	c.cycles += cost.TLBHit
 	c.cobs.AddCycles(stats.CatTLBProbe, cost.TLBHit)
-	if e, ok := c.TLB.Lookup(c.asid, va); ok {
-		if e.Perm.Allows(access.Perm()) {
+	if pa, perm, ok := c.TLB.Translate(c.asid, va); ok {
+		if perm.Allows(access.Perm()) {
 			c.stats.TLBHits++
-			c.sink.TLBHit(c.asid)
-			return e.Frame + arch.PhysAddr(uint64(va)%e.PageSize), nil
+			c.cobs.TLBHit(c.asid)
+			return pa, nil
 		}
 		// Permission violation on a cached translation: as on x86, the
 		// entry may be stale after a PTE upgrade, so drop it and re-walk
@@ -368,7 +368,7 @@ func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAdd
 		}
 	}
 	c.stats.TLBMisses++
-	c.sink.TLBMiss(c.asid)
+	c.cobs.TLBMiss(c.asid)
 	if c.table == nil {
 		return 0, &PageFault{VA: va, Access: access, Cause: fmt.Errorf("no address space loaded")}
 	}
@@ -385,7 +385,7 @@ func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAdd
 	base := arch.AlignDown(va, r.PageSize)
 	frame := r.PA - arch.PhysAddr(uint64(va)-uint64(base))
 	if victim, evicted := c.TLB.Insert(c.asid, base, frame, r.PageSize, r.Perm, r.Global); evicted {
-		c.sink.TLBEvict(victim)
+		c.cobs.TLBEvict(victim)
 	}
 	return r.PA, nil
 }

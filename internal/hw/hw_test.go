@@ -2,6 +2,7 @@ package hw
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"spacejmp/internal/arch"
@@ -52,6 +53,27 @@ func TestTable1Configs(t *testing.T) {
 	// Spot-check Table 1 figures.
 	if M3().CoresPerSocket != 18 || M3().GHz != 2.30 || M3().Mem.DRAMSize != 512<<30 {
 		t.Error("M3 does not match Table 1")
+	}
+}
+
+// TestBootingM3StaysSparse: M3 has 128 Mi frames. Booting it must cost the
+// host what the cores and TLBs cost, not a table with a slot per frame (a
+// pointer per frame alone would be 1 GiB).
+func TestBootingM3StaysSparse(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewMachine(M3())
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("NewMachine(M3) allocated %d bytes, want under 4 MiB", got)
+	}
+	// The far end of the address space works without having paid for the rest.
+	top := arch.PhysAddr(m.PM.Size() - 8)
+	if err := m.PM.Store64(top, 7); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.PM.Load64(top); v != 7 {
+		t.Errorf("top of memory reads %d", v)
 	}
 }
 

@@ -2,17 +2,32 @@
 // address space carved into 4 KiB frames, managed by a buddy allocator, and
 // optionally split into a volatile DRAM tier and a persistent NVM tier.
 //
-// Frame contents are materialized lazily as Go byte slices, so a simulated
-// machine can expose a physical address space much larger than the memory
-// the test process actually touches — mirroring the paper's premise (§2.1)
-// that physical capacity outgrows what a process can comfortably map.
+// Frame contents are materialized lazily, on first write, so a simulated
+// machine can expose a physical address space much larger than the memory the
+// test process actually writes — mirroring the paper's premise (§2.1) that
+// physical capacity outgrows what a process can comfortably map.
+//
+// Memory model. Content is reached through a sparse directory of atomic
+// pointers, never through a lock: every simulated load, store and page-walker
+// reference of every core lands here. Aligned 64-bit words (Load64, Store64)
+// are atomic and may be used from any goroutine at any time. Bulk copies
+// (ReadAt, WriteAt, Zero) are plain memory copies, not atomic across words
+// and not ordered against a concurrent access to the same words — as on
+// the hardware this models; goroutines that share a range order their bulk
+// copies with word accesses or with Go synchronization of their own. The
+// allocator (AllocFrames, Free, PowerCycle) is serialized by a mutex, and a
+// block's content is dropped while that mutex is held, so whoever allocates
+// it next reads zeros.
 package mem
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"spacejmp/internal/arch"
 	"spacejmp/internal/fault"
@@ -70,37 +85,64 @@ type Stats struct {
 	Allocs         uint64
 	Frees          uint64
 	FailedAllocs   uint64
-	ZeroedPages    uint64 // frames whose content was materialized (zeroed)
+	ZeroedPages    uint64 // frames whose content was materialized (zeroed) by a first write
 }
+
+// frame is one frame's content. It is declared as words so that Load64 and
+// Store64 can use sync/atomic on naturally aligned uint64s; bulk copies go
+// through the byte view. Words are kept in memory in little-endian byte order
+// on every host (see le), so the byte view is the frame's byte image.
+type frame [arch.PageSize / 8]uint64
+
+// bytes views the frame as its bytes: same size, same alignment or weaker,
+// no pointers — the conversion unsafe.Pointer permits.
+func (f *frame) bytes() *[arch.PageSize]byte {
+	return (*[arch.PageSize]byte)(unsafe.Pointer(f))
+}
+
+var hostBigEndian = binary.NativeEndian.Uint16([]byte{1, 0}) != 1
+
+// le converts a word between its value and its in-memory representation.
+func le(v uint64) uint64 {
+	if hostBigEndian {
+		return bits.ReverseBytes64(v)
+	}
+	return v
+}
+
+// The frame directory is two levels of atomic pointers: a top-level slice
+// sized to the physical address space, one slot per leafFrames frames, and
+// leaves of one slot per frame. Both levels fill in by compare-and-swap on
+// first touch, so a 512 GiB machine costs a 256 KiB top level until it is
+// used, and a lookup is two dependent loads.
+const (
+	leafShift  = 12 // a leaf spans 4096 frames (16 MiB) in 32 KiB of pointers
+	leafFrames = 1 << leafShift
+)
+
+type leaf [leafFrames]atomic.Pointer[frame]
 
 // PhysMem is the machine's simulated physical memory.
 type PhysMem struct {
-	mu    sync.Mutex
+	mu    sync.Mutex // guards the allocators and stats, and content drops
 	tiers [numTiers]*buddy
 	cfg   Config
+	stats Stats // ZeroedPages lives in zeroed
 
-	pages  map[uint64]*[arch.PageSize]byte // PFN -> content, lazy
-	stats  Stats
-	faults *fault.Registry
-	obs    *stats.Sink
+	dir    []atomic.Pointer[leaf]
+	zeroed atomic.Uint64 // frames materialized
+	faults atomic.Pointer[fault.Registry]
+	obs    atomic.Pointer[stats.Sink]
 }
 
 // SetFaults installs a fault-injection registry. The memory consults it at
 // frame allocation (fault.MemAlloc) and on writes (fault.MemWriteTorn). A
 // nil registry disables injection.
-func (pm *PhysMem) SetFaults(r *fault.Registry) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	pm.faults = r
-}
+func (pm *PhysMem) SetFaults(r *fault.Registry) { pm.faults.Store(r) }
 
 // SetObserver installs the machine-wide stats sink; the memory records
 // writes landing in the NVM tier into it. Nil disables observation.
-func (pm *PhysMem) SetObserver(s *stats.Sink) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	pm.obs = s
-}
+func (pm *PhysMem) SetObserver(s *stats.Sink) { pm.obs.Store(s) }
 
 // New creates a physical memory with the given tier sizes. Sizes are rounded
 // down to whole frames. DRAM occupies physical addresses [0, DRAMSize) and
@@ -112,7 +154,8 @@ func New(cfg Config) *PhysMem {
 	if cfg.NVMSuperblock > cfg.NVMSize {
 		cfg.NVMSuperblock = cfg.NVMSize
 	}
-	pm := &PhysMem{cfg: cfg, pages: make(map[uint64]*[arch.PageSize]byte)}
+	frames := (cfg.DRAMSize + cfg.NVMSize) / arch.PageSize
+	pm := &PhysMem{cfg: cfg, dir: make([]atomic.Pointer[leaf], (frames+leafFrames-1)>>leafShift)}
 	pm.tiers[TierDRAM] = newBuddy(0, cfg.DRAMSize/arch.PageSize)
 	pm.tiers[TierNVM] = newBuddy((cfg.DRAMSize+cfg.NVMSuperblock)/arch.PageSize,
 		(cfg.NVMSize-cfg.NVMSuperblock)/arch.PageSize)
@@ -152,7 +195,7 @@ func (pm *PhysMem) AllocFrames(order int, tier Tier) (arch.PhysAddr, error) {
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if pm.faults.Fire(fault.MemAlloc) {
+	if pm.faults.Load().Fire(fault.MemAlloc) {
 		pm.stats.FailedAllocs++
 		return 0, fmt.Errorf("mem: out of %v memory (order %d, injected)", tier, order)
 	}
@@ -186,24 +229,80 @@ func (pm *PhysMem) Free(pa arch.PhysAddr, order int) error {
 		return err
 	}
 	n := uint64(1) << order
-	for i := uint64(0); i < n; i++ {
-		delete(pm.pages, pfn+i)
-	}
+	pm.drop(pfn, pfn+n)
 	pm.stats.Frees++
 	pm.stats.AllocatedBytes -= n * arch.PageSize
 	return nil
 }
 
-// page returns the backing array for a PFN, materializing it if needed.
-// Caller holds pm.mu.
-func (pm *PhysMem) page(pfn uint64) *[arch.PageSize]byte {
-	p := pm.pages[pfn]
-	if p == nil {
-		p = new([arch.PageSize]byte)
-		pm.pages[pfn] = p
-		pm.stats.ZeroedPages++
+// peek returns the content of a PFN, or nil while nothing has been written to
+// it: an untouched frame reads as zero without costing the host a page.
+func (pm *PhysMem) peek(pfn uint64) *frame {
+	if l := pm.dir[pfn>>leafShift].Load(); l != nil {
+		return l[pfn%leafFrames].Load()
 	}
-	return p
+	return nil
+}
+
+// frame returns the content of a PFN for writing, materializing it (zeroed)
+// on first touch. Concurrent first touches agree on one frame and count it
+// once.
+func (pm *PhysMem) frame(pfn uint64) *frame {
+	top := &pm.dir[pfn>>leafShift]
+	l := top.Load()
+	for l == nil {
+		top.CompareAndSwap(nil, new(leaf))
+		l = top.Load() // leaves are never removed
+	}
+	slot := &l[pfn%leafFrames]
+	for {
+		if f := slot.Load(); f != nil {
+			return f
+		}
+		if f := new(frame); slot.CompareAndSwap(nil, f) {
+			pm.zeroed.Add(1)
+			return f
+		}
+	}
+}
+
+// drop discards the content of frames [pfn, end), which read as zero again.
+// Caller holds pm.mu.
+func (pm *PhysMem) drop(pfn, end uint64) {
+	for pfn < end {
+		next := min(end, (pfn>>leafShift+1)<<leafShift)
+		if l := pm.dir[pfn>>leafShift].Load(); l != nil {
+			for ; pfn < next; pfn++ {
+				if slot := &l[pfn%leafFrames]; slot.Load() != nil {
+					slot.Store(nil)
+				}
+			}
+		}
+		pfn = next
+	}
+}
+
+// copyOut and copyIn move bytes between physical memory and buf frame by
+// frame; the range is already checked. Only copyIn materializes frames.
+func (pm *PhysMem) copyOut(pa arch.PhysAddr, buf []byte) {
+	for off := uint64(pa); len(buf) > 0; {
+		po := off % arch.PageSize
+		n := min(uint64(len(buf)), arch.PageSize-po)
+		if f := pm.peek(off / arch.PageSize); f != nil {
+			copy(buf[:n], f.bytes()[po:])
+		} else {
+			clear(buf[:n])
+		}
+		buf, off = buf[n:], off+n
+	}
+}
+
+func (pm *PhysMem) copyIn(pa arch.PhysAddr, buf []byte) {
+	for off := uint64(pa); len(buf) > 0; {
+		po := off % arch.PageSize
+		n := uint64(copy(pm.frame(off / arch.PageSize).bytes()[po:], buf))
+		buf, off = buf[n:], off+n
+	}
 }
 
 // ReadAt copies len(buf) bytes of physical memory starting at pa into buf.
@@ -212,15 +311,7 @@ func (pm *PhysMem) ReadAt(pa arch.PhysAddr, buf []byte) error {
 	if uint64(pa)+uint64(len(buf)) > pm.Size() {
 		return fmt.Errorf("mem: read [%v,+%d) out of range", pa, len(buf))
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	off := uint64(pa)
-	for len(buf) > 0 {
-		pfn, po := off/arch.PageSize, off%arch.PageSize
-		n := copy(buf, pm.page(pfn)[po:])
-		buf = buf[n:]
-		off += uint64(n)
-	}
+	pm.copyOut(pa, buf)
 	return nil
 }
 
@@ -231,23 +322,15 @@ func (pm *PhysMem) WriteAt(pa arch.PhysAddr, buf []byte) error {
 	if uint64(pa)+uint64(len(buf)) > pm.Size() {
 		return fmt.Errorf("mem: write [%v,+%d) out of range", pa, len(buf))
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	var torn error
-	if pm.faults.Fire(fault.MemWriteTorn) {
+	if pm.faults.Load().Fire(fault.MemWriteTorn) {
 		buf = buf[:len(buf)/2]
 		torn = fmt.Errorf("%w: [%v,+%d)", ErrTornWrite, pa, len(buf))
 	}
-	if pm.obs != nil && pm.TierOf(pa) == TierNVM {
-		pm.obs.NVMWrite(len(buf))
+	if pm.TierOf(pa) == TierNVM {
+		pm.obs.Load().NVMWrite(len(buf))
 	}
-	off := uint64(pa)
-	for len(buf) > 0 {
-		pfn, po := off/arch.PageSize, off%arch.PageSize
-		n := copy(pm.page(pfn)[po:], buf)
-		buf = buf[n:]
-		off += uint64(n)
-	}
+	pm.copyIn(pa, buf)
 	return torn
 }
 
@@ -260,11 +343,11 @@ func (pm *PhysMem) Load64(pa arch.PhysAddr) (uint64, error) {
 	if uint64(pa)+8 > pm.Size() {
 		return 0, fmt.Errorf("mem: Load64 at %v out of range", pa)
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	p := pm.page(uint64(pa) / arch.PageSize)
-	po := uint64(pa) % arch.PageSize
-	return binary.LittleEndian.Uint64(p[po : po+8]), nil
+	f := pm.peek(uint64(pa) / arch.PageSize)
+	if f == nil {
+		return 0, nil
+	}
+	return le(atomic.LoadUint64(&f[uint64(pa)%arch.PageSize/8])), nil
 }
 
 // Store64 writes a little-endian uint64 at pa, which must be 8-byte aligned.
@@ -275,14 +358,11 @@ func (pm *PhysMem) Store64(pa arch.PhysAddr, v uint64) error {
 	if uint64(pa)+8 > pm.Size() {
 		return fmt.Errorf("mem: Store64 at %v out of range", pa)
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	if pm.obs != nil && pm.TierOf(pa) == TierNVM {
-		pm.obs.NVMWrite(8)
+	if pm.TierOf(pa) == TierNVM {
+		pm.obs.Load().NVMWrite(8)
 	}
-	p := pm.page(uint64(pa) / arch.PageSize)
-	po := uint64(pa) % arch.PageSize
-	binary.LittleEndian.PutUint64(p[po:po+8], v)
+	f := pm.frame(uint64(pa) / arch.PageSize)
+	atomic.StoreUint64(&f[uint64(pa)%arch.PageSize/8], le(v))
 	return nil
 }
 
@@ -291,19 +371,13 @@ func (pm *PhysMem) Zero(pa arch.PhysAddr, size uint64) error {
 	if uint64(pa)+size > pm.Size() {
 		return fmt.Errorf("mem: zero [%v,+%d) out of range", pa, size)
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	off := uint64(pa)
-	for size > 0 {
-		pfn, po := off/arch.PageSize, off%arch.PageSize
-		n := arch.PageSize - po
-		if n > size {
-			n = size
+	for off := uint64(pa); size > 0; {
+		po := off % arch.PageSize
+		n := min(size, arch.PageSize-po)
+		if f := pm.peek(off / arch.PageSize); f != nil {
+			clear(f.bytes()[po : po+n])
 		}
-		p := pm.page(pfn)
-		clear(p[po : po+n])
-		off += n
-		size -= n
+		off, size = off+n, size-n
 	}
 	return nil
 }
@@ -314,12 +388,7 @@ func (pm *PhysMem) Zero(pa arch.PhysAddr, size uint64) error {
 func (pm *PhysMem) PowerCycle() {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	dramFrames := pm.cfg.DRAMSize / arch.PageSize
-	for pfn := range pm.pages {
-		if pfn < dramFrames {
-			delete(pm.pages, pfn)
-		}
-	}
+	pm.drop(0, pm.cfg.DRAMSize/arch.PageSize)
 	freed := pm.tiers[TierDRAM].reset()
 	pm.stats.AllocatedBytes -= freed * arch.PageSize
 }
@@ -328,7 +397,9 @@ func (pm *PhysMem) PowerCycle() {
 func (pm *PhysMem) Stats() Stats {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	return pm.stats
+	st := pm.stats
+	st.ZeroedPages = pm.zeroed.Load()
+	return st
 }
 
 // FreeBytes returns the number of unallocated bytes in a tier.

@@ -172,12 +172,14 @@ type WalkResult struct {
 // Walk translates va. On failure the returned WalkResult still carries the
 // number of walker references issued, so the MMU can charge miss cycles.
 func (t *Table) Walk(va arch.VirtAddr) (WalkResult, error) {
+	r, err := t.walk(va)
 	t.stats.Walks++
-	var r WalkResult
-	defer func() {
-		t.stats.WalkRefs += uint64(r.Refs)
-		t.obs.Walk(r.Refs)
-	}()
+	t.stats.WalkRefs += uint64(r.Refs)
+	t.obs.Walk(r.Refs)
+	return r, err
+}
+
+func (t *Table) walk(va arch.VirtAddr) (r WalkResult, _ error) {
 	table := t.root
 	for level := arch.PTLevels - 1; level >= 0; level-- {
 		r.Refs++

@@ -290,16 +290,10 @@ func (s *Sink) Snapshot() *Snapshot {
 	}
 	snap.TLB.Flushes = s.tlbFlushes.Load()
 	snap.TLB.FlushedEntries = s.tlbFlushedEntries.Load()
-	for asid := range s.asids {
-		a := ASIDSnap{
-			Hits:      s.asids[asid].hits.Load(),
-			Misses:    s.asids[asid].misses.Load(),
-			Evictions: s.asids[asid].evictions.Load(),
-		}
-		if a.Hits == 0 && a.Misses == 0 && a.Evictions == 0 {
-			continue
-		}
-		snap.ASIDs[arch.ASID(asid)] = a
+	for i := range s.cores {
+		s.cores[i].addASIDs(snap.ASIDs)
+	}
+	for _, a := range snap.ASIDs {
 		snap.TLB.Hits += a.Hits
 		snap.TLB.Misses += a.Misses
 		snap.TLB.Evictions += a.Evictions

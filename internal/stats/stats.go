@@ -112,11 +112,19 @@ func (o Op) String() string {
 	return "op(?)"
 }
 
-// CoreCounters is one core's cycle accounting by category. Cores hold a
-// pointer to their slot and add with a single atomic op per charge.
+// CoreCounters is one core's shard of the sink: cycle accounting by category
+// and the TLB activity of the address-space tags the core ran under. Cores
+// hold a pointer to their slot and add with a single atomic op per charge;
+// no two cores write the same cache line, even when they all run under one
+// tag (every untagged core runs under ASID 0). Snapshot sums the shards.
 type CoreCounters struct {
 	cycles [NumCats]atomic.Uint64
+	// asids is indexed by arch.ASID in chunks that appear on first use: a
+	// core runs under a handful of the 4096 tags.
+	asids [(int(arch.MaxASID) + 1) / asidChunk]atomic.Pointer[[asidChunk]asidCounters]
 }
+
+const asidChunk = 64
 
 // AddCycles attributes n cycles to category cat. Safe on nil (disabled).
 func (c *CoreCounters) AddCycles(cat Cat, n uint64) {
@@ -132,6 +140,61 @@ func (c *CoreCounters) Cycles(cat Cat) uint64 {
 		return 0
 	}
 	return c.cycles[cat].Load()
+}
+
+// asid returns the counter block of a tag, allocating its chunk on first use.
+func (c *CoreCounters) asid(asid arch.ASID) *asidCounters {
+	slot := &c.asids[asid/asidChunk]
+	chunk := slot.Load()
+	for chunk == nil {
+		slot.CompareAndSwap(nil, new([asidChunk]asidCounters))
+		chunk = slot.Load()
+	}
+	return &chunk[asid%asidChunk]
+}
+
+// addASIDs adds the shard's non-zero per-tag counters into sum.
+func (c *CoreCounters) addASIDs(sum map[arch.ASID]ASIDSnap) {
+	for ci := range c.asids {
+		chunk := c.asids[ci].Load()
+		if chunk == nil {
+			continue
+		}
+		for j := range chunk {
+			add := ASIDSnap{Hits: chunk[j].hits.Load(), Misses: chunk[j].misses.Load(), Evictions: chunk[j].evictions.Load()}
+			if add == (ASIDSnap{}) {
+				continue
+			}
+			asid := arch.ASID(ci*asidChunk + j)
+			a := sum[asid]
+			a.Hits += add.Hits
+			a.Misses += add.Misses
+			a.Evictions += add.Evictions
+			sum[asid] = a
+		}
+	}
+}
+
+// TLBHit records a TLB hit while the core ran under the given tag. Safe on nil.
+func (c *CoreCounters) TLBHit(asid arch.ASID) {
+	if c != nil {
+		c.asid(asid).hits.Add(1)
+	}
+}
+
+// TLBMiss records a TLB miss while the core ran under the given tag. Safe on nil.
+func (c *CoreCounters) TLBMiss(asid arch.ASID) {
+	if c != nil {
+		c.asid(asid).misses.Add(1)
+	}
+}
+
+// TLBEvict records the core's TLB evicting an entry that belonged to the
+// given tag. Safe on nil.
+func (c *CoreCounters) TLBEvict(asid arch.ASID) {
+	if c != nil {
+		c.asid(asid).evictions.Add(1)
+	}
 }
 
 // PTCounters counts page-table node and entry activity machine-wide. The
@@ -181,7 +244,7 @@ func (p *PTCounters) Walk(refs int) {
 	}
 }
 
-// asidCounters is per-address-space-tag TLB activity.
+// asidCounters is one core's TLB activity under one address-space tag.
 type asidCounters struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -193,7 +256,6 @@ type asidCounters struct {
 // number of goroutines.
 type Sink struct {
 	cores []CoreCounters
-	asids []asidCounters // indexed by arch.ASID, length arch.MaxASID+1
 
 	// PT is the machine-wide page-table counter block; tables record into
 	// it via SetObserver(sink.PTObs()).
@@ -238,10 +300,7 @@ type Sink struct {
 
 // NewSink creates a collector for a machine with the given core count.
 func NewSink(cores int) *Sink {
-	return &Sink{
-		cores: make([]CoreCounters, cores),
-		asids: make([]asidCounters, int(arch.MaxASID)+1),
-	}
+	return &Sink{cores: make([]CoreCounters, cores)}
 }
 
 // Core returns core i's category-cycle counter block, or nil when the sink
@@ -260,27 +319,6 @@ func (s *Sink) PTObs() *PTCounters {
 		return nil
 	}
 	return &s.PT
-}
-
-// TLBHit records a TLB hit while the core ran under the given tag.
-func (s *Sink) TLBHit(asid arch.ASID) {
-	if s != nil {
-		s.asids[asid].hits.Add(1)
-	}
-}
-
-// TLBMiss records a TLB miss while the core ran under the given tag.
-func (s *Sink) TLBMiss(asid arch.ASID) {
-	if s != nil {
-		s.asids[asid].misses.Add(1)
-	}
-}
-
-// TLBEvict records the eviction of an entry belonging to the given tag.
-func (s *Sink) TLBEvict(asid arch.ASID) {
-	if s != nil {
-		s.asids[asid].evictions.Add(1)
-	}
 }
 
 // TLBFlush records one flush operation that invalidated entries entries.

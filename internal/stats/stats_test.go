@@ -12,9 +12,6 @@ import (
 // receiver — this is the disabled fast path every component relies on.
 func TestNilSafety(t *testing.T) {
 	var s *Sink
-	s.TLBHit(1)
-	s.TLBMiss(1)
-	s.TLBEvict(1)
 	s.TLBFlush(4)
 	s.Shootdown(2, 8)
 	s.NVMWrite(64)
@@ -36,6 +33,9 @@ func TestNilSafety(t *testing.T) {
 
 	var c *CoreCounters
 	c.AddCycles(CatData, 5)
+	c.TLBHit(1)
+	c.TLBMiss(1)
+	c.TLBEvict(1)
 	if c.Cycles(CatData) != 0 {
 		t.Error("nil CoreCounters recorded cycles")
 	}
@@ -78,12 +78,12 @@ func TestConcurrentCounters(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cc := s.Core(w % 2)
+			cc := s.Core(w / 4) // each tag is recorded on both cores' shards
 			for i := 0; i < perWorker; i++ {
 				cc.AddCycles(CatWalk, 3)
-				s.TLBHit(arch.ASID(w % 4))
-				s.TLBMiss(arch.ASID(w % 4))
-				s.TLBEvict(1)
+				cc.TLBHit(arch.ASID(w % 4))
+				cc.TLBMiss(arch.ASID(w % 4))
+				cc.TLBEvict(1)
 				s.PTObs().Walk(4)
 				s.PTObs().EntrySet()
 				s.NVMWrite(8)
@@ -101,6 +101,15 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 	if snap.TLB.Hits != total || snap.TLB.Misses != total || snap.TLB.Evictions != total {
 		t.Errorf("tlb = %+v, want %d each", snap.TLB, total)
+	}
+	for asid := arch.ASID(0); asid < 4; asid++ {
+		want := ASIDSnap{Hits: 2 * perWorker, Misses: 2 * perWorker}
+		if asid == 1 {
+			want.Evictions = total
+		}
+		if got := snap.ASIDs[asid]; got != want {
+			t.Errorf("asid %d summed over cores = %+v, want %+v", asid, got, want)
+		}
 	}
 	if snap.TLB.HitRate() != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", snap.TLB.HitRate())
@@ -131,7 +140,7 @@ func TestConcurrentCounters(t *testing.T) {
 func TestSnapshotImmutability(t *testing.T) {
 	s := NewSink(1)
 	s.Core(0).AddCycles(CatData, 10)
-	s.TLBHit(2)
+	s.Core(0).TLBHit(2)
 	s.PTObs().Walk(4)
 	before := s.Snapshot()
 	buf, err := before.JSON()
@@ -140,7 +149,7 @@ func TestSnapshotImmutability(t *testing.T) {
 	}
 	// Mutate everything the snapshot covers.
 	s.Core(0).AddCycles(CatData, 99)
-	s.TLBHit(2)
+	s.Core(0).TLBHit(2)
 	s.TLBFlush(7)
 	s.PTObs().Walk(4)
 	s.Syscall(OpSegAlloc, 123)
@@ -160,12 +169,12 @@ func TestSnapshotImmutability(t *testing.T) {
 func TestSnapshotDelta(t *testing.T) {
 	s := NewSink(1)
 	s.Core(0).AddCycles(CatWalk, 5)
-	s.TLBMiss(1)
+	s.Core(0).TLBMiss(1)
 	s.Syscall(OpVASSwitch, 10)
 	before := s.Snapshot()
 	s.Core(0).AddCycles(CatWalk, 7)
-	s.TLBMiss(1)
-	s.TLBMiss(1)
+	s.Core(0).TLBMiss(1)
+	s.Core(0).TLBMiss(1)
 	s.Syscall(OpVASSwitch, 20)
 	d := s.Snapshot().Delta(before)
 	if d.Cycles[CatWalk.String()] != 7 {

@@ -24,15 +24,19 @@ var DefaultConfig = Config{Sets: 128, Ways: 12}
 
 // Entry is one cached translation.
 type Entry struct {
-	VPN      uint64 // virtual page number (va / PageSize of the page base)
-	ASID     arch.ASID
+	VPN      uint64        // virtual page number (va / PageSize of the page base)
 	Frame    arch.PhysAddr // physical base of the page
-	Perm     arch.Perm
 	PageSize uint64
+	ASID     arch.ASID
+	Perm     arch.Perm
 	Global   bool
 
-	valid bool
-	used  uint64 // LRU timestamp
+	// gen is the flush generation the entry was installed in; 0 marks an
+	// empty slot. A non-global entry is live only while gen equals the TLB's
+	// current generation, which is how FlushAll invalidates all of them by
+	// bumping one counter. Global entries outlive generations.
+	gen  uint64
+	used uint64 // LRU timestamp
 }
 
 // Stats counts TLB activity.
@@ -49,11 +53,17 @@ type Stats struct {
 // (vm.Space.Shootdown) flush entries from whichever goroutine removed the
 // translation — the mutex is the interconnect that serializes them.
 type TLB struct {
-	mu    sync.Mutex
-	cfg   Config
-	sets  [][]Entry
-	tick  uint64
-	stats Stats
+	mu   sync.Mutex
+	cfg  Config
+	sets [][]Entry
+	tick uint64
+	// gen is the current flush generation (starts at 1) and nonGlobal the
+	// number of live non-global entries — exactly what a scan for FlushAll's
+	// victims would count, maintained by every operation that installs or
+	// invalidates an entry.
+	gen       uint64
+	nonGlobal int
+	stats     Stats
 }
 
 // New creates a TLB with the given geometry.
@@ -64,7 +74,7 @@ func New(cfg Config) *TLB {
 	if cfg.Ways <= 0 {
 		panic(fmt.Sprintf("tlb: ways must be positive, got %d", cfg.Ways))
 	}
-	t := &TLB{cfg: cfg, sets: make([][]Entry, cfg.Sets)}
+	t := &TLB{cfg: cfg, sets: make([][]Entry, cfg.Sets), gen: 1}
 	for i := range t.sets {
 		t.sets[i] = make([]Entry, cfg.Ways)
 	}
@@ -92,31 +102,67 @@ func (t *TLB) setFor(vpn uint64) []Entry {
 	return t.sets[vpn&uint64(t.cfg.Sets-1)]
 }
 
+// live reports whether e holds a translation: installed in the current
+// generation, or global and installed at all.
+func (t *TLB) live(e *Entry) bool {
+	return e.gen == t.gen || (e.Global && e.gen != 0)
+}
+
+// invalidate empties a live entry on behalf of a flush.
+func (t *TLB) invalidate(e *Entry) {
+	if !e.Global {
+		t.nonGlobal--
+	}
+	e.gen = 0
+	t.stats.FlushedEntries++
+}
+
 // pageSizes are probed from smallest to largest on lookup, emulating a
 // unified TLB that caches all three page sizes.
 var pageSizes = [...]uint64{arch.PageSize, arch.HugePageSize, arch.GiantPageSize}
+
+// find returns the live entry translating va under the given ASID, renewing
+// its LRU stamp, or nil; either way the probe is counted. Global entries
+// match any ASID. Caller holds t.mu.
+func (t *TLB) find(asid arch.ASID, va arch.VirtAddr) *Entry {
+	t.tick++
+	for _, ps := range pageSizes {
+		vpn := uint64(arch.AlignDown(va, ps)) >> arch.PageShift
+		set := t.setFor(vpn)
+		for i := range set {
+			e := &set[i]
+			if e.VPN == vpn && e.PageSize == ps && (e.Global || e.ASID == asid) && t.live(e) {
+				e.used = t.tick
+				t.stats.Hits++
+				return e
+			}
+		}
+	}
+	t.stats.Misses++
+	return nil
+}
 
 // Lookup probes the TLB for a translation of va under the given ASID.
 // Global entries match any ASID. On a hit the entry's LRU stamp is renewed.
 func (t *TLB) Lookup(asid arch.ASID, va arch.VirtAddr) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.tick++
-	for _, ps := range pageSizes {
-		base := arch.AlignDown(va, ps)
-		vpn := uint64(base) >> arch.PageShift
-		set := t.setFor(vpn)
-		for i := range set {
-			e := &set[i]
-			if e.valid && e.PageSize == ps && e.VPN == vpn && (e.Global || e.ASID == asid) {
-				e.used = t.tick
-				t.stats.Hits++
-				return *e, true
-			}
-		}
+	if e := t.find(asid, va); e != nil {
+		return *e, true
 	}
-	t.stats.Misses++
 	return Entry{}, false
+}
+
+// Translate is Lookup as the MMU uses it on every access: on a hit it
+// returns the physical address va maps to and the mapping's permissions,
+// without copying the entry out.
+func (t *TLB) Translate(asid arch.ASID, va arch.VirtAddr) (pa arch.PhysAddr, perm arch.Perm, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e := t.find(asid, va); e != nil {
+		return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), e.Perm, true
+	}
+	return 0, 0, false
 }
 
 // Insert installs a translation, evicting the least recently used entry of
@@ -133,46 +179,50 @@ func (t *TLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr, pa
 	victim := 0
 	for i := range set {
 		e := &set[i]
-		if e.valid && e.PageSize == pageSize && e.VPN == vpn && e.ASID == asid {
-			victim = i // refresh in place
+		if !t.live(e) {
+			victim = i
 			break
 		}
-		if !e.valid {
-			victim = i
+		if e.PageSize == pageSize && e.VPN == vpn && e.ASID == asid {
+			victim = i // refresh in place
 			break
 		}
 		if e.used < set[victim].used {
 			victim = i
 		}
 	}
-	if set[victim].valid && (set[victim].VPN != vpn || set[victim].ASID != asid) {
-		t.stats.Evictions++
-		victimASID, evicted = set[victim].ASID, true
+	v := &set[victim]
+	if t.live(v) {
+		if v.VPN != vpn || v.ASID != asid {
+			t.stats.Evictions++
+			victimASID, evicted = v.ASID, true
+		}
+		if !v.Global {
+			t.nonGlobal--
+		}
 	}
-	set[victim] = Entry{
+	*v = Entry{
 		VPN: vpn, ASID: asid, Frame: arch.PhysAddr(arch.AlignDown(arch.VirtAddr(frame), pageSize)),
-		Perm: perm, PageSize: pageSize, Global: global, valid: true, used: t.tick,
+		Perm: perm, PageSize: pageSize, Global: global, gen: t.gen, used: t.tick,
+	}
+	if !global {
+		t.nonGlobal++
 	}
 	return victimASID, evicted
 }
 
 // FlushAll invalidates every non-global entry — the effect of writing CR3
 // without a tag (or with the reserved flush tag). It returns the number of
-// entries invalidated.
+// entries invalidated. The cost is one generation bump whatever the TLB
+// holds: entries of older generations are dead wherever they are consulted.
 func (t *TLB) FlushAll() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats.Flushes++
-	n := 0
-	for _, set := range t.sets {
-		for i := range set {
-			if set[i].valid && !set[i].Global {
-				set[i].valid = false
-				t.stats.FlushedEntries++
-				n++
-			}
-		}
-	}
+	n := t.nonGlobal
+	t.stats.FlushedEntries += uint64(n)
+	t.nonGlobal = 0
+	t.gen++
 	return n
 }
 
@@ -185,9 +235,8 @@ func (t *TLB) FlushASID(asid arch.ASID) int {
 	n := 0
 	for _, set := range t.sets {
 		for i := range set {
-			if set[i].valid && set[i].ASID == asid {
-				set[i].valid = false
-				t.stats.FlushedEntries++
+			if e := &set[i]; e.ASID == asid && t.live(e) {
+				t.invalidate(e)
 				n++
 			}
 		}
@@ -206,10 +255,8 @@ func (t *TLB) FlushPage(asid arch.ASID, va arch.VirtAddr) int {
 		vpn := uint64(arch.AlignDown(va, ps)) >> arch.PageShift
 		set := t.setFor(vpn)
 		for i := range set {
-			e := &set[i]
-			if e.valid && e.PageSize == ps && e.VPN == vpn && e.ASID == asid {
-				e.valid = false
-				t.stats.FlushedEntries++
+			if e := &set[i]; e.PageSize == ps && e.VPN == vpn && e.ASID == asid && t.live(e) {
+				t.invalidate(e)
 				n++
 			}
 		}
@@ -224,7 +271,7 @@ func (t *TLB) Live() int {
 	n := 0
 	for _, set := range t.sets {
 		for i := range set {
-			if set[i].valid {
+			if t.live(&set[i]) {
 				n++
 			}
 		}

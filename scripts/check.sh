@@ -52,6 +52,18 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== simulated-clock golden (paper figures, -quick) =="
+# The figure tables are functions of the modelled machine alone, so a change
+# to the host side of the simulator must reproduce them byte for byte. The
+# counters table is left out: its lock-wait-ns line is wall-clock. When a
+# change to the *modelled* system moves a figure, regenerate the file with
+# this command and say so in EXPERIMENTS.md.
+go run ./cmd/spacejmp-bench -quick table2 fig1 fig6 fig7 fig8 fig9 fig10a fig10b fig10c fig11 fig12 ablations |
+    diff -u testdata/figures-quick.golden - || {
+    echo "simulated-clock figures differ from testdata/figures-quick.golden" >&2
+    exit 1
+}
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -69,6 +81,9 @@ go test -run Fuzz -fuzz=FuzzParseSpec -fuzztime=10s ./internal/chaos
 
 echo "== fuzz smoke (tenant admission) =="
 go test -run Fuzz -fuzz=FuzzAuthCommand -fuzztime=10s ./internal/server
+
+echo "== fuzz smoke (TLB against the scanning reference model) =="
+go test -run Fuzz -fuzz=FuzzTLBModel -fuzztime=10s ./internal/tlb
 
 echo "== cluster smoke (baseline scenario, both serving paths) =="
 ./scripts/cluster-smoke.sh
