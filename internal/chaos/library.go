@@ -118,8 +118,11 @@ func partitionThenHeal() *Spec {
 		Description: "drop all urpc frames for 250ms, then heal; only retryable refusals allowed",
 		Machine:     "small",
 		Cluster:     ClusterSpec{Nodes: 3, Workers: 2, Locals: 2},
+		// The load must still be running when the partition starts: steps
+		// fire on the wall clock, so the request count is sized to the
+		// serving path's host speed (≈ 2 000 commands in 25 ms).
 		Load: LoadSpec{
-			Conns: 4, Pipeline: 2, Requests: 512,
+			Conns: 4, Pipeline: 2, Requests: 4096,
 			SetPercent: 20, Keys: 128,
 		},
 		Steps: []Step{
@@ -256,7 +259,7 @@ func migrationTargetKilled() *Spec {
 		Machine:     "small",
 		Cluster:     ClusterSpec{Nodes: 3, Workers: 1, Locals: 1},
 		Load: LoadSpec{
-			Conns: 4, Pipeline: 2, Requests: 256,
+			Conns: 4, Pipeline: 2, Requests: 1024,
 			SetPercent: 30, Keys: 128,
 		},
 		Steps: []Step{
@@ -401,8 +404,11 @@ func slowNodeBrownout() *Spec {
 			Breakers: true, BreakerThreshold: 1, BreakerCooldown: dur(15 * time.Millisecond),
 			Deadline: dur(250 * time.Millisecond),
 		},
+		// Sized so the load is still running well into the probe-drop
+		// window (the one worker serves ≈ 4 000 commands in its first 50 ms):
+		// reads can only degrade, and the breaker only cycle, under traffic.
 		Load: LoadSpec{
-			Conns: 4, Pipeline: 4, Requests: 1024,
+			Conns: 4, Pipeline: 4, Requests: 4096,
 			SetPercent: 30, MGetPercent: 10, MGetKeys: 4, Keys: 256,
 			StaleReads: true, StaleBound: dur(4 * time.Second), StaleCheckEvery: 8,
 		},

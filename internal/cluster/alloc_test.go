@@ -1,0 +1,39 @@
+//go:build !race
+
+package cluster
+
+import "testing"
+
+// TestRemoteGetAllocations gates what one GET costs the heap on its way
+// through Router.Submit … Wait into a remote node and back (not under
+// -race, which allocates on its own). The floor is 14, and every one of
+// them is outside the wire path:
+//
+//	2  server.NewRequest: the Request and its done channel
+//	2  redis.DecodeCommand on the node: the argument string and slice
+//	2  vm.(*Space).Handler: a closure per VAS switch, in and out
+//	2  core.(*VAS).lockSet: a slice per VAS switch, in and out
+//	4  redis.(*Store).readBytes: the probed keys and the value, out of
+//	   simulated memory (3.7 on average over these keys)
+//	1  redis.EncodeBulk on the node: the reply
+//	1  urpc: the response frame the worker hands the connection
+//
+// Encoding the command for the wire, the ring slots, the request frame on
+// the node and the reply's trip back allocate nothing. The same GET on a
+// co-resident node is the list without the decode and the urpc frame.
+func TestRemoteGetAllocations(t *testing.T) {
+	for _, c := range []struct {
+		mode Mode
+		max  float64
+	}{{ModeURPC, 14}, {ModeVAS, 11}} {
+		r, gets := benchRouter(t, c.mode)
+		i := 0
+		got := testing.AllocsPerRun(2000, func() {
+			submitWait(r, gets[i%len(gets)])
+			i++
+		})
+		if got > c.max {
+			t.Errorf("one GET through a %s router: %.1f allocations, want at most %.0f", c.mode, got, c.max)
+		}
+	}
+}

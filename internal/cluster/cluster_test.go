@@ -649,7 +649,11 @@ func TestClusterReplicatedDrain(t *testing.T) {
 	}
 
 	// Crash the replicated primary and serve from its promoted standby, so
-	// teardown has real failover debris to reclaim.
+	// teardown has real failover debris to reclaim. The ship the writes
+	// triggered runs on the monitor's goroutine: wait for it to land, or a
+	// kill that beats it finds nothing to promote from and degrades the
+	// range instead.
+	waitFor(t, "checkpoint ship", func() bool { return obs.ClusterShipsTotal() > 0 })
 	if err := r.KillNode(2); err != nil {
 		t.Fatal(err)
 	}

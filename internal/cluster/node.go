@@ -201,6 +201,8 @@ func (n *node) noteProbe(ok bool) {
 // with the node's core active (under n.mu), so the decode, the VAS
 // switches, and the table walk are all charged to the node — and, because
 // the urpc client busy-waits, mirrored into the calling worker's latency.
+// req is the channel's reassembly buffer, gone when the handler returns;
+// the decoded arguments own their memory.
 //
 // The cluster.node.crash fault point fires here, at dispatch: the process
 // dies between commands, never mid-mutation, which models a machine losing

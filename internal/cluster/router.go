@@ -40,6 +40,25 @@ type worker struct {
 	// worker's core cycle counter when execution starts. Only this
 	// worker's goroutine touches it — one request at a time.
 	bud overload.Budget
+
+	// wire is the RESP encoding of the command being sent to a remote node,
+	// reused from one command to the next: the endpoint copies it into the
+	// ring before the call returns (see remoteWire).
+	wire []byte
+}
+
+// maxKeptWire bounds the encoding buffer a worker keeps between commands,
+// so one huge value does not stay pinned to every worker that relayed it.
+const maxKeptWire = 64 << 10
+
+// remoteWire encodes a command for a remote node into the worker's reused
+// buffer. The result is valid until the worker's next remoteWire.
+func (w *worker) remoteWire(args []string) []byte {
+	if cap(w.wire) > maxKeptWire {
+		w.wire = nil
+	}
+	w.wire = redis.AppendCommand(w.wire[:0], args...)
+	return w.wire
 }
 
 // frozenReader is one worker's attachment to a node's current frozen fork
@@ -403,7 +422,7 @@ func (r *Router) execOn(w *worker, nid int, cmd *redis.Command, args []string) [
 		r.obs.ClusterLocal(nid, w.th.Core.Cycles()-before)
 		return resp
 	}
-	resp, errReply := r.callNode(w, n, ep, redis.EncodeCommand(args...))
+	resp, errReply := r.callNode(w, n, ep, w.remoteWire(args))
 	if errReply != nil {
 		return errReply
 	}
@@ -587,7 +606,11 @@ func (r *Router) mget(w *worker, cmd *redis.Command, keys []string, readonly boo
 		if len(idxs) == 0 {
 			continue
 		}
-		sub := make([]string, len(idxs))
+		// The group as a command of its own — name, then the node's keys —
+		// which is what a remote node is sent.
+		argv := make([]string, 1+len(idxs))
+		argv[0] = cmd.Name
+		sub := argv[1:]
 		for j, i := range idxs {
 			sub[j] = keys[i]
 		}
@@ -606,7 +629,7 @@ func (r *Router) mget(w *worker, cmd *redis.Command, keys []string, readonly boo
 		}
 		if got == nil {
 			var errReply []byte
-			if got, errReply = r.mgetOn(w, n, cmd, sub); errReply != nil {
+			if got, errReply = r.mgetOn(w, n, argv); errReply != nil {
 				return errReply
 			}
 		}
@@ -618,8 +641,10 @@ func (r *Router) mget(w *worker, cmd *redis.Command, keys []string, readonly boo
 }
 
 // mgetOn reads a key group from node n's primary: one VAS switch on the
-// fast path, one urpc round trip otherwise.
-func (r *Router) mgetOn(w *worker, n *node, cmd *redis.Command, keys []string) (got [][]byte, errReply []byte) {
+// fast path, one urpc round trip otherwise. argv is the group's MGET, name
+// first.
+func (r *Router) mgetOn(w *worker, n *node, argv []string) (got [][]byte, errReply []byte) {
+	keys := argv[1:]
 	c, ep, errReply := r.path(w, n)
 	if errReply != nil {
 		return nil, errReply
@@ -633,7 +658,7 @@ func (r *Router) mgetOn(w *worker, n *node, cmd *redis.Command, keys []string) (
 		}
 		return got, nil
 	}
-	resp, errReply := r.callNode(w, n, ep, redis.EncodeCommand(append([]string{cmd.Name}, keys...)...))
+	resp, errReply := r.callNode(w, n, ep, w.remoteWire(argv))
 	if errReply != nil {
 		return nil, errReply
 	}

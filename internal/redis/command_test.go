@@ -3,10 +3,8 @@ package redis_test
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"net"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -255,38 +253,4 @@ func TestCommandTable(t *testing.T) {
 			}
 		}
 	}
-}
-
-// FuzzReadCommand feeds arbitrary bytes to the RESP command parser, seeded
-// with every table row. Anything that parses must survive an encode/decode
-// round trip and resolve against the table without panicking, to a command
-// or to a well-formed refusal.
-func FuzzReadCommand(f *testing.F) {
-	for _, row := range redis.Commands() {
-		f.Add(redis.EncodeCommand(validArgs(row, "k")...))
-	}
-	f.Add([]byte("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$4\r\na\r\nb\r\n"))
-	f.Add([]byte("*0\r\n"))
-	f.Add([]byte("*1\r\n$0\r\n\r\n"))
-	f.Add([]byte("*-1\r\n"))
-	f.Add([]byte("$5\r\nhello\r\n"))
-	f.Add([]byte("*1\r\n$999999999\r\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		args, err := redis.ReadCommand(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return
-		}
-		again, err := redis.DecodeCommand(redis.EncodeCommand(args...))
-		if err != nil {
-			t.Fatalf("re-decode of %q failed: %v", args, err)
-		}
-		if !reflect.DeepEqual(args, again) {
-			t.Fatalf("round trip changed %q to %q", args, again)
-		}
-		if cmd := redis.Lookup(args); cmd.By == redis.ByNobody {
-			if _, _, err := redis.DecodeReply(cmd.Refusal(args)); !errors.As(err, new(redis.ReplyError)) {
-				t.Fatalf("refusal of %q is not one error reply: %v", args, err)
-			}
-		}
-	})
 }

@@ -1,7 +1,7 @@
 package redis
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -81,50 +81,50 @@ func replyCode(s string) string {
 
 // EncodeShardTimeout renders the retryable shard-timeout reply for a node.
 func EncodeShardTimeout(node int) []byte {
-	return []byte(fmt.Sprintf("-%s shard timeout: node %d unreachable, retry\r\n", codeShardTimeout, node))
+	return replyLine('-', codeShardTimeout, " shard timeout: node ", strconv.Itoa(node), " unreachable, retry")
 }
 
 // EncodeShardDegraded renders the non-retryable degraded-range reply.
 func EncodeShardDegraded(node int, detail string) []byte {
-	return []byte(fmt.Sprintf("-%s node %d degraded: %s\r\n", codeShardDegraded, node, detail))
+	return replyLine('-', codeShardDegraded, " node ", strconv.Itoa(node), " degraded: ", detail)
 }
 
 // EncodeBusy renders the serving layer's backpressure rejection.
 func EncodeBusy(detail string) []byte {
-	return []byte(fmt.Sprintf("-%s %s\r\n", codeBusy, detail))
+	return replyLine('-', codeBusy, " ", detail)
 }
 
 // EncodeMoved renders the retryable slot-moved reply, in Redis cluster
 // shape ("-MOVED <slot> <node>"): the command raced an ownership flip and
 // should be retried — the router re-resolves against the new slot table.
 func EncodeMoved(slot, node int) []byte {
-	return []byte(fmt.Sprintf("-%s %d node-%d\r\n", codeMoved, slot, node))
+	return replyLine('-', codeMoved, " ", strconv.Itoa(slot), " node-", strconv.Itoa(node))
 }
 
 // EncodeNoPerm renders the capability-denial reply. detail says which view
 // the caller could not address, not whether the key exists there — a denial
 // must be distinguishable from a miss.
 func EncodeNoPerm(detail string) []byte {
-	return []byte(fmt.Sprintf("-%s %s\r\n", codeNoPerm, detail))
+	return replyLine('-', codeNoPerm, " ", detail)
 }
 
 // EncodeQuota renders the quota-rejection reply.
 func EncodeQuota(detail string) []byte {
-	return []byte(fmt.Sprintf("-%s %s\r\n", codeQuota, detail))
+	return replyLine('-', codeQuota, " ", detail)
 }
 
 // EncodeStale renders the staleness-bound refusal for a follower read.
 // detail carries the view's age and the bound, so a client can tell how far
 // behind the follower was.
 func EncodeStale(detail string) []byte {
-	return []byte(fmt.Sprintf("-%s %s\r\n", codeStale, detail))
+	return replyLine('-', codeStale, " ", detail)
 }
 
 // EncodeDeadline renders the retryable deadline-budget refusal. detail says
 // where the budget died (pre-dispatch refusal vs mid-call exhaustion) and
 // against which node.
 func EncodeDeadline(detail string) []byte {
-	return []byte(fmt.Sprintf("-%s %s\r\n", codeDeadline, detail))
+	return replyLine('-', codeDeadline, " ", detail)
 }
 
 // IsRetryableReply reports whether an error reply asks the client to try

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -86,6 +87,16 @@ func TestReadCommandOversizedHeaders(t *testing.T) {
 		"*1\n$4\nPING\n",         // LF-only line endings
 		"*2\r\n$4\r\nPING\r\n",   // truncated: fewer elements than promised
 		"*1\r\n$10\r\nshort\r\n", // truncated bulk body
+		// Lengths are ASCII digits only, as in Redis: strconv.Atoi's "+3"
+		// and "-0" are refused.
+		"*1\r\n$+4\r\nPING\r\n",
+		"*+1\r\n$4\r\nPING\r\n",
+		"*1\r\n$-0\r\n\r\n",
+		"*-0\r\n",
+		"*1\r\n$\r\n\r\n",
+		"*1\r\n$4 \r\nPING\r\n",
+		// A length header is the type byte and at most 20 characters.
+		"*1\r\n$000000000000000000004\r\nPING\r\n",
 	}
 	for _, in := range cases {
 		_, err := ReadCommand(bufio.NewReader(strings.NewReader(in)))
@@ -98,14 +109,76 @@ func TestReadCommandOversizedHeaders(t *testing.T) {
 	}
 }
 
+// allocatedBy reports the heap bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 func TestReadCommandLyingLengthNoHugeAlloc(t *testing.T) {
 	// A header claiming MaxBulkLen with no body must fail from truncation,
-	// not attempt a 64 MiB allocation first (the body buffer grows with
-	// the bytes actually received).
+	// not attempt a 64 MiB allocation first (a frame that outgrows the
+	// reader's buffer is gathered as its bytes arrive).
 	in := "*1\r\n$67108864\r\nx"
-	_, err := ReadCommand(bufio.NewReader(strings.NewReader(in)))
+	var err error
+	got := allocatedBy(func() { _, err = ReadCommand(bufio.NewReader(strings.NewReader(in))) })
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("got %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got > 64<<10 {
+		t.Errorf("allocated %d bytes for a 17-byte input", got)
+	}
+}
+
+// ones is an endless stream of '1's after a prefix.
+type ones struct {
+	prefix string
+	sent   int
+}
+
+func (o *ones) Read(p []byte) (int, error) {
+	n := copy(p, o.prefix)
+	o.prefix = o.prefix[n:]
+	for i := n; i < len(p); i++ {
+		p[i] = '1'
+	}
+	o.sent += len(p)
+	return len(p), nil
+}
+
+// TestHeaderLineBounded pins the fix for the unbounded header line: a peer
+// that sends '*' and then digits without ever ending the line used to grow
+// the reader's line buffer for as long as it kept sending. A header line is
+// now refused once it is longer than a header can be — after 23 bytes for a
+// length, after the reader's buffer size for a reply line — so 8 MiB of
+// '1's cost one buffer, not 8 MiB.
+func TestHeaderLineBounded(t *testing.T) {
+	for _, c := range []struct {
+		prefix string
+		read   func(*bufio.Reader) error
+	}{
+		{"*", func(br *bufio.Reader) error { _, err := ReadCommand(br); return err }},
+		{"*1\r\n$", func(br *bufio.Reader) error { _, err := ReadCommand(br); return err }},
+		{"$", func(br *bufio.Reader) error { _, _, err := ReadReply(br); return err }},
+		{"+", func(br *bufio.Reader) error { _, _, err := ReadReply(br); return err }},
+		{"-", func(br *bufio.Reader) error { _, _, err := ReadArrayReply(br); return err }},
+		{"*", func(br *bufio.Reader) error { _, _, err := ReadArrayReply(br); return err }},
+	} {
+		src := &ones{prefix: c.prefix}
+		var err error
+		got := allocatedBy(func() { err = c.read(bufio.NewReader(io.LimitReader(src, 8<<20))) })
+		if !errors.Is(err, ErrProtocol) {
+			t.Errorf("%q then 8 MiB of '1': got %v, want ErrProtocol", c.prefix, err)
+		}
+		if got > 64<<10 {
+			t.Errorf("%q then 8 MiB of '1': allocated %d bytes", c.prefix, got)
+		}
+		if src.sent > 64<<10 {
+			t.Errorf("%q then 8 MiB of '1': read %d bytes before refusing", c.prefix, src.sent)
+		}
 	}
 }
 

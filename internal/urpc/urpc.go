@@ -118,17 +118,23 @@ type Stats struct {
 	Delays uint64 // messages stalled by fault injection
 }
 
+// maxKeptFrame bounds the reassembly buffer a channel keeps between frames.
+// A larger frame is reassembled into an allocation of its own, so one huge
+// value does not stay pinned to every channel it crossed.
+const maxKeptFrame = 64 << 10
+
 // message is one ring slot: one cache line carrying at most PayloadPerLine
-// payload bytes. The frame's sequence number and a last-fragment flag ride
-// in the line's 8-byte header (already accounted for in PayloadPerLine),
-// out of band of the payload, so transfer costs depend only on payload
-// size. A value longer than one line is framed across consecutive slots and
-// reassembled by the receiver — the multi-slot framing variable-length
-// cluster values need.
+// payload bytes, held in the slot itself. The frame's sequence number and a
+// last-fragment flag ride in the line's 8-byte header (already accounted
+// for in PayloadPerLine), out of band of the payload, so transfer costs
+// depend only on payload size. A value longer than one line is framed
+// across consecutive slots and reassembled by the receiver — the multi-slot
+// framing variable-length cluster values need.
 type message struct {
-	seq     uint64
-	last    bool // final fragment of its frame
-	payload []byte
+	seq  uint64
+	last bool  // final fragment of its frame
+	n    uint8 // payload bytes used
+	data [PayloadPerLine]byte
 }
 
 // Channel is a one-directional ring of cache-line messages between two
@@ -143,6 +149,9 @@ type Channel struct {
 	perLine  uint64
 	stats    Stats
 	capacity int
+	// frame is the reassembly buffer of a receiver that only looks at a
+	// frame until it receives the next one (see recvSeq).
+	frame []byte
 }
 
 // NewChannel creates a channel with the given number of message slots from
@@ -192,16 +201,13 @@ func (c *Channel) sendSeq(seq uint64, payload []byte) error {
 	}
 	// Fragment into cache-line slots. The final fragment carries the last
 	// flag the receiver reassembles on; an empty payload is one empty,
-	// last fragment (the 64-bit-key-in-header case).
+	// last fragment (the 64-bit-key-in-header case). The payload is copied
+	// into the slots, so the caller may reuse it as soon as Send returns.
 	for i := uint64(0); i < lines; i++ {
-		lo := int(i) * PayloadPerLine
-		hi := lo + PayloadPerLine
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		frag := message{seq: seq, last: i == lines-1, payload: make([]byte, hi-lo)}
-		copy(frag.payload, payload[lo:hi])
-		c.ring[(c.head+c.count)%c.capacity] = frag
+		slot := &c.ring[(c.head+c.count)%c.capacity]
+		slot.seq, slot.last = seq, i == lines-1
+		slot.n = uint8(copy(slot.data[:], payload))
+		payload = payload[slot.n:]
 		c.count++
 	}
 	c.frames++
@@ -210,30 +216,43 @@ func (c *Channel) sendSeq(seq uint64, payload []byte) error {
 
 // Recv dequeues the oldest message, reassembling its fragments and charging
 // the receiving core per line plus one dispatch. Fails when the ring holds
-// no complete frame.
+// no complete frame. The message is the caller's own.
 func (c *Channel) Recv() ([]byte, error) {
-	_, payload, err := c.recvSeq()
+	_, payload, err := c.recvSeq(true)
 	return payload, err
 }
 
-func (c *Channel) recvSeq() (uint64, []byte, error) {
+// recvSeq is Recv with the frame's sequence number. An owned frame is one
+// allocation of exactly its size that nothing else refers to. A frame that
+// is not owned sits in the channel's reassembly buffer and is valid only
+// until the next recvSeq on this channel.
+func (c *Channel) recvSeq(owned bool) (uint64, []byte, error) {
 	if c.frames == 0 {
 		return 0, nil, fmt.Errorf("urpc: channel empty")
 	}
-	var payload []byte
-	var seq uint64
-	var lines uint64
-	for {
-		msg := c.ring[c.head]
-		c.ring[c.head] = message{}
-		c.head = (c.head + 1) % c.capacity
-		c.count--
+	size, lines := 0, uint64(0)
+	for i := c.head; ; i = (i + 1) % c.capacity {
+		size += int(c.ring[i].n)
 		lines++
-		seq = msg.seq
-		payload = append(payload, msg.payload...)
-		if msg.last {
+		if c.ring[i].last {
 			break
 		}
+	}
+	var payload []byte
+	if owned || size > maxKeptFrame {
+		payload = make([]byte, 0, size)
+	} else {
+		if size > cap(c.frame) {
+			c.frame = make([]byte, 0, size)
+		}
+		payload = c.frame[:0]
+	}
+	seq := c.ring[c.head].seq
+	for i := uint64(0); i < lines; i++ {
+		slot := &c.ring[c.head]
+		payload = append(payload, slot.data[:slot.n]...)
+		c.head = (c.head + 1) % c.capacity
+		c.count--
 	}
 	c.frames--
 	c.m.Cores[c.rx].AddCycles(lines*c.perLine + DispatchCycles)
@@ -248,6 +267,13 @@ func (c *Channel) Len() int { return c.frames }
 // Handler processes a request and produces a response. It runs with the
 // server core's cycle counter active: any simulated memory work it performs
 // through that core is charged there.
+//
+// req is the request channel's reassembly buffer: it is valid until the
+// handler returns and is overwritten by the next request, so a handler
+// that keeps any of it must copy. The response is read by the endpoint —
+// sent, and held as the at-most-once cache's answer to a retry of the same
+// request — until the handler is next called; from then on its memory is
+// the handler's to reuse.
 type Handler func(req []byte) []byte
 
 // Endpoint is a bidirectional RPC binding between a client core and a
@@ -271,6 +297,8 @@ type Endpoint struct {
 	// GUPS's XOR updates are the in-repo example).
 	lastSeq  uint64
 	lastResp []byte
+
+	bulk []byte // server: the frame streamResponse is sending, reused
 
 	retries uint64 // total re-sends across all Calls
 }
@@ -328,6 +356,11 @@ func (e *Endpoint) backoff(try int) uint64 {
 // and the server's duplicate cache ensures a re-executed round trip never
 // runs the handler twice for the same sequence number. After MaxRetries
 // lost round trips Call returns ErrTimeout.
+//
+// The request is copied into the ring, so the caller may reuse it as soon
+// as Call returns. The response is the caller's own: one allocation of
+// exactly its size, which no later call — a retry served from the
+// duplicate cache included — reads or writes.
 func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.CallBudget(request, 0) }
 
 // CallBudget is Call under a cycle budget: budget == 0 is plain Call;
@@ -357,7 +390,7 @@ func (e *Endpoint) CallBudget(request []byte, budget uint64) ([]byte, error) {
 		// Server side: receive, dispatch, handle, respond. An empty
 		// request ring means the send was dropped in flight.
 		before := server.Cycles()
-		rseq, req, err := e.req.recvSeq()
+		rseq, req, err := e.req.recvSeq(false)
 		if err == nil {
 			var response []byte
 			if rseq != 0 && rseq == e.lastSeq {
@@ -377,7 +410,7 @@ func (e *Endpoint) CallBudget(request []byte, budget uint64) ([]byte, error) {
 		// Drain the response ring: stale responses from earlier retries
 		// are discarded, a matching sequence number completes the call.
 		for e.resp.Len() > 0 {
-			sseq, resp, err := e.resp.recvSeq()
+			sseq, resp, err := e.resp.recvSeq(true)
 			if err != nil {
 				break
 			}
@@ -439,7 +472,7 @@ func (e *Endpoint) CallBulk(request []byte) ([]byte, error) {
 			return nil, err
 		}
 		before := server.Cycles()
-		rseq, req, err := e.req.recvSeq()
+		rseq, req, err := e.req.recvSeq(false)
 		served := false
 		var response []byte
 		if err == nil {
@@ -474,31 +507,21 @@ func (e *Endpoint) streamResponse(seq uint64, response []byte) ([]byte, bool) {
 	server := e.m.Cores[e.server]
 	chunk := e.bulkChunkBytes()
 
-	frames := make([][]byte, 0, 1+(len(response)+chunk-1)/chunk)
-	hdr := make([]byte, 9)
-	hdr[0] = bulkHeader
-	binary.LittleEndian.PutUint64(hdr[1:], uint64(len(response)))
-	frames = append(frames, hdr)
-	for off := 0; off < len(response); off += chunk {
-		end := off + chunk
-		if end > len(response) {
-			end = len(response)
-		}
-		frames = append(frames, append([]byte{bulkData}, response[off:end]...))
-	}
-
 	var got []byte
 	var want uint64
 	sawHeader := false
-	for _, f := range frames {
+	// Every frame is built in e.bulk: sendSeq copies it into the ring, and
+	// the client has drained it by the time the next one is built.
+	e.bulk = binary.LittleEndian.AppendUint64(append(e.bulk[:0], bulkHeader), uint64(len(response)))
+	for off := 0; ; {
 		before := server.Cycles()
-		if err := e.resp.sendSeq(seq, f); err != nil {
+		if err := e.resp.sendSeq(seq, e.bulk); err != nil {
 			return nil, false
 		}
 		// The client busy-waits through the server's send, then drains.
 		client.AddCycles(server.Cycles() - before)
 		for e.resp.Len() > 0 {
-			sseq, frag, err := e.resp.recvSeq()
+			sseq, frag, err := e.resp.recvSeq(false)
 			if err != nil {
 				break
 			}
@@ -510,11 +533,20 @@ func (e *Endpoint) streamResponse(seq uint64, response []byte) ([]byte, bool) {
 				if len(frag) == 9 {
 					want = binary.LittleEndian.Uint64(frag[1:])
 					sawHeader = true
+					if got == nil {
+						got = make([]byte, 0, want)
+					}
 				}
 			case bulkData:
 				got = append(got, frag[1:]...)
 			}
 		}
+		if off >= len(response) {
+			break
+		}
+		end := min(off+chunk, len(response))
+		e.bulk = append(append(e.bulk[:0], bulkData), response[off:end]...)
+		off = end
 	}
 	if !sawHeader || uint64(len(got)) != want {
 		return nil, false

@@ -504,3 +504,174 @@ func TestCallBudgetZeroIsUnbudgeted(t *testing.T) {
 		t.Fatalf("unbudgeted call must ride the full retry ladder, got %v", err)
 	}
 }
+
+// TestCallResponseNotAliased pins the response's ownership rule: what Call
+// returns is the caller's own allocation, so the response of call n is
+// untouched by calls n+1…n+k — whether the handler reuses one buffer for
+// every response (as a server with a scratch buffer does), echoes the
+// request frame, or the later call is a retry answered from the duplicate
+// cache.
+func TestCallResponseNotAliased(t *testing.T) {
+	m := hw.NewMachine(hw.SmallTest())
+	reg := fault.New(3)
+	m.SetFaults(reg)
+	shared := make([]byte, 200)
+	handled := 0
+	ep := Connect(m, 0, 1, 16, func(req []byte) []byte {
+		handled++
+		if req[0]%2 == 1 {
+			return req // the request frame itself
+		}
+		for i := range shared {
+			shared[i] = req[0] + byte(i)
+		}
+		return shared[:100+int(req[0])]
+	})
+	want := func(i int) []byte {
+		req := bytes.Repeat([]byte{byte(i)}, 1+i*7)
+		if i%2 == 1 {
+			return req
+		}
+		out := make([]byte, 100+i)
+		for j := range out {
+			out[j] = byte(i) + byte(j)
+		}
+		return out
+	}
+	var got [][]byte
+	for i := 0; i < 12; i++ {
+		if i == 5 {
+			// Call 5's first response is lost: its retry is a duplicate,
+			// served from lastResp — which is call 5's own answer, not a
+			// view of anything call 4 was handed.
+			reg.Enable(fault.URPCDrop, fault.OnNth(2))
+		}
+		resp, err := ep.Call(bytes.Repeat([]byte{byte(i)}, 1+i*7))
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if cap(resp) != len(resp) {
+			t.Errorf("call %d: response of %d bytes in an allocation of %d", i, len(resp), cap(resp))
+		}
+		got = append(got, resp)
+		for j, r := range got {
+			if !bytes.Equal(r, want(j)) {
+				t.Fatalf("after call %d, the response of call %d reads %x, want %x", i, j, r, want(j))
+			}
+		}
+	}
+	if handled != 12 || ep.Retries() != 1 {
+		t.Errorf("handler ran %d times with %d retries, want 12 and 1", handled, ep.Retries())
+	}
+	// Scribbling over a response must not reach the duplicate cache or
+	// anything a later call returns.
+	for i := range got[11] {
+		got[11][i] = 0xee
+	}
+	resp, err := ep.Call(bytes.Repeat([]byte{12}, 85))
+	if err != nil || !bytes.Equal(resp, want(12)) {
+		t.Fatalf("call after scribble: %x, %v", resp, err)
+	}
+}
+
+// TestHandlerFrameValidDuringCall pins the request's ownership rule: the
+// frame a handler is given is whole and stable for as long as the handler
+// runs — across its own work on the server core and across multi-line
+// frames — and is the channel's buffer, not the caller's slice: the caller
+// may reuse its request as soon as Call returns.
+func TestHandlerFrameValidDuringCall(t *testing.T) {
+	m := hw.NewMachine(hw.SmallTest())
+	reg := fault.New(8)
+	m.SetFaults(reg)
+	var sent []byte
+	var frames [][]byte // what the handler saw, copied while it ran
+	ep := Connect(m, 0, 1, 64, func(req []byte) []byte {
+		if !bytes.Equal(req, sent) {
+			t.Errorf("handler got %d bytes %x, sent %d bytes", len(req), req[:min(len(req), 8)], len(sent))
+		}
+		m.Cores[1].AddCycles(1000)
+		if !bytes.Equal(req, sent) {
+			t.Errorf("frame changed under the handler")
+		}
+		if len(req) > 0 && len(sent) > 0 && &req[0] == &sent[0] {
+			t.Errorf("handler was handed the caller's own slice")
+		}
+		frames = append(frames, append([]byte{}, req...))
+		return []byte("ok")
+	})
+	reg.Enable(fault.URPCDrop, fault.Probability(0.2))
+	buf := make([]byte, 0, 64*PayloadPerLine)
+	sizes := []int{0, 1, PayloadPerLine, PayloadPerLine + 1, 700, 3, 2000, 56, 1}
+	for i, n := range sizes {
+		buf = buf[:n] // the caller reuses one request buffer for every call
+		for j := range buf {
+			buf[j] = byte(i*31 + j)
+		}
+		sent = buf
+		if _, err := ep.Call(buf); err != nil {
+			t.Fatalf("call %d (%d bytes): %v", i, n, err)
+		}
+	}
+	if len(frames) != len(sizes) {
+		t.Fatalf("handler ran %d times for %d calls", len(frames), len(sizes))
+	}
+	for i, n := range sizes {
+		if len(frames[i]) != n {
+			t.Errorf("call %d: handler saw %d bytes, want %d", i, len(frames[i]), n)
+		}
+	}
+}
+
+// TestScriptedSequenceIsModelIdentical runs a fixed script — calls of every
+// kind and size over a channel with seeded drops and delays armed — and
+// compares every modelled number with what the per-line-allocation
+// implementation before it produced for the same script: client and server
+// cycle charges, both channels' counters, retries. How the host moves the
+// bytes must not be visible to the model.
+func TestScriptedSequenceIsModelIdentical(t *testing.T) {
+	m := hw.NewMachine(hw.SmallTest())
+	reg := fault.New(20160402)
+	m.SetFaults(reg)
+	ep := Connect(m, 0, 2, 32, func(req []byte) []byte { // cross-socket
+		m.Cores[2].AddCycles(uint64(100 + len(req)))
+		out := make([]byte, 3*len(req)+5)
+		for i := range out {
+			out[i] = byte(i) ^ byte(len(req))
+		}
+		return out
+	})
+	reg.Enable(fault.URPCDrop, fault.Probability(0.15))
+	reg.Enable(fault.URPCDelay, fault.Probability(0.1))
+	var sum uint64 // a checksum over every response byte
+	failed := 0
+	for i := 0; i < 300; i++ {
+		req := make([]byte, (i*37)%400)
+		var resp []byte
+		var err error
+		switch i % 4 {
+		case 0, 1:
+			resp, err = ep.Call(req)
+		case 2:
+			resp, err = ep.CallBudget(req, 3*DefaultTimeoutCycles)
+		case 3:
+			resp, err = ep.CallBulk(req)
+		}
+		if err != nil {
+			failed++
+			continue
+		}
+		for j, b := range resp {
+			sum += uint64(b) * uint64(j+1)
+		}
+	}
+	reqStats, respStats := ep.ChannelStats()
+	got := fmt.Sprintf("client=%d server=%d req=%+v resp=%+v retries=%d failed=%d sum=%d pending=%d",
+		m.Cores[0].Cycles(), m.Cores[2].Cycles(), reqStats, respStats, ep.Retries(), failed, sum, ep.Pending())
+	const want = "client=9962056 server=3008462 " +
+		"req={Sends:449 Recvs:380 Lines:1807 Drops:69 Delays:52} " +
+		"resp={Sends:496 Recvs:409 Lines:4321 Drops:87 Delays:54} " +
+		"retries=149 failed=6 sum=8864377347 pending=0"
+	if got != want {
+		t.Errorf("modelled numbers moved:\n got %s\nwant %s", got, want)
+	}
+}

@@ -73,7 +73,11 @@ go test -count=10 ./internal/cluster ./internal/chaos
 echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
 
-echo "== fuzz smoke (RESP parser) =="
+echo "== bench smoke (the wire-path rungs of the ladder still run) =="
+go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec' -benchtime 100x \
+    ./internal/redis ./internal/urpc ./internal/cluster
+
+echo "== fuzz smoke (RESP parser against the reference reader) =="
 go test -run Fuzz -fuzz=FuzzReadCommand -fuzztime=10s ./internal/redis
 
 echo "== fuzz smoke (chaos scenario parser) =="
