@@ -258,24 +258,26 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 
 	// Quiesce: asynchronous failover machinery (probe -> ship -> promote)
 	// needs wall time to reach the declared counts; poll, bounded.
+	// The sink's own Snapshot reads only atomics, so it is safe mid-run.
 	inv := &spec.Invariants
+	cluster := func() *stats.ClusterSnap { return obs.Snapshot().Dense().Cluster }
 	if p := inv.Promotions; p != nil && *p > 0 {
-		waitUntil(quiesceTimeout, func() bool { return obs.ClusterPromotionsTotal() >= *p })
+		waitUntil(quiesceTimeout, func() bool { return cluster().Replication.Promotions >= *p })
 	}
 	if inv.MinShips > 0 {
-		waitUntil(quiesceTimeout, func() bool { return obs.ClusterShipsTotal() >= inv.MinShips })
+		waitUntil(quiesceTimeout, func() bool { return cluster().Replication.Ships >= inv.MinShips })
 	}
 	if d := inv.Degraded; d != nil && *d > 0 {
 		waitUntil(quiesceTimeout, func() bool { return countDegraded(router.Health()) >= *d })
 	}
 	if inv.MinSlotMoves > 0 {
-		waitUntil(quiesceTimeout, func() bool { return obs.ClusterSlotMovesTotal() >= inv.MinSlotMoves })
+		waitUntil(quiesceTimeout, func() bool { return cluster().Migration.SlotMoves >= inv.MinSlotMoves })
 	}
 	if inv.MinDegradedReads > 0 {
-		waitUntil(quiesceTimeout, func() bool { return obs.ClusterDegradedReadsTotal() >= inv.MinDegradedReads })
+		waitUntil(quiesceTimeout, func() bool { return cluster().Overload.DegradedReads >= inv.MinDegradedReads })
 	}
 	if inv.MinBreakerOpens > 0 {
-		waitUntil(quiesceTimeout, func() bool { return obs.ClusterBreakerOpensTotal() >= inv.MinBreakerOpens })
+		waitUntil(quiesceTimeout, func() bool { return cluster().Overload.BreakerOpens >= inv.MinBreakerOpens })
 	}
 
 	FinalizeReports(reg, spec.Steps, reports)
@@ -392,22 +394,9 @@ func evaluate(rep *Report, spec *Spec, snap *stats.Snapshot, health []server.Nod
 			res.Busy, limit, *inv.MaxBusyFrac, res.Commands))
 	}
 
-	var repl stats.ReplicationSnap
-	var mig stats.MigrationSnap
-	var ovl stats.OverloadSnap
-	var local, remote uint64
-	if snap != nil && snap.Cluster != nil {
-		local, remote = snap.Cluster.Local, snap.Cluster.Remote
-		if snap.Cluster.Replication != nil {
-			repl = *snap.Cluster.Replication
-		}
-		if snap.Cluster.Migration != nil {
-			mig = *snap.Cluster.Migration
-		}
-		if snap.Cluster.Overload != nil {
-			ovl = *snap.Cluster.Overload
-		}
-	}
+	cl := snap.Dense().Cluster
+	repl, mig, ovl := cl.Replication, cl.Migration, cl.Overload
+	local, remote := cl.Local, cl.Remote
 	if p := inv.Promotions; p != nil {
 		add("promotions", repl.Promotions == *p,
 			fmt.Sprintf("%d promotions (want exactly %d)", repl.Promotions, *p))

@@ -106,10 +106,10 @@ func TestClusterRoutesBothModes(t *testing.T) {
 			t.Fatalf("DEL on node %d: %q %v", node, v, err)
 		}
 	}
-	if obs.ClusterLocalTotal() == 0 {
+	if obs.Snapshot().Dense().Cluster.Local == 0 {
 		t.Error("no commands took the shared-VAS path")
 	}
-	if obs.ClusterRemoteTotal() == 0 {
+	if obs.Snapshot().Dense().Cluster.Remote == 0 {
 		t.Error("no commands took the urpc path")
 	}
 	// Nodes 0 and 1 are local, node 2 remote — the per-node counters in
@@ -153,7 +153,7 @@ func TestClusterMGetSpansLocalAndRemote(t *testing.T) {
 			t.Fatalf("SET %q: %q %v", kv[0], v, err)
 		}
 	}
-	localBefore, remoteBefore := obs.ClusterLocalTotal(), obs.ClusterRemoteTotal()
+	localBefore, remoteBefore := obs.Snapshot().Dense().Cluster.Local, obs.Snapshot().Dense().Cluster.Remote
 
 	if _, err := nc.Write(redis.EncodeCommand("MGET", kRemote, kMissing, kLocal)); err != nil {
 		t.Fatal(err)
@@ -176,10 +176,10 @@ func TestClusterMGetSpansLocalAndRemote(t *testing.T) {
 	}
 
 	// The one command crossed both paths.
-	if obs.ClusterLocalTotal() == localBefore {
+	if obs.Snapshot().Dense().Cluster.Local == localBefore {
 		t.Error("MGET did not touch the shared-VAS path")
 	}
-	if obs.ClusterRemoteTotal() == remoteBefore {
+	if obs.Snapshot().Dense().Cluster.Remote == remoteBefore {
 		t.Error("MGET did not touch the urpc path")
 	}
 }
@@ -405,10 +405,10 @@ func TestClusterSmoke(t *testing.T) {
 		t.Errorf("%d mismatches", res.Mismatches)
 	}
 	obs := m.Observer()
-	if obs.ClusterRemoteTotal() == 0 {
+	if obs.Snapshot().Dense().Cluster.Remote == 0 {
 		t.Error("no remote commands served")
 	}
-	if obs.ClusterLocalTotal() == 0 {
+	if obs.Snapshot().Dense().Cluster.Local == 0 {
 		t.Error("no local commands served")
 	}
 }
@@ -467,13 +467,13 @@ func TestClusterFailoverUnderLoad(t *testing.T) {
 	// Seed a durable key on the remote node and write past ShipEvery so a
 	// checkpoint generation carrying it lands on the standby.
 	kRemote := keyOnNode(t, r, 2)
-	shipsBefore := obs.ClusterShipsTotal()
+	shipsBefore := obs.Snapshot().Dense().Cluster.Replication.Ships
 	for i := 0; i <= cfg.Replication.ShipEvery; i++ {
 		if v, _, err := roundTrip(t, nc, br, "SET", kRemote, "survive\r\nme"); err != nil || string(v) != "OK" {
 			t.Fatalf("seed SET: %q %v", v, err)
 		}
 	}
-	waitFor(t, "checkpoint ship", func() bool { return obs.ClusterShipsTotal() > shipsBefore })
+	waitFor(t, "checkpoint ship", func() bool { return obs.Snapshot().Dense().Cluster.Replication.Ships > shipsBefore })
 
 	// Run the load, then crash the primary a beat in so the generator is
 	// mid-pipeline when the range fails over.
@@ -507,7 +507,7 @@ func TestClusterFailoverUnderLoad(t *testing.T) {
 			out.res.Mismatches, out.res.Errors, out.res.Busy)
 	}
 
-	waitFor(t, "standby promotion", func() bool { return obs.ClusterPromotionsTotal() == 1 })
+	waitFor(t, "standby promotion", func() bool { return obs.Snapshot().Dense().Cluster.Replication.Promotions == 1 })
 	if v, isNil, err := roundTrip(t, nc, br, "GET", kRemote); err != nil || isNil || string(v) != "survive\r\nme" {
 		t.Fatalf("checkpointed key after failover: %q nil=%v err=%v", v, isNil, err)
 	}
@@ -601,7 +601,7 @@ func TestClusterDoubleFaultDegrades(t *testing.T) {
 	if h.LostUpdates == 0 {
 		t.Error("degraded range reports no lost updates despite buffered writes")
 	}
-	if obs.ClusterPromotionsTotal() != 0 {
+	if obs.Snapshot().Dense().Cluster.Replication.Promotions != 0 {
 		t.Error("promotion recorded despite unrecoverable replica")
 	}
 }
@@ -653,11 +653,11 @@ func TestClusterReplicatedDrain(t *testing.T) {
 	// triggered runs on the monitor's goroutine: wait for it to land, or a
 	// kill that beats it finds nothing to promote from and degrades the
 	// range instead.
-	waitFor(t, "checkpoint ship", func() bool { return obs.ClusterShipsTotal() > 0 })
+	waitFor(t, "checkpoint ship", func() bool { return obs.Snapshot().Dense().Cluster.Replication.Ships > 0 })
 	if err := r.KillNode(2); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "standby promotion", func() bool { return obs.ClusterPromotionsTotal() == 1 })
+	waitFor(t, "standby promotion", func() bool { return obs.Snapshot().Dense().Cluster.Replication.Promotions == 1 })
 	kRemote := keyOnNode(t, r, 2)
 	if v, isNil, err := roundTrip(t, nc, br, "GET", kRemote); err != nil || isNil || string(v) != "drain\r\nme" {
 		t.Fatalf("GET from standby: %q nil=%v err=%v", v, isNil, err)

@@ -30,7 +30,7 @@ func (r *Router) AddNode() (int, error) {
 	}
 	// Grow the per-node counters before the node can serve, so its first
 	// command never races the stats install.
-	r.obs.EnsureClusterNodes(id + 1)
+	r.obs.InstallClusterNodes(id + 1)
 	eps := make([]*urpc.Endpoint, len(r.workers))
 	for i, w := range r.workers {
 		eps[i] = urpc.Connect(r.sys.M, w.coreID, n.coreID, r.cfg.Slots, n.handler)

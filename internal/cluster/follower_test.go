@@ -89,7 +89,7 @@ func TestFollowerReadsServeFromFork(t *testing.T) {
 			t.Fatalf("follower GET %s: %q %v", k, v, err)
 		}
 	}
-	served := obs.ClusterFollowerReadsTotal()
+	served := obs.Snapshot().Dense().Cluster.Fork.FollowerReads
 	if served == 0 {
 		t.Fatal("no reads attributed to the frozen view")
 	}
@@ -115,7 +115,7 @@ func TestFollowerReadsServeFromFork(t *testing.T) {
 			t.Fatalf("follower MGET[%d] = %q (nil=%v), want %q", i, v, nils[i], want[i])
 		}
 	}
-	if got := obs.ClusterFollowerReadsTotal(); got <= served {
+	if got := obs.Snapshot().Dense().Cluster.Fork.FollowerReads; got <= served {
 		t.Fatalf("MGET not attributed to the frozen view: %d -> %d", served, got)
 	}
 
@@ -178,10 +178,10 @@ func TestFollowerReadStaleBound(t *testing.T) {
 	if !errors.Is(err, redis.ErrStale) {
 		t.Fatalf("GET past the bound: err=%v, want -STALE", err)
 	}
-	if got := obs.ClusterStaleRejectedTotal(); got == 0 {
+	if got := obs.Snapshot().Dense().Cluster.Fork.StaleRejected; got == 0 {
 		t.Fatal("stale refusal not counted")
 	}
-	if got := obs.ClusterFollowerReadsTotal(); got != 0 {
+	if got := obs.Snapshot().Dense().Cluster.Fork.FollowerReads; got != 0 {
 		t.Fatalf("%d reads served from a view that was past the bound", got)
 	}
 
@@ -233,7 +233,7 @@ func TestArityRefusedBeforeRouting(t *testing.T) {
 			t.Errorf("%q: got %v, want the wrong-arity reply", args, err)
 		}
 	}
-	remote, follower := obs.ClusterRemoteTotal(), obs.ClusterFollowerReadsTotal()
+	remote, follower := obs.Snapshot().Dense().Cluster.Remote, obs.Snapshot().Dense().Cluster.Fork.FollowerReads
 	for _, mode := range []string{"READONLY", "READWRITE"} {
 		if v, err := send(nc, br, mode); err != nil || string(v) != "OK" {
 			t.Fatalf("%s: %q %v", mode, v, err)
@@ -243,10 +243,10 @@ func TestArityRefusedBeforeRouting(t *testing.T) {
 		wrongArity("SET", key)
 		wrongArity("DEL", key, "extra")
 	}
-	if got := obs.ClusterFollowerReadsTotal(); got != follower {
+	if got := obs.Snapshot().Dense().Cluster.Fork.FollowerReads; got != follower {
 		t.Errorf("a malformed read was served from the frozen view (%d follower reads)", got-follower)
 	}
-	if got := obs.ClusterRemoteTotal(); got != remote {
+	if got := obs.Snapshot().Dense().Cluster.Remote; got != remote {
 		t.Errorf("a malformed command paid %d urpc round trips to be refused", got-remote)
 	}
 

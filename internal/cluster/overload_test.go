@@ -51,7 +51,7 @@ func TestClusterBreakerTimeoutStorm(t *testing.T) {
 			t.Fatalf("storm SET %d: want SHARDTIMEOUT, got %v", i, err)
 		}
 	}
-	if got := obs.ClusterBreakerOpensTotal(); got != 1 {
+	if got := obs.Snapshot().Dense().Cluster.Overload.BreakerOpens; got != 1 {
 		t.Fatalf("breaker opens after threshold = %d, want 1", got)
 	}
 
@@ -76,6 +76,16 @@ func TestClusterBreakerTimeoutStorm(t *testing.T) {
 	}
 	if snap.Cluster.Overload.BreakerOpens != 1 {
 		t.Errorf("snapshot breaker opens = %d, want 1", snap.Cluster.Overload.BreakerOpens)
+	}
+	// The per-node column counts -SHARDTIMEOUT replies, whichever way they
+	// came about: exhausted ladders (the total) plus breaker sheds.
+	var perNode uint64
+	for _, n := range snap.Cluster.Nodes {
+		perNode += n.Timeouts
+	}
+	if want := snap.Cluster.Timeouts + snap.Cluster.Overload.Shed; perNode != want || snap.Cluster.Timeouts != 3 {
+		t.Errorf("node timeouts sum to %d, want timeouts %d + shed %d (3 ladders exhausted)",
+			perNode, snap.Cluster.Timeouts, snap.Cluster.Overload.Shed)
 	}
 
 	// Heal the interconnect and let the cooldown elapse: the next write is

@@ -193,11 +193,11 @@ func TestCommandTable(t *testing.T) {
 				}
 				// The router refuses before it touches any node, wherever
 				// the key lives.
-				local, remote := obs.ClusterLocalTotal(), obs.ClusterRemoteTotal()
+				local, remote := obs.Snapshot().Dense().Cluster.Local, obs.Snapshot().Dense().Cluster.Remote
 				if got := submit(t, r, bad); !bytes.Equal(got, want) {
 					t.Errorf("%s: router (key on node %d) answered %q to %q", name, node, got, bad)
 				}
-				if obs.ClusterLocalTotal() != local || obs.ClusterRemoteTotal() != remote {
+				if obs.Snapshot().Dense().Cluster.Local != local || obs.Snapshot().Dense().Cluster.Remote != remote {
 					t.Errorf("%s: wrong-arity %q reached node %d", name, bad, node)
 				}
 				// A tenant connection gets the same reply, pays nothing for

@@ -277,9 +277,9 @@ func TestServerBackpressure(t *testing.T) {
 	// With the worker wedged, at most two SETs can be absorbed (one in
 	// the worker, one in the depth-1 queue); the rest must bounce. A full
 	// Stats() snapshot would race against the running worker's core, so
-	// poll the sink's atomic busy counter instead.
+	// poll the sink's own snapshot (atomics only) instead.
 	deadline := time.Now().Add(5 * time.Second)
-	for sys.M.Observer().ServerBusyTotal() < n-2 {
+	for sys.M.Observer().Snapshot().Dense().Server.Busy < n-2 {
 		if time.Now().After(deadline) {
 			t.Fatal("busy rejections never showed up in stats")
 		}

@@ -25,3 +25,20 @@ func BenchmarkTwoCoresSameASID(b *testing.B) {
 	}
 	wg.Wait()
 }
+
+var sinkDelta *Snapshot
+
+// BenchmarkSnapshotDelta is what one poll of /stats/delta, the chaos runner or
+// the bench warm-up costs: a Snapshot of a populated 8-core sink (every block
+// alive, two nodes, tenants and shards) and its Delta against the previous one.
+func BenchmarkSnapshotDelta(b *testing.B) {
+	s := scriptedSink(8, 16)
+	before := s.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		after := s.Snapshot()
+		sinkDelta = after.Delta(before)
+		before = after
+	}
+}

@@ -13,117 +13,127 @@ import (
 // core's simulated-cycle delta across one request, so the local and remote
 // distributions can be read side by side from one snapshot.
 
-// clusterCounters is the sink's cluster-layer block.
+// clusterCounters is the sink's cluster-layer block, nested as ClusterSnap is.
 type clusterCounters struct {
-	local    atomic.Uint64 // commands served on the shared-VAS fast path
-	remote   atomic.Uint64 // commands served over urpc
-	timeouts atomic.Uint64 // remote commands whose retries were exhausted
+	Local    atomic.Uint64 // commands served on the shared-VAS fast path
+	Remote   atomic.Uint64 // commands served over urpc
+	Timeouts atomic.Uint64 // remote commands whose retries were exhausted
 
-	localCycles  Hist // worker-core cycles per locally-served command
-	remoteCycles Hist // worker-core cycles per remotely-served command
-	urpcCycles   Hist // cycles of the urpc Call alone (transfer + dispatch + server work)
+	LocalCycles    Hist // worker-core cycles per locally-served command
+	RemoteCycles   Hist // worker-core cycles per remotely-served command
+	URPCCallCycles Hist // cycles of the urpc Call alone (transfer + dispatch + server work)
 
-	// Replication and failover activity (replicated clusters only).
-	ships         atomic.Uint64 // checkpoint generations shipped to replicas
-	shipBytes     atomic.Uint64 // segment-image payload bytes moved
-	shipFailures  atomic.Uint64 // ships abandoned (transport or checkpoint failure)
-	probes        atomic.Uint64 // health probes sent
-	probeFailures atomic.Uint64 // probes that timed out, were dropped, or hit a dead node
-	promotions    atomic.Uint64 // replicas promoted to serve a dead node's range
-	deltaReplayed atomic.Uint64 // post-checkpoint delta entries replayed at promotion
-	lostUpdates   atomic.Uint64 // updates lost to delta-window overflow or replay failure
+	Replication replicationCounters
+	Migration   migrationCounters
+	Fork        forkCounters
+	Overload    overloadCounters
 
-	// Elastic-membership activity (slot migrations, node join/leave).
-	slotMoves        atomic.Uint64 // slots whose ownership flipped after a full copy
-	slotMoveFailures atomic.Uint64 // migrations aborted and rolled back
-	migKeysMoved     atomic.Uint64 // keys copied into migration targets
-	migBytes         atomic.Uint64 // key+value payload bytes streamed during migrations
-	migDeltaReplayed atomic.Uint64 // writes replayed from migration delta logs
-	movedRetries     atomic.Uint64 // -MOVED refusals sent to commands racing a flip
-	nodesAdded       atomic.Uint64 // nodes joined mid-run
-	nodesRemoved     atomic.Uint64 // nodes drained and retired mid-run
+	Nodes table[NodeCounters]
+}
 
-	// COW-fork activity (fork-based checkpoint shipping + follower reads).
-	forks           atomic.Uint64 // frozen views forked off live shards
-	forkReleases    atomic.Uint64 // frozen views released and reclaimed
-	forkInvalidates atomic.Uint64 // views fenced off by promotion or slot flip
-	followerReads   atomic.Uint64 // read commands served from a frozen view
-	staleRejected   atomic.Uint64 // follower reads refused with -STALE past the bound
+// replicationCounters is replication and failover activity (replicated
+// clusters only).
+type replicationCounters struct {
+	Ships         atomic.Uint64 // checkpoint generations shipped to replicas
+	ShipBytes     atomic.Uint64 // segment-image payload bytes moved
+	ShipFailures  atomic.Uint64 // ships abandoned (transport or checkpoint failure)
+	Probes        atomic.Uint64 // health probes sent
+	ProbeFailures atomic.Uint64 // probes that timed out, were dropped, or hit a dead node
+	Promotions    atomic.Uint64 // replicas promoted to serve a dead node's range
+	DeltaReplayed atomic.Uint64 // post-checkpoint delta entries replayed at promotion
+	LostUpdates   atomic.Uint64 // updates lost to delta-window overflow or replay failure
+}
 
-	shipNs Hist // wall ns per fork-based image extraction + apply, off-mutex
+// migrationCounters is elastic-membership activity (slot migrations, node
+// join/leave).
+type migrationCounters struct {
+	SlotMoves        atomic.Uint64 // slots whose ownership flipped after a full copy
+	SlotMoveFailures atomic.Uint64 // migrations aborted and rolled back
+	KeysMoved        atomic.Uint64 // keys copied into migration targets
+	BytesMoved       atomic.Uint64 // key+value payload bytes streamed during migrations
+	DeltaReplayed    atomic.Uint64 // writes replayed from migration delta logs
+	MovedRetries     atomic.Uint64 // -MOVED refusals sent to commands racing a flip
+	NodesAdded       atomic.Uint64 // nodes joined mid-run
+	NodesRemoved     atomic.Uint64 // nodes drained and retired mid-run
+	SlotKeys         slotKeys      // key count seen when each slot last migrated
+}
 
-	// Overload protection (deadline budgets, breakers, degradation).
-	deadlineExpired  atomic.Uint64 // commands refused with -DEADLINE (budget exhausted)
-	shed             atomic.Uint64 // remote dispatches refused fast by an open breaker
-	degradedReads    atomic.Uint64 // reads served stale because the primary was overloaded
-	breakerOpens     atomic.Uint64 // breaker transitions into open
-	breakerHalfOpens atomic.Uint64 // breaker transitions into half-open
-	breakerCloses    atomic.Uint64 // breaker transitions back to closed
+// forkCounters is COW-fork activity (fork-based checkpoint shipping and
+// follower reads).
+type forkCounters struct {
+	Forks         atomic.Uint64 // frozen views forked off live shards
+	Releases      atomic.Uint64 // frozen views released and reclaimed
+	Invalidated   atomic.Uint64 // views fenced off by promotion or slot flip
+	FollowerReads atomic.Uint64 // read commands served from a frozen view
+	StaleRejected atomic.Uint64 // follower reads refused with -STALE past the bound
+	ShipNs        Hist          // wall ns per fork-based image extraction + apply, off-mutex
+}
 
-	budgetRemaining Hist // cycles left on the budget when a budgeted command finished
-
-	nodes    atomic.Pointer[[]NodeCounters]
-	slotKeys atomic.Pointer[[]atomic.Uint64]
+// overloadCounters is overload protection (deadline budgets, breakers,
+// degradation).
+type overloadCounters struct {
+	DeadlineExpired  atomic.Uint64 // commands refused with -DEADLINE (budget exhausted)
+	Shed             atomic.Uint64 // remote dispatches refused fast by an open breaker
+	DegradedReads    atomic.Uint64 // reads served stale because the primary was overloaded
+	BreakerOpens     atomic.Uint64 // breaker transitions into open
+	BreakerHalfOpens atomic.Uint64 // breaker transitions into half-open
+	BreakerCloses    atomic.Uint64 // breaker transitions back to closed
+	BudgetRemaining  Hist          // cycles left on the budget when a budgeted command finished
 }
 
 // NodeCounters is one shard node's routing activity: how many commands the
 // router served against it locally, remotely, and how many remote calls
-// timed out. Multi-key commands count once per node they touch.
+// timed out or were shed. Multi-key commands count once per node they touch.
 type NodeCounters struct {
-	local    atomic.Uint64
-	remote   atomic.Uint64
-	timeouts atomic.Uint64
+	Local    atomic.Uint64
+	Remote   atomic.Uint64
+	Timeouts atomic.Uint64
 }
 
-// InstallClusterNodes sizes the per-node counter table. Safe on nil.
-func (s *Sink) InstallClusterNodes(n int) {
-	if s == nil {
-		return
-	}
-	table := make([]NodeCounters, n)
-	s.cluster.nodes.Store(&table)
+// slotKeys is the per-slot key-count table: one entry per placement slot,
+// each the key count observed when that slot last migrated. It snapshots to
+// the sparse map MigrationSnap.SlotKeys.
+type slotKeys struct {
+	table atomic.Pointer[[]atomic.Uint64]
 }
 
-// EnsureClusterNodes grows the per-node counter table to hold at least n
-// nodes, preserving existing totals — the install path for nodes joining a
-// live cluster, where a fresh table would zero history. Increments racing
-// the copy can be lost; the counters are advisory. Safe on nil.
-func (s *Sink) EnsureClusterNodes(n int) {
-	if s == nil {
-		return
-	}
-	old := s.cluster.nodes.Load()
-	if old != nil && len(*old) >= n {
-		return
-	}
-	table := make([]NodeCounters, n)
-	if old != nil {
-		for i := range *old {
-			table[i].local.Store((*old)[i].local.Load())
-			table[i].remote.Store((*old)[i].remote.Load())
-			table[i].timeouts.Store((*old)[i].timeouts.Load())
+func (k *slotKeys) snapshot() map[int]uint64 {
+	var out map[int]uint64
+	if table := k.table.Load(); table != nil {
+		for i := range *table {
+			if v := (*table)[i].Load(); v != 0 {
+				if out == nil {
+					out = map[int]uint64{}
+				}
+				out[i] = v
+			}
 		}
 	}
-	s.cluster.nodes.Store(&table)
+	return out
+}
+
+// InstallClusterNodes grows the per-node counter table to hold at least n
+// nodes — at boot and again whenever a node joins the live cluster. Rows
+// keep their counters across a grow, and an increment racing it is not lost
+// (see table). Safe on nil.
+func (s *Sink) InstallClusterNodes(n int) {
+	if s != nil {
+		s.live.Cluster.Nodes.atLeast(n)
+	}
 }
 
 // InstallClusterSlots sizes the per-slot key-count table (one entry per
-// placement slot; each records the key count observed when that slot last
-// migrated). Safe on nil.
+// placement slot). Safe on nil.
 func (s *Sink) InstallClusterSlots(n int) {
 	if s == nil {
 		return
 	}
 	table := make([]atomic.Uint64, n)
-	s.cluster.slotKeys.Store(&table)
+	s.live.Cluster.Migration.SlotKeys.table.Store(&table)
 }
 
 func (s *Sink) clusterNode(node int) *NodeCounters {
-	nodes := s.cluster.nodes.Load()
-	if nodes == nil || node < 0 || node >= len(*nodes) {
-		return nil
-	}
-	return &(*nodes)[node]
+	return s.live.Cluster.Nodes.row(node)
 }
 
 // ClusterLocal records one command (or one node's share of a multi-key
@@ -133,10 +143,10 @@ func (s *Sink) ClusterLocal(node int, cycles uint64) {
 	if s == nil {
 		return
 	}
-	s.cluster.local.Add(1)
-	s.cluster.localCycles.Observe(cycles)
+	s.live.Cluster.Local.Add(1)
+	s.live.Cluster.LocalCycles.Observe(cycles)
 	if nc := s.clusterNode(node); nc != nil {
-		nc.local.Add(1)
+		nc.Local.Add(1)
 	}
 }
 
@@ -147,10 +157,10 @@ func (s *Sink) ClusterRemote(node int, cycles uint64) {
 	if s == nil {
 		return
 	}
-	s.cluster.remote.Add(1)
-	s.cluster.remoteCycles.Observe(cycles)
+	s.live.Cluster.Remote.Add(1)
+	s.live.Cluster.RemoteCycles.Observe(cycles)
 	if nc := s.clusterNode(node); nc != nil {
-		nc.remote.Add(1)
+		nc.Remote.Add(1)
 	}
 	s.Trace(Event{Kind: EvRemoteCall, Core: -1, A: uint64(node), B: cycles})
 }
@@ -160,7 +170,7 @@ func (s *Sink) ClusterRemote(node int, cycles uint64) {
 // the router's serialize/route work around it). Safe on nil.
 func (s *Sink) ClusterURPCCall(cycles uint64) {
 	if s != nil {
-		s.cluster.urpcCycles.Observe(cycles)
+		s.live.Cluster.URPCCallCycles.Observe(cycles)
 	}
 }
 
@@ -170,9 +180,9 @@ func (s *Sink) ClusterTimeout(node int) {
 	if s == nil {
 		return
 	}
-	s.cluster.timeouts.Add(1)
+	s.live.Cluster.Timeouts.Add(1)
 	if nc := s.clusterNode(node); nc != nil {
-		nc.timeouts.Add(1)
+		nc.Timeouts.Add(1)
 	}
 }
 
@@ -182,15 +192,15 @@ func (s *Sink) ClusterShip(node int, bytes uint64) {
 	if s == nil {
 		return
 	}
-	s.cluster.ships.Add(1)
-	s.cluster.shipBytes.Add(bytes)
+	s.live.Cluster.Replication.Ships.Add(1)
+	s.live.Cluster.Replication.ShipBytes.Add(bytes)
 	s.Trace(Event{Kind: EvCheckpointShip, Core: -1, A: uint64(node), B: bytes})
 }
 
 // ClusterShipFailure records one abandoned checkpoint ship. Safe on nil.
 func (s *Sink) ClusterShipFailure(node int) {
 	if s != nil {
-		s.cluster.shipFailures.Add(1)
+		s.live.Cluster.Replication.ShipFailures.Add(1)
 	}
 }
 
@@ -199,9 +209,9 @@ func (s *Sink) ClusterProbe(ok bool) {
 	if s == nil {
 		return
 	}
-	s.cluster.probes.Add(1)
+	s.live.Cluster.Replication.Probes.Add(1)
 	if !ok {
-		s.cluster.probeFailures.Add(1)
+		s.live.Cluster.Replication.ProbeFailures.Add(1)
 	}
 }
 
@@ -219,9 +229,9 @@ func (s *Sink) ClusterPromotion(node int, replayed, lost uint64) {
 	if s == nil {
 		return
 	}
-	s.cluster.promotions.Add(1)
-	s.cluster.deltaReplayed.Add(replayed)
-	s.cluster.lostUpdates.Add(lost)
+	s.live.Cluster.Replication.Promotions.Add(1)
+	s.live.Cluster.Replication.DeltaReplayed.Add(replayed)
+	s.live.Cluster.Replication.LostUpdates.Add(lost)
 	ev := Event{Kind: EvPromotion, Core: -1, A: uint64(node), B: replayed}
 	if lost > 0 {
 		ev.Label = fmt.Sprintf("%d", lost)
@@ -233,43 +243,8 @@ func (s *Sink) ClusterPromotion(node int, replayed, lost uint64) {
 // degraded with a non-empty delta buffer. Safe on nil.
 func (s *Sink) ClusterLostUpdates(count uint64) {
 	if s != nil && count > 0 {
-		s.cluster.lostUpdates.Add(count)
+		s.live.Cluster.Replication.LostUpdates.Add(count)
 	}
-}
-
-// ClusterPromotionsTotal returns the running promotion count — a single
-// atomic load, safe to poll while the cluster runs.
-func (s *Sink) ClusterPromotionsTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.promotions.Load()
-}
-
-// ClusterShipsTotal returns the running count of shipped generations.
-func (s *Sink) ClusterShipsTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.ships.Load()
-}
-
-// ClusterRemoteTotal returns the running count of remotely-served commands.
-// A single atomic load — safe to poll while the cluster runs, unlike a full
-// Snapshot of a live machine.
-func (s *Sink) ClusterRemoteTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.remote.Load()
-}
-
-// ClusterLocalTotal returns the running count of locally-served commands.
-func (s *Sink) ClusterLocalTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.local.Load()
 }
 
 // ClusterSlotMoved records one completed slot migration: keys and payload
@@ -279,11 +254,11 @@ func (s *Sink) ClusterSlotMoved(slot, src, dst int, keys, bytes, replayed uint64
 	if s == nil {
 		return
 	}
-	s.cluster.slotMoves.Add(1)
-	s.cluster.migKeysMoved.Add(keys)
-	s.cluster.migBytes.Add(bytes)
-	s.cluster.migDeltaReplayed.Add(replayed)
-	if table := s.cluster.slotKeys.Load(); table != nil && slot >= 0 && slot < len(*table) {
+	s.live.Cluster.Migration.SlotMoves.Add(1)
+	s.live.Cluster.Migration.KeysMoved.Add(keys)
+	s.live.Cluster.Migration.BytesMoved.Add(bytes)
+	s.live.Cluster.Migration.DeltaReplayed.Add(replayed)
+	if table := s.live.Cluster.Migration.SlotKeys.table.Load(); table != nil && slot >= 0 && slot < len(*table) {
 		(*table)[slot].Store(keys)
 	}
 	s.Trace(Event{Kind: EvSlotMove, Core: -1, A: uint64(slot), B: keys,
@@ -296,7 +271,7 @@ func (s *Sink) ClusterSlotMoveFailed(slot, src, dst int, reason string) {
 	if s == nil {
 		return
 	}
-	s.cluster.slotMoveFailures.Add(1)
+	s.live.Cluster.Migration.SlotMoveFailures.Add(1)
 	s.Trace(Event{Kind: EvSlotMoveFailed, Core: -1, A: uint64(slot),
 		Label: fmt.Sprintf("%d->%d: %s", src, dst, reason)})
 }
@@ -305,7 +280,7 @@ func (s *Sink) ClusterSlotMoveFailed(slot, src, dst int, reason string) {
 // a slot flip (the client retries against the new table). Safe on nil.
 func (s *Sink) ClusterMovedRetry() {
 	if s != nil {
-		s.cluster.movedRetries.Add(1)
+		s.live.Cluster.Migration.MovedRetries.Add(1)
 	}
 }
 
@@ -315,7 +290,7 @@ func (s *Sink) ClusterNodeAdded(node int) {
 	if s == nil {
 		return
 	}
-	s.cluster.nodesAdded.Add(1)
+	s.live.Cluster.Migration.NodesAdded.Add(1)
 	s.Trace(Event{Kind: EvNodeAdded, Core: -1, A: uint64(node)})
 }
 
@@ -325,7 +300,7 @@ func (s *Sink) ClusterNodeRemoved(node int) {
 	if s == nil {
 		return
 	}
-	s.cluster.nodesRemoved.Add(1)
+	s.live.Cluster.Migration.NodesRemoved.Add(1)
 	s.Trace(Event{Kind: EvNodeRemoved, Core: -1, A: uint64(node)})
 }
 
@@ -335,7 +310,7 @@ func (s *Sink) ClusterFork(node int, gen uint64) {
 	if s == nil {
 		return
 	}
-	s.cluster.forks.Add(1)
+	s.live.Cluster.Fork.Forks.Add(1)
 	s.Trace(Event{Kind: EvFork, Core: -1, A: uint64(node), B: gen})
 }
 
@@ -345,7 +320,7 @@ func (s *Sink) ClusterForkRelease(node int, gen uint64) {
 	if s == nil {
 		return
 	}
-	s.cluster.forkReleases.Add(1)
+	s.live.Cluster.Fork.Releases.Add(1)
 	s.Trace(Event{Kind: EvForkRelease, Core: -1, A: uint64(node), B: gen})
 }
 
@@ -355,7 +330,7 @@ func (s *Sink) ClusterForkInvalidate(node int, views uint64, reason string) {
 	if s == nil {
 		return
 	}
-	s.cluster.forkInvalidates.Add(views)
+	s.live.Cluster.Fork.Invalidated.Add(views)
 	s.Trace(Event{Kind: EvForkInvalidate, Core: -1, A: uint64(node), B: views, Label: reason})
 }
 
@@ -363,7 +338,7 @@ func (s *Sink) ClusterForkInvalidate(node int, views uint64, reason string) {
 // (or warm standby) instead of the primary. Safe on nil.
 func (s *Sink) ClusterFollowerRead() {
 	if s != nil {
-		s.cluster.followerReads.Add(1)
+		s.live.Cluster.Fork.FollowerReads.Add(1)
 	}
 }
 
@@ -371,7 +346,7 @@ func (s *Sink) ClusterFollowerRead() {
 // the freshest view exceeded the staleness bound. Safe on nil.
 func (s *Sink) ClusterStaleRejected() {
 	if s != nil {
-		s.cluster.staleRejected.Add(1)
+		s.live.Cluster.Fork.StaleRejected.Add(1)
 	}
 }
 
@@ -379,19 +354,21 @@ func (s *Sink) ClusterStaleRejected() {
 // cycle budget ran out before (or during) a dispatch. Safe on nil.
 func (s *Sink) ClusterDeadlineExpired() {
 	if s != nil {
-		s.cluster.deadlineExpired.Add(1)
+		s.live.Cluster.Overload.DeadlineExpired.Add(1)
 	}
 }
 
 // ClusterShed records one remote dispatch refused fast because node's
-// breaker was open — no channel wait, no retry ladder. Safe on nil.
+// breaker was open — no channel wait, no retry ladder. The client sees the
+// same -SHARDTIMEOUT a timeout gives, so the node's Timeouts row counts it;
+// the cluster-wide Timeouts total (ladders exhausted) does not. Safe on nil.
 func (s *Sink) ClusterShed(node int) {
 	if s == nil {
 		return
 	}
-	s.cluster.shed.Add(1)
+	s.live.Cluster.Overload.Shed.Add(1)
 	if nc := s.clusterNode(node); nc != nil {
-		nc.timeouts.Add(1)
+		nc.Timeouts.Add(1)
 	}
 }
 
@@ -400,7 +377,7 @@ func (s *Sink) ClusterShed(node int) {
 // graceful-degradation counterpart of a plain follower read. Safe on nil.
 func (s *Sink) ClusterDegradedRead() {
 	if s != nil {
-		s.cluster.degradedReads.Add(1)
+		s.live.Cluster.Overload.DegradedReads.Add(1)
 	}
 }
 
@@ -412,11 +389,11 @@ func (s *Sink) ClusterBreaker(node int, from, to string) {
 	}
 	switch to {
 	case "open":
-		s.cluster.breakerOpens.Add(1)
+		s.live.Cluster.Overload.BreakerOpens.Add(1)
 	case "half-open":
-		s.cluster.breakerHalfOpens.Add(1)
+		s.live.Cluster.Overload.BreakerHalfOpens.Add(1)
 	case "closed":
-		s.cluster.breakerCloses.Add(1)
+		s.live.Cluster.Overload.BreakerCloses.Add(1)
 	}
 	s.Trace(Event{Kind: EvBreakerState, Core: -1, A: uint64(node), Label: from + "->" + to})
 }
@@ -426,35 +403,8 @@ func (s *Sink) ClusterBreaker(node int, from, to string) {
 // the cluster runs to its deadlines. Safe on nil.
 func (s *Sink) ClusterBudgetRemaining(cycles uint64) {
 	if s != nil {
-		s.cluster.budgetRemaining.Observe(cycles)
+		s.live.Cluster.Overload.BudgetRemaining.Observe(cycles)
 	}
-}
-
-// ClusterDegradedReadsTotal returns the running count of overload-degraded
-// reads — a single atomic load, safe to poll while the cluster runs.
-func (s *Sink) ClusterDegradedReadsTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.degradedReads.Load()
-}
-
-// ClusterBreakerOpensTotal returns the running count of breaker transitions
-// into open.
-func (s *Sink) ClusterBreakerOpensTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.breakerOpens.Load()
-}
-
-// ClusterDeadlineExpiredTotal returns the running count of -DEADLINE
-// refusals.
-func (s *Sink) ClusterDeadlineExpiredTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.deadlineExpired.Load()
 }
 
 // ClusterShipDuration records the wall-clock nanoseconds one fork-based ship
@@ -462,66 +412,6 @@ func (s *Sink) ClusterDeadlineExpiredTotal() uint64 {
 // nil.
 func (s *Sink) ClusterShipDuration(ns uint64) {
 	if s != nil {
-		s.cluster.shipNs.Observe(ns)
+		s.live.Cluster.Fork.ShipNs.Observe(ns)
 	}
-}
-
-// ClusterForksTotal returns the running count of frozen views forked — a
-// single atomic load, safe to poll while the cluster runs.
-func (s *Sink) ClusterForksTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.forks.Load()
-}
-
-// ClusterFollowerReadsTotal returns the running count of follower reads.
-func (s *Sink) ClusterFollowerReadsTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.followerReads.Load()
-}
-
-// ClusterStaleRejectedTotal returns the running count of -STALE refusals.
-func (s *Sink) ClusterStaleRejectedTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.staleRejected.Load()
-}
-
-// ClusterSlotMovesTotal returns the running count of completed slot
-// migrations — a single atomic load, safe to poll while the cluster runs.
-func (s *Sink) ClusterSlotMovesTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.slotMoves.Load()
-}
-
-// ClusterSlotMoveFailuresTotal returns the running count of migrations
-// aborted and rolled back.
-func (s *Sink) ClusterSlotMoveFailuresTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.slotMoveFailures.Load()
-}
-
-// ClusterNodesAddedTotal returns the running count of mid-run node joins.
-func (s *Sink) ClusterNodesAddedTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.nodesAdded.Load()
-}
-
-// ClusterNodesRemovedTotal returns the running count of mid-run node
-// removals.
-func (s *Sink) ClusterNodesRemovedTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.nodesRemoved.Load()
 }

@@ -36,25 +36,12 @@ func (h *Hist) Observe(v uint64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Hist) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Snap copies the histogram into an immutable HistSnap. Safe on nil
 // (returns a zero snapshot).
 func (h *Hist) Snap() HistSnap {
 	if h == nil {
 		return HistSnap{}
 	}
-	return h.snapshot()
-}
-
-// snapshot copies the histogram into an immutable HistSnap.
-func (h *Hist) snapshot() HistSnap {
 	s := HistSnap{
 		Count:   h.count.Load(),
 		Sum:     h.sum.Load(),

@@ -12,23 +12,23 @@ import "sync/atomic"
 // their slot and record through nil-safe methods, exactly as cores do with
 // CoreCounters.
 type ShardCounters struct {
-	conns    atomic.Uint64
-	commands atomic.Uint64
-	busy     atomic.Uint64
-	queueMax atomic.Uint64
+	Conns    atomic.Uint64
+	Commands atomic.Uint64
+	Rejected atomic.Uint64 `snap:"Busy"` // the Busy method has the name
+	QueueMax atomic.Uint64 // high-water mark, not a count
 }
 
 // Conn records one connection assigned to this shard. Safe on nil.
 func (c *ShardCounters) Conn() {
 	if c != nil {
-		c.conns.Add(1)
+		c.Conns.Add(1)
 	}
 }
 
 // Command records one command executed by this shard. Safe on nil.
 func (c *ShardCounters) Command() {
 	if c != nil {
-		c.commands.Add(1)
+		c.Commands.Add(1)
 	}
 }
 
@@ -36,7 +36,7 @@ func (c *ShardCounters) Command() {
 // Safe on nil.
 func (c *ShardCounters) Busy() {
 	if c != nil {
-		c.busy.Add(1)
+		c.Rejected.Add(1)
 	}
 }
 
@@ -48,8 +48,8 @@ func (c *ShardCounters) QueueDepth(d int) {
 	}
 	v := uint64(d)
 	for {
-		cur := c.queueMax.Load()
-		if v <= cur || c.queueMax.CompareAndSwap(cur, v) {
+		cur := c.QueueMax.Load()
+		if v <= cur || c.QueueMax.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -57,32 +57,26 @@ func (c *ShardCounters) QueueDepth(d int) {
 
 // serverCounters is the sink's serving-layer block.
 type serverCounters struct {
-	connsAccepted atomic.Uint64
-	connsClosed   atomic.Uint64
-	commands      atomic.Uint64
-	busy          atomic.Uint64
+	ConnsAccepted atomic.Uint64
+	ConnsClosed   atomic.Uint64
+	Commands      atomic.Uint64
+	Busy          atomic.Uint64
 
-	pipeline  Hist // commands in flight on a connection when one completes
-	queue     Hist // shard queue depth sampled at enqueue
-	latencyNs Hist // per-command wall latency (enqueue → reply ready)
+	Pipeline   Hist // commands in flight on a connection when one completes
+	QueueDepth Hist // shard queue depth sampled at enqueue
+	LatencyNs  Hist // per-command wall latency (enqueue → reply ready)
 
-	shards atomic.Pointer[[]ShardCounters]
+	Shards table[ShardCounters]
 }
 
-// InstallServerShards sizes the per-shard counter table and returns one
-// *ShardCounters per shard for workers to hold. Returns nil on a nil sink
-// (the nil pointers still record safely).
+// InstallServerShards grows the per-shard counter table to at least n shards
+// and returns one *ShardCounters per shard for workers to hold. On a nil sink
+// the pointers are nil (and still record safely).
 func (s *Sink) InstallServerShards(n int) []*ShardCounters {
 	if s == nil {
 		return make([]*ShardCounters, n)
 	}
-	table := make([]ShardCounters, n)
-	s.server.shards.Store(&table)
-	out := make([]*ShardCounters, n)
-	for i := range table {
-		out[i] = &table[i]
-	}
-	return out
+	return s.live.Server.Shards.atLeast(n)[:n:n]
 }
 
 // ConnAccepted records (and traces) one accepted connection.
@@ -90,7 +84,7 @@ func (s *Sink) ConnAccepted(conn, shard uint64) {
 	if s == nil {
 		return
 	}
-	s.server.connsAccepted.Add(1)
+	s.live.Server.ConnsAccepted.Add(1)
 	s.Trace(Event{Kind: EvConnOpen, Core: -1, A: conn, B: shard})
 }
 
@@ -100,7 +94,7 @@ func (s *Sink) ConnClosed(conn, commands uint64) {
 	if s == nil {
 		return
 	}
-	s.server.connsClosed.Add(1)
+	s.live.Server.ConnsClosed.Add(1)
 	s.Trace(Event{Kind: EvConnClose, Core: -1, A: conn, B: commands})
 }
 
@@ -109,38 +103,27 @@ func (s *Sink) ServerCommand(latNs uint64) {
 	if s == nil {
 		return
 	}
-	s.server.commands.Add(1)
-	s.server.latencyNs.Observe(latNs)
+	s.live.Server.Commands.Add(1)
+	s.live.Server.LatencyNs.Observe(latNs)
 }
 
 // ServerBusy records one backpressure rejection.
 func (s *Sink) ServerBusy() {
 	if s != nil {
-		s.server.busy.Add(1)
+		s.live.Server.Busy.Add(1)
 	}
-}
-
-// ServerBusyTotal returns the running count of backpressure rejections.
-// Unlike a full Snapshot — which copies the cores' non-atomic cycle
-// counters and so must wait for quiescence — this is a single atomic load,
-// safe to poll while workers run.
-func (s *Sink) ServerBusyTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.server.busy.Load()
 }
 
 // ServerPipeline records the pipeline depth observed on a connection.
 func (s *Sink) ServerPipeline(d int) {
 	if s != nil {
-		s.server.pipeline.Observe(uint64(d))
+		s.live.Server.Pipeline.Observe(uint64(d))
 	}
 }
 
 // ServerQueue records a shard queue depth observed at enqueue.
 func (s *Sink) ServerQueue(d int) {
 	if s != nil {
-		s.server.queue.Observe(uint64(d))
+		s.live.Server.QueueDepth.Observe(uint64(d))
 	}
 }

@@ -12,19 +12,10 @@ import (
 // receiver — this is the disabled fast path every component relies on.
 func TestNilSafety(t *testing.T) {
 	var s *Sink
-	s.TLBFlush(4)
-	s.Shootdown(2, 8)
-	s.NVMWrite(64)
-	s.VMMap()
-	s.VMUnmap()
-	s.VMFault()
-	s.LockWait(100)
-	s.LockHold(100)
-	s.Syscall(OpVASSwitch, 10)
-	s.URPCRetry(0, 1, 2)
-	s.FaultFired("x")
-	s.VASSwitch(0, 1, 2)
-	s.SegAttach(0, 1, 2, 3)
+	s.InstallClusterNodes(2)
+	s.InstallClusterSlots(4)
+	s.InstallTenants(2)
+	recordAll(s, s.InstallServerShards(2), 0)
 	s.SetTracer(NewTracer(4))
 	s.Trace(Event{Kind: EvVASSwitch})
 	if s.Tracer() != nil || s.Core(0) != nil || s.PTObs() != nil || s.Snapshot() != nil {
@@ -49,7 +40,7 @@ func TestNilSafety(t *testing.T) {
 
 	var h *Hist
 	h.Observe(7)
-	if h.Count() != 0 {
+	if h.Snap().Count != 0 {
 		t.Error("nil Hist recorded")
 	}
 
@@ -62,6 +53,10 @@ func TestNilSafety(t *testing.T) {
 	var snap *Snapshot
 	if snap.Delta(nil) != nil {
 		t.Error("nil snapshot delta is non-nil")
+	}
+	// Dense makes every optional block readable, even from nothing.
+	if d := snap.Dense(); d.Server.Busy != 0 || d.Cluster.Replication.Ships != 0 || d.Cluster.Overload.Shed != 0 {
+		t.Errorf("dense form of a nil snapshot counted something: %+v", d)
 	}
 }
 
@@ -191,6 +186,41 @@ func TestSnapshotDelta(t *testing.T) {
 	if full := s.Snapshot().Delta(nil); full.TLB.Misses != 3 {
 		t.Errorf("delta(nil) misses = %d, want 3", full.TLB.Misses)
 	}
+
+	// The three tagged fields carry the later value instead of subtracting:
+	// a high-water mark, a point-in-time table and a label. Blocks and rows
+	// the earlier snapshot lacks subtract as zero.
+	s = NewSink(2)
+	s.InstallClusterSlots(4)
+	shards := s.InstallServerShards(1)
+	shards[0].QueueDepth(5)
+	shards[0].Command()
+	s.ServerCommand(1)
+	s.ClusterSlotMoved(2, 0, 1, 40, 4096, 0)
+	before = s.Snapshot()
+	shards[0].QueueDepth(3)
+	shards[0].Command()
+	s.ServerCommand(1)
+	s.ClusterSlotMoved(3, 0, 1, 7, 512, 0)
+	s.InstallTenants(2)
+	s.TenantCommand(1, 9)
+	after := s.Snapshot()
+	d = after.Delta(before)
+	if sh := d.Server.Shards[0]; sh.QueueMax != 5 || sh.Commands != 1 {
+		t.Errorf("delta shard = %+v, want queue_max 5 carried and 1 command", sh)
+	}
+	if m := d.Cluster.Migration; m.SlotMoves != 1 || m.KeysMoved != 7 || m.SlotKeys[2] != 40 || m.SlotKeys[3] != 7 {
+		t.Errorf("delta migration = %+v, want 1 move of 7 keys and both slot counts carried", m)
+	}
+	if d.Cores[1].ID != 1 {
+		t.Errorf("delta core 1 has id %d", d.Cores[1].ID)
+	}
+	if before.Tenants != nil || len(d.Tenants) != 2 || d.Tenants[1] != (TenantSnap{Commands: 1, Bytes: 9}) {
+		t.Errorf("delta tenants = %+v, want the later table whole", d.Tenants)
+	}
+	if d.Cluster.Replication != nil || after.Delta(after).Cluster.Migration == nil {
+		t.Error("delta: an optional block is present exactly when the later snapshot has it")
+	}
 }
 
 // TestTraceRingOverflow: the ring keeps the newest capacity events in order,
@@ -250,7 +280,7 @@ func TestHistQuantiles(t *testing.T) {
 	for v := uint64(1); v <= 100; v++ {
 		h.Observe(v)
 	}
-	s := h.snapshot()
+	s := h.Snap()
 	if s.Count != 100 || s.Sum != 5050 || s.Max != 100 {
 		t.Fatalf("hist = count %d sum %d max %d", s.Count, s.Sum, s.Max)
 	}
@@ -271,7 +301,7 @@ func TestHistQuantiles(t *testing.T) {
 
 	var zeros Hist
 	zeros.Observe(0)
-	if q := zeros.snapshot().Quantile(0.99); q != 0 {
+	if q := zeros.Snap().Quantile(0.99); q != 0 {
 		t.Errorf("all-zero p99 = %d", q)
 	}
 }

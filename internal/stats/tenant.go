@@ -11,64 +11,40 @@ import "sync/atomic"
 
 // TenantCounters is one tenant's serving activity.
 type TenantCounters struct {
-	commands atomic.Uint64
-	bytes    atomic.Uint64
-	quota    atomic.Uint64
-	denials  atomic.Uint64
-}
-
-// tenantCounters is the sink's tenant block.
-type tenantCounters struct {
-	table atomic.Pointer[[]TenantCounters]
+	Commands        atomic.Uint64
+	Bytes           atomic.Uint64
+	QuotaRejections atomic.Uint64
+	CapDenials      atomic.Uint64
 }
 
 // InstallTenants grows the per-tenant counter table to hold at least n
-// tenants, preserving existing totals — tenants register incrementally and
-// a fresh table would zero history. Safe on nil.
+// tenants; tenants register incrementally and keep their totals. Safe on nil.
 func (s *Sink) InstallTenants(n int) {
-	if s == nil {
-		return
+	if s != nil {
+		s.live.Tenants.atLeast(n)
 	}
-	old := s.tenants.table.Load()
-	if old != nil && len(*old) >= n {
-		return
-	}
-	table := make([]TenantCounters, n)
-	if old != nil {
-		for i := range *old {
-			table[i].commands.Store((*old)[i].commands.Load())
-			table[i].bytes.Store((*old)[i].bytes.Load())
-			table[i].quota.Store((*old)[i].quota.Load())
-			table[i].denials.Store((*old)[i].denials.Load())
-		}
-	}
-	s.tenants.table.Store(&table)
 }
 
 func (s *Sink) tenant(i int) *TenantCounters {
 	if s == nil {
 		return nil
 	}
-	table := s.tenants.table.Load()
-	if table == nil || i < 0 || i >= len(*table) {
-		return nil
-	}
-	return &(*table)[i]
+	return s.live.Tenants.row(i)
 }
 
 // TenantCommand records one admitted command of n payload bytes for the
 // tenant at index i. Safe on nil.
 func (s *Sink) TenantCommand(i int, n uint64) {
 	if t := s.tenant(i); t != nil {
-		t.commands.Add(1)
-		t.bytes.Add(n)
+		t.Commands.Add(1)
+		t.Bytes.Add(n)
 	}
 }
 
 // TenantQuotaRejected records one quota rejection at admission. Safe on nil.
 func (s *Sink) TenantQuotaRejected(i int) {
 	if t := s.tenant(i); t != nil {
-		t.quota.Add(1)
+		t.QuotaRejections.Add(1)
 	}
 }
 
@@ -76,40 +52,6 @@ func (s *Sink) TenantQuotaRejected(i int) {
 // tenant held no capability for). Safe on nil.
 func (s *Sink) TenantDenied(i int) {
 	if t := s.tenant(i); t != nil {
-		t.denials.Add(1)
+		t.CapDenials.Add(1)
 	}
-}
-
-// TenantQuotaRejectedTotal returns the running quota-rejection count summed
-// over tenants — a single pass over atomics, safe to poll mid-run.
-func (s *Sink) TenantQuotaRejectedTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	table := s.tenants.table.Load()
-	if table == nil {
-		return 0
-	}
-	var total uint64
-	for i := range *table {
-		total += (*table)[i].quota.Load()
-	}
-	return total
-}
-
-// TenantDeniedTotal returns the running capability-denial count summed over
-// tenants, safe to poll mid-run.
-func (s *Sink) TenantDeniedTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	table := s.tenants.table.Load()
-	if table == nil {
-		return 0
-	}
-	var total uint64
-	for i := range *table {
-		total += (*table)[i].denials.Load()
-	}
-	return total
 }

@@ -61,8 +61,8 @@ func TestAttachIsolation(t *testing.T) {
 	if err := r.Attach(t0, "ghost", caps.RightRead); !errors.Is(err, core.ErrDenied) {
 		t.Fatalf("unknown view attach: err = %v, want core.ErrDenied", err)
 	}
-	if got := sink.TenantDeniedTotal(); got != 2 {
-		t.Fatalf("TenantDeniedTotal = %d, want 2", got)
+	if got := sink.Snapshot().Tenants[0].CapDenials; got != 2 {
+		t.Fatalf("tenant 0 capability denials = %d, want 2", got)
 	}
 }
 

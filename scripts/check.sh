@@ -73,9 +73,9 @@ go test -count=10 ./internal/cluster ./internal/chaos
 echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
 
-echo "== bench smoke (the wire-path rungs of the ladder still run) =="
-go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec' -benchtime 100x \
-    ./internal/redis ./internal/urpc ./internal/cluster
+echo "== bench smoke (the wire-path and stats rungs of the ladder still run) =="
+go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec|SnapshotDelta' -benchtime 100x \
+    ./internal/redis ./internal/urpc ./internal/cluster ./internal/stats
 
 echo "== fuzz smoke (RESP parser against the reference reader) =="
 go test -run Fuzz -fuzz=FuzzReadCommand -fuzztime=10s ./internal/redis
@@ -89,17 +89,8 @@ go test -run Fuzz -fuzz=FuzzAuthCommand -fuzztime=10s ./internal/server
 echo "== fuzz smoke (TLB against the scanning reference model) =="
 go test -run Fuzz -fuzz=FuzzTLBModel -fuzztime=10s ./internal/tlb
 
-echo "== cluster smoke (baseline scenario, both serving paths) =="
-./scripts/cluster-smoke.sh
-
-echo "== failover smoke (rolling node kills, standbys promote) =="
-./scripts/failover-smoke.sh
-
-echo "== chaos smoke (kills + partition, invariant-checked) =="
+echo "== chaos smoke (baseline, node kills, partition, elastic add/remove, failed migration) =="
 ./scripts/chaos-smoke.sh
-
-echo "== migration smoke (elastic add/remove + slot moves under traffic) =="
-./scripts/migration-smoke.sh
 
 echo "== tenant smoke (AUTH, cross-view denial, quotas in /stats) =="
 ./scripts/tenant-smoke.sh
