@@ -8,19 +8,7 @@
 // node by -mode. Drive it with cmd/spacejmp-load or
 // any RESP client (GET, SET, DEL, MGET, PING, ECHO, QUIT).
 //
-// Usage:
-//
-//	spacejmp-server [-addr host:port] [-workers n] [-queue n] [-pipeline n]
-//	                [-seg bytes] [-machine M1|M2|M3|small] [-trace n]
-//	                [-cluster n] [-mode vas|urpc|auto]
-//	                [-admin host:port] [-replicate] [-ship-every n]
-//	                [-kill-node n] [-kill-after d]
-//	                [-add-node-after d] [-remove-node n] [-remove-node-after d]
-//	                [-scenario name|file.json] [-fault-seed n]
-//	                [-tenants n] [-tenant-max-bytes n] [-tenant-max-keys n]
-//	                [-tenant-rate n]
-//	                [-deadline d] [-breakers] [-breaker-threshold n]
-//	                [-breaker-cooldown d] [-degraded-reads] [-queue-watermark n]
+// Run it with -h for the flags.
 //
 // The overload-protection flags: -deadline stamps every command with a
 // cycle budget (converted from wall time at the machine's clock; clients
@@ -29,10 +17,8 @@
 // retryable -DEADLINE instead of queueing doomed work. -breakers arms a
 // closed→open→half-open circuit breaker per remote cluster node: tripped
 // by consecutive call/probe failures, an open breaker sheds writes fast
-// with -SHARDTIMEOUT while READONLY reads (or all reads, with
-// -degraded-reads) degrade to the node's frozen fork view within the
-// staleness bound. -queue-watermark extends the same degradation to local
-// nodes when a worker's queue backs up.
+// with -SHARDTIMEOUT while READONLY reads degrade to the node's frozen fork
+// view within the staleness bound.
 //
 // With -tenants N, the server runs multi-tenant: N demo tenants (ids t0..,
 // secrets s0..) are registered, every connection must AUTH before touching
@@ -49,19 +35,20 @@
 // cluster_runtime block and /healthz turns 503 when a key range degrades.
 // With -replicate, every remote cluster node gets a warm standby kept
 // fresh by checkpoint shipping and a health monitor that fails its key
-// range over on crash; -kill-node/-kill-after stage a crash for failover
-// experiments. -add-node-after grows the cluster by one
-// node mid-run (and rebalances a fair share of placement slots onto it);
-// -remove-node/-remove-node-after drain a node's slots to the rest of the
-// cluster and retire it — both run live, under whatever traffic clients
-// are sending.
+// range over on crash.
 //
 // With -scenario, the named chaos-library scenario (or a JSON scenario
-// file) plays its step timeline against this server's live fault registry:
-// only the steps are used — the server keeps its own -cluster/-machine
-// shape and serves whatever clients connect, so invariants are not checked
-// here (use cmd/spacejmp-chaos for a full self-contained run). The step
-// outcomes are reported on drain.
+// file) plays its step timeline against this server's live fault registry
+// and router: only the steps are used — the server keeps its own
+// -cluster/-machine shape and serves whatever clients connect, so
+// invariants are not checked here (use cmd/spacejmp-chaos for a full
+// self-contained run). It is also how an operator action is staged against
+// a live server: a cluster.node.kill step crashes a node for a failover
+// experiment, cluster.node.add grows the cluster by one node and rebalances
+// a fair share of placement slots onto it, cluster.node.remove drains a
+// node's slots to the rest of the cluster and retires it — all live, under
+// whatever traffic clients are sending. The step outcomes are reported on
+// drain.
 //
 // On SIGINT/SIGTERM the server drains gracefully — stops accepting,
 // finishes in-flight commands, detaches every worker from the shared VASes
@@ -108,12 +95,7 @@ func main() {
 	staleBound := flag.Duration("stale-bound", 0, "follower-read staleness bound; older views reply -STALE (0 = default 500ms)")
 	probeInterval := flag.Duration("probe-interval", 0, "health-monitor probe cadence (0 = default 25ms)")
 	probeThreshold := flag.Int("probe-threshold", 0, "consecutive probe failures that declare a node dead and promote its standby (0 = default 3; park high to brown out without failover)")
-	killNode := flag.Int("kill-node", -1, "crash this cluster node after -kill-after (testing failover)")
-	killAfter := flag.Duration("kill-after", 2*time.Second, "delay before -kill-node fires")
-	addNodeAfter := flag.Duration("add-node-after", 0, "add one cluster node (and rebalance slots onto it) after this delay (0 disables)")
-	removeNode := flag.Int("remove-node", -1, "drain and remove this cluster node after -remove-node-after")
-	removeNodeAfter := flag.Duration("remove-node-after", 2*time.Second, "delay before -remove-node fires")
-	scenario := flag.String("scenario", "", "play this chaos scenario's steps against the live fault registry (library name or JSON file)")
+	scenario := flag.String("scenario", "", "play this chaos scenario's steps — faults, node kills, adds and removes — against the live server (library name or JSON file)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault registry seed for -scenario runs")
 	tenantsN := flag.Int("tenants", 0, "serve n demo tenants (t0../s0..) behind AUTH with isolated views (0 = single-tenant)")
 	tenantMaxBytes := flag.Uint64("tenant-max-bytes", 0, "per-tenant stored-bytes quota (0 = unlimited)")
@@ -123,8 +105,6 @@ func main() {
 	breakers := flag.Bool("breakers", false, "arm a circuit breaker per remote cluster node (needs -cluster)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures that trip a breaker (0 = default 5)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker fail-fast window before a half-open probe (0 = default 100ms)")
-	degradedReads := flag.Bool("degraded-reads", false, "serve overload-degraded reads from stale fork views to every connection, not just READONLY (needs -replicate)")
-	queueWatermark := flag.Int("queue-watermark", 0, "worker queue depth past which reads degrade to stale views (0 disables; needs -replicate)")
 	flag.Parse()
 
 	cfg, err := hw.NamedConfig(*machine)
@@ -140,11 +120,8 @@ func main() {
 	if *followerReads && !*replicate {
 		fatal(fmt.Errorf("-follower-reads requires -replicate (frozen fork views ride the replication engine)"))
 	}
-	if (*degradedReads || *queueWatermark > 0) && !*replicate {
-		fatal(fmt.Errorf("-degraded-reads/-queue-watermark require -replicate (degraded reads serve from fork views)"))
-	}
-	if (*breakers || *degradedReads || *queueWatermark > 0) && *clusterN <= 0 {
-		fatal(fmt.Errorf("-breakers/-degraded-reads/-queue-watermark require -cluster"))
+	if *breakers && *clusterN <= 0 {
+		fatal(fmt.Errorf("-breakers requires -cluster"))
 	}
 	// No -cluster is the paper's single RedisJMP store: a cluster of one
 	// co-resident node, served on the VAS-switch path whatever -mode says.
@@ -214,8 +191,6 @@ func main() {
 			Breakers:         *breakers,
 			BreakerThreshold: *breakerThreshold,
 			BreakerCooldown:  *breakerCooldown,
-			DegradedReads:    *degradedReads,
-			QueueWatermark:   *queueWatermark,
 		},
 	})
 	if err != nil {
@@ -225,42 +200,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "spacejmp-server: listening on %s (%s, queue %d, pipeline %d)\n",
 		srv.Addr(), cfg.Name, *queue, *pipeline)
 	fmt.Fprint(os.Stderr, router.String())
-	if *killNode >= 0 {
-		go func(id int, after time.Duration) {
-			time.Sleep(after)
-			if err := router.KillNode(id); err != nil {
-				fmt.Fprintf(os.Stderr, "spacejmp-server: kill-node: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "spacejmp-server: crashed node %d\n", id)
-		}(*killNode, *killAfter)
-	}
-	if *addNodeAfter > 0 {
-		go func(after time.Duration) {
-			time.Sleep(after)
-			id, err := router.AddNode()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spacejmp-server: add-node: %v\n", err)
-				return
-			}
-			moved, err := router.RebalanceInto(id)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spacejmp-server: add-node: rebalance onto %d: %v\n", id, err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "spacejmp-server: added node %d (%d slots migrated onto it)\n", id, moved)
-		}(*addNodeAfter)
-	}
-	if *removeNode >= 0 {
-		go func(id int, after time.Duration) {
-			time.Sleep(after)
-			if err := router.RemoveNode(id); err != nil {
-				fmt.Fprintf(os.Stderr, "spacejmp-server: remove-node: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "spacejmp-server: drained and removed node %d\n", id)
-		}(*removeNode, *removeNodeAfter)
-	}
 
 	var admin *http.Server
 	if *adminAddr != "" {

@@ -228,7 +228,6 @@ type ClusterSpec struct {
 	Locals            int      `json:"locals,omitempty"`
 	QueueDepth        int      `json:"queue_depth,omitempty"`
 	SegSize           uint64   `json:"seg_size,omitempty"`
-	Slots             int      `json:"slots,omitempty"`
 	Replicate         bool     `json:"replicate,omitempty"`
 	ShipEvery         int      `json:"ship_every,omitempty"`
 	ShipInterval      Duration `json:"ship_interval,omitempty"`
@@ -242,15 +241,12 @@ type ClusterSpec struct {
 	FollowerReads bool     `json:"follower_reads,omitempty"`
 	StaleBound    Duration `json:"stale_bound,omitempty"`
 	// Overload protection (see cluster.OverloadConfig): per-remote-node
-	// circuit breakers, overload-degraded stale reads, and the worker-queue
-	// watermark past which reads degrade. Deadline stamps every command
-	// with a cycle budget derived from this wall-time allowance and the
-	// machine's clock.
+	// circuit breakers, under which READONLY reads degrade to frozen views.
+	// Deadline stamps every command with a cycle budget derived from this
+	// wall-time allowance and the machine's clock.
 	Breakers         bool     `json:"breakers,omitempty"`
 	BreakerThreshold int      `json:"breaker_threshold,omitempty"`
 	BreakerCooldown  Duration `json:"breaker_cooldown,omitempty"`
-	DegradedReads    bool     `json:"degraded_reads,omitempty"`
-	QueueWatermark   int      `json:"queue_watermark,omitempty"`
 	Deadline         Duration `json:"deadline,omitempty"`
 }
 
@@ -269,7 +265,6 @@ func (c ClusterSpec) Config() (cluster.Config, error) {
 		Locals:            c.Locals,
 		QueueDepth:        c.QueueDepth,
 		SegSize:           c.SegSize,
-		Slots:             c.Slots,
 		MigrationDeltaLog: c.MigrationDeltaLog,
 		Replication: cluster.ReplicationConfig{
 			Enabled:        c.Replicate,
@@ -285,8 +280,6 @@ func (c ClusterSpec) Config() (cluster.Config, error) {
 			Breakers:         c.Breakers,
 			BreakerThreshold: c.BreakerThreshold,
 			BreakerCooldown:  time.Duration(c.BreakerCooldown),
-			DegradedReads:    c.DegradedReads,
-			QueueWatermark:   c.QueueWatermark,
 		},
 	}, nil
 }
@@ -496,12 +489,6 @@ func (s *Spec) Validate() error {
 	if s.Invariants.MinStaleProbes > 0 && !s.Load.StaleReads {
 		return specErr(-1, "invariants.min_stale_probes: needs load.stale_reads", ErrBadSpec)
 	}
-	if (s.Cluster.DegradedReads || s.Cluster.QueueWatermark > 0) && !s.Cluster.Replicate {
-		return specErr(-1, "cluster.degraded_reads/queue_watermark: require cluster.replicate (degraded reads serve from fork views)", ErrBadSpec)
-	}
-	if s.Cluster.QueueWatermark < 0 {
-		return specErr(-1, fmt.Sprintf("cluster.queue_watermark: negative (%d)", s.Cluster.QueueWatermark), ErrBadSpec)
-	}
 	if s.Cluster.BreakerThreshold < 0 {
 		return specErr(-1, fmt.Sprintf("cluster.breaker_threshold: negative (%d)", s.Cluster.BreakerThreshold), ErrBadSpec)
 	}
@@ -517,8 +504,8 @@ func (s *Spec) Validate() error {
 	if s.Invariants.MinBreakerOpens > 0 && !s.Cluster.Breakers {
 		return specErr(-1, "invariants.min_breaker_opens: needs cluster.breakers", ErrBadSpec)
 	}
-	if s.Invariants.MinDegradedReads > 0 && !s.Cluster.DegradedReads && s.Cluster.QueueWatermark == 0 && !s.Cluster.Breakers {
-		return specErr(-1, "invariants.min_degraded_reads: needs an overload trigger (breakers, degraded_reads, or queue_watermark)", ErrBadSpec)
+	if s.Invariants.MinDegradedReads > 0 && !s.Cluster.Breakers {
+		return specErr(-1, "invariants.min_degraded_reads: needs cluster.breakers (an open breaker is what degrades reads)", ErrBadSpec)
 	}
 	if s.Invariants.MaxP99 < 0 {
 		return specErr(-1, fmt.Sprintf("invariants.max_p99: negative (%v)", time.Duration(s.Invariants.MaxP99)), ErrBadDuration)

@@ -53,6 +53,11 @@ func TestParseSpecErrors(t *testing.T) {
 		{"missing name", `{"machine": "small"}`, ErrBadSpec},
 		{"unknown machine", `{"name": "x", "machine": "M9"}`, ErrBadSpec},
 		{"unknown field", `{"name": "x", "bogus": 1}`, ErrBadSpec},
+		// Knobs that were removed with the code they configured are unknown
+		// fields too: a scenario file still naming one must not run silently.
+		{"removed queue_watermark", `{"name": "x", "cluster": {"replicate": true, "queue_watermark": 8}}`, ErrBadSpec},
+		{"removed degraded_reads", `{"name": "x", "cluster": {"replicate": true, "degraded_reads": true}}`, ErrBadSpec},
+		{"removed slots", `{"name": "x", "cluster": {"slots": 256}}`, ErrBadSpec},
 		{"trailing data", `{"name": "x"} {"name": "y"}`, ErrBadSpec},
 		{"unknown point", `{"name": "x", "steps": [{"point": "disk.on.fire", "policy": {"kind": "always"}}]}`, ErrUnknownPoint},
 		{"missing policy", `{"name": "x", "steps": [{"point": "urpc.drop"}]}`, ErrBadPolicy},

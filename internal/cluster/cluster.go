@@ -65,8 +65,6 @@ type Config struct {
 	QueueDepth int
 	// SegSize is each node's store segment size.
 	SegSize uint64
-	// Slots is the ring capacity of each urpc channel, in cache lines.
-	Slots int
 
 	// Replication configures warm standbys, checkpoint shipping and
 	// failover for remote nodes. See ReplicationConfig.
@@ -117,12 +115,12 @@ type ReplicationConfig struct {
 	StaleBound time.Duration
 }
 
-// OverloadConfig groups the overload-protection knobs. Breakers guard the
-// data path into each remote node; DegradedReads and QueueWatermark govern
-// when reads degrade to bounded-staleness frozen views instead of queueing
-// behind a saturated primary. Request deadline budgets arrive per request
-// (server.Request.Deadline) and need no switch here — the router honors
-// them whenever they are set.
+// OverloadConfig groups the overload-protection knobs: the breakers that
+// guard the data path into each remote node. While a node's breaker is not
+// closed, READONLY reads of it degrade to its bounded-staleness frozen view
+// instead of queueing behind a saturated primary (Router.frozenTarget).
+// Request deadline budgets arrive per request (server.Request.Deadline) and
+// need no switch here — the router honors them whenever they are set.
 type OverloadConfig struct {
 	// Breakers arms a closed→open→half-open circuit breaker per remote
 	// node, fed by data-call outcomes and health-probe evidence. An open
@@ -136,23 +134,6 @@ type OverloadConfig struct {
 	// BreakerCooldown is how long an open breaker fails fast before
 	// admitting a half-open probe. Default 100ms.
 	BreakerCooldown time.Duration
-	// DegradedReads serves overload-degraded reads to every connection,
-	// not only those that opted in via READONLY. Requires replication —
-	// the fork engine provides the frozen views — and clients that
-	// tolerate bounded staleness.
-	DegradedReads bool
-	// QueueWatermark is the worker queue depth at which reads start
-	// degrading to frozen views — the local-node analogue of an open
-	// breaker (a deep queue is the co-resident serving path's overload
-	// signal). 0 disables the watermark. With a watermark set and
-	// replication on, the monitor keeps a frozen view of every local node
-	// fresh on the ship cadence so there is something to degrade to.
-	QueueWatermark int
-}
-
-// active reports whether any overload-protection feature is switched on.
-func (c OverloadConfig) active() bool {
-	return c.Breakers || c.DegradedReads || c.QueueWatermark > 0
 }
 
 func (c Config) withDefaults() Config {
@@ -173,9 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SegSize == 0 {
 		c.SegSize = 8 << 20
-	}
-	if c.Slots <= 0 {
-		c.Slots = 256
 	}
 	if c.MigrationDeltaLog <= 0 {
 		c.MigrationDeltaLog = 4096
@@ -235,7 +213,6 @@ func New(sys *core.System, cfg Config) (*Router, error) {
 		// Headroom in the channel capacities for nodes added later.
 		r.shipCh = make(chan int, cfg.Nodes*4)
 		r.suspectCh = make(chan int, cfg.Nodes*16)
-		r.monCtl = make(chan int, cfg.Nodes)
 		r.forks = fork.New(sys, r.obs)
 	}
 	r.obs.InstallClusterNodes(cfg.Nodes)
@@ -272,10 +249,13 @@ func New(sys *core.System, cfg Config) (*Router, error) {
 		}
 	}
 	if cfg.Replication.Enabled && len(r.replicatedNodes()) > 0 {
-		if err := r.newMonitor(); err != nil {
+		// The monitor claims last, so its core lands after the nodes'.
+		proc, th, err := r.claimThread()
+		if err != nil {
 			r.teardownPartial()
 			return nil, fmt.Errorf("cluster: health monitor: %w", err)
 		}
+		r.mon = &monitor{proc: proc, th: th, eps: endpointSet{coreID: th.Core.ID}}
 	}
 	// Only now do the worker and monitor goroutines start driving their
 	// cores.
@@ -296,10 +276,8 @@ func New(sys *core.System, cfg Config) (*Router, error) {
 func (r *Router) teardownPartial() {
 	r.cancel()
 	for _, w := range r.workers {
-		for _, c := range w.locals {
-			if c != nil {
-				c.Close()
-			}
+		for _, c := range w.clients {
+			c.Close()
 		}
 		w.proc.Exit()
 	}
@@ -307,20 +285,17 @@ func (r *Router) teardownPartial() {
 		r.mon.proc.Exit()
 	}
 	for _, n := range r.nodes {
-		if n.client != nil {
-			n.client.Close()
-		}
-		if n.proc != nil {
-			n.proc.Exit()
-		}
+		n.shutdown()
 	}
 	r.destroyStores()
 }
 
-// destroyStores removes every node store (and standby replica) that exists,
-// through a short-lived admin process, and frees the scratch heaps orphaned
-// by crashed node processes — the reaper only reclaims private segments,
-// and a crashed client's scratch heap is a named global one.
+// destroyStores releases every frozen view and removes every node store
+// (and standby replica) that exists, through a short-lived admin process —
+// node threads may be dead from crash injection — and frees the scratch
+// heaps orphaned by crashed node processes: the reaper only reclaims
+// private segments, and a crashed client's scratch heap is a named global
+// one (a node that shut down in order freed its own; the lookup misses).
 func (r *Router) destroyStores() error {
 	proc, th, err := r.claimThread()
 	if err != nil {
@@ -328,6 +303,14 @@ func (r *Router) destroyStores() error {
 	}
 	defer proc.Exit()
 	var errs error
+	// Frozen views go first: a view pins its live object as a COW parent,
+	// so releasing it keeps the live store's teardown a plain free. The
+	// workers — the views' only readers — have exited.
+	if r.forks != nil {
+		if err := r.forks.Close(th); err != nil {
+			errs = fmt.Errorf("fork engine: %w", err)
+		}
+	}
 	// Iterate the actual node list, not cfg.Nodes: AddNode grows it past
 	// the configured size, and removed nodes' stores (already destroyed at
 	// removal) fall through the ErrNotFound tolerance.
@@ -342,7 +325,7 @@ func (r *Router) destroyStores() error {
 		}
 	}
 	for _, n := range r.nodes {
-		if n.proc == nil || !n.crashed.Load() {
+		if n.proc == nil {
 			continue
 		}
 		if sid, err := th.SegFind(redis.ScratchName(n.names, n.proc.PID)); err == nil {
@@ -352,21 +335,6 @@ func (r *Router) destroyStores() error {
 		}
 	}
 	return errs
-}
-
-// closeForks releases every outstanding frozen view through a short-lived
-// admin process, exactly as destroyStores does for the stores themselves.
-// Runs after the workers exited (their cores are free to claim, and no
-// frozen-view attachments remain) and before destroyStores (a frozen view
-// pins its live object as a COW parent; releasing first keeps the
-// live-store teardown a plain free).
-func (r *Router) closeForks() error {
-	proc, th, err := r.claimThread()
-	if err != nil {
-		return err
-	}
-	defer proc.Exit()
-	return r.forks.Close(th)
 }
 
 // Close drains the cluster: the monitor stops (its timers die with the
@@ -397,30 +365,10 @@ func (r *Router) Close() error {
 			}
 			r.eng = nil
 		}
-		// Workers have detached from every frozen view; release them all
-		// before the stores they were forked from are destroyed. An admin
-		// thread drives the teardown — node threads may be dead from
-		// crash injection.
-		if r.forks != nil {
-			if err := r.closeForks(); err != nil {
-				r.closeErr = errors.Join(r.closeErr, fmt.Errorf("fork engine: %w", err))
-			}
-		}
-		// No worker can call into a node anymore; this goroutine may now
-		// drive the node threads for teardown. Crashed processes are
-		// already gone — the reaper ran at crash time — and removed nodes
-		// were torn down at removal.
+		// No worker can call into a node anymore.
 		for _, n := range r.nodes {
-			if n.crashed.Load() || n.removed.Load() {
-				continue
-			}
-			if n.client != nil {
-				if err := n.client.Close(); err != nil {
-					r.closeErr = errors.Join(r.closeErr, fmt.Errorf("node %d: %w", n.id, err))
-				}
-			}
-			if n.proc != nil {
-				n.proc.Exit()
+			if err := n.shutdown(); err != nil {
+				r.closeErr = errors.Join(r.closeErr, fmt.Errorf("node %d: %w", n.id, err))
 			}
 		}
 		if err := r.destroyStores(); err != nil {
@@ -437,14 +385,14 @@ func (r *Router) Close() error {
 // holds it to that. Safe to call while the cluster serves: every channel
 // into a node is only driven under that node's mutex, which this takes per
 // node, and the node/endpoint lists are read under the topology lock (the
-// monitor's endpoint map is additionally guarded per node: the monitor
-// only grows it before the node's first probe, under monCtl handling).
+// monitor's and the engine's endpoint sets, which grow on first use, carry
+// their own mutex).
 func (r *Router) PendingFrames() int {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
 	var total int
 	for _, n := range r.nodes {
-		if n.local || n.removed.Load() {
+		if n.local || n.serving() == servingRemoved {
 			continue
 		}
 		n.mu.Lock()
@@ -454,14 +402,10 @@ func (r *Router) PendingFrames() int {
 			}
 		}
 		if r.mon != nil {
-			if ep := r.mon.epFor(n.id); ep != nil {
-				total += ep.Pending()
-			}
+			total += r.mon.eps.pending(n.id)
 		}
 		if r.eng != nil {
-			if ep := r.eng.existingEp(n.id); ep != nil {
-				total += ep.Pending()
-			}
+			total += r.eng.eps.pending(n.id)
 		}
 		n.mu.Unlock()
 	}
@@ -515,7 +459,6 @@ type Router struct {
 
 	shipCh    chan int // monitor pokes: write-count ship triggers
 	suspectCh chan int // monitor pokes: data-path timeout evidence
-	monCtl    chan int // monitor pokes: wire a probe endpoint to a new node
 
 	workerWG  sync.WaitGroup
 	mgrWG     sync.WaitGroup

@@ -31,7 +31,13 @@ func startCluster(t *testing.T, cfg Config, reg *fault.Registry) (*hw.Machine, *
 // the overload tests stamp per-command deadline defaults there.
 func startClusterSrvCfg(t *testing.T, cfg Config, reg *fault.Registry, srvCfg server.Config) (*hw.Machine, *Router, *server.Server) {
 	t.Helper()
-	hwCfg := hw.SmallTest()
+	return startClusterOn(t, hw.SmallTest(), cfg, reg, srvCfg)
+}
+
+// startClusterOn is startClusterSrvCfg on a machine of the caller's
+// choosing — for tests that need more than the small machine's four cores.
+func startClusterOn(t *testing.T, hwCfg hw.MachineConfig, cfg Config, reg *fault.Registry, srvCfg server.Config) (*hw.Machine, *Router, *server.Server) {
+	t.Helper()
 	if cfg.Replication.Enabled {
 		// Checkpoint shipping needs somewhere durable to put generations;
 		// the small test machine has NVM but no superblock by default.

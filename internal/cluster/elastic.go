@@ -33,7 +33,7 @@ func (r *Router) AddNode() (int, error) {
 	r.obs.InstallClusterNodes(id + 1)
 	eps := make([]*urpc.Endpoint, len(r.workers))
 	for i, w := range r.workers {
-		eps[i] = urpc.Connect(r.sys.M, w.coreID, n.coreID, r.cfg.Slots, n.handler)
+		eps[i] = r.connect(w.th.Core.ID, n)
 	}
 	r.topoMu.Lock()
 	r.nodes = append(r.nodes, n)
@@ -41,13 +41,10 @@ func (r *Router) AddNode() (int, error) {
 		w.endpoints[id] = eps[i]
 	}
 	r.topoMu.Unlock()
-	if n.replicated && r.monCtl != nil && r.mon != nil {
-		// Hand the node to the monitor: it wires a probe endpoint and
-		// warms the standby with an initial ship.
-		select {
-		case r.monCtl <- id:
-		case <-r.ctx.Done():
-		}
+	if n.replicated && r.mon != nil {
+		// Hand the node to the monitor: the first ship warms the standby,
+		// and probes start with the next tick.
+		poke(r.shipCh, id)
 	}
 	r.obs.ClusterNodeAdded(id)
 	return id, nil
@@ -55,10 +52,11 @@ func (r *Router) AddNode() (int, error) {
 
 // RemoveNode drains node id — migrating every slot it owns to the
 // least-loaded remaining nodes — then decommissions it: the routing entry
-// is tombstoned under the topology lock, the node's process exits and its
-// store (and standby, unless the standby was promoted and is still the
-// range's serving copy... which drain has just emptied) is destroyed. The
-// node id is never reused.
+// is tombstoned under the topology lock, the node's process exits (a
+// promoted node's already died, at crash time), and both its store and its
+// standby are destroyed — after the drain neither holds a key the cluster
+// still routes to, whichever of the two was serving. The node id is never
+// reused.
 func (r *Router) RemoveNode(id int) error {
 	r.lifecycleMu.Lock()
 	defer r.lifecycleMu.Unlock()
@@ -72,7 +70,7 @@ func (r *Router) RemoveNode(id int) error {
 	if n.local {
 		return fmt.Errorf("cluster: node %d is co-resident; it cannot be removed", id)
 	}
-	if !nodeActive(n) {
+	if !n.serving().active() {
 		return fmt.Errorf("cluster: node %d is not serving; its slots cannot be drained", id)
 	}
 	// Drain: move every owned slot to the active node with the fewest
@@ -96,30 +94,22 @@ func (r *Router) RemoveNode(id int) error {
 	r.topoMu.Lock()
 	n.removed.Store(true)
 	r.topoMu.Unlock()
-	// Teardown. A promoted node's primary process already died at crash
-	// time; otherwise the node's own client and process go down here. No
-	// worker can reach the node (it owns no slots), so this goroutine may
-	// drive its thread.
-	n.mu.Lock()
-	if !n.crashed.Load() {
-		if n.client != nil {
-			if err := n.client.Close(); err != nil {
-				n.mu.Unlock()
-				return fmt.Errorf("cluster: remove node %d: %w", id, err)
-			}
-		}
-		if n.proc != nil {
-			n.proc.Exit()
-		}
+	// No worker can reach the node (it owns no slots): take it down.
+	if err := n.shutdown(); err != nil {
+		return fmt.Errorf("cluster: remove node %d: %w", id, err)
 	}
-	n.mu.Unlock()
-	// Destroy the stores through the engine's thread. Tolerate missing
+	// Destroy the stores through the engine's thread — which lets go of
+	// its own attachment to a promoted standby first. Tolerate missing
 	// segments — a crashed primary's store may already be gone.
 	e, err := r.ensureEngine()
 	if err != nil {
 		return err
 	}
 	var errs error
+	if c := e.clients[id]; c != nil {
+		delete(e.clients, id)
+		errs = c.Close()
+	}
 	if derr := redis.DestroyNamed(e.th, redis.ShardNames(id)); derr != nil && !errors.Is(derr, core.ErrNotFound) {
 		errs = errors.Join(errs, derr)
 	}
@@ -168,7 +158,7 @@ func (r *Router) activeNodes() []*node {
 	defer r.topoMu.RUnlock()
 	var out []*node
 	for _, n := range r.nodes {
-		if nodeActive(n) {
+		if n.serving().active() {
 			out = append(out, n)
 		}
 	}
@@ -189,7 +179,7 @@ func (r *Router) RebalanceInto(id int) (int, error) {
 	if n == nil {
 		return 0, fmt.Errorf("cluster: no node %d", id)
 	}
-	if !nodeActive(n) {
+	if !n.serving().active() {
 		return 0, fmt.Errorf("cluster: node %d not serving", id)
 	}
 	moved := 0

@@ -24,30 +24,19 @@ var forkWire = redis.EncodeCommand(redis.ClusterFork)
 // the extraction or apply fails, the taken window is restored: those writes
 // are still newer than whatever image the standby holds.
 func (m *monitor) ship(r *Router, n *node) {
-	if n.promoted.Load() || n.crashed.Load() || n.removed.Load() {
+	if n.serving() != servingPrimary {
 		return
 	}
-	switch n.curState() {
-	case StateFailed, StatePromoting, StateDegraded:
-		return
-	}
-	ep := m.epFor(n.id)
-	if ep == nil {
-		return
-	}
+	ep := m.eps.to(r, n)
 	n.mu.Lock()
-	if n.crashed.Load() {
-		n.mu.Unlock()
-		return
-	}
-	resp, err := ep.CallBulk(forkWire)
-	if err != nil || len(resp) == 0 || n.crashed.Load() {
+	resp, err := n.callBulk(ep, forkWire)
+	if err != nil {
 		n.mu.Unlock()
 		r.obs.ClusterShipFailure(n.id)
 		m.noteFailure(r, n)
 		return
 	}
-	entries, dropped := n.takeDelta()
+	entries, dropped := n.delta.take()
 	n.mu.Unlock()
 
 	gen, err := parseForkReply(resp)
@@ -70,7 +59,7 @@ func (m *monitor) ship(r *Router, n *node) {
 		// The primary answered but could not produce (or we could not
 		// apply) a usable view — a checkpoint fault, not dead-node
 		// evidence. Keep the window for the next attempt.
-		n.restoreDelta(entries, dropped)
+		n.delta.restore(entries, dropped)
 		r.obs.ClusterShipFailure(n.id)
 		return
 	}
@@ -102,7 +91,7 @@ func (m *monitor) promote(r *Router, n *node) {
 	// views of the dead primary are semantically stale in a way no
 	// staleness bound covers — follower reads must fall back immediately.
 	r.forks.InvalidateNode(n.id, "promotion")
-	if !n.rep.applied {
+	if !n.warm {
 		img, err := r.sys.CheckpointSegment(n.names.Seg)
 		if err == nil {
 			err = m.applyImage(n, img)
@@ -112,13 +101,17 @@ func (m *monitor) promote(r *Router, n *node) {
 			return
 		}
 	}
-	entries, dropped := n.takeDelta()
-	var replayed, lost uint64
-	if dropped > 0 {
-		lost = dropped + uint64(len(entries))
-	} else if len(entries) > 0 {
-		replayed, lost = m.replay(r, n, entries)
+	entries, dropped := n.delta.take()
+	var replayed uint64
+	if dropped == 0 && len(entries) > 0 {
+		// The standby is not promoted yet, so it is attached by name,
+		// through a temporary client on the monitor's thread.
+		if c, err := redis.NewClientNamed(m.th, r.cfg.SegSize, n.standby); err == nil {
+			replayed, _ = replay(n, target{client: c}, entries)
+			c.Close()
+		}
 	}
+	lost := dropped + uint64(len(entries)) - replayed
 	n.lost.Add(lost)
 	r.topoMu.Lock()
 	n.promoted.Store(true)
@@ -126,25 +119,6 @@ func (m *monitor) promote(r *Router, n *node) {
 	r.topoMu.Unlock()
 	r.obs.ClusterNodeState(n.id, StateHealthy.String())
 	r.obs.ClusterPromotion(n.id, replayed, lost)
-}
-
-// replay applies the buffered post-checkpoint writes onto the standby, in
-// arrival order, through a temporary client on the monitor's thread.
-func (m *monitor) replay(r *Router, n *node, entries [][]string) (replayed, lost uint64) {
-	c, err := redis.NewClientNamed(m.th, r.cfg.SegSize, n.standby)
-	if err != nil {
-		return 0, uint64(len(entries))
-	}
-	defer c.Close()
-	for _, args := range entries {
-		resp := redis.Execute(c, args)
-		if len(resp) > 0 && resp[0] == '-' {
-			lost++
-		} else {
-			replayed++
-		}
-	}
-	return replayed, lost
 }
 
 // KillNode crashes remote node id abruptly: the process dies with whatever

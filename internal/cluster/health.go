@@ -2,74 +2,26 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"spacejmp/internal/core"
 	"spacejmp/internal/fault"
 	"spacejmp/internal/redis"
 	"spacejmp/internal/server"
-	"spacejmp/internal/urpc"
 )
 
 // monitor is the cluster's health-and-replication agent: one goroutine with
 // its own process, thread and front-end core, plus a private urpc endpoint
-// to every replicated node (probes must not queue behind data traffic on
-// the workers' channels). It ships checkpoints to the standbys, probes the
-// primaries, and drives the failover state machine.
+// to every replicated node. It ships checkpoints to the standbys, probes
+// the primaries, and drives the failover state machine.
 type monitor struct {
-	proc   *core.Process
-	th     *core.Thread
-	coreID int
-
-	// epMu guards eps: the monitor goroutine grows the map when AddNode
-	// hands it a new replicated node (monCtl), and PendingFrames reads it
-	// from outside.
-	epMu  sync.Mutex
-	eps   map[int]*urpc.Endpoint // replicated remote nodes, by node id
-	fails map[int]int            // consecutive probe failures
-	skip  map[int]int            // probe-backoff ticks remaining
-}
-
-// epFor returns the monitor's probe endpoint to node id, if any.
-func (m *monitor) epFor(id int) *urpc.Endpoint {
-	m.epMu.Lock()
-	defer m.epMu.Unlock()
-	return m.eps[id]
-}
-
-// setEp installs a probe endpoint for a node wired after construction.
-func (m *monitor) setEp(id int, ep *urpc.Endpoint) {
-	m.epMu.Lock()
-	defer m.epMu.Unlock()
-	m.eps[id] = ep
+	proc *core.Process
+	th   *core.Thread
+	eps  endpointSet
 }
 
 // pingWire is the monitor's probe command, pre-encoded.
 var pingWire = redis.EncodeCommand("PING")
-
-// newMonitor claims a core for the health monitor and connects it to every
-// replicated node. Called after workers and nodes, so the monitor's core
-// lands after theirs.
-func (r *Router) newMonitor() error {
-	proc, th, err := r.claimThread()
-	if err != nil {
-		return err
-	}
-	m := &monitor{
-		proc: proc, th: th, coreID: th.Core.ID,
-		eps:   map[int]*urpc.Endpoint{},
-		fails: map[int]int{},
-		skip:  map[int]int{},
-	}
-	for _, n := range r.nodes {
-		if n.replicated {
-			m.eps[n.id] = urpc.Connect(r.sys.M, m.coreID, n.coreID, r.cfg.Slots, n.handler)
-		}
-	}
-	r.mon = m
-	return nil
-}
 
 // runMonitor is the monitor goroutine: warm every standby with an initial
 // ship, then alternate probe ticks, periodic ships, write-count-triggered
@@ -90,16 +42,9 @@ func (r *Router) runMonitor() {
 		select {
 		case <-r.ctx.Done():
 			return
-		case nid := <-r.monCtl:
-			// AddNode wired a new replicated node: connect a probe
-			// endpoint and warm its standby with an initial ship.
-			n := r.nodeByID(nid)
-			if n == nil || !n.replicated {
-				continue
-			}
-			m.setEp(nid, urpc.Connect(r.sys.M, m.coreID, n.coreID, r.cfg.Slots, n.handler))
-			m.ship(r, n)
 		case nid := <-r.shipCh:
+			// A write-count trigger, or AddNode handing over a new
+			// replicated node: its first ship warms the standby.
 			if n := r.nodeByID(nid); n != nil {
 				m.ship(r, n)
 			}
@@ -112,11 +57,10 @@ func (r *Router) runMonitor() {
 			}
 		case <-ship.C:
 			for _, n := range r.replicatedNodes() {
-				if n.pendingWrites() {
+				if buffered, dropped := n.delta.pending(); buffered > 0 || dropped > 0 {
 					m.ship(r, n)
 				}
 			}
-			m.refreshLocalForks(r)
 		case <-probe.C:
 			for _, n := range r.replicatedNodes() {
 				m.probe(r, n)
@@ -132,7 +76,7 @@ func (r *Router) replicatedNodes() []*node {
 	defer r.topoMu.RUnlock()
 	var out []*node
 	for _, n := range r.nodes {
-		if n.replicated && !n.removed.Load() {
+		if n.replicated && n.serving() != servingRemoved {
 			out = append(out, n)
 		}
 	}
@@ -144,7 +88,7 @@ func (r *Router) replicatedNodes() []*node {
 func (r *Router) nodeByID(id int) *node {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
-	if id < 0 || id >= len(r.nodes) || r.nodes[id].removed.Load() {
+	if id < 0 || id >= len(r.nodes) || r.nodes[id].serving() == servingRemoved {
 		return nil
 	}
 	return r.nodes[id]
@@ -155,36 +99,24 @@ func (r *Router) nodeByID(id int) *node {
 // consecutive failures back off (skip fails-1 ticks) so a flapping node is
 // not hammered while it is counted toward the threshold.
 func (m *monitor) probe(r *Router, n *node) {
-	if n.promoted.Load() {
+	if !n.serving().watched() {
 		return
 	}
-	switch n.curState() {
-	case StateFailed, StatePromoting, StateDegraded:
-		return
-	}
-	if m.skip[n.id] > 0 {
-		m.skip[n.id]--
-		return
-	}
-	ep := m.epFor(n.id)
-	if ep == nil {
+	if n.skip > 0 {
+		n.skip--
 		return
 	}
 	ok := false
 	if !r.sys.M.Faults.FireAt(fault.ClusterProbeDrop, n.id) {
-		_, _, err := n.call(ep, pingWire, 0)
+		_, _, err := n.call(m.eps.to(r, n), pingWire, 0)
 		ok = err == nil
 	}
 	r.obs.ClusterProbe(ok)
-	if ok {
-		m.noteSuccess(r, n)
-	} else {
+	if !ok {
 		m.noteFailure(r, n)
+		return
 	}
-}
-
-func (m *monitor) noteSuccess(r *Router, n *node) {
-	m.fails[n.id], m.skip[n.id] = 0, 0
+	n.fails, n.skip = 0, 0
 	n.noteProbe(true)
 	if n.curState() == StateSuspect {
 		n.setState(StateHealthy, r.obs)
@@ -194,52 +126,18 @@ func (m *monitor) noteSuccess(r *Router, n *node) {
 // noteFailure counts one piece of dead-node evidence and, at the
 // threshold, declares the node failed and promotes its standby.
 func (m *monitor) noteFailure(r *Router, n *node) {
-	if !n.replicated || n.promoted.Load() {
+	if !n.serving().watched() {
 		return
 	}
 	n.noteProbe(false)
-	switch n.curState() {
-	case StateFailed, StatePromoting, StateDegraded:
-		return
-	}
-	m.fails[n.id]++
-	m.skip[n.id] = m.fails[n.id] - 1
+	n.fails++
+	n.skip = n.fails - 1
 	if n.curState() == StateHealthy {
 		n.setState(StateSuspect, r.obs)
 	}
-	if m.fails[n.id] >= r.cfg.Replication.ProbeThreshold {
+	if n.fails >= r.cfg.Replication.ProbeThreshold {
 		n.setState(StateFailed, r.obs)
 		m.promote(r, n)
-	}
-}
-
-// refreshLocalForks keeps a frozen fork view of every local node current so
-// degraded reads have something to serve when the workers saturate. Remote
-// nodes get views as a side effect of checkpoint shipping; local nodes have
-// no ship path, so the monitor forks them here on the ship cadence, under
-// the full topology lock — the write side of the lock every worker holds
-// read-side per command, so the store is quiescent for the COW freeze
-// exactly as a remote node's mutex-held forkReply is. Gated on the queue
-// watermark: it is the only degradation trigger a local node has (breakers
-// are remote-only), so without one the views would be dead weight.
-func (m *monitor) refreshLocalForks(r *Router) {
-	if r.cfg.Overload.QueueWatermark <= 0 {
-		return
-	}
-	r.topoMu.Lock()
-	defer r.topoMu.Unlock()
-	for _, n := range r.nodes {
-		if !n.local || n.removed.Load() {
-			continue
-		}
-		if v := r.forks.Current(n.id); v != nil && v.Age() <= r.cfg.Replication.ShipInterval {
-			continue
-		}
-		if _, err := r.forks.Fork(m.th, n.id, n.names.Seg); err != nil {
-			// The store may not exist yet (bootstrapped lazily by the
-			// first worker client); try again next tick.
-			continue
-		}
 	}
 }
 
@@ -249,7 +147,7 @@ func (m *monitor) degrade(r *Router, n *node, err error) {
 	cause := err.Error()
 	n.cause.Store(&cause)
 	r.forks.InvalidateNode(n.id, "degraded")
-	entries, dropped := n.takeDelta()
+	entries, dropped := n.delta.take()
 	lost := dropped + uint64(len(entries))
 	n.lost.Add(lost)
 	r.obs.ClusterLostUpdates(lost)
@@ -264,26 +162,22 @@ func (r *Router) Health() []server.NodeHealth {
 	out := make([]server.NodeHealth, len(nodes))
 	for i, n := range nodes {
 		h := server.NodeHealth{Node: n.id, Local: n.local, State: StateHealthy.String()}
-		if n.removed.Load() {
+		switch s := n.serving(); {
+		case s == servingRemoved:
 			h.State = "removed"
-			out[i] = h
-			continue
-		}
-		if !n.local {
-			st := n.curState()
-			h.State = st.String()
+		case !n.local:
+			h.State = n.curState().String()
 			h.Replicated = n.replicated
-			h.Promoted = n.promoted.Load()
+			h.Promoted = s == servingStandby
 			h.LostUpdates = n.lost.Load()
-			buffered, dropped := n.deltaLen()
+			buffered, dropped := n.delta.pending()
 			h.DeltaBuffered = buffered + int(dropped)
 			if p := n.cause.Load(); p != nil {
 				h.Detail = *p
 			}
-			switch st {
-			case StateFailed, StatePromoting, StateDegraded:
-				h.Degraded = true
-			}
+			// The crash bit alone is not yet a verdict: the range counts as
+			// down once the monitor has ruled.
+			h.Degraded = s == servingFenced || s == servingDegraded
 			if h.Degraded && h.Detail == "" {
 				h.Detail = fmt.Sprintf("range %d not serving", n.id)
 			}

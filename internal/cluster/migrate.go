@@ -11,65 +11,37 @@ import (
 
 	"spacejmp/internal/core"
 	"spacejmp/internal/redis"
-	"spacejmp/internal/urpc"
 )
 
 // migration is one in-flight slot move, published in Router.migs while the
 // copy runs. Workers that route a write onto the slot serialize through mu
 // and append the applied command to delta — the bounded log the engine
-// replays onto the target before flipping ownership. fenced flips just
-// before the table install: from then on writes get the retryable -MOVED
-// while reads keep serving the still-authoritative source.
+// replays onto the target before flipping ownership; if it overflows, the
+// engine aborts and rolls back rather than replay a truncated log. fenced
+// flips just before the table install: from then on writes get the
+// retryable -MOVED while reads keep serving the still-authoritative source.
 type migration struct {
 	slot, src, dst int
 
 	fenced atomic.Bool
 
-	// mu serializes writes on the migrating slot with the delta log, so
-	// the log's order is exactly the source store's apply order.
-	mu       sync.Mutex
-	delta    [][]string
-	overflow bool
-}
-
-// record appends one applied write. Called with mu held (the worker wraps
-// execute+record in one critical section). On overflow the migration is
-// poisoned — the engine aborts and rolls back rather than replay a
-// truncated log.
-func (m *migration) record(args []string, bound int) {
-	if m.overflow || len(m.delta) >= bound {
-		m.overflow = true
-		return
-	}
-	m.delta = append(m.delta, args)
-}
-
-// drain takes the buffered window, reporting whether the log overflowed.
-func (m *migration) drain() ([][]string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	entries, of := m.delta, m.overflow
-	m.delta = nil
-	return entries, of
+	// mu makes a worker's execute-then-record on the migrating slot one
+	// step, so the log's order is exactly the source store's apply order.
+	mu    sync.Mutex
+	delta deltaLog
 }
 
 // engine is the migration agent: its own process, thread and core (claimed
 // lazily at the first lifecycle operation), a private urpc endpoint per
-// remote node (copies must not queue behind data traffic on the workers'
-// channels) and a cached client per co-resident store. All use is
-// serialized by Router.lifecycleMu.
+// remote node and a cached client per store it reaches by switching VAS.
+// All use is serialized by Router.lifecycleMu.
 type engine struct {
-	r      *Router
-	proc   *core.Process
-	th     *core.Thread
-	coreID int
+	r    *Router
+	proc *core.Process
+	th   *core.Thread
 
-	// epMu guards eps: the engine grows the map mid-migration while
-	// PendingFrames reads it from outside.
-	epMu sync.Mutex
-	eps  map[int]*urpc.Endpoint
-
-	locals map[int]*redis.Client // co-resident stores, attached lazily
+	eps     endpointSet
+	clients map[int]*redis.Client // co-resident stores and promoted standbys, by node id
 }
 
 // ensureEngine lazily claims the engine's core. Caller holds lifecycleMu.
@@ -84,9 +56,9 @@ func (r *Router) ensureEngine() (*engine, error) {
 		return nil, fmt.Errorf("migration engine: %w", err)
 	}
 	e := &engine{
-		r: r, proc: proc, th: th, coreID: th.Core.ID,
-		eps:    map[int]*urpc.Endpoint{},
-		locals: map[int]*redis.Client{},
+		r: r, proc: proc, th: th,
+		eps:     endpointSet{coreID: th.Core.ID},
+		clients: map[int]*redis.Client{},
 	}
 	r.topoMu.Lock()
 	r.eng = e
@@ -96,7 +68,7 @@ func (r *Router) ensureEngine() (*engine, error) {
 
 func (e *engine) close() error {
 	var errs error
-	for _, c := range e.locals {
+	for _, c := range e.clients {
 		if err := c.Close(); err != nil {
 			errs = errors.Join(errs, err)
 		}
@@ -105,76 +77,36 @@ func (e *engine) close() error {
 	return errs
 }
 
-// epFor returns (connecting on first use) the engine's endpoint to a
-// remote node.
-func (e *engine) epFor(n *node) *urpc.Endpoint {
-	e.epMu.Lock()
-	defer e.epMu.Unlock()
-	if ep := e.eps[n.id]; ep != nil {
-		return ep
+// reach resolves how the engine gets at node n's serving copy, by the same
+// answer the workers route on: a client on the VAS path for a co-resident
+// store or a promoted standby, its private endpoint for a remote primary.
+// A node with no serving copy — fenced or crashed mid-migration — is an
+// error, so a copy can never land on a primary the range has left behind.
+func (e *engine) reach(n *node) (target, error) {
+	switch s := n.serving(); {
+	case s == servingPrimary && !n.local:
+		return target{ep: e.eps.to(e.r, n)}, nil
+	case s.active():
+		c, err := e.r.attachStore(e.th, e.clients, n)
+		return target{client: c}, err
 	}
-	ep := urpc.Connect(e.r.sys.M, e.coreID, n.coreID, e.r.cfg.Slots, n.handler)
-	e.eps[n.id] = ep
-	return ep
-}
-
-// existingEp returns the engine's endpoint to node id without connecting.
-func (e *engine) existingEp(id int) *urpc.Endpoint {
-	e.epMu.Lock()
-	defer e.epMu.Unlock()
-	return e.eps[id]
-}
-
-// clientFor resolves how the engine reaches a node's serving store on the
-// VAS fast path, if it can: a cached client for a co-resident store, a
-// transient client for a promoted standby (the primary is dead; release
-// closes it). A nil client means "use urpc".
-func (e *engine) clientFor(n *node) (c *redis.Client, release func(), err error) {
-	noop := func() {}
-	if n.local {
-		if c := e.locals[n.id]; c != nil {
-			return c, noop, nil
-		}
-		c, err := redis.NewClientNamed(e.th, e.r.cfg.SegSize, n.names)
-		if err != nil {
-			return nil, noop, fmt.Errorf("node %d store: %w", n.id, err)
-		}
-		e.locals[n.id] = c
-		return c, noop, nil
-	}
-	if n.promoted.Load() {
-		c, err := redis.NewClientNamed(e.th, e.r.cfg.SegSize, n.standby)
-		if err != nil {
-			return nil, noop, fmt.Errorf("node %d standby: %w", n.id, err)
-		}
-		return c, func() { c.Close() }, nil
-	}
-	return nil, noop, nil
-}
-
-// callCheck runs one command on a remote node through the engine's
-// endpoint and surfaces an error reply as an error.
-func (e *engine) callCheck(n *node, wire []byte) error {
-	resp, _, err := n.call(e.epFor(n), wire, 0)
-	if err == nil {
-		_, _, err = redis.DecodeReply(resp) // an error reply decodes to a ReplyError
-	}
-	return err
+	return target{}, fmt.Errorf("node %d not serving", n.id)
 }
 
 // dumpSlot reads a slot's pairs off a node: DumpSlot on the fast path,
 // CLUSTER.MIGRATE (bulk gob) over urpc.
 func (e *engine) dumpSlot(n *node, slot int) ([]redis.KV, error) {
-	c, release, err := e.clientFor(n)
+	t, err := e.reach(n)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	if c != nil {
-		return c.DumpSlot(slot, NumSlots)
+	if t.client != nil {
+		return t.client.DumpSlot(slot, NumSlots)
 	}
 	wire := redis.EncodeCommand(redis.ClusterMigrate, strconv.Itoa(slot), strconv.Itoa(NumSlots))
-	resp, err := n.callBulk(e.epFor(n), wire)
+	n.mu.Lock()
+	resp, err := n.callBulk(t.ep, wire)
+	n.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -200,14 +132,13 @@ const importChunkBytes = 4 << 10
 // importPairs replays a slot's pairs into the target: direct Sets on the
 // fast path, chunked CLUSTER.IMPORT commands over urpc.
 func (e *engine) importPairs(n *node, slot int, pairs []redis.KV) error {
-	c, release, err := e.clientFor(n)
+	t, err := e.reach(n)
 	if err != nil {
 		return err
 	}
-	defer release()
-	if c != nil {
+	if t.client != nil {
 		for _, kv := range pairs {
-			if err := c.Set(string(kv.Key), kv.Val); err != nil {
+			if err := t.client.Set(string(kv.Key), kv.Val); err != nil {
 				return err
 			}
 		}
@@ -224,7 +155,7 @@ func (e *engine) importPairs(n *node, slot int, pairs []redis.KV) error {
 			return fmt.Errorf("import encode: %w", err)
 		}
 		wire := redis.EncodeCommand(redis.ClusterImport, strconv.Itoa(slot), buf.String())
-		if err := e.callCheck(n, wire); err != nil {
+		if err := n.callCheck(t.ep, wire); err != nil {
 			return err
 		}
 		start = end
@@ -232,56 +163,35 @@ func (e *engine) importPairs(n *node, slot int, pairs []redis.KV) error {
 	return nil
 }
 
-// applyEntry replays one delta-log write onto the target.
-func (e *engine) applyEntry(n *node, args []string) error {
-	c, release, err := e.clientFor(n)
+// replay drains the migration's delta log onto the target and returns how
+// many entries it applied. The target is resolved once per window — also
+// for an empty one, so ownership never flips onto a node that stopped
+// serving during the copy.
+func (e *engine) replay(mig *migration, n *node) (uint64, error) {
+	entries, dropped := mig.delta.take()
+	if dropped > 0 {
+		return 0, errors.New("delta log overflow")
+	}
+	t, err := e.reach(n)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	defer release()
-	if c != nil {
-		_, _, err := redis.DecodeReply(redis.Execute(c, args))
-		return err
-	}
-	return e.callCheck(n, redis.EncodeCommand(args...))
+	return replay(n, t, entries)
 }
 
 // cleanupSlot deletes a node's copy of a slot (the source after a flip, or
 // the target after a rollback).
 func (e *engine) cleanupSlot(n *node, slot int) error {
-	c, release, err := e.clientFor(n)
+	t, err := e.reach(n)
 	if err != nil {
 		return err
 	}
-	defer release()
-	if c != nil {
-		_, err := c.DelSlot(slot, NumSlots)
+	if t.client != nil {
+		_, err := t.client.DelSlot(slot, NumSlots)
 		return err
 	}
 	wire := redis.EncodeCommand(redis.ClusterCleanup, strconv.Itoa(slot), strconv.Itoa(NumSlots))
-	return e.callCheck(n, wire)
-}
-
-// nodeActive reports whether a node can serve its slots right now: local
-// stores always, a promoted standby, or a healthy/suspect remote primary.
-func nodeActive(n *node) bool {
-	if n.removed.Load() {
-		return false
-	}
-	if n.local {
-		return true
-	}
-	if n.promoted.Load() {
-		return true
-	}
-	if n.crashed.Load() {
-		return false
-	}
-	switch n.curState() {
-	case StateFailed, StatePromoting, StateDegraded:
-		return false
-	}
-	return true
+	return n.callCheck(t.ep, wire)
 }
 
 // MigrateSlot moves one placement slot to node dst while the cluster keeps
@@ -332,11 +242,11 @@ func (r *Router) migrateSlotLocked(slot, dst int) error {
 		r.obs.ClusterSlotMoveFailed(slot, src, dst, cause.Error())
 		return fmt.Errorf("cluster: migrate slot %d (%d→%d): %w", slot, src, dst, cause)
 	}
-	if !nodeActive(dstN) {
+	if !dstN.serving().active() {
 		return abort(fmt.Errorf("target node %d not serving", dst))
 	}
 	srcN := r.nodeByID(src)
-	if srcN == nil || !nodeActive(srcN) {
+	if srcN == nil || !srcN.serving().active() {
 		return abort(fmt.Errorf("source node %d not serving", src))
 	}
 	e, err := r.ensureEngine()
@@ -344,7 +254,7 @@ func (r *Router) migrateSlotLocked(slot, dst int) error {
 		return err
 	}
 
-	mig := &migration{slot: slot, src: src, dst: dst}
+	mig := &migration{slot: slot, src: src, dst: dst, delta: deltaLog{bound: r.cfg.MigrationDeltaLog}}
 	r.migs[slot].Store(mig)
 	fail := func(imported bool, cause error) error {
 		r.migs[slot].Store(nil)
@@ -353,8 +263,7 @@ func (r *Router) migrateSlotLocked(slot, dst int) error {
 			// never flipped, so the source stays authoritative either way.
 			_ = e.cleanupSlot(dstN, slot)
 		}
-		r.obs.ClusterSlotMoveFailed(slot, src, dst, cause.Error())
-		return fmt.Errorf("cluster: migrate slot %d (%d→%d): %w", slot, src, dst, cause)
+		return abort(cause)
 	}
 
 	pairs, err := e.dumpSlot(srcN, slot)
@@ -373,17 +282,12 @@ func (r *Router) migrateSlotLocked(slot, dst int) error {
 	// window (where writers see -MOVED) stays short.
 	var replayed uint64
 	for i := 0; i < 8; i++ {
-		entries, overflow := mig.drain()
-		if overflow {
-			return fail(true, errors.New("delta log overflow"))
+		applied, err := e.replay(mig, dstN)
+		if err != nil {
+			return fail(true, fmt.Errorf("replay: %w", err))
 		}
-		for _, args := range entries {
-			if err := e.applyEntry(dstN, args); err != nil {
-				return fail(true, fmt.Errorf("replay: %w", err))
-			}
-		}
-		replayed += uint64(len(entries))
-		if len(entries) < 16 {
+		replayed += applied
+		if applied < 16 {
 			break
 		}
 	}
@@ -393,18 +297,12 @@ func (r *Router) migrateSlotLocked(slot, dst int) error {
 	// after this the delta log is final.
 	mig.fenced.Store(true)
 	r.topoMu.Lock()
-	entries, overflow := mig.drain()
-	if overflow {
+	applied, err := e.replay(mig, dstN)
+	if err != nil {
 		r.topoMu.Unlock()
-		return fail(true, errors.New("delta log overflow"))
+		return fail(true, fmt.Errorf("final replay: %w", err))
 	}
-	for _, args := range entries {
-		if err := e.applyEntry(dstN, args); err != nil {
-			r.topoMu.Unlock()
-			return fail(true, fmt.Errorf("final replay: %w", err))
-		}
-	}
-	replayed += uint64(len(entries))
+	replayed += applied
 	t := r.Table().clone()
 	t.Owners[slot] = dst
 	r.installTable(t)

@@ -11,7 +11,10 @@ import (
 	"time"
 
 	"spacejmp/internal/fault"
+	"spacejmp/internal/hw"
 	"spacejmp/internal/redis"
+	"spacejmp/internal/server"
+	"spacejmp/internal/stats"
 )
 
 // send is roundTrip without the testing.T, safe to call from goroutines.
@@ -345,6 +348,72 @@ func TestRemoveReplicatedNode(t *testing.T) {
 	}
 	if v, err := send(nc, br, "GET", key); err != nil || string(v) != "replicated" {
 		t.Fatalf("GET after remove: %q %v", v, err)
+	}
+}
+
+// TestAddReplicatedNodeWarmsAndPromotes pins how a replicated node added at
+// run time reaches the monitor: AddNode pokes the ship channel, the first
+// ship connects the monitor's endpoint and warms the standby — before the
+// node owns a slot or has taken a write, so nothing but the poke can have
+// asked for it — and when the node is later killed, its promotion loses no
+// update.
+func TestAddReplicatedNodeWarmsAndPromotes(t *testing.T) {
+	// Cores: worker, remote node 2, monitor, the added node, the engine.
+	hwCfg := hw.SmallTest()
+	hwCfg.CoresPerSocket = 4
+	cfg := replicatedConfig()
+	cfg.Workers = 1
+	m, r, srv := startClusterOn(t, hwCfg, cfg, nil, server.Config{})
+	defer srv.Shutdown()
+	obs := m.Observer()
+
+	id, err := r.AddNode()
+	if err != nil {
+		t.Fatalf("AddNode: %v", err)
+	}
+	waitFor(t, "the added node's first checkpoint ship", func() bool {
+		for _, ev := range obs.Tracer().Events() {
+			if ev.Kind == stats.EvCheckpointShip && ev.A == uint64(id) {
+				return true
+			}
+		}
+		return false
+	})
+	if _, err := r.RebalanceInto(id); err != nil {
+		t.Fatalf("RebalanceInto: %v", err)
+	}
+
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	// 21 writes against ShipEvery 8: some are inside a shipped image, the
+	// tail only in the delta log promotion replays.
+	var keys []string
+	for i := 0; len(keys) < 21; i++ {
+		if k := fmt.Sprintf("added-%d", i); r.Owner(r.Slot(k)) == id {
+			keys = append(keys, k)
+			if v, err := send(nc, br, "SET", k, "v-"+k); err != nil || string(v) != "OK" {
+				t.Fatalf("SET %s: %q %v", k, v, err)
+			}
+		}
+	}
+	if err := r.KillNode(id); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the added node's promotion", func() bool {
+		h := r.Health()[id]
+		return h.Promoted && h.State == "healthy"
+	})
+	for _, k := range keys {
+		if v, err := send(nc, br, "GET", k); err != nil || string(v) != "v-"+k {
+			t.Fatalf("GET %s from the promoted standby: %q %v", k, v, err)
+		}
+	}
+	if lost := obs.Snapshot().Dense().Cluster.Replication.LostUpdates; lost != 0 {
+		t.Fatalf("promotion lost %d updates", lost)
 	}
 }
 

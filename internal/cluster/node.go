@@ -57,6 +57,61 @@ func (s NodeState) String() string {
 	return "state(?)"
 }
 
+// serving is the one answer to "which copy of this node's key range answers
+// commands right now", derived from the node's four atomics (which keep
+// their separate writers). Routing, health reports and the lifecycle
+// operations all switch on it.
+type serving uint8
+
+const (
+	// servingPrimary: the node's own store — any co-resident node, and a
+	// remote one the monitor calls healthy or suspect.
+	servingPrimary serving = iota
+	// servingStandby: the promoted standby, reached on the VAS path.
+	servingStandby
+	// servingCrashed: the data path saw the process die and the monitor has
+	// not ruled yet. Retryable refusals, each one evidence for the monitor;
+	// /healthz does not count the range as down until it rules.
+	servingCrashed
+	// servingFenced: the monitor ruled the node failed and is promoting its
+	// standby. Retryable refusals; /healthz says 503.
+	servingFenced
+	// servingDegraded: no recoverable copy. Hard errors; terminal.
+	servingDegraded
+	// servingRemoved: decommissioned; owns no slots.
+	servingRemoved
+)
+
+// active: some copy serves the range, so slots can move in or out of it.
+func (s serving) active() bool { return s == servingPrimary || s == servingStandby }
+
+// watched: the monitor still probes the primary and counts evidence
+// against it.
+func (s serving) watched() bool { return s == servingPrimary || s == servingCrashed }
+
+// A co-resident node shares the front-end's fate — never fenced, promoted
+// or removed — so the hot local path costs one plain bool test.
+func (n *node) serving() serving {
+	switch {
+	case n.local:
+		return servingPrimary
+	case n.removed.Load():
+		return servingRemoved
+	case n.promoted.Load():
+		return servingStandby
+	}
+	switch n.curState() {
+	case StateDegraded:
+		return servingDegraded
+	case StateFailed, StatePromoting:
+		return servingFenced
+	}
+	if n.crashed.Load() {
+		return servingCrashed
+	}
+	return servingPrimary
+}
+
 // node is one shard of the key space. A local node is pure state: its store
 // lives in globally named segments/VASes (redis.ShardNames) and every
 // worker attaches its own client, so serving it is a VAS switch on the
@@ -79,7 +134,7 @@ type node struct {
 
 	// breaker is the node's circuit breaker, nil unless
 	// Config.Overload.Breakers is on (remote nodes only). Fed by data-call
-	// outcomes and health-probe evidence; consulted in path before every
+	// outcomes and health-probe evidence; consulted by resolve before every
 	// remote dispatch.
 	breaker *overload.Breaker
 
@@ -98,15 +153,17 @@ type node struct {
 	promoted   atomic.Bool  // the standby now serves this range (VAS fast path)
 	lost       atomic.Uint64
 	cause      atomic.Pointer[string] // degradation cause, for health reports
-	rep        replica                // monitor-owned standby bookkeeping
+
+	// Bookkeeping only the monitor goroutine touches.
+	warm  bool // the standby holds a validated image (applyImage)
+	fails int  // consecutive probe failures
+	skip  int  // probe-backoff ticks remaining
 
 	// delta buffers post-checkpoint writes for replay at promotion,
 	// bounded by Config.DeltaLog; overflow switches the node's failover to
 	// checkpoint-only and counts the updates that can no longer be
 	// replayed in order.
-	deltaMu      sync.Mutex
-	delta        [][]string
-	deltaDropped uint64
+	delta deltaLog
 }
 
 func (n *node) curState() NodeState { return NodeState(n.state.Load()) }
@@ -134,6 +191,7 @@ func (r *Router) newNode(id int, local bool) (*node, error) {
 		n.replicated = true
 		n.standby = redis.StandbyNames(id)
 		n.forks = r.forks
+		n.delta.bound = r.cfg.Replication.DeltaLog
 		opts = append(opts, core.WithTier(mem.TierNVM))
 	}
 	client, err := redis.NewClientNamed(th, r.cfg.SegSize, n.names, opts...)
@@ -348,12 +406,21 @@ func (n *node) call(ep *urpc.Endpoint, wire []byte, budget uint64) (resp []byte,
 	return resp, cycles, err
 }
 
-// callBulk performs one serialized multi-slot RPC into a remote node —
-// the migration engine's copy path — with the same crash fencing as call:
-// a node known dead fails fast, and a reply racing the crash is refused.
+// callCheck is call for the cluster's own agents — no budget, no cycle
+// attribution — with an error reply surfaced as an error.
+func (n *node) callCheck(ep *urpc.Endpoint, wire []byte) error {
+	resp, _, err := n.call(ep, wire, 0)
+	if err == nil {
+		_, _, err = redis.DecodeReply(resp) // an error reply decodes to a ReplyError
+	}
+	return err
+}
+
+// callBulk performs one multi-slot RPC into a remote node — a slot dump, a
+// ship's fork — for a caller holding n.mu (a ship keeps it across the fork
+// and the delta truncation), with the same crash fencing as call: a node
+// known dead fails fast, and a reply racing the crash is refused.
 func (n *node) callBulk(ep *urpc.Endpoint, wire []byte) ([]byte, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.crashed.Load() {
 		return nil, &urpc.TimeoutError{}
 	}
@@ -364,48 +431,18 @@ func (n *node) callBulk(ep *urpc.Endpoint, wire []byte) ([]byte, error) {
 	return resp, err
 }
 
-// recordDelta buffers one applied write for replay at promotion. Returns
-// true when the buffered count crosses a ship trigger. Once the window
-// overflows the bound, order is unrecoverable: everything further is only
-// counted, and promotion degrades to checkpoint-only.
-func (n *node) recordDelta(args []string, bound, every int) (trigger bool) {
-	n.deltaMu.Lock()
-	defer n.deltaMu.Unlock()
-	if n.deltaDropped > 0 || len(n.delta) >= bound {
-		n.deltaDropped++
-		return false
+// shutdown closes a remote node's client and exits its process, once, and
+// not at all if it crashed (the reaper ran then). The caller — RemoveNode,
+// Close — knows no worker can call into the node anymore, so it may drive
+// the node's thread.
+func (n *node) shutdown() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.client == nil || n.crashed.Load() {
+		return nil
 	}
-	n.delta = append(n.delta, args)
-	return every > 0 && len(n.delta)%every == 0
-}
-
-// takeDelta atomically drains the buffered window.
-func (n *node) takeDelta() (entries [][]string, dropped uint64) {
-	n.deltaMu.Lock()
-	defer n.deltaMu.Unlock()
-	entries, dropped = n.delta, n.deltaDropped
-	n.delta, n.deltaDropped = nil, 0
-	return entries, dropped
-}
-
-// restoreDelta prepends a window taken by a ship whose apply then failed:
-// the entries are still newer than the standby's image, so they must stay
-// ahead of anything buffered since.
-func (n *node) restoreDelta(entries [][]string, dropped uint64) {
-	n.deltaMu.Lock()
-	defer n.deltaMu.Unlock()
-	n.delta = append(entries, n.delta...)
-	n.deltaDropped += dropped
-}
-
-func (n *node) deltaLen() (buffered int, dropped uint64) {
-	n.deltaMu.Lock()
-	defer n.deltaMu.Unlock()
-	return len(n.delta), n.deltaDropped
-}
-
-func (n *node) pendingWrites() bool {
-	n.deltaMu.Lock()
-	defer n.deltaMu.Unlock()
-	return len(n.delta) > 0 || n.deltaDropped > 0
+	err := n.client.Close()
+	n.client = nil
+	n.proc.Exit()
+	return err
 }

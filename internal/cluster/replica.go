@@ -10,29 +10,19 @@ import (
 	"spacejmp/internal/redis"
 )
 
-// replica is the monitor's bookkeeping for one node's warm standby: a copy
-// of the shard's lockable store segment, rebuilt from each shipped
-// checkpoint generation into its own globally named segment/VAS pair
-// (redis.StandbyNames). The standby lives in DRAM — it models a replica
-// machine's RAM, and it must not itself be swept into the next checkpoint
-// generation (which covers NVM segments only).
-//
-// Only the monitor goroutine touches replica fields; no lock needed.
-type replica struct {
-	applied bool   // the standby holds a validated generation
-	seq     uint64 // generation sequence applied
-	bytes   uint64 // page bytes in the applied image
-}
-
-// applyImage rebuilds node n's standby store from a checkpointed segment
-// image: tear down any previous standby (Restore semantics — replace, not
-// merge), allocate a fresh segment and read/write VAS pair under the
-// standby names, copy the image's pages in through a write attachment, and
-// validate the store root before declaring the standby warm.
+// applyImage rebuilds node n's warm standby — a copy of the shard's lockable
+// store segment in its own globally named segment/VAS pair
+// (redis.StandbyNames) — from a checkpointed segment image: tear down any
+// previous standby (Restore semantics — replace, not merge), allocate a
+// fresh segment and read/write VAS pair, copy the image's pages in through
+// a write attachment, and validate the store root before declaring the
+// standby warm. The standby lives in DRAM — it models a replica machine's
+// RAM, and it must not itself be swept into the next checkpoint generation
+// (which covers NVM segments only).
 func (m *monitor) applyImage(n *node, img *core.SegmentImage) error {
 	th := m.th
-	if n.rep.applied {
-		n.rep.applied = false
+	if n.warm {
+		n.warm = false
 		if err := redis.DestroyNamed(th, n.standby); err != nil && !errors.Is(err, core.ErrNotFound) {
 			return fmt.Errorf("standby teardown: %w", err)
 		}
@@ -62,10 +52,8 @@ func (m *monitor) applyImage(n *node, img *core.SegmentImage) error {
 	if err := th.VASSwitch(h); err != nil {
 		return err
 	}
-	var total uint64
 	for idx, page := range img.Pages {
 		base := redis.SegBase + arch.VirtAddr(idx*img.PageSize)
-		total += uint64(len(page))
 		for off := 0; off+8 <= len(page); off += 8 {
 			word := binary.LittleEndian.Uint64(page[off:])
 			if word == 0 {
@@ -90,6 +78,6 @@ func (m *monitor) applyImage(n *node, img *core.SegmentImage) error {
 	if err != nil {
 		return fmt.Errorf("standby validation: %w", err)
 	}
-	n.rep.applied, n.rep.seq, n.rep.bytes = true, img.Seq, total
+	n.warm = true
 	return nil
 }

@@ -26,14 +26,15 @@ type worker struct {
 	queue chan *server.Request
 	ctr   *stats.ShardCounters
 
-	proc   *core.Process
-	th     *core.Thread
-	coreID int
+	proc *core.Process
+	th   *core.Thread
 
-	locals    map[int]*redis.Client  // co-resident nodes, by node id
+	// clients holds the stores this worker serves by switching VAS, by
+	// node id: every co-resident node's (attached at wiring) and, after a
+	// promotion, a remote node's standby (attached on first use).
+	clients   map[int]*redis.Client
 	endpoints map[int]*urpc.Endpoint // remote nodes, by node id
-	standbys  map[int]*redis.Client  // promoted standbys, attached lazily
-	frozen    map[int]*frozenReader  // follower-read attachments, by node id
+	frozen    map[int]*frozenReader  // frozen-view attachments, by node id
 	err       error                  // first teardown error, read after workerWG.Wait
 
 	// bud is the in-flight request's deadline budget, armed against this
@@ -63,54 +64,12 @@ func (w *worker) remoteWire(args []string) []byte {
 
 // frozenReader is one worker's attachment to a node's current frozen fork
 // view: the VAS handle and a store bound inside it. Superseded or
-// invalidated views are detached lazily on the next follower read, and
+// invalidated views are detached lazily on the next frozen read, and
 // unconditionally at worker teardown.
 type frozenReader struct {
 	view  *fork.View
 	h     core.Handle
 	store *redis.Store
-}
-
-// read reads a key group on one switch into the frozen view — the same
-// one-switch-many-walks fast path the live MGET uses; a GET is the one-key
-// group. The frozen segment is not lockable, so unlike the live read VAS no
-// shared lock is taken — the frames are immutable. got[i] receives keys[i]'s
-// value, nil for a miss.
-func (f *frozenReader) read(th *core.Thread, keys []string, got [][]byte) error {
-	if err := th.VASSwitch(f.h); err != nil {
-		return err
-	}
-	var err error
-	for i, k := range keys {
-		var v []byte
-		var ok bool
-		if v, ok, err = f.store.Get([]byte(k)); err != nil {
-			break
-		}
-		if ok {
-			got[i] = v
-		}
-	}
-	if serr := th.VASSwitch(core.PrimaryHandle); err == nil {
-		err = serr
-	}
-	return err
-}
-
-// claimThread spawns a process and claims a simulated core for its one
-// thread — how every agent of the cluster comes to own a core. The caller
-// owns proc.Exit.
-func (r *Router) claimThread() (*core.Process, *core.Thread, error) {
-	proc, err := r.sys.NewProcess(core.Creds{UID: 1, GID: 1})
-	if err != nil {
-		return nil, nil, err
-	}
-	th, err := proc.NewThread()
-	if err != nil {
-		proc.Exit()
-		return nil, nil, err
-	}
-	return proc, th, nil
 }
 
 func (r *Router) newWorker(id int, ctr *stats.ShardCounters) (*worker, error) {
@@ -124,10 +83,8 @@ func (r *Router) newWorker(id int, ctr *stats.ShardCounters) (*worker, error) {
 		ctr:       ctr,
 		proc:      proc,
 		th:        th,
-		coreID:    th.Core.ID,
-		locals:    map[int]*redis.Client{},
+		clients:   map[int]*redis.Client{},
 		endpoints: map[int]*urpc.Endpoint{},
-		standbys:  map[int]*redis.Client{},
 		frozen:    map[int]*frozenReader{},
 	}, nil
 }
@@ -137,21 +94,18 @@ func (r *Router) newWorker(id int, ctr *stats.ShardCounters) (*worker, error) {
 func (r *Router) wireWorker(w *worker) error {
 	for _, n := range r.nodes {
 		if n.local {
-			c, err := redis.NewClientNamed(w.th, r.cfg.SegSize, n.names)
-			if err != nil {
-				return fmt.Errorf("node %d store: %w", n.id, err)
+			if _, err := r.attachStore(w.th, w.clients, n); err != nil {
+				return err
 			}
-			w.locals[n.id] = c
 		} else {
-			w.endpoints[n.id] = urpc.Connect(r.sys.M, w.coreID, n.coreID, r.cfg.Slots, n.handler)
+			w.endpoints[n.id] = r.connect(w.th.Core.ID, n)
 		}
 	}
 	return nil
 }
 
 // runWorker drains the queue until it closes, then detaches from every
-// co-resident store (and any promoted standby it attached) and exits the
-// process.
+// frozen view and store it attached and exits the process.
 func (r *Router) runWorker(w *worker) {
 	defer r.workerWG.Done()
 	for req := range w.queue {
@@ -164,12 +118,7 @@ func (r *Router) runWorker(w *worker) {
 			w.err = err
 		}
 	}
-	for _, c := range w.locals {
-		if err := c.Close(); err != nil && w.err == nil {
-			w.err = err
-		}
-	}
-	for _, c := range w.standbys {
+	for _, c := range w.clients {
 		if err := c.Close(); err != nil && w.err == nil {
 			w.err = err
 		}
@@ -253,42 +202,53 @@ func (r *Router) route(w *worker, req *server.Request) []byte {
 	return cmd.Refusal(args)
 }
 
-// path resolves how worker w reaches node n right now: a client for the
-// VAS fast path (co-resident store, or a promoted standby), an endpoint
-// for urpc, or a ready-made error reply when the range is fenced
-// (crashed/failing: retryable timeout) or degraded (hard error). The
-// caller holds the topology read lock — the promoted flip in promote is
-// the failover's linearization point.
-func (r *Router) path(w *worker, n *node) (*redis.Client, *urpc.Endpoint, []byte) {
-	if n.local {
-		return w.locals[n.id], nil, nil
+// target is where one command runs, resolved once: exactly one of client,
+// ep, frozen and refusal is set.
+type target struct {
+	client   *redis.Client  // the VAS path: a co-resident store, or a promoted standby
+	ep       *urpc.Endpoint // the urpc path to a remote primary
+	frozen   *frozenReader  // a read served from the node's frozen view...
+	degraded bool           // ...because its breaker is not closed (overload.degraded_reads)
+	refusal  []byte         // nothing runs; this is the reply
+}
+
+// resolve decides which copy of node n serves this command and how worker w
+// reaches it. The caller holds the topology read lock, so the answer stands
+// for the whole command (promote's flip, the failover's linearization
+// point, takes the write side). Refusals come in a fixed order, each with
+// its counter: the monitor's verdict, the crash fence, the deadline, and
+// last — only when a remote dispatch really follows, because admission may
+// take the half-open probe slot, whose outcome n.call reports — the breaker.
+func (r *Router) resolve(w *worker, n *node, cmd *redis.Command, readonly bool) target {
+	s := n.serving()
+	if readonly && !cmd.Write && s != servingStandby {
+		if t, ok := r.frozenTarget(w, n); ok {
+			return t
+		}
 	}
-	promoted := n.promoted.Load()
-	st := n.curState()
-	if promoted {
-		c, err := w.standbyClient(r, n)
+	switch s {
+	case servingPrimary:
+		if n.local {
+			return target{client: w.clients[n.id]}
+		}
+	case servingStandby:
+		c, err := r.attachStore(w.th, w.clients, n)
 		if err != nil {
-			return nil, nil, redis.EncodeError("standby attach: " + err.Error())
+			return target{refusal: redis.EncodeError("standby attach: " + err.Error())}
 		}
-		return c, nil, nil
-	}
-	switch st {
-	case StateDegraded:
-		cause := "no recoverable replica"
-		if p := n.cause.Load(); p != nil {
-			cause = *p
-		}
-		return nil, nil, redis.EncodeShardDegraded(n.id, cause)
-	case StateFailed, StatePromoting:
+		return target{client: c}
+	case servingDegraded:
+		// degrade stores the cause before it flips the state.
+		return target{refusal: redis.EncodeShardDegraded(n.id, *n.cause.Load())}
+	case servingCrashed:
+		// Fenced before the call: don't burn a full retry ladder against a
+		// node already known dead.
+		poke(r.suspectCh, n.id)
+		fallthrough
+	case servingFenced, servingRemoved:
+		// (A removed node owns no slots; a retry sees the table that says so.)
 		r.obs.ClusterTimeout(n.id)
-		return nil, nil, redis.EncodeShardTimeout(n.id)
-	}
-	if n.crashed.Load() {
-		// Fenced before the call: don't burn a full retry ladder against
-		// a node already known dead.
-		r.obs.ClusterTimeout(n.id)
-		r.noteSuspect(n)
-		return nil, nil, redis.EncodeShardTimeout(n.id)
+		return target{refusal: redis.EncodeShardTimeout(n.id)}
 	}
 	ep := w.endpoints[n.id]
 	// Deadline: refuse a dispatch the remaining budget cannot cover. One
@@ -298,26 +258,87 @@ func (r *Router) path(w *worker, n *node) (*redis.Client, *urpc.Endpoint, []byte
 	if w.bud.Active() {
 		if rem := w.bud.Remaining(w.th.Core.Cycles()); rem < ep.TimeoutCycles {
 			r.obs.ClusterDeadlineExpired()
-			return nil, nil, redis.EncodeDeadline(fmt.Sprintf(
-				"node %d: %d cycles left, dispatch needs %d, retry", n.id, rem, ep.TimeoutCycles))
+			return target{refusal: redis.EncodeDeadline(fmt.Sprintf(
+				"node %d: %d cycles left, dispatch needs %d, retry", n.id, rem, ep.TimeoutCycles))}
 		}
 	}
 	// Circuit breaker: an open breaker sheds the dispatch immediately with
 	// the same retryable refusal a timed-out call would earn — minus the
-	// timeout. Every admission (including the half-open probe) flows into
-	// n.call, whose outcome feeds back via noteOutcome.
+	// timeout.
 	if n.breaker != nil {
 		if ok, _ := n.breaker.Allow(); !ok {
 			r.obs.ClusterShed(n.id)
-			return nil, nil, redis.EncodeShardTimeout(n.id)
+			return target{refusal: redis.EncodeShardTimeout(n.id)}
 		}
 	}
-	return nil, ep, nil
+	return target{ep: ep}
+}
+
+// frozenTarget is the one gate on reads from a frozen fork view. resolve has
+// checked that the connection opted into bounded staleness (READONLY) and
+// that n is not promoted; the rest: the cluster serves follower reads or
+// n's breaker is not closed (a degraded read), and n has a valid view. A
+// view past StaleBound is the explicit -STALE refusal — the client asked
+// for a bound and it cannot be met. No usable view (only replicated remote
+// nodes are ever forked; promotion, degradation and slot moves invalidate)
+// reports !ok, and the read goes to the primary, which is always fresh.
+func (r *Router) frozenTarget(w *worker, n *node) (t target, ok bool) {
+	degraded := n.breaker != nil && n.breaker.State() != overload.Closed
+	if !degraded && !r.cfg.Replication.FollowerReads {
+		return t, false
+	}
+	v := n.forks.Current(n.id)
+	if v == nil {
+		return t, false
+	}
+	bound := r.cfg.Replication.StaleBound
+	if age := v.Age(); age > bound {
+		r.obs.ClusterStaleRejected()
+		return target{refusal: redis.EncodeStale(fmt.Sprintf("node %d view age %s exceeds bound %s",
+			n.id, age.Truncate(time.Millisecond), bound))}, true
+	}
+	fr := w.frozenReaderFor(n, v)
+	if fr == nil {
+		return t, false
+	}
+	return target{frozen: fr, degraded: degraded}, true
+}
+
+// readFrozen serves keys — all owned by t's node — on one switch into its
+// frozen view, the same one-switch-many-walks path the live MGET takes (a
+// GET is the one-key group), minus the shared lock: the frozen segment is
+// not lockable, its frames are immutable. One value per key, nil for a
+// miss; a nil result means the view could not be read after all, and the
+// caller resolves again for the primary.
+func (r *Router) readFrozen(w *worker, t target, keys []string) [][]byte {
+	if err := w.th.VASSwitch(t.frozen.h); err != nil {
+		return nil
+	}
+	got := make([][]byte, len(keys))
+	var err error
+	for i, k := range keys {
+		var v []byte
+		var ok bool
+		if v, ok, err = t.frozen.store.Get([]byte(k)); err != nil {
+			break
+		}
+		if ok {
+			got[i] = v
+		}
+	}
+	if serr := w.th.VASSwitch(core.PrimaryHandle); err != nil || serr != nil {
+		return nil
+	}
+	r.obs.ClusterFollowerRead()
+	if t.degraded {
+		r.obs.ClusterDegradedRead()
+	}
+	return got
 }
 
 // callBudget returns the cycle cap to hand a remote call: the in-flight
 // request's remaining allowance, floored at 1 so an armed budget that
-// raced to zero between path's refusal check and the dispatch still caps
+// raced to zero between resolve's refusal check and the dispatch still caps
 // the call (0 means unlimited to urpc.CallBudget).
 func (w *worker) callBudget() uint64 {
 	if !w.bud.Active() {
@@ -330,45 +351,6 @@ func (w *worker) callBudget() uint64 {
 	return rem
 }
 
-// degradedRead reports whether reads of node n should degrade to its
-// frozen fork view right now: the caller must be eligible (the connection
-// opted into bounded staleness via READONLY, or the cluster-wide
-// DegradedReads mode covers everyone) and the node must look overloaded —
-// its breaker open or half-open, or this worker's queue past the
-// watermark (the co-resident serving path's saturation signal). This is
-// what extends follower reads to local nodes: followerView waives its
-// remote-replicated gate for a degraded read.
-func (r *Router) degradedRead(w *worker, n *node, readonly bool) bool {
-	if r.forks == nil {
-		return false
-	}
-	oc := r.cfg.Overload
-	if !readonly && !oc.DegradedReads {
-		return false
-	}
-	if n.breaker != nil {
-		if st := n.breaker.State(); st == overload.Open || st == overload.HalfOpen {
-			return true
-		}
-	}
-	return oc.QueueWatermark > 0 && len(w.queue) >= oc.QueueWatermark
-}
-
-// standbyClient lazily attaches this worker to node n's promoted standby.
-// Only reached when promoted is set, which guarantees the standby store
-// exists — NewClientNamed must find it, never bootstrap an empty one.
-func (w *worker) standbyClient(r *Router, n *node) (*redis.Client, error) {
-	if c := w.standbys[n.id]; c != nil {
-		return c, nil
-	}
-	c, err := redis.NewClientNamed(w.th, r.cfg.SegSize, n.standby)
-	if err != nil {
-		return nil, err
-	}
-	w.standbys[n.id] = c
-	return c, nil
-}
-
 // exec1 serves one single-key command on the node owning its slot. Caller
 // holds the topology read lock. A write that lands on a migrating slot
 // serializes through the migration's mutex — executed on the source and
@@ -379,50 +361,41 @@ func (w *worker) standbyClient(r *Router, n *node) (*redis.Client, error) {
 // slot ever goes dark.
 func (r *Router) exec1(w *worker, cmd *redis.Command, args []string, readonly bool) []byte {
 	slot := r.Slot(args[cmd.FirstKey])
-	nid := r.Owner(slot)
-	if !cmd.Write {
-		got, stale := r.frozenRead(w, r.nodes[nid], cmd.Keys(args), readonly)
-		if stale != nil {
-			return stale
-		}
-		if got != nil {
-			return redis.EncodeBulk(got[0])
-		}
-	}
+	n := r.nodes[r.Owner(slot)]
 	if mig := r.migs[slot].Load(); mig != nil && cmd.Write {
+		mig.mu.Lock()
+		defer mig.mu.Unlock()
 		if mig.fenced.Load() {
 			r.obs.ClusterMovedRetry()
 			return redis.EncodeMoved(slot, mig.dst)
 		}
-		mig.mu.Lock()
-		defer mig.mu.Unlock()
-		if mig.fenced.Load() { // fence raced the lock
-			r.obs.ClusterMovedRetry()
-			return redis.EncodeMoved(slot, mig.dst)
-		}
-		resp := r.execOn(w, nid, cmd, args)
+		resp := r.execOn(w, n, cmd, args, readonly)
 		if len(resp) > 0 && resp[0] != '-' {
-			mig.record(args, r.cfg.MigrationDeltaLog)
+			mig.delta.record(args)
 		}
 		return resp
 	}
-	return r.execOn(w, nid, cmd, args)
+	return r.execOn(w, n, cmd, args, readonly)
 }
 
-// execOn runs one command on node nid, local or remote.
-func (r *Router) execOn(w *worker, nid int, cmd *redis.Command, args []string) []byte {
-	n := r.nodes[nid]
-	c, ep, errReply := r.path(w, n)
-	if errReply != nil {
-		return errReply
-	}
-	if c != nil {
+// execOn runs one single-key command wherever resolve says node n serves it.
+func (r *Router) execOn(w *worker, n *node, cmd *redis.Command, args []string, readonly bool) []byte {
+	t := r.resolve(w, n, cmd, readonly)
+	switch {
+	case t.refusal != nil:
+		return t.refusal
+	case t.frozen != nil:
+		if got := r.readFrozen(w, t, cmd.Keys(args)); got != nil {
+			return redis.EncodeBulk(got[0])
+		}
+		return r.execOn(w, n, cmd, args, false)
+	case t.client != nil:
 		before := w.th.Core.Cycles()
-		resp := redis.Run(c, cmd, args)
-		r.obs.ClusterLocal(nid, w.th.Core.Cycles()-before)
+		resp := redis.Run(t.client, cmd, args)
+		r.obs.ClusterLocal(n.id, w.th.Core.Cycles()-before)
 		return resp
 	}
-	resp, errReply := r.callNode(w, n, ep, w.remoteWire(args))
+	resp, errReply := r.callNode(w, n, t.ep, w.remoteWire(args))
 	if errReply != nil {
 		return errReply
 	}
@@ -460,77 +433,19 @@ func (r *Router) bufferWrite(n *node, args []string, resp []byte) {
 	if !n.replicated || len(resp) == 0 || resp[0] == '-' {
 		return
 	}
-	if n.recordDelta(args, r.cfg.Replication.DeltaLog, r.cfg.Replication.ShipEvery) && r.shipCh != nil {
-		select {
-		case r.shipCh <- n.id:
-		default:
-		}
+	if buffered := n.delta.record(args); buffered > 0 && buffered%r.cfg.Replication.ShipEvery == 0 {
+		poke(r.shipCh, n.id)
 	}
 }
 
-// followerView returns the frozen view a follower read of node n may serve
-// from. Three outcomes: a valid view within the staleness bound (serve it);
-// a -STALE reply when the freshest view exceeds the bound (the explicit
-// contract of READONLY — the client asked for bounded staleness and the
-// bound cannot be met); or neither, when the node has no usable view at all
-// (never forked, invalidated, promoted) — those reads fall through to the
-// primary, which is always fresh.
-//
-// degraded marks an overload-degraded read: the node's breaker is open or
-// the worker is saturated, and the caller is eligible for stale serving.
-// It waives the plain path's gates — the FollowerReads switch and the
-// remote-replicated requirement — so local saturated nodes degrade to
-// their monitor-refreshed views exactly as remote ones do, within the same
-// staleness bound.
-func (r *Router) followerView(n *node, degraded bool) (*fork.View, []byte) {
-	if n.promoted.Load() {
-		return nil, nil
+// poke hands node id to the monitor on one of its channels without ever
+// blocking the caller: a full channel means the monitor has plenty queued
+// already, a nil one that there is no monitor.
+func poke(ch chan int, id int) {
+	select {
+	case ch <- id:
+	default:
 	}
-	if !degraded && (!r.cfg.Replication.FollowerReads || n.local || !n.replicated) {
-		return nil, nil
-	}
-	v := r.forks.Current(n.id)
-	if v == nil {
-		return nil, nil
-	}
-	bound := r.cfg.Replication.StaleBound
-	if age := v.Age(); age > bound {
-		r.obs.ClusterStaleRejected()
-		return nil, redis.EncodeStale(fmt.Sprintf("node %d view age %s exceeds bound %s",
-			n.id, age.Truncate(time.Millisecond), bound))
-	}
-	return v, nil
-}
-
-// frozenRead serves a read of keys — all owned by node n — from n's frozen
-// view when policy says so: the connection opted into bounded staleness
-// (READONLY follower reads) or the node looks overloaded and the caller is
-// eligible for degraded reads. It returns one value per key (nil for a
-// miss). A nil got falls through to the primary; a non-nil stale reply
-// fails the whole command — a partially bounded MGET would be
-// indistinguishable from a fully bounded one.
-func (r *Router) frozenRead(w *worker, n *node, keys []string, readonly bool) (got [][]byte, stale []byte) {
-	degraded := r.degradedRead(w, n, readonly)
-	if !readonly && !degraded {
-		return nil, nil
-	}
-	v, stale := r.followerView(n, degraded)
-	if v == nil {
-		return nil, stale
-	}
-	fr := w.frozenReaderFor(r, n.id, v)
-	if fr == nil {
-		return nil, nil
-	}
-	got = make([][]byte, len(keys))
-	if err := fr.read(w.th, keys, got); err != nil {
-		return nil, nil
-	}
-	r.obs.ClusterFollowerRead()
-	if degraded {
-		r.obs.ClusterDegradedRead()
-	}
-	return got, nil
 }
 
 // frozenReaderFor returns this worker's cached attachment to view v,
@@ -541,7 +456,8 @@ func (r *Router) frozenRead(w *worker, n *node, keys []string, readonly bool) (g
 // that is still the node's current one cannot be reclaimed while this
 // attachment exists (VASDestroy refuses attached VASes), and a view
 // retired in the window is dropped before any read goes through it.
-func (w *worker) frozenReaderFor(r *Router, nid int, v *fork.View) *frozenReader {
+func (w *worker) frozenReaderFor(n *node, v *fork.View) *frozenReader {
+	nid := n.id
 	if fr := w.frozen[nid]; fr != nil {
 		if fr.view == v && !v.Invalid() {
 			return fr
@@ -553,17 +469,14 @@ func (w *worker) frozenReaderFor(r *Router, nid int, v *fork.View) *frozenReader
 	if err != nil {
 		return nil
 	}
-	if r.forks.Current(nid) != v {
-		_ = w.th.VASDetach(h)
-		return nil
-	}
-	if err := w.th.VASSwitch(h); err != nil {
-		_ = w.th.VASDetach(h)
-		return nil
-	}
-	store, err := redis.OpenStore(w.th, redis.SegBase)
-	if serr := w.th.VASSwitch(core.PrimaryHandle); err == nil {
-		err = serr
+	var store *redis.Store
+	if n.forks.Current(nid) != v {
+		err = core.ErrInvalid // retired while this attach was in flight
+	} else if err = w.th.VASSwitch(h); err == nil {
+		store, err = redis.OpenStore(w.th, redis.SegBase)
+		if serr := w.th.VASSwitch(core.PrimaryHandle); err == nil {
+			err = serr
+		}
 	}
 	if err != nil {
 		_ = w.th.VASDetach(h)
@@ -572,18 +485,6 @@ func (w *worker) frozenReaderFor(r *Router, nid int, v *fork.View) *frozenReader
 	fr := &frozenReader{view: v, h: h, store: store}
 	w.frozen[nid] = fr
 	return fr
-}
-
-// noteSuspect forwards dead-node evidence from the data path to the
-// monitor, without blocking the worker.
-func (r *Router) noteSuspect(n *node) {
-	if r.suspectCh == nil || !n.replicated {
-		return
-	}
-	select {
-	case r.suspectCh <- n.id:
-	default:
-	}
 }
 
 // mget fans a multi-key GET out across the nodes owning its keys' slots
@@ -610,11 +511,9 @@ func (r *Router) mget(w *worker, cmd *redis.Command, keys []string, readonly boo
 		// which is what a remote node is sent.
 		argv := make([]string, 1+len(idxs))
 		argv[0] = cmd.Name
-		sub := argv[1:]
 		for j, i := range idxs {
-			sub[j] = keys[i]
+			argv[1+j] = keys[i]
 		}
-		n := r.nodes[nid]
 		// A fan-out burns budget group by group; catch exhaustion between
 		// groups so a slow early shard can't push later dispatches past the
 		// deadline silently.
@@ -623,15 +522,9 @@ func (r *Router) mget(w *worker, cmd *redis.Command, keys []string, readonly boo
 			return redis.EncodeDeadline(fmt.Sprintf(
 				"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
 		}
-		got, stale := r.frozenRead(w, n, sub, readonly)
-		if stale != nil {
-			return stale
-		}
-		if got == nil {
-			var errReply []byte
-			if got, errReply = r.mgetOn(w, n, argv); errReply != nil {
-				return errReply
-			}
+		got, errReply := r.mgetOn(w, r.nodes[nid], cmd, argv, readonly)
+		if errReply != nil {
+			return errReply
 		}
 		for j, i := range idxs {
 			vals[i] = got[j]
@@ -640,25 +533,32 @@ func (r *Router) mget(w *worker, cmd *redis.Command, keys []string, readonly boo
 	return redis.EncodeArray(vals)
 }
 
-// mgetOn reads a key group from node n's primary: one VAS switch on the
-// fast path, one urpc round trip otherwise. argv is the group's MGET, name
-// first.
-func (r *Router) mgetOn(w *worker, n *node, argv []string) (got [][]byte, errReply []byte) {
+// mgetOn reads a key group wherever resolve says node n serves it: one VAS
+// switch (into the live store or the frozen view), one urpc round trip
+// otherwise. argv is the group's MGET, name first. A refused group fails
+// the whole command — a partially bounded MGET would be indistinguishable
+// from a fully bounded one.
+func (r *Router) mgetOn(w *worker, n *node, cmd *redis.Command, argv []string, readonly bool) (got [][]byte, errReply []byte) {
 	keys := argv[1:]
-	c, ep, errReply := r.path(w, n)
-	if errReply != nil {
-		return nil, errReply
-	}
-	if c != nil {
+	t := r.resolve(w, n, cmd, readonly)
+	switch {
+	case t.refusal != nil:
+		return nil, t.refusal
+	case t.frozen != nil:
+		if got := r.readFrozen(w, t, keys); got != nil {
+			return got, nil
+		}
+		return r.mgetOn(w, n, cmd, argv, false)
+	case t.client != nil:
 		before := w.th.Core.Cycles()
-		got, err := c.MGet(keys)
+		got, err := t.client.MGet(keys)
 		r.obs.ClusterLocal(n.id, w.th.Core.Cycles()-before)
 		if err != nil {
 			return nil, redis.EncodeError(err.Error())
 		}
 		return got, nil
 	}
-	resp, errReply := r.callNode(w, n, ep, w.remoteWire(argv))
+	resp, errReply := r.callNode(w, n, t.ep, w.remoteWire(argv))
 	if errReply != nil {
 		return nil, errReply
 	}
@@ -736,7 +636,7 @@ func (r *Router) remoteError(nid int, err error) []byte {
 	}
 	if errors.Is(err, urpc.ErrTimeout) {
 		r.obs.ClusterTimeout(nid)
-		r.noteSuspect(r.nodes[nid])
+		poke(r.suspectCh, nid)
 		return redis.EncodeShardTimeout(nid)
 	}
 	return redis.EncodeError(fmt.Sprintf("shard error: node %d: %s", nid, err))

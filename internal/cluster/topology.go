@@ -71,20 +71,21 @@ func (r *Router) Topology() []NodeInfo {
 	table := r.Table()
 	out := make([]NodeInfo, len(nodes))
 	for i, n := range nodes {
+		s := n.serving()
 		info := NodeInfo{
 			ID:      n.id,
 			Local:   n.local,
 			Store:   n.names.Seg,
-			Removed: n.removed.Load(),
+			Removed: s == servingRemoved,
 			Slots:   len(table.slotsOf(n.id)),
 		}
 		if !n.local && !info.Removed {
 			info.Core = n.coreID
 			info.Replicated = n.replicated
 			info.State = n.curState().String()
-			info.Promoted = n.promoted.Load()
+			info.Promoted = s == servingStandby
 			for _, w := range workers {
-				if ep := w.endpoints[n.id]; ep != nil && !r.sys.M.SameSocket(w.coreID, n.coreID) {
+				if ep := w.endpoints[n.id]; ep != nil && !r.sys.M.SameSocket(w.th.Core.ID, n.coreID) {
 					info.CrossSocket = true
 				}
 			}

@@ -40,7 +40,7 @@ func TestSubmittedArgsOwnTheirMemory(t *testing.T) {
 		slot++
 	}
 	keys := keysInSlot(t, slot, 16)
-	mig := &migration{slot: slot, src: remote, dst: 0}
+	mig := &migration{slot: slot, src: remote, dst: 0, delta: deltaLog{bound: 2 * n}}
 	r.migs[slot].Store(mig)
 	defer r.migs[slot].Store(nil)
 
@@ -83,13 +83,13 @@ func TestSubmittedArgsOwnTheirMemory(t *testing.T) {
 			}
 		}
 	}
-	entries, dropped := r.nodes[remote].takeDelta()
+	entries, dropped := r.nodes[remote].delta.take()
 	if dropped != 0 {
 		t.Fatalf("replication delta dropped %d entries", dropped)
 	}
 	check("replication delta", entries)
-	migrated, overflow := mig.drain()
-	if overflow {
+	migrated, overflow := mig.delta.take()
+	if overflow != 0 {
 		t.Fatal("migration delta log overflowed")
 	}
 	check("migration delta log", migrated)

@@ -11,12 +11,13 @@ import (
 // optimizations the paper lists as ongoing work in §7 ("copy-on-write,
 // snapshotting, and versioning").
 
-// SegCloneCOW creates a copy-on-write clone of a segment: the clone shares
-// the original's frames until either side writes (writes to the original
-// are prevented by dropping its... no — both sides keep full rights; the
-// clone's pages are copied on its own first write, and writes to the
-// original are immediately visible to the clone only for pages the clone
-// has not yet written).
+// SegCloneCOW creates a copy-on-write clone of a segment. Both sides keep
+// the original's rights. The clone reads the original's frames page by page
+// until it writes a page itself: its first write to a page copies that page
+// into a private frame, and from then on the page is the clone's own. The
+// original is never copied: it keeps writing its own frames in place, so a
+// write to the original shows through the clone on every page the clone has
+// not yet written.
 //
 // Note the sharing direction: this gives the *clone* stable private pages
 // on write, which is the cheap-copy primitive. For a true point-in-time

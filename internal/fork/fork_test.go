@@ -1,0 +1,314 @@
+package fork
+
+import (
+	"encoding/binary"
+	"errors"
+	"sync"
+	"testing"
+
+	"spacejmp/internal/arch"
+	"spacejmp/internal/core"
+	"spacejmp/internal/hw"
+	"spacejmp/internal/kernel"
+)
+
+const (
+	liveSeg  = "fork.live"
+	liveBase = core.GlobalBase
+	liveSize = 64 << 10
+)
+
+// rig is one process with a live read-write segment attached through its
+// own VAS — what a shard node's store is to the fork engine — plus the
+// bytes the machine had allocated before any of it existed.
+type rig struct {
+	t    *testing.T
+	sys  *core.System
+	proc *core.Process
+	th   *core.Thread
+	vid  core.VASID
+	h    core.Handle
+	base uint64
+}
+
+func newRig(t *testing.T) *rig {
+	t.Helper()
+	sys := kernel.New(hw.NewMachine(hw.SmallTest()))
+	r := &rig{t: t, sys: sys, base: sys.M.PM.AllocatedBytes()}
+	var err error
+	if r.proc, err = sys.NewProcess(core.Creds{UID: 1, GID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if r.th, err = r.proc.NewThread(); err != nil {
+		t.Fatal(err)
+	}
+	sid, err := r.th.SegAlloc(liveSeg, liveBase, liveSize, arch.PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.vid, err = r.th.VASCreate("fork.live.vas", 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.th.SegAttachVAS(r.vid, sid, arch.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if r.h, err = r.th.VASAttach(r.vid); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// store writes one word of the live segment through the live VAS.
+func (r *rig) store(off int, v uint64) {
+	r.t.Helper()
+	if err := r.th.VASSwitch(r.h); err != nil {
+		r.t.Fatal(err)
+	}
+	err := r.th.Store64(liveBase+arch.VirtAddr(off), v)
+	if serr := r.th.VASSwitch(core.PrimaryHandle); err == nil {
+		err = serr
+	}
+	if err != nil {
+		r.t.Fatalf("store at +%d: %v", off, err)
+	}
+}
+
+// teardown closes the engine, destroys the live store and checks that the
+// machine is back to what it had allocated before the rig.
+func (r *rig) teardown(e *Engine) {
+	r.t.Helper()
+	if err := e.Close(r.th); err != nil {
+		r.t.Fatalf("Close: %v", err)
+	}
+	if err := r.th.VASDetach(r.h); err != nil {
+		r.t.Fatal(err)
+	}
+	sid, err := r.th.SegFind(liveSeg)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if err := r.th.SegDetachVAS(r.vid, sid); err != nil {
+		r.t.Fatal(err)
+	}
+	if err := r.th.VASDestroy(r.vid); err != nil {
+		r.t.Fatal(err)
+	}
+	if err := r.th.SegFree(sid); err != nil {
+		r.t.Fatal(err)
+	}
+	r.proc.Exit()
+	if err := r.sys.M.PM.CheckLeaks(r.base); err != nil {
+		r.t.Fatalf("after Close and teardown: %v", err)
+	}
+}
+
+// wordAt reads one word out of a segment image; an absent page reads zero.
+func wordAt(img *core.SegmentImage, off uint64) uint64 {
+	page, ok := img.Pages[off/img.PageSize]
+	if !ok {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(page[off%img.PageSize:])
+}
+
+// A view is the store at the instant of the fork: writes that go through
+// the live VAS afterwards break COW into private frames and never reach it,
+// on a page the view holds and on a page nobody had touched.
+func TestViewIsPointInTime(t *testing.T) {
+	r := newRig(t)
+	e := New(r.sys, nil)
+	const touched, fresh = 8, 3 * 4096
+	r.store(touched, 111)
+
+	v, err := e.Fork(r.th, 0, liveSeg)
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	if v.Node() != 0 || e.Current(0) != v {
+		t.Fatalf("Fork published node %d, Current = %p, want the view %p of node 0", v.Node(), e.Current(0), v)
+	}
+	r.store(touched, 222)
+	r.store(fresh, 333)
+
+	img, err := e.Image(v)
+	if err != nil {
+		t.Fatalf("Image: %v", err)
+	}
+	if img.Seq != v.Gen() || img.Size != liveSize {
+		t.Errorf("image seq %d size %d, want gen %d size %d", img.Seq, img.Size, v.Gen(), liveSize)
+	}
+	if got := wordAt(img, touched); got != 111 {
+		t.Errorf("view reads %d at +%d, want the pre-fork 111", got, touched)
+	}
+	if got := wordAt(img, fresh); got != 0 {
+		t.Errorf("view reads %d at +%d, want 0: the page was written after the fork", got, fresh)
+	}
+
+	// The next view sees what the live store holds now.
+	v2, err := e.Fork(r.th, 0, liveSeg)
+	if err != nil {
+		t.Fatalf("second Fork: %v", err)
+	}
+	img2, err := e.Image(v2)
+	if err != nil {
+		t.Fatalf("Image of the second view: %v", err)
+	}
+	if a, b := wordAt(img2, touched), wordAt(img2, fresh); a != 222 || b != 333 {
+		t.Errorf("second view reads %d and %d, want 222 and 333", a, b)
+	}
+	r.teardown(e)
+}
+
+// Generations are one strictly increasing sequence across nodes: a view's
+// generation fences it against every older one, whoever forked it.
+func TestGenerationsStrictlyIncrease(t *testing.T) {
+	r := newRig(t)
+	e := New(r.sys, nil)
+	var last uint64
+	for i := 0; i < 6; i++ {
+		v, err := e.Fork(r.th, i%2, liveSeg)
+		if err != nil {
+			t.Fatalf("Fork %d: %v", i, err)
+		}
+		if v.Gen() <= last {
+			t.Fatalf("fork %d has generation %d after %d", i, v.Gen(), last)
+		}
+		last = v.Gen()
+	}
+	r.teardown(e)
+}
+
+// InvalidateNode fences a node's views at once — Current forgets them and
+// their images are refused — and leaves other nodes' views alone.
+func TestInvalidateNodeFencesViews(t *testing.T) {
+	r := newRig(t)
+	e := New(r.sys, nil)
+	v0, err := e.Fork(r.th, 0, liveSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := e.Fork(r.th, 1, liveSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.InvalidateNode(0, "test")
+	if !v0.Invalid() || e.Current(0) != nil {
+		t.Errorf("after InvalidateNode(0): Invalid = %v, Current(0) = %p, want true and nil", v0.Invalid(), e.Current(0))
+	}
+	if _, err := e.Image(v0); !errors.Is(err, core.ErrInvalid) {
+		t.Errorf("Image of an invalidated view: %v, want ErrInvalid", err)
+	}
+	if v1.Invalid() || e.Current(1) != v1 {
+		t.Errorf("InvalidateNode(0) touched node 1: Invalid = %v, Current(1) = %p", v1.Invalid(), e.Current(1))
+	}
+	e.InvalidateNode(0, "again") // nothing left to fence
+	var nilEngine *Engine
+	nilEngine.InvalidateNode(0, "replication off")
+	if nilEngine.Current(0) != nil {
+		t.Error("a nil engine has a current view")
+	}
+	r.teardown(e)
+}
+
+// A superseded view that a reader is attached to survives the sweep a fork
+// runs, and is reclaimed by the first sweep after the reader detached.
+func TestAttachedViewSurvivesSweep(t *testing.T) {
+	r := newRig(t)
+	e := New(r.sys, nil)
+	v1, err := e.Fork(r.th, 0, liveSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readerProc, err := r.sys.NewProcess(core.Creds{UID: 1, GID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := readerProc.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := reader.VASAttach(v1.VID())
+	if err != nil {
+		t.Fatalf("reader attach: %v", err)
+	}
+	exists := func(v *View) bool {
+		_, err := r.th.SegFind(v.SegName())
+		return err == nil
+	}
+
+	v2, err := e.Fork(r.th, 0, liveSeg) // retires v1 and sweeps: v1 is attached
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !exists(v1) {
+		t.Fatal("a view with a reader attached was reclaimed by the sweep")
+	}
+	if v1.Invalid() {
+		t.Error("a superseded view was invalidated: it is only older, not wrong")
+	}
+	if err := reader.VASSwitch(h); err != nil {
+		t.Fatalf("reader switch into the retired view: %v", err)
+	}
+	if err := reader.VASSwitch(core.PrimaryHandle); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.VASDetach(h); err != nil {
+		t.Fatal(err)
+	}
+	readerProc.Exit()
+
+	if _, err := e.Fork(r.th, 0, liveSeg); err != nil { // retires v2, sweeps both
+		t.Fatal(err)
+	}
+	if exists(v1) || exists(v2) {
+		t.Errorf("after the reader detached, the next sweep left v1 (%v) or v2 (%v) behind", exists(v1), exists(v2))
+	}
+	r.teardown(e)
+}
+
+// The owner forks and writes while other goroutines look views up and fence
+// them: what the cluster's workers and its monitor do to a node's engine.
+// No observer ever sees the current view get older, and every frame comes
+// back at Close.
+func TestConcurrentLookupAndInvalidate(t *testing.T) {
+	r := newRig(t)
+	e := New(r.sys, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var last uint64
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// (A view may be fenced the moment after Current returned it:
+				// that is what readers re-check Invalid for.)
+				if v := e.Current(0); v != nil {
+					if v.Gen() < last {
+						t.Errorf("Current went back from generation %d to %d", last, v.Gen())
+						return
+					}
+					last = v.Gen()
+				}
+				if g == 0 && i%64 == 0 {
+					e.InvalidateNode(0, "test")
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 200; i++ {
+		r.store((i%8)*4096, uint64(i))
+		if _, err := e.Fork(r.th, 0, liveSeg); err != nil {
+			t.Errorf("Fork %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	r.teardown(e)
+}

@@ -1,8 +1,6 @@
 package redis
 
 import (
-	"strings"
-
 	"spacejmp/internal/hw"
 	"spacejmp/internal/urpc"
 )
@@ -61,40 +59,34 @@ func (s *BaselineServer) Handle(req []byte) []byte {
 	return resp
 }
 
+// exec resolves the command through the command table, like every other
+// layer, and answers the three the baseline serves; its DEL predates the
+// table's integer reply and answers +OK or nil.
 func (s *BaselineServer) exec(args []string) []byte {
 	if len(args) == 0 {
 		return EncodeError("empty command")
 	}
 	s.core.AddCycles(execCycles)
-	switch strings.ToUpper(args[0]) {
-	case "GET":
-		if len(args) != 2 {
-			return EncodeWrongArity(args[0])
-		}
+	cmd := Lookup(args)
+	switch cmd.Op {
+	case OpGet:
 		v, ok := s.data[args[1]]
 		if !ok {
 			return EncodeBulk(nil)
 		}
 		return EncodeBulk(v)
-	case "SET":
-		if len(args) != 3 {
-			return EncodeWrongArity(args[0])
-		}
+	case OpSet:
 		s.core.AddCycles(setPersist)
 		s.data[args[1]] = []byte(args[2])
 		return EncodeSimple("OK")
-	case "DEL":
-		if len(args) != 2 {
-			return EncodeWrongArity(args[0])
-		}
+	case OpDel:
 		if _, ok := s.data[args[1]]; ok {
 			delete(s.data, args[1])
 			return EncodeSimple("OK")
 		}
 		return EncodeBulk(nil)
-	default:
-		return EncodeUnknownCommand(args[0])
 	}
+	return cmd.Refusal(args)
 }
 
 // BaselineClient is a redis-benchmark-style client talking to one server

@@ -373,8 +373,8 @@ func (s *Sink) ClusterShed(node int) {
 }
 
 // ClusterDegradedRead records one read served from a frozen view because the
-// primary was overloaded (breaker open or queue past the watermark) — the
-// graceful-degradation counterpart of a plain follower read. Safe on nil.
+// node's breaker was not closed — the graceful-degradation counterpart of a
+// plain follower read. Safe on nil.
 func (s *Sink) ClusterDegradedRead() {
 	if s != nil {
 		s.live.Cluster.Overload.DegradedReads.Add(1)

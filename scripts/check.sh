@@ -67,8 +67,8 @@ go run ./cmd/spacejmp-bench -quick table2 fig1 fig6 fig7 fig8 fig9 fig10a fig10b
 echo "== go test -race =="
 go test -race ./...
 
-echo "== flake gate (timer-driven packages, 10 runs each) =="
-go test -count=10 ./internal/cluster ./internal/chaos
+echo "== flake gate (timer-driven packages and the fork engine under them, 10 runs each) =="
+go test -count=10 ./internal/cluster ./internal/chaos ./internal/fork
 
 echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
