@@ -6,26 +6,24 @@ import "testing"
 
 // TestRemoteGetAllocations gates what one GET costs the heap on its way
 // through Router.Submit … Wait into a remote node and back (not under
-// -race, which allocates on its own). The floor is 14, and every one of
+// -race, which allocates on its own). The floor is 6, and every one of
 // them is outside the wire path:
 //
 //	2  server.NewRequest: the Request and its done channel
 //	2  redis.DecodeCommand on the node: the argument string and slice
-//	2  vm.(*Space).Handler: a closure per VAS switch, in and out
-//	2  core.(*VAS).lockSet: a slice per VAS switch, in and out
-//	4  redis.(*Store).readBytes: the probed keys and the value, out of
-//	   simulated memory (3.7 on average over these keys)
-//	1  redis.EncodeBulk on the node: the reply
+//	1  redis.Run on the node: the reply, which the value is read into
+//	   straight from simulated memory
 //	1  urpc: the response frame the worker hands the connection
 //
 // Encoding the command for the wire, the ring slots, the request frame on
-// the node and the reply's trip back allocate nothing. The same GET on a
-// co-resident node is the list without the decode and the urpc frame.
+// the node, the two VAS switches, the probed keys (compared in place) and the
+// reply's trip back allocate nothing. The same GET on a co-resident node is
+// the list without the decode and the urpc frame.
 func TestRemoteGetAllocations(t *testing.T) {
 	for _, c := range []struct {
 		mode Mode
 		max  float64
-	}{{ModeURPC, 14}, {ModeVAS, 11}} {
+	}{{ModeURPC, 6}, {ModeVAS, 3}} {
 		r, gets := benchRouter(t, c.mode)
 		i := 0
 		got := testing.AllocsPerRun(2000, func() {

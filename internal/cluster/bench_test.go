@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"spacejmp/internal/core"
 	"spacejmp/internal/hw"
 	"spacejmp/internal/kernel"
+	"spacejmp/internal/redis"
 	"spacejmp/internal/server"
 )
 
@@ -66,3 +69,55 @@ func benchRouterExec(b *testing.B, mode Mode) {
 // back. sim-cycles/op is the worker core's charge per command.
 func BenchmarkRouterExecLocal(b *testing.B)  { benchRouterExec(b, ModeVAS) }
 func BenchmarkRouterExecRemote(b *testing.B) { benchRouterExec(b, ModeURPC) }
+
+// BenchmarkApplyImage is one checkpoint ship's apply on the monitor: tear the
+// standby down, allocate it again and store every non-zero word of a 16 MiB
+// store segment's image (about 700 pages of data) into it. sim-cycles/op is
+// the monitor core's charge, the modelled cost of a ship.
+func BenchmarkApplyImage(b *testing.B) {
+	sys := kernel.New(hw.NewMachine(hw.SmallTest()))
+	proc, err := sys.NewProcess(core.Creds{UID: 1, GID: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	th, err := proc.NewThread()
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := redis.ShardNames(0)
+	c, err := redis.NewClientNamed(th, 16<<20, names)
+	if err != nil {
+		b.Fatal(err)
+	}
+	value := make([]byte, 1024)
+	for i := range value {
+		value[i] = byte(i%251 + 1)
+	}
+	for i := 0; i < 2500; i++ {
+		if err := c.Set(fmt.Sprintf("key:%06d", i), value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	img, err := sys.SegmentImageOf(names.Seg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := 0
+	for _, page := range img.Pages {
+		if !bytes.Equal(page, make([]byte, len(page))) {
+			data++
+		}
+	}
+	m, n := &monitor{proc: proc, th: th}, &node{standby: redis.StandbyNames(0)}
+	start := th.Core.Cycles()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.applyImage(n, img); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(th.Core.Cycles()-start)/float64(b.N), "sim-cycles/op")
+	b.ReportMetric(float64(data), "data-pages")
+}

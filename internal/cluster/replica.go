@@ -54,12 +54,18 @@ func (m *monitor) applyImage(n *node, img *core.SegmentImage) error {
 	}
 	for idx, page := range img.Pages {
 		base := redis.SegBase + arch.VirtAddr(idx*img.PageSize)
-		for off := 0; off+8 <= len(page); off += 8 {
-			word := binary.LittleEndian.Uint64(page[off:])
-			if word == 0 {
-				continue // fresh frames read zero; skip the stores
+		// Each maximal run of non-zero words is one run of stores; zero words
+		// are skipped (fresh frames read zero), as word-by-word stores did.
+		zero := func(w int) bool { return binary.LittleEndian.Uint64(page[w*8:]) == 0 }
+		for w, words := 0, len(page)/8; w < words; w++ {
+			first := w
+			for w < words && !zero(w) {
+				w++
 			}
-			if err := th.Store64(base+arch.VirtAddr(off), word); err != nil {
+			if w == first {
+				continue
+			}
+			if _, err := th.StoreWords(base+arch.VirtAddr(first*8), page[first*8:w*8]); err != nil {
 				_ = th.VASSwitch(core.PrimaryHandle)
 				_ = th.VASDetach(h)
 				return fmt.Errorf("standby page %d: %w", idx, err)

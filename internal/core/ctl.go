@@ -72,8 +72,16 @@ type setLockableCmd struct{ v bool }
 // SetLockable toggles a segment's lockable bit.
 func SetLockable(v bool) SegCmd { return setLockableCmd{v: v} }
 
-func (c setLockableCmd) applySeg(_ *System, s *Segment) error {
-	s.SetLockable(c.v)
+func (c setLockableCmd) applySeg(sys *System, s *Segment) error {
+	s.mu.Lock()
+	s.lockable = c.v
+	s.mu.Unlock()
+	// Any cached lock set may hold s; the command is rare: drop them all.
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	for _, v := range sys.vases {
+		v.dropLockSet()
+	}
 	return nil
 }
 

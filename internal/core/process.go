@@ -243,7 +243,7 @@ func (t *Thread) Switch(h Handle) error {
 	for i := len(t.held) - 1; i >= 0; i-- {
 		t.held[i].Seg.release(t.held[i].Perm)
 	}
-	t.held = t.held[:0]
+	t.held = nil
 
 	var space *vm.Space
 	tag := t.Proc.primaryTag
@@ -288,6 +288,10 @@ func (t *Thread) Load64(va arch.VirtAddr) (uint64, error) { return t.Core.Load64
 
 // Store64 writes an aligned word in the thread's current address space.
 func (t *Thread) Store64(va arch.VirtAddr, v uint64) error { return t.Core.Store64(va, v) }
+
+// LoadWords and StoreWords move a run of consecutive words (hw.Core.LoadWords).
+func (t *Thread) LoadWords(va arch.VirtAddr, b []byte) (int, error)  { return t.Core.LoadWords(va, b) }
+func (t *Thread) StoreWords(va arch.VirtAddr, b []byte) (int, error) { return t.Core.StoreWords(va, b) }
 
 // Read copies memory out of the thread's current address space.
 func (t *Thread) Read(va arch.VirtAddr, buf []byte) error { return t.Core.Read(va, buf) }

@@ -69,13 +69,6 @@ func (s *Segment) Lockable() bool {
 	return s.lockable
 }
 
-// SetLockable toggles lock enforcement.
-func (s *Segment) SetLockable(v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lockable = v
-}
-
 // setPerm updates the maximum permissions (seg_ctl).
 func (s *Segment) setPerm(p arch.Perm) {
 	s.mu.Lock()
@@ -84,11 +77,10 @@ func (s *Segment) setPerm(p arch.Perm) {
 }
 
 // acquire takes the segment lock in the mode implied by the mapping
-// permissions, blocking until granted. Non-lockable segments are a no-op.
+// permissions, blocking until granted. Whether a segment is locked at all is
+// decided once, in VAS.lockSet: acquire and release always pair, whatever
+// happens to the lockable bit in between.
 func (s *Segment) acquire(mapPerm arch.Perm) {
-	if !s.Lockable() {
-		return
-	}
 	if mapPerm.CanWrite() {
 		if !s.lock.rw.TryLock() {
 			s.lock.contended.Add(1)
@@ -106,9 +98,6 @@ func (s *Segment) acquire(mapPerm arch.Perm) {
 
 // release drops the lock taken by acquire with the same mapping perms.
 func (s *Segment) release(mapPerm arch.Perm) {
-	if !s.Lockable() {
-		return
-	}
 	if mapPerm.CanWrite() {
 		s.lock.writers.Add(-1)
 		s.lock.rw.Unlock()

@@ -372,9 +372,15 @@ func (t *Thread) VASAttach(vid VASID) (Handle, error) {
 	if err := sys.P.CheckVAS(t.Proc.Creds, v, arch.PermRead); err != nil {
 		return 0, err
 	}
+	// Registered only once built (SegAttachVAS and friends use the spaces of
+	// registered attachments); until then vas_destroy respects the count.
+	if !v.beginAttach() {
+		return 0, fmt.Errorf("%w: vas %d", ErrNotFound, vid)
+	}
 	p := t.Proc
 	a := &Attachment{VAS: v, proc: p}
 	if _, err := sys.buildSpace(p, a); err != nil {
+		v.endAttach(nil)
 		return 0, err
 	}
 	p.mu.Lock()
@@ -382,7 +388,7 @@ func (t *Thread) VASAttach(vid VASID) (Handle, error) {
 	p.nextHandle++
 	p.atts[a.H] = a
 	p.mu.Unlock()
-	v.addAttachment(a)
+	v.endAttach(a)
 	return a.H, nil
 }
 
@@ -453,12 +459,11 @@ func (t *Thread) VASClone(vid VASID, newName string) (VASID, error) {
 		sys.mu.Unlock()
 		return 0, fmt.Errorf("%w: vas %q", ErrExists, newName)
 	}
-	v := &VAS{ID: sys.nextVAS, Name: newName, Owner: t.Proc.Creds, Mode: src.Mode, atts: map[*Attachment]struct{}{}}
+	v := &VAS{ID: sys.nextVAS, Name: newName, Owner: t.Proc.Creds, Mode: src.Mode, atts: map[*Attachment]struct{}{}, segs: src.Mappings()}
 	sys.nextVAS++
 	sys.vases[v.ID] = v
 	sys.vasByName[newName] = v
 	sys.mu.Unlock()
-	v.segs = src.Mappings()
 	sys.P.VASCreated(t.Proc.Creds, v)
 	return v.ID, nil
 }
@@ -506,7 +511,7 @@ func (t *Thread) VASDestroy(vid VASID) error {
 	if err := sys.P.CheckVAS(t.Proc.Creds, v, arch.PermWrite); err != nil {
 		return err
 	}
-	if v.AttachCount() > 0 {
+	if !v.markDestroyed() {
 		return fmt.Errorf("%w: vas %q has attachments", ErrBusy, v.Name)
 	}
 	sys.mu.Lock()

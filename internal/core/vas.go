@@ -33,6 +33,18 @@ type VAS struct {
 	segs []SegMapping
 	tag  arch.ASID // TLB tag; ASIDFlush means untagged (§4.4)
 	atts map[*Attachment]struct{}
+	// attaching counts vas_attach calls between finding the VAS and
+	// registering the attachment they build; vas_destroy sets destroyed, which
+	// refuses further attaches, only when atts and attaching are both empty.
+	// A VAS, and so the segments it maps, stays registered while a space over
+	// them is being built.
+	attaching int
+	destroyed bool
+
+	// locks caches lockSet's answer (nil: recompute). It is dropped wherever
+	// segs or a segment's lockable bit changes and never modified once handed
+	// out: switching threads hold it as their lock list.
+	locks []SegMapping
 }
 
 // Tag returns the VAS's TLB tag (ASIDFlush if untagged).
@@ -59,18 +71,27 @@ func (v *VAS) Mappings() []SegMapping {
 
 // lockSet returns the lockable mappings in deterministic (SegID) order, the
 // order every switch acquires locks in, which rules out lock-order
-// deadlocks between concurrent switchers.
+// deadlocks between concurrent switchers. The caller must not modify it.
 func (v *VAS) lockSet() []SegMapping {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	var out []SegMapping
-	for _, m := range v.segs {
-		if m.Seg.Lockable() {
-			out = append(out, m)
+	if v.locks == nil {
+		v.locks = make([]SegMapping, 0, len(v.segs))
+		for _, m := range v.segs {
+			if m.Seg.Lockable() {
+				v.locks = append(v.locks, m)
+			}
 		}
+		sort.Slice(v.locks, func(i, j int) bool { return v.locks[i].Seg.ID < v.locks[j].Seg.ID })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seg.ID < out[j].Seg.ID })
-	return out
+	return v.locks
+}
+
+// dropLockSet invalidates the cached lock set.
+func (v *VAS) dropLockSet() {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.locks = nil
 }
 
 // overlapsLocked reports whether [base, base+size) intersects any mapped
@@ -93,6 +114,7 @@ func (v *VAS) addSeg(m SegMapping) bool {
 		return false
 	}
 	v.segs = append(v.segs, m)
+	v.locks = nil
 	return true
 }
 
@@ -103,6 +125,7 @@ func (v *VAS) removeSeg(id SegID) (SegMapping, bool) {
 	for i, m := range v.segs {
 		if m.Seg.ID == id {
 			v.segs = append(v.segs[:i], v.segs[i+1:]...)
+			v.locks = nil
 			return m, true
 		}
 	}
@@ -120,10 +143,37 @@ func (v *VAS) attachments() []*Attachment {
 	return out
 }
 
-func (v *VAS) addAttachment(a *Attachment) {
+// beginAttach announces an attach in flight; false means the VAS is gone.
+func (v *VAS) beginAttach() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.atts[a] = struct{}{}
+	if v.destroyed {
+		return false
+	}
+	v.attaching++
+	return true
+}
+
+// endAttach ends an attach in flight, registering the attachment it built
+// (nil when building failed).
+func (v *VAS) endAttach(a *Attachment) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.attaching--
+	if a != nil {
+		v.atts[a] = struct{}{}
+	}
+}
+
+// markDestroyed refuses while anything is attached or attaching.
+func (v *VAS) markDestroyed() bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if len(v.atts) > 0 || v.attaching > 0 {
+		return false
+	}
+	v.destroyed = true
+	return true
 }
 
 func (v *VAS) dropAttachment(a *Attachment) {

@@ -210,9 +210,10 @@ func (e *Engine) InvalidateNode(node int, reason string) {
 
 // sweepLocked releases node's retired views that no reader is attached to.
 // Views still attached stay retired for the next sweep; the release path's
-// VASDestroy refuses (ErrBusy) while attachments exist, so a reader that
-// attached between the generation flip and the sweep is never pulled out
-// from under. Caller holds e.mu.
+// VASDestroy refuses (ErrBusy) while attachments exist or an attach is in
+// flight, so a reader that attached — or is attaching — between the
+// generation flip and the sweep is never pulled out from under. Caller holds
+// e.mu.
 func (e *Engine) sweepLocked(th *core.Thread, node int) {
 	kept := e.retired[node][:0]
 	for _, v := range e.retired[node] {
@@ -224,9 +225,9 @@ func (e *Engine) sweepLocked(th *core.Thread, node int) {
 }
 
 // releaseView reclaims one retired view: destroy the frozen VAS (refused
-// while attached — the fencing guarantee), free the frozen segment (its
-// frames return to the allocator), then collapse the live object's COW
-// chain so private frames of intermediate generations are freed too.
+// while attached — the fencing guarantee), free the frozen segment, then
+// fold the live object's COW chain: the released generation's frames move
+// up into the view above it, and the ones that view superseded are freed.
 func (e *Engine) releaseView(th *core.Thread, v *View) error {
 	if err := th.VASDestroy(v.vid); err != nil {
 		return err

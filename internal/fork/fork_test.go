@@ -22,7 +22,7 @@ const (
 // own VAS — what a shard node's store is to the fork engine — plus the
 // bytes the machine had allocated before any of it existed.
 type rig struct {
-	t    *testing.T
+	t    testing.TB
 	sys  *core.System
 	proc *core.Process
 	th   *core.Thread
@@ -31,7 +31,9 @@ type rig struct {
 	base uint64
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig { return newRigSized(t, liveSize) }
+
+func newRigSized(t testing.TB, size uint64) *rig {
 	t.Helper()
 	sys := kernel.New(hw.NewMachine(hw.SmallTest()))
 	r := &rig{t: t, sys: sys, base: sys.M.PM.AllocatedBytes()}
@@ -42,7 +44,7 @@ func newRig(t *testing.T) *rig {
 	if r.th, err = r.proc.NewThread(); err != nil {
 		t.Fatal(err)
 	}
-	sid, err := r.th.SegAlloc(liveSeg, liveBase, liveSize, arch.PermRW)
+	sid, err := r.th.SegAlloc(liveSeg, liveBase, size, arch.PermRW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,5 +312,105 @@ func TestConcurrentLookupAndInvalidate(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	r.teardown(e)
+}
+
+// Every fork publishes view k+1 before the sweep releases view k, so the live
+// segment's immediate COW parent is always a view somebody holds. Released
+// generations must fold away all the same: with a rotating subset of pages
+// written between forks the machine's allocation is flat from the third round
+// on, every image is the store at its fork, and a view a reader stays
+// attached to survives — intact — while the generations forked and released
+// around it still give their superseded frames back.
+func TestReleasedGenerationsFold(t *testing.T) {
+	r := newRig(t)
+	e := New(r.sys, nil)
+	pm := r.sys.M.PM
+	shadow := map[uint64]uint64{} // offset -> word, what the live store holds
+	write := func(round int) {
+		for i := 0; i < 4; i++ {
+			off := uint64((round*3+i*5)%16*4096 + 8*i)
+			shadow[off] = uint64(round)<<8 | uint64(i)
+			r.store(int(off), shadow[off])
+		}
+	}
+	snapshot := func() map[uint64]uint64 {
+		out := make(map[uint64]uint64, len(shadow))
+		for off, w := range shadow {
+			out[off] = w
+		}
+		return out
+	}
+	check := func(v *View, want map[uint64]uint64, when string) {
+		t.Helper()
+		img, err := e.Image(v)
+		if err != nil {
+			t.Fatalf("%s: Image of gen %d: %v", when, v.Gen(), err)
+		}
+		for off, w := range want {
+			if got := wordAt(img, off); got != w {
+				t.Fatalf("%s: gen %d reads %#x at +%d, want %#x", when, v.Gen(), got, off, w)
+			}
+		}
+	}
+	// flat forks and writes for rounds rounds; the allocation must not move
+	// after round from.
+	flat := func(rounds, from int, what string) uint64 {
+		t.Helper()
+		var steady uint64
+		for round := 1; round <= rounds; round++ {
+			v, err := e.Fork(r.th, 0, liveSeg)
+			if err != nil {
+				t.Fatalf("%s round %d: Fork: %v", what, round, err)
+			}
+			want := snapshot()
+			write(round)
+			check(v, want, what)
+			switch got := pm.AllocatedBytes(); {
+			case round == from:
+				steady = got
+			case round > from && got != steady:
+				t.Fatalf("%s round %d: %d bytes allocated, %d after round %d: released generations are not folding",
+					what, round, got, steady, from)
+			}
+		}
+		return steady
+	}
+	write(0)
+	steady := flat(40, 3, "no reader")
+
+	held, err := e.Fork(r.th, 0, liveSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heldWant := snapshot()
+	readerProc, err := r.sys.NewProcess(core.Creds{UID: 1, GID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := readerProc.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := reader.VASAttach(held.VID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Above the held view the superseded frames of released generations still
+	// go: what stays is one frame per page written since it was forked, all
+	// sixteen of them within a few rounds.
+	flat(20, 8, "reader attached to an older view")
+	if _, err := r.th.SegFind(held.SegName()); err != nil {
+		t.Fatalf("the view a reader is attached to was reclaimed: %v", err)
+	}
+	check(held, heldWant, "twenty forks later")
+
+	if err := reader.VASDetach(h); err != nil {
+		t.Fatal(err)
+	}
+	readerProc.Exit()
+	if got := flat(6, 3, "reader gone"); got != steady {
+		t.Errorf("%d bytes allocated after the reader detached, %d before it attached", got, steady)
+	}
 	r.teardown(e)
 }

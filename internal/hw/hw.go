@@ -10,6 +10,7 @@
 package hw
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"spacejmp/internal/arch"
@@ -357,7 +358,7 @@ func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAdd
 	if pa, perm, ok := c.TLB.Translate(c.asid, va); ok {
 		if perm.Allows(access.Perm()) {
 			c.stats.TLBHits++
-			c.cobs.TLBHit(c.asid)
+			c.cobs.TLBHits(c.asid, 1)
 			return pa, nil
 		}
 		// Permission violation on a cached translation: as on x86, the
@@ -486,4 +487,76 @@ func (c *Core) Store64(va arch.VirtAddr, v uint64) error {
 		c.cobs.AddCycles(cat, c.machine.Cfg.Cost.MemAccess)
 	}
 	return c.machine.PM.Store64(pa, v)
+}
+
+// LoadWords reads len(buf)/8 consecutive words starting at va into buf,
+// little-endian. It is defined as that many Load64 calls in address order,
+// stopping at the first error with the words before it done (their count is
+// returned); StoreWords is the same over Store64. See words.
+func (c *Core) LoadWords(va arch.VirtAddr, buf []byte) (int, error) {
+	return c.words(va, buf, arch.AccessRead)
+}
+
+func (c *Core) StoreWords(va arch.VirtAddr, buf []byte) (int, error) {
+	return c.words(va, buf, arch.AccessWrite)
+}
+
+// words is the run-length access (DESIGN.md "Run-length accesses"). The first
+// word of the run and of every further 4 KiB page is Load64/Store64 itself:
+// miss, walk, fill, eviction, stale-permission re-walk, fault and retry happen
+// there, so a COW break still happens on the first store to each page. The k
+// words left on the page can only hit the entry that word used or filled: one
+// TLB operation leaves the TLB where k probes would, each counter takes its k
+// charges in one update, and the bytes move in one copy. If a shootdown took
+// the entry meanwhile nothing was charged and the next word starts over.
+func (c *Core) words(va arch.VirtAddr, buf []byte, kind arch.Access) (int, error) {
+	cost, pm := &c.machine.Cfg.Cost, c.machine.PM
+	write := kind == arch.AccessWrite
+	n := len(buf) / 8
+	for done := 0; done < n; {
+		word := buf[done*8 : done*8+8]
+		if write {
+			if err := c.Store64(va, binary.LittleEndian.Uint64(word)); err != nil {
+				return done, err
+			}
+		} else {
+			w, err := c.Load64(va)
+			if err != nil {
+				return done, err
+			}
+			binary.LittleEndian.PutUint64(word, w)
+		}
+		done, va = done+1, va+8
+		k := min(n-done, int((arch.PageSize-va.PageOffset())%arch.PageSize/8))
+		if k == 0 {
+			continue
+		}
+		pa, ok := c.TLB.TranslateRun(c.asid, va, kind.Perm(), k)
+		if !ok {
+			continue
+		}
+		run, uk := buf[done*8:(done+k)*8], uint64(k)
+		c.cycles += uk * (cost.TLBHit + cost.MemAccess)
+		c.stats.TLBHits += uk
+		if c.cobs != nil {
+			cat := stats.CatData
+			if write && pm.TierOf(pa) == mem.TierNVM {
+				cat = stats.CatNVMWrite
+			}
+			c.cobs.AddCycles(stats.CatTLBProbe, uk*cost.TLBHit)
+			c.cobs.AddCycles(cat, uk*cost.MemAccess)
+			c.cobs.TLBHits(c.asid, uk)
+		}
+		var err error
+		if write {
+			err = pm.StoreWords(pa, run)
+		} else {
+			err = pm.ReadAt(pa, run)
+		}
+		if err != nil {
+			return done, err
+		}
+		done, va = done+k, va+arch.VirtAddr(8*k)
+	}
+	return n, nil
 }

@@ -328,10 +328,24 @@ func (pm *PhysMem) WriteAt(pa arch.PhysAddr, buf []byte) error {
 		torn = fmt.Errorf("%w: [%v,+%d)", ErrTornWrite, pa, len(buf))
 	}
 	if pm.TierOf(pa) == TierNVM {
-		pm.obs.Load().NVMWrite(len(buf))
+		pm.obs.Load().NVMWrite(1, uint64(len(buf)))
 	}
 	pm.copyIn(pa, buf)
 	return torn
+}
+
+// StoreWords is a Store64 of each little-endian word of buf to consecutive
+// words from pa, moved as one copy. It is not a WriteAt: k word stores are k
+// NVM writes, and a word store cannot tear (fault.MemWriteTorn is not asked).
+func (pm *PhysMem) StoreWords(pa arch.PhysAddr, buf []byte) error {
+	if pa&7 != 0 || len(buf)&7 != 0 || uint64(pa)+uint64(len(buf)) > pm.Size() {
+		return fmt.Errorf("mem: StoreWords [%v,+%d) unaligned or out of range", pa, len(buf))
+	}
+	if pm.TierOf(pa) == TierNVM {
+		pm.obs.Load().NVMWrite(uint64(len(buf)/8), uint64(len(buf)))
+	}
+	pm.copyIn(pa, buf)
+	return nil
 }
 
 // Load64 reads a little-endian uint64 at pa, which must be 8-byte aligned.
@@ -359,7 +373,7 @@ func (pm *PhysMem) Store64(pa arch.PhysAddr, v uint64) error {
 		return fmt.Errorf("mem: Store64 at %v out of range", pa)
 	}
 	if pm.TierOf(pa) == TierNVM {
-		pm.obs.Load().NVMWrite(8)
+		pm.obs.Load().NVMWrite(1, 8)
 	}
 	f := pm.frame(uint64(pa) / arch.PageSize)
 	atomic.StoreUint64(&f[uint64(pa)%arch.PageSize/8], le(v))

@@ -24,10 +24,40 @@ import (
 )
 
 // Accessor reads and writes 64-bit words of the active virtual address
-// space. core.Thread satisfies it.
+// space, one at a time or as a run of consecutive words held little-endian in
+// a byte buffer (returning the count done). core.Thread satisfies it.
 type Accessor interface {
 	Load64(va arch.VirtAddr) (uint64, error)
 	Store64(va arch.VirtAddr, v uint64) error
+	LoadWords(va arch.VirtAddr, buf []byte) (int, error)
+	StoreWords(va arch.VirtAddr, buf []byte) (int, error)
+}
+
+// ReadBytes fills b from the words at va: byte strings live in segment
+// memory as little-endian words, the last one zero-padded.
+func ReadBytes(mem Accessor, va arch.VirtAddr, b []byte) error {
+	whole := len(b) &^ 7
+	if _, err := mem.LoadWords(va, b[:whole]); err != nil || whole == len(b) {
+		return err
+	}
+	w, err := mem.Load64(va + arch.VirtAddr(whole))
+	for i := whole; i < len(b); i++ {
+		b[i], w = byte(w), w>>8
+	}
+	return err
+}
+
+// WriteBytes stores b at va for ReadBytes; the padded last word goes whole.
+func WriteBytes(mem Accessor, va arch.VirtAddr, b []byte) error {
+	whole := len(b) &^ 7
+	if _, err := mem.StoreWords(va, b[:whole]); err != nil || whole == len(b) {
+		return err
+	}
+	var w uint64
+	for i := len(b) - 1; i >= whole; i-- {
+		w = w<<8 | uint64(b[i])
+	}
+	return mem.Store64(va+arch.VirtAddr(whole), w)
 }
 
 const (
@@ -425,14 +455,12 @@ func (s *Space) Realloc(va arch.VirtAddr, n uint64) (arch.VirtAddr, error) {
 	if err != nil {
 		return 0, err
 	}
-	for off := uint64(0); off < old; off += 8 {
-		v, err := s.load(va + arch.VirtAddr(off))
-		if err != nil {
-			return 0, err
-		}
-		if err := s.store(nva+arch.VirtAddr(off), v); err != nil {
-			return 0, err
-		}
+	buf := make([]byte, old)
+	if _, err := s.mem.LoadWords(va, buf); err != nil {
+		return 0, fmt.Errorf("%w: load %v: %v", ErrCorrupt, va, err)
+	}
+	if _, err := s.mem.StoreWords(nva, buf); err != nil {
+		return 0, fmt.Errorf("%w: store %v: %v", ErrCorrupt, nva, err)
 	}
 	if err := s.Free(va); err != nil {
 		return 0, err

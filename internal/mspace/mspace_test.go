@@ -1,6 +1,7 @@
 package mspace
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -30,6 +31,27 @@ func (m *flatMem) Store64(va arch.VirtAddr, v uint64) error {
 	}
 	m.words[va] = v
 	return nil
+}
+
+// LoadWords and StoreWords are the definition: the loop of single words.
+func (m *flatMem) LoadWords(va arch.VirtAddr, buf []byte) (int, error) {
+	for i := 0; i < len(buf)/8; i++ {
+		w, err := m.Load64(va + arch.VirtAddr(i*8))
+		if err != nil {
+			return i, err
+		}
+		binary.LittleEndian.PutUint64(buf[i*8:], w)
+	}
+	return len(buf) / 8, nil
+}
+
+func (m *flatMem) StoreWords(va arch.VirtAddr, buf []byte) (int, error) {
+	for i := 0; i < len(buf)/8; i++ {
+		if err := m.Store64(va+arch.VirtAddr(i*8), binary.LittleEndian.Uint64(buf[i*8:])); err != nil {
+			return i, err
+		}
+	}
+	return len(buf) / 8, nil
 }
 
 const base arch.VirtAddr = 0x10000

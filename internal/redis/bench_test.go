@@ -27,38 +27,50 @@ func benchClient(b *testing.B) *Client {
 	return c
 }
 
+// benchJmp runs op over 256 keys holding values of size bytes, at the two
+// sizes the repo benchmark serves: the short values of serve-vas and the
+// 1 KiB ones of serve-mixed. sim-cycles/op is the simulated cost.
+func benchJmp(b *testing.B, op func(c *Client, key string, val []byte) error) {
+	for _, size := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			c := benchClient(b)
+			val := make([]byte, size)
+			keys := make([]string, 256)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("k%d", i)
+				if err := c.Set(keys[i], val); err != nil {
+					b.Fatal(err)
+				}
+			}
+			start := c.th.Core.Cycles()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := op(c, keys[i%256], val); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(c.th.Core.Cycles()-start)/float64(b.N), "sim-cycles/op")
+		})
+	}
+}
+
 // BenchmarkJmpGet measures a full RedisJMP GET: two VAS switches plus the
-// MMU-mediated hash walk. The sim-cycles metric is the simulated cost.
+// MMU-mediated hash walk and the value's trip out of the segment.
 func BenchmarkJmpGet(b *testing.B) {
-	c := benchClient(b)
-	for i := 0; i < 256; i++ {
-		if err := c.Set(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-			b.Fatal(err)
+	benchJmp(b, func(c *Client, key string, val []byte) error {
+		got, ok, err := c.Get(key)
+		if err == nil && (!ok || len(got) != len(val)) {
+			err = fmt.Errorf("GET %s: %d bytes, found %v", key, len(got), ok)
 		}
-	}
-	start := c.th.Core.Cycles()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := c.Get(fmt.Sprintf("k%d", i%256)); err != nil || !ok {
-			b.Fatal(ok, err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(c.th.Core.Cycles()-start)/float64(b.N), "sim-cycles/op")
+		return err
+	})
 }
 
 // BenchmarkJmpSet measures a RedisJMP SET under the exclusive lock.
 func BenchmarkJmpSet(b *testing.B) {
-	c := benchClient(b)
-	start := c.th.Core.Cycles()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Set(fmt.Sprintf("k%d", i%256), []byte("v")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(c.th.Core.Cycles()-start)/float64(b.N), "sim-cycles/op")
+	benchJmp(b, func(c *Client, key string, val []byte) error { return c.Set(key, val) })
 }
 
 // BenchmarkBaselineGet measures the socket-path baseline.

@@ -31,21 +31,12 @@ func Run(c *Client, cmd *Command, args []string) []byte {
 		return EncodeSimple("PONG")
 	case OpEcho:
 		return EncodeBulk([]byte(args[1]))
-	case OpGet:
-		v, ok, err := c.Get(args[1])
+	case OpGet, OpMGet:
+		reply, err := c.bulkReply(args[1:], cmd.Op == OpMGet)
 		if err != nil {
 			return EncodeError(err.Error())
 		}
-		if !ok {
-			return EncodeBulk(nil)
-		}
-		return EncodeBulk(v)
-	case OpMGet:
-		vals, err := c.MGet(args[1:])
-		if err != nil {
-			return EncodeError(err.Error())
-		}
-		return EncodeArray(vals)
+		return reply
 	case OpSet:
 		if err := c.Set(args[1], []byte(args[2])); err != nil {
 			if errors.Is(err, ErrStoreFull) {

@@ -220,19 +220,29 @@ func (c *Client) EnableTags() error {
 	return nil
 }
 
-// Get executes a GET: parse in the scratch heap, switch into the read VAS
-// (shared lock), walk the table directly, switch back. The switch back
-// happens even when the table walk fails, so an error never strands the
-// thread inside the VAS holding the shared lock.
-func (c *Client) Get(key string) ([]byte, bool, error) {
-	c.th.Core.AddCycles(parseCycles)
-	if err := c.th.VASSwitch(c.readH); err != nil {
-		return nil, false, err
+// in runs fn switched into the VAS behind h, after charging the parse work of
+// cmds commands to the scratch heap. The switch back happens whatever fn
+// returns, so an error — a failed table walk, a full heap — never strands the
+// thread inside the VAS holding the segment's lock.
+func (c *Client) in(h core.Handle, cmds int, fn func() error) error {
+	c.th.Core.AddCycles(uint64(cmds) * parseCycles)
+	if err := c.th.VASSwitch(h); err != nil {
+		return err
 	}
-	val, ok, err := c.store.Get([]byte(key))
+	err := fn()
 	if serr := c.th.VASSwitch(core.PrimaryHandle); err == nil {
 		err = serr
 	}
+	return err
+}
+
+// Get executes a GET: parse in the scratch heap, switch into the read VAS
+// (shared lock), walk the table directly, switch back.
+func (c *Client) Get(key string) (val []byte, ok bool, err error) {
+	err = c.in(c.readH, 1, func() (err error) {
+		val, ok, err = c.store.Get([]byte(key))
+		return err
+	})
 	if err != nil {
 		return nil, false, err
 	}
@@ -246,52 +256,54 @@ func (c *Client) Get(key string) ([]byte, bool, error) {
 // transfers, while here the additional keys cost only memory accesses.
 // Missing keys come back as nil entries.
 func (c *Client) MGet(keys []string) ([][]byte, error) {
-	c.th.Core.AddCycles(uint64(len(keys)) * parseCycles)
-	if err := c.th.VASSwitch(c.readH); err != nil {
-		return nil, err
-	}
 	vals := make([][]byte, len(keys))
-	var err error
-	for i, key := range keys {
-		var v []byte
-		var ok bool
-		if v, ok, err = c.store.Get([]byte(key)); err != nil {
-			break
+	err := c.in(c.readH, len(keys), func() (err error) {
+		for i, key := range keys {
+			if vals[i], _, err = c.store.Get([]byte(key)); err != nil {
+				break
+			}
 		}
-		if ok {
-			vals[i] = v
-		}
-	}
-	if serr := c.th.VASSwitch(core.PrimaryHandle); err == nil {
-		err = serr
-	}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	return vals, nil
 }
 
-// Set executes a SET under the exclusive lock, rehashing while exclusive
-// if the table outgrew its buckets. Whatever happens inside the critical
-// section, the thread switches back out (releasing the exclusive lock) —
-// a full heap must not leave the segment locked forever. A heap-exhausted
-// SET comes back wrapped in ErrStoreFull, so callers can test it with
-// errors.Is against redis, core, and mspace sentinels alike.
-func (c *Client) Set(key string, val []byte) error {
-	c.th.Core.AddCycles(parseCycles)
-	if err := c.th.VASSwitch(c.writeH); err != nil {
-		return err
-	}
-	err := c.store.Set([]byte(key), val)
-	if err == nil {
-		var need bool
-		if need, err = c.store.NeedRehash(); err == nil && need {
-			err = c.store.Rehash()
+// bulkReply is Get (array false, one key) or MGet rendered as the RESP reply:
+// the same accesses in the same order, with every value read from the
+// segment straight into the reply.
+func (c *Client) bulkReply(keys []string, array bool) (reply []byte, err error) {
+	err = c.in(c.readH, len(keys), func() (err error) {
+		if array {
+			reply = appendLen(make([]byte, 0, lenSize(len(keys))), '*', len(keys))
 		}
-	}
-	if serr := c.th.VASSwitch(core.PrimaryHandle); err == nil {
-		err = serr
-	}
+		for i, key := range keys {
+			if reply, err = c.store.appendBulk(reply, []byte(key), len(keys)-1-i); err != nil {
+				break
+			}
+		}
+		return err
+	})
+	return reply, err
+}
+
+// Set executes a SET under the exclusive lock, rehashing while exclusive
+// if the table outgrew its buckets. A heap-exhausted SET comes back wrapped
+// in ErrStoreFull, so callers can test it with errors.Is against redis, core,
+// and mspace sentinels alike.
+func (c *Client) Set(key string, val []byte) error {
+	err := c.in(c.writeH, 1, func() error {
+		if err := c.store.Set([]byte(key), val); err != nil {
+			return err
+		}
+		need, err := c.store.NeedRehash()
+		if err != nil || !need {
+			return err
+		}
+		return c.store.Rehash()
+	})
 	if errors.Is(err, mspace.ErrNoSpace) {
 		return fmt.Errorf("%w: %w", ErrStoreFull, err)
 	}
@@ -299,15 +311,11 @@ func (c *Client) Set(key string, val []byte) error {
 }
 
 // Del removes a key under the exclusive lock.
-func (c *Client) Del(key string) (bool, error) {
-	c.th.Core.AddCycles(parseCycles)
-	if err := c.th.VASSwitch(c.writeH); err != nil {
-		return false, err
-	}
-	found, err := c.store.Del([]byte(key))
-	if serr := c.th.VASSwitch(core.PrimaryHandle); err == nil {
-		err = serr
-	}
+func (c *Client) Del(key string) (found bool, err error) {
+	err = c.in(c.writeH, 1, func() (err error) {
+		found, err = c.store.Del([]byte(key))
+		return err
+	})
 	return found, err
 }
 

@@ -1,7 +1,9 @@
 package redis
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"spacejmp/internal/arch"
 	"spacejmp/internal/mspace"
@@ -18,12 +20,17 @@ import (
 // words through the Accessor (a thread's MMU-mediated loads and stores).
 // An access that faults (e.g. operating without being switched into the
 // VAS, or from a dead process) is returned as an error from the failing
-// operation — the store never panics.
+// operation — the store never panics. A Store handle is driven by one thread
+// at a time, like the Accessor under it.
 type Store struct {
 	mem  mspace.Accessor
 	heap *mspace.Space
 	base arch.VirtAddr
 	root arch.VirtAddr // header chunk
+
+	// scratch stages the stored key a probe compares against and the words
+	// of a new entry, so neither costs the host an allocation.
+	scratch [256]byte
 }
 
 // Store header words.
@@ -65,13 +72,7 @@ func CreateStore(mem mspace.Accessor, base arch.VirtAddr, size uint64) (*Store, 
 	if err != nil {
 		return nil, err
 	}
-	if err := s.put(root+hdrBuckets, uint64(buckets)); err != nil {
-		return nil, err
-	}
-	if err := s.put(root+hdrNBkt, initialBuckets); err != nil {
-		return nil, err
-	}
-	if err := s.put(root+hdrCount, 0); err != nil {
+	if err := s.putWords(root, uint64(buckets), initialBuckets, 0); err != nil { // hdrBuckets, hdrNBkt, hdrCount
 		return nil, err
 	}
 	if err := s.put(base, uint64(root)); err != nil {
@@ -112,46 +113,55 @@ func (s *Store) put(va arch.VirtAddr, v uint64) error {
 	return nil
 }
 
-func (s *Store) allocZeroed(n uint64) (arch.VirtAddr, error) {
-	va, err := s.heap.Alloc(n)
-	if err != nil {
-		return 0, err
-	}
-	for off := uint64(0); off < n; off += 8 {
-		if err := s.put(va+arch.VirtAddr(off), 0); err != nil {
-			return 0, err
-		}
-	}
-	return va, nil
-}
-
-// writeBytes stores b into segment memory word by word.
-func (s *Store) writeBytes(va arch.VirtAddr, b []byte) error {
-	for off := 0; off < len(b); off += 8 {
-		var w uint64
-		for k := 0; k < 8 && off+k < len(b); k++ {
-			w |= uint64(b[off+k]) << (8 * k)
-		}
-		if err := s.put(va+arch.VirtAddr(off), w); err != nil {
-			return err
-		}
+// read fills b from the byte string at va and write stores b there: words
+// through the Accessor's run-length accesses (mspace.ReadBytes, WriteBytes).
+func (s *Store) read(va arch.VirtAddr, b []byte) error {
+	if err := mspace.ReadBytes(s.mem, va, b); err != nil {
+		return fmt.Errorf("redis: load %v: %w", va, err)
 	}
 	return nil
 }
 
-// readBytes loads n bytes from segment memory.
-func (s *Store) readBytes(va arch.VirtAddr, n uint64) ([]byte, error) {
-	out := make([]byte, n)
-	for off := uint64(0); off < n; off += 8 {
-		w, err := s.get(va + arch.VirtAddr(off))
-		if err != nil {
-			return nil, err
-		}
-		for k := uint64(0); k < 8 && off+k < n; k++ {
-			out[off+k] = byte(w >> (8 * k))
-		}
+func (s *Store) write(va arch.VirtAddr, b []byte) error {
+	if err := mspace.WriteBytes(s.mem, va, b); err != nil {
+		return fmt.Errorf("redis: store %v: %w", va, err)
 	}
-	return out, nil
+	return nil
+}
+
+// putWords stores consecutive words at va as one run.
+func (s *Store) putWords(va arch.VirtAddr, words ...uint64) error {
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(s.scratch[i*8:], w)
+	}
+	return s.write(va, s.scratch[:len(words)*8])
+}
+
+var zeroPage [arch.PageSize]byte
+
+func (s *Store) allocZeroed(n uint64) (arch.VirtAddr, error) {
+	va, err := s.heap.Alloc(n)
+	for off := uint64(0); err == nil && off < n; off += arch.PageSize {
+		err = s.write(va+arch.VirtAddr(off), zeroPage[:min(n-off, arch.PageSize)])
+	}
+	return va, err
+}
+
+// keyAt reports whether the key stored at va, len(key) bytes long, equals
+// key, comparing in place through the scratch buffer. It reads every word of
+// the stored key however early the two differ: what a probe costs on the
+// simulated clock depends on the key's length alone.
+func (s *Store) keyAt(va arch.VirtAddr, key []byte) (bool, error) {
+	eq := true
+	for len(key) > 0 {
+		part := s.scratch[:min(len(key), len(s.scratch))]
+		if err := s.read(va, part); err != nil {
+			return false, err
+		}
+		eq = eq && string(part) == string(key[:len(part)])
+		key, va = key[len(part):], va+arch.VirtAddr(len(part))
+	}
+	return eq, nil
 }
 
 // fnv1a hashes a key (computed in client code; only the table lives in
@@ -199,12 +209,8 @@ func (s *Store) findEntry(key []byte) (entry, prevSlot arch.VirtAddr, err error)
 			if err != nil {
 				return 0, 0, err
 			}
-			k, err := s.readBytes(arch.VirtAddr(kptr), klen)
-			if err != nil {
-				return 0, 0, err
-			}
-			if string(k) == string(key) {
-				return cur, slot, nil
+			if eq, err := s.keyAt(arch.VirtAddr(kptr), key); err != nil || eq {
+				return cur, slot, err
 			}
 		}
 		slot = cur + entNext
@@ -216,28 +222,60 @@ func (s *Store) findEntry(key []byte) (entry, prevSlot arch.VirtAddr, err error)
 	return 0, slot, nil
 }
 
+// bytesAt reads the byte string whose address and length are the two words at
+// ptr: an entry's key (entKeyPtr) or value (entValPtr).
+func (s *Store) bytesAt(ptr arch.VirtAddr) ([]byte, error) {
+	va, err := s.get(ptr)
+	if err != nil {
+		return nil, err
+	}
+	n, err := s.get(ptr + 8)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, n)
+	return b, s.read(arch.VirtAddr(va), b)
+}
+
 // Get returns the value for key.
 func (s *Store) Get(key []byte) ([]byte, bool, error) {
 	ent, _, err := s.findEntry(key)
-	if err != nil {
+	if err != nil || ent == 0 {
 		return nil, false, err
+	}
+	val, err := s.bytesAt(ent + entValPtr)
+	return val, err == nil, err
+}
+
+// appendBulk is Get appending the value to dst as a RESP bulk string (the
+// null bulk when key is absent), read from segment memory straight into dst.
+// When dst has to grow it grows for more further values of the same size
+// (within reason), so a reply of like-sized values is one allocation.
+func (s *Store) appendBulk(dst, key []byte, more int) ([]byte, error) {
+	ent, _, err := s.findEntry(key)
+	if err != nil {
+		return dst, err
 	}
 	if ent == 0 {
-		return nil, false, nil
+		return append(dst, "$-1\r\n"...), nil
 	}
-	vptr, err := s.get(ent + entValPtr)
+	va, err := s.get(ent + entValPtr)
 	if err != nil {
-		return nil, false, err
+		return dst, err
 	}
-	vlen, err := s.get(ent + entValLen)
+	n, err := s.get(ent + entValLen)
 	if err != nil {
-		return nil, false, err
+		return dst, err
 	}
-	val, err := s.readBytes(arch.VirtAddr(vptr), vlen)
-	if err != nil {
-		return nil, false, err
+	if need := bulkSize(int(n)); cap(dst)-len(dst) < need {
+		dst = slices.Grow(dst, need+min(more*need, 64<<10))
 	}
-	return val, true, nil
+	dst = appendLen(dst, '$', int(n))
+	end := len(dst) + int(n)
+	if err := s.read(arch.VirtAddr(va), dst[len(dst):end]); err != nil {
+		return dst, err
+	}
+	return append(dst[:end], '\r', '\n'), nil
 }
 
 // Set inserts or replaces key's value.
@@ -259,7 +297,7 @@ func (s *Store) Set(key, val []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := s.writeBytes(vptr, val); err != nil {
+		if err := s.write(vptr, val); err != nil {
 			return err
 		}
 		if err := s.put(ent+entValPtr, uint64(vptr)); err != nil {
@@ -271,14 +309,14 @@ func (s *Store) Set(key, val []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := s.writeBytes(kptr, key); err != nil {
+	if err := s.write(kptr, key); err != nil {
 		return err
 	}
 	vptr, err := s.heap.Alloc(uint64(len(val)))
 	if err != nil {
 		return err
 	}
-	if err := s.writeBytes(vptr, val); err != nil {
+	if err := s.write(vptr, val); err != nil {
 		return err
 	}
 	e, err := s.heap.Alloc(entSize)
@@ -293,19 +331,9 @@ func (s *Store) Set(key, val []byte) error {
 	if err != nil {
 		return err
 	}
-	for _, w := range []struct {
-		off arch.VirtAddr
-		v   uint64
-	}{
-		{entNext, head},
-		{entKeyPtr, uint64(kptr)},
-		{entKeyLen, uint64(len(key))},
-		{entValPtr, uint64(vptr)},
-		{entValLen, uint64(len(val))},
-	} {
-		if err := s.put(e+w.off, w.v); err != nil {
-			return err
-		}
+	// entNext, entKeyPtr, entKeyLen, entValPtr, entValLen.
+	if err := s.putWords(e, head, uint64(kptr), uint64(len(key)), uint64(vptr), uint64(len(val))); err != nil {
+		return err
 	}
 	if err := s.put(slot, uint64(e)); err != nil {
 		return err
@@ -382,27 +410,11 @@ func (s *Store) ForEach(fn func(key, val []byte) error) error {
 		}
 		cur := arch.VirtAddr(curWord)
 		for cur != 0 {
-			kptr, err := s.get(cur + entKeyPtr)
+			key, err := s.bytesAt(cur + entKeyPtr)
 			if err != nil {
 				return err
 			}
-			klen, err := s.get(cur + entKeyLen)
-			if err != nil {
-				return err
-			}
-			key, err := s.readBytes(arch.VirtAddr(kptr), klen)
-			if err != nil {
-				return err
-			}
-			vptr, err := s.get(cur + entValPtr)
-			if err != nil {
-				return err
-			}
-			vlen, err := s.get(cur + entValLen)
-			if err != nil {
-				return err
-			}
-			val, err := s.readBytes(arch.VirtAddr(vptr), vlen)
+			val, err := s.bytesAt(cur + entValPtr)
 			if err != nil {
 				return err
 			}
@@ -469,15 +481,7 @@ func (s *Store) Rehash() error {
 			if err != nil {
 				return err
 			}
-			kptr, err := s.get(cur + entKeyPtr)
-			if err != nil {
-				return err
-			}
-			klen, err := s.get(cur + entKeyLen)
-			if err != nil {
-				return err
-			}
-			key, err := s.readBytes(arch.VirtAddr(kptr), klen)
+			key, err := s.bytesAt(cur + entKeyPtr)
 			if err != nil {
 				return err
 			}

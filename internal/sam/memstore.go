@@ -121,25 +121,16 @@ func (s *MemStore) writeString(str string) (arch.VirtAddr, error) {
 		return 0, err
 	}
 	s.put(va, uint64(len(str)))
-	b := []byte(str)
-	for off := 0; off < len(b); off += 8 {
-		var w uint64
-		for k := 0; k < 8 && off+k < len(b); k++ {
-			w |= uint64(b[off+k]) << (8 * k)
-		}
-		s.put(va+8+arch.VirtAddr(off), w)
+	if err := mspace.WriteBytes(s.mem, va+8, []byte(str)); err != nil {
+		panic(err)
 	}
 	return va, nil
 }
 
 func (s *MemStore) readString(va arch.VirtAddr) string {
-	n := s.get(va)
-	out := make([]byte, n)
-	for off := uint64(0); off < n; off += 8 {
-		w := s.get(va + 8 + arch.VirtAddr(off))
-		for k := uint64(0); k < 8 && off+k < n; k++ {
-			out[off+k] = byte(w >> (8 * k))
-		}
+	out := make([]byte, s.get(va))
+	if err := mspace.ReadBytes(s.mem, va+8, out); err != nil {
+		panic(err)
 	}
 	return string(out)
 }

@@ -18,7 +18,7 @@ func BenchmarkTwoCoresSameASID(b *testing.B) {
 			defer wg.Done()
 			for i := 0; i < b.N; i++ {
 				cc.AddCycles(CatTLBProbe, 1)
-				cc.TLBHit(0)
+				cc.TLBHits(0, 1)
 				cc.AddCycles(CatData, 4)
 			}
 		}(s.Core(c))

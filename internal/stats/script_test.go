@@ -13,7 +13,7 @@ func recordAll(s *Sink, shards []*ShardCounters, k uint64) {
 	cc := s.Core(i) // nil, and still safe, on a one-core or a nil sink
 	cc.AddCycles(Cat(k%uint64(NumCats)), 3+k)
 	cc.AddCycles(CatData, 4)
-	cc.TLBHit(arch.ASID(k % 5))
+	cc.TLBHits(arch.ASID(k%5), 1)
 	cc.TLBMiss(arch.ASID(k % 3))
 	cc.TLBEvict(arch.ASID(1 + k%2))
 
@@ -26,7 +26,7 @@ func recordAll(s *Sink, shards []*ShardCounters, k uint64) {
 
 	s.TLBFlush(int(k%7) + 1)
 	s.Shootdown(2+k, 5)
-	s.NVMWrite(64)
+	s.NVMWrite(1, 64)
 	s.VMMap()
 	s.VMUnmap()
 	s.VMFault()

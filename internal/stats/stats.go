@@ -175,10 +175,11 @@ func (c *CoreCounters) addASIDs(sum map[arch.ASID]ASIDSnap) {
 	}
 }
 
-// TLBHit records a TLB hit while the core ran under the given tag. Safe on nil.
-func (c *CoreCounters) TLBHit(asid arch.ASID) {
+// TLBHits records n TLB hits while the core ran under the given tag (one
+// access, or a run of them in one update). Safe on nil.
+func (c *CoreCounters) TLBHits(asid arch.ASID, n uint64) {
 	if c != nil {
-		c.asid(asid).hits.Add(1)
+		c.asid(asid).hits.Add(n)
 	}
 }
 
@@ -363,11 +364,12 @@ func (s *Sink) Shootdown(pages uint64, entries int) {
 	}
 }
 
-// NVMWrite records a data write of n bytes landing in the NVM tier.
-func (s *Sink) NVMWrite(n int) {
+// NVMWrite records data writes landing in the NVM tier: one bulk write, or a
+// run of word stores, of bytes in total.
+func (s *Sink) NVMWrite(writes, bytes uint64) {
 	if s != nil {
-		s.live.NVM.Writes.Add(1)
-		s.live.NVM.WrittenBytes.Add(uint64(n))
+		s.live.NVM.Writes.Add(writes)
+		s.live.NVM.WrittenBytes.Add(bytes)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestNilSafety(t *testing.T) {
 
 	var c *CoreCounters
 	c.AddCycles(CatData, 5)
-	c.TLBHit(1)
+	c.TLBHits(1, 1)
 	c.TLBMiss(1)
 	c.TLBEvict(1)
 	if c.Cycles(CatData) != 0 {
@@ -76,12 +76,12 @@ func TestConcurrentCounters(t *testing.T) {
 			cc := s.Core(w / 4) // each tag is recorded on both cores' shards
 			for i := 0; i < perWorker; i++ {
 				cc.AddCycles(CatWalk, 3)
-				cc.TLBHit(arch.ASID(w % 4))
+				cc.TLBHits(arch.ASID(w%4), 1)
 				cc.TLBMiss(arch.ASID(w % 4))
 				cc.TLBEvict(1)
 				s.PTObs().Walk(4)
 				s.PTObs().EntrySet()
-				s.NVMWrite(8)
+				s.NVMWrite(1, 8)
 				s.Syscall(OpVASSwitch, uint64(i))
 				s.LockWait(uint64(i))
 				s.VASSwitch(w, w, uint64(i))
@@ -135,7 +135,7 @@ func TestConcurrentCounters(t *testing.T) {
 func TestSnapshotImmutability(t *testing.T) {
 	s := NewSink(1)
 	s.Core(0).AddCycles(CatData, 10)
-	s.Core(0).TLBHit(2)
+	s.Core(0).TLBHits(2, 1)
 	s.PTObs().Walk(4)
 	before := s.Snapshot()
 	buf, err := before.JSON()
@@ -144,7 +144,7 @@ func TestSnapshotImmutability(t *testing.T) {
 	}
 	// Mutate everything the snapshot covers.
 	s.Core(0).AddCycles(CatData, 99)
-	s.Core(0).TLBHit(2)
+	s.Core(0).TLBHits(2, 1)
 	s.TLBFlush(7)
 	s.PTObs().Walk(4)
 	s.Syscall(OpSegAlloc, 123)

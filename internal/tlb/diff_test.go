@@ -12,9 +12,12 @@ import (
 // An op stream is a byte string, four bytes per operation, so the seeded
 // differential test and the fuzzer share one decoder:
 //
-//	b0 % 20   0-7 Insert, 8-15 Lookup, 16-17 FlushPage, 18 FlushASID, 19 FlushAll
+//	b0 % 20   0-7 Insert, 8-13 Lookup, 14-15 TranslateRun, 16-17 FlushPage,
+//	          18 FlushASID, 19 FlushAll
 //	b1        bits 0-1 ASID, bits 2-3 page size (3 folds onto 4 KiB), bit 4 global,
-//	          bit 5 narrows the page index to 10 bits so sets fill and hit
+//	          bit 5 narrows the page index to 10 bits so sets fill and hit;
+//	          for a run, bit 6 asks for write permission and bit 7 stretches
+//	          its length from 1-8 words to 1-505
 //	b2, b3    page index
 const opBytes = 4
 
@@ -58,6 +61,17 @@ func runOps(t *testing.T, cfg Config, data []byte) Stats {
 				t.Fatalf("op %d Insert(asid %d, %v, %d, global %v) = (%d, %v), model (%d, %v)",
 					step/opBytes, asid, base, ps, global, gv, ge, wv, we)
 			}
+		case k >= 14 && k < 16:
+			need, n := arch.PermRead, 1+int(b0>>5)*(1+int(b1>>7)*63)
+			if b1&0x40 != 0 {
+				need = arch.PermRW
+			}
+			gpa, gok := tl.TranslateRun(asid, va, need, n)
+			wpa, wok := ref.TranslateRun(asid, va, need, n)
+			if gpa != wpa || gok != wok {
+				t.Fatalf("op %d TranslateRun(asid %d, %v, %v, %d) = (%v, %v), model (%v, %v)",
+					step/opBytes, asid, va, need, n, gpa, gok, wpa, wok)
+			}
 		case k < 16:
 			ge, gok := tl.Lookup(asid, va)
 			we, wok := ref.Lookup(asid, va)
@@ -83,6 +97,20 @@ func runOps(t *testing.T, cfg Config, data []byte) Stats {
 		}
 		if g, w := tl.Live(), ref.Live(); g != w {
 			t.Fatalf("op %d live %d, model %d", step/opBytes, g, w)
+		}
+		// Replacement state: both models stamp from a clock that every lookup
+		// and insert advances, so each live entry carries the same stamp, and
+		// with it every set has the same LRU order.
+		if tl.tick != ref.tick {
+			t.Fatalf("op %d clock %d, model %d", step/opBytes, tl.tick, ref.tick)
+		}
+		for si, set := range tl.sets {
+			for i := range set {
+				if e, w := &set[i], &ref.sets[si][i]; tl.live(e) != w.valid || (w.valid && e.used != w.used) {
+					t.Fatalf("op %d set %d way %d: live %v used %d, model valid %v used %d",
+						step/opBytes, si, i, tl.live(e), e.used, w.valid, w.used)
+				}
+			}
 		}
 	}
 	return tl.Stats()
@@ -112,6 +140,15 @@ func FuzzTLBModel(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(genOps(seed, 512))
 	}
+	// Inserts and runs over the same few pages: long runs that hit, runs
+	// that find the permission short, runs after an eviction.
+	runs := genOps(9, 512)
+	for i := 0; i < len(runs); i += opBytes {
+		runs[i] = runs[i]&^0x1f | []byte{0, 14, 15, 14}[i/opBytes%4]
+		runs[i+1] |= 0x20
+		runs[i+2] = 0
+	}
+	f.Add(runs)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runOps(t, Config{Sets: 16, Ways: 4}, data)
 		runOps(t, Config{Sets: 2, Ways: 3}, data)
@@ -177,6 +214,15 @@ func TestShootdownRace(t *testing.T) {
 			continue
 		}
 		want := floor[p].Load()
+		if i%3 == 0 {
+			// The run-length reader: a run is served by one entry or not at all.
+			if pa, ok := tl.TranslateRun(asid, va(p), arch.PermRead, 1+rng.Intn(64)); ok {
+				if got := uint64(pa) >> arch.PageShift; got < want {
+					t.Fatalf("page %d: run served version %d after the shootdown for version %d returned", p, got, want)
+				}
+				continue
+			}
+		}
 		if e, ok := tl.Lookup(asid, va(p)); ok {
 			if got := uint64(e.Frame) >> arch.PageShift; got < want {
 				t.Fatalf("page %d: served version %d after the shootdown for version %d returned", p, got, want)

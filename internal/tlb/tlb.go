@@ -121,25 +121,34 @@ func (t *TLB) invalidate(e *Entry) {
 // unified TLB that caches all three page sizes.
 var pageSizes = [...]uint64{arch.PageSize, arch.HugePageSize, arch.GiantPageSize}
 
-// find returns the live entry translating va under the given ASID, renewing
-// its LRU stamp, or nil; either way the probe is counted. Global entries
-// match any ASID. Caller holds t.mu.
-func (t *TLB) find(asid arch.ASID, va arch.VirtAddr) *Entry {
-	t.tick++
+// probe returns the live entry translating va under the given ASID, or nil,
+// and changes nothing. Global entries match any ASID. Caller holds t.mu.
+func (t *TLB) probe(asid arch.ASID, va arch.VirtAddr) *Entry {
 	for _, ps := range pageSizes {
 		vpn := uint64(arch.AlignDown(va, ps)) >> arch.PageShift
 		set := t.setFor(vpn)
 		for i := range set {
 			e := &set[i]
 			if e.VPN == vpn && e.PageSize == ps && (e.Global || e.ASID == asid) && t.live(e) {
-				e.used = t.tick
-				t.stats.Hits++
 				return e
 			}
 		}
 	}
-	t.stats.Misses++
 	return nil
+}
+
+// find is one counted lookup: the clock advances, and the probe is a hit that
+// renews the entry's LRU stamp or a miss. Caller holds t.mu.
+func (t *TLB) find(asid arch.ASID, va arch.VirtAddr) *Entry {
+	t.tick++
+	e := t.probe(asid, va)
+	if e == nil {
+		t.stats.Misses++
+		return nil
+	}
+	e.used = t.tick
+	t.stats.Hits++
+	return e
 }
 
 // Lookup probes the TLB for a translation of va under the given ASID.
@@ -163,6 +172,26 @@ func (t *TLB) Translate(asid arch.ASID, va arch.VirtAddr) (pa arch.PhysAddr, per
 		return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), e.Perm, true
 	}
 	return 0, 0, false
+}
+
+// TranslateRun is k Translate calls on consecutive words of one 4 KiB page,
+// starting at va, for a caller that needs all of them to hit with need
+// allowed. If the page's entry is live and allows need, the clock, the hit
+// count and the entry's LRU stamp end exactly where k lookups leave them —
+// every probe of one 4 KiB page finds the same entry, and a hit changes
+// nothing else. Otherwise nothing at all changes and ok is false: the caller
+// issues the words one by one, and each counts its own outcome.
+func (t *TLB) TranslateRun(asid arch.ASID, va arch.VirtAddr, need arch.Perm, k int) (pa arch.PhysAddr, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.probe(asid, va)
+	if e == nil || !e.Perm.Allows(need) {
+		return 0, false
+	}
+	t.tick += uint64(k)
+	t.stats.Hits += uint64(k)
+	e.used = t.tick
+	return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), true
 }
 
 // Insert installs a translation, evicting the least recently used entry of

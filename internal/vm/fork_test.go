@@ -237,3 +237,162 @@ func TestForkCollapseReclaimsFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// chainDepth counts the frozen objects under o.
+func chainDepth(o *Object) int {
+	n := 0
+	for o = o.parent; o != nil; o = o.parent {
+		n++
+	}
+	return n
+}
+
+// TestForkChainFoldsInEngineOrder releases views the way fork.Engine does:
+// view k+1 is forked, and written against, *before* view k is released, so
+// the live object's immediate parent is always a view somebody holds. Every
+// released generation must fold away all the same: a constant footprint after
+// the first rounds, a chain no deeper than the views still held, the current
+// view's content intact every round, and nothing leaked at the end.
+func TestForkChainFoldsInEngineOrder(t *testing.T) {
+	pm := mem.New(mem.Config{DRAMSize: 64 << 20})
+	const pages = 32
+	live := NewObject(pm, "live", pages*arch.PageSize, mem.TierDRAM)
+	if err := live.Populate(); err != nil {
+		t.Fatal(err)
+	}
+	shadow := make([][]byte, pages) // what the live object holds
+	for idx := range shadow {
+		shadow[idx] = make([]byte, arch.PageSize)
+	}
+	write := func(idx uint64, round int) {
+		t.Helper()
+		pa, err := live.BreakCOW(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(shadow[idx], fmt.Sprintf("page %d round %d", idx, round))
+		if err := pm.WriteAt(pa, shadow[idx]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for idx := uint64(0); idx < pages; idx++ {
+		write(idx, -1)
+	}
+
+	var cur *Object      // the current view
+	var curWant [][]byte // its content: the shadow at its fork
+	var steady uint64
+	page := make([]byte, arch.PageSize)
+	for round := 0; round < 50; round++ {
+		next := live.ForkFrozen(fmt.Sprintf("live@%d", round))
+		nextWant := make([][]byte, pages)
+		for idx := range shadow {
+			nextWant[idx] = append([]byte(nil), shadow[idx]...)
+		}
+		// A rotating subset of the pages, so that most rounds supersede
+		// frames of several older generations at once.
+		for i := 0; i < 5; i++ {
+			write(uint64((round*3+i*7)%pages), round)
+		}
+		if cur != nil {
+			cur.Unref()
+			live.CollapseCOW()
+		}
+		cur, curWant = next, nextWant
+
+		for idx := uint64(0); idx < pages; idx++ {
+			pa, ok := cur.ResolveFrame(idx)
+			if !ok {
+				t.Fatalf("round %d: current view lost page %d", round, idx)
+			}
+			if err := pm.ReadAt(pa, page); err != nil {
+				t.Fatal(err)
+			}
+			if string(page) != string(curWant[idx]) {
+				t.Fatalf("round %d: current view's page %d reads %.24q, want %.24q", round, idx, page, curWant[idx])
+			}
+		}
+		if d := chainDepth(live); d > 2 {
+			t.Fatalf("round %d: chain depth %d with one view held", round, d)
+		}
+		switch got := pm.AllocatedBytes(); {
+		case round == 2:
+			steady = got
+		case round > 2 && got != steady:
+			t.Fatalf("round %d: %d bytes allocated, %d after round 2: released generations are not folding", round, got, steady)
+		}
+	}
+	cur.Unref()
+	live.CollapseCOW()
+	if d := chainDepth(live); d != 0 {
+		t.Errorf("chain depth %d with no view held", d)
+	}
+	if got := pm.AllocatedBytes(); got != pages*arch.PageSize {
+		t.Errorf("%d bytes allocated with no view held, want the object's own %d", got, pages*arch.PageSize)
+	}
+	live.Unref()
+	if err := pm.CheckLeaks(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResolveDuringFold (run under -race) resolves every page of the current
+// view from one goroutine while another forks, writes and folds in the
+// engine's order. A fold moves frames from a released parent into the view
+// being read; a page must never fall between the two maps and read as absent.
+func TestResolveDuringFold(t *testing.T) {
+	pm := mem.New(mem.Config{DRAMSize: 64 << 20})
+	const pages = 16
+	live := NewObject(pm, "live", pages*arch.PageSize, mem.TierDRAM)
+	if err := live.Populate(); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex // guards cur: the reader takes a reference of its own
+	cur := live.ForkFrozen("live@0")
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			mu.Lock()
+			v := cur
+			v.Ref()
+			mu.Unlock()
+			for idx := uint64(0); idx < pages; idx++ {
+				if _, ok := v.ResolveFrame(idx); !ok {
+					t.Errorf("view %s: page %d resolved as absent", v.Name, idx)
+				}
+			}
+			v.Unref()
+			live.CollapseCOW() // the reader's reference may have been the last
+		}
+	}()
+	for round := 1; round <= 300; round++ {
+		next := live.ForkFrozen(fmt.Sprintf("live@%d", round))
+		for i := 0; i < 4; i++ {
+			if _, err := live.BreakCOW(uint64((round + i*5) % pages)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mu.Lock()
+		prev := cur
+		cur = next
+		mu.Unlock()
+		prev.Unref()
+		live.CollapseCOW()
+	}
+	close(done)
+	wg.Wait()
+	cur.Unref()
+	live.CollapseCOW()
+	live.Unref()
+	if err := pm.CheckLeaks(0); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -28,11 +28,12 @@ type Object struct {
 	// page, fewer page-table levels per translation.
 	PageSize uint64
 
-	mu     sync.Mutex
-	pm     *mem.PhysMem
-	frames map[uint64]arch.PhysAddr // page index -> frame (PageSize-sized)
-	refs   int
-	dead   bool
+	mu      sync.Mutex
+	pm      *mem.PhysMem
+	frames  map[uint64]arch.PhysAddr // page index -> frame (PageSize-sized)
+	refs    int
+	dead    bool
+	copyBuf []byte // BreakCOW's page in transit, reused under mu
 
 	// parent is the copy-on-write source: pages without an own frame are
 	// served from the parent (read-only) until BreakCOW copies them — the
@@ -226,12 +227,14 @@ func (o *Object) BreakCOW(idx uint64) (arch.PhysAddr, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, o.PageSize)
-	if err := o.pm.ReadAt(src, buf); err != nil {
+	if o.copyBuf == nil {
+		o.copyBuf = make([]byte, o.PageSize)
+	}
+	if err := o.pm.ReadAt(src, o.copyBuf); err != nil {
 		o.pm.Free(dst, o.order())
 		return 0, err
 	}
-	if err := o.pm.WriteAt(dst, buf); err != nil {
+	if err := o.pm.WriteAt(dst, o.copyBuf); err != nil {
 		o.pm.Free(dst, o.order())
 		return 0, err
 	}
@@ -269,42 +272,52 @@ func (o *Object) ForkFrozen(name string) *Object {
 	return o.parent
 }
 
-// CollapseCOW folds released frozen parents back into o: while o's immediate
-// parent is held by nobody else (refs == 1, i.e. only o's parent link), o
-// adopts the parent's frames for every page it has not rewritten, frees the
-// parent's superseded frames, and splices the grandparent in. Called after
-// a frozen view's last external reference drops, it keeps fork chains from
-// growing without bound and returns every private COW frame to the
-// allocator — the leak-check contract of the fork subsystem.
+// CollapseCOW walks o's whole copy-on-write chain and folds every link that
+// nothing but its child holds (refs == 1: the child's parent link) into that
+// child: the child adopts the parent's frame for each page it has none for,
+// the parent's superseded frames return to the allocator, the grandparent is
+// spliced in. Folding into a frozen child preserves its content — it resolved
+// those pages through the parent anyway. Called after a view's last external
+// reference drops, it leaves a chain of held views only, however many forks
+// were ever taken, and no frame that no view can reach.
 func (o *Object) CollapseCOW() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for {
-		p := o.parent
+	for c := o; c != nil; {
+		c.mu.Lock()
+		p := c.parent
 		if p == nil {
+			c.mu.Unlock()
 			return
 		}
 		p.mu.Lock()
 		if p.refs != 1 || p.dead {
 			p.mu.Unlock()
-			return // still shared by a live frozen view; keep the chain
+			c.mu.Unlock()
+			c = p // a live view holds p: it stays; look below it
+			continue
 		}
-		order := o.order()
-		for idx, pa := range p.frames {
-			if _, own := o.frames[idx]; own {
-				if err := o.pm.Free(pa, order); err != nil {
+		// The smaller frame map moves into the larger, which c keeps (the fold
+		// runs inside Fork, under the node mutex: moving the whole base into a
+		// generation's few frames doubled fork time); c's frame wins.
+		small, big := p.frames, c.frames
+		if len(small) > len(big) {
+			small, big = big, small
+		}
+		for idx := range small {
+			pa, own := c.frames[idx]
+			if ppa, has := p.frames[idx]; !own {
+				pa = ppa
+			} else if has {
+				if err := c.pm.Free(ppa, c.order()); err != nil {
 					panic("vm: freeing superseded COW frame: " + err.Error())
 				}
-				continue
 			}
-			o.frames[idx] = pa
+			big[idx] = pa
 		}
-		p.frames = nil
-		p.refs = 0
-		p.dead = true
-		o.parent = p.parent // the grandparent reference moves from p to o
-		p.parent = nil
+		c.frames, p.frames = big, nil
+		p.refs, p.dead = 0, true
+		c.parent, p.parent = p.parent, nil // the grandparent reference moves to c
 		p.mu.Unlock()
+		c.mu.Unlock() // and look at c again: its new parent may fold too
 	}
 }
 
@@ -352,15 +365,15 @@ func (o *Object) revokeStale(except *Space, idx uint64) {
 // materialized the page and it reads as zeros. This is the extraction path
 // for frozen views — unlike Frame it cannot mutate the object.
 func (o *Object) ResolveFrame(idx uint64) (arch.PhysAddr, bool) {
+	// Held across the descent, as in Frame: a fold between the two lookups
+	// would move the frame into o and the page would read as zeros.
 	o.mu.Lock()
-	pa, ok := o.frames[idx]
-	parent := o.parent
-	o.mu.Unlock()
-	if ok {
+	defer o.mu.Unlock()
+	if pa, ok := o.frames[idx]; ok {
 		return pa, true
 	}
-	if parent != nil {
-		return parent.ResolveFrame(idx)
+	if o.parent != nil {
+		return o.parent.ResolveFrame(idx)
 	}
 	return 0, false
 }

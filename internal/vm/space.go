@@ -63,6 +63,7 @@ type Space struct {
 	regions []*Region // sorted by Start, non-overlapping
 	stats   Stats
 	obs     *stats.Sink
+	handler hw.FaultHandler // s.coreFault
 
 	// Shootdown, if set, is invoked after translations in [va, va+size)
 	// are removed or downgraded, so the OS can invalidate TLB entries on
@@ -84,7 +85,9 @@ func NewSpace(pm *mem.PhysMem) (*Space, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Space{pm: pm, table: table}, nil
+	s := &Space{pm: pm, table: table}
+	s.handler = s.coreFault
+	return s, nil
 }
 
 // Table exposes the page table (for CR3 loads and subtree linking).
@@ -505,35 +508,36 @@ func (s *Space) HandleFault(va arch.VirtAddr, access arch.Access) error {
 	return err
 }
 
-// Handler adapts the space to the hardware fault-handler hook.
-func (s *Space) Handler() hw.FaultHandler {
-	return func(_ *hw.Core, f *hw.PageFault) error {
-		base := arch.AlignDown(f.VA, arch.PageSize)
-		if _, err := s.table.Walk(base); err == nil {
-			// Permission fault on an installed translation: a write to a
-			// copy-on-write page is fixable; anything else surfaces.
-			s.mu.Lock()
-			r := s.regionAt(f.VA)
-			if r != nil && f.Access == arch.AccessWrite && r.Perm.CanWrite() {
-				hbase := arch.AlignDown(f.VA, r.pageSize())
-				idx := (r.ObjOff + uint64(hbase-r.Start)) / r.pageSize()
-				if r.Obj.IsCOW(idx) {
-					s.stats.Faults++
-					s.obs.VMFault()
-					obj := r.Obj
-					err := s.breakCOW(r, f.VA)
-					s.mu.Unlock()
-					if err == nil {
-						obj.revokeStale(s, idx)
-					}
-					return err
+// Handler adapts the space to the hardware fault-handler hook: one method
+// value made when the space was, so a switch installs it without allocating.
+func (s *Space) Handler() hw.FaultHandler { return s.handler }
+
+func (s *Space) coreFault(_ *hw.Core, f *hw.PageFault) error {
+	base := arch.AlignDown(f.VA, arch.PageSize)
+	if _, err := s.table.Walk(base); err == nil {
+		// Permission fault on an installed translation: a write to a
+		// copy-on-write page is fixable; anything else surfaces.
+		s.mu.Lock()
+		r := s.regionAt(f.VA)
+		if r != nil && f.Access == arch.AccessWrite && r.Perm.CanWrite() {
+			hbase := arch.AlignDown(f.VA, r.pageSize())
+			idx := (r.ObjOff + uint64(hbase-r.Start)) / r.pageSize()
+			if r.Obj.IsCOW(idx) {
+				s.stats.Faults++
+				s.obs.VMFault()
+				obj := r.Obj
+				err := s.breakCOW(r, f.VA)
+				s.mu.Unlock()
+				if err == nil {
+					obj.revokeStale(s, idx)
 				}
+				return err
 			}
-			s.mu.Unlock()
-			return fmt.Errorf("vm: protection fault: %v %v", f.Access, f.VA)
 		}
-		return s.HandleFault(f.VA, f.Access)
+		s.mu.Unlock()
+		return fmt.Errorf("vm: protection fault: %v %v", f.Access, f.VA)
 	}
+	return s.HandleFault(f.VA, f.Access)
 }
 
 // Regions returns a copy of the region list (for inspection and tests).

@@ -67,15 +67,15 @@ go run ./cmd/spacejmp-bench -quick table2 fig1 fig6 fig7 fig8 fig9 fig10a fig10b
 echo "== go test -race =="
 go test -race ./...
 
-echo "== flake gate (timer-driven packages and the fork engine under them, 10 runs each) =="
-go test -count=10 ./internal/cluster ./internal/chaos ./internal/fork
+echo "== flake gate (timer-driven packages, and the fork engine, COW chain and attach/switch paths under them, 10 runs each) =="
+go test -count=10 ./internal/cluster ./internal/chaos ./internal/fork ./internal/vm ./internal/core
 
 echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
 
-echo "== bench smoke (the wire-path and stats rungs of the ladder still run) =="
-go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec|SnapshotDelta' -benchtime 100x \
-    ./internal/redis ./internal/urpc ./internal/cluster ./internal/stats
+echo "== bench smoke (the wire-path, stats, run-length, store, ship and fork rungs of the ladder still run) =="
+go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec|SnapshotDelta|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ForkSteadyState' -benchtime 100x \
+    ./internal/redis ./internal/urpc ./internal/cluster ./internal/stats ./internal/hw ./internal/fork
 
 echo "== fuzz smoke (RESP parser against the reference reader) =="
 go test -run Fuzz -fuzz=FuzzReadCommand -fuzztime=10s ./internal/redis
