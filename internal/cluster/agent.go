@@ -58,6 +58,32 @@ func (r *Router) attachStore(th *core.Thread, cache map[int]*redis.Client, n *no
 	return c, nil
 }
 
+// run executes one command on the copy of node n's range that t reaches —
+// the client or the endpoint an agent's reach (or resolve) handed it — and
+// returns the reply's payload, an error reply as the ReplyError it decodes
+// to. On a client it is redis.Execute; over urpc it is the same command on
+// the wire, unbudgeted and unattributed, as one frame — or, for the one reply
+// that can outgrow the ring (a slot dump), the bulk framing under n.mu.
+// Either way redis.Run carries it out.
+func (t target) run(n *node, argv ...string) (payload []byte, err error) {
+	var resp []byte
+	switch {
+	case t.client != nil:
+		resp = redis.Execute(t.client, argv)
+	case argv[0] == redis.ClusterMigrate:
+		n.mu.Lock()
+		resp, err = n.callBulk(t.ep, redis.EncodeCommand(argv...))
+		n.mu.Unlock()
+	default:
+		resp, _, err = n.call(t.ep, redis.EncodeCommand(argv...), 0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	payload, _, err = redis.DecodeReply(resp)
+	return payload, err
+}
+
 // endpointSet is the monitor's or the engine's private endpoints to remote
 // nodes — probes, ships and slot copies must not queue behind data traffic
 // on the workers' channels — each connected on first use. The mutex is for

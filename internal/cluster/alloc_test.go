@@ -35,3 +35,27 @@ func TestRemoteGetAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestMGetGroupAllocations gates an MGET of 8 keys that is one key group, on
+// a remote node and on a co-resident one, at what it cost while a group was
+// read into values and the values encoded again: 17 and 18 (a local group
+// paid one allocation per value). Running the group as a command, cutting
+// its reply in place and joining the pieces costs 15 and 12, and must not
+// come to cost more than the old way did.
+func TestMGetGroupAllocations(t *testing.T) {
+	for _, c := range []struct {
+		mode Mode
+		max  float64
+	}{{ModeURPC, 17}, {ModeVAS, 18}} {
+		r, gets := benchRouter(t, c.mode)
+		mgets := mget8(r, gets, 0)
+		i := 0
+		got := testing.AllocsPerRun(500, func() {
+			submitWait(r, mgets[i%len(mgets)])
+			i++
+		})
+		if got > c.max {
+			t.Errorf("one MGET of 8 keys, one group, through a %s router: %.1f allocations, want at most %.0f", c.mode, got, c.max)
+		}
+	}
+}

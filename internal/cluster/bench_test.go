@@ -70,6 +70,42 @@ func benchRouterExec(b *testing.B, mode Mode) {
 func BenchmarkRouterExecLocal(b *testing.B)  { benchRouterExec(b, ModeVAS) }
 func BenchmarkRouterExecRemote(b *testing.B) { benchRouterExec(b, ModeURPC) }
 
+// mget8 returns MGETs of 8 of the router's keys each: every key owned by node
+// when node >= 0, else consecutive keys wherever they hash.
+func mget8(r *Router, gets [][]string, node int) [][]string {
+	var out [][]string
+	argv := []string{"MGET"}
+	for _, get := range gets {
+		if node >= 0 && r.Owner(r.Slot(get[1])) != node {
+			continue
+		}
+		if argv = append(argv, get[1]); len(argv) == 9 {
+			out, argv = append(out, argv), []string{"MGET"}
+		}
+	}
+	return out
+}
+
+// BenchmarkRouterMGet is an MGET of 8 keys spread over a co-resident and a
+// remote node: two key groups, one served by a VAS switch and one by a urpc
+// round trip, their array replies cut up and joined in key order.
+// sim-cycles/op is the worker core's charge per command.
+func BenchmarkRouterMGet(b *testing.B) {
+	r, gets := benchRouter(b, ModeAuto)
+	mgets := mget8(r, gets, -1)
+	core := r.workers[1%len(r.workers)].th.Core
+	start := core.Cycles()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp := submitWait(r, mgets[i%len(mgets)]); len(resp) != 4+8*(4+1+64+2) {
+			b.Fatalf("MGET: %q", resp)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(core.Cycles()-start)/float64(b.N), "sim-cycles/op")
+}
+
 // BenchmarkApplyImage is one checkpoint ship's apply on the monitor: tear the
 // standby down, allocate it again and store every non-zero word of a 16 MiB
 // store segment's image (about 700 pages of data) into it. sim-cycles/op is

@@ -17,11 +17,12 @@
 //     timeout/backoff/dedup, so loss degrades latency, never consistency.
 //
 // With replication on, every remote node also gets a warm standby: the
-// primary's store lives in NVM, checkpoint generations are shipped over
-// urpc to a standby segment/VAS pair, and a health monitor promotes the
-// standby when the primary dies — the paper's "data survives the process"
-// claim (§5.3) stretched across simulated machines. See DESIGN.md,
-// "Replication & failover".
+// primary's store lives in NVM, each checkpoint generation is forked off it
+// as a frozen COW view (one CLUSTER.FORK over urpc) whose frames the monitor
+// reads in process and stores into a standby store instance, and a health
+// monitor promotes the standby when the primary dies — the paper's "data
+// survives the process" claim (§5.3) stretched across simulated machines.
+// See DESIGN.md, "Replication & failover".
 //
 // Every command's worker-core cycle delta is recorded per mode in
 // internal/stats, so one run yields the local-vs-remote cost distributions
@@ -83,9 +84,9 @@ type Config struct {
 
 // ReplicationConfig groups the replication and failover knobs. Enabled
 // gives every remote node a warm standby replica, kept fresh by checkpoint
-// shipping over urpc, and a health monitor (one more core) that fails a
-// dead node's key range over to it. Requires a machine with an NVM
-// superblock (mem.Config.NVMSuperblock).
+// shipping, and a health monitor (one more core) that fails a dead node's
+// key range over to it. Requires a machine with an NVM superblock
+// (mem.Config.NVMSuperblock).
 type ReplicationConfig struct {
 	// Enabled turns replication on.
 	Enabled bool

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"sync"
-
-	"spacejmp/internal/redis"
-)
+import "sync"
 
 // deltaLog is a bounded, ordered log of writes already applied to one copy
 // of a key range and still owed to another: a replicated node's
@@ -62,17 +58,12 @@ func (l *deltaLog) pending() (buffered int, dropped uint64) {
 }
 
 // replay applies delta-log entries, in log order, to the copy of node n's
-// range that t reaches — a client on the VAS path, else an endpoint — and
-// returns how many it applied. It stops at the first entry the copy refuses
-// or the transport loses: what follows a hole cannot be applied in order.
+// range that t reaches, and returns how many it applied. It stops at the
+// first entry the copy refuses or the transport loses: what follows a hole
+// cannot be applied in order.
 func replay(n *node, t target, entries [][]string) (applied uint64, err error) {
 	for _, args := range entries {
-		if t.client != nil {
-			_, _, err = redis.DecodeReply(redis.Execute(t.client, args))
-		} else {
-			err = n.callCheck(t.ep, redis.EncodeCommand(args...))
-		}
-		if err != nil {
+		if _, err = t.run(n, args...); err != nil {
 			return applied, err
 		}
 		applied++

@@ -6,7 +6,6 @@ import (
 
 	"spacejmp/internal/core"
 	"spacejmp/internal/fault"
-	"spacejmp/internal/redis"
 	"spacejmp/internal/server"
 )
 
@@ -19,9 +18,6 @@ type monitor struct {
 	th   *core.Thread
 	eps  endpointSet
 }
-
-// pingWire is the monitor's probe command, pre-encoded.
-var pingWire = redis.EncodeCommand("PING")
 
 // runMonitor is the monitor goroutine: warm every standby with an initial
 // ship, then alternate probe ticks, periodic ships, write-count-triggered
@@ -108,7 +104,7 @@ func (m *monitor) probe(r *Router, n *node) {
 	}
 	ok := false
 	if !r.sys.M.Faults.FireAt(fault.ClusterProbeDrop, n.id) {
-		_, _, err := n.call(m.eps.to(r, n), pingWire, 0)
+		_, err := target{ep: m.eps.to(r, n)}.run(n, "PING")
 		ok = err == nil
 	}
 	r.obs.ClusterProbe(ok)

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strconv"
@@ -93,32 +91,24 @@ func (e *engine) reach(n *node) (target, error) {
 	return target{}, fmt.Errorf("node %d not serving", n.id)
 }
 
-// dumpSlot reads a slot's pairs off a node: DumpSlot on the fast path,
-// CLUSTER.MIGRATE (bulk gob) over urpc.
-func (e *engine) dumpSlot(n *node, slot int) ([]redis.KV, error) {
+// run executes one command on node n's serving copy, reached as reach says
+// at this moment: a node that stops serving mid-copy stops the copy.
+func (e *engine) run(n *node, argv ...string) ([]byte, error) {
 	t, err := e.reach(n)
 	if err != nil {
 		return nil, err
 	}
-	if t.client != nil {
-		return t.client.DumpSlot(slot, NumSlots)
-	}
-	wire := redis.EncodeCommand(redis.ClusterMigrate, strconv.Itoa(slot), strconv.Itoa(NumSlots))
-	n.mu.Lock()
-	resp, err := n.callBulk(t.ep, wire)
-	n.mu.Unlock()
+	return t.run(n, argv...)
+}
+
+// dumpSlot reads a slot's pairs off a node (CLUSTER.MIGRATE).
+func (e *engine) dumpSlot(n *node, slot int) ([]redis.KV, error) {
+	payload, err := e.run(n, redis.ClusterMigrate, strconv.Itoa(slot), strconv.Itoa(NumSlots))
 	if err != nil {
 		return nil, err
 	}
-	payload, isNil, err := redis.DecodeReply(resp)
+	pairs, err := redis.DecodePairs(payload)
 	if err != nil {
-		return nil, err
-	}
-	if isNil {
-		return nil, fmt.Errorf("migrate: nil dump reply from node %d", n.id)
-	}
-	var pairs []redis.KV
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&pairs); err != nil {
 		return nil, fmt.Errorf("migrate decode: %w", err)
 	}
 	return pairs, nil
@@ -129,33 +119,21 @@ func (e *engine) dumpSlot(n *node, slot int) ([]redis.KV, error) {
 // estimated well under it.
 const importChunkBytes = 4 << 10
 
-// importPairs replays a slot's pairs into the target: direct Sets on the
-// fast path, chunked CLUSTER.IMPORT commands over urpc.
+// importPairs replays a slot's pairs into the target in chunked
+// CLUSTER.IMPORT commands — sized for the ring whichever way the target is
+// reached.
 func (e *engine) importPairs(n *node, slot int, pairs []redis.KV) error {
-	t, err := e.reach(n)
-	if err != nil {
-		return err
-	}
-	if t.client != nil {
-		for _, kv := range pairs {
-			if err := t.client.Set(string(kv.Key), kv.Val); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for start := 0; start < len(pairs); {
 		end, est := start, 0
 		for end < len(pairs) && (end == start || est < importChunkBytes) {
 			est += len(pairs[end].Key) + len(pairs[end].Val) + 32
 			end++
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(pairs[start:end]); err != nil {
+		chunk, err := redis.EncodePairs(pairs[start:end])
+		if err != nil {
 			return fmt.Errorf("import encode: %w", err)
 		}
-		wire := redis.EncodeCommand(redis.ClusterImport, strconv.Itoa(slot), buf.String())
-		if err := n.callCheck(t.ep, wire); err != nil {
+		if _, err := e.run(n, redis.ClusterImport, strconv.Itoa(slot), string(chunk)); err != nil {
 			return err
 		}
 		start = end
@@ -182,16 +160,8 @@ func (e *engine) replay(mig *migration, n *node) (uint64, error) {
 // cleanupSlot deletes a node's copy of a slot (the source after a flip, or
 // the target after a rollback).
 func (e *engine) cleanupSlot(n *node, slot int) error {
-	t, err := e.reach(n)
-	if err != nil {
-		return err
-	}
-	if t.client != nil {
-		_, err := t.client.DelSlot(slot, NumSlots)
-		return err
-	}
-	wire := redis.EncodeCommand(redis.ClusterCleanup, strconv.Itoa(slot), strconv.Itoa(NumSlots))
-	return n.callCheck(t.ep, wire)
+	_, err := e.run(n, redis.ClusterCleanup, strconv.Itoa(slot), strconv.Itoa(NumSlots))
+	return err
 }
 
 // MigrateSlot moves one placement slot to node dst while the cluster keeps
@@ -254,8 +224,13 @@ func (r *Router) migrateSlotLocked(slot, dst int) error {
 		return err
 	}
 
+	// Published under the topology write lock, which waits out every
+	// in-flight command: a write that looked before the record was there
+	// has reached the store before the dump below reads it.
 	mig := &migration{slot: slot, src: src, dst: dst, delta: deltaLog{bound: r.cfg.MigrationDeltaLog}}
+	r.topoMu.Lock()
 	r.migs[slot].Store(mig)
+	r.topoMu.Unlock()
 	fail := func(imported bool, cause error) error {
 		r.migs[slot].Store(nil)
 		if imported {

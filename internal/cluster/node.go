@@ -1,10 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -242,29 +238,27 @@ func (n *node) noteProbe(ok bool) {
 	}
 }
 
-// handler is the node's urpc service routine: RESP in, RESP out. Beyond the
-// data plane it answers the node-control commands of the command table:
+// handler is the node's urpc service routine: RESP in, RESP out. Commands
+// are carried out by redis.Run on the node's client, the slot-copy commands
+// the migration engine sends (CLUSTER.MIGRATE, IMPORT, CLEANUP) included;
+// what is left here is what only a node can do:
 //
+//   - the cluster.node.crash fault point, which fires at dispatch: the
+//     process dies between commands, never mid-mutation, which models a
+//     machine losing power with a consistent store in NVM (the paper's §5.3
+//     survival claim);
 //   - CLUSTER.FORK: fork a frozen COW view of the store and reply with the
 //     fork generation. The expensive image extraction happens later, off the
-//     node mutex, through the fork engine.
-//   - CLUSTER.MIGRATE <slot> <nslots>: reply with the slot's key/value pairs,
-//     gob-encoded in a bulk reply (the migration source side).
-//   - CLUSTER.IMPORT <slot> <gob-chunk>: replay a chunk of migrated pairs into
-//     this node's store (the migration target side).
-//   - CLUSTER.CLEANUP <slot> <nslots>: delete the slot's keys after its
-//     ownership flipped away (the migration source side, post-flip).
+//     node mutex, through the fork engine;
+//   - before a replicated primary dumps a slot (CLUSTER.MIGRATE): checkpoint
+//     and validate the store's image, so the slot copy and the replication
+//     image can never disagree about frozen state.
 //
-// It runs
-// with the node's core active (under n.mu), so the decode, the VAS
+// It runs with the node's core active (under n.mu), so the decode, the VAS
 // switches, and the table walk are all charged to the node — and, because
 // the urpc client busy-waits, mirrored into the calling worker's latency.
 // req is the channel's reassembly buffer, gone when the handler returns;
 // the decoded arguments own their memory.
-//
-// The cluster.node.crash fault point fires here, at dispatch: the process
-// dies between commands, never mid-mutation, which models a machine losing
-// power with a consistent store in NVM (the paper's §5.3 survival claim).
 func (n *node) handler(req []byte) []byte {
 	if n.sys.M.Faults.FireAt(fault.ClusterNodeCrash, n.id) {
 		n.crashed.Store(true)
@@ -276,30 +270,10 @@ func (n *node) handler(req []byte) []byte {
 		return redis.EncodeError("protocol error: " + err.Error())
 	}
 	cmd := redis.Lookup(args)
-	switch cmd.Op {
-	case redis.OpClusterFork:
+	switch {
+	case cmd.Op == redis.OpClusterFork:
 		return n.forkReply()
-	case redis.OpClusterMigrate:
-		return n.migrateReply(args[1], args[2])
-	case redis.OpClusterImport:
-		return n.importReply(args[1], args[2])
-	case redis.OpClusterCleanup:
-		return n.cleanupReply(args[1], args[2])
-	}
-	return redis.Run(n.client, cmd, args)
-}
-
-// migrateReply streams this node's share of a slot to the migration
-// engine: checkpoint first when replicated (so the slot copy and the
-// replication image can never disagree about frozen state), then dump the
-// slot's pairs under the shared lock, gob-encoded in a bulk reply. Runs on
-// the node's core with the store quiescent (the caller holds n.mu).
-func (n *node) migrateReply(slotArg, nslotsArg string) []byte {
-	slot, nslots, errReply := parseSlotArgs(slotArg, nslotsArg)
-	if errReply != nil {
-		return errReply
-	}
-	if n.replicated {
+	case cmd.Op == redis.OpClusterMigrate && n.replicated:
 		if err := n.sys.Checkpoint(); err != nil {
 			return redis.EncodeError("migrate: checkpoint: " + err.Error())
 		}
@@ -307,56 +281,7 @@ func (n *node) migrateReply(slotArg, nslotsArg string) []byte {
 			return redis.EncodeError("migrate: " + err.Error())
 		}
 	}
-	pairs, err := n.client.DumpSlot(slot, nslots)
-	if err != nil {
-		return redis.EncodeError("migrate: dump: " + err.Error())
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pairs); err != nil {
-		return redis.EncodeError("migrate: encode: " + err.Error())
-	}
-	return redis.EncodeBulk(buf.Bytes())
-}
-
-// importReply replays one gob chunk of migrated pairs into this node's
-// store and replies with the count applied.
-func (n *node) importReply(slotArg, chunk string) []byte {
-	var pairs []redis.KV
-	if err := gob.NewDecoder(strings.NewReader(chunk)).Decode(&pairs); err != nil {
-		return redis.EncodeError("import: decode: " + err.Error())
-	}
-	for _, kv := range pairs {
-		if err := n.client.Set(string(kv.Key), kv.Val); err != nil {
-			return redis.EncodeError("import: set: " + err.Error())
-		}
-	}
-	return redis.EncodeInt(int64(len(pairs)))
-}
-
-// cleanupReply deletes this node's copy of a slot after ownership flipped
-// away, replying with the number of keys removed.
-func (n *node) cleanupReply(slotArg, nslotsArg string) []byte {
-	slot, nslots, errReply := parseSlotArgs(slotArg, nslotsArg)
-	if errReply != nil {
-		return errReply
-	}
-	removed, err := n.client.DelSlot(slot, nslots)
-	if err != nil {
-		return redis.EncodeError("cleanup: " + err.Error())
-	}
-	return redis.EncodeInt(int64(removed))
-}
-
-func parseSlotArgs(slotArg, nslotsArg string) (slot, nslots int, errReply []byte) {
-	slot, err := strconv.Atoi(slotArg)
-	if err != nil {
-		return 0, 0, redis.EncodeError("bad slot: " + slotArg)
-	}
-	nslots, err = strconv.Atoi(nslotsArg)
-	if err != nil || nslots <= 0 || slot < 0 || slot >= nslots {
-		return 0, 0, redis.EncodeError("bad slot range: " + slotArg + "/" + nslotsArg)
-	}
-	return slot, nslots, nil
+	return redis.Run(n.client, cmd, args)
 }
 
 // forkReply takes the mutex-held half of a checkpoint ship: refresh the NVM
@@ -404,16 +329,6 @@ func (n *node) call(ep *urpc.Endpoint, wire []byte, budget uint64) (resp []byte,
 		return nil, cycles, &urpc.TimeoutError{}
 	}
 	return resp, cycles, err
-}
-
-// callCheck is call for the cluster's own agents — no budget, no cycle
-// attribution — with an error reply surfaced as an error.
-func (n *node) callCheck(ep *urpc.Endpoint, wire []byte) error {
-	resp, _, err := n.call(ep, wire, 0)
-	if err == nil {
-		_, _, err = redis.DecodeReply(resp) // an error reply decodes to a ReplyError
-	}
-	return err
 }
 
 // callBulk performs one multi-slot RPC into a remote node — a slot dump, a

@@ -34,7 +34,7 @@ func resolveKind(t target) string {
 // counts follower_reads and degraded_reads).
 func resolveOnce(r *Router, w *worker, n *node, cmd *redis.Command, readonly bool) (kind string, refusal []byte) {
 	tg := r.resolve(w, n, cmd, readonly)
-	if tg.frozen != nil && r.readFrozen(w, tg, []string{"k"}) == nil {
+	if tg.frozen != nil && r.readFrozen(w, tg, []string{"k"}, false) == nil {
 		return "unreadable view", nil
 	}
 	return resolveKind(tg), tg.refusal

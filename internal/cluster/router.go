@@ -304,28 +304,17 @@ func (r *Router) frozenTarget(w *worker, n *node) (t target, ok bool) {
 	return target{frozen: fr, degraded: degraded}, true
 }
 
-// readFrozen serves keys — all owned by t's node — on one switch into its
-// frozen view, the same one-switch-many-walks path the live MGET takes (a
-// GET is the one-key group), minus the shared lock: the frozen segment is
-// not lockable, its frames are immutable. One value per key, nil for a
-// miss; a nil result means the view could not be read after all, and the
-// caller resolves again for the primary.
-func (r *Router) readFrozen(w *worker, t target, keys []string) [][]byte {
+// readFrozen answers a GET (array false, one key) or a group's MGET of keys
+// — all owned by t's node — on one switch into its frozen view, by the loop
+// the live store's reply is built with, minus the parse charge and the
+// shared lock: the frozen segment is not lockable, its frames are immutable.
+// A nil reply means the view could not be read after all, and the caller
+// resolves again for the primary.
+func (r *Router) readFrozen(w *worker, t target, keys []string, array bool) []byte {
 	if err := w.th.VASSwitch(t.frozen.h); err != nil {
 		return nil
 	}
-	got := make([][]byte, len(keys))
-	var err error
-	for i, k := range keys {
-		var v []byte
-		var ok bool
-		if v, ok, err = t.frozen.store.Get([]byte(k)); err != nil {
-			break
-		}
-		if ok {
-			got[i] = v
-		}
-	}
+	reply, err := t.frozen.store.AppendReply(nil, keys, array)
 	if serr := w.th.VASSwitch(core.PrimaryHandle); err != nil || serr != nil {
 		return nil
 	}
@@ -333,7 +322,7 @@ func (r *Router) readFrozen(w *worker, t target, keys []string) [][]byte {
 	if t.degraded {
 		r.obs.ClusterDegradedRead()
 	}
-	return got
+	return reply
 }
 
 // callBudget returns the cycle cap to hand a remote call: the in-flight
@@ -378,15 +367,16 @@ func (r *Router) exec1(w *worker, cmd *redis.Command, args []string, readonly bo
 	return r.execOn(w, n, cmd, args, readonly)
 }
 
-// execOn runs one single-key command wherever resolve says node n serves it.
+// execOn runs one command whose keys node n owns — a single-key command, or
+// one node's group of an MGET — wherever resolve says n serves it.
 func (r *Router) execOn(w *worker, n *node, cmd *redis.Command, args []string, readonly bool) []byte {
 	t := r.resolve(w, n, cmd, readonly)
 	switch {
 	case t.refusal != nil:
 		return t.refusal
 	case t.frozen != nil:
-		if got := r.readFrozen(w, t, cmd.Keys(args)); got != nil {
-			return redis.EncodeBulk(got[0])
+		if resp := r.readFrozen(w, t, cmd.Keys(args), cmd.Op == redis.OpMGet); resp != nil {
+			return resp
 		}
 		return r.execOn(w, n, cmd, args, false)
 	case t.client != nil:
@@ -488,27 +478,29 @@ func (w *worker) frozenReaderFor(n *node, v *fork.View) *frozenReader {
 }
 
 // mget fans a multi-key GET out across the nodes owning its keys' slots
-// and merges the replies back into key order. Local groups ride one VAS
-// switch (one shared-lock acquisition, however many keys); remote groups
-// ride one urpc round trip each. Any shard failure fails the whole
-// command — partial MGET replies would be indistinguishable from missing
-// keys. Caller holds the topology read lock, so every key resolves against
-// one table epoch. Reads on migrating slots serve from the source, which
-// stays authoritative until the flip.
+// and merges the replies back into key order. Each node's keys go to execOn
+// as an MGET of their own — name, then the keys, which is what a remote
+// node is sent — so a group is served like any command: one VAS switch into
+// the live store or the frozen view (one shared-lock acquisition, however
+// many keys), one urpc round trip otherwise. The group's array reply is cut
+// into its encoded elements in place and the elements joined in key order.
+// Any shard failure fails the whole command, the group's refusal relayed as
+// the reply — a partial (or partially bounded) MGET would be
+// indistinguishable from missing keys. Caller holds the topology read lock,
+// so every key resolves against one table epoch. Reads on migrating slots
+// serve from the source, which stays authoritative until the flip.
 func (r *Router) mget(w *worker, cmd *redis.Command, keys []string, readonly bool) []byte {
 	groups := make(map[int][]int, len(r.nodes)) // node id → indices into keys
 	for i, k := range keys {
 		nid := r.Owner(r.Slot(k))
 		groups[nid] = append(groups[nid], i)
 	}
-	vals := make([][]byte, len(keys))
+	elems := make([][]byte, len(keys))
 	for nid := 0; nid < len(r.nodes); nid++ {
 		idxs := groups[nid]
 		if len(idxs) == 0 {
 			continue
 		}
-		// The group as a command of its own — name, then the node's keys —
-		// which is what a remote node is sent.
 		argv := make([]string, 1+len(idxs))
 		argv[0] = cmd.Name
 		for j, i := range idxs {
@@ -522,58 +514,22 @@ func (r *Router) mget(w *worker, cmd *redis.Command, keys []string, readonly boo
 			return redis.EncodeDeadline(fmt.Sprintf(
 				"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
 		}
-		got, errReply := r.mgetOn(w, r.nodes[nid], cmd, argv, readonly)
-		if errReply != nil {
-			return errReply
+		resp := r.execOn(w, r.nodes[nid], cmd, argv, readonly)
+		got, err := redis.SplitArrayReply(resp)
+		if err == nil && len(got) != len(idxs) {
+			err = errors.New("short MGET reply")
+		}
+		if err != nil {
+			if errors.As(err, new(redis.ReplyError)) {
+				return resp // the group's refusal is the whole command's reply
+			}
+			return redis.EncodeError("shard protocol error: " + err.Error())
 		}
 		for j, i := range idxs {
-			vals[i] = got[j]
+			elems[i] = got[j]
 		}
 	}
-	return redis.EncodeArray(vals)
-}
-
-// mgetOn reads a key group wherever resolve says node n serves it: one VAS
-// switch (into the live store or the frozen view), one urpc round trip
-// otherwise. argv is the group's MGET, name first. A refused group fails
-// the whole command — a partially bounded MGET would be indistinguishable
-// from a fully bounded one.
-func (r *Router) mgetOn(w *worker, n *node, cmd *redis.Command, argv []string, readonly bool) (got [][]byte, errReply []byte) {
-	keys := argv[1:]
-	t := r.resolve(w, n, cmd, readonly)
-	switch {
-	case t.refusal != nil:
-		return nil, t.refusal
-	case t.frozen != nil:
-		if got := r.readFrozen(w, t, keys); got != nil {
-			return got, nil
-		}
-		return r.mgetOn(w, n, cmd, argv, false)
-	case t.client != nil:
-		before := w.th.Core.Cycles()
-		got, err := t.client.MGet(keys)
-		r.obs.ClusterLocal(n.id, w.th.Core.Cycles()-before)
-		if err != nil {
-			return nil, redis.EncodeError(err.Error())
-		}
-		return got, nil
-	}
-	resp, errReply := r.callNode(w, n, t.ep, w.remoteWire(argv))
-	if errReply != nil {
-		return nil, errReply
-	}
-	got, _, err := redis.DecodeArrayReply(resp)
-	if err != nil {
-		var re redis.ReplyError
-		if errors.As(err, &re) {
-			return nil, []byte("-" + string(re) + "\r\n") // relay the shard's refusal
-		}
-		return nil, redis.EncodeError("shard protocol error: " + err.Error())
-	}
-	if len(got) != len(keys) {
-		return nil, redis.EncodeError("shard protocol error: short MGET reply")
-	}
-	return got, nil
+	return redis.JoinArrayReply(elems)
 }
 
 // clusterSlotsReply renders CLUSTER SLOTS: an array of slot ranges, each

@@ -426,10 +426,10 @@ func (sys *System) Restore() error {
 			Obj:   vm.NewObjectFromFramesPages(sys.M.PM, ps.Name, ps.Size, mem.TierNVM, pageSize, ps.Frames),
 			Owner: ps.Owner, perm: ps.Perm, lockable: ps.Lockable,
 		}
-		sys.segs[seg.ID] = seg
-		sys.segByName[seg.Name] = seg
+		if err := sys.registerSegLocked(seg); err != nil {
+			return fmt.Errorf("%w: generation %d: %v", ErrCorruptCheckpoint, best.seq, err)
+		}
 		segByID[seg.ID] = seg
-		sys.P.SegCreated(ps.Owner, seg)
 	}
 	for _, pv := range img.Vases {
 		v := &VAS{ID: pv.ID, Name: pv.Name, Owner: pv.Owner, Mode: pv.Mode,

@@ -50,11 +50,9 @@ func (t *Thread) SegCloneCOW(sid SegID, newName string) (SegID, error) {
 		Obj: src.Obj.CloneCOW(newName), Owner: t.Proc.Creds,
 		perm: src.Perm(), lockable: src.Lockable(),
 	}
-	sys.mu.Lock()
-	sys.segs[dst.ID] = dst
-	sys.segByName[newName] = dst
-	sys.mu.Unlock()
-	sys.P.SegCreated(t.Proc.Creds, dst)
+	if err := sys.registerSeg(dst); err != nil {
+		return 0, err
+	}
 	return dst.ID, nil
 }
 
@@ -124,11 +122,12 @@ func (t *Thread) SegForkFrozen(sid SegID, newName string) (SegID, error) {
 			}
 		}
 	}
-	sys.mu.Lock()
-	sys.segs[dst.ID] = dst
-	sys.segByName[newName] = dst
-	sys.mu.Unlock()
-	sys.P.SegCreated(t.Proc.Creds, dst)
+	if err := sys.registerSeg(dst); err != nil {
+		// The frozen view is gone again; fold its frames back into the
+		// source, as when the downgrade fails.
+		src.Obj.CollapseCOW()
+		return 0, err
+	}
 	return dst.ID, nil
 }
 

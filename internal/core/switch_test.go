@@ -236,3 +236,82 @@ func TestDestroyRacesAttach(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOneNameOneSegment races the four ways a named global segment comes to
+// exist — each checks the name, drops sys.mu to build, and registers — with
+// several builders of one name (run under -race). Exactly one registers; the
+// rest get ErrExists and give their storage back, so freeing the winner
+// returns the machine to where it started. Before registerSeg the insert did
+// not look again: every racer that passed the first check "won", all but the
+// last were unreachable by name, and their frames leaked.
+func TestOneNameOneSegment(t *testing.T) {
+	sys := testSystem(t)
+	var racers []*Thread
+	var srcs []SegID // one source per racer: SegForkFrozen wants its source quiesced
+	for i := 0; i < 3; i++ {
+		_, th := spawn(t, sys)
+		sid, err := th.SegAlloc("src"+string(rune('0'+i)), segBase(1+i), 8*arch.PageSize, arch.PermRW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		racers, srcs = append(racers, th), append(srcs, sid)
+	}
+	base := sys.M.PM.AllocatedBytes()
+	for _, mk := range []struct {
+		name string
+		make func(i int) (SegID, error)
+	}{
+		{"SegAlloc", func(i int) (SegID, error) {
+			return racers[i].SegAlloc("same", segBase(0), 64*arch.PageSize, arch.PermRW)
+		}},
+		{"SegClone", func(i int) (SegID, error) { return racers[i].SegClone(srcs[0], "same") }},
+		{"SegCloneCOW", func(i int) (SegID, error) { return racers[i].SegCloneCOW(srcs[0], "same") }},
+		{"SegForkFrozen", func(i int) (SegID, error) { return racers[i].SegForkFrozen(srcs[i], "same") }},
+	} {
+		t.Run(mk.name, func(t *testing.T) {
+			for round := 0; round < 200; round++ {
+				sids, errs := make([]SegID, len(racers)), make([]error, len(racers))
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for i := range racers {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						<-start
+						sids[i], errs[i] = mk.make(i)
+					}(i)
+				}
+				close(start)
+				wg.Wait()
+				winner := -1
+				for i, err := range errs {
+					switch {
+					case err == nil && winner < 0:
+						winner = i
+					case err == nil:
+						t.Fatalf("round %d: racers %d and %d both registered %q", round, winner, i, "same")
+					case !errors.Is(err, ErrExists):
+						t.Fatalf("round %d: racer %d: %v, want ErrExists", round, i, err)
+					}
+				}
+				if winner < 0 {
+					t.Fatalf("round %d: nobody registered: %v", round, errs)
+				}
+				if found, err := racers[0].SegFind("same"); err != nil || found != sids[winner] {
+					t.Fatalf("round %d: SegFind = %d, %v; the winner is %d", round, found, err, sids[winner])
+				}
+				if err := racers[0].SegFree(sids[winner]); err != nil {
+					t.Fatal(err)
+				}
+				if mk.name == "SegForkFrozen" {
+					// The view is gone; its frames fold back into the source.
+					seg, _ := sys.seg(srcs[winner])
+					seg.Obj.CollapseCOW()
+				}
+				if err := sys.M.PM.CheckLeaks(base); err != nil {
+					t.Fatalf("round %d: after freeing the one segment named %q: %v", round, "same", err)
+				}
+			}
+		})
+	}
+}

@@ -227,6 +227,34 @@ func (sys *System) newSegment(name string, base arch.VirtAddr, size uint64, perm
 	}
 }
 
+// registerSeg enters a fully built global segment in the registries and tells
+// the personality. The name check and the insert are one hold of sys.mu: the
+// callers' own look at segByName comes before they drop the lock to build and
+// populate, so it only spares a doomed build, and of two builders of one name
+// both can pass it. The one that registers second gets ErrExists and its
+// segment's storage is released.
+func (sys *System) registerSeg(seg *Segment) error {
+	sys.mu.Lock()
+	err := sys.registerSegLocked(seg)
+	sys.mu.Unlock()
+	if err != nil {
+		seg.Obj.Unref()
+	}
+	return err
+}
+
+// registerSegLocked is registerSeg for a caller holding sys.mu (Restore); a
+// refused segment is the caller's to dispose of.
+func (sys *System) registerSegLocked(seg *Segment) error {
+	if _, dup := sys.segByName[seg.Name]; dup {
+		return fmt.Errorf("%w: segment %q", ErrExists, seg.Name)
+	}
+	sys.P.SegCreated(seg.Owner, seg)
+	sys.segs[seg.ID] = seg
+	sys.segByName[seg.Name] = seg
+	return nil
+}
+
 // buildSpace creates a vmspace holding the process's private segments plus,
 // if vas is non-nil, the VAS's global segments.
 func (sys *System) buildSpace(p *Process, a *Attachment) (*vm.Space, error) {
@@ -559,11 +587,9 @@ func (t *Thread) SegAlloc(name string, base arch.VirtAddr, size uint64, perm arc
 		seg.Obj.Unref()
 		return 0, err
 	}
-	sys.mu.Lock()
-	sys.segs[seg.ID] = seg
-	sys.segByName[name] = seg
-	sys.mu.Unlock()
-	sys.P.SegCreated(t.Proc.Creds, seg)
+	if err := sys.registerSeg(seg); err != nil {
+		return 0, err
+	}
 	return seg.ID, nil
 }
 
@@ -756,11 +782,9 @@ func (t *Thread) SegClone(sid SegID, newName string) (SegID, error) {
 			return 0, err
 		}
 	}
-	sys.mu.Lock()
-	sys.segs[dst.ID] = dst
-	sys.segByName[newName] = dst
-	sys.mu.Unlock()
-	sys.P.SegCreated(t.Proc.Creds, dst)
+	if err := sys.registerSeg(dst); err != nil {
+		return 0, err
+	}
 	return dst.ID, nil
 }
 

@@ -6,7 +6,10 @@ import "strings"
 // here. Lookup resolves a parsed command against it once; every layer
 // downstream (connection reader, tenant admission, router, delta logs, node
 // handler, Run) switches on the resolved row instead of re-reading the
-// name. Adding a command is one row plus its arm in whoever answers it.
+// name. Adding a command is one row plus one arm: in Run for anything that
+// needs a store and nothing else (ByStore, and ByNode's slot-copy commands),
+// in the connection reader, the router or the node handler for what only
+// they can answer.
 
 // Op is a resolved command's opcode.
 type Op uint8
@@ -49,8 +52,10 @@ const (
 	ByRouter
 	// ByStore: executed against the store of the node owning its keys.
 	ByStore
-	// ByNode: node-control, sent by the cluster's own agents over urpc and
-	// answered by the node handler.
+	// ByNode: node-control, sent by the cluster's own agents to a copy of a
+	// key range (target.run) and never accepted from a connection. The
+	// slot-copy commands are carried out by Run; CLUSTER.FORK by the node
+	// handler.
 	ByNode
 )
 

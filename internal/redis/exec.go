@@ -11,16 +11,18 @@ func Execute(c *Client, args []string) []byte {
 
 // Run executes a resolved command against a client's store and renders the
 // RESP reply. It is the one place commands are carried out: the router's
-// co-resident fast path and the shard node handlers both end here, so a
-// command behaves identically whether it was served locally over a VAS
-// switch or remotely over urpc. cmd must be Lookup(args) — arity is already
-// checked.
+// co-resident fast path, the shard node handlers and the cluster's own
+// agents (replaying a delta log, copying a slot) all end here, so a command
+// behaves identically whether it was served locally over a VAS switch or
+// remotely over urpc. cmd must be Lookup(args) — arity is already checked.
 //
-// A nil client serves only the store-less commands (PING, ECHO); data
-// commands answer with an error reply. Commands another layer answers are
-// unknown here.
+// A nil client serves only the store-less commands (PING, ECHO); commands
+// that need a store answer with an error reply. Commands another layer
+// answers are unknown here. Whether the sender may issue a command at all is
+// the caller's business: the router refuses ByNode rows arriving from a
+// connection before they get this far.
 func Run(c *Client, cmd *Command, args []string) []byte {
-	if cmd.By == ByStore && c == nil {
+	if (cmd.By == ByStore || cmd.By == ByNode) && c == nil {
 		return EncodeError("no store behind this handler")
 	}
 	switch cmd.Op {
@@ -54,6 +56,8 @@ func Run(c *Client, cmd *Command, args []string) []byte {
 			return EncodeInt(1)
 		}
 		return EncodeInt(0)
+	case OpClusterMigrate, OpClusterImport, OpClusterCleanup:
+		return c.slotCommand(cmd.Op, args)
 	}
 	return cmd.Refusal(args)
 }

@@ -161,45 +161,72 @@ func NewClientNamed(th *core.Thread, segSize uint64, names Names, opts ...core.S
 // bootstrap creates the shared state if no client has yet (§5.3: "the
 // server data is initialized lazily by its first client").
 func (c *Client) bootstrap(segSize uint64, opts ...core.SegOption) error {
-	th := c.th
-	if _, err := th.VASFind(c.names.ReadVAS); err == nil {
+	if _, err := c.th.VASFind(c.names.ReadVAS); err == nil {
 		return nil
 	} else if !errors.Is(err, core.ErrNotFound) {
 		return err
 	}
-	sid, err := th.SegAlloc(c.names.Seg, SegBase, segSize, arch.PermRW, opts...)
+	err := CreateInstance(c.th, c.names, segSize, func() error {
+		_, err := CreateStore(c.th, SegBase, segSize)
+		return err
+	}, opts...)
+	if errors.Is(err, core.ErrExists) {
+		return nil // raced with another bootstrapper
+	}
+	return err
+}
+
+// CreateInstance builds the store instance named by names: a segment of size
+// bytes at SegBase, a VAS mapping it read-write and a VAS mapping it
+// read-only. fill runs switched into the write VAS, through an attachment
+// that lasts only that long, and puts the store there — CreateStore for a new
+// one, the stores that copy an image in for a replica. On any failure
+// CreateInstance takes down what it built, so a failed attempt leaves nothing
+// under those names for the next one to trip over.
+func CreateInstance(th *core.Thread, names Names, size uint64, fill func() error, opts ...core.SegOption) (err error) {
+	sid, err := th.SegAlloc(names.Seg, SegBase, size, arch.PermRW, opts...)
 	if err != nil {
-		if errors.Is(err, core.ErrExists) {
-			return nil // raced with another bootstrapper
+		return err
+	}
+	var vids []core.VASID
+	h := core.PrimaryHandle
+	defer func() {
+		if err == nil {
+			return
 		}
+		// Best effort, in reverse; the failure that led here is the one reported.
+		if h != core.PrimaryHandle {
+			_ = th.VASDetach(h)
+		}
+		for _, vid := range vids {
+			_ = th.VASDestroy(vid)
+		}
+		_ = th.SegFree(sid)
+	}()
+	for _, v := range []struct {
+		name string
+		perm arch.Perm
+	}{{names.WriteVAS, arch.PermRW}, {names.ReadVAS, arch.PermRead}} {
+		vid, err := th.VASCreate(v.name, 0o666)
+		if err != nil {
+			return err
+		}
+		vids = append(vids, vid)
+		if err := th.SegAttachVAS(vid, sid, v.perm); err != nil {
+			return err
+		}
+	}
+	if h, err = th.VASAttach(vids[0]); err != nil {
 		return err
 	}
-	vidW, err := th.VASCreate(c.names.WriteVAS, 0o666)
+	if err = th.VASSwitch(h); err != nil {
+		return err
+	}
+	err = fill()
+	if serr := th.VASSwitch(core.PrimaryHandle); err == nil {
+		err = serr
+	}
 	if err != nil {
-		return err
-	}
-	if err := th.SegAttachVAS(vidW, sid, arch.PermRW); err != nil {
-		return err
-	}
-	vidR, err := th.VASCreate(c.names.ReadVAS, 0o666)
-	if err != nil {
-		return err
-	}
-	if err := th.SegAttachVAS(vidR, sid, arch.PermRead); err != nil {
-		return err
-	}
-	// Initialize the store through a temporary write attachment.
-	h, err := th.VASAttach(vidW)
-	if err != nil {
-		return err
-	}
-	if err := th.VASSwitch(h); err != nil {
-		return err
-	}
-	if _, err := CreateStore(th, SegBase, segSize); err != nil {
-		return err
-	}
-	if err := th.VASSwitch(core.PrimaryHandle); err != nil {
 		return err
 	}
 	return th.VASDetach(h)
@@ -276,14 +303,7 @@ func (c *Client) MGet(keys []string) ([][]byte, error) {
 // segment straight into the reply.
 func (c *Client) bulkReply(keys []string, array bool) (reply []byte, err error) {
 	err = c.in(c.readH, len(keys), func() (err error) {
-		if array {
-			reply = appendLen(make([]byte, 0, lenSize(len(keys))), '*', len(keys))
-		}
-		for i, key := range keys {
-			if reply, err = c.store.appendBulk(reply, []byte(key), len(keys)-1-i); err != nil {
-				break
-			}
-		}
+		reply, err = c.store.AppendReply(nil, keys, array)
 		return err
 	})
 	return reply, err

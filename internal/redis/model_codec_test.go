@@ -319,9 +319,28 @@ var codecs = []struct {
 			v, n, err := redis.ReadArrayReply(br)
 			return arrayVal{normAll(v), n}, err
 		},
+		// The slice entry point cuts the frame instead of copying it out:
+		// each element must decode to the model's value, and the elements
+		// joined back must be the frame's own bytes behind a canonical
+		// header — so join(split(x)) == x for every x an encoder wrote (a
+		// peer may write "*00", which the join does not reproduce).
 		func(b []byte) (any, error) {
-			v, n, err := redis.DecodeArrayReply(b)
-			return arrayVal{normAll(v), n}, err
+			elems, err := redis.SplitArrayReply(b)
+			if err != nil {
+				return nil, err
+			}
+			joined := redis.JoinArrayReply(elems)
+			hdr := fmt.Sprintf("*%d\r\n", len(elems))
+			if !bytes.HasPrefix(joined, []byte(hdr)) || !bytes.HasPrefix(b[bytes.IndexByte(b, '\n')+1:], joined[len(hdr):]) {
+				return nil, fmt.Errorf("join(split(x)) = %q is not x behind a canonical header", joined)
+			}
+			v, n := make([][]byte, len(elems)), make([]bool, len(elems))
+			for i, e := range elems {
+				if v[i], n[i], err = redis.DecodeReply(e); err != nil {
+					return nil, fmt.Errorf("element %d %q: %v", i, e, err)
+				}
+			}
+			return arrayVal{normAll(v), n}, nil
 		}},
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"spacejmp/internal/core"
+	"spacejmp/internal/fault"
 	"spacejmp/internal/hw"
 	"spacejmp/internal/kernel"
 	"spacejmp/internal/mspace"
@@ -402,5 +403,69 @@ func TestShardNamesDisjoint(t *testing.T) {
 		if err := DestroyNamed(th, ShardNames(i)); err != nil {
 			t.Errorf("destroy shard %d: %v", i, err)
 		}
+	}
+}
+
+// TestFailedBootstrapLeavesNothingBehind fails one frame allocation at a time
+// under the first client's bootstrap — in the segment's population, at the
+// page-table root of the temporary attachment, in the page tables CreateStore
+// faults in. Whichever it was, the next client finds no half-built instance
+// in its way: it bootstraps the store and works, and closing it and
+// destroying the instance returns every frame. (A bootstrap that failed after
+// its SegAlloc used to leave the segment, and usually both VASes, behind: the
+// next client took them for a finished store and failed to open it.)
+func TestFailedBootstrapLeavesNothingBehind(t *testing.T) {
+	m := hw.NewMachine(hw.SmallTest())
+	reg := fault.New(1)
+	m.SetFaults(reg)
+	sys := kernel.New(m)
+	proc, err := sys.NewProcess(core.Creds{UID: 1, GID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Exit()
+	th, err := proc.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := m.PM.AllocatedBytes()
+	names := ShardNames(3)
+	failed := 0
+	for nth := uint64(1); ; nth++ {
+		reg.Enable(fault.MemAlloc, fault.OnNth(nth))
+		err := (&Client{th: th, names: names}).bootstrap(1 << 20)
+		fired := reg.Fired(fault.MemAlloc) > 0
+		reg.Disable(fault.MemAlloc)
+		if err != nil {
+			failed++
+			if _, err := th.SegFind(names.Seg); !errors.Is(err, core.ErrNotFound) {
+				t.Fatalf("allocation %d failed the bootstrap and the segment is still there (SegFind: %v)", nth, err)
+			}
+		}
+		c, cerr := NewClientNamed(th, 1<<20, names)
+		if cerr != nil {
+			t.Fatalf("allocation %d failed the bootstrap (%v); the next client: %v", nth, err, cerr)
+		}
+		if err := c.Set("k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok, err := c.Get("k"); err != nil || !ok || string(v) != "v" {
+			t.Fatalf("GET after the bootstrap that followed a failed one: %q %v %v", v, ok, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := DestroyNamed(th, names); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.PM.CheckLeaks(base); err != nil {
+			t.Fatalf("allocation %d: after the instance's teardown: %v", nth, err)
+		}
+		if !fired {
+			break // nth is past the bootstrap's last allocation
+		}
+	}
+	if failed < 3 {
+		t.Fatalf("only %d allocations failed a bootstrap; the sweep did not reach the segment, the attachment and the page tables", failed)
 	}
 }

@@ -29,7 +29,8 @@ import (
 // exactly once, into memory the result owns. Decode* run the scanner over
 // the slice they are given; Read* run the same scanner over the
 // bufio.Reader's own buffer (readFrame), so nothing a Read* or Decode*
-// returns ever aliases the bytes it was parsed from.
+// returns ever aliases the bytes it was parsed from. (SplitArrayReply is the
+// exception by design: it copies nothing and returns sub-slices.)
 
 // Protocol hardening limits: a malicious or corrupt header must not make
 // the reader allocate unboundedly before any payload byte has arrived.
@@ -524,12 +525,40 @@ func ReadArrayReply(br *bufio.Reader) ([][]byte, []bool, error) {
 	return vals, nils, err
 }
 
-// DecodeArrayReply parses the array reply at the start of a byte slice —
-// the cluster router's view of a remote MGET response.
-func DecodeArrayReply(data []byte) ([][]byte, []bool, error) {
+// SplitArrayReply cuts the array reply at the start of a byte slice — the
+// cluster router's view of one node's answer to its group of an MGET — into
+// its elements, each the still-encoded bulk string ("$3\r\nabc\r\n", or
+// "$-1\r\n" for a miss) as a sub-slice of data: the frame is validated as
+// every other is, and no value is copied. An error reply comes back as its
+// ReplyError, malformed and truncated input as ReadArrayReply reports them.
+func SplitArrayReply(data []byte) ([][]byte, error) {
 	s := scanner{kind: arrayReplyFrame, maxLine: math.MaxInt}
 	if err := s.scanAll(data); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s.arrayReply(data[:s.pos])
+	if s.head == '-' {
+		return nil, ReplyError(data[1 : s.pos-2])
+	}
+	elems := make([][]byte, s.bulks)
+	pos := bytes.IndexByte(data, '\n') + 1
+	for i := range elems {
+		_, _, next := bulk(data, pos)
+		elems[i] = data[pos:next:next]
+		pos = next
+	}
+	return elems, nil
+}
+
+// JoinArrayReply renders an array reply from elements already encoded as
+// bulk strings — SplitArrayReply's, in whatever order the caller put them.
+func JoinArrayReply(elems [][]byte) []byte {
+	size := lenSize(len(elems))
+	for _, e := range elems {
+		size += len(e)
+	}
+	b := appendLen(make([]byte, 0, size), '*', len(elems))
+	for _, e := range elems {
+		b = append(b, e...)
+	}
+	return b
 }

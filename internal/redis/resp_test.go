@@ -214,7 +214,8 @@ func TestArrayReplyRoundTrip(t *testing.T) {
 		[]byte("bin\r\n\x00\xffary"),
 		{}, // present but empty
 	}
-	got, nils, err := DecodeArrayReply(EncodeArray(vals))
+	wire := EncodeArray(vals)
+	got, nils, err := ReadArrayReply(bufio.NewReader(bytes.NewReader(wire)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,24 +232,55 @@ func TestArrayReplyRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, _, err := DecodeArrayReply(EncodeArray(nil)); err != nil {
-		t.Errorf("empty array: %v", err)
+	// Cut in place, each element the encoding of its value; joined back, the
+	// same bytes; joined in another order, that order's array.
+	elems, err := SplitArrayReply(wire)
+	if err != nil || len(elems) != len(vals) {
+		t.Fatalf("split: %d elements, %v", len(elems), err)
+	}
+	for i, e := range elems {
+		if !bytes.Equal(e, EncodeBulk(vals[i])) {
+			t.Errorf("elems[%d] = %q, want %q", i, e, EncodeBulk(vals[i]))
+		}
+	}
+	if &elems[0][0] != &wire[len("*4\r\n")] {
+		t.Error("elems[0] is a copy, want a sub-slice of the reply")
+	}
+	if joined := JoinArrayReply(elems); !bytes.Equal(joined, wire) {
+		t.Errorf("join(split(x)) = %q, want %q", joined, wire)
+	}
+	elems[0], elems[3] = elems[3], elems[0]
+	vals[0], vals[3] = vals[3], vals[0]
+	if joined := JoinArrayReply(elems); !bytes.Equal(joined, EncodeArray(vals)) {
+		t.Errorf("join of swapped elements = %q, want %q", joined, EncodeArray(vals))
+	}
+
+	if elems, err := SplitArrayReply(EncodeArray(nil)); err != nil || len(elems) != 0 {
+		t.Errorf("empty array: %d elements, %v", len(elems), err)
+	}
+	if joined := JoinArrayReply(nil); string(joined) != "*0\r\n" {
+		t.Errorf("join of nothing = %q", joined)
 	}
 }
 
+// TestArrayReplyErrors: SplitArrayReply answers bad input as the
+// DecodeArrayReply it replaced did.
 func TestArrayReplyErrors(t *testing.T) {
 	var re ReplyError
-	if _, _, err := DecodeArrayReply(EncodeError("shard timeout")); !errors.As(err, &re) {
-		t.Errorf("error reply: got %v, want ReplyError", err)
+	if _, err := SplitArrayReply(EncodeError("shard timeout")); !errors.As(err, &re) || re != "ERR shard timeout" {
+		t.Errorf("error reply: got %v, want its ReplyError", err)
 	}
-	if _, _, err := DecodeArrayReply(EncodeBulk([]byte("x"))); !errors.Is(err, ErrProtocol) {
+	if _, err := SplitArrayReply(EncodeBulk([]byte("x"))); !errors.Is(err, ErrProtocol) {
 		t.Errorf("non-array reply: got %v, want ErrProtocol", err)
 	}
-	if _, _, err := DecodeArrayReply([]byte("*2\r\n$1\r\na\r\n")); err != io.ErrUnexpectedEOF {
+	if _, err := SplitArrayReply([]byte("*2\r\n$1\r\na\r\n")); err != io.ErrUnexpectedEOF {
 		t.Errorf("truncated array: got %v, want unexpected EOF", err)
 	}
+	if _, err := SplitArrayReply(nil); err != io.EOF {
+		t.Errorf("nothing: got %v, want EOF", err)
+	}
 	huge := []byte("*999999999\r\n")
-	if _, _, err := DecodeArrayReply(huge); !errors.Is(err, ErrProtocol) {
+	if _, err := SplitArrayReply(huge); !errors.Is(err, ErrProtocol) {
 		t.Errorf("oversized header: got %v, want ErrProtocol", err)
 	}
 }

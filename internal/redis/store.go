@@ -278,6 +278,22 @@ func (s *Store) appendBulk(dst, key []byte, more int) ([]byte, error) {
 	return append(dst[:end], '\r', '\n'), nil
 }
 
+// AppendReply appends the RESP reply to a GET (array false, one key) or to an
+// MGET of keys: one appendBulk per key, in key order, behind the array header.
+// It is the read loop of whoever is switched into a VAS that maps the store —
+// a client in the read VAS, a router worker in a frozen view.
+func (s *Store) AppendReply(dst []byte, keys []string, array bool) (_ []byte, err error) {
+	if array {
+		dst = appendLen(slices.Grow(dst, lenSize(len(keys))), '*', len(keys))
+	}
+	for i, key := range keys {
+		if dst, err = s.appendBulk(dst, []byte(key), len(keys)-1-i); err != nil {
+			break
+		}
+	}
+	return dst, err
+}
+
 // Set inserts or replaces key's value.
 func (s *Store) Set(key, val []byte) error {
 	ent, _, err := s.findEntry(key)

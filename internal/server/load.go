@@ -310,6 +310,28 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			var probeCommits []probeCommit
 			var probeSeq, floorSeq uint64
 			probeWrite := true
+			// owed is what the connection owes the server after every
+			// (re)dial, in this order, before any data command: the tenant
+			// identity (a dial starts unauthenticated), the follower-read
+			// opt-in and the deadline budget are all per-connection state, so
+			// a redial re-issues them as a client library would. what
+			// prefixes the error when the server refuses one.
+			type prefix struct {
+				what string
+				wire []byte
+			}
+			var owed []prefix
+			if tid != "" {
+				owed = append(owed, prefix{"auth " + tid, redis.EncodeCommand("AUTH", tid, secret)})
+			}
+			if cfg.StaleReads {
+				owed = append(owed, prefix{"readonly", redis.EncodeCommand("READONLY")})
+			}
+			if cfg.Deadline > 0 {
+				ms := max(cfg.Deadline.Milliseconds(), 1)
+				owed = append(owed, prefix{"deadline", redis.EncodeCommand("DEADLINE", strconv.FormatInt(ms, 10))})
+			}
+		requests:
 			for remaining := cfg.Requests; remaining > 0; {
 				if nc == nil {
 					c, err := net.Dial("tcp", cfg.Addr)
@@ -320,75 +342,24 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 						return
 					}
 					nc, br, bw = c, bufio.NewReader(c), bufio.NewWriter(c)
-					if tid != "" {
-						// Every (re)dial starts unauthenticated; bind the
-						// tenant identity before any data command.
-						if _, err := nc.Write(redis.EncodeCommand("AUTH", tid, secret)); err != nil {
-							if fail(err) {
-								continue
-							}
+					for _, p := range owed {
+						_, err := nc.Write(p.wire)
+						if err == nil {
+							_, _, err = redis.ReadReply(br)
+						}
+						if err == nil {
+							continue
+						}
+						if errors.As(err, new(redis.ReplyError)) {
+							// A refusal — rejected credentials, say — is a
+							// configuration error; redialing cannot help.
+							errs[i] = fmt.Errorf("%s: %w", p.what, err)
 							return
 						}
-						if _, _, err := redis.ReadReply(br); err != nil {
-							var reply redis.ReplyError
-							if errors.As(err, &reply) {
-								// Rejected credentials are a configuration
-								// error; redialing cannot help.
-								errs[i] = fmt.Errorf("auth %s: %w", tid, err)
-								return
-							}
-							if fail(err) {
-								continue
-							}
-							return
+						if fail(err) {
+							continue requests
 						}
-					}
-					if cfg.StaleReads {
-						// The follower-read opt-in is per connection, so every
-						// redial must re-issue it (after AUTH, like a client
-						// library would).
-						if _, err := nc.Write(redis.EncodeCommand("READONLY")); err != nil {
-							if fail(err) {
-								continue
-							}
-							return
-						}
-						if _, _, err := redis.ReadReply(br); err != nil {
-							var reply redis.ReplyError
-							if errors.As(err, &reply) {
-								errs[i] = fmt.Errorf("readonly: %w", err)
-								return
-							}
-							if fail(err) {
-								continue
-							}
-							return
-						}
-					}
-					if cfg.Deadline > 0 {
-						// The deadline budget is per connection too: re-stamp
-						// it on every redial.
-						ms := cfg.Deadline.Milliseconds()
-						if ms <= 0 {
-							ms = 1
-						}
-						if _, err := nc.Write(redis.EncodeCommand("DEADLINE", strconv.FormatInt(ms, 10))); err != nil {
-							if fail(err) {
-								continue
-							}
-							return
-						}
-						if _, _, err := redis.ReadReply(br); err != nil {
-							var reply redis.ReplyError
-							if errors.As(err, &reply) {
-								errs[i] = fmt.Errorf("deadline: %w", err)
-								return
-							}
-							if fail(err) {
-								continue
-							}
-							return
-						}
+						return
 					}
 				}
 				n := cfg.Pipeline

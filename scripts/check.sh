@@ -26,18 +26,6 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
-# Checkpoint shipping goes through frozen COW forks: the primary forks a
-# view under the node mutex (an O(pages) frame swap), then extracts and
-# ships the image off-mutex while it keeps serving. The old path — a
-# CLUSTER.SHIP command whose reply carried the whole image out from under
-# the held mutex — must not come back; its tokens are banned.
-offenders=$(grep -rn "shipReply\|CLUSTER\.SHIP\|shipWire" --include='*.go' . || true)
-if [ -n "$offenders" ]; then
-    echo "mutex-held ship path resurrected (ship through internal/fork instead):" >&2
-    echo "$offenders" >&2
-    exit 1
-fi
-
 # Store construction in the serving layers goes through NewClientNamed so
 # every shard carries its node's namespace (and a tenant view is just a
 # prefix inside it). A bare redis.NewClient would silently collapse all
@@ -74,7 +62,7 @@ echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
 
 echo "== bench smoke (the wire-path, stats, run-length, store, ship and fork rungs of the ladder still run) =="
-go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec|SnapshotDelta|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ForkSteadyState' -benchtime 100x \
+go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec|RouterMGet|SnapshotDelta|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ForkSteadyState' -benchtime 100x \
     ./internal/redis ./internal/urpc ./internal/cluster ./internal/stats ./internal/hw ./internal/fork
 
 echo "== fuzz smoke (RESP parser against the reference reader) =="
