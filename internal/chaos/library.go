@@ -355,11 +355,14 @@ func shipUnderLoad() *Spec {
 			StaleReads: true, StaleBound: dur(2 * time.Second), StaleCheckEvery: 8,
 		},
 		Invariants: Invariants{
-			MinShips:       4,
-			Promotions:     u64(0),
-			Degraded:       intp(0),
-			MaxP99:         dur(500 * time.Millisecond),
-			MinStaleProbes: 8,
+			MinShips: 4,
+			// One full ship of the 1 MiB segment at boot, then deltas of the
+			// few pages four small writes touch.
+			MaxShipBytesPerShip: 512 << 10,
+			Promotions:          u64(0),
+			Degraded:            intp(0),
+			MaxP99:              dur(500 * time.Millisecond),
+			MinStaleProbes:      8,
 			MinTraceEvents: map[string]uint64{
 				"fork":            4,
 				"checkpoint-ship": 4,

@@ -405,6 +405,10 @@ func evaluate(rep *Report, spec *Spec, snap *stats.Snapshot, health []server.Nod
 		add("ships", repl.Ships >= inv.MinShips,
 			fmt.Sprintf("%d checkpoint ships (min %d)", repl.Ships, inv.MinShips))
 	}
+	if max := inv.MaxShipBytesPerShip; max > 0 {
+		add("ship-bytes", repl.Ships > 0 && repl.ShipBytes/repl.Ships <= max,
+			fmt.Sprintf("%d bytes over %d ships, %d of them full (max %d per ship)", repl.ShipBytes, repl.Ships, repl.FullShips, max))
+	}
 	if l := inv.MaxLostUpdates; l != nil {
 		add("lost-updates", repl.LostUpdates <= *l,
 			fmt.Sprintf("%d lost updates (max %d)", repl.LostUpdates, *l))

@@ -354,6 +354,11 @@ type Invariants struct {
 	Promotions *uint64 `json:"promotions,omitempty"`
 	// MinShips is the minimum checkpoint generations shipped.
 	MinShips uint64 `json:"min_ships,omitempty"`
+	// MaxShipBytesPerShip, when nonzero, bounds the mean image payload of a
+	// ship: a node's first ship moves its whole segment and every later one
+	// the pages written since, so the mean climbs back to the segment size
+	// only if ships stop being deltas.
+	MaxShipBytesPerShip uint64 `json:"max_ship_bytes_per_ship,omitempty"`
 	// MaxLostUpdates, when set, bounds updates lost across failover.
 	MaxLostUpdates *uint64 `json:"max_lost_updates,omitempty"`
 	// Degraded, when set, is the exact count of degraded key ranges at the

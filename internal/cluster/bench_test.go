@@ -134,13 +134,13 @@ func BenchmarkApplyImage(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	img, err := sys.SegmentImageOf(names.Seg, 1)
+	img, err := sys.SegmentImageOf(names.Seg, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	data := 0
-	for _, page := range img.Pages {
-		if !bytes.Equal(page, make([]byte, len(page))) {
+	for i := range img.Index {
+		if !bytes.Equal(img.Page(i), make([]byte, img.PageSize)) {
 			data++
 		}
 	}
@@ -156,4 +156,58 @@ func BenchmarkApplyImage(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(th.Core.Cycles()-start)/float64(b.N), "sim-cycles/op")
 	b.ReportMetric(float64(data), "data-pages")
+}
+
+// BenchmarkShipDelta is one steady-state ship of the same 16 MiB store as the
+// monitor and the fork engine see it: fork, 128 SETs of 1 KiB against the view
+// (untimed: they are the node's work), extract the pages written since the
+// generation the standby holds, patch the standing standby with them.
+// sim-cycles/op is the monitor core's charge for the extract and the patch —
+// BenchmarkApplyImage's is the same for a full rebuild — and pages/op how
+// many pages a ship moved.
+func BenchmarkShipDelta(b *testing.B) {
+	g := newShipRig(b, 16<<20)
+	value := make([]byte, 1024)
+	for i := range value {
+		value[i] = byte(i%251 + 1)
+	}
+	const keys = 2500
+	set := func(i int) {
+		if err := g.c.Set(fmt.Sprintf("key:%06d", i%keys), value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		set(i)
+	}
+	g.ship() // the one full ship
+	var cycles uint64
+	pages, next := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := g.fork()
+		b.StopTimer()
+		for w := 0; w < 128; w++ {
+			value[0]++
+			set(next)
+			next += 37
+		}
+		b.StartTimer()
+		start := g.th.Core.Cycles()
+		img, err := g.forks.Image(v, g.n.held)
+		if err == nil {
+			err = g.mon.applyImage(g.n, img)
+		}
+		if err != nil || img.Base == 0 {
+			b.Fatalf("ship of generation %d over generation %d: %v", v.Gen(), img.Base, err)
+		}
+		g.n.held = v.Gen()
+		cycles += g.th.Core.Cycles() - start
+		pages += len(img.Index)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+	g.close()
 }

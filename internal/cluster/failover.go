@@ -20,9 +20,12 @@ var forkWire = redis.EncodeCommand(redis.ClusterFork)
 // frozen image, and nothing can slip between the fork and the truncation.
 // Phase two runs with the mutex released — the primary is already serving
 // writes again (they fault and break COW into private frames) while the
-// monitor extracts the frozen image and rebuilds the standby from it. If
-// the extraction or apply fails, the taken window is restored: those writes
-// are still newer than whatever image the standby holds.
+// monitor extracts from the frozen view the pages written since the
+// generation the standby holds and patches it with them — or, when the view
+// was not forked over exactly that generation (the first ship, a standby lost
+// to a failed apply, a fork nobody got to extract), every page, and rebuilds
+// it. If the extraction or apply fails, the taken window is restored: those
+// writes are still newer than whatever image the standby holds.
 func (m *monitor) ship(r *Router, n *node) {
 	if n.serving() != servingPrimary {
 		return
@@ -46,12 +49,10 @@ func (m *monitor) ship(r *Router, n *node) {
 			err = fmt.Errorf("fork gen %d no longer current", gen)
 		}
 	}
-	var shipped uint64
+	var img *core.SegmentImage
 	start := time.Now()
 	if err == nil {
-		var img *core.SegmentImage
-		if img, err = r.forks.Image(view); err == nil {
-			shipped = uint64(len(img.Pages)) * img.PageSize
+		if img, err = r.forks.Image(view, n.held); err == nil {
 			err = m.applyImage(n, img)
 		}
 	}
@@ -63,8 +64,9 @@ func (m *monitor) ship(r *Router, n *node) {
 		r.obs.ClusterShipFailure(n.id)
 		return
 	}
+	n.held = gen
 	r.obs.ClusterShipDuration(uint64(time.Since(start).Nanoseconds()))
-	r.obs.ClusterShip(n.id, shipped)
+	r.obs.ClusterShip(n.id, uint64(len(img.Data)), img.Base == 0)
 }
 
 // parseForkReply extracts the fork generation from the node's integer

@@ -151,9 +151,10 @@ type node struct {
 	cause      atomic.Pointer[string] // degradation cause, for health reports
 
 	// Bookkeeping only the monitor goroutine touches.
-	warm  bool // the standby holds a validated image (applyImage)
-	fails int  // consecutive probe failures
-	skip  int  // probe-backoff ticks remaining
+	warm  bool   // the standby holds a validated image (applyImage)
+	held  uint64 // the fork generation that image is (ship); 0: cold, or built from the superblock
+	fails int    // consecutive probe failures
+	skip  int    // probe-backoff ticks remaining
 
 	// delta buffers post-checkpoint writes for replay at promotion,
 	// bounded by Config.DeltaLog; overflow switches the node's failover to

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"spacejmp/internal/fault"
+	"spacejmp/internal/fork"
 	"spacejmp/internal/hw"
 	"spacejmp/internal/kernel"
 	"spacejmp/internal/redis"
@@ -241,6 +243,8 @@ func TestTargetRunSameOnBothRoutes(t *testing.T) {
 // root of the temporary attachment, in the page tables the stores fault in —
 // and holds the monitor to what a transient fault may cost: that one apply.
 // The next image applies, and tearing the standby down returns every frame.
+// Then the same under a delta patch of the standing standby: a torn patch is
+// never called warm, and the ship after it is a full rebuild that succeeds.
 // (A failed apply used to leave the segment behind with warm still false, so
 // no later apply, and no promotion from the superblock, ever got past
 // "name already exists"; nothing freed its frames.)
@@ -264,7 +268,7 @@ func TestFailedApplyLeavesNothingBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	img, err := sys.SegmentImageOf(names.Seg, 1)
+	img, err := sys.SegmentImageOf(names.Seg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,6 +310,95 @@ func TestFailedApplyLeavesNothingBehind(t *testing.T) {
 	if err := m.PM.CheckLeaks(base); err != nil {
 		t.Fatalf("after the standby's teardown: %v", err)
 	}
+
+	// The same sweep under a patch of the standing standby: the attachment's
+	// page-table root, the tables the stores fault in. A patch that fails half
+	// way leaves the standby cold and holding no generation, so the same delta
+	// is refused from then on, the extractor hands the next ship every page,
+	// and that full rebuild succeeds.
+	forks := fork.New(sys, nil)
+	v1, err := forks.Fork(th, 0, names.Seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := forks.Image(v1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdV1 := func() {
+		t.Helper()
+		if err := mon.applyImage(n, full); err != nil {
+			t.Fatal(err)
+		}
+		n.held = v1.Gen()
+	}
+	holdV1()
+	for i := 0; i < 200; i += 10 {
+		if err := c.Set(fmt.Sprintf("key:%06d", i), []byte(strings.Repeat("w", 600))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v2, err := forks.Fork(th, 0, names.Seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := forks.Image(v2, n.held)
+	if err != nil || delta.Base != v1.Gen() || len(delta.Index) == 0 || len(delta.Index) >= len(full.Index)/2 {
+		t.Fatalf("image of the second generation: %v, over generation %d, %d pages of %d", err, delta.Base, len(delta.Index), len(full.Index))
+	}
+	whole, err := forks.Image(v2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standbyIsV2 := func(when string) {
+		t.Helper()
+		got, err := sys.SegmentImageOf(n.standby.Seg, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Data, whole.Data) {
+			t.Fatalf("%s: the standby's segment differs from the view's", when)
+		}
+	}
+	failed = 0
+	for nth := uint64(1); ; nth++ {
+		reg.Enable(fault.MemAlloc, fault.OnNth(nth))
+		err := mon.applyImage(n, delta)
+		fired := reg.Fired(fault.MemAlloc) > 0
+		reg.Disable(fault.MemAlloc)
+		if !fired {
+			if err != nil {
+				t.Fatalf("patch with the fault armed past its last allocation: %v", err)
+			}
+			standbyIsV2("after the fault-free patch")
+			break
+		}
+		if err != nil {
+			failed++
+			if n.warm || n.held != 0 {
+				t.Fatalf("allocation %d failed the patch (%v) and the standby is still warm (%v) at generation %d", nth, err, n.warm, n.held)
+			}
+			if again := mon.applyImage(n, delta); again == nil {
+				t.Fatalf("allocation %d failed the patch (%v); the same delta then applied over the torn standby", nth, err)
+			}
+			next, ierr := forks.Image(v2, n.held)
+			if ierr != nil || next.Base != 0 {
+				t.Fatalf("image for the cold standby: %v, over generation %d; want a full one", ierr, next.Base)
+			}
+			if err := mon.applyImage(n, next); err != nil || !n.warm {
+				t.Fatalf("allocation %d failed the patch; the full rebuild after it: %v (warm %v)", nth, err, n.warm)
+			}
+			standbyIsV2(fmt.Sprintf("after allocation %d failed the patch and the rebuild", nth))
+		}
+		holdV1()
+	}
+	if failed < 2 {
+		t.Fatalf("only %d allocations failed a patch; the sweep did not reach the attachment and the page tables", failed)
+	}
+	if err := forks.Close(th); err != nil {
+		t.Fatal(err)
+	}
+
 	// The standby is a working store.
 	if err := mon.applyImage(n, img); err != nil {
 		t.Fatal(err)

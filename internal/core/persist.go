@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
 
 	"spacejmp/internal/arch"
 	"spacejmp/internal/mem"
@@ -268,16 +270,37 @@ func (sys *System) Checkpoint() error {
 
 // SegmentImage is one segment's content as recorded by a checkpoint
 // generation: the metadata needed to rebuild the segment elsewhere plus the
-// bytes of every page the segment had materialized. Pages is sparse — a
-// page index absent from the map was never touched and reads as zeros, so
-// an applier that skips it reproduces the same contents.
+// bytes of the pages it holds, in page order in one buffer. A full image
+// (Base 0) holds every page the segment had materialized — one it does not
+// list was never touched and reads as zeros, so an applier that starts from
+// fresh frames and skips it reproduces the same contents. A delta holds the
+// pages written since generation Base and only means something over that.
 type SegmentImage struct {
 	Name     string
 	Size     uint64
 	PageSize uint64
 	Lockable bool
-	Seq      uint64            // generation the image came from
-	Pages    map[uint64][]byte // page index → page contents
+	Seq      uint64   // generation the image came from
+	Base     uint64   // generation the image is a delta over; 0: a full image
+	Index    []uint64 // indices of the pages held, ascending
+	Data     []byte   // their contents in Index order, PageSize bytes each
+}
+
+// Page returns the contents of the i-th page held, page number Index[i].
+func (img *SegmentImage) Page(i int) []byte {
+	return img.Data[uint64(i)*img.PageSize:][:img.PageSize]
+}
+
+// read fills the image with the contents of frames, page index → frame.
+func (img *SegmentImage) read(sys *System, frames map[uint64]arch.PhysAddr) (*SegmentImage, error) {
+	img.Index = slices.Sorted(maps.Keys(frames))
+	img.Data = make([]byte, uint64(len(img.Index))*img.PageSize)
+	for i, idx := range img.Index {
+		if err := sys.M.PM.ReadAt(frames[idx], img.Page(i)); err != nil {
+			return nil, fmt.Errorf("spacejmp: reading page %d of %q: %w", idx, img.Name, err)
+		}
+	}
+	return img, nil
 }
 
 // CheckpointSegment reads one segment's image out of the newest valid
@@ -323,31 +346,24 @@ func (sys *System) CheckpointSegment(name string) (*SegmentImage, error) {
 		out := &SegmentImage{
 			Name: ps.Name, Size: ps.Size, PageSize: pageSize,
 			Lockable: ps.Lockable, Seq: best.seq,
-			Pages: make(map[uint64][]byte, len(ps.Frames)),
 		}
-		for idx, pa := range ps.Frames {
-			page := make([]byte, pageSize)
-			if err := sys.M.PM.ReadAt(pa, page); err != nil {
-				return nil, fmt.Errorf("spacejmp: reading checkpointed page %d: %w", idx, err)
-			}
-			out.Pages[idx] = page
-		}
-		return out, nil
+		return out.read(sys, ps.Frames)
 	}
 	return nil, fmt.Errorf("%w: generation %d holds no segment %q", ErrNotFound, best.seq, name)
 }
 
 // SegmentImageOf reads a live segment's current content into a SegmentImage
 // without going through the NVM superblock — the extraction path for frozen
-// fork segments, whose frames are immutable by construction. Pages are
-// resolved through the object's COW parent chain (a second-generation frozen
-// view owns only the pages written since the previous fork; older content
-// lives upstream), so the image is always complete. seq stamps the image's
-// generation for the applier.
+// fork segments, whose frames are immutable by construction. pages names the
+// pages to read (a delta: the set vm.Object.Dirty recorded); nil means every
+// page. Each is resolved through the object's COW parent chain (a
+// second-generation frozen view owns only the pages written since the
+// previous fork; older content lives upstream), so a full image is always
+// complete. seq stamps the image's generation for the applier.
 //
 // The read never mutates the object: unmaterialized pages are simply absent
-// from the sparse map and read as zeros on apply.
-func (sys *System) SegmentImageOf(name string, seq uint64) (*SegmentImage, error) {
+// from the image and read as zeros on apply.
+func (sys *System) SegmentImageOf(name string, seq uint64, pages []uint64) (*SegmentImage, error) {
 	sys.mu.Lock()
 	seg, ok := sys.segByName[name]
 	sys.mu.Unlock()
@@ -355,23 +371,20 @@ func (sys *System) SegmentImageOf(name string, seq uint64) (*SegmentImage, error
 		return nil, fmt.Errorf("%w: segment %q", ErrNotFound, name)
 	}
 	obj := seg.Obj
+	frames := map[uint64]arch.PhysAddr{}
+	if pages == nil {
+		frames = obj.ResolvedFrameMap()
+	}
+	for _, idx := range pages {
+		if pa, ok := obj.ResolveFrame(idx); ok {
+			frames[idx] = pa
+		}
+	}
 	out := &SegmentImage{
 		Name: seg.Name, Size: seg.Size, PageSize: obj.PageSize,
 		Lockable: seg.Lockable(), Seq: seq,
-		Pages: make(map[uint64][]byte),
 	}
-	for idx := uint64(0); idx < obj.Pages(); idx++ {
-		pa, ok := obj.ResolveFrame(idx)
-		if !ok {
-			continue
-		}
-		page := make([]byte, obj.PageSize)
-		if err := sys.M.PM.ReadAt(pa, page); err != nil {
-			return nil, fmt.Errorf("spacejmp: reading page %d of %q: %w", idx, name, err)
-		}
-		out.Pages[idx] = page
-	}
-	return out, nil
+	return out.read(sys, frames)
 }
 
 // Restore rebuilds the registries from the newest valid checkpoint

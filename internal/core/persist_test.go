@@ -368,8 +368,8 @@ func TestCheckpointSegmentRoundTrip(t *testing.T) {
 	if img.Name != "img.seg" || img.Size != 1<<20 || !img.Lockable || img.Seq == 0 {
 		t.Fatalf("image metadata = %+v", img)
 	}
-	if want := int((1 << 20) / arch.PageSize); len(img.Pages) != want {
-		t.Fatalf("image holds %d pages, want all %d backing pages", len(img.Pages), want)
+	if want := int((1 << 20) / arch.PageSize); len(img.Index) != want {
+		t.Fatalf("image holds %d pages, want all %d backing pages", len(img.Index), want)
 	}
 	word := func(page []byte, off int) uint64 {
 		var v uint64
@@ -378,10 +378,10 @@ func TestCheckpointSegmentRoundTrip(t *testing.T) {
 		}
 		return v
 	}
-	if p := img.Pages[0]; p == nil || word(p, 8) != 0xAABBCCDD {
+	if p := img.Page(0); img.Index[0] != 0 || word(p, 8) != 0xAABBCCDD {
 		t.Errorf("page 0 content wrong")
 	}
-	if p := img.Pages[3]; p == nil || word(p, 16) != 0x11223344 {
+	if p := img.Page(3); img.Index[3] != 3 || word(p, 16) != 0x11223344 {
 		t.Errorf("page 3 content wrong")
 	}
 

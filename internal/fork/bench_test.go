@@ -54,7 +54,7 @@ func BenchmarkForkSteadyState(b *testing.B) {
 				t2 := time.Now()
 				forkNs, breakNs = forkNs+t1.Sub(t0), breakNs+t2.Sub(t1)
 				if round >= warm {
-					if _, err := e.Image(v); err != nil {
+					if _, err := e.Image(v, 0); err != nil {
 						b.Fatal(err)
 					}
 					imageNs += time.Since(t2)

@@ -35,6 +35,7 @@ import (
 type View struct {
 	node      int
 	gen       uint64
+	base      uint64 // the node's previous fork; 0 for none
 	segName   string // "<live-seg>@fork<gen>"
 	vasName   string
 	vid       core.VASID
@@ -50,6 +51,10 @@ func (v *View) Node() int { return v.node }
 // Gen returns the view's fork generation — the fencing token readers and
 // the ship path compare against the engine's current generation.
 func (v *View) Gen() uint64 { return v.gen }
+
+// Base returns the generation this view is a delta over: the node's previous
+// fork, whether or not anyone extracted it, and 0 for the node's first.
+func (v *View) Base() uint64 { return v.base }
 
 // SegName returns the frozen segment's registry name.
 func (v *View) SegName() string { return v.segName }
@@ -80,6 +85,7 @@ type Engine struct {
 
 	mu      sync.Mutex
 	gen     uint64
+	last    map[int]uint64 // node -> generation of its latest fork
 	current map[int]*View
 	retired map[int][]*View
 }
@@ -89,6 +95,7 @@ func New(sys *core.System, obs *stats.Sink) *Engine {
 	return &Engine{
 		sys:     sys,
 		obs:     obs,
+		last:    map[int]uint64{},
 		current: map[int]*View{},
 		retired: map[int][]*View{},
 	}
@@ -140,6 +147,9 @@ func (e *Engine) Fork(th *core.Thread, node int, segName string) (*View, error) 
 	}
 
 	e.mu.Lock()
+	// A fork that failed above folded its frames back and left last alone:
+	// this view's dirty set covers that one's too.
+	v.base, e.last[node] = e.last[node], gen
 	if prev := e.current[node]; prev != nil {
 		e.retired[node] = append(e.retired[node], prev)
 	}
@@ -167,15 +177,28 @@ func (e *Engine) Current(node int) *View {
 	return v
 }
 
-// Image extracts the frozen view's segment content. It takes no thread and
-// no node mutex — the frames are immutable by construction, so the primary
-// keeps serving while the image is read. Fails if the view was invalidated
-// (its frames may already be reclaimed).
-func (e *Engine) Image(v *View) (*core.SegmentImage, error) {
+// Image extracts the frozen view's segment content for a receiver holding
+// generation have of the node's store (0: nothing): the pages written since,
+// when have is exactly the generation the view was forked over, every page
+// otherwise. It takes no thread and no node mutex — the frames are immutable
+// by construction, so the primary keeps serving while the image is read. Fails
+// if the view was invalidated (its frames may already be reclaimed).
+func (e *Engine) Image(v *View, have uint64) (*core.SegmentImage, error) {
 	if v.invalid.Load() {
 		return nil, fmt.Errorf("%w: fork gen %d of node %d invalidated", core.ErrInvalid, v.gen, v.node)
 	}
-	return e.sys.SegmentImageOf(v.segName, v.gen)
+	if have == 0 || have != v.base {
+		return e.sys.SegmentImageOf(v.segName, v.gen, nil)
+	}
+	seg, err := e.sys.SegByID(v.sid)
+	if err != nil {
+		return nil, err
+	}
+	img, err := e.sys.SegmentImageOf(v.segName, v.gen, seg.Obj.Dirty())
+	if err == nil {
+		img.Base = v.base
+	}
+	return img, err
 }
 
 // InvalidateNode fences every outstanding view of node: a promotion or slot

@@ -3,6 +3,9 @@ package fork
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -106,11 +109,11 @@ func (r *rig) teardown(e *Engine) {
 
 // wordAt reads one word out of a segment image; an absent page reads zero.
 func wordAt(img *core.SegmentImage, off uint64) uint64 {
-	page, ok := img.Pages[off/img.PageSize]
+	i, ok := slices.BinarySearch(img.Index, off/img.PageSize)
 	if !ok {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(page[off%img.PageSize:])
+	return binary.LittleEndian.Uint64(img.Page(i)[off%img.PageSize:])
 }
 
 // A view is the store at the instant of the fork: writes that go through
@@ -132,7 +135,7 @@ func TestViewIsPointInTime(t *testing.T) {
 	r.store(touched, 222)
 	r.store(fresh, 333)
 
-	img, err := e.Image(v)
+	img, err := e.Image(v, 0)
 	if err != nil {
 		t.Fatalf("Image: %v", err)
 	}
@@ -151,7 +154,7 @@ func TestViewIsPointInTime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second Fork: %v", err)
 	}
-	img2, err := e.Image(v2)
+	img2, err := e.Image(v2, 0)
 	if err != nil {
 		t.Fatalf("Image of the second view: %v", err)
 	}
@@ -197,7 +200,7 @@ func TestInvalidateNodeFencesViews(t *testing.T) {
 	if !v0.Invalid() || e.Current(0) != nil {
 		t.Errorf("after InvalidateNode(0): Invalid = %v, Current(0) = %p, want true and nil", v0.Invalid(), e.Current(0))
 	}
-	if _, err := e.Image(v0); !errors.Is(err, core.ErrInvalid) {
+	if _, err := e.Image(v0, 0); !errors.Is(err, core.ErrInvalid) {
 		t.Errorf("Image of an invalidated view: %v, want ErrInvalid", err)
 	}
 	if v1.Invalid() || e.Current(1) != v1 {
@@ -343,7 +346,7 @@ func TestReleasedGenerationsFold(t *testing.T) {
 	}
 	check := func(v *View, want map[uint64]uint64, when string) {
 		t.Helper()
-		img, err := e.Image(v)
+		img, err := e.Image(v, 0)
 		if err != nil {
 			t.Fatalf("%s: Image of gen %d: %v", when, v.Gen(), err)
 		}
@@ -411,6 +414,132 @@ func TestReleasedGenerationsFold(t *testing.T) {
 	readerProc.Exit()
 	if got := flat(6, 3, "reader gone"); got != steady {
 		t.Errorf("%d bytes allocated after the reader detached, %d before it attached", got, steady)
+	}
+	r.teardown(e)
+}
+
+// pageWords reads word 0 of every page an image holds, by page index.
+func pageWords(img *core.SegmentImage) map[uint64]uint64 {
+	out := map[uint64]uint64{}
+	for i, idx := range img.Index {
+		out[idx] = binary.LittleEndian.Uint64(img.Page(i))
+	}
+	return out
+}
+
+// An image is a delta exactly when the receiver holds the generation the view
+// was forked over: then it is the pages written since, in page order, and
+// nothing else; for any other receiver it is every page. A fork that failed
+// half way (its VAS name is taken) or whose view was fenced before anyone
+// extracted it still counts: the next view's delta is over it only for a
+// receiver that holds it, and nobody does.
+func TestImageIsDeltaOverBaseOnly(t *testing.T) {
+	r := newRig(t)
+	e := New(r.sys, nil)
+	const pages = liveSize / arch.PageSize
+	page := func(p int) int { return p * arch.PageSize }
+	r.store(page(1), 11)
+	v1, err := e.Fork(r.th, 0, liveSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1.Base() != 0 {
+		t.Fatalf("a node's first view is a delta over generation %d", v1.Base())
+	}
+	full, err := e.Image(v1, 0)
+	if err != nil || full.Base != 0 || len(full.Index) != pages || len(full.Data) != liveSize {
+		t.Fatalf("first image: %v, base %d, %d pages, %d bytes; want every page", err, full.Base, len(full.Index), len(full.Data))
+	}
+
+	r.store(page(5), 55)
+	r.store(page(2), 22)
+	r.store(page(5)+8, 56)
+	v2, err := e.Fork(r.th, 0, liveSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2.Base() != v1.Gen() {
+		t.Fatalf("second view is over generation %d, want %d", v2.Base(), v1.Gen())
+	}
+	delta, err := e.Image(v2, v1.Gen())
+	if err != nil || delta.Base != v1.Gen() || delta.Seq != v2.Gen() {
+		t.Fatalf("delta image: %v, base %d, seq %d", err, delta.Base, delta.Seq)
+	}
+	if got, want := pageWords(delta), map[uint64]uint64{2: 22, 5: 55}; !reflect.DeepEqual(got, want) || !slices.IsSorted(delta.Index) {
+		t.Fatalf("delta holds pages %v (index %v), want %v in page order", got, delta.Index, want)
+	}
+	if wordAt(delta, uint64(page(5)+8)) != 56 {
+		t.Error("delta's page 5 lost its second word")
+	}
+	for _, have := range []uint64{0, v2.Gen(), v1.Gen() + 100} {
+		img, err := e.Image(v2, have)
+		if err != nil || img.Base != 0 || len(img.Index) != pages {
+			t.Fatalf("image for a receiver holding %d: %v, base %d, %d pages; want a full one", have, err, img.Base, len(img.Index))
+		}
+		if got := pageWords(img); got[1] != 11 || got[2] != 22 || got[5] != 55 {
+			t.Fatalf("full image for a receiver holding %d reads %v", have, got)
+		}
+	}
+
+	// Nothing written: the delta is empty, not "every page".
+	v3, err := e.Fork(r.th, 0, liveSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img, err := e.Image(v3, v2.Gen()); err != nil || img.Base != v2.Gen() || len(img.Index) != 0 {
+		t.Fatalf("image of an unwritten generation: %v, base %d, %d pages; want an empty delta", err, img.Base, len(img.Index))
+	}
+
+	// A fork that fails after the frames were frozen folds them back: the
+	// next view's set covers both intervals, over the last view that was made.
+	r.store(page(7), 77)
+	taken, err := r.th.VASCreate(fmt.Sprintf("%s@fork%d.vas", liveSeg, v3.Gen()+1), 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := e.Fork(r.th, 0, liveSeg); err == nil {
+		t.Fatalf("fork into a taken VAS name made generation %d", v.Gen())
+	}
+	if err := r.th.VASDestroy(taken); err != nil {
+		t.Fatal(err)
+	}
+	r.store(page(9), 99)
+	v5, err := e.Fork(r.th, 0, liveSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v5.Base() != v3.Gen() {
+		t.Fatalf("the view after a failed fork is over generation %d, want %d", v5.Base(), v3.Gen())
+	}
+	img, err := e.Image(v5, v3.Gen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pageWords(img), map[uint64]uint64{7: 77, 9: 99}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("delta after a failed fork holds %v, want %v: the failed fork's pages must be in it", got, want)
+	}
+
+	// A view fenced before extraction is refused, and still the base of the
+	// next one: a receiver left at v5 gets a full image.
+	r.store(page(3), 33)
+	v6, err := e.Fork(r.th, 0, liveSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.InvalidateNode(0, "test")
+	if _, err := e.Image(v6, v5.Gen()); !errors.Is(err, core.ErrInvalid) {
+		t.Fatalf("image of a fenced view: %v", err)
+	}
+	r.store(page(4), 44)
+	v7, err := e.Fork(r.th, 0, liveSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v7.Base() != v6.Gen() {
+		t.Fatalf("the view after a fenced one is over generation %d, want %d", v7.Base(), v6.Gen())
+	}
+	if img, err := e.Image(v7, v5.Gen()); err != nil || img.Base != 0 || len(img.Index) != pages {
+		t.Fatalf("image for a receiver two generations behind: %v, base %d, %d pages; want a full one", err, img.Base, len(img.Index))
 	}
 	r.teardown(e)
 }

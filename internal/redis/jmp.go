@@ -178,26 +178,21 @@ func (c *Client) bootstrap(segSize uint64, opts ...core.SegOption) error {
 
 // CreateInstance builds the store instance named by names: a segment of size
 // bytes at SegBase, a VAS mapping it read-write and a VAS mapping it
-// read-only. fill runs switched into the write VAS, through an attachment
-// that lasts only that long, and puts the store there — CreateStore for a new
-// one, the stores that copy an image in for a replica. On any failure
-// CreateInstance takes down what it built, so a failed attempt leaves nothing
-// under those names for the next one to trip over.
+// read-only. fill runs as under FillInstance and puts the store there —
+// CreateStore for a new one, the stores that copy an image in for a replica.
+// On any failure CreateInstance takes down what it built, so a failed attempt
+// leaves nothing under those names for the next one to trip over.
 func CreateInstance(th *core.Thread, names Names, size uint64, fill func() error, opts ...core.SegOption) (err error) {
 	sid, err := th.SegAlloc(names.Seg, SegBase, size, arch.PermRW, opts...)
 	if err != nil {
 		return err
 	}
 	var vids []core.VASID
-	h := core.PrimaryHandle
 	defer func() {
 		if err == nil {
 			return
 		}
 		// Best effort, in reverse; the failure that led here is the one reported.
-		if h != core.PrimaryHandle {
-			_ = th.VASDetach(h)
-		}
 		for _, vid := range vids {
 			_ = th.VASDestroy(vid)
 		}
@@ -216,20 +211,35 @@ func CreateInstance(th *core.Thread, names Names, size uint64, fill func() error
 			return err
 		}
 	}
-	if h, err = th.VASAttach(vids[0]); err != nil {
-		return err
-	}
-	if err = th.VASSwitch(h); err != nil {
-		return err
-	}
-	err = fill()
-	if serr := th.VASSwitch(core.PrimaryHandle); err == nil {
-		err = serr
-	}
+	return fillVAS(th, vids[0], fill)
+}
+
+// FillInstance runs fill switched into the write VAS of the standing instance
+// named by names, through an attachment that lasts only that long — how a
+// replica's store is patched in place.
+func FillInstance(th *core.Thread, names Names, fill func() error) error {
+	vid, err := th.VASFind(names.WriteVAS)
 	if err != nil {
 		return err
 	}
-	return th.VASDetach(h)
+	return fillVAS(th, vid, fill)
+}
+
+func fillVAS(th *core.Thread, vid core.VASID, fill func() error) error {
+	h, err := th.VASAttach(vid)
+	if err != nil {
+		return err
+	}
+	if err = th.VASSwitch(h); err == nil {
+		err = fill()
+		if serr := th.VASSwitch(core.PrimaryHandle); err == nil {
+			err = serr
+		}
+	}
+	if derr := th.VASDetach(h); err == nil {
+		err = derr
+	}
+	return err
 }
 
 // EnableTags assigns TLB tags to both VASes (the "RedisJMP (Tags)" series

@@ -134,21 +134,21 @@ func TestStoreMatchesWordLoopModel(t *testing.T) {
 // segment byte for byte, cycles by category, TLB and per-tag counters.
 func compareStores(t *testing.T, a, b *core.System, when string) {
 	t.Helper()
-	ia, err := a.SegmentImageOf(SegName, 0)
+	ia, err := a.SegmentImageOf(SegName, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ib, err := b.SegmentImageOf(SegName, 0)
+	ib, err := b.SegmentImageOf(SegName, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ia.Pages, ib.Pages) {
-		for idx, pa := range ia.Pages {
-			if !bytes.Equal(pa, ib.Pages[idx]) {
-				t.Fatalf("%s: store segments differ at page %d", when, idx)
-			}
+	if !reflect.DeepEqual(ia.Index, ib.Index) {
+		t.Fatalf("%s: store segments differ (%d vs %d pages)", when, len(ia.Index), len(ib.Index))
+	}
+	for i, idx := range ia.Index {
+		if !bytes.Equal(ia.Page(i), ib.Page(i)) {
+			t.Fatalf("%s: store segments differ at page %d", when, idx)
 		}
-		t.Fatalf("%s: store segments differ (%d vs %d pages)", when, len(ia.Pages), len(ib.Pages))
 	}
 	sa, sb := a.Stats(), b.Stats()
 	if !reflect.DeepEqual(sa.Cycles, sb.Cycles) || sa.TLB != sb.TLB || !reflect.DeepEqual(sa.ASIDs, sb.ASIDs) ||

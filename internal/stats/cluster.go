@@ -36,6 +36,7 @@ type clusterCounters struct {
 type replicationCounters struct {
 	Ships         atomic.Uint64 // checkpoint generations shipped to replicas
 	ShipBytes     atomic.Uint64 // segment-image payload bytes moved
+	FullShips     atomic.Uint64 // ships that rebuilt the standby from every page, not a delta
 	ShipFailures  atomic.Uint64 // ships abandoned (transport or checkpoint failure)
 	Probes        atomic.Uint64 // health probes sent
 	ProbeFailures atomic.Uint64 // probes that timed out, were dropped, or hit a dead node
@@ -187,13 +188,18 @@ func (s *Sink) ClusterTimeout(node int) {
 }
 
 // ClusterShip records one checkpoint generation shipped to a node's
-// replica, with the image payload bytes moved, and traces it. Safe on nil.
-func (s *Sink) ClusterShip(node int, bytes uint64) {
+// replica, with the image payload bytes moved and whether the image was a
+// full one (the standby rebuilt) or a delta (patched), and traces it. Safe on
+// nil.
+func (s *Sink) ClusterShip(node int, bytes uint64, full bool) {
 	if s == nil {
 		return
 	}
 	s.live.Cluster.Replication.Ships.Add(1)
 	s.live.Cluster.Replication.ShipBytes.Add(bytes)
+	if full {
+		s.live.Cluster.Replication.FullShips.Add(1)
+	}
 	s.Trace(Event{Kind: EvCheckpointShip, Core: -1, A: uint64(node), B: bytes})
 }
 

@@ -19,7 +19,7 @@ func goldenStates() []*Snapshot {
 	sparse.InstallClusterNodes(2)
 	sparse.InstallTenants(1)
 	sparse.ServerCommand(5)
-	sparse.ClusterShip(0, 10)
+	sparse.ClusterShip(0, 10, true)
 	sparse.Syscall(OpSegAlloc, 0)
 	return []*Snapshot{NewSink(2).Snapshot(), sparse.Snapshot(), scriptedSink(2, 5).Snapshot()}
 }

@@ -117,6 +117,7 @@ func refDelta(s, before *Snapshot) *Snapshot {
 			dr := ReplicationSnap{
 				Ships:         r.Ships - br.Ships,
 				ShipBytes:     r.ShipBytes - br.ShipBytes,
+				FullShips:     r.FullShips - br.FullShips,
 				ShipFailures:  r.ShipFailures - br.ShipFailures,
 				Probes:        r.Probes - br.Probes,
 				ProbeFailures: r.ProbeFailures - br.ProbeFailures,
@@ -277,7 +278,7 @@ func TestDeltaMatchesReference(t *testing.T) {
 				case 0:
 					s.ServerCommand(uint64(rng.Intn(1 << 20)))
 				case 1:
-					s.ClusterShip(0, uint64(rng.Intn(1<<16)))
+					s.ClusterShip(0, uint64(rng.Intn(1<<16)), rng.Intn(8) == 0)
 				case 2:
 					s.ClusterFollowerRead()
 				case 3:

@@ -56,7 +56,7 @@ func recordAll(s *Sink, shards []*ShardCounters, k uint64) {
 	s.ClusterRemote(1-i, 9000+k)
 	s.ClusterURPCCall(5000 + k)
 	s.ClusterTimeout(i)
-	s.ClusterShip(i, 1<<16)
+	s.ClusterShip(i, 1<<16, i == 0)
 	s.ClusterShipFailure(i)
 	s.ClusterProbe(k%2 == 0)
 	s.ClusterProbe(false)

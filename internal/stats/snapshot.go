@@ -123,6 +123,7 @@ type NodeSnap struct {
 type ReplicationSnap struct {
 	Ships         uint64 `json:"ships"`
 	ShipBytes     uint64 `json:"ship_bytes"`
+	FullShips     uint64 `json:"full_ships"`
 	ShipFailures  uint64 `json:"ship_failures"`
 	Probes        uint64 `json:"probes"`
 	ProbeFailures uint64 `json:"probe_failures"`

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -390,6 +392,142 @@ func TestResolveDuringFold(t *testing.T) {
 	close(done)
 	wg.Wait()
 	cur.Unref()
+	live.CollapseCOW()
+	live.Unref()
+	if err := pm.CheckLeaks(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refResolvedFrameMap is ResolvedFrameMap as it was: one ResolveFrame per
+// page, each taking and dropping every lock on its way down the chain.
+func refResolvedFrameMap(o *Object) map[uint64]arch.PhysAddr {
+	out := make(map[uint64]arch.PhysAddr)
+	for idx := uint64(0); idx < o.Pages(); idx++ {
+		if pa, ok := o.ResolveFrame(idx); ok {
+			out[idx] = pa
+		}
+	}
+	return out
+}
+
+// TestResolvedFrameMapMatchesPerPage holds the single descent of the chain to
+// the per-page loop it replaced, on every object of a three-generation chain
+// (live → view 2 → view 1 → view 0, overlapping writes between the forks, a
+// page nobody ever materialized), before and after the middle view is
+// released and folds into the one above it.
+func TestResolvedFrameMapMatchesPerPage(t *testing.T) {
+	pm := mem.New(mem.Config{DRAMSize: 64 << 20})
+	const pages = 24
+	live := NewObject(pm, "live", pages*arch.PageSize, mem.TierDRAM)
+	for idx := uint64(0); idx < pages-1; idx++ { // the last page stays absent
+		if _, err := live.Frame(idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var views []*Object
+	for gen := 0; gen < 3; gen++ {
+		views = append(views, live.ForkFrozen(fmt.Sprintf("live@%d", gen)))
+		for i := 0; i < 6; i++ {
+			if _, err := live.BreakCOW(uint64((gen*4 + i*3) % (pages - 1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, o := range append([]*Object{live}, views...) {
+			got, want := o.ResolvedFrameMap(), refResolvedFrameMap(o)
+			if len(want) != pages-1 {
+				t.Fatalf("%s: %s resolves %d pages per page, want %d", when, o.Name, len(want), pages-1)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s: one descent resolves\n%v\nthe per-page loop\n%v", when, o.Name, got, want)
+			}
+		}
+	}
+	check("three views held")
+	if own, up := live.ResolvedFrameMap(), views[2].ResolvedFrameMap(); reflect.DeepEqual(own, up) {
+		t.Fatal("the live object resolves as the view under it: the child's frame does not win")
+	}
+	views[1].Unref()
+	live.CollapseCOW()
+	views = append(views[:1], views[2])
+	if d := chainDepth(live); d != 2 {
+		t.Fatalf("chain depth %d after the middle view folded, want 2", d)
+	}
+	check("middle view folded")
+	for _, v := range views {
+		v.Unref()
+	}
+	live.CollapseCOW()
+	live.Unref()
+	if err := pm.CheckLeaks(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForkFrozenRecordsDirty pins what a view's Dirty set is: exactly the
+// pages written since the fork before it; everything materialized at
+// the first fork; empty, not nil, when nothing was written; unchanged by the
+// folds that later pour older generations' frames into the view; and, after a
+// view is dropped unreleased to anyone (a failed fork: Unref, CollapseCOW),
+// the next view's set covers the dropped one's too.
+func TestForkFrozenRecordsDirty(t *testing.T) {
+	pm := mem.New(mem.Config{DRAMSize: 64 << 20})
+	const pages = 16
+	live := NewObject(pm, "live", pages*arch.PageSize, mem.TierDRAM)
+	if err := live.Populate(); err != nil {
+		t.Fatal(err)
+	}
+	if live.Dirty() != nil {
+		t.Fatal("an object that is no view has a dirty set")
+	}
+	write := func(idxs ...uint64) {
+		t.Helper()
+		for _, idx := range idxs {
+			if _, err := live.BreakCOW(idx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := func(v *Object, idxs ...uint64) {
+		t.Helper()
+		got := v.Dirty()
+		if sorted := slices.Sorted(slices.Values(got)); got == nil || !slices.Equal(sorted, idxs) {
+			t.Fatalf("%s: dirty %v, want %v", v.Name, got, idxs)
+		}
+	}
+	all := make([]uint64, pages)
+	for i := range all {
+		all[i] = uint64(i)
+	}
+	v0 := live.ForkFrozen("live@0")
+	want(v0, all...)
+	write(9, 2, 11, 2)
+	v1 := live.ForkFrozen("live@1")
+	want(v1, 2, 9, 11)
+	v2 := live.ForkFrozen("live@2")
+	want(v2)
+	// v0 and v1 released: both fold into v2, whose frame map now holds every
+	// page. Its dirty set is still what it was.
+	v0.Unref()
+	v1.Unref()
+	live.CollapseCOW()
+	if got := v2.Resident(); got != pages {
+		t.Fatalf("v2 holds %d frames after the folds, want %d", got, pages)
+	}
+	want(v2)
+	write(5, 3)
+	failed := live.ForkFrozen("live@3") // a fork whose VAS could not be built
+	want(failed, 3, 5)
+	failed.Unref()
+	live.CollapseCOW()
+	write(7, 3)
+	v4 := live.ForkFrozen("live@4")
+	want(v4, 3, 5, 7)
+	v2.Unref()
+	v4.Unref()
 	live.CollapseCOW()
 	live.Unref()
 	if err := pm.CheckLeaks(0); err != nil {

@@ -10,6 +10,8 @@ package vm
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"spacejmp/internal/arch"
@@ -39,6 +41,12 @@ type Object struct {
 	// served from the parent (read-only) until BreakCOW copies them — the
 	// snapshotting optimization of paper §7.
 	parent *Object
+
+	// dirty, on a frozen view: the pages, in no order, the live object had
+	// frames of its own for at the fork — those written since the previous fork
+	// (all of them at the first; a superset after a failed fork folded back).
+	// Set once by ForkFrozen; no later fold touches it.
+	dirty []uint64
 
 	// mappers is the reverse map: every Space with at least one region over
 	// this object, counted per region. A COW break installs the private
@@ -247,7 +255,9 @@ func (o *Object) BreakCOW(idx uint64) (arch.PhysAddr, error) {
 // itself becomes a copy-on-write child of it — the inverse sharing
 // direction of CloneCOW, which is what a snapshot-while-serving needs
 // (writes to o after the fork land in private frames via BreakCOW and never
-// reach the frozen view).
+// reach the frozen view). Which pages those frames back is recorded in the
+// frozen object at this instant (Dirty), before any CollapseCOW folds an
+// older generation's frames in beside them.
 //
 // The frozen object starts with two references: one owned by the caller,
 // one held by o as its parent link. Any parent o already had is inherited
@@ -263,14 +273,19 @@ func (o *Object) ForkFrozen(name string) *Object {
 	if o.dead {
 		panic("vm: ForkFrozen on destroyed object " + o.Name)
 	}
+	dirty := slices.AppendSeq(make([]uint64, 0, len(o.frames)), maps.Keys(o.frames)) // empty, never nil
 	frozen := &Object{
 		Name: name, Size: o.Size, Tier: o.Tier, PageSize: o.PageSize,
-		pm: o.pm, frames: o.frames, refs: 2, parent: o.parent,
+		pm: o.pm, frames: o.frames, refs: 2, parent: o.parent, dirty: dirty,
 	}
 	o.frames = make(map[uint64]arch.PhysAddr)
 	o.parent = frozen
 	return o.parent
 }
+
+// Dirty returns the pages ForkFrozen recorded when it made this frozen view,
+// unordered (nil for any other object); the slice is shared, never written.
+func (o *Object) Dirty() []uint64 { return o.dirty }
 
 // CollapseCOW walks o's whole copy-on-write chain and folds every link that
 // nothing but its child holds (refs == 1: the child's parent link) into that
@@ -384,14 +399,26 @@ func (o *Object) ResolveFrame(idx uint64) (arch.PhysAddr, bool) {
 // the object's own map holds only pages written since the fork, while the
 // rest still live upstream. Persisting code must use this, never FrameMap,
 // or a checkpoint taken mid-fork silently drops everything unwritten since.
+//
+// The chain is descended once, each level's lock taken once and held to the
+// bottom (child→parent, as ResolveFrame holds them): the nearest frame wins.
 func (o *Object) ResolvedFrameMap() map[uint64]arch.PhysAddr {
 	out := make(map[uint64]arch.PhysAddr)
-	for idx := uint64(0); idx < o.Pages(); idx++ {
-		if pa, ok := o.ResolveFrame(idx); ok {
+	o.resolveInto(out)
+	return out
+}
+
+func (o *Object) resolveInto(out map[uint64]arch.PhysAddr) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for idx, pa := range o.frames {
+		if _, nearer := out[idx]; !nearer {
 			out[idx] = pa
 		}
 	}
-	return out
+	if o.parent != nil {
+		o.parent.resolveInto(out)
+	}
 }
 
 // Resident returns the number of pages currently backed by frames.

@@ -62,7 +62,7 @@ echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
 
 echo "== bench smoke (the wire-path, stats, run-length, store, ship and fork rungs of the ladder still run) =="
-go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec|RouterMGet|SnapshotDelta|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ForkSteadyState' -benchtime 100x \
+go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec|RouterMGet|SnapshotDelta|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ShipDelta|ForkSteadyState' -benchtime 100x \
     ./internal/redis ./internal/urpc ./internal/cluster ./internal/stats ./internal/hw ./internal/fork
 
 echo "== fuzz smoke (RESP parser against the reference reader) =="

@@ -7,7 +7,8 @@
 # than the bound. The write-heavy mix keeps checkpoint ships (and thus
 # frozen-view forks) happening under live traffic the whole run. Afterwards
 # the admin surface must show the fork machinery actually ran: forked
-# views, follower-served reads, and off-mutex ship timings in /stats.
+# views, follower-served reads, and off-mutex ship timings in /stats — and
+# that only each node's first ship moved its whole segment.
 set -e
 
 cd "$(dirname "$0")/.."
@@ -72,6 +73,16 @@ grep -q '"follower_reads": *[1-9]' "$tmp/stats.json" || {
     echo "forkread-smoke: /stats shows no follower-served reads" >&2; exit 1; }
 grep -q '"ships": *[1-9]' "$tmp/stats.json" || {
     echo "forkread-smoke: /stats shows no checkpoint ships" >&2; exit 1; }
+# Ships are deltas: each replicated node got its whole segment once, at boot,
+# and every ship since patched the standing standby — full_ships stays at the
+# number of replicated nodes while ships grows past it.
+replicated=$(curl -sf "http://$admin/topology" | grep -c '"replicated": *true' || true)
+ships=$(sed -n 's/.*"ships": *\([0-9]*\).*/\1/p' "$tmp/stats.json" | head -n 1)
+full=$(sed -n 's/.*"full_ships": *\([0-9]*\).*/\1/p' "$tmp/stats.json" | head -n 1)
+if [ "$replicated" -lt 1 ] || [ "${full:-0}" -ne "$replicated" ] || [ "${ships:-0}" -le "$full" ]; then
+    echo "forkread-smoke: ${ships:-?} ships, ${full:-?} of them full, $replicated replicated nodes: want one full ship per node and more ships than that" >&2
+    exit 1
+fi
 
 kill "$srv_pid"
 wait "$srv_pid" 2>/dev/null || true
