@@ -63,9 +63,6 @@ func (va VirtAddr) Canonical() bool { return uint64(va) < VASize }
 // PageAligned reports whether va is 4 KiB aligned.
 func (va VirtAddr) PageAligned() bool { return va&(PageSize-1) == 0 }
 
-// PageNumber returns the 4 KiB virtual page number containing va.
-func (va VirtAddr) PageNumber() uint64 { return uint64(va) >> PageShift }
-
 // PageOffset returns the offset of va within its 4 KiB page.
 func (va VirtAddr) PageOffset() uint64 { return uint64(va) & (PageSize - 1) }
 

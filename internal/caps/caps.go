@@ -150,13 +150,6 @@ func (cs *CSpace) Lookup(s Slot) (*Capability, error) {
 	return c, nil
 }
 
-// Delete clears a slot (the capability may live on elsewhere).
-func (cs *CSpace) Delete(s Slot) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	delete(cs.slots, s)
-}
-
 // Find returns the first live capability matching the predicate.
 func (cs *CSpace) Find(pred func(*Capability) bool) (*Capability, bool) {
 	cs.mu.Lock()

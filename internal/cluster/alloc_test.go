@@ -6,10 +6,10 @@ import "testing"
 
 // TestRemoteGetAllocations gates what one GET costs the heap on its way
 // through Router.Submit … Wait into a remote node and back (not under
-// -race, which allocates on its own). The floor is 6, and every one of
+// -race, which allocates on its own). The floor is 5, and every one of
 // them is outside the wire path:
 //
-//	2  server.NewRequest: the Request and its done channel
+//	1  server.NewRequest: the Request, which holds its batch of one
 //	2  redis.DecodeCommand on the node: the argument string and slice
 //	1  redis.Run on the node: the reply, which the value is read into
 //	   straight from simulated memory
@@ -23,7 +23,7 @@ func TestRemoteGetAllocations(t *testing.T) {
 	for _, c := range []struct {
 		mode Mode
 		max  float64
-	}{{ModeURPC, 6}, {ModeVAS, 3}} {
+	}{{ModeURPC, 5}, {ModeVAS, 2}} {
 		r, gets := benchRouter(t, c.mode)
 		i := 0
 		got := testing.AllocsPerRun(2000, func() {

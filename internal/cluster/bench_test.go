@@ -70,6 +70,59 @@ func benchRouterExec(b *testing.B, mode Mode) {
 func BenchmarkRouterExecLocal(b *testing.B)  { benchRouterExec(b, ModeVAS) }
 func BenchmarkRouterExecRemote(b *testing.B) { benchRouterExec(b, ModeURPC) }
 
+// BenchmarkRouterExecRun is the batch rung: k GETs of keys one node owns,
+// submitted as a connection submits one buffer fill, so they are one run —
+// one switch pair (local) or one urpc frame (remote) for the k of them. The
+// first key of batch i is the key BenchmarkRouterExecLocal/Remote GET at
+// step i and the rest follow it on its node, so the k=1 rows are those
+// benchmarks' sim-cycles/op. Everything is reported per command:
+// sim-cycles/op is the worker core's charge, allocs/op the command's own two
+// (request, reply; a remote one four more) plus its share of the batch's
+// three.
+func BenchmarkRouterExecRun(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mode Mode
+	}{{"local", ModeVAS}, {"remote", ModeURPC}} {
+		for _, k := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(b *testing.B) {
+				r, gets := benchRouter(b, c.mode)
+				byNode := map[int][][]string{}
+				at := make([]int, len(gets)) // position of gets[i] in its node's list
+				for i, get := range gets {
+					nid := r.Owner(r.Slot(get[1]))
+					at[i] = len(byNode[nid])
+					byNode[nid] = append(byNode[nid], get)
+				}
+				core := r.workers[1%len(r.workers)].th.Core
+				start := core.Cycles()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += k {
+					lead := i / k % len(gets)
+					mine := byNode[r.Owner(r.Slot(gets[lead][1]))]
+					reqs := make([]*server.Request, k)
+					for j := range reqs {
+						args := mine[(at[lead]+j)%len(mine)]
+						reqs[j] = &server.Request{Args: args, Cmd: redis.Lookup(args)}
+					}
+					batch := server.NewBatch(reqs)
+					for r.SubmitBatch(1, batch) == 0 {
+					}
+					batch.Wait(k)
+					for _, req := range reqs {
+						if len(req.Reply()) != 4+1+64+2 {
+							b.Fatalf("GET: %q", req.Reply())
+						}
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(core.Cycles()-start)/float64((b.N+k-1)/k*k), "sim-cycles/op")
+			})
+		}
+	}
+}
+
 // mget8 returns MGETs of 8 of the router's keys each: every key owned by node
 // when node >= 0, else consecutive keys wherever they hash.
 func mget8(r *Router, gets [][]string, node int) [][]string {

@@ -413,8 +413,8 @@ func (r *Router) PendingFrames() int {
 	return total
 }
 
-// Router routes RESP commands to shard nodes. It implements server.Backend,
-// server.ClusterStatus and Placement.
+// Router routes RESP commands to shard nodes. It implements server.Backend
+// and server.ClusterStatus.
 type Router struct {
 	sys *core.System
 	obs *stats.Sink
@@ -457,6 +457,11 @@ type Router struct {
 	// the read side for a whole command, so a writer that holds the write
 	// side has waited out every in-flight command.
 	topoMu sync.RWMutex
+
+	// removals counts RemoveNode's tombstones; a worker that sees it move
+	// lets go, at its next batch boundary, of what it holds on removed nodes
+	// (worker.reconcile).
+	removals atomic.Uint64
 
 	shipCh    chan int // monitor pokes: write-count ship triggers
 	suspectCh chan int // monitor pokes: data-path timeout evidence

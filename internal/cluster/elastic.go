@@ -6,6 +6,7 @@ import (
 
 	"spacejmp/internal/core"
 	"spacejmp/internal/redis"
+	"spacejmp/internal/server"
 	"spacejmp/internal/urpc"
 )
 
@@ -52,9 +53,9 @@ func (r *Router) AddNode() (int, error) {
 
 // RemoveNode drains node id — migrating every slot it owns to the
 // least-loaded remaining nodes — then decommissions it: the routing entry
-// is tombstoned under the topology lock, the node's process exits (a
-// promoted node's already died, at crash time), and both its store and its
-// standby are destroyed — after the drain neither holds a key the cluster
+// is tombstoned under the topology lock, every worker lets go of what it
+// holds on the node, the node's process exits (a promoted node's already
+// died, at crash time), and both its store and its standby are destroyed — after the drain neither holds a key the cluster
 // still routes to, whichever of the two was serving. The node id is never
 // reused.
 func (r *Router) RemoveNode(id int) error {
@@ -94,7 +95,19 @@ func (r *Router) RemoveNode(id int) error {
 	r.topoMu.Lock()
 	n.removed.Store(true)
 	r.topoMu.Unlock()
-	// No worker can reach the node (it owns no slots): take it down.
+	// No worker can reach the node (it owns no slots), but each may still
+	// hold a client on its promoted standby or a reader on its last frozen
+	// view. A worker lets go of those at a batch boundary: post every worker
+	// an empty batch and wait for it.
+	r.removals.Add(1)
+	syncs := make([]*server.Batch, len(r.workers))
+	for i, w := range r.workers {
+		syncs[i] = server.NewBatch(nil)
+		w.queue <- syncs[i]
+	}
+	for _, b := range syncs {
+		b.Wait(0)
+	}
 	if err := n.shutdown(); err != nil {
 		return fmt.Errorf("cluster: remove node %d: %w", id, err)
 	}

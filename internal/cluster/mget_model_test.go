@@ -77,7 +77,7 @@ func refMGetOn(r *Router, w *worker, n *node, cmd *redis.Command, argv []string,
 		}
 		return got, nil
 	}
-	resp, errReply := r.callNode(w, n, t.ep, w.remoteWire(argv))
+	resp, errReply := refCallNode(r, w, n, t.ep, redis.EncodeCommand(argv...))
 	if errReply != nil {
 		return nil, errReply
 	}

@@ -156,6 +156,11 @@ type node struct {
 	fails int    // consecutive probe failures
 	skip  int    // probe-backoff ticks remaining
 
+	// calls and out are the handler's: the frame being served, decoded, and
+	// a run's replies back to back. Driven under mu like the rest of the node.
+	calls []redis.Call
+	out   []byte
+
 	// delta buffers post-checkpoint writes for replay at promotion,
 	// bounded by Config.DeltaLog; overflow switches the node's failover to
 	// checkpoint-only and counts the updates that can no longer be
@@ -239,14 +244,17 @@ func (n *node) noteProbe(ok bool) {
 	}
 }
 
-// handler is the node's urpc service routine: RESP in, RESP out. Commands
-// are carried out by redis.Run on the node's client, the slot-copy commands
-// the migration engine sends (CLUSTER.MIGRATE, IMPORT, CLEANUP) included;
-// what is left here is what only a node can do:
+// handler is the node's urpc service routine: RESP in, RESP out. A frame
+// carries one command or a run of them back to back — the adjacent commands
+// of a pipeline that a worker resolved to this node and to one VAS of its
+// store — and the response carries their replies the same way. redis.RunAll
+// carries them out on the node's client, a run under one switch pair, the
+// slot-copy commands the migration engine sends (CLUSTER.MIGRATE, IMPORT,
+// CLEANUP) included; what is left here is what only a node can do:
 //
-//   - the cluster.node.crash fault point, which fires at dispatch: the
-//     process dies between commands, never mid-mutation, which models a
-//     machine losing power with a consistent store in NVM (the paper's §5.3
+//   - the cluster.node.crash fault point, which fires at dispatch, once per
+//     frame: the process dies between frames, never mid-mutation, which models
+//     a machine losing power with a consistent store in NVM (the paper's §5.3
 //     survival claim);
 //   - CLUSTER.FORK: fork a frozen COW view of the store and reply with the
 //     fork generation. The expensive image extraction happens later, off the
@@ -256,22 +264,27 @@ func (n *node) noteProbe(ok bool) {
 //     image can never disagree about frozen state.
 //
 // It runs with the node's core active (under n.mu), so the decode, the VAS
-// switches, and the table walk are all charged to the node — and, because
+// switches, and the table walks are all charged to the node — and, because
 // the urpc client busy-waits, mirrored into the calling worker's latency.
 // req is the channel's reassembly buffer, gone when the handler returns;
-// the decoded arguments own their memory.
+// the decoded arguments own their memory. A run's response is built in a
+// buffer the node keeps, which the endpoint is done with by the next call.
 func (n *node) handler(req []byte) []byte {
 	if n.sys.M.Faults.FireAt(fault.ClusterNodeCrash, n.id) {
 		n.crashed.Store(true)
 		n.proc.Crash()
 		return nil
 	}
-	args, err := redis.DecodeCommand(req)
-	if err != nil {
-		return redis.EncodeError("protocol error: " + err.Error())
+	calls := n.calls[:0]
+	for rest := req; len(calls) == 0 || len(rest) > 0; {
+		args, tail, err := redis.DecodeNextCommand(rest)
+		if err != nil {
+			return redis.EncodeError("protocol error: " + err.Error())
+		}
+		calls, rest = append(calls, redis.Call{Cmd: redis.Lookup(args), Args: args}), tail
 	}
-	cmd := redis.Lookup(args)
-	switch {
+	n.calls = calls
+	switch cmd := calls[0].Cmd; {
 	case cmd.Op == redis.OpClusterFork:
 		return n.forkReply()
 	case cmd.Op == redis.OpClusterMigrate && n.replicated:
@@ -282,7 +295,18 @@ func (n *node) handler(req []byte) []byte {
 			return redis.EncodeError("migrate: " + err.Error())
 		}
 	}
-	return redis.Run(n.client, cmd, args)
+	redis.RunAll(n.client, calls)
+	if len(calls) == 1 {
+		return calls[0].Reply
+	}
+	if cap(n.out) > maxKeptWire {
+		n.out = nil
+	}
+	n.out = n.out[:0]
+	for i := range calls {
+		n.out = append(n.out, calls[i].Reply...)
+	}
+	return n.out
 }
 
 // forkReply takes the mutex-held half of a checkpoint ship: refresh the NVM

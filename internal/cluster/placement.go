@@ -43,33 +43,21 @@ func (t *SlotTable) slotsOf(node int) []int {
 	return out
 }
 
-// Placement is the cluster's placement API: how keys map to slots and slots
-// to nodes. The Router implements it; everything that needs a routing
-// decision — workers, the migration engine, admin endpoints, CLUSTER
-// commands — goes through it rather than hashing on its own.
-type Placement interface {
-	// Slot returns the placement slot a key hashes into (0..NumSlots-1).
-	Slot(key string) int
-	// Owner returns the node currently owning a slot.
-	Owner(slot int) int
-	// Table returns the current slot table epoch. The returned table is
-	// immutable; callers may hold it across calls and compare Versions.
-	Table() *SlotTable
-}
-
-var _ Placement = (*Router)(nil)
-
-// Slot hashes a key onto its placement slot (Placement).
+// Slot hashes a key onto its placement slot (0..NumSlots-1). Slot, Owner and
+// Table are how keys map to slots and slots to nodes; everything that needs a
+// routing decision — workers, the migration engine, admin endpoints, CLUSTER
+// commands — goes through them rather than hashing on its own.
 func (r *Router) Slot(key string) int {
 	return redis.SlotForKey(key, NumSlots)
 }
 
-// Owner returns the node currently owning a slot (Placement).
+// Owner returns the node currently owning a slot.
 func (r *Router) Owner(slot int) int {
 	return r.table.Load().Owners[slot]
 }
 
-// Table returns the current slot table epoch (Placement).
+// Table returns the current slot table epoch. The returned table is
+// immutable; callers may hold it across calls and compare Versions.
 func (r *Router) Table() *SlotTable {
 	return r.table.Load()
 }

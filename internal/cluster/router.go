@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"spacejmp/internal/core"
@@ -22,9 +23,13 @@ import (
 // endpoints' inline handlers drive node cores, serialized by each node's
 // mutex.
 type worker struct {
-	id    int
-	queue chan *server.Request
-	ctr   *stats.ShardCounters
+	id int
+	// queue carries batches; queued counts the commands in them, which is
+	// what Config.QueueDepth bounds. A connection's batch holds at least one
+	// command, so a queue with room by that count never blocks its sender.
+	queue  chan *server.Batch
+	queued atomic.Int64
+	ctr    *stats.ShardCounters
 
 	proc *core.Process
 	th   *core.Thread
@@ -36,29 +41,36 @@ type worker struct {
 	endpoints map[int]*urpc.Endpoint // remote nodes, by node id
 	frozen    map[int]*frozenReader  // frozen-view attachments, by node id
 	err       error                  // first teardown error, read after workerWG.Wait
+	removals  uint64                 // the Router.removals last reconciled against
 
-	// bud is the in-flight request's deadline budget, armed against this
-	// worker's core cycle counter when execution starts. Only this
-	// worker's goroutine touches it — one request at a time.
+	// bud is the deadline budget in force: the one of the command being
+	// started, then the tightest of the run being carried out. Armed against
+	// this worker's core cycle counter; only its goroutine touches it.
 	bud overload.Budget
 
-	// wire is the RESP encoding of the command being sent to a remote node,
-	// reused from one command to the next: the endpoint copies it into the
-	// ring before the call returns (see remoteWire).
-	wire []byte
+	// run is the run being formed, calls its commands as redis.RunAll takes
+	// them, wire their RESP encoding for a remote node: all reused from one
+	// run to the next (the endpoint copies wire into the ring before the
+	// call returns).
+	run   []started
+	calls []redis.Call
+	wire  []byte
 }
 
 // maxKeptWire bounds the encoding buffer a worker keeps between commands,
 // so one huge value does not stay pinned to every worker that relayed it.
 const maxKeptWire = 64 << 10
 
-// remoteWire encodes a command for a remote node into the worker's reused
-// buffer. The result is valid until the worker's next remoteWire.
-func (w *worker) remoteWire(args []string) []byte {
+// remoteWire encodes a run of commands for a remote node, back to back, into
+// the worker's reused buffer: valid until the worker's next remoteWire.
+func (w *worker) remoteWire(calls []redis.Call) []byte {
 	if cap(w.wire) > maxKeptWire {
 		w.wire = nil
 	}
-	w.wire = redis.AppendCommand(w.wire[:0], args...)
+	w.wire = w.wire[:0]
+	for i := range calls {
+		w.wire = redis.AppendCommand(w.wire, calls[i].Args...)
+	}
 	return w.wire
 }
 
@@ -79,7 +91,7 @@ func (r *Router) newWorker(id int, ctr *stats.ShardCounters) (*worker, error) {
 	}
 	return &worker{
 		id:        id,
-		queue:     make(chan *server.Request, r.cfg.QueueDepth),
+		queue:     make(chan *server.Batch, r.cfg.QueueDepth+1), // +1: RemoveNode's empty batch
 		ctr:       ctr,
 		proc:      proc,
 		th:        th,
@@ -105,25 +117,60 @@ func (r *Router) wireWorker(w *worker) error {
 }
 
 // runWorker drains the queue until it closes, then detaches from every
-// frozen view and store it attached and exits the process.
+// frozen view and store it attached and exits the process. The batch is the
+// unit — one dequeue, one pass, one latency stamp — whether it holds one
+// command or a pipeline's worth.
 func (r *Router) runWorker(w *worker) {
 	defer r.workerWG.Done()
-	for req := range w.queue {
-		w.ctr.Command()
-		req.Finish(r.exec(w, req))
-		r.obs.ServerCommand(uint64(time.Since(req.Start).Nanoseconds()))
+	for b := range w.queue {
+		w.queued.Add(-int64(len(b.Reqs)))
+		w.reconcile(r)
+		r.execBatch(w, b)
+		lat := uint64(time.Since(b.Start).Nanoseconds())
+		for range b.Reqs {
+			w.ctr.Command()
+			r.obs.ServerCommand(lat)
+		}
 	}
 	for _, fr := range w.frozen {
-		if err := w.th.VASDetach(fr.h); err != nil && w.err == nil {
-			w.err = err
-		}
+		w.noteErr(w.th.VASDetach(fr.h))
 	}
 	for _, c := range w.clients {
-		if err := c.Close(); err != nil && w.err == nil {
-			w.err = err
-		}
+		w.noteErr(c.Close())
 	}
 	w.proc.Exit()
+}
+
+func (w *worker) noteErr(err error) {
+	if err != nil && w.err == nil {
+		w.err = err
+	}
+}
+
+// reconcile lets go of what this worker holds on nodes removed since it last
+// looked: the standby client of a promoted node, a frozen reader. It runs at
+// the batch boundary, between commands; RemoveNode posts every worker an
+// empty batch and waits for it before it destroys the node's stores.
+func (w *worker) reconcile(r *Router) {
+	removals := r.removals.Load()
+	if removals == w.removals {
+		return
+	}
+	w.removals = removals
+	r.topoMu.RLock()
+	defer r.topoMu.RUnlock()
+	for id, c := range w.clients {
+		if r.nodes[id].serving() == servingRemoved {
+			w.noteErr(c.Close())
+			delete(w.clients, id)
+		}
+	}
+	for id, fr := range w.frozen {
+		if r.nodes[id].serving() == servingRemoved {
+			w.noteErr(w.th.VASDetach(fr.h))
+			delete(w.frozen, id)
+		}
+	}
 }
 
 // Bind stripes the connection onto a worker (server.Backend).
@@ -133,73 +180,190 @@ func (r *Router) Bind(connID uint64) uint64 {
 	return uint64(w.id)
 }
 
-// Submit enqueues the request on the connection's worker, failing fast when
-// its queue is full (server.Backend).
+// Submit enqueues one request as the batch of one server.NewRequest built
+// around it, failing fast when the worker's queue is full.
 func (r *Router) Submit(connID uint64, req *server.Request) bool {
+	return r.SubmitBatch(connID, req.Single()) == 1
+}
+
+// SubmitBatch enqueues the batch on the connection's worker
+// (server.Backend): as many of its requests, from the front, as the queue
+// has room for counted in commands, none when it is full.
+func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 	w := r.workers[int(connID)%len(r.workers)]
-	select {
-	case w.queue <- req:
-		d := len(w.queue)
-		w.ctr.QueueDepth(d)
-		r.obs.ServerQueue(d)
-		return true
-	default:
-		w.ctr.Busy()
-		return false
+	n := len(b.Reqs)
+	d := int(w.queued.Add(int64(n)))
+	if over := min(d-r.cfg.QueueDepth, n); over > 0 {
+		for range over {
+			w.ctr.Busy()
+		}
+		n, d = n-over, d-over
+		w.queued.Add(-int64(over))
+	}
+	if n == 0 {
+		return 0
+	}
+	b.Reqs = b.Reqs[:n]
+	w.queue <- b
+	w.ctr.QueueDepth(d)
+	r.obs.ServerQueue(d)
+	return n
+}
+
+// started is one command a worker has begun: budget armed, way in over the
+// network edge charged and, for a store command one node owns, that node and
+// where resolve says it runs. n is nil for what is carried out alone because
+// no one node's store answers it as it stands — an MGET across nodes, a write
+// on a migrating slot — and for what the router answers itself.
+type started struct {
+	req *server.Request
+	n   *node
+	bud overload.Budget
+	t   target
+}
+
+// execBatch carries out a connection's batch in order. Store commands run
+// under the topology read lock, taken once for the batch — every one resolves
+// against one slot-table epoch and node list, and a slot flip or node append
+// waits out the batch — and let go only around the commands the router
+// answers itself (CLUSTER reads the topology under its own read lock, and
+// nesting read locks around a waiting writer self-deadlocks).
+//
+// Maximal adjacent store commands that one node owns, that need the same VAS
+// of its store (reads the read-only one, writes the read-write one) and that
+// resolve to the same live copy of it form a run: one switch pair and one
+// lock acquisition on a co-resident store or a promoted standby, one urpc
+// frame under one hold of the node's mutex to a remote primary. Whatever else
+// comes ends the run and is carried out as a run of one: a refusal, a read of
+// a frozen view, an MGET across nodes, a write on a migrating slot, a command
+// the router answers, a frame that would outgrow the ring. Nothing is
+// reordered, within a node or across nodes.
+func (r *Router) execBatch(w *worker, b *server.Batch) {
+	locked, answered := false, 0
+	run, size := w.run[:0], 0 // the run being formed, and its size on the wire
+	flush := func() {
+		if len(run) > 0 {
+			r.execRun(w, run)
+			// The run's replies can go out while the rest of the batch runs.
+			answered += len(run)
+			b.Answered(answered)
+			run, size = run[:0], 0
+		}
+	}
+	for _, req := range b.Reqs {
+		if store := req.Cmd.By == redis.ByStore; store != locked {
+			flush()
+			if locked = store; store {
+				r.topoMu.RLock()
+			} else {
+				r.topoMu.RUnlock()
+			}
+		}
+		n, wire := r.locate(req), redis.CommandSize(req.Args)
+		if len(run) > 0 && (n != run[0].n || req.Cmd.Write != run[0].req.Cmd.Write ||
+			run[0].t.ep != nil && urpc.Lines(size+wire) > ringSlots) {
+			flush()
+		}
+		s := r.start(w, req, n)
+		if len(run) > 0 && (s.t.client != run[0].t.client || s.t.ep != run[0].t.ep) {
+			flush() // resolved another way than the run it would have joined
+		}
+		run, size = append(run, s), size+wire
+		if s.t.client == nil && s.t.ep == nil {
+			flush() // nothing can join it
+		}
+	}
+	flush()
+	w.run = run
+	if locked {
+		r.topoMu.RUnlock()
+	}
+	if answered == 0 {
+		b.Answered(0) // RemoveNode's empty batch: taken up, nothing to answer
 	}
 }
 
-// exec charges the network edge, routes the command, charges the reply's
-// way out. The cycle deltas recorded per mode sit between the two edge
-// charges, so they compare the serving paths themselves. A request that
-// carries a deadline has its cycle budget armed against this worker's core
-// here — every cycle the worker burns on its behalf drains it — and the
-// remaining allowance at completion feeds the budget histogram.
-func (r *Router) exec(w *worker, req *server.Request) []byte {
+// locate returns the node that owns every key of a store command — nil when
+// no one node's store answers the command as it stands (see started), and for
+// a command no store is behind. For a store command the caller holds the
+// topology read lock.
+func (r *Router) locate(req *server.Request) *node {
+	if req.Cmd.By != redis.ByStore {
+		return nil
+	}
+	keys := req.Cmd.Keys(req.Args)
+	slot := r.Slot(keys[0])
+	if req.Cmd.Write && r.migs[slot].Load() != nil {
+		return nil
+	}
+	owner := r.Owner(slot)
+	for _, k := range keys[1:] {
+		if r.Owner(r.Slot(k)) != owner {
+			return nil
+		}
+	}
+	return r.nodes[owner]
+}
+
+// start begins a command: it arms the request's deadline budget against this
+// worker's core — every cycle the worker burns from here on drains it —
+// charges the command's way in over the network edge and, when n owns its
+// keys, resolves where it runs.
+func (r *Router) start(w *worker, req *server.Request, n *node) started {
 	w.bud = overload.Arm(req.Deadline, w.th.Core.Cycles())
-	args := req.Args
-	var n int
-	for _, a := range args {
-		n += len(a)
+	var size int
+	for _, a := range req.Args {
+		size += len(a)
 	}
-	w.th.Core.AddCycles(server.EdgeCycles(n))
-	resp := r.route(w, req)
-	w.th.Core.AddCycles(server.EdgeCycles(len(resp)))
-	if w.bud.Active() {
-		r.obs.ClusterBudgetRemaining(w.bud.Remaining(w.th.Core.Cycles()))
+	w.th.Core.AddCycles(server.EdgeCycles(size))
+	s := started{req: req, n: n, bud: w.bud}
+	if n != nil {
+		s.t = r.resolve(w, n, req.Cmd, req.Readonly)
 	}
-	return resp
+	return s
 }
 
-// route dispatches on the request's resolved command: single-key commands
-// go to the node owning their key's slot, multi-key reads fan out per
-// owner, store-less commands run in place, anything else is refused before
-// any node is touched. Keyed commands hold the topology read lock end to
-// end, so each executes against one consistent slot-table epoch and node
-// list — a slot flip or node append waits out every in-flight command.
-func (r *Router) route(w *worker, req *server.Request) []byte {
-	cmd, args := req.Cmd, req.Args
-	switch cmd.By {
-	case redis.ByStore:
-		r.topoMu.RLock()
-		defer r.topoMu.RUnlock()
-		if cmd.Op == redis.OpMGet {
-			return r.mget(w, cmd, cmd.Keys(args), req.Readonly)
+// execRun carries out the run the worker formed — or the one command that
+// formed none — under the tightest of its members' budgets, and finishes the
+// members in order: the reply's way out charged (the cycle deltas recorded
+// per mode sit between the two edge charges, so they compare the serving
+// paths themselves), what a budget has left fed to the budget histogram.
+func (r *Router) execRun(w *worker, run []started) {
+	req := run[0].req
+	calls := w.calls[:0]
+	now := w.th.Core.Cycles()
+	for _, s := range run {
+		calls = append(calls, redis.Call{Cmd: s.req.Cmd, Args: s.req.Args})
+		if s.bud.Active() && (!w.bud.Active() || s.bud.Remaining(now) < w.bud.Remaining(now)) {
+			w.bud = s.bud
 		}
-		return r.exec1(w, cmd, args, req.Readonly)
-	case redis.ByRouter:
-		// CLUSTER is read-only introspection off the published table epoch;
-		// it must not take topoMu here (Topology takes its own read lock,
-		// and nesting read locks around a waiting writer self-deadlocks).
-		switch cmd.Op {
-		case redis.OpClusterSlots:
-			return r.clusterSlotsReply()
-		case redis.OpClusterNodes:
-			return r.clusterNodesReply()
-		}
-		return redis.Run(nil, cmd, args) // PING, ECHO
 	}
-	return cmd.Refusal(args)
+	switch {
+	case run[0].n != nil:
+		r.serve(w, run[0].n, run[0].t, calls)
+	case req.Cmd.Op == redis.OpMGet:
+		calls[0].Reply = r.mget(w, req.Cmd, req.Cmd.Keys(req.Args), req.Readonly)
+	case req.Cmd.By == redis.ByStore:
+		calls[0].Reply = r.exec1(w, req.Cmd, req.Args, req.Readonly)
+	case req.Cmd.Op == redis.OpClusterSlots:
+		calls[0].Reply = r.clusterSlotsReply()
+	case req.Cmd.Op == redis.OpClusterNodes:
+		calls[0].Reply = r.clusterNodesReply()
+	case req.Cmd.By == redis.ByRouter:
+		calls[0].Reply = redis.Run(nil, req.Cmd, req.Args) // PING, ECHO
+	default:
+		// Refused before any node is touched.
+		calls[0].Reply = req.Cmd.Refusal(req.Args)
+	}
+	for i, s := range run {
+		w.th.Core.AddCycles(server.EdgeCycles(len(calls[i].Reply)))
+		if s.bud.Active() {
+			r.obs.ClusterBudgetRemaining(s.bud.Remaining(w.th.Core.Cycles()))
+		}
+		s.req.Finish(calls[i].Reply)
+	}
+	clear(calls)
+	w.calls = calls
 }
 
 // target is where one command runs, resolved once: exactly one of client,
@@ -367,49 +531,64 @@ func (r *Router) exec1(w *worker, cmd *redis.Command, args []string, readonly bo
 	return r.execOn(w, n, cmd, args, readonly)
 }
 
-// execOn runs one command whose keys node n owns — a single-key command, or
-// one node's group of an MGET — wherever resolve says n serves it.
+// execOn runs one command whose keys node n owns — a write on a migrating
+// slot, or one node's group of an MGET — wherever resolve says n serves it.
 func (r *Router) execOn(w *worker, n *node, cmd *redis.Command, args []string, readonly bool) []byte {
-	t := r.resolve(w, n, cmd, readonly)
-	switch {
-	case t.refusal != nil:
-		return t.refusal
-	case t.frozen != nil:
-		if resp := r.readFrozen(w, t, cmd.Keys(args), cmd.Op == redis.OpMGet); resp != nil {
-			return resp
-		}
-		return r.execOn(w, n, cmd, args, false)
-	case t.client != nil:
-		before := w.th.Core.Cycles()
-		resp := redis.Run(t.client, cmd, args)
-		r.obs.ClusterLocal(n.id, w.th.Core.Cycles()-before)
-		return resp
-	}
-	resp, errReply := r.callNode(w, n, t.ep, w.remoteWire(args))
-	if errReply != nil {
-		return errReply
-	}
-	if cmd.Write {
-		r.bufferWrite(n, args, resp)
-	}
-	return resp
+	one := [1]redis.Call{{Cmd: cmd, Args: args}}
+	r.serve(w, n, r.resolve(w, n, cmd, readonly), one[:])
+	return one[0].Reply
 }
 
-// callNode performs one data call into remote node n: the wire goes out
-// under the request's remaining budget, the outcome feeds the node's
-// breaker, the cycles are attributed to the urpc path, and a transport
-// failure comes back as the ready-made error reply.
-func (r *Router) callNode(w *worker, n *node, ep *urpc.Endpoint, wire []byte) (resp, errReply []byte) {
+// serve carries out calls — one command, or a run resolve gave one answer
+// for — on node n as that answer t says, and leaves each one's reply in it.
+// On a client it is one redis.RunAll: one switch pair. Over an endpoint the
+// run goes out as one frame under the budget in force and one hold of the
+// node's mutex, and the node's replies, back to back in one response, are cut
+// apart in place (RESP is self-delimiting); the outcome feeds the node's
+// breaker, the cycles are attributed to the urpc path and a transport failure
+// is the ready-made error reply — all per command, each charged an equal
+// share of the run. A refusal or a frozen view is only ever one command's.
+func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 	before := w.th.Core.Cycles()
-	resp, callCycles, err := n.call(ep, wire, w.callBudget())
-	total := w.th.Core.Cycles() - before
-	n.noteOutcome(err)
-	if err != nil {
-		return nil, r.remoteError(n.id, err)
+	switch {
+	case t.refusal != nil:
+		calls[0].Reply = t.refusal
+	case t.frozen != nil:
+		c := &calls[0]
+		if c.Reply = r.readFrozen(w, t, c.Cmd.Keys(c.Args), c.Cmd.Op == redis.OpMGet); c.Reply == nil {
+			// The view could not be read after all: the primary answers.
+			r.serve(w, n, r.resolve(w, n, c.Cmd, false), calls)
+		}
+	case t.client != nil:
+		redis.RunAll(t.client, calls)
+		each := (w.th.Core.Cycles() - before) / uint64(len(calls))
+		for range calls {
+			r.obs.ClusterLocal(n.id, each)
+		}
+	default:
+		resp, callCycles, err := n.call(t.ep, w.remoteWire(calls), w.callBudget())
+		each := (w.th.Core.Cycles() - before) / uint64(len(calls))
+		if err == nil {
+			r.obs.ClusterURPCCall(callCycles)
+		}
+		for i := range calls {
+			c := &calls[i]
+			if err == nil {
+				if c.Reply, resp, err = redis.NextReply(resp); err == nil && i == len(calls)-1 && len(resp) > 0 {
+					err = fmt.Errorf("%d bytes behind the last reply", len(resp))
+				}
+			}
+			n.noteOutcome(err)
+			if err != nil {
+				c.Reply = r.remoteError(n.id, err)
+				continue
+			}
+			r.obs.ClusterRemote(n.id, each)
+			if c.Cmd.Write {
+				r.bufferWrite(n, c.Args, c.Reply)
+			}
+		}
 	}
-	r.obs.ClusterRemote(n.id, total)
-	r.obs.ClusterURPCCall(callCycles)
-	return resp, nil
 }
 
 // bufferWrite records a successfully applied remote write (the caller

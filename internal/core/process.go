@@ -65,9 +65,6 @@ type Thread struct {
 // System returns the owning system.
 func (p *Process) System() *System { return p.sys }
 
-// Primary returns the process's original address space.
-func (p *Process) Primary() *vm.Space { return p.primary }
-
 // attachment resolves a handle. PrimaryHandle yields (nil, nil).
 func (p *Process) attachment(h Handle) (*Attachment, error) {
 	if h == PrimaryHandle {
@@ -80,17 +77,6 @@ func (p *Process) attachment(h Handle) (*Attachment, error) {
 		return nil, fmt.Errorf("%w: handle %d", ErrNotFound, h)
 	}
 	return a, nil
-}
-
-// Attachments returns the handles of every attached VAS.
-func (p *Process) Attachments() []Handle {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Handle, 0, len(p.atts))
-	for h := range p.atts {
-		out = append(out, h)
-	}
-	return out
 }
 
 // NewThread creates a thread bound to a free core, starting in the primary

@@ -62,10 +62,6 @@ func (v *View) SegName() string { return v.segName }
 // VID returns the frozen VAS readers attach to serve from the view.
 func (v *View) VID() core.VASID { return v.vid }
 
-// CreatedAt returns when the fork was taken — the reference point for
-// staleness bounds.
-func (v *View) CreatedAt() time.Time { return v.createdAt }
-
 // Age returns how far behind the live store the view is.
 func (v *View) Age() time.Duration { return time.Since(v.createdAt) }
 

@@ -442,32 +442,6 @@ func (s *Space) Free(va arch.VirtAddr) error {
 	return s.binInsert(c, size)
 }
 
-// Realloc grows or shrinks an allocation, copying through the accessor.
-func (s *Space) Realloc(va arch.VirtAddr, n uint64) (arch.VirtAddr, error) {
-	old, err := s.UsableSize(va)
-	if err != nil {
-		return 0, err
-	}
-	if n <= old {
-		return va, nil
-	}
-	nva, err := s.Alloc(n)
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]byte, old)
-	if _, err := s.mem.LoadWords(va, buf); err != nil {
-		return 0, fmt.Errorf("%w: load %v: %v", ErrCorrupt, va, err)
-	}
-	if _, err := s.mem.StoreWords(nva, buf); err != nil {
-		return 0, fmt.Errorf("%w: store %v: %v", ErrCorrupt, nva, err)
-	}
-	if err := s.Free(va); err != nil {
-		return 0, err
-	}
-	return nva, nil
-}
-
 // Check walks the whole heap and verifies the boundary-tag invariants:
 // chunks tile the arena exactly, free neighbours are always coalesced, all
 // free chunks are on the correct bin, and the allocated counter matches.

@@ -166,35 +166,6 @@ func TestDoubleFreeRejected(t *testing.T) {
 	}
 }
 
-func TestRealloc(t *testing.T) {
-	s := initSpace(t, 1<<16)
-	m := s.mem
-	p, _ := s.Alloc(64)
-	for i := 0; i < 8; i++ {
-		m.Store64(p+arch.VirtAddr(i*8), uint64(i+1))
-	}
-	q, err := s.Realloc(p, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if v, _ := m.Load64(q + arch.VirtAddr(i*8)); v != uint64(i+1) {
-			t.Errorf("content lost at %d: %d", i, v)
-		}
-	}
-	// Shrinking realloc returns the same pointer.
-	r, err := s.Realloc(q, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != q {
-		t.Error("shrinking realloc moved the allocation")
-	}
-	if err := s.Check(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOpenExistingHeap(t *testing.T) {
 	mem := newFlat()
 	s1, err := Init(mem, base, 1<<16)

@@ -63,12 +63,15 @@ type captureBackend struct {
 
 func (b *captureBackend) Bind(uint64) uint64 { return 0 }
 func (b *captureBackend) Close() error       { return nil }
-func (b *captureBackend) Submit(_ uint64, r *server.Request) bool {
+func (b *captureBackend) SubmitBatch(_ uint64, batch *server.Batch) int {
 	b.mu.Lock()
-	b.seen = append(b.seen, r)
+	b.seen = append(b.seen, batch.Reqs...)
 	b.mu.Unlock()
-	r.Finish(redis.EncodeSimple("OK"))
-	return true
+	for _, r := range batch.Reqs {
+		r.Finish(redis.EncodeSimple("OK"))
+	}
+	batch.Answered(len(batch.Reqs))
+	return len(batch.Reqs)
 }
 
 // take returns and forgets the requests seen so far.

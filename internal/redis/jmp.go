@@ -308,36 +308,28 @@ func (c *Client) MGet(keys []string) ([][]byte, error) {
 	return vals, nil
 }
 
-// bulkReply is Get (array false, one key) or MGet rendered as the RESP reply:
-// the same accesses in the same order, with every value read from the
-// segment straight into the reply.
-func (c *Client) bulkReply(keys []string, array bool) (reply []byte, err error) {
-	err = c.in(c.readH, len(keys), func() (err error) {
-		reply, err = c.store.AppendReply(nil, keys, array)
-		return err
-	})
-	return reply, err
-}
-
 // Set executes a SET under the exclusive lock, rehashing while exclusive
 // if the table outgrew its buckets. A heap-exhausted SET comes back wrapped
 // in ErrStoreFull, so callers can test it with errors.Is against redis, core,
 // and mspace sentinels alike.
 func (c *Client) Set(key string, val []byte) error {
-	err := c.in(c.writeH, 1, func() error {
-		if err := c.store.Set([]byte(key), val); err != nil {
-			return err
-		}
-		need, err := c.store.NeedRehash()
-		if err != nil || !need {
-			return err
-		}
-		return c.store.Rehash()
-	})
+	err := c.in(c.writeH, 1, func() error { return c.set([]byte(key), val) })
 	if errors.Is(err, mspace.ErrNoSpace) {
 		return fmt.Errorf("%w: %w", ErrStoreFull, err)
 	}
 	return err
+}
+
+// set is a SET for a thread already switched into the write VAS.
+func (c *Client) set(key, val []byte) error {
+	if err := c.store.Set(key, val); err != nil {
+		return err
+	}
+	need, err := c.store.NeedRehash()
+	if err != nil || !need {
+		return err
+	}
+	return c.store.Rehash()
 }
 
 // Del removes a key under the exclusive lock.

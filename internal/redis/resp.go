@@ -354,15 +354,53 @@ func ReadCommand(br *bufio.Reader) ([]string, error) {
 	return args, nil
 }
 
+// ReadBufferedCommand is ReadCommand for a reader that must not wait: it
+// takes the next command only if br already holds all of it and never reads
+// from br's source. It reports false when br holds nothing, the head of a
+// command whose rest is still on the wire, or bytes that are no command at
+// all (the ReadCommand that follows says what is wrong with them).
+func ReadBufferedCommand(br *bufio.Reader) ([]string, bool) {
+	w, _ := br.Peek(br.Buffered())
+	s := scanner{kind: commandFrame, maxLine: br.Size()}
+	if done, err := s.scan(w); err != nil || !done {
+		return nil, false
+	}
+	args := s.command(w[:s.pos])
+	br.Discard(s.pos)
+	return args, true
+}
+
 // DecodeCommand parses the RESP command array at the start of a byte slice
 // — a shard node's view of the frame a router sent it. The arguments own
 // their memory: data may be reused as soon as DecodeCommand returns.
 func DecodeCommand(data []byte) ([]string, error) {
+	args, _, err := DecodeNextCommand(data)
+	return args, err
+}
+
+// DecodeNextCommand is DecodeCommand for a frame that carries commands back
+// to back: it also returns what follows the one it parsed.
+func DecodeNextCommand(data []byte) (args []string, rest []byte, err error) {
 	s := scanner{kind: commandFrame, maxLine: math.MaxInt}
 	if err := s.scanAll(data); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.command(data[:s.pos]), nil
+	return s.command(data[:s.pos]), data[s.pos:], nil
+}
+
+// NextReply cuts the first reply — a line, a bulk string, an array of bulk
+// strings — off a byte slice that holds replies back to back, as a node
+// answers a run of commands. The reply is a sub-slice of data, validated as
+// every frame is and not copied.
+func NextReply(data []byte) (reply, rest []byte, err error) {
+	s := scanner{kind: replyFrame, maxLine: math.MaxInt}
+	if len(data) > 0 && data[0] == '*' {
+		s.kind = arrayReplyFrame
+	}
+	if err := s.scanAll(data); err != nil {
+		return nil, nil, err
+	}
+	return data[:s.pos:s.pos], data[s.pos:], nil
 }
 
 // AppendCommand appends a command, rendered as a RESP array of bulk
@@ -378,11 +416,16 @@ func AppendCommand(dst []byte, args ...string) []byte {
 
 // EncodeCommand renders a command as a RESP array of bulk strings.
 func EncodeCommand(args ...string) []byte {
+	return AppendCommand(make([]byte, 0, CommandSize(args)), args...)
+}
+
+// CommandSize is the encoded size of a command: what AppendCommand appends.
+func CommandSize(args []string) int {
 	size := lenSize(len(args))
 	for _, a := range args {
 		size += bulkSize(len(a))
 	}
-	return AppendCommand(make([]byte, 0, size), args...)
+	return size
 }
 
 // appendLen appends a "*<n>" or "$<n>" header line.

@@ -10,13 +10,13 @@ import (
 // Slot-addressed operations for the cluster's placement layer. The key
 // space is partitioned into a fixed number of slots by FNV-1a (the same
 // hash the router used when placement was "hash mod len(nodes)"); the
-// cluster's Placement implementation delegates here so the node-side copy
+// cluster's slot table delegates here so the node-side copy
 // path (DumpSlot on the source, replay on the target) and the router-side
 // routing decision can never disagree about which slot a key is in.
 
 // SlotForKey hashes a key onto one of nslots placement slots. This is the
 // single placement hash in the tree — everything else goes through the
-// cluster's Placement API, which calls this.
+// cluster router's Slot, which calls this.
 func SlotForKey(key string, nslots int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))

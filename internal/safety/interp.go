@@ -92,9 +92,6 @@ func NewInterp(p *Program, mode Mode) *Interp {
 // Violations returns the oracle's recorded violations.
 func (ip *Interp) Violations() []Violation { return ip.violations }
 
-// CurrentVAS returns the active address space after execution.
-func (ip *Interp) CurrentVAS() int { return ip.cur }
-
 func (ip *Interp) vasMem(id int) map[uint64]Value {
 	m, ok := ip.vases[id]
 	if !ok {

@@ -49,10 +49,3 @@ func OptimizeChecks(p *Program) (*Program, int) {
 	}
 	return out, removed
 }
-
-// InstrumentOptimized is Instrument followed by OptimizeChecks.
-func InstrumentOptimized(p *Program) (*Program, []Diagnostic, int) {
-	inst, diags := Instrument(p)
-	opt, removed := OptimizeChecks(inst)
-	return opt, diags, removed
-}

@@ -303,16 +303,6 @@ func (s *MemStore) BuildIndex() (bins int, err error) {
 	return len(triples) / 2, nil
 }
 
-// IndexBins returns the number of bins in the stored index (0 if none).
-func (s *MemStore) IndexBins() (n int, err error) {
-	defer guard(&err)
-	idx := s.get(s.root + msIndex)
-	if idx == 0 {
-		return 0, nil
-	}
-	return int(s.get(arch.VirtAddr(idx))), nil
-}
-
 // QueryIndex resolves (ref, pos) through the segment-resident index,
 // returning the index of the first record in the bin — the random-access
 // path a downstream viewer uses without parsing anything.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"time"
 
 	"spacejmp/internal/redis"
@@ -27,18 +28,15 @@ func EdgeCycles(n int) uint64 {
 
 // Request is one parsed command in flight through a Backend: filled in by a
 // connection reader, executed by whatever goroutine the backend routes it
-// to, and collected by the connection writer once Finish is called. Replies
-// preserve arrival order because the writer waits on requests in the order
-// the reader issued them.
+// to, and collected by the connection writer once its batch has got that far
+// (Batch.Answered). Replies preserve arrival order because the writer walks
+// batches, and the requests of each, in the order the reader issued them.
 type Request struct {
 	// Args is the parsed command (name first).
 	Args []string
 	// Cmd is Args resolved against the command table, once, when the
 	// request is built; backends dispatch on it and never re-read the name.
 	Cmd *redis.Command
-	// Start is when the reader accepted the command; backends use it for
-	// wall-latency accounting.
-	Start time.Time
 	// Readonly marks a request from a connection that opted into follower
 	// reads via READONLY: backends may serve reads from a bounded-staleness
 	// frozen view instead of the primary.
@@ -52,68 +50,116 @@ type Request struct {
 	Deadline uint64
 
 	resp []byte
-	done chan struct{}
 
 	// settle, when set, runs in the connection writer with the finished
 	// reply — the tenant layer's quota commit/rollback hook.
 	settle func([]byte)
+
+	// single is the batch of one a request built by NewRequest is submitted
+	// as and waited on through; nil for a connection's requests, which
+	// travel in their fill's batch.
+	single *Batch
+}
+
+// Batch is the unit a connection hands a Backend: the commands one buffer
+// fill held that need a backend, in arrival order. It crosses the backend's
+// queue in one hop. The backend answers the requests in order with Finish
+// and reports how far it has got with Answered — as often as it likes, and
+// with len(Reqs) at the end — so that replies can go out while the rest of
+// the batch still runs. A Batch must not be copied once handed over.
+type Batch struct {
+	Reqs []*Request
+	// Start is when the reader handed the batch over; backends use it for
+	// wall-latency accounting.
+	Start time.Time
+
+	mu       sync.Mutex
+	progress sync.Cond // on mu: answered moved
+	answered int       // how many of Reqs are answered; -1 until the backend says
+}
+
+// NewBatch builds the batch of reqs, stamped now.
+func NewBatch(reqs []*Request) *Batch {
+	b := &Batch{}
+	b.init(reqs)
+	return b
+}
+
+func (b *Batch) init(reqs []*Request) {
+	b.Reqs, b.Start, b.answered = reqs, time.Now(), -1
+	b.progress.L = &b.mu
+}
+
+// Answered publishes that the first n requests have been answered.
+func (b *Batch) Answered(n int) {
+	b.mu.Lock()
+	b.answered = n
+	b.mu.Unlock()
+	b.progress.Broadcast()
+}
+
+// Wait blocks until the first n requests have been answered; Wait(0) until
+// the backend has at least taken the batch up.
+func (b *Batch) Wait(n int) {
+	b.mu.Lock()
+	for b.answered < n {
+		b.progress.Wait()
+	}
+	b.mu.Unlock()
 }
 
 // NewRequest builds an in-flight request for a parsed command, resolving it
-// against the command table.
+// against the command table, together with the batch of one it is submitted
+// as (Single) and waited on through (Wait): one allocation for all of it.
 func NewRequest(args []string) *Request {
-	return newRequest(redis.Lookup(args), args)
+	s := &struct {
+		Request
+		batch Batch
+		self  [1]*Request
+	}{Request: Request{Args: args, Cmd: redis.Lookup(args)}}
+	s.self[0] = &s.Request
+	s.batch.init(s.self[:])
+	s.single = &s.batch
+	return &s.Request
 }
 
-// newRequest is NewRequest for a caller that already resolved the command.
-func newRequest(cmd *redis.Command, args []string) *Request {
-	return &Request{Args: args, Cmd: cmd, Start: time.Now(), done: make(chan struct{})}
-}
+// Single returns the batch of one a NewRequest request is submitted as.
+func (r *Request) Single() *Batch { return r.single }
 
-// Finish publishes the reply and releases the connection writer waiting on
-// it. Exactly one Finish per request.
-func (r *Request) Finish(resp []byte) {
-	r.resp = resp
-	close(r.done)
-}
+// Finish publishes the reply: once per request, before the Answered that
+// covers it.
+func (r *Request) Finish(resp []byte) { r.resp = resp }
 
-// Wait blocks until Finish and returns the reply bytes.
+// Reply returns the published reply, there once the request is answered.
+func (r *Request) Reply() []byte { return r.resp }
+
+// Wait blocks until the batch of one the request was submitted as is answered
+// and returns the reply bytes.
 func (r *Request) Wait() []byte {
-	<-r.done
+	r.single.Wait(1)
 	return r.resp
-}
-
-// closedDone is a pre-closed channel for requests answered without a
-// backend (busy rejections, QUIT, protocol errors).
-var closedDone = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// inlineReply builds an already-answered request.
-func inlineReply(resp []byte) *Request {
-	return &Request{resp: resp, done: closedDone}
 }
 
 // Backend executes parsed commands against simulated state. The one
 // production backend is the cluster router (internal/cluster), which cannot
 // be imported from here; the interface also lets tests substitute a fake.
 //
-// The concurrency contract: Submit may be called from many connection
-// goroutines at once, must never block on simulated state, and must return
-// false instead of queueing without bound — the conn layer turns false into
-// an immediate busy reply.
+// The concurrency contract: SubmitBatch may be called from many connection
+// goroutines at once, must never block on simulated state, and must refuse
+// instead of queueing without bound — the conn layer turns a refusal into an
+// immediate busy reply.
 type Backend interface {
 	// Bind associates a new connection with the backend and returns the
 	// queue (shard, worker) id it landed on, for the accept trace.
 	Bind(connID uint64) uint64
-	// Submit hands a request to the backend. It returns false when the
-	// backend is saturated; the request is then untouched and the caller
-	// answers it busy.
-	Submit(connID uint64, r *Request) bool
+	// SubmitBatch hands the backend a batch. Admission is counted in
+	// commands: the backend takes as many requests off the front of b.Reqs
+	// as it has room for, cuts b.Reqs down to those and returns how many —
+	// 0 when it is saturated, and b is then not queued at all. The requests
+	// it did not take are untouched and the caller answers them busy.
+	SubmitBatch(connID uint64, b *Batch) int
 	// Close drains all in-flight requests, stops the backend's workers,
 	// and destroys whatever simulated state it created. Called once, after
-	// no further Submit can occur.
+	// no further SubmitBatch can occur.
 	Close() error
 }

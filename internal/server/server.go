@@ -10,11 +10,11 @@
 // The concurrency contract with the simulator is strict: a simulated core's
 // cycle counter is not atomic, so exactly one goroutine — the worker that
 // claimed it — may ever drive a given Thread. Connection goroutines never
-// touch simulated state; they parse RESP, hand requests to the backend over
-// bounded queues, and write replies in arrival order. A saturated backend
-// answers immediately with a RESP error (backpressure, never unbounded
-// buffering); a full pipeline blocks the connection's reader, pushing the
-// backpressure onto TCP itself.
+// touch simulated state; they parse RESP, hand the backend what one buffer
+// fill held as one batch over its bounded queues, and write the replies in
+// arrival order. A saturated backend answers immediately with a RESP error
+// (backpressure, never unbounded buffering); a full pipeline blocks the
+// connection's reader, pushing the backpressure onto TCP itself.
 package server
 
 import (
@@ -36,9 +36,9 @@ type Config struct {
 	// sets them.
 	QueueDepth int
 	SegSize    uint64
-	// PipelineDepth bounds the commands in flight per connection. When a
-	// connection has this many awaiting replies its reader blocks, so a
-	// fast pipeliner is throttled by TCP flow control.
+	// PipelineDepth bounds the commands in flight per connection, and so
+	// what one batch holds. When a connection has this many awaiting replies
+	// its reader blocks, so a fast pipeliner is throttled by TCP flow control.
 	PipelineDepth int
 	// Tenants, when set, turns on multi-tenant serving: connections must
 	// AUTH against this registry, keys are qualified into the tenant's

@@ -62,9 +62,9 @@ type serverCounters struct {
 	Commands      atomic.Uint64
 	Busy          atomic.Uint64
 
-	Pipeline   Hist // commands in flight on a connection when one completes
-	QueueDepth Hist // shard queue depth sampled at enqueue
-	LatencyNs  Hist // per-command wall latency (enqueue → reply ready)
+	Pipeline   Hist // commands one buffer fill of a connection held, per fill
+	QueueDepth Hist // shard queue depth, in commands, sampled at enqueue
+	LatencyNs  Hist // per-command wall latency (its batch's enqueue → replies ready)
 
 	Shards table[ShardCounters]
 }
@@ -114,7 +114,7 @@ func (s *Sink) ServerBusy() {
 	}
 }
 
-// ServerPipeline records the pipeline depth observed on a connection.
+// ServerPipeline records the commands one buffer fill of a connection held.
 func (s *Sink) ServerPipeline(d int) {
 	if s != nil {
 		s.live.Server.Pipeline.Observe(uint64(d))

@@ -115,9 +115,6 @@ func (t *Tenant) ID() string { return t.id }
 // Index returns the tenant's stats-table slot.
 func (t *Tenant) Index() int { return t.index }
 
-// QuotaConfig returns the tenant's configured quotas.
-func (t *Tenant) QuotaConfig() Quotas { return t.quotas }
-
 // viewObjectID names a view object in capability space: the FNV-64a of its
 // tenant-scoped registry name.
 func viewObjectID(name string) uint64 {

@@ -354,14 +354,18 @@ func (e *Endpoint) backoff(try int) uint64 {
 // number, a lost request or response makes the client time out (charging
 // the busy-wait, doubling each retry up to MaxBackoffShift) and re-send,
 // and the server's duplicate cache ensures a re-executed round trip never
-// runs the handler twice for the same sequence number. After MaxRetries
-// lost round trips Call returns ErrTimeout.
+// runs the handler twice for the same sequence number. The unit of that
+// guarantee is the request frame, whatever it carries: a frame holding a
+// run of commands (the cluster's workers send those) is handled once as a
+// whole, and a retry of it is answered with the whole cached response.
+// After MaxRetries lost round trips Call returns ErrTimeout.
 //
 // The request is copied into the ring, so the caller may reuse it as soon
 // as Call returns. The response is the caller's own: one allocation of
 // exactly its size, which no later call — a retry served from the
-// duplicate cache included — reads or writes.
-func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.CallBudget(request, 0) }
+// duplicate cache included — reads or writes. A response too long for the
+// response ring is streamed as CallBulk streams every response.
+func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.exchange(request, 0, false) }
 
 // CallBudget is Call under a cycle budget: budget == 0 is plain Call;
 // otherwise the retry loop is capped so the call never burns the client
@@ -371,6 +375,24 @@ func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.CallBudget(re
 // retry ladder. The guarantee callers leaning on deadlines get: cycles
 // charged to the client core by backoff never exceed the budget.
 func (e *Endpoint) CallBudget(request []byte, budget uint64) ([]byte, error) {
+	return e.exchange(request, budget, false)
+}
+
+// CallBulk is Call with the response always streamed in bounded multi-slot
+// chunks — a length header, then data chunks, the client consuming each as
+// it lands so the ring never overflows regardless of payload size — which
+// is what a ship or a slot dump costs in the model. Loss anywhere —
+// request, header, any chunk — surfaces as an incomplete reassembly and
+// retries the whole call; the duplicate cache re-streams the cached
+// response.
+func (e *Endpoint) CallBulk(request []byte) ([]byte, error) { return e.exchange(request, 0, true) }
+
+// exchange is the one round-trip loop behind Call, CallBudget and CallBulk:
+// send, let the server receive and handle (or answer a duplicate from its
+// cache), mirror the server's cycles into the client's busy-wait, move the
+// response back, and on loss back off and go again — under budget when
+// there is one.
+func (e *Endpoint) exchange(request []byte, budget uint64, stream bool) ([]byte, error) {
 	client := e.m.Cores[e.client]
 	server := e.m.Cores[e.server]
 	start := client.Cycles()
@@ -387,12 +409,13 @@ func (e *Endpoint) CallBudget(request []byte, budget uint64) ([]byte, error) {
 		if err := e.req.sendSeq(seq, request); err != nil {
 			return nil, err
 		}
-		// Server side: receive, dispatch, handle, respond. An empty
-		// request ring means the send was dropped in flight.
+		// Server side: receive, dispatch, handle. An empty request ring
+		// means the send was dropped in flight.
 		before := server.Cycles()
 		rseq, req, err := e.req.recvSeq(false)
-		if err == nil {
-			var response []byte
+		served := err == nil
+		var response []byte
+		if served {
 			if rseq != 0 && rseq == e.lastSeq {
 				response = e.lastResp // duplicate of an executed request
 			} else {
@@ -401,21 +424,12 @@ func (e *Endpoint) CallBudget(request []byte, budget uint64) ([]byte, error) {
 					e.lastSeq, e.lastResp = rseq, response
 				}
 			}
-			if err := e.resp.sendSeq(rseq, response); err != nil {
-				return nil, err
-			}
 		}
 		// The client busy-waits while the server works.
 		client.AddCycles(server.Cycles() - before)
-		// Drain the response ring: stale responses from earlier retries
-		// are discarded, a matching sequence number completes the call.
-		for e.resp.Len() > 0 {
-			sseq, resp, err := e.resp.recvSeq(true)
-			if err != nil {
-				break
-			}
-			if sseq == seq {
-				return resp, nil
+		if served {
+			if got, ok := e.respond(rseq, response, stream); ok {
+				return got, nil
 			}
 		}
 		// Nothing (or only stale traffic) arrived: time out and retry,
@@ -436,7 +450,35 @@ func (e *Endpoint) CallBudget(request []byte, budget uint64) ([]byte, error) {
 	return nil, &TimeoutError{Seq: seq, Retries: e.MaxRetries}
 }
 
-// Bulk responses are streamed as kind-tagged frames so CallBulk can tell a
+// respond is the response leg of one try: a single frame when the response
+// fits the (drained) response ring and the caller did not ask for a stream,
+// the header and chunk stream otherwise. It reports whether the response
+// arrived whole; stale frames of earlier tries are discarded on the way.
+func (e *Endpoint) respond(seq uint64, response []byte, stream bool) ([]byte, bool) {
+	if stream || Lines(len(response)) > uint64(e.resp.capacity) {
+		return e.streamResponse(seq, response)
+	}
+	client := e.m.Cores[e.client]
+	server := e.m.Cores[e.server]
+	before := server.Cycles()
+	if err := e.resp.sendSeq(seq, response); err != nil {
+		return nil, false
+	}
+	// The client busy-waits through the server's send, then drains.
+	client.AddCycles(server.Cycles() - before)
+	for e.resp.Len() > 0 {
+		sseq, resp, err := e.resp.recvSeq(true)
+		if err != nil {
+			break
+		}
+		if sseq == seq {
+			return resp, true
+		}
+	}
+	return nil, false
+}
+
+// Bulk responses are streamed as kind-tagged frames so the client can tell a
 // length header from a data chunk even when loss reorders what arrives: one
 // header frame (total response length) followed by data chunks, each small
 // enough to fit the response ring, with the client draining between sends.
@@ -449,52 +491,6 @@ const (
 // carry: the whole ring minus one slot of headroom, minus the kind tag.
 func (e *Endpoint) bulkChunkBytes() int {
 	return (e.resp.capacity-1)*PayloadPerLine - 1
-}
-
-// CallBulk performs one RPC round trip whose response may exceed the
-// response ring's capacity. The request travels exactly as in Call; the
-// response is streamed in bounded multi-slot chunks, the client consuming
-// each chunk as it lands so the ring never overflows regardless of payload
-// size. Loss anywhere — request, header, any chunk — surfaces as an
-// incomplete reassembly and retries the whole call; the server's duplicate
-// cache keeps the handler at-most-once, re-streaming the cached response.
-func (e *Endpoint) CallBulk(request []byte) ([]byte, error) {
-	client := e.m.Cores[e.client]
-	server := e.m.Cores[e.server]
-	seq := e.nextSeq
-	e.nextSeq++
-	for try := 0; try <= e.MaxRetries; try++ {
-		if try > 0 {
-			e.retries++
-			e.m.Observer().URPCRetry(e.client, seq, uint64(try))
-		}
-		if err := e.req.sendSeq(seq, request); err != nil {
-			return nil, err
-		}
-		before := server.Cycles()
-		rseq, req, err := e.req.recvSeq(false)
-		served := false
-		var response []byte
-		if err == nil {
-			if rseq != 0 && rseq == e.lastSeq {
-				response = e.lastResp // duplicate of an executed request
-			} else {
-				response = e.handler(req)
-				if rseq != 0 {
-					e.lastSeq, e.lastResp = rseq, response
-				}
-			}
-			served = true
-		}
-		client.AddCycles(server.Cycles() - before)
-		if served {
-			if got, ok := e.streamResponse(seq, response); ok {
-				return got, nil
-			}
-		}
-		client.AddCycles(e.backoff(try))
-	}
-	return nil, &TimeoutError{Seq: seq, Retries: e.MaxRetries}
 }
 
 // streamResponse moves one bulk response across the response ring: the

@@ -367,6 +367,56 @@ func TestCallBulkSizes(t *testing.T) {
 	}
 }
 
+// TestCallStreamsWhatTheRingCannotHold: Call and CallBudget answer in one
+// frame while the response fits the response ring and stream it, as CallBulk
+// streams everything, once it does not — which is what lets a frame carrying
+// a run of commands come back whole under a budget. A stream that keeps
+// getting lost still gives up when the budget is dry.
+func TestCallStreamsWhatTheRingCannotHold(t *testing.T) {
+	m := hw.NewMachine(hw.SmallTest())
+	reg := fault.New(3)
+	m.SetFaults(reg)
+	ep := Connect(m, 0, 1, 8, func(req []byte) []byte {
+		out := make([]byte, int(req[0])|int(req[1])<<8)
+		for i := range out {
+			out[i] = byte(i * 7)
+		}
+		return out
+	})
+	ring := 8 * PayloadPerLine
+	for _, n := range []int{0, ring - 1, ring, ring + 1, 10 * ring} {
+		for _, budget := range []uint64{0, 1 << 30} {
+			_, before := ep.ChannelStats()
+			resp, err := ep.CallBudget([]byte{byte(n), byte(n >> 8)}, budget)
+			if err != nil || len(resp) != n {
+				t.Fatalf("size %d, budget %d: %d bytes, %v", n, budget, len(resp), err)
+			}
+			for i, b := range resp {
+				if b != byte(i*7) {
+					t.Fatalf("size %d: byte %d corrupted (%d)", n, i, b)
+				}
+			}
+			_, after := ep.ChannelStats()
+			if frames := after.Sends - before.Sends; (frames == 1) != (n <= ring) {
+				t.Errorf("size %d came back in %d frames; the ring holds %d bytes", n, frames, ring)
+			}
+		}
+	}
+	reg.Enable(fault.URPCDrop, fault.EveryNth(3))
+	const budget = 5 * DefaultTimeoutCycles
+	before := m.Cores[0].Cycles()
+	_, err := ep.CallBudget([]byte{byte(10 * ring % 256), byte(10 * ring >> 8)}, budget)
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("a stream that loses every third frame, under a budget: %v, want ErrBudget", err)
+	}
+	if ep.Pending() != 0 {
+		t.Errorf("pending frames after the abandoned stream: %d", ep.Pending())
+	}
+	if spent := m.Cores[0].Cycles() - before; spent > 2*budget {
+		t.Errorf("the abandoned call burned %d cycles on a budget of %d", spent, budget)
+	}
+}
+
 func TestCallBulkThroughLossyChannel(t *testing.T) {
 	m := hw.NewMachine(hw.SmallTest())
 	reg := fault.New(7)

@@ -83,32 +83,15 @@ func NewObjectPages(pm *mem.PhysMem, name string, size uint64, tier mem.Tier, pa
 	}
 }
 
-// NewObjectFromFrames reconstructs an object over frames that already hold
-// content — the restore path after a power cycle, where NVM frames (and the
-// allocator state covering them) survived.
-func NewObjectFromFrames(pm *mem.PhysMem, name string, size uint64, tier mem.Tier, frames map[uint64]arch.PhysAddr) *Object {
-	return NewObjectFromFramesPages(pm, name, size, tier, arch.PageSize, frames)
-}
-
-// NewObjectFromFramesPages is NewObjectFromFrames for an explicit page size.
+// NewObjectFromFramesPages reconstructs an object of the given page size over
+// frames that already hold content — the restore path after a power cycle,
+// where NVM frames (and the allocator state covering them) survived.
 func NewObjectFromFramesPages(pm *mem.PhysMem, name string, size uint64, tier mem.Tier, pageSize uint64, frames map[uint64]arch.PhysAddr) *Object {
 	o := NewObjectPages(pm, name, size, tier, pageSize)
 	for idx, pa := range frames {
 		o.frames[idx] = pa
 	}
 	return o
-}
-
-// FrameMap returns a copy of the page-index -> frame mapping (what a
-// checkpoint must record to reattach the object's memory later).
-func (o *Object) FrameMap() map[uint64]arch.PhysAddr {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make(map[uint64]arch.PhysAddr, len(o.frames))
-	for idx, pa := range o.frames {
-		out[idx] = pa
-	}
-	return out
 }
 
 // Ref takes an additional reference.
@@ -394,11 +377,11 @@ func (o *Object) ResolveFrame(idx uint64) (arch.PhysAddr, bool) {
 }
 
 // ResolvedFrameMap returns the frames backing every materialized page,
-// resolving each index through the COW parent chain. Unlike FrameMap it
-// reflects what a reader of this object actually sees: after a frozen fork
-// the object's own map holds only pages written since the fork, while the
-// rest still live upstream. Persisting code must use this, never FrameMap,
-// or a checkpoint taken mid-fork silently drops everything unwritten since.
+// resolving each index through the COW parent chain: what a reader of this
+// object actually sees. After a frozen fork the object's own map holds only
+// pages written since the fork, while the rest still live upstream, so
+// persisting code that read that map alone would silently drop, from a
+// checkpoint taken mid-fork, everything unwritten since.
 //
 // The chain is descended once, each level's lock taken once and held to the
 // bottom (child→parent, as ResolveFrame holds them): the nearest frame wins.

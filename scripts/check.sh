@@ -55,14 +55,14 @@ go run ./cmd/spacejmp-bench -quick table2 fig1 fig6 fig7 fig8 fig9 fig10a fig10b
 echo "== go test -race =="
 go test -race ./...
 
-echo "== flake gate (timer-driven packages, and the fork engine, COW chain and attach/switch paths under them, 10 runs each) =="
-go test -count=10 ./internal/cluster ./internal/chaos ./internal/fork ./internal/vm ./internal/core
+echo "== flake gate (timer-driven packages, the connection loop, and the fork engine, COW chain and attach/switch paths under them, 10 runs each) =="
+go test -count=10 ./internal/cluster ./internal/chaos ./internal/server ./internal/fork ./internal/vm ./internal/core
 
 echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
 
-echo "== bench smoke (the wire-path, stats, run-length, store, ship and fork rungs of the ladder still run) =="
-go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec|RouterMGet|SnapshotDelta|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ShipDelta|ForkSteadyState' -benchtime 100x \
+echo "== bench smoke (the wire-path, stats, run-length, store, batch, ship and fork rungs of the ladder still run) =="
+go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec(Local|Remote)|RouterExecRun|RouterMGet|SnapshotDelta|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ShipDelta|ForkSteadyState' -benchtime 100x \
     ./internal/redis ./internal/urpc ./internal/cluster ./internal/stats ./internal/hw ./internal/fork
 
 echo "== fuzz smoke (RESP parser against the reference reader) =="
