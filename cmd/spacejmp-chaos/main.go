@@ -90,11 +90,11 @@ func main() {
 			s.Seed = *seed
 		}
 	}
+	out := json.NewEncoder(os.Stdout)
+	out.SetIndent("", "  ")
 	if *dump {
 		for _, s := range specs {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(s); err != nil {
+			if err := out.Encode(s); err != nil {
 				fatal(err)
 			}
 		}
@@ -129,9 +129,7 @@ func main() {
 		if len(reports) == 1 {
 			v = reports[0]
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
+		if err := out.Encode(v); err != nil {
 			fatal(err)
 		}
 	}

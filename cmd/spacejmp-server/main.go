@@ -57,11 +57,8 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -69,193 +66,103 @@ import (
 
 	"spacejmp/internal/chaos"
 	"spacejmp/internal/cluster"
-	"spacejmp/internal/fault"
-	"spacejmp/internal/hw"
-	"spacejmp/internal/kernel"
-	"spacejmp/internal/overload"
-	"spacejmp/internal/server"
-	"spacejmp/internal/tenant"
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:6379", "listen address")
-	workers := flag.Int("workers", 2, "router workers (each claims one simulated core)")
-	queue := flag.Int("queue", 64, "per-worker queue depth (full queue replies busy)")
-	pipeline := flag.Int("pipeline", 32, "per-connection in-flight command cap")
-	segSize := flag.Uint64("seg", 16<<20, "store segment bytes per node")
-	machine := flag.String("machine", "M1", "simulated machine: M1, M2, M3, small")
-	traceCap := flag.Int("trace", 4096, "trace ring capacity (0 disables tracing)")
+	// The flags are a scenario spec's machine, cluster block and tenant count,
+	// plus what only a binary knows; -scenario contributes its steps and
+	// nothing else.
+	var spec chaos.Spec
+	var front chaos.Front
+	cl := &spec.Cluster
+	flag.StringVar(&front.Addr, "addr", "127.0.0.1:6379", "listen address")
+	flag.IntVar(&cl.Workers, "workers", 2, "router workers (each claims one simulated core)")
+	flag.IntVar(&cl.QueueDepth, "queue", 64, "per-worker queue depth (full queue replies busy)")
+	flag.IntVar(&front.Pipeline, "pipeline", 32, "per-connection in-flight command cap")
+	flag.Uint64Var(&cl.SegSize, "seg", 16<<20, "store segment bytes per node")
+	flag.StringVar(&spec.Machine, "machine", "M1", "simulated machine: M1, M2, M3, small")
+	flag.IntVar(&front.TraceCap, "trace", 4096, "trace ring capacity (0 disables tracing)")
 	jsonOut := flag.Bool("json", false, "dump the final stats snapshot as JSON")
-	clusterN := flag.Int("cluster", 0, "shard the key space across n cluster nodes (0 = one co-resident node)")
-	modeFlag := flag.String("mode", "auto", "cluster node placement: vas, urpc, or auto")
-	adminAddr := flag.String("admin", "", "HTTP admin address for /healthz, /stats, /trace (empty disables)")
-	replicate := flag.Bool("replicate", false, "replicate remote cluster nodes to warm standbys with failover")
-	shipEvery := flag.Int("ship-every", 0, "ship a node's checkpoint after this many writes (0 = default)")
-	followerReads := flag.Bool("follower-reads", false, "serve READONLY-connection reads from frozen fork views (needs -replicate)")
-	staleBound := flag.Duration("stale-bound", 0, "follower-read staleness bound; older views reply -STALE (0 = default 500ms)")
-	probeInterval := flag.Duration("probe-interval", 0, "health-monitor probe cadence (0 = default 25ms)")
-	probeThreshold := flag.Int("probe-threshold", 0, "consecutive probe failures that declare a node dead and promote its standby (0 = default 3; park high to brown out without failover)")
+	flag.IntVar(&cl.Nodes, "cluster", 0, "shard the key space across n cluster nodes (0 = one co-resident node)")
+	flag.StringVar(&cl.Mode, "mode", "auto", "cluster node placement: vas, urpc, or auto")
+	flag.StringVar(&front.Admin, "admin", "", "HTTP admin address for /healthz, /stats, /trace (empty disables)")
+	flag.BoolVar(&cl.Replicate, "replicate", false, "replicate remote cluster nodes to warm standbys with failover")
+	flag.IntVar(&cl.ShipEvery, "ship-every", 0, "ship a node's checkpoint after this many writes (0 = default)")
+	flag.BoolVar(&cl.FollowerReads, "follower-reads", false, "serve READONLY-connection reads from frozen fork views (needs -replicate)")
+	flag.DurationVar((*time.Duration)(&cl.StaleBound), "stale-bound", 0, "follower-read staleness bound; older views reply -STALE (0 = default 500ms)")
+	flag.DurationVar((*time.Duration)(&cl.ProbeInterval), "probe-interval", 0, "health-monitor probe cadence (0 = default 25ms)")
+	flag.IntVar(&cl.ProbeThreshold, "probe-threshold", 0, "consecutive probe failures that declare a node dead and promote its standby (0 = default 3; park high to brown out without failover)")
 	scenario := flag.String("scenario", "", "play this chaos scenario's steps — faults, node kills, adds and removes — against the live server (library name or JSON file)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault registry seed for -scenario runs")
-	tenantsN := flag.Int("tenants", 0, "serve n demo tenants (t0../s0..) behind AUTH with isolated views (0 = single-tenant)")
-	tenantMaxBytes := flag.Uint64("tenant-max-bytes", 0, "per-tenant stored-bytes quota (0 = unlimited)")
-	tenantMaxKeys := flag.Uint64("tenant-max-keys", 0, "per-tenant key-count quota (0 = unlimited)")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant command rate limit per second (0 = unlimited)")
-	deadline := flag.Duration("deadline", 0, "default per-command deadline budget, converted to cycles at the machine's clock (0 = none; clients override with DEADLINE <ms>)")
-	breakers := flag.Bool("breakers", false, "arm a circuit breaker per remote cluster node (needs -cluster)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures that trip a breaker (0 = default 5)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker fail-fast window before a half-open probe (0 = default 100ms)")
+	flag.Int64Var(&spec.Seed, "fault-seed", 1, "fault registry seed for -scenario runs")
+	flag.IntVar(&spec.Load.Tenants, "tenants", 0, "serve n demo tenants (t0../s0..) behind AUTH with isolated views (0 = single-tenant)")
+	flag.Uint64Var(&front.Quotas.MaxBytes, "tenant-max-bytes", 0, "per-tenant stored-bytes quota (0 = unlimited)")
+	flag.Uint64Var(&front.Quotas.MaxKeys, "tenant-max-keys", 0, "per-tenant key-count quota (0 = unlimited)")
+	flag.Float64Var(&front.Quotas.Rate, "tenant-rate", 0, "per-tenant command rate limit per second (0 = unlimited)")
+	flag.DurationVar((*time.Duration)(&cl.Deadline), "deadline", 0, "default per-command deadline budget, converted to cycles at the machine's clock (0 = none; clients override with DEADLINE <ms>)")
+	flag.BoolVar(&cl.Breakers, "breakers", false, "arm a circuit breaker per remote cluster node (needs -cluster)")
+	flag.IntVar(&cl.BreakerThreshold, "breaker-threshold", 0, "consecutive failures that trip a breaker (0 = default 5)")
+	flag.DurationVar((*time.Duration)(&cl.BreakerCooldown), "breaker-cooldown", 0, "open-breaker fail-fast window before a half-open probe (0 = default 100ms)")
 	flag.Parse()
 
-	cfg, err := hw.NamedConfig(*machine)
-	if err != nil {
-		fatal(err)
-	}
-	var spec *chaos.Spec
-	if *scenario != "" {
-		if spec, err = loadScenario(*scenario); err != nil {
-			fatal(err)
-		}
-	}
-	if *followerReads && !*replicate {
+	if cl.FollowerReads && !cl.Replicate {
 		fatal(fmt.Errorf("-follower-reads requires -replicate (frozen fork views ride the replication engine)"))
 	}
-	if *breakers && *clusterN <= 0 {
+	if cl.Breakers && cl.Nodes <= 0 {
 		fatal(fmt.Errorf("-breakers requires -cluster"))
 	}
-	// No -cluster is the paper's single RedisJMP store: a cluster of one
-	// co-resident node, served on the VAS-switch path whatever -mode says.
-	nodes, modeName := *clusterN, *modeFlag
-	if nodes <= 0 {
-		nodes, modeName = 1, string(cluster.ModeVAS)
+	if cl.Nodes <= 0 {
+		// No -cluster is the paper's single RedisJMP store: a cluster of one
+		// co-resident node, served on the VAS-switch path whatever -mode says.
+		cl.Nodes, cl.Mode = 1, string(cluster.ModeVAS)
 	}
-	mode, err := cluster.ParseMode(modeName)
-	if err != nil {
-		fatal(err)
-	}
-	if *replicate {
-		// Replication rides NVM checkpoint generations; give machines
-		// configured without persistent memory enough to hold them.
-		if cfg.Mem.NVMSize == 0 {
-			cfg.Mem.NVMSize = 256 << 20
-		}
-		if cfg.Mem.NVMSuperblock == 0 {
-			cfg.Mem.NVMSuperblock = 64 << 20
-		}
-	}
-	m := hw.NewMachine(cfg)
-	reg := fault.New(*faultSeed)
-	m.SetFaults(reg)
-	sys := kernel.New(m)
-	sys.EnableStats(*traceCap)
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
-	}
-	base := m.PM.AllocatedBytes()
-	var tenants *tenant.Registry
-	if *tenantsN > 0 {
-		tenants, err = tenant.NewDemo(*tenantsN, tenant.Config{Nodes: nodes, Stats: m.Observer()},
-			tenant.Quotas{MaxBytes: *tenantMaxBytes, MaxKeys: *tenantMaxKeys, Rate: *tenantRate})
+	if *scenario != "" {
+		played, err := loadScenario(*scenario)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "spacejmp-server: %s\n", tenants)
+		spec.Steps = played.Steps
+		fmt.Fprintf(os.Stderr, "spacejmp-server: playing scenario %s (%d steps, seed %d)\n",
+			played.Name, len(spec.Steps), spec.Seed)
 	}
-	srvCfg := server.Config{
-		PipelineDepth: *pipeline,
-		Tenants:       tenants,
-		// Wall-clock deadlines become cycle budgets at the machine's clock;
-		// the same rate converts each client DEADLINE <ms> override.
-		CyclesPerMilli: uint64(cfg.GHz * 1e6),
+	front.Logf = func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "spacejmp-server: "+format+"\n", args...)
 	}
-	if *deadline > 0 {
-		srvCfg.DeadlineCycles = overload.Cycles(*deadline, cfg.GHz)
-	}
-	router, err := cluster.New(sys, cluster.Config{
-		Nodes:      nodes,
-		Workers:    *workers,
-		Mode:       mode,
-		QueueDepth: *queue,
-		SegSize:    *segSize,
-		Replication: cluster.ReplicationConfig{
-			Enabled:        *replicate,
-			ShipEvery:      *shipEvery,
-			FollowerReads:  *followerReads,
-			StaleBound:     *staleBound,
-			ProbeInterval:  *probeInterval,
-			ProbeThreshold: *probeThreshold,
-		},
-		Overload: cluster.OverloadConfig{
-			Breakers:         *breakers,
-			BreakerThreshold: *breakerThreshold,
-			BreakerCooldown:  *breakerCooldown,
-		},
-	})
+	st, err := chaos.Boot(&spec, front)
 	if err != nil {
 		fatal(err)
 	}
-	srv := server.NewWithBackend(sys, ln, srvCfg, router)
-	fmt.Fprintf(os.Stderr, "spacejmp-server: listening on %s (%s, queue %d, pipeline %d)\n",
-		srv.Addr(), cfg.Name, *queue, *pipeline)
-	fmt.Fprint(os.Stderr, router.String())
-
-	var admin *http.Server
-	if *adminAddr != "" {
-		aln, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			fatal(fmt.Errorf("admin: %w", err))
-		}
-		admin = &http.Server{Handler: server.AdminHandler(sys, router, tenants)}
-		go admin.Serve(aln)
-		fmt.Fprintf(os.Stderr, "spacejmp-server: admin on http://%s (/healthz /stats /trace)\n",
-			aln.Addr())
+	if st.Tenants != nil {
+		fmt.Fprintf(os.Stderr, "spacejmp-server: %s\n", st.Tenants)
 	}
-
-	var sched *chaos.ScheduleRun
-	schedCtx, schedCancel := context.WithCancel(context.Background())
-	defer schedCancel()
-	if spec != nil {
-		logf := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "spacejmp-server: "+format+"\n", args...)
-		}
-		fmt.Fprintf(os.Stderr, "spacejmp-server: playing scenario %s (%d steps, seed %d)\n",
-			spec.Name, len(spec.Steps), *faultSeed)
-		sched = chaos.StartSchedule(schedCtx, spec.Steps, reg, chaos.RouterOps(router), logf)
+	fmt.Fprintf(os.Stderr, "spacejmp-server: listening on %s (%s, queue %d, pipeline %d)\n",
+		st.Server.Addr(), st.Machine.Cfg.Name, cl.QueueDepth, front.Pipeline)
+	fmt.Fprint(os.Stderr, st.Router.String())
+	if st.Admin != nil {
+		fmt.Fprintf(os.Stderr, "spacejmp-server: admin on http://%s (/healthz /stats /trace)\n", st.Admin)
 	}
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	<-sigs
 	fmt.Fprintln(os.Stderr, "spacejmp-server: draining...")
-	if sched != nil {
-		schedCancel()
-		reports, _ := sched.Wait(context.Background())
-		chaos.FinalizeReports(reg, spec.Steps, reports)
-		for _, r := range reports {
-			line := fmt.Sprintf("spacejmp-server: scenario step %d: %s fired %d/%d", r.Step, r.Point, r.Fired, r.Hits)
-			if r.Err != "" {
-				line += " err=" + r.Err
-			}
-			fmt.Fprintln(os.Stderr, line)
+	reports, shutdownErr, leakErr := st.Teardown()
+	for _, r := range reports {
+		line := fmt.Sprintf("spacejmp-server: scenario step %d: %s fired %d/%d", r.Step, r.Point, r.Fired, r.Hits)
+		if r.Err != "" {
+			line += " err=" + r.Err
 		}
+		fmt.Fprintln(os.Stderr, line)
 	}
-	if err := srv.Shutdown(); err != nil {
-		fmt.Fprintf(os.Stderr, "spacejmp-server: shutdown: %v\n", err)
+	if shutdownErr != nil {
+		fmt.Fprintf(os.Stderr, "spacejmp-server: shutdown: %v\n", shutdownErr)
 	}
-	if admin != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		admin.Shutdown(ctx)
-		cancel()
-	}
-	if err := m.PM.CheckLeaks(base); err != nil {
-		fmt.Fprintf(os.Stderr, "spacejmp-server: leak check: %v\n", err)
+	if leakErr != nil {
+		fmt.Fprintf(os.Stderr, "spacejmp-server: leak check: %v\n", leakErr)
 	} else {
 		fmt.Fprintln(os.Stderr, "spacejmp-server: all simulated frames reclaimed")
 	}
 
-	snap := sys.Stats()
+	snap := st.Sys.Stats()
 	if snap == nil {
 		return
 	}

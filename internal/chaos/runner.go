@@ -5,19 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
+	"maps"
 	"net/http"
 	"runtime"
+	"slices"
 	"time"
 
-	"spacejmp/internal/cluster"
 	"spacejmp/internal/fault"
-	"spacejmp/internal/hw"
-	"spacejmp/internal/kernel"
-	"spacejmp/internal/overload"
 	"spacejmp/internal/server"
 	"spacejmp/internal/stats"
-	"spacejmp/internal/tenant"
 )
 
 // Options tune one Runner invocation without touching the spec.
@@ -55,9 +51,11 @@ type Report struct {
 }
 
 // Failed returns the checks that did not hold.
-func (r *Report) Failed() []Check {
+func (r *Report) Failed() []Check { return failed(r.Checks) }
+
+func failed(checks []Check) []Check {
 	var out []Check
-	for _, c := range r.Checks {
+	for _, c := range checks {
 		if !c.OK {
 			out = append(out, c)
 		}
@@ -113,15 +111,16 @@ func (r *Report) WriteText(w io.Writer) {
 	}
 }
 
-// quiesceTimeout bounds each post-load wait for asynchronous machinery
-// (promotions, ships, degradations) to reach its declared count; generous
-// because the race detector slows everything down.
-const quiesceTimeout = 15 * time.Second
+// quiesceTimeout bounds the post-load wait for asynchronous machinery
+// (promotions, ships, degradations) to reach the declared counts; generous
+// because the race detector slows everything down. Tests shorten it.
+var quiesceTimeout = 15 * time.Second
 
-// Run boots the scenario's cluster under a verifying load, plays the
-// schedule, and evaluates the invariants. A non-nil error means the run
-// could not be staged (bad spec, boot failure); invariant violations are
-// reported in Report.Checks with Passed false, not as errors.
+// Run boots the scenario's stack, drives it with the verifying load while
+// the schedule plays, lets the cluster quiesce, tears it down, and evaluates
+// the invariants. A non-nil error means the run could not be staged (bad
+// spec, boot failure); invariant violations are reported in Report.Checks
+// with Passed false, not as errors.
 func Run(spec *Spec, opts Options) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -130,103 +129,40 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	if opts.Log != nil {
 		logf = func(format string, args ...any) { fmt.Fprintf(opts.Log, format+"\n", args...) }
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
+	boot := *spec
+	if boot.Seed == 0 {
+		boot.Seed = 1
 	}
-
-	machine := spec.Machine
 	if opts.Machine != "" {
-		machine = opts.Machine
+		boot.Machine = opts.Machine
 	}
-	hwCfg, err := hw.NamedConfig(machine)
-	if err != nil {
-		return nil, err
-	}
-	clCfg, err := spec.Cluster.Config()
-	if err != nil {
-		return nil, err
-	}
-	if clCfg.Replication.Enabled {
-		// Replication rides NVM checkpoint generations; give machines
-		// configured without (enough) persistent memory room to hold them.
-		if hwCfg.Mem.NVMSize == 0 {
-			hwCfg.Mem.NVMSize = 256 << 20
-		}
-		if hwCfg.Mem.NVMSuperblock == 0 {
-			sb := hwCfg.Mem.NVMSize / 4
-			if sb > 64<<20 {
-				sb = 64 << 20
-			}
-			hwCfg.Mem.NVMSuperblock = sb
-		}
+	front := Front{Addr: "127.0.0.1:0", TraceCap: 8192, Logf: logf}
+	if opts.Admin {
+		front.Admin = "127.0.0.1:0"
 	}
 
 	goroutineBase := runtime.NumGoroutine()
 	start := time.Now()
-	m := hw.NewMachine(hwCfg)
-	reg := fault.New(seed)
-	m.SetFaults(reg)
-	sys := kernel.New(m)
-	sys.EnableStats(8192)
-	obs := m.Observer()
-	frameBase := m.PM.AllocatedBytes()
-
-	router, err := cluster.New(sys, clCfg)
+	st, err := Boot(&boot, front)
 	if err != nil {
-		return nil, fmt.Errorf("chaos: cluster boot: %w", err)
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
+	obs := st.Machine.Observer()
+	logf("chaos: %s: serving on %s (machine %s, seed %d)", spec.Name, st.Server.Addr(), st.Machine.Cfg.Name, boot.Seed)
 
-	// Tenant runs boot the demo registry over the cluster's node stores; the
-	// load generator authenticates with the matching demo credentials.
-	var tenants *tenant.Registry
-	if spec.Load.Tenants > 0 {
-		nodeCount, _ := spec.Cluster.placement()
-		tenants, err = tenant.NewDemo(spec.Load.Tenants,
-			tenant.Config{Nodes: nodeCount, Stats: obs}, tenant.Quotas{})
-		if err != nil {
-			router.Close()
-			return nil, fmt.Errorf("chaos: tenant registry: %w", err)
-		}
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		router.Close()
-		return nil, err
-	}
-	srvCfg := server.Config{QueueDepth: clCfg.QueueDepth, Tenants: tenants}
-	srvCfg.CyclesPerMilli = uint64(hwCfg.GHz * 1e6)
-	if d := time.Duration(spec.Cluster.Deadline); d > 0 {
-		srvCfg.DeadlineCycles = overload.Cycles(d, hwCfg.GHz)
-	}
-	srv := server.NewWithBackend(sys, ln, srvCfg, router)
-	logf("chaos: %s: serving on %s (machine %s, seed %d)", spec.Name, srv.Addr(), hwCfg.Name, seed)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// Optional admin surface plus its own /stats/delta watcher — the run
+	// With an admin surface the run watches its own /stats/delta — it
 	// observes itself over the same HTTP long-poll a human would.
-	var admin *http.Server
+	watchCtx, stopWatch := context.WithCancel(context.Background())
+	defer stopWatch()
 	var deltaCount chan int
-	if opts.Admin {
-		aln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			srv.Shutdown()
-			return nil, err
-		}
-		admin = &http.Server{Handler: server.AdminHandler(sys, router, tenants)}
-		go admin.Serve(aln)
+	if st.Admin != nil {
 		deltaCount = make(chan int, 1)
-		go watchDeltas(ctx, aln.Addr().String(), deltaCount)
-		logf("chaos: admin on http://%s", aln.Addr())
+		go watchDeltas(watchCtx, st.Admin.String(), deltaCount)
+		logf("chaos: admin on http://%s", st.Admin)
 	}
 
-	sched := StartSchedule(ctx, spec.Steps, reg, RouterOps(router), logf)
-
-	loadCfg := server.LoadConfig{
-		Addr:        srv.Addr().String(),
+	res, loadErr := server.RunLoad(server.LoadConfig{
+		Addr:        st.Server.Addr().String(),
 		Conns:       spec.Load.Conns,
 		Pipeline:    spec.Load.Pipeline,
 		Requests:    spec.Load.Requests,
@@ -235,7 +171,7 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 		MGetKeys:    spec.Load.MGetKeys,
 		Keys:        spec.Load.Keys,
 		ValueSize:   spec.Load.ValueSize,
-		Seed:        seed,
+		Seed:        boot.Seed,
 		Reconnect:   spec.Load.Reconnect,
 
 		Tenants:         spec.Load.Tenants,
@@ -245,71 +181,49 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 		StaleReads:      spec.Load.StaleReads,
 		StaleBound:      time.Duration(spec.Load.StaleBound),
 		StaleCheckEvery: spec.Load.StaleCheckEvery,
-	}
-	res, loadErr := server.RunLoad(loadCfg)
+	})
 	logf("chaos: load done: %d commands, %d busy, %d errors, %d mismatches",
 		res.Commands, res.Busy, res.Errors, res.Mismatches)
 
 	// The schedule may reach past the load (a late crash lands on probe
 	// traffic); let it finish before judging anything.
-	schedCtx, schedCancel := context.WithTimeout(ctx, Horizon(spec.Steps)+5*time.Second)
-	reports, schedErr := sched.Wait(schedCtx)
+	schedCtx, schedCancel := context.WithTimeout(context.Background(), Horizon(spec.Steps)+5*time.Second)
+	schedErr := st.sched.Wait(schedCtx)
 	schedCancel()
 
 	// Quiesce: asynchronous failover machinery (probe -> ship -> promote)
-	// needs wall time to reach the declared counts; poll, bounded.
-	// The sink's own Snapshot reads only atomics, so it is safe mid-run.
+	// needs wall time to reach the declared counts, so the cluster-side
+	// invariants are polled, bounded, until they all hold; what they say when
+	// the stack goes down is the verdict. The sink's own Snapshot reads only
+	// atomics, so it is safe mid-run.
 	inv := &spec.Invariants
-	cluster := func() *stats.ClusterSnap { return obs.Snapshot().Dense().Cluster }
-	if p := inv.Promotions; p != nil && *p > 0 {
-		waitUntil(quiesceTimeout, func() bool { return cluster().Replication.Promotions >= *p })
-	}
-	if inv.MinShips > 0 {
-		waitUntil(quiesceTimeout, func() bool { return cluster().Replication.Ships >= inv.MinShips })
-	}
-	if d := inv.Degraded; d != nil && *d > 0 {
-		waitUntil(quiesceTimeout, func() bool { return countDegraded(router.Health()) >= *d })
-	}
-	if inv.MinSlotMoves > 0 {
-		waitUntil(quiesceTimeout, func() bool { return cluster().Migration.SlotMoves >= inv.MinSlotMoves })
-	}
-	if inv.MinDegradedReads > 0 {
-		waitUntil(quiesceTimeout, func() bool { return cluster().Overload.DegradedReads >= inv.MinDegradedReads })
-	}
-	if inv.MinBreakerOpens > 0 {
-		waitUntil(quiesceTimeout, func() bool { return cluster().Overload.BreakerOpens >= inv.MinBreakerOpens })
-	}
+	waitUntil(quiesceTimeout, func() bool {
+		checks := append(inv.clusterChecks(obs.Snapshot().Dense().Cluster, st.Router.Health()), inv.traceChecks(obs.Tracer())...)
+		return len(failed(checks)) == 0
+	})
 
-	FinalizeReports(reg, spec.Steps, reports)
-	faults := reg.Points()
-	health := router.Health()
-	pending := router.PendingFrames()
+	faults := st.Machine.Faults.Points()
+	health := st.Router.Health()
+	pending := st.Router.PendingFrames()
 
-	cancel() // stop the delta watcher before tearing the admin surface down
+	stopWatch() // before the admin surface goes down
 	deltas := 0
 	if deltaCount != nil {
 		deltas = <-deltaCount
 	}
-	if admin != nil {
-		sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-		admin.Shutdown(sctx)
-		scancel()
-	}
-	shutdownErr := srv.Shutdown()
-	leakErr := m.PM.CheckLeaks(frameBase)
+	reports, shutdownErr, leakErr := st.Teardown()
 	goroutinesOK := waitUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= goroutineBase })
 
-	snap := sys.Stats()
 	rep := &Report{
 		Scenario:       spec.Name,
-		Seed:           seed,
+		Seed:           boot.Seed,
 		Elapsed:        time.Since(start),
 		Load:           res,
 		Steps:          reports,
 		Faults:         faults,
 		DeltasObserved: deltas,
 	}
-	evaluate(rep, spec, snap, health, runState{
+	evaluate(rep, spec, st.Sys.Stats(), health, runState{
 		loadErr:      loadErr,
 		schedErr:     schedErr,
 		shutdownErr:  shutdownErr,
@@ -394,7 +308,48 @@ func evaluate(rep *Report, spec *Spec, snap *stats.Snapshot, health []server.Nod
 			res.Busy, limit, *inv.MaxBusyFrac, res.Commands))
 	}
 
-	cl := snap.Dense().Cluster
+	rep.Checks = append(rep.Checks, inv.clusterChecks(snap.Dense().Cluster, health)...)
+	if inv.MinDisconnects > 0 {
+		add("disconnects", res.Disconnects >= inv.MinDisconnects,
+			fmt.Sprintf("%d disconnects survived (min %d)", res.Disconnects, inv.MinDisconnects))
+	}
+	if inv.StepsMustFire {
+		ok := true
+		detail := ""
+		for _, s := range rep.Steps {
+			if s.Fired == 0 || s.Err != "" {
+				ok = false
+				detail = fmt.Sprintf("step %d (%s) never fired", s.Step, s.Point)
+				if s.Err != "" {
+					detail += ": " + s.Err
+				}
+				break
+			}
+		}
+		add("steps-fired", ok, detail)
+	}
+	rep.Checks = append(rep.Checks, inv.traceChecks(st.tracer)...)
+
+	if st.adminOn {
+		add("stats-delta", rep.DeltasObserved >= len(spec.Steps),
+			fmt.Sprintf("%d deltas streamed (min %d: one per step)", rep.DeltasObserved, len(spec.Steps)))
+	}
+	add("shutdown", st.shutdownErr == nil, errDetail(st.shutdownErr))
+	add("drain-frames", st.leakErr == nil, errDetail(st.leakErr))
+	add("drain-pending", st.pending == 0, fmt.Sprintf("%d urpc frames pending", st.pending))
+	add("drain-goroutines", st.goroutinesOK, "goroutine count back to baseline")
+
+	rep.Passed = len(rep.Failed()) == 0
+}
+
+// clusterChecks are the invariants on what the cluster itself counted and on
+// its nodes' health: the ones that settle after the load, so Run polls them
+// to quiesce and evaluate reports them — each is written here and nowhere else.
+func (inv *Invariants) clusterChecks(cl *stats.ClusterSnap, health []server.NodeHealth) []Check {
+	var out []Check
+	add := func(name string, ok bool, detail string) {
+		out = append(out, Check{Name: name, OK: ok, Detail: detail})
+	}
 	repl, mig, ovl := cl.Replication, cl.Migration, cl.Overload
 	local, remote := cl.Local, cl.Remote
 	if p := inv.Promotions; p != nil {
@@ -441,47 +396,19 @@ func evaluate(rep *Report, spec *Spec, snap *stats.Snapshot, health []server.Nod
 		add("remote", remote >= inv.MinRemote,
 			fmt.Sprintf("%d commands over urpc (min %d)", remote, inv.MinRemote))
 	}
-	if inv.MinDisconnects > 0 {
-		add("disconnects", res.Disconnects >= inv.MinDisconnects,
-			fmt.Sprintf("%d disconnects survived (min %d)", res.Disconnects, inv.MinDisconnects))
-	}
-	if inv.StepsMustFire {
-		ok := true
-		detail := ""
-		for _, s := range rep.Steps {
-			if s.Fired == 0 || s.Err != "" {
-				ok = false
-				detail = fmt.Sprintf("step %d (%s) never fired", s.Step, s.Point)
-				if s.Err != "" {
-					detail += ": " + s.Err
-				}
-				break
-			}
-		}
-		add("steps-fired", ok, detail)
-	}
-	for _, name := range sortedKeys(inv.MinTraceEvents) {
+	return out
+}
+
+// traceChecks are the minimum trace-event counts, by kind name in order.
+func (inv *Invariants) traceChecks(t *stats.Tracer) []Check {
+	var out []Check
+	for _, name := range slices.Sorted(maps.Keys(inv.MinTraceEvents)) {
 		want := inv.MinTraceEvents[name]
-		got := traceCountByName(st.tracer, name)
-		add("trace:"+name, got >= want, fmt.Sprintf("%d %s events (min %d)", got, name, want))
+		kind, _ := stats.EventKindByName(name) // Validate refused unknown names
+		got := t.Count(kind)
+		out = append(out, Check{Name: "trace:" + name, OK: got >= want, Detail: fmt.Sprintf("%d %s events (min %d)", got, name, want)})
 	}
-
-	if st.adminOn {
-		add("stats-delta", rep.DeltasObserved >= len(spec.Steps),
-			fmt.Sprintf("%d deltas streamed (min %d: one per step)", rep.DeltasObserved, len(spec.Steps)))
-	}
-	add("shutdown", st.shutdownErr == nil, errDetail(st.shutdownErr))
-	add("drain-frames", st.leakErr == nil, errDetail(st.leakErr))
-	add("drain-pending", st.pending == 0, fmt.Sprintf("%d urpc frames pending", st.pending))
-	add("drain-goroutines", st.goroutinesOK, "goroutine count back to baseline")
-
-	rep.Passed = true
-	for _, c := range rep.Checks {
-		if !c.OK {
-			rep.Passed = false
-			break
-		}
-	}
+	return out
 }
 
 func countDegraded(health []server.NodeHealth) int {
@@ -492,28 +419,6 @@ func countDegraded(health []server.NodeHealth) int {
 		}
 	}
 	return n
-}
-
-func traceCountByName(t *stats.Tracer, name string) uint64 {
-	for k := 0; k < stats.NumEvents; k++ {
-		if stats.EventKind(k).String() == name {
-			return t.Count(stats.EventKind(k))
-		}
-	}
-	return 0
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 func waitUntil(timeout time.Duration, cond func() bool) bool {

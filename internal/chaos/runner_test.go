@@ -118,8 +118,9 @@ func TestScenarioDeterminism(t *testing.T) {
 }
 
 // TestScheduleTiming pins the schedule contract: zero-offset steps are
-// armed before StartSchedule returns, windowed steps capture their counters
-// at disarm, and Horizon reports the last event.
+// armed before NewSchedule returns — before there is anything to start —
+// windowed steps capture their counters at disarm, and Horizon reports the
+// last event.
 func TestScheduleTiming(t *testing.T) {
 	steps := []Step{
 		{Point: "urpc.delay", Policy: PolicySpec{Kind: "always"}},
@@ -130,10 +131,16 @@ func TestScheduleTiming(t *testing.T) {
 	}
 
 	reg := fault.New(1)
-	run := StartSchedule(t.Context(), steps, reg, Ops{}, t.Logf)
-	// Contract: the zero-offset rule is live before StartSchedule returns.
+	run := NewSchedule(steps, reg, t.Logf)
+	// Contract: the zero-offset rule is live before NewSchedule returns.
 	if !reg.Fire("urpc.delay") {
 		t.Fatal("zero-offset step not armed synchronously")
+	}
+	run.Start(nil) // no step operates on a router
+	// Armed once: a second EnableAt would have reset the rule's counters
+	// (and an every-nth rule's parity) mid-run.
+	if hits, _ := reg.StatusAt("urpc.delay", fault.TargetAny); hits != 1 {
+		t.Fatalf("zero-offset rule has %d hits after Start, want the 1 from before it: Start re-armed it", hits)
 	}
 	if reg.Fire("urpc.drop") {
 		t.Fatal("windowed step armed before its offset")
@@ -145,17 +152,16 @@ func TestScheduleTiming(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	reports, err := run.Wait(t.Context())
-	if err != nil {
+	if err := run.Wait(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Fire("urpc.drop") {
 		t.Fatal("windowed step still armed after its window")
 	}
-	if reports[1].Fired == 0 {
-		t.Fatalf("windowed step report lost its counters: %+v", reports[1])
+	if run.reports[1].Fired == 0 {
+		t.Fatalf("windowed step report lost its counters: %+v", run.reports[1])
 	}
-	FinalizeReports(reg, steps, reports)
+	reports := run.Stop()
 	if reports[0].Fired == 0 {
 		t.Fatalf("whole-run step report not finalized: %+v", reports[0])
 	}

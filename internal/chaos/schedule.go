@@ -11,7 +11,10 @@ import (
 )
 
 // StepReport is one step's observed outcome: the registry counters its rule
-// accumulated over its armed window (for a kill step, Fired 1 on success).
+// accumulated over its armed window (for a kill step, Fired 1 on success). A
+// rule armed at offset zero is armed before the cluster is built, so its
+// totals include what the cluster's own start hit (the monitor's first
+// ships), not only what the load did.
 type StepReport struct {
 	Step   int    `json:"step"`
 	Point  string `json:"point"`
@@ -22,106 +25,69 @@ type StepReport struct {
 }
 
 // ScheduleRun is a schedule playing out against a live registry. Wait
-// blocks until every timed event has been applied and returns the reports;
-// steps whose windows were still open when the schedule ended (For of zero)
-// carry zero counters until FinalizeReports reads them.
+// blocks until every timed event has been applied; Stop ends it where it
+// stands and returns the step reports.
 type ScheduleRun struct {
+	steps   []Step
+	reg     *fault.Registry
+	events  []scheduleEvent // what Start plays, in order
+	router  *cluster.Router // whom the pseudo-point steps operate on
+	stop    context.CancelFunc
 	done    chan struct{}
 	reports []StepReport
 }
 
-// scheduleEvent is one timed action on the registry (or an operator hook).
+// scheduleEvent is one timed action on the registry (or on the router).
 type scheduleEvent struct {
 	at    time.Duration
 	order int // arms sort before disarms at the same instant
 	apply func()
 }
 
-// Ops are the operator actions a schedule's pseudo-point steps invoke on
-// the cluster under test. Any nil hook turns its steps into recorded
-// errors rather than panics, so a partial wiring (tests, single-store
-// runs) stays usable.
-type Ops struct {
-	// Kill hard-kills a node (cluster.node.kill).
-	Kill func(node int) error
-	// AddNode brings up a new node and returns its id (cluster.node.add).
-	// Rebalancing onto it is the hook's business (see RouterOps).
-	AddNode func() (int, error)
-	// RemoveNode drains and decommissions a node (cluster.node.remove).
-	RemoveNode func(node int) error
-	// MigrateSlot moves one placement slot to a node (cluster.slot.migrate).
-	MigrateSlot func(slot, dst int) error
-}
-
-// RouterOps wires every hook to a live router. AddNode is the whole
-// operator action: bring the node up and move a fair share of slots onto
-// it under the live load.
-func RouterOps(r *cluster.Router) Ops {
-	return Ops{
-		Kill: r.KillNode,
-		AddNode: func() (int, error) {
-			id, err := r.AddNode()
-			if err == nil {
-				_, err = r.RebalanceInto(id)
-			}
-			return id, err
-		},
-		RemoveNode:  r.RemoveNode,
-		MigrateSlot: r.MigrateSlot,
-	}
-}
-
-// run executes one pseudo-point step, returning a description of what
-// happened (for the narration log) or an error.
-func (o Ops) run(st Step) (string, error) {
+// operate carries out one pseudo-point step on the router, returning a
+// description of what happened (for the narration log) or an error.
+func operate(r *cluster.Router, st Step) (string, error) {
 	switch st.Point {
 	case PointNodeKill:
-		if o.Kill == nil {
-			return "", fmt.Errorf("no kill hook wired")
-		}
-		return fmt.Sprintf("killed node %d", *st.Target), o.Kill(*st.Target)
+		return fmt.Sprintf("killed node %d", *st.Target), r.KillNode(*st.Target)
 	case PointNodeAdd:
-		if o.AddNode == nil {
-			return "", fmt.Errorf("no add-node hook wired")
+		// The whole operator action: bring the node up and move a fair share
+		// of slots onto it under the live load.
+		id, err := r.AddNode()
+		if err == nil {
+			_, err = r.RebalanceInto(id)
 		}
-		id, err := o.AddNode()
 		return fmt.Sprintf("added node %d", id), err
 	case PointNodeRemove:
-		if o.RemoveNode == nil {
-			return "", fmt.Errorf("no remove-node hook wired")
-		}
-		return fmt.Sprintf("removed node %d", *st.Target), o.RemoveNode(*st.Target)
+		return fmt.Sprintf("removed node %d", *st.Target), r.RemoveNode(*st.Target)
 	case PointSlotMigrate:
-		if o.MigrateSlot == nil {
-			return "", fmt.Errorf("no migrate-slot hook wired")
-		}
-		return fmt.Sprintf("migrated slot %d to node %d", *st.Slot, *st.Target), o.MigrateSlot(*st.Slot, *st.Target)
+		return fmt.Sprintf("migrated slot %d to node %d", *st.Slot, *st.Target), r.MigrateSlot(*st.Slot, *st.Target)
 	}
 	return "", fmt.Errorf("not a pseudo-point: %s", st.Point)
 }
 
-// StartSchedule begins executing steps against reg. Events at offset zero
-// are applied before StartSchedule returns, so a caller that starts load
-// right after is guaranteed the whole-run rules were armed first — that
-// ordering is what makes a seeded scenario's fired totals reproducible.
-// Later events play out on a goroutine until the context is cancelled;
-// pseudo-point steps invoke the matching ops hook at their start offset.
-// logf (nil ok) narrates events.
-func StartSchedule(ctx context.Context, steps []Step, reg *fault.Registry, ops Ops, logf func(format string, args ...any)) *ScheduleRun {
+// NewSchedule compiles steps into a timeline against reg and, before it
+// returns, arms the fault rules due at offset zero — so whoever builds the
+// cluster under test next is guaranteed the whole-run rules were armed
+// first; that ordering is what makes a seeded scenario's fired totals
+// reproducible. Nothing else happens until Start. logf (nil ok) narrates
+// events.
+func NewSchedule(steps []Step, reg *fault.Registry, logf func(format string, args ...any)) *ScheduleRun {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	run := &ScheduleRun{
+		steps:   steps,
+		reg:     reg,
 		done:    make(chan struct{}),
 		reports: make([]StepReport, len(steps)),
 	}
-	var events []scheduleEvent
 	for i, st := range steps {
 		i, st := i, st
 		run.reports[i] = StepReport{Step: i, Point: st.Point, Target: st.target()}
 		if pseudoPoints[st.Point] {
-			events = append(events, scheduleEvent{at: time.Duration(st.After), order: 0, apply: func() {
-				what, err := ops.run(st)
+			run.events = append(run.events, scheduleEvent{at: time.Duration(st.After), order: 0, apply: func() {
+				what, err := operate(run.router, st)
 				if err != nil {
 					run.reports[i].Err = err.Error()
 					logf("chaos: step %d: %s: %v", i, st.Point, err)
@@ -139,12 +105,17 @@ func StartSchedule(ctx context.Context, steps []Step, reg *fault.Registry, ops O
 			run.reports[i].Err = err.Error()
 			continue
 		}
-		events = append(events, scheduleEvent{at: time.Duration(st.After), order: 0, apply: func() {
+		arm := func() {
 			reg.EnableAt(st.Point, st.target(), desc, policy)
 			logf("chaos: step %d: armed %s target %d (%s)", i, st.Point, st.target(), desc)
-		}})
+		}
+		if st.After <= 0 {
+			arm() // once: Start has no event for it
+		} else {
+			run.events = append(run.events, scheduleEvent{at: time.Duration(st.After), order: 0, apply: arm})
+		}
 		if st.For > 0 {
-			events = append(events, scheduleEvent{at: time.Duration(st.After) + time.Duration(st.For), order: 1, apply: func() {
+			run.events = append(run.events, scheduleEvent{at: time.Duration(st.After) + time.Duration(st.For), order: 1, apply: func() {
 				// Read the counters before DisableAt discards them.
 				run.reports[i].Hits, run.reports[i].Fired = reg.StatusAt(st.Point, st.target())
 				reg.DisableAt(st.Point, st.target())
@@ -152,21 +123,31 @@ func StartSchedule(ctx context.Context, steps []Step, reg *fault.Registry, ops O
 			}})
 		}
 	}
-	sort.SliceStable(events, func(a, b int) bool {
-		if events[a].at != events[b].at {
-			return events[a].at < events[b].at
+	sort.SliceStable(run.events, func(a, b int) bool {
+		if run.events[a].at != run.events[b].at {
+			return run.events[a].at < run.events[b].at
 		}
-		return events[a].order < events[b].order
+		return run.events[a].order < run.events[b].order
 	})
+	return run
+}
 
-	next := 0
-	for next < len(events) && events[next].at <= 0 {
-		events[next].apply()
-		next++
+// Start plays what NewSchedule left against the router Boot built:
+// pseudo-point steps operate on it at their start offset — those at offset
+// zero before Start returns — and later arms and disarms play out on a
+// goroutine until Stop. Offsets count from here.
+func (run *ScheduleRun) Start(r *cluster.Router) {
+	run.router = r
+	ctx, stop := context.WithCancel(context.Background())
+	run.stop = stop
+	events := run.events
+	for len(events) > 0 && events[0].at <= 0 {
+		events[0].apply()
+		events = events[1:]
 	}
-	if next >= len(events) {
+	if len(events) == 0 {
 		close(run.done)
-		return run
+		return
 	}
 	go func() {
 		defer close(run.done)
@@ -176,7 +157,7 @@ func StartSchedule(ctx context.Context, steps []Step, reg *fault.Registry, ops O
 			<-timer.C
 		}
 		defer timer.Stop()
-		for _, ev := range events[next:] {
+		for _, ev := range events {
 			if wait := ev.at - time.Since(start); wait > 0 {
 				timer.Reset(wait)
 				select {
@@ -190,31 +171,31 @@ func StartSchedule(ctx context.Context, steps []Step, reg *fault.Registry, ops O
 			ev.apply()
 		}
 	}()
-	return run
 }
 
-// Wait blocks until the schedule has applied every event (or its context
-// was cancelled mid-run) and returns the step reports. The ctx here bounds
-// the wait itself.
-func (s *ScheduleRun) Wait(ctx context.Context) ([]StepReport, error) {
+// Wait blocks until the schedule has applied every event, as long as ctx
+// allows.
+func (s *ScheduleRun) Wait(ctx context.Context) error {
 	select {
 	case <-s.done:
-		return s.reports, nil
+		return nil
 	case <-ctx.Done():
-		return s.reports, fmt.Errorf("chaos: schedule still running: %w", ctx.Err())
+		return fmt.Errorf("chaos: schedule still running: %w", ctx.Err())
 	}
 }
 
-// FinalizeReports fills in the counters of steps whose rules were armed to
-// the end of the run (For of zero): their windows never closed, so their
-// totals are read from the live registry now.
-func FinalizeReports(reg *fault.Registry, steps []Step, reports []StepReport) {
-	for i, st := range steps {
-		if pseudoPoints[st.Point] || st.For > 0 || i >= len(reports) {
-			continue
+// Stop ends a started schedule where it stands and returns the step reports.
+// The counters of rules still armed (For of zero: their windows never
+// closed) are read from the live registry now.
+func (s *ScheduleRun) Stop() []StepReport {
+	s.stop()
+	<-s.done
+	for i, st := range s.steps {
+		if !pseudoPoints[st.Point] && st.For == 0 {
+			s.reports[i].Hits, s.reports[i].Fired = s.reg.StatusAt(st.Point, st.target())
 		}
-		reports[i].Hits, reports[i].Fired = reg.StatusAt(st.Point, st.target())
 	}
+	return s.reports
 }
 
 // Horizon returns the schedule's last event time — how long after start the

@@ -250,9 +250,11 @@ type ClusterSpec struct {
 	Deadline         Duration `json:"deadline,omitempty"`
 }
 
-// Config resolves the spec into a cluster.Config. The replication knobs
-// stay flat in the JSON surface (scenario files predate the nesting) but
-// land in the nested ReplicationConfig.
+// Config resolves the spec into the cluster.Config the booted cluster runs
+// on, the cluster package's defaults filled in — so node count and placement
+// are asked of it, not re-derived. The replication knobs stay flat in the
+// JSON surface (scenario files predate the nesting) but land in the nested
+// ReplicationConfig.
 func (c ClusterSpec) Config() (cluster.Config, error) {
 	mode, err := cluster.ParseMode(c.Mode)
 	if err != nil {
@@ -281,26 +283,7 @@ func (c ClusterSpec) Config() (cluster.Config, error) {
 			BreakerThreshold: c.BreakerThreshold,
 			BreakerCooldown:  time.Duration(c.BreakerCooldown),
 		},
-	}, nil
-}
-
-// placement mirrors the cluster's Locals default so target validation sees
-// the same node placement the booted cluster will.
-func (c ClusterSpec) placement() (nodes int, local func(i int) bool) {
-	nodes = c.Nodes
-	if nodes <= 0 {
-		nodes = 3
-	}
-	locals := c.Locals
-	if locals <= 0 || locals > nodes {
-		locals = (nodes + 1) / 2
-	}
-	mode := cluster.Mode(c.Mode)
-	if c.Mode == "" {
-		mode = cluster.ModeAuto
-	}
-	cfg := cluster.Config{Nodes: nodes, Locals: locals}
-	return nodes, func(i int) bool { return mode.Local(i, cfg) }
+	}.WithDefaults(), nil
 }
 
 // LoadSpec parameterizes the verifying load; zero values take the load
@@ -441,15 +424,6 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// traceEventKinds enumerates the stats trace kinds an invariant may bound.
-func traceEventKinds() map[string]bool {
-	out := make(map[string]bool, stats.NumEvents)
-	for k := 0; k < stats.NumEvents; k++ {
-		out[stats.EventKind(k).String()] = true
-	}
-	return out
-}
-
 // Validate checks the spec top to bottom and returns the first problem as
 // a *SpecError wrapping one of the typed categories above.
 func (s *Spec) Validate() error {
@@ -459,10 +433,12 @@ func (s *Spec) Validate() error {
 	if _, err := hw.NamedConfig(s.Machine); err != nil {
 		return specErr(-1, fmt.Sprintf("machine: %v", err), ErrBadSpec)
 	}
-	if _, err := s.Cluster.Config(); err != nil {
+	clCfg, err := s.Cluster.Config()
+	if err != nil {
 		return specErr(-1, fmt.Sprintf("cluster: %v", err), ErrBadSpec)
 	}
-	nodes, localNode := s.Cluster.placement()
+	nodes := clCfg.Nodes
+	localNode := func(i int) bool { return clCfg.Mode.Local(i, clCfg) }
 
 	if s.Load.Tenants < 0 {
 		return specErr(-1, fmt.Sprintf("load.tenants: negative (%d)", s.Load.Tenants), ErrBadSpec)
@@ -632,9 +608,8 @@ func (s *Spec) Validate() error {
 		}
 	}
 
-	kinds := traceEventKinds()
 	for name := range s.Invariants.MinTraceEvents {
-		if !kinds[name] {
+		if _, ok := stats.EventKindByName(name); !ok {
 			return specErr(-1, fmt.Sprintf("invariants.min_trace_events: unknown event kind %q", name), ErrBadSpec)
 		}
 	}

@@ -28,6 +28,7 @@ func (r *Router) claimThread() (*core.Process, *core.Thread, error) {
 		proc.Exit()
 		return nil, nil, err
 	}
+	r.pids = append(r.pids, proc.PID)
 	return proc, th, nil
 }
 

@@ -137,7 +137,8 @@ type OverloadConfig struct {
 	BreakerCooldown time.Duration
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config New runs on: every zero value resolved.
+func (c Config) WithDefaults() Config {
 	if c.Nodes <= 0 {
 		c.Nodes = 3
 	}
@@ -198,7 +199,7 @@ func (c Config) withDefaults() Config {
 // with any remote node) must not exceed the machine's cores; claiming past
 // the end fails here, not at runtime.
 func New(sys *core.System, cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	r := &Router{
 		sys: sys,
 		obs: sys.M.Observer(),
@@ -208,7 +209,7 @@ func New(sys *core.System, cfg Config) (*Router, error) {
 	r.installTable(initialTable(cfg.Nodes))
 	if cfg.Replication.Enabled {
 		if _, sbSize := sys.M.PM.Superblock(); sbSize == 0 {
-			r.cancel()
+			r.Close()
 			return nil, fmt.Errorf("cluster: replication needs an NVM superblock (mem.Config.NVMSuperblock)")
 		}
 		// Headroom in the channel capacities for nodes added later.
@@ -227,7 +228,7 @@ func New(sys *core.System, cfg Config) (*Router, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		w, err := r.newWorker(i, ctrs[i])
 		if err != nil {
-			r.teardownPartial()
+			r.Close()
 			return nil, fmt.Errorf("cluster: worker %d: %w", i, err)
 		}
 		r.workers = append(r.workers, w)
@@ -235,7 +236,7 @@ func New(sys *core.System, cfg Config) (*Router, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		n, err := r.newNode(i, cfg.Mode.Local(i, cfg))
 		if err != nil {
-			r.teardownPartial()
+			r.Close()
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
 		r.nodes = append(r.nodes, n)
@@ -245,7 +246,7 @@ func New(sys *core.System, cfg Config) (*Router, error) {
 	// node's store lazily, exactly as RedisJMP clients do.
 	for _, w := range r.workers {
 		if err := r.wireWorker(w); err != nil {
-			r.teardownPartial()
+			r.Close()
 			return nil, fmt.Errorf("cluster: wiring worker %d: %w", w.id, err)
 		}
 	}
@@ -253,7 +254,7 @@ func New(sys *core.System, cfg Config) (*Router, error) {
 		// The monitor claims last, so its core lands after the nodes'.
 		proc, th, err := r.claimThread()
 		if err != nil {
-			r.teardownPartial()
+			r.Close()
 			return nil, fmt.Errorf("cluster: health monitor: %w", err)
 		}
 		r.mon = &monitor{proc: proc, th: th, eps: endpointSet{coreID: th.Core.ID}}
@@ -271,32 +272,9 @@ func New(sys *core.System, cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// teardownPartial unwinds a half-built cluster after a construction error:
-// no worker or monitor goroutine is running yet, so the constructor
-// goroutine may drive every thread.
-func (r *Router) teardownPartial() {
-	r.cancel()
-	for _, w := range r.workers {
-		for _, c := range w.clients {
-			c.Close()
-		}
-		w.proc.Exit()
-	}
-	if r.mon != nil {
-		r.mon.proc.Exit()
-	}
-	for _, n := range r.nodes {
-		n.shutdown()
-	}
-	r.destroyStores()
-}
-
-// destroyStores releases every frozen view and removes every node store
-// (and standby replica) that exists, through a short-lived admin process —
-// node threads may be dead from crash injection — and frees the scratch
-// heaps orphaned by crashed node processes: the reaper only reclaims
-// private segments, and a crashed client's scratch heap is a named global
-// one (a node that shut down in order freed its own; the lookup misses).
+// destroyStores releases every frozen view and removes what every node
+// leaves behind, through a short-lived admin process — node threads may be
+// dead from crash injection.
 func (r *Router) destroyStores() error {
 	proc, th, err := r.claimThread()
 	if err != nil {
@@ -313,25 +291,30 @@ func (r *Router) destroyStores() error {
 		}
 	}
 	// Iterate the actual node list, not cfg.Nodes: AddNode grows it past
-	// the configured size, and removed nodes' stores (already destroyed at
-	// removal) fall through the ErrNotFound tolerance.
+	// the configured size.
 	for _, n := range r.nodes {
-		err := redis.DestroyNamed(th, redis.ShardNames(n.id))
-		if err != nil && !errors.Is(err, core.ErrNotFound) {
-			errs = errors.Join(errs, fmt.Errorf("node %d store: %w", n.id, err))
-		}
-		err = redis.DestroyNamed(th, redis.StandbyNames(n.id))
-		if err != nil && !errors.Is(err, core.ErrNotFound) {
-			errs = errors.Join(errs, fmt.Errorf("node %d standby: %w", n.id, err))
-		}
+		errs = errors.Join(errs, r.destroyNode(th, n))
 	}
-	for _, n := range r.nodes {
-		if n.proc == nil {
-			continue
+	return errs
+}
+
+// destroyNode removes what node n left under its names, whichever of it
+// exists: its store, its standby replica (a removed node's are already gone)
+// and the scratch heaps that processes of this cluster orphaned on either —
+// a node that crashed, an agent whose attach failed half way: the reaper only
+// reclaims private segments, and a client's scratch heap is a named global
+// one. No client may be attached to the stores anymore.
+func (r *Router) destroyNode(th *core.Thread, n *node) error {
+	var errs error
+	for _, names := range []redis.Names{n.names, redis.StandbyNames(n.id)} {
+		if err := redis.DestroyNamed(th, names); err != nil && !errors.Is(err, core.ErrNotFound) {
+			errs = errors.Join(errs, fmt.Errorf("node %d store %s: %w", n.id, names.Seg, err))
 		}
-		if sid, err := th.SegFind(redis.ScratchName(n.names, n.proc.PID)); err == nil {
-			if ferr := th.SegFree(sid); ferr != nil {
-				errs = errors.Join(errs, fmt.Errorf("node %d scratch: %w", n.id, ferr))
+		for _, pid := range r.pids {
+			if sid, err := th.SegFind(redis.ScratchName(names, pid)); err == nil {
+				if err := th.SegFree(sid); err != nil {
+					errs = errors.Join(errs, fmt.Errorf("node %d scratch: %w", n.id, err))
+				}
 			}
 		}
 	}
@@ -344,18 +327,24 @@ func (r *Router) destroyStores() error {
 // remote node processes exit, and finally every node store is destroyed.
 // After Close the only simulated memory left is what existed before New.
 // The lifecycle lock is taken first, so an in-flight AddNode/RemoveNode/
-// MigrateSlot finishes (or fails) before teardown starts.
+// MigrateSlot finishes (or fails) before teardown starts. It is also how New
+// unwinds a cluster it could not finish: whatever was not built or started
+// yet is an empty list or a wait group nobody joined.
 func (r *Router) Close() error {
 	r.lifecycleMu.Lock()
 	defer r.lifecycleMu.Unlock()
 	r.closeOnce.Do(func() {
 		r.cancel()
 		r.mgrWG.Wait()
+		if r.mon != nil {
+			r.mon.proc.Exit()
+		}
 		for _, w := range r.workers {
 			close(w.queue)
 		}
 		r.workerWG.Wait()
 		for _, w := range r.workers {
+			w.release()
 			if w.err != nil {
 				r.closeErr = errors.Join(r.closeErr, fmt.Errorf("worker %d: %w", w.id, w.err))
 			}
@@ -423,6 +412,7 @@ type Router struct {
 	workers []*worker
 	nodes   []*node // append-only; grown by AddNode under topoMu
 	mon     *monitor
+	pids    []int // every process claimThread spawned; New's goroutine, then under lifecycleMu
 
 	// forks manages the frozen COW views behind non-blocking checkpoint
 	// ships and follower reads. Nil when replication is off — every method

@@ -740,3 +740,75 @@ func TestTopologyPlacement(t *testing.T) {
 		t.Errorf("String() lacks socket placement:\n%s", s)
 	}
 }
+
+// TestNewFailureLeavesNothing fails New at each of its stages — a worker's
+// core claim, a remote node's boot, the wiring of a worker to a co-resident
+// store, the monitor's core claim: by a machine too small for the config, and
+// by failing one frame allocation at a time — and holds the unwind (Close, the
+// same one a built cluster gets) to what Close promises: every frame back, no
+// goroutine behind, every core and store name free for the next New.
+func TestNewFailureLeavesNothing(t *testing.T) {
+	hwCfg := hw.SmallTest() // four cores
+	hwCfg.Mem.NVMSuperblock = 1 << 20
+	m := hw.NewMachine(hwCfg)
+	reg := fault.New(1)
+	m.SetFaults(reg)
+	sys := kernel.New(m)
+	sys.EnableStats(1024)
+	base := m.PM.AllocatedBytes()
+	before := runtime.NumGoroutine()
+
+	good := Config{Nodes: 2, Workers: 1, Mode: ModeAuto, Locals: 1, SegSize: 1 << 20}
+	good.Replication.Enabled = true // cores: one worker, one remote node, the monitor
+	seen := map[string]bool{}
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: New succeeded", what)
+		}
+		// "cluster: <stage>[ <id>]: cause"
+		stage, _, _ := strings.Cut(strings.TrimPrefix(err.Error(), "cluster: "), ":")
+		seen[strings.TrimRight(stage, " 0123456789")] = true
+		if leak := m.PM.CheckLeaks(base); leak != nil {
+			t.Fatalf("%s (%v): %v", what, err, leak)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%s: %d goroutines, %d before", what, n, before)
+		}
+	}
+
+	with := func(edit func(*Config)) Config { c := good; edit(&c); return c }
+	for what, cfg := range map[string]Config{
+		"five workers":            with(func(c *Config) { c.Workers = 5 }),
+		"four remote nodes":       with(func(c *Config) { c.Nodes, c.Mode = 4, ModeURPC }),
+		"no core left to monitor": with(func(c *Config) { c.Workers = 2; c.Nodes, c.Locals = 3, 1 }),
+	} {
+		_, err := New(sys, cfg)
+		check(what, err)
+	}
+	for nth := uint64(1); ; nth++ {
+		reg.Enable(fault.MemAlloc, fault.OnNth(nth))
+		r, err := New(sys, good)
+		fired := reg.Fired(fault.MemAlloc) > 0
+		reg.Disable(fault.MemAlloc)
+		if err == nil {
+			// Past New's last allocation, or one it survives losing.
+			if err := r.Close(); err != nil {
+				t.Fatalf("allocation %d: close: %v", nth, err)
+			}
+			if err := m.PM.CheckLeaks(base); err != nil {
+				t.Fatalf("allocation %d, after a clean close: %v", nth, err)
+			}
+			if !fired {
+				break
+			}
+			continue
+		}
+		check(fmt.Sprintf("allocation %d", nth), err)
+	}
+	for _, stage := range []string{"worker", "node", "wiring worker", "health monitor"} {
+		if !seen[stage] {
+			t.Errorf("no New failed at stage %q (saw %v)", stage, seen)
+		}
+	}
+}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"spacejmp/internal/core"
-	"spacejmp/internal/redis"
 	"spacejmp/internal/server"
 	"spacejmp/internal/urpc"
 )
@@ -112,8 +110,7 @@ func (r *Router) RemoveNode(id int) error {
 		return fmt.Errorf("cluster: remove node %d: %w", id, err)
 	}
 	// Destroy the stores through the engine's thread — which lets go of
-	// its own attachment to a promoted standby first. Tolerate missing
-	// segments — a crashed primary's store may already be gone.
+	// its own attachment to a promoted standby first.
 	e, err := r.ensureEngine()
 	if err != nil {
 		return err
@@ -123,14 +120,7 @@ func (r *Router) RemoveNode(id int) error {
 		delete(e.clients, id)
 		errs = c.Close()
 	}
-	if derr := redis.DestroyNamed(e.th, redis.ShardNames(id)); derr != nil && !errors.Is(derr, core.ErrNotFound) {
-		errs = errors.Join(errs, derr)
-	}
-	if n.replicated {
-		if derr := redis.DestroyNamed(e.th, redis.StandbyNames(id)); derr != nil && !errors.Is(derr, core.ErrNotFound) {
-			errs = errors.Join(errs, derr)
-		}
-	}
+	errs = errors.Join(errs, r.destroyNode(e.th, n))
 	r.obs.ClusterNodeRemoved(id)
 	if errs != nil {
 		return fmt.Errorf("cluster: remove node %d: %w", id, errs)

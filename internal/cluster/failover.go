@@ -35,7 +35,7 @@ func (m *monitor) ship(r *Router, n *node) {
 	resp, err := n.callBulk(ep, forkWire)
 	if err != nil {
 		n.mu.Unlock()
-		r.obs.ClusterShipFailure(n.id)
+		r.obs.ClusterShipFailure()
 		m.noteFailure(r, n)
 		return
 	}
@@ -61,7 +61,7 @@ func (m *monitor) ship(r *Router, n *node) {
 		// apply) a usable view — a checkpoint fault, not dead-node
 		// evidence. Keep the window for the next attempt.
 		n.delta.restore(entries, dropped)
-		r.obs.ClusterShipFailure(n.id)
+		r.obs.ClusterShipFailure()
 		return
 	}
 	n.held = gen

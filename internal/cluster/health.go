@@ -26,7 +26,6 @@ type monitor struct {
 func (r *Router) runMonitor() {
 	defer r.mgrWG.Done()
 	m := r.mon
-	defer m.proc.Exit()
 	probe := time.NewTicker(r.cfg.Replication.ProbeInterval)
 	defer probe.Stop()
 	ship := time.NewTicker(r.cfg.Replication.ShipInterval)

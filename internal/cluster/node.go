@@ -198,7 +198,14 @@ func (r *Router) newNode(id int, local bool) (*node, error) {
 	}
 	client, err := redis.NewClientNamed(th, r.cfg.SegSize, n.names, opts...)
 	if err != nil {
+		// The attach can fail after it bootstrapped the store, and nothing
+		// else knows the node yet: clear its names before they wedge the
+		// next node of this id.
 		proc.Exit()
+		if admin, ath, aerr := r.claimThread(); aerr == nil {
+			r.destroyNode(ath, n)
+			admin.Exit()
+		}
 		return nil, err
 	}
 	n.proc, n.th, n.client, n.coreID = proc, th, client, th.Core.ID

@@ -40,7 +40,7 @@ type worker struct {
 	clients   map[int]*redis.Client
 	endpoints map[int]*urpc.Endpoint // remote nodes, by node id
 	frozen    map[int]*frozenReader  // frozen-view attachments, by node id
-	err       error                  // first teardown error, read after workerWG.Wait
+	err       error                  // first error letting go of a store or view (reconcile, release)
 	removals  uint64                 // the Router.removals last reconciled against
 
 	// bud is the deadline budget in force: the one of the command being
@@ -116,10 +116,9 @@ func (r *Router) wireWorker(w *worker) error {
 	return nil
 }
 
-// runWorker drains the queue until it closes, then detaches from every
-// frozen view and store it attached and exits the process. The batch is the
-// unit — one dequeue, one pass, one latency stamp — whether it holds one
-// command or a pipeline's worth.
+// runWorker drains the queue until it closes. The batch is the unit — one
+// dequeue, one pass, one latency stamp — whether it holds one command or a
+// pipeline's worth.
 func (r *Router) runWorker(w *worker) {
 	defer r.workerWG.Done()
 	for b := range w.queue {
@@ -132,6 +131,13 @@ func (r *Router) runWorker(w *worker) {
 			r.obs.ServerCommand(lat)
 		}
 	}
+}
+
+// release detaches the worker from every frozen view and store it attached
+// and exits its process, freeing its core. Close calls it once nothing else
+// drives the worker's thread: its goroutine has exited, or — New failed —
+// was never started.
+func (w *worker) release() {
 	for _, fr := range w.frozen {
 		w.noteErr(w.th.VASDetach(fr.h))
 	}

@@ -204,7 +204,7 @@ func (s *Sink) ClusterShip(node int, bytes uint64, full bool) {
 }
 
 // ClusterShipFailure records one abandoned checkpoint ship. Safe on nil.
-func (s *Sink) ClusterShipFailure(node int) {
+func (s *Sink) ClusterShipFailure() {
 	if s != nil {
 		s.live.Cluster.Replication.ShipFailures.Add(1)
 	}

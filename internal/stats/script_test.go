@@ -57,7 +57,7 @@ func recordAll(s *Sink, shards []*ShardCounters, k uint64) {
 	s.ClusterURPCCall(5000 + k)
 	s.ClusterTimeout(i)
 	s.ClusterShip(i, 1<<16, i == 0)
-	s.ClusterShipFailure(i)
+	s.ClusterShipFailure()
 	s.ClusterProbe(k%2 == 0)
 	s.ClusterProbe(false)
 	s.ClusterNodeState(i, "suspect")

@@ -328,3 +328,58 @@ func TestCatOpNames(t *testing.T) {
 	_ = Op(200).String()
 	_ = EventKind(200).String()
 }
+
+// TestEventStringsUnchanged holds every kind's name and rendering to the
+// strings the per-kind switch printed before the kinds became table rows, and
+// the by-name lookup to String's inverse.
+func TestEventStringsUnchanged(t *testing.T) {
+	want := [NumEvents][2]string{
+		{"vas-switch", "#7 vas-switch core=3 pid=11 handle=5"},
+		{"seg-attach", "#7 seg-attach core=3 pid=11 vas=5 seg=9"},
+		{"fault", "#7 fault lbl"},
+		{"urpc-retry", "#7 urpc-retry core=3 seq=5 try=9"},
+		{"conn-open", "#7 conn-open conn=5 shard=9"},
+		{"conn-close", "#7 conn-close conn=5 commands=9"},
+		{"remote-call", "#7 remote-call node=5 cycles=9"},
+		{"node-state", "#7 node-state node=5 state=lbl"},
+		{"checkpoint-ship", "#7 checkpoint-ship node=5 bytes=9"},
+		{"promotion", "#7 promotion node=5 replayed=9 lost=lbl"},
+		{"slot-move", "#7 slot-move slot=5 keys=9 lbl"},
+		{"slot-move-failed", "#7 slot-move-failed slot=5 lbl"},
+		{"node-added", "#7 node-added node=5"},
+		{"node-removed", "#7 node-removed node=5"},
+		{"fork", "#7 fork node=5 gen=9"},
+		{"fork-release", "#7 fork-release node=5 gen=9"},
+		{"fork-invalidate", "#7 fork-invalidate node=5 views=9 reason=lbl"},
+		{"breaker-state", "#7 breaker-state node=5 lbl"},
+	}
+	for k, w := range want {
+		kind := EventKind(k)
+		if got := kind.String(); got != w[0] {
+			t.Errorf("kind %d: name %q, want %q", k, got, w[0])
+		}
+		if back, ok := EventKindByName(w[0]); !ok || back != kind {
+			t.Errorf("EventKindByName(%q) = %d, %v; want %d", w[0], back, ok, k)
+		}
+		e := Event{Seq: 7, Kind: kind, Core: 3, PID: 11, A: 5, B: 9, Label: "lbl"}
+		if got := e.String(); got != w[1] {
+			t.Errorf("kind %d: %q, want %q", k, got, w[1])
+		}
+	}
+	for _, tc := range []struct {
+		e    Event
+		want string
+	}{
+		{Event{Seq: 7, Kind: EvPromotion, Core: 3, PID: 11, A: 5, B: 9}, "#7 promotion node=5 replayed=9"},
+		{Event{Seq: 7, Kind: EvFault, Core: -1}, "#7 fault "},
+		{Event{Seq: 1, Kind: EventKind(NumEvents), Label: "lbl"}, "#1 event(?)"},
+		{Event{Seq: 1, Kind: 200}, "#1 event(?)"},
+	} {
+		if got := tc.e.String(); got != tc.want {
+			t.Errorf("%+v: %q, want %q", tc.e, got, tc.want)
+		}
+	}
+	if k, ok := EventKindByName("event(?)"); ok {
+		t.Errorf("EventKindByName of the out-of-range name = %d, want none", k)
+	}
+}

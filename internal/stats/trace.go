@@ -66,13 +66,47 @@ const (
 	NumEvents = int(EvBreakerState) + 1
 )
 
-var eventNames = [NumEvents]string{"vas-switch", "seg-attach", "fault", "urpc-retry", "conn-open", "conn-close", "remote-call", "node-state", "checkpoint-ship", "promotion", "slot-move", "slot-move-failed", "node-added", "node-removed", "fork", "fork-release", "fork-invalidate", "breaker-state"}
+// eventTable is where a kind is spelled out, one row each: its name — what
+// /trace, the text dump and a scenario's min_trace_events call it — and how
+// its payload prints after "#seq name ", over (Core, PID, A, B, Label) by
+// argument index. labelled is appended when the event carries a label the
+// kind does not always have.
+var eventTable = [NumEvents]struct{ name, payload, labelled string }{
+	EvVASSwitch:      {name: "vas-switch", payload: " core=%[1]d pid=%[2]d handle=%[3]d"},
+	EvSegAttach:      {name: "seg-attach", payload: " core=%[1]d pid=%[2]d vas=%[3]d seg=%[4]d"},
+	EvFault:          {name: "fault", payload: " %[5]s"},
+	EvURPCRetry:      {name: "urpc-retry", payload: " core=%[1]d seq=%[3]d try=%[4]d"},
+	EvConnOpen:       {name: "conn-open", payload: " conn=%[3]d shard=%[4]d"},
+	EvConnClose:      {name: "conn-close", payload: " conn=%[3]d commands=%[4]d"},
+	EvRemoteCall:     {name: "remote-call", payload: " node=%[3]d cycles=%[4]d"},
+	EvNodeState:      {name: "node-state", payload: " node=%[3]d state=%[5]s"},
+	EvCheckpointShip: {name: "checkpoint-ship", payload: " node=%[3]d bytes=%[4]d"},
+	EvPromotion:      {name: "promotion", payload: " node=%[3]d replayed=%[4]d", labelled: " lost=%[5]s"},
+	EvSlotMove:       {name: "slot-move", payload: " slot=%[3]d keys=%[4]d %[5]s"},
+	EvSlotMoveFailed: {name: "slot-move-failed", payload: " slot=%[3]d %[5]s"},
+	EvNodeAdded:      {name: "node-added", payload: " node=%[3]d"},
+	EvNodeRemoved:    {name: "node-removed", payload: " node=%[3]d"},
+	EvFork:           {name: "fork", payload: " node=%[3]d gen=%[4]d"},
+	EvForkRelease:    {name: "fork-release", payload: " node=%[3]d gen=%[4]d"},
+	EvForkInvalidate: {name: "fork-invalidate", payload: " node=%[3]d views=%[4]d reason=%[5]s"},
+	EvBreakerState:   {name: "breaker-state", payload: " node=%[3]d %[5]s"},
+}
 
 func (k EventKind) String() string {
 	if int(k) < NumEvents {
-		return eventNames[k]
+		return eventTable[k].name
 	}
 	return "event(?)"
+}
+
+// EventKindByName is String's inverse over the declared kinds.
+func EventKindByName(name string) (EventKind, bool) {
+	for k, row := range eventTable {
+		if row.name == name {
+			return EventKind(k), true
+		}
+	}
+	return 0, false
 }
 
 // Event is one typed trace record. Seq is a 1-based total order over all
@@ -89,48 +123,15 @@ type Event struct {
 }
 
 func (e Event) String() string {
-	switch e.Kind {
-	case EvVASSwitch:
-		return fmt.Sprintf("#%d vas-switch core=%d pid=%d handle=%d", e.Seq, e.Core, e.PID, e.A)
-	case EvSegAttach:
-		return fmt.Sprintf("#%d seg-attach core=%d pid=%d vas=%d seg=%d", e.Seq, e.Core, e.PID, e.A, e.B)
-	case EvFault:
-		return fmt.Sprintf("#%d fault %s", e.Seq, e.Label)
-	case EvURPCRetry:
-		return fmt.Sprintf("#%d urpc-retry core=%d seq=%d try=%d", e.Seq, e.Core, e.A, e.B)
-	case EvConnOpen:
-		return fmt.Sprintf("#%d conn-open conn=%d shard=%d", e.Seq, e.A, e.B)
-	case EvConnClose:
-		return fmt.Sprintf("#%d conn-close conn=%d commands=%d", e.Seq, e.A, e.B)
-	case EvRemoteCall:
-		return fmt.Sprintf("#%d remote-call node=%d cycles=%d", e.Seq, e.A, e.B)
-	case EvNodeState:
-		return fmt.Sprintf("#%d node-state node=%d state=%s", e.Seq, e.A, e.Label)
-	case EvCheckpointShip:
-		return fmt.Sprintf("#%d checkpoint-ship node=%d bytes=%d", e.Seq, e.A, e.B)
-	case EvPromotion:
-		if e.Label != "" {
-			return fmt.Sprintf("#%d promotion node=%d replayed=%d lost=%s", e.Seq, e.A, e.B, e.Label)
-		}
-		return fmt.Sprintf("#%d promotion node=%d replayed=%d", e.Seq, e.A, e.B)
-	case EvSlotMove:
-		return fmt.Sprintf("#%d slot-move slot=%d keys=%d %s", e.Seq, e.A, e.B, e.Label)
-	case EvSlotMoveFailed:
-		return fmt.Sprintf("#%d slot-move-failed slot=%d %s", e.Seq, e.A, e.Label)
-	case EvNodeAdded:
-		return fmt.Sprintf("#%d node-added node=%d", e.Seq, e.A)
-	case EvNodeRemoved:
-		return fmt.Sprintf("#%d node-removed node=%d", e.Seq, e.A)
-	case EvFork:
-		return fmt.Sprintf("#%d fork node=%d gen=%d", e.Seq, e.A, e.B)
-	case EvForkRelease:
-		return fmt.Sprintf("#%d fork-release node=%d gen=%d", e.Seq, e.A, e.B)
-	case EvForkInvalidate:
-		return fmt.Sprintf("#%d fork-invalidate node=%d views=%d reason=%s", e.Seq, e.A, e.B, e.Label)
-	case EvBreakerState:
-		return fmt.Sprintf("#%d breaker-state node=%d %s", e.Seq, e.A, e.Label)
+	head := fmt.Sprintf("#%d %v", e.Seq, e.Kind)
+	if int(e.Kind) >= NumEvents {
+		return head
 	}
-	return fmt.Sprintf("#%d %v", e.Seq, e.Kind)
+	row := eventTable[e.Kind]
+	if e.Label != "" {
+		row.payload += row.labelled
+	}
+	return head + fmt.Sprintf(row.payload, e.Core, e.PID, e.A, e.B, e.Label)
 }
 
 // Tracer is a bounded ring of trace events. When the ring is full the

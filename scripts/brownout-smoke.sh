@@ -22,25 +22,12 @@ go build -o "$tmp/spacejmp-server" ./cmd/spacejmp-server
 go build -o "$tmp/spacejmp-load" ./cmd/spacejmp-load
 
 # Steps-only scenario for the live server: drop node 2's health probes for
-# a long window (the server plays only the steps; shape comes from flags).
+# a long window. The server plays only a scenario's steps; its shape is the
+# flags below, stated once.
 cat >"$tmp/brownout.json" <<'EOF'
 {
   "name": "brownout-smoke",
   "description": "probe-drop window against node 2 for the smoke script",
-  "machine": "small",
-  "cluster": {
-    "nodes": 3,
-    "workers": 1,
-    "locals": 2,
-    "seg_size": 1048576,
-    "replicate": true,
-    "follower_reads": true,
-    "stale_bound": "2s",
-    "breakers": true,
-    "breaker_threshold": 1,
-    "breaker_cooldown": "25ms"
-  },
-  "load": {"conns": 4, "pipeline": 4, "requests": 1024},
   "steps": [
     {
       "point": "cluster.probe.drop",

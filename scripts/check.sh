@@ -52,11 +52,28 @@ go run ./cmd/spacejmp-bench -quick table2 fig1 fig6 fig7 fig8 fig9 fig10a fig10b
     exit 1
 }
 
+echo "== flag surface golden (spacejmp-server, spacejmp-load, spacejmp-chaos -h) =="
+# The three binaries' options are an interface: a change that says it adds or
+# removes none must leave this diff empty. When one is meant to move,
+# regenerate the file with the command in the parentheses and say why in
+# CHANGES.md.
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/" ./cmd/spacejmp-server ./cmd/spacejmp-load ./cmd/spacejmp-chaos
+(cd "$bin" && { ./spacejmp-server -h; ./spacejmp-load -h; ./spacejmp-chaos -h; } 2>&1) |
+    diff -u testdata/flags.golden - || {
+    echo "command-line flags differ from testdata/flags.golden" >&2
+    exit 1
+}
+
 echo "== go test -race =="
 go test -race ./...
 
 echo "== flake gate (timer-driven packages, the connection loop, and the fork engine, COW chain and attach/switch paths under them, 10 runs each) =="
 go test -count=10 ./internal/cluster ./internal/chaos ./internal/server ./internal/fork ./internal/vm ./internal/core
+# Run alone is where a stack that boots its cluster before arming the whole-run
+# fault rules shows; the package-level runs above under-sample it.
+go test -count=20 -run 'TestScenarioLibrary/checkpoint-corruption-storm$' ./internal/chaos
 
 echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
