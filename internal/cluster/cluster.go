@@ -300,10 +300,9 @@ func (r *Router) destroyStores() error {
 
 // destroyNode removes what node n left under its names, whichever of it
 // exists: its store, its standby replica (a removed node's are already gone)
-// and the scratch heaps that processes of this cluster orphaned on either —
-// a node that crashed, an agent whose attach failed half way: the reaper only
-// reclaims private segments, and a client's scratch heap is a named global
-// one. No client may be attached to the stores anymore.
+// and the scratch heaps that crashed nodes of this cluster orphaned on either:
+// the reaper only reclaims private segments, and a client's scratch heap is a
+// named global one. No client may be attached to the stores anymore.
 func (r *Router) destroyNode(th *core.Thread, n *node) error {
 	var errs error
 	for _, names := range []redis.Names{n.names, redis.StandbyNames(n.id)} {

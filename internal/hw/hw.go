@@ -12,6 +12,7 @@ package hw
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"spacejmp/internal/arch"
 	"spacejmp/internal/fault"
@@ -158,6 +159,7 @@ func (m *Machine) setObserver(s *stats.Sink) {
 	m.obs = s
 	m.PM.SetObserver(s)
 	for _, c := range m.Cores {
+		c.settle() // what the L0 deferred belongs to the sink being left
 		c.sink = s
 		c.cobs = s.Core(c.ID)
 	}
@@ -176,24 +178,15 @@ func (m *Machine) wireFaultObserver() {
 }
 
 // StatsSnapshot returns an immutable copy of every observability counter,
-// completed with the per-core totals (cycle counter, MMU event counts) the
-// hardware owns. Returns nil when observability is off.
+// completed with the per-core totals (cycles, MMU events) since the sink was
+// installed. Safe while the cores run: it reads what each core reported at its
+// last settle point, never the core's own words, so it lags a core by the hits
+// its L0 has served since — none at a command boundary, a CR3 write. Returns
+// nil when observability is off.
 func (m *Machine) StatsSnapshot() *stats.Snapshot {
-	s := m.obs
-	if s == nil {
-		return nil
-	}
-	snap := s.Snapshot()
-	for i, c := range m.Cores {
-		if i >= len(snap.Cores) {
-			break
-		}
-		cs := &snap.Cores[i]
-		cs.Cycles = c.cycles
-		cs.TLBHits = c.stats.TLBHits
-		cs.TLBMisses = c.stats.TLBMisses
-		cs.Faults = c.stats.Faults
-		cs.CR3Loads = c.stats.CR3Loads
+	snap := m.obs.Snapshot()
+	for i := 0; snap != nil && i < len(snap.Cores); i++ {
+		m.obs.Core(i).Complete(&snap.Cores[i])
 	}
 	return snap
 }
@@ -251,7 +244,8 @@ func (f *PageFault) Error() string {
 type FaultHandler func(c *Core, f *PageFault) error
 
 // Core is one hardware thread: CR3, an ASID, a private TLB, and a cycle
-// counter. A Core is driven by exactly one simulated OS thread at a time.
+// counter. A Core is driven by exactly one simulated OS thread at a time, and
+// every field below TLB is that goroutine's alone.
 type Core struct {
 	ID     int
 	Socket int
@@ -263,6 +257,14 @@ type Core struct {
 	cycles  uint64
 	stats   CoreStats
 
+	// The L0 (DESIGN.md "The per-core L0"): copies of TLB entries the core
+	// hits without telling the TLB or the sink, and what it owes them.
+	l0       [l0Slots]l0Slot
+	dirty    uint32 // bit i: l0[i] has served a hit since the last settle
+	deferred uint64 // hits served since the last settle
+	nvmDef   uint64 // how many of them were word stores into the NVM tier
+	touched  [l0Slots]tlb.Touch
+
 	// sink/cobs mirror machine.obs; both are nil-safe, so every charge site
 	// records unconditionally and observability off costs one nil check.
 	sink *stats.Sink
@@ -273,10 +275,85 @@ type Core struct {
 	OnFault FaultHandler
 }
 
+// l0Slots sizes the L0, direct-mapped by 4 KiB page number; a bit of Core.dirty each.
+const l0Slots = 32
+
+// l0Slot is a TLB entry as one 4 KiB page of it is reached under one tag
+// (which a global entry is cached under too). The zero slot allows nothing.
+type l0Slot struct {
+	key   uint64        // the page's virtual address; matching it also proves the access aligned
+	epoch uint64        // the TLB's flush epoch the copy was made in
+	frame arch.PhysAddr // physical address of the page
+	e     *tlb.Entry    // the entry copied
+	last  uint64        // position among the deferred hits of the latest served here
+	asid  arch.ASID
+	perm  arch.Perm
+}
+
+// hit serves k accesses of the given kind to consecutive words of one page,
+// from va, out of the L0: if the page's slot is still good and allows them, they
+// are charged to the core's own words and left for the next settle to report —
+// no lock, no atomic add. Otherwise nothing changed: the caller goes the slow way.
+func (c *Core) hit(va arch.VirtAddr, kind arch.Access, k uint64) (pa arch.PhysAddr, ok bool) {
+	i := uint64(va) >> arch.PageShift % l0Slots
+	s := &c.l0[i]
+	if s.key != uint64(va)&^(arch.PageSize-8) || s.asid != c.asid || !s.perm.Allows(kind.Perm()) || s.epoch != c.TLB.Epoch() {
+		return 0, false
+	}
+	cost := &c.machine.Cfg.Cost
+	c.cycles += k * (cost.TLBHit + cost.MemAccess)
+	c.stats.TLBHits += k
+	c.deferred += k
+	s.last = c.deferred
+	c.dirty |= 1 << i
+	if pa = s.frame + arch.PhysAddr(va.PageOffset()); kind == arch.AccessWrite && c.machine.PM.TierOf(pa) == mem.TierNVM {
+		c.nvmDef += k
+	}
+	return pa, true
+}
+
+// cache copies entry e, which translates va under the current tag, into the
+// L0. epoch was read before the Probe or Insert that returned e (tlb.Probe).
+func (c *Core) cache(va arch.VirtAddr, e *tlb.Entry, epoch uint64) {
+	page := uint64(va) &^ (arch.PageSize - 1)
+	frame := e.Frame + arch.PhysAddr(page&(e.PageSize-1))
+	c.l0[page>>arch.PageShift%l0Slots] = l0Slot{key: page, epoch: epoch, frame: frame, e: e, asid: c.asid, perm: e.Perm}
+}
+
+// takeDeferred ends a batch of deferred hits: the sink gets their cycles and
+// counts, the caller what the TLB is owed (tlb.Settle, tlb.Probe).
+func (c *Core) takeDeferred() (n uint64, touched []tlb.Touch) {
+	if n = c.deferred; n == 0 {
+		return 0, nil
+	}
+	touched = c.touched[:0]
+	for d := c.dirty; d != 0; d &= d - 1 {
+		s := &c.l0[bits.TrailingZeros32(d)]
+		touched = append(touched, tlb.Touch{E: s.e, Last: s.last})
+	}
+	cost, nvm := &c.machine.Cfg.Cost, c.nvmDef
+	c.cobs.AddCycles(stats.CatTLBProbe, n*cost.TLBHit)
+	c.cobs.AddCycles(stats.CatData, (n-nvm)*cost.MemAccess)
+	c.cobs.TLBHits(c.asid, n)
+	if nvm > 0 {
+		c.cobs.AddCycles(stats.CatNVMWrite, nvm*cost.MemAccess)
+		c.sink.NVMWrite(nvm, 8*nvm)
+	}
+	c.deferred, c.nvmDef, c.dirty = 0, 0, 0
+	return n, touched
+}
+
+// settle is a settle point that is not a TLB lookup (DESIGN.md).
+func (c *Core) settle() {
+	if n, touched := c.takeDeferred(); n != 0 {
+		c.TLB.Settle(n, touched)
+	}
+}
+
 // Machine returns the machine this core belongs to.
 func (c *Core) Machine() *Machine { return c.machine }
 
-// Cycles returns the core's consumed cycle count.
+// Cycles returns the core's consumed cycle count; like Stats, exact for its goroutine.
 func (c *Core) Cycles() uint64 { return c.cycles }
 
 // AddCycles charges work to the core (used by OS personalities for syscall
@@ -295,7 +372,7 @@ func (c *Core) AddCyclesCat(cat stats.Cat, n uint64) {
 func (c *Core) Stats() CoreStats { return c.stats }
 
 // ResetStats clears the MMU counters.
-func (c *Core) ResetStats() { c.stats = CoreStats{}; c.TLB.ResetStats() }
+func (c *Core) ResetStats() { c.settle(); c.stats = CoreStats{}; c.TLB.ResetStats() }
 
 // ASID returns the currently loaded address-space tag.
 func (c *Core) ASID() arch.ASID { return c.asid }
@@ -315,6 +392,9 @@ func (c *Core) Table() *pt.Table { return c.table }
 // all non-global TLB entries are invalidated, as on pre-PCID x86; with a
 // real tag the TLB is retained and the write costs more cycles (Table 2).
 func (c *Core) LoadCR3(t *pt.Table, asid arch.ASID) {
+	c.settle() // the deferred hits were under the tag being left
+	c.stats.CR3Loads++
+	c.cobs.CR3Load()
 	cost := &c.machine.Cfg.Cost
 	if asid == arch.ASIDFlush {
 		// The untagged write's cost is dominated by the implicit full TLB
@@ -328,38 +408,37 @@ func (c *Core) LoadCR3(t *pt.Table, asid arch.ASID) {
 	}
 	c.table = t
 	c.asid = asid
-	c.stats.CR3Loads++
 }
 
 // Translate resolves va for the given access kind, charging TLB and walk
 // cycles. On a miss it walks the active page table and fills the TLB. On a
 // translation or permission failure it raises a page fault: if OnFault is
-// set and resolves the fault, the translation is retried once.
+// set and resolves the fault, the translation is retried once. The slow path
+// of every access the L0 does not serve, and a settle point.
 func (c *Core) Translate(va arch.VirtAddr, access arch.Access) (arch.PhysAddr, error) {
 	pa, err := c.translateOnce(va, access)
-	if err == nil {
-		return pa, nil
+	if f, ok := err.(*PageFault); ok && c.OnFault != nil {
+		c.stats.Faults++
+		c.cobs.Fault()
+		if err = c.OnFault(c, f); err == nil {
+			pa, err = c.translateOnce(va, access)
+		}
 	}
-	f, ok := err.(*PageFault)
-	if !ok || c.OnFault == nil {
-		return 0, err
-	}
-	c.stats.Faults++
-	if herr := c.OnFault(c, f); herr != nil {
-		return 0, herr
-	}
-	return c.translateOnce(va, access)
+	return pa, err
 }
 
 func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAddr, error) {
 	cost := &c.machine.Cfg.Cost
 	c.cycles += cost.TLBHit
 	c.cobs.AddCycles(stats.CatTLBProbe, cost.TLBHit)
-	if pa, perm, ok := c.TLB.Translate(c.asid, va); ok {
-		if perm.Allows(access.Perm()) {
+	epoch := c.TLB.Epoch() // before the probe: see tlb.Probe
+	n, touched := c.takeDeferred()
+	if e := c.TLB.Probe(c.asid, va, n, touched); e != nil {
+		if e.Perm.Allows(access.Perm()) {
 			c.stats.TLBHits++
 			c.cobs.TLBHits(c.asid, 1)
-			return pa, nil
+			c.cache(va, e, epoch)
+			return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), nil
 		}
 		// Permission violation on a cached translation: as on x86, the
 		// entry may be stale after a PTE upgrade, so drop it and re-walk
@@ -385,9 +464,18 @@ func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAdd
 	}
 	base := arch.AlignDown(va, r.PageSize)
 	frame := r.PA - arch.PhysAddr(uint64(va)-uint64(base))
-	if victim, evicted := c.TLB.Insert(c.asid, base, frame, r.PageSize, r.Perm, r.Global); evicted {
-		c.cobs.TLBEvict(victim)
+	epoch = c.TLB.Epoch() // again: dropping the stale entry above moved it
+	e, was, evicted := c.TLB.Insert(c.asid, base, frame, r.PageSize, r.Perm, r.Global)
+	if evicted {
+		c.cobs.TLBEvict(was.ASID)
 	}
+	// Of what Insert replaced the L0 has many copies, if large, or up to one.
+	if s := &c.l0[was.VPN%l0Slots]; was.PageSize > arch.PageSize {
+		c.l0 = [l0Slots]l0Slot{}
+	} else if s.e == e {
+		*s = l0Slot{}
+	}
+	c.cache(va, e, epoch)
 	return r.PA, nil
 }
 
@@ -403,7 +491,6 @@ func (c *Core) Write(va arch.VirtAddr, buf []byte) error {
 }
 
 func (c *Core) access(va arch.VirtAddr, buf []byte, kind arch.Access) error {
-	cost := &c.machine.Cfg.Cost
 	for len(buf) > 0 {
 		pa, err := c.Translate(va, kind)
 		if err != nil {
@@ -413,15 +500,7 @@ func (c *Core) access(va arch.VirtAddr, buf []byte, kind arch.Access) error {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		dc := cost.MemAccess * uint64((n+arch.CacheLineSize-1)/arch.CacheLineSize)
-		c.cycles += dc
-		if c.cobs != nil {
-			cat := stats.CatData
-			if kind == arch.AccessWrite && c.machine.PM.TierOf(pa) == mem.TierNVM {
-				cat = stats.CatNVMWrite
-			}
-			c.cobs.AddCycles(cat, dc)
-		}
+		c.chargeData(kind, pa, uint64((n+arch.CacheLineSize-1)/arch.CacheLineSize))
 		if kind == arch.AccessWrite {
 			err = c.machine.PM.WriteAt(pa, buf[:n])
 		} else {
@@ -434,6 +513,19 @@ func (c *Core) access(va arch.VirtAddr, buf []byte, kind arch.Access) error {
 		va += arch.VirtAddr(n)
 	}
 	return nil
+}
+
+// chargeData charges a slow-path access to lines cache lines at pa; true if it
+// was a store into the NVM tier, which has a category of its own.
+func (c *Core) chargeData(kind arch.Access, pa arch.PhysAddr, lines uint64) (nvm bool) {
+	dc := c.machine.Cfg.Cost.MemAccess * lines
+	c.cycles += dc
+	if nvm = kind == arch.AccessWrite && c.machine.PM.TierOf(pa) == mem.TierNVM; nvm {
+		c.cobs.AddCycles(stats.CatNVMWrite, dc)
+	} else {
+		c.cobs.AddCycles(stats.CatData, dc)
+	}
+	return nvm
 }
 
 // ChargePT charges the core for kernel page-table manipulation described by
@@ -463,30 +555,32 @@ func DeltaPT(before, after pt.Stats) pt.Stats {
 
 // Load64 reads an aligned uint64 at va.
 func (c *Core) Load64(va arch.VirtAddr) (uint64, error) {
+	if pa, ok := c.hit(va, arch.AccessRead, 1); ok {
+		return c.machine.PM.Load64(pa)
+	}
 	pa, err := c.Translate(va, arch.AccessRead)
 	if err != nil {
 		return 0, err
 	}
-	c.cycles += c.machine.Cfg.Cost.MemAccess
-	c.cobs.AddCycles(stats.CatData, c.machine.Cfg.Cost.MemAccess)
+	c.chargeData(arch.AccessRead, pa, 1)
 	return c.machine.PM.Load64(pa)
 }
 
 // Store64 writes an aligned uint64 at va.
 func (c *Core) Store64(va arch.VirtAddr, v uint64) error {
+	if pa, ok := c.hit(va, arch.AccessWrite, 1); ok {
+		return c.machine.PM.Store64(pa, v)
+	}
 	pa, err := c.Translate(va, arch.AccessWrite)
 	if err != nil {
 		return err
 	}
-	c.cycles += c.machine.Cfg.Cost.MemAccess
-	if c.cobs != nil {
-		cat := stats.CatData
-		if c.machine.PM.TierOf(pa) == mem.TierNVM {
-			cat = stats.CatNVMWrite
-		}
-		c.cobs.AddCycles(cat, c.machine.Cfg.Cost.MemAccess)
+	nvm := c.chargeData(arch.AccessWrite, pa, 1)
+	if err := c.machine.PM.Store64(pa, v); err != nil || !nvm {
+		return err
 	}
-	return c.machine.PM.Store64(pa, v)
+	c.sink.NVMWrite(1, 8)
+	return nil
 }
 
 // LoadWords reads len(buf)/8 consecutive words starting at va into buf,
@@ -505,12 +599,11 @@ func (c *Core) StoreWords(va arch.VirtAddr, buf []byte) (int, error) {
 // word of the run and of every further 4 KiB page is Load64/Store64 itself:
 // miss, walk, fill, eviction, stale-permission re-walk, fault and retry happen
 // there, so a COW break still happens on the first store to each page. The k
-// words left on the page can only hit the entry that word used or filled: one
-// TLB operation leaves the TLB where k probes would, each counter takes its k
-// charges in one update, and the bytes move in one copy. If a shootdown took
+// words left on the page can only hit the entry that word left in the L0: k
+// hits of one slot in one update, the bytes in one copy. If a shootdown took
 // the entry meanwhile nothing was charged and the next word starts over.
 func (c *Core) words(va arch.VirtAddr, buf []byte, kind arch.Access) (int, error) {
-	cost, pm := &c.machine.Cfg.Cost, c.machine.PM
+	pm := c.machine.PM
 	write := kind == arch.AccessWrite
 	n := len(buf) / 8
 	for done := 0; done < n; {
@@ -531,22 +624,11 @@ func (c *Core) words(va arch.VirtAddr, buf []byte, kind arch.Access) (int, error
 		if k == 0 {
 			continue
 		}
-		pa, ok := c.TLB.TranslateRun(c.asid, va, kind.Perm(), k)
+		pa, ok := c.hit(va, kind, uint64(k))
 		if !ok {
 			continue
 		}
-		run, uk := buf[done*8:(done+k)*8], uint64(k)
-		c.cycles += uk * (cost.TLBHit + cost.MemAccess)
-		c.stats.TLBHits += uk
-		if c.cobs != nil {
-			cat := stats.CatData
-			if write && pm.TierOf(pa) == mem.TierNVM {
-				cat = stats.CatNVMWrite
-			}
-			c.cobs.AddCycles(stats.CatTLBProbe, uk*cost.TLBHit)
-			c.cobs.AddCycles(cat, uk*cost.MemAccess)
-			c.cobs.TLBHits(c.asid, uk)
-		}
+		run := buf[done*8 : (done+k)*8]
 		var err error
 		if write {
 			err = pm.StoreWords(pa, run)

@@ -14,11 +14,10 @@ import (
 )
 
 // The run-length accesses are defined as these loops, which is what every
-// caller wrote out before Core.LoadWords/StoreWords existed. They stay here
-// as the reference the differential test drives a second machine with.
-func refLoadWords(c *Core, va arch.VirtAddr, buf []byte) (int, error) {
+// caller wrote out before Core.LoadWords/StoreWords existed.
+func loadLoop(load func(arch.VirtAddr) (uint64, error), va arch.VirtAddr, buf []byte) (int, error) {
 	for i := 0; i < len(buf)/8; i++ {
-		w, err := c.Load64(va + arch.VirtAddr(i*8))
+		w, err := load(va + arch.VirtAddr(i*8))
 		if err != nil {
 			return i, err
 		}
@@ -27,13 +26,62 @@ func refLoadWords(c *Core, va arch.VirtAddr, buf []byte) (int, error) {
 	return len(buf) / 8, nil
 }
 
-func refStoreWords(c *Core, va arch.VirtAddr, buf []byte) (int, error) {
+func storeLoop(store func(arch.VirtAddr, uint64) error, va arch.VirtAddr, buf []byte) (int, error) {
 	for i := 0; i < len(buf)/8; i++ {
-		if err := c.Store64(va+arch.VirtAddr(i*8), binary.LittleEndian.Uint64(buf[i*8:])); err != nil {
+		if err := store(va+arch.VirtAddr(i*8), binary.LittleEndian.Uint64(buf[i*8:])); err != nil {
 			return i, err
 		}
 	}
 	return len(buf) / 8, nil
+}
+
+// refLoadWords and refStoreWords are the loops over today's Load64 and
+// Store64: the word-loop rows of BenchmarkLoadWords/StoreWords.
+func refLoadWords(c *Core, va arch.VirtAddr, buf []byte) (int, error) {
+	return loadLoop(c.Load64, va, buf)
+}
+
+func refStoreWords(c *Core, va arch.VirtAddr, buf []byte) (int, error) {
+	return storeLoop(c.Store64, va, buf)
+}
+
+// The four accesses as a test issues them: on the machine under test through
+// the core (L0, run lengths), on the reference machine one word at a time down
+// the path the L0 replaced (model_translate_test.go).
+func (os *runOS) load(va arch.VirtAddr) (uint64, error) {
+	if os.parent {
+		return refLoad64(os.c, va)
+	}
+	return os.c.Load64(va)
+}
+
+func (os *runOS) store(va arch.VirtAddr, v uint64) error {
+	if os.parent {
+		return refStore64(os.c, va, v)
+	}
+	return os.c.Store64(va, v)
+}
+
+func (os *runOS) loadWords(va arch.VirtAddr, buf []byte) (int, error) {
+	if os.parent {
+		return loadLoop(os.load, va, buf)
+	}
+	return os.c.LoadWords(va, buf)
+}
+
+func (os *runOS) storeWords(va arch.VirtAddr, buf []byte) (int, error) {
+	if os.parent {
+		return storeLoop(os.store, va, buf)
+	}
+	return os.c.StoreWords(va, buf)
+}
+
+// twins boots the machine under test and the reference machine.
+func twins(t *testing.T, withStats bool) [2]*runOS {
+	t.Helper()
+	pair := [2]*runOS{newRunOS(t, withStats), newRunOS(t, withStats)}
+	pair[1].parent = true
+	return pair
 }
 
 // runOS is the least operating system the differential test needs under a
@@ -42,15 +90,19 @@ func refStoreWords(c *Core, va arch.VirtAddr, buf []byte) (int, error) {
 // which page so that memory can be compared without going through the MMU.
 //
 // The layout, from runBase, is smallPages 4 KiB pages — by index mod 16:
-// 3 copy-on-write (mapped read-only until a store faults), 7 read-only,
-// 11 a hole, 13 lazy (mapped by the first touch), the rest read-write, with
-// pages 32-47 in the NVM tier — and from hugeBase two 2 MiB pages. With a
-// 16x4 TLB, six pages compete for every set.
+// 3 copy-on-write (mapped read-only until a store faults), 7 read-only (until
+// protect flips it), 11 a hole, 13 lazy (mapped by the first touch), the rest
+// read-write, with pages 32-47 in the NVM tier — from hugeBase two 2 MiB
+// pages, and at giantBase one global, read-only 1 GiB page over physical
+// memory from address 0. With a 16x4 TLB, six small pages compete for every
+// set, and three for every L0 slot.
 type runOS struct {
 	m      *Machine
 	c      *Core
 	spaces [2]*runSpace
 	cur    int
+	parent bool      // accesses take the reference path
+	before CoreStats // what ResetStats has cleared from the core's counters
 }
 
 type runSpace struct {
@@ -58,11 +110,14 @@ type runSpace struct {
 	asid   arch.ASID
 	frames map[arch.VirtAddr]arch.PhysAddr // page base -> frame, 4 KiB and 2 MiB alike
 	broken map[arch.VirtAddr]bool          // copy-on-write pages that have their own frame
+	opened map[arch.VirtAddr]bool          // read-only pages protect has made writable
 }
 
 const (
 	runBase    arch.VirtAddr = 0x1000_0000
 	hugeBase   arch.VirtAddr = 0x4000_0000
+	giantBase  arch.VirtAddr = 0x8000_0000
+	giantReach               = 256 << 20 // how far into the 1 GiB page the tests read
 	smallPages               = 96
 	hugePages                = 2
 )
@@ -94,7 +149,8 @@ func newRunOS(t *testing.T, withStats bool) *runOS {
 			t.Fatal(err)
 		}
 		tbl.SetObserver(m.Observer().PTObs())
-		sp := &runSpace{table: tbl, asid: asid, frames: map[arch.VirtAddr]arch.PhysAddr{}, broken: map[arch.VirtAddr]bool{}}
+		sp := &runSpace{table: tbl, asid: asid, frames: map[arch.VirtAddr]arch.PhysAddr{},
+			broken: map[arch.VirtAddr]bool{}, opened: map[arch.VirtAddr]bool{}}
 		os.spaces[i] = sp
 		for idx := 0; idx < smallPages; idx++ {
 			va := runBase + arch.VirtAddr(idx*arch.PageSize)
@@ -117,6 +173,9 @@ func newRunOS(t *testing.T, withStats bool) *runOS {
 				t.Fatal(err)
 			}
 			sp.frames[va] = pa
+		}
+		if err := tbl.MapPage(giantBase, 0, arch.GiantPageSize, arch.PermRead, true); err != nil {
+			t.Fatal(err)
 		}
 	}
 	os.c.OnFault = os.fault
@@ -184,6 +243,19 @@ func (os *runOS) fault(c *Core, f *PageFault) error {
 	return fmt.Errorf("protection fault: %v %v", f.Access, f.VA)
 }
 
+// protect flips a read-only page of the current space between read-only and
+// read-write. An upgrade tells the TLB nothing — the stale entry denies the
+// next store, and the MMU drops it and walks again — a downgrade shoots the
+// entry down, as it must.
+func (os *runOS) protect(va arch.VirtAddr) error {
+	sp := os.spaces[os.cur]
+	if sp.opened[va] = !sp.opened[va]; sp.opened[va] {
+		return sp.table.Protect(va, arch.PageSize, arch.PermRW)
+	}
+	os.c.TLB.FlushPage(sp.asid, va)
+	return sp.table.Protect(va, arch.PageSize, arch.PermRead)
+}
+
 // content returns the bytes behind [va, va+n) of the current space read
 // straight from physical memory; unmapped pages read as 0xEE.
 func (os *runOS) content(va arch.VirtAddr, n int) []byte {
@@ -220,8 +292,21 @@ type observed struct {
 	Mem    mem.Stats
 }
 
-func (os *runOS) observe() observed {
-	o := observed{Cycles: os.c.Cycles(), Core: os.c.Stats(), TLB: os.c.TLB.Stats(), Mem: os.m.PM.Stats()}
+// observe reads the machine. What the core owns is exact at any time, and so
+// is the TLB's hit count once the hits the core still owes it are added; the
+// sink is comparable only settled, which observe does if asked to — seldom
+// enough that CR3 writes, faults and shootdowns also land on a core that owes.
+func (os *runOS) observe(settle bool) observed {
+	tl := os.c.TLB.Stats()
+	tl.Hits += os.c.deferred
+	o := observed{Cycles: os.c.Cycles(), Core: os.c.Stats(), TLB: tl, Mem: os.m.PM.Stats()}
+	if !settle {
+		return o
+	}
+	os.c.settle() // nothing to do on the reference machine
+	if o.TLB = os.c.TLB.Stats(); o.TLB != tl {
+		panic(fmt.Sprintf("settling moved the TLB's statistics from %+v (owed hits included) to %+v", tl, o.TLB))
+	}
 	if snap := os.m.StatsSnapshot(); snap != nil {
 		o.Snap = *snap
 	}
@@ -244,10 +329,13 @@ func runLength(rng *rand.Rand) int {
 }
 
 // TestRunLengthIsTheSameMachine feeds one seeded stream of accesses to two
-// machines. One issues every multi-word access through LoadWords/StoreWords,
-// the other through the word loops above; after every operation the two must
-// agree on the outcome (words done, error, bytes loaded), on every modelled
-// counter, and on memory.
+// machines. One issues them through the core as it is — single words the L0
+// may serve, multi-word accesses through LoadWords/StoreWords — the other one
+// word at a time down the path kept in model_translate_test.go. After every
+// operation, once the first has settled, the two must agree on the outcome
+// (words done, error, bytes loaded), on every modelled counter — cycles, MMU
+// events, the TLB's own statistics, every category and per-tag counter of the
+// sink — and on memory.
 func TestRunLengthIsTheSameMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -262,9 +350,27 @@ func TestRunLengthIsTheSameMachine(t *testing.T) {
 	}
 }
 
+// agree fails unless the twins have counted the same and, settled with stats
+// on, the machine under test has published exactly what its core holds.
+func agree(t *testing.T, pair [2]*runOS, settle bool, when string) {
+	t.Helper()
+	g, w := pair[0].observe(settle), pair[1].observe(settle)
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: machines diverge\nunder test: %+v\nreference:  %+v", when, g, w)
+	}
+	if snap := pair[0].m.StatsSnapshot(); settle && snap != nil {
+		c, st, was := snap.Cores[0], pair[0].c.Stats(), pair[0].before
+		if c.Cycles != g.Cycles || c.TLBHits != was.TLBHits+st.TLBHits || c.TLBMisses != was.TLBMisses+st.TLBMisses ||
+			c.Faults != was.Faults+st.Faults || c.CR3Loads != was.CR3Loads+st.CR3Loads {
+			t.Fatalf("%s: published %+v, the core holds %d cycles %+v", when, c, g.Cycles, st)
+		}
+	}
+}
+
 func runDifferential(t *testing.T, seed int64, withStats bool, ops int) {
 	t.Helper()
-	fast, ref := newRunOS(t, withStats), newRunOS(t, withStats)
+	pair := twins(t, withStats)
+	fast, ref := pair[0], pair[1]
 	rng := rand.New(rand.NewSource(seed))
 	var runs, faulted, short int
 	for op := 0; op < ops; op++ {
@@ -272,23 +378,35 @@ func runDifferential(t *testing.T, seed int64, withStats bool, ops int) {
 		switch r := rng.Intn(100); {
 		case r < 6:
 			// Switch address space: untagged flushes, tagged keeps entries.
-			for _, os := range []*runOS{fast, ref} {
+			for _, os := range pair {
 				os.cur = 1 - os.cur
 				os.c.LoadCR3(os.spaces[os.cur].table, os.spaces[os.cur].asid)
 			}
 			desc = fmt.Sprintf("switch to space %d", fast.cur)
-		case r < 30:
-			// Single words, issued the same way on both sides: they observe
-			// the replacement state the runs left behind.
+		case r < 9:
+			// A read-only page changes permission under a cached entry.
+			va := runBase + arch.VirtAddr((7+16*rng.Intn(smallPages/16))*arch.PageSize)
+			for _, os := range pair {
+				if err := os.protect(va); err != nil {
+					t.Fatal(err)
+				}
+			}
+			desc = fmt.Sprintf("protect %v (writable %v)", va, fast.spaces[fast.cur].opened[va])
+		case r < 32:
+			// Single words: they hit in the L0, or observe the replacement
+			// state the hits and runs before them left behind.
 			va := runBase + arch.VirtAddr(rng.Intn(smallPages)*arch.PageSize+rng.Intn(arch.PageSize/8)*8)
+			if rng.Intn(6) == 0 {
+				va = giantBase + arch.VirtAddr(rng.Intn(giantReach/8)*8)
+			}
 			store, v := rng.Intn(3) == 0, rng.Uint64()
 			var errs [2]error
 			var got [2]uint64
-			for i, os := range []*runOS{fast, ref} {
+			for i, os := range pair {
 				if store {
-					errs[i] = os.c.Store64(va, v)
+					errs[i] = os.store(va, v)
 				} else {
-					got[i], errs[i] = os.c.Load64(va)
+					got[i], errs[i] = os.load(va)
 				}
 			}
 			desc = fmt.Sprintf("word at %v (store %v)", va, store)
@@ -298,13 +416,16 @@ func runDifferential(t *testing.T, seed int64, withStats bool, ops int) {
 		default:
 			n := runLength(rng)
 			var va arch.VirtAddr
-			if rng.Intn(8) == 0 {
+			switch rng.Intn(8) {
+			case 0:
 				// 2 MiB pages, sometimes across their boundary.
 				va = hugeBase + arch.VirtAddr(rng.Intn(2*arch.HugePageSize/8-n)*8)
 				if rng.Intn(3) == 0 {
 					va = hugeBase + arch.HugePageSize - arch.VirtAddr(8*(1+rng.Intn(n)))
 				}
-			} else {
+			case 1:
+				va = giantBase + arch.VirtAddr(rng.Intn(giantReach/8)*8)
+			default:
 				va = runBase + arch.VirtAddr(rng.Intn(smallPages)*arch.PageSize+rng.Intn(arch.PageSize/8)*8)
 			}
 			store := rng.Intn(2) == 0
@@ -317,13 +438,12 @@ func runDifferential(t *testing.T, seed int64, withStats bool, ops int) {
 			bufs := [2][]byte{bytes.Clone(data), bytes.Clone(data)}
 			var done [2]int
 			var errs [2]error
-			switch {
-			case store:
-				done[0], errs[0] = fast.c.StoreWords(va, bufs[0])
-				done[1], errs[1] = refStoreWords(ref.c, va, bufs[1])
-			default:
-				done[0], errs[0] = fast.c.LoadWords(va, bufs[0])
-				done[1], errs[1] = refLoadWords(ref.c, va, bufs[1])
+			for i, os := range pair {
+				if store {
+					done[i], errs[i] = os.storeWords(va, bufs[i])
+				} else {
+					done[i], errs[i] = os.loadWords(va, bufs[i])
+				}
 			}
 			desc = fmt.Sprintf("run of %d words at %v (store %v)", n, va, store)
 			if done[0] != done[1] || fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
@@ -333,7 +453,7 @@ func runDifferential(t *testing.T, seed int64, withStats bool, ops int) {
 			if !bytes.Equal(bufs[0], bufs[1]) {
 				t.Fatalf("seed %d op %d %s: loaded bytes differ from the word loop's", seed, op, desc)
 			}
-			if !bytes.Equal(fast.content(va, n*8), ref.content(va, n*8)) {
+			if va < giantBase && !bytes.Equal(fast.content(va, n*8), ref.content(va, n*8)) {
 				t.Fatalf("seed %d op %d %s: memory differs from the word loop's", seed, op, desc)
 			}
 			runs++
@@ -344,14 +464,9 @@ func runDifferential(t *testing.T, seed int64, withStats bool, ops int) {
 				short++
 			}
 		}
-		if g, w := fast.observe(), ref.observe(); !reflect.DeepEqual(g, w) {
-			t.Fatalf("seed %d op %d %s: machines diverge\nrun-length: %+v\nword loop:  %+v", seed, op, desc, g, w)
-		}
+		agree(t, pair, rng.Intn(5) == 0 || op == ops-1, fmt.Sprintf("seed %d op %d %s", seed, op, desc))
 	}
 	// Everything, once more, through physical memory.
-	for _, os := range []*runOS{fast, ref} {
-		os.cur = 0
-	}
 	for cur := 0; cur < 2; cur++ {
 		fast.cur, ref.cur = cur, cur
 		if !bytes.Equal(fast.content(runBase, smallPages*arch.PageSize), ref.content(runBase, smallPages*arch.PageSize)) ||
@@ -371,7 +486,7 @@ func runDifferential(t *testing.T, seed int64, withStats bool, ops int) {
 }
 
 // TestRunLengthNamedCases pins the cases the differential stream reaches
-// only by chance, each against the word loop on a second machine.
+// only by chance, each against the reference machine.
 func TestRunLengthNamedCases(t *testing.T) {
 	page := func(i int) arch.VirtAddr { return runBase + arch.VirtAddr(i*arch.PageSize) }
 	for _, tc := range []struct {
@@ -389,46 +504,207 @@ func TestRunLengthNamedCases(t *testing.T) {
 		{"lazy page in the middle", page(12) + 8, 1400, true, -1},
 		{"NVM pages", page(33), 1024, true, -1},
 		{"huge pages across the boundary", hugeBase + arch.HugePageSize - 4096, 1100, true, -1},
+		{"the giant page", giantBase + 0x123450, 2000, false, -1},
 		{"unaligned", page(0) + 4, 16, false, 0},
 		{"one word", page(1), 1, true, -1},
 		{"nothing", page(1), 0, true, -1},
 	} {
 		for _, space := range []int{0, 1} { // untagged, tagged
 			t.Run(fmt.Sprintf("%s/space%d", tc.name, space), func(t *testing.T) {
-				fast, ref := newRunOS(t, true), newRunOS(t, true)
+				pair := twins(t, true)
 				data := make([]byte, tc.words*8)
 				rand.New(rand.NewSource(7)).Read(data)
 				var done [2]int
 				var errs [2]error
-				for i, os := range []*runOS{fast, ref} {
-					os.cur = space
-					os.c.LoadCR3(os.spaces[space].table, os.spaces[space].asid)
-					buf := bytes.Clone(data)
-					switch {
-					case i == 0 && tc.store:
-						done[i], errs[i] = os.c.StoreWords(tc.va, buf)
-					case i == 0:
-						done[i], errs[i] = os.c.LoadWords(tc.va, buf)
-					case tc.store:
-						done[i], errs[i] = refStoreWords(os.c, tc.va, buf)
-					default:
-						done[i], errs[i] = refLoadWords(os.c, tc.va, buf)
+				// Twice: the second time every page that can be is in the L0.
+				for round := 0; round < 2; round++ {
+					for i, os := range pair {
+						os.cur = space
+						os.c.LoadCR3(os.spaces[space].table, os.spaces[space].asid)
+						if buf := bytes.Clone(data); tc.store {
+							done[i], errs[i] = os.storeWords(tc.va, buf)
+						} else {
+							done[i], errs[i] = os.loadWords(tc.va, buf)
+						}
 					}
-				}
-				want := tc.done
-				if want < 0 {
-					want = tc.words
-				}
-				if done[0] != want || done[1] != want || (errs[0] == nil) != (want == tc.words) || fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
-					t.Fatalf("done %d err %v, word loop done %d err %v, want %d words", done[0], errs[0], done[1], errs[1], want)
-				}
-				if g, w := fast.observe(), ref.observe(); !reflect.DeepEqual(g, w) {
-					t.Fatalf("machines diverge\nrun-length: %+v\nword loop:  %+v", g, w)
-				}
-				if !bytes.Equal(fast.content(tc.va&^7, tc.words*8), ref.content(tc.va&^7, tc.words*8)) {
-					t.Fatal("memory differs from the word loop's")
+					want := tc.done
+					if want < 0 {
+						want = tc.words
+					}
+					if done[0] != want || done[1] != want || (errs[0] == nil) != (want == tc.words) || fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+						t.Fatalf("done %d err %v, word loop done %d err %v, want %d words", done[0], errs[0], done[1], errs[1], want)
+					}
+					agree(t, pair, round == 1, fmt.Sprintf("round %d", round))
+					if tc.va < giantBase && !bytes.Equal(pair[0].content(tc.va&^7, tc.words*8), pair[1].content(tc.va&^7, tc.words*8)) {
+						t.Fatal("memory differs from the word loop's")
+					}
 				}
 			})
 		}
+	}
+}
+
+// TestL0NamedCases scripts, word by word, the transitions the L0 must not
+// hide: each step runs on both machines, which must agree after it — and, so
+// that a script cannot pass by never reaching the L0, the machine under test
+// must have deferred exactly the hits the script says the L0 serves.
+func TestL0NamedCases(t *testing.T) {
+	page := func(i int) arch.VirtAddr { return runBase + arch.VirtAddr(i*arch.PageSize) }
+	type step struct {
+		do   string // "load", "store", "switch", "protect", "shoot" (a remote FlushPage), "reset" (ResetStats)
+		va   arch.VirtAddr
+		l0   bool // the L0 serves it
+		fail bool // the access faults for good
+		owe  bool // no settle after it: the next step finds the core owing
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"hit after fill, after a slow hit, and under the other tag", []step{
+			{do: "load", va: page(0)}, {do: "load", va: page(0) + 8, l0: true},
+			{do: "switch"}, {do: "load", va: page(0)}, {do: "load", va: page(0) + 16, l0: true}, // tag 5: its own walk
+			{do: "switch"}, {do: "load", va: page(0)}, // the untagged switch flushed
+			// The tagged entry survived both switches; its copy did not outlive
+			// the flush, whose epoch takes every copy, and is made again.
+			{do: "switch"}, {do: "load", va: page(0) + 24}, {do: "load", va: page(0) + 32, l0: true},
+		}},
+		{"permission upgrade on a cached read-only entry", []step{
+			{do: "load", va: page(7)}, {do: "load", va: page(7) + 8, l0: true},
+			{do: "store", va: page(7), fail: true},
+			{do: "load", va: page(7) + 8}, // the failed store dropped the entry
+			{do: "protect", va: page(7)},
+			{do: "load", va: page(7) + 16, l0: true}, // still the r-- copy
+			{do: "store", va: page(7)},               // denied by it, re-walked, rw now
+			{do: "store", va: page(7) + 8, l0: true}, {do: "load", va: page(7), l0: true},
+		}},
+		{"COW break on the first store to a page", []step{
+			{do: "load", va: page(3)}, {do: "load", va: page(3) + 8, l0: true},
+			{do: "store", va: page(3) + 8}, // faults, gets its own frame, retried
+			{do: "load", va: page(3) + 8, l0: true}, {do: "store", va: page(3), l0: true},
+		}},
+		{"eviction of the entry a slot points at", []step{
+			// TLB set 0 fills with pages 16, 0, 32 and the giant page, whose
+			// copies sit in L0 slots 16, 0 (twice) and 5. Page 64 then evicts
+			// page 16's entry and is copied into slot 0: slot 16 still holds
+			// page 16's copy, of an entry that now translates page 64, and
+			// must be dropped — page 16 is a miss again.
+			{do: "load", va: page(16)}, {do: "load", va: page(0)}, {do: "load", va: page(32)},
+			{do: "load", va: giantBase + 5*arch.PageSize},
+			{do: "load", va: page(64)}, {do: "load", va: page(64) + 8, l0: true},
+			{do: "load", va: page(16)}, {do: "load", va: page(16) + 8, l0: true},
+		}},
+		{"a remote shootdown between two hits", []step{
+			{do: "load", va: page(1)}, {do: "load", va: page(2)}, {do: "load", va: page(1) + 8, l0: true},
+			{do: "shoot", va: page(1)},
+			{do: "load", va: page(1) + 8}, {do: "load", va: page(2)}, // the epoch took every copy; page 2's entry is still there
+			{do: "load", va: page(2) + 8, l0: true},
+		}},
+		{"2 MiB entries behind several slots", []step{
+			{do: "load", va: hugeBase}, {do: "load", va: hugeBase + 8, l0: true},
+			{do: "load", va: hugeBase + 5*arch.PageSize}, {do: "store", va: hugeBase + 5*arch.PageSize + 8, l0: true},
+			{do: "shoot", va: hugeBase + 9*arch.PageSize},
+			{do: "load", va: hugeBase}, {do: "load", va: hugeBase + 5*arch.PageSize}, // both copies went with the entry
+		}},
+		{"one entry behind two slots, stamped by the later hit", []step{
+			// TLB set 0 holds both 2 MiB entries and pages 0 and 16. Hits through
+			// slots 9, 0, 3, 5, 16 in that order make page 0 the least recently
+			// used — unless the first 2 MiB entry keeps slot 9's stamp, the
+			// earlier of its two, because slot 3 is settled before slot 9.
+			{do: "load", va: hugeBase + 9*arch.PageSize}, {do: "load", va: hugeBase + 3*arch.PageSize},
+			{do: "load", va: hugeBase + arch.HugePageSize + 5*arch.PageSize}, {do: "load", va: page(0)}, {do: "load", va: page(16)},
+			{do: "load", va: hugeBase + 9*arch.PageSize + 8, l0: true, owe: true}, {do: "load", va: page(0) + 8, l0: true, owe: true},
+			{do: "load", va: hugeBase + 3*arch.PageSize + 8, l0: true, owe: true},
+			{do: "load", va: hugeBase + arch.HugePageSize + 5*arch.PageSize + 8, l0: true, owe: true}, {do: "load", va: page(16) + 8, l0: true, owe: true},
+			{do: "load", va: page(32)},                       // evicts page 0's entry
+			{do: "load", va: page(0)},                        // a miss, which evicts the first 2 MiB entry
+			{do: "load", va: page(16) + 16},                  // still in the TLB; a large victim takes every copy
+			{do: "load", va: hugeBase + 3*arch.PageSize + 8}, // a miss
+		}},
+		{"counters reset while the core owes", []step{
+			{do: "load", va: page(1)}, {do: "load", va: page(1) + 8, l0: true, owe: true}, {do: "load", va: page(1) + 16, l0: true, owe: true},
+			{do: "reset"}, {do: "load", va: page(1) + 24, l0: true},
+		}},
+		{"a global 1 GiB entry across an untagged CR3 write", []step{
+			{do: "load", va: giantBase + 0x5000}, {do: "load", va: giantBase + 0x5008, l0: true},
+			{do: "load", va: page(0)},
+			{do: "switch"}, {do: "switch"}, // to tag 5 and back: flushes page 0's entry, keeps the global one
+			{do: "load", va: giantBase + 0x5010}, {do: "load", va: giantBase + 0x5018, l0: true}, // a TLB hit, copied again
+			{do: "store", va: giantBase + 0x5018, fail: true},
+			{do: "load", va: page(0)}, // a miss again
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pair := twins(t, true)
+			for i, st := range tc.steps {
+				when := fmt.Sprintf("step %d (%s %v)", i, st.do, st.va)
+				var errs [2]error
+				owed := pair[0].c.deferred
+				for j, os := range pair {
+					switch st.do {
+					case "load":
+						_, errs[j] = os.load(st.va)
+					case "store":
+						errs[j] = os.store(st.va, uint64(i))
+					case "switch":
+						os.cur = 1 - os.cur
+						os.c.LoadCR3(os.spaces[os.cur].table, os.spaces[os.cur].asid)
+					case "protect":
+						errs[j] = os.protect(st.va)
+					case "shoot":
+						os.c.TLB.FlushPage(os.spaces[os.cur].asid, st.va)
+					case "reset":
+						os.before = os.c.Stats()
+						os.c.ResetStats()
+					}
+				}
+				if (errs[0] != nil) != st.fail || fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+					t.Fatalf("%s: %v, reference %v, want failure %v", when, errs[0], errs[1], st.fail)
+				}
+				if got := pair[0].c.deferred == owed+1; got != st.l0 {
+					t.Fatalf("%s: served by the L0 %v, want %v", when, got, st.l0)
+				}
+				// Settled, unless the next step is the kind that must find
+				// the core owing: a CR3 write, a shootdown.
+				next := ""
+				if i+1 < len(tc.steps) {
+					next = tc.steps[i+1].do
+				}
+				agree(t, pair, !st.owe && next != "switch" && next != "shoot", when)
+			}
+		})
+	}
+}
+
+// TestSnapshotWhileCoresRun: a snapshot of a live machine reads only what the
+// cores published — the admin /stats poller against a serving stack. Under
+// -race this fails if StatsSnapshot reads a word the core writes plainly.
+func TestSnapshotWhileCoresRun(t *testing.T) {
+	os := newRunOS(t, true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200_000; i++ {
+			if _, err := os.c.Load64(runBase + arch.VirtAddr(i%4*arch.PageSize+i%512*8)); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%1000 == 0 {
+				os.c.LoadCR3(os.spaces[0].table, os.spaces[0].asid)
+			}
+		}
+	}()
+	var last uint64
+	for i := 0; i < 200; i++ {
+		if c := os.m.StatsSnapshot().Cores[0]; c.TLBHits < last {
+			t.Fatalf("published hits went back: %d after %d", c.TLBHits, last)
+		} else {
+			last = c.TLBHits
+		}
+	}
+	<-done
+	os.c.settle()
+	if c := os.m.StatsSnapshot().Cores[0]; c.Cycles != os.c.Cycles() || c.TLBHits != os.c.Stats().TLBHits {
+		t.Errorf("after the last settle the snapshot has %+v, the core %d cycles %+v", c, os.c.Cycles(), os.c.Stats())
 	}
 }

@@ -335,14 +335,12 @@ func (pm *PhysMem) WriteAt(pa arch.PhysAddr, buf []byte) error {
 }
 
 // StoreWords is a Store64 of each little-endian word of buf to consecutive
-// words from pa, moved as one copy. It is not a WriteAt: k word stores are k
-// NVM writes, and a word store cannot tear (fault.MemWriteTorn is not asked).
+// words from pa, moved as one copy. It is not a WriteAt: a word store cannot
+// tear (fault.MemWriteTorn is not asked), and like Store64 it leaves counting
+// the NVM writes — k words are k — to the MMU, which knows the page's tier.
 func (pm *PhysMem) StoreWords(pa arch.PhysAddr, buf []byte) error {
 	if pa&7 != 0 || len(buf)&7 != 0 || uint64(pa)+uint64(len(buf)) > pm.Size() {
 		return fmt.Errorf("mem: StoreWords [%v,+%d) unaligned or out of range", pa, len(buf))
-	}
-	if pm.TierOf(pa) == TierNVM {
-		pm.obs.Load().NVMWrite(uint64(len(buf)/8), uint64(len(buf)))
 	}
 	pm.copyIn(pa, buf)
 	return nil
@@ -365,15 +363,13 @@ func (pm *PhysMem) Load64(pa arch.PhysAddr) (uint64, error) {
 }
 
 // Store64 writes a little-endian uint64 at pa, which must be 8-byte aligned.
+// Word stores into the NVM tier are counted by the MMU (hw.Core), not here.
 func (pm *PhysMem) Store64(pa arch.PhysAddr, v uint64) error {
 	if pa&7 != 0 {
 		return fmt.Errorf("mem: unaligned Store64 at %v", pa)
 	}
 	if uint64(pa)+8 > pm.Size() {
 		return fmt.Errorf("mem: Store64 at %v out of range", pa)
-	}
-	if pm.TierOf(pa) == TierNVM {
-		pm.obs.Load().NVMWrite(1, 8)
 	}
 	f := pm.frame(uint64(pa) / arch.PageSize)
 	atomic.StoreUint64(&f[uint64(pa)%arch.PageSize/8], le(v))

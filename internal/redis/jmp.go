@@ -111,7 +111,7 @@ func NewClient(th *core.Thread, segSize uint64) (*Client, error) {
 // the data segment's allocation when this client is the one bootstrapping
 // it (the cluster places replicated shard stores in the NVM tier this way);
 // they are ignored when the store already exists.
-func NewClientNamed(th *core.Thread, segSize uint64, names Names, opts ...core.SegOption) (*Client, error) {
+func NewClientNamed(th *core.Thread, segSize uint64, names Names, opts ...core.SegOption) (_ *Client, err error) {
 	c := &Client{th: th, names: names}
 	if err := c.bootstrap(segSize, opts...); err != nil {
 		return nil, err
@@ -124,6 +124,26 @@ func NewClientNamed(th *core.Thread, segSize uint64, names Names, opts ...core.S
 	if err != nil {
 		return nil, err
 	}
+	// From here on a failure takes down what this call put up: the thread is
+	// out of the VAS, the handles gone, and the scratch heap too if it is ours.
+	ownScratch := false
+	defer func() {
+		if err == nil {
+			return
+		}
+		// Best effort, in reverse; the failure that led here is the one reported.
+		if th.Current() != core.PrimaryHandle {
+			_ = th.VASSwitch(core.PrimaryHandle)
+		}
+		for _, h := range []core.Handle{c.writeH, c.readH} {
+			if h != core.PrimaryHandle {
+				_ = th.VASDetach(h)
+			}
+		}
+		if ownScratch {
+			_ = th.SegFree(c.scratch)
+		}
+	}()
 	if c.readH, err = th.VASAttach(vidR); err != nil {
 		return nil, err
 	}
@@ -133,10 +153,11 @@ func NewClientNamed(th *core.Thread, segSize uint64, names Names, opts ...core.S
 	// Private scratch heap, attached to this client's views only. The name
 	// includes the instance so a process holding clients on several shard
 	// stores gets one scratch heap per instance.
-	scratchName := fmt.Sprintf("%s.scratch.p%d", names.Seg, th.Proc.PID)
+	scratchName := ScratchName(names, th.Proc.PID)
 	c.scratch, err = th.SegFind(scratchName)
 	if errors.Is(err, core.ErrNotFound) {
 		c.scratch, err = th.SegAlloc(scratchName, ScratchBase, scratchSize, arch.PermRW)
+		ownScratch = err == nil
 	}
 	if err != nil {
 		return nil, err
@@ -151,11 +172,13 @@ func NewClientNamed(th *core.Thread, segSize uint64, names Names, opts ...core.S
 	if err := th.VASSwitch(c.readH); err != nil {
 		return nil, err
 	}
-	c.store, err = OpenStore(th, SegBase)
-	if err != nil {
+	if c.store, err = OpenStore(th, SegBase); err != nil {
 		return nil, err
 	}
-	return c, th.VASSwitch(core.PrimaryHandle)
+	if err := th.VASSwitch(core.PrimaryHandle); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // bootstrap creates the shared state if no client has yet (§5.3: "the

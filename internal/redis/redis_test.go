@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"spacejmp/internal/arch"
 	"spacejmp/internal/core"
 	"spacejmp/internal/fault"
 	"spacejmp/internal/hw"
@@ -403,6 +404,104 @@ func TestShardNamesDisjoint(t *testing.T) {
 		if err := DestroyNamed(th, ShardNames(i)); err != nil {
 			t.Errorf("destroy shard %d: %v", i, err)
 		}
+	}
+}
+
+// TestFailedAttachLeavesNothingBehind fails one frame allocation at a time under
+// a client attaching to a standing instance — at either VASAttach, in the
+// scratch heap's SegAlloc, in the page tables of either SegAttachLocal, under
+// OpenStore's first loads. Whichever step it was, the call takes down what it
+// put up: the thread is back in its primary space, both handles are gone (the
+// instance can be destroyed, which a leaked attachment forbids), the scratch
+// heap is gone if this call allocated it and still there if it did not, and
+// every frame is back.
+func TestFailedAttachLeavesNothingBehind(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		preScratch bool // the scratch heap exists before the call
+	}{{"scratch allocated by the call", false}, {"scratch found standing", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := hw.NewMachine(hw.SmallTest())
+			reg := fault.New(1)
+			m.SetFaults(reg)
+			sys := kernel.New(m)
+			proc, err := sys.NewProcess(core.Creds{UID: 1, GID: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer proc.Exit()
+			th, err := proc.NewThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			empty := m.PM.AllocatedBytes()
+			names := ShardNames(5)
+			if err := (&Client{th: th, names: names}).bootstrap(1 << 20); err != nil {
+				t.Fatal(err)
+			}
+			scratchName := ScratchName(names, proc.PID)
+			if tc.preScratch {
+				if _, err := th.SegAlloc(scratchName, ScratchBase, scratchSize, arch.PermRW); err != nil {
+					t.Fatal(err)
+				}
+			}
+			base := m.PM.AllocatedBytes()
+			failed := 0
+			for nth := uint64(1); ; nth++ {
+				reg.Enable(fault.MemAlloc, fault.OnNth(nth))
+				c, err := NewClientNamed(th, 1<<20, names)
+				fired := reg.Fired(fault.MemAlloc) > 0
+				reg.Disable(fault.MemAlloc)
+				if err != nil {
+					failed++
+					if c != nil || th.Current() != core.PrimaryHandle {
+						t.Fatalf("allocation %d failed the attach (%v): client %v, thread in handle %d", nth, err, c, th.Current())
+					}
+					if _, ferr := th.SegFind(scratchName); tc.preScratch != (ferr == nil) {
+						t.Fatalf("allocation %d failed the attach (%v): scratch heap there before %v, SegFind after: %v", nth, err, tc.preScratch, ferr)
+					}
+				} else {
+					if err := c.Set("k", []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+					// Close frees the scratch heap, whoever allocated it.
+					for _, h := range []core.Handle{c.readH, c.writeH} {
+						if err := th.VASDetach(h); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !tc.preScratch {
+						if err := th.SegFree(c.scratch); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if lerr := m.PM.CheckLeaks(base); lerr != nil {
+					t.Fatalf("allocation %d (attach: %v): %v", nth, err, lerr)
+				}
+				if !fired {
+					break // nth is past the attach's last allocation
+				}
+			}
+			if failed < 5 {
+				t.Fatalf("only %d allocations failed an attach; the sweep did not reach both attachments, the scratch heap and its two mappings", failed)
+			}
+			if tc.preScratch {
+				sid, err := th.SegFind(scratchName)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := th.SegFree(sid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := DestroyNamed(th, names); err != nil {
+				t.Fatalf("destroying the instance after %d failed attaches: %v", failed, err)
+			}
+			if err := m.PM.CheckLeaks(empty); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

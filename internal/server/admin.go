@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	_ "net/http/pprof" // registers the runtime's profiles on http.DefaultServeMux, mounted below
 	"strconv"
 	"sync"
 	"time"
@@ -74,13 +75,15 @@ type ClusterStatus interface {
 //	GET /tenants     — multi-tenant registry listing: each tenant's quotas,
 //	                   live usage, and serving counters (404 when the server
 //	                   runs single-tenant)
+//	GET /debug/pprof/ — the Go runtime's profiles (net/http/pprof), here and
+//	                   never on the RESP port: …/debug/pprof/profile?seconds=10
 //
 // /stats reads only the sink's atomic counters (stats.Sink.Snapshot), so it
 // is safe to poll while workers drive the simulated cores. The per-core
-// *total* cycle counters are deliberately absent: they are non-atomic by
-// design (one goroutine per core), and only hw.Machine.StatsSnapshot — which
-// requires quiescence — can fold them in. Category-attributed cycles, which
-// the sink does own, are present and account for all charged work.
+// *total* cycle counters are absent from it: they are each core's own plain
+// words, which hw.Machine.StatsSnapshot folds in as of the core's last settle
+// point. Category-attributed cycles, which the sink does own, are present and
+// account for all charged work.
 func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) http.Handler {
 	obs := sys.M.Observer()
 	cursors := &deltaCursors{snaps: map[uint64]cursorSnap{}}
@@ -184,6 +187,7 @@ func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) 
 			Events   []traceEvent `json:"events"`
 		}{t.Recorded(), t.Dropped(), out})
 	})
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
 	return mux
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	"spacejmp/internal/fault"
 	"spacejmp/internal/server"
@@ -52,6 +53,10 @@ func TestAdminEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		return body
+	}
+
+	if len(get("/debug/pprof/cmdline")) == 0 {
+		t.Error("/debug/pprof/cmdline: empty body; the runtime's profiles are not mounted on the admin mux")
 	}
 
 	var health struct {
@@ -187,6 +192,11 @@ func TestAdminStatsDelta(t *testing.T) {
 	br := bufio.NewReader(nc)
 	if v, _, err := roundTrip(t, nc, br, "SET", "dk", "dv"); err != nil || string(v) != "OK" {
 		t.Fatalf("SET: %q %v", v, err)
+	}
+	// The reply reaches the client before the worker counts the command; the
+	// delta must not be cut in between (it was, once, under go test -race ./...).
+	for deadline := time.Now().Add(2 * time.Second); sys.M.Observer().Snapshot().Dense().Server.Commands == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 
 	var second struct {

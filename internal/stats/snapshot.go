@@ -10,9 +10,9 @@ import (
 	"spacejmp/internal/arch"
 )
 
-// CoreSnap is one core's view in a Snapshot. Cycles is the core's total
-// cycle counter; ByCat decomposes the cycles charged while observability
-// was enabled (the two agree when stats were on for the whole run).
+// CoreSnap is one core's view in a Snapshot. ByCat decomposes the cycles
+// charged since the sink was installed; Cycles is their total and the MMU
+// counts are for the same span (CoreCounters.Complete fills them in).
 type CoreSnap struct {
 	ID        int               `json:"id" stats:"carry"`
 	Cycles    uint64            `json:"cycles"`

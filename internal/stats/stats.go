@@ -119,6 +119,8 @@ func (o Op) String() string {
 // tag (every untagged core runs under ASID 0). Snapshot sums the shards.
 type CoreCounters struct {
 	cycles [NumCats]atomic.Uint64
+	// faults and cr3Loads are the two MMU events no category or tag counts.
+	faults, cr3Loads atomic.Uint64
 	// asids is indexed by arch.ASID in chunks that appear on first use: a
 	// core runs under a handful of the 4096 tags.
 	asids [(int(arch.MaxASID) + 1) / asidChunk]atomic.Pointer[[asidChunk]asidCounters]
@@ -140,6 +142,35 @@ func (c *CoreCounters) Cycles(cat Cat) uint64 {
 		return 0
 	}
 	return c.cycles[cat].Load()
+}
+
+// Fault and CR3Load record one page fault taken and one CR3 write. Safe on nil.
+func (c *CoreCounters) Fault() {
+	if c != nil {
+		c.faults.Add(1)
+	}
+}
+
+func (c *CoreCounters) CR3Load() {
+	if c != nil {
+		c.cr3Loads.Add(1)
+	}
+}
+
+// Complete fills in the totals of the core's row of a snapshot from the shard
+// alone — cycles summed over the row's categories, hits and misses over the
+// tags: what the core has reported since it joined the sink.
+func (c *CoreCounters) Complete(cs *CoreSnap) {
+	for _, v := range cs.ByCat {
+		cs.Cycles += v
+	}
+	tags := map[arch.ASID]ASIDSnap{}
+	c.addASIDs(tags)
+	for _, a := range tags {
+		cs.TLBHits += a.Hits
+		cs.TLBMisses += a.Misses
+	}
+	cs.Faults, cs.CR3Loads = c.faults.Load(), c.cr3Loads.Load()
 }
 
 // asid returns the counter block of a tag, allocating its chunk on first use.

@@ -27,6 +27,8 @@ func TestNilSafety(t *testing.T) {
 	c.TLBHits(1, 1)
 	c.TLBMiss(1)
 	c.TLBEvict(1)
+	c.Fault()
+	c.CR3Load()
 	if c.Cycles(CatData) != 0 {
 		t.Error("nil CoreCounters recorded cycles")
 	}
@@ -381,5 +383,26 @@ func TestEventStringsUnchanged(t *testing.T) {
 	}
 	if k, ok := EventKindByName("event(?)"); ok {
 		t.Errorf("EventKindByName of the out-of-range name = %d, want none", k)
+	}
+}
+
+// TestCoreTotalsFromShard: a core's snapshot row is rebuilt from its shard —
+// the categories' and tags' sums and the two event counts.
+func TestCoreTotalsFromShard(t *testing.T) {
+	s := NewSink(1)
+	c := s.Core(0)
+	c.AddCycles(CatData, 10)
+	c.AddCycles(CatWalk, 5)
+	c.TLBHits(3, 4)
+	c.TLBHits(70, 2) // another chunk of tags
+	c.TLBMiss(3)
+	c.TLBMiss(0)
+	c.Fault()
+	c.CR3Load()
+	c.CR3Load()
+	got := s.Snapshot().Cores[0]
+	c.Complete(&got)
+	if got.Cycles != 15 || got.TLBHits != 6 || got.TLBMisses != 2 || got.Faults != 1 || got.CR3Loads != 2 {
+		t.Errorf("row %+v, want 15 cycles, 6 hits, 2 misses, 1 fault, 2 CR3 loads", got)
 	}
 }

@@ -48,38 +48,6 @@ func (r *refTLB) Lookup(asid arch.ASID, va arch.VirtAddr) (Entry, bool) {
 	return Entry{}, false
 }
 
-// peek is Lookup's scan without its side effects.
-func (r *refTLB) peek(asid arch.ASID, va arch.VirtAddr) *refEntry {
-	for _, ps := range pageSizes {
-		vpn := uint64(arch.AlignDown(va, ps)) >> arch.PageShift
-		set := r.setFor(vpn)
-		for i := range set {
-			if e := &set[i]; e.valid && e.PageSize == ps && e.VPN == vpn && (e.Global || e.ASID == asid) {
-				return e
-			}
-		}
-	}
-	return nil
-}
-
-// TranslateRun states the run-length operation as the loop it stands for: when
-// a lookup of va would hit an entry that allows need, k plain lookups of
-// consecutive words, every one of which must hit that entry; otherwise
-// nothing happens at all.
-func (r *refTLB) TranslateRun(asid arch.ASID, va arch.VirtAddr, need arch.Perm, k int) (arch.PhysAddr, bool) {
-	e := r.peek(asid, va)
-	if e == nil || !e.Perm.Allows(need) {
-		return 0, false
-	}
-	want := e.Entry
-	for i := 0; i < k; i++ {
-		if got, ok := r.Lookup(asid, va+arch.VirtAddr(8*i)); !ok || got != want {
-			panic("model: a word of the run did not hit the run's entry")
-		}
-	}
-	return want.Frame + arch.PhysAddr(uint64(va)&(want.PageSize-1)), true
-}
-
 func (r *refTLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr, pageSize uint64, perm arch.Perm, global bool) (arch.ASID, bool) {
 	r.tick++
 	vpn := uint64(arch.AlignDown(base, pageSize)) >> arch.PageShift

@@ -8,6 +8,7 @@ package tlb
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"spacejmp/internal/arch"
 )
@@ -52,11 +53,21 @@ type Stats struct {
 // is mostly touched by that core's own goroutine, but shootdown IPIs
 // (vm.Space.Shootdown) flush entries from whichever goroutine removed the
 // translation — the mutex is the interconnect that serializes them.
+//
+// Only the owning core looks up and inserts, so the clock, the hit count, the
+// LRU stamps and what an entry translates change on that goroutine alone; any
+// goroutine may flush, which takes entries and advances the epoch. That lets
+// the owner keep an L0 in front (hw.Core): a copy of an entry is good while its
+// epoch lasts and the owner has not reused the entry, and the hits it serves
+// reach the TLB later, in one Settle.
 type TLB struct {
 	mu   sync.Mutex
 	cfg  Config
 	sets [][]Entry
 	tick uint64
+	// epoch advances with every entry a flush takes and every FlushAll: written
+	// under mu, read by the owner without it before every hit its L0 serves.
+	epoch atomic.Uint64
 	// gen is the current flush generation (starts at 1) and nonGlobal the
 	// number of live non-global entries — exactly what a scan for FlushAll's
 	// victims would count, maintained by every operation that installs or
@@ -115,40 +126,32 @@ func (t *TLB) invalidate(e *Entry) {
 	}
 	e.gen = 0
 	t.stats.FlushedEntries++
+	t.epoch.Add(1)
 }
 
 // pageSizes are probed from smallest to largest on lookup, emulating a
 // unified TLB that caches all three page sizes.
 var pageSizes = [...]uint64{arch.PageSize, arch.HugePageSize, arch.GiantPageSize}
 
-// probe returns the live entry translating va under the given ASID, or nil,
-// and changes nothing. Global entries match any ASID. Caller holds t.mu.
-func (t *TLB) probe(asid arch.ASID, va arch.VirtAddr) *Entry {
+// find is one counted lookup: the clock advances, and the probe is a hit that
+// renews the entry's LRU stamp or a miss. Global entries match any ASID.
+// Caller holds t.mu.
+func (t *TLB) find(asid arch.ASID, va arch.VirtAddr) *Entry {
+	t.tick++
 	for _, ps := range pageSizes {
 		vpn := uint64(arch.AlignDown(va, ps)) >> arch.PageShift
 		set := t.setFor(vpn)
 		for i := range set {
 			e := &set[i]
 			if e.VPN == vpn && e.PageSize == ps && (e.Global || e.ASID == asid) && t.live(e) {
+				e.used = t.tick
+				t.stats.Hits++
 				return e
 			}
 		}
 	}
+	t.stats.Misses++
 	return nil
-}
-
-// find is one counted lookup: the clock advances, and the probe is a hit that
-// renews the entry's LRU stamp or a miss. Caller holds t.mu.
-func (t *TLB) find(asid arch.ASID, va arch.VirtAddr) *Entry {
-	t.tick++
-	e := t.probe(asid, va)
-	if e == nil {
-		t.stats.Misses++
-		return nil
-	}
-	e.used = t.tick
-	t.stats.Hits++
-	return e
 }
 
 // Lookup probes the TLB for a translation of va under the given ASID.
@@ -162,44 +165,54 @@ func (t *TLB) Lookup(asid arch.ASID, va arch.VirtAddr) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Translate is Lookup as the MMU uses it on every access: on a hit it
-// returns the physical address va maps to and the mapping's permissions,
-// without copying the entry out.
-func (t *TLB) Translate(asid arch.ASID, va arch.VirtAddr) (pa arch.PhysAddr, perm arch.Perm, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e := t.find(asid, va); e != nil {
-		return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), e.Perm, true
-	}
-	return 0, 0, false
+// Touch is one entry's share of a batch of deferred hits: the entry, as Probe
+// or Insert returned it, and the position in the batch (from 1) of its latest.
+type Touch struct {
+	E    *Entry
+	Last uint64
 }
 
-// TranslateRun is k Translate calls on consecutive words of one 4 KiB page,
-// starting at va, for a caller that needs all of them to hit with need
-// allowed. If the page's entry is live and allows need, the clock, the hit
-// count and the entry's LRU stamp end exactly where k lookups leave them —
-// every probe of one 4 KiB page finds the same entry, and a hit changes
-// nothing else. Otherwise nothing at all changes and ok is false: the caller
-// issues the words one by one, and each counts its own outcome.
-func (t *TLB) TranslateRun(asid arch.ASID, va arch.VirtAddr, need arch.Perm, k int) (pa arch.PhysAddr, ok bool) {
+// settle is the n lookups the owner's L0 answered since the last settle, all
+// hits: clock and hit count advance by n, and each entry that served any takes
+// the stamp its latest would have given it (the later, if listed twice: a large
+// page behind two L0 slots; a flush may have taken it since). Caller holds t.mu.
+func (t *TLB) settle(n uint64, touched []Touch) {
+	for _, x := range touched {
+		x.E.used = max(x.E.used, t.tick+x.Last)
+	}
+	t.tick += n
+	t.stats.Hits += n
+}
+
+// Settle leaves the TLB where the deferred batch's n lookups would have.
+func (t *TLB) Settle(n uint64, touched []Touch) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := t.probe(asid, va)
-	if e == nil || !e.Perm.Allows(need) {
-		return 0, false
-	}
-	t.tick += uint64(k)
-	t.stats.Hits += uint64(k)
-	e.used = t.tick
-	return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), true
+	t.settle(n, touched)
 }
+
+// Probe is the lookup behind the owner's L0: the deferred batch is settled, then
+// va is looked up as by Lookup, and a hit returns the entry itself, whose
+// exported fields only the owner's next Insert over it changes. The caller reads
+// Epoch first: a flush after that makes its copy stale from birth, never good.
+func (t *TLB) Probe(asid arch.ASID, va arch.VirtAddr, n uint64, touched []Touch) *Entry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.settle(n, touched)
+	return t.find(asid, va)
+}
+
+// Epoch returns the flush epoch an L0 copy is valid in.
+func (t *TLB) Epoch() uint64 { return t.epoch.Load() }
 
 // Insert installs a translation, evicting the least recently used entry of
 // the target set if it is full. The entry's VPN is derived from its page
-// base, so callers pass the base virtual address of the page. It returns
-// the ASID of the entry it displaced and whether an eviction happened, so
-// the MMU can attribute the eviction to the victim's address space.
-func (t *TLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr, pageSize uint64, perm arch.Perm, global bool) (victimASID arch.ASID, evicted bool) {
+// base, so callers pass the base virtual address of the page. It returns the
+// entry it installed; what the slot held, if that was live (PageSize 0 if not),
+// for the owner's L0 to drop its copies of; and whether that was an eviction,
+// which the MMU attributes to the victim's address space. Deferred hits must be
+// settled first: the victim is chosen by stamp.
+func (t *TLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr, pageSize uint64, perm arch.Perm, global bool) (e *Entry, was Entry, evicted bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.tick++
@@ -222,9 +235,10 @@ func (t *TLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr, pa
 	}
 	v := &set[victim]
 	if t.live(v) {
-		if v.VPN != vpn || v.ASID != asid {
+		was = *v
+		evicted = v.VPN != vpn || v.ASID != asid
+		if evicted {
 			t.stats.Evictions++
-			victimASID, evicted = v.ASID, true
 		}
 		if !v.Global {
 			t.nonGlobal--
@@ -237,7 +251,7 @@ func (t *TLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr, pa
 	if !global {
 		t.nonGlobal++
 	}
-	return victimASID, evicted
+	return v, was, evicted
 }
 
 // FlushAll invalidates every non-global entry — the effect of writing CR3
@@ -252,6 +266,7 @@ func (t *TLB) FlushAll() int {
 	t.stats.FlushedEntries += uint64(n)
 	t.nonGlobal = 0
 	t.gen++
+	t.epoch.Add(1)
 	return n
 }
 

@@ -74,12 +74,14 @@ go test -count=10 ./internal/cluster ./internal/chaos ./internal/server ./intern
 # Run alone is where a stack that boots its cluster before arming the whole-run
 # fault rules shows; the package-level runs above under-sample it.
 go test -count=20 -run 'TestScenarioLibrary/checkpoint-corruption-storm$' ./internal/chaos
+# The L0's protocol with remote flushes and with snapshots of a live machine.
+go test -race -count=5 ./internal/tlb ./internal/hw ./internal/stats
 
 echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
 
-echo "== bench smoke (the wire-path, stats, run-length, store, batch, ship and fork rungs of the ladder still run) =="
-go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec(Local|Remote)|RouterExecRun|RouterMGet|SnapshotDelta|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ShipDelta|ForkSteadyState' -benchtime 100x \
+echo "== bench smoke (the wire-path, stats, L0-hit, run-length, store, batch, ship and fork rungs of the ladder still run) =="
+go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec(Local|Remote)|RouterExecRun|RouterMGet|SnapshotDelta|Load64Hit|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ShipDelta|ForkSteadyState' -benchtime 100x \
     ./internal/redis ./internal/urpc ./internal/cluster ./internal/stats ./internal/hw ./internal/fork
 
 echo "== fuzz smoke (RESP parser against the reference reader) =="
