@@ -75,6 +75,9 @@ func main() {
 	var spec chaos.Spec
 	var front chaos.Front
 	cl := &spec.Cluster
+	// What a 0 resolves to is the cluster package's to say.
+	def := cluster.Config{Overload: cluster.OverloadConfig{Breakers: true}}.WithDefaults()
+	rep, ov := def.Replication, def.Overload
 	flag.StringVar(&front.Addr, "addr", "127.0.0.1:6379", "listen address")
 	flag.IntVar(&cl.Workers, "workers", 2, "router workers (each claims one simulated core)")
 	flag.IntVar(&cl.QueueDepth, "queue", 64, "per-worker queue depth (full queue replies busy)")
@@ -89,9 +92,9 @@ func main() {
 	flag.BoolVar(&cl.Replicate, "replicate", false, "replicate remote cluster nodes to warm standbys with failover")
 	flag.IntVar(&cl.ShipEvery, "ship-every", 0, "ship a node's checkpoint after this many writes (0 = default)")
 	flag.BoolVar(&cl.FollowerReads, "follower-reads", false, "serve READONLY-connection reads from frozen fork views (needs -replicate)")
-	flag.DurationVar((*time.Duration)(&cl.StaleBound), "stale-bound", 0, "follower-read staleness bound; older views reply -STALE (0 = default 500ms)")
-	flag.DurationVar((*time.Duration)(&cl.ProbeInterval), "probe-interval", 0, "health-monitor probe cadence (0 = default 25ms)")
-	flag.IntVar(&cl.ProbeThreshold, "probe-threshold", 0, "consecutive probe failures that declare a node dead and promote its standby (0 = default 3; park high to brown out without failover)")
+	flag.DurationVar((*time.Duration)(&cl.StaleBound), "stale-bound", 0, fmt.Sprintf("follower-read staleness bound; older views reply -STALE (0 = default %v)", rep.StaleBound))
+	flag.DurationVar((*time.Duration)(&cl.ProbeInterval), "probe-interval", 0, fmt.Sprintf("health-monitor probe cadence (0 = default %v)", rep.ProbeInterval))
+	flag.IntVar(&cl.ProbeThreshold, "probe-threshold", 0, fmt.Sprintf("consecutive probe failures that declare a node dead and promote its standby (0 = default %d; park high to brown out without failover)", rep.ProbeThreshold))
 	scenario := flag.String("scenario", "", "play this chaos scenario's steps — faults, node kills, adds and removes — against the live server (library name or JSON file)")
 	flag.Int64Var(&spec.Seed, "fault-seed", 1, "fault registry seed for -scenario runs")
 	flag.IntVar(&spec.Load.Tenants, "tenants", 0, "serve n demo tenants (t0../s0..) behind AUTH with isolated views (0 = single-tenant)")
@@ -100,13 +103,10 @@ func main() {
 	flag.Float64Var(&front.Quotas.Rate, "tenant-rate", 0, "per-tenant command rate limit per second (0 = unlimited)")
 	flag.DurationVar((*time.Duration)(&cl.Deadline), "deadline", 0, "default per-command deadline budget, converted to cycles at the machine's clock (0 = none; clients override with DEADLINE <ms>)")
 	flag.BoolVar(&cl.Breakers, "breakers", false, "arm a circuit breaker per remote cluster node (needs -cluster)")
-	flag.IntVar(&cl.BreakerThreshold, "breaker-threshold", 0, "consecutive failures that trip a breaker (0 = default 5)")
-	flag.DurationVar((*time.Duration)(&cl.BreakerCooldown), "breaker-cooldown", 0, "open-breaker fail-fast window before a half-open probe (0 = default 100ms)")
+	flag.IntVar(&cl.BreakerThreshold, "breaker-threshold", 0, fmt.Sprintf("consecutive failures that trip a breaker (0 = default %d)", ov.BreakerThreshold))
+	flag.DurationVar((*time.Duration)(&cl.BreakerCooldown), "breaker-cooldown", 0, fmt.Sprintf("open-breaker fail-fast window before a half-open probe (0 = default %v)", ov.BreakerCooldown))
 	flag.Parse()
 
-	if cl.FollowerReads && !cl.Replicate {
-		fatal(fmt.Errorf("-follower-reads requires -replicate (frozen fork views ride the replication engine)"))
-	}
 	if cl.Breakers && cl.Nodes <= 0 {
 		fatal(fmt.Errorf("-breakers requires -cluster"))
 	}

@@ -12,11 +12,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 
+	"spacejmp/internal/chaos"
 	"spacejmp/internal/cluster"
-	"spacejmp/internal/hw"
-	"spacejmp/internal/kernel"
 	"spacejmp/internal/server"
 	"spacejmp/internal/stats"
 )
@@ -53,24 +51,16 @@ func main() {
 // cluster in the given mode, drains, checks for leaks, and returns the
 // cluster counters.
 func runMode(mode cluster.Mode) *stats.ClusterSnap {
-	m := hw.NewMachine(hw.M1())
-	sys := kernel.New(m)
-	sys.EnableStats(0)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	st, err := chaos.Boot(&chaos.Spec{Seed: 1, Machine: "M1",
+		Cluster: chaos.ClusterSpec{Nodes: nodes, Workers: workers, Mode: string(mode)},
+	}, chaos.Front{Addr: "127.0.0.1:0"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := m.PM.AllocatedBytes()
-	router, err := cluster.New(sys, cluster.Config{Nodes: nodes, Workers: workers, Mode: mode})
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := server.NewWithBackend(sys, ln, server.Config{}, router)
-	fmt.Print(router)
+	fmt.Print(st.Router)
 
 	res, err := server.RunLoad(server.LoadConfig{
-		Addr:        srv.Addr().String(),
+		Addr:        st.Server.Addr().String(),
 		Conns:       8,
 		Pipeline:    4,
 		Requests:    256,
@@ -88,18 +78,12 @@ func runMode(mode cluster.Mode) *stats.ClusterSnap {
 	fmt.Printf("  load: %d commands (%d GET / %d SET / %d MGET), %d busy\n",
 		res.Commands, res.Gets, res.Sets, res.MGets, res.Busy)
 
-	if err := srv.Shutdown(); err != nil {
+	if _, err, leak := st.Teardown(); err != nil {
 		log.Fatal(err)
-	}
-	if err := m.PM.CheckLeaks(base); err != nil {
-		log.Fatalf("mode %s: leak after drain: %v", mode, err)
+	} else if leak != nil {
+		log.Fatalf("mode %s: leak after drain: %v", mode, leak)
 	}
 	fmt.Println("  drained: frames reclaimed, urpc channels empty")
 	fmt.Println()
-
-	snap := sys.Stats()
-	if snap == nil || snap.Cluster == nil {
-		log.Fatalf("mode %s: no cluster stats", mode)
-	}
-	return snap.Cluster
+	return st.Sys.Stats().Cluster
 }

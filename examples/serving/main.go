@@ -12,34 +12,24 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"os"
 
-	"spacejmp/internal/cluster"
-	"spacejmp/internal/hw"
-	"spacejmp/internal/kernel"
+	"spacejmp/internal/chaos"
 	"spacejmp/internal/server"
 )
 
 func main() {
-	m := hw.NewMachine(hw.M1())
-	sys := kernel.New(m)
-	sys.EnableStats(4096)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// The stack goes up and down where spacejmp-server's does (chaos.Boot).
+	st, err := chaos.Boot(&chaos.Spec{Seed: 1, Machine: "M1",
+		Cluster: chaos.ClusterSpec{Nodes: 1, Workers: 4, Mode: "vas", SegSize: 16 << 20},
+	}, chaos.Front{Addr: "127.0.0.1:0", TraceCap: 4096, Pipeline: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := m.PM.AllocatedBytes()
-	router, err := cluster.New(sys, cluster.Config{Nodes: 1, Workers: 4, Mode: cluster.ModeVAS, SegSize: 16 << 20})
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := server.NewWithBackend(sys, ln, server.Config{PipelineDepth: 16}, router)
-	fmt.Printf("serving on %s with 4 workers (4 simulated cores)\n\n", srv.Addr())
+	fmt.Printf("serving on %s with 4 workers (4 simulated cores)\n\n", st.Server.Addr())
 
 	res, err := server.RunLoad(server.LoadConfig{
-		Addr:       srv.Addr().String(),
+		Addr:       st.Server.Addr().String(),
 		Conns:      32,
 		Pipeline:   8,
 		Requests:   256,
@@ -55,16 +45,12 @@ func main() {
 		res.Latency.Quantile(0.50), res.Latency.Quantile(0.99),
 		res.Busy, res.Errors, res.Mismatches)
 
-	if err := srv.Shutdown(); err != nil {
+	if _, err, leak := st.Teardown(); err != nil {
 		log.Fatal(err)
-	}
-	if err := m.PM.CheckLeaks(base); err != nil {
-		log.Fatalf("leak after drain: %v", err)
+	} else if leak != nil {
+		log.Fatalf("leak after drain: %v", leak)
 	}
 	fmt.Println("drained: all workers exited, all simulated frames reclaimed")
-
-	if snap := sys.Stats(); snap != nil {
-		fmt.Println()
-		snap.WriteText(os.Stdout)
-	}
+	fmt.Println()
+	st.Sys.Stats().WriteText(os.Stdout)
 }

@@ -1,6 +1,10 @@
 package chaos
 
-import "time"
+import (
+	"time"
+
+	"spacejmp/internal/server"
+)
 
 // The scenario library: each entry is a named, self-contained disruption
 // pattern over the clustered stack with the invariants it must hold. They
@@ -61,11 +65,11 @@ func clusterBaseline() *Spec {
 		Description: "no faults: mixed GET/SET/MGET over both serving paths, clean drain",
 		Machine:     "small",
 		Cluster:     ClusterSpec{Nodes: 3, Workers: 2, Locals: 2},
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 8, Pipeline: 4, Requests: 128,
 			SetPercent: 20, MGetPercent: 25, MGetKeys: 4,
 			Keys: 256,
-		},
+		}},
 		Invariants: Invariants{
 			MinLocal:  1,
 			MinRemote: 1,
@@ -88,10 +92,10 @@ func rollingNodeKills() *Spec {
 			ProbeInterval: dur(2 * time.Millisecond), ProbeThreshold: 3,
 			DeltaLog: 256,
 		},
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 4, Requests: 384,
 			SetPercent: 25, MGetPercent: 20, Keys: 256,
-		},
+		}},
 		Steps: []Step{
 			{Point: "cluster.node.crash", Target: intp(2), Policy: PolicySpec{Kind: "always"}, After: dur(150 * time.Millisecond)},
 			{Point: "cluster.node.crash", Target: intp(3), Policy: PolicySpec{Kind: "always"}, After: dur(450 * time.Millisecond)},
@@ -121,10 +125,10 @@ func partitionThenHeal() *Spec {
 		// The load must still be running when the partition starts: steps
 		// fire on the wall clock, so the request count is sized to the
 		// serving path's host speed (≈ 2 000 commands in 25 ms).
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 2, Requests: 4096,
 			SetPercent: 20, Keys: 128,
-		},
+		}},
 		Steps: []Step{
 			{Point: "urpc.drop", Policy: PolicySpec{Kind: "always"}, After: dur(25 * time.Millisecond), For: dur(250 * time.Millisecond)},
 		},
@@ -152,10 +156,10 @@ func slowReplica() *Spec {
 			ProbeInterval: dur(5 * time.Millisecond), ProbeThreshold: 3,
 			DeltaLog: 256,
 		},
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 4, Requests: 256,
 			SetPercent: 60, Keys: 256,
-		},
+		}},
 		Steps: []Step{
 			{Point: "urpc.delay", Policy: PolicySpec{Kind: "probability", P: 0.5}},
 		},
@@ -185,10 +189,10 @@ func checkpointCorruptionStorm() *Spec {
 			ProbeInterval: dur(2 * time.Millisecond), ProbeThreshold: 3,
 			DeltaLog: 256,
 		},
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 4, Requests: 384,
 			SetPercent: 40, Keys: 256,
-		},
+		}},
 		Steps: []Step{
 			// Checkpoint writes are payload then header; every-nth(2) lands
 			// on each header, so no shipped generation ever validates.
@@ -221,10 +225,10 @@ func elasticAddRemove() *Spec {
 		Description: "add node 3 and rebalance onto it mid-load, then drain and remove it; everything verifies",
 		Machine:     "small",
 		Cluster:     ClusterSpec{Nodes: 3, Workers: 1, Locals: 2},
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 4, Requests: 512,
 			SetPercent: 30, Keys: 256,
-		},
+		}},
 		Steps: []Step{
 			{Point: "cluster.node.add", After: dur(100 * time.Millisecond)},
 			{Point: "cluster.node.remove", Target: intp(3), After: dur(700 * time.Millisecond)},
@@ -258,10 +262,10 @@ func migrationTargetKilled() *Spec {
 		Description: "migrate a slot into a crashing node: abort, roll back, source stays authoritative",
 		Machine:     "small",
 		Cluster:     ClusterSpec{Nodes: 3, Workers: 1, Locals: 1},
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 2, Requests: 1024,
 			SetPercent: 30, Keys: 128,
-		},
+		}},
 		Steps: []Step{
 			// Node 2 dies on its next dispatch from 50ms on; the migration at
 			// 150ms targets it — either the crash already landed (the target
@@ -306,11 +310,11 @@ func tenantIsolationUnderKill() *Spec {
 			ProbeInterval: dur(2 * time.Millisecond), ProbeThreshold: 3,
 			DeltaLog: 256,
 		},
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 4, Requests: 384,
 			SetPercent: 25, MGetPercent: 20, Keys: 256,
 			Tenants: 2, Auth: true, CrossCheckEvery: 16,
-		},
+		}},
 		Steps: []Step{
 			{Point: PointNodeKill, Target: intp(2), After: dur(200 * time.Millisecond)},
 		},
@@ -349,11 +353,11 @@ func shipUnderLoad() *Spec {
 			DeltaLog:      1024,
 			FollowerReads: true, StaleBound: dur(250 * time.Millisecond),
 		},
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 4, Requests: 384,
 			SetPercent: 60, Keys: 256,
-			StaleReads: true, StaleBound: dur(2 * time.Second), StaleCheckEvery: 8,
-		},
+			StaleReads: true, StaleCheckEvery: 8,
+		}, StaleBound: dur(2 * time.Second)},
 		Invariants: Invariants{
 			MinShips: 4,
 			// One full ship of the 1 MiB segment at boot, then deltas of the
@@ -410,11 +414,11 @@ func slowNodeBrownout() *Spec {
 		// Sized so the load is still running well into the probe-drop
 		// window (the one worker serves ≈ 4 000 commands in its first 50 ms):
 		// reads can only degrade, and the breaker only cycle, under traffic.
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 4, Requests: 4096,
 			SetPercent: 30, MGetPercent: 10, MGetKeys: 4, Keys: 256,
-			StaleReads: true, StaleBound: dur(4 * time.Second), StaleCheckEvery: 8,
-		},
+			StaleReads: true, StaleCheckEvery: 8,
+		}, StaleBound: dur(4 * time.Second)},
 		Steps: []Step{
 			{Point: "cluster.probe.drop", Target: intp(2), Policy: PolicySpec{Kind: "always"}, After: dur(50 * time.Millisecond), For: dur(300 * time.Millisecond)},
 		},
@@ -458,10 +462,10 @@ func partitionDuringMigration() *Spec {
 			ProbeInterval: dur(2 * time.Millisecond), ProbeThreshold: 3,
 			DeltaLog: 1024,
 		},
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 2, Requests: 384,
 			SetPercent: 30, Keys: 128,
-		},
+		}},
 		Steps: []Step{
 			// Probes to node 2 vanish at 100ms; threshold 3 declares it dead
 			// and promotes the standby a few probe ticks later. The migration
@@ -492,11 +496,11 @@ func acceptPressureFlood() *Spec {
 		Description: "refuse 40% of accepts and drop 2% of conns; reconnecting load still verifies",
 		Machine:     "small",
 		Cluster:     ClusterSpec{Nodes: 3, Workers: 2, Locals: 2},
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 8, Pipeline: 4, Requests: 128,
 			SetPercent: 20, Keys: 256,
 			Reconnect: true,
-		},
+		}},
 		Steps: []Step{
 			{Point: "server.accept", Policy: PolicySpec{Kind: "probability", P: 0.4}},
 			{Point: "server.conn.drop", Policy: PolicySpec{Kind: "probability", P: 0.02}},

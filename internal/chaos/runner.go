@@ -147,7 +147,6 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	obs := st.Machine.Observer()
 	logf("chaos: %s: serving on %s (machine %s, seed %d)", spec.Name, st.Server.Addr(), st.Machine.Cfg.Name, boot.Seed)
 
 	// With an admin surface the run watches its own /stats/delta — it
@@ -161,27 +160,9 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 		logf("chaos: admin on http://%s", st.Admin)
 	}
 
-	res, loadErr := server.RunLoad(server.LoadConfig{
-		Addr:        st.Server.Addr().String(),
-		Conns:       spec.Load.Conns,
-		Pipeline:    spec.Load.Pipeline,
-		Requests:    spec.Load.Requests,
-		SetPercent:  spec.Load.SetPercent,
-		MGetPercent: spec.Load.MGetPercent,
-		MGetKeys:    spec.Load.MGetKeys,
-		Keys:        spec.Load.Keys,
-		ValueSize:   spec.Load.ValueSize,
-		Seed:        boot.Seed,
-		Reconnect:   spec.Load.Reconnect,
-
-		Tenants:         spec.Load.Tenants,
-		Auth:            spec.Load.Auth,
-		CrossCheckEvery: spec.Load.CrossCheckEvery,
-
-		StaleReads:      spec.Load.StaleReads,
-		StaleBound:      time.Duration(spec.Load.StaleBound),
-		StaleCheckEvery: spec.Load.StaleCheckEvery,
-	})
+	load := spec.Load.LoadConfig
+	load.Addr, load.Seed, load.StaleBound = st.Server.Addr().String(), boot.Seed, time.Duration(spec.Load.StaleBound)
+	res, loadErr := server.RunLoad(load)
 	logf("chaos: load done: %d commands, %d busy, %d errors, %d mismatches",
 		res.Commands, res.Busy, res.Errors, res.Mismatches)
 
@@ -194,11 +175,10 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	// Quiesce: asynchronous failover machinery (probe -> ship -> promote)
 	// needs wall time to reach the declared counts, so the cluster-side
 	// invariants are polled, bounded, until they all hold; what they say when
-	// the stack goes down is the verdict. The sink's own Snapshot reads only
-	// atomics, so it is safe mid-run.
+	// the stack goes down is the verdict.
 	inv := &spec.Invariants
 	waitUntil(quiesceTimeout, func() bool {
-		checks := append(inv.clusterChecks(obs.Snapshot().Dense().Cluster, st.Router.Health()), inv.traceChecks(obs.Tracer())...)
+		checks := append(inv.clusterChecks(st.Sys.Stats().Dense().Cluster, st.Router.Health()), inv.traceChecks(st.Sys.Tracer())...)
 		return len(failed(checks)) == 0
 	})
 
@@ -231,7 +211,7 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 		pending:      pending,
 		goroutinesOK: goroutinesOK,
 		adminOn:      opts.Admin,
-		tracer:       obs.Tracer(),
+		tracer:       st.Sys.Tracer(),
 	})
 	return rep, nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"spacejmp/internal/fault"
+	"spacejmp/internal/server"
 )
 
 // TestScenarioLibrary runs every shipped scenario end to end — cluster,
@@ -47,10 +48,10 @@ func determinismSpec() *Spec {
 		Seed:        7,
 		Machine:     "small",
 		Cluster:     ClusterSpec{Nodes: 3, Workers: 2, Locals: 2},
-		Load: LoadSpec{
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 2, Pipeline: 2, Requests: 128,
 			SetPercent: 30, Keys: 64,
-		},
+		}},
 		Steps: []Step{
 			{Point: "urpc.delay", Policy: PolicySpec{Kind: "probability", P: 0.3}},
 			{Point: "server.conn.stall", Policy: PolicySpec{Kind: "probability", P: 0.1}},

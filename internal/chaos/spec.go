@@ -28,6 +28,7 @@ import (
 	"spacejmp/internal/cluster"
 	"spacejmp/internal/fault"
 	"spacejmp/internal/hw"
+	"spacejmp/internal/server"
 	"spacejmp/internal/stats"
 )
 
@@ -251,16 +252,16 @@ type ClusterSpec struct {
 }
 
 // Config resolves the spec into the cluster.Config the booted cluster runs
-// on, the cluster package's defaults filled in — so node count and placement
-// are asked of it, not re-derived. The replication knobs stay flat in the
-// JSON surface (scenario files predate the nesting) but land in the nested
-// ReplicationConfig.
+// on, held to the cluster package's rules (cluster.Config.Validate) and with
+// its defaults filled in — so node count and placement are asked of it, not
+// re-derived. The replication knobs stay flat in the JSON surface (scenario
+// files predate the nesting) but land in the nested ReplicationConfig.
 func (c ClusterSpec) Config() (cluster.Config, error) {
 	mode, err := cluster.ParseMode(c.Mode)
 	if err != nil {
 		return cluster.Config{}, err
 	}
-	return cluster.Config{
+	cfg := cluster.Config{
 		Nodes:             c.Nodes,
 		Workers:           c.Workers,
 		Mode:              mode,
@@ -283,40 +284,18 @@ func (c ClusterSpec) Config() (cluster.Config, error) {
 			BreakerThreshold: c.BreakerThreshold,
 			BreakerCooldown:  time.Duration(c.BreakerCooldown),
 		},
-	}.WithDefaults(), nil
+	}
+	return cfg.WithDefaults(), cfg.Validate()
 }
 
-// LoadSpec parameterizes the verifying load; zero values take the load
-// generator's defaults.
+// LoadSpec parameterizes the verifying load: the load generator's own config
+// (its JSON keys are declared there; the address, the seed and the deadline
+// are not a scenario file's to set) with the one field whose file form
+// differs — StaleBound, a duration string, stands in for the embedded
+// nanosecond count. Zero values take the load generator's defaults.
 type LoadSpec struct {
-	Conns       int  `json:"conns,omitempty"`
-	Pipeline    int  `json:"pipeline,omitempty"`
-	Requests    int  `json:"requests,omitempty"`
-	SetPercent  int  `json:"set_percent,omitempty"`
-	MGetPercent int  `json:"mget_percent,omitempty"`
-	MGetKeys    int  `json:"mget_keys,omitempty"`
-	Keys        int  `json:"keys,omitempty"`
-	ValueSize   int  `json:"value_size,omitempty"`
-	Reconnect   bool `json:"reconnect,omitempty"`
-	// Tenants with Auth boots the demo tenant registry and runs the load
-	// multi-tenant: each connection authenticates as tenant i%Tenants and
-	// works its own view. CrossCheckEvery interleaves probe GETs at another
-	// tenant's view; the only correct answer is -NOPERM, and any data reply
-	// is counted as a cross-view leak.
-	Tenants         int  `json:"tenants,omitempty"`
-	Auth            bool `json:"auth,omitempty"`
-	CrossCheckEvery int  `json:"cross_check_every,omitempty"`
-	// StaleReads opts every load connection into follower reads (READONLY)
-	// and interleaves versioned staleness probes: a probe GET must answer
-	// either a version no older than StaleBound or the typed -STALE
-	// refusal; a stale version served silently is a violation (and
-	// violations are always an invariant failure — there is no knob to
-	// tolerate them). Requires cluster.follower_reads. StaleBound is the
-	// verifying bound (defaults to 1s; set it to the cluster's bound plus
-	// shipping slack), StaleCheckEvery the probe cadence (default 8).
-	StaleReads      bool     `json:"stale_reads,omitempty"`
-	StaleBound      Duration `json:"stale_bound,omitempty"`
-	StaleCheckEvery int      `json:"stale_check_every,omitempty"`
+	server.LoadConfig
+	StaleBound Duration `json:"stale_bound,omitempty"`
 }
 
 // Invariants are the assertions a run must satisfy. Value fields of zero
@@ -452,12 +431,6 @@ func (s *Spec) Validate() error {
 	if s.Invariants.MinCrossDenied > 0 && (!s.Load.Auth || s.Load.Tenants < 2) {
 		return specErr(-1, "invariants.min_cross_denied: needs auth and at least two tenants", ErrBadSpec)
 	}
-	if s.Cluster.FollowerReads && !s.Cluster.Replicate {
-		return specErr(-1, "cluster.follower_reads: requires cluster.replicate", ErrBadSpec)
-	}
-	if s.Cluster.StaleBound < 0 {
-		return specErr(-1, fmt.Sprintf("cluster.stale_bound: negative (%v)", time.Duration(s.Cluster.StaleBound)), ErrBadDuration)
-	}
 	if s.Load.StaleReads && !s.Cluster.FollowerReads {
 		return specErr(-1, "load.stale_reads: requires cluster.follower_reads", ErrBadSpec)
 	}
@@ -470,17 +443,8 @@ func (s *Spec) Validate() error {
 	if s.Invariants.MinStaleProbes > 0 && !s.Load.StaleReads {
 		return specErr(-1, "invariants.min_stale_probes: needs load.stale_reads", ErrBadSpec)
 	}
-	if s.Cluster.BreakerThreshold < 0 {
-		return specErr(-1, fmt.Sprintf("cluster.breaker_threshold: negative (%d)", s.Cluster.BreakerThreshold), ErrBadSpec)
-	}
-	if s.Cluster.BreakerCooldown < 0 {
-		return specErr(-1, fmt.Sprintf("cluster.breaker_cooldown: negative (%v)", time.Duration(s.Cluster.BreakerCooldown)), ErrBadDuration)
-	}
 	if s.Cluster.Deadline < 0 {
 		return specErr(-1, fmt.Sprintf("cluster.deadline: negative (%v)", time.Duration(s.Cluster.Deadline)), ErrBadDuration)
-	}
-	if (s.Cluster.BreakerThreshold > 0 || s.Cluster.BreakerCooldown > 0) && !s.Cluster.Breakers {
-		return specErr(-1, "cluster.breaker_threshold/breaker_cooldown: need cluster.breakers", ErrBadSpec)
 	}
 	if s.Invariants.MinBreakerOpens > 0 && !s.Cluster.Breakers {
 		return specErr(-1, "invariants.min_breaker_opens: needs cluster.breakers", ErrBadSpec)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"spacejmp/internal/fault"
+	"spacejmp/internal/server"
 )
 
 // TestBootArmsBeforeFirstShip is the boot order, pinned where getting it
@@ -96,7 +97,7 @@ func TestQuiesceIsTheChecks(t *testing.T) {
 		return &Spec{
 			Name: "quiesce-probe", Seed: 3, Machine: "small",
 			Cluster: ClusterSpec{Nodes: 2, Workers: 1, Locals: 1, Replicate: true, SegSize: 1 << 20},
-			Load:    LoadSpec{Conns: 2, Pipeline: 4, Requests: 64, SetPercent: 50, Keys: 32},
+			Load:    LoadSpec{LoadConfig: server.LoadConfig{Conns: 2, Pipeline: 4, Requests: 64, SetPercent: 50, Keys: 32}},
 		}
 	}
 

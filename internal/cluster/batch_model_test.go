@@ -27,7 +27,7 @@ func refExec(r *Router, w *worker, req *server.Request) []byte {
 	resp := refRoute(r, w, req)
 	w.th.Core.AddCycles(server.EdgeCycles(len(resp)))
 	if w.bud.Active() {
-		r.obs.ClusterBudgetRemaining(w.bud.Remaining(w.th.Core.Cycles()))
+		r.ctr.Overload.BudgetRemaining.Observe(w.bud.Remaining(w.th.Core.Cycles()))
 	}
 	return resp
 }
@@ -61,7 +61,7 @@ func refExec1(r *Router, w *worker, cmd *redis.Command, args []string, readonly 
 		mig.mu.Lock()
 		defer mig.mu.Unlock()
 		if mig.fenced.Load() {
-			r.obs.ClusterMovedRetry()
+			r.ctr.Migration.MovedRetries.Add(1)
 			return redis.EncodeMoved(slot, mig.dst)
 		}
 		resp := refExecOn(r, w, n, cmd, args, readonly)
@@ -86,7 +86,7 @@ func refExecOn(r *Router, w *worker, n *node, cmd *redis.Command, args []string,
 	case t.client != nil:
 		before := w.th.Core.Cycles()
 		resp := redis.Run(t.client, cmd, args)
-		r.obs.ClusterLocal(n.id, w.th.Core.Cycles()-before)
+		refLocal(r, n, w.th.Core.Cycles()-before)
 		return resp
 	}
 	resp, errReply := refCallNode(r, w, n, t.ep, redis.EncodeCommand(args...))
@@ -105,9 +105,16 @@ func refCallNode(r *Router, w *worker, n *node, ep *urpc.Endpoint, wire []byte) 
 	total := w.th.Core.Cycles() - before
 	n.noteOutcome(err)
 	if err != nil {
-		return nil, r.remoteError(n.id, err)
+		return nil, r.remoteError(n, err)
 	}
 	r.obs.ClusterRemote(n.id, total)
-	r.obs.ClusterURPCCall(callCycles)
+	r.ctr.URPCCallCycles.Observe(callCycles)
 	return resp, nil
+}
+
+// refLocal counts one command served on node n's VAS path, as serve does.
+func refLocal(r *Router, n *node, cycles uint64) {
+	r.ctr.Local.Add(1)
+	r.ctr.LocalCycles.Observe(cycles)
+	n.ctr.Local.Add(1)
 }

@@ -130,11 +130,33 @@ type OverloadConfig struct {
 	// outcome recloses or reopens it.
 	Breakers bool
 	// BreakerThreshold is the consecutive failures that trip a breaker
-	// open. Default 5.
+	// open. Default 5. Setting it or BreakerCooldown needs Breakers.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker fails fast before
 	// admitting a half-open probe. Default 100ms.
 	BreakerCooldown time.Duration
+}
+
+// Validate reports the first rule the config breaks — the one statement of
+// them, which New, a scenario file (chaos.ClusterSpec.Config) and through it
+// spacejmp-server's flags are all held to. A rule is about what was set, and
+// WithDefaults sets nothing a rule forbids: what passes as written passes as
+// New runs on it.
+func (c Config) Validate() error {
+	rep, ov := c.Replication, c.Overload
+	switch {
+	case rep.FollowerReads && !rep.Enabled:
+		return errors.New("cluster: follower reads need replication (frozen fork views ride the replication engine)")
+	case rep.StaleBound < 0:
+		return fmt.Errorf("cluster: stale bound: negative (%v)", rep.StaleBound)
+	case ov.BreakerThreshold < 0:
+		return fmt.Errorf("cluster: breaker threshold: negative (%d)", ov.BreakerThreshold)
+	case ov.BreakerCooldown < 0:
+		return fmt.Errorf("cluster: breaker cooldown: negative (%v)", ov.BreakerCooldown)
+	case (ov.BreakerThreshold > 0 || ov.BreakerCooldown > 0) && !ov.Breakers:
+		return errors.New("cluster: breaker threshold/cooldown need breakers")
+	}
+	return nil
 }
 
 // WithDefaults returns the config New runs on: every zero value resolved.
@@ -178,10 +200,10 @@ func (c Config) WithDefaults() Config {
 	if c.Replication.StaleBound <= 0 {
 		c.Replication.StaleBound = 500 * time.Millisecond
 	}
-	if c.Overload.BreakerThreshold <= 0 {
+	if c.Overload.Breakers && c.Overload.BreakerThreshold <= 0 {
 		c.Overload.BreakerThreshold = 5
 	}
-	if c.Overload.BreakerCooldown <= 0 {
+	if c.Overload.Breakers && c.Overload.BreakerCooldown <= 0 {
 		c.Overload.BreakerCooldown = 100 * time.Millisecond
 	}
 	return c
@@ -198,13 +220,16 @@ func (c Config) WithDefaults() Config {
 // Core budget: Workers + remote nodes (+1 for the monitor when replicating
 // with any remote node) must not exceed the machine's cores; claiming past
 // the end fails here, not at runtime.
+//
+// A cluster always counts: on a machine with no stats sink New installs one
+// (System.Sink), which is what lets every site below count unguarded.
 func New(sys *core.System, cfg Config) (*Router, error) {
-	cfg = cfg.WithDefaults()
-	r := &Router{
-		sys: sys,
-		obs: sys.M.Observer(),
-		cfg: cfg,
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	cfg = cfg.WithDefaults()
+	obs := sys.Sink()
+	r := &Router{sys: sys, obs: obs, ctr: obs.Cluster(), srv: obs.Server(), cfg: cfg}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	r.installTable(initialTable(cfg.Nodes))
 	if cfg.Replication.Enabled {
@@ -217,16 +242,14 @@ func New(sys *core.System, cfg Config) (*Router, error) {
 		r.suspectCh = make(chan int, cfg.Nodes*16)
 		r.forks = fork.New(sys, r.obs)
 	}
-	r.obs.InstallClusterNodes(cfg.Nodes)
 	r.obs.InstallClusterSlots(NumSlots)
-	ctrs := r.obs.InstallServerShards(cfg.Workers)
 
 	// Workers claim the first cores so they land on the first socket(s);
 	// remote nodes claim after them, so with more nodes than fit on the
 	// workers' socket the placement naturally yields both URPC L and
 	// URPC X channels.
 	for i := 0; i < cfg.Workers; i++ {
-		w, err := r.newWorker(i, ctrs[i])
+		w, err := r.newWorker(i)
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("cluster: worker %d: %w", i, err)
@@ -405,7 +428,9 @@ func (r *Router) PendingFrames() int {
 // and server.ClusterStatus.
 type Router struct {
 	sys *core.System
-	obs *stats.Sink
+	obs *stats.Sink            // never nil (New); the events that trace go through it
+	ctr *stats.ClusterCounters // obs's cluster block
+	srv *stats.ServerCounters  // obs's server block: queueing and latency are the backend's to count
 	cfg Config
 
 	workers []*worker

@@ -27,9 +27,6 @@ func (r *Router) AddNode() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("cluster: add node %d: %w", id, err)
 	}
-	// Grow the per-node counters before the node can serve, so its first
-	// command never races the stats install.
-	r.obs.InstallClusterNodes(id + 1)
 	eps := make([]*urpc.Endpoint, len(r.workers))
 	for i, w := range r.workers {
 		eps[i] = r.connect(w.th.Core.ID, n)

@@ -35,7 +35,7 @@ func (m *monitor) ship(r *Router, n *node) {
 	resp, err := n.callBulk(ep, forkWire)
 	if err != nil {
 		n.mu.Unlock()
-		r.obs.ClusterShipFailure()
+		r.ctr.Replication.ShipFailures.Add(1)
 		m.noteFailure(r, n)
 		return
 	}
@@ -61,11 +61,11 @@ func (m *monitor) ship(r *Router, n *node) {
 		// apply) a usable view — a checkpoint fault, not dead-node
 		// evidence. Keep the window for the next attempt.
 		n.delta.restore(entries, dropped)
-		r.obs.ClusterShipFailure()
+		r.ctr.Replication.ShipFailures.Add(1)
 		return
 	}
 	n.held = gen
-	r.obs.ClusterShipDuration(uint64(time.Since(start).Nanoseconds()))
+	r.ctr.Fork.ShipNs.Observe(uint64(time.Since(start).Nanoseconds())) // extract + apply, all off the node mutex
 	r.obs.ClusterShip(n.id, uint64(len(img.Data)), img.Base == 0)
 }
 

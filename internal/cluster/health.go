@@ -106,8 +106,9 @@ func (m *monitor) probe(r *Router, n *node) {
 		_, err := target{ep: m.eps.to(r, n)}.run(n, "PING")
 		ok = err == nil
 	}
-	r.obs.ClusterProbe(ok)
+	r.ctr.Replication.Probes.Add(1)
 	if !ok {
+		r.ctr.Replication.ProbeFailures.Add(1)
 		m.noteFailure(r, n)
 		return
 	}
@@ -145,7 +146,7 @@ func (m *monitor) degrade(r *Router, n *node, err error) {
 	entries, dropped := n.delta.take()
 	lost := dropped + uint64(len(entries))
 	n.lost.Add(lost)
-	r.obs.ClusterLostUpdates(lost)
+	r.ctr.Replication.LostUpdates.Add(lost)
 	n.setState(StateDegraded, r.obs)
 }
 

@@ -42,7 +42,7 @@ func refMGet(r *Router, w *worker, cmd *redis.Command, keys []string, readonly b
 			argv[1+j] = keys[i]
 		}
 		if now := w.th.Core.Cycles(); w.bud.Exhausted(now) {
-			r.obs.ClusterDeadlineExpired()
+			r.ctr.Overload.DeadlineExpired.Add(1)
 			return redis.EncodeDeadline(fmt.Sprintf(
 				"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
 		}
@@ -71,7 +71,7 @@ func refMGetOn(r *Router, w *worker, n *node, cmd *redis.Command, argv []string,
 	case t.client != nil:
 		before := w.th.Core.Cycles()
 		got, err := t.client.MGet(keys)
-		r.obs.ClusterLocal(n.id, w.th.Core.Cycles()-before)
+		refLocal(r, n, w.th.Core.Cycles()-before)
 		if err != nil {
 			return nil, redis.EncodeError(err.Error())
 		}
@@ -114,9 +114,9 @@ func refReadFrozen(r *Router, w *worker, t target, keys []string) [][]byte {
 	if serr := w.th.VASSwitch(core.PrimaryHandle); err != nil || serr != nil {
 		return nil
 	}
-	r.obs.ClusterFollowerRead()
+	r.ctr.Fork.FollowerReads.Add(1)
 	if t.degraded {
-		r.obs.ClusterDegradedRead()
+		r.ctr.Overload.DegradedReads.Add(1)
 	}
 	return got
 }

@@ -119,6 +119,7 @@ type node struct {
 	id    int
 	local bool
 	names redis.Names
+	ctr   *stats.NodeCounters // this node's row of the sink's routing table
 
 	// Remote nodes only.
 	proc   *core.Process
@@ -176,7 +177,7 @@ func (n *node) setState(s NodeState, obs *stats.Sink) {
 }
 
 func (r *Router) newNode(id int, local bool) (*node, error) {
-	n := &node{id: id, local: local, names: redis.ShardNames(id), sys: r.sys}
+	n := &node{id: id, local: local, names: redis.ShardNames(id), ctr: r.ctr.Nodes.Row(id), sys: r.sys}
 	if local {
 		// The store itself is bootstrapped lazily by the first worker
 		// client that attaches (wireWorker).
@@ -210,12 +211,19 @@ func (r *Router) newNode(id int, local bool) (*node, error) {
 	}
 	n.proc, n.th, n.client, n.coreID = proc, th, client, th.Core.ID
 	if r.cfg.Overload.Breakers {
-		obs := r.obs
 		n.breaker = overload.NewBreaker(overload.BreakerConfig{
 			Threshold: r.cfg.Overload.BreakerThreshold,
 			Cooldown:  r.cfg.Overload.BreakerCooldown,
 		}, func(from, to overload.State) {
-			obs.ClusterBreaker(n.id, from.String(), to.String())
+			switch ov := &r.ctr.Overload; to {
+			case overload.Open:
+				ov.BreakerOpens.Add(1)
+			case overload.HalfOpen:
+				ov.BreakerHalfOpens.Add(1)
+			case overload.Closed:
+				ov.BreakerCloses.Add(1)
+			}
+			r.obs.ClusterBreaker(n.id, from.String(), to.String())
 		})
 	}
 	return n, nil

@@ -84,7 +84,7 @@ type frozenReader struct {
 	store *redis.Store
 }
 
-func (r *Router) newWorker(id int, ctr *stats.ShardCounters) (*worker, error) {
+func (r *Router) newWorker(id int) (*worker, error) {
 	proc, th, err := r.claimThread()
 	if err != nil {
 		return nil, err
@@ -92,7 +92,7 @@ func (r *Router) newWorker(id int, ctr *stats.ShardCounters) (*worker, error) {
 	return &worker{
 		id:        id,
 		queue:     make(chan *server.Batch, r.cfg.QueueDepth+1), // +1: RemoveNode's empty batch
-		ctr:       ctr,
+		ctr:       r.srv.Shards.Row(id),
 		proc:      proc,
 		th:        th,
 		clients:   map[int]*redis.Client{},
@@ -126,9 +126,10 @@ func (r *Router) runWorker(w *worker) {
 		w.reconcile(r)
 		r.execBatch(w, b)
 		lat := uint64(time.Since(b.Start).Nanoseconds())
+		w.ctr.Commands.Add(uint64(len(b.Reqs)))
+		r.srv.Commands.Add(uint64(len(b.Reqs)))
 		for range b.Reqs {
-			w.ctr.Command()
-			r.obs.ServerCommand(lat)
+			r.srv.LatencyNs.Observe(lat)
 		}
 	}
 }
@@ -182,7 +183,7 @@ func (w *worker) reconcile(r *Router) {
 // Bind stripes the connection onto a worker (server.Backend).
 func (r *Router) Bind(connID uint64) uint64 {
 	w := r.workers[int(connID)%len(r.workers)]
-	w.ctr.Conn()
+	w.ctr.Conns.Add(1)
 	return uint64(w.id)
 }
 
@@ -200,9 +201,7 @@ func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 	n := len(b.Reqs)
 	d := int(w.queued.Add(int64(n)))
 	if over := min(d-r.cfg.QueueDepth, n); over > 0 {
-		for range over {
-			w.ctr.Busy()
-		}
+		w.ctr.Busy.Add(uint64(over))
 		n, d = n-over, d-over
 		w.queued.Add(-int64(over))
 	}
@@ -211,8 +210,8 @@ func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 	}
 	b.Reqs = b.Reqs[:n]
 	w.queue <- b
-	w.ctr.QueueDepth(d)
-	r.obs.ServerQueue(d)
+	stats.StoreMax(&w.ctr.QueueMax, uint64(d))
+	r.srv.QueueDepth.Observe(uint64(d))
 	return n
 }
 
@@ -364,7 +363,7 @@ func (r *Router) execRun(w *worker, run []started) {
 	for i, s := range run {
 		w.th.Core.AddCycles(server.EdgeCycles(len(calls[i].Reply)))
 		if s.bud.Active() {
-			r.obs.ClusterBudgetRemaining(s.bud.Remaining(w.th.Core.Cycles()))
+			r.ctr.Overload.BudgetRemaining.Observe(s.bud.Remaining(w.th.Core.Cycles()))
 		}
 		s.req.Finish(calls[i].Reply)
 	}
@@ -417,7 +416,8 @@ func (r *Router) resolve(w *worker, n *node, cmd *redis.Command, readonly bool) 
 		fallthrough
 	case servingFenced, servingRemoved:
 		// (A removed node owns no slots; a retry sees the table that says so.)
-		r.obs.ClusterTimeout(n.id)
+		r.ctr.Timeouts.Add(1)
+		n.ctr.Timeouts.Add(1)
 		return target{refusal: redis.EncodeShardTimeout(n.id)}
 	}
 	ep := w.endpoints[n.id]
@@ -427,17 +427,19 @@ func (r *Router) resolve(w *worker, n *node, cmd *redis.Command, readonly bool) 
 	// a fresh budget.
 	if w.bud.Active() {
 		if rem := w.bud.Remaining(w.th.Core.Cycles()); rem < ep.TimeoutCycles {
-			r.obs.ClusterDeadlineExpired()
+			r.ctr.Overload.DeadlineExpired.Add(1)
 			return target{refusal: redis.EncodeDeadline(fmt.Sprintf(
 				"node %d: %d cycles left, dispatch needs %d, retry", n.id, rem, ep.TimeoutCycles))}
 		}
 	}
 	// Circuit breaker: an open breaker sheds the dispatch immediately with
 	// the same retryable refusal a timed-out call would earn — minus the
-	// timeout.
+	// timeout — so the node's Timeouts row counts it; the cluster-wide total
+	// (ladders exhausted) does not.
 	if n.breaker != nil {
 		if ok, _ := n.breaker.Allow(); !ok {
-			r.obs.ClusterShed(n.id)
+			r.ctr.Overload.Shed.Add(1)
+			n.ctr.Timeouts.Add(1)
 			return target{refusal: redis.EncodeShardTimeout(n.id)}
 		}
 	}
@@ -463,7 +465,7 @@ func (r *Router) frozenTarget(w *worker, n *node) (t target, ok bool) {
 	}
 	bound := r.cfg.Replication.StaleBound
 	if age := v.Age(); age > bound {
-		r.obs.ClusterStaleRejected()
+		r.ctr.Fork.StaleRejected.Add(1)
 		return target{refusal: redis.EncodeStale(fmt.Sprintf("node %d view age %s exceeds bound %s",
 			n.id, age.Truncate(time.Millisecond), bound))}, true
 	}
@@ -488,9 +490,9 @@ func (r *Router) readFrozen(w *worker, t target, keys []string, array bool) []by
 	if serr := w.th.VASSwitch(core.PrimaryHandle); err != nil || serr != nil {
 		return nil
 	}
-	r.obs.ClusterFollowerRead()
+	r.ctr.Fork.FollowerReads.Add(1)
 	if t.degraded {
-		r.obs.ClusterDegradedRead()
+		r.ctr.Overload.DegradedReads.Add(1)
 	}
 	return reply
 }
@@ -525,7 +527,7 @@ func (r *Router) exec1(w *worker, cmd *redis.Command, args []string, readonly bo
 		mig.mu.Lock()
 		defer mig.mu.Unlock()
 		if mig.fenced.Load() {
-			r.obs.ClusterMovedRetry()
+			r.ctr.Migration.MovedRetries.Add(1)
 			return redis.EncodeMoved(slot, mig.dst)
 		}
 		resp := r.execOn(w, n, cmd, args, readonly)
@@ -569,13 +571,16 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 		redis.RunAll(t.client, calls)
 		each := (w.th.Core.Cycles() - before) / uint64(len(calls))
 		for range calls {
-			r.obs.ClusterLocal(n.id, each)
+			r.ctr.Local.Add(1)
+			r.ctr.LocalCycles.Observe(each)
+			n.ctr.Local.Add(1)
 		}
 	default:
 		resp, callCycles, err := n.call(t.ep, w.remoteWire(calls), w.callBudget())
 		each := (w.th.Core.Cycles() - before) / uint64(len(calls))
 		if err == nil {
-			r.obs.ClusterURPCCall(callCycles)
+			// The round trip by itself: transfers, dispatch, the node's work.
+			r.ctr.URPCCallCycles.Observe(callCycles)
 		}
 		for i := range calls {
 			c := &calls[i]
@@ -586,7 +591,7 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 			}
 			n.noteOutcome(err)
 			if err != nil {
-				c.Reply = r.remoteError(n.id, err)
+				c.Reply = r.remoteError(n, err)
 				continue
 			}
 			r.obs.ClusterRemote(n.id, each)
@@ -695,7 +700,7 @@ func (r *Router) mget(w *worker, cmd *redis.Command, keys []string, readonly boo
 		// groups so a slow early shard can't push later dispatches past the
 		// deadline silently.
 		if now := w.th.Core.Cycles(); w.bud.Exhausted(now) {
-			r.obs.ClusterDeadlineExpired()
+			r.ctr.Overload.DeadlineExpired.Add(1)
 			return redis.EncodeDeadline(fmt.Sprintf(
 				"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
 		}
@@ -768,17 +773,18 @@ func (r *Router) clusterNodesReply() []byte {
 // urpc.TimeoutError, recognizable end to end via core.ErrTimeout — becomes
 // the retryable SHARDTIMEOUT reply, a timeout count against the node, and
 // dead-node evidence for the monitor; anything else is a hard shard error.
-func (r *Router) remoteError(nid int, err error) []byte {
+func (r *Router) remoteError(n *node, err error) []byte {
 	if errors.Is(err, urpc.ErrBudget) {
 		// Checked before ErrTimeout: a BudgetError unwraps to both, and the
 		// distinction matters — the deadline ran out, not the node.
-		r.obs.ClusterDeadlineExpired()
-		return redis.EncodeDeadline(fmt.Sprintf("node %d: budget exhausted mid-call, retry", nid))
+		r.ctr.Overload.DeadlineExpired.Add(1)
+		return redis.EncodeDeadline(fmt.Sprintf("node %d: budget exhausted mid-call, retry", n.id))
 	}
 	if errors.Is(err, urpc.ErrTimeout) {
-		r.obs.ClusterTimeout(nid)
-		poke(r.suspectCh, nid)
-		return redis.EncodeShardTimeout(nid)
+		r.ctr.Timeouts.Add(1)
+		n.ctr.Timeouts.Add(1)
+		poke(r.suspectCh, n.id)
+		return redis.EncodeShardTimeout(n.id)
 	}
-	return redis.EncodeError(fmt.Sprintf("shard error: node %d: %s", nid, err))
+	return redis.EncodeError(fmt.Sprintf("shard error: node %d: %s", n.id, err))
 }

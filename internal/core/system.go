@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"spacejmp/internal/arch"
 	"spacejmp/internal/fault"
@@ -31,7 +32,7 @@ type System struct {
 	coreInUse    []bool
 	segTier      mem.Tier
 	tagPrimaries bool
-	switchures   uint64 // total vas_switch count (Figure 9's switch rate)
+	switches     atomic.Uint64 // total vas_switch count (Figure 9's switch rate); not under mu
 }
 
 // NewSystem boots a SpaceJMP system on the given machine with the given
@@ -107,16 +108,10 @@ func (sys *System) installShootdown(space *vm.Space, tagOf func() arch.ASID) {
 }
 
 // Switches returns the number of vas_switch operations performed.
-func (sys *System) Switches() uint64 {
-	sys.mu.Lock()
-	defer sys.mu.Unlock()
-	return sys.switchures
-}
+func (sys *System) Switches() uint64 { return sys.switches.Load() }
 
 func (sys *System) countSwitch(t *Thread, h Handle) {
-	sys.mu.Lock()
-	sys.switchures++
-	sys.mu.Unlock()
+	sys.switches.Add(1)
 	sys.M.Observer().VASSwitch(t.Core.ID, t.Proc.PID, uint64(h))
 }
 
@@ -126,6 +121,15 @@ func (sys *System) countSwitch(t *Thread, h Handle) {
 // segments for complete accounting.
 func (sys *System) EnableStats(traceCap int) *stats.Sink {
 	return sys.M.EnableStats(traceCap)
+}
+
+// Sink returns the live stats sink, first installing one with no trace ring
+// if the machine has none: what a serving stack, which always counts, asks for.
+func (sys *System) Sink() *stats.Sink {
+	if s := sys.M.Observer(); s != nil {
+		return s
+	}
+	return sys.EnableStats(0)
 }
 
 // Stats returns an immutable snapshot of every observability counter,

@@ -59,7 +59,7 @@ func Fig1(maxPow int) ([]Fig1Point, error) {
 				return 0, err
 			}
 			c.ChargePT(hw.DeltaPT(ptBefore, space.Table().Stats()))
-			c.AddCycles(357) // the system call itself
+			c.AddCycles(kernel.SyscallCycles) // the system call itself
 			return m.CyclesToNs(c.Cycles()-before) / 1e6, nil
 		}
 

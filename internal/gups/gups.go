@@ -25,6 +25,7 @@ import (
 	"spacejmp/internal/arch"
 	"spacejmp/internal/core"
 	"spacejmp/internal/hw"
+	"spacejmp/internal/kernel"
 	"spacejmp/internal/stats"
 	"spacejmp/internal/urpc"
 	"spacejmp/internal/vm"
@@ -272,7 +273,7 @@ func RunMAP(m *hw.Machine, cfg Config) (Result, error) {
 				return Result{}, err
 			}
 			c.ChargePT(hw.DeltaPT(before, space.Table().Stats()))
-			c.AddCycles(2 * 357) // mmap + munmap syscall entries
+			c.AddCycles(2 * kernel.SyscallCycles) // mmap + munmap syscall entries
 			cur = w
 		}
 		for _, off := range offsets {

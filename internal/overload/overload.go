@@ -119,24 +119,14 @@ func (s State) String() string {
 	return "state(?)"
 }
 
-// BreakerConfig sizes a circuit breaker. Zero values take the defaults.
+// BreakerConfig sizes a circuit breaker. The defaults are the caller's
+// (cluster.Config.WithDefaults): nothing is resolved here.
 type BreakerConfig struct {
-	// Threshold is the consecutive failures that trip a closed breaker
-	// open. Default 5.
+	// Threshold is the consecutive failures that trip a closed breaker open.
 	Threshold int
 	// Cooldown is how long an open breaker fails fast before admitting a
-	// half-open probe. Default 100ms.
+	// half-open probe.
 	Cooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 100 * time.Millisecond
-	}
-	return c
 }
 
 // Breaker is one remote node's circuit breaker. Multiple workers and the
@@ -157,7 +147,7 @@ type Breaker struct {
 
 // NewBreaker builds a closed breaker. onChange may be nil.
 func NewBreaker(cfg BreakerConfig, onChange func(from, to State)) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults(), onChange: onChange}
+	return &Breaker{cfg: cfg, onChange: onChange}
 }
 
 // State returns the breaker's current position without advancing it: an

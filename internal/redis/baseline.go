@@ -2,6 +2,7 @@ package redis
 
 import (
 	"spacejmp/internal/hw"
+	"spacejmp/internal/kernel"
 	"spacejmp/internal/urpc"
 )
 
@@ -12,11 +13,11 @@ import (
 
 // Socket cost model (cycles).
 const (
-	sockSyscall = 357  // enter/leave the kernel per send/recv
-	sockStack   = 3800 // socket layer work per message (locking, wakeup, poll)
-	sockPerLine = 200  // double copy of one cache line through the kernel
-	serverLoop  = 500  // event-loop dispatch per request (epoll, fd lookup)
-	execCycles  = 600  // hash-table operation on native memory
+	sockSyscall = kernel.SyscallCycles // enter/leave the kernel per send/recv
+	sockStack   = 3800                 // socket layer work per message (locking, wakeup, poll)
+	sockPerLine = 200                  // double copy of one cache line through the kernel
+	serverLoop  = 500                  // event-loop dispatch per request (epoll, fd lookup)
+	execCycles  = 600                  // hash-table operation on native memory
 
 	// setPersist is the extra server-side work of a SET: object creation,
 	// dict insertion, and the append-only-file write Redis performs on

@@ -7,6 +7,7 @@ import (
 	"spacejmp/internal/arch"
 	"spacejmp/internal/core"
 	"spacejmp/internal/hw"
+	"spacejmp/internal/kernel"
 	"spacejmp/internal/mem"
 	"spacejmp/internal/vm"
 )
@@ -40,7 +41,7 @@ const (
 	natSortCmp        = 50
 	natIndexPerRec    = 60
 
-	mmapSyscall = 357
+	mmapSyscall = kernel.SyscallCycles
 )
 
 // Result maps each operation to its simulated duration.

@@ -55,7 +55,7 @@ type ClusterStatus interface {
 
 // AdminHandler serves the machine's live observability state over HTTP:
 //
-//	GET /stats       — the sink's counters as JSON (a stats.Snapshot), plus
+//	GET /stats       — sys.Stats() as JSON (a stats.Snapshot), plus
 //	                   the armed fault rules (a "faults" block) and the
 //	                   cluster's live runtime state (pending urpc frames,
 //	                   per-node health)
@@ -78,14 +78,9 @@ type ClusterStatus interface {
 //	GET /debug/pprof/ — the Go runtime's profiles (net/http/pprof), here and
 //	                   never on the RESP port: …/debug/pprof/profile?seconds=10
 //
-// /stats reads only the sink's atomic counters (stats.Sink.Snapshot), so it
-// is safe to poll while workers drive the simulated cores. The per-core
-// *total* cycle counters are absent from it: they are each core's own plain
-// words, which hw.Machine.StatsSnapshot folds in as of the core's last settle
-// point. Category-attributed cycles, which the sink does own, are present and
-// account for all charged work.
+// Every endpoint reads what every other reader of the counters does,
+// core.System.Stats, which is safe to poll while workers drive the cores.
 func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) http.Handler {
-	obs := sys.M.Observer()
 	cursors := &deltaCursors{snaps: map[uint64]cursorSnap{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -118,10 +113,7 @@ func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) 
 			return
 		}
 		infos := tenants.List()
-		var counters []stats.TenantSnap
-		if snap := obs.Snapshot(); snap != nil {
-			counters = snap.Tenants
-		}
+		counters := sys.Stats().Tenants
 		type entry struct {
 			tenant.Info
 			Counters stats.TenantSnap `json:"counters"`
@@ -139,20 +131,14 @@ func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) 
 		}{tenants.Generation(), out})
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		snap := obs.Snapshot()
-		if snap == nil {
-			http.Error(w, "observability disabled", http.StatusNotFound)
-			return
-		}
-		faults := sys.M.Faults.Points()
 		writeJSON(w, struct {
 			*stats.Snapshot
 			Faults  []fault.PointStatus `json:"faults,omitempty"`
 			Runtime clusterRuntime      `json:"cluster_runtime"`
-		}{snap, faults, clusterRuntime{cl.PendingFrames(), cl.Health(), cl.PlacementInfo()}})
+		}{sys.Stats(), sys.M.Faults.Points(), clusterRuntime{cl.PendingFrames(), cl.Health(), cl.PlacementInfo()}})
 	})
 	mux.HandleFunc("/stats/delta", func(w http.ResponseWriter, r *http.Request) {
-		serveStatsDelta(w, r, obs, cursors)
+		serveStatsDelta(w, r, sys, cursors)
 	})
 	mux.HandleFunc("/topology", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, struct {
@@ -161,7 +147,7 @@ func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) 
 		}{cl.PlacementInfo(), cl.Health()})
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		t := obs.Tracer()
+		t := sys.Tracer()
 		if t == nil {
 			http.Error(w, "tracing disabled", http.StatusNotFound)
 			return
@@ -273,24 +259,14 @@ type statsDelta struct {
 	Delta   *stats.Snapshot `json:"delta"`
 }
 
-func serveStatsDelta(w http.ResponseWriter, r *http.Request, obs *stats.Sink, cursors *deltaCursors) {
-	snapshotNow := func() (cursorSnap, bool) {
-		snap := obs.Snapshot()
-		if snap == nil {
-			return cursorSnap{}, false
-		}
-		raw, err := json.Marshal(snap)
-		if err != nil {
-			return cursorSnap{}, false
-		}
-		return cursorSnap{snap, raw}, true
+func serveStatsDelta(w http.ResponseWriter, r *http.Request, sys *core.System, cursors *deltaCursors) {
+	snapshotNow := func() cursorSnap {
+		snap := sys.Stats()
+		raw, _ := json.Marshal(snap) // a Snapshot always marshals
+		return cursorSnap{snap, raw}
 	}
 
-	cur, ok := snapshotNow()
-	if !ok {
-		http.Error(w, "observability disabled", http.StatusNotFound)
-		return
-	}
+	cur := snapshotNow()
 	cursorParam := r.URL.Query().Get("cursor")
 	if cursorParam == "" {
 		// First call: the full snapshot is the delta, and its baseline is
@@ -333,10 +309,7 @@ func serveStatsDelta(w http.ResponseWriter, r *http.Request, obs *stats.Sink, cu
 			return
 		case <-time.After(20 * time.Millisecond):
 		}
-		if cur, ok = snapshotNow(); !ok {
-			http.Error(w, "observability disabled", http.StatusNotFound)
-			return
-		}
+		cur = snapshotNow()
 		changed = !bytes.Equal(cur.raw, base.raw)
 	}
 	writeJSON(w, statsDelta{cursors.register(cur), changed, cur.snap.Delta(base.snap)})

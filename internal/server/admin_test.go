@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -16,8 +17,8 @@ import (
 )
 
 // TestAdminEndpoints serves real traffic, then reads the live stats and
-// trace over the admin HTTP surface while the server is still running —
-// the handler must stay on the race-safe sink-only snapshot path.
+// trace over the admin HTTP surface while the server is still running:
+// /stats is what sys.Stats() says, per-core totals and switches included.
 func TestAdminEndpoints(t *testing.T) {
 	sys, r, srv := startServer(t, nil)
 	defer srv.Shutdown()
@@ -90,6 +91,38 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 	if snap.Server.ConnsAccepted == 0 {
 		t.Error("live stats missing accepted connections")
+	}
+	// /stats is sys.Stats(): the per-core totals and the switch count, which
+	// only hw and core can complete, are there too.
+	var cycles uint64
+	for _, c := range snap.Cores {
+		cycles += c.Cycles
+	}
+	if cycles == 0 || snap.Switches == 0 {
+		t.Errorf("/stats after a load: %d cycles over %d cores, %d switches; want both counted", cycles, len(snap.Cores), snap.Switches)
+	}
+	// Field for field, once the stack is still (a reply can reach the client
+	// just before its worker has counted the command: wait that out).
+	decode := func(raw []byte) (out stats.Snapshot) {
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for try := 0; ; try++ {
+		before, _ := sys.Stats().JSON()
+		served := get("/stats")
+		if after, _ := sys.Stats().JSON(); string(before) != string(after) {
+			if try == 100 {
+				t.Fatal("the stack's counters never stood still")
+			}
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		if got, want := decode(served), decode(before); !reflect.DeepEqual(got, want) {
+			t.Errorf("/stats differs from sys.Stats():\ngot  %+v\nwant %+v", got, want)
+		}
+		break
 	}
 
 	var trace struct {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"spacejmp/internal/kernel"
 	"spacejmp/internal/redis"
 	"spacejmp/internal/urpc"
 )
@@ -16,8 +17,8 @@ import (
 // accounts honest about where bytes went. The backend's workers pay it
 // before deciding where a command runs.
 const (
-	NetSyscall = 357 // enter/leave the kernel per recv or send
-	NetPerLine = 200 // copy one cache line through the kernel
+	NetSyscall = kernel.SyscallCycles // enter/leave the kernel per recv or send
+	NetPerLine = 200                  // copy one cache line through the kernel
 )
 
 // EdgeCycles is the modeled cost of moving n payload bytes across the

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"spacejmp/internal/hw"
+	"spacejmp/internal/kernel"
 	"spacejmp/internal/redis"
 	"spacejmp/internal/server"
 )
@@ -215,4 +217,30 @@ func TestBackendTakesAPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantReplies(t, br, "a", "b", "-BUSY", "-BUSY")
+}
+
+// TestNewInstallsSink: a server always counts. Built on a machine nobody
+// enabled stats on, it installs a sink of its own, and what the connection
+// loop counts shows in sys.Stats().
+func TestNewInstallsSink(t *testing.T) {
+	sys := kernel.New(hw.NewMachine(hw.SmallTest()))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.NewWithBackend(sys, ln, server.Config{}, &batchBackend{})
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc.Write(redis.EncodeCommand("GET", "a"))
+	wantReplies(t, bufio.NewReader(nc), "a")
+	nc.Close()
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	snap := sys.Stats().Dense()
+	if snap.Server.ConnsAccepted != 1 || snap.Server.ConnsClosed != 1 || snap.Server.Pipeline.Count != 1 {
+		t.Errorf("server on a machine without a sink: %+v, want one connection and one fill counted", snap.Server)
+	}
 }

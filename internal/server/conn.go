@@ -135,15 +135,15 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 			took := s.backend.SubmitBatch(id, f.batch)
 			// Backpressure: what the saturated backend did not take fails
 			// fast with an error reply instead of buffering without bound.
+			s.ctr.Busy.Add(uint64(len(bound) - took))
 			for _, r := range bound[took:] {
-				s.obs.ServerBusy()
 				r.resp = busyReply
 			}
 			if took == 0 {
 				f.batch = nil
 			}
 		}
-		s.obs.ServerPipeline(int(inflight.Add(int64(len(reqs)))))
+		s.ctr.Pipeline.Observe(uint64(inflight.Add(int64(len(reqs)))))
 		fills <- f
 	}
 	close(fills)

@@ -24,44 +24,46 @@ import (
 // bookkeeping between connections. cmd/spacejmp-load wraps this; the
 // integration tests drive it directly.
 
-// LoadConfig parameterizes one load run.
+// LoadConfig parameterizes one load run. The JSON keys are a chaos scenario
+// file's "load" block (chaos.LoadSpec embeds this struct): a knob is declared
+// here and nowhere else.
 type LoadConfig struct {
-	Addr       string
-	Conns      int
-	Pipeline   int
-	Requests   int // commands per connection
-	SetPercent int // portion of SETs in the mix, 0..100
+	Addr       string `json:"-"`
+	Conns      int    `json:"conns,omitempty"`
+	Pipeline   int    `json:"pipeline,omitempty"`
+	Requests   int    `json:"requests,omitempty"`    // commands per connection
+	SetPercent int    `json:"set_percent,omitempty"` // portion of SETs in the mix, 0..100
 	// MGetPercent is the portion of multi-key GETs in the mix, 0..100
 	// (carved out of the GET share; SetPercent+MGetPercent ≤ 100). MGETs
 	// are what separates the cluster's two serving modes: on the shared-VAS
 	// path extra keys cost memory accesses, over urpc they cost transfers.
-	MGetPercent int
-	MGetKeys    int // keys per MGET
-	Keys        int // keyspace size
-	ValueSize   int // bytes per value
-	Seed        int64
+	MGetPercent int   `json:"mget_percent,omitempty"`
+	MGetKeys    int   `json:"mget_keys,omitempty"`  // keys per MGET
+	Keys        int   `json:"keys,omitempty"`       // keyspace size
+	ValueSize   int   `json:"value_size,omitempty"` // bytes per value
+	Seed        int64 `json:"-"`
 	// Reconnect makes a connection survive transport failure: instead of
 	// aborting the run, it counts a disconnect, redials, and keeps working
 	// through its remaining quota (abandoning the in-flight batch). This is
 	// what lets the chaos scenarios sever connections — server.conn.drop,
 	// server.accept — while still holding the run to zero verification
 	// failures.
-	Reconnect bool
+	Reconnect bool `json:"reconnect,omitempty"`
 	// Tenants with Auth runs the load multi-tenant against a server booted
 	// with a demo registry: connection i authenticates as demo tenant
 	// i%Tenants (re-authenticating after every redial) and works its own
 	// view of the keyspace. Values are derived from the tenant-qualified
 	// key, so per-tenant keyspaces verify independently and any cross-view
 	// bleed is a value mismatch, not a silent match.
-	Tenants int
-	Auth    bool
+	Tenants int  `json:"tenants,omitempty"`
+	Auth    bool `json:"auth,omitempty"`
 	// CrossCheckEvery replaces every n'th command on a connection with a
 	// probe GET explicitly addressed at another tenant's view. The only
 	// correct answer is a -NOPERM denial; any other reply — nil included —
 	// means the capability check did not fire and counts as a cross-tenant
 	// leak (and a mismatch). 0 takes the default (32); <0 disables probes.
 	// Probes need Auth and at least two tenants.
-	CrossCheckEvery int
+	CrossCheckEvery int `json:"cross_check_every,omitempty"`
 	// StaleReads opts every connection into follower reads (READONLY is
 	// sent after each (re)dial, after AUTH) and interleaves staleness
 	// probes into the mix: each connection owns one probe key it SETs with
@@ -70,22 +72,22 @@ type LoadConfig struct {
 	// refusal. A version older than the bound served without -STALE is a
 	// StaleViolation — the server broke its bounded-staleness contract
 	// silently, which is the one failure mode follower reads must not have.
-	StaleReads bool
+	StaleReads bool `json:"stale_reads,omitempty"`
 	// StaleBound is the verifying staleness bound for probe GETs. Set it to
 	// the server's configured bound plus shipping slack; a violation is
 	// only counted when a probe returns a version superseded earlier than
 	// this long ago. 0 defaults to 1s.
-	StaleBound time.Duration
+	StaleBound time.Duration `json:"-"`
 	// StaleCheckEvery issues a probe (alternating SET and GET) every n'th
 	// command on stale-read runs. 0 takes the default (8); <0 disables.
-	StaleCheckEvery int
+	StaleCheckEvery int `json:"stale_check_every,omitempty"`
 	// Deadline sets a per-command deadline budget on every connection: the
 	// DEADLINE <ms> prefix command is sent after each (re)dial, so every
 	// subsequent command carries the budget and an overloaded server
 	// answers typed retryable -DEADLINE refusals (counted as Busy, never
 	// as failures) instead of queueing the work. 0 sends nothing — the
 	// server's own default applies.
-	Deadline time.Duration
+	Deadline time.Duration `json:"-"`
 }
 
 func (c LoadConfig) withDefaults() LoadConfig {

@@ -69,7 +69,8 @@ func (c Config) withDefaults() Config {
 // Server is a running RESP front-end.
 type Server struct {
 	cfg     Config
-	obs     *stats.Sink
+	obs     *stats.Sink           // never nil (NewWithBackend): accepts and teardowns trace through it
+	ctr     *stats.ServerCounters // obs's server block
 	faults  *fault.Registry
 	backend Backend
 
@@ -90,11 +91,14 @@ type Server struct {
 // NewWithBackend boots the front-end over an already-constructed backend
 // and starts the accept loop on ln. The caller owns ln's address; the server
 // owns closing it at Shutdown, and takes ownership of the backend: Shutdown
-// closes it.
+// closes it. A server always counts: on a machine with no stats sink it
+// installs one (System.Sink), as cluster.New does.
 func NewWithBackend(sys *core.System, ln net.Listener, cfg Config, b Backend) *Server {
+	obs := sys.Sink()
 	s := &Server{
 		cfg:     cfg.withDefaults(),
-		obs:     sys.M.Observer(),
+		obs:     obs,
+		ctr:     obs.Server(),
 		faults:  sys.M.Faults,
 		backend: b,
 		ln:      ln,

@@ -13,8 +13,11 @@ import (
 // core's simulated-cycle delta across one request, so the local and remote
 // distributions can be read side by side from one snapshot.
 
-// clusterCounters is the sink's cluster-layer block, nested as ClusterSnap is.
-type clusterCounters struct {
+// ClusterCounters is the sink's cluster-layer block, nested as ClusterSnap
+// is. The Router holds it (Sink.Cluster), and a node its NodeCounters row, and
+// they count where the event happens; the methods below are the events that
+// also go to the trace ring.
+type ClusterCounters struct {
 	Local    atomic.Uint64 // commands served on the shared-VAS fast path
 	Remote   atomic.Uint64 // commands served over urpc
 	Timeouts atomic.Uint64 // remote commands whose retries were exhausted
@@ -113,16 +116,6 @@ func (k *slotKeys) snapshot() map[int]uint64 {
 	return out
 }
 
-// InstallClusterNodes grows the per-node counter table to hold at least n
-// nodes — at boot and again whenever a node joins the live cluster. Rows
-// keep their counters across a grow, and an increment racing it is not lost
-// (see table). Safe on nil.
-func (s *Sink) InstallClusterNodes(n int) {
-	if s != nil {
-		s.live.Cluster.Nodes.atLeast(n)
-	}
-}
-
 // InstallClusterSlots sizes the per-slot key-count table (one entry per
 // placement slot). Safe on nil.
 func (s *Sink) InstallClusterSlots(n int) {
@@ -131,24 +124,6 @@ func (s *Sink) InstallClusterSlots(n int) {
 	}
 	table := make([]atomic.Uint64, n)
 	s.live.Cluster.Migration.SlotKeys.table.Store(&table)
-}
-
-func (s *Sink) clusterNode(node int) *NodeCounters {
-	return s.live.Cluster.Nodes.row(node)
-}
-
-// ClusterLocal records one command (or one node's share of a multi-key
-// command) served on the shared-VAS fast path, with the worker-core cycles
-// it cost. Safe on nil.
-func (s *Sink) ClusterLocal(node int, cycles uint64) {
-	if s == nil {
-		return
-	}
-	s.live.Cluster.Local.Add(1)
-	s.live.Cluster.LocalCycles.Observe(cycles)
-	if nc := s.clusterNode(node); nc != nil {
-		nc.Local.Add(1)
-	}
 }
 
 // ClusterRemote records one command (or one node's share of a multi-key
@@ -160,31 +135,8 @@ func (s *Sink) ClusterRemote(node int, cycles uint64) {
 	}
 	s.live.Cluster.Remote.Add(1)
 	s.live.Cluster.RemoteCycles.Observe(cycles)
-	if nc := s.clusterNode(node); nc != nil {
-		nc.Remote.Add(1)
-	}
+	s.live.Cluster.Nodes.Row(node).Remote.Add(1)
 	s.Trace(Event{Kind: EvRemoteCall, Core: -1, A: uint64(node), B: cycles})
-}
-
-// ClusterURPCCall records the cycle cost of one urpc round trip by itself
-// (cache-line transfers, dispatch, and the server-side execution, but not
-// the router's serialize/route work around it). Safe on nil.
-func (s *Sink) ClusterURPCCall(cycles uint64) {
-	if s != nil {
-		s.live.Cluster.URPCCallCycles.Observe(cycles)
-	}
-}
-
-// ClusterTimeout records one remote call abandoned after retry exhaustion.
-// Safe on nil.
-func (s *Sink) ClusterTimeout(node int) {
-	if s == nil {
-		return
-	}
-	s.live.Cluster.Timeouts.Add(1)
-	if nc := s.clusterNode(node); nc != nil {
-		nc.Timeouts.Add(1)
-	}
 }
 
 // ClusterShip records one checkpoint generation shipped to a node's
@@ -201,24 +153,6 @@ func (s *Sink) ClusterShip(node int, bytes uint64, full bool) {
 		s.live.Cluster.Replication.FullShips.Add(1)
 	}
 	s.Trace(Event{Kind: EvCheckpointShip, Core: -1, A: uint64(node), B: bytes})
-}
-
-// ClusterShipFailure records one abandoned checkpoint ship. Safe on nil.
-func (s *Sink) ClusterShipFailure() {
-	if s != nil {
-		s.live.Cluster.Replication.ShipFailures.Add(1)
-	}
-}
-
-// ClusterProbe records one health probe and its outcome. Safe on nil.
-func (s *Sink) ClusterProbe(ok bool) {
-	if s == nil {
-		return
-	}
-	s.live.Cluster.Replication.Probes.Add(1)
-	if !ok {
-		s.live.Cluster.Replication.ProbeFailures.Add(1)
-	}
 }
 
 // ClusterNodeState traces a node health-state transition. Safe on nil.
@@ -243,14 +177,6 @@ func (s *Sink) ClusterPromotion(node int, replayed, lost uint64) {
 		ev.Label = fmt.Sprintf("%d", lost)
 	}
 	s.Trace(ev)
-}
-
-// ClusterLostUpdates adds updates that can no longer be recovered — a range
-// degraded with a non-empty delta buffer. Safe on nil.
-func (s *Sink) ClusterLostUpdates(count uint64) {
-	if s != nil && count > 0 {
-		s.live.Cluster.Replication.LostUpdates.Add(count)
-	}
 }
 
 // ClusterSlotMoved records one completed slot migration: keys and payload
@@ -280,14 +206,6 @@ func (s *Sink) ClusterSlotMoveFailed(slot, src, dst int, reason string) {
 	s.live.Cluster.Migration.SlotMoveFailures.Add(1)
 	s.Trace(Event{Kind: EvSlotMoveFailed, Core: -1, A: uint64(slot),
 		Label: fmt.Sprintf("%d->%d: %s", src, dst, reason)})
-}
-
-// ClusterMovedRetry records one -MOVED refusal sent to a command that raced
-// a slot flip (the client retries against the new table). Safe on nil.
-func (s *Sink) ClusterMovedRetry() {
-	if s != nil {
-		s.live.Cluster.Migration.MovedRetries.Add(1)
-	}
 }
 
 // ClusterNodeAdded records and traces a node joining the live cluster.
@@ -340,84 +258,10 @@ func (s *Sink) ClusterForkInvalidate(node int, views uint64, reason string) {
 	s.Trace(Event{Kind: EvForkInvalidate, Core: -1, A: uint64(node), B: views, Label: reason})
 }
 
-// ClusterFollowerRead records one read command answered from a frozen view
-// (or warm standby) instead of the primary. Safe on nil.
-func (s *Sink) ClusterFollowerRead() {
-	if s != nil {
-		s.live.Cluster.Fork.FollowerReads.Add(1)
-	}
-}
-
-// ClusterStaleRejected records one follower read refused with -STALE because
-// the freshest view exceeded the staleness bound. Safe on nil.
-func (s *Sink) ClusterStaleRejected() {
-	if s != nil {
-		s.live.Cluster.Fork.StaleRejected.Add(1)
-	}
-}
-
-// ClusterDeadlineExpired records one command refused with -DEADLINE: its
-// cycle budget ran out before (or during) a dispatch. Safe on nil.
-func (s *Sink) ClusterDeadlineExpired() {
-	if s != nil {
-		s.live.Cluster.Overload.DeadlineExpired.Add(1)
-	}
-}
-
-// ClusterShed records one remote dispatch refused fast because node's
-// breaker was open — no channel wait, no retry ladder. The client sees the
-// same -SHARDTIMEOUT a timeout gives, so the node's Timeouts row counts it;
-// the cluster-wide Timeouts total (ladders exhausted) does not. Safe on nil.
-func (s *Sink) ClusterShed(node int) {
-	if s == nil {
-		return
-	}
-	s.live.Cluster.Overload.Shed.Add(1)
-	if nc := s.clusterNode(node); nc != nil {
-		nc.Timeouts.Add(1)
-	}
-}
-
-// ClusterDegradedRead records one read served from a frozen view because the
-// node's breaker was not closed — the graceful-degradation counterpart of a
-// plain follower read. Safe on nil.
-func (s *Sink) ClusterDegradedRead() {
-	if s != nil {
-		s.live.Cluster.Overload.DegradedReads.Add(1)
-	}
-}
-
-// ClusterBreaker records and traces one circuit-breaker transition on node.
-// Safe on nil.
+// ClusterBreaker traces one circuit-breaker transition on node; the cluster
+// layer, which has the typed state, counts it. Safe on nil.
 func (s *Sink) ClusterBreaker(node int, from, to string) {
-	if s == nil {
-		return
-	}
-	switch to {
-	case "open":
-		s.live.Cluster.Overload.BreakerOpens.Add(1)
-	case "half-open":
-		s.live.Cluster.Overload.BreakerHalfOpens.Add(1)
-	case "closed":
-		s.live.Cluster.Overload.BreakerCloses.Add(1)
-	}
-	s.Trace(Event{Kind: EvBreakerState, Core: -1, A: uint64(node), Label: from + "->" + to})
-}
-
-// ClusterBudgetRemaining observes the cycles left on a command's deadline
-// budget when it finished — the margin distribution that shows how close
-// the cluster runs to its deadlines. Safe on nil.
-func (s *Sink) ClusterBudgetRemaining(cycles uint64) {
 	if s != nil {
-		s.live.Cluster.Overload.BudgetRemaining.Observe(cycles)
-	}
-}
-
-// ClusterShipDuration records the wall-clock nanoseconds one fork-based ship
-// spent extracting and applying the image — all off the node mutex. Safe on
-// nil.
-func (s *Sink) ClusterShipDuration(ns uint64) {
-	if s != nil {
-		s.live.Cluster.Fork.ShipNs.Observe(ns)
+		s.Trace(Event{Kind: EvBreakerState, Core: -1, A: uint64(node), Label: from + "->" + to})
 	}
 }

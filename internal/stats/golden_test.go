@@ -16,9 +16,10 @@ var update = flag.Bool("update", false, "rewrite testdata/stats-snapshot.golden.
 // and an all-zero node table, tenants installed but idle) and the full script.
 func goldenStates() []*Snapshot {
 	sparse := NewSink(1)
-	sparse.InstallClusterNodes(2)
-	sparse.InstallTenants(1)
-	sparse.ServerCommand(5)
+	sparse.Cluster().Nodes.Row(1)
+	sparse.Tenant(0)
+	sparse.Server().Commands.Add(1)
+	sparse.Server().LatencyNs.Observe(5)
 	sparse.ClusterShip(0, 10, true)
 	sparse.Syscall(OpSegAlloc, 0)
 	return []*Snapshot{NewSink(2).Snapshot(), sparse.Snapshot(), scriptedSink(2, 5).Snapshot()}

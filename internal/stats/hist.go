@@ -28,11 +28,12 @@ func (h *Hist) Observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
+	StoreMax(&h.max, v)
+}
+
+// StoreMax raises the high-water mark m to v, if v is above it.
+func StoreMax(m *atomic.Uint64, v uint64) {
+	for cur := m.Load(); v > cur && !m.CompareAndSwap(cur, v); cur = m.Load() {
 	}
 }
 

@@ -255,36 +255,37 @@ func TestDeltaMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewSink(1 + rng.Intn(3))
 		snaps := []*Snapshot{s.Snapshot()}
-		var shards []*ShardCounters
+		installed := false
 		for step := 0; step < 12; step++ {
 			switch rng.Intn(4) {
 			case 0: // the whole script, once its tables exist
-				if shards == nil {
+				if !installed {
 					s.SetTracer(NewTracer(4))
-					s.InstallClusterNodes(2)
 					s.InstallClusterSlots(4)
-					s.InstallTenants(2)
-					shards = s.InstallServerShards(2)
+					installed = true
 				}
-				recordAll(s, shards, rng.Uint64()%1000)
+				recordAll(s, rng.Uint64()%1000)
 			case 1: // tables grow under a live snapshot sequence
-				s.InstallClusterNodes(1 + rng.Intn(5))
-				s.InstallTenants(1 + rng.Intn(4))
-				s.ClusterLocal(rng.Intn(5), 10)
-				s.ClusterShed(rng.Intn(5))
-				s.TenantCommand(rng.Intn(4), 9)
+				cl := s.Cluster()
+				cl.Local.Add(1)
+				cl.LocalCycles.Observe(10)
+				cl.Nodes.Row(rng.Intn(5)).Local.Add(1)
+				cl.Overload.Shed.Add(1)
+				cl.Nodes.Row(rng.Intn(5)).Timeouts.Add(1)
+				s.Tenant(rng.Intn(4)).Commands.Add(1)
 			case 2: // one block alone: optional blocks appear one at a time
 				switch rng.Intn(5) {
 				case 0:
-					s.ServerCommand(uint64(rng.Intn(1 << 20)))
+					s.Server().Commands.Add(1)
+					s.Server().LatencyNs.Observe(uint64(rng.Intn(1 << 20)))
 				case 1:
 					s.ClusterShip(0, uint64(rng.Intn(1<<16)), rng.Intn(8) == 0)
 				case 2:
-					s.ClusterFollowerRead()
+					s.Cluster().Fork.FollowerReads.Add(1)
 				case 3:
-					s.ClusterDeadlineExpired()
+					s.Cluster().Overload.DeadlineExpired.Add(1)
 				case 4:
-					s.ClusterMovedRetry()
+					s.Cluster().Migration.MovedRetries.Add(1)
 					s.ClusterNodeAdded(0)
 				}
 			case 3: // the substrate only

@@ -28,7 +28,7 @@ func TestSchemaPairs(t *testing.T) {
 func pairBlocks(t *testing.T, path string, live reflect.Value, snap reflect.Type) {
 	paired := map[string]bool{}
 	for i := 0; i < live.NumField(); i++ {
-		name := snapName(live.Type().Field(i))
+		name := live.Type().Field(i).Name
 		sf, ok := snap.FieldByName(name)
 		if !ok {
 			t.Errorf("live counter %s%s: %s has no field %s", path, live.Type().Field(i).Name, snap, name)
@@ -129,16 +129,17 @@ func TestEveryLeafRecorded(t *testing.T) {
 func TestTableGrowKeepsIncrements(t *testing.T) {
 	const workers, perWorker, maxRows = 4, 20000, 64
 	s := NewSink(1)
-	s.InstallClusterNodes(workers)
-	s.InstallTenants(workers)
+	cl := s.Cluster()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				s.ClusterLocal(w, 1)
-				s.TenantCommand(w, 3)
+				cl.Local.Add(1)
+				cl.Nodes.Row(w).Local.Add(1)
+				s.Tenant(w).Commands.Add(1)
+				s.Tenant(w).Bytes.Add(3)
 			}
 		}(w)
 	}
@@ -146,8 +147,8 @@ func TestTableGrowKeepsIncrements(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for n := workers + 1; n <= maxRows; n++ {
-			s.InstallClusterNodes(n)
-			s.InstallTenants(n)
+			cl.Nodes.Row(n - 1)
+			s.Tenant(n - 1)
 		}
 	}()
 	wg.Wait()

@@ -1,15 +1,18 @@
-// Package stats is the machine-wide observability layer: low-overhead,
-// race-safe counters and an optional bounded trace ring, threaded through
-// the simulated hardware (hw, tlb, pt, mem), the VM layer, and the OS
-// personalities.
+// Package stats is the machine-wide observability layer: a schema (the
+// exported Snapshot type), the live counter blocks that fill it, and the
+// trace-event table, threaded through the simulated hardware (hw, tlb, pt,
+// mem), the VM layer, the OS personalities and the serving stack.
 //
-// The design contract is zero cost when disabled: every component holds an
-// optional *Sink (or a sub-counter pointer taken from one) and consults it
-// unconditionally; all methods are safe on a nil receiver and reduce to a
-// single pointer comparison when observability is off — the same pattern
-// package fault uses for its registry. When enabled, all mutation goes
-// through sync/atomic, so counters can be read mid-run from any goroutine
-// and recorded under `go test -race` from concurrently running cores.
+// Two contracts. The substrate pays nothing when stats are off: every
+// component holds an optional *Sink (or a sub-counter pointer taken from one)
+// and consults it unconditionally; its recording methods are safe on a nil
+// receiver and reduce to one pointer comparison — the pattern package fault
+// uses for its registry. A serving stack always has a sink (cluster.New and
+// server.NewWithBackend install one), so the serving layers hold their blocks
+// (Sink.Server, Sink.Cluster, Sink.Tenant) and count into them field by field
+// where the event is known; a method remains only for an event that also goes
+// to the trace ring. All mutation is sync/atomic either way, so counters can
+// be read mid-run from any goroutine.
 //
 // Cycle accounting is by category (Cat): the hardware attributes every
 // cycle it charges to a category (TLB probe, page walk, flushing CR3 write,
@@ -302,8 +305,7 @@ type Sink struct {
 
 // counters is the live side of the Snapshot schema: one block per Snapshot
 // block, nested the same way, every field named as the Snapshot field it
-// fills (a `snap:"Name"` tag gives the name where a method already has it).
-// A field is an atomic.Uint64, a Hist, a nested block, or a table of blocks;
+// fills. A field is an atomic.Uint64, a Hist, a nested block, or a table of blocks;
 // Sink.Snapshot copies them by that name, so a counter is declared here,
 // once in the *Snap type, and at the site that records it. What has another
 // shape — the per-core shards, the per-op syscall histograms, the tracer —
@@ -327,8 +329,8 @@ type counters struct {
 	// writes. (Field order is free — the walk pairs by name — but not
 	// neutral: with the lock histograms after these blocks serve-vas and
 	// serve-urpc ran 2–3 % slower in 4 of 4 pairs.)
-	Server  serverCounters
-	Cluster clusterCounters
+	Server  ServerCounters
+	Cluster ClusterCounters
 	Tenants table[TenantCounters]
 }
 
@@ -368,6 +370,17 @@ func (s *Sink) Core(i int) *CoreCounters {
 	}
 	return &s.cores[i]
 }
+
+// Server, Cluster and Tenant hand a serving layer the live block it counts
+// into, field by field, at the site that knows the event. A serving stack
+// always has a sink (cluster.New and server.NewWithBackend install one), so
+// unlike the substrate's recorders these are not for a nil sink.
+func (s *Sink) Server() *ServerCounters   { return &s.live.Server }
+func (s *Sink) Cluster() *ClusterCounters { return &s.live.Cluster }
+
+// Tenant returns the block of the tenant registered i'th, growing the table
+// to reach it.
+func (s *Sink) Tenant(i int) *TenantCounters { return s.live.Tenants.Row(i) }
 
 // PTObs returns the machine-wide page-table counter block (nil-safe).
 func (s *Sink) PTObs() *PTCounters {

@@ -12,10 +12,8 @@ import (
 // receiver — this is the disabled fast path every component relies on.
 func TestNilSafety(t *testing.T) {
 	var s *Sink
-	s.InstallClusterNodes(2)
 	s.InstallClusterSlots(4)
-	s.InstallTenants(2)
-	recordAll(s, s.InstallServerShards(2), 0)
+	recordAll(s, 0)
 	s.SetTracer(NewTracer(4))
 	s.Trace(Event{Kind: EvVASSwitch})
 	if s.Tracer() != nil || s.Core(0) != nil || s.PTObs() != nil || s.Snapshot() != nil {
@@ -194,18 +192,20 @@ func TestSnapshotDelta(t *testing.T) {
 	// the earlier snapshot lacks subtract as zero.
 	s = NewSink(2)
 	s.InstallClusterSlots(4)
-	shards := s.InstallServerShards(1)
-	shards[0].QueueDepth(5)
-	shards[0].Command()
-	s.ServerCommand(1)
+	shard, srv := s.Server().Shards.Row(0), s.Server()
+	StoreMax(&shard.QueueMax, 5)
+	shard.Commands.Add(1)
+	srv.Commands.Add(1)
+	srv.LatencyNs.Observe(1)
 	s.ClusterSlotMoved(2, 0, 1, 40, 4096, 0)
 	before = s.Snapshot()
-	shards[0].QueueDepth(3)
-	shards[0].Command()
-	s.ServerCommand(1)
+	StoreMax(&shard.QueueMax, 3)
+	shard.Commands.Add(1)
+	srv.Commands.Add(1)
+	srv.LatencyNs.Observe(1)
 	s.ClusterSlotMoved(3, 0, 1, 7, 512, 0)
-	s.InstallTenants(2)
-	s.TenantCommand(1, 9)
+	s.Tenant(1).Commands.Add(1)
+	s.Tenant(1).Bytes.Add(9)
 	after := s.Snapshot()
 	d = after.Delta(before)
 	if sh := d.Server.Shards[0]; sh.QueueMax != 5 || sh.Commands != 1 {

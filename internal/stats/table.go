@@ -38,13 +38,9 @@ func (t *table[T]) atLeast(n int) []*T {
 	}
 }
 
-// row returns block i, or nil when the table does not reach that far.
-func (t *table[T]) row(i int) *T {
-	if rows := t.atLeast(0); i >= 0 && i < len(rows) {
-		return rows[i]
-	}
-	return nil
-}
+// Row returns block i, first growing the table to reach it: what a node, a
+// tenant or a worker shard holds from the day it is built.
+func (t *table[T]) Row(i int) *T { return t.atLeast(i + 1)[i] }
 
 // blocks hands the snapshot walk the rows as addressable struct values.
 func (t *table[T]) blocks() []reflect.Value {

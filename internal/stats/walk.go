@@ -20,23 +20,13 @@ import (
 // `stats:"carry"` on a Snapshot field marks what subtraction has no meaning
 // for: subtract copies the later value.
 
-// snapName is the Snapshot field a live field fills: its own name, unless a
-// method of the live type already has that name and a `snap:"Name"` tag
-// gives it.
-func snapName(f reflect.StructField) string {
-	if name := f.Tag.Get("snap"); name != "" {
-		return name
-	}
-	return f.Name
-}
-
 // fill copies the live block into dst, the Snapshot block of the same
 // shape, pairing fields by name. An optional (pointer) block is left nil
 // when nothing under it has counted.
 func fill(dst, live reflect.Value) {
 	for i := 0; i < live.NumField(); i++ {
 		lf := live.Field(i)
-		df := dst.FieldByName(snapName(live.Type().Field(i)))
+		df := dst.FieldByName(live.Type().Field(i).Name)
 		if !df.IsValid() {
 			panic("stats: live counter " + live.Type().Field(i).Name + " has no field in " + dst.Type().String())
 		}

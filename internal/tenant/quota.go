@@ -48,7 +48,7 @@ func (t *Tenant) TakeToken() error {
 	}
 	t.mu.Unlock()
 	if !ok {
-		t.reg.sink.TenantQuotaRejected(t.index)
+		t.ctr.QuotaRejections.Add(1)
 		return fmt.Errorf("%w: tenant %q over command rate %.0f/s", ErrOverQuota, t.id, t.quotas.Rate)
 	}
 	return nil
@@ -74,7 +74,7 @@ func (t *Tenant) ChargeSet(key string, valLen int) (undo func(), err error) {
 	}
 	if err != nil {
 		t.mu.Unlock()
-		t.reg.sink.TenantQuotaRejected(t.index)
+		t.ctr.QuotaRejections.Add(1)
 		return nil, err
 	}
 	t.bytes, t.keys = newBytes, newKeys
@@ -107,7 +107,8 @@ func (t *Tenant) SettleDel(key string) {
 // Count records one admitted command of n payload bytes in the tenant's
 // stats block.
 func (t *Tenant) Count(n int) {
-	t.reg.sink.TenantCommand(t.index, uint64(n))
+	t.ctr.Commands.Add(1)
+	t.ctr.Bytes.Add(uint64(n))
 }
 
 // Usage returns the tenant's admitted live bytes and keys.

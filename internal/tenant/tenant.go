@@ -39,7 +39,8 @@ type Config struct {
 	// Nodes is the number of shard stores a tenant's view spans: the
 	// cluster's node count. Defaults to 1.
 	Nodes int
-	// Stats receives per-tenant counters. Nil disables accounting.
+	// Stats receives per-tenant counters, one row per tenant in registration
+	// order. With nil each tenant counts into a block of its own, unread.
 	Stats *stats.Sink
 	// Now overrides the token-bucket clock (tests). Defaults to time.Now.
 	Now func() time.Time
@@ -88,7 +89,7 @@ type Tenant struct {
 	reg    *Registry
 	id     string
 	secret string
-	index  int // stats table slot
+	ctr    *stats.TenantCounters // this tenant's row of the sink's table
 	cspace *caps.CSpace
 	quotas Quotas
 
@@ -111,9 +112,6 @@ type Tenant struct {
 
 // ID returns the tenant's identifier.
 func (t *Tenant) ID() string { return t.id }
-
-// Index returns the tenant's stats-table slot.
-func (t *Tenant) Index() int { return t.index }
 
 // viewObjectID names a view object in capability space: the FNV-64a of its
 // tenant-scoped registry name.
@@ -151,7 +149,7 @@ func (r *Registry) Register(id, secret string, q Quotas) (*Tenant, error) {
 		reg:    r,
 		id:     id,
 		secret: secret,
-		index:  len(r.order),
+		ctr:    new(stats.TenantCounters), // its own, unless the registry has a sink (below)
 		cspace: caps.NewCSpace(),
 		quotas: q,
 		viewID: viewObjectID(redis.TenantKey(id, "view")),
@@ -181,8 +179,10 @@ func (r *Registry) Register(id, secret string, q Quotas) (*Tenant, error) {
 		}
 	}
 	r.tenants[id] = t
+	if r.sink != nil {
+		t.ctr = r.sink.Tenant(len(r.order))
+	}
 	r.order = append(r.order, id)
-	r.sink.InstallTenants(len(r.order))
 	r.gen.Add(1)
 	return t, nil
 }
@@ -243,7 +243,7 @@ func (r *Registry) Attach(caller *Tenant, target string, want caps.Right) error 
 	to := r.tenants[target]
 	r.mu.RUnlock()
 	deny := func() error {
-		r.sink.TenantDenied(caller.index)
+		caller.ctr.CapDenials.Add(1)
 		return fmt.Errorf("%w: tenant %q holds no capability for tenant %q's view (rights %b)",
 			core.ErrDenied, caller.id, target, want)
 	}

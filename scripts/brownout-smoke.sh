@@ -14,12 +14,7 @@ set -e
 
 cd "$(dirname "$0")/.."
 
-tmp=$(mktemp -d)
-srv_pid=
-trap 'test -n "$srv_pid" && kill "$srv_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
-
-go build -o "$tmp/spacejmp-server" ./cmd/spacejmp-server
-go build -o "$tmp/spacejmp-load" ./cmd/spacejmp-load
+. scripts/lib.sh
 
 # Steps-only scenario for the live server: drop node 2's health probes for
 # a long window. The server plays only a scenario's steps; its shape is the
@@ -40,31 +35,12 @@ cat >"$tmp/brownout.json" <<'EOF'
 }
 EOF
 
-"$tmp/spacejmp-server" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
+boot_server brownout-smoke \
     -machine small -workers 1 -cluster 3 -seg 1048576 \
     -replicate -ship-every 4 -follower-reads -stale-bound 2s \
     -breakers -breaker-threshold 1 -breaker-cooldown 25ms \
     -probe-interval 5ms -probe-threshold 100000 \
-    -deadline 250ms -scenario "$tmp/brownout.json" \
-    2>"$tmp/server.log" &
-srv_pid=$!
-
-addr=
-admin=
-i=0
-while [ $i -lt 100 ]; do
-    addr=$(sed -n 's/.*listening on \([^ ]*\) .*/\1/p' "$tmp/server.log")
-    admin=$(sed -n 's|.*admin on http://\([^ ]*\) .*|\1|p' "$tmp/server.log")
-    [ -n "$addr" ] && [ -n "$admin" ] && break
-    kill -0 "$srv_pid" 2>/dev/null || { echo "brownout-smoke: server died" >&2; cat "$tmp/server.log" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$addr" ] || [ -z "$admin" ]; then
-    echo "brownout-smoke: server never came up" >&2
-    cat "$tmp/server.log" >&2
-    exit 1
-fi
+    -deadline 250ms -scenario "$tmp/brownout.json"
 
 # The verifying run spans the probe-drop window: READONLY connections with
 # versioned staleness probes (so degraded reads are bound-checked, not just
@@ -103,7 +79,5 @@ grep -q '"shed": *[1-9]' "$tmp/stats.json" || {
 grep -q '"degraded_reads": *[1-9]' "$tmp/stats.json" || {
     echo "brownout-smoke: /stats shows no degraded reads" >&2; exit 1; }
 
-kill "$srv_pid"
-wait "$srv_pid" 2>/dev/null || true
-srv_pid=
+stop_server
 echo "brownout-smoke: OK"

@@ -40,6 +40,28 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== size budgets (non-test Go lines, counted as the benchmark's repo.nontest_go_loc; document bytes) =="
+# What the tree may weigh. A PR that needs more raises the number here, in
+# the same diff, so lines and prose are spent knowingly and not by accretion.
+budget_loc=26250
+budget_design=45000
+budget_readme=25600
+budget_skill=15000
+loc=$(find . -name '.?*' -prune -o -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)
+over=
+check_budget() {
+    echo "$1 $2 (budget $3)"
+    [ "$2" -le "$3" ] || over="$over $1"
+}
+check_budget nontest_go_loc "$loc" $budget_loc
+check_budget DESIGN.md "$(wc -c <DESIGN.md)" $budget_design
+check_budget README.md "$(wc -c <README.md)" $budget_readme
+check_budget SKILL.md "$(wc -c <.claude/skills/verify/SKILL.md)" $budget_skill
+if [ -n "$over" ]; then
+    echo "over budget:$over" >&2
+    exit 1
+fi
+
 echo "== simulated-clock golden (paper figures, -quick) =="
 # The figure tables are functions of the modelled machine alone, so a change
 # to the host side of the simulator must reproduce them byte for byte. The

@@ -13,35 +13,11 @@ set -e
 
 cd "$(dirname "$0")/.."
 
-tmp=$(mktemp -d)
-srv_pid=
-trap 'test -n "$srv_pid" && kill "$srv_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
+. scripts/lib.sh
 
-go build -o "$tmp/spacejmp-server" ./cmd/spacejmp-server
-go build -o "$tmp/spacejmp-load" ./cmd/spacejmp-load
-
-"$tmp/spacejmp-server" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
+boot_server forkread-smoke \
     -machine small -workers 1 -cluster 3 -seg 1048576 \
-    -replicate -ship-every 4 -follower-reads -stale-bound 250ms \
-    2>"$tmp/server.log" &
-srv_pid=$!
-
-addr=
-admin=
-i=0
-while [ $i -lt 100 ]; do
-    addr=$(sed -n 's/.*listening on \([^ ]*\) .*/\1/p' "$tmp/server.log")
-    admin=$(sed -n 's|.*admin on http://\([^ ]*\) .*|\1|p' "$tmp/server.log")
-    [ -n "$addr" ] && [ -n "$admin" ] && break
-    kill -0 "$srv_pid" 2>/dev/null || { echo "forkread-smoke: server died" >&2; cat "$tmp/server.log" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$addr" ] || [ -z "$admin" ]; then
-    echo "forkread-smoke: server never came up" >&2
-    cat "$tmp/server.log" >&2
-    exit 1
-fi
+    -replicate -ship-every 4 -follower-reads -stale-bound 250ms
 
 # The verifying run: exits nonzero on any mismatch, error, or a staleness-
 # bound violation (a too-old version served without -STALE). The probe
@@ -84,7 +60,5 @@ if [ "$replicated" -lt 1 ] || [ "${full:-0}" -ne "$replicated" ] || [ "${ships:-
     exit 1
 fi
 
-kill "$srv_pid"
-wait "$srv_pid" 2>/dev/null || true
-srv_pid=
+stop_server
 echo "forkread-smoke: OK"

@@ -12,34 +12,10 @@ set -e
 
 cd "$(dirname "$0")/.."
 
-tmp=$(mktemp -d)
-srv_pid=
-trap 'test -n "$srv_pid" && kill "$srv_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
+. scripts/lib.sh
 
-go build -o "$tmp/spacejmp-server" ./cmd/spacejmp-server
-go build -o "$tmp/spacejmp-load" ./cmd/spacejmp-load
-
-"$tmp/spacejmp-server" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
-    -machine small -workers 2 -tenants 2 -tenant-max-keys 24 \
-    2>"$tmp/server.log" &
-srv_pid=$!
-
-addr=
-admin=
-i=0
-while [ $i -lt 100 ]; do
-    addr=$(sed -n 's/.*listening on \([^ ]*\) .*/\1/p' "$tmp/server.log")
-    admin=$(sed -n 's|.*admin on http://\([^ ]*\) .*|\1|p' "$tmp/server.log")
-    [ -n "$addr" ] && [ -n "$admin" ] && break
-    kill -0 "$srv_pid" 2>/dev/null || { echo "tenant-smoke: server died" >&2; cat "$tmp/server.log" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$addr" ] || [ -z "$admin" ]; then
-    echo "tenant-smoke: server never came up" >&2
-    cat "$tmp/server.log" >&2
-    exit 1
-fi
+boot_server tenant-smoke \
+    -machine small -workers 2 -tenants 2 -tenant-max-keys 24
 
 # Phase 1: both views inside quota. Exits nonzero on any mismatch, error,
 # or cross-view leak; the probe counter proves isolation was actually hit.
@@ -79,7 +55,5 @@ grep -q '"t0"' "$tmp/tenants.json" && grep -q '"t1"' "$tmp/tenants.json" || {
 grep -q '"quota_rejections": *[1-9]' "$tmp/tenants.json" || {
     echo "tenant-smoke: /tenants shows no quota rejections" >&2; exit 1; }
 
-kill "$srv_pid"
-wait "$srv_pid" 2>/dev/null || true
-srv_pid=
+stop_server
 echo "tenant-smoke: OK"
