@@ -71,23 +71,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spacejmp-load: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("commands  %d (%d GET, %d SET, %d MGET) in %v\n",
-		res.Commands, res.Gets, res.Sets, res.MGets, res.Elapsed.Round(1e6))
-	fmt.Printf("throughput  %.0f cmd/s\n", res.Throughput())
-	fmt.Printf("latency  mean %.0fns  p50 ≤%dns  p99 ≤%dns  max %dns\n",
-		res.Latency.Mean(), res.Latency.Quantile(0.50),
-		res.Latency.Quantile(0.99), res.Latency.Max)
-	fmt.Printf("busy  %d  errors  %d  mismatches  %d  disconnects  %d\n",
-		res.Busy, res.Errors, res.Mismatches, res.Disconnects)
-	if cfg.Tenants > 0 && cfg.Auth {
-		fmt.Printf("tenant  cross-denied  %d  cross-leaks  %d  quota-rejected  %d\n",
-			res.CrossDenied, res.CrossLeaks, res.QuotaRejected)
-	}
-	if cfg.StaleReads {
-		fmt.Printf("stale  probes  %d  rejected  %d  violations  %d\n",
-			res.StaleProbes, res.StaleRejected, res.StaleViolations)
-	}
-	if res.Mismatches > 0 || res.Errors > 0 || res.CrossLeaks > 0 || res.StaleViolations > 0 {
-		os.Exit(1)
+	res.WriteText(os.Stdout, "")
+	for _, n := range res.Failures() {
+		if n > 0 {
+			os.Exit(1)
+		}
 	}
 }

@@ -69,9 +69,9 @@ import (
 )
 
 func main() {
-	// The flags are a scenario spec's machine, cluster block and tenant count,
-	// plus what only a binary knows; -scenario contributes its steps and
-	// nothing else.
+	// The flags are a scenario spec's machine, cluster block, tenant count and
+	// quotas, plus what only a binary knows; -scenario contributes its steps
+	// and nothing else.
 	var spec chaos.Spec
 	var front chaos.Front
 	cl := &spec.Cluster
@@ -98,18 +98,15 @@ func main() {
 	scenario := flag.String("scenario", "", "play this chaos scenario's steps — faults, node kills, adds and removes — against the live server (library name or JSON file)")
 	flag.Int64Var(&spec.Seed, "fault-seed", 1, "fault registry seed for -scenario runs")
 	flag.IntVar(&spec.Load.Tenants, "tenants", 0, "serve n demo tenants (t0../s0..) behind AUTH with isolated views (0 = single-tenant)")
-	flag.Uint64Var(&front.Quotas.MaxBytes, "tenant-max-bytes", 0, "per-tenant stored-bytes quota (0 = unlimited)")
-	flag.Uint64Var(&front.Quotas.MaxKeys, "tenant-max-keys", 0, "per-tenant key-count quota (0 = unlimited)")
-	flag.Float64Var(&front.Quotas.Rate, "tenant-rate", 0, "per-tenant command rate limit per second (0 = unlimited)")
+	flag.Uint64Var(&spec.Quotas.MaxBytes, "tenant-max-bytes", 0, "per-tenant stored-bytes quota (0 = unlimited)")
+	flag.Uint64Var(&spec.Quotas.MaxKeys, "tenant-max-keys", 0, "per-tenant key-count quota (0 = unlimited)")
+	flag.Float64Var(&spec.Quotas.Rate, "tenant-rate", 0, "per-tenant command rate limit per second (0 = unlimited)")
 	flag.DurationVar((*time.Duration)(&cl.Deadline), "deadline", 0, "default per-command deadline budget, converted to cycles at the machine's clock (0 = none; clients override with DEADLINE <ms>)")
 	flag.BoolVar(&cl.Breakers, "breakers", false, "arm a circuit breaker per remote cluster node (needs -cluster)")
 	flag.IntVar(&cl.BreakerThreshold, "breaker-threshold", 0, fmt.Sprintf("consecutive failures that trip a breaker (0 = default %d)", ov.BreakerThreshold))
 	flag.DurationVar((*time.Duration)(&cl.BreakerCooldown), "breaker-cooldown", 0, fmt.Sprintf("open-breaker fail-fast window before a half-open probe (0 = default %v)", ov.BreakerCooldown))
 	flag.Parse()
 
-	if cl.Breakers && cl.Nodes <= 0 {
-		fatal(fmt.Errorf("-breakers requires -cluster"))
-	}
 	if cl.Nodes <= 0 {
 		// No -cluster is the paper's single RedisJMP store: a cluster of one
 		// co-resident node, served on the VAS-switch path whatever -mode says.

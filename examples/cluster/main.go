@@ -72,8 +72,10 @@ func runMode(mode cluster.Mode) *stats.ClusterSnap {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if res.Errors > 0 || res.Mismatches > 0 {
-		log.Fatalf("mode %s: %d errors, %d mismatches", mode, res.Errors, res.Mismatches)
+	for name, n := range res.Failures() {
+		if n > 0 {
+			log.Fatalf("mode %s: %d %s", mode, n, name)
+		}
 	}
 	fmt.Printf("  load: %d commands (%d GET / %d SET / %d MGET), %d busy\n",
 		res.Commands, res.Gets, res.Sets, res.MGets, res.Busy)

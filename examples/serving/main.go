@@ -39,11 +39,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("load: %d commands (%d GET / %d SET) at %.0f cmd/s\n",
-		res.Commands, res.Gets, res.Sets, res.Throughput())
-	fmt.Printf("load: p50 ≤%dns p99 ≤%dns, %d busy, %d errors, %d mismatches\n\n",
-		res.Latency.Quantile(0.50), res.Latency.Quantile(0.99),
-		res.Busy, res.Errors, res.Mismatches)
+	res.WriteText(os.Stdout, "load: ")
+	fmt.Println()
 
 	if _, err, leak := st.Teardown(); err != nil {
 		log.Fatal(err)

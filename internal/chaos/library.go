@@ -4,18 +4,22 @@ import (
 	"time"
 
 	"spacejmp/internal/server"
+	"spacejmp/internal/tenant"
 )
 
 // The scenario library: each entry is a named, self-contained disruption
 // pattern over the clustered stack with the invariants it must hold. They
-// run in the chaos smoke script and via `spacejmp-chaos -scenario <name>`;
-// the JSON form of any of them (spacejmp-chaos -scenario x -dump) is a
-// starting point for hand-written scenario files.
+// run under `go test ./internal/chaos` and via `spacejmp-chaos -scenario
+// <name>`; the JSON form of any of them (spacejmp-chaos -scenario x -dump) is
+// a starting point for hand-written scenario files.
 
-func u64(v uint64) *uint64         { return &v }
-func f64(v float64) *float64       { return &v }
 func intp(v int) *int              { return &v }
 func dur(d time.Duration) Duration { return Duration(d) }
+
+func atLeast(n uint64) Bound     { return Bound{Min: n} }
+func atMost(n uint64) Bound      { return Bound{Max: &n} }
+func exactly(n uint64) Bound     { return Bound{Eq: &n} }
+func fracAtMost(f float64) Bound { return Bound{MaxFrac: &f} }
 
 // Library returns fresh copies of every built-in scenario.
 func Library() []*Spec {
@@ -32,6 +36,7 @@ func Library() []*Spec {
 		shipUnderLoad(),
 		slowNodeBrownout(),
 		partitionDuringMigration(),
+		tenantQuota(),
 	}
 }
 
@@ -46,11 +51,9 @@ func Lookup(name string) (*Spec, bool) {
 }
 
 // Names lists the built-in scenario names in library order.
-func Names() []string {
-	lib := Library()
-	out := make([]string, len(lib))
-	for i, s := range lib {
-		out[i] = s.Name
+func Names() (out []string) {
+	for _, s := range Library() {
+		out = append(out, s.Name)
 	}
 	return out
 }
@@ -70,10 +73,10 @@ func clusterBaseline() *Spec {
 			SetPercent: 20, MGetPercent: 25, MGetKeys: 4,
 			Keys: 256,
 		}},
-		Invariants: Invariants{
-			MinLocal:  1,
-			MinRemote: 1,
-		},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"cluster.local":  atLeast(1),
+			"cluster.remote": atLeast(1),
+		}},
 	}
 }
 
@@ -100,15 +103,14 @@ func rollingNodeKills() *Spec {
 			{Point: "cluster.node.crash", Target: intp(2), Policy: PolicySpec{Kind: "always"}, After: dur(150 * time.Millisecond)},
 			{Point: "cluster.node.crash", Target: intp(3), Policy: PolicySpec{Kind: "always"}, After: dur(450 * time.Millisecond)},
 		},
-		Invariants: Invariants{
-			Promotions:     u64(2),
-			MinShips:       1,
-			MaxLostUpdates: u64(0),
-			MaxBusyFrac:    f64(0.5),
-			Degraded:       intp(0),
-			StepsMustFire:  true,
-			MinTraceEvents: map[string]uint64{"promotion": 2},
-		},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"cluster.replication.promotions":   exactly(2),
+			"cluster.replication.ships":        atLeast(1),
+			"cluster.replication.lost_updates": atMost(0),
+			"load.busy":                        fracAtMost(0.5),
+			"health.degraded":                  exactly(0),
+			"trace.promotion":                  atLeast(2),
+		}, StepsMustFire: true},
 	}
 }
 
@@ -132,12 +134,11 @@ func partitionThenHeal() *Spec {
 		Steps: []Step{
 			{Point: "urpc.drop", Policy: PolicySpec{Kind: "always"}, After: dur(25 * time.Millisecond), For: dur(250 * time.Millisecond)},
 		},
-		Invariants: Invariants{
-			MinLocal:      1,
-			MinRemote:     1,
-			MaxBusyFrac:   f64(0.9),
-			StepsMustFire: true,
-		},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"cluster.local":  atLeast(1),
+			"cluster.remote": atLeast(1),
+			"load.busy":      fracAtMost(0.9),
+		}, StepsMustFire: true},
 	}
 }
 
@@ -163,12 +164,11 @@ func slowReplica() *Spec {
 		Steps: []Step{
 			{Point: "urpc.delay", Policy: PolicySpec{Kind: "probability", P: 0.5}},
 		},
-		Invariants: Invariants{
-			MinShips:      1,
-			Promotions:    u64(0),
-			Degraded:      intp(0),
-			StepsMustFire: true,
-		},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"cluster.replication.ships":      atLeast(1),
+			"cluster.replication.promotions": exactly(0),
+			"health.degraded":                exactly(0),
+		}, StepsMustFire: true},
 	}
 }
 
@@ -199,13 +199,12 @@ func checkpointCorruptionStorm() *Spec {
 			{Point: "mem.write.torn", Policy: PolicySpec{Kind: "every-nth", N: 2}},
 			{Point: "cluster.node.crash", Target: intp(2), Policy: PolicySpec{Kind: "always"}, After: dur(400 * time.Millisecond)},
 		},
-		Invariants: Invariants{
-			Promotions:     u64(0),
-			Degraded:       intp(1),
-			MaxErrorFrac:   f64(0.9),
-			StepsMustFire:  true,
-			MinTraceEvents: map[string]uint64{"node-state": 1},
-		},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"cluster.replication.promotions": exactly(0),
+			"health.degraded":                exactly(1),
+			"load.errors":                    fracAtMost(0.9),
+			"trace.node-state":               atLeast(1),
+		}, StepsMustFire: true},
 	}
 }
 
@@ -233,18 +232,15 @@ func elasticAddRemove() *Spec {
 			{Point: "cluster.node.add", After: dur(100 * time.Millisecond)},
 			{Point: "cluster.node.remove", Target: intp(3), After: dur(700 * time.Millisecond)},
 		},
-		Invariants: Invariants{
+		Invariants: Invariants{Counters: map[string]Bound{
 			// Rebalance moves a fair share (256/4 = 64 slots) onto node 3;
 			// the remove drains them all back out again.
-			MinSlotMoves:  64,
-			MaxBusyFrac:   f64(0.9),
-			StepsMustFire: true,
-			MinTraceEvents: map[string]uint64{
-				"slot-move":    64,
-				"node-added":   1,
-				"node-removed": 1,
-			},
-		},
+			"cluster.migration.slot_moves": atLeast(64),
+			"load.busy":                    fracAtMost(0.9),
+			"trace.slot-move":              atLeast(64),
+			"trace.node-added":             atLeast(1),
+			"trace.node-removed":           atLeast(1),
+		}, StepsMustFire: true},
 	}
 }
 
@@ -278,16 +274,14 @@ func migrationTargetKilled() *Spec {
 			{Point: "cluster.node.crash", Target: intp(2), Policy: PolicySpec{Kind: "always"}, After: dur(50 * time.Millisecond)},
 			{Point: "cluster.slot.migrate", Slot: intp(142), Target: intp(2), After: dur(150 * time.Millisecond)},
 		},
-		Invariants: Invariants{
-			SlotMoveFailures: u64(1),
+		Invariants: Invariants{Counters: map[string]Bound{
+			"cluster.migration.slot_move_failures": exactly(1),
 			// A third of the keyspace routes to the dead node for the rest of
 			// the run; those commands surface as retryable refusals.
-			MaxBusyFrac:  f64(0.95),
-			MaxErrorFrac: f64(0.9),
-			MinTraceEvents: map[string]uint64{
-				"slot-move-failed": 1,
-			},
-		},
+			"load.busy":              fracAtMost(0.95),
+			"load.errors":            fracAtMost(0.9),
+			"trace.slot-move-failed": atLeast(1),
+		}},
 	}
 }
 
@@ -318,16 +312,15 @@ func tenantIsolationUnderKill() *Spec {
 		Steps: []Step{
 			{Point: PointNodeKill, Target: intp(2), After: dur(200 * time.Millisecond)},
 		},
-		Invariants: Invariants{
-			Promotions:     u64(1),
-			MinShips:       1,
-			MaxLostUpdates: u64(0),
-			MaxBusyFrac:    f64(0.5),
-			Degraded:       intp(0),
-			MinCrossDenied: 1,
-			StepsMustFire:  true,
-			MinTraceEvents: map[string]uint64{"promotion": 1},
-		},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"cluster.replication.promotions":   exactly(1),
+			"cluster.replication.ships":        atLeast(1),
+			"cluster.replication.lost_updates": atMost(0),
+			"load.busy":                        fracAtMost(0.5),
+			"health.degraded":                  exactly(0),
+			"load.cross_denied":                atLeast(1),
+			"trace.promotion":                  atLeast(1),
+		}, StepsMustFire: true},
 	}
 }
 
@@ -358,20 +351,19 @@ func shipUnderLoad() *Spec {
 			SetPercent: 60, Keys: 256,
 			StaleReads: true, StaleCheckEvery: 8,
 		}, StaleBound: dur(2 * time.Second)},
-		Invariants: Invariants{
-			MinShips: 4,
-			// One full ship of the 1 MiB segment at boot, then deltas of the
-			// few pages four small writes touch.
-			MaxShipBytesPerShip: 512 << 10,
-			Promotions:          u64(0),
-			Degraded:            intp(0),
-			MaxP99:              dur(500 * time.Millisecond),
-			MinStaleProbes:      8,
-			MinTraceEvents: map[string]uint64{
-				"fork":            4,
-				"checkpoint-ship": 4,
-			},
-		},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"cluster.replication.ships": atLeast(4),
+			// Ships are deltas: the one replicated node got its whole segment
+			// once, at boot, and every ship since patched the standing standby.
+			"cluster.replication.full_ships": exactly(1),
+			"cluster.replication.promotions": exactly(0),
+			"cluster.fork.forks":             atLeast(1),
+			"cluster.fork.follower_reads":    atLeast(1),
+			"health.degraded":                exactly(0),
+			"load.stale_probes":              atLeast(8),
+			"trace.fork":                     atLeast(4),
+			"trace.checkpoint-ship":          atLeast(4),
+		}, MaxP99: dur(500 * time.Millisecond)},
 	}
 }
 
@@ -422,20 +414,18 @@ func slowNodeBrownout() *Spec {
 		Steps: []Step{
 			{Point: "cluster.probe.drop", Target: intp(2), Policy: PolicySpec{Kind: "always"}, After: dur(50 * time.Millisecond), For: dur(300 * time.Millisecond)},
 		},
-		Invariants: Invariants{
-			MinShips:         1,
-			Promotions:       u64(0),
-			Degraded:         intp(0),
-			MinBreakerOpens:  1,
-			MinDegradedReads: 8,
-			MaxP99:           dur(500 * time.Millisecond),
-			MinStaleProbes:   8,
-			MaxBusyFrac:      f64(0.9),
-			StepsMustFire:    true,
-			MinTraceEvents: map[string]uint64{
-				"breaker-state": 2, // at least one trip and one reclose
-			},
-		},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"cluster.replication.ships":       atLeast(1),
+			"cluster.replication.promotions":  exactly(0),
+			"health.degraded":                 exactly(0),
+			"cluster.overload.breaker_opens":  atLeast(1),
+			"cluster.overload.breaker_closes": atLeast(1),
+			"cluster.overload.shed":           atLeast(1),
+			"cluster.overload.degraded_reads": atLeast(8),
+			"load.stale_probes":               atLeast(8),
+			"load.busy":                       fracAtMost(0.9),
+			"trace.breaker-state":             atLeast(2), // at least one trip and one reclose
+		}, MaxP99: dur(500 * time.Millisecond), StepsMustFire: true},
 	}
 }
 
@@ -475,15 +465,15 @@ func partitionDuringMigration() *Spec {
 			{Point: "cluster.probe.drop", Target: intp(2), Policy: PolicySpec{Kind: "always"}, After: dur(100 * time.Millisecond), For: dur(300 * time.Millisecond)},
 			{Point: "cluster.slot.migrate", Slot: intp(142), Target: intp(2), After: dur(150 * time.Millisecond)},
 		},
-		Invariants: Invariants{
-			Promotions:     u64(1),
-			MinShips:       1,
-			MaxLostUpdates: u64(0),
-			Degraded:       intp(0),
-			MaxBusyFrac:    f64(0.9),
-			MaxErrorFrac:   f64(0.5),
-			MinTraceEvents: map[string]uint64{"promotion": 1},
-		},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"cluster.replication.promotions":   exactly(1),
+			"cluster.replication.ships":        atLeast(1),
+			"cluster.replication.lost_updates": atMost(0),
+			"health.degraded":                  exactly(0),
+			"load.busy":                        fracAtMost(0.9),
+			"load.errors":                      fracAtMost(0.5),
+			"trace.promotion":                  atLeast(1),
+		}},
 	}
 }
 
@@ -505,9 +495,34 @@ func acceptPressureFlood() *Spec {
 			{Point: "server.accept", Policy: PolicySpec{Kind: "probability", P: 0.4}},
 			{Point: "server.conn.drop", Policy: PolicySpec{Kind: "probability", P: 0.02}},
 		},
-		Invariants: Invariants{
-			MinDisconnects: 1,
-			StepsMustFire:  true,
-		},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"load.disconnects": atLeast(1),
+		}, StepsMustFire: true},
+	}
+}
+
+// tenantQuota runs two authenticated tenants against one co-resident store
+// with a key quota a quarter of the keyspace: once a tenant's view holds its
+// 24 keys, the rest of its SETs are refused -QUOTA — an admission answer, not
+// an error, so the run still verifies — and the refusals show on both sides,
+// in the load's count and in the tenants' rows of the stats. The cross-view
+// probes keep running throughout and must all be denied.
+func tenantQuota() *Spec {
+	return &Spec{
+		Name:        "tenant-quota",
+		Description: "two tenants over a 24-key quota and 96 keys: SETs past it refused -QUOTA, counted both sides, probes denied",
+		Machine:     "small",
+		Cluster:     ClusterSpec{Nodes: 1, Workers: 2, Mode: "vas"},
+		Quotas:      tenant.Quotas{MaxKeys: 24},
+		Load: LoadSpec{LoadConfig: server.LoadConfig{
+			Conns: 4, Pipeline: 4, Requests: 192,
+			SetPercent: 40, Keys: 96, ValueSize: 32,
+			Tenants: 2, Auth: true, CrossCheckEvery: 8,
+		}},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"load.quota_rejected":      atLeast(1),
+			"tenants.quota_rejections": atLeast(1),
+			"load.cross_denied":        atLeast(1),
+		}},
 	}
 }

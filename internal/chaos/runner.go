@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
+	"strings"
 	"time"
 
 	"spacejmp/internal/fault"
@@ -51,38 +52,19 @@ type Report struct {
 }
 
 // Failed returns the checks that did not hold.
-func (r *Report) Failed() []Check { return failed(r.Checks) }
-
-func failed(checks []Check) []Check {
-	var out []Check
-	for _, c := range checks {
-		if !c.OK {
-			out = append(out, c)
-		}
-	}
-	return out
+func (r *Report) Failed() []Check {
+	return slices.DeleteFunc(slices.Clone(r.Checks), func(c Check) bool { return c.OK })
 }
 
 // WriteText renders the report for a terminal.
 func (r *Report) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "scenario %s (seed %d): ", r.Scenario, r.Seed)
+	verdict := "FAIL"
 	if r.Passed {
-		fmt.Fprintf(w, "PASS")
-	} else {
-		fmt.Fprintf(w, "FAIL")
+		verdict = "PASS"
 	}
-	fmt.Fprintf(w, " in %v\n", r.Elapsed.Round(time.Millisecond))
-	if l := r.Load; l != nil {
-		fmt.Fprintf(w, "  load: %d commands (%d get, %d set, %d mget), %d busy, %d errors, %d mismatches, %d disconnects\n",
-			l.Commands, l.Gets, l.Sets, l.MGets, l.Busy, l.Errors, l.Mismatches, l.Disconnects)
-		if l.CrossDenied > 0 || l.CrossLeaks > 0 || l.QuotaRejected > 0 {
-			fmt.Fprintf(w, "  tenant: %d cross-view probes denied, %d leaks, %d quota rejections\n",
-				l.CrossDenied, l.CrossLeaks, l.QuotaRejected)
-		}
-		if l.StaleProbes > 0 || l.StaleRejected > 0 || l.StaleViolations > 0 {
-			fmt.Fprintf(w, "  stale: %d probes, %d -STALE refusals, %d bound violations\n",
-				l.StaleProbes, l.StaleRejected, l.StaleViolations)
-		}
+	fmt.Fprintf(w, "scenario %s (seed %d): %s in %v\n", r.Scenario, r.Seed, verdict, r.Elapsed.Round(time.Millisecond))
+	if r.Load != nil {
+		r.Load.WriteText(w, "  load: ")
 	}
 	for _, s := range r.Steps {
 		tgt := "any"
@@ -103,11 +85,7 @@ func (r *Report) WriteText(w io.Writer) {
 		if !c.OK {
 			mark = "FAIL"
 		}
-		if c.Detail != "" {
-			fmt.Fprintf(w, "  check %-18s %-4s %s\n", c.Name, mark, c.Detail)
-		} else {
-			fmt.Fprintf(w, "  check %-18s %s\n", c.Name, mark)
-		}
+		fmt.Fprintln(w, strings.TrimRight(fmt.Sprintf("  check %-32s %-4s %s", c.Name, mark, c.Detail), " "))
 	}
 }
 
@@ -173,232 +151,145 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	schedCancel()
 
 	// Quiesce: asynchronous failover machinery (probe -> ship -> promote)
-	// needs wall time to reach the declared counts, so the cluster-side
-	// invariants are polled, bounded, until they all hold; what they say when
-	// the stack goes down is the verdict.
-	inv := &spec.Invariants
+	// needs wall time to reach the declared counts, so every bound but the
+	// load's (final already) is polled, bounded, until they all hold; what
+	// they say when the stack goes down is the verdict.
+	settling := maps.Clone(spec.Invariants.Counters)
+	maps.DeleteFunc(settling, func(name string, _ Bound) bool { return strings.HasPrefix(name, "load.") })
+	o := observed{load: res, tracer: st.Sys.Tracer()}
 	waitUntil(quiesceTimeout, func() bool {
-		checks := append(inv.clusterChecks(st.Sys.Stats().Dense().Cluster, st.Router.Health()), inv.traceChecks(st.Sys.Tracer())...)
-		return len(failed(checks)) == 0
+		o.snap, o.health = st.Sys.Stats(), st.Router.Health()
+		return !slices.ContainsFunc(o.check(settling), func(c Check) bool { return !c.OK })
 	})
 
-	faults := st.Machine.Faults.Points()
-	health := st.Router.Health()
+	rep := &Report{Scenario: spec.Name, Seed: boot.Seed, Load: res, Faults: st.Machine.Faults.Points(),
+		Checks: []Check{errCheck("load-transport", loadErr), errCheck("schedule", schedErr)}}
+	o.health = st.Router.Health()
 	pending := st.Router.PendingFrames()
 
 	stopWatch() // before the admin surface goes down
-	deltas := 0
 	if deltaCount != nil {
-		deltas = <-deltaCount
+		rep.DeltasObserved = <-deltaCount
 	}
-	reports, shutdownErr, leakErr := st.Teardown()
+	var shutdownErr, leakErr error
+	rep.Steps, shutdownErr, leakErr = st.Teardown()
 	goroutinesOK := waitUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= goroutineBase })
-
-	rep := &Report{
-		Scenario:       spec.Name,
-		Seed:           boot.Seed,
-		Elapsed:        time.Since(start),
-		Load:           res,
-		Steps:          reports,
-		Faults:         faults,
-		DeltasObserved: deltas,
-	}
-	evaluate(rep, spec, st.Sys.Stats(), health, runState{
-		loadErr:      loadErr,
-		schedErr:     schedErr,
-		shutdownErr:  shutdownErr,
-		leakErr:      leakErr,
-		pending:      pending,
-		goroutinesOK: goroutinesOK,
-		adminOn:      opts.Admin,
-		tracer:       st.Sys.Tracer(),
-	})
+	rep.Elapsed = time.Since(start)
+	o.snap = st.Sys.Stats()
+	evaluate(rep, spec, o, opts.Admin)
+	rep.Checks = append(rep.Checks, errCheck("shutdown", shutdownErr), errCheck("drain-frames", leakErr),
+		Check{Name: "drain-pending", OK: pending == 0, Detail: fmt.Sprintf("%d urpc frames pending", pending)},
+		Check{Name: "drain-goroutines", OK: goroutinesOK, Detail: "goroutine count back to baseline"})
+	rep.Passed = len(rep.Failed()) == 0
 	return rep, nil
 }
 
-// runState carries the teardown-side evidence into invariant evaluation.
-type runState struct {
-	loadErr      error
-	schedErr     error
-	shutdownErr  error
-	leakErr      error
-	pending      int
-	goroutinesOK bool
-	adminOn      bool
-	tracer       *stats.Tracer
+// errCheck is the check that err is nil.
+func errCheck(name string, err error) Check {
+	if err != nil {
+		return Check{Name: name, Detail: err.Error()}
+	}
+	return Check{Name: name, OK: true}
 }
 
-func evaluate(rep *Report, spec *Spec, snap *stats.Snapshot, health []server.NodeHealth, st runState) {
+// evaluate judges what the spec declares: its counter bounds, with what fails
+// any load bounded at zero (load.errors the one a spec may bound instead —
+// Validate refuses a bound on the others); p99; the steps; and,
+// with the admin surface on, one streamed delta per step.
+func evaluate(rep *Report, spec *Spec, o observed, adminOn bool) {
 	inv := &spec.Invariants
-	res := rep.Load
 	add := func(name string, ok bool, detail string) {
 		rep.Checks = append(rep.Checks, Check{Name: name, OK: ok, Detail: detail})
 	}
-	errDetail := func(err error) string {
-		if err == nil {
-			return ""
-		}
-		return err.Error()
+	bounds := map[string]Bound{}
+	for name := range o.load.Failures() {
+		bounds["load."+name] = Bound{Max: new(uint64)}
 	}
-
-	add("load-transport", st.loadErr == nil, errDetail(st.loadErr))
-	add("schedule", st.schedErr == nil, errDetail(st.schedErr))
-	add("verify", res.Mismatches <= inv.MaxMismatches,
-		fmt.Sprintf("%d mismatches (max %d)", res.Mismatches, inv.MaxMismatches))
-	if spec.Load.StaleReads {
-		// The staleness bound is absolute, like tenant isolation: a stale
-		// version served silently is always a failure.
-		add("stale-violations", res.StaleViolations == 0,
-			fmt.Sprintf("%d staleness-bound violations (none allowed)", res.StaleViolations))
-		if inv.MinStaleProbes > 0 {
-			add("stale-probes", res.StaleProbes >= inv.MinStaleProbes,
-				fmt.Sprintf("%d staleness probes completed (min %d)", res.StaleProbes, inv.MinStaleProbes))
-		}
-	}
+	maps.Copy(bounds, inv.Counters)
+	rep.Checks = append(rep.Checks, o.check(bounds)...)
 	if inv.MaxP99 > 0 {
-		p99 := time.Duration(res.Latency.Quantile(0.99))
+		p99 := time.Duration(o.load.Latency.Quantile(0.99))
 		add("latency-p99", p99 <= time.Duration(inv.MaxP99),
 			fmt.Sprintf("p99 %v (max %v)", p99, time.Duration(inv.MaxP99)))
 	}
-	if spec.Load.Tenants > 1 && spec.Load.Auth {
-		// Isolation is absolute: any data reply to a cross-view probe is a
-		// leak, regardless of what the scenario otherwise tolerates.
-		add("cross-leaks", res.CrossLeaks == 0,
-			fmt.Sprintf("%d cross-view leaks (none allowed)", res.CrossLeaks))
-		if inv.MinCrossDenied > 0 {
-			add("cross-denied", res.CrossDenied >= inv.MinCrossDenied,
-				fmt.Sprintf("%d cross-view probes denied (min %d)", res.CrossDenied, inv.MinCrossDenied))
-		}
-	}
-
-	switch {
-	case inv.MaxErrorFrac != nil:
-		limit := uint64(*inv.MaxErrorFrac * float64(res.Commands))
-		add("errors", res.Errors <= limit, fmt.Sprintf("%d terminal errors (max %d = %g of %d)",
-			res.Errors, limit, *inv.MaxErrorFrac, res.Commands))
-	case inv.MaxErrors != nil:
-		add("errors", res.Errors <= *inv.MaxErrors,
-			fmt.Sprintf("%d terminal errors (max %d)", res.Errors, *inv.MaxErrors))
-	default:
-		add("errors", res.Errors == 0, fmt.Sprintf("%d terminal errors (none allowed)", res.Errors))
-	}
-	if inv.MaxBusyFrac != nil {
-		limit := uint64(*inv.MaxBusyFrac * float64(res.Commands))
-		add("busy", res.Busy <= limit, fmt.Sprintf("%d retryable refusals (max %d = %g of %d)",
-			res.Busy, limit, *inv.MaxBusyFrac, res.Commands))
-	}
-
-	rep.Checks = append(rep.Checks, inv.clusterChecks(snap.Dense().Cluster, health)...)
-	if inv.MinDisconnects > 0 {
-		add("disconnects", res.Disconnects >= inv.MinDisconnects,
-			fmt.Sprintf("%d disconnects survived (min %d)", res.Disconnects, inv.MinDisconnects))
-	}
 	if inv.StepsMustFire {
-		ok := true
+		i := slices.IndexFunc(rep.Steps, func(s StepReport) bool { return s.Fired == 0 || s.Err != "" })
 		detail := ""
-		for _, s := range rep.Steps {
-			if s.Fired == 0 || s.Err != "" {
-				ok = false
-				detail = fmt.Sprintf("step %d (%s) never fired", s.Step, s.Point)
-				if s.Err != "" {
-					detail += ": " + s.Err
-				}
-				break
-			}
+		if i >= 0 {
+			s := rep.Steps[i]
+			detail = strings.TrimSuffix(fmt.Sprintf("step %d (%s) never fired: %s", s.Step, s.Point, s.Err), ": ")
 		}
-		add("steps-fired", ok, detail)
+		add("steps-fired", i < 0, detail)
 	}
-	rep.Checks = append(rep.Checks, inv.traceChecks(st.tracer)...)
-
-	if st.adminOn {
+	if adminOn {
 		add("stats-delta", rep.DeltasObserved >= len(spec.Steps),
 			fmt.Sprintf("%d deltas streamed (min %d: one per step)", rep.DeltasObserved, len(spec.Steps)))
 	}
-	add("shutdown", st.shutdownErr == nil, errDetail(st.shutdownErr))
-	add("drain-frames", st.leakErr == nil, errDetail(st.leakErr))
-	add("drain-pending", st.pending == 0, fmt.Sprintf("%d urpc frames pending", st.pending))
-	add("drain-goroutines", st.goroutinesOK, "goroutine count back to baseline")
-
-	rep.Passed = len(rep.Failed()) == 0
 }
 
-// clusterChecks are the invariants on what the cluster itself counted and on
-// its nodes' health: the ones that settle after the load, so Run polls them
-// to quiesce and evaluate reports them — each is written here and nowhere else.
-func (inv *Invariants) clusterChecks(cl *stats.ClusterSnap, health []server.NodeHealth) []Check {
-	var out []Check
-	add := func(name string, ok bool, detail string) {
-		out = append(out, Check{Name: name, OK: ok, Detail: detail})
-	}
-	repl, mig, ovl := cl.Replication, cl.Migration, cl.Overload
-	local, remote := cl.Local, cl.Remote
-	if p := inv.Promotions; p != nil {
-		add("promotions", repl.Promotions == *p,
-			fmt.Sprintf("%d promotions (want exactly %d)", repl.Promotions, *p))
-	}
-	if inv.MinShips > 0 {
-		add("ships", repl.Ships >= inv.MinShips,
-			fmt.Sprintf("%d checkpoint ships (min %d)", repl.Ships, inv.MinShips))
-	}
-	if max := inv.MaxShipBytesPerShip; max > 0 {
-		add("ship-bytes", repl.Ships > 0 && repl.ShipBytes/repl.Ships <= max,
-			fmt.Sprintf("%d bytes over %d ships, %d of them full (max %d per ship)", repl.ShipBytes, repl.Ships, repl.FullShips, max))
-	}
-	if l := inv.MaxLostUpdates; l != nil {
-		add("lost-updates", repl.LostUpdates <= *l,
-			fmt.Sprintf("%d lost updates (max %d)", repl.LostUpdates, *l))
-	}
-	if inv.MinSlotMoves > 0 {
-		add("slot-moves", mig.SlotMoves >= inv.MinSlotMoves,
-			fmt.Sprintf("%d slot migrations (min %d)", mig.SlotMoves, inv.MinSlotMoves))
-	}
-	if f := inv.SlotMoveFailures; f != nil {
-		add("slot-move-failures", mig.SlotMoveFailures == *f,
-			fmt.Sprintf("%d failed slot migrations (want exactly %d)", mig.SlotMoveFailures, *f))
-	}
-	if d := inv.Degraded; d != nil {
-		got := countDegraded(health)
-		add("degraded", got == *d, fmt.Sprintf("%d degraded ranges (want exactly %d)", got, *d))
-	}
-	if inv.MinDegradedReads > 0 {
-		add("degraded-reads", ovl.DegradedReads >= inv.MinDegradedReads,
-			fmt.Sprintf("%d reads degraded to stale views (min %d)", ovl.DegradedReads, inv.MinDegradedReads))
-	}
-	if inv.MinBreakerOpens > 0 {
-		add("breaker-opens", ovl.BreakerOpens >= inv.MinBreakerOpens,
-			fmt.Sprintf("%d breaker trips (min %d)", ovl.BreakerOpens, inv.MinBreakerOpens))
-	}
-	if inv.MinLocal > 0 {
-		add("local", local >= inv.MinLocal,
-			fmt.Sprintf("%d commands on the shared-VAS path (min %d)", local, inv.MinLocal))
-	}
-	if inv.MinRemote > 0 {
-		add("remote", remote >= inv.MinRemote,
-			fmt.Sprintf("%d commands over urpc (min %d)", remote, inv.MinRemote))
-	}
-	return out
+// observed is what a run exposes for its bounds to read: the stats schema,
+// the load's result, the trace ring and the nodes' health.
+type observed struct {
+	snap   *stats.Snapshot
+	load   *server.LoadResult
+	tracer *stats.Tracer
+	health []server.NodeHealth
 }
 
-// traceChecks are the minimum trace-event counts, by kind name in order.
-func (inv *Invariants) traceChecks(t *stats.Tracer) []Check {
-	var out []Check
-	for _, name := range slices.Sorted(maps.Keys(inv.MinTraceEvents)) {
-		want := inv.MinTraceEvents[name]
-		kind, _ := stats.EventKindByName(name) // Validate refused unknown names
-		got := t.Count(kind)
-		out = append(out, Check{Name: "trace:" + name, OK: got >= want, Detail: fmt.Sprintf("%d %s events (min %d)", got, name, want)})
-	}
-	return out
-}
-
-func countDegraded(health []server.NodeHealth) int {
-	n := 0
-	for _, h := range health {
-		if h.Degraded {
-			n++
+// value resolves a counter name — the one place a name means anything. On the
+// zero observed it checks the name against the types alone.
+func (o observed) value(name string) (uint64, error) {
+	scope, rest, _ := strings.Cut(name, ".")
+	switch {
+	case scope == "load":
+		return stats.Counter(o.load, rest)
+	case scope == "trace":
+		kind, ok := stats.EventKindByName(rest)
+		if !ok {
+			return 0, fmt.Errorf("%q: unknown trace event kind", name)
 		}
+		return o.tracer.Count(kind), nil
+	case name == "health.degraded":
+		n := uint64(0)
+		for _, h := range o.health {
+			if h.Degraded {
+				n++
+			}
+		}
+		return n, nil
 	}
-	return n
+	return stats.Counter(o.snap, name)
+}
+
+// check evaluates bounds, one check per name in name order: the one judge of
+// a counter, which Run's quiesce polls and evaluate reports.
+func (o observed) check(bounds map[string]Bound) []Check {
+	var out []Check
+	for _, name := range slices.Sorted(maps.Keys(bounds)) {
+		b := bounds[name]
+		got, err := o.value(name)
+		ok := err == nil
+		var want []string
+		if b.Min > 0 {
+			ok = ok && got >= b.Min
+			want = append(want, fmt.Sprintf("min %d", b.Min))
+		}
+		if b.Max != nil {
+			ok = ok && got <= *b.Max
+			want = append(want, fmt.Sprintf("max %d", *b.Max))
+		}
+		if b.Eq != nil {
+			ok = ok && got == *b.Eq
+			want = append(want, fmt.Sprintf("exactly %d", *b.Eq))
+		}
+		if b.MaxFrac != nil {
+			limit := uint64(*b.MaxFrac * float64(o.load.Commands))
+			ok = ok && got <= limit
+			want = append(want, fmt.Sprintf("max %d = %g of %d commands", limit, *b.MaxFrac, o.load.Commands))
+		}
+		out = append(out, Check{Name: name, OK: ok, Detail: fmt.Sprintf("%d (want %s)", got, strings.Join(want, ", "))})
+	}
+	return out
 }
 
 func waitUntil(timeout time.Duration, cond func() bool) bool {

@@ -56,11 +56,10 @@ func determinismSpec() *Spec {
 			{Point: "urpc.delay", Policy: PolicySpec{Kind: "probability", P: 0.3}},
 			{Point: "server.conn.stall", Policy: PolicySpec{Kind: "probability", P: 0.1}},
 		},
-		Invariants: Invariants{
-			MinLocal:      1,
-			MinRemote:     1,
-			StepsMustFire: true,
-		},
+		Invariants: Invariants{Counters: map[string]Bound{
+			"cluster.local":  atLeast(1),
+			"cluster.remote": atLeast(1),
+		}, StepsMustFire: true},
 	}
 }
 

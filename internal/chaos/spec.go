@@ -4,10 +4,10 @@
 // a start offset, and a duration — loadable from a Go struct or a JSON
 // file. The Runner boots a clustered (optionally replicated) server, drives
 // it with the closed-loop verifying load generator while the schedule plays
-// out against the live registry, and then asserts the spec's declared
-// invariants from the stats snapshot, the trace ring, and the drain checks:
-// zero verification failures, bounded retryable-vs-terminal errors,
-// expected promotion and degradation counts, leak-free zero-goroutine
+// out against the live registry, and then holds the run to the spec's bounds
+// on named counters — of the stats snapshot, the load's result, the trace
+// ring and the nodes' health — and to the checks every run must pass: zero
+// verification failures, the schedule played, leak-free zero-goroutine
 // teardown.
 //
 // Determinism is inherited from the seeded registry and the seeded load
@@ -22,14 +22,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"spacejmp/internal/cluster"
 	"spacejmp/internal/fault"
 	"spacejmp/internal/hw"
 	"spacejmp/internal/server"
-	"spacejmp/internal/stats"
+	"spacejmp/internal/tenant"
 )
 
 // Schedule-only pseudo-points: instead of arming a registry rule, the step
@@ -202,7 +205,8 @@ var targetedPoints = map[string]bool{
 	PointNodeKill:          true,
 }
 
-var knownPoints = map[string]bool{
+// registryPoints are the fault registry's points a step may arm.
+var registryPoints = map[string]bool{
 	fault.MemAlloc:         true,
 	fault.MemWriteTorn:     true,
 	fault.CoreSyscallCrash: true,
@@ -213,10 +217,6 @@ var knownPoints = map[string]bool{
 	fault.SrvConnDrop:      true,
 	fault.ClusterProbeDrop: true,
 	fault.ClusterNodeCrash: true,
-	PointNodeKill:          true,
-	PointNodeAdd:           true,
-	PointNodeRemove:        true,
-	PointSlotMigrate:       true,
 }
 
 // ClusterSpec sizes the cluster under test; zero values take the cluster
@@ -288,6 +288,17 @@ func (c ClusterSpec) Config() (cluster.Config, error) {
 	return cfg.WithDefaults(), cfg.Validate()
 }
 
+// clusterConfig is Cluster.Config under the one rule that needs the steps too:
+// breakers need a remote node, placed so or brought by an add step (AddNode's are).
+func (s *Spec) clusterConfig() (cluster.Config, error) {
+	cfg, err := s.Cluster.Config()
+	if err == nil && cfg.Overload.Breakers && cfg.Mode.Local(cfg.Nodes-1, cfg) && // the last node is remote if any is
+		!slices.ContainsFunc(s.Steps, func(st Step) bool { return st.Point == PointNodeAdd }) {
+		err = errors.New("breakers need a remote node (every node is co-resident and no step adds one)")
+	}
+	return cfg, err
+}
+
 // LoadSpec parameterizes the verifying load: the load generator's own config
 // (its JSON keys are declared there; the address, the seed and the deadline
 // are not a scenario file's to set) with the one field whose file form
@@ -298,62 +309,25 @@ type LoadSpec struct {
 	StaleBound Duration `json:"stale_bound,omitempty"`
 }
 
-// Invariants are the assertions a run must satisfy. Value fields of zero
-// are strict bounds (MaxMismatches 0 = no mismatch tolerated — the usual
-// chaos contract); pointer fields distinguish "unset" from "exactly zero".
+// Bound is what a run must show of one named counter; a field left out bounds
+// nothing, and MaxFrac is relative to load.commands.
+type Bound struct {
+	Min     uint64   `json:"min,omitempty"`
+	Max     *uint64  `json:"max,omitempty"`
+	Eq      *uint64  `json:"eq,omitempty"`
+	MaxFrac *float64 `json:"max_frac,omitempty"`
+}
+
+// Invariants are the assertions a run must satisfy. Counters bounds named
+// counters, each resolved in one place (observed.value): a JSON path in
+// stats.Snapshot ("cluster.replication.promotions"; a path through a slice
+// sums its rows), load.<field> of the load's server.LoadResult, trace.<kind>
+// for a trace event count, and health.degraded for the key ranges degraded at
+// the end. Whatever a scenario bounds, a run fails on any load failure
+// (server.LoadResult.Failures) — terminal errors included, unless the scenario
+// bounds load.errors — and on the drain checks.
 type Invariants struct {
-	// MaxMismatches bounds load-side verification failures (default 0).
-	MaxMismatches uint64 `json:"max_mismatches,omitempty"`
-	// MaxErrors bounds terminal error replies; when neither it nor
-	// MaxErrorFrac is set, terminal errors must be zero.
-	MaxErrors *uint64 `json:"max_errors,omitempty"`
-	// MaxErrorFrac bounds terminal error replies as a fraction of commands.
-	MaxErrorFrac *float64 `json:"max_error_frac,omitempty"`
-	// MaxBusyFrac bounds retryable refusals (busy, shard timeouts) as a
-	// fraction of commands; unset leaves them unbounded.
-	MaxBusyFrac *float64 `json:"max_busy_frac,omitempty"`
-	// Promotions, when set, is the exact standby-promotion count.
-	Promotions *uint64 `json:"promotions,omitempty"`
-	// MinShips is the minimum checkpoint generations shipped.
-	MinShips uint64 `json:"min_ships,omitempty"`
-	// MaxShipBytesPerShip, when nonzero, bounds the mean image payload of a
-	// ship: a node's first ship moves its whole segment and every later one
-	// the pages written since, so the mean climbs back to the segment size
-	// only if ships stop being deltas.
-	MaxShipBytesPerShip uint64 `json:"max_ship_bytes_per_ship,omitempty"`
-	// MaxLostUpdates, when set, bounds updates lost across failover.
-	MaxLostUpdates *uint64 `json:"max_lost_updates,omitempty"`
-	// Degraded, when set, is the exact count of degraded key ranges at the
-	// end of the run.
-	Degraded *int `json:"degraded,omitempty"`
-	// MinLocal / MinRemote are minimum command counts per serving path.
-	MinLocal  uint64 `json:"min_local,omitempty"`
-	MinRemote uint64 `json:"min_remote,omitempty"`
-	// MinDisconnects is the minimum transport failures the load generator
-	// must have survived (Reconnect runs).
-	MinDisconnects uint64 `json:"min_disconnects,omitempty"`
-	// MinSlotMoves is the minimum completed slot migrations.
-	MinSlotMoves uint64 `json:"min_slot_moves,omitempty"`
-	// SlotMoveFailures, when set, is the exact count of slot migrations that
-	// aborted (source stayed authoritative).
-	SlotMoveFailures *uint64 `json:"slot_move_failures,omitempty"`
-	// MinCrossDenied is the minimum cross-tenant probes the load must have
-	// seen denied with -NOPERM (tenant runs; proves the probes actually ran).
-	// Any probe answered with data instead of a denial is a cross-view leak,
-	// and leaks are always an invariant violation — there is no knob to
-	// tolerate them.
-	MinCrossDenied uint64 `json:"min_cross_denied,omitempty"`
-	// MinStaleProbes is the minimum staleness probes the load must have
-	// completed (stale-read runs; proves the bound was actually exercised,
-	// the way MinCrossDenied proves tenant probes ran).
-	MinStaleProbes uint64 `json:"min_stale_probes,omitempty"`
-	// MinDegradedReads is the minimum reads served stale because the
-	// primary was overloaded — the proof a brownout scenario actually
-	// degraded gracefully instead of just erroring.
-	MinDegradedReads uint64 `json:"min_degraded_reads,omitempty"`
-	// MinBreakerOpens is the minimum circuit-breaker trips; pins that a
-	// storm scenario actually drove a breaker open.
-	MinBreakerOpens uint64 `json:"min_breaker_opens,omitempty"`
+	Counters map[string]Bound `json:"counters,omitempty"`
 	// MaxP99, when set, bounds the load's end-to-end p99 command latency.
 	// This is the write-stall invariant: a serving path that holds a node's
 	// mutex across a checkpoint ship (instead of forking a frozen view and
@@ -363,21 +337,19 @@ type Invariants struct {
 	// StepsMustFire requires every step to have fired at least once (for a
 	// pseudo-point step: the operator action succeeded).
 	StepsMustFire bool `json:"steps_must_fire,omitempty"`
-	// MinTraceEvents maps trace event kind names ("promotion",
-	// "checkpoint-ship", "node-state", ...) to minimum occurrence counts.
-	MinTraceEvents map[string]uint64 `json:"min_trace_events,omitempty"`
 }
 
 // Spec is one declarative chaos scenario.
 type Spec struct {
-	Name        string      `json:"name"`
-	Description string      `json:"description,omitempty"`
-	Seed        int64       `json:"seed,omitempty"`
-	Machine     string      `json:"machine,omitempty"` // small (default), M1, M2, M3
-	Cluster     ClusterSpec `json:"cluster,omitempty"`
-	Load        LoadSpec    `json:"load,omitempty"`
-	Steps       []Step      `json:"steps,omitempty"`
-	Invariants  Invariants  `json:"invariants,omitempty"`
+	Name        string        `json:"name"`
+	Description string        `json:"description,omitempty"`
+	Seed        int64         `json:"seed,omitempty"`
+	Machine     string        `json:"machine,omitempty"` // small (default), M1, M2, M3
+	Cluster     ClusterSpec   `json:"cluster,omitempty"`
+	Quotas      tenant.Quotas `json:"quotas,omitzero"` // every demo tenant's (load.tenants)
+	Load        LoadSpec      `json:"load,omitempty"`
+	Steps       []Step        `json:"steps,omitempty"`
+	Invariants  Invariants    `json:"invariants,omitempty"`
 }
 
 // ParseSpec decodes and validates a JSON scenario. Unknown fields are
@@ -412,7 +384,7 @@ func (s *Spec) Validate() error {
 	if _, err := hw.NamedConfig(s.Machine); err != nil {
 		return specErr(-1, fmt.Sprintf("machine: %v", err), ErrBadSpec)
 	}
-	clCfg, err := s.Cluster.Config()
+	clCfg, err := s.clusterConfig()
 	if err != nil {
 		return specErr(-1, fmt.Sprintf("cluster: %v", err), ErrBadSpec)
 	}
@@ -428,9 +400,6 @@ func (s *Spec) Validate() error {
 	if s.Load.CrossCheckEvery > 0 && (!s.Load.Auth || s.Load.Tenants < 2) {
 		return specErr(-1, "load.cross_check_every: probes need auth and at least two tenants", ErrBadSpec)
 	}
-	if s.Invariants.MinCrossDenied > 0 && (!s.Load.Auth || s.Load.Tenants < 2) {
-		return specErr(-1, "invariants.min_cross_denied: needs auth and at least two tenants", ErrBadSpec)
-	}
 	if s.Load.StaleReads && !s.Cluster.FollowerReads {
 		return specErr(-1, "load.stale_reads: requires cluster.follower_reads", ErrBadSpec)
 	}
@@ -440,24 +409,15 @@ func (s *Spec) Validate() error {
 	if (s.Load.StaleBound != 0 || s.Load.StaleCheckEvery != 0) && !s.Load.StaleReads {
 		return specErr(-1, "load.stale_bound/stale_check_every: need load.stale_reads", ErrBadSpec)
 	}
-	if s.Invariants.MinStaleProbes > 0 && !s.Load.StaleReads {
-		return specErr(-1, "invariants.min_stale_probes: needs load.stale_reads", ErrBadSpec)
-	}
 	if s.Cluster.Deadline < 0 {
 		return specErr(-1, fmt.Sprintf("cluster.deadline: negative (%v)", time.Duration(s.Cluster.Deadline)), ErrBadDuration)
-	}
-	if s.Invariants.MinBreakerOpens > 0 && !s.Cluster.Breakers {
-		return specErr(-1, "invariants.min_breaker_opens: needs cluster.breakers", ErrBadSpec)
-	}
-	if s.Invariants.MinDegradedReads > 0 && !s.Cluster.Breakers {
-		return specErr(-1, "invariants.min_degraded_reads: needs cluster.breakers (an open breaker is what degrades reads)", ErrBadSpec)
 	}
 	if s.Invariants.MaxP99 < 0 {
 		return specErr(-1, fmt.Sprintf("invariants.max_p99: negative (%v)", time.Duration(s.Invariants.MaxP99)), ErrBadDuration)
 	}
 
 	for i, st := range s.Steps {
-		if !knownPoints[st.Point] {
+		if !registryPoints[st.Point] && !pseudoPoints[st.Point] {
 			return specErr(i, fmt.Sprintf("point %q", st.Point), ErrUnknownPoint)
 		}
 		if st.After < 0 {
@@ -572,16 +532,22 @@ func (s *Spec) Validate() error {
 		}
 	}
 
-	for name := range s.Invariants.MinTraceEvents {
-		if _, ok := stats.EventKindByName(name); !ok {
-			return specErr(-1, fmt.Sprintf("invariants.min_trace_events: unknown event kind %q", name), ErrBadSpec)
+	for _, name := range slices.Sorted(maps.Keys(s.Invariants.Counters)) {
+		b := s.Invariants.Counters[name]
+		if _, err := (observed{}).value(name); err != nil {
+			return specErr(-1, fmt.Sprintf("invariants.counters: %v", err), ErrBadSpec)
 		}
-	}
-	if f := s.Invariants.MaxErrorFrac; f != nil && (*f < 0 || *f > 1) {
-		return specErr(-1, fmt.Sprintf("invariants.max_error_frac: %g outside [0,1]", *f), ErrBadSpec)
-	}
-	if f := s.Invariants.MaxBusyFrac; f != nil && (*f < 0 || *f > 1) {
-		return specErr(-1, fmt.Sprintf("invariants.max_busy_frac: %g outside [0,1]", *f), ErrBadSpec)
+		if b == (Bound{}) {
+			return specErr(-1, fmt.Sprintf("invariants.counters: %q bounds nothing", name), ErrBadSpec)
+		}
+		if load, ok := strings.CutPrefix(name, "load."); ok && load != "errors" {
+			if _, fails := new(server.LoadResult).Failures()[load]; fails {
+				return specErr(-1, fmt.Sprintf("invariants.counters: %q fails any run; there is no bound to tolerate it", name), ErrBadSpec)
+			}
+		}
+		if f := b.MaxFrac; f != nil && !(*f >= 0 && *f <= 1) {
+			return specErr(-1, fmt.Sprintf("invariants.counters: %q max_frac %g outside [0,1]", name, *f), ErrBadSpec)
+		}
 	}
 	return nil
 }

@@ -23,7 +23,8 @@ func TestParseSpecValid(t *testing.T) {
 			{"point": "urpc.drop", "policy": {"kind": "always"}, "after": "25ms", "for": "100ms"},
 			{"point": "cluster.node.crash", "target": 2, "policy": {"kind": "always"}, "after": "200ms"}
 		],
-		"invariants": {"steps_must_fire": true, "min_trace_events": {"promotion": 1}}
+		"invariants": {"steps_must_fire": true, "counters": {"trace.promotion": {"min": 1},
+		               "tenants.quota_rejections": {"max": 0}, "load.busy": {"max_frac": 0.5}}}
 	}`))
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +40,11 @@ func TestParseSpecValid(t *testing.T) {
 	}
 	if spec.Steps[1].target() != 2 {
 		t.Errorf("target: got %d", spec.Steps[1].target())
+	}
+	// A node an add step brings is remote: it gives breakers their node.
+	if _, err := ParseSpec([]byte(`{"name": "grow", "cluster": {"nodes": 1, "mode": "vas", "breakers": true},
+		"steps": [{"point": "cluster.node.add"}]}`)); err != nil {
+		t.Errorf("breakers over a co-resident node an add step joins: %v", err)
 	}
 }
 
@@ -80,8 +86,20 @@ func TestParseSpecErrors(t *testing.T) {
 		{"double kill", `{"name": "x", "steps": [
 			{"point": "cluster.node.kill", "target": 2},
 			{"point": "cluster.node.kill", "target": 2, "after": "100ms"}]}`, ErrOverlappingSteps},
-		{"unknown trace kind", `{"name": "x", "invariants": {"min_trace_events": {"warp-core-breach": 1}}}`, ErrBadSpec},
-		{"error frac out of range", `{"name": "x", "invariants": {"max_error_frac": 1.5}}`, ErrBadSpec},
+		{"unknown trace kind", `{"name": "x", "invariants": {"counters": {"trace.warp-core-breach": {"min": 1}}}}`, ErrBadSpec},
+		{"error frac out of range", `{"name": "x", "invariants": {"counters": {"load.errors": {"max_frac": 1.5}}}}`, ErrBadSpec},
+		// A counter name is held to the type it reads, present or not.
+		{"misspelled counter", `{"name": "x", "invariants": {"counters": {"cluster.replication.promotoins": {"eq": 0}}}}`, ErrBadSpec},
+		{"misspelled load counter", `{"name": "x", "invariants": {"counters": {"load.mismatch": {"max": 0}}}}`, ErrBadSpec},
+		{"block, not a counter", `{"name": "x", "invariants": {"counters": {"cluster.replication": {"min": 1}}}}`, ErrBadSpec},
+		{"unknown health name", `{"name": "x", "invariants": {"counters": {"health.sick": {"eq": 0}}}}`, ErrBadSpec},
+		{"bound of nothing", `{"name": "x", "invariants": {"counters": {"load.errors": {}}}}`, ErrBadSpec},
+		{"removed per-counter invariant", `{"name": "x", "invariants": {"min_ships": 1}}`, ErrBadSpec},
+		// A load failure is bounded at zero; only load.errors may be bounded otherwise.
+		{"tolerated cross leaks", `{"name": "x", "invariants": {"counters": {"load.cross_leaks": {"max": 5}}}}`, ErrBadSpec},
+		{"bounded mismatches", `{"name": "x", "invariants": {"counters": {"load.mismatches": {"min": 1}}}}`, ErrBadSpec},
+		// spacejmp-server -breakers without -cluster.
+		{"breakers with no remote node", `{"name": "x", "cluster": {"nodes": 1, "mode": "vas", "breakers": true}}`, ErrBadSpec},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,6 +193,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"name": "x", "steps": [{"point": "disk.on.fire"}]}`))
 	f.Add([]byte(`{"name": "x", "steps": [{"point": "cluster.node.kill", "target": 99}]}`))
 	f.Add([]byte(`{"name":"x","steps":[{"point":"urpc.drop","policy":{"kind":"always"},"for":"0s"},{"point":"urpc.drop","policy":{"kind":"always"},"after":"1ms"}]}`))
+	f.Add([]byte(`{"name":"x","invariants":{"counters":{"tenants.quota_rejections":{"min":1,"max_frac":0.5},"load.commands":{"eq":0}}}}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte{0xff, 0xfe, 0x00})

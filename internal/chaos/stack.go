@@ -20,11 +20,10 @@ import (
 // Front is what only the binary standing a stack up knows about it; the
 // rest of its shape is a Spec.
 type Front struct {
-	Addr     string        // RESP listen address
-	Admin    string        // HTTP admin listen address; empty serves none
-	TraceCap int           // trace ring capacity (0 disables tracing)
-	Pipeline int           // per-connection in-flight command cap (0 = the server's default)
-	Quotas   tenant.Quotas // every demo tenant's
+	Addr     string // RESP listen address
+	Admin    string // HTTP admin listen address; empty serves none
+	TraceCap int    // trace ring capacity (0 disables tracing)
+	Pipeline int    // per-connection in-flight command cap (0 = the server's default)
 	// Logf narrates the schedule; nil is silent.
 	Logf func(format string, args ...any)
 }
@@ -51,15 +50,15 @@ type Stack struct {
 // (operator steps and later offsets). The rules come before the cluster
 // because a cluster runs from the moment it is built — the monitor's first act
 // is a checkpoint ship per replicated node — and a whole-run rule holds for
-// that too. The spec's seed, machine, cluster block, tenant count and steps are
-// used; its load and invariants are the caller's business. A failed Boot
-// leaves nothing standing.
+// that too. The spec's seed, machine, cluster block, tenant count, quotas and
+// steps are used; the rest of its load and its invariants are the caller's
+// business. A failed Boot leaves nothing standing.
 func Boot(spec *Spec, f Front) (*Stack, error) {
 	hwCfg, err := hw.NamedConfig(spec.Machine)
 	if err != nil {
 		return nil, err
 	}
-	clCfg, err := spec.Cluster.Config()
+	clCfg, err := spec.clusterConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +86,7 @@ func Boot(spec *Spec, f Front) (*Stack, error) {
 		// The demo registry over the cluster's node stores; the load
 		// generator authenticates with the matching demo credentials.
 		st.Tenants, err = tenant.NewDemo(spec.Load.Tenants,
-			tenant.Config{Nodes: clCfg.Nodes, Stats: st.Machine.Observer()}, f.Quotas)
+			tenant.Config{Nodes: clCfg.Nodes, Stats: st.Machine.Observer()}, spec.Quotas)
 		if err != nil {
 			st.Router.Close()
 			return nil, fmt.Errorf("tenant registry: %w", err)

@@ -75,8 +75,8 @@ func TestLibraryDumpStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(Library()); n != 12 {
-		t.Errorf("library has %d scenarios, the golden was taken with 12", n)
+	if n := len(Library()); n != 13 {
+		t.Errorf("library has %d scenarios, the golden was taken with 13", n)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("library dump differs from testdata/library-dump.golden.json (regenerate with `go run ./cmd/spacejmp-chaos -all -dump` only when a scenario is meant to change)")
@@ -106,10 +106,10 @@ func TestQuiesceIsTheChecks(t *testing.T) {
 	// (25ms apart, backing off) later, and nothing but the quiesce waits for it.
 	late := spec()
 	late.Steps = []Step{{Point: PointNodeKill, Target: intp(1), After: dur(400 * time.Millisecond)}}
-	late.Invariants = Invariants{
-		Promotions: u64(1), Degraded: intp(0), MaxLostUpdates: u64(0),
-		MinTraceEvents: map[string]uint64{"promotion": 1},
-	}
+	late.Invariants = Invariants{Counters: map[string]Bound{
+		"cluster.replication.promotions": exactly(1), "health.degraded": exactly(0),
+		"cluster.replication.lost_updates": atMost(0), "trace.promotion": atLeast(1),
+	}}
 	quiesceTimeout = 10 * time.Second
 	rep, err := Run(late, Options{})
 	if err != nil {
@@ -122,10 +122,11 @@ func TestQuiesceIsTheChecks(t *testing.T) {
 	}
 
 	never := spec()
-	never.Invariants = Invariants{
-		Promotions: u64(5), Degraded: intp(2), MinSlotMoves: 1,
-		MinTraceEvents: map[string]uint64{"promotion": 5},
-	}
+	never.Invariants = Invariants{Counters: map[string]Bound{
+		"cluster.replication.promotions": exactly(5), "health.degraded": exactly(2),
+		"cluster.migration.slot_moves": atLeast(1), "trace.promotion": atLeast(5),
+		"load.commands": atLeast(1), // the load's is final: not waited for, and holds
+	}}
 	quiesceTimeout = 2 * time.Second
 	start := time.Now()
 	rep, err = Run(never, Options{})
@@ -140,10 +141,10 @@ func TestQuiesceIsTheChecks(t *testing.T) {
 		failed = append(failed, c.Name+": "+c.Detail)
 	}
 	want := []string{
-		"promotions: 0 promotions (want exactly 5)",
-		"slot-moves: 0 slot migrations (min 1)",
-		"degraded: 0 degraded ranges (want exactly 2)",
-		"trace:promotion: 0 promotion events (min 5)",
+		"cluster.migration.slot_moves: 0 (want min 1)",
+		"cluster.replication.promotions: 0 (want exactly 5)",
+		"health.degraded: 0 (want exactly 2)",
+		"trace.promotion: 0 (want min 5)",
 	}
 	if strings.Join(failed, "\n") != strings.Join(want, "\n") {
 		t.Errorf("failed checks:\n%s\nwant:\n%s", strings.Join(failed, "\n"), strings.Join(want, "\n"))

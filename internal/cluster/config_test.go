@@ -31,6 +31,12 @@ func TestConfigValidate(t *testing.T) {
 		{"breaker knobs with breakers", func(c *Config) {
 			c.Overload = OverloadConfig{Breakers: true, BreakerThreshold: 3, BreakerCooldown: time.Second}
 		}, ""},
+		// AddNode makes remote nodes whatever the placement, so no placement
+		// refuses breakers; whether any node is ever remote is the scenario's
+		// to say (chaos.Spec.Validate: its steps).
+		{"breakers over one co-resident node", func(c *Config) {
+			c.Nodes, c.Mode, c.Overload.Breakers = 1, ModeVAS, true
+		}, ""},
 	} {
 		var c Config
 		row.edit(&c)

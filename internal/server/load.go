@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strconv"
@@ -133,26 +134,52 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	return c
 }
 
-// LoadResult aggregates a run.
+// LoadResult aggregates a run. Its JSON names are the load.* counters a chaos
+// scenario bounds.
 type LoadResult struct {
-	Commands    uint64
-	Gets        uint64
-	Sets        uint64
-	MGets       uint64
-	Busy        uint64 // backpressure rejections ("server busy")
-	Errors      uint64 // any other error reply
-	Mismatches  uint64 // GET replies that matched neither nil nor the key's value
-	Disconnects uint64 // transport failures survived by reconnecting (Reconnect only)
+	Commands    uint64 `json:"commands"`
+	Gets        uint64 `json:"gets"`
+	Sets        uint64 `json:"sets"`
+	MGets       uint64 `json:"mgets"`
+	Busy        uint64 `json:"busy"`        // backpressure rejections ("server busy")
+	Errors      uint64 `json:"errors"`      // any other error reply
+	Mismatches  uint64 `json:"mismatches"`  // GET replies that matched neither nil nor the key's value
+	Disconnects uint64 `json:"disconnects"` // transport failures survived by reconnecting (Reconnect only)
 	// Multi-tenant runs only.
-	QuotaRejected uint64 // -QUOTA admission rejections (not counted as Errors)
-	CrossDenied   uint64 // cross-view probes correctly denied with -NOPERM
-	CrossLeaks    uint64 // cross-view probes answered any other way — isolation failures (also Mismatches)
+	QuotaRejected uint64 `json:"quota_rejected"` // -QUOTA admission rejections (not counted as Errors)
+	CrossDenied   uint64 `json:"cross_denied"`   // cross-view probes correctly denied with -NOPERM
+	CrossLeaks    uint64 `json:"cross_leaks"`    // cross-view probes answered any other way — isolation failures (also Mismatches)
 	// Stale-read runs only.
-	StaleProbes     uint64 // probe GETs answered with a value or nil
-	StaleRejected   uint64 // probe GETs correctly refused with -STALE
-	StaleViolations uint64 // probe GETs that returned a version older than the bound without -STALE
-	Elapsed         time.Duration
-	Latency         stats.HistSnap // per-command wall latency, nanoseconds
+	StaleProbes     uint64         `json:"stale_probes"`     // probe GETs answered with a value or nil
+	StaleRejected   uint64         `json:"stale_rejected"`   // probe GETs correctly refused with -STALE
+	StaleViolations uint64         `json:"stale_violations"` // probe GETs that returned a version older than the bound without -STALE
+	Elapsed         time.Duration  `json:"elapsed_ns"`
+	Latency         stats.HistSnap `json:"latency_ns"` // per-command wall latency
+}
+
+// Failures are the counts that fail a verifying run, by their JSON names: a
+// reply that did not verify, a cross-view probe answered with data, a version
+// older than the staleness bound served without -STALE, and a terminal error
+// reply — the one count a chaos scenario may bound instead.
+func (r *LoadResult) Failures() map[string]uint64 {
+	return map[string]uint64{"mismatches": r.Mismatches, "cross_leaks": r.CrossLeaks,
+		"stale_violations": r.StaleViolations, "errors": r.Errors}
+}
+
+// WriteText renders the result for a terminal, each line after indent; the
+// tenant and stale lines only for a run that counted any.
+func (r *LoadResult) WriteText(w io.Writer, indent string) {
+	fmt.Fprintf(w, "%scommands  %d (%d GET, %d SET, %d MGET) in %v, %.0f cmd/s\n",
+		indent, r.Commands, r.Gets, r.Sets, r.MGets, r.Elapsed.Round(time.Millisecond), r.Throughput())
+	fmt.Fprintf(w, "%slatency  mean %.0fns  p50 ≤%dns  p99 ≤%dns  max %dns\n",
+		indent, r.Latency.Mean(), r.Latency.Quantile(0.50), r.Latency.Quantile(0.99), r.Latency.Max)
+	fmt.Fprintf(w, "%sbusy  %d  errors  %d  mismatches  %d  disconnects  %d\n", indent, r.Busy, r.Errors, r.Mismatches, r.Disconnects)
+	if r.CrossDenied+r.CrossLeaks+r.QuotaRejected > 0 {
+		fmt.Fprintf(w, "%stenant  cross-denied  %d  cross-leaks  %d  quota-rejected  %d\n", indent, r.CrossDenied, r.CrossLeaks, r.QuotaRejected)
+	}
+	if r.StaleProbes+r.StaleRejected+r.StaleViolations > 0 {
+		fmt.Fprintf(w, "%sstale  probes  %d  rejected  %d  violations  %d\n", indent, r.StaleProbes, r.StaleRejected, r.StaleViolations)
+	}
 }
 
 // Throughput returns commands per second over the run.

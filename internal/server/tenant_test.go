@@ -2,8 +2,10 @@ package server_test
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"net"
+	"net/http/httptest"
 	"testing"
 
 	"spacejmp/internal/caps"
@@ -171,9 +173,10 @@ func TestTenantGrantRevoke(t *testing.T) {
 
 // TestTenantQuotaEnforcement drives the byte/key budgets end to end: the
 // rejection is the typed -QUOTA reply, a DEL frees budget, a failed charge
-// never leaks usage, and the rejection lands in the tenant's stats block.
+// never leaks usage, and the rejection lands in the tenant's stats block and
+// in its row of the admin surface's /tenants.
 func TestTenantQuotaEnforcement(t *testing.T) {
-	sys, srv, reg := startTenantServer(t, 1, tenant.Quotas{MaxKeys: 2, MaxBytes: 64})
+	sys, srv, reg := startTenantServer(t, 2, tenant.Quotas{MaxKeys: 2, MaxBytes: 64})
 	defer srv.Shutdown()
 	nc, br := dialTenant(t, srv, "t0", "s0")
 
@@ -206,12 +209,35 @@ func TestTenantQuotaEnforcement(t *testing.T) {
 		t.Fatalf("usage = (%d bytes, %d keys), want (2, 2)", b, k)
 	}
 	snap := sys.Stats()
-	if snap == nil || len(snap.Tenants) != 1 {
-		t.Fatalf("snapshot tenants = %+v, want one block", snap.Tenants)
+	if snap == nil || len(snap.Tenants) != 2 {
+		t.Fatalf("snapshot tenants = %+v, want a block per tenant", snap.Tenants)
 	}
 	ts := snap.Tenants[0]
 	if ts.QuotaRejections != 2 || ts.Commands == 0 {
 		t.Fatalf("tenant snap = %+v, want 2 quota rejections and counted commands", ts)
+	}
+
+	admin := httptest.NewServer(server.AdminHandler(sys, &stubCluster{}, reg))
+	defer admin.Close()
+	resp, err := admin.Client().Get(admin.URL + "/tenants")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var listing struct {
+		Tenants []struct {
+			ID       string `json:"id"`
+			Keys     uint64 `json:"keys"`
+			Counters struct {
+				QuotaRejections uint64 `json:"quota_rejections"`
+			} `json:"counters"`
+		} `json:"tenants"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("/tenants: status %d, %v", resp.StatusCode, err)
+	}
+	if l := listing.Tenants; len(l) != 2 || l[0].ID != "t0" || l[1].ID != "t1" || l[0].Keys != 2 || l[0].Counters.QuotaRejections < 1 {
+		t.Fatalf("/tenants = %+v, want t0 (2 keys, its quota rejections) and t1", l)
 	}
 }
 

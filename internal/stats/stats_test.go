@@ -225,6 +225,32 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
+// TestCounterNames: a dotted JSON path reads one leaf, an absent block reads
+// zero, a slice sums its rows, and a name the type does not have is an error
+// whether or not the block is there.
+func TestCounterNames(t *testing.T) {
+	s := NewSink(1)
+	s.Tenant(0).QuotaRejections.Add(2)
+	s.Tenant(1).QuotaRejections.Add(3)
+	s.Server().Commands.Add(4)
+	snap := s.Snapshot()
+	for path, want := range map[string]uint64{
+		"server.commands":                4,
+		"tenants.quota_rejections":       5,
+		"cluster.replication.promotions": 0, // absent block
+		"tlb.hits":                       0,
+	} {
+		if got, err := Counter(snap, path); err != nil || got != want {
+			t.Errorf("Counter(%s) = %d, %v; want %d", path, got, err, want)
+		}
+	}
+	for _, path := range []string{"cluster.replication.promotoins", "cluster.replication", "server.commands.x", "cycles_by_cat.walk", "cores.id", ""} {
+		if _, err := Counter((*Snapshot)(nil), path); err == nil {
+			t.Errorf("Counter(%q) on the type: no error", path)
+		}
+	}
+}
+
 // TestTraceRingOverflow: the ring keeps the newest capacity events in order,
 // Recorded/Dropped account for the rest, and per-kind counts are exact.
 func TestTraceRingOverflow(t *testing.T) {

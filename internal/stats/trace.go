@@ -67,7 +67,7 @@ const (
 )
 
 // eventTable is where a kind is spelled out, one row each: its name — what
-// /trace, the text dump and a scenario's min_trace_events call it — and how
+// /trace, the text dump and a scenario's trace.<kind> bound call it — and how
 // its payload prints after "#seq name ", over (Core, PID, A, B, Label) by
 // argument index. labelled is appended when the event carries a label the
 // kind does not always have.

@@ -12,10 +12,11 @@ import (
 // The exported Snapshot type tree is the one schema of this package. Its
 // leaves are uint64 counters and HistSnap histograms; its inner nodes are
 // struct blocks, optional (pointer) blocks, slices of per-row blocks and maps.
-// The four functions below walk that tree by reflection, off the command
-// path: fill copies the live counters in, isZero prunes, subtract is Delta
-// and text is WriteText. None of them names a counter, so declaring one in a
-// *Snap type (and in the live block that feeds it) is all they need.
+// The five functions below walk that tree by reflection, off the command
+// path: fill copies the live counters in, isZero prunes, subtract is Delta,
+// text is WriteText and Counter reads one leaf by name. None of them names a
+// counter, so declaring one in a *Snap type (and in the live block that feeds
+// it) is all they need.
 //
 // `stats:"carry"` on a Snapshot field marks what subtraction has no meaning
 // for: subtract copies the later value.
@@ -153,6 +154,43 @@ func subtract(out, after, before reflect.Value) {
 	default:
 		panic("stats: " + after.Type().String() + " has no place in a Snapshot")
 	}
+}
+
+// Counter reads the uint64 leaf that a dotted path of JSON names
+// ("cluster.replication.promotions") reaches from root, a struct or a pointer
+// to one — a Snapshot, or any struct whose JSON tags name its counters. An
+// absent (nil) block reads as zero, and a path that crosses a slice sums its
+// rows ("tenants.quota_rejections"). The path is held to the type, not to
+// what happens to be present, so a name that is no counter is an error even
+// when root is nil.
+func Counter(root any, path string) (uint64, error) {
+	return counter(reflect.ValueOf(root), path, strings.Split(path, "."))
+}
+
+func counter(v reflect.Value, path string, rest []string) (uint64, error) {
+	switch k := v.Kind(); {
+	case k == reflect.Pointer && !v.IsNil():
+		return counter(v.Elem(), path, rest)
+	case k == reflect.Pointer:
+		return counter(reflect.Zero(v.Type().Elem()), path, rest)
+	case k == reflect.Slice:
+		// The zero row holds the path to the type; the rows sum.
+		sum, err := counter(reflect.Zero(v.Type().Elem()), path, rest)
+		for i := 0; i < v.Len() && err == nil; i++ {
+			n, _ := counter(v.Index(i), path, rest)
+			sum += n
+		}
+		return sum, err
+	case k == reflect.Uint64 && len(rest) == 0:
+		return v.Uint(), nil
+	case k == reflect.Struct && len(rest) > 0:
+		for i := 0; i < v.NumField(); i++ {
+			if name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ","); name == rest[0] {
+				return counter(v.Field(i), path, rest[1:])
+			}
+		}
+	}
+	return 0, fmt.Errorf("%q does not name a counter", path)
 }
 
 // allocate points every optional block under the struct v at a copy of its

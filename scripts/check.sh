@@ -43,7 +43,7 @@ go build ./...
 echo "== size budgets (non-test Go lines, counted as the benchmark's repo.nontest_go_loc; document bytes) =="
 # What the tree may weigh. A PR that needs more raises the number here, in
 # the same diff, so lines and prose are spent knowingly and not by accretion.
-budget_loc=26250
+budget_loc=26060
 budget_design=45000
 budget_readme=25600
 budget_skill=15000
@@ -118,16 +118,19 @@ go test -run Fuzz -fuzz=FuzzAuthCommand -fuzztime=10s ./internal/server
 echo "== fuzz smoke (TLB against the scanning reference model) =="
 go test -run Fuzz -fuzz=FuzzTLBModel -fuzztime=10s ./internal/tlb
 
-echo "== chaos smoke (baseline, node kills, partition, elastic add/remove, failed migration) =="
-./scripts/chaos-smoke.sh
-
-echo "== tenant smoke (AUTH, cross-view denial, quotas in /stats) =="
-./scripts/tenant-smoke.sh
-
-echo "== forkread smoke (fork-based ships + bounded-stale follower reads) =="
-./scripts/forkread-smoke.sh
-
-echo "== brownout smoke (breaker trips, writes shed, reads degrade to stale views) =="
-./scripts/brownout-smoke.sh
+echo "== serving smoke (the real binaries: a library scenario against spacejmp-server, spacejmp-load verifies, clean drain) =="
+# The binaries' own loop: boot, serve, verify, drain on SIGINT. -scenario is
+# only its plumbing (the window may close before the load connects); what a
+# scenario must show is its bounds, judged by TestScenarioLibrary.
+"$bin/spacejmp-server" -addr 127.0.0.1:0 -machine small -cluster 3 -scenario partition-then-heal 2>"$bin/srv.log" &
+srv=$!
+addr=
+for _ in $(seq 100); do
+    addr=$(sed -n 's/.*listening on \([^ ]*\) .*/\1/p' "$bin/srv.log") && [ -n "$addr" ] && break
+    sleep 0.1
+done
+"$bin/spacejmp-load" -addr "$addr" -conns 4 -pipeline 4 -n 1024 -mget 20 || { kill $srv; cat "$bin/srv.log" >&2; exit 1; }
+kill -INT $srv && wait $srv
+grep -q "all simulated frames reclaimed" "$bin/srv.log" || { cat "$bin/srv.log" >&2; exit 1; }
 
 echo "OK"
