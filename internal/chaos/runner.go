@@ -158,13 +158,13 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	maps.DeleteFunc(settling, func(name string, _ Bound) bool { return strings.HasPrefix(name, "load.") })
 	o := observed{load: res, tracer: st.Sys.Tracer()}
 	waitUntil(quiesceTimeout, func() bool {
-		o.snap, o.health = st.Sys.Stats(), st.Router.Health()
+		o.snap, o.nodes = st.Sys.Stats(), st.Router.Topology()
 		return !slices.ContainsFunc(o.check(settling), func(c Check) bool { return !c.OK })
 	})
 
 	rep := &Report{Scenario: spec.Name, Seed: boot.Seed, Load: res, Faults: st.Machine.Faults.Points(),
 		Checks: []Check{errCheck("load-transport", loadErr), errCheck("schedule", schedErr)}}
-	o.health = st.Router.Health()
+	o.nodes = st.Router.Topology()
 	pending := st.Router.PendingFrames()
 
 	stopWatch() // before the admin surface goes down
@@ -228,12 +228,12 @@ func evaluate(rep *Report, spec *Spec, o observed, adminOn bool) {
 }
 
 // observed is what a run exposes for its bounds to read: the stats schema,
-// the load's result, the trace ring and the nodes' health.
+// the load's result, the trace ring and the nodes' records.
 type observed struct {
 	snap   *stats.Snapshot
 	load   *server.LoadResult
 	tracer *stats.Tracer
-	health []server.NodeHealth
+	nodes  []server.NodeHealth
 }
 
 // value resolves a counter name — the one place a name means anything. On the
@@ -250,13 +250,13 @@ func (o observed) value(name string) (uint64, error) {
 		}
 		return o.tracer.Count(kind), nil
 	case name == "health.degraded":
-		n := uint64(0)
-		for _, h := range o.health {
-			if h.Degraded {
-				n++
+		degraded := uint64(0)
+		for _, n := range o.nodes {
+			if n.Degraded {
+				degraded++
 			}
 		}
-		return n, nil
+		return degraded, nil
 	}
 	return stats.Counter(o.snap, name)
 }

@@ -31,7 +31,7 @@ type ScheduleRun struct {
 	steps   []Step
 	reg     *fault.Registry
 	events  []scheduleEvent // what Start plays, in order
-	router  *cluster.Router // whom the pseudo-point steps operate on
+	router  *cluster.Router // whom the operator-action steps act on
 	stop    context.CancelFunc
 	done    chan struct{}
 	reports []StepReport
@@ -42,28 +42,6 @@ type scheduleEvent struct {
 	at    time.Duration
 	order int // arms sort before disarms at the same instant
 	apply func()
-}
-
-// operate carries out one pseudo-point step on the router, returning a
-// description of what happened (for the narration log) or an error.
-func operate(r *cluster.Router, st Step) (string, error) {
-	switch st.Point {
-	case PointNodeKill:
-		return fmt.Sprintf("killed node %d", *st.Target), r.KillNode(*st.Target)
-	case PointNodeAdd:
-		// The whole operator action: bring the node up and move a fair share
-		// of slots onto it under the live load.
-		id, err := r.AddNode()
-		if err == nil {
-			_, err = r.RebalanceInto(id)
-		}
-		return fmt.Sprintf("added node %d", id), err
-	case PointNodeRemove:
-		return fmt.Sprintf("removed node %d", *st.Target), r.RemoveNode(*st.Target)
-	case PointSlotMigrate:
-		return fmt.Sprintf("migrated slot %d to node %d", *st.Slot, *st.Target), r.MigrateSlot(*st.Slot, *st.Target)
-	}
-	return "", fmt.Errorf("not a pseudo-point: %s", st.Point)
 }
 
 // NewSchedule compiles steps into a timeline against reg and, before it
@@ -85,9 +63,9 @@ func NewSchedule(steps []Step, reg *fault.Registry, logf func(format string, arg
 	for i, st := range steps {
 		i, st := i, st
 		run.reports[i] = StepReport{Step: i, Point: st.Point, Target: st.target()}
-		if pseudoPoints[st.Point] {
+		if act := stepKinds[st.Point].act; act != nil {
 			run.events = append(run.events, scheduleEvent{at: time.Duration(st.After), order: 0, apply: func() {
-				what, err := operate(run.router, st)
+				what, err := act(run.router, st)
 				if err != nil {
 					run.reports[i].Err = err.Error()
 					logf("chaos: step %d: %s: %v", i, st.Point, err)
@@ -133,7 +111,7 @@ func NewSchedule(steps []Step, reg *fault.Registry, logf func(format string, arg
 }
 
 // Start plays what NewSchedule left against the router Boot built:
-// pseudo-point steps operate on it at their start offset — those at offset
+// operator-action steps act on it at their start offset — those at offset
 // zero before Start returns — and later arms and disarms play out on a
 // goroutine until Stop. Offsets count from here.
 func (run *ScheduleRun) Start(r *cluster.Router) {
@@ -191,7 +169,7 @@ func (s *ScheduleRun) Stop() []StepReport {
 	s.stop()
 	<-s.done
 	for i, st := range s.steps {
-		if !pseudoPoints[st.Point] && st.For == 0 {
+		if stepKinds[st.Point].act == nil && st.For == 0 {
 			s.reports[i].Hits, s.reports[i].Fired = s.reg.StatusAt(st.Point, st.target())
 		}
 	}

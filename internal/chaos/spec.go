@@ -35,8 +35,8 @@ import (
 	"spacejmp/internal/tenant"
 )
 
-// Schedule-only pseudo-points: instead of arming a registry rule, the step
-// invokes an operator action on the router at its start offset.
+// Operator actions: instead of arming a registry rule, the step invokes one on
+// the router at its start offset.
 const (
 	// PointNodeKill calls Router.KillNode on its target — an operator-style
 	// hard kill, distinct from cluster.node.crash (which arms the node's
@@ -53,13 +53,53 @@ const (
 	PointSlotMigrate = "cluster.slot.migrate"
 )
 
-// pseudoPoints are the schedule-only operator actions — they never touch
-// the fault registry.
-var pseudoPoints = map[string]bool{
-	PointNodeKill:    true,
-	PointNodeAdd:     true,
-	PointNodeRemove:  true,
-	PointSlotMigrate: true,
+// stepKind is what a step on one point may name and what it does.
+type stepKind struct {
+	// act, set for an operator action, invokes it on the router and says what
+	// happened; a step on any other point arms a fault-registry rule.
+	act func(r *cluster.Router, st Step) (string, error)
+	// target: the step names a node. A rule may (its components report their
+	// node, so it fires there only); an action must.
+	target bool
+	remote bool // the target must be a remote node
+	added  bool // the target may be a node an earlier add step creates
+	slot   bool // the step names a slot, and must
+	// once: the action's effect lasts the run (a killed node stays dead), so
+	// like a rule left armed it holds its (point, target) to the end.
+	once bool
+}
+
+// stepKinds is every point a step may name: the one table Validate, its
+// overlap check, NewSchedule and Stop read.
+var stepKinds = map[string]stepKind{
+	fault.MemAlloc:         {},
+	fault.MemWriteTorn:     {},
+	fault.CoreSyscallCrash: {},
+	fault.URPCDrop:         {},
+	fault.URPCDelay:        {},
+	fault.SrvAccept:        {},
+	fault.SrvConnStall:     {},
+	fault.SrvConnDrop:      {},
+	fault.ClusterProbeDrop: {target: true},
+	fault.ClusterNodeCrash: {target: true, remote: true},
+	PointNodeKill: {target: true, remote: true, once: true, act: func(r *cluster.Router, st Step) (string, error) {
+		return fmt.Sprintf("killed node %d", *st.Target), r.KillNode(*st.Target)
+	}},
+	// The whole operator action: bring the node up and move a fair share of
+	// slots onto it under the live load.
+	PointNodeAdd: {act: func(r *cluster.Router, _ Step) (string, error) {
+		id, err := r.AddNode()
+		if err == nil {
+			_, err = r.RebalanceInto(id)
+		}
+		return fmt.Sprintf("added node %d", id), err
+	}},
+	PointNodeRemove: {target: true, remote: true, added: true, act: func(r *cluster.Router, st Step) (string, error) {
+		return fmt.Sprintf("removed node %d", *st.Target), r.RemoveNode(*st.Target)
+	}},
+	PointSlotMigrate: {target: true, added: true, slot: true, act: func(r *cluster.Router, st Step) (string, error) {
+		return fmt.Sprintf("migrated slot %d to node %d", *st.Slot, *st.Target), r.MigrateSlot(*st.Slot, *st.Target)
+	}},
 }
 
 // MaxHorizon bounds how far into a run a step may reach (start offset plus
@@ -176,8 +216,8 @@ func (p PolicySpec) build() (fault.Policy, string, error) {
 
 // Step is one scheduled disruption: arm Point with Policy for the window
 // [After, After+For), scoped to Target when set. For of zero keeps the rule
-// armed until the run ends. Pseudo-point steps (kill, add, remove, migrate)
-// ignore Policy and For and invoke their operator action at After; a
+// armed until the run ends. Operator-action steps (kill, add, remove, migrate)
+// ignore Policy and For and invoke their action at After; a
 // cluster.slot.migrate step names the slot to move in Slot and its
 // destination node in Target.
 type Step struct {
@@ -194,29 +234,6 @@ func (s Step) target() int {
 		return fault.TargetAny
 	}
 	return *s.Target
-}
-
-// targetedPoints are the injection points whose components report a target
-// identity; a Target on any other point would silently never match, so
-// validation rejects it.
-var targetedPoints = map[string]bool{
-	fault.ClusterProbeDrop: true,
-	fault.ClusterNodeCrash: true,
-	PointNodeKill:          true,
-}
-
-// registryPoints are the fault registry's points a step may arm.
-var registryPoints = map[string]bool{
-	fault.MemAlloc:         true,
-	fault.MemWriteTorn:     true,
-	fault.CoreSyscallCrash: true,
-	fault.URPCDrop:         true,
-	fault.URPCDelay:        true,
-	fault.SrvAccept:        true,
-	fault.SrvConnStall:     true,
-	fault.SrvConnDrop:      true,
-	fault.ClusterProbeDrop: true,
-	fault.ClusterNodeCrash: true,
 }
 
 // ClusterSpec sizes the cluster under test; zero values take the cluster
@@ -335,7 +352,7 @@ type Invariants struct {
 	// and blows the tail; the bound keeps that regression out.
 	MaxP99 Duration `json:"max_p99,omitempty"`
 	// StepsMustFire requires every step to have fired at least once (for a
-	// pseudo-point step: the operator action succeeded).
+	// step of an operator action: the action succeeded).
 	StepsMustFire bool `json:"steps_must_fire,omitempty"`
 }
 
@@ -417,7 +434,8 @@ func (s *Spec) Validate() error {
 	}
 
 	for i, st := range s.Steps {
-		if !registryPoints[st.Point] && !pseudoPoints[st.Point] {
+		k, ok := stepKinds[st.Point]
+		if !ok {
 			return specErr(i, fmt.Sprintf("point %q", st.Point), ErrUnknownPoint)
 		}
 		if st.After < 0 {
@@ -429,7 +447,7 @@ func (s *Spec) Validate() error {
 		if end := time.Duration(st.After) + time.Duration(st.For); end > MaxHorizon {
 			return specErr(i, fmt.Sprintf("after+for: %v exceeds the %v horizon", end, MaxHorizon), ErrBadDuration)
 		}
-		if pseudoPoints[st.Point] {
+		if k.act != nil {
 			if st.Policy.Kind != "" && st.Policy.Kind != "always" {
 				return specErr(i, fmt.Sprintf("policy: %s steps take none, got %q", st.Point, st.Policy.Kind), ErrBadPolicy)
 			}
@@ -439,95 +457,60 @@ func (s *Spec) Validate() error {
 		} else if _, _, err := st.Policy.build(); err != nil {
 			return specErr(i, err.Error(), ErrBadPolicy)
 		}
-		if st.Slot != nil && st.Point != PointSlotMigrate {
-			return specErr(i, fmt.Sprintf("slot: only %s takes one", PointSlotMigrate), ErrBadSpec)
+		if st.Slot != nil && !k.slot {
+			return specErr(i, fmt.Sprintf("slot: %s takes none", st.Point), ErrBadSpec)
 		}
-		switch st.Point {
-		case PointNodeAdd:
-			if st.Target != nil {
-				return specErr(i, "target: cluster.node.add assigns the next free id; it takes no target", ErrBadTarget)
-			}
-			continue
-		case PointNodeRemove, PointSlotMigrate:
-			// The target may name a node an earlier add step creates: ids are
-			// assigned in order, so the upper bound grows with each add that
-			// runs before this step.
-			if st.Target == nil {
-				return specErr(i, fmt.Sprintf("target: %s requires one", st.Point), ErrBadTarget)
-			}
+		switch {
+		case st.Target == nil && k.target && k.act != nil:
+			return specErr(i, fmt.Sprintf("target: %s requires one", st.Point), ErrBadTarget)
+		case st.Target != nil && !k.target:
+			return specErr(i, fmt.Sprintf("target: %s takes none", st.Point), ErrBadTarget)
+		case st.Target != nil:
+			// An add step assigns the next free id, so a target that may be an
+			// added node ranges over one more id per add that runs first.
 			maxNode := nodes
 			for j, prior := range s.Steps {
-				if prior.Point == PointNodeAdd &&
+				if k.added && prior.Point == PointNodeAdd &&
 					(prior.After < st.After || (prior.After == st.After && j < i)) {
 					maxNode++
 				}
 			}
-			t := *st.Target
-			if t < 0 || t >= maxNode {
-				return specErr(i, fmt.Sprintf("target: node %d out of range [0,%d) (counting earlier adds)", t, maxNode), ErrBadTarget)
-			}
-			if st.Point == PointNodeRemove && t < nodes && localNode(t) {
-				return specErr(i, fmt.Sprintf("target: node %d is co-resident; it cannot be removed", t), ErrBadTarget)
-			}
-			if st.Point == PointSlotMigrate {
-				if st.Slot == nil {
-					return specErr(i, fmt.Sprintf("slot: %s requires one", PointSlotMigrate), ErrBadSpec)
-				}
-				if *st.Slot < 0 || *st.Slot >= cluster.NumSlots {
-					return specErr(i, fmt.Sprintf("slot: %d out of range [0,%d)", *st.Slot, cluster.NumSlots), ErrBadSpec)
-				}
-			}
-			continue
-		case PointNodeKill:
-			if st.Target == nil {
-				return specErr(i, "target: cluster.node.kill requires one", ErrBadTarget)
+			if t := *st.Target; t < 0 || t >= maxNode {
+				return specErr(i, fmt.Sprintf("target: node %d out of range [0,%d)", t, maxNode), ErrBadTarget)
+			} else if k.remote && t < nodes && localNode(t) {
+				return specErr(i, fmt.Sprintf("target: node %d is co-resident; %s needs a remote node", t, st.Point), ErrBadTarget)
 			}
 		}
-		if st.Target != nil {
-			if !targetedPoints[st.Point] {
-				return specErr(i, fmt.Sprintf("target: point %q fires untargeted; a targeted rule would never match", st.Point), ErrBadTarget)
-			}
-			t := *st.Target
-			if t < 0 || t >= nodes {
-				return specErr(i, fmt.Sprintf("target: node %d out of range [0,%d)", t, nodes), ErrBadTarget)
-			}
-			if (st.Point == PointNodeKill || st.Point == fault.ClusterNodeCrash) && localNode(t) {
-				return specErr(i, fmt.Sprintf("target: node %d is co-resident; only remote nodes can die", t), ErrBadTarget)
-			}
+		if k.slot && st.Slot == nil {
+			return specErr(i, fmt.Sprintf("slot: %s requires one", st.Point), ErrBadSpec)
+		}
+		if k.slot && (*st.Slot < 0 || *st.Slot >= cluster.NumSlots) {
+			return specErr(i, fmt.Sprintf("slot: %d out of range [0,%d)", *st.Slot, cluster.NumSlots), ErrBadSpec)
 		}
 	}
 
 	// Two live windows on the same (point, target) would fight over one
 	// registry rule — the second arm resets the first's counters and the
-	// first disarm kills the second's window. Reject the ambiguity.
+	// first disarm kills the second's window — and a second kill of a node can
+	// do nothing. Reject the ambiguity. The other actions are instantaneous
+	// and own nothing: two adds, or a remove after an add, never collide.
 	type key struct {
 		point  string
 		target int
 	}
 	byRule := map[key][]int{}
 	for i, st := range s.Steps {
-		if pseudoPoints[st.Point] && st.Point != PointNodeKill {
-			// Operator actions are instantaneous and own no registry rule;
-			// two adds (or a remove after an add) never collide. Kills keep
-			// the double-kill rule below.
-			continue
+		if k := stepKinds[st.Point]; k.act == nil || k.once {
+			rule := key{st.Point, st.target()}
+			byRule[rule] = append(byRule[rule], i)
 		}
-		k := key{st.Point, st.target()}
-		byRule[k] = append(byRule[k], i)
 	}
 	for k, idxs := range byRule {
-		if len(idxs) < 2 {
-			continue
-		}
 		sort.Slice(idxs, func(a, b int) bool { return s.Steps[idxs[a]].After < s.Steps[idxs[b]].After })
 		for j := 0; j+1 < len(idxs); j++ {
 			cur, next := s.Steps[idxs[j]], s.Steps[idxs[j+1]]
-			if k.point == PointNodeKill {
-				// Two kills of one node: the second can never do anything.
-				return specErr(idxs[j+1], fmt.Sprintf("point %q target %d killed twice", k.point, k.target), ErrOverlappingSteps)
-			}
 			if cur.For == 0 || time.Duration(cur.After)+time.Duration(cur.For) > time.Duration(next.After) {
-				return specErr(idxs[j+1], fmt.Sprintf("point %q target %d: window overlaps step %d", k.point, k.target, idxs[j]), ErrOverlappingSteps)
+				return specErr(idxs[j+1], fmt.Sprintf("point %q target %d: step %d still holds it", k.point, k.target, idxs[j]), ErrOverlappingSteps)
 			}
 		}
 	}

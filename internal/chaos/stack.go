@@ -97,14 +97,10 @@ func Boot(spec *Spec, f Front) (*Stack, error) {
 		st.Router.Close()
 		return nil, err
 	}
-	srvCfg := server.Config{
-		PipelineDepth: f.Pipeline,
-		Tenants:       st.Tenants,
-		// Wall-clock deadlines become cycle budgets at the machine's clock;
-		// the same rate converts each client DEADLINE <ms> override.
-		CyclesPerMilli: uint64(hwCfg.GHz * 1e6),
-	}
+	srvCfg := server.Config{PipelineDepth: f.Pipeline, Tenants: st.Tenants}
 	if d := time.Duration(spec.Cluster.Deadline); d > 0 {
+		// A wall-clock deadline becomes a cycle budget at the machine's clock,
+		// the rate the server converts each client DEADLINE <ms> override at.
 		srvCfg.DeadlineCycles = overload.Cycles(d, hwCfg.GHz)
 	}
 	st.Server = server.NewWithBackend(st.Sys, ln, srvCfg, st.Router)

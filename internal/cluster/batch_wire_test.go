@@ -275,7 +275,7 @@ func TestCrashMidRun(t *testing.T) {
 			t.Errorf("retried write %s reads %q", k, got[0])
 		}
 	}
-	if lost := r.Health()[2].LostUpdates; lost != 0 {
+	if lost := r.Topology()[2].LostUpdates; lost != 0 {
 		t.Errorf("%d updates lost", lost)
 	}
 }

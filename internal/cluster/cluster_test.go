@@ -518,18 +518,23 @@ func TestClusterFailoverUnderLoad(t *testing.T) {
 		t.Fatalf("checkpointed key after failover: %q nil=%v err=%v", v, isNil, err)
 	}
 
-	health := r.Health()
-	if len(health) != 3 {
-		t.Fatalf("health reports %d nodes", len(health))
+	topo := r.Topology()
+	if len(topo) != 3 {
+		t.Fatalf("topology reports %d nodes", len(topo))
 	}
-	h := health[2]
-	if !h.Promoted || h.Degraded || h.State != "healthy" {
-		t.Fatalf("failed-over node health: %+v", h)
+	// One record carries what the health view and the placement view each
+	// read of the node.
+	h := topo[2]
+	if !h.Promoted || !h.Replicated || h.Degraded || h.State != "healthy" || h.Core == 0 || h.Slots == 0 {
+		t.Fatalf("failed-over node record: %+v", h)
 	}
 	snap := obs.Snapshot()
 	rep := snap.Cluster.Replication
 	if rep == nil || rep.Ships == 0 || rep.Promotions != 1 {
 		t.Fatalf("replication snapshot: %+v", rep)
+	}
+	if h.LostUpdates != rep.LostUpdates {
+		t.Errorf("node record lost %d updates, the cluster counted %d", h.LostUpdates, rep.LostUpdates)
 	}
 	// Updates may be lost in the crash window, but the loss is bounded by
 	// what was actually written after the last shipped checkpoint.
@@ -582,7 +587,7 @@ func TestClusterDoubleFaultDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "range degraded", func() bool {
-		return r.Health()[2].State == "degraded"
+		return r.Topology()[2].State == "degraded"
 	})
 
 	var re redis.ReplyError
@@ -597,7 +602,7 @@ func TestClusterDoubleFaultDegrades(t *testing.T) {
 		t.Fatalf("local SET while range degraded: %q %v", v, err)
 	}
 
-	h := r.Health()[2]
+	h := r.Topology()[2]
 	if !h.Degraded || h.Promoted {
 		t.Fatalf("degraded node health: %+v", h)
 	}
@@ -725,7 +730,7 @@ func TestTopologyPlacement(t *testing.T) {
 	var cross int
 	for _, n := range topo {
 		if n.Local {
-			t.Errorf("node %d local in urpc mode", n.ID)
+			t.Errorf("node %d local in urpc mode", n.Node)
 		}
 		if n.CrossSocket {
 			cross++

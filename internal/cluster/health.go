@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"spacejmp/internal/core"
 	"spacejmp/internal/fault"
-	"spacejmp/internal/server"
 )
 
 // monitor is the cluster's health-and-replication agent: one goroutine with
@@ -148,37 +146,4 @@ func (m *monitor) degrade(r *Router, n *node, err error) {
 	n.lost.Add(lost)
 	r.ctr.Replication.LostUpdates.Add(lost)
 	n.setState(StateDegraded, r.obs)
-}
-
-// Health reports every node's routing/failover status (server.ClusterStatus).
-func (r *Router) Health() []server.NodeHealth {
-	r.topoMu.RLock()
-	nodes := r.nodes
-	r.topoMu.RUnlock()
-	out := make([]server.NodeHealth, len(nodes))
-	for i, n := range nodes {
-		h := server.NodeHealth{Node: n.id, Local: n.local, State: StateHealthy.String()}
-		switch s := n.serving(); {
-		case s == servingRemoved:
-			h.State = "removed"
-		case !n.local:
-			h.State = n.curState().String()
-			h.Replicated = n.replicated
-			h.Promoted = s == servingStandby
-			h.LostUpdates = n.lost.Load()
-			buffered, dropped := n.delta.pending()
-			h.DeltaBuffered = buffered + int(dropped)
-			if p := n.cause.Load(); p != nil {
-				h.Detail = *p
-			}
-			// The crash bit alone is not yet a verdict: the range counts as
-			// down once the monitor has ruled.
-			h.Degraded = s == servingFenced || s == servingDegraded
-			if h.Degraded && h.Detail == "" {
-				h.Detail = fmt.Sprintf("range %d not serving", n.id)
-			}
-		}
-		out[i] = h
-	}
-	return out
 }

@@ -289,7 +289,7 @@ func TestAddRemoveNode(t *testing.T) {
 
 	// Removed nodes surface as such, and stay gone.
 	var seen bool
-	for _, h := range r.Health() {
+	for _, h := range r.Topology() {
 		if h.Node == id {
 			seen = true
 			if h.State != "removed" {
@@ -404,7 +404,7 @@ func TestAddReplicatedNodeWarmsAndPromotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the added node's promotion", func() bool {
-		h := r.Health()[id]
+		h := r.Topology()[id]
 		return h.Promoted && h.State == "healthy"
 	})
 	for _, k := range keys {

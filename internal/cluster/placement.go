@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strconv"
+
 	"spacejmp/internal/redis"
 	"spacejmp/internal/server"
 )
@@ -76,6 +78,20 @@ func (r *Router) PlacementInfo() server.PlacementInfo {
 		s = e + 1
 	}
 	return info
+}
+
+// rangesByNode lists each node's ranges of a placement in slot order, as
+// "start" or "start-end": how String and CLUSTER NODES render what it owns.
+func rangesByNode(p server.PlacementInfo) map[int][]string {
+	out := map[int][]string{}
+	for _, rg := range p.Ranges {
+		s := strconv.Itoa(rg.Start)
+		if rg.End > rg.Start {
+			s += "-" + strconv.Itoa(rg.End)
+		}
+		out[rg.Node] = append(out[rg.Node], s)
+	}
+	return out
 }
 
 // initialTable builds epoch 1: slots striped round-robin across the

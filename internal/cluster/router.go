@@ -741,7 +741,8 @@ func (r *Router) clusterSlotsReply() []byte {
 // field order (id, address, flags, master, ping, pong, epoch, state, slot
 // ranges), as a bulk string.
 func (r *Router) clusterNodesReply() []byte {
-	t := r.Table()
+	placement := r.PlacementInfo()
+	ranges := rangesByNode(placement)
 	var b strings.Builder
 	for _, n := range r.Topology() {
 		addr := fmt.Sprintf("core:%d", n.Core)
@@ -756,14 +757,10 @@ func (r *Router) clusterNodesReply() []byte {
 		switch {
 		case n.Removed:
 			addr, state = "-", "removed"
-		case n.State != "" && n.State != "healthy":
+		case n.State != "healthy":
 			state = n.State
 		}
-		ranges := strings.ReplaceAll(slotRanges(t.slotsOf(n.ID)), ",", " ")
-		if ranges == "none" {
-			ranges = ""
-		}
-		line := fmt.Sprintf("node-%d %s %s - 0 0 %d %s %s", n.ID, addr, flags, t.Version, state, ranges)
+		line := fmt.Sprintf("node-%d %s %s - 0 0 %d %s %s", n.Node, addr, flags, placement.Version, state, strings.Join(ranges[n.Node], " "))
 		b.WriteString(strings.TrimRight(line, " ") + "\n")
 	}
 	return redis.EncodeBulk([]byte(b.String()))

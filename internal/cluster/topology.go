@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
+
+	"spacejmp/internal/server"
 )
 
 // Mode places shard nodes relative to the front-end machine.
@@ -47,45 +50,42 @@ func (m Mode) Local(i int, cfg Config) bool {
 	}
 }
 
-// NodeInfo describes one node's placement for tooling and logs.
-type NodeInfo struct {
-	ID          int    `json:"id"`
-	Local       bool   `json:"local"`
-	Core        int    `json:"core,omitempty"`         // remote nodes: the core its handler runs on
-	CrossSocket bool   `json:"cross_socket,omitempty"` // remote nodes: any worker reaches it across sockets
-	Store       string `json:"store"`
-	Replicated  bool   `json:"replicated,omitempty"` // a warm standby shadows this node
-	State       string `json:"state,omitempty"`      // remote nodes: failover state
-	Promoted    bool   `json:"promoted,omitempty"`   // the standby serves this range
-	Removed     bool   `json:"removed,omitempty"`    // decommissioned by RemoveNode; owns no slots
-	Slots       int    `json:"slots"`                // placement slots this node currently owns
-}
+// NodeInfo is a node's one record: placement, routing and failover status.
+// It is server.NodeHealth, so the admin surface serves it as it is.
+type NodeInfo = server.NodeHealth
 
-// Topology returns the cluster's node placement. Safe against concurrent
-// AddNode: the node list is read under the topology lock.
+// Topology returns every node's record (server.ClusterStatus), read under the
+// topology lock: AddNode appends nodes and worker endpoints concurrently.
 func (r *Router) Topology() []NodeInfo {
 	r.topoMu.RLock()
-	nodes := r.nodes
-	workers := r.workers
-	r.topoMu.RUnlock()
+	defer r.topoMu.RUnlock()
 	table := r.Table()
-	out := make([]NodeInfo, len(nodes))
-	for i, n := range nodes {
-		s := n.serving()
-		info := NodeInfo{
-			ID:      n.id,
-			Local:   n.local,
-			Store:   n.names.Seg,
-			Removed: s == servingRemoved,
-			Slots:   len(table.slotsOf(n.id)),
-		}
-		if !n.local && !info.Removed {
-			info.Core = n.coreID
-			info.Replicated = n.replicated
+	out := make([]NodeInfo, len(r.nodes))
+	for i, n := range r.nodes {
+		info := NodeInfo{Node: n.id, Local: n.local, State: StateHealthy.String(),
+			Store: n.names.Seg, Slots: len(table.slotsOf(n.id))}
+		switch s := n.serving(); {
+		case s == servingRemoved:
+			info.State, info.Removed = "removed", true
+		case !n.local:
 			info.State = n.curState().String()
+			info.Replicated = n.replicated
 			info.Promoted = s == servingStandby
-			for _, w := range workers {
-				if ep := w.endpoints[n.id]; ep != nil && !r.sys.M.SameSocket(w.th.Core.ID, n.coreID) {
+			info.LostUpdates = n.lost.Load()
+			buffered, dropped := n.delta.pending()
+			info.DeltaBuffered = buffered + int(dropped)
+			if p := n.cause.Load(); p != nil {
+				info.Detail = *p
+			}
+			// The crash bit alone is not yet a verdict: the range counts as
+			// down once the monitor has ruled.
+			info.Degraded = s == servingFenced || s == servingDegraded
+			if info.Degraded && info.Detail == "" {
+				info.Detail = fmt.Sprintf("range %d not serving", n.id)
+			}
+			info.Core = n.coreID
+			for _, w := range r.workers {
+				if w.endpoints[n.id] != nil && !r.sys.M.SameSocket(w.th.Core.ID, n.coreID) {
 					info.CrossSocket = true
 				}
 			}
@@ -95,45 +95,22 @@ func (r *Router) Topology() []NodeInfo {
 	return out
 }
 
-// slotRanges renders a node's owned slots as compact ranges ("0-2,9,12-14").
-func slotRanges(slots []int) string {
-	if len(slots) == 0 {
-		return "none"
-	}
-	var b strings.Builder
-	for i := 0; i < len(slots); {
-		j := i
-		for j+1 < len(slots) && slots[j+1] == slots[j]+1 {
-			j++
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		if j == i {
-			fmt.Fprintf(&b, "%d", slots[i])
-		} else {
-			fmt.Fprintf(&b, "%d-%d", slots[i], slots[j])
-		}
-		i = j + 1
-	}
-	return b.String()
-}
-
 // String renders the topology one node per line, with each node's slot
 // ranges from the current table epoch.
 func (r *Router) String() string {
-	table := r.Table()
+	placement := r.PlacementInfo()
+	ranges := rangesByNode(placement)
 	topo := r.Topology()
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster: %d nodes, %d workers, mode %s, slot table v%d\n",
-		len(topo), len(r.workers), r.cfg.Mode, table.Version)
+		len(topo), len(r.workers), r.cfg.Mode, placement.Version)
 	for _, n := range topo {
-		slots := slotRanges(table.slotsOf(n.ID))
+		slots := cmp.Or(strings.Join(ranges[n.Node], ","), "none")
 		switch {
 		case n.Removed:
-			fmt.Fprintf(&b, "  node %d: removed\n", n.ID)
+			fmt.Fprintf(&b, "  node %d: removed\n", n.Node)
 		case n.Local:
-			fmt.Fprintf(&b, "  node %d: local (shared VAS %s), slots %s\n", n.ID, n.Store, slots)
+			fmt.Fprintf(&b, "  node %d: local (shared VAS %s), slots %s\n", n.Node, n.Store, slots)
 		default:
 			x := "same socket"
 			if n.CrossSocket {
@@ -145,11 +122,11 @@ func (r *Router) String() string {
 				if n.Promoted {
 					rep = ", standby promoted"
 				}
-				if n.State != "" && n.State != "healthy" {
+				if n.State != "healthy" {
 					rep += ", " + n.State
 				}
 			}
-			fmt.Fprintf(&b, "  node %d: remote on core %d (urpc, %s%s), slots %s\n", n.ID, n.Core, x, rep, slots)
+			fmt.Fprintf(&b, "  node %d: remote on core %d (urpc, %s%s), slots %s\n", n.Node, n.Core, x, rep, slots)
 		}
 	}
 	return b.String()

@@ -310,30 +310,9 @@ func (img *SegmentImage) read(sys *System, frames map[uint64]arch.PhysAddr) (*Se
 // headers are present but no generation validates, and ErrNotFound when the
 // generation holds no segment of that name.
 func (sys *System) CheckpointSegment(name string) (*SegmentImage, error) {
-	sbBase, sbSize := sys.M.PM.Superblock()
-	if sbSize == 0 {
-		return nil, fmt.Errorf("%w: machine has no NVM superblock", ErrInvalid)
-	}
-	gens, err := sys.generations(sbBase, sbSize)
+	img, seq, err := sys.newestImage()
 	if err != nil {
 		return nil, err
-	}
-	best, ok := newestValid(gens)
-	if !ok {
-		for _, g := range gens {
-			if g.magic {
-				return nil, fmt.Errorf("%w: headers present but no generation validates", ErrCorruptCheckpoint)
-			}
-		}
-		return nil, ErrNoCheckpoint
-	}
-	data := make([]byte, best.size)
-	if err := sys.M.PM.ReadAt(best.base+hdrSize, data); err != nil {
-		return nil, err
-	}
-	var img persistImage
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("%w: decoding generation %d: %v", ErrCorruptCheckpoint, best.seq, err)
 	}
 	for _, ps := range img.Segs {
 		if ps.Name != name {
@@ -345,11 +324,44 @@ func (sys *System) CheckpointSegment(name string) (*SegmentImage, error) {
 		}
 		out := &SegmentImage{
 			Name: ps.Name, Size: ps.Size, PageSize: pageSize,
-			Lockable: ps.Lockable, Seq: best.seq,
+			Lockable: ps.Lockable, Seq: seq,
 		}
 		return out.read(sys, ps.Frames)
 	}
-	return nil, fmt.Errorf("%w: generation %d holds no segment %q", ErrNotFound, best.seq, name)
+	return nil, fmt.Errorf("%w: generation %d holds no segment %q", ErrNotFound, seq, name)
+}
+
+// newestImage reads and decodes the newest valid checkpoint generation in the
+// NVM superblock, with its sequence number: ErrNoCheckpoint on fresh NVM,
+// ErrCorruptCheckpoint when headers are present but no generation validates
+// or the newest one does not decode.
+func (sys *System) newestImage() (*persistImage, uint64, error) {
+	sbBase, sbSize := sys.M.PM.Superblock()
+	if sbSize == 0 {
+		return nil, 0, fmt.Errorf("%w: machine has no NVM superblock", ErrInvalid)
+	}
+	gens, err := sys.generations(sbBase, sbSize)
+	if err != nil {
+		return nil, 0, err
+	}
+	best, ok := newestValid(gens)
+	if !ok {
+		for _, g := range gens {
+			if g.magic {
+				return nil, 0, fmt.Errorf("%w: headers present but no generation validates", ErrCorruptCheckpoint)
+			}
+		}
+		return nil, 0, ErrNoCheckpoint
+	}
+	data := make([]byte, best.size)
+	if err := sys.M.PM.ReadAt(best.base+hdrSize, data); err != nil {
+		return nil, 0, err
+	}
+	var img persistImage
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
+		return nil, 0, fmt.Errorf("%w: decoding generation %d: %v", ErrCorruptCheckpoint, best.seq, err)
+	}
+	return &img, best.seq, nil
 }
 
 // SegmentImageOf reads a live segment's current content into a SegmentImage
@@ -397,30 +409,9 @@ func (sys *System) SegmentImageOf(name string, seq uint64, pages []uint64) (*Seg
 // generation validates — callers can reformat in the first case and must
 // not silently discard data in the second.
 func (sys *System) Restore() error {
-	sbBase, sbSize := sys.M.PM.Superblock()
-	if sbSize == 0 {
-		return fmt.Errorf("%w: machine has no NVM superblock", ErrInvalid)
-	}
-	gens, err := sys.generations(sbBase, sbSize)
+	img, seq, err := sys.newestImage()
 	if err != nil {
 		return err
-	}
-	best, ok := newestValid(gens)
-	if !ok {
-		for _, g := range gens {
-			if g.magic {
-				return fmt.Errorf("%w: headers present but no generation validates", ErrCorruptCheckpoint)
-			}
-		}
-		return ErrNoCheckpoint
-	}
-	data := make([]byte, best.size)
-	if err := sys.M.PM.ReadAt(best.base+hdrSize, data); err != nil {
-		return err
-	}
-	var img persistImage
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
-		return fmt.Errorf("%w: decoding generation %d: %v", ErrCorruptCheckpoint, best.seq, err)
 	}
 
 	sys.mu.Lock()
@@ -440,7 +431,7 @@ func (sys *System) Restore() error {
 			Owner: ps.Owner, perm: ps.Perm, lockable: ps.Lockable,
 		}
 		if err := sys.registerSegLocked(seg); err != nil {
-			return fmt.Errorf("%w: generation %d: %v", ErrCorruptCheckpoint, best.seq, err)
+			return fmt.Errorf("%w: generation %d: %v", ErrCorruptCheckpoint, seq, err)
 		}
 		segByID[seg.ID] = seg
 	}
@@ -450,7 +441,7 @@ func (sys *System) Restore() error {
 		for _, m := range pv.Segs {
 			seg, ok := segByID[m.Seg]
 			if !ok {
-				return fmt.Errorf("%w: generation %d references missing segment %d", ErrCorruptCheckpoint, best.seq, m.Seg)
+				return fmt.Errorf("%w: generation %d references missing segment %d", ErrCorruptCheckpoint, seq, m.Seg)
 			}
 			v.segs = append(v.segs, SegMapping{Seg: seg, Perm: m.Perm})
 		}

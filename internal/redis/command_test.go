@@ -134,7 +134,7 @@ func TestCommandTable(t *testing.T) {
 	defer r.Close()
 	obs := m.Observer()
 	keys := []string{keyOn(t, r, 0), keyOn(t, r, 1)}
-	deltaBuffered := func() int { return r.Health()[1].DeltaBuffered }
+	deltaBuffered := func() int { return r.Topology()[1].DeltaBuffered }
 
 	// A tenant front-end over the capturing backend.
 	reg, err := tenant.NewDemo(1, tenant.Config{Stats: obs}, tenant.Quotas{})

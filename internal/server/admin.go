@@ -15,19 +15,25 @@ import (
 	"spacejmp/internal/tenant"
 )
 
-// NodeHealth is one shard node's routing and failover status, as the
-// cluster layer reports it (defined here so the admin surface does not
-// import the cluster package, which imports this one).
+// NodeHealth is one shard node's record — placement, routing and failover
+// status — as cluster.Router.Topology reports it (cluster.NodeInfo is this
+// type), and what every view of the cluster renders. Defined here so the admin
+// surface does not import the cluster package, which imports this one.
 type NodeHealth struct {
 	Node          int    `json:"node"`
 	Local         bool   `json:"local"`
-	Replicated    bool   `json:"replicated,omitempty"`
-	State         string `json:"state"`
-	Promoted      bool   `json:"promoted,omitempty"`
+	Replicated    bool   `json:"replicated,omitempty"` // a warm standby shadows this node
+	State         string `json:"state"`                // healthy for a co-resident node, removed for a removed one
+	Promoted      bool   `json:"promoted,omitempty"`   // the standby serves this range
 	Degraded      bool   `json:"degraded,omitempty"`
 	LostUpdates   uint64 `json:"lost_updates,omitempty"`
 	DeltaBuffered int    `json:"delta_buffered,omitempty"`
 	Detail        string `json:"detail,omitempty"`
+	Core          int    `json:"core,omitempty"`         // remote nodes: the core its handler runs on
+	CrossSocket   bool   `json:"cross_socket,omitempty"` // remote nodes: some worker reaches it across sockets
+	Store         string `json:"store"`
+	Slots         int    `json:"slots"`             // placement slots this node owns now
+	Removed       bool   `json:"removed,omitempty"` // decommissioned; owns no slots
 }
 
 // SlotRangeInfo is one contiguous run of placement slots with one owner.
@@ -46,10 +52,10 @@ type PlacementInfo struct {
 }
 
 // ClusterStatus is what the admin surface needs from the cluster router:
-// live channel occupancy, per-node health, and the slot-table placement.
+// live channel occupancy, every node's record, and the slot-table placement.
 type ClusterStatus interface {
 	PendingFrames() int
-	Health() []NodeHealth
+	Topology() []NodeHealth
 	PlacementInfo() PlacementInfo
 }
 
@@ -58,7 +64,7 @@ type ClusterStatus interface {
 //	GET /stats       — sys.Stats() as JSON (a stats.Snapshot), plus
 //	                   the armed fault rules (a "faults" block) and the
 //	                   cluster's live runtime state (pending urpc frames,
-//	                   per-node health)
+//	                   every node's record)
 //	GET /stats/delta — long-poll delta stream: the first call returns the
 //	                   full snapshot and a cursor; each follow-up call with
 //	                   ?cursor= blocks (up to ?wait=, default 10s) until any
@@ -94,7 +100,7 @@ func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) 
 		}
 		body := healthBody{Status: "ok", PlacementVersion: cl.PlacementInfo().Version}
 		status := http.StatusOK
-		for _, n := range cl.Health() {
+		for _, n := range cl.Topology() {
 			if n.Degraded || n.LostUpdates > 0 {
 				body.Nodes = append(body.Nodes, n)
 			}
@@ -135,7 +141,7 @@ func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) 
 			*stats.Snapshot
 			Faults  []fault.PointStatus `json:"faults,omitempty"`
 			Runtime clusterRuntime      `json:"cluster_runtime"`
-		}{sys.Stats(), sys.M.Faults.Points(), clusterRuntime{cl.PendingFrames(), cl.Health(), cl.PlacementInfo()}})
+		}{sys.Stats(), sys.M.Faults.Points(), clusterRuntime{cl.PendingFrames(), cl.Topology(), cl.PlacementInfo()}})
 	})
 	mux.HandleFunc("/stats/delta", func(w http.ResponseWriter, r *http.Request) {
 		serveStatsDelta(w, r, sys, cursors)
@@ -144,7 +150,7 @@ func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) 
 		writeJSON(w, struct {
 			Placement PlacementInfo `json:"placement"`
 			Nodes     []NodeHealth  `json:"nodes"`
-		}{cl.PlacementInfo(), cl.Health()})
+		}{cl.PlacementInfo(), cl.Topology()})
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		t := sys.Tracer()

@@ -266,8 +266,8 @@ type stubCluster struct {
 	nodes  []server.NodeHealth
 }
 
-func (s *stubCluster) PendingFrames() int          { return s.frames }
-func (s *stubCluster) Health() []server.NodeHealth { return s.nodes }
+func (s *stubCluster) PendingFrames() int            { return s.frames }
+func (s *stubCluster) Topology() []server.NodeHealth { return s.nodes }
 func (s *stubCluster) PlacementInfo() server.PlacementInfo {
 	return server.PlacementInfo{Version: 1, Slots: 256, Ranges: []server.SlotRangeInfo{{Start: 0, End: 255, Node: 0}}}
 }

@@ -219,6 +219,45 @@ func TestBackendTakesAPrefix(t *testing.T) {
 	wantReplies(t, br, "a", "b", "-BUSY", "-BUSY")
 }
 
+// deadlineBackend answers every request with the cycle budget it carries.
+type deadlineBackend struct{}
+
+func (deadlineBackend) Bind(uint64) uint64 { return 0 }
+func (deadlineBackend) Close() error       { return nil }
+func (deadlineBackend) SubmitBatch(_ uint64, batch *server.Batch) int {
+	for _, r := range batch.Reqs {
+		r.Finish(redis.EncodeInt(int64(r.Deadline)))
+	}
+	batch.Answered(len(batch.Reqs))
+	return len(batch.Reqs)
+}
+
+// TestDeadlineAtTheMachinesClock: with the rate left unset, DEADLINE <ms>
+// converts at the served machine's clock — on M1 (2.66 GHz) 10 ms is 26.6 M
+// cycles, not the 20 M of the 2 GHz test machine.
+func TestDeadlineAtTheMachinesClock(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.NewWithBackend(kernel.New(hw.NewMachine(hw.M1())), ln, server.Config{}, deadlineBackend{})
+	defer srv.Shutdown()
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := nc.Write(redis.AppendCommand(redis.EncodeCommand("DEADLINE", "10"), "GET", "a")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	wantReplies(t, br, "OK")
+	if v, _, err := redis.ReadReply(br); err != nil || string(v) != "26600000" {
+		t.Fatalf("GET under DEADLINE 10 carried a budget of %q cycles (%v), want 26600000", v, err)
+	}
+}
+
 // TestNewInstallsSink: a server always counts. Built on a machine nobody
 // enabled stats on, it installs a sink of its own, and what the connection
 // loop counts shows in sys.Stats().

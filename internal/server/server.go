@@ -51,17 +51,16 @@ type Config struct {
 	// connection overrides it with the DEADLINE <ms> prefix command.
 	DeadlineCycles uint64
 	// CyclesPerMilli converts the DEADLINE command's millisecond argument
-	// to cycles; set it from the machine's clock (GHz × 1e6). Defaults to
-	// 2e6 — the small test machine's 2 GHz.
+	// to cycles. Defaults to the served machine's clock (GHz × 1e6).
 	CyclesPerMilli uint64
 }
 
-func (c Config) withDefaults() Config {
+func (c Config) withDefaults(ghz float64) Config {
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = 32
 	}
 	if c.CyclesPerMilli == 0 {
-		c.CyclesPerMilli = 2_000_000
+		c.CyclesPerMilli = uint64(ghz * 1e6)
 	}
 	return c
 }
@@ -96,7 +95,7 @@ type Server struct {
 func NewWithBackend(sys *core.System, ln net.Listener, cfg Config, b Backend) *Server {
 	obs := sys.Sink()
 	s := &Server{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg.withDefaults(sys.M.Cfg.GHz),
 		obs:     obs,
 		ctr:     obs.Server(),
 		faults:  sys.M.Faults,
