@@ -2,7 +2,13 @@
 
 package cluster
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"spacejmp/internal/redis"
+	"spacejmp/internal/server"
+)
 
 // TestRemoteGetAllocations gates what one GET costs the heap on its way
 // through Router.Submit … Wait into a remote node and back (not under
@@ -32,6 +38,37 @@ func TestRemoteGetAllocations(t *testing.T) {
 		})
 		if got > c.max {
 			t.Errorf("one GET through a %s router: %.1f allocations, want at most %.0f", c.mode, got, c.max)
+		}
+	}
+}
+
+// TestGroupingAllocations: grouping a batch by node runs in scratch space
+// the worker keeps. A pipeline of 16 GETs dealt round robin over three nodes
+// costs exactly the allocations of the same GETs sorted by node — the same
+// three runs, with nothing to group — and both cost only what is outside the
+// grouping: the batch, each GET's own (its reply; on a remote node also its
+// decoded arguments, two) and, remote, one response frame per node.
+func TestGroupingAllocations(t *testing.T) {
+	for _, c := range []struct {
+		mode         Mode
+		perGet, runs float64
+	}{{ModeURPC, 3, 3}, {ModeVAS, 1, 0}} {
+		r, gets := benchCluster(t, c.mode, 3)
+		interleaved := roundRobin(r, gets)[0]
+		sorted := slices.Clone(interleaved)
+		slices.SortStableFunc(sorted, func(a, b []string) int { return r.Owner(r.Slot(a[1])) - r.Owner(r.Slot(b[1])) })
+		want := 1 + 16*c.perGet + c.runs
+		for _, pipe := range []struct {
+			name string
+			argv [][]string
+		}{{"interleaved", interleaved}, {"sorted by node", sorted}} {
+			reqs := make([]*server.Request, len(pipe.argv))
+			for j, args := range pipe.argv {
+				reqs[j] = &server.Request{Args: args, Cmd: redis.Lookup(args)}
+			}
+			if got := testing.AllocsPerRun(500, func() { submitPipeline(t, r, reqs) }); got != want {
+				t.Errorf("16 GETs over three nodes, %s, through a %s router: %.0f allocations, want %.0f", pipe.name, c.mode, got, want)
+			}
 		}
 	}
 }

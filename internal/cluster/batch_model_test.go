@@ -79,8 +79,8 @@ func refExecOn(r *Router, w *worker, n *node, cmd *redis.Command, args []string,
 	case t.refusal != nil:
 		return t.refusal
 	case t.frozen != nil:
-		if resp := r.readFrozen(w, t, cmd.Keys(args), cmd.Op == redis.OpMGet); resp != nil {
-			return resp
+		if one := []redis.Call{{Cmd: cmd, Args: args}}; r.readFrozen(w, t, one) {
+			return one[0].Reply
 		}
 		return refExecOn(r, w, n, cmd, args, false)
 	case t.client != nil:

@@ -109,30 +109,35 @@ func (g batchRig) kind(n *node, cmd *redis.Command, readonly bool) string {
 	return "endpoint"
 }
 
-// savings walks a pipeline the way the run rules read — adjacent store
-// commands one node owns, on one VAS of its store, served live one way — and
-// returns how many commands ride an earlier one's switch pair and how many an
-// earlier one's frame.
+// savings walks a pipeline the way the run rules read — between barriers (a
+// command no one node owns, anything but a store command), each node's
+// commands in order, neighbours among them on one VAS of its store served
+// one way — and returns how many commands ride an earlier one's switch pair
+// (a store's or a frozen view's) and how many an earlier one's frame.
 func (g batchRig) savings(pipe []*server.Request) (pairs, frames uint64) {
-	var prevNode *node
-	var prevWrite bool
-	var prevKind string
+	type last struct {
+		write bool
+		kind  string
+	}
+	prev := map[*node]last{} // each node's last command in the segment
 	for _, req := range pipe {
 		var n *node
-		kind := ""
 		if req.Cmd.By == redis.ByStore {
-			if n = g.r.locate(req); n != nil {
-				kind = g.kind(n, req.Cmd, req.Readonly)
-			}
+			n = g.r.locate(req)
 		}
-		if n != nil && n == prevNode && req.Cmd.Write == prevWrite && kind == prevKind && kind != "frozen" {
-			if kind == "client" {
-				pairs++
-			} else {
+		if n == nil {
+			clear(prev) // a barrier
+			continue
+		}
+		now := last{req.Cmd.Write, g.kind(n, req.Cmd, req.Readonly)}
+		if p, ok := prev[n]; ok && p == now {
+			if now.kind == "endpoint" {
 				frames++
+			} else {
+				pairs++
 			}
 		}
-		prevNode, prevWrite, prevKind = n, req.Cmd.Write, kind
+		prev[n] = now
 	}
 	return pairs, frames
 }
@@ -299,34 +304,38 @@ func TestRunOfOneIsTheOldCommand(t *testing.T) {
 	}
 }
 
-// TestRunBoundaries walks the places a run must end. Each row is a short
-// pipeline on the auto rig (node 0 co-resident, 1 remote, 2 a promoted
-// standby, 3 remote behind a frozen view), the prefix each reply must have,
-// and what the pipeline may cost: switch pairs on the worker's core and
-// frames to the nodes (each of which is a switch pair on the node's core),
-// which is what says where the runs broke.
+// TestRunBoundaries walks where runs form and where they must break. Each row
+// is a short pipeline on the auto rig (node 0 co-resident, 1 remote, 2 a
+// promoted standby, 3 remote behind a frozen view), the prefix each reply
+// must have, and what the pipeline may cost: switch pairs on the worker's
+// core and frames to the nodes (each of which is a switch pair on the node's
+// core), which is what says how the commands grouped. The rows for the
+// barriers — a write on a migrating slot, an MGET across nodes, PING, CLUSTER
+// SLOTS — put the same nodes' commands on both sides of the barrier: they
+// would group without it.
 func TestRunBoundaries(t *testing.T) {
 	type row struct {
 		name    string
-		setup   func(g batchRig)
+		setup   func(t *testing.T, g batchRig)
 		pipe    func(k [rigNodes][]string) []*server.Request
 		replies []string
 		pairs   uint64
 		frames  uint64
+		failed  uint64 // switches that were refused: counted, but no pair
 	}
 	get := func(key string) *server.Request { return request(false, 0, "GET", key) }
 	roGet := func(key string) *server.Request { return request(true, 0, "GET", key) }
 	set := func(key string) *server.Request { return request(false, 0, "SET", key, "v") }
 	big := strings.Repeat("x", 6<<10)
-	openBreaker := func(nid int) func(batchRig) {
-		return func(g batchRig) {
+	openBreaker := func(nid int) func(*testing.T, batchRig) {
+		return func(_ *testing.T, g batchRig) {
 			b := overload.NewBreaker(overload.BreakerConfig{Threshold: 1, Cooldown: 1 << 40}, nil)
 			b.Failure()
 			g.r.nodes[nid].breaker = b
 		}
 	}
-	migrating := func(key func(k [rigNodes][]string) string, fenced bool) func(batchRig) {
-		return func(g batchRig) {
+	migrating := func(key func(k [rigNodes][]string) string, fenced bool) func(*testing.T, batchRig) {
+		return func(_ *testing.T, g batchRig) {
 			present, _ := rigKeys(g.r)
 			slot := g.r.Slot(key(present))
 			mig := &migration{slot: slot, src: g.r.Owner(slot), dst: rigLocal, delta: deltaLog{bound: 16}}
@@ -350,11 +359,16 @@ func TestRunBoundaries(t *testing.T) {
 				return []*server.Request{get(k[0][0]), get(k[0][1]), get(k[2][0]), get(k[2][1]), get(k[1][0])}
 			},
 			replies: []string{"$", "$", "$", "$", "$"}, pairs: 2, frames: 1},
-		{name: "nothing is reordered to make a run",
+		{name: "a node's commands group across another node's: A B A B is one run each",
 			pipe: func(k [rigNodes][]string) []*server.Request {
 				return []*server.Request{get(k[0][0]), get(k[1][0]), get(k[0][1]), get(k[1][1])}
 			},
-			replies: []string{"$", "$", "$", "$"}, pairs: 2, frames: 2},
+			replies: []string{"$", "$", "$", "$"}, pairs: 1, frames: 1},
+		{name: "a key keeps pipeline order across an interleaved node",
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				return []*server.Request{set(k[1][0]), get(k[0][0]), get(k[1][0])}
+			},
+			replies: []string{"+OK", "$", "$1\r\nv"}, pairs: 1, frames: 2},
 		{name: "read VAS to write VAS and back, co-resident",
 			pipe: func(k [rigNodes][]string) []*server.Request {
 				return []*server.Request{get(k[0][0]), set(k[0][0]), set(k[0][1]), get(k[0][0])}
@@ -374,9 +388,24 @@ func TestRunBoundaries(t *testing.T) {
 		{name: "a write on a migrating slot runs alone, under the migration's mutex",
 			setup: migrating(func(k [rigNodes][]string) string { return k[1][1] }, false),
 			pipe: func(k [rigNodes][]string) []*server.Request {
-				return []*server.Request{set(k[1][0]), set(k[1][1]), set(k[1][2])}
+				return []*server.Request{get(k[0][0]), set(k[1][0]), set(k[1][1]), get(k[0][1]), set(k[1][2])}
 			},
-			replies: []string{"+OK", "+OK", "+OK"}, frames: 3},
+			replies: []string{"$", "+OK", "+OK", "$", "+OK"}, pairs: 2, frames: 3},
+		{name: "an MGET across nodes runs alone",
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				return []*server.Request{get(k[0][0]), get(k[1][1]), request(false, 0, "MGET", k[0][1], k[1][0]), get(k[0][3]), get(k[1][2])}
+			},
+			replies: []string{"$", "$", "*2", "$", "$"}, pairs: 3, frames: 3},
+		{name: "a command the router answers ends a run",
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				return []*server.Request{get(k[0][0]), get(k[1][0]), request(false, 0, "PING"), get(k[0][1]), get(k[1][1])}
+			},
+			replies: []string{"$", "$", "+PONG", "$", "$"}, pairs: 2, frames: 2},
+		{name: "a CLUSTER read, which the router answers, ends a run too",
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				return []*server.Request{get(k[0][0]), get(k[1][0]), request(false, 0, "CLUSTER", "SLOTS"), get(k[0][1]), get(k[1][1])}
+			},
+			replies: []string{"$", "$", "*", "$", "$"}, pairs: 2, frames: 2},
 		{name: "-DEADLINE at the head: the next command starts its own run",
 			pipe: func(k [rigNodes][]string) []*server.Request {
 				return []*server.Request{request(false, 1000, "GET", k[1][0]), get(k[1][1]), get(k[1][2])}
@@ -387,32 +416,36 @@ func TestRunBoundaries(t *testing.T) {
 				return []*server.Request{get(k[1][0]), request(false, 1000, "GET", k[1][1]), get(k[1][2]), get(k[1][3])}
 			},
 			replies: []string{"$", "-DEADLINE", "$", "$"}, frames: 2},
-		{name: "open breaker: every member is shed, the neighbours are not a run",
+		{name: "open breaker: every member is shed, and the other node's commands still group",
 			setup: openBreaker(rigRemote),
 			pipe: func(k [rigNodes][]string) []*server.Request {
 				return []*server.Request{get(k[0][0]), set(k[1][0]), set(k[1][1]), get(k[0][1])}
 			},
-			replies: []string{"$", "-SHARDTIMEOUT", "-SHARDTIMEOUT", "$"}, pairs: 2},
-		{name: "READONLY reads of a frozen view are runs of one",
+			replies: []string{"$", "-SHARDTIMEOUT", "-SHARDTIMEOUT", "$"}, pairs: 1},
+		{name: "READONLY reads of one frozen view form one run",
 			pipe: func(k [rigNodes][]string) []*server.Request {
-				return []*server.Request{get(k[3][2]), roGet(k[3][2]), roGet(k[3][3]), get(k[3][3])}
+				return []*server.Request{roGet(k[3][0]), roGet(k[0][0]), roGet(k[3][1]), roGet(k[3][2])}
 			},
-			replies: []string{"$", "$", "$", "$"}, pairs: 2 + 1 /* attaching the view */, frames: 2},
+			replies: []string{"$", "$", "$", "$"}, pairs: 2 + 1 /* attaching the view */},
+		{name: "a view that cannot be read: each member falls back to the primary",
+			setup: func(t *testing.T, g batchRig) {
+				present, _ := rigKeys(g.r)
+				g.r.execBatch(g.w, server.NewBatch([]*server.Request{roGet(present[3][3])}))
+				fr := g.w.frozen[rigFrozen]
+				h := fr.h
+				fr.h = 1 << 20
+				t.Cleanup(func() { fr.h = h })
+			},
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				return []*server.Request{roGet(k[3][0]), roGet(k[3][1]), roGet(k[3][2])}
+			},
+			// k[3][1] is deleted on the primary, not in the view.
+			replies: []string{"$", "$-1", "$"}, frames: 3, failed: 1},
 		{name: "an MGET one node owns is a member",
 			pipe: func(k [rigNodes][]string) []*server.Request {
 				return []*server.Request{get(k[0][0]), request(false, 0, "MGET", k[0][1], k[0][2]), get(k[0][3])}
 			},
 			replies: []string{"$", "*2", "$"}, pairs: 1},
-		{name: "an MGET across nodes runs alone",
-			pipe: func(k [rigNodes][]string) []*server.Request {
-				return []*server.Request{get(k[0][0]), request(false, 0, "MGET", k[0][1], k[1][0]), get(k[0][3])}
-			},
-			replies: []string{"$", "*2", "$"}, pairs: 3, frames: 1},
-		{name: "a command the router answers ends a run",
-			pipe: func(k [rigNodes][]string) []*server.Request {
-				return []*server.Request{get(k[0][0]), request(false, 0, "PING"), get(k[0][1]), request(false, 0, "CLUSTER", "SLOTS"), get(k[0][2])}
-			},
-			replies: []string{"$", "+PONG", "$", "*", "$"}, pairs: 3},
 		{name: "a frame that would outgrow the ring ends a run",
 			pipe: func(k [rigNodes][]string) []*server.Request {
 				return []*server.Request{
@@ -420,7 +453,7 @@ func TestRunBoundaries(t *testing.T) {
 			},
 			replies: []string{"+OK", "+OK", "+OK"}, frames: 2},
 		{name: "a run's replies may outgrow the ring: the response is streamed",
-			setup: func(g batchRig) {
+			setup: func(_ *testing.T, g batchRig) {
 				present, _ := rigKeys(g.r)
 				for _, key := range present[1][:3] {
 					g.r.execBatch(g.w, server.NewBatch([]*server.Request{request(false, 0, "SET", key, big)}))
@@ -435,7 +468,7 @@ func TestRunBoundaries(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			g := newBatchRig(t, "auto", nil)
 			if row.setup != nil {
-				row.setup(g)
+				row.setup(t, g)
 			}
 			present, _ := rigKeys(g.r)
 			pipe := row.pipe(present)
@@ -446,11 +479,56 @@ func TestRunBoundaries(t *testing.T) {
 					t.Errorf("reply %d to %q: %.40q, want %q…", i, req.Args[0], got, row.replies[i])
 				}
 			}
-			if got := g.switches() - switches; got != 2*(row.pairs+row.frames) {
-				t.Errorf("%d switches, want %d pairs on the worker's core and one per frame", got, row.pairs)
+			if got, want := g.switches()-switches, 2*(row.pairs+row.frames)+row.failed; got != want {
+				t.Errorf("%d switches, want %d: 2 × (%d pairs on the worker's core + %d frames, each a pair on the node's core) + %d refused",
+					got, want, row.pairs, row.frames, row.failed)
 			}
 			if got := g.frames() - frames; got != row.frames {
 				t.Errorf("%d frames, want %d", got, row.frames)
+			}
+		})
+	}
+}
+
+// TestRepliesGoOutInArrivalOrder: a batch runs node by node, but what it
+// publishes is a prefix in arrival order. While the worker carries out
+// interleaved pipelines, a second goroutine waits, as the connection writer
+// does, for one more request at a time; each time Wait(k) returns, the first
+// k requests must hold their replies.
+func TestRepliesGoOutInArrivalOrder(t *testing.T) {
+	for _, mode := range []string{"vas", "urpc", "auto"} {
+		t.Run(mode, func(t *testing.T) {
+			g := newBatchRig(t, mode, nil)
+			gen := newPipelines(g.r, 24)
+			var interleaved [][]string // no two neighbours on one node
+			for i := range 16 {
+				keys := gen.keys[i%len(gen.keys)]
+				interleaved = append(interleaved, []string{"GET", keys[i/len(gen.keys)%len(keys)]})
+			}
+			for i := 0; i < 100; i++ {
+				argvs, readonly := interleaved, false
+				if i%2 == 1 {
+					argvs, readonly = gen.next()
+				}
+				reqs := requests(argvs, readonly)
+				b := server.NewBatch(reqs)
+				early := make(chan int, 1)
+				go func() {
+					defer close(early)
+					for k := 1; k <= len(reqs); k++ {
+						b.Wait(k)
+						for j := range k {
+							if reqs[j].Reply() == nil {
+								early <- k
+								return
+							}
+						}
+					}
+				}()
+				g.r.execBatch(g.w, b)
+				if k, ok := <-early; ok {
+					t.Fatalf("pipeline %d %q: Wait(%d) returned before all of the first %d were answered", i, argvs, k, k)
+				}
 			}
 		})
 	}

@@ -16,9 +16,15 @@ import (
 // (ModeVAS) or remote (ModeURPC) and 256 keys of 64-byte values on it —
 // the router rung of the ladder, with no TCP and no connection above it.
 func benchRouter(tb testing.TB, mode Mode) (*Router, [][]string) {
+	return benchCluster(tb, mode, 2)
+}
+
+// benchCluster is benchRouter with the given number of nodes (at most three:
+// the small machine has four cores).
+func benchCluster(tb testing.TB, mode Mode, nodes int) (*Router, [][]string) {
 	tb.Helper()
 	sys := kernel.New(hw.NewMachine(hw.SmallTest()))
-	r, err := New(sys, Config{Nodes: 2, Workers: 1, Mode: mode})
+	r, err := New(sys, Config{Nodes: nodes, Workers: 1, Mode: mode})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -120,6 +126,87 @@ func BenchmarkRouterExecRun(b *testing.B) {
 				b.ReportMetric(float64(core.Cycles()-start)/float64((b.N+k-1)/k*k), "sim-cycles/op")
 			})
 		}
+	}
+}
+
+// roundRobin returns the router's GETs grouped by owning node and dealt out
+// round robin — one node's, the next node's, … — into pipelines of depth 16,
+// so that no two neighbours share a node.
+func roundRobin(r *Router, gets [][]string) [][][]string {
+	byNode := make([][][]string, len(r.nodes))
+	for _, get := range gets {
+		nid := r.Owner(r.Slot(get[1]))
+		byNode[nid] = append(byNode[nid], get)
+	}
+	var pipes [][][]string
+	next := make([]int, len(byNode)) // each node's next GET
+	for {
+		var pipe [][]string
+		for j := range 16 {
+			nid := j % len(byNode)
+			if next[nid] == len(byNode[nid]) {
+				return pipes
+			}
+			pipe = append(pipe, byNode[nid][next[nid]])
+			next[nid]++
+		}
+		pipes = append(pipes, pipe)
+	}
+}
+
+// submitPipeline hands reqs, GETs of the benchRouter keys, to the router as
+// one connection's buffer fill, waits for every reply and checks each one.
+func submitPipeline(tb testing.TB, r *Router, reqs []*server.Request) {
+	batch := server.NewBatch(reqs)
+	for r.SubmitBatch(1, batch) == 0 {
+	}
+	batch.Wait(len(reqs))
+	for _, req := range reqs {
+		if len(req.Reply()) != 4+1+64+2 {
+			tb.Fatalf("GET: %q", req.Reply())
+		}
+	}
+}
+
+// BenchmarkRouterExecBatch is the grouping rung: pipelines of 16 GETs dealt
+// round robin over three nodes, all co-resident (vas) or all remote (urpc),
+// each submitted as one buffer fill, so no two neighbours share a node: one
+// run per node, 3 switch pairs or 3 frames per 16 commands. Everything is per
+// command and repeats to the cycle: cycles/cmd the worker core's charge,
+// switches/cmd every VAS switch on the machine (a frame's pair is on the
+// node's core), frames/cmd the urpc request frames.
+func BenchmarkRouterExecBatch(b *testing.B) {
+	for _, mode := range []Mode{ModeVAS, ModeURPC} {
+		b.Run(string(mode), func(b *testing.B) {
+			r, gets := benchCluster(b, mode, 3)
+			pipes := roundRobin(r, gets)
+			w := r.workers[0]
+			frames := func() (n uint64) {
+				for _, ep := range w.endpoints {
+					req, _ := ep.ChannelStats()
+					n += req.Sends
+				}
+				return n
+			}
+			cycles, switches, sent := w.th.Core.Cycles(), r.sys.Switches(), frames()
+			cmds := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; cmds < b.N; i++ {
+				pipe := pipes[i%len(pipes)]
+				reqs := make([]*server.Request, len(pipe))
+				for j, args := range pipe {
+					reqs[j] = &server.Request{Args: args, Cmd: redis.Lookup(args)}
+				}
+				submitPipeline(b, r, reqs)
+				cmds += len(reqs)
+			}
+			b.StopTimer()
+			per := func(v uint64) float64 { return float64(v) / float64(cmds) }
+			b.ReportMetric(per(w.th.Core.Cycles()-cycles), "cycles/cmd")
+			b.ReportMetric(per(r.sys.Switches()-switches), "switches/cmd")
+			b.ReportMetric(per(frames()-sent), "frames/cmd")
+		})
 	}
 }
 

@@ -260,9 +260,9 @@ func (n *node) noteProbe(ok bool) {
 }
 
 // handler is the node's urpc service routine: RESP in, RESP out. A frame
-// carries one command or a run of them back to back — the adjacent commands
-// of a pipeline that a worker resolved to this node and to one VAS of its
-// store — and the response carries their replies the same way. redis.RunAll
+// carries one command or a run of them back to back — commands of a pipeline,
+// in its order, that a worker grouped for this node and one VAS of its store
+// — and the response carries their replies the same way. redis.RunAll
 // carries them out on the node's client, a run under one switch pair, the
 // slot-copy commands the migration engine sends (CLUSTER.MIGRATE, IMPORT,
 // CLEANUP) included; what is left here is what only a node can do:

@@ -48,13 +48,18 @@ type worker struct {
 	// this worker's core cycle counter; only its goroutine touches it.
 	bud overload.Budget
 
-	// run is the run being formed, calls its commands as redis.RunAll takes
-	// them, wire their RESP encoding for a remote node: all reused from one
-	// run to the next (the endpoint copies wire into the ring before the
-	// call returns).
-	run   []started
-	calls []redis.Call
-	wire  []byte
+	// The batch in hand: seg is the segment being gathered, done which of the
+	// batch's requests have their reply, answered the prefix of them
+	// published. run is the run being formed, calls its commands as
+	// redis.RunAll takes them, wire their RESP encoding for a remote node. All
+	// are reused from one batch or run to the next (the endpoint copies wire
+	// into the ring before the call returns), so grouping allocates nothing.
+	seg      []started
+	done     []bool
+	answered int
+	run      []started
+	calls    []redis.Call
+	wire     []byte
 }
 
 // maxKeptWire bounds the encoding buffer a worker keeps between commands,
@@ -125,12 +130,10 @@ func (r *Router) runWorker(w *worker) {
 		w.queued.Add(-int64(len(b.Reqs)))
 		w.reconcile(r)
 		r.execBatch(w, b)
-		lat := uint64(time.Since(b.Start).Nanoseconds())
-		w.ctr.Commands.Add(uint64(len(b.Reqs)))
-		r.srv.Commands.Add(uint64(len(b.Reqs)))
-		for range b.Reqs {
-			r.srv.LatencyNs.Observe(lat)
-		}
+		lat, n := uint64(time.Since(b.Start).Nanoseconds()), uint64(len(b.Reqs))
+		w.ctr.Commands.Add(n)
+		r.srv.Commands.Add(n)
+		r.srv.LatencyNs.ObserveN(lat, n)
 	}
 }
 
@@ -215,77 +218,107 @@ func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 	return n
 }
 
-// started is one command a worker has begun: budget armed, way in over the
+// started is one command of a batch — at is its place in it — that a worker
+// has begun, or, in a segment, is about to: budget armed, way in over the
 // network edge charged and, for a store command one node owns, that node and
 // where resolve says it runs. n is nil for what is carried out alone because
 // no one node's store answers it as it stands — an MGET across nodes, a write
 // on a migrating slot — and for what the router answers itself.
 type started struct {
 	req *server.Request
+	at  int
 	n   *node
 	bud overload.Budget
 	t   target
 }
 
-// execBatch carries out a connection's batch in order. Store commands run
-// under the topology read lock, taken once for the batch — every one resolves
-// against one slot-table epoch and node list, and a slot flip or node append
-// waits out the batch — and let go only around the commands the router
-// answers itself (CLUSTER reads the topology under its own read lock, and
-// nesting read locks around a waiting writer self-deadlocks).
+// execBatch carries out a connection's batch. Store commands run under the
+// topology read lock, taken once for the batch — every one resolves against
+// one slot-table epoch and node list, and a slot flip or node append waits
+// out the batch — and let go only around the commands the router answers
+// itself (CLUSTER reads the topology under its own read lock, and nesting
+// read locks around a waiting writer self-deadlocks).
 //
-// Maximal adjacent store commands that one node owns, that need the same VAS
-// of its store (reads the read-only one, writes the read-write one) and that
-// resolve to the same live copy of it form a run: one switch pair and one
-// lock acquisition on a co-resident store or a promoted standby, one urpc
-// frame under one hold of the node's mutex to a remote primary. Whatever else
-// comes ends the run and is carried out as a run of one: a refusal, a read of
-// a frozen view, an MGET across nodes, a write on a migrating slot, a command
-// the router answers, a frame that would outgrow the ring. Nothing is
-// reordered, within a node or across nodes.
+// Barriers, which nothing crosses, run alone and in place: a store command no
+// one node owns as it stands and anything that is not a store command (what
+// the router answers, a refusal). Between two, the segment of store commands
+// one node owns each runs node by node (execSegment), so a command moves
+// ahead only across commands other nodes own: their keys are disjoint, so the
+// two commute. Replies still go out in arrival order (execRun).
 func (r *Router) execBatch(w *worker, b *server.Batch) {
-	locked, answered := false, 0
-	run, size := w.run[:0], 0 // the run being formed, and its size on the wire
-	flush := func() {
-		if len(run) > 0 {
-			r.execRun(w, run)
-			// The run's replies can go out while the rest of the batch runs.
-			answered += len(run)
-			b.Answered(answered)
-			run, size = run[:0], 0
-		}
-	}
-	for _, req := range b.Reqs {
+	w.done, w.answered = append(w.done[:0], make([]bool, len(b.Reqs))...), 0
+	locked, seg := false, w.seg[:0]
+	for i, req := range b.Reqs {
 		if store := req.Cmd.By == redis.ByStore; store != locked {
-			flush()
+			seg = r.execSegment(w, b, seg)
 			if locked = store; store {
 				r.topoMu.RLock()
 			} else {
 				r.topoMu.RUnlock()
 			}
 		}
-		n, wire := r.locate(req), redis.CommandSize(req.Args)
-		if len(run) > 0 && (n != run[0].n || req.Cmd.Write != run[0].req.Cmd.Write ||
-			run[0].t.ep != nil && urpc.Lines(size+wire) > ringSlots) {
-			flush()
-		}
-		s := r.start(w, req, n)
-		if len(run) > 0 && (s.t.client != run[0].t.client || s.t.ep != run[0].t.ep) {
-			flush() // resolved another way than the run it would have joined
-		}
-		run, size = append(run, s), size+wire
-		if s.t.client == nil && s.t.ep == nil {
-			flush() // nothing can join it
+		if s := (started{req: req, at: i, n: r.locate(req)}); s.n != nil {
+			seg = append(seg, s)
+		} else {
+			seg = r.execSegment(w, b, seg)
+			w.run = append(w.run[:0], r.start(w, s))
+			r.execRun(w, b, w.run)
 		}
 	}
-	flush()
-	w.run = run
+	w.seg = r.execSegment(w, b, seg)
 	if locked {
 		r.topoMu.RUnlock()
 	}
-	if answered == 0 {
+	if len(b.Reqs) == 0 {
 		b.Answered(0) // RemoveNode's empty batch: taken up, nothing to answer
 	}
+}
+
+// execSegment carries out a segment node by node — the nodes in the order
+// they first appear, each one's commands in arrival order — and returns it
+// emptied for reuse. Maximal neighbours in a node's commands that need the
+// same VAS of its store (reads the read-only one, writes the read-write one)
+// and resolve to the same copy, reached the same way, form a run: one switch
+// pair and one lock acquisition on a co-resident store or a promoted standby,
+// one switch into a frozen view, one urpc frame under one hold of the node's
+// mutex to a remote primary. A refusal goes alone; so does a frame that would
+// outgrow the ring.
+func (r *Router) execSegment(w *worker, b *server.Batch, seg []started) []started {
+	for i := range seg {
+		n := seg[i].n
+		if n == nil {
+			continue // carried out with an earlier node's
+		}
+		run, size := w.run[:0], 0 // the run being formed, and its size on the wire
+		flush := func() {
+			if len(run) > 0 {
+				r.execRun(w, b, run)
+				run, size = run[:0], 0
+			}
+		}
+		for j := i; j < len(seg); j++ {
+			if seg[j].n != n {
+				continue
+			}
+			req, wire := seg[j].req, redis.CommandSize(seg[j].req.Args)
+			if len(run) > 0 && (req.Cmd.Write != run[0].req.Cmd.Write ||
+				run[0].t.ep != nil && urpc.Lines(size+wire) > ringSlots) {
+				flush()
+			}
+			s := r.start(w, seg[j])
+			seg[j].n = nil // under way
+			if len(run) > 0 && !s.t.joins(run[0].t) {
+				flush() // resolved another way than the run it would have joined
+			}
+			run, size = append(run, s), size+wire
+			if s.t.refusal != nil {
+				flush() // nothing can join it
+			}
+		}
+		flush()
+		w.run = run
+	}
+	return seg[:0]
 }
 
 // locate returns the node that owns every key of a store command — nil when
@@ -310,20 +343,20 @@ func (r *Router) locate(req *server.Request) *node {
 	return r.nodes[owner]
 }
 
-// start begins a command: it arms the request's deadline budget against this
+// start begins s: it arms the request's deadline budget against this
 // worker's core — every cycle the worker burns from here on drains it —
-// charges the command's way in over the network edge and, when n owns its
+// charges the command's way in over the network edge and, when s.n owns its
 // keys, resolves where it runs.
-func (r *Router) start(w *worker, req *server.Request, n *node) started {
-	w.bud = overload.Arm(req.Deadline, w.th.Core.Cycles())
+func (r *Router) start(w *worker, s started) started {
+	w.bud = overload.Arm(s.req.Deadline, w.th.Core.Cycles())
 	var size int
-	for _, a := range req.Args {
+	for _, a := range s.req.Args {
 		size += len(a)
 	}
 	w.th.Core.AddCycles(server.EdgeCycles(size))
-	s := started{req: req, n: n, bud: w.bud}
-	if n != nil {
-		s.t = r.resolve(w, n, req.Cmd, req.Readonly)
+	s.bud = w.bud
+	if s.n != nil {
+		s.t = r.resolve(w, s.n, s.req.Cmd, s.req.Readonly)
 	}
 	return s
 }
@@ -332,8 +365,10 @@ func (r *Router) start(w *worker, req *server.Request, n *node) started {
 // formed none — under the tightest of its members' budgets, and finishes the
 // members in order: the reply's way out charged (the cycle deltas recorded
 // per mode sit between the two edge charges, so they compare the serving
-// paths themselves), what a budget has left fed to the budget histogram.
-func (r *Router) execRun(w *worker, run []started) {
+// paths themselves), what a budget has left fed to the budget histogram. Then
+// it publishes the longest prefix of b whose every request has its reply, if
+// the run moved it: those replies can go out while the rest of b runs.
+func (r *Router) execRun(w *worker, b *server.Batch, run []started) {
 	req := run[0].req
 	calls := w.calls[:0]
 	now := w.th.Core.Cycles()
@@ -366,9 +401,18 @@ func (r *Router) execRun(w *worker, run []started) {
 			r.ctr.Overload.BudgetRemaining.Observe(s.bud.Remaining(w.th.Core.Cycles()))
 		}
 		s.req.Finish(calls[i].Reply)
+		w.done[s.at] = true
 	}
 	clear(calls)
 	w.calls = calls
+	k := w.answered
+	for k < len(w.done) && w.done[k] {
+		k++
+	}
+	if k > w.answered {
+		w.answered = k
+		b.Answered(k)
+	}
 }
 
 // target is where one command runs, resolved once: exactly one of client,
@@ -379,6 +423,12 @@ type target struct {
 	frozen   *frozenReader  // a read served from the node's frozen view...
 	degraded bool           // ...because its breaker is not closed (overload.degraded_reads)
 	refusal  []byte         // nothing runs; this is the reply
+}
+
+// joins reports whether a command resolved to t can ride the run resolved to
+// head, which is no refusal: the same copy, reached the same way.
+func (t target) joins(head target) bool {
+	return t.client == head.client && t.ep == head.ep && t.frozen == head.frozen && t.degraded == head.degraded
 }
 
 // resolve decides which copy of node n serves this command and how worker w
@@ -476,25 +526,30 @@ func (r *Router) frozenTarget(w *worker, n *node) (t target, ok bool) {
 	return target{frozen: fr, degraded: degraded}, true
 }
 
-// readFrozen answers a GET (array false, one key) or a group's MGET of keys
-// — all owned by t's node — on one switch into its frozen view, by the loop
-// the live store's reply is built with, minus the parse charge and the
+// readFrozen answers calls — GETs and MGETs of keys t's node owns, a run of
+// them or one — on one switch into its frozen view, each reply built by the
+// loop the live store's reply is built with, minus the parse charge and the
 // shared lock: the frozen segment is not lockable, its frames are immutable.
-// A nil reply means the view could not be read after all, and the caller
-// resolves again for the primary.
-func (r *Router) readFrozen(w *worker, t target, keys []string, array bool) []byte {
+// false means the view could not be read after all, and the caller resolves
+// each call again for the primary.
+func (r *Router) readFrozen(w *worker, t target, calls []redis.Call) bool {
 	if err := w.th.VASSwitch(t.frozen.h); err != nil {
-		return nil
+		return false
 	}
-	reply, err := t.frozen.store.AppendReply(nil, keys, array)
+	var err error
+	for i := 0; i < len(calls) && err == nil; i++ {
+		c := &calls[i]
+		c.Reply, err = t.frozen.store.AppendReply(nil, c.Cmd.Keys(c.Args), c.Cmd.Op == redis.OpMGet)
+	}
 	if serr := w.th.VASSwitch(core.PrimaryHandle); err != nil || serr != nil {
-		return nil
+		return false
 	}
-	r.ctr.Fork.FollowerReads.Add(1)
+	n := uint64(len(calls))
+	r.ctr.Fork.FollowerReads.Add(n)
 	if t.degraded {
-		r.ctr.Overload.DegradedReads.Add(1)
+		r.ctr.Overload.DegradedReads.Add(n)
 	}
-	return reply
+	return true
 }
 
 // callBudget returns the cycle cap to hand a remote call: the in-flight
@@ -555,26 +610,26 @@ func (r *Router) execOn(w *worker, n *node, cmd *redis.Command, args []string, r
 // apart in place (RESP is self-delimiting); the outcome feeds the node's
 // breaker, the cycles are attributed to the urpc path and a transport failure
 // is the ready-made error reply — all per command, each charged an equal
-// share of the run. A refusal or a frozen view is only ever one command's.
+// share of the run. A frozen view is one switch in for the run (readFrozen);
+// a refusal is only ever one command's.
 func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 	before := w.th.Core.Cycles()
 	switch {
 	case t.refusal != nil:
 		calls[0].Reply = t.refusal
 	case t.frozen != nil:
-		c := &calls[0]
-		if c.Reply = r.readFrozen(w, t, c.Cmd.Keys(c.Args), c.Cmd.Op == redis.OpMGet); c.Reply == nil {
-			// The view could not be read after all: the primary answers.
-			r.serve(w, n, r.resolve(w, n, c.Cmd, false), calls)
+		if !r.readFrozen(w, t, calls) {
+			// The view could not be read after all: the primary answers each.
+			for i := range calls {
+				r.serve(w, n, r.resolve(w, n, calls[i].Cmd, false), calls[i:i+1])
+			}
 		}
 	case t.client != nil:
 		redis.RunAll(t.client, calls)
-		each := (w.th.Core.Cycles() - before) / uint64(len(calls))
-		for range calls {
-			r.ctr.Local.Add(1)
-			r.ctr.LocalCycles.Observe(each)
-			n.ctr.Local.Add(1)
-		}
+		k := uint64(len(calls))
+		r.ctr.Local.Add(k)
+		r.ctr.LocalCycles.ObserveN((w.th.Core.Cycles()-before)/k, k)
+		n.ctr.Local.Add(k)
 	default:
 		resp, callCycles, err := n.call(t.ep, w.remoteWire(calls), w.callBudget())
 		each := (w.th.Core.Cycles() - before) / uint64(len(calls))

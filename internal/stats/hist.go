@@ -21,13 +21,17 @@ type Hist struct {
 }
 
 // Observe records one value. Safe on nil (disabled).
-func (h *Hist) Observe(v uint64) {
-	if h == nil {
+func (h *Hist) Observe(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records the value v n times — what n calls to Observe(v) record,
+// for one add per word. Safe on nil (disabled).
+func (h *Hist) ObserveN(v, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
+	h.count.Add(n)
+	h.sum.Add(v * n)
+	h.buckets[bits.Len64(v)].Add(n)
 	StoreMax(&h.max, v)
 }
 

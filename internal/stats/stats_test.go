@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -332,6 +333,26 @@ func TestHistQuantiles(t *testing.T) {
 	if q := zeros.Snap().Quantile(0.99); q != 0 {
 		t.Errorf("all-zero p99 = %d", q)
 	}
+}
+
+// TestObserveNIsNObserves: ObserveN(v, n) leaves the snapshot n calls to
+// Observe(v) leave — count, sum, max and every bucket — on top of whatever
+// the histogram held, and ObserveN(v, 0) records nothing, not even a max.
+func TestObserveNIsNObserves(t *testing.T) {
+	var batched, looped Hist
+	for _, o := range []struct{ v, n uint64 }{
+		{7, 3}, {0, 5}, {1 << 40, 2}, {100, 1}, {3, 16}, {1<<64 - 1, 3}, {9, 0}, {1 << 50, 0},
+	} {
+		batched.ObserveN(o.v, o.n)
+		for range o.n {
+			looped.Observe(o.v)
+		}
+		if g, w := batched.Snap(), looped.Snap(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("after ObserveN(%d, %d): %+v, %d Observes: %+v", o.v, o.n, g, o.n, w)
+		}
+	}
+	var nilHist *Hist
+	nilHist.ObserveN(1, 1)
 }
 
 // TestCatOpNames: every category and op has a distinct name (the snapshot

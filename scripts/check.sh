@@ -43,7 +43,7 @@ go build ./...
 echo "== size budgets (non-test Go lines, counted as the benchmark's repo.nontest_go_loc; document bytes) =="
 # What the tree may weigh. A PR that needs more raises the number here, in
 # the same diff, so lines and prose are spent knowingly and not by accretion.
-budget_loc=25968
+budget_loc=26027
 budget_design=45000
 budget_readme=25600
 budget_skill=15000
@@ -103,7 +103,7 @@ echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
 
 echo "== bench smoke (the wire-path, stats, L0-hit, run-length, store, batch, ship and fork rungs of the ladder still run) =="
-go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec(Local|Remote)|RouterExecRun|RouterMGet|SnapshotDelta|Load64Hit|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ShipDelta|ForkSteadyState' -benchtime 100x \
+go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec(Local|Remote)|RouterExecRun|RouterExecBatch|RouterMGet|SnapshotDelta|Load64Hit|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ShipDelta|ForkSteadyState' -benchtime 100x \
     ./internal/redis ./internal/urpc ./internal/cluster ./internal/stats ./internal/hw ./internal/fork
 
 echo "== fuzz smoke (RESP parser against the reference reader) =="
