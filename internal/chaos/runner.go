@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"spacejmp/internal/fault"
@@ -131,10 +132,11 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	// observes itself over the same HTTP long-poll a human would.
 	watchCtx, stopWatch := context.WithCancel(context.Background())
 	defer stopWatch()
-	var deltaCount chan int
+	var deltas atomic.Int64
+	var watched chan struct{}
 	if st.Admin != nil {
-		deltaCount = make(chan int, 1)
-		go watchDeltas(watchCtx, st.Admin.String(), deltaCount)
+		watched = make(chan struct{})
+		go watchDeltas(watchCtx, st.Admin.String(), &deltas, watched)
 		logf("chaos: admin on http://%s", st.Admin)
 	}
 
@@ -153,13 +155,16 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	// Quiesce: asynchronous failover machinery (probe -> ship -> promote)
 	// needs wall time to reach the declared counts, so every bound but the
 	// load's (final already) is polled, bounded, until they all hold; what
-	// they say when the stack goes down is the verdict.
+	// they say when the stack goes down is the verdict. The watcher, which a
+	// short run can leave inside its first long-poll, gets the same time to
+	// see its one delta per step.
 	settling := maps.Clone(spec.Invariants.Counters)
 	maps.DeleteFunc(settling, func(name string, _ Bound) bool { return strings.HasPrefix(name, "load.") })
 	o := observed{load: res, tracer: st.Sys.Tracer()}
 	waitUntil(quiesceTimeout, func() bool {
 		o.snap, o.nodes = st.Sys.Stats(), st.Router.Topology()
-		return !slices.ContainsFunc(o.check(settling), func(c Check) bool { return !c.OK })
+		return !slices.ContainsFunc(o.check(settling), func(c Check) bool { return !c.OK }) &&
+			(watched == nil || deltas.Load() >= int64(len(spec.Steps)))
 	})
 
 	rep := &Report{Scenario: spec.Name, Seed: boot.Seed, Load: res, Faults: st.Machine.Faults.Points(),
@@ -168,8 +173,9 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	pending := st.Router.PendingFrames()
 
 	stopWatch() // before the admin surface goes down
-	if deltaCount != nil {
-		rep.DeltasObserved = <-deltaCount
+	if watched != nil {
+		<-watched
+		rep.DeltasObserved = int(deltas.Load())
 	}
 	var shutdownErr, leakErr error
 	rep.Steps, shutdownErr, leakErr = st.Teardown()
@@ -306,13 +312,13 @@ func waitUntil(timeout time.Duration, cond func() bool) bool {
 }
 
 // watchDeltas loops on the admin surface's /stats/delta long-poll for the
-// run's duration and reports how many changed deltas it saw — the live
-// observer the acceptance criteria ask for, exercised on every Admin run.
-func watchDeltas(ctx context.Context, addr string, out chan<- int) {
+// run's duration and counts the changed deltas it sees into count, closing done
+// on return — the live observer the acceptance criteria ask for, exercised on
+// every Admin run.
+func watchDeltas(ctx context.Context, addr string, count *atomic.Int64, done chan<- struct{}) {
+	defer close(done)
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
-	count := 0
-	defer func() { out <- count }()
 	cursor := ""
 	for ctx.Err() == nil {
 		url := "http://" + addr + "/stats/delta?wait=250ms"
@@ -342,7 +348,7 @@ func watchDeltas(ctx context.Context, addr string, out chan<- int) {
 			continue
 		}
 		if body.Changed {
-			count++
+			count.Add(1)
 		}
 		cursor = fmt.Sprintf("%d", body.Cursor)
 	}

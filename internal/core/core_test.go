@@ -40,12 +40,12 @@ func (p testPersonality) CheckSeg(Creds, *Segment, arch.Perm) error {
 func (testPersonality) VASCreated(Creds, *VAS)     {}
 func (testPersonality) SegCreated(Creds, *Segment) {}
 
-func testSystem(t *testing.T) *System {
+func testSystem(t testing.TB) *System {
 	t.Helper()
 	return NewSystem(hw.NewMachine(hw.SmallTest()), testPersonality{})
 }
 
-func spawn(t *testing.T, sys *System) (*Process, *Thread) {
+func spawn(t testing.TB, sys *System) (*Process, *Thread) {
 	t.Helper()
 	p, err := sys.NewProcess(Creds{UID: 1000, GID: 1000})
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spacejmp/internal/arch"
@@ -26,7 +27,8 @@ type Process struct {
 	atts       map[Handle]*Attachment
 	nextHandle Handle
 	threads    []*Thread
-	dead       bool
+	// dead is set once, under mu; a switch reads it without the lock.
+	dead atomic.Bool
 
 	// primaryTag is the TLB tag of the primary address space (ASIDFlush
 	// unless System.SetTagPrimaries was enabled at process creation).
@@ -93,7 +95,7 @@ func (p *Process) NewThread() (*Thread, error) {
 	core.LoadCR3(p.primary.Table(), p.primaryTag)
 	core.OnFault = p.primary.Handler()
 	p.mu.Lock()
-	if p.dead {
+	if p.dead.Load() {
 		p.mu.Unlock()
 		p.sys.releaseCore(core)
 		return nil, fmt.Errorf("%w: pid %d", ErrProcessDead, p.PID)
@@ -104,11 +106,7 @@ func (p *Process) NewThread() (*Thread, error) {
 }
 
 // Dead reports whether the process has exited or crashed.
-func (p *Process) Dead() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dead
-}
+func (p *Process) Dead() bool { return p.dead.Load() }
 
 // Exit tears the process down cleanly: threads leave their VASes (releasing
 // segment locks through the ordinary switch path), then the kernel reaper
@@ -117,7 +115,7 @@ func (p *Process) Dead() bool {
 // (§3.2). Exit on a dead process is a no-op.
 func (p *Process) Exit() {
 	p.mu.Lock()
-	if p.dead {
+	if p.dead.Load() {
 		p.mu.Unlock()
 		return
 	}
@@ -145,11 +143,11 @@ func (p *Process) Crash() {
 // the reaper.
 func (p *Process) terminate() {
 	p.mu.Lock()
-	if p.dead {
+	if p.dead.Load() {
 		p.mu.Unlock()
 		return
 	}
-	p.dead = true
+	p.dead.Store(true)
 	threads := p.threads
 	p.threads = nil
 	atts := make([]*Attachment, 0, len(p.atts))
@@ -236,23 +234,18 @@ func (t *Thread) Switch(h Handle) error {
 	if a == nil {
 		space = t.Proc.primary
 	} else {
-		locks := a.VAS.lockSet()
-		// Lock wait is measured in real nanoseconds: simulated cycles do
-		// not advance while a goroutine blocks on another thread's lock.
-		var waitStart time.Time
-		if obs != nil && len(locks) > 0 {
-			waitStart = time.Now()
-		}
+		var locks []SegMapping
+		locks, tag = a.VAS.switchState()
+		var wait time.Duration
 		for _, m := range locks {
-			m.Seg.acquire(m.Perm)
+			wait += m.Seg.acquire(m.Perm)
 		}
 		if obs != nil && len(locks) > 0 {
-			obs.LockWait(uint64(time.Since(waitStart)))
+			obs.LockWait(uint64(wait))
 		}
 		t.lockStart = t.Core.Cycles()
 		t.held = locks
 		space = a.Space
-		tag = a.VAS.Tag()
 	}
 	t.Core.AddCyclesCat(stats.CatSwitch, sys.P.SwitchBookkeeping(tag != arch.ASIDFlush))
 	t.Core.LoadCR3(space.Table(), tag)

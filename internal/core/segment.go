@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"spacejmp/internal/arch"
 	"spacejmp/internal/mem"
@@ -77,23 +78,29 @@ func (s *Segment) setPerm(p arch.Perm) {
 }
 
 // acquire takes the segment lock in the mode implied by the mapping
-// permissions, blocking until granted. Whether a segment is locked at all is
-// decided once, in VAS.lockSet: acquire and release always pair, whatever
-// happens to the lockable bit in between.
-func (s *Segment) acquire(mapPerm arch.Perm) {
+// permissions, blocking until granted, and returns the real time it blocked
+// (simulated cycles stand still meanwhile): 0 unless the try failed, which
+// alone reads the clock and counts a contention. Whether a segment is locked
+// at all is decided once, in VAS.switchState: acquire and release always pair.
+func (s *Segment) acquire(mapPerm arch.Perm) (waited time.Duration) {
 	if mapPerm.CanWrite() {
 		if !s.lock.rw.TryLock() {
 			s.lock.contended.Add(1)
+			start := time.Now()
 			s.lock.rw.Lock()
+			waited = time.Since(start)
 		}
 		s.lock.writers.Add(1)
 	} else {
 		if !s.lock.rw.TryRLock() {
 			s.lock.contended.Add(1)
+			start := time.Now()
 			s.lock.rw.RLock()
+			waited = time.Since(start)
 		}
 		s.lock.readers.Add(1)
 	}
+	return waited
 }
 
 // release drops the lock taken by acquire with the same mapping perms.

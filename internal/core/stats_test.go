@@ -227,3 +227,53 @@ func TestStatsLockHistograms(t *testing.T) {
 		t.Error("no lock-hold observations")
 	}
 }
+
+// TestLockWaitOnlyWhenBlocked: the lock-wait clock runs only behind a failed
+// try. A switch that takes its locks at once records one observation of 0 ns;
+// one that blocks behind another thread's exclusive hold records more than 0
+// and raises the segment's contention count by exactly one.
+func TestLockWaitOnlyWhenBlocked(t *testing.T) {
+	sys := testSystem(t)
+	sys.EnableStats(0)
+	_, a := spawn(t, sys)
+	_, b := spawn(t, sys)
+	vid, _ := a.VASCreate("wait", 0o666)
+	sid, _ := a.SegAlloc("wait.seg", segBase(0), 1<<20, arch.PermRW)
+	if err := a.SegAttachVAS(vid, sid, arch.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	seg := mustSeg(t, sys, sid)
+	ha, _ := a.VASAttach(vid)
+	hb, _ := b.VASAttach(vid)
+
+	before := sys.Stats().LockWaitNs
+	if err := a.VASSwitch(ha); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Stats().LockWaitNs; got.Count != before.Count+1 || got.Sum != before.Sum {
+		t.Fatalf("uncontended switch: lock wait %+v after %+v, want one more observation of 0 ns", got, before)
+	}
+	if n := seg.LockContentions(); n != 0 {
+		t.Fatalf("uncontended switch counted %d contentions", n)
+	}
+
+	before = sys.Stats().LockWaitNs
+	done := make(chan error, 1)
+	go func() { done <- b.VASSwitch(hb) }()
+	waitContention(t, seg, 1)
+	if err := a.VASSwitch(PrimaryHandle); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Stats().LockWaitNs; got.Count != before.Count+1 || got.Sum == before.Sum {
+		t.Errorf("blocked switch: lock wait %+v after %+v, want one more observation above 0 ns", got, before)
+	}
+	if n := seg.LockContentions(); n != 1 {
+		t.Errorf("blocked switch counted %d contentions, want 1", n)
+	}
+	if err := b.VASSwitch(PrimaryHandle); err != nil {
+		t.Fatal(err)
+	}
+}

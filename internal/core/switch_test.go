@@ -15,25 +15,7 @@ import (
 // the counters are atomics the sink already owns.
 func TestSwitchDoesNotAllocate(t *testing.T) {
 	for _, withStats := range []bool{false, true} {
-		sys := testSystem(t)
-		if withStats {
-			sys.EnableStats(0)
-		}
-		_, th := spawn(t, sys)
-		vid, _ := th.VASCreate("v", 0o666)
-		for i := 0; i < 3; i++ {
-			sid, err := th.SegAlloc("s"+string(rune('a'+i)), segBase(i), 1<<16, arch.PermRW)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := th.SegAttachVAS(vid, sid, arch.PermRW); err != nil {
-				t.Fatal(err)
-			}
-		}
-		h, err := th.VASAttach(vid)
-		if err != nil {
-			t.Fatal(err)
-		}
+		th, h := switchPair(t, withStats)
 		allocs := testing.AllocsPerRun(200, func() {
 			if err := th.VASSwitch(h); err != nil {
 				t.Fatal(err)
@@ -48,6 +30,55 @@ func TestSwitchDoesNotAllocate(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("stats %v: a VASSwitch pair allocates %.1f times, want 0", withStats, allocs)
 		}
+	}
+}
+
+// switchPair builds a VAS of three writable lockable segments and attaches a
+// thread to it: the shape of a store switch, three locks to take and drop.
+func switchPair(t testing.TB, withStats bool) (*Thread, Handle) {
+	sys := testSystem(t)
+	if withStats {
+		sys.EnableStats(0)
+	}
+	_, th := spawn(t, sys)
+	vid, _ := th.VASCreate("v", 0o666)
+	for i := 0; i < 3; i++ {
+		sid, err := th.SegAlloc("s"+string(rune('a'+i)), segBase(i), 1<<16, arch.PermRW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := th.SegAttachVAS(vid, sid, arch.PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := th.VASAttach(vid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return th, h
+}
+
+// BenchmarkVASSwitchPair is the switch rung of the ladder: into a VAS holding
+// three uncontended locks and back out, untagged. sim-cycles/op repeats to the
+// cycle; allocs/op is 0.
+func BenchmarkVASSwitchPair(b *testing.B) {
+	for _, mode := range []string{"stats-off", "stats-on"} {
+		b.Run(mode, func(b *testing.B) {
+			th, h := switchPair(b, mode == "stats-on")
+			start := th.Core.Cycles()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := th.VASSwitch(h); err != nil {
+					b.Fatal(err)
+				}
+				if err := th.VASSwitch(PrimaryHandle); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(th.Core.Cycles()-start)/float64(b.N), "sim-cycles/op")
+		})
 	}
 }
 
@@ -126,7 +157,7 @@ func TestLockSetUnderChange(t *testing.T) {
 		}
 	}
 	v, _ := sys.VASByID(vid)
-	if got := v.lockSet(); len(got) != 3 || got[0].Seg.ID != sids[0] || got[1].Seg.ID != sids[1] || got[2].Seg.ID != sids[2] {
+	if got, _ := v.switchState(); len(got) != 3 || got[0].Seg.ID != sids[0] || got[1].Seg.ID != sids[1] || got[2].Seg.ID != sids[2] {
 		t.Errorf("final lock set %v, want all three segments in SegID order", got)
 	}
 }

@@ -41,7 +41,7 @@ type VAS struct {
 	attaching int
 	destroyed bool
 
-	// locks caches lockSet's answer (nil: recompute). It is dropped wherever
+	// locks caches switchState's lock set (nil: recompute). It is dropped wherever
 	// segs or a segment's lockable bit changes and never modified once handed
 	// out: switching threads hold it as their lock list.
 	locks []SegMapping
@@ -69,10 +69,12 @@ func (v *VAS) Mappings() []SegMapping {
 	return out
 }
 
-// lockSet returns the lockable mappings in deterministic (SegID) order, the
-// order every switch acquires locks in, which rules out lock-order
-// deadlocks between concurrent switchers. The caller must not modify it.
-func (v *VAS) lockSet() []SegMapping {
+// switchState is what a switch into the VAS reads of it, in one hold of v.mu:
+// the lock set and the tag. The lock set is the lockable mappings in
+// deterministic (SegID) order, the order every switch acquires locks in, which
+// rules out lock-order deadlocks between concurrent switchers. The caller must
+// not modify it.
+func (v *VAS) switchState() (locks []SegMapping, tag arch.ASID) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.locks == nil {
@@ -84,7 +86,7 @@ func (v *VAS) lockSet() []SegMapping {
 		}
 		sort.Slice(v.locks, func(i, j int) bool { return v.locks[i].Seg.ID < v.locks[j].Seg.ID })
 	}
-	return v.locks
+	return v.locks, v.tag
 }
 
 // dropLockSet invalidates the cached lock set.

@@ -320,8 +320,9 @@ func (c *Core) cache(va arch.VirtAddr, e *tlb.Entry, epoch uint64) {
 	c.l0[page>>arch.PageShift%l0Slots] = l0Slot{key: page, epoch: epoch, frame: frame, e: e, asid: c.asid, perm: e.Perm}
 }
 
-// takeDeferred ends a batch of deferred hits: the sink gets their cycles and
-// counts, the caller what the TLB is owed (tlb.Settle, tlb.Probe).
+// takeDeferred ends a batch of deferred hits: the sink gets their data
+// cycles, the caller what the TLB is owed (tlb.Settle, tlb.Probe) and their
+// probe cycles and hits to publish, with its own lookup's if it makes one.
 func (c *Core) takeDeferred() (n uint64, touched []tlb.Touch) {
 	if n = c.deferred; n == 0 {
 		return 0, nil
@@ -332,9 +333,7 @@ func (c *Core) takeDeferred() (n uint64, touched []tlb.Touch) {
 		touched = append(touched, tlb.Touch{E: s.e, Last: s.last})
 	}
 	cost, nvm := &c.machine.Cfg.Cost, c.nvmDef
-	c.cobs.AddCycles(stats.CatTLBProbe, n*cost.TLBHit)
 	c.cobs.AddCycles(stats.CatData, (n-nvm)*cost.MemAccess)
-	c.cobs.TLBHits(c.asid, n)
 	if nvm > 0 {
 		c.cobs.AddCycles(stats.CatNVMWrite, nvm*cost.MemAccess)
 		c.sink.NVMWrite(nvm, 8*nvm)
@@ -343,9 +342,18 @@ func (c *Core) takeDeferred() (n uint64, touched []tlb.Touch) {
 	return n, touched
 }
 
+// probed publishes n TLB lookups under the current tag, hits of them hits.
+func (c *Core) probed(n, hits uint64) {
+	c.cobs.AddCycles(stats.CatTLBProbe, n*c.machine.Cfg.Cost.TLBHit)
+	if hits > 0 {
+		c.cobs.TLBHits(c.asid, hits)
+	}
+}
+
 // settle is a settle point that is not a TLB lookup (DESIGN.md).
 func (c *Core) settle() {
 	if n, touched := c.takeDeferred(); n != 0 {
+		c.probed(n, n)
 		c.TLB.Settle(n, touched)
 	}
 }
@@ -430,16 +438,17 @@ func (c *Core) Translate(va arch.VirtAddr, access arch.Access) (arch.PhysAddr, e
 func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAddr, error) {
 	cost := &c.machine.Cfg.Cost
 	c.cycles += cost.TLBHit
-	c.cobs.AddCycles(stats.CatTLBProbe, cost.TLBHit)
 	epoch := c.TLB.Epoch() // before the probe: see tlb.Probe
 	n, touched := c.takeDeferred()
-	if e := c.TLB.Probe(c.asid, va, n, touched); e != nil {
-		if e.Perm.Allows(access.Perm()) {
-			c.stats.TLBHits++
-			c.cobs.TLBHits(c.asid, 1)
-			c.cache(va, e, epoch)
-			return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), nil
-		}
+	e := c.TLB.Probe(c.asid, va, n, touched)
+	if e != nil && e.Perm.Allows(access.Perm()) {
+		c.probed(n+1, n+1)
+		c.stats.TLBHits++
+		c.cache(va, e, epoch)
+		return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), nil
+	}
+	c.probed(n+1, n)
+	if e != nil {
 		// Permission violation on a cached translation: as on x86, the
 		// entry may be stale after a PTE upgrade, so drop it and re-walk
 		// the paging structures before raising the fault.

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"testing"
 
 	"spacejmp/internal/arch"
@@ -158,4 +159,39 @@ func BenchmarkLoad64Hit(b *testing.B) {
 func BenchmarkLoad64HitAfterFlush(b *testing.B) {
 	b.Run("stats-off", func(b *testing.B) { benchHits(b, false, 32) })
 	b.Run("stats-on", func(b *testing.B) { benchHits(b, true, 32) })
+}
+
+// benchMisses loads one word from each page of the window in turn, with an
+// untagged LoadCR3 every 7 loads — the shape of store-direct's refills — so
+// every load misses the TLB and walks. 512 pages keep the tables and frames in
+// the host's caches; 16 Ki pages do not.
+func benchMisses(b *testing.B, withStats bool, pages int) {
+	m := NewMachine(SmallTest())
+	if withStats {
+		m.EnableStats(0)
+	}
+	c := benchCore(b, m, pages)
+	tbl := c.Table()
+	start := c.Cycles()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%7 == 0 {
+			c.LoadCR3(tbl, arch.ASIDFlush)
+		}
+		if _, err := c.Load64(arch.VirtAddr(0x4000 + uint64(i%pages)*arch.PageSize)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(c.Cycles()-start)/float64(b.N), "sim-cycles/op")
+}
+
+// BenchmarkLoad64Miss is the rung above Load64Hit: a load the L0 and the TLB
+// both miss, so it probes, walks four levels and fills.
+func BenchmarkLoad64Miss(b *testing.B) {
+	for _, pages := range []int{512, 16 << 10} {
+		b.Run(fmt.Sprintf("%dp/stats-off", pages), func(b *testing.B) { benchMisses(b, false, pages) })
+		b.Run(fmt.Sprintf("%dp/stats-on", pages), func(b *testing.B) { benchMisses(b, true, pages) })
+	}
 }

@@ -347,7 +347,6 @@ func (pm *PhysMem) StoreWords(pa arch.PhysAddr, buf []byte) error {
 }
 
 // Load64 reads a little-endian uint64 at pa, which must be 8-byte aligned.
-// This is the accessor the page walker and allocators use.
 func (pm *PhysMem) Load64(pa arch.PhysAddr) (uint64, error) {
 	if pa&7 != 0 {
 		return 0, fmt.Errorf("mem: unaligned Load64 at %v", pa)
@@ -355,11 +354,25 @@ func (pm *PhysMem) Load64(pa arch.PhysAddr) (uint64, error) {
 	if uint64(pa)+8 > pm.Size() {
 		return 0, fmt.Errorf("mem: Load64 at %v out of range", pa)
 	}
+	return pm.load(pa), nil
+}
+
+// LoadWord is Load64 for the page walker, to whom a bad pa is a bug: it panics
+// where Load64 returns an error.
+func (pm *PhysMem) LoadWord(pa arch.PhysAddr) uint64 {
+	if pa&7 != 0 || uint64(pa)+8 > pm.Size() {
+		panic(fmt.Sprintf("mem: LoadWord at %v unaligned or out of range", pa))
+	}
+	return pm.load(pa)
+}
+
+// load reads the checked word at pa.
+func (pm *PhysMem) load(pa arch.PhysAddr) uint64 {
 	f := pm.peek(uint64(pa) / arch.PageSize)
 	if f == nil {
-		return 0, nil
+		return 0
 	}
-	return le(atomic.LoadUint64(&f[uint64(pa)%arch.PageSize/8])), nil
+	return le(atomic.LoadUint64(&f[uint64(pa)%arch.PageSize/8]))
 }
 
 // Store64 writes a little-endian uint64 at pa, which must be 8-byte aligned.

@@ -59,11 +59,7 @@ func (t *Table) Stats() Stats { return t.stats }
 func (t *Table) OwnedTables() int { return len(t.owned) }
 
 func (t *Table) load(table arch.PhysAddr, idx uint64) PTE {
-	v, err := t.pm.Load64(table + arch.PhysAddr(idx*8))
-	if err != nil {
-		panic("pt: table frame vanished: " + err.Error())
-	}
-	return PTE(v)
+	return PTE(t.pm.LoadWord(table + arch.PhysAddr(idx*8)))
 }
 
 func (t *Table) store(table arch.PhysAddr, idx uint64, e PTE) {

@@ -119,7 +119,8 @@ func (o *owner) insert(op int, asid arch.ASID, base arch.VirtAddr, frame arch.Ph
 // reference model with the same operations and fails on the first step where
 // any return value, the statistics, the live-entry count or the replacement
 // state differ — the TLB's taken as what it holds plus what the owner still
-// owes it, so a step is compared whether or not it settled.
+// owes it, so a step is compared whether or not it settled — or where the
+// large-page count that lets a lookup skip sets is not what a scan finds.
 func runOps(t *testing.T, cfg Config, data []byte) (Stats, uint64) {
 	t.Helper()
 	o := &owner{t: t, tl: New(cfg), ref: newRef(cfg), l0: map[l0Key]l0Copy{}}
@@ -179,6 +180,7 @@ func runOps(t *testing.T, cfg Config, data []byte) (Stats, uint64) {
 		if tl.tick+o.n != ref.tick {
 			t.Fatalf("op %d clock %d + %d deferred, model %d", step/opBytes, tl.tick, o.n, ref.tick)
 		}
+		large, gen := 0, tl.gen.Load()
 		for si, set := range tl.sets {
 			for i := range set {
 				e, w := &set[i], &ref.sets[si][i]
@@ -186,11 +188,17 @@ func runOps(t *testing.T, cfg Config, data []byte) (Stats, uint64) {
 				if last, ok := o.last[e]; ok {
 					used = tl.tick + last
 				}
-				if tl.live(e) != w.valid || (w.valid && used != w.used) {
+				if l := live(e, gen); l != w.valid || (w.valid && used != w.used) {
 					t.Fatalf("op %d set %d way %d: live %v used %d, model valid %v used %d",
-						step/opBytes, si, i, tl.live(e), used, w.valid, w.used)
+						step/opBytes, si, i, l, used, w.valid, w.used)
+				}
+				if e.PageSize > arch.PageSize {
+					large++
 				}
 			}
+		}
+		if tl.large != large {
+			t.Fatalf("op %d large-page count %d, a scan finds %d", step/opBytes, tl.large, large)
 		}
 	}
 	tl.Settle(o.n, o.deferred())
@@ -246,8 +254,16 @@ func FuzzTLBModel(f *testing.F) {
 // down with FlushPage, FlushASID or FlushAll. Once a shootdown has returned,
 // the owner must never be served a translation older than the version it
 // published — from the TLB, across FlushAll generations, or from a copy made
-// before the shootdown bumped the epoch.
+// before the shootdown bumped the epoch. The mixed run fills each page as a
+// 4 KiB or a 2 MiB entry at random, so lookups and FlushPage probe the large
+// sets too, and the count that lets them skip those sets changes while remote
+// flushes run.
 func TestShootdownRace(t *testing.T) {
+	t.Run("4k", func(t *testing.T) { shootdownRace(t, arch.PageSize) })
+	t.Run("mixed", func(t *testing.T) { shootdownRace(t, arch.PageSize, arch.HugePageSize) })
+}
+
+func shootdownRace(t *testing.T, sizes ...uint64) {
 	const (
 		pages = 64
 		asid  = arch.ASID(1)
@@ -261,7 +277,11 @@ func TestShootdownRace(t *testing.T) {
 		done    atomic.Bool
 		wg      sync.WaitGroup
 	)
-	va := func(p int) arch.VirtAddr { return arch.VirtAddr(p << arch.PageShift) }
+	// Page p is a 2 MiB region, looked up at a 4 KiB page inside it that
+	// spreads the small entries over the sets; version v is frame v * 2 MiB.
+	va := func(p int) arch.VirtAddr {
+		return arch.VirtAddr(uint64(p)*arch.HugePageSize + uint64(p%16)*arch.PageSize)
+	}
 	bump := func(p int) uint64 {
 		pte[p].Lock()
 		defer pte[p].Unlock()
@@ -328,7 +348,7 @@ func TestShootdownRace(t *testing.T) {
 		}
 		want := floor[p].Load() // before the access begins
 		if c := &l0[p]; c.e != nil && c.epoch == tl.Epoch() {
-			if got := uint64(c.frame) >> arch.PageShift; got < want {
+			if got := uint64(c.frame) / arch.HugePageSize; got < want {
 				t.Fatalf("page %d: L0 served version %d after the shootdown for version %d returned", p, got, want)
 			}
 			// One word, or the run-length reader's many, of this one entry.
@@ -341,14 +361,15 @@ func TestShootdownRace(t *testing.T) {
 		e := tl.Probe(asid, va(p), n, deferred())
 		n = 0
 		if e != nil {
-			if got := uint64(e.Frame) >> arch.PageShift; got < want {
+			if got := uint64(e.Frame) / arch.HugePageSize; got < want {
 				t.Fatalf("page %d: served version %d after the shootdown for version %d returned", p, got, want)
 			}
 			l0[p] = copied{e, e.Frame, epoch}
 			continue
 		}
 		pte[p].Lock()
-		e, _, _ = tl.Insert(asid, va(p), arch.PhysAddr(version[p]<<arch.PageShift), arch.PageSize, arch.PermRW, false)
+		ps := sizes[rng.Intn(len(sizes))]
+		e, _, _ = tl.Insert(asid, arch.AlignDown(va(p), ps), arch.PhysAddr(version[p]*arch.HugePageSize), ps, arch.PermRW, false)
 		pte[p].Unlock()
 		for q := range l0 {
 			if l0[q].e == e {
@@ -361,5 +382,16 @@ func TestShootdownRace(t *testing.T) {
 	wg.Wait()
 	if served == 0 {
 		t.Error("the L0 never served a hit")
+	}
+	large := 0
+	for _, set := range tl.sets {
+		for i := range set {
+			if set[i].PageSize > arch.PageSize {
+				large++
+			}
+		}
+	}
+	if tl.large != large {
+		t.Errorf("large-page count %d, a scan finds %d", tl.large, large)
 	}
 }

@@ -35,7 +35,9 @@ type Entry struct {
 	// gen is the flush generation the entry was installed in; 0 marks an
 	// empty slot. A non-global entry is live only while gen equals the TLB's
 	// current generation, which is how FlushAll invalidates all of them by
-	// bumping one counter. Global entries outlive generations.
+	// bumping one counter. Global entries outlive generations. A flush writes
+	// it while the owner may look, so both use sync/atomic on the plain word
+	// (an atomic type would forbid copying an Entry).
 	gen  uint64
 	used uint64 // LRU timestamp
 }
@@ -49,22 +51,22 @@ type Stats struct {
 	FlushedEntries uint64
 }
 
-// TLB is a single-level, set-associative translation cache. A core's TLB
-// is mostly touched by that core's own goroutine, but shootdown IPIs
-// (vm.Space.Shootdown) flush entries from whichever goroutine removed the
-// translation — the mutex is the interconnect that serializes them.
-//
-// Only the owning core looks up and inserts, so the clock, the hit count, the
-// LRU stamps and what an entry translates change on that goroutine alone; any
-// goroutine may flush, which takes entries and advances the epoch. That lets
-// the owner keep an L0 in front (hw.Core): a copy of an entry is good while its
-// epoch lasts and the owner has not reused the entry, and the hits it serves
-// reach the TLB later, in one Settle.
+// TLB is a single-level, set-associative translation cache. Only the owning
+// core looks up and inserts, so the clock, the LRU stamps and what an entry
+// translates change on its goroutine alone, and its lookups (Probe, Settle)
+// take no lock. Shootdown IPIs (vm.Space.Shootdown) flush from any goroutine;
+// flushes and Insert hold mu. What a flush writes and the owner reads unlocked
+// is atomic and ordered: an entry's gen is stored before the epoch advances,
+// the TLB's gen is bumped before it, and the owner reads the epoch before it
+// probes. So a probe that saw an entry live made a copy stale from birth, and
+// one after the flush misses. That lets the owner keep an L0 in front
+// (hw.Core): a copy is good while its epoch lasts and the owner has not reused
+// the entry, and the hits it serves reach the TLB later, in one Settle.
 type TLB struct {
 	mu   sync.Mutex
 	cfg  Config
 	sets [][]Entry
-	tick uint64
+	tick uint64 // the LRU clock: the owner's
 	// epoch advances with every entry a flush takes and every FlushAll: written
 	// under mu, read by the owner without it before every hit its L0 serves.
 	epoch atomic.Uint64
@@ -72,9 +74,14 @@ type TLB struct {
 	// number of live non-global entries — exactly what a scan for FlushAll's
 	// victims would count, maintained by every operation that installs or
 	// invalidates an entry.
-	gen       uint64
+	gen       atomic.Uint64
 	nonGlobal int
-	stats     Stats
+	// large counts the slots holding a 2 MiB or 1 GiB entry, live or not. Only
+	// Insert changes it, so the owner reads it unlocked and a flush under mu.
+	large int
+	// hits and misses are the owner's, read by Stats; stats holds the rest.
+	hits, misses atomic.Uint64
+	stats        Stats
 }
 
 // New creates a TLB with the given geometry.
@@ -85,10 +92,11 @@ func New(cfg Config) *TLB {
 	if cfg.Ways <= 0 {
 		panic(fmt.Sprintf("tlb: ways must be positive, got %d", cfg.Ways))
 	}
-	t := &TLB{cfg: cfg, sets: make([][]Entry, cfg.Sets), gen: 1}
+	t := &TLB{cfg: cfg, sets: make([][]Entry, cfg.Sets)}
 	for i := range t.sets {
 		t.sets[i] = make([]Entry, cfg.Ways)
 	}
+	t.gen.Store(1)
 	return t
 }
 
@@ -98,8 +106,10 @@ func (t *TLB) Capacity() int { return t.cfg.Sets * t.cfg.Ways }
 // Stats returns a snapshot of the activity counters.
 func (t *TLB) Stats() Stats {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
+	st := t.stats
+	t.mu.Unlock()
+	st.Hits, st.Misses = t.hits.Load(), t.misses.Load()
+	return st
 }
 
 // ResetStats clears the activity counters (entries are kept).
@@ -107,24 +117,27 @@ func (t *TLB) ResetStats() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats = Stats{}
+	t.hits.Store(0)
+	t.misses.Store(0)
 }
 
 func (t *TLB) setFor(vpn uint64) []Entry {
 	return t.sets[vpn&uint64(t.cfg.Sets-1)]
 }
 
-// live reports whether e holds a translation: installed in the current
-// generation, or global and installed at all.
-func (t *TLB) live(e *Entry) bool {
-	return e.gen == t.gen || (e.Global && e.gen != 0)
+// live reports whether e holds a translation in generation gen: installed in
+// it, or global and installed at all.
+func live(e *Entry, gen uint64) bool {
+	g := atomic.LoadUint64(&e.gen)
+	return g == gen || (e.Global && g != 0)
 }
 
-// invalidate empties a live entry on behalf of a flush.
+// invalidate empties a live entry on behalf of a flush (gen before epoch: see TLB).
 func (t *TLB) invalidate(e *Entry) {
 	if !e.Global {
 		t.nonGlobal--
 	}
-	e.gen = 0
+	atomic.StoreUint64(&e.gen, 0)
 	t.stats.FlushedEntries++
 	t.epoch.Add(1)
 }
@@ -133,33 +146,47 @@ func (t *TLB) invalidate(e *Entry) {
 // unified TLB that caches all three page sizes.
 var pageSizes = [...]uint64{arch.PageSize, arch.HugePageSize, arch.GiantPageSize}
 
-// find is one counted lookup: the clock advances, and the probe is a hit that
-// renews the entry's LRU stamp or a miss. Global entries match any ASID.
-// Caller holds t.mu.
-func (t *TLB) find(asid arch.ASID, va arch.VirtAddr) *Entry {
+// sizes returns the page sizes a lookup or FlushPage must probe: while no slot
+// holds a large entry, only 4 KiB.
+func (t *TLB) sizes() []uint64 {
+	if t.large == 0 {
+		return pageSizes[:1]
+	}
+	return pageSizes[:]
+}
+
+// find is one counted lookup, counted with the settled deferred hits before it:
+// the clock advances, and the probe is a hit that renews the entry's LRU stamp
+// or a miss. Global entries match any ASID. Only the owner calls it.
+func (t *TLB) find(asid arch.ASID, va arch.VirtAddr, settled uint64) *Entry {
 	t.tick++
-	for _, ps := range pageSizes {
+	gen := t.gen.Load()
+	for _, ps := range t.sizes() {
 		vpn := uint64(arch.AlignDown(va, ps)) >> arch.PageShift
 		set := t.setFor(vpn)
 		for i := range set {
 			e := &set[i]
-			if e.VPN == vpn && e.PageSize == ps && (e.Global || e.ASID == asid) && t.live(e) {
+			if e.VPN == vpn && e.PageSize == ps && (e.Global || e.ASID == asid) && live(e, gen) {
 				e.used = t.tick
-				t.stats.Hits++
+				t.hits.Add(settled + 1)
 				return e
 			}
 		}
 	}
-	t.stats.Misses++
+	if settled > 0 {
+		t.hits.Add(settled)
+	}
+	t.misses.Add(1)
 	return nil
 }
 
 // Lookup probes the TLB for a translation of va under the given ASID.
 // Global entries match any ASID. On a hit the entry's LRU stamp is renewed.
+// It holds mu to copy the entry whole: a flush may be writing its gen.
 func (t *TLB) Lookup(asid arch.ASID, va arch.VirtAddr) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e := t.find(asid, va); e != nil {
+	if e := t.find(asid, va, 0); e != nil {
 		return *e, true
 	}
 	return Entry{}, false
@@ -172,34 +199,32 @@ type Touch struct {
 	Last uint64
 }
 
-// settle is the n lookups the owner's L0 answered since the last settle, all
-// hits: clock and hit count advance by n, and each entry that served any takes
-// the stamp its latest would have given it (the later, if listed twice: a large
-// page behind two L0 slots; a flush may have taken it since). Caller holds t.mu.
-func (t *TLB) settle(n uint64, touched []Touch) {
+// stamp is the clock of the n lookups the owner's L0 answered since the last
+// settle, all hits: the clock advances by n, and each entry that served any
+// takes the stamp its latest would have given it (the later, if listed twice: a
+// large page behind two L0 slots; a flush may have taken it since).
+func (t *TLB) stamp(n uint64, touched []Touch) {
 	for _, x := range touched {
 		x.E.used = max(x.E.used, t.tick+x.Last)
 	}
 	t.tick += n
-	t.stats.Hits += n
 }
 
-// Settle leaves the TLB where the deferred batch's n lookups would have.
+// Settle leaves the TLB where the deferred batch's n lookups would have. Only
+// the owner calls it, without a lock.
 func (t *TLB) Settle(n uint64, touched []Touch) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.settle(n, touched)
+	t.stamp(n, touched)
+	t.hits.Add(n)
 }
 
 // Probe is the lookup behind the owner's L0: the deferred batch is settled, then
 // va is looked up as by Lookup, and a hit returns the entry itself, whose
-// exported fields only the owner's next Insert over it changes. The caller reads
-// Epoch first: a flush after that makes its copy stale from birth, never good.
+// exported fields only the owner's next Insert over it changes. It takes no
+// lock. The caller reads Epoch first: a flush after that makes its copy stale
+// from birth, never good (see TLB).
 func (t *TLB) Probe(asid arch.ASID, va arch.VirtAddr, n uint64, touched []Touch) *Entry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.settle(n, touched)
-	return t.find(asid, va)
+	t.stamp(n, touched)
+	return t.find(asid, va, n)
 }
 
 // Epoch returns the flush epoch an L0 copy is valid in.
@@ -216,12 +241,13 @@ func (t *TLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr, pa
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.tick++
+	gen := t.gen.Load()
 	vpn := uint64(arch.AlignDown(base, pageSize)) >> arch.PageShift
 	set := t.setFor(vpn)
 	victim := 0
 	for i := range set {
 		e := &set[i]
-		if !t.live(e) {
+		if !live(e, gen) {
 			victim = i
 			break
 		}
@@ -234,7 +260,7 @@ func (t *TLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr, pa
 		}
 	}
 	v := &set[victim]
-	if t.live(v) {
+	if live(v, gen) {
 		was = *v
 		evicted = v.VPN != vpn || v.ASID != asid
 		if evicted {
@@ -244,9 +270,15 @@ func (t *TLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr, pa
 			t.nonGlobal--
 		}
 	}
+	if v.PageSize > arch.PageSize {
+		t.large--
+	}
+	if pageSize > arch.PageSize {
+		t.large++
+	}
 	*v = Entry{
 		VPN: vpn, ASID: asid, Frame: arch.PhysAddr(arch.AlignDown(arch.VirtAddr(frame), pageSize)),
-		Perm: perm, PageSize: pageSize, Global: global, gen: t.gen, used: t.tick,
+		Perm: perm, PageSize: pageSize, Global: global, gen: gen, used: t.tick,
 	}
 	if !global {
 		t.nonGlobal++
@@ -265,7 +297,7 @@ func (t *TLB) FlushAll() int {
 	n := t.nonGlobal
 	t.stats.FlushedEntries += uint64(n)
 	t.nonGlobal = 0
-	t.gen++
+	t.gen.Add(1) // before the epoch (see TLB)
 	t.epoch.Add(1)
 	return n
 }
@@ -276,10 +308,10 @@ func (t *TLB) FlushASID(asid arch.ASID) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats.Flushes++
-	n := 0
+	n, gen := 0, t.gen.Load()
 	for _, set := range t.sets {
 		for i := range set {
-			if e := &set[i]; e.ASID == asid && t.live(e) {
+			if e := &set[i]; e.ASID == asid && live(e, gen) {
 				t.invalidate(e)
 				n++
 			}
@@ -294,12 +326,12 @@ func (t *TLB) FlushASID(asid arch.ASID) int {
 func (t *TLB) FlushPage(asid arch.ASID, va arch.VirtAddr) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for _, ps := range pageSizes {
+	n, gen := 0, t.gen.Load()
+	for _, ps := range t.sizes() {
 		vpn := uint64(arch.AlignDown(va, ps)) >> arch.PageShift
 		set := t.setFor(vpn)
 		for i := range set {
-			if e := &set[i]; e.PageSize == ps && e.VPN == vpn && e.ASID == asid && t.live(e) {
+			if e := &set[i]; e.PageSize == ps && e.VPN == vpn && e.ASID == asid && live(e, gen) {
 				t.invalidate(e)
 				n++
 			}
@@ -312,10 +344,10 @@ func (t *TLB) FlushPage(asid arch.ASID, va arch.VirtAddr) int {
 func (t *TLB) Live() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
+	n, gen := 0, t.gen.Load()
 	for _, set := range t.sets {
 		for i := range set {
-			if t.live(&set[i]) {
+			if live(&set[i], gen) {
 				n++
 			}
 		}

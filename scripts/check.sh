@@ -43,7 +43,7 @@ go build ./...
 echo "== size budgets (non-test Go lines, counted as the benchmark's repo.nontest_go_loc; document bytes) =="
 # What the tree may weigh. A PR that needs more raises the number here, in
 # the same diff, so lines and prose are spent knowingly and not by accretion.
-budget_loc=26027
+budget_loc=26085
 budget_design=45000
 budget_readme=25600
 budget_skill=15000
@@ -96,15 +96,17 @@ go test -count=10 ./internal/cluster ./internal/chaos ./internal/server ./intern
 # Run alone is where a stack that boots its cluster before arming the whole-run
 # fault rules shows; the package-level runs above under-sample it.
 go test -count=20 -run 'TestScenarioLibrary/checkpoint-corruption-storm$' ./internal/chaos
-# The L0's protocol with remote flushes and with snapshots of a live machine.
-go test -race -count=5 ./internal/tlb ./internal/hw ./internal/stats
+# The L0's protocol with remote flushes and with snapshots of a live machine;
+# the unlocked owner side of the TLB; a switch reading a process's death flag
+# without its mutex.
+go test -race -count=5 ./internal/tlb ./internal/hw ./internal/core ./internal/stats
 
 echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
 
-echo "== bench smoke (the wire-path, stats, L0-hit, run-length, store, batch, ship and fork rungs of the ladder still run) =="
-go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec(Local|Remote)|RouterExecRun|RouterExecBatch|RouterMGet|SnapshotDelta|Load64Hit|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ShipDelta|ForkSteadyState' -benchtime 100x \
-    ./internal/redis ./internal/urpc ./internal/cluster ./internal/stats ./internal/hw ./internal/fork
+echo "== bench smoke (the wire-path, stats, L0-hit, TLB-miss, switch, run-length, store, batch, ship and fork rungs of the ladder still run) =="
+go test -run '^$' -bench 'ReadCommand|DecodeCommand|Call|RouterExec(Local|Remote)|RouterExecRun|RouterExecBatch|RouterMGet|SnapshotDelta|Load64Hit|Load64Miss|VASSwitchPair|LoadWords|StoreWords|JmpGet|JmpSet|ApplyImage|ShipDelta|ForkSteadyState' -benchtime 100x \
+    ./internal/redis ./internal/urpc ./internal/cluster ./internal/stats ./internal/hw ./internal/core ./internal/fork
 
 echo "== fuzz smoke (RESP parser against the reference reader) =="
 go test -run Fuzz -fuzz=FuzzReadCommand -fuzztime=10s ./internal/redis
