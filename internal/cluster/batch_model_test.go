@@ -11,10 +11,10 @@ import (
 // execOn and callNode under it as they stood while the command was the unit —
 // one budget, one topology read lock, one resolve, one switch pair or one
 // frame per command. Kept verbatim, except that the multi-key read is refMGet
-// (mget_model_test.go; TestMGetMatchesModel holds Router.mget to it) and the
-// wire is encoded afresh, so the differentials in batch_test.go can hold the
-// batch path to it: what a batch answers, what it leaves in the stores, and
-// exactly which switches and frames it saves.
+// (mget_model_test.go, where TestMGetMatchesModel holds the batch path's MGET
+// to it) and the wire is encoded afresh, so the differentials in batch_test.go
+// can hold the batch path to it: what a batch answers, what it leaves in the
+// stores, and exactly which switches and frames it saves.
 
 func refExec(r *Router, w *worker, req *server.Request) []byte {
 	w.bud = overload.Arm(req.Deadline, w.th.Core.Cycles())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,10 +111,11 @@ func (g batchRig) kind(n *node, cmd *redis.Command, readonly bool) string {
 }
 
 // savings walks a pipeline the way the run rules read — between barriers (a
-// command no one node owns, anything but a store command), each node's
-// commands in order, neighbours among them on one VAS of its store served
-// one way — and returns how many commands ride an earlier one's switch pair
-// (a store's or a frozen view's) and how many an earlier one's frame.
+// write on a migrating slot, anything but a store command), each node's
+// commands in order, an MGET across nodes one command on each node owning a
+// key of it, neighbours among them on one VAS of its store served one way —
+// and returns how many commands ride an earlier one's switch pair (a store's
+// or a frozen view's) and how many an earlier one's frame.
 func (g batchRig) savings(pipe []*server.Request) (pairs, frames uint64) {
 	type last struct {
 		write bool
@@ -121,31 +123,40 @@ func (g batchRig) savings(pipe []*server.Request) (pairs, frames uint64) {
 	}
 	prev := map[*node]last{} // each node's last command in the segment
 	for _, req := range pipe {
-		var n *node
-		if req.Cmd.By == redis.ByStore {
-			n = g.r.locate(req)
+		var nodes []*node
+		if req.Cmd.Op == redis.OpMGet {
+			for _, k := range req.Cmd.Keys(req.Args) {
+				if n := g.r.nodes[g.r.Owner(g.r.Slot(k))]; !slices.Contains(nodes, n) {
+					nodes = append(nodes, n)
+				}
+			}
+		} else if n := g.r.locate(req); n != nil {
+			nodes = append(nodes, n)
 		}
-		if n == nil {
+		if nodes == nil {
 			clear(prev) // a barrier
 			continue
 		}
-		now := last{req.Cmd.Write, g.kind(n, req.Cmd, req.Readonly)}
-		if p, ok := prev[n]; ok && p == now {
-			if now.kind == "endpoint" {
-				frames++
-			} else {
-				pairs++
+		for _, n := range nodes {
+			now := last{req.Cmd.Write, g.kind(n, req.Cmd, req.Readonly)}
+			if p, ok := prev[n]; ok && p == now {
+				if now.kind == "endpoint" {
+					frames++
+				} else {
+					pairs++
+				}
 			}
+			prev[n] = now
 		}
-		prev[n] = now
 	}
 	return pairs, frames
 }
 
 // pipelines is the seeded traffic of the differentials: pipelines of 1–16
 // GET/SET/DEL/MGET (and the odd PING) over tenant-qualified keys on every
-// node, keys drawn so that neighbours often share a node, READONLY on for
-// about half the pipelines.
+// node, keys drawn so that neighbours often share a node — an MGET's 1–8 keys
+// from any node, so most span several — READONLY on for about half the
+// pipelines.
 type pipelines struct {
 	rng     *rand.Rand
 	keys    [][]string // by node
@@ -190,8 +201,9 @@ func (p *pipelines) next() (argvs [][]string, readonly bool) {
 			argvs = append(argvs, []string{"DEL", key()})
 		case op < 19:
 			argv := []string{"MGET"}
-			for k := 1 + p.rng.Intn(4); k > 0; k-- {
-				argv = append(argv, key())
+			for k := 1 + p.rng.Intn(8); k > 0; k-- {
+				keys := p.keys[p.rng.Intn(len(p.keys))]
+				argv = append(argv, keys[p.rng.Intn(len(keys))])
 			}
 			argvs = append(argvs, argv)
 		default:
@@ -310,9 +322,8 @@ func TestRunOfOneIsTheOldCommand(t *testing.T) {
 // must have, and what the pipeline may cost: switch pairs on the worker's
 // core and frames to the nodes (each of which is a switch pair on the node's
 // core), which is what says how the commands grouped. The rows for the
-// barriers — a write on a migrating slot, an MGET across nodes, PING, CLUSTER
-// SLOTS — put the same nodes' commands on both sides of the barrier: they
-// would group without it.
+// barriers — a write on a migrating slot, PING, CLUSTER SLOTS — put the same
+// nodes' commands on both sides of the barrier: they would group without it.
 func TestRunBoundaries(t *testing.T) {
 	type row struct {
 		name    string
@@ -391,11 +402,36 @@ func TestRunBoundaries(t *testing.T) {
 				return []*server.Request{get(k[0][0]), set(k[1][0]), set(k[1][1]), get(k[0][1]), set(k[1][2])}
 			},
 			replies: []string{"$", "+OK", "+OK", "$", "+OK"}, pairs: 2, frames: 3},
-		{name: "an MGET across nodes runs alone",
+		{name: "an MGET across nodes joins each node's run",
 			pipe: func(k [rigNodes][]string) []*server.Request {
 				return []*server.Request{get(k[0][0]), get(k[1][1]), request(false, 0, "MGET", k[0][1], k[1][0]), get(k[0][3]), get(k[1][2])}
 			},
-			replies: []string{"$", "$", "*2", "$", "$"}, pairs: 3, frames: 3},
+			replies: []string{"$", "$", "*2", "$", "$"}, pairs: 1, frames: 1},
+		{name: "an MGET's remote part shed by an open breaker: the whole reply, and the co-resident part still rides the run",
+			setup: openBreaker(rigRemote),
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				return []*server.Request{get(k[0][0]), request(false, 0, "MGET", k[0][1], k[1][0]), get(k[0][2])}
+			},
+			replies: []string{"$", "-SHARDTIMEOUT", "$"}, pairs: 1},
+		{name: "an MGET's part refused first settles it: the later part is not sent",
+			setup: openBreaker(rigRemote),
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				return []*server.Request{get(k[1][1]), request(false, 0, "MGET", k[0][1], k[1][0])}
+			},
+			replies: []string{"-SHARDTIMEOUT", "-SHARDTIMEOUT"}},
+		{name: "a READONLY MGET over a frozen view and a co-resident node: one frozen run and one pair",
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				return []*server.Request{roGet(k[3][0]), request(true, 0, "MGET", k[0][0], k[3][2]), roGet(k[0][1]), roGet(k[3][3])}
+			},
+			replies: []string{"$", "*2", "$", "$"}, pairs: 2 + 1 /* attaching the view */},
+		{name: "an MGET's budget runs out between parts: -DEADLINE, and the later remote part sends no frame",
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				// One cycle more than the way in: the co-resident part goes, the
+				// budget is gone by the remote part's turn.
+				in := server.EdgeCycles(len("MGET") + len(k[0][0]) + len(k[1][0]))
+				return []*server.Request{request(false, in+1, "MGET", k[0][0], k[1][0]), get(k[0][1]), get(k[1][1])}
+			},
+			replies: []string{"-DEADLINE budget exhausted after", "$", "$"}, pairs: 1, frames: 1},
 		{name: "a command the router answers ends a run",
 			pipe: func(k [rigNodes][]string) []*server.Request {
 				return []*server.Request{get(k[0][0]), get(k[1][0]), request(false, 0, "PING"), get(k[0][1]), get(k[1][1])}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"spacejmp/internal/core"
@@ -154,32 +155,53 @@ func roundRobin(r *Router, gets [][]string) [][][]string {
 	}
 }
 
-// submitPipeline hands reqs, GETs of the benchRouter keys, to the router as
-// one connection's buffer fill, waits for every reply and checks each one.
+// submitPipeline hands reqs, commands on the benchRouter keys, to the router
+// as one connection's buffer fill, waits for every reply and checks each one.
 func submitPipeline(tb testing.TB, r *Router, reqs []*server.Request) {
 	batch := server.NewBatch(reqs)
 	for r.SubmitBatch(1, batch) == 0 {
 	}
 	batch.Wait(len(reqs))
 	for _, req := range reqs {
-		if len(req.Reply()) != 4+1+64+2 {
-			tb.Fatalf("GET: %q", req.Reply())
+		if len(req.Reply()) != replyLen(req.Args) {
+			tb.Fatalf("%s: %q", req.Args[0], req.Reply())
 		}
 	}
+}
+
+// replyLen is the length of the reply to a GET, SET (of a 64-byte value) or
+// MGET of fewer than ten benchRouter keys.
+func replyLen(args []string) int {
+	const get = 4 + 1 + 64 + 2
+	switch args[0] {
+	case "SET":
+		return len("+OK\r\n")
+	case "MGET":
+		return len("*8\r\n") + (len(args)-1)*get
+	}
+	return get
 }
 
 // BenchmarkRouterExecBatch is the grouping rung: pipelines of 16 GETs dealt
 // round robin over three nodes, all co-resident (vas) or all remote (urpc),
 // each submitted as one buffer fill, so no two neighbours share a node: one
-// run per node, 3 switch pairs or 3 frames per 16 commands. Everything is per
-// command and repeats to the cycle: cycles/cmd the worker core's charge,
-// switches/cmd every VAS switch on the machine (a frame's pair is on the
-// node's core), frames/cmd the urpc request frames.
+// run per node, 3 switch pairs or 3 frames per 16 commands. mixed is seeded
+// pipelines of 16 — 40 % GET, 40 % SET, 20 % MGET of 8 keys — over two
+// co-resident nodes and a remote one, where each MGET's parts join their
+// nodes' runs. Everything is per command and repeats to the cycle: cycles/cmd
+// the worker core's charge, switches/cmd every VAS switch on the machine (a
+// frame's pair is on the node's core), frames/cmd the urpc request frames.
 func BenchmarkRouterExecBatch(b *testing.B) {
-	for _, mode := range []Mode{ModeVAS, ModeURPC} {
-		b.Run(string(mode), func(b *testing.B) {
-			r, gets := benchCluster(b, mode, 3)
+	for _, c := range []struct {
+		name string
+		mode Mode
+	}{{"vas", ModeVAS}, {"urpc", ModeURPC}, {"mixed", ModeAuto}} {
+		b.Run(c.name, func(b *testing.B) {
+			r, gets := benchCluster(b, c.mode, 3)
 			pipes := roundRobin(r, gets)
+			if c.mode == ModeAuto {
+				pipes = mixedPipelines(gets)
+			}
 			w := r.workers[0]
 			frames := func() (n uint64) {
 				for _, ep := range w.endpoints {
@@ -208,6 +230,33 @@ func BenchmarkRouterExecBatch(b *testing.B) {
 			b.ReportMetric(per(frames()-sent), "frames/cmd")
 		})
 	}
+}
+
+// mixedPipelines is 64 seeded pipelines of 16 commands on the benchRouter
+// keys: 40 % GET, 40 % SET of a 64-byte value (so every GET still reads 64
+// bytes), 20 % MGET of 8 keys, each key drawn from all of them.
+func mixedPipelines(gets [][]string) [][][]string {
+	rng := rand.New(rand.NewSource(1))
+	key := func() string { return gets[rng.Intn(len(gets))][1] }
+	value := string(make([]byte, 64))
+	pipes := make([][][]string, 64)
+	for i := range pipes {
+		for range 16 {
+			switch op := rng.Intn(5); {
+			case op < 2:
+				pipes[i] = append(pipes[i], []string{"GET", key()})
+			case op < 4:
+				pipes[i] = append(pipes[i], []string{"SET", key(), value})
+			default:
+				argv := []string{"MGET"}
+				for range 8 {
+					argv = append(argv, key())
+				}
+				pipes[i] = append(pipes[i], argv)
+			}
+		}
+	}
+	return pipes
 }
 
 // mget8 returns MGETs of 8 of the router's keys each: every key owned by node

@@ -14,15 +14,17 @@ import (
 	"spacejmp/internal/kernel"
 	"spacejmp/internal/overload"
 	"spacejmp/internal/redis"
+	"spacejmp/internal/server"
 	"spacejmp/internal/stats"
 )
 
-// The reference model of a multi-key read: Router.mget with the mgetOn and
-// readFrozen under it as they stood before a key group became a command
-// execOn runs — a second switch on the target with its own reply decoding,
-// values copied out and encoded again. Kept verbatim (redis.DecodeArrayReply
+// The reference model of a multi-key read: the router's MGET fan-out with the
+// mgetOn and readFrozen under it as they stood before a key group became a
+// command of its own — a second switch on the target with its own reply
+// decoding, values copied out and encoded again — and long before a group
+// became a part riding its node's run. Kept verbatim (redis.DecodeArrayReply
 // went with its last caller; ReadArrayReply over the same bytes is the same
-// parser) so the differential below can hold the one path to it.
+// parser) so the differential below can hold the batch path to it.
 
 func refMGet(r *Router, w *worker, cmd *redis.Command, keys []string, readonly bool) []byte {
 	groups := make(map[int][]int, len(r.nodes)) // node id → indices into keys
@@ -257,13 +259,13 @@ func (g *mgetRig) counters() [4]uint64 {
 	return [4]uint64{c.Local, c.Remote, c.Fork.FollowerReads, c.Overload.DegradedReads}
 }
 
-// TestMGetMatchesModel holds Router.mget to the model: the same commands on
-// two identical rigs, one answered by refMGet and one by the router, must
-// give byte-equal replies, leave the worker's core on the same cycle and move
-// the same counters — after every command.
+// TestMGetMatchesModel holds the batch path's MGET to the model: the same
+// commands on two identical rigs, one answered by refExec (whose MGET is
+// refMGet) and one by Router.execBatch as a batch of one, must give byte-equal
+// replies, leave the worker's core on the same cycle and move the same
+// counters — after every command.
 func TestMGetMatchesModel(t *testing.T) {
 	model, router := newMGetRig(t), newMGetRig(t)
-	mget := redis.Lookup([]string{"MGET", "k"})
 	present, absent := rigKeys(router.r)
 	var pool []string
 	for nid := range present {
@@ -272,11 +274,14 @@ func TestMGetMatchesModel(t *testing.T) {
 	}
 
 	step := 0
-	check := func(what string, keys []string, readonly bool) []byte {
+	check := func(what string, keys []string, readonly bool, deadline uint64) []byte {
 		t.Helper()
 		step++
-		want := refMGet(model.r, model.w, mget, keys, readonly)
-		got := router.r.mget(router.w, mget, keys, readonly)
+		argv := append([]string{"MGET"}, keys...)
+		want := refExec(model.r, model.w, request(readonly, deadline, argv...))
+		req := request(readonly, deadline, argv...)
+		router.r.execBatch(router.w, server.NewBatch([]*server.Request{req}))
+		got := req.Reply()
 		if !bytes.Equal(got, want) {
 			t.Fatalf("step %d (%s) MGET %q readonly=%v:\n got  %q\n want %q", step, what, keys, readonly, got, want)
 		}
@@ -313,7 +318,7 @@ func TestMGetMatchesModel(t *testing.T) {
 		for j := range keys {
 			keys[j] = pool[rng.Intn(len(pool))]
 		}
-		check("generated", keys, rng.Intn(2) == 0)
+		check("generated", keys, rng.Intn(2) == 0, 0)
 	}
 	if router.counters()[2] == followerBefore {
 		t.Error("the generator never read the frozen view")
@@ -324,16 +329,16 @@ func TestMGetMatchesModel(t *testing.T) {
 	for nid := range present {
 		all = append(all, present[nid][0], absent[nid], present[nid][1])
 	}
-	check("all nodes", all, false)
-	frozenReply := check("all nodes, READONLY", all, true)
-	if bytes.Equal(frozenReply, check("all nodes", all, false)) {
+	check("all nodes", all, false, 0)
+	frozenReply := check("all nodes, READONLY", all, true, 0)
+	if bytes.Equal(frozenReply, check("all nodes", all, false, 0)) {
 		t.Error("the frozen view answered as the primary does: the rig's view is not older than its primary")
 	}
 
 	// A fenced group: its -SHARDTIMEOUT is the whole reply, whatever the
 	// groups before it read.
 	both(func(g *mgetRig) { g.r.nodes[rigRemote].state.Store(int32(StateFailed)) })
-	if resp := check("fenced group", all, false); !bytes.HasPrefix(resp, []byte("-SHARDTIMEOUT")) {
+	if resp := check("fenced group", all, false, 0); !bytes.HasPrefix(resp, []byte("-SHARDTIMEOUT")) {
 		t.Errorf("fenced group: reply %q, want the group's -SHARDTIMEOUT", resp)
 	}
 	both(func(g *mgetRig) { g.r.nodes[rigRemote].state.Store(int32(StateHealthy)) })
@@ -346,7 +351,7 @@ func TestMGetMatchesModel(t *testing.T) {
 		g.r.nodes[rigFrozen].breaker = b
 	})
 	degradedBefore := router.counters()[3]
-	check("degraded read", present[rigFrozen], true)
+	check("degraded read", present[rigFrozen], true, 0)
 	if router.counters()[3] != degradedBefore+1 {
 		t.Error("a READONLY group behind an open breaker was not counted as a degraded read")
 	}
@@ -354,7 +359,7 @@ func TestMGetMatchesModel(t *testing.T) {
 
 	// A view that turns unreadable between resolve and the read: the group
 	// falls back to the primary, and the command answers as if not READONLY.
-	primaryReply := check("all nodes", all, false)
+	primaryReply := check("all nodes", all, false, 0)
 	var handles [2]core.Handle
 	for i, g := range []*mgetRig{model, router} {
 		fr := g.w.frozen[rigFrozen]
@@ -363,21 +368,22 @@ func TestMGetMatchesModel(t *testing.T) {
 		}
 		handles[i], fr.h = fr.h, 1<<20
 	}
-	if resp := check("unreadable view", all, true); !bytes.Equal(resp, primaryReply) {
+	if resp := check("unreadable view", all, true, 0); !bytes.Equal(resp, primaryReply) {
 		t.Errorf("unreadable view: reply %q, want the primary's %q", resp, primaryReply)
 	}
 	for i, g := range []*mgetRig{model, router} {
 		g.w.frozen[rigFrozen].h = handles[i]
 	}
-	check("view readable again", all, true)
+	check("view readable again", all, true, 0)
 
-	// Budget exhaustion between groups: the first group burns the budget,
-	// the second is never dispatched.
-	both(func(g *mgetRig) { g.w.bud = overload.Arm(10, g.w.th.Core.Cycles()) })
-	if resp := check("budget runs out mid-MGET", all, false); !bytes.HasPrefix(resp, []byte("-DEADLINE budget exhausted after")) {
+	// Budget exhaustion between groups: a deadline one cycle above the way in
+	// lets the first group go and stops the second.
+	size := 0
+	for _, k := range append([]string{"MGET"}, all...) {
+		size += len(k)
+	}
+	if resp := check("budget runs out mid-MGET", all, false, server.EdgeCycles(size)+1); !bytes.HasPrefix(resp, []byte("-DEADLINE budget exhausted after")) {
 		t.Errorf("exhausted budget: reply %q, want -DEADLINE mid-MGET", resp)
 	}
-	both(func(g *mgetRig) { g.w.bud = overload.Arm(1<<40, g.w.th.Core.Cycles()) })
-	check("ample budget", all, false)
-	both(func(g *mgetRig) { g.w.bud = overload.Budget{} })
+	check("ample budget", all, false, 1<<40)
 }

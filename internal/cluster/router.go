@@ -60,6 +60,27 @@ type worker struct {
 	run      []started
 	calls    []redis.Call
 	wire     []byte
+
+	// The segment's fans and what they point into — the parts' argv, each
+	// key's owner and reply element — and where a part's reply is cut up:
+	// reused like seg, so a fan allocates only its parts' replies and its own.
+	fans   []fan
+	argv   []string
+	owners []int
+	elems  [][]byte
+	split  [][]byte
+}
+
+// fan is an MGET across nodes under way in a segment, split into parts that
+// ride their nodes' runs: started by its first part (startPart), answered by
+// its last (partBack).
+type fan struct {
+	left    int // parts not back yet
+	started bool
+	bud     overload.Budget
+	owners  []int    // each key's owning node, in key order
+	elems   [][]byte // each key's element of the reply, once its part is back
+	reply   []byte   // the refusal that answers the whole MGET, once a part earns one
 }
 
 // maxKeptWire bounds the encoding buffer a worker keeps between commands,
@@ -222,14 +243,18 @@ func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 // has begun, or, in a segment, is about to: budget armed, way in over the
 // network edge charged and, for a store command one node owns, that node and
 // where resolve says it runs. n is nil for what is carried out alone because
-// no one node's store answers it as it stands — an MGET across nodes, a write
-// on a migrating slot — and for what the router answers itself.
+// no one node's store answers it as it stands — a write on a migrating slot —
+// and for what the router answers itself. args is what runs: the request's,
+// or for a part of an MGET across nodes, the part's; fan is then 1 + its
+// fan's index in w.fans, else 0.
 type started struct {
-	req *server.Request
-	at  int
-	n   *node
-	bud overload.Budget
-	t   target
+	req  *server.Request
+	at   int
+	n    *node
+	bud  overload.Budget
+	t    target
+	args []string
+	fan  int
 }
 
 // execBatch carries out a connection's batch. Store commands run under the
@@ -239,12 +264,13 @@ type started struct {
 // itself (CLUSTER reads the topology under its own read lock, and nesting
 // read locks around a waiting writer self-deadlocks).
 //
-// Barriers, which nothing crosses, run alone and in place: a store command no
-// one node owns as it stands and anything that is not a store command (what
-// the router answers, a refusal). Between two, the segment of store commands
-// one node owns each runs node by node (execSegment), so a command moves
-// ahead only across commands other nodes own: their keys are disjoint, so the
-// two commute. Replies still go out in arrival order (execRun).
+// Barriers, which nothing crosses, run alone and in place: a write on a
+// migrating slot and anything that is not a store command (what the router
+// answers, a refusal). Between two, the segment of store commands — each one
+// node owns, or a part of an MGET across nodes (split) — runs node by node
+// (execSegment), so a command moves ahead only across commands other nodes
+// own: their keys are disjoint, so the two commute. Replies still go out in
+// arrival order (publish).
 func (r *Router) execBatch(w *worker, b *server.Batch) {
 	w.done, w.answered = append(w.done[:0], make([]bool, len(b.Reqs))...), 0
 	locked, seg := false, w.seg[:0]
@@ -257,7 +283,10 @@ func (r *Router) execBatch(w *worker, b *server.Batch) {
 				r.topoMu.RUnlock()
 			}
 		}
-		if s := (started{req: req, at: i, n: r.locate(req)}); s.n != nil {
+		s := started{req: req, at: i, args: req.Args}
+		if req.Cmd.Op == redis.OpMGet {
+			seg = r.split(w, seg, s)
+		} else if s.n = r.locate(req); s.n != nil {
 			seg = append(seg, s)
 		} else {
 			seg = r.execSegment(w, b, seg)
@@ -282,7 +311,7 @@ func (r *Router) execBatch(w *worker, b *server.Batch) {
 // pair and one lock acquisition on a co-resident store or a promoted standby,
 // one switch into a frozen view, one urpc frame under one hold of the node's
 // mutex to a remote primary. A refusal goes alone; so does a frame that would
-// outgrow the ring.
+// outgrow the ring. A part of an MGET whose answer is settled is not sent.
 func (r *Router) execSegment(w *worker, b *server.Batch, seg []started) []started {
 	for i := range seg {
 		n := seg[i].n
@@ -300,13 +329,19 @@ func (r *Router) execSegment(w *worker, b *server.Batch, seg []started) []starte
 			if seg[j].n != n {
 				continue
 			}
-			req, wire := seg[j].req, redis.CommandSize(seg[j].req.Args)
-			if len(run) > 0 && (req.Cmd.Write != run[0].req.Cmd.Write ||
+			s, wire := seg[j], redis.CommandSize(seg[j].args)
+			if len(run) > 0 && (s.req.Cmd.Write != run[0].req.Cmd.Write ||
 				run[0].t.ep != nil && urpc.Lines(size+wire) > ringSlots) {
 				flush()
 			}
-			s := r.start(w, seg[j])
 			seg[j].n = nil // under way
+			if s.fan == 0 {
+				s = r.start(w, s)
+			} else if !r.startPart(w, &s) {
+				r.finish(w, &s, nil)
+				w.publish(b)
+				continue
+			}
 			if len(run) > 0 && !s.t.joins(run[0].t) {
 				flush() // resolved another way than the run it would have joined
 			}
@@ -318,29 +353,70 @@ func (r *Router) execSegment(w *worker, b *server.Batch, seg []started) []starte
 		flush()
 		w.run = run
 	}
+	if len(w.fans) > 0 {
+		clear(w.fans) // they and elems hold the parts' replies
+		clear(w.elems)
+		w.fans, w.argv, w.owners, w.elems = w.fans[:0], w.argv[:0], w.owners[:0], w.elems[:0]
+	}
 	return seg[:0]
 }
 
-// locate returns the node that owns every key of a store command — nil when
-// no one node's store answers the command as it stands (see started), and for
-// a command no store is behind. For a store command the caller holds the
+// locate returns the node that owns a store command's key (an MGET's go to
+// split) — nil for a write on a migrating slot (see started), and for a
+// command no store is behind. For a store command the caller holds the
 // topology read lock.
 func (r *Router) locate(req *server.Request) *node {
 	if req.Cmd.By != redis.ByStore {
 		return nil
 	}
-	keys := req.Cmd.Keys(req.Args)
-	slot := r.Slot(keys[0])
+	slot := r.Slot(req.Args[req.Cmd.FirstKey])
 	if req.Cmd.Write && r.migs[slot].Load() != nil {
 		return nil
 	}
-	owner := r.Owner(slot)
-	for _, k := range keys[1:] {
-		if r.Owner(r.Slot(k)) != owner {
-			return nil
-		}
+	return r.nodes[r.Owner(slot)]
+}
+
+// split adds an MGET to the segment: whole when one node owns every key, else
+// as a fan of parts, one per owning node in node-id order, each an MGET of
+// that node's keys in key order and a member of its node's run — moving only
+// across other nodes' commands, as any member does (an MGET across nodes was
+// never atomic). The caller holds the topology read lock: every key resolves
+// against one table epoch, a migrating slot's against its source.
+func (r *Router) split(w *worker, seg []started, s started) []started {
+	keys := s.req.Cmd.Keys(s.req.Args)
+	at, lo, hi := len(w.owners), len(r.nodes), -1
+	for _, k := range keys {
+		o := r.Owner(r.Slot(k))
+		w.owners = append(w.owners, o)
+		lo, hi = min(lo, o), max(hi, o)
 	}
-	return r.nodes[owner]
+	if lo == hi {
+		w.owners = w.owners[:at]
+		s.n = r.nodes[lo]
+		return append(seg, s)
+	}
+	e := len(w.elems)
+	w.elems = append(w.elems, make([][]byte, len(keys))...)
+	w.fans = append(w.fans, fan{owners: w.owners[at:], elems: w.elems[e:]})
+	f := &w.fans[len(w.fans)-1]
+	s.fan = len(w.fans)
+	for nid := lo; nid <= hi; nid++ {
+		a := len(w.argv)
+		w.argv = append(w.argv, s.req.Cmd.Name)
+		for i, o := range f.owners {
+			if o == nid {
+				w.argv = append(w.argv, keys[i])
+			}
+		}
+		if len(w.argv) == a+1 { // nid owns none of the keys
+			w.argv = w.argv[:a]
+			continue
+		}
+		s.n, s.args = r.nodes[nid], w.argv[a:]
+		seg = append(seg, s)
+		f.left++
+	}
+	return seg
 }
 
 // start begins s: it arms the request's deadline budget against this
@@ -361,19 +437,39 @@ func (r *Router) start(w *worker, s started) started {
 	return s
 }
 
+// startPart begins a part of a fan. The first part started arms the MGET's
+// budget and charges its whole way in; every part re-checks the budget before
+// it resolves, since the parts — and the other nodes' commands run between
+// them — drain it. false: the MGET's answer is settled (a part was refused, or
+// the budget ran out), and this part is neither resolved nor sent.
+func (r *Router) startPart(w *worker, s *started) bool {
+	f := &w.fans[s.fan-1]
+	if !f.started {
+		f.started, f.bud = true, r.start(w, started{req: s.req}).bud // no node: no resolve
+	}
+	w.bud, s.bud = f.bud, f.bud
+	if now := w.th.Core.Cycles(); f.reply == nil && w.bud.Exhausted(now) {
+		r.ctr.Overload.DeadlineExpired.Add(1)
+		f.reply = redis.EncodeDeadline(fmt.Sprintf(
+			"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
+	}
+	if f.reply != nil {
+		return false
+	}
+	s.t = r.resolve(w, s.n, s.req.Cmd, s.req.Readonly)
+	return true
+}
+
 // execRun carries out the run the worker formed — or the one command that
-// formed none — under the tightest of its members' budgets, and finishes the
-// members in order: the reply's way out charged (the cycle deltas recorded
-// per mode sit between the two edge charges, so they compare the serving
-// paths themselves), what a budget has left fed to the budget histogram. Then
-// it publishes the longest prefix of b whose every request has its reply, if
-// the run moved it: those replies can go out while the rest of b runs.
+// formed none — under the tightest of its members' budgets, finishes the
+// members in order and publishes what that answered.
 func (r *Router) execRun(w *worker, b *server.Batch, run []started) {
 	req := run[0].req
 	calls := w.calls[:0]
 	now := w.th.Core.Cycles()
-	for _, s := range run {
-		calls = append(calls, redis.Call{Cmd: s.req.Cmd, Args: s.req.Args})
+	for i := range run {
+		s := &run[i]
+		calls = append(calls, redis.Call{Cmd: s.req.Cmd, Args: s.args})
 		if s.bud.Active() && (!w.bud.Active() || s.bud.Remaining(now) < w.bud.Remaining(now)) {
 			w.bud = s.bud
 		}
@@ -381,8 +477,6 @@ func (r *Router) execRun(w *worker, b *server.Batch, run []started) {
 	switch {
 	case run[0].n != nil:
 		r.serve(w, run[0].n, run[0].t, calls)
-	case req.Cmd.Op == redis.OpMGet:
-		calls[0].Reply = r.mget(w, req.Cmd, req.Cmd.Keys(req.Args), req.Readonly)
 	case req.Cmd.By == redis.ByStore:
 		calls[0].Reply = r.exec1(w, req.Cmd, req.Args, req.Readonly)
 	case req.Cmd.Op == redis.OpClusterSlots:
@@ -395,16 +489,73 @@ func (r *Router) execRun(w *worker, b *server.Batch, run []started) {
 		// Refused before any node is touched.
 		calls[0].Reply = req.Cmd.Refusal(req.Args)
 	}
-	for i, s := range run {
-		w.th.Core.AddCycles(server.EdgeCycles(len(calls[i].Reply)))
-		if s.bud.Active() {
-			r.ctr.Overload.BudgetRemaining.Observe(s.bud.Remaining(w.th.Core.Cycles()))
-		}
-		s.req.Finish(calls[i].Reply)
-		w.done[s.at] = true
+	for i := range run {
+		r.finish(w, &run[i], calls[i].Reply)
 	}
 	clear(calls)
 	w.calls = calls
+	w.publish(b)
+}
+
+// finish answers s's request with reply: the reply's way out charged (the
+// cycle deltas recorded per mode sit between the two edge charges, so they
+// compare the serving paths themselves), what the budget has left fed to the
+// budget histogram. A part answers only as its fan's last part back; reply is
+// nil for a part not sent.
+func (r *Router) finish(w *worker, s *started, reply []byte) {
+	if s.fan != 0 {
+		if reply = w.partBack(s, reply); reply == nil {
+			return
+		}
+	}
+	w.th.Core.AddCycles(server.EdgeCycles(len(reply)))
+	if s.bud.Active() {
+		r.ctr.Overload.BudgetRemaining.Observe(s.bud.Remaining(w.th.Core.Cycles()))
+	}
+	s.req.Finish(reply)
+	w.done[s.at] = true
+}
+
+// partBack takes a part's reply into its fan — cut into encoded elements in
+// place, each put at its key's place — and returns the MGET's reply, joined
+// in key order, once the last part is back; nil until then. The first part
+// refused, in the order the parts ran, answers the whole MGET, and so does a
+// malformed or short reply: a partial MGET would read as missing keys.
+func (w *worker) partBack(s *started, reply []byte) []byte {
+	f := &w.fans[s.fan-1]
+	if f.reply == nil {
+		elems, err := redis.SplitArrayReply(w.split[:0], reply)
+		if err == nil && len(elems) != len(s.args)-1 {
+			err = errors.New("short MGET reply")
+		}
+		switch {
+		case err == nil:
+			j := 0
+			for i, o := range f.owners {
+				if o == s.n.id {
+					f.elems[i], j = elems[j], j+1
+				}
+			}
+		case errors.As(err, new(redis.ReplyError)):
+			f.reply = reply // the part's refusal is the whole command's reply
+		default:
+			f.reply = redis.EncodeError("shard protocol error: " + err.Error())
+		}
+		clear(elems)
+		w.split = elems[:0]
+	}
+	if f.left--; f.left > 0 {
+		return nil
+	}
+	if f.reply != nil {
+		return f.reply
+	}
+	return redis.JoinArrayReply(f.elems)
+}
+
+// publish publishes the longest prefix of b whose every request has its
+// reply, if it moved: those replies can go out while the rest of b runs.
+func (w *worker) publish(b *server.Batch) {
 	k := w.answered
 	for k < len(w.done) && w.done[k] {
 		k++
@@ -578,27 +729,20 @@ func (w *worker) callBudget() uint64 {
 func (r *Router) exec1(w *worker, cmd *redis.Command, args []string, readonly bool) []byte {
 	slot := r.Slot(args[cmd.FirstKey])
 	n := r.nodes[r.Owner(slot)]
-	if mig := r.migs[slot].Load(); mig != nil && cmd.Write {
+	mig := r.migs[slot].Load()
+	if mig != nil && cmd.Write {
 		mig.mu.Lock()
 		defer mig.mu.Unlock()
 		if mig.fenced.Load() {
 			r.ctr.Migration.MovedRetries.Add(1)
 			return redis.EncodeMoved(slot, mig.dst)
 		}
-		resp := r.execOn(w, n, cmd, args, readonly)
-		if len(resp) > 0 && resp[0] != '-' {
-			mig.delta.record(args)
-		}
-		return resp
 	}
-	return r.execOn(w, n, cmd, args, readonly)
-}
-
-// execOn runs one command whose keys node n owns — a write on a migrating
-// slot, or one node's group of an MGET — wherever resolve says n serves it.
-func (r *Router) execOn(w *worker, n *node, cmd *redis.Command, args []string, readonly bool) []byte {
 	one := [1]redis.Call{{Cmd: cmd, Args: args}}
 	r.serve(w, n, r.resolve(w, n, cmd, readonly), one[:])
+	if resp := one[0].Reply; mig != nil && cmd.Write && len(resp) > 0 && resp[0] != '-' {
+		mig.delta.record(args)
+	}
 	return one[0].Reply
 }
 
@@ -720,61 +864,6 @@ func (w *worker) frozenReaderFor(n *node, v *fork.View) *frozenReader {
 	fr := &frozenReader{view: v, h: h, store: store}
 	w.frozen[nid] = fr
 	return fr
-}
-
-// mget fans a multi-key GET out across the nodes owning its keys' slots
-// and merges the replies back into key order. Each node's keys go to execOn
-// as an MGET of their own — name, then the keys, which is what a remote
-// node is sent — so a group is served like any command: one VAS switch into
-// the live store or the frozen view (one shared-lock acquisition, however
-// many keys), one urpc round trip otherwise. The group's array reply is cut
-// into its encoded elements in place and the elements joined in key order.
-// Any shard failure fails the whole command, the group's refusal relayed as
-// the reply — a partial (or partially bounded) MGET would be
-// indistinguishable from missing keys. Caller holds the topology read lock,
-// so every key resolves against one table epoch. Reads on migrating slots
-// serve from the source, which stays authoritative until the flip.
-func (r *Router) mget(w *worker, cmd *redis.Command, keys []string, readonly bool) []byte {
-	groups := make(map[int][]int, len(r.nodes)) // node id → indices into keys
-	for i, k := range keys {
-		nid := r.Owner(r.Slot(k))
-		groups[nid] = append(groups[nid], i)
-	}
-	elems := make([][]byte, len(keys))
-	for nid := 0; nid < len(r.nodes); nid++ {
-		idxs := groups[nid]
-		if len(idxs) == 0 {
-			continue
-		}
-		argv := make([]string, 1+len(idxs))
-		argv[0] = cmd.Name
-		for j, i := range idxs {
-			argv[1+j] = keys[i]
-		}
-		// A fan-out burns budget group by group; catch exhaustion between
-		// groups so a slow early shard can't push later dispatches past the
-		// deadline silently.
-		if now := w.th.Core.Cycles(); w.bud.Exhausted(now) {
-			r.ctr.Overload.DeadlineExpired.Add(1)
-			return redis.EncodeDeadline(fmt.Sprintf(
-				"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
-		}
-		resp := r.execOn(w, r.nodes[nid], cmd, argv, readonly)
-		got, err := redis.SplitArrayReply(resp)
-		if err == nil && len(got) != len(idxs) {
-			err = errors.New("short MGET reply")
-		}
-		if err != nil {
-			if errors.As(err, new(redis.ReplyError)) {
-				return resp // the group's refusal is the whole command's reply
-			}
-			return redis.EncodeError("shard protocol error: " + err.Error())
-		}
-		for j, i := range idxs {
-			elems[i] = got[j]
-		}
-	}
-	return redis.JoinArrayReply(elems)
 }
 
 // clusterSlotsReply renders CLUSTER SLOTS: an array of slot ranges, each

@@ -325,7 +325,7 @@ var codecs = []struct {
 		// header — so join(split(x)) == x for every x an encoder wrote (a
 		// peer may write "*00", which the join does not reproduce).
 		func(b []byte) (any, error) {
-			elems, err := redis.SplitArrayReply(b)
+			elems, err := redis.SplitArrayReply(nil, b)
 			if err != nil {
 				return nil, err
 			}

@@ -569,27 +569,27 @@ func ReadArrayReply(br *bufio.Reader) ([][]byte, []bool, error) {
 }
 
 // SplitArrayReply cuts the array reply at the start of a byte slice — the
-// cluster router's view of one node's answer to its group of an MGET — into
-// its elements, each the still-encoded bulk string ("$3\r\nabc\r\n", or
-// "$-1\r\n" for a miss) as a sub-slice of data: the frame is validated as
-// every other is, and no value is copied. An error reply comes back as its
-// ReplyError, malformed and truncated input as ReadArrayReply reports them.
-func SplitArrayReply(data []byte) ([][]byte, error) {
+// cluster router's view of one node's answer to its part of an MGET — into
+// its elements and appends them to dst, each the still-encoded bulk string
+// ("$3\r\nabc\r\n", or "$-1\r\n" for a miss) as a sub-slice of data: the frame
+// is validated as every other is, and no value is copied. An error reply comes
+// back as its ReplyError, malformed and truncated input as ReadArrayReply
+// reports them; dst is returned unchanged then.
+func SplitArrayReply(dst [][]byte, data []byte) ([][]byte, error) {
 	s := scanner{kind: arrayReplyFrame, maxLine: math.MaxInt}
 	if err := s.scanAll(data); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if s.head == '-' {
-		return nil, ReplyError(data[1 : s.pos-2])
+		return dst, ReplyError(data[1 : s.pos-2])
 	}
-	elems := make([][]byte, s.bulks)
 	pos := bytes.IndexByte(data, '\n') + 1
-	for i := range elems {
+	for range s.bulks {
 		_, _, next := bulk(data, pos)
-		elems[i] = data[pos:next:next]
+		dst = append(dst, data[pos:next:next])
 		pos = next
 	}
-	return elems, nil
+	return dst, nil
 }
 
 // JoinArrayReply renders an array reply from elements already encoded as

@@ -234,7 +234,7 @@ func TestArrayReplyRoundTrip(t *testing.T) {
 
 	// Cut in place, each element the encoding of its value; joined back, the
 	// same bytes; joined in another order, that order's array.
-	elems, err := SplitArrayReply(wire)
+	elems, err := SplitArrayReply(nil, wire)
 	if err != nil || len(elems) != len(vals) {
 		t.Fatalf("split: %d elements, %v", len(elems), err)
 	}
@@ -246,6 +246,9 @@ func TestArrayReplyRoundTrip(t *testing.T) {
 	if &elems[0][0] != &wire[len("*4\r\n")] {
 		t.Error("elems[0] is a copy, want a sub-slice of the reply")
 	}
+	if more, err := SplitArrayReply(elems[:1:1], wire); err != nil || len(more) != 5 || !bytes.Equal(more[1], elems[0]) {
+		t.Errorf("split appended to one element: %d elements, %v; want the element then the reply's four", len(more), err)
+	}
 	if joined := JoinArrayReply(elems); !bytes.Equal(joined, wire) {
 		t.Errorf("join(split(x)) = %q, want %q", joined, wire)
 	}
@@ -255,7 +258,7 @@ func TestArrayReplyRoundTrip(t *testing.T) {
 		t.Errorf("join of swapped elements = %q, want %q", joined, EncodeArray(vals))
 	}
 
-	if elems, err := SplitArrayReply(EncodeArray(nil)); err != nil || len(elems) != 0 {
+	if elems, err := SplitArrayReply(nil, EncodeArray(nil)); err != nil || len(elems) != 0 {
 		t.Errorf("empty array: %d elements, %v", len(elems), err)
 	}
 	if joined := JoinArrayReply(nil); string(joined) != "*0\r\n" {
@@ -267,20 +270,20 @@ func TestArrayReplyRoundTrip(t *testing.T) {
 // DecodeArrayReply it replaced did.
 func TestArrayReplyErrors(t *testing.T) {
 	var re ReplyError
-	if _, err := SplitArrayReply(EncodeError("shard timeout")); !errors.As(err, &re) || re != "ERR shard timeout" {
+	if _, err := SplitArrayReply(nil, EncodeError("shard timeout")); !errors.As(err, &re) || re != "ERR shard timeout" {
 		t.Errorf("error reply: got %v, want its ReplyError", err)
 	}
-	if _, err := SplitArrayReply(EncodeBulk([]byte("x"))); !errors.Is(err, ErrProtocol) {
+	if _, err := SplitArrayReply(nil, EncodeBulk([]byte("x"))); !errors.Is(err, ErrProtocol) {
 		t.Errorf("non-array reply: got %v, want ErrProtocol", err)
 	}
-	if _, err := SplitArrayReply([]byte("*2\r\n$1\r\na\r\n")); err != io.ErrUnexpectedEOF {
+	if _, err := SplitArrayReply(nil, []byte("*2\r\n$1\r\na\r\n")); err != io.ErrUnexpectedEOF {
 		t.Errorf("truncated array: got %v, want unexpected EOF", err)
 	}
-	if _, err := SplitArrayReply(nil); err != io.EOF {
+	if _, err := SplitArrayReply(nil, nil); err != io.EOF {
 		t.Errorf("nothing: got %v, want EOF", err)
 	}
 	huge := []byte("*999999999\r\n")
-	if _, err := SplitArrayReply(huge); !errors.Is(err, ErrProtocol) {
+	if _, err := SplitArrayReply(nil, huge); !errors.Is(err, ErrProtocol) {
 		t.Errorf("oversized header: got %v, want ErrProtocol", err)
 	}
 }
