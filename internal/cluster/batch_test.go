@@ -242,6 +242,9 @@ func TestBatchMatchesPerCommand(t *testing.T) {
 				got := requests(argvs, readonly)
 				pairs, frames := batch.savings(got)
 				batch.r.execBatch(batch.w, server.NewBatch(got))
+				if batch.pins() {
+					t.Fatalf("pipeline %d: the worker's scratch still points at a request of the finished batch", i)
+				}
 				for j := range got {
 					if g, w := got[j].Reply(), want[j].Reply(); !bytes.Equal(g, w) {
 						t.Fatalf("pipeline %d, command %d %q (readonly %v):\n got  %q\n want %q", i, j, argvs[j], readonly, g, w)
@@ -274,6 +277,14 @@ func TestBatchMatchesPerCommand(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pins reports whether the worker's batch scratch, up to its capacity, holds
+// a request: after execBatch that would keep the request's fill, and the
+// replies in it, reachable.
+func (g batchRig) pins() bool {
+	return slices.ContainsFunc(slices.Concat(g.w.seg[:cap(g.w.seg)], g.w.run[:cap(g.w.run)]),
+		func(s started) bool { return s.req != nil })
 }
 
 func (g batchRig) counters() [4]uint64 { return (&mgetRig{r: g.r, w: g.w, obs: g.r.obs}).counters() }

@@ -301,6 +301,11 @@ func (r *Router) execBatch(w *worker, b *server.Batch) {
 	if len(b.Reqs) == 0 {
 		b.Answered(0) // RemoveNode's empty batch: taken up, nothing to answer
 	}
+	// Past len the scratch still points at this batch's requests: it would pin
+	// their fill's slab, and every reply in it, until a later batch as long
+	// overwrote them.
+	clear(w.seg[:cap(w.seg)])
+	clear(w.run[:cap(w.run)])
 }
 
 // execSegment carries out a segment node by node — the nodes in the order

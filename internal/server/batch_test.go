@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,10 +17,10 @@ import (
 )
 
 // batchBackend fakes the serving backend to show what the connection layer
-// hands it: it keeps every batch as it arrived, takes at most room requests
-// of each (all when room is 0), answers a request with its own first
-// argument, and completes a batch only once release is closed (at once when
-// it is nil).
+// hands it: it keeps the first argument of every request, batch by batch as
+// they arrived, takes at most room requests of each (all when room is 0),
+// answers a request with its own last argument, and completes a batch only
+// once release is closed (at once when it is nil).
 type batchBackend struct {
 	room    int
 	release chan struct{}
@@ -52,7 +53,7 @@ func (b *batchBackend) SubmitBatch(_ uint64, batch *server.Batch) int {
 			<-b.release
 		}
 		for _, r := range batch.Reqs {
-			r.Finish(redis.EncodeBulk([]byte(r.Args[1])))
+			r.Finish(redis.EncodeBulk([]byte(r.Args[len(r.Args)-1])))
 		}
 		b.mu.Lock()
 		b.open -= n
@@ -74,6 +75,11 @@ func serveFake(t *testing.T, b server.Backend, cfg server.Config) (net.Conn, *bu
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveFakeOn(t, ln, b, cfg)
+}
+
+func serveFakeOn(t *testing.T, ln net.Listener, b server.Backend, cfg server.Config) (net.Conn, *bufio.Reader) {
+	t.Helper()
 	srv := server.NewWithBackend(newSystem(t, nil), ln, cfg, b)
 	nc, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
@@ -151,9 +157,9 @@ func TestRepliesGoOutAsTheBackendAnswers(t *testing.T) {
 	if _, err := nc.Write(append(redis.EncodeCommand("GET", "a"), redis.EncodeCommand("GET", "b")...)); err != nil {
 		t.Fatal(err)
 	}
-	wantReplies(t, br, strings.Repeat("a", 3*4096)) // b is not answered yet
+	wantReplies(t, br, strings.Repeat("a", 3*server.ConnBufSize)) // b is not answered yet
 	close(hold)
-	wantReplies(t, br, strings.Repeat("b", 3*4096))
+	wantReplies(t, br, strings.Repeat("b", 3*server.ConnBufSize))
 }
 
 // stagedBackend answers every request with three write buffers' worth of its
@@ -168,11 +174,66 @@ func (b stagedBackend) SubmitBatch(_ uint64, batch *server.Batch) int {
 			if i > 0 {
 				<-b.hold
 			}
-			r.Finish(redis.EncodeBulk([]byte(strings.Repeat(r.Args[1], 3*4096))))
+			r.Finish(redis.EncodeBulk([]byte(strings.Repeat(r.Args[1], 3*server.ConnBufSize))))
 			batch.Answered(i + 1)
 		}
 	}()
 	return len(batch.Reqs)
+}
+
+// TestPipelineIsOneFillAndOneWrite: a pipeline crosses the connection layer
+// once each way. 16 SETs of 1 KiB values in one client write reach the backend
+// as one batch of 16, and their 16 replies of 1 KiB leave in one server write —
+// with 4 KiB buffers they were several batches and several writes.
+func TestPipelineIsOneFillAndOneWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: ln}
+	b := &batchBackend{}
+	nc, br := serveFakeOn(t, cl, b, server.Config{})
+	var wire []byte
+	var keys, values []string
+	for i := range 16 {
+		keys = append(keys, fmt.Sprint("k", i))
+		values = append(values, strings.Repeat(fmt.Sprint(i%10), 1<<10))
+		wire = redis.AppendCommand(wire, "SET", keys[i], values[i])
+	}
+	if _, err := nc.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	wantReplies(t, br, values...)
+	if got, want := fmt.Sprint(b.seen()), fmt.Sprint([][]string{keys}); got != want {
+		t.Errorf("the backend saw %s, want one batch %s", got, want)
+	}
+	if got := cl.writes.Load(); got != 1 {
+		t.Errorf("the replies left in %d writes, want 1", got)
+	}
+}
+
+// countingListener counts the writes to the connections it accepts.
+type countingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{nc, &l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
 }
 
 // TestPipelineDepthBoundsWhatIsInFlight: however much one write holds, a

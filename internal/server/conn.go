@@ -15,11 +15,19 @@ import (
 
 var busyReply = redis.EncodeBusy("server busy: shard queue full, retry")
 
+// ConnBufSize is a connection's read buffer and its write buffer. A fill is
+// one read into the first, so it is sized to hold a pipeline: the default
+// PipelineDepth (32) of 1 KiB SETs is ≈ 34 KB. The writer flushes when the
+// second fills or no fill is queued, so it holds a fill's replies for one
+// write: a serve-mixed fill's average 33.6 KB. The price is 128 KiB per
+// connection.
+const ConnBufSize = 64 << 10
+
 // fill is what the reader made of one buffer fill: every command it held, in
-// arrival order, and the batch the backend took of them — nil when none
-// needed a backend or it took none.
+// arrival order and in one allocation, and the batch the backend took of them
+// — nil when none needed a backend or it took none.
 type fill struct {
-	reqs  []*Request
+	reqs  []Request
 	batch *Batch
 }
 
@@ -34,8 +42,8 @@ type fill struct {
 // touches simulated state: that is the backend workers' monopoly.
 func (s *Server) serveConn(id uint64, nc net.Conn) {
 	defer s.connWG.Done()
-	br := bufio.NewReader(nc)
-	bw := bufio.NewWriter(nc)
+	br := bufio.NewReaderSize(nc, ConnBufSize)
+	bw := bufio.NewWriterSize(nc, ConnBufSize)
 	depth := s.cfg.PipelineDepth
 	// inflight counts the commands read and not yet answered. The reader
 	// never lets it pass depth — it waits on room, which the writer pokes
@@ -51,7 +59,8 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 		var werr error
 		for f := range fills {
 			answered := 0 // of the batch's requests
-			for _, r := range f.reqs {
+			for i := range f.reqs {
+				r := &f.reqs[i]
 				if f.batch != nil && answered < len(f.batch.Reqs) && r == f.batch.Reqs[answered] {
 					// Replies go out as the backend answers, not when the
 					// whole batch is done: the client gets to work on them
@@ -81,6 +90,9 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 
 	c := connReader{s: s, ct: newConnTenant(s.cfg.Tenants), deadline: s.cfg.DeadlineCycles}
 	var commands uint64
+	// The fill being read, reused from fill to fill: copied out whole once
+	// the fill ends, then cleared so it pins nothing.
+	var scratch []Request
 	for open := true; open; {
 		// A full pipeline blocks here (never in a worker) until the writer
 		// catches up — TCP flow control does the rest.
@@ -88,10 +100,11 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 		for ; free <= 0; free = depth - int(inflight.Load()) {
 			<-room
 		}
-		var reqs, bound []*Request // the fill's requests, and those of them bound for the backend
-		for len(reqs) < free {
+		scratch = scratch[:0]
+		nbound := 0 // of the fill's requests, those bound for the backend
+		for len(scratch) < free {
 			var args []string
-			if len(reqs) > 0 {
+			if len(scratch) > 0 {
 				// Behind the command the fill was read for: whatever else it
 				// holds whole. The rest waits for the next fill.
 				var ok bool
@@ -102,7 +115,7 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 				args = a
 			} else {
 				if errors.Is(err, redis.ErrProtocol) {
-					reqs = append(reqs, &Request{resp: redis.EncodeError("protocol error: " + err.Error())})
+					scratch = append(scratch, Request{resp: redis.EncodeError("protocol error: " + err.Error())})
 				}
 				open = false // clean close, truncation, or drain deadline
 				break
@@ -116,21 +129,31 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 				break
 			}
 			commands++
-			r := c.request(args)
-			reqs = append(reqs, r)
+			scratch = append(scratch, c.request(args))
+			r := &scratch[len(scratch)-1]
 			if r.resp == nil {
-				bound = append(bound, r)
+				nbound++
 			}
 			if r.Cmd.Op == redis.OpQuit {
 				open = false
 				break
 			}
 		}
-		if len(reqs) == 0 {
+		if len(scratch) == 0 {
 			break // the connection ended between commands
 		}
-		f := fill{reqs: reqs}
-		if len(bound) > 0 {
+		// The fill's requests are one slab, shared by this goroutine, the
+		// writer and the backend's workers; bound points into it.
+		f := fill{reqs: make([]Request, len(scratch))}
+		copy(f.reqs, scratch)
+		clear(scratch)
+		if nbound > 0 {
+			bound := make([]*Request, 0, nbound)
+			for i := range f.reqs {
+				if f.reqs[i].resp == nil {
+					bound = append(bound, &f.reqs[i])
+				}
+			}
 			f.batch = NewBatch(bound)
 			took := s.backend.SubmitBatch(id, f.batch)
 			// Backpressure: what the saturated backend did not take fails
@@ -143,7 +166,8 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 				f.batch = nil
 			}
 		}
-		s.ctr.Pipeline.Observe(uint64(inflight.Add(int64(len(reqs)))))
+		inflight.Add(int64(len(f.reqs)))
+		s.ctr.Pipeline.Observe(uint64(len(f.reqs)))
 		fills <- f
 	}
 	close(fills)
@@ -167,11 +191,11 @@ type connReader struct {
 // set) when the connection answers it itself — a refusal, its own commands,
 // a tenant denial — and stamped for the backend otherwise. Tenant admission
 // runs here, per command, in arrival order.
-func (c *connReader) request(args []string) *Request {
+func (c *connReader) request(args []string) Request {
 	// The one place a command's name is read: everything downstream
 	// dispatches on the resolved table row.
 	cmd := redis.Lookup(args)
-	r := &Request{Args: args, Cmd: cmd}
+	r := Request{Args: args, Cmd: cmd}
 	switch cmd.By {
 	case redis.ByNobody:
 		// Unknown command or wrong arity: refused here, once, before

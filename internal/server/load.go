@@ -370,7 +370,8 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 						}
 						return
 					}
-					nc, br, bw = c, bufio.NewReader(c), bufio.NewWriter(c)
+					// The server's buffer size: a pipeline leaves in one write.
+					nc, br, bw = c, bufio.NewReaderSize(c, ConnBufSize), bufio.NewWriterSize(c, ConnBufSize)
 					for _, p := range owed {
 						_, err := nc.Write(p.wire)
 						if err == nil {

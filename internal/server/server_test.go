@@ -226,7 +226,7 @@ func TestServerPipelinedLoad(t *testing.T) {
 		t.Errorf("per-shard conns sum %d != accepted %d", shardConns, s.ConnsAccepted)
 	}
 	if s.Pipeline.Max < 2 {
-		t.Errorf("pipeline depth never exceeded 1 (max %d) despite pipelined load", s.Pipeline.Max)
+		t.Errorf("no buffer fill held more than 1 command (max %d) despite pipelined load", s.Pipeline.Max)
 	}
 }
 

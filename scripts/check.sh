@@ -43,7 +43,7 @@ go build ./...
 echo "== size budgets (non-test Go lines, counted as the benchmark's repo.nontest_go_loc; document bytes) =="
 # What the tree may weigh. A PR that needs more raises the number here, in
 # the same diff, so lines and prose are spent knowingly and not by accretion.
-budget_loc=26174
+budget_loc=26204
 budget_design=45000
 budget_readme=25600
 budget_skill=15000
@@ -103,6 +103,8 @@ go test -race -count=5 ./internal/tlb ./internal/hw ./internal/core ./internal/s
 # The batch path against the per-command model: runs, MGET parts joining them,
 # and the prefix published while the batch goes on.
 go test -race -count=5 -run 'TestBatchMatchesPerCommand|TestRunOfOneIsTheOldCommand|TestRepliesGoOutInArrivalOrder|TestMGetMatchesModel' ./internal/cluster
+# A fill's requests are one slab the reader, the writer and the workers share.
+go test -race -count=5 -run 'TestFillIsOneBatch|TestPartialCommandWaitsForTheNextFill|TestRepliesGoOutAsTheBackendAnswers|TestPipelineDepthBoundsWhatIsInFlight|TestBackendTakesAPrefix|TestPipelineIsOneFillAndOneWrite' ./internal/server
 
 echo "== benchmark module (compiles against this tree, short tests) =="
 (cd bench && go vet ./... && go test -short ./...)
