@@ -42,8 +42,8 @@ func TestRemoteGetAllocations(t *testing.T) {
 	}
 }
 
-// TestGroupingAllocations: grouping a batch by node runs in scratch space
-// the worker keeps. A pipeline of 16 GETs dealt round robin over three nodes
+// TestGroupingAllocations: grouping a batch by node runs in the plan the
+// worker keeps. A pipeline of 16 GETs dealt round robin over three nodes
 // costs exactly the allocations of the same GETs sorted by node — the same
 // three runs, with nothing to group — and both cost only what is outside the
 // grouping: the batch, each GET's own (its reply; on a remote node also its
@@ -101,7 +101,7 @@ func TestGroupingAllocations(t *testing.T) {
 // paid one allocation per value); run as one command now, it costs 6 and 3.
 // Keys spread over a co-resident and a remote node cost 20 while each MGET
 // fanned out on its own. Split into parts that ride the runs, with the fan's
-// records in the worker's scratch, they cost 9, none of them the fan's:
+// records in the worker's plan, they cost 9, none of them the fan's:
 //
 //	1  server.NewRequest
 //	2  the co-resident part's reply (an array grows past its header)

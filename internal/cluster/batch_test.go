@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"slices"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,43 +110,20 @@ func (g batchRig) kind(n *node, cmd *redis.Command, readonly bool) string {
 	return "endpoint"
 }
 
-// savings walks a pipeline the way the run rules read — between barriers (a
-// write on a migrating slot, anything but a store command), each node's
-// commands in order, an MGET across nodes one command on each node owning a
-// key of it, neighbours among them on one VAS of its store served one way —
-// and returns how many commands ride an earlier one's switch pair (a store's
-// or a frozen view's) and how many an earlier one's frame.
+// savings counts, on the rule's plan of a pipeline (refPlan), the members
+// that ride an earlier one's switch pair (a store's or a frozen view's) or
+// frame: each that follows one of its run served the same way.
 func (g batchRig) savings(pipe []*server.Request) (pairs, frames uint64) {
-	type last struct {
-		write bool
-		kind  string
-	}
-	prev := map[*node]last{} // each node's last command in the segment
-	for _, req := range pipe {
-		var nodes []*node
-		if req.Cmd.Op == redis.OpMGet {
-			for _, k := range req.Cmd.Keys(req.Args) {
-				if n := g.r.nodes[g.r.Owner(g.r.Slot(k))]; !slices.Contains(nodes, n) {
-					nodes = append(nodes, n)
-				}
-			}
-		} else if n := g.r.locate(req); n != nil {
-			nodes = append(nodes, n)
-		}
-		if nodes == nil {
-			clear(prev) // a barrier
-			continue
-		}
-		for _, n := range nodes {
-			now := last{req.Cmd.Write, g.kind(n, req.Cmd, req.Readonly)}
-			if p, ok := prev[n]; ok && p == now {
-				if now.kind == "endpoint" {
+	for _, s := range refPlan(pipe, g.r.locate) {
+		for i := 1; i < len(s.members); i++ {
+			n, req, prev := g.r.nodes[s.node], pipe[s.members[i].at], pipe[s.members[i-1].at]
+			if kind := g.kind(n, req.Cmd, req.Readonly); kind == g.kind(n, prev.Cmd, prev.Readonly) {
+				if kind == "endpoint" {
 					frames++
 				} else {
 					pairs++
 				}
 			}
-			prev[n] = now
 		}
 	}
 	return pairs, frames
@@ -243,7 +220,7 @@ func TestBatchMatchesPerCommand(t *testing.T) {
 				pairs, frames := batch.savings(got)
 				batch.r.execBatch(batch.w, server.NewBatch(got))
 				if batch.pins() {
-					t.Fatalf("pipeline %d: the worker's scratch still points at a request of the finished batch", i)
+					t.Fatalf("pipeline %d %q: the worker's plan still holds something of the finished batch", i, argvs)
 				}
 				for j := range got {
 					if g, w := got[j].Reply(), want[j].Reply(); !bytes.Equal(g, w) {
@@ -279,12 +256,28 @@ func TestBatchMatchesPerCommand(t *testing.T) {
 	}
 }
 
-// pins reports whether the worker's batch scratch, up to its capacity, holds
-// a request: after execBatch that would keep the request's fill, and the
-// replies in it, reachable.
+// pins reports whether the worker's plan still holds anything but a count,
+// in any buffer up to its capacity: after execBatch that would keep the
+// batch's requests (their fill, and the replies in it) or its MGETs' keys
+// reachable.
 func (g batchRig) pins() bool {
-	return slices.ContainsFunc(slices.Concat(g.w.seg[:cap(g.w.seg)], g.w.run[:cap(g.w.run)]),
-		func(s started) bool { return s.req != nil })
+	v := reflect.ValueOf(g.w.plan)
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Slice:
+			for all, j := f.Slice(0, f.Cap()), 0; j < all.Len(); j++ {
+				if !all.Index(j).IsZero() {
+					return true
+				}
+			}
+		case reflect.Int: // a count holds nothing
+		default:
+			if !f.IsZero() {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (g batchRig) counters() [4]uint64 { return (&mgetRig{r: g.r, w: g.w, obs: g.r.obs}).counters() }

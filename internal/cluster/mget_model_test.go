@@ -241,10 +241,13 @@ func newMGetRig(t *testing.T) *mgetRig {
 	return rig
 }
 
-// exec runs one single-key command through the router's own path.
+// exec runs one single-key command through the router's own path, as a
+// batch of one.
 func (g *mgetRig) exec(t *testing.T, args ...string) []byte {
 	t.Helper()
-	resp := g.r.exec1(g.w, redis.Lookup(args), args, false)
+	req := request(false, 0, args...)
+	g.r.execBatch(g.w, server.NewBatch([]*server.Request{req}))
+	resp := req.Reply()
 	if len(resp) == 0 || resp[0] == '-' {
 		t.Fatalf("%q: %q", args, resp)
 	}

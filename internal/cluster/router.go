@@ -1,10 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -48,39 +47,13 @@ type worker struct {
 	// this worker's core cycle counter; only its goroutine touches it.
 	bud overload.Budget
 
-	// The batch in hand: seg is the segment being gathered, done which of the
-	// batch's requests have their reply, answered the prefix of them
-	// published. run is the run being formed, calls its commands as
-	// redis.RunAll takes them, wire their RESP encoding for a remote node. All
-	// are reused from one batch or run to the next (the endpoint copies wire
-	// into the ring before the call returns), so grouping allocates nothing.
-	seg      []started
-	done     []bool
-	answered int
-	run      []started
-	calls    []redis.Call
-	wire     []byte
-
-	// The segment's fans and what they point into — the parts' argv, each
-	// key's owner and reply element — and where a part's reply is cut up:
-	// reused like seg, so a fan allocates only its parts' replies and its own.
-	fans   []fan
-	argv   []string
-	owners []int
-	elems  [][]byte
-	split  [][]byte
-}
-
-// fan is an MGET across nodes under way in a segment, split into parts that
-// ride their nodes' runs: started by its first part (startPart), answered by
-// its last (partBack).
-type fan struct {
-	left    int // parts not back yet
-	started bool
-	bud     overload.Budget
-	owners  []int    // each key's owning node, in key order
-	elems   [][]byte // each key's element of the reply, once its part is back
-	reply   []byte   // the refusal that answers the whole MGET, once a part earns one
+	// plan is the batch in hand; calls are a run's commands as redis.RunAll
+	// takes them, wire their RESP encoding for a remote node. All three are
+	// reused from one batch or run to the next (the endpoint copies wire into
+	// the ring before the call returns), so grouping allocates nothing.
+	plan  plan
+	calls []redis.Call
+	wire  []byte
 }
 
 // maxKeptWire bounds the encoding buffer a worker keeps between commands,
@@ -239,305 +212,319 @@ func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 	return n
 }
 
-// started is one command of a batch — at is its place in it — that a worker
-// has begun, or, in a segment, is about to: budget armed, way in over the
-// network edge charged and, for a store command one node owns, that node and
-// where resolve says it runs. n is nil for what is carried out alone because
-// no one node's store answers it as it stands — a write on a migrating slot —
-// and for what the router answers itself. args is what runs: the request's,
-// or for a part of an MGET across nodes, the part's; fan is then 1 + its
-// fan's index in w.fans, else 0.
-type started struct {
-	req  *server.Request
-	at   int
-	n    *node
-	bud  overload.Budget
-	t    target
-	args []string
-	fan  int
+// plan is the batch in hand, a stretch at a time: planned (make), then walked
+// (walk), which fills in the members' budgets and targets, the fans' replies
+// (each part's cut apart in cut) and which requests are done, publishing the
+// prefix answered. Reused batch after batch: grouping allocates nothing.
+type plan struct {
+	members  []member
+	fans     []fan
+	argv     []string
+	owners   []int
+	elems    [][]byte
+	cut      [][]byte
+	done     []bool
+	answered int
 }
 
-// execBatch carries out a connection's batch. Store commands run under the
-// topology read lock, taken once for the batch — every one resolves against
-// one slot-table epoch and node list, and a slot flip or node append waits
-// out the batch — and let go only around the commands the router answers
-// itself (CLUSTER reads the topology under its own read lock, and nesting
-// read locks around a waiting writer self-deadlocks).
-//
-// Barriers, which nothing crosses, run alone and in place: a write on a
-// migrating slot and anything that is not a store command (what the router
-// answers, a refusal). Between two, the segment of store commands — each one
-// node owns, or a part of an MGET across nodes (split) — runs node by node
-// (execSegment), so a command moves ahead only across commands other nodes
-// own: their keys are disjoint, so the two commute. Replies still go out in
-// arrival order (publish).
-func (r *Router) execBatch(w *worker, b *server.Batch) {
-	w.done, w.answered = append(w.done[:0], make([]bool, len(b.Reqs))...), 0
-	locked, seg := false, w.seg[:0]
-	for i, req := range b.Reqs {
-		if store := req.Cmd.By == redis.ByStore; store != locked {
-			seg = r.execSegment(w, b, seg)
-			if locked = store; store {
-				r.topoMu.RLock()
-			} else {
-				r.topoMu.RUnlock()
+// member is a command of the stretch, at its place in the batch, or a part of
+// an MGET across nodes, whose fan is then fans[fan-1]: node owns its keys, args
+// is what runs. The plan is steps: each starts at a member marked step and is
+// a run, one node's members, all reads or all writes, or a barrier, a write on
+// a slot migrating (mig) off its node, run alone. The walk sets bud, the
+// member's budget, and t, where it runs.
+type member struct {
+	req  *server.Request
+	at   int
+	node int
+	args []string
+	fan  int
+	step bool
+	mig  *migration
+	bud  overload.Budget
+	t    target
+}
+
+// fan is an MGET across nodes: begun by its first part, answered by its last.
+type fan struct {
+	owners  []int // each key's owning node, in key order
+	left    int   // parts not back yet
+	started bool
+	bud     overload.Budget
+	elems   [][]byte // each key's element of the reply, once its part is back
+	reply   []byte   // the refusal that answers the whole MGET, once a part earns one
+}
+
+// make plans the stretch of store commands that starts at reqs[lo] and returns
+// where it ends. It is pure: locate says which node owns a key and, while its
+// slot migrates, the migration; nothing is counted or resolved. A write on a
+// migrating slot is a barrier; between two, a segment goes node by node (runs).
+func (p *plan) make(reqs []*server.Request, lo int, locate func(key string) (int, *migration)) (hi int) {
+	p.members, p.fans, p.argv, p.owners, p.elems = p.members[:0], p.fans[:0], p.argv[:0], p.owners[:0], p.elems[:0]
+	seg := 0 // where the segment being gathered starts in members
+	for hi = lo; hi < len(reqs) && reqs[hi].Cmd.By == redis.ByStore; hi++ {
+		m := member{req: reqs[hi], at: hi, args: reqs[hi].Args}
+		if m.req.Cmd.Op == redis.OpMGet {
+			p.mget(m, locate)
+			continue
+		}
+		var mig *migration
+		if m.node, mig = locate(m.args[m.req.Cmd.FirstKey]); mig != nil && m.req.Cmd.Write {
+			p.runs(seg)
+			m.step, m.mig, seg = true, mig, len(p.members)+1
+		}
+		p.members = append(p.members, m)
+	}
+	p.runs(seg)
+	return hi
+}
+
+// mget adds an MGET to the segment: whole when one node owns every key, else
+// as a fan of parts, one per owning node in node-id order, each an MGET of that
+// node's keys in key order (a migrating slot's keys are its source's).
+func (p *plan) mget(m member, locate func(string) (int, *migration)) {
+	keys, at := m.req.Cmd.Keys(m.args), len(p.owners)
+	for _, k := range keys {
+		o, _ := locate(k)
+		p.owners = append(p.owners, o)
+	}
+	lo, hi := slices.Min(p.owners[at:]), slices.Max(p.owners[at:])
+	if lo == hi {
+		p.owners, m.node = p.owners[:at], lo
+		p.members = append(p.members, m)
+		return
+	}
+	e := len(p.elems)
+	p.elems = append(p.elems, make([][]byte, len(keys))...)
+	p.fans = append(p.fans, fan{owners: p.owners[at:], elems: p.elems[e:]})
+	f := &p.fans[len(p.fans)-1]
+	for m.fan, m.node = len(p.fans), lo; m.node <= hi; m.node++ {
+		if !slices.Contains(f.owners, m.node) {
+			continue
+		}
+		a := len(p.argv)
+		p.argv = append(p.argv, m.req.Cmd.Name)
+		for i, o := range f.owners {
+			if o == m.node {
+				p.argv = append(p.argv, keys[i])
 			}
 		}
-		s := started{req: req, at: i, args: req.Args}
-		if req.Cmd.Op == redis.OpMGet {
-			seg = r.split(w, seg, s)
-		} else if s.n = r.locate(req); s.n != nil {
-			seg = append(seg, s)
-		} else {
-			seg = r.execSegment(w, b, seg)
-			w.run = append(w.run[:0], r.start(w, s))
-			r.execRun(w, b, w.run)
+		m.args = p.argv[a:]
+		p.members = append(p.members, m)
+		f.left++
+	}
+}
+
+// runs orders the segment gathered at members[seg:] node by node — nodes in
+// the order they first appear, each one's members in arrival order: a member
+// moves ahead only across other nodes', disjoint keys, so the two commute —
+// and starts a run at each node and wherever Cmd.Write flips, as reads and
+// writes use different VASes of a store.
+func (p *plan) runs(seg int) {
+	end := len(p.members)
+	for i := seg; i < end; i++ {
+		n := p.members[i].node
+		if n < 0 {
+			continue // laid out with an earlier node's
+		}
+		for j := i; j < end; j++ {
+			if p.members[j].node != n {
+				continue
+			}
+			m := p.members[j]
+			m.step = j == i || m.req.Cmd.Write != p.members[len(p.members)-1].req.Cmd.Write
+			p.members = append(p.members, m)
+			p.members[j].node = -1
 		}
 	}
-	w.seg = r.execSegment(w, b, seg)
-	if locked {
+	p.members = append(p.members[:seg], p.members[end:]...)
+}
+
+// locate is what plan.make asks of the topology, under its read lock: the
+// node owning key's slot and, while the slot migrates, the migration.
+func (r *Router) locate(key string) (int, *migration) {
+	slot := r.Slot(key)
+	return r.Owner(slot), r.migs[slot].Load()
+}
+
+// execBatch carries out a connection's batch. A command the router answers
+// itself runs alone, outside the topology read lock (CLUSTER takes it, and
+// nesting read locks around a waiting writer self-deadlocks). The stretch of
+// store commands up to the next one is planned and walked under the read lock
+// taken once for it: a slot flip or node append waits out the stretch, and the
+// next stretch, planned after it, sees it. Replies go out in arrival order.
+func (r *Router) execBatch(w *worker, b *server.Batch) {
+	p := &w.plan
+	p.done, p.answered = append(p.done[:0], make([]bool, len(b.Reqs))...), 0
+	for lo, hi := 0, 0; lo < len(b.Reqs); lo = hi {
+		if req := b.Reqs[lo]; req.Cmd.By != redis.ByStore {
+			r.execAlone(w, b, member{req: req, at: lo}, nil)
+			hi = lo + 1
+			continue
+		}
+		r.topoMu.RLock()
+		hi = p.make(b.Reqs, lo, r.locate)
+		r.walk(w, b)
 		r.topoMu.RUnlock()
 	}
 	if len(b.Reqs) == 0 {
 		b.Answered(0) // RemoveNode's empty batch: taken up, nothing to answer
 	}
-	// Past len the scratch still points at this batch's requests: it would pin
-	// their fill's slab, and every reply in it, until a later batch as long
-	// overwrote them.
-	clear(w.seg[:cap(w.seg)])
-	clear(w.run[:cap(w.run)])
+	p.reset()
 }
 
-// execSegment carries out a segment node by node — the nodes in the order
-// they first appear, each one's commands in arrival order — and returns it
-// emptied for reuse. Maximal neighbours in a node's commands that need the
-// same VAS of its store (reads the read-only one, writes the read-write one)
-// and resolve to the same copy, reached the same way, form a run: one switch
-// pair and one lock acquisition on a co-resident store or a promoted standby,
-// one switch into a frozen view, one urpc frame under one hold of the node's
-// mutex to a remote primary. A refusal goes alone; so does a frame that would
-// outgrow the ring. A part of an MGET whose answer is settled is not sent.
-func (r *Router) execSegment(w *worker, b *server.Batch, seg []started) []started {
-	for i := range seg {
-		n := seg[i].n
-		if n == nil {
-			continue // carried out with an earlier node's
+// walk carries out the planned steps, each member begun at its turn. What only
+// resolution knows still cuts a run: a member resolved another way than its
+// head, a refusal, a frame that would outgrow the ring. A part of a settled
+// MGET is not sent. A run forms in place, over members already carried out.
+func (r *Router) walk(w *worker, b *server.Batch) {
+	p := &w.plan
+	run, size := p.members[:0], 0 // the run being formed, and its size on the wire
+	flush := func() {
+		if len(run) > 0 {
+			r.execRun(w, b, r.nodes[run[0].node], run)
+			run, size = run[:0], 0
 		}
-		run, size := w.run[:0], 0 // the run being formed, and its size on the wire
-		flush := func() {
-			if len(run) > 0 {
-				r.execRun(w, b, run)
-				run, size = run[:0], 0
-			}
+	}
+	for _, m := range p.members {
+		n, wire := r.nodes[m.node], redis.CommandSize(m.args)
+		if m.step || len(run) > 0 && run[0].t.ep != nil && urpc.Lines(size+wire) > ringSlots {
+			flush()
 		}
-		for j := i; j < len(seg); j++ {
-			if seg[j].n != n {
-				continue
-			}
-			s, wire := seg[j], redis.CommandSize(seg[j].args)
-			if len(run) > 0 && (s.req.Cmd.Write != run[0].req.Cmd.Write ||
-				run[0].t.ep != nil && urpc.Lines(size+wire) > ringSlots) {
-				flush()
-			}
-			seg[j].n = nil // under way
-			if s.fan == 0 {
-				s = r.start(w, s)
-			} else if !r.startPart(w, &s) {
-				r.finish(w, &s, nil)
-				w.publish(b)
-				continue
-			}
-			if len(run) > 0 && !s.t.joins(run[0].t) {
-				flush() // resolved another way than the run it would have joined
-			}
-			run, size = append(run, s), size+wire
-			if s.t.refusal != nil {
-				flush() // nothing can join it
-			}
-		}
-		flush()
-		w.run = run
-	}
-	if len(w.fans) > 0 {
-		clear(w.fans) // they and elems hold the parts' replies
-		clear(w.elems)
-		w.fans, w.argv, w.owners, w.elems = w.fans[:0], w.argv[:0], w.owners[:0], w.elems[:0]
-	}
-	return seg[:0]
-}
-
-// locate returns the node that owns a store command's key (an MGET's go to
-// split) — nil for a write on a migrating slot (see started), and for a
-// command no store is behind. For a store command the caller holds the
-// topology read lock.
-func (r *Router) locate(req *server.Request) *node {
-	if req.Cmd.By != redis.ByStore {
-		return nil
-	}
-	slot := r.Slot(req.Args[req.Cmd.FirstKey])
-	if req.Cmd.Write && r.migs[slot].Load() != nil {
-		return nil
-	}
-	return r.nodes[r.Owner(slot)]
-}
-
-// split adds an MGET to the segment: whole when one node owns every key, else
-// as a fan of parts, one per owning node in node-id order, each an MGET of
-// that node's keys in key order and a member of its node's run — moving only
-// across other nodes' commands, as any member does (an MGET across nodes was
-// never atomic). The caller holds the topology read lock: every key resolves
-// against one table epoch, a migrating slot's against its source.
-func (r *Router) split(w *worker, seg []started, s started) []started {
-	keys := s.req.Cmd.Keys(s.req.Args)
-	at, lo, hi := len(w.owners), len(r.nodes), -1
-	for _, k := range keys {
-		o := r.Owner(r.Slot(k))
-		w.owners = append(w.owners, o)
-		lo, hi = min(lo, o), max(hi, o)
-	}
-	if lo == hi {
-		w.owners = w.owners[:at]
-		s.n = r.nodes[lo]
-		return append(seg, s)
-	}
-	e := len(w.elems)
-	w.elems = append(w.elems, make([][]byte, len(keys))...)
-	w.fans = append(w.fans, fan{owners: w.owners[at:], elems: w.elems[e:]})
-	f := &w.fans[len(w.fans)-1]
-	s.fan = len(w.fans)
-	for nid := lo; nid <= hi; nid++ {
-		a := len(w.argv)
-		w.argv = append(w.argv, s.req.Cmd.Name)
-		for i, o := range f.owners {
-			if o == nid {
-				w.argv = append(w.argv, keys[i])
-			}
-		}
-		if len(w.argv) == a+1 { // nid owns none of the keys
-			w.argv = w.argv[:a]
+		if m.mig != nil {
+			r.execAlone(w, b, m, n)
 			continue
 		}
-		s.n, s.args = r.nodes[nid], w.argv[a:]
-		seg = append(seg, s)
-		f.left++
+		if !r.begin(w, n, &m) {
+			r.finish(w, &m, nil)
+			p.publish(b)
+			continue
+		}
+		if len(run) > 0 && !m.t.joins(run[0].t) {
+			flush()
+		}
+		if run, size = append(run, m), size+wire; m.t.refusal != nil {
+			flush()
+		}
 	}
-	return seg
+	flush()
 }
 
-// start begins s: it arms the request's deadline budget against this
-// worker's core — every cycle the worker burns from here on drains it —
-// charges the command's way in over the network edge and, when s.n owns its
-// keys, resolves where it runs.
-func (r *Router) start(w *worker, s started) started {
-	w.bud = overload.Arm(s.req.Deadline, w.th.Core.Cycles())
+// execAlone carries out a write on a slot migrating off node n or, with no
+// migration, a command the router answers itself or refuses.
+func (r *Router) execAlone(w *worker, b *server.Batch, m member, n *node) {
+	cmd, args := m.req.Cmd, m.req.Args
+	m.bud = w.arm(m.req)
+	var reply []byte
+	switch {
+	case m.mig != nil:
+		reply = r.migratingWrite(w, n, m.mig, m.req)
+	case cmd.Op == redis.OpClusterSlots:
+		reply = r.clusterSlotsReply()
+	case cmd.Op == redis.OpClusterNodes:
+		reply = r.clusterNodesReply()
+	case cmd.By == redis.ByRouter:
+		reply = redis.Run(nil, cmd, args) // PING, ECHO
+	default:
+		reply = cmd.Refusal(args) // before any node is touched
+	}
+	r.finish(w, &m, reply)
+	w.plan.publish(b)
+}
+
+// arm arms req's budget against this worker's core — every cycle the worker
+// burns from here on drains it — and charges its way in over the network edge.
+func (w *worker) arm(req *server.Request) overload.Budget {
+	w.bud = overload.Arm(req.Deadline, w.th.Core.Cycles())
 	var size int
-	for _, a := range s.req.Args {
+	for _, a := range req.Args {
 		size += len(a)
 	}
 	w.th.Core.AddCycles(server.EdgeCycles(size))
-	s.bud = w.bud
-	if s.n != nil {
-		s.t = r.resolve(w, s.n, s.req.Cmd, s.req.Readonly)
-	}
-	return s
+	return w.bud
 }
 
-// startPart begins a part of a fan. The first part started arms the MGET's
-// budget and charges its whole way in; every part re-checks the budget before
-// it resolves, since the parts — and the other nodes' commands run between
-// them — drain it. false: the MGET's answer is settled (a part was refused, or
-// the budget ran out), and this part is neither resolved nor sent.
-func (r *Router) startPart(w *worker, s *started) bool {
-	f := &w.fans[s.fan-1]
-	if !f.started {
-		f.started, f.bud = true, r.start(w, started{req: s.req}).bud // no node: no resolve
+// begin begins m on node n and resolves where it runs. A part's budget is its
+// MGET's, armed by the first part begun, and re-checked by every part before
+// it resolves. false: the MGET is settled (a part was refused, or the budget
+// ran out), and this part is neither resolved nor sent.
+func (r *Router) begin(w *worker, n *node, m *member) bool {
+	if m.fan == 0 {
+		m.bud = w.arm(m.req)
+	} else {
+		f := &w.plan.fans[m.fan-1]
+		if !f.started {
+			f.started, f.bud = true, w.arm(m.req)
+		}
+		w.bud, m.bud = f.bud, f.bud
+		if now := w.th.Core.Cycles(); f.reply == nil && w.bud.Exhausted(now) {
+			r.ctr.Overload.DeadlineExpired.Add(1)
+			f.reply = redis.EncodeDeadline(fmt.Sprintf(
+				"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
+		}
+		if f.reply != nil {
+			return false
+		}
 	}
-	w.bud, s.bud = f.bud, f.bud
-	if now := w.th.Core.Cycles(); f.reply == nil && w.bud.Exhausted(now) {
-		r.ctr.Overload.DeadlineExpired.Add(1)
-		f.reply = redis.EncodeDeadline(fmt.Sprintf(
-			"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
-	}
-	if f.reply != nil {
-		return false
-	}
-	s.t = r.resolve(w, s.n, s.req.Cmd, s.req.Readonly)
+	m.t = r.resolve(w, n, m.req.Cmd, m.req.Readonly)
 	return true
 }
 
-// execRun carries out the run the worker formed — or the one command that
-// formed none — under the tightest of its members' budgets, finishes the
-// members in order and publishes what that answered.
-func (r *Router) execRun(w *worker, b *server.Batch, run []started) {
-	req := run[0].req
+// execRun carries out a run on node n under the tightest of its members'
+// budgets, finishes the members in order and publishes what that answered.
+func (r *Router) execRun(w *worker, b *server.Batch, n *node, run []member) {
 	calls := w.calls[:0]
 	now := w.th.Core.Cycles()
 	for i := range run {
-		s := &run[i]
-		calls = append(calls, redis.Call{Cmd: s.req.Cmd, Args: s.args})
-		if s.bud.Active() && (!w.bud.Active() || s.bud.Remaining(now) < w.bud.Remaining(now)) {
-			w.bud = s.bud
+		m := &run[i]
+		calls = append(calls, redis.Call{Cmd: m.req.Cmd, Args: m.args})
+		if m.bud.Active() && (!w.bud.Active() || m.bud.Remaining(now) < w.bud.Remaining(now)) {
+			w.bud = m.bud
 		}
 	}
-	switch {
-	case run[0].n != nil:
-		r.serve(w, run[0].n, run[0].t, calls)
-	case req.Cmd.By == redis.ByStore:
-		calls[0].Reply = r.exec1(w, req.Cmd, req.Args, req.Readonly)
-	case req.Cmd.Op == redis.OpClusterSlots:
-		calls[0].Reply = r.clusterSlotsReply()
-	case req.Cmd.Op == redis.OpClusterNodes:
-		calls[0].Reply = r.clusterNodesReply()
-	case req.Cmd.By == redis.ByRouter:
-		calls[0].Reply = redis.Run(nil, req.Cmd, req.Args) // PING, ECHO
-	default:
-		// Refused before any node is touched.
-		calls[0].Reply = req.Cmd.Refusal(req.Args)
-	}
+	r.serve(w, n, run[0].t, calls)
 	for i := range run {
 		r.finish(w, &run[i], calls[i].Reply)
 	}
 	clear(calls)
 	w.calls = calls
-	w.publish(b)
+	w.plan.publish(b)
 }
 
-// finish answers s's request with reply: the reply's way out charged (the
-// cycle deltas recorded per mode sit between the two edge charges, so they
-// compare the serving paths themselves), what the budget has left fed to the
-// budget histogram. A part answers only as its fan's last part back; reply is
-// nil for a part not sent.
-func (r *Router) finish(w *worker, s *started, reply []byte) {
-	if s.fan != 0 {
-		if reply = w.partBack(s, reply); reply == nil {
+// finish answers m's request with reply, charging its way out (the per-mode
+// cycle deltas sit between the two edge charges) and recording what its budget
+// has left. A part answers only as its fan's last back; reply is nil for a
+// part not sent.
+func (r *Router) finish(w *worker, m *member, reply []byte) {
+	if m.fan != 0 {
+		if reply = w.plan.partBack(m, reply); reply == nil {
 			return
 		}
 	}
 	w.th.Core.AddCycles(server.EdgeCycles(len(reply)))
-	if s.bud.Active() {
-		r.ctr.Overload.BudgetRemaining.Observe(s.bud.Remaining(w.th.Core.Cycles()))
+	if m.bud.Active() {
+		r.ctr.Overload.BudgetRemaining.Observe(m.bud.Remaining(w.th.Core.Cycles()))
 	}
-	s.req.Finish(reply)
-	w.done[s.at] = true
+	m.req.Finish(reply)
+	w.plan.done[m.at] = true
 }
 
-// partBack takes a part's reply into its fan — cut into encoded elements in
-// place, each put at its key's place — and returns the MGET's reply, joined
-// in key order, once the last part is back; nil until then. The first part
-// refused, in the order the parts ran, answers the whole MGET, and so does a
-// malformed or short reply: a partial MGET would read as missing keys.
-func (w *worker) partBack(s *started, reply []byte) []byte {
-	f := &w.fans[s.fan-1]
+// partBack puts a part's reply elements at their keys' places in its fan and
+// returns the MGET's reply, joined in key order, once the last part is back.
+// The first part refused answers the whole MGET, and so does a malformed or
+// short reply: a partial MGET would read as missing keys.
+func (p *plan) partBack(m *member, reply []byte) []byte {
+	f := &p.fans[m.fan-1]
 	if f.reply == nil {
-		elems, err := redis.SplitArrayReply(w.split[:0], reply)
-		if err == nil && len(elems) != len(s.args)-1 {
+		elems, err := redis.SplitArrayReply(p.cut[:0], reply)
+		if err == nil && len(elems) != len(m.args)-1 {
 			err = errors.New("short MGET reply")
 		}
 		switch {
 		case err == nil:
 			j := 0
 			for i, o := range f.owners {
-				if o == s.n.id {
+				if o == m.node {
 					f.elems[i], j = elems[j], j+1
 				}
 			}
@@ -547,7 +534,7 @@ func (w *worker) partBack(s *started, reply []byte) []byte {
 			f.reply = redis.EncodeError("shard protocol error: " + err.Error())
 		}
 		clear(elems)
-		w.split = elems[:0]
+		p.cut = elems[:0]
 	}
 	if f.left--; f.left > 0 {
 		return nil
@@ -560,15 +547,27 @@ func (w *worker) partBack(s *started, reply []byte) []byte {
 
 // publish publishes the longest prefix of b whose every request has its
 // reply, if it moved: those replies can go out while the rest of b runs.
-func (w *worker) publish(b *server.Batch) {
-	k := w.answered
-	for k < len(w.done) && w.done[k] {
+func (p *plan) publish(b *server.Batch) {
+	k := p.answered
+	for k < len(p.done) && p.done[k] {
 		k++
 	}
-	if k > w.answered {
-		w.answered = k
+	if k > p.answered {
+		p.answered = k
 		b.Answered(k)
 	}
+}
+
+// reset lets go of the batch: past their lengths, too, the buffers would keep
+// its requests (their fill, and every reply in it) and MGET keys reachable.
+func (p *plan) reset() {
+	p.members, p.fans, p.argv, p.owners = wipe(p.members), wipe(p.fans), wipe(p.argv), wipe(p.owners)
+	p.elems, p.cut, p.done = wipe(p.elems), wipe(p.cut), wipe(p.done)
+}
+
+func wipe[S ~[]E, E any](s S) S {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // target is where one command runs, resolved once: exactly one of client,
@@ -723,30 +722,24 @@ func (w *worker) callBudget() uint64 {
 	return rem
 }
 
-// exec1 serves one single-key command on the node owning its slot. Caller
-// holds the topology read lock. A write that lands on a migrating slot
-// serializes through the migration's mutex — executed on the source and
-// recorded in the delta log as one atomic step, so replay order on the
-// target matches store order on the source exactly. Once the migration is
-// fenced (the flip is imminent), writes get the retryable -MOVED; reads
-// keep serving from the still-authoritative source until the flip, so no
-// slot ever goes dark.
-func (r *Router) exec1(w *worker, cmd *redis.Command, args []string, readonly bool) []byte {
-	slot := r.Slot(args[cmd.FirstKey])
-	n := r.nodes[r.Owner(slot)]
-	mig := r.migs[slot].Load()
-	if mig != nil && cmd.Write {
-		mig.mu.Lock()
-		defer mig.mu.Unlock()
-		if mig.fenced.Load() {
-			r.ctr.Migration.MovedRetries.Add(1)
-			return redis.EncodeMoved(slot, mig.dst)
-		}
+// migratingWrite serves a write on a slot migrating off node n: serialized
+// through the migration's mutex, executed on the source and recorded in the
+// delta log as one atomic step, so replay order on the target matches store
+// order on the source exactly. Once the migration is fenced (the flip is
+// imminent), the write gets the retryable -MOVED; reads keep serving from the
+// still-authoritative source until the flip, so no slot ever goes dark. The
+// caller holds the topology read lock.
+func (r *Router) migratingWrite(w *worker, n *node, mig *migration, req *server.Request) []byte {
+	mig.mu.Lock()
+	defer mig.mu.Unlock()
+	if mig.fenced.Load() {
+		r.ctr.Migration.MovedRetries.Add(1)
+		return redis.EncodeMoved(mig.slot, mig.dst)
 	}
-	one := [1]redis.Call{{Cmd: cmd, Args: args}}
-	r.serve(w, n, r.resolve(w, n, cmd, readonly), one[:])
-	if resp := one[0].Reply; mig != nil && cmd.Write && len(resp) > 0 && resp[0] != '-' {
-		mig.delta.record(args)
+	one := [1]redis.Call{{Cmd: req.Cmd, Args: req.Args}}
+	r.serve(w, n, r.resolve(w, n, req.Cmd, req.Readonly), one[:])
+	if resp := one[0].Reply; len(resp) > 0 && resp[0] != '-' {
+		mig.delta.record(req.Args)
 	}
 	return one[0].Reply
 }
@@ -869,50 +862,6 @@ func (w *worker) frozenReaderFor(n *node, v *fork.View) *frozenReader {
 	fr := &frozenReader{view: v, h: h, store: store}
 	w.frozen[nid] = fr
 	return fr
-}
-
-// clusterSlotsReply renders CLUSTER SLOTS: an array of slot ranges, each
-// [start, end, [node-name, node-id]] — the Redis shape with the simulated
-// node's name standing in for host:port.
-func (r *Router) clusterSlotsReply() []byte {
-	ranges := r.PlacementInfo().Ranges
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "*%d\r\n", len(ranges))
-	for _, rg := range ranges {
-		name := fmt.Sprintf("node-%d", rg.Node)
-		fmt.Fprintf(&b, "*3\r\n:%d\r\n:%d\r\n*2\r\n$%d\r\n%s\r\n:%d\r\n",
-			rg.Start, rg.End, len(name), name, rg.Node)
-	}
-	return b.Bytes()
-}
-
-// clusterNodesReply renders CLUSTER NODES: one line per node in the Redis
-// field order (id, address, flags, master, ping, pong, epoch, state, slot
-// ranges), as a bulk string.
-func (r *Router) clusterNodesReply() []byte {
-	placement := r.PlacementInfo()
-	ranges := rangesByNode(placement)
-	var b strings.Builder
-	for _, n := range r.Topology() {
-		addr := fmt.Sprintf("core:%d", n.Core)
-		if n.Local {
-			addr = "local:vas"
-		}
-		flags := "master"
-		if n.Promoted {
-			flags = "master,standby-promoted"
-		}
-		state := "connected"
-		switch {
-		case n.Removed:
-			addr, state = "-", "removed"
-		case n.State != "healthy":
-			state = n.State
-		}
-		line := fmt.Sprintf("node-%d %s %s - 0 0 %d %s %s", n.Node, addr, flags, placement.Version, state, strings.Join(ranges[n.Node], " "))
-		b.WriteString(strings.TrimRight(line, " ") + "\n")
-	}
-	return redis.EncodeBulk([]byte(b.String()))
 }
 
 // remoteError renders a failed remote call. A transport timeout — the typed

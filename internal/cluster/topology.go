@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"strings"
 
+	"spacejmp/internal/redis"
 	"spacejmp/internal/server"
 )
 
@@ -130,4 +132,48 @@ func (r *Router) String() string {
 		}
 	}
 	return b.String()
+}
+
+// clusterSlotsReply renders CLUSTER SLOTS: an array of slot ranges, each
+// [start, end, [node-name, node-id]] — the Redis shape with the simulated
+// node's name standing in for host:port.
+func (r *Router) clusterSlotsReply() []byte {
+	ranges := r.PlacementInfo().Ranges
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "*%d\r\n", len(ranges))
+	for _, rg := range ranges {
+		name := fmt.Sprintf("node-%d", rg.Node)
+		fmt.Fprintf(&b, "*3\r\n:%d\r\n:%d\r\n*2\r\n$%d\r\n%s\r\n:%d\r\n",
+			rg.Start, rg.End, len(name), name, rg.Node)
+	}
+	return b.Bytes()
+}
+
+// clusterNodesReply renders CLUSTER NODES: one line per node in the Redis
+// field order (id, address, flags, master, ping, pong, epoch, state, slot
+// ranges), as a bulk string.
+func (r *Router) clusterNodesReply() []byte {
+	placement := r.PlacementInfo()
+	ranges := rangesByNode(placement)
+	var b strings.Builder
+	for _, n := range r.Topology() {
+		addr := fmt.Sprintf("core:%d", n.Core)
+		if n.Local {
+			addr = "local:vas"
+		}
+		flags := "master"
+		if n.Promoted {
+			flags = "master,standby-promoted"
+		}
+		state := "connected"
+		switch {
+		case n.Removed:
+			addr, state = "-", "removed"
+		case n.State != "healthy":
+			state = n.State
+		}
+		line := fmt.Sprintf("node-%d %s %s - 0 0 %d %s %s", n.Node, addr, flags, placement.Version, state, strings.Join(ranges[n.Node], " "))
+		b.WriteString(strings.TrimRight(line, " ") + "\n")
+	}
+	return redis.EncodeBulk([]byte(b.String()))
 }
