@@ -203,9 +203,6 @@ func (s *shell) run(args []string) error {
 			fmt.Printf("seg %-12s id=%d %v +%d %v\n", name, sid, seg.Base, seg.Size, seg.Perm())
 		}
 	case "stats":
-		st := s.th.Core.Stats()
-		fmt.Printf("cycles=%d tlb-hits=%d tlb-misses=%d faults=%d cr3-loads=%d switches=%d\n",
-			s.th.Core.Cycles(), st.TLBHits, st.TLBMisses, st.Faults, st.CR3Loads, s.sys.Switches())
 		return s.sys.Stats().WriteText(os.Stdout)
 	case "trace":
 		for _, ev := range s.sys.Tracer().Events() {

@@ -23,6 +23,7 @@ const (
 
 func main() {
 	sys := spacejmp.NewDragonFly(spacejmp.DefaultMachine())
+	sys.EnableStats(0) // counts the MMU events read at the end
 	proc, err := sys.NewProcess(spacejmp.Creds{UID: 1, GID: 1})
 	if err != nil {
 		log.Fatal(err)
@@ -77,7 +78,6 @@ func main() {
 		}
 		fmt.Printf("window %d: *%v = %#x\n", w, windowBase, v)
 	}
-	st := th.Core.Stats()
 	fmt.Printf("switches=%d, TLB misses=%d (tags keep translations across switches)\n",
-		sys.Switches(), st.TLBMisses)
+		sys.Switches(), sys.Stats().Cores[th.Core.ID].TLBMisses)
 }

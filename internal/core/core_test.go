@@ -8,6 +8,7 @@ import (
 
 	"spacejmp/internal/arch"
 	"spacejmp/internal/hw"
+	"spacejmp/internal/stats"
 )
 
 // testPersonality is a permissive OS personality with nominal costs.
@@ -56,6 +57,13 @@ func spawn(t testing.TB, sys *System) (*Process, *Thread) {
 		t.Fatal(err)
 	}
 	return p, th
+}
+
+// counted returns the row of the thread's core in the sink, installing one on
+// the first call: its misses and faults count from there, exact at any time.
+func counted(th *Thread) stats.CoreSnap {
+	th.Proc.sys.Sink()
+	return th.Proc.sys.Stats().Cores[th.Core.ID]
 }
 
 // segBase returns a global-segment base in PML4 slot 256+i.
@@ -432,7 +440,7 @@ func TestVASCtlTagging(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		th.Core.ResetStats()
+		before := counted(th).TLBMisses
 		for _, i := range []int{0, 1} {
 			if err := th.VASSwitch(hs[i]); err != nil {
 				t.Fatal(err)
@@ -441,7 +449,7 @@ func TestVASCtlTagging(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return th.Core.Stats().TLBMisses
+		return counted(th).TLBMisses - before
 	}
 
 	if m := pingPongMisses(); m == 0 {
@@ -503,7 +511,7 @@ func TestTaggedPrimaries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	th.Core.ResetStats()
+	before := counted(th).TLBMisses
 	if err := th.VASSwitch(h); err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +524,7 @@ func TestTaggedPrimaries(t *testing.T) {
 	if _, err := th.Load64(GlobalsBase); err != nil {
 		t.Fatal(err)
 	}
-	if m := th.Core.Stats().TLBMisses; m != 0 {
+	if m := counted(th).TLBMisses - before; m != 0 {
 		t.Errorf("tagged primary round trip missed %d times", m)
 	}
 }
@@ -539,18 +547,17 @@ func TestCachedTranslationsAttach(t *testing.T) {
 	if err := th.VASSwitch(h); err != nil {
 		t.Fatal(err)
 	}
-	// Access works through the linked subtree with no page faults at all.
-	th.Core.ResetStats()
+	// Access works through the linked subtree with no page faults at all,
+	// and the space's own page table sets no entry for it.
+	faults, set := counted(th).Faults, th.Space().Table().Stats().EntriesSet
 	if err := th.Store64(segBase(2)+64, 9); err != nil {
 		t.Fatal(err)
 	}
-	if f := th.Core.Stats().Faults; f != 0 {
+	if f := counted(th).Faults - faults; f != 0 {
 		t.Errorf("faults through cached translations = %d", f)
 	}
-	// And the space's own page table allocated no leaf tables for it.
-	st := th.Space().Stats()
-	if st.PagesMaped != 0 {
-		t.Errorf("cached attach still mapped %d pages", st.PagesMaped)
+	if n := th.Space().Table().Stats().EntriesSet - set; n != 0 {
+		t.Errorf("cached attach still set %d PTEs", n)
 	}
 }
 

@@ -123,14 +123,9 @@ func (sys *System) EnableStats(traceCap int) *stats.Sink {
 	return sys.M.EnableStats(traceCap)
 }
 
-// Sink returns the live stats sink, first installing one with no trace ring
-// if the machine has none: what a serving stack, which always counts, asks for.
-func (sys *System) Sink() *stats.Sink {
-	if s := sys.M.Observer(); s != nil {
-		return s
-	}
-	return sys.EnableStats(0)
-}
+// Sink returns the live stats sink, installing one if the machine has none
+// (hw.Machine.Sink).
+func (sys *System) Sink() *stats.Sink { return sys.M.Sink() }
 
 // Stats returns an immutable snapshot of every observability counter,
 // completed with the syscall-layer totals, or nil when stats are disabled.

@@ -71,8 +71,8 @@ type Result struct {
 	Switches  uint64 // address-space switches (SpaceJMP)
 	TLBMisses uint64
 	Faults    uint64
-	// Stats is the observability delta over the measured section, when the
-	// system's stats sink is enabled (nil otherwise).
+	// Stats is the observability delta over the measured section (SpaceJMP),
+	// whose per-core rows TLBMisses and Faults are read from.
 	Stats *stats.Snapshot
 }
 
@@ -168,7 +168,7 @@ func RunSpaceJMP(sys *core.System, cfg Config) (Result, error) {
 		}
 	}
 	stream := newStream(cfg)
-	th.Core.ResetStats()
+	sys.Sink() // installed if off: the misses and faults are its per-core rows
 	statsBefore := sys.Stats()
 	startCycles := th.Core.Cycles()
 	startSwitches := sys.Switches()
@@ -195,15 +195,16 @@ func RunSpaceJMP(sys *core.System, cfg Config) (Result, error) {
 			}
 		}
 	}
-	st := th.Core.Stats()
+	delta := sys.Stats().Delta(statsBefore)
+	row := delta.Cores[th.Core.ID]
 	r := Result{
 		Design:    "SpaceJMP",
 		Updates:   uint64(cfg.Visits * cfg.UpdateSet),
 		Cycles:    th.Core.Cycles() - startCycles,
 		Switches:  sys.Switches() - startSwitches,
-		TLBMisses: st.TLBMisses,
-		Faults:    st.Faults,
-		Stats:     sys.Stats().Delta(statsBefore),
+		TLBMisses: row.TLBMisses,
+		Faults:    row.Faults,
+		Stats:     delta,
 	}
 	// Tear down the segments so repeated runs can reuse the names.
 	for w := 0; w < cfg.Windows; w++ {
@@ -256,7 +257,8 @@ func RunMAP(m *hw.Machine, cfg Config) (Result, error) {
 	c := m.Cores[0]
 	c.LoadCR3(space.Table(), arch.ASIDFlush)
 	c.OnFault = space.Handler()
-	c.ResetStats()
+	m.Sink() // installed if off: the misses and faults are its per-core rows
+	before := m.StatsSnapshot()
 	start := c.Cycles()
 	stream := newStream(cfg)
 	cur := -1
@@ -287,13 +289,13 @@ func RunMAP(m *hw.Machine, cfg Config) (Result, error) {
 			}
 		}
 	}
-	st := c.Stats()
+	row := m.StatsSnapshot().Delta(before).Cores[c.ID]
 	return finish(Result{
 		Design:    "MAP",
 		Updates:   uint64(cfg.Visits * cfg.UpdateSet),
 		Cycles:    c.Cycles() - start,
-		TLBMisses: st.TLBMisses,
-		Faults:    st.Faults,
+		TLBMisses: row.TLBMisses,
+		Faults:    row.Faults,
 	}, m), nil
 }
 
@@ -329,7 +331,6 @@ func RunMP(m *hw.Machine, cfg Config) (Result, error) {
 				return Result{}, err
 			}
 		}
-		sc.ResetStats()
 		sl := &slave{space: space}
 		sl.ep = urpc.Connect(m, 0, coreID, 64, func(req []byte) []byte {
 			// Apply the batch of 8-byte offsets to the local window.
@@ -349,10 +350,11 @@ func RunMP(m *hw.Machine, cfg Config) (Result, error) {
 		slaves[w] = sl
 	}
 	master := m.Cores[0]
+	m.Sink() // installed if off: the misses and faults are its per-core rows
+	before := m.StatsSnapshot()
 	start := master.Cycles()
 	stream := newStream(cfg)
 	buf := make([]byte, cfg.UpdateSet*8)
-	var misses uint64
 	for v := 0; v < cfg.Visits; v++ {
 		w, offsets := stream.next()
 		for i, off := range offsets {
@@ -367,13 +369,16 @@ func RunMP(m *hw.Machine, cfg Config) (Result, error) {
 		}
 		master.AddCycles(mpiRoundTrip)
 	}
-	for _, sl := range slaves {
-		misses += sl.ep.ServerCore().Stats().TLBMisses
+	r := Result{
+		Design:  "MP",
+		Updates: uint64(cfg.Visits * cfg.UpdateSet),
+		Cycles:  master.Cycles() - start,
 	}
-	return finish(Result{
-		Design:    "MP",
-		Updates:   uint64(cfg.Visits * cfg.UpdateSet),
-		Cycles:    master.Cycles() - start,
-		TLBMisses: misses,
-	}, m), nil
+	delta := m.StatsSnapshot().Delta(before)
+	for _, sl := range slaves {
+		row := delta.Cores[sl.ep.ServerCore().ID]
+		r.TLBMisses += row.TLBMisses
+		r.Faults += row.Faults
+	}
+	return finish(r, m), nil
 }

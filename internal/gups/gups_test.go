@@ -165,6 +165,52 @@ func TestRepeatedRunsOnOneSystem(t *testing.T) {
 	}
 }
 
+// TestCountsPinned pins the TLB misses and faults every design reports over its
+// measured section. Figure 8 prints MUPS only, and Figure 9 and the ablations
+// SpaceJMP's misses only, so no golden holds the rest. MAP and MP ignore the
+// tag setting; their rows with it on must read the same.
+func TestCountsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		design         string
+		windows        int
+		tags           bool
+		misses, faults uint64
+	}{
+		{"SpaceJMP", 1, false, 805, 0},
+		{"SpaceJMP", 1, true, 795, 0},
+		{"SpaceJMP", 4, false, 979, 0},
+		{"SpaceJMP", 4, true, 940, 0},
+		{"MAP", 1, false, 805, 0},
+		{"MAP", 1, true, 805, 0},
+		{"MAP", 4, false, 805, 0},
+		{"MAP", 4, true, 805, 0},
+		{"MP", 1, false, 795, 0},
+		{"MP", 1, true, 795, 0},
+		{"MP", 4, false, 766, 0},
+		{"MP", 4, true, 766, 0},
+	} {
+		cfg := smallCfg(tc.windows)
+		cfg.UseTags = tc.tags
+		var r Result
+		var err error
+		switch tc.design {
+		case "SpaceJMP":
+			r, err = RunSpaceJMP(kernel.New(gupsMachine()), cfg)
+		case "MAP":
+			r, err = RunMAP(gupsMachine(), cfg)
+		case "MP":
+			r, err = RunMP(gupsMachine(), cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.TLBMisses != tc.misses || r.Faults != tc.faults {
+			t.Errorf("%s, %d windows, tags %v: %d TLB misses, %d faults; want %d, %d",
+				tc.design, tc.windows, tc.tags, r.TLBMisses, r.Faults, tc.misses, tc.faults)
+		}
+	}
+}
+
 func TestMPNeedsEnoughCores(t *testing.T) {
 	if _, err := RunMP(gupsMachine(), smallCfg(100)); err == nil {
 		t.Error("MP with more windows than cores accepted")

@@ -155,6 +155,16 @@ func (m *Machine) DisableStats() { m.setObserver(nil) }
 // record their own events through it.
 func (m *Machine) Observer() *stats.Sink { return m.obs }
 
+// Sink returns the live stats sink, first installing one with no trace ring if
+// the machine has none: what a serving stack, which always counts, or a reader
+// of the per-core MMU counts asks for.
+func (m *Machine) Sink() *stats.Sink {
+	if m.obs == nil {
+		return m.EnableStats(0)
+	}
+	return m.obs
+}
+
 func (m *Machine) setObserver(s *stats.Sink) {
 	m.obs = s
 	m.PM.SetObserver(s)
@@ -218,14 +228,6 @@ func (m *Machine) CyclesToNs(cycles uint64) float64 {
 	return float64(cycles) / m.Cfg.GHz
 }
 
-// CoreStats counts per-core MMU events.
-type CoreStats struct {
-	TLBHits   uint64
-	TLBMisses uint64
-	Faults    uint64
-	CR3Loads  uint64
-}
-
 // PageFault is delivered when a translation is absent or permissions are
 // insufficient. The OS personality's fault handler decides whether to
 // populate the mapping and retry.
@@ -255,7 +257,6 @@ type Core struct {
 	table   *pt.Table // the address space CR3 points at
 	asid    arch.ASID
 	cycles  uint64
-	stats   CoreStats
 
 	// The L0 (DESIGN.md "The per-core L0"): copies of TLB entries the core
 	// hits without telling the TLB or the sink, and what it owes them.
@@ -302,7 +303,6 @@ func (c *Core) hit(va arch.VirtAddr, kind arch.Access, k uint64) (pa arch.PhysAd
 	}
 	cost := &c.machine.Cfg.Cost
 	c.cycles += k * (cost.TLBHit + cost.MemAccess)
-	c.stats.TLBHits += k
 	c.deferred += k
 	s.last = c.deferred
 	c.dirty |= 1 << i
@@ -361,7 +361,7 @@ func (c *Core) settle() {
 // Machine returns the machine this core belongs to.
 func (c *Core) Machine() *Machine { return c.machine }
 
-// Cycles returns the core's consumed cycle count; like Stats, exact for its goroutine.
+// Cycles returns the core's consumed cycle count, exact for its goroutine.
 func (c *Core) Cycles() uint64 { return c.cycles }
 
 // AddCycles charges work to the core (used by OS personalities for syscall
@@ -375,12 +375,6 @@ func (c *Core) AddCyclesCat(cat stats.Cat, n uint64) {
 	c.cycles += n
 	c.cobs.AddCycles(cat, n)
 }
-
-// Stats returns a snapshot of the core's MMU counters.
-func (c *Core) Stats() CoreStats { return c.stats }
-
-// ResetStats clears the MMU counters.
-func (c *Core) ResetStats() { c.settle(); c.stats = CoreStats{}; c.TLB.ResetStats() }
 
 // ASID returns the currently loaded address-space tag.
 func (c *Core) ASID() arch.ASID { return c.asid }
@@ -401,7 +395,6 @@ func (c *Core) Table() *pt.Table { return c.table }
 // real tag the TLB is retained and the write costs more cycles (Table 2).
 func (c *Core) LoadCR3(t *pt.Table, asid arch.ASID) {
 	c.settle() // the deferred hits were under the tag being left
-	c.stats.CR3Loads++
 	c.cobs.CR3Load()
 	cost := &c.machine.Cfg.Cost
 	if asid == arch.ASIDFlush {
@@ -426,7 +419,6 @@ func (c *Core) LoadCR3(t *pt.Table, asid arch.ASID) {
 func (c *Core) Translate(va arch.VirtAddr, access arch.Access) (arch.PhysAddr, error) {
 	pa, err := c.translateOnce(va, access)
 	if f, ok := err.(*PageFault); ok && c.OnFault != nil {
-		c.stats.Faults++
 		c.cobs.Fault()
 		if err = c.OnFault(c, f); err == nil {
 			pa, err = c.translateOnce(va, access)
@@ -443,7 +435,6 @@ func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAdd
 	e := c.TLB.Probe(c.asid, va, n, touched)
 	if e != nil && e.Perm.Allows(access.Perm()) {
 		c.probed(n+1, n+1)
-		c.stats.TLBHits++
 		c.cache(va, e, epoch)
 		return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), nil
 	}
@@ -456,7 +447,6 @@ func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAdd
 			c.sink.TLBFlush(n)
 		}
 	}
-	c.stats.TLBMisses++
 	c.cobs.TLBMiss(c.asid)
 	if c.table == nil {
 		return 0, &PageFault{VA: va, Access: access, Cause: fmt.Errorf("no address space loaded")}
@@ -557,8 +547,6 @@ func DeltaPT(before, after pt.Stats) pt.Stats {
 		TablesFreed:     after.TablesFreed - before.TablesFreed,
 		EntriesSet:      after.EntriesSet - before.EntriesSet,
 		EntriesCleared:  after.EntriesCleared - before.EntriesCleared,
-		Walks:           after.Walks - before.Walks,
-		WalkRefs:        after.WalkRefs - before.WalkRefs,
 	}
 }
 

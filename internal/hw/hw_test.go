@@ -7,11 +7,21 @@ import (
 
 	"spacejmp/internal/arch"
 	"spacejmp/internal/pt"
+	"spacejmp/internal/stats"
 )
 
+// testMachine boots the small machine with its sink on before anything runs.
 func testMachine(t *testing.T) *Machine {
 	t.Helper()
-	return NewMachine(SmallTest())
+	m := NewMachine(SmallTest())
+	m.EnableStats(0)
+	return m
+}
+
+// counted returns core c's MMU counts since the machine booted, settled.
+func counted(c *Core) stats.CoreSnap {
+	c.settle()
+	return c.machine.StatsSnapshot().Cores[c.ID]
 }
 
 func mapped(t *testing.T, m *Machine, va arch.VirtAddr, perm arch.Perm) *pt.Table {
@@ -99,14 +109,13 @@ func TestTLBFillOnMiss(t *testing.T) {
 	c := m.Cores[0]
 	tbl := mapped(t, m, 0x4000, arch.PermRW)
 	c.LoadCR3(tbl, arch.ASIDFlush)
-	c.ResetStats()
 	if _, err := c.Load64(0x4000); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Load64(0x4010); err != nil {
 		t.Fatal(err)
 	}
-	s := c.Stats()
+	s := counted(c)
 	if s.TLBMisses != 1 || s.TLBHits != 1 {
 		t.Errorf("misses=%d hits=%d, want 1/1", s.TLBMisses, s.TLBHits)
 	}
@@ -122,11 +131,11 @@ func TestCR3FlushSemantics(t *testing.T) {
 	}
 	// Untagged reload flushes: next access misses again.
 	c.LoadCR3(tbl, arch.ASIDFlush)
-	c.ResetStats()
+	before := counted(c).TLBMisses
 	if _, err := c.Load64(0x4000); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().TLBMisses != 1 {
+	if counted(c).TLBMisses != before+1 {
 		t.Error("untagged CR3 load did not flush the TLB")
 	}
 	// Tagged reload retains: access hits.
@@ -135,11 +144,11 @@ func TestCR3FlushSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.LoadCR3(tbl, 5)
-	c.ResetStats()
+	before = counted(c).TLBMisses
 	if _, err := c.Load64(0x4000); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().TLBMisses != 0 {
+	if counted(c).TLBMisses != before {
 		t.Error("tagged CR3 load flushed the TLB")
 	}
 }
@@ -205,8 +214,8 @@ func TestFaultHandlerRetries(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("fault handler calls = %d", calls)
 	}
-	if c.Stats().Faults != 1 {
-		t.Errorf("fault count = %d", c.Stats().Faults)
+	if f := counted(c).Faults; f != 1 {
+		t.Errorf("fault count = %d", f)
 	}
 }
 
@@ -296,7 +305,7 @@ func TestTaggedSwitchingKeepsBothTranslations(t *testing.T) {
 	if _, err := c.Load64(va); err != nil {
 		t.Fatal(err)
 	}
-	c.ResetStats()
+	before := counted(c).TLBMisses
 	c.LoadCR3(t1, 1)
 	if _, err := c.Load64(va); err != nil {
 		t.Fatal(err)
@@ -305,8 +314,8 @@ func TestTaggedSwitchingKeepsBothTranslations(t *testing.T) {
 	if _, err := c.Load64(va); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.TLBMisses != 0 {
-		t.Errorf("tagged ping-pong missed %d times", s.TLBMisses)
+	if m := counted(c).TLBMisses - before; m != 0 {
+		t.Errorf("tagged ping-pong missed %d times", m)
 	}
 }
 
@@ -330,11 +339,11 @@ func TestGlobalEntriesSurviveUntaggedSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.LoadCR3(tbl, arch.ASIDFlush) // flush
-	c.ResetStats()
+	before := counted(c).TLBMisses
 	if _, err := c.Load64(0x4000); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().TLBMisses != 0 {
+	if counted(c).TLBMisses != before {
 		t.Error("global (kernel) translation did not survive the flush")
 	}
 }

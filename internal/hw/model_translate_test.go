@@ -9,7 +9,7 @@ import (
 )
 
 // The access path as it stood before the L0: every access takes the TLB's
-// lock for one counted lookup and reports its cycles and its hit or miss to
+// lock for one lookup and reports its cycles and its hit or miss to
 // the sink as it happens. It is kept as the reference the differential tests
 // run a second machine on: an L0 hit is by construction a hit here, so the
 // two machines must agree on every modelled number after every access. A core
@@ -24,7 +24,6 @@ func refTranslate(c *Core, va arch.VirtAddr, access arch.Access) (arch.PhysAddr,
 	if !ok || c.OnFault == nil {
 		return 0, err
 	}
-	c.stats.Faults++
 	c.cobs.Fault()
 	if herr := c.OnFault(c, f); herr != nil {
 		return 0, herr
@@ -38,7 +37,6 @@ func refTranslateOnce(c *Core, va arch.VirtAddr, access arch.Access) (arch.PhysA
 	c.cobs.AddCycles(stats.CatTLBProbe, cost.TLBHit)
 	if e, ok := c.TLB.Lookup(c.asid, va); ok {
 		if e.Perm.Allows(access.Perm()) {
-			c.stats.TLBHits++
 			c.cobs.TLBHits(c.asid, 1)
 			return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), nil
 		}
@@ -46,7 +44,6 @@ func refTranslateOnce(c *Core, va arch.VirtAddr, access arch.Access) (arch.PhysA
 			c.sink.TLBFlush(n)
 		}
 	}
-	c.stats.TLBMisses++
 	c.cobs.TLBMiss(c.asid)
 	if c.table == nil {
 		return 0, &PageFault{VA: va, Access: access, Cause: fmt.Errorf("no address space loaded")}

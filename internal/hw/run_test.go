@@ -11,6 +11,7 @@ import (
 	"spacejmp/internal/arch"
 	"spacejmp/internal/mem"
 	"spacejmp/internal/pt"
+	"spacejmp/internal/stats"
 )
 
 // The run-length accesses are defined as these loops, which is what every
@@ -101,8 +102,8 @@ type runOS struct {
 	c      *Core
 	spaces [2]*runSpace
 	cur    int
-	parent bool      // accesses take the reference path
-	before CoreStats // what ResetStats has cleared from the core's counters
+	parent bool   // accesses take the reference path
+	joined uint64 // the core's cycles when the sink it reports to was installed
 }
 
 type runSpace struct {
@@ -286,26 +287,51 @@ func (os *runOS) content(va arch.VirtAddr, n int) []byte {
 // observed is everything the model defines about a machine after an access.
 type observed struct {
 	Cycles uint64
-	Core   CoreStats
-	TLB    any
-	Snap   any // the whole stats snapshot: every Cat, per-ASID counters, nvm.*
+	MMU    any // mmuCounts, with stats on
+	Snap   any // the whole stats snapshot, settled: every Cat, per-ASID counters, nvm.*
 	Mem    mem.Stats
 }
 
-// observe reads the machine. What the core owns is exact at any time, and so
-// is the TLB's hit count once the hits the core still owes it are added; the
-// sink is comparable only settled, which observe does if asked to — seldom
-// enough that CR3 writes, faults and shootdowns also land on a core that owes.
+// mmuCounts is what the sink holds of the MMU's events: the core's row without
+// its cycles, the per-tag counters and the TLB totals.
+type mmuCounts struct {
+	Core  stats.CoreSnap
+	ASIDs map[arch.ASID]stats.ASIDSnap
+	TLB   stats.TLBSnap
+}
+
+// mmu reads the MMU's counts from the sink (nil with stats off), with the hits
+// the core still owes it added where its next settle will put them: every
+// other count is published as it happens, so these are exact at any time.
+func (os *runOS) mmu() any {
+	snap := os.m.StatsSnapshot()
+	if snap == nil {
+		return nil
+	}
+	m := mmuCounts{Core: snap.Cores[0], ASIDs: snap.ASIDs, TLB: snap.TLB}
+	m.Core.Cycles, m.Core.ByCat = 0, nil
+	if owed := os.c.deferred; owed > 0 {
+		a := m.ASIDs[os.c.asid]
+		a.Hits += owed
+		m.ASIDs[os.c.asid] = a
+		m.Core.TLBHits += owed
+		m.TLB.Hits += owed
+	}
+	return m
+}
+
+// observe reads the machine: the core's cycles and the MMU's counts after every
+// access, and, if asked to settle, the whole snapshot, which is comparable only
+// settled. A test asks at every CR3 write, which settles anyway, and otherwise
+// seldom enough that faults and shootdowns also land on a core that owes.
 func (os *runOS) observe(settle bool) observed {
-	tl := os.c.TLB.Stats()
-	tl.Hits += os.c.deferred
-	o := observed{Cycles: os.c.Cycles(), Core: os.c.Stats(), TLB: tl, Mem: os.m.PM.Stats()}
+	o := observed{Cycles: os.c.Cycles(), MMU: os.mmu(), Mem: os.m.PM.Stats()}
 	if !settle {
 		return o
 	}
 	os.c.settle() // nothing to do on the reference machine
-	if o.TLB = os.c.TLB.Stats(); o.TLB != tl {
-		panic(fmt.Sprintf("settling moved the TLB's statistics from %+v (owed hits included) to %+v", tl, o.TLB))
+	if m := os.mmu(); !reflect.DeepEqual(m, o.MMU) {
+		panic(fmt.Sprintf("settling moved the MMU's counts from %+v (owed hits included) to %+v", o.MMU, m))
 	}
 	if snap := os.m.StatsSnapshot(); snap != nil {
 		o.Snap = *snap
@@ -334,8 +360,7 @@ func runLength(rng *rand.Rand) int {
 // word at a time down the path kept in model_translate_test.go. After every
 // operation, once the first has settled, the two must agree on the outcome
 // (words done, error, bytes loaded), on every modelled counter — cycles, MMU
-// events, the TLB's own statistics, every category and per-tag counter of the
-// sink — and on memory.
+// events, every category and per-tag counter of the sink — and on memory.
 func TestRunLengthIsTheSameMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -351,7 +376,7 @@ func TestRunLengthIsTheSameMachine(t *testing.T) {
 }
 
 // agree fails unless the twins have counted the same and, settled with stats
-// on, the machine under test has published exactly what its core holds.
+// on, the machine under test has published exactly the cycles its core holds.
 func agree(t *testing.T, pair [2]*runOS, settle bool, when string) {
 	t.Helper()
 	g, w := pair[0].observe(settle), pair[1].observe(settle)
@@ -359,10 +384,8 @@ func agree(t *testing.T, pair [2]*runOS, settle bool, when string) {
 		t.Fatalf("%s: machines diverge\nunder test: %+v\nreference:  %+v", when, g, w)
 	}
 	if snap := pair[0].m.StatsSnapshot(); settle && snap != nil {
-		c, st, was := snap.Cores[0], pair[0].c.Stats(), pair[0].before
-		if c.Cycles != g.Cycles || c.TLBHits != was.TLBHits+st.TLBHits || c.TLBMisses != was.TLBMisses+st.TLBMisses ||
-			c.Faults != was.Faults+st.Faults || c.CR3Loads != was.CR3Loads+st.CR3Loads {
-			t.Fatalf("%s: published %+v, the core holds %d cycles %+v", when, c, g.Cycles, st)
+		if c := snap.Cores[0]; c.Cycles != g.Cycles-pair[0].joined {
+			t.Fatalf("%s: published %+v, the core holds %d cycles, %d of them since the sink", when, c, g.Cycles, g.Cycles-pair[0].joined)
 		}
 	}
 }
@@ -374,7 +397,7 @@ func runDifferential(t *testing.T, seed int64, withStats bool, ops int) {
 	rng := rand.New(rand.NewSource(seed))
 	var runs, faulted, short int
 	for op := 0; op < ops; op++ {
-		desc := ""
+		desc, switched := "", false
 		switch r := rng.Intn(100); {
 		case r < 6:
 			// Switch address space: untagged flushes, tagged keeps entries.
@@ -382,7 +405,7 @@ func runDifferential(t *testing.T, seed int64, withStats bool, ops int) {
 				os.cur = 1 - os.cur
 				os.c.LoadCR3(os.spaces[os.cur].table, os.spaces[os.cur].asid)
 			}
-			desc = fmt.Sprintf("switch to space %d", fast.cur)
+			desc, switched = fmt.Sprintf("switch to space %d", fast.cur), true
 		case r < 9:
 			// A read-only page changes permission under a cached entry.
 			va := runBase + arch.VirtAddr((7+16*rng.Intn(smallPages/16))*arch.PageSize)
@@ -464,7 +487,7 @@ func runDifferential(t *testing.T, seed int64, withStats bool, ops int) {
 				short++
 			}
 		}
-		agree(t, pair, rng.Intn(5) == 0 || op == ops-1, fmt.Sprintf("seed %d op %d %s", seed, op, desc))
+		agree(t, pair, rng.Intn(5) == 0 || switched || op == ops-1, fmt.Sprintf("seed %d op %d %s", seed, op, desc))
 	}
 	// Everything, once more, through physical memory.
 	for cur := 0; cur < 2; cur++ {
@@ -474,14 +497,11 @@ func runDifferential(t *testing.T, seed int64, withStats bool, ops int) {
 			t.Fatalf("seed %d: final memory of space %d differs", seed, cur)
 		}
 	}
-	st := fast.c.TLB.Stats()
-	if runs < ops/2 || faulted == 0 || faulted == runs || short == 0 || st.Evictions == 0 || st.Misses == 0 {
-		t.Errorf("seed %d exercised too little: %d runs, %d faulted, %d short, tlb %+v", seed, runs, faulted, short, st)
+	if runs < ops/2 || faulted == 0 || faulted == runs || short == 0 {
+		t.Errorf("seed %d exercised too little: %d runs, %d faulted, %d short", seed, runs, faulted, short)
 	}
-	if withStats {
-		if nvm := fast.m.StatsSnapshot().NVM; nvm.Writes == 0 {
-			t.Errorf("seed %d: no NVM writes counted", seed)
-		}
+	if snap := fast.m.StatsSnapshot(); withStats && (snap.TLB.Evictions == 0 || snap.TLB.Misses == 0 || snap.NVM.Writes == 0) {
+		t.Errorf("seed %d exercised too little: tlb %+v, nvm %+v", seed, snap.TLB, snap.NVM)
 	}
 }
 
@@ -551,7 +571,7 @@ func TestRunLengthNamedCases(t *testing.T) {
 func TestL0NamedCases(t *testing.T) {
 	page := func(i int) arch.VirtAddr { return runBase + arch.VirtAddr(i*arch.PageSize) }
 	type step struct {
-		do   string // "load", "store", "switch", "protect", "shoot" (a remote FlushPage), "reset" (ResetStats)
+		do   string // "load", "store", "switch", "protect", "shoot" (a remote FlushPage), "sink" (a new one: counters reset)
 		va   arch.VirtAddr
 		l0   bool // the L0 serves it
 		fail bool // the access faults for good
@@ -623,7 +643,7 @@ func TestL0NamedCases(t *testing.T) {
 		}},
 		{"counters reset while the core owes", []step{
 			{do: "load", va: page(1)}, {do: "load", va: page(1) + 8, l0: true, owe: true}, {do: "load", va: page(1) + 16, l0: true, owe: true},
-			{do: "reset"}, {do: "load", va: page(1) + 24, l0: true},
+			{do: "sink"}, {do: "load", va: page(1) + 24, l0: true},
 		}},
 		{"a global 1 GiB entry across an untagged CR3 write", []step{
 			{do: "load", va: giantBase + 0x5000}, {do: "load", va: giantBase + 0x5008, l0: true},
@@ -653,9 +673,9 @@ func TestL0NamedCases(t *testing.T) {
 						errs[j] = os.protect(st.va)
 					case "shoot":
 						os.c.TLB.FlushPage(os.spaces[os.cur].asid, st.va)
-					case "reset":
-						os.before = os.c.Stats()
-						os.c.ResetStats()
+					case "sink":
+						os.m.EnableStats(0)
+						os.joined = os.c.Cycles()
 					}
 				}
 				if (errs[0] != nil) != st.fail || fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
@@ -704,7 +724,7 @@ func TestSnapshotWhileCoresRun(t *testing.T) {
 	}
 	<-done
 	os.c.settle()
-	if c := os.m.StatsSnapshot().Cores[0]; c.Cycles != os.c.Cycles() || c.TLBHits != os.c.Stats().TLBHits {
-		t.Errorf("after the last settle the snapshot has %+v, the core %d cycles %+v", c, os.c.Cycles(), os.c.Stats())
+	if c := os.m.StatsSnapshot().Cores[0]; c.Cycles != os.c.Cycles() || c.TLBHits+c.TLBMisses != 200_000 {
+		t.Errorf("after the last settle the snapshot has %+v; the core has %d cycles, and the test issued 200000 loads", c, os.c.Cycles())
 	}
 }

@@ -8,16 +8,14 @@ import (
 	"spacejmp/internal/stats"
 )
 
-// Stats counts page-table activity, used by the Figure 1 reproduction.
-// WalkRefs accumulates the table nodes the hardware walker referenced
-// across all walks — the paper's "page-table nodes touched" metric.
+// Stats counts the table's page-table manipulation: the kernel work
+// hw.Core.ChargePT charges cycles for (a walk is counted in the sink alone,
+// stats.PTCounters).
 type Stats struct {
 	TablesAllocated uint64
 	TablesFreed     uint64
 	EntriesSet      uint64
 	EntriesCleared  uint64
-	Walks           uint64
-	WalkRefs        uint64
 }
 
 // Table is one address space's translation structure: a root (PML4) frame
@@ -169,8 +167,6 @@ type WalkResult struct {
 // number of walker references issued, so the MMU can charge miss cycles.
 func (t *Table) Walk(va arch.VirtAddr) (WalkResult, error) {
 	r, err := t.walk(va)
-	t.stats.Walks++
-	t.stats.WalkRefs += uint64(r.Refs)
 	t.obs.Walk(r.Refs)
 	return r, err
 }

@@ -3,15 +3,17 @@
 // trace-event table, threaded through the simulated hardware (hw, tlb, pt,
 // mem), the VM layer, the OS personalities and the serving stack.
 //
-// Two contracts. The substrate pays nothing when stats are off: every
-// component holds an optional *Sink (or a sub-counter pointer taken from one)
-// and consults it unconditionally; its recording methods are safe on a nil
-// receiver and reduce to one pointer comparison — the pattern package fault
-// uses for its registry. A serving stack always has a sink (cluster.New and
-// server.NewWithBackend install one), so the serving layers hold their blocks
-// (Sink.Server, Sink.Cluster, Sink.Tenant) and count into them field by field
-// where the event is known; a method remains only for an event that also goes
-// to the trace ring. All mutation is sync/atomic either way, so counters can
+// Two contracts. The substrate counts each event once, here, and pays nothing
+// when stats are off: every component holds an optional *Sink (or a
+// sub-counter pointer taken from one) and consults it unconditionally; its
+// recording methods are safe on a nil receiver and reduce to one pointer
+// comparison — the pattern package fault uses for its registry. A component
+// keeps a count of its own only where the cost model charges from it
+// (pt.Stats, which hw.Core.ChargePT turns into cycles). A serving stack always
+// has a sink (cluster.New and server.NewWithBackend install one), so the
+// serving layers hold their blocks (Sink.Server, Sink.Cluster, Sink.Tenant)
+// and count into them field by field where the event is known; a method
+// remains only for an event that also goes to the trace ring. All mutation is sync/atomic either way, so counters can
 // be read mid-run from any goroutine.
 //
 // Cycle accounting is by category (Cat): the hardware attributes every

@@ -8,10 +8,9 @@ import "spacejmp/internal/arch"
 // eviction attribution, flushed-entry counts) that the generation-stamped
 // TLB must reproduce step by step.
 type refTLB struct {
-	cfg   Config
-	sets  [][]refEntry
-	tick  uint64
-	stats Stats
+	cfg  Config
+	sets [][]refEntry
+	tick uint64
 }
 
 type refEntry struct {
@@ -39,12 +38,10 @@ func (r *refTLB) Lookup(asid arch.ASID, va arch.VirtAddr) (Entry, bool) {
 			e := &set[i]
 			if e.valid && e.PageSize == ps && e.VPN == vpn && (e.Global || e.ASID == asid) {
 				e.used = r.tick
-				r.stats.Hits++
 				return e.Entry, true
 			}
 		}
 	}
-	r.stats.Misses++
 	return Entry{}, false
 }
 
@@ -70,7 +67,6 @@ func (r *refTLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr,
 	var victimASID arch.ASID
 	evicted := false
 	if set[victim].valid && (set[victim].VPN != vpn || set[victim].ASID != asid) {
-		r.stats.Evictions++
 		victimASID, evicted = set[victim].ASID, true
 	}
 	set[victim] = refEntry{
@@ -90,7 +86,6 @@ func (r *refTLB) flush(match func(e *refEntry) bool) int {
 		for i := range set {
 			if set[i].valid && match(&set[i]) {
 				set[i].valid = false
-				r.stats.FlushedEntries++
 				n++
 			}
 		}
@@ -99,12 +94,10 @@ func (r *refTLB) flush(match func(e *refEntry) bool) int {
 }
 
 func (r *refTLB) FlushAll() int {
-	r.stats.Flushes++
 	return r.flush(func(e *refEntry) bool { return !e.Global })
 }
 
 func (r *refTLB) FlushASID(asid arch.ASID) int {
-	r.stats.Flushes++
 	return r.flush(func(e *refEntry) bool { return e.ASID == asid })
 }
 
@@ -117,7 +110,6 @@ func (r *refTLB) FlushPage(asid arch.ASID, va arch.VirtAddr) int {
 			e := &set[i]
 			if e.valid && e.PageSize == ps && e.VPN == vpn && e.ASID == asid {
 				e.valid = false
-				r.stats.FlushedEntries++
 				n++
 			}
 		}

@@ -42,15 +42,6 @@ type Entry struct {
 	used uint64 // LRU timestamp
 }
 
-// Stats counts TLB activity.
-type Stats struct {
-	Hits           uint64
-	Misses         uint64
-	Evictions      uint64
-	Flushes        uint64
-	FlushedEntries uint64
-}
-
 // TLB is a single-level, set-associative translation cache. Only the owning
 // core looks up and inserts, so the clock, the LRU stamps and what an entry
 // translates change on its goroutine alone, and its lookups (Probe, Settle)
@@ -79,9 +70,6 @@ type TLB struct {
 	// large counts the slots holding a 2 MiB or 1 GiB entry, live or not. Only
 	// Insert changes it, so the owner reads it unlocked and a flush under mu.
 	large int
-	// hits and misses are the owner's, read by Stats; stats holds the rest.
-	hits, misses atomic.Uint64
-	stats        Stats
 }
 
 // New creates a TLB with the given geometry.
@@ -103,24 +91,6 @@ func New(cfg Config) *TLB {
 // Capacity returns the number of entries the TLB can hold.
 func (t *TLB) Capacity() int { return t.cfg.Sets * t.cfg.Ways }
 
-// Stats returns a snapshot of the activity counters.
-func (t *TLB) Stats() Stats {
-	t.mu.Lock()
-	st := t.stats
-	t.mu.Unlock()
-	st.Hits, st.Misses = t.hits.Load(), t.misses.Load()
-	return st
-}
-
-// ResetStats clears the activity counters (entries are kept).
-func (t *TLB) ResetStats() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stats = Stats{}
-	t.hits.Store(0)
-	t.misses.Store(0)
-}
-
 func (t *TLB) setFor(vpn uint64) []Entry {
 	return t.sets[vpn&uint64(t.cfg.Sets-1)]
 }
@@ -138,7 +108,6 @@ func (t *TLB) invalidate(e *Entry) {
 		t.nonGlobal--
 	}
 	atomic.StoreUint64(&e.gen, 0)
-	t.stats.FlushedEntries++
 	t.epoch.Add(1)
 }
 
@@ -155,10 +124,10 @@ func (t *TLB) sizes() []uint64 {
 	return pageSizes[:]
 }
 
-// find is one counted lookup, counted with the settled deferred hits before it:
-// the clock advances, and the probe is a hit that renews the entry's LRU stamp
-// or a miss. Global entries match any ASID. Only the owner calls it.
-func (t *TLB) find(asid arch.ASID, va arch.VirtAddr, settled uint64) *Entry {
+// find is one lookup: the clock advances, and the probe is a hit that renews the
+// entry's LRU stamp or a miss. Global entries match any ASID. Only the owner
+// calls it.
+func (t *TLB) find(asid arch.ASID, va arch.VirtAddr) *Entry {
 	t.tick++
 	gen := t.gen.Load()
 	for _, ps := range t.sizes() {
@@ -168,15 +137,10 @@ func (t *TLB) find(asid arch.ASID, va arch.VirtAddr, settled uint64) *Entry {
 			e := &set[i]
 			if e.VPN == vpn && e.PageSize == ps && (e.Global || e.ASID == asid) && live(e, gen) {
 				e.used = t.tick
-				t.hits.Add(settled + 1)
 				return e
 			}
 		}
 	}
-	if settled > 0 {
-		t.hits.Add(settled)
-	}
-	t.misses.Add(1)
 	return nil
 }
 
@@ -186,7 +150,7 @@ func (t *TLB) find(asid arch.ASID, va arch.VirtAddr, settled uint64) *Entry {
 func (t *TLB) Lookup(asid arch.ASID, va arch.VirtAddr) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e := t.find(asid, va, 0); e != nil {
+	if e := t.find(asid, va); e != nil {
 		return *e, true
 	}
 	return Entry{}, false
@@ -199,22 +163,16 @@ type Touch struct {
 	Last uint64
 }
 
-// stamp is the clock of the n lookups the owner's L0 answered since the last
-// settle, all hits: the clock advances by n, and each entry that served any
-// takes the stamp its latest would have given it (the later, if listed twice: a
-// large page behind two L0 slots; a flush may have taken it since).
-func (t *TLB) stamp(n uint64, touched []Touch) {
+// Settle leaves the TLB where the deferred batch's n lookups, all hits the
+// owner's L0 answered since the last settle, would have: the clock advances by
+// n, and each entry that served any takes the stamp its latest would have given
+// it (the later, if listed twice: a large page behind two L0 slots; a flush may
+// have taken it since). Only the owner calls it, without a lock.
+func (t *TLB) Settle(n uint64, touched []Touch) {
 	for _, x := range touched {
 		x.E.used = max(x.E.used, t.tick+x.Last)
 	}
 	t.tick += n
-}
-
-// Settle leaves the TLB where the deferred batch's n lookups would have. Only
-// the owner calls it, without a lock.
-func (t *TLB) Settle(n uint64, touched []Touch) {
-	t.stamp(n, touched)
-	t.hits.Add(n)
 }
 
 // Probe is the lookup behind the owner's L0: the deferred batch is settled, then
@@ -223,8 +181,8 @@ func (t *TLB) Settle(n uint64, touched []Touch) {
 // lock. The caller reads Epoch first: a flush after that makes its copy stale
 // from birth, never good (see TLB).
 func (t *TLB) Probe(asid arch.ASID, va arch.VirtAddr, n uint64, touched []Touch) *Entry {
-	t.stamp(n, touched)
-	return t.find(asid, va, n)
+	t.Settle(n, touched)
+	return t.find(asid, va)
 }
 
 // Epoch returns the flush epoch an L0 copy is valid in.
@@ -263,9 +221,6 @@ func (t *TLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr, pa
 	if live(v, gen) {
 		was = *v
 		evicted = v.VPN != vpn || v.ASID != asid
-		if evicted {
-			t.stats.Evictions++
-		}
 		if !v.Global {
 			t.nonGlobal--
 		}
@@ -293,9 +248,7 @@ func (t *TLB) Insert(asid arch.ASID, base arch.VirtAddr, frame arch.PhysAddr, pa
 func (t *TLB) FlushAll() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.stats.Flushes++
 	n := t.nonGlobal
-	t.stats.FlushedEntries += uint64(n)
 	t.nonGlobal = 0
 	t.gen.Add(1) // before the epoch (see TLB)
 	t.epoch.Add(1)
@@ -307,7 +260,6 @@ func (t *TLB) FlushAll() int {
 func (t *TLB) FlushASID(asid arch.ASID) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.stats.Flushes++
 	n, gen := 0, t.gen.Load()
 	for _, set := range t.sets {
 		for i := range set {

@@ -57,15 +57,14 @@ func TestFlushAllKeepsGlobal(t *testing.T) {
 	tl := small()
 	tl.Insert(1, 0x1000, 0x9000, arch.PageSize, arch.PermRW, false)
 	tl.Insert(1, 0x2000, 0xA000, arch.PageSize, arch.PermRW, true)
-	tl.FlushAll()
+	if n := tl.FlushAll(); n != 1 {
+		t.Errorf("FlushAll invalidated %d entries, want 1", n)
+	}
 	if _, ok := tl.Lookup(1, 0x1000); ok {
 		t.Error("non-global entry survived flush")
 	}
 	if _, ok := tl.Lookup(1, 0x2000); !ok {
 		t.Error("global entry flushed")
-	}
-	if tl.Stats().Flushes != 1 || tl.Stats().FlushedEntries != 1 {
-		t.Errorf("flush stats = %+v", tl.Stats())
 	}
 }
 
@@ -73,7 +72,9 @@ func TestFlushASID(t *testing.T) {
 	tl := small()
 	tl.Insert(1, 0x1000, 0x9000, arch.PageSize, arch.PermRW, false)
 	tl.Insert(2, 0x1000, 0xB000, arch.PageSize, arch.PermRW, false)
-	tl.FlushASID(1)
+	if n := tl.FlushASID(1); n != 1 {
+		t.Errorf("FlushASID invalidated %d entries, want 1", n)
+	}
 	if _, ok := tl.Lookup(1, 0x1000); ok {
 		t.Error("ASID 1 entry survived its flush")
 	}
@@ -86,7 +87,9 @@ func TestFlushPage(t *testing.T) {
 	tl := small()
 	tl.Insert(3, 0x1000, 0x9000, arch.PageSize, arch.PermRW, false)
 	tl.Insert(3, 0x2000, 0xA000, arch.PageSize, arch.PermRW, false)
-	tl.FlushPage(3, 0x1abc)
+	if n := tl.FlushPage(3, 0x1abc); n != 1 {
+		t.Errorf("FlushPage invalidated %d entries, want 1", n)
+	}
 	if _, ok := tl.Lookup(3, 0x1000); ok {
 		t.Error("flushed page still hits")
 	}
@@ -114,16 +117,15 @@ func TestSameASIDDistinctEntries(t *testing.T) {
 func TestReinsertRefreshesInPlace(t *testing.T) {
 	tl := small()
 	tl.Insert(1, 0x1000, 0x9000, arch.PageSize, arch.PermRead, false)
-	tl.Insert(1, 0x1000, 0x9000, arch.PageSize, arch.PermRW, false)
+	if _, was, evicted := tl.Insert(1, 0x1000, 0x9000, arch.PageSize, arch.PermRW, false); evicted || was.Perm != arch.PermRead {
+		t.Errorf("reinsert displaced %+v, evicted %v; want the old entry, refreshed in place", was, evicted)
+	}
 	if tl.Live() != 1 {
 		t.Errorf("reinsert duplicated the entry: %d live", tl.Live())
 	}
 	e, _ := tl.Lookup(1, 0x1000)
 	if e.Perm != arch.PermRW {
 		t.Errorf("reinsert did not update perms: %v", e.Perm)
-	}
-	if tl.Stats().Evictions != 0 {
-		t.Error("reinsert counted as eviction")
 	}
 }
 
@@ -132,15 +134,14 @@ func TestLRUEviction(t *testing.T) {
 	tl.Insert(1, 0x1000, 0x1000, arch.PageSize, arch.PermRW, false)
 	tl.Insert(1, 0x2000, 0x2000, arch.PageSize, arch.PermRW, false)
 	tl.Lookup(1, 0x1000) // make 0x2000 the LRU
-	tl.Insert(1, 0x3000, 0x3000, arch.PageSize, arch.PermRW, false)
+	if _, was, evicted := tl.Insert(1, 0x3000, 0x3000, arch.PageSize, arch.PermRW, false); !evicted || was.VPN != 2 {
+		t.Errorf("insert into a full set displaced %+v, evicted %v; want the LRU entry evicted", was, evicted)
+	}
 	if _, ok := tl.Lookup(1, 0x1000); !ok {
 		t.Error("recently used entry evicted")
 	}
 	if _, ok := tl.Lookup(1, 0x2000); ok {
 		t.Error("LRU entry survived")
-	}
-	if tl.Stats().Evictions != 1 {
-		t.Errorf("evictions = %d", tl.Stats().Evictions)
 	}
 }
 
@@ -153,14 +154,10 @@ func TestCapacityBehaviour(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tl.Insert(1, arch.VirtAddr(i*arch.PageSize), arch.PhysAddr(i*arch.PageSize), arch.PageSize, arch.PermRW, false)
 	}
-	tl.ResetStats()
 	for i := 0; i < n; i++ {
 		if _, ok := tl.Lookup(1, arch.VirtAddr(i*arch.PageSize)); !ok {
 			t.Fatalf("entry %d missing with working set == capacity", i)
 		}
-	}
-	if s := tl.Stats(); s.Misses != 0 {
-		t.Errorf("misses with in-capacity working set = %d", s.Misses)
 	}
 }
 

@@ -97,6 +97,8 @@ func TestCOWWriteFaultThroughMMU(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer space.Destroy()
+	sink := m.EnableStats(0)
+	space.SetObserver(sink)
 	base, err := space.Map(0x10000, 4*arch.PageSize, arch.PermRW, clone, 0, MapFixed)
 	if err != nil {
 		t.Fatal(err)
@@ -121,15 +123,15 @@ func TestCOWWriteFaultThroughMMU(t *testing.T) {
 	if v, _ := m.PM.Load64(f2 + 8); v != 4242 {
 		t.Errorf("source page modified: %d", v)
 	}
-	if space.Stats().COWBreaks != 1 {
-		t.Errorf("COW breaks = %d", space.Stats().COWBreaks)
+	if n := sink.Snapshot().VM.COWBreaks; n != 1 {
+		t.Errorf("COW breaks = %d", n)
 	}
 	// Subsequent writes to the same page do not fault again.
-	faults := space.Stats().Faults
+	faults := sink.Snapshot().VM.Faults
 	if err := c.Store64(va+16, 1); err != nil {
 		t.Fatal(err)
 	}
-	if space.Stats().Faults != faults {
+	if sink.Snapshot().VM.Faults != faults {
 		t.Error("write to broken page faulted again")
 	}
 }

@@ -44,15 +44,6 @@ func (r *Region) End() arch.VirtAddr { return r.Start + arch.VirtAddr(r.Size) }
 
 func (r *Region) contains(va arch.VirtAddr) bool { return va >= r.Start && va < r.End() }
 
-// Stats counts VM-layer activity for a Space.
-type Stats struct {
-	Faults     uint64
-	PagesMaped uint64
-	Maps       uint64
-	Unmaps     uint64
-	COWBreaks  uint64
-}
-
 // Space is a vmspace: region descriptors plus the page table the hardware
 // walks. One Space is one virtual address space *instance*; SpaceJMP VASes
 // are shared sets of segments from which per-process Spaces are built.
@@ -61,7 +52,6 @@ type Space struct {
 	pm      *mem.PhysMem
 	table   *pt.Table
 	regions []*Region // sorted by Start, non-overlapping
-	stats   Stats
 	obs     *stats.Sink
 	handler hw.FaultHandler // s.coreFault
 
@@ -100,13 +90,6 @@ func (s *Space) SetObserver(sink *stats.Sink) {
 	defer s.mu.Unlock()
 	s.obs = sink
 	s.table.SetObserver(sink.PTObs())
-}
-
-// Stats returns a snapshot of the space's counters.
-func (s *Space) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
 }
 
 // regionAt returns the region containing va, or nil. Caller holds s.mu.
@@ -188,7 +171,6 @@ func (s *Space) Map(va arch.VirtAddr, size uint64, perm arch.Perm, obj *Object, 
 	obj.Ref()
 	obj.addMapper(s)
 	s.insert(r)
-	s.stats.Maps++
 	s.obs.VMMap()
 	if flags&MapPopulate != 0 {
 		if err := s.populate(r); err != nil {
@@ -262,11 +244,7 @@ func (s *Space) mapPage(r *Region, va arch.VirtAddr) error {
 	if r.Obj.IsCOW(idx) {
 		perm &^= arch.PermWrite
 	}
-	if err := s.table.MapPage(base, frame, ps, perm, r.Flags&MapGlobal != 0); err != nil {
-		return err
-	}
-	s.stats.PagesMaped++
-	return nil
+	return s.table.MapPage(base, frame, ps, perm, r.Flags&MapGlobal != 0)
 }
 
 // breakCOW services a write fault on a copy-on-write page: the object gets
@@ -291,8 +269,6 @@ func (s *Space) breakCOW(r *Region, va arch.VirtAddr) error {
 	if err := s.table.MapPage(base, frame, ps, r.Perm, r.Flags&MapGlobal != 0); err != nil {
 		return err
 	}
-	s.stats.PagesMaped++
-	s.stats.COWBreaks++
 	s.obs.VMCOWBreak()
 	return nil
 }
@@ -412,7 +388,6 @@ func (s *Space) Unmap(va arch.VirtAddr, size uint64) error {
 		r.Obj.delMapper(s)
 		r.Obj.Unref()
 	}
-	s.stats.Unmaps++
 	s.obs.VMUnmap()
 	return nil
 }
@@ -481,7 +456,6 @@ func (s *Space) Protect(va arch.VirtAddr, size uint64, perm arch.Perm) error {
 // pre-break would keep serving the shared (frozen) frame forever.
 func (s *Space) HandleFault(va arch.VirtAddr, access arch.Access) error {
 	s.mu.Lock()
-	s.stats.Faults++
 	s.obs.VMFault()
 	r := s.regionAt(va)
 	if r == nil {
@@ -523,7 +497,6 @@ func (s *Space) coreFault(_ *hw.Core, f *hw.PageFault) error {
 			hbase := arch.AlignDown(f.VA, r.pageSize())
 			idx := (r.ObjOff + uint64(hbase-r.Start)) / r.pageSize()
 			if r.Obj.IsCOW(idx) {
-				s.stats.Faults++
 				s.obs.VMFault()
 				obj := r.Obj
 				err := s.breakCOW(r, f.VA)

@@ -161,6 +161,8 @@ func TestDemandPaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink := m.EnableStats(0)
+	s.SetObserver(sink)
 	base, err := s.MapAnon(0x10000, 16*arch.PageSize, arch.PermRW, MapFixed)
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +180,8 @@ func TestDemandPaging(t *testing.T) {
 	if v != 77 {
 		t.Errorf("load = %d", v)
 	}
-	if s.Stats().Faults != 1 {
-		t.Errorf("faults = %d, want 1", s.Stats().Faults)
+	if n := sink.Snapshot().VM.Faults; n != 1 {
+		t.Errorf("faults = %d, want 1", n)
 	}
 	// Only the touched page became resident.
 	if got := s.Regions()[0].Obj.Resident(); got != 1 {
