@@ -12,24 +12,24 @@ import (
 
 // TestRemoteGetAllocations gates what one GET costs the heap on its way
 // through Router.Submit … Wait into a remote node and back (not under
-// -race, which allocates on its own). The floor is 5, and every one of
+// -race, which allocates on its own). The floor is 4, and every one of
 // them is outside the wire path:
 //
 //	1  server.NewRequest: the Request, which holds its batch of one
-//	2  redis.DecodeCommand on the node: the argument string and slice
-//	1  redis.Run on the node: the reply, which the value is read into
-//	   straight from simulated memory
+//	2  the node's arena for the frame: the string the argument is cut
+//	   from, and the argument slab
 //	1  urpc: the response frame the worker hands the connection
 //
 // Encoding the command for the wire, the ring slots, the request frame on
-// the node, the two VAS switches, the probed keys (compared in place) and the
-// reply's trip back allocate nothing. The same GET on a co-resident node is
-// the list without the decode and the urpc frame.
+// the node, the two VAS switches, the probed keys (compared in place), the
+// reply (read from simulated memory straight into the response the node
+// keeps) and its trip back allocate nothing. The same GET on a co-resident
+// node is the request and the batch's reply chunk: 2.
 func TestRemoteGetAllocations(t *testing.T) {
 	for _, c := range []struct {
 		mode Mode
 		max  float64
-	}{{ModeURPC, 5}, {ModeVAS, 2}} {
+	}{{ModeURPC, 4}, {ModeVAS, 2}} {
 		r, gets := benchRouter(t, c.mode)
 		i := 0
 		got := testing.AllocsPerRun(2000, func() {
@@ -46,17 +46,17 @@ func TestRemoteGetAllocations(t *testing.T) {
 // worker keeps. A pipeline of 16 GETs dealt round robin over three nodes
 // costs exactly the allocations of the same GETs sorted by node — the same
 // three runs, with nothing to group — and both cost only what is outside the
-// grouping: the batch, each GET's own (its reply; on a remote node also its
-// decoded arguments, two) and, remote, one response frame per node. The same
-// holds with every fourth command an MGET of three keys, one on each node:
-// split into three parts that ride the three runs, it costs only its parts'
-// own (each a GET's, plus one: an array reply grows past its header) and its
-// joined reply, interleaved or sorted.
+// grouping, none of it per command: the batch; remote, each node's frame (its
+// arena, two, and its response); and, co-resident, the batch's reply chunk.
+// The same holds with every fourth command an MGET of three keys, one on each
+// node: split into three parts that ride the three runs, its parts cost
+// nothing of their own and its joined reply goes into the batch's chunk, the
+// one chunk a remote batch then needs, interleaved or sorted.
 func TestGroupingAllocations(t *testing.T) {
 	for _, c := range []struct {
 		mode         Mode
-		perGet, runs float64
-	}{{ModeURPC, 3, 3}, {ModeVAS, 1, 0}} {
+		runs, chunks float64 // for 16 GETs; MGETs need a chunk for their joins
+	}{{ModeURPC, 3 * 3, 0}, {ModeVAS, 0, 1}} {
 		r, gets := benchCluster(t, c.mode, 3)
 		interleaved := roundRobin(r, gets)[0]
 		byNode := make([][][]string, 3)
@@ -74,8 +74,8 @@ func TestGroupingAllocations(t *testing.T) {
 			argv [][]string
 			want float64
 		}{
-			{"16 GETs", interleaved, 1 + 16*c.perGet + c.runs},
-			{"12 GETs and 4 MGETs across the nodes", mixed, 1 + 12*c.perGet + 4*(3*(c.perGet+1)+1) + c.runs},
+			{"16 GETs", interleaved, 1 + c.runs + c.chunks},
+			{"12 GETs and 4 MGETs across the nodes", mixed, 1 + c.runs + 1},
 		} {
 			sorted := slices.Clone(p.argv)
 			slices.SortStableFunc(sorted, func(a, b []string) int { return r.Owner(r.Slot(a[1])) - r.Owner(r.Slot(b[1])) })
@@ -97,23 +97,22 @@ func TestGroupingAllocations(t *testing.T) {
 
 // TestMGetGroupAllocations gates an MGET of 8 keys. One key group, on a
 // remote node and on a co-resident one, is held at what it cost while a group
-// was read into values and the values encoded again: 17 and 18 (a local group
-// paid one allocation per value); run as one command now, it costs 6 and 3.
-// Keys spread over a co-resident and a remote node cost 20 while each MGET
-// fanned out on its own. Split into parts that ride the runs, with the fan's
-// records in the worker's plan, they cost 9, none of them the fan's:
+// was read into values and the values encoded again, 17 and 18, and then run
+// as one command, 6 and 3; rendered into the node's response and the batch's
+// reply chunk, it costs 4 and 2. Keys spread over a co-resident and a remote
+// node cost 20 while each MGET fanned out on its own, then 9 as parts that
+// ride the runs. Now they cost 5, none of them the fan's:
 //
 //	1  server.NewRequest
-//	2  the co-resident part's reply (an array grows past its header)
-//	5  the remote part: its decoded arguments (2), its reply (2), the
-//	   response frame (1)
-//	1  the joined reply
+//	1  the batch's reply chunk: the co-resident part's reply, then the
+//	   joined one
+//	3  the remote part: the node's arena (2), the response frame (1)
 func TestMGetGroupAllocations(t *testing.T) {
 	for _, c := range []struct {
 		mode Mode
 		node int
 		max  float64
-	}{{ModeURPC, 0, 17}, {ModeVAS, 0, 18}, {ModeAuto, -1, 9}} {
+	}{{ModeURPC, 0, 4}, {ModeVAS, 0, 2}, {ModeAuto, -1, 5}} {
 		r, gets := benchRouter(t, c.mode)
 		mgets := mget8(r, gets, c.node)
 		i := 0

@@ -158,7 +158,8 @@ type node struct {
 	skip  int    // probe-backoff ticks remaining
 
 	// calls and out are the handler's: the frame being served, decoded, and
-	// a run's replies back to back. Driven under mu like the rest of the node.
+	// the response, its replies back to back. Driven under mu like the rest
+	// of the node.
 	calls []redis.Call
 	out   []byte
 
@@ -281,18 +282,20 @@ func (n *node) noteProbe(ok bool) {
 // It runs with the node's core active (under n.mu), so the decode, the VAS
 // switches, and the table walks are all charged to the node — and, because
 // the urpc client busy-waits, mirrored into the calling worker's latency.
-// req is the channel's reassembly buffer, gone when the handler returns;
-// the decoded arguments own their memory. A run's response is built in a
-// buffer the node keeps, which the endpoint is done with by the next call.
+// req is the channel's reassembly buffer, gone when the handler returns: the
+// frame's commands are decoded into one arena of their own. Their replies are
+// rendered back to back, as the response, into a buffer the node keeps, which
+// the endpoint is done with by the next call.
 func (n *node) handler(req []byte) []byte {
 	if n.sys.M.Faults.FireAt(fault.ClusterNodeCrash, n.id) {
 		n.crashed.Store(true)
 		n.proc.Crash()
 		return nil
 	}
+	var arena redis.Arena
 	calls := n.calls[:0]
 	for rest := req; len(calls) == 0 || len(rest) > 0; {
-		args, tail, err := redis.DecodeNextCommand(rest)
+		args, tail, err := arena.DecodeNextCommand(rest)
 		if err != nil {
 			return redis.EncodeError("protocol error: " + err.Error())
 		}
@@ -310,17 +313,10 @@ func (n *node) handler(req []byte) []byte {
 			return redis.EncodeError("migrate: " + err.Error())
 		}
 	}
-	redis.RunAll(n.client, calls)
-	if len(calls) == 1 {
-		return calls[0].Reply
-	}
 	if cap(n.out) > maxKeptWire {
 		n.out = nil
 	}
-	n.out = n.out[:0]
-	for i := range calls {
-		n.out = append(n.out, calls[i].Reply...)
-	}
+	n.out = redis.RunFrame(n.client, calls, n.out[:0])
 	return n.out
 }
 

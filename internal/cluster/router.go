@@ -216,6 +216,15 @@ func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 // (walk), which fills in the members' budgets and targets, the fans' replies
 // (each part's cut apart in cut) and which requests are done, publishing the
 // prefix answered. Reused batch after batch: grouping allocates nothing.
+//
+// out is the chunk the batch's replies are rendered into, wherever the worker
+// renders one — a co-resident run, a frozen view, a fan's join — and rendered
+// counts their bytes; a batch answered from urpc responses alone has none. A
+// reply that outgrows a chunk starts the next (redis.RunAll), so a rendered
+// reply is never copied, and the writer sends each while the chunk fills
+// behind it. The chunks are the fill's: dropped here when the batch is done,
+// freed by the GC once the writer drops the fill. The first is sized for the
+// batch by perCmd, the reply bytes per command the batches before rendered.
 type plan struct {
 	members  []member
 	fans     []fan
@@ -225,7 +234,24 @@ type plan struct {
 	cut      [][]byte
 	done     []bool
 	answered int
+	out      []byte
+	rendered int
+	perCmd   int
 }
+
+// replies returns the chunk the batch's next reply is rendered into: the first
+// is made for the batch at the first reply the worker renders, with what the
+// allocator rounds its size up to to spare.
+func (p *plan) replies() []byte {
+	if p.out == nil {
+		p.out = slices.Grow([]byte(nil), min(max(p.perCmd, minReplyBytes)*len(p.done), maxKeptWire))
+	}
+	return p.out
+}
+
+// minReplyBytes is what a command's reply is taken to need before the worker
+// has rendered any.
+const minReplyBytes = 64
 
 // member is a command of the stretch, at its place in the batch, or a part of
 // an MGET across nodes, whose fan is then fans[fan-1]: node owns its keys, args
@@ -542,7 +568,10 @@ func (p *plan) partBack(m *member, reply []byte) []byte {
 	if f.reply != nil {
 		return f.reply
 	}
-	return redis.JoinArrayReply(f.elems)
+	out := p.replies()
+	p.out, reply = redis.PlaceReply(out, redis.JoinArrayReply(out[len(out):], f.elems))
+	p.rendered += len(reply)
+	return reply
 }
 
 // publish publishes the longest prefix of b whose every request has its
@@ -561,8 +590,16 @@ func (p *plan) publish(b *server.Batch) {
 // reset lets go of the batch: past their lengths, too, the buffers would keep
 // its requests (their fill, and every reply in it) and MGET keys reachable.
 func (p *plan) reset() {
+	if p.rendered > 0 {
+		// A batch that rendered less than the last lowers the estimate by no
+		// more than a sixteenth: a SET among GETs must not leave the next
+		// batch of GETs short.
+		est := (p.rendered + len(p.done) - 1) / len(p.done)
+		p.perCmd = max(est, p.perCmd-p.perCmd/16)
+	}
 	p.members, p.fans, p.argv, p.owners = wipe(p.members), wipe(p.fans), wipe(p.argv), wipe(p.owners)
 	p.elems, p.cut, p.done = wipe(p.elems), wipe(p.cut), wipe(p.done)
+	p.out, p.rendered = nil, 0
 }
 
 func wipe[S ~[]E, E any](s S) S {
@@ -692,9 +729,14 @@ func (r *Router) readFrozen(w *worker, t target, calls []redis.Call) bool {
 		return false
 	}
 	var err error
+	p := &w.plan
 	for i := 0; i < len(calls) && err == nil; i++ {
-		c := &calls[i]
-		c.Reply, err = t.frozen.store.AppendReply(nil, c.Cmd.Keys(c.Args), c.Cmd.Op == redis.OpMGet)
+		c, out := &calls[i], p.replies()
+		var reply []byte
+		if reply, err = t.frozen.store.AppendReply(out[len(out):], c.Cmd.Keys(c.Args), c.Cmd.Op == redis.OpMGet, len(calls)-1-i); err == nil {
+			p.out, c.Reply = redis.PlaceReply(out, reply)
+			p.rendered += len(reply)
+		}
 	}
 	if serr := w.th.VASSwitch(core.PrimaryHandle); err != nil || serr != nil {
 		return false
@@ -767,7 +809,10 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 			}
 		}
 	case t.client != nil:
-		redis.RunAll(t.client, calls)
+		w.plan.out = redis.RunAll(t.client, calls, w.plan.replies())
+		for i := range calls {
+			w.plan.rendered += len(calls[i].Reply)
+		}
 		k := uint64(len(calls))
 		r.ctr.Local.Add(k)
 		r.ctr.LocalCycles.ObserveN((w.th.Core.Cycles()-before)/k, k)

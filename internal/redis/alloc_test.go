@@ -4,6 +4,8 @@ package redis_test
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
 	"testing"
 
 	"spacejmp/internal/redis"
@@ -11,10 +13,11 @@ import (
 
 // TestCodecAllocations gates the wire path's allocation counts, so a
 // regression shows in `go test` without the benchmark (not under -race,
-// which allocates on its own). A parsed command is two allocations — the
-// string every argument is a substring of, and the argument slice — however
-// it arrived; a reply is the one value the caller owns; encoding into a
-// buffer the caller keeps is none.
+// which allocates on its own). The commands of a buffer fill or a frame are
+// two allocations between them — the arena's string every argument is a
+// substring of, and its slab of argument slices — and so is a command parsed
+// alone, however it arrived; a reply is the one value the caller owns;
+// encoding into a buffer the caller keeps is none.
 func TestCodecAllocations(t *testing.T) {
 	get := redis.EncodeCommand("GET", "key:000001")
 	set := redis.EncodeCommand("SET", "key:000001", string(make([]byte, 1024)))
@@ -22,6 +25,12 @@ func TestCodecAllocations(t *testing.T) {
 	bulk := redis.EncodeBulk(value)
 	warm := make([]byte, 0, 4096)
 	var sink int
+	var gets []byte // a pipeline of 16 GETs, as one fill or one frame
+	for i := range 16 {
+		gets = redis.AppendCommand(gets, "GET", fmt.Sprintf("key:%06d", i))
+	}
+	src := bytes.NewReader(gets)
+	fill := bufio.NewReaderSize(src, 4096)
 
 	for _, c := range []struct {
 		name string
@@ -50,6 +59,23 @@ func TestCodecAllocations(t *testing.T) {
 				sink += len(args)
 			}
 		}()},
+		{"a fill of 16 GETs through an Arena", 2, func() {
+			src.Reset(gets)
+			fill.Reset(src)
+			var a redis.Arena
+			args, _ := a.ReadCommand(fill)
+			for ok := true; ok; args, ok = a.ReadBufferedCommand(fill) {
+				sink += len(args)
+			}
+		}},
+		{"a frame of 16 GETs through an Arena", 2, func() {
+			var a redis.Arena
+			for rest := gets; len(rest) > 0; {
+				var args []string
+				args, rest, _ = a.DecodeNextCommand(rest)
+				sink += len(args)
+			}
+		}},
 		{"ReadReply(64 B)", 1, func() func() {
 			br := bufio.NewReader(&frames{frame: bulk})
 			return func() {

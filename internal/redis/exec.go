@@ -2,6 +2,7 @@ package redis
 
 import (
 	"errors"
+	"slices"
 
 	"spacejmp/internal/mspace"
 )
@@ -25,7 +26,7 @@ type Call struct {
 // the RESP reply: RunAll of a run of one.
 func Run(c *Client, cmd *Command, args []string) []byte {
 	run := [1]Call{{Cmd: cmd, Args: args}}
-	RunAll(c, run[:])
+	RunAll(c, run[:], nil)
 	return run[0].Reply
 }
 
@@ -43,12 +44,27 @@ func Run(c *Client, cmd *Command, args []string) []byte {
 // Figure 7 point). Each still answers for itself, so a full heap fails the
 // one SET that met it; a switch that fails is every member's reply.
 //
+// The replies are rendered into dst's free capacity, a value straight from
+// simulated memory, each one capped at its own length; dst is a chunk of
+// replies and what came before its free capacity is never touched. A reply
+// that does not fit starts a new chunk, carrying along only what of itself
+// was rendered, and the replies behind it go there; RunAll returns the chunk
+// it rendered its last reply into. A reply is never copied once rendered, so
+// a reader may take each one while the chunk fills behind it.
+//
 // A nil client serves only the store-less commands (PING, ECHO); commands
 // that need a store answer with an error reply. Commands another layer
 // answers are unknown here. Whether the sender may issue a command at all is
 // the caller's business: the router refuses ByNode rows arriving from a
 // connection before they get this far.
-func RunAll(c *Client, run []Call) {
+func RunAll(c *Client, run []Call, dst []byte) []byte { return runAll(c, run, dst, false) }
+
+// RunFrame is RunAll rendering the replies back to back, behind what dst
+// holds, as one frame — a shard node's response to a run: when they outgrow
+// dst, the frame moves to a larger buffer, as append moves a slice.
+func RunFrame(c *Client, run []Call, dst []byte) []byte { return runAll(c, run, dst, true) }
+
+func runAll(c *Client, run []Call, dst []byte, frame bool) []byte {
 	for i := 0; i < len(run); {
 		if write := run[i].Cmd.Write; run[i].Cmd.By == ByStore && c != nil {
 			j, parse, h := i, 0, c.readH
@@ -58,74 +74,124 @@ func RunAll(c *Client, run []Call) {
 			for ; j < len(run) && run[j].Cmd.By == ByStore && run[j].Cmd.Write == write; j++ {
 				parse += len(run[j].Cmd.Keys(run[j].Args))
 			}
-			members := run[i:j]
+			members, mark := run[i:j], len(dst)
 			err := c.in(h, parse, func() error {
+				more := parse // values still to come, for a chunk that has to grow
 				for k := range members {
-					members[k].Reply = c.apply(members[k].Cmd, members[k].Args)
+					m := &members[k]
+					more -= len(m.Cmd.Keys(m.Args))
+					dst = put(m, dst, c.apply(at(dst, frame), m.Cmd, m.Args, more), frame)
 				}
 				return nil
 			})
-			for k := range members {
-				if err != nil {
-					members[k].Reply = EncodeError(err.Error())
+			if err != nil {
+				if frame {
+					dst = dst[:mark]
+				}
+				for k := range members {
+					dst = put(&members[k], dst, appendError(at(dst, frame), err.Error()), frame)
 				}
 			}
 			i = j
 			continue
 		}
-		run[i].Reply = runOther(c, run[i].Cmd, run[i].Args)
+		dst = put(&run[i], dst, runOther(at(dst, frame), c, run[i].Cmd, run[i].Args), frame)
 		i++
 	}
+	return dst
+}
+
+// at is where the next reply is rendered: behind the replies in a frame, else
+// in the free capacity of dst's chunk.
+func at(dst []byte, frame bool) []byte {
+	if frame {
+		return dst
+	}
+	return dst[len(dst):]
+}
+
+// put leaves the reply a renderer appended to at(dst, frame) in c, and
+// returns the frame or chunk the next reply goes to.
+func put(c *Call, dst, out []byte, frame bool) []byte {
+	if frame {
+		c.Reply = out[len(dst):len(out):len(out)]
+		return out
+	}
+	dst, c.Reply = PlaceReply(dst, out)
+	return dst
+}
+
+// PlaceReply takes back a reply that was rendered by appending to the free
+// capacity of chunk, chunk[len(chunk):], and became out. It returns the chunk
+// the next reply goes to — chunk holding the reply too, or, if the reply
+// outgrew it, the new chunk it was rendered into — and the reply, capped at
+// its own length so that appending to it cannot reach the next.
+func PlaceReply(chunk, out []byte) (next, reply []byte) {
+	reply = out[:len(out):len(out)]
+	if cap(out) == cap(chunk)-len(chunk) { // append never moves a slice within its capacity
+		return chunk[:len(chunk)+len(out)], reply
+	}
+	return out, reply
 }
 
 // apply carries out one data command for a thread already switched into the
-// VAS it needs, and renders its reply.
-func (c *Client) apply(cmd *Command, args []string) []byte {
+// VAS it needs, and appends its reply to dst; more is how many values the
+// replies behind it will carry, which a dst that has to grow makes room for.
+func (c *Client) apply(dst []byte, cmd *Command, args []string, more int) []byte {
 	var err error
 	switch cmd.Op {
 	case OpGet, OpMGet:
-		var reply []byte
-		if reply, err = c.store.AppendReply(nil, args[1:], cmd.Op == OpMGet); err == nil {
-			return reply
+		var out []byte
+		if out, err = c.store.AppendReply(dst, args[1:], cmd.Op == OpMGet, more); err == nil {
+			return out
 		}
 	case OpSet:
 		if err = c.set([]byte(args[1]), []byte(args[2])); err == nil {
-			return EncodeSimple("OK")
+			return appendFixed(dst, "+OK\r\n", more)
 		}
 		if errors.Is(err, mspace.ErrNoSpace) {
-			return EncodeError("OOM store segment full")
+			return appendError(dst, "OOM store segment full")
 		}
 	case OpDel:
 		var found bool
 		if found, err = c.store.Del([]byte(args[1])); err == nil {
 			if found {
-				return EncodeInt(1)
+				return appendFixed(dst, ":1\r\n", more)
 			}
-			return EncodeInt(0)
+			return appendFixed(dst, ":0\r\n", more)
 		}
 	default:
-		return cmd.Refusal(args)
+		return append(dst, cmd.Refusal(args)...)
 	}
-	return EncodeError(err.Error())
+	return appendError(dst, err.Error())
+}
+
+// appendFixed appends a reply of a few bytes, such as +OK, to dst; a dst
+// that has to grow makes room for more replies like it.
+func appendFixed(dst []byte, reply string, more int) []byte {
+	if cap(dst)-len(dst) < len(reply) {
+		dst = slices.Grow(dst, len(reply)*(1+more))
+	}
+	return append(dst, reply...)
 }
 
 // runOther is RunAll's arm for what is not a data command: the store-less
 // ones, and the slot-copy commands, which take the switches they need
-// themselves.
-func runOther(c *Client, cmd *Command, args []string) []byte {
+// themselves. It appends the reply to dst.
+func runOther(dst []byte, c *Client, cmd *Command, args []string) []byte {
 	if (cmd.By == ByStore || cmd.By == ByNode) && c == nil {
-		return EncodeError("no store behind this handler")
+		return appendError(dst, "no store behind this handler")
 	}
 	switch cmd.Op {
 	case OpPing:
 		if len(args) == 2 {
-			return EncodeBulk([]byte(args[1]))
+			return appendBulk(dst, args[1])
 		}
-		return EncodeSimple("PONG")
+		return append(dst, "+PONG\r\n"...)
 	case OpEcho:
-		return EncodeBulk([]byte(args[1]))
+		return appendBulk(dst, args[1])
 	case OpClusterMigrate, OpClusterImport, OpClusterCleanup:
-		return c.slotCommand(cmd.Op, args)
+		return c.slotCommand(dst, cmd.Op, args)
 	}
-	return cmd.Refusal(args)
+	return append(dst, cmd.Refusal(args)...)
 }

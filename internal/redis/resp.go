@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -26,11 +27,14 @@ import (
 //
 // There is one parser. A scanner validates a frame in place, hopping from
 // header to header; once it has accepted the frame, the payload is copied
-// exactly once, into memory the result owns. Decode* run the scanner over
-// the slice they are given; Read* run the same scanner over the
-// bufio.Reader's own buffer (readFrame), so nothing a Read* or Decode*
-// returns ever aliases the bytes it was parsed from. (SplitArrayReply is the
-// exception by design: it copies nothing and returns sub-slices.)
+// exactly once, into memory the result owns: a command's arguments into an
+// Arena, which holds a whole buffer fill's or frame's in one string and one
+// slab. Decode* run the scanner over the slice they are given; Read* run the
+// same scanner over the bufio.Reader's own buffer (readFrame), so nothing a
+// Read* or Decode* returns ever aliases the bytes it was parsed from.
+// (SplitArrayReply is the exception by design: it copies nothing and returns
+// sub-slices.) Replies are appended to a buffer the caller keeps, as RunAll
+// renders them, or rendered alone by the Encode* helpers.
 
 // Protocol hardening limits: a malicious or corrupt header must not make
 // the reader allocate unboundedly before any payload byte has arrived.
@@ -278,23 +282,73 @@ func bulk(frame []byte, pos int) (body []byte, null bool, next int) {
 	return frame[i : i+n], false, i + n + 2
 }
 
-// command builds the parsed command from a frame s accepted: one string
-// holding every argument's bytes back to back, and the argument slice
-// cutting it up — two allocations, one copy.
-func (s *scanner) command(frame []byte) []string {
-	args := make([]string, s.bulks)
-	var all strings.Builder
-	all.Grow(s.payload)
+// Arena is what the commands of one buffer fill or one frame are cut from:
+// one string holding their arguments' bytes back to back, and one slab of
+// argument slices, each replaced — never grown — by one sized for what is
+// left when a command does not fit. The builder never writes a byte it has
+// handed out, and an arena is made for one fill or frame, never pooled or
+// reused, so arguments own their memory for as long as anyone keeps them.
+// The zero value is ready to use.
+type Arena struct {
+	all  strings.Builder
+	slab []string
+}
+
+// command cuts the command a scanner accepted out of the arena. rest is how
+// many bytes of the fill or frame follow it; what the arena starts when it
+// runs out has room for them too, taken to be commands like this one, so a
+// fill of one kind of command is one string and one slab of just its size.
+func (a *Arena) command(s *scanner, frame []byte, rest int) []string {
+	if s.bulks == 0 {
+		return []string{} // "*0\r\n": a command, with no arguments
+	}
+	a.room(s.payload, (rest*s.payload+len(frame)-1)/len(frame))
+	n := len(a.slab)
+	if cap(a.slab)-n < s.bulks {
+		ahead := min((rest+len(frame)-1)/len(frame), maxSlabAhead)
+		a.slab, n = make([]string, 0, s.bulks*(1+ahead)), 0
+	}
+	args := a.slab[n : n+s.bulks : n+s.bulks]
+	a.slab = a.slab[:n+s.bulks]
 	pos := bytes.IndexByte(frame, '\n') + 1
 	for i := range args {
 		body, _, next := bulk(frame, pos)
-		start := all.Len()
-		all.Write(body)
-		args[i] = all.String()[start:]
+		start := a.all.Len()
+		a.all.Write(body)
+		args[i] = a.all.String()[start:]
 		pos = next
 	}
 	return args
 }
+
+// maxSlabAhead bounds the commands a new slab makes room for behind the one
+// that starts it: a short command must not size it for long ones behind.
+const maxSlabAhead = 32
+
+// room makes sure n more bytes fit the arena's string, starting a new one
+// with more bytes to spare when they do not.
+func (a *Arena) room(n, more int) {
+	if a.all.Cap()-a.all.Len() < n {
+		a.all = strings.Builder{}
+		a.all.Grow(n + more)
+	}
+}
+
+// TenantKey is TenantKey(id, key) cut from the arena: tenant admission
+// rewriting a key of the fill into its caller's view.
+func (a *Arena) TenantKey(id, key string) string {
+	a.room(len(tenantPrefix)+len(id)+1+len(key), tenantKeySpare)
+	start := a.all.Len()
+	a.all.WriteString(tenantPrefix)
+	a.all.WriteString(id)
+	a.all.WriteByte(':')
+	a.all.WriteString(key)
+	return a.all.String()[start:]
+}
+
+// tenantKeySpare is the room a tenant key that finds the arena full starts
+// a new string with, for the keys behind it.
+const tenantKeySpare = 256
 
 // reply builds the (value, isNil, error) of a reply frame s accepted.
 func (s *scanner) reply(frame []byte) ([]byte, bool, error) {
@@ -341,15 +395,29 @@ func (s *scanner) arrayReply(frame []byte) ([][]byte, []bool, error) {
 // misparse. A clean end-of-stream before the first byte returns io.EOF;
 // truncation inside a command returns io.ErrUnexpectedEOF.
 //
-// The arguments are substrings of one string the command owns; they never
-// alias br's buffer, so the caller may keep them for as long as it likes.
+// The arguments are cut from an arena of their own; they never alias br's
+// buffer, so the caller may keep them for as long as it likes.
 func ReadCommand(br *bufio.Reader) ([]string, error) {
+	var a Arena
+	return a.read(br, false)
+}
+
+// ReadCommand is ReadCommand cutting the arguments from a: the first command
+// of a buffer fill, which a makes room for along with everything behind it
+// that the fill holds.
+func (a *Arena) ReadCommand(br *bufio.Reader) ([]string, error) { return a.read(br, true) }
+
+func (a *Arena) read(br *bufio.Reader, fill bool) ([]string, error) {
 	s := scanner{kind: commandFrame, maxLine: br.Size()}
 	frame, n, err := readFrame(br, &s)
 	if err != nil {
 		return nil, err
 	}
-	args := s.command(frame)
+	rest := 0
+	if fill {
+		rest = br.Buffered() - n
+	}
+	args := a.command(&s, frame, rest)
 	br.Discard(n)
 	return args, nil
 }
@@ -359,33 +427,35 @@ func ReadCommand(br *bufio.Reader) ([]string, error) {
 // from br's source. It reports false when br holds nothing, the head of a
 // command whose rest is still on the wire, or bytes that are no command at
 // all (the ReadCommand that follows says what is wrong with them).
-func ReadBufferedCommand(br *bufio.Reader) ([]string, bool) {
+func (a *Arena) ReadBufferedCommand(br *bufio.Reader) ([]string, bool) {
 	w, _ := br.Peek(br.Buffered())
 	s := scanner{kind: commandFrame, maxLine: br.Size()}
 	if done, err := s.scan(w); err != nil || !done {
 		return nil, false
 	}
-	args := s.command(w[:s.pos])
+	args := a.command(&s, w[:s.pos], len(w)-s.pos)
 	br.Discard(s.pos)
 	return args, true
 }
 
-// DecodeCommand parses the RESP command array at the start of a byte slice
-// — a shard node's view of the frame a router sent it. The arguments own
-// their memory: data may be reused as soon as DecodeCommand returns.
+// DecodeCommand parses the RESP command array at the start of a byte slice.
+// The arguments own their memory: data may be reused as soon as DecodeCommand
+// returns.
 func DecodeCommand(data []byte) ([]string, error) {
-	args, _, err := DecodeNextCommand(data)
+	var a Arena
+	args, _, err := a.DecodeNextCommand(data)
 	return args, err
 }
 
 // DecodeNextCommand is DecodeCommand for a frame that carries commands back
-// to back: it also returns what follows the one it parsed.
-func DecodeNextCommand(data []byte) (args []string, rest []byte, err error) {
+// to back — a shard node's view of a run a router sent it — cutting every
+// command's arguments from a: it also returns what follows the one it parsed.
+func (a *Arena) DecodeNextCommand(data []byte) (args []string, rest []byte, err error) {
 	s := scanner{kind: commandFrame, maxLine: math.MaxInt}
 	if err := s.scanAll(data); err != nil {
 		return nil, nil, err
 	}
-	return s.command(data[:s.pos]), data[s.pos:], nil
+	return a.command(&s, data[:s.pos], len(data)-s.pos), data[s.pos:], nil
 }
 
 // NextReply cuts the first reply — a line, a bulk string, an array of bulk
@@ -455,25 +525,31 @@ func bulkSize(n int) int { return lenSize(n) + n + 2 }
 
 // Replies.
 
-// replyLine renders one "+", "-" or ":" reply line from parts. Such a line
-// ends at its first CRLF, so a CR or LF inside a part — a command name or a
-// key echoed back in a refusal — goes out as a space, as Redis does it: the
-// peer could otherwise put a second reply of its own on the wire.
+// replyLine renders one "+", "-" or ":" reply line from parts.
 func replyLine(typ byte, parts ...string) []byte {
 	size := 3
 	for _, p := range parts {
 		size += len(p)
 	}
-	b := append(make([]byte, 0, size), typ)
+	return appendLine(make([]byte, 0, size), typ, parts...)
+}
+
+// appendLine appends one "+", "-" or ":" reply line made of parts to dst.
+// Such a line ends at its first CRLF, so a CR or LF inside a part — a command
+// name or a key echoed back in a refusal — goes out as a space, as Redis does
+// it: the peer could otherwise put a second reply of its own on the wire.
+func appendLine(dst []byte, typ byte, parts ...string) []byte {
+	start := len(dst)
+	dst = append(dst, typ)
 	for _, p := range parts {
-		b = append(b, p...)
+		dst = append(dst, p...)
 	}
-	for i, c := range b {
+	for i, c := range dst[start:] {
 		if c == '\r' || c == '\n' {
-			b[i] = ' '
+			dst[start+i] = ' '
 		}
 	}
-	return append(b, '\r', '\n')
+	return append(dst, '\r', '\n')
 }
 
 // EncodeSimple renders "+OK"-style replies.
@@ -482,11 +558,17 @@ func EncodeSimple(s string) []byte { return replyLine('+', s) }
 // EncodeError renders an error reply.
 func EncodeError(s string) []byte { return replyLine('-', "ERR ", s) }
 
+// appendError appends an error reply to dst.
+func appendError(dst []byte, s string) []byte { return appendLine(dst, '-', "ERR ", s) }
+
 // EncodeInt renders an integer reply (":1"-style, as Redis DEL returns).
-func EncodeInt(n int64) []byte {
-	b := append(make([]byte, 0, 1+20+2), ':')
-	b = strconv.AppendInt(b, n, 10)
-	return append(b, '\r', '\n')
+func EncodeInt(n int64) []byte { return appendInt(make([]byte, 0, 1+20+2), n) }
+
+// appendInt appends an integer reply to dst.
+func appendInt(dst []byte, n int64) []byte {
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, n, 10)
+	return append(dst, '\r', '\n')
 }
 
 // EncodeBulk renders a bulk string reply; nil renders the null bulk.
@@ -592,16 +674,16 @@ func SplitArrayReply(dst [][]byte, data []byte) ([][]byte, error) {
 	return dst, nil
 }
 
-// JoinArrayReply renders an array reply from elements already encoded as
+// JoinArrayReply appends to dst an array reply of elements already encoded as
 // bulk strings — SplitArrayReply's, in whatever order the caller put them.
-func JoinArrayReply(elems [][]byte) []byte {
+func JoinArrayReply(dst []byte, elems [][]byte) []byte {
 	size := lenSize(len(elems))
 	for _, e := range elems {
 		size += len(e)
 	}
-	b := appendLen(make([]byte, 0, size), '*', len(elems))
+	dst = appendLen(slices.Grow(dst, size), '*', len(elems))
 	for _, e := range elems {
-		b = append(b, e...)
+		dst = append(dst, e...)
 	}
-	return b
+	return dst
 }

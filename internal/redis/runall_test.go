@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestRunAllIsTheRunOfRuns holds RunAll to its k = 1 case: seeded lists of
@@ -62,7 +63,7 @@ func TestRunAllIsTheRunOfRuns(t *testing.T) {
 		for i, c := range run {
 			want[i] = Run(a, c.Cmd, c.Args)
 		}
-		RunAll(b, run)
+		RunAll(b, run, nil)
 		for i, c := range run {
 			if !bytes.Equal(c.Reply, want[i]) {
 				t.Fatalf("round %d, command %d %.40q: reply %.60q, alone %.60q", round, i, c.Args, c.Reply, want[i])
@@ -85,6 +86,96 @@ func TestRunAllIsTheRunOfRuns(t *testing.T) {
 	}
 }
 
+// TestRunAllIntoChunks: a run of 1 KiB SETs and GETs, DELs and an MGET of
+// eight keys, rendered into chunks of every size from none to roomy, crosses
+// chunk boundaries and still answers each command byte for byte as Run does.
+// A reply is capped at its own length, so appending to one leaves the next
+// intact; what was in the chunk before is untouched; and a reply is never
+// copied once rendered, so the chunk RunAll returns holds its last replies and
+// nothing else. RunFrame, given the same sizes, answers with Run's replies
+// back to back behind what its buffer held.
+func TestRunAllIntoChunks(t *testing.T) {
+	_, a := newClient(t)
+	_, b := newClient(t)
+	_, f := newClient(t)
+	v := strings.Repeat("v", 1024)
+	var run []Call
+	add := func(args ...string) { run = append(run, Call{Cmd: Lookup(args), Args: args}) }
+	keys := []string{"MGET"}
+	for i := range 8 {
+		k := fmt.Sprint("k", i)
+		add("SET", k, v[:1000+3*i])
+		keys = append(keys, k)
+	}
+	for i := range 4 {
+		add("GET", keys[1+i])
+	}
+	add("DEL", "k0")
+	add("DEL", "k0")
+	add(keys...)
+	add("GET", "k5")
+	add("PING")
+	add("SET", "k0", v)
+	add("GET", "nope")
+
+	for _, size := range []int{0, 1, 40, 700, 1100, 3000, 9000, 64 << 10} {
+		want := make([][]byte, len(run))
+		var frame []byte
+		for i, c := range run {
+			want[i] = Run(a, c.Cmd, c.Args)
+			frame = append(frame, want[i]...)
+		}
+		chunk := append(make([]byte, 0, 4+size), "head"...)
+		out := RunAll(b, run, chunk)
+		if string(chunk[:4]) != "head" {
+			t.Fatalf("chunk of %d: the bytes before the replies became %q", size, chunk[:4])
+		}
+		last := 0 // the replies from last on are back to back, up to out's end
+		for i, c := range run {
+			if !bytes.Equal(c.Reply, want[i]) {
+				t.Fatalf("chunk of %d, command %d %.20q: reply %.40q, Run %.40q", size, i, c.Args, c.Reply, want[i])
+			}
+			if cap(c.Reply) != len(c.Reply) {
+				t.Fatalf("chunk of %d: reply %d can be appended to into its neighbour", size, i)
+			}
+			if i > 0 && addr(c.Reply) != addr(run[i-1].Reply)+uintptr(len(run[i-1].Reply)) {
+				last = i
+			}
+		}
+		if end := run[len(run)-1].Reply; addr(out)+uintptr(len(out)) != addr(end)+uintptr(len(end)) {
+			t.Fatalf("chunk of %d: the chunk returned does not end in the last reply", size)
+		}
+		held := len(out)
+		if addr(out) == addr(chunk) {
+			held -= len("head")
+		}
+		if rendered := len(bytes.Join(replies(run[last:]), nil)); held != rendered {
+			t.Fatalf("chunk of %d: the chunk returned holds %d bytes, its replies %d: a reply was copied", size, held, rendered)
+		}
+		for i := range len(run) - 1 {
+			_ = append(run[i].Reply, "overwrite"...)
+			if !bytes.Equal(run[i+1].Reply, want[i+1]) {
+				t.Fatalf("chunk of %d: appending to reply %d changed reply %d", size, i, i+1)
+			}
+		}
+
+		got := RunFrame(f, run, append(make([]byte, 0, 4+size), "head"...))
+		if string(got[:4]) != "head" || !bytes.Equal(got[4:], frame) {
+			t.Fatalf("buffer of %d: RunFrame answered %.60q, want head then %.60q", size, got, frame)
+		}
+	}
+}
+
+func addr(b []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(b))) }
+
+func replies(run []Call) [][]byte {
+	out := make([][]byte, len(run))
+	for i := range run {
+		out[i] = run[i].Reply
+	}
+	return out
+}
+
 // TestRunMemberFailsAlone: a SET the heap has no room for fails by itself —
 // its neighbours in the run are carried out, and the thread is back in its
 // primary VAS.
@@ -100,7 +191,7 @@ func TestRunMemberFailsAlone(t *testing.T) {
 	for i := range run {
 		run[i].Cmd = Lookup(run[i].Args)
 	}
-	RunAll(c, run)
+	RunAll(c, run, nil)
 	for i, want := range []string{"+OK\r\n", "-ERR OOM store segment full\r\n", "+OK\r\n", "$1\r\n3\r\n"} {
 		if string(run[i].Reply) != want {
 			t.Errorf("reply %d: %.60q, want %q", i, run[i].Reply, want)
@@ -125,17 +216,18 @@ func TestRepliesAndCommandsBackToBack(t *testing.T) {
 		wire = AppendCommand(wire, c...)
 	}
 	rest := wire
+	var arena Arena
 	for i, want := range cmds {
 		var args []string
 		var err error
-		if args, rest, err = DecodeNextCommand(rest); err != nil || !reflect.DeepEqual(args, want) {
+		if args, rest, err = arena.DecodeNextCommand(rest); err != nil || !reflect.DeepEqual(args, want) {
 			t.Fatalf("command %d: %q %v, want %q", i, args, err, want)
 		}
 	}
 	if len(rest) != 0 {
 		t.Errorf("%d bytes left behind the last command", len(rest))
 	}
-	if _, _, err := DecodeNextCommand(wire[:len(wire)-3]); err != nil {
+	if _, _, err := new(Arena).DecodeNextCommand(wire[:len(wire)-3]); err != nil {
 		t.Errorf("the first command of a truncated frame: %v", err)
 	}
 
@@ -194,13 +286,14 @@ func TestReadBufferedCommand(t *testing.T) {
 		for whole < len(ends) && ends[whole] <= cut {
 			whole++
 		}
+		var arena Arena
 		for i := 0; i < whole; i++ {
-			args, ok := ReadBufferedCommand(br)
+			args, ok := arena.ReadBufferedCommand(br)
 			if !ok || !reflect.DeepEqual(args, cmds[i]) {
 				t.Fatalf("cut %d: buffered command %d = %q, %v", cut, i, args, ok)
 			}
 		}
-		if args, ok := ReadBufferedCommand(br); ok {
+		if args, ok := arena.ReadBufferedCommand(br); ok {
 			t.Fatalf("cut %d: took %q off a buffer that holds no whole command", cut, args)
 		}
 		go func() {
@@ -218,7 +311,7 @@ func TestReadBufferedCommand(t *testing.T) {
 	if _, err := ReadCommand(br); err != nil {
 		t.Fatal(err)
 	}
-	if args, ok := ReadBufferedCommand(br); ok {
+	if args, ok := new(Arena).ReadBufferedCommand(br); ok {
 		t.Errorf("took %q off a malformed frame", args)
 	}
 	if _, err := ReadCommand(br); err == nil {

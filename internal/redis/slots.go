@@ -88,8 +88,9 @@ func (c *Client) DelSlot(slot, nslots int) (removed int, err error) {
 	return removed, err
 }
 
-// slotCommand is Run's arm for the three slot-copy commands the cluster's
-// agents send whichever copy of a key range they reach:
+// slotCommand is RunAll's arm for the three slot-copy commands the cluster's
+// agents send whichever copy of a key range they reach, appending the reply to
+// dst:
 //
 //   - CLUSTER.MIGRATE <slot> <nslots>: reply with the slot's pairs, encoded
 //     in one bulk string (the migration source side).
@@ -97,41 +98,41 @@ func (c *Client) DelSlot(slot, nslots int) (removed int, err error) {
 //     with how many (the migration target side).
 //   - CLUSTER.CLEANUP <slot> <nslots>: delete the slot's keys and reply with
 //     how many (the source after the flip, the target after a rollback).
-func (c *Client) slotCommand(op Op, args []string) []byte {
+func (c *Client) slotCommand(dst []byte, op Op, args []string) []byte {
 	if op == OpClusterImport {
 		pairs, err := DecodePairs([]byte(args[2]))
 		if err != nil {
-			return EncodeError("import: decode: " + err.Error())
+			return appendError(dst, "import: decode: "+err.Error())
 		}
 		for _, kv := range pairs {
 			if err := c.Set(string(kv.Key), kv.Val); err != nil {
-				return EncodeError("import: set: " + err.Error())
+				return appendError(dst, "import: set: "+err.Error())
 			}
 		}
-		return EncodeInt(int64(len(pairs)))
+		return appendInt(dst, int64(len(pairs)))
 	}
 	slot, err := strconv.Atoi(args[1])
 	if err != nil {
-		return EncodeError("bad slot: " + args[1])
+		return appendError(dst, "bad slot: "+args[1])
 	}
 	nslots, err := strconv.Atoi(args[2])
 	if err != nil || nslots <= 0 || slot < 0 || slot >= nslots {
-		return EncodeError("bad slot range: " + args[1] + "/" + args[2])
+		return appendError(dst, "bad slot range: "+args[1]+"/"+args[2])
 	}
 	if op == OpClusterCleanup {
 		removed, err := c.DelSlot(slot, nslots)
 		if err != nil {
-			return EncodeError("cleanup: " + err.Error())
+			return appendError(dst, "cleanup: "+err.Error())
 		}
-		return EncodeInt(int64(removed))
+		return appendInt(dst, int64(removed))
 	}
 	pairs, err := c.DumpSlot(slot, nslots)
 	if err != nil {
-		return EncodeError("migrate: dump: " + err.Error())
+		return appendError(dst, "migrate: dump: "+err.Error())
 	}
 	payload, err := EncodePairs(pairs)
 	if err != nil {
-		return EncodeError("migrate: encode: " + err.Error())
+		return appendError(dst, "migrate: encode: "+err.Error())
 	}
-	return EncodeBulk(payload)
+	return appendBulk(dst, payload)
 }

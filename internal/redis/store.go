@@ -281,13 +281,15 @@ func (s *Store) appendBulk(dst, key []byte, more int) ([]byte, error) {
 // AppendReply appends the RESP reply to a GET (array false, one key) or to an
 // MGET of keys: one appendBulk per key, in key order, behind the array header.
 // It is the read loop of whoever is switched into a VAS that maps the store —
-// a client in the read VAS, a router worker in a frozen view.
-func (s *Store) AppendReply(dst []byte, keys []string, array bool) (_ []byte, err error) {
+// a client in the read VAS, a router worker in a frozen view. more is how many
+// values the caller will append behind this reply, which a dst that has to
+// grow makes room for too.
+func (s *Store) AppendReply(dst []byte, keys []string, array bool, more int) (_ []byte, err error) {
 	if array {
-		dst = appendLen(slices.Grow(dst, lenSize(len(keys))), '*', len(keys))
+		dst = appendLen(dst, '*', len(keys))
 	}
 	for i, key := range keys {
-		if dst, err = s.appendBulk(dst, []byte(key), len(keys)-1-i); err != nil {
+		if dst, err = s.appendBulk(dst, []byte(key), len(keys)-1-i+more); err != nil {
 			break
 		}
 	}

@@ -14,11 +14,12 @@ import (
 
 // TestFillAllocations gates what a fill of 16 GETs costs the heap on its way
 // through the connection layer to batchBackend and back (not under -race,
-// which allocates on its own): 57. The connection layer's own are three — the
-// fill's requests in one slab, the batch's pointers into it, the batch — where
-// a request allocated each and two slices grown by append made 27 (81 in all,
-// 1.5 per command more). The other 54 are the commands' parsed arguments and
-// the fake's replies and bookkeeping.
+// which allocates on its own): 27. The connection layer's own are five — the
+// fill's arena (the string its arguments are cut from, and their slab), its
+// requests in one slab, the batch's pointers into it, the batch — where a
+// command's arguments were two of their own (57 in all), and before that a
+// request allocated each and two slices grown by append (81). The other 22
+// are the fake's replies and bookkeeping.
 func TestFillAllocations(t *testing.T) {
 	nc, _ := serveFake(t, &batchBackend{}, server.Config{})
 	var wire, want []byte
@@ -37,7 +38,7 @@ func TestFillAllocations(t *testing.T) {
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("replies %q (%v), want %q", got, err, want)
 	}
-	if allocs > 57 {
-		t.Errorf("a fill of 16 GETs: %.0f allocations, want at most 57", allocs)
+	if allocs > 27 {
+		t.Errorf("a fill of 16 GETs: %.0f allocations, want at most 27", allocs)
 	}
 }

@@ -55,11 +55,12 @@ var delOneReply = []byte(":1\r\n")
 
 // admit runs tenant admission for one resolved command (cmd is
 // redis.Lookup(args), arity already checked), rewriting key args into the
-// caller's view in place. A non-nil inline reply answers the command at
-// admission (denial, quota rejection) and nothing reaches the backend.
-// Otherwise settle — if non-nil — must be called with the reply bytes once
-// the backend finishes, to commit or roll back the quota charge.
-func (ct *connTenant) admit(cmd *redis.Command, args []string) (inline []byte, settle func([]byte)) {
+// caller's view in place, the rewritten keys cut from the fill's arena. A
+// non-nil inline reply answers the command at admission (denial, quota
+// rejection) and nothing reaches the backend. Otherwise settle — if non-nil —
+// must be called with the reply bytes once the backend finishes, to commit or
+// roll back the quota charge.
+func (ct *connTenant) admit(cmd *redis.Command, args []string, arena *redis.Arena) (inline []byte, settle func([]byte)) {
 	if cmd.By != redis.ByStore {
 		// Store-less commands (PING, ECHO) and admin commands (CLUSTER)
 		// carry no keys and pass through unauthenticated.
@@ -80,7 +81,7 @@ func (ct *connTenant) admit(cmd *redis.Command, args []string) (inline []byte, s
 				return redis.EncodeNoPerm(err.Error()), nil
 			}
 		} else {
-			keys[i] = redis.TenantKey(ct.t.ID(), k)
+			keys[i] = arena.TenantKey(ct.t.ID(), k)
 		}
 	}
 	// Quota admission: the caller pays the command-rate token; byte and
@@ -133,7 +134,7 @@ func (ct *connTenant) auth(args []string) []byte {
 	// A re-AUTH switches identity; the previous identity's attachments
 	// must not carry over.
 	ct.attached = map[attachKey]uint64{}
-	return redis.EncodeSimple("OK")
+	return okReply
 }
 
 // attach authorizes addressing target's view, consulting the per-connection

@@ -13,19 +13,26 @@ import (
 	"spacejmp/internal/redis"
 )
 
-var busyReply = redis.EncodeBusy("server busy: shard queue full, retry")
+var (
+	busyReply = redis.EncodeBusy("server busy: shard queue full, retry")
+	okReply   = redis.EncodeSimple("OK")
+)
 
 // ConnBufSize is a connection's read buffer and its write buffer. A fill is
 // one read into the first, so it is sized to hold a pipeline: the default
-// PipelineDepth (32) of 1 KiB SETs is ≈ 34 KB. The writer flushes when the
-// second fills or no fill is queued, so it holds a fill's replies for one
-// write: a serve-mixed fill's average 33.6 KB. The price is 128 KiB per
-// connection.
+// PipelineDepth (32) of 1 KiB SETs is ≈ 34 KB. The fill's arguments are cut
+// from one arena sized from what the read brought in, not from this buffer.
+// The writer flushes when the second fills or no fill is queued, so it holds a
+// fill's replies for one write: a serve-mixed fill's average 33.6 KB. The
+// price is 128 KiB per connection.
 const ConnBufSize = 64 << 10
 
 // fill is what the reader made of one buffer fill: every command it held, in
 // arrival order and in one allocation, and the batch the backend took of them
-// — nil when none needed a backend or it took none.
+// — nil when none needed a backend or it took none. The requests' arguments
+// are cut from the fill's arena and the backend renders their replies into
+// chunks of its own; both live as long as anyone keeps a piece, the writer
+// until it has written the fill.
 type fill struct {
 	reqs  []Request
 	batch *Batch
@@ -102,16 +109,19 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 		}
 		scratch = scratch[:0]
 		nbound := 0 // of the fill's requests, those bound for the backend
+		// The fill's arguments, tenant keys included, are cut from one arena,
+		// made for this fill: whoever keeps an argument keeps it whole.
+		var arena redis.Arena
 		for len(scratch) < free {
 			var args []string
 			if len(scratch) > 0 {
 				// Behind the command the fill was read for: whatever else it
 				// holds whole. The rest waits for the next fill.
 				var ok bool
-				if args, ok = redis.ReadBufferedCommand(br); !ok {
+				if args, ok = arena.ReadBufferedCommand(br); !ok {
 					break
 				}
-			} else if a, err := redis.ReadCommand(br); err == nil {
+			} else if a, err := arena.ReadCommand(br); err == nil {
 				args = a
 			} else {
 				if errors.Is(err, redis.ErrProtocol) {
@@ -129,7 +139,7 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 				break
 			}
 			commands++
-			scratch = append(scratch, c.request(args))
+			scratch = append(scratch, c.request(args, &arena))
 			r := &scratch[len(scratch)-1]
 			if r.resp == nil {
 				nbound++
@@ -191,7 +201,7 @@ type connReader struct {
 // set) when the connection answers it itself — a refusal, its own commands,
 // a tenant denial — and stamped for the backend otherwise. Tenant admission
 // runs here, per command, in arrival order.
-func (c *connReader) request(args []string) Request {
+func (c *connReader) request(args []string, arena *redis.Arena) Request {
 	// The one place a command's name is read: everything downstream
 	// dispatches on the resolved table row.
 	cmd := redis.Lookup(args)
@@ -203,7 +213,7 @@ func (c *connReader) request(args []string) Request {
 		r.resp = cmd.Refusal(args)
 	case redis.ByConn:
 		// Connection state only, so these never need a worker.
-		r.resp = redis.EncodeSimple("OK")
+		r.resp = okReply
 		switch cmd.Op {
 		case redis.OpReadonly, redis.OpReadwrite:
 			// Per-connection follower-read opt-in.
@@ -229,7 +239,7 @@ func (c *connReader) request(args []string) Request {
 		if c.ct != nil {
 			// Tenant admission may answer here too: a capability denial
 			// or a quota rejection. Nothing then reaches the backend.
-			r.resp, r.settle = c.ct.admit(cmd, args)
+			r.resp, r.settle = c.ct.admit(cmd, args, arena)
 		}
 		r.Readonly, r.Deadline = c.readonly, c.deadline
 	}

@@ -65,7 +65,7 @@ func FuzzAuthCommand(f *testing.F) {
 		// Pass 1: unauthenticated. A data command must die inline with the
 		// typed denial; nothing else may slip through to a backend.
 		unauth := append([]string(nil), args...)
-		inline, settle := ct.admit(cmd, unauth)
+		inline, settle := ct.admit(cmd, unauth, new(redis.Arena))
 		checkInline(inline, "unauthenticated")
 		if cmd.By == redis.ByStore {
 			if !strings.HasPrefix(string(inline), "-NOPERM") {
@@ -83,7 +83,7 @@ func FuzzAuthCommand(f *testing.F) {
 			t.Fatalf("demo AUTH failed: %q", resp)
 		}
 		authed := append([]string(nil), args...)
-		inline, settle = ct.admit(cmd, authed)
+		inline, settle = ct.admit(cmd, authed, new(redis.Arena))
 		checkInline(inline, "authenticated")
 		if inline == nil {
 			// Admitted (a denial may leave args partially rewritten, but

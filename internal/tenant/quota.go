@@ -3,6 +3,7 @@ package tenant
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Quotas bounds one tenant's footprint. Zero values mean unlimited.
@@ -60,7 +61,11 @@ func (t *Tenant) TakeToken() error {
 // on success the charge stands and undo is discarded.
 func (t *Tenant) ChargeSet(key string, valLen int) (undo func(), err error) {
 	t.mu.Lock()
-	old, existed := t.sizes[key]
+	size, existed := t.sizes[key]
+	var old uint32
+	if existed {
+		old = *size
+	}
 	newBytes := t.bytes - uint64(old) + uint64(valLen)
 	newKeys := t.keys
 	if !existed {
@@ -78,13 +83,23 @@ func (t *Tenant) ChargeSet(key string, valLen int) (undo func(), err error) {
 		return nil, err
 	}
 	t.bytes, t.keys = newBytes, newKeys
-	t.sizes[key] = uint32(valLen)
+	if existed {
+		*size = uint32(valLen)
+	} else {
+		// The map keeps a copy of the key: the caller's is cut from a
+		// connection's fill, which the entry would keep whole for as long as
+		// the key lives. Writing through the pointer after that never hands
+		// the map the caller's string again.
+		size = new(uint32)
+		*size = uint32(valLen)
+		t.sizes[strings.Clone(key)] = size
+	}
 	t.mu.Unlock()
 	return func() {
 		t.mu.Lock()
 		t.bytes += uint64(old) - uint64(valLen)
 		if existed {
-			t.sizes[key] = old
+			*size = old
 		} else {
 			t.keys--
 			delete(t.sizes, key)
@@ -96,8 +111,8 @@ func (t *Tenant) ChargeSet(key string, valLen int) (undo func(), err error) {
 // SettleDel credits a confirmed DEL back to the budgets.
 func (t *Tenant) SettleDel(key string) {
 	t.mu.Lock()
-	if old, ok := t.sizes[key]; ok {
-		t.bytes -= uint64(old)
+	if size, ok := t.sizes[key]; ok {
+		t.bytes -= uint64(*size)
 		t.keys--
 		delete(t.sizes, key)
 	}
