@@ -110,9 +110,9 @@ func (g batchRig) kind(n *node, cmd *redis.Command, readonly bool) string {
 	return "endpoint"
 }
 
-// savings counts, on the rule's plan of a pipeline (refPlan), the members
-// that ride an earlier one's switch pair (a store's or a frozen view's) or
-// frame: each that follows one of its run served the same way.
+// savings counts, on the rule's plan of a pipeline (refPlan, in VAS phases),
+// the members that ride an earlier one's switch pair (a store's or a frozen
+// view's) or frame: each that follows one of its run served the same way.
 func (g batchRig) savings(pipe []*server.Request) (pairs, frames uint64) {
 	for _, s := range refPlan(pipe, g.r.locate) {
 		for i := 1; i < len(s.members); i++ {
@@ -394,6 +394,21 @@ func TestRunBoundaries(t *testing.T) {
 				return []*server.Request{get(k[1][0]), set(k[1][0]), set(k[1][1]), get(k[1][0])}
 			},
 			replies: []string{"$", "+OK", "+OK", "$1\r\nv"}, frames: 3},
+		{name: "a write between two reads of other keys: one read run and one write run per node",
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				return []*server.Request{get(k[0][0]), set(k[0][1]), get(k[0][2]), get(k[1][0]), set(k[1][1]), get(k[1][2])}
+			},
+			replies: []string{"$", "+OK", "$", "$", "+OK", "$"}, pairs: 2, frames: 2},
+		{name: "a read of the key a write just wrote waits for it; a read of another key does not",
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				return []*server.Request{set(k[0][0]), get(k[0][0]), get(k[0][1])}
+			},
+			replies: []string{"+OK", "$1\r\nv", "$"}, pairs: 2},
+		{name: "an MGET part whose key an earlier SET writes stays behind the SET",
+			pipe: func(k [rigNodes][]string) []*server.Request {
+				return []*server.Request{get(k[0][1]), set(k[0][0]), request(false, 0, "MGET", k[0][0], k[1][0]), get(k[0][2])}
+			},
+			replies: []string{"$", "+OK", "*2\r\n$1\r\nv\r\n", "$"}, pairs: 3, frames: 1},
 		{name: "fenced slot: -MOVED, and the reads behind it run on",
 			setup: migrating(func(k [rigNodes][]string) string { return k[1][0] }, true),
 			pipe: func(k [rigNodes][]string) []*server.Request {

@@ -225,11 +225,15 @@ func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 // behind it. The chunks are the fill's: dropped here when the batch is done,
 // freed by the GC once the writer drops the fill. The first is sized for the
 // batch by perCmd, the reply bytes per command the batches before rendered.
+//
+// behind is the planner's scratch (phase): keys cut from the fill's arena, so
+// reset wipes it like the rest.
 type plan struct {
 	members  []member
 	fans     []fan
 	argv     []string
 	owners   []int
+	behind   []string
 	elems    [][]byte
 	cut      [][]byte
 	done     []bool
@@ -341,29 +345,55 @@ func (p *plan) mget(m member, locate func(string) (int, *migration)) {
 	}
 }
 
-// runs orders the segment gathered at members[seg:] node by node — nodes in
-// the order they first appear, each one's members in arrival order: a member
-// moves ahead only across other nodes', disjoint keys, so the two commute —
-// and starts a run at each node and wherever Cmd.Write flips, as reads and
-// writes use different VASes of a store.
+// runs orders the segment gathered at members[seg:] node by node, nodes in
+// the order they first appear — a member moves ahead only across other nodes',
+// disjoint keys, so the two commute — and each node's members in VAS phases,
+// one run each, as reads and writes use different VASes of a store. The first
+// phase is in the VAS of the node's first member; each takes, in arrival
+// order, every member left in its VAS that no member left ahead of it
+// conflicts with: one sharing a key where either writes, or any write, so
+// SET/DEL keep their order. Phases alternate until the node is laid out.
 func (p *plan) runs(seg int) {
 	end := len(p.members)
 	for i := seg; i < end; i++ {
-		n := p.members[i].node
-		if n < 0 {
-			continue // laid out with an earlier node's
-		}
-		for j := i; j < end; j++ {
-			if p.members[j].node != n {
-				continue
+		if n := p.members[i].node; n >= 0 { // else laid out with an earlier node's
+			for write, left := p.members[i].req.Cmd.Write, true; left; write = !write {
+				left = p.phase(n, i, end, write)
 			}
-			m := p.members[j]
-			m.step = j == i || m.req.Cmd.Write != p.members[len(p.members)-1].req.Cmd.Write
-			p.members = append(p.members, m)
-			p.members[j].node = -1
 		}
 	}
 	p.members = append(p.members[:seg], p.members[end:]...)
+}
+
+// phase lays out node n's next run: of its members in members[i:end], those
+// in the write VAS (or the read one) that no member left ahead of them
+// conflicts with, in arrival order. It reports whether any of n's are left.
+// p.behind gathers the keys of those left in the other VAS (a write left in
+// its own blocks every write behind it); a node in one VAS compares no key.
+func (p *plan) phase(n, i, end int, write bool) (left bool) {
+	p.behind, left = p.behind[:0], false
+	step := true
+	for j := i; j < end; j++ {
+		m := &p.members[j]
+		if m.node != n {
+			continue
+		}
+		if m.req.Cmd.Write != write {
+			p.behind, left = append(p.behind, m.req.Cmd.Keys(m.args)...), true
+			continue
+		}
+		if len(p.behind) > 0 && slices.ContainsFunc(m.req.Cmd.Keys(m.args), func(k string) bool { return slices.Contains(p.behind, k) }) {
+			if write {
+				return true // every write behind it conflicts with it
+			}
+			left = true
+			continue
+		}
+		p.members = append(p.members, *m)
+		p.members[len(p.members)-1].step, step = step, false
+		p.members[j].node = -1
+	}
+	return left
 }
 
 // locate is what plan.make asks of the topology, under its read lock: the
@@ -597,7 +627,7 @@ func (p *plan) reset() {
 		est := (p.rendered + len(p.done) - 1) / len(p.done)
 		p.perCmd = max(est, p.perCmd-p.perCmd/16)
 	}
-	p.members, p.fans, p.argv, p.owners = wipe(p.members), wipe(p.fans), wipe(p.argv), wipe(p.owners)
+	p.members, p.fans, p.argv, p.owners, p.behind = wipe(p.members), wipe(p.fans), wipe(p.argv), wipe(p.owners), wipe(p.behind)
 	p.elems, p.cut, p.done = wipe(p.elems), wipe(p.cut), wipe(p.done)
 	p.out, p.rendered = nil, 0
 }

@@ -179,6 +179,8 @@ func newestValid(gens [numGenerations]generation) (generation, bool) {
 // makes the slot valid) is written last. A torn write surfaces as an error
 // and leaves the previous generation the newest valid one.
 func (sys *System) Checkpoint() error {
+	sys.ckptMu.Lock()
+	defer sys.ckptMu.Unlock()
 	sbBase, sbSize := sys.M.PM.Superblock()
 	if sbSize == 0 {
 		return fmt.Errorf("%w: machine has no NVM superblock; configure mem.Config.NVMSuperblock", ErrInvalid)
@@ -336,6 +338,8 @@ func (sys *System) CheckpointSegment(name string) (*SegmentImage, error) {
 // ErrCorruptCheckpoint when headers are present but no generation validates
 // or the newest one does not decode.
 func (sys *System) newestImage() (*persistImage, uint64, error) {
+	sys.ckptMu.Lock()
+	defer sys.ckptMu.Unlock()
 	sbBase, sbSize := sys.M.PM.Superblock()
 	if sbSize == 0 {
 		return nil, 0, fmt.Errorf("%w: machine has no NVM superblock", ErrInvalid)

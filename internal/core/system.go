@@ -33,6 +33,11 @@ type System struct {
 	segTier      mem.Tier
 	tagPrimaries bool
 	switches     atomic.Uint64 // total vas_switch count (Figure 9's switch rate); not under mu
+
+	// ckptMu orders the NVM superblock's writer (Checkpoint) and readers
+	// (newestImage): shard nodes checkpoint from their own handlers, and two
+	// writers would pick the same generation slot.
+	ckptMu sync.Mutex
 }
 
 // NewSystem boots a SpaceJMP system on the given machine with the given

@@ -146,7 +146,7 @@ func (c *Client) apply(dst []byte, cmd *Command, args []string, more int) []byte
 			return out
 		}
 	case OpSet:
-		if err = c.set([]byte(args[1]), []byte(args[2])); err == nil {
+		if err = c.set(c.staged(args[1], args[2])); err == nil {
 			return appendFixed(dst, "+OK\r\n", more)
 		}
 		if errors.Is(err, mspace.ErrNoSpace) {

@@ -96,6 +96,25 @@ type Client struct {
 
 	// scratch is this client's private heap segment id.
 	scratch core.SegID
+
+	// stage holds a SET's key and value as bytes while the store copies them
+	// into the segment (staged): converted one by one, each would escape
+	// through the store's Accessor, an allocation per argument.
+	stage []byte
+}
+
+// maxKeptStage bounds the staging buffer a client keeps between commands, so
+// one huge value does not stay pinned to the client that stored it.
+const maxKeptStage = 64 << 10
+
+// staged copies key and val into the client's staging buffer and returns
+// them as bytes: valid until the client's next staged.
+func (c *Client) staged(key, val string) ([]byte, []byte) {
+	if cap(c.stage) > maxKeptStage {
+		c.stage = nil
+	}
+	c.stage = append(append(c.stage[:0], key...), val...)
+	return c.stage[:len(key)], c.stage[len(key):]
 }
 
 // NewClient attaches the calling thread to the RedisJMP state, creating it

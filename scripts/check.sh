@@ -43,7 +43,7 @@ go build ./...
 echo "== size budgets (non-test Go lines, counted as the benchmark's repo.nontest_go_loc; document bytes) =="
 # What the tree may weigh. A PR that needs more raises the number here, in
 # the same diff, so lines and prose are spent knowingly and not by accretion.
-budget_loc=26324
+budget_loc=26383
 budget_design=45400
 budget_readme=25600
 budget_skill=15000
@@ -100,9 +100,10 @@ go test -count=20 -run 'TestScenarioLibrary/checkpoint-corruption-storm$' ./inte
 # the unlocked owner side of the TLB; a switch reading a process's death flag
 # without its mutex.
 go test -race -count=5 ./internal/tlb ./internal/hw ./internal/core ./internal/stats
-# The batch path against the per-command model: runs, MGET parts joining them,
-# and the prefix published while the batch goes on.
-go test -race -count=5 -run 'TestBatchMatchesPerCommand|TestRunOfOneIsTheOldCommand|TestRepliesGoOutInArrivalOrder|TestMGetMatchesModel' ./internal/cluster
+# The batch path: the plan against what no rule may move, and against the
+# per-command model: runs, MGET parts joining them, and the prefix published
+# while the batch goes on.
+go test -race -count=5 -run 'TestPlanKeepsKeyOrder|TestBatchMatchesPerCommand|TestRunOfOneIsTheOldCommand|TestRepliesGoOutInArrivalOrder|TestMGetMatchesModel' ./internal/cluster
 # A fill's requests are one slab the reader, the writer and the workers share.
 go test -race -count=5 -run 'TestFillIsOneBatch|TestPartialCommandWaitsForTheNextFill|TestRepliesGoOutAsTheBackendAnswers|TestPipelineDepthBoundsWhatIsInFlight|TestBackendTakesAPrefix|TestPipelineIsOneFillAndOneWrite' ./internal/server
 
