@@ -2,12 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"maps"
 	"slices"
 
 	"spacejmp/internal/arch"
@@ -35,7 +35,7 @@ import (
 
 const (
 	checkpointMagic   uint64 = 0x53504a4d50533031 // "SPJMPS01"
-	checkpointVersion uint64 = 2
+	checkpointVersion uint64 = 3
 
 	// Slot header layout (all little-endian uint64):
 	// magic, version, seq, payload length, CRC32 of payload.
@@ -67,7 +67,11 @@ type persistSeg struct {
 	Lockable bool
 	Owner    Creds
 	PageSize uint64
-	Frames   map[uint64]arch.PhysAddr
+	// The frame map as two slices, page indices ascending and their frames
+	// (vm.Object.ResolvedFrames): gob encodes a []uint64 without reflecting
+	// on each element, and the payload does not depend on map order.
+	Pages  []uint64
+	Frames []uint64
 }
 
 type persistVASMapping struct {
@@ -200,13 +204,14 @@ func (sys *System) Checkpoint() error {
 		if seg.Obj.Tier != mem.TierNVM {
 			continue
 		}
-		// ResolvedFrameMap, not FrameMap: after a frozen fork the live
+		// Resolved frames, not the object's own: after a frozen fork the live
 		// object's own map holds only pages written since the fork — the
 		// rest live up the COW parent chain and must still be persisted.
+		pages, frames := seg.Obj.ResolvedFrames()
 		img.Segs = append(img.Segs, persistSeg{
 			ID: seg.ID, Name: seg.Name, Base: seg.Base, Size: seg.Size,
 			Perm: seg.Perm(), Lockable: seg.Lockable(), Owner: seg.Owner,
-			PageSize: seg.Obj.PageSize, Frames: seg.Obj.ResolvedFrameMap(),
+			PageSize: seg.Obj.PageSize, Pages: pages, Frames: frames,
 		})
 		persisted[seg.ID] = true
 	}
@@ -230,9 +235,13 @@ func (sys *System) Checkpoint() error {
 		img.Vases = append(img.Vases, pv)
 	}
 	sys.mu.Unlock()
+	// Registry order, not map order: an unchanged system writes the same bytes.
+	slices.SortFunc(img.Segs, func(a, b persistSeg) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(img.Vases, func(a, b persistVAS) int { return cmp.Compare(a.ID, b.ID) })
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+	buf := &sys.ckptBuf
+	buf.Reset()
+	if err := gob.NewEncoder(buf).Encode(&img); err != nil {
 		return fmt.Errorf("spacejmp: encoding checkpoint: %w", err)
 	}
 	_, slotCap := slotGeometry(sbBase, sbSize, 0)
@@ -293,12 +302,13 @@ func (img *SegmentImage) Page(i int) []byte {
 	return img.Data[uint64(i)*img.PageSize:][:img.PageSize]
 }
 
-// read fills the image with the contents of frames, page index → frame.
-func (img *SegmentImage) read(sys *System, frames map[uint64]arch.PhysAddr) (*SegmentImage, error) {
-	img.Index = slices.Sorted(maps.Keys(frames))
+// read fills the image with the pages index names, ascending, from their
+// frames.
+func (img *SegmentImage) read(sys *System, index, frames []uint64) (*SegmentImage, error) {
+	img.Index = index
 	img.Data = make([]byte, uint64(len(img.Index))*img.PageSize)
 	for i, idx := range img.Index {
-		if err := sys.M.PM.ReadAt(frames[idx], img.Page(i)); err != nil {
+		if err := sys.M.PM.ReadAt(arch.PhysAddr(frames[i]), img.Page(i)); err != nil {
 			return nil, fmt.Errorf("spacejmp: reading page %d of %q: %w", idx, img.Name, err)
 		}
 	}
@@ -328,7 +338,7 @@ func (sys *System) CheckpointSegment(name string) (*SegmentImage, error) {
 			Name: ps.Name, Size: ps.Size, PageSize: pageSize,
 			Lockable: ps.Lockable, Seq: seq,
 		}
-		return out.read(sys, ps.Frames)
+		return out.read(sys, ps.Pages, ps.Frames)
 	}
 	return nil, fmt.Errorf("%w: generation %d holds no segment %q", ErrNotFound, seq, name)
 }
@@ -387,20 +397,20 @@ func (sys *System) SegmentImageOf(name string, seq uint64, pages []uint64) (*Seg
 		return nil, fmt.Errorf("%w: segment %q", ErrNotFound, name)
 	}
 	obj := seg.Obj
-	frames := map[uint64]arch.PhysAddr{}
+	var index, frames []uint64
 	if pages == nil {
-		frames = obj.ResolvedFrameMap()
+		index, frames = obj.ResolvedFrames()
 	}
-	for _, idx := range pages {
+	for _, idx := range slices.Sorted(slices.Values(pages)) {
 		if pa, ok := obj.ResolveFrame(idx); ok {
-			frames[idx] = pa
+			index, frames = append(index, idx), append(frames, uint64(pa))
 		}
 	}
 	out := &SegmentImage{
 		Name: seg.Name, Size: seg.Size, PageSize: obj.PageSize,
 		Lockable: seg.Lockable(), Seq: seq,
 	}
-	return out.read(sys, frames)
+	return out.read(sys, index, frames)
 }
 
 // Restore rebuilds the registries from the newest valid checkpoint
@@ -431,7 +441,7 @@ func (sys *System) Restore() error {
 		}
 		seg := &Segment{
 			ID: ps.ID, Name: ps.Name, Base: ps.Base, Size: ps.Size,
-			Obj:   vm.NewObjectFromFramesPages(sys.M.PM, ps.Name, ps.Size, mem.TierNVM, pageSize, ps.Frames),
+			Obj:   vm.NewObjectFromFramesPages(sys.M.PM, ps.Name, ps.Size, mem.TierNVM, pageSize, ps.Pages, ps.Frames),
 			Owner: ps.Owner, perm: ps.Perm, lockable: ps.Lockable,
 		}
 		if err := sys.registerSegLocked(seg); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -413,5 +414,84 @@ func TestCheckpointSegmentCorrupt(t *testing.T) {
 	}
 	if _, err := sys.CheckpointSegment("corrupt.seg"); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
+	}
+}
+
+// nvmSystem returns a system on a fresh persistent machine with one
+// NVM-backed segment of the given size in a VAS, and a thread of it.
+func nvmSystem(t *testing.T, size uint64) (*System, *Thread) {
+	t.Helper()
+	sys := NewSystem(persistentMachine(), testPersonality{})
+	sys.SetSegmentTier(mem.TierNVM)
+	_, th := spawn(t, sys)
+	vid, err := th.VASCreate("durable.vas", 0o660)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid, err := th.SegAlloc("durable.seg", segBase(0), size, arch.PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := th.SegAttachVAS(vid, sid, arch.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	return sys, th
+}
+
+// TestCheckpointAllocations pins that a checkpoint's encoding does not
+// allocate per page: gob writes the frame map's two slices without
+// reflecting on each entry.
+func TestCheckpointAllocations(t *testing.T) {
+	sys, _ := nvmSystem(t, 4096*arch.PageSize)
+	if n := testing.AllocsPerRun(10, func() {
+		if err := sys.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}); n >= 64 {
+		t.Errorf("a checkpoint of a 4096-page segment allocates %.0f times, want under 64", n)
+	}
+}
+
+// TestCheckpointIsDeterministic: an unchanged system checkpoints to the same
+// bytes, whatever order the registries' maps hand their entries out in.
+func TestCheckpointIsDeterministic(t *testing.T) {
+	sys, th := nvmSystem(t, 64*arch.PageSize)
+	for i := 1; i < 4; i++ {
+		sid, err := th.SegAlloc(fmt.Sprintf("more%d.seg", i), segBase(i), 8*arch.PageSize, arch.PermRW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vid, err := th.VASCreate(fmt.Sprintf("more%d.vas", i), 0o660)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := th.SegAttachVAS(vid, sid, arch.PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := func() []byte {
+		if err := sys.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		sbBase, sbSize := sys.M.PM.Superblock()
+		gens, err := sys.generations(sbBase, sbSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, ok := newestValid(gens)
+		if !ok {
+			t.Fatal("no valid generation after a checkpoint")
+		}
+		data := make([]byte, g.size)
+		if err := sys.M.PM.ReadAt(g.base+hdrSize, data); err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	first := payload()
+	for i := 0; i < 10; i++ {
+		if next := payload(); !bytes.Equal(next, first) {
+			t.Fatalf("checkpoint %d of an unchanged system wrote %d bytes unlike the first's %d", i+2, len(next), len(first))
+		}
 	}
 }

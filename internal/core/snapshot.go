@@ -106,7 +106,8 @@ func (t *Thread) SegForkFrozen(sid SegID, newName string) (SegID, error) {
 		perm: arch.PermRead, lockable: false, ephemeral: true,
 	}
 	// The live object's frames map is now empty; installed writable PTEs
-	// still point at the frozen frames. Downgrade them everywhere the source
+	// still point at the frozen frames, and only at the pages it owned, which
+	// the frozen view recorded (Dirty). Downgrade them everywhere the source
 	// is mapped writable so the next store faults and breaks COW.
 	for _, v := range vases {
 		for _, m := range v.Mappings() {
@@ -114,17 +115,13 @@ func (t *Thread) SegForkFrozen(sid SegID, newName string) (SegID, error) {
 				continue
 			}
 			for _, a := range v.attachments() {
-				if err := a.Space.DowngradeWrites(src.Base, src.Size); err != nil {
-					dst.Obj.Unref()
-					src.Obj.CollapseCOW()
-					return 0, fmt.Errorf("spacejmp: downgrading writers of %q: %w", src.Name, err)
-				}
+				a.Space.DowngradeWrites(src.Base, src.Size, dst.Obj.Dirty())
 			}
 		}
 	}
 	if err := sys.registerSeg(dst); err != nil {
 		// The frozen view is gone again; fold its frames back into the
-		// source, as when the downgrade fails.
+		// source.
 		src.Obj.CollapseCOW()
 		return 0, err
 	}

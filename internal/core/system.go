@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -37,7 +38,8 @@ type System struct {
 	// ckptMu orders the NVM superblock's writer (Checkpoint) and readers
 	// (newestImage): shard nodes checkpoint from their own handlers, and two
 	// writers would pick the same generation slot.
-	ckptMu sync.Mutex
+	ckptMu  sync.Mutex
+	ckptBuf bytes.Buffer // Checkpoint's payload, reused under ckptMu
 }
 
 // NewSystem boots a SpaceJMP system on the given machine with the given

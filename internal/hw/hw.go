@@ -234,7 +234,7 @@ func (m *Machine) CyclesToNs(cycles uint64) float64 {
 type PageFault struct {
 	VA     arch.VirtAddr
 	Access arch.Access
-	Cause  error // underlying pt.NotMappedError or permission violation
+	Cause  error // pt.NotMappedError or permission violation; nil in a handler's
 }
 
 func (f *PageFault) Error() string {
@@ -274,6 +274,13 @@ type Core struct {
 	// OnFault is invoked on page faults; nil means faults are fatal to the
 	// access. The OS personality installs its handler here.
 	OnFault FaultHandler
+
+	// The pending fault, handed to OnFault with Cause unset, and the walk
+	// that raised it (Refs 0: no address space; PageSize 0: nothing mapped;
+	// else its Perm denied the access): a fault allocates only when it is
+	// returned (faultErr).
+	fault PageFault
+	why   pt.WalkResult
 }
 
 // l0Slots sizes the L0, direct-mapped by 4 KiB page number; a bit of Core.dirty each.
@@ -417,17 +424,37 @@ func (c *Core) LoadCR3(t *pt.Table, asid arch.ASID) {
 // set and resolves the fault, the translation is retried once. The slow path
 // of every access the L0 does not serve, and a settle point.
 func (c *Core) Translate(va arch.VirtAddr, access arch.Access) (arch.PhysAddr, error) {
-	pa, err := c.translateOnce(va, access)
-	if f, ok := err.(*PageFault); ok && c.OnFault != nil {
+	pa, ok := c.translateOnce(va, access)
+	if !ok && c.OnFault != nil {
 		c.cobs.Fault()
-		if err = c.OnFault(c, f); err == nil {
-			pa, err = c.translateOnce(va, access)
+		if err := c.OnFault(c, &c.fault); err != nil {
+			return 0, err
 		}
+		pa, ok = c.translateOnce(va, access)
 	}
-	return pa, err
+	if !ok {
+		return 0, c.faultErr()
+	}
+	return pa, nil
 }
 
-func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAddr, error) {
+// faultErr returns the pending fault as the error the access fails with.
+func (c *Core) faultErr() error {
+	f, r := c.fault, c.why
+	switch {
+	case r.Refs == 0:
+		f.Cause = fmt.Errorf("no address space loaded")
+	case r.PageSize == 0:
+		f.Cause = r.NotMapped(f.VA)
+	default:
+		f.Cause = fmt.Errorf("%v mapping denies %v", r.Perm, f.Access)
+	}
+	return &f
+}
+
+// translateOnce is one attempt at va; on a fault it records the pending
+// fault and returns ok=false.
+func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (_ arch.PhysAddr, ok bool) {
 	cost := &c.machine.Cfg.Cost
 	c.cycles += cost.TLBHit
 	epoch := c.TLB.Epoch() // before the probe: see tlb.Probe
@@ -436,7 +463,7 @@ func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAdd
 	if e != nil && e.Perm.Allows(access.Perm()) {
 		c.probed(n+1, n+1)
 		c.cache(va, e, epoch)
-		return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), nil
+		return e.Frame + arch.PhysAddr(uint64(va)&(e.PageSize-1)), true
 	}
 	c.probed(n+1, n)
 	if e != nil {
@@ -449,17 +476,16 @@ func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAdd
 	}
 	c.cobs.TLBMiss(c.asid)
 	if c.table == nil {
-		return 0, &PageFault{VA: va, Access: access, Cause: fmt.Errorf("no address space loaded")}
+		c.fault, c.why = PageFault{VA: va, Access: access}, pt.WalkResult{}
+		return 0, false
 	}
-	r, err := c.table.Walk(va)
+	r, mapped := c.table.Lookup(va)
 	walk := uint64(r.Refs) * cost.WalkRef
 	c.cycles += walk
 	c.cobs.AddCycles(stats.CatWalk, walk)
-	if err != nil {
-		return 0, &PageFault{VA: va, Access: access, Cause: err}
-	}
-	if !r.Perm.Allows(access.Perm()) {
-		return 0, &PageFault{VA: va, Access: access, Cause: fmt.Errorf("%v mapping denies %v", r.Perm, access)}
+	if !mapped || !r.Perm.Allows(access.Perm()) {
+		c.fault, c.why = PageFault{VA: va, Access: access}, r
+		return 0, false
 	}
 	base := arch.AlignDown(va, r.PageSize)
 	frame := r.PA - arch.PhysAddr(uint64(va)-uint64(base))
@@ -475,7 +501,7 @@ func (c *Core) translateOnce(va arch.VirtAddr, access arch.Access) (arch.PhysAdd
 		*s = l0Slot{}
 	}
 	c.cache(va, e, epoch)
-	return r.PA, nil
+	return r.PA, true
 }
 
 // Read copies size bytes of virtual memory at va into buf, translating page

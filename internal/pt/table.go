@@ -166,29 +166,47 @@ type WalkResult struct {
 // Walk translates va. On failure the returned WalkResult still carries the
 // number of walker references issued, so the MMU can charge miss cycles.
 func (t *Table) Walk(va arch.VirtAddr) (WalkResult, error) {
-	r, err := t.walk(va)
-	t.obs.Walk(r.Refs)
-	return r, err
+	r, ok := t.Lookup(va)
+	if !ok {
+		return r, r.NotMapped(va)
+	}
+	return r, nil
 }
 
-func (t *Table) walk(va arch.VirtAddr) (r WalkResult, _ error) {
+// NotMapped is the error of r, a Lookup of va that missed: the walk stopped
+// at the level of its last reference.
+func (r WalkResult) NotMapped(va arch.VirtAddr) error {
+	return &NotMappedError{VA: va, Level: arch.PTLevels - r.Refs}
+}
+
+// Lookup is Walk without the error: a miss is ok=false, and the walk is
+// counted the same, reference for reference. It allocates nothing.
+func (t *Table) Lookup(va arch.VirtAddr) (r WalkResult, ok bool) {
+	_, level, e := t.leaf(va)
+	r.Refs = arch.PTLevels - level
+	t.obs.Walk(r.Refs)
+	if !e.Present() {
+		return r, false
+	}
+	r.PageSize = arch.LevelCoverage(level)
+	r.PA = e.Addr() + arch.PhysAddr(uint64(va)%r.PageSize)
+	r.Perm = e.Perm()
+	r.Global = e.Global()
+	return r, true
+}
+
+// leaf descends from the root to the entry that translates va: the table
+// holding it, its level, and the entry, which is not present if the descent
+// stopped at a hole.
+func (t *Table) leaf(va arch.VirtAddr) (arch.PhysAddr, int, PTE) {
 	table := t.root
-	for level := arch.PTLevels - 1; level >= 0; level-- {
-		r.Refs++
+	for level := arch.PTLevels - 1; ; level-- {
 		e := t.load(table, va.Index(level))
-		if !e.Present() {
-			return r, &NotMappedError{VA: va, Level: level}
-		}
-		if level == 0 || e.Huge() {
-			r.PageSize = arch.LevelCoverage(level)
-			r.PA = e.Addr() + arch.PhysAddr(uint64(va)%r.PageSize)
-			r.Perm = e.Perm()
-			r.Global = e.Global()
-			return r, nil
+		if !e.Present() || level == 0 || e.Huge() {
+			return table, level, e
 		}
 		table = e.Addr()
 	}
-	panic("pt: unreachable")
 }
 
 // NotMappedError reports a translation failure — the simulator's page fault.
@@ -206,32 +224,25 @@ func (e *NotMappedError) Error() string {
 func (t *Table) Protect(va arch.VirtAddr, size uint64, perm arch.Perm) error {
 	end := uint64(va) + size
 	for cur := uint64(va); cur < end; {
-		table, level, err := t.leafFor(arch.VirtAddr(cur))
-		if err != nil {
-			return err
+		table, level, e := t.leaf(arch.VirtAddr(cur))
+		if !e.Present() {
+			return &NotMappedError{VA: arch.VirtAddr(cur), Level: level}
 		}
-		idx := arch.VirtAddr(cur).Index(level)
-		e := t.load(table, idx)
-		t.store(table, idx, MakePTE(e.Addr(), perm, e&(FlagHuge|FlagGlobal)))
+		t.store(table, arch.VirtAddr(cur).Index(level), MakePTE(e.Addr(), perm, e&(FlagHuge|FlagGlobal)))
 		cur += arch.LevelCoverage(level)
 	}
 	return nil
 }
 
-// leafFor returns the table and level holding the leaf entry for va.
-func (t *Table) leafFor(va arch.VirtAddr) (arch.PhysAddr, int, error) {
-	table := t.root
-	for level := arch.PTLevels - 1; level >= 0; level-- {
-		e := t.load(table, va.Index(level))
-		if !e.Present() {
-			return 0, 0, &NotMappedError{VA: va, Level: level}
-		}
-		if level == 0 || e.Huge() {
-			return table, level, nil
-		}
-		table = e.Addr()
+// ClearWrite strips the write bit from the leaf translating va, if there is
+// one and it has the bit, and reports whether it had. It allocates nothing.
+func (t *Table) ClearWrite(va arch.VirtAddr) bool {
+	table, level, e := t.leaf(va)
+	if e&(FlagPresent|FlagWrite) != FlagPresent|FlagWrite {
+		return false
 	}
-	panic("pt: unreachable")
+	t.store(table, va.Index(level), e&^FlagWrite)
+	return true
 }
 
 // Unmap removes every translation inside [va, va+size) and frees owned

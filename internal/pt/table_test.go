@@ -237,11 +237,7 @@ func TestGlobalFlagSurvives(t *testing.T) {
 	if err := tbl.MapPage(0x1000, frame, arch.PageSize, arch.PermRead, true); err != nil {
 		t.Fatal(err)
 	}
-	table, level, err := tbl.leafFor(0x1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := tbl.load(table, arch.VirtAddr(0x1000).Index(level)); !e.Global() {
+	if _, _, e := tbl.leaf(0x1000); !e.Present() || !e.Global() {
 		t.Error("global bit lost")
 	}
 }
@@ -400,5 +396,42 @@ func TestTablesForMatchesActual(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLookupIsWalk: Lookup answers as Walk does, reference for reference, and
+// a miss's error names the level the descent stopped at. ClearWrite strips the
+// write bit of a present writable leaf only.
+func TestLookupIsWalk(t *testing.T) {
+	tbl, pm := testTable(t)
+	frame, _ := pm.AllocPage()
+	if err := tbl.MapPage(0x1000, frame, arch.PageSize, arch.PermRW, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		va   arch.VirtAddr
+		refs int
+		ok   bool
+	}{
+		{0x1000, 4, true},
+		{0x2000, 4, false},
+		{arch.VirtAddr(arch.LevelCoverage(1)), 3, false},
+		{arch.VirtAddr(arch.LevelCoverage(3)), 1, false},
+	} {
+		r, ok := tbl.Lookup(c.va)
+		w, err := tbl.Walk(c.va)
+		if ok != c.ok || r != w || r.Refs != c.refs || (err == nil) != ok {
+			t.Errorf("%v: Lookup %+v %v, Walk %+v %v; want %d refs, ok %v", c.va, r, ok, w, err, c.refs, c.ok)
+		}
+		var nm *NotMappedError
+		if !ok && (!errors.As(err, &nm) || nm.Level != arch.PTLevels-c.refs) {
+			t.Errorf("%v: Walk's error %v, want a miss at level %d", c.va, err, arch.PTLevels-c.refs)
+		}
+	}
+	if !tbl.ClearWrite(0x1000) || tbl.ClearWrite(0x1000) || tbl.ClearWrite(0x2000) {
+		t.Error("ClearWrite must report exactly the one leaf that had the write bit")
+	}
+	if r, _ := tbl.Lookup(0x1000); r.Perm != arch.PermRead || r.PA != frame {
+		t.Errorf("after ClearWrite: %+v, want %v read-only", r, frame)
 	}
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-
 	"spacejmp/internal/caps"
 	"spacejmp/internal/redis"
 	"spacejmp/internal/tenant"
@@ -51,23 +49,21 @@ func newConnTenant(reg *tenant.Registry) *connTenant {
 	return &connTenant{reg: reg, attached: map[attachKey]uint64{}}
 }
 
-var delOneReply = []byte(":1\r\n")
-
 // admit runs tenant admission for one resolved command (cmd is
 // redis.Lookup(args), arity already checked), rewriting key args into the
 // caller's view in place, the rewritten keys cut from the fill's arena. A
 // non-nil inline reply answers the command at admission (denial, quota
-// rejection) and nothing reaches the backend. Otherwise settle — if non-nil —
-// must be called with the reply bytes once the backend finishes, to commit or
-// roll back the quota charge.
-func (ct *connTenant) admit(cmd *redis.Command, args []string, arena *redis.Arena) (inline []byte, settle func([]byte)) {
+// rejection) and nothing reaches the backend. Otherwise the charge must be
+// settled with the reply bytes once the backend finishes, to commit or roll
+// back the quota charge (the zero Charge, for a read, settles nothing).
+func (ct *connTenant) admit(cmd *redis.Command, args []string, arena *redis.Arena) (inline []byte, charge tenant.Charge) {
 	if cmd.By != redis.ByStore {
 		// Store-less commands (PING, ECHO) and admin commands (CLUSTER)
 		// carry no keys and pass through unauthenticated.
-		return nil, nil
+		return nil, charge
 	}
 	if ct.t == nil {
-		return redis.EncodeNoPerm("authentication required"), nil
+		return redis.EncodeNoPerm("authentication required"), charge
 	}
 	want := caps.RightRead
 	if cmd.Write {
@@ -78,7 +74,7 @@ func (ct *connTenant) admit(cmd *redis.Command, args []string, arena *redis.Aren
 		if id, _, ok := redis.SplitTenantKey(k); ok {
 			// Explicitly cross-view address: the §4.2 capability check.
 			if err := ct.attach(id, want); err != nil {
-				return redis.EncodeNoPerm(err.Error()), nil
+				return redis.EncodeNoPerm(err.Error()), charge
 			}
 		} else {
 			keys[i] = arena.TenantKey(ct.t.ID(), k)
@@ -88,7 +84,7 @@ func (ct *connTenant) admit(cmd *redis.Command, args []string, arena *redis.Aren
 	// key budgets bill the view the key lives in (its owner admitted the
 	// bytes into its segments, whoever wrote them).
 	if err := ct.t.TakeToken(); err != nil {
-		return redis.EncodeQuota(err.Error()), nil
+		return redis.EncodeQuota(err.Error()), charge
 	}
 	var payload int
 	for _, a := range args[1:] {
@@ -96,7 +92,7 @@ func (ct *connTenant) admit(cmd *redis.Command, args []string, arena *redis.Aren
 	}
 	ct.t.Count(payload)
 	if !cmd.Write {
-		return nil, nil
+		return nil, charge
 	}
 	billed := ct.t
 	key := keys[0]
@@ -106,22 +102,13 @@ func (ct *connTenant) admit(cmd *redis.Command, args []string, arena *redis.Aren
 		}
 	}
 	if cmd.Value == 0 {
-		// A delete credits the view once the store confirms the key went.
-		return nil, func(resp []byte) {
-			if bytes.Equal(resp, delOneReply) {
-				billed.SettleDel(key)
-			}
-		}
+		return nil, billed.ChargeDel(key)
 	}
-	undo, err := billed.ChargeSet(key, len(args[cmd.Value]))
+	charge, err := billed.ChargeSet(key, len(args[cmd.Value]))
 	if err != nil {
-		return redis.EncodeQuota(err.Error()), nil
+		return redis.EncodeQuota(err.Error()), charge
 	}
-	return nil, func(resp []byte) {
-		if len(resp) > 0 && resp[0] == '-' {
-			undo() // the store rejected the write; release the charge
-		}
-	}
+	return nil, charge
 }
 
 // auth handles AUTH <tenant> <secret>, binding the connection's identity.

@@ -6,6 +6,7 @@ import (
 
 	"spacejmp/internal/kernel"
 	"spacejmp/internal/redis"
+	"spacejmp/internal/tenant"
 	"spacejmp/internal/urpc"
 )
 
@@ -52,9 +53,9 @@ type Request struct {
 
 	resp []byte
 
-	// settle, when set, runs in the connection writer with the finished
-	// reply — the tenant layer's quota commit/rollback hook.
-	settle func([]byte)
+	// charge is settled in the connection writer with the finished reply —
+	// the tenant layer's quota commit or rollback.
+	charge tenant.Charge
 
 	// single is the batch of one a request built by NewRequest is submitted
 	// as and waited on through; nil for a connection's requests, which

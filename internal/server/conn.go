@@ -75,11 +75,9 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 					answered++
 					f.batch.Wait(answered)
 				}
-				if r.settle != nil {
-					// Commit or roll back the tenant quota charge now that the
-					// outcome is known (registry state only — never simulated).
-					r.settle(r.resp)
-				}
+				// Commit or roll back the tenant quota charge now that the
+				// outcome is known (registry state only — never simulated).
+				r.charge.Settle(r.resp)
 				if werr == nil { // else keep draining so the reader never wedges
 					_, werr = bw.Write(r.resp)
 				}
@@ -239,7 +237,7 @@ func (c *connReader) request(args []string, arena *redis.Arena) Request {
 		if c.ct != nil {
 			// Tenant admission may answer here too: a capability denial
 			// or a quota rejection. Nothing then reaches the backend.
-			r.resp, r.settle = c.ct.admit(cmd, args, arena)
+			r.resp, r.charge = c.ct.admit(cmd, args, arena)
 		}
 		r.Readonly, r.Deadline = c.readonly, c.deadline
 	}

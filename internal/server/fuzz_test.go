@@ -65,14 +65,14 @@ func FuzzAuthCommand(f *testing.F) {
 		// Pass 1: unauthenticated. A data command must die inline with the
 		// typed denial; nothing else may slip through to a backend.
 		unauth := append([]string(nil), args...)
-		inline, settle := ct.admit(cmd, unauth, new(redis.Arena))
+		inline, charge := ct.admit(cmd, unauth, new(redis.Arena))
 		checkInline(inline, "unauthenticated")
 		if cmd.By == redis.ByStore {
 			if !strings.HasPrefix(string(inline), "-NOPERM") {
 				t.Fatalf("unauthenticated %q: inline reply %q, want -NOPERM", args, inline)
 			}
-			if settle != nil {
-				t.Fatalf("unauthenticated %q produced a settle hook", args)
+			if charge != (tenant.Charge{}) {
+				t.Fatalf("unauthenticated %q produced a quota charge", args)
 			}
 		}
 
@@ -83,7 +83,7 @@ func FuzzAuthCommand(f *testing.F) {
 			t.Fatalf("demo AUTH failed: %q", resp)
 		}
 		authed := append([]string(nil), args...)
-		inline, settle = ct.admit(cmd, authed, new(redis.Arena))
+		inline, charge = ct.admit(cmd, authed, new(redis.Arena))
 		checkInline(inline, "authenticated")
 		if inline == nil {
 			// Admitted (a denial may leave args partially rewritten, but
@@ -105,11 +105,9 @@ func FuzzAuthCommand(f *testing.F) {
 				}
 			}
 		}
-		if settle != nil {
-			// The settle hook must tolerate any reply shape the backend
-			// could produce, including errors and empty slices.
-			settle(nil)
-		}
+		// Settling must tolerate any reply shape the backend could
+		// produce, including errors and empty slices.
+		charge.Settle(nil)
 	})
 }
 

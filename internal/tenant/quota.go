@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -55,11 +56,42 @@ func (t *Tenant) TakeToken() error {
 	return nil
 }
 
+// Charge is an admitted write's pending effect on a tenant's budgets, carried
+// with the request and settled with the store's reply. The zero Charge
+// settles nothing.
+type Charge struct {
+	t       *Tenant
+	key     string
+	size    *uint32 // the entry a SET charged; nil for a DEL
+	old     uint32  // its size before the SET
+	valLen  uint32  // and the SET's
+	existed bool
+}
+
+// ChargeDel returns the charge of a DEL of key: nothing until the store
+// confirms the key went.
+func (t *Tenant) ChargeDel(key string) Charge { return Charge{t: t, key: key} }
+
+var delOneReply = []byte(":1\r\n")
+
+// Settle commits or rolls back the charge on the store's reply: a DEL that
+// removed its key credits the budgets, a SET the store refused is undone.
+func (c Charge) Settle(resp []byte) {
+	switch {
+	case c.t == nil:
+	case c.size == nil:
+		if bytes.Equal(resp, delOneReply) {
+			c.t.SettleDel(c.key)
+		}
+	case len(resp) > 0 && resp[0] == '-':
+		c.Undo()
+	}
+}
+
 // ChargeSet admits a SET of valLen bytes against the byte and key budgets,
-// charging optimistically. The returned undo reverses the charge and must
-// be called if the store rejects the write (full segment, shard error);
-// on success the charge stands and undo is discarded.
-func (t *Tenant) ChargeSet(key string, valLen int) (undo func(), err error) {
+// charging optimistically. The charge stands unless undone: Settle undoes it
+// if the store rejects the write (full segment, shard error).
+func (t *Tenant) ChargeSet(key string, valLen int) (Charge, error) {
 	t.mu.Lock()
 	size, existed := t.sizes[key]
 	var old uint32
@@ -71,6 +103,7 @@ func (t *Tenant) ChargeSet(key string, valLen int) (undo func(), err error) {
 	if !existed {
 		newKeys++
 	}
+	var err error
 	switch {
 	case t.quotas.MaxBytes > 0 && newBytes > t.quotas.MaxBytes:
 		err = fmt.Errorf("%w: tenant %q over byte budget %d", ErrOverQuota, t.id, t.quotas.MaxBytes)
@@ -80,7 +113,7 @@ func (t *Tenant) ChargeSet(key string, valLen int) (undo func(), err error) {
 	if err != nil {
 		t.mu.Unlock()
 		t.ctr.QuotaRejections.Add(1)
-		return nil, err
+		return Charge{}, err
 	}
 	t.bytes, t.keys = newBytes, newKeys
 	if existed {
@@ -95,17 +128,21 @@ func (t *Tenant) ChargeSet(key string, valLen int) (undo func(), err error) {
 		t.sizes[strings.Clone(key)] = size
 	}
 	t.mu.Unlock()
-	return func() {
-		t.mu.Lock()
-		t.bytes += uint64(old) - uint64(valLen)
-		if existed {
-			*size = old
-		} else {
-			t.keys--
-			delete(t.sizes, key)
-		}
-		t.mu.Unlock()
-	}, nil
+	return Charge{t: t, key: key, size: size, old: old, valLen: uint32(valLen), existed: existed}, nil
+}
+
+// Undo reverses a SET's charge.
+func (c Charge) Undo() {
+	t := c.t
+	t.mu.Lock()
+	t.bytes += uint64(c.old) - uint64(c.valLen)
+	if c.existed {
+		*c.size = c.old
+	} else {
+		t.keys--
+		delete(t.sizes, c.key)
+	}
+	t.mu.Unlock()
 }
 
 // SettleDel credits a confirmed DEL back to the budgets.

@@ -152,7 +152,7 @@ func TestByteAndKeyQuotas(t *testing.T) {
 		t.Fatalf("over key budget: err = %v, want ErrOverQuota", err)
 	}
 	// A rolled-back charge frees its budget again.
-	undoB()
+	undoB.Undo()
 	if _, err := tn.ChargeSet("c", 1); err != nil {
 		t.Fatalf("charge after rollback: %v", err)
 	}

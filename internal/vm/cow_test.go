@@ -222,3 +222,71 @@ func TestCOWChainAndRefcounts(t *testing.T) {
 		t.Errorf("leak: %d bytes", got-base)
 	}
 }
+
+// TestFaultAllocations pins what a fault costs the host: a not-present read
+// resolved by the handler allocates nothing, and a COW break allocates only
+// the host backing of its new frame in mem. The break takes the path a fork
+// sets off: a store through a read-only translation, with a second space's
+// translation of the page to revoke.
+func TestFaultAllocations(t *testing.T) {
+	const pages = 64
+	m := hw.NewMachine(hw.SmallTest())
+	src := NewObject(m.PM, "src", pages*arch.PageSize, mem.TierDRAM)
+	defer src.Unref()
+	if err := src.Populate(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < pages; i++ {
+		pa, _ := src.Frame(i)
+		if err := m.PM.Store64(pa, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clone := src.CloneCOW("clone")
+	defer clone.Unref()
+	const base = arch.VirtAddr(0x10000)
+	var spaces [2]*Space
+	for i := range spaces {
+		s, err := NewSpace(m.PM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Destroy()
+		if _, err := s.Map(base, clone.Size, arch.PermRW, clone, 0, MapFixed); err != nil {
+			t.Fatal(err)
+		}
+		spaces[i] = s
+	}
+	c := m.Cores[0]
+	c.OnFault = spaces[0].Handler()
+	c.LoadCR3(spaces[0].Table(), arch.ASIDFlush)
+
+	next := 0
+	read := func() {
+		va := base + arch.VirtAddr(next*arch.PageSize)
+		if v, err := c.Load64(va); err != nil || v != uint64(next+1) {
+			t.Fatalf("read fault at %v = %d, %v", va, v, err)
+		}
+		if err := spaces[1].HandleFault(va, arch.AccessRead); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if n := testing.AllocsPerRun(pages/2-1, read); n != 0 {
+		t.Errorf("a not-present read fault allocates %.1f times, want 0", n)
+	}
+	for next < pages {
+		read()
+	}
+
+	next = 0
+	if n := testing.AllocsPerRun(pages/2-1, func() {
+		va := base + arch.VirtAddr(next*arch.PageSize)
+		if err := c.Store64(va, 7); err != nil {
+			t.Fatalf("COW break at %v: %v", va, err)
+		}
+		next++
+	}); n != 1 {
+		t.Errorf("a COW break allocates %.1f times, want 1 (the new frame's host backing)", n)
+	}
+}

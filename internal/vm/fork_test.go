@@ -47,9 +47,7 @@ func TestForkRevokesStaleTranslations(t *testing.T) {
 
 	frozen := obj.ForkFrozen("store@frozen")
 	defer frozen.Unref()
-	if err := ws.DowngradeWrites(base, obj.Size); err != nil {
-		t.Fatal(err)
-	}
+	ws.DowngradeWrites(base, obj.Size, frozen.Dirty())
 
 	// The store retries after the permission fault: breakCOW in the write
 	// space, then the stale read-space translation must be gone.
@@ -399,7 +397,20 @@ func TestResolveDuringFold(t *testing.T) {
 	}
 }
 
-// refResolvedFrameMap is ResolvedFrameMap as it was: one ResolveFrame per
+// resolvedFrameMap is ResolvedFrames as a map, page → frame.
+func resolvedFrameMap(o *Object) map[uint64]arch.PhysAddr {
+	pages, frames := o.ResolvedFrames()
+	if !slices.IsSorted(pages) {
+		panic("ResolvedFrames: pages not ascending")
+	}
+	out := make(map[uint64]arch.PhysAddr)
+	for i, idx := range pages {
+		out[idx] = arch.PhysAddr(frames[i])
+	}
+	return out
+}
+
+// refResolvedFrameMap is ResolvedFrames as it was first: one ResolveFrame per
 // page, each taking and dropping every lock on its way down the chain.
 func refResolvedFrameMap(o *Object) map[uint64]arch.PhysAddr {
 	out := make(map[uint64]arch.PhysAddr)
@@ -437,7 +448,7 @@ func TestResolvedFrameMapMatchesPerPage(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		for _, o := range append([]*Object{live}, views...) {
-			got, want := o.ResolvedFrameMap(), refResolvedFrameMap(o)
+			got, want := resolvedFrameMap(o), refResolvedFrameMap(o)
 			if len(want) != pages-1 {
 				t.Fatalf("%s: %s resolves %d pages per page, want %d", when, o.Name, len(want), pages-1)
 			}
@@ -447,7 +458,7 @@ func TestResolvedFrameMapMatchesPerPage(t *testing.T) {
 		}
 	}
 	check("three views held")
-	if own, up := live.ResolvedFrameMap(), views[2].ResolvedFrameMap(); reflect.DeepEqual(own, up) {
+	if own, up := resolvedFrameMap(live), resolvedFrameMap(views[2]); reflect.DeepEqual(own, up) {
 		t.Fatal("the live object resolves as the view under it: the child's frame does not win")
 	}
 	views[1].Unref()

@@ -85,11 +85,12 @@ func NewObjectPages(pm *mem.PhysMem, name string, size uint64, tier mem.Tier, pa
 
 // NewObjectFromFramesPages reconstructs an object of the given page size over
 // frames that already hold content — the restore path after a power cycle,
-// where NVM frames (and the allocator state covering them) survived.
-func NewObjectFromFramesPages(pm *mem.PhysMem, name string, size uint64, tier mem.Tier, pageSize uint64, frames map[uint64]arch.PhysAddr) *Object {
+// where NVM frames (and the allocator state covering them) survived. Page
+// pages[i] is backed by frames[i].
+func NewObjectFromFramesPages(pm *mem.PhysMem, name string, size uint64, tier mem.Tier, pageSize uint64, pages, frames []uint64) *Object {
 	o := NewObjectPages(pm, name, size, tier, pageSize)
-	for idx, pa := range frames {
-		o.frames[idx] = pa
+	for i, idx := range pages {
+		o.frames[idx] = arch.PhysAddr(frames[i])
 	}
 	return o
 }
@@ -248,7 +249,8 @@ func (o *Object) BreakCOW(idx uint64) (arch.PhysAddr, error) {
 // ResolveFrame).
 //
 // The caller must quiesce writers for the instant of the swap AND downgrade
-// any installed writable translations of o afterwards (Space.DowngradeWrites),
+// the installed writable translations of o afterwards — the frozen view's
+// Dirty pages are the only ones that can have any (Space.DowngradeWrites) —
 // or in-flight stores would write through stale PTEs into the frozen frames.
 func (o *Object) ForkFrozen(name string) *Object {
 	o.mu.Lock()
@@ -346,7 +348,8 @@ func (o *Object) delMapper(s *Space) {
 // against a concurrent fault in the opposite direction.
 func (o *Object) revokeStale(except *Space, idx uint64) {
 	o.mapMu.Lock()
-	spaces := make([]*Space, 0, len(o.mappers))
+	var buf [8]*Space // on the stack: a break allocates nothing for a few mappers
+	spaces := buf[:0]
 	for s := range o.mappers {
 		if s != except {
 			spaces = append(spaces, s)
@@ -376,8 +379,8 @@ func (o *Object) ResolveFrame(idx uint64) (arch.PhysAddr, bool) {
 	return 0, false
 }
 
-// ResolvedFrameMap returns the frames backing every materialized page,
-// resolving each index through the COW parent chain: what a reader of this
+// ResolvedFrames returns every materialized page, ascending, and the frame
+// backing each, resolved through the COW parent chain: what a reader of this
 // object actually sees. After a frozen fork the object's own map holds only
 // pages written since the fork, while the rest still live upstream, so
 // persisting code that read that map alone would silently drop, from a
@@ -385,23 +388,32 @@ func (o *Object) ResolveFrame(idx uint64) (arch.PhysAddr, bool) {
 //
 // The chain is descended once, each level's lock taken once and held to the
 // bottom (child→parent, as ResolveFrame holds them): the nearest frame wins.
-func (o *Object) ResolvedFrameMap() map[uint64]arch.PhysAddr {
-	out := make(map[uint64]arch.PhysAddr)
-	o.resolveInto(out)
-	return out
+// It allocates three slices, one of them a word per page, nothing per entry.
+func (o *Object) ResolvedFrames() (pages, frames []uint64) {
+	near := make([]uint64, o.Pages()) // page -> its nearest frame + 1; 0: none yet
+	n := o.resolveInto(near)
+	pages, frames = make([]uint64, 0, n), make([]uint64, 0, n)
+	for idx, f := range near {
+		if f != 0 {
+			pages, frames = append(pages, uint64(idx)), append(frames, f-1)
+		}
+	}
+	return pages, frames
 }
 
-func (o *Object) resolveInto(out map[uint64]arch.PhysAddr) {
+func (o *Object) resolveInto(near []uint64) (n int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for idx, pa := range o.frames {
-		if _, nearer := out[idx]; !nearer {
-			out[idx] = pa
+		if near[idx] == 0 {
+			near[idx] = uint64(pa) + 1
+			n++
 		}
 	}
 	if o.parent != nil {
-		o.parent.resolveInto(out)
+		n += o.parent.resolveInto(near)
 	}
+	return n
 }
 
 // Resident returns the number of pages currently backed by frames.

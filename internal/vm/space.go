@@ -260,7 +260,7 @@ func (s *Space) breakCOW(r *Region, va arch.VirtAddr) error {
 	}
 	// Replace the read-only shared translation (if installed) with the
 	// private writable one.
-	if _, err := s.table.Walk(base); err == nil {
+	if _, mapped := s.table.Lookup(base); mapped {
 		if err := s.table.Unmap(base, ps); err != nil {
 			return err
 		}
@@ -290,7 +290,7 @@ func (s *Space) revokePage(obj *Object, idx uint64) {
 			continue
 		}
 		va := r.Start + arch.VirtAddr(off-r.ObjOff)
-		if _, err := s.table.Walk(va); err != nil {
+		if _, mapped := s.table.Lookup(va); !mapped {
 			continue
 		}
 		if err := s.table.Unmap(va, ps); err != nil {
@@ -300,15 +300,17 @@ func (s *Space) revokePage(obj *Object, idx uint64) {
 	}
 }
 
-// DowngradeWrites strips the write bit from every *installed* leaf
-// translation in [va, va+size), leaving the region descriptors untouched —
-// the fork-time downgrade that makes the next store to a now-COW page fault
-// into breakCOW instead of writing through a stale writable PTE into the
-// frozen frames. Region permissions keep their write bit on purpose: the
-// fault handler's COW branch requires r.Perm.CanWrite() to upgrade the page
-// back in place. Pages whose translations were never installed need nothing
-// (their first touch faults already).
-func (s *Space) DowngradeWrites(va arch.VirtAddr, size uint64) error {
+// DowngradeWrites strips the write bit from the installed leaf translations
+// of the given object pages in [va, va+size), leaving the region descriptors
+// untouched — the fork-time downgrade that makes the next store to a now-COW
+// page fault into breakCOW instead of writing through a stale writable PTE
+// into the frozen frames. pages is what the fork froze (Object.Dirty): only
+// a page the live object owns can have a writable translation, since mapPage
+// maps the others read-only, so no other page needs it. Region permissions
+// keep their write bit on purpose: the fault handler's COW branch requires
+// r.Perm.CanWrite() to upgrade the page back in place. The shootdown covers
+// the whole range.
+func (s *Space) DowngradeWrites(va arch.VirtAddr, size uint64, pages []uint64) {
 	end := va + arch.VirtAddr(size)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -317,24 +319,17 @@ func (s *Space) DowngradeWrites(va arch.VirtAddr, size uint64) error {
 			continue
 		}
 		ps := r.pageSize()
-		lo, hi := r.Start, r.End()
-		if lo < va {
-			lo = arch.AlignDown(va, ps)
-		}
-		if hi > end {
-			hi = end
-		}
-		for p := lo; p < hi; p += arch.VirtAddr(ps) {
-			if _, err := s.table.Walk(p); err != nil {
+		for _, idx := range pages {
+			off := idx * ps
+			if off < r.ObjOff || off >= r.ObjOff+r.Size {
 				continue
 			}
-			if err := s.table.Protect(p, ps, r.Perm&^arch.PermWrite); err != nil {
-				return err
+			if p := r.Start + arch.VirtAddr(off-r.ObjOff); p < end && p+arch.VirtAddr(ps) > va {
+				s.table.ClearWrite(p)
 			}
 		}
 	}
 	s.shoot(va, size)
-	return nil
 }
 
 // Unmap removes every mapping in [va, va+size), splitting regions at the
@@ -435,7 +430,7 @@ func (s *Space) Protect(va arch.VirtAddr, size uint64, perm arch.Perm) error {
 		r.Obj.Unref()
 		// Update only translations that are actually installed.
 		for p := lo; p < hi; p += arch.PageSize {
-			if _, err := s.table.Walk(p); err == nil {
+			if _, mapped := s.table.Lookup(p); mapped {
 				if err := s.table.Protect(p, arch.PageSize, perm); err != nil {
 					return err
 				}
@@ -488,9 +483,9 @@ func (s *Space) Handler() hw.FaultHandler { return s.handler }
 
 func (s *Space) coreFault(_ *hw.Core, f *hw.PageFault) error {
 	base := arch.AlignDown(f.VA, arch.PageSize)
-	if _, err := s.table.Walk(base); err == nil {
-		// Permission fault on an installed translation: a write to a
-		// copy-on-write page is fixable; anything else surfaces.
+	if _, mapped := s.table.Lookup(base); mapped {
+		// Permission fault on an installed translation: a write the region
+		// allows is fixable; anything else surfaces.
 		s.mu.Lock()
 		r := s.regionAt(f.VA)
 		if r != nil && f.Access == arch.AccessWrite && r.Perm.CanWrite() {
@@ -506,6 +501,16 @@ func (s *Space) coreFault(_ *hw.Core, f *hw.PageFault) error {
 				}
 				return err
 			}
+			// Not shared, yet read-only: its view folded back into r.Obj (a
+			// fork that failed after the downgrade). Map it with r's rights.
+			s.obs.VMFault()
+			err := s.table.Unmap(hbase, r.pageSize())
+			if err == nil {
+				s.shoot(hbase, r.pageSize())
+				err = s.mapPage(r, hbase)
+			}
+			s.mu.Unlock()
+			return err
 		}
 		s.mu.Unlock()
 		return fmt.Errorf("vm: protection fault: %v %v", f.Access, f.VA)

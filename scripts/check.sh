@@ -43,7 +43,7 @@ go build ./...
 echo "== size budgets (non-test Go lines, counted as the benchmark's repo.nontest_go_loc; document bytes) =="
 # What the tree may weigh. A PR that needs more raises the number here, in
 # the same diff, so lines and prose are spent knowingly and not by accretion.
-budget_loc=26383
+budget_loc=26469
 budget_design=45400
 budget_readme=25600
 budget_skill=15000
