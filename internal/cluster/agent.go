@@ -76,7 +76,7 @@ func (t target) run(n *node, argv ...string) (payload []byte, err error) {
 		resp, err = n.callBulk(t.ep, redis.EncodeCommand(argv...))
 		n.mu.Unlock()
 	default:
-		resp, _, err = n.call(t.ep, redis.EncodeCommand(argv...), 0)
+		resp, _, err = n.call(t.ep, redis.EncodeCommand(argv...), nil, 0)
 	}
 	if err != nil {
 		return nil, err

@@ -12,24 +12,25 @@ import (
 
 // TestRemoteGetAllocations gates what one GET costs the heap on its way
 // through Router.Submit … Wait into a remote node and back (not under
-// -race, which allocates on its own). The floor is 4, and every one of
-// them is outside the wire path:
+// -race, which allocates on its own). Remote or co-resident, the floor is 2,
+// and neither is on the wire path:
 //
 //	1  server.NewRequest: the Request, which holds its batch of one
-//	2  the node's arena for the frame: the string the argument is cut
-//	   from, and the argument slab
-//	1  urpc: the response frame the worker hands the connection
+//	1  the batch's reply chunk: remote, the node's response is reassembled
+//	   into it straight from the ring slots
 //
 // Encoding the command for the wire, the ring slots, the request frame on
-// the node, the two VAS switches, the probed keys (compared in place), the
-// reply (read from simulated memory straight into the response the node
-// keeps) and its trip back allocate nothing. The same GET on a co-resident
-// node is the request and the batch's reply chunk: 2.
+// the node, its arguments (cut from the arena the node keeps, its string
+// filled frame after frame), the two VAS switches, the probed keys (compared
+// in place) and the reply (read from simulated memory straight into the
+// response the node keeps) allocate nothing. It was 4 remote while the node
+// cut each frame from an arena of its own (2) and urpc returned an owned
+// response (1).
 func TestRemoteGetAllocations(t *testing.T) {
 	for _, c := range []struct {
 		mode Mode
 		max  float64
-	}{{ModeURPC, 4}, {ModeVAS, 2}} {
+	}{{ModeURPC, 2}, {ModeVAS, 2}} {
 		r, gets := benchRouter(t, c.mode)
 		i := 0
 		got := testing.AllocsPerRun(2000, func() {
@@ -46,18 +47,17 @@ func TestRemoteGetAllocations(t *testing.T) {
 // worker keeps. A pipeline of 16 GETs dealt round robin over three nodes
 // costs exactly the allocations of the same GETs sorted by node — the same
 // three runs, with nothing to group — and both cost only what is outside the
-// grouping, none of it per command: the batch; remote, each node's frame (its
-// arena, two, and its response); and, co-resident, the batch's reply chunk.
-// The same holds with every fourth command an MGET of three keys, one on each
-// node: split into three parts that ride the three runs, its parts cost
-// nothing of their own and its joined reply goes into the batch's chunk, the
-// one chunk a remote batch then needs, interleaved or sorted.
+// grouping, none of it per command or per run: the batch and the batch's
+// reply chunk, which a remote node's response lands in as a co-resident
+// run's replies do. The same holds with every fourth command an MGET of
+// three keys, one on each node: split into three parts that ride the three
+// runs, its parts cost nothing of their own and its joined reply goes into
+// the same chunk, interleaved or sorted. Remote, each node's frame cost 3
+// while it had an arena of its own (2) and an owned response (1): 1 + 3·3
+// and 1 + 3·3 + 1.
 func TestGroupingAllocations(t *testing.T) {
-	for _, c := range []struct {
-		mode         Mode
-		runs, chunks float64 // for 16 GETs; MGETs need a chunk for their joins
-	}{{ModeURPC, 3 * 3, 0}, {ModeVAS, 0, 1}} {
-		r, gets := benchCluster(t, c.mode, 3)
+	for _, mode := range []Mode{ModeURPC, ModeVAS} {
+		r, gets := benchCluster(t, mode, 3)
 		interleaved := roundRobin(r, gets)[0]
 		byNode := make([][][]string, 3)
 		for _, get := range gets {
@@ -74,8 +74,8 @@ func TestGroupingAllocations(t *testing.T) {
 			argv [][]string
 			want float64
 		}{
-			{"16 GETs", interleaved, 1 + c.runs + c.chunks},
-			{"12 GETs and 4 MGETs across the nodes", mixed, 1 + c.runs + 1},
+			{"16 GETs", interleaved, 1 + 1},
+			{"12 GETs and 4 MGETs across the nodes", mixed, 1 + 1},
 		} {
 			sorted := slices.Clone(p.argv)
 			slices.SortStableFunc(sorted, func(a, b []string) int { return r.Owner(r.Slot(a[1])) - r.Owner(r.Slot(b[1])) })
@@ -88,7 +88,7 @@ func TestGroupingAllocations(t *testing.T) {
 					reqs[j] = &server.Request{Args: args, Cmd: redis.Lookup(args)}
 				}
 				if got := testing.AllocsPerRun(500, func() { submitPipeline(t, r, reqs) }); got != p.want {
-					t.Errorf("%s over three nodes, %s, through a %s router: %.0f allocations, want %.0f", p.name, order.name, c.mode, got, p.want)
+					t.Errorf("%s over three nodes, %s, through a %s router: %.0f allocations, want %.0f", p.name, order.name, mode, got, p.want)
 				}
 			}
 		}
@@ -99,20 +99,20 @@ func TestGroupingAllocations(t *testing.T) {
 // remote node and on a co-resident one, is held at what it cost while a group
 // was read into values and the values encoded again, 17 and 18, and then run
 // as one command, 6 and 3; rendered into the node's response and the batch's
-// reply chunk, it costs 4 and 2. Keys spread over a co-resident and a remote
-// node cost 20 while each MGET fanned out on its own, then 9 as parts that
-// ride the runs. Now they cost 5, none of them the fan's:
+// reply chunk, 4 and 2. Keys spread over a co-resident and a remote node cost
+// 20 while each MGET fanned out on its own, 9 as parts that ride the runs,
+// and 5 while the remote part cost its node's arena (2) and an owned response
+// (1). Now all three cost 2, none of them the fan's:
 //
 //	1  server.NewRequest
-//	1  the batch's reply chunk: the co-resident part's reply, then the
-//	   joined one
-//	3  the remote part: the node's arena (2), the response frame (1)
+//	1  the batch's reply chunk: the co-resident part's reply, the remote
+//	   part's response, then the joined reply
 func TestMGetGroupAllocations(t *testing.T) {
 	for _, c := range []struct {
 		mode Mode
 		node int
 		max  float64
-	}{{ModeURPC, 0, 4}, {ModeVAS, 0, 2}, {ModeAuto, -1, 5}} {
+	}{{ModeURPC, 0, 2}, {ModeVAS, 0, 2}, {ModeAuto, -1, 2}} {
 		r, gets := benchRouter(t, c.mode)
 		mgets := mget8(r, gets, c.node)
 		i := 0

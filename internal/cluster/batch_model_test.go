@@ -101,7 +101,7 @@ func refExecOn(r *Router, w *worker, n *node, cmd *redis.Command, args []string,
 
 func refCallNode(r *Router, w *worker, n *node, ep *urpc.Endpoint, wire []byte) (resp, errReply []byte) {
 	before := w.th.Core.Cycles()
-	resp, callCycles, err := n.call(ep, wire, w.callBudget())
+	resp, callCycles, err := n.call(ep, wire, nil, w.callBudget())
 	total := w.th.Core.Cycles() - before
 	n.noteOutcome(err)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"spacejmp/internal/overload"
 	"spacejmp/internal/redis"
 	"spacejmp/internal/server"
+	"spacejmp/internal/urpc"
 )
 
 // batchRig is a router with no monitor and no traffic, driven on its one
@@ -635,5 +636,70 @@ func TestRetriedRunFrameAppliesOnce(t *testing.T) {
 	}
 	if got := g.w.endpoints[1].Retries(); got != 1 {
 		t.Errorf("%d retries, want the one the dropped response cost", got)
+	}
+}
+
+// TestNodeKeepsItsArena: a remote node cuts every frame's arguments from the
+// one arena it keeps, frame after frame, on the "urpc" rig. Node 1's pipelines
+// go through an endpoint whose ring takes any frame, so besides the
+// generator's pipelines a 20 KiB SET (a frame that starts a string of its own
+// size) and a 256 KiB one (larger than maxKeptWire: an arena that is not kept)
+// reach it. After every batch, each argument the node was handed reads as it
+// did when it was cut, the node holds on to no more than maxKeptWire of string
+// or of slab, and every reply is refExec's on a twin rig.
+func TestNodeKeepsItsArena(t *testing.T) {
+	model, batch := newBatchRig(t, "urpc", nil), newBatchRig(t, "urpc", nil)
+	gen := newPipelines(batch.r, 23)
+	type cut struct{ arg, was string }
+	var cuts []cut
+	n := batch.r.nodes[1]
+	for _, g := range []batchRig{model, batch} {
+		n := g.r.nodes[1]
+		g.w.endpoints[1] = urpc.Connect(g.r.sys.M, g.w.th.Core.ID, n.coreID, 8<<10, func(req []byte) []byte {
+			resp := n.handler(req)
+			for _, c := range n.calls {
+				for _, a := range c.Args {
+					if g == batch {
+						cuts = append(cuts, cut{a, strings.Clone(a)})
+					}
+				}
+			}
+			return resp
+		})
+	}
+	key := gen.keys[1][0]
+	for i := 0; i < 200; i++ {
+		argvs, readonly := gen.next()
+		switch i {
+		case 60:
+			argvs = append(argvs, []string{"SET", key, strings.Repeat("m", 20<<10)}, []string{"GET", key})
+		case 120:
+			argvs = append(argvs, []string{"SET", key, strings.Repeat("L", 256<<10)}, []string{"GET", key})
+		}
+		want := requests(argvs, readonly)
+		for _, req := range want {
+			req.Finish(refExec(model.r, model.w, req))
+		}
+		got := requests(argvs, readonly)
+		batch.r.execBatch(batch.w, server.NewBatch(got))
+		for j := range got {
+			if g, w := got[j].Reply(), want[j].Reply(); !bytes.Equal(g, w) {
+				t.Fatalf("pipeline %d, command %d %.40q: reply %.40q, want %.40q", i, j, argvs[j], g, w)
+			}
+		}
+		if last := got[len(got)-1].Reply(); (i == 60 || i == 120) && (string(got[len(got)-2].Reply()) != "+OK\r\n" || len(last) < len(argvs[len(argvs)-2][2])) {
+			t.Fatalf("pipeline %d: the large SET and GET answered %.40q and %d bytes", i, got[len(got)-2].Reply(), len(last))
+		}
+		for j, c := range cuts {
+			if c.arg != c.was {
+				t.Fatalf("after pipeline %d, argument %d reads %.40q, was cut as %.40q", i, j, c.arg, c.was)
+			}
+		}
+		if str, args := n.arena.Held(); str > maxKeptWire || args*16 > maxKeptWire {
+			t.Fatalf("after pipeline %d the node holds %d bytes of string and a slab of %d arguments", i, str, args)
+		}
+	}
+	if str, _ := n.arena.Held(); len(cuts) == 0 || str == 0 {
+		t.Fatal("node 1 was handed nothing")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"spacejmp/internal/kernel"
 	"spacejmp/internal/redis"
 	"spacejmp/internal/server"
+	"spacejmp/internal/urpc"
 )
 
 // The batch path with the connection in front of it: what one write(2) of a
@@ -206,10 +207,13 @@ func TestBatchBoundariesOnTheWire(t *testing.T) {
 }
 
 // TestCrashMidRun: the cluster.node.crash fault fires on a frame that carries
-// a run. Every member answers the retryable timeout — none is acknowledged,
-// none is answered twice — the range fails over on that evidence alone (the
-// probes are off), and after promotion every write acknowledged before the
-// crash reads back, as do the run's once retried.
+// a run, behind a co-resident write whose reply the batch's reply chunk
+// already holds when the node's tombstone lands behind it. Every member
+// answers the retryable timeout — none is acknowledged, none is answered
+// twice — the range fails over on that evidence alone (the probes are off),
+// and after promotion every write acknowledged before the crash reads back,
+// as do the run's once retried. The fence refuses the tombstone by what it
+// appended to the chunk, crash bit or not.
 func TestCrashMidRun(t *testing.T) {
 	reg := fault.New(7)
 	cfg := replicatedConfig()
@@ -223,9 +227,13 @@ func TestCrashMidRun(t *testing.T) {
 	nc, br := dial(t, srv)
 
 	var keys []string
-	for i := 0; len(keys) < 10; i++ {
-		if k := fmt.Sprintf("crash-%d", i); r.Owner(r.Slot(k)) == 2 {
+	lead := "" // a key on co-resident node 0
+	for i := 0; len(keys) < 10 || lead == ""; i++ {
+		switch k := fmt.Sprintf("crash-%d", i); r.Owner(r.Slot(k)) {
+		case 2:
 			keys = append(keys, k)
+		case 0:
+			lead = k
 		}
 	}
 	waitFor(t, "the warming ship", func() bool { return obs.Snapshot().Dense().Cluster.Replication.Ships >= 1 })
@@ -247,12 +255,16 @@ func TestCrashMidRun(t *testing.T) {
 	before := frames()
 	reg.EnableAt(fault.ClusterNodeCrash, 2, "crash the run frame", fault.OnNth(1))
 	run := keys[6:]
-	var argvs [][]string
+	argvs := [][]string{{"SET", lead, "lead"}}
 	for _, k := range run {
 		argvs = append(argvs, []string{"SET", k, "run-" + k})
 	}
 	for i, got := range pipeline(t, nc, br, argvs...) {
-		if len(got) < 13 || got[:13] != "-SHARDTIMEOUT" {
+		if i == 0 {
+			if got != "OK" {
+				t.Errorf("the co-resident write ahead of the run answered %q", got)
+			}
+		} else if len(got) < 13 || got[:13] != "-SHARDTIMEOUT" {
 			t.Errorf("member %d of the crashed run answered %q, want the retryable -SHARDTIMEOUT", i, got)
 		}
 	}
@@ -277,6 +289,14 @@ func TestCrashMidRun(t *testing.T) {
 	}
 	if lost := r.Topology()[2].LostUpdates; lost != 0 {
 		t.Errorf("%d updates lost", lost)
+	}
+
+	// A tombstone whose crash bit the caller has not seen yet: behind a
+	// chunk that holds a reply, a response that appended nothing.
+	tomb := urpc.Connect(hw.NewMachine(hw.SmallTest()), 0, 1, ringSlots, func([]byte) []byte { return nil })
+	chunk := append(make([]byte, 0, 64), "+OK\r\n"...)
+	if resp, _, err := new(node).call(tomb, redis.EncodeCommand("GET", lead), chunk, 0); !errors.Is(err, urpc.ErrTimeout) {
+		t.Errorf("a tombstone behind %q came back as %q, %v; want a timeout", chunk, resp, err)
 	}
 }
 

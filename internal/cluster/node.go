@@ -157,9 +157,10 @@ type node struct {
 	fails int    // consecutive probe failures
 	skip  int    // probe-backoff ticks remaining
 
-	// calls and out are the handler's: the frame being served, decoded, and
-	// the response, its replies back to back. Driven under mu like the rest
-	// of the node.
+	// arena, calls and out are the handler's: what the frames' arguments are
+	// cut from, the frame being served, decoded, and the response, its
+	// replies back to back. Driven under mu like the rest of the node.
+	arena redis.Arena
 	calls []redis.Call
 	out   []byte
 
@@ -283,16 +284,21 @@ func (n *node) noteProbe(ok bool) {
 // switches, and the table walks are all charged to the node — and, because
 // the urpc client busy-waits, mirrored into the calling worker's latency.
 // req is the channel's reassembly buffer, gone when the handler returns: the
-// frame's commands are decoded into one arena of their own. Their replies are
-// rendered back to back, as the response, into a buffer the node keeps, which
-// the endpoint is done with by the next call.
+// frame's commands are decoded into the arena the node keeps (nothing here
+// keeps an argument past the handler), one larger than maxKeptWire into one
+// of its own. Their replies are rendered back to back, as the response, into
+// a buffer the node keeps, which the endpoint is done with by the next call.
 func (n *node) handler(req []byte) []byte {
 	if n.sys.M.Faults.FireAt(fault.ClusterNodeCrash, n.id) {
 		n.crashed.Store(true)
 		n.proc.Crash()
 		return nil
 	}
-	var arena redis.Arena
+	arena := &n.arena
+	if len(req) > maxKeptWire {
+		arena = new(redis.Arena)
+	}
+	arena.Reuse(len(req))
 	calls := n.calls[:0]
 	for rest := req; len(calls) == 0 || len(rest) > 0; {
 		args, tail, err := arena.DecodeNextCommand(rest)
@@ -351,17 +357,18 @@ func (n *node) forkReply() []byte {
 // without touching the channel, and a reply that raced with the crash — the
 // handler's nil tombstone arrives as an empty frame, or the crash bit was
 // set while the call was in flight — is refused as a timeout rather than
-// trusted. Late replies from a fenced primary never reach a client.
-func (n *node) call(ep *urpc.Endpoint, wire []byte, budget uint64) (resp []byte, cycles uint64, err error) {
+// trusted. Late replies from a fenced primary never reach a client. The
+// response lands behind dst: a tombstone appends nothing.
+func (n *node) call(ep *urpc.Endpoint, wire, dst []byte, budget uint64) (resp []byte, cycles uint64, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.crashed.Load() {
 		return nil, 0, &urpc.TimeoutError{}
 	}
 	before := ep.ClientCore().Cycles()
-	resp, err = ep.CallBudget(wire, budget)
+	resp, err = ep.CallBudget(dst, wire, budget)
 	cycles = ep.ClientCore().Cycles() - before
-	if err == nil && (len(resp) == 0 || n.crashed.Load()) {
+	if err == nil && (len(resp) == len(dst) || n.crashed.Load()) {
 		return nil, cycles, &urpc.TimeoutError{}
 	}
 	return resp, cycles, err

@@ -217,14 +217,14 @@ func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 // (each part's cut apart in cut) and which requests are done, publishing the
 // prefix answered. Reused batch after batch: grouping allocates nothing.
 //
-// out is the chunk the batch's replies are rendered into, wherever the worker
-// renders one — a co-resident run, a frozen view, a fan's join — and rendered
-// counts their bytes; a batch answered from urpc responses alone has none. A
-// reply that outgrows a chunk starts the next (redis.RunAll), so a rendered
-// reply is never copied, and the writer sends each while the chunk fills
-// behind it. The chunks are the fill's: dropped here when the batch is done,
-// freed by the GC once the writer drops the fill. The first is sized for the
-// batch by perCmd, the reply bytes per command the batches before rendered.
+// out is the chunk the batch's replies are rendered into — a co-resident
+// run's, a node's response, a frozen view's, a fan's join — and rendered
+// counts their bytes. A reply that outgrows a chunk starts the next
+// (redis.RunAll), so a rendered reply is never copied, and the writer sends
+// each while the chunk fills behind it. The chunks are the fill's: dropped
+// here when the batch is done, freed by the GC once the writer drops the fill.
+// The first is sized for the batch by perCmd, the reply bytes per command the
+// batches before rendered.
 //
 // behind is the planner's scratch (phase): keys cut from the fill's arena, so
 // reset wipes it like the rest.
@@ -820,12 +820,13 @@ func (r *Router) migratingWrite(w *worker, n *node, mig *migration, req *server.
 // for — on node n as that answer t says, and leaves each one's reply in it.
 // On a client it is one redis.RunAll: one switch pair. Over an endpoint the
 // run goes out as one frame under the budget in force and one hold of the
-// node's mutex, and the node's replies, back to back in one response, are cut
-// apart in place (RESP is self-delimiting); the outcome feeds the node's
-// breaker, the cycles are attributed to the urpc path and a transport failure
-// is the ready-made error reply — all per command, each charged an equal
-// share of the run. A frozen view is one switch in for the run (readFrozen);
-// a refusal is only ever one command's.
+// node's mutex, and the node's replies, back to back in one response that
+// lands in the batch's reply chunk, are cut apart in place (RESP is
+// self-delimiting); the outcome feeds the node's breaker, the cycles are
+// attributed to the urpc path and a transport failure is the ready-made error
+// reply — all per command, each charged an equal share of the run. A frozen
+// view is one switch in for the run (readFrozen); a refusal is only ever one
+// command's.
 func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 	before := w.th.Core.Cycles()
 	switch {
@@ -848,11 +849,14 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 		r.ctr.LocalCycles.ObserveN((w.th.Core.Cycles()-before)/k, k)
 		n.ctr.Local.Add(k)
 	default:
-		resp, callCycles, err := n.call(t.ep, w.remoteWire(calls), w.callBudget())
+		out := w.plan.replies()
+		resp, callCycles, err := n.call(t.ep, w.remoteWire(calls), out[len(out):], w.callBudget())
 		each := (w.th.Core.Cycles() - before) / uint64(len(calls))
 		if err == nil {
 			// The round trip by itself: transfers, dispatch, the node's work.
 			r.ctr.URPCCallCycles.Observe(callCycles)
+			w.plan.out, resp = redis.PlaceReply(out, resp)
+			w.plan.rendered += len(resp)
 		}
 		for i := range calls {
 			c := &calls[i]

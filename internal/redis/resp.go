@@ -285,13 +285,14 @@ func bulk(frame []byte, pos int) (body []byte, null bool, next int) {
 // Arena is what the commands of one buffer fill or one frame are cut from:
 // one string holding their arguments' bytes back to back, and one slab of
 // argument slices, each replaced — never grown — by one sized for what is
-// left when a command does not fit. The builder never writes a byte it has
-// handed out, and an arena is made for one fill or frame, never pooled or
-// reused, so arguments own their memory for as long as anyone keeps them.
-// The zero value is ready to use.
+// left when a command does not fit. The string is only ever appended to: the
+// builder never writes a byte it has handed out, even when the arena is kept
+// for the next frame (Reuse), so arguments own their memory for as long as
+// anyone keeps them. The zero value is ready to use.
 type Arena struct {
 	all  strings.Builder
 	slab []string
+	cut  int // arguments DecodeNextCommand cut since Reuse
 }
 
 // command cuts the command a scanner accepted out of the arena. rest is how
@@ -320,6 +321,24 @@ func (a *Arena) command(s *scanner, frame []byte, rest int) []string {
 	}
 	return args
 }
+
+// Reuse readies a kept arena for a frame of size bytes, the caller promising
+// that nothing keeps the argument slices cut before: the slab is rewritten,
+// re-made first if the last frame outran it. The string is appended to while
+// the frame fits, else left to whoever keeps an argument cut from it.
+func (a *Arena) Reuse(size int) {
+	if a.slab = a.slab[:0]; cap(a.slab) < a.cut {
+		a.slab = make([]string, 0, a.cut)
+	}
+	a.cut = 0
+	a.room(size, max(reuseMin-size, 0))
+}
+
+// reuseMin is the least a kept arena's new string makes room for.
+const reuseMin = 16 << 10
+
+// Held is the string's capacity, in bytes, and the slab's, in arguments.
+func (a *Arena) Held() (bytes, args int) { return a.all.Cap(), cap(a.slab) }
 
 // maxSlabAhead bounds the commands a new slab makes room for behind the one
 // that starts it: a short command must not size it for long ones behind.
@@ -455,7 +474,9 @@ func (a *Arena) DecodeNextCommand(data []byte) (args []string, rest []byte, err 
 	if err := s.scanAll(data); err != nil {
 		return nil, nil, err
 	}
-	return a.command(&s, data[:s.pos], len(data)-s.pos), data[s.pos:], nil
+	args = a.command(&s, data[:s.pos], len(data)-s.pos)
+	a.cut += len(args)
+	return args, data[s.pos:], nil
 }
 
 // NextReply cuts the first reply — a line, a bulk string, an array of bulk

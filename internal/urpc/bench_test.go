@@ -7,10 +7,10 @@ import (
 )
 
 // The urpc rungs of the ladder: a GET-shaped round trip (one request line,
-// a 64-byte value in two response lines) through Call and CallBudget, and a
-// 4 KiB response streamed through a 256-slot ring by CallBulk. sim-cycles/op
-// is the client core's charge per call — the model's number, which how the
-// host moves the bytes must not change.
+// a 64-byte value in two response lines) through Call and through CallBudget
+// into a buffer it reuses, and a 4 KiB response streamed through a 256-slot
+// ring by CallBulk. sim-cycles/op is the client core's charge per call — the
+// model's number, which how the host moves the bytes must not change.
 func benchEndpoint(resp []byte) *Endpoint {
 	m := hw.NewMachine(hw.M1())
 	return Connect(m, 0, 2, 256, func([]byte) []byte { return resp })
@@ -40,8 +40,11 @@ func BenchmarkCall(b *testing.B) {
 }
 
 func BenchmarkCallBudget(b *testing.B) {
-	benchCalls(b, make([]byte, 70), func(ep *Endpoint, req []byte) ([]byte, error) {
-		return ep.CallBudget(req, 1<<20)
+	var dst []byte
+	benchCalls(b, make([]byte, 70), func(ep *Endpoint, req []byte) (got []byte, err error) {
+		got, err = ep.CallBudget(dst[:0], req, 1<<20)
+		dst = got
+		return got, err
 	})
 }
 

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"spacejmp/internal/arch"
 	"spacejmp/internal/core"
@@ -150,7 +151,7 @@ type Channel struct {
 	stats    Stats
 	capacity int
 	// frame is the reassembly buffer of a receiver that only looks at a
-	// frame until it receives the next one (see recvSeq).
+	// frame until it receives the next one (see recvKept).
 	frame []byte
 }
 
@@ -218,15 +219,14 @@ func (c *Channel) sendSeq(seq uint64, payload []byte) error {
 // the receiving core per line plus one dispatch. Fails when the ring holds
 // no complete frame. The message is the caller's own.
 func (c *Channel) Recv() ([]byte, error) {
-	_, payload, err := c.recvSeq(true)
+	_, payload, err := c.recvSeq(nil)
 	return payload, err
 }
 
-// recvSeq is Recv with the frame's sequence number. An owned frame is one
-// allocation of exactly its size that nothing else refers to. A frame that
-// is not owned sits in the channel's reassembly buffer and is valid only
-// until the next recvSeq on this channel.
-func (c *Channel) recvSeq(owned bool) (uint64, []byte, error) {
+// recvSeq is Recv with the frame's sequence number, appending the frame
+// behind dst as append does. A nil dst gets one allocation of exactly the
+// frame's size that nothing else refers to.
+func (c *Channel) recvSeq(dst []byte) (uint64, []byte, error) {
 	if c.frames == 0 {
 		return 0, nil, fmt.Errorf("urpc: channel empty")
 	}
@@ -238,15 +238,7 @@ func (c *Channel) recvSeq(owned bool) (uint64, []byte, error) {
 			break
 		}
 	}
-	var payload []byte
-	if owned || size > maxKeptFrame {
-		payload = make([]byte, 0, size)
-	} else {
-		if size > cap(c.frame) {
-			c.frame = make([]byte, 0, size)
-		}
-		payload = c.frame[:0]
-	}
+	payload := grow(dst, size)
 	seq := c.ring[c.head].seq
 	for i := uint64(0); i < lines; i++ {
 		slot := &c.ring[c.head]
@@ -258,6 +250,24 @@ func (c *Channel) recvSeq(owned bool) (uint64, []byte, error) {
 	c.m.Cores[c.rx].AddCycles(lines*c.perLine + DispatchCycles)
 	c.stats.Recvs++
 	return seq, payload, nil
+}
+
+// recvKept is recvSeq into the channel's reassembly buffer: the frame is valid
+// until the next recvKept on this channel.
+func (c *Channel) recvKept() (uint64, []byte, error) {
+	seq, frame, err := c.recvSeq(c.frame[:0])
+	if cap(frame) <= maxKeptFrame {
+		c.frame = frame
+	}
+	return seq, frame, err
+}
+
+// grow returns dst with room for n more bytes: exactly n for a nil dst.
+func grow(dst []byte, n int) []byte {
+	if dst == nil {
+		return make([]byte, 0, n)
+	}
+	return slices.Grow(dst, n)
 }
 
 // Len returns the number of queued messages (complete frames, however many
@@ -365,7 +375,7 @@ func (e *Endpoint) backoff(try int) uint64 {
 // exactly its size, which no later call — a retry served from the
 // duplicate cache included — reads or writes. A response too long for the
 // response ring is streamed as CallBulk streams every response.
-func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.exchange(request, 0, false) }
+func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.exchange(nil, request, 0, false) }
 
 // CallBudget is Call under a cycle budget: budget == 0 is plain Call;
 // otherwise the retry loop is capped so the call never burns the client
@@ -374,8 +384,12 @@ func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.exchange(requ
 // stops retrying and returns a *BudgetError instead of riding out the full
 // retry ladder. The guarantee callers leaning on deadlines get: cycles
 // charged to the client core by backoff never exceed the budget.
-func (e *Endpoint) CallBudget(request []byte, budget uint64) ([]byte, error) {
-	return e.exchange(request, budget, false)
+//
+// The response is appended behind dst straight from the ring slots, as append
+// does (a nil dst: Call's owned response); what dst holds is never touched,
+// and a frame of an earlier try leaves nothing behind.
+func (e *Endpoint) CallBudget(dst, request []byte, budget uint64) ([]byte, error) {
+	return e.exchange(dst, request, budget, false)
 }
 
 // CallBulk is Call with the response always streamed in bounded multi-slot
@@ -385,14 +399,14 @@ func (e *Endpoint) CallBudget(request []byte, budget uint64) ([]byte, error) {
 // request, header, any chunk — surfaces as an incomplete reassembly and
 // retries the whole call; the duplicate cache re-streams the cached
 // response.
-func (e *Endpoint) CallBulk(request []byte) ([]byte, error) { return e.exchange(request, 0, true) }
+func (e *Endpoint) CallBulk(request []byte) ([]byte, error) { return e.exchange(nil, request, 0, true) }
 
 // exchange is the one round-trip loop behind Call, CallBudget and CallBulk:
 // send, let the server receive and handle (or answer a duplicate from its
 // cache), mirror the server's cycles into the client's busy-wait, move the
 // response back, and on loss back off and go again — under budget when
-// there is one.
-func (e *Endpoint) exchange(request []byte, budget uint64, stream bool) ([]byte, error) {
+// there is one. The response lands behind dst.
+func (e *Endpoint) exchange(dst, request []byte, budget uint64, stream bool) ([]byte, error) {
 	client := e.m.Cores[e.client]
 	server := e.m.Cores[e.server]
 	start := client.Cycles()
@@ -412,7 +426,7 @@ func (e *Endpoint) exchange(request []byte, budget uint64, stream bool) ([]byte,
 		// Server side: receive, dispatch, handle. An empty request ring
 		// means the send was dropped in flight.
 		before := server.Cycles()
-		rseq, req, err := e.req.recvSeq(false)
+		rseq, req, err := e.req.recvKept()
 		served := err == nil
 		var response []byte
 		if served {
@@ -428,7 +442,7 @@ func (e *Endpoint) exchange(request []byte, budget uint64, stream bool) ([]byte,
 		// The client busy-waits while the server works.
 		client.AddCycles(server.Cycles() - before)
 		if served {
-			if got, ok := e.respond(rseq, response, stream); ok {
+			if got, ok := e.respond(dst, rseq, response, stream); ok {
 				return got, nil
 			}
 		}
@@ -450,13 +464,14 @@ func (e *Endpoint) exchange(request []byte, budget uint64, stream bool) ([]byte,
 	return nil, &TimeoutError{Seq: seq, Retries: e.MaxRetries}
 }
 
-// respond is the response leg of one try: a single frame when the response
-// fits the (drained) response ring and the caller did not ask for a stream,
-// the header and chunk stream otherwise. It reports whether the response
-// arrived whole; stale frames of earlier tries are discarded on the way.
-func (e *Endpoint) respond(seq uint64, response []byte, stream bool) ([]byte, bool) {
+// respond is the response leg of one try, reassembled behind dst: a single
+// frame when the response fits the (drained) response ring and the caller
+// did not ask for a stream, the header and chunk stream otherwise. It
+// reports whether the response arrived whole; stale frames of earlier tries
+// are discarded on the way, each overwritten by the next frame.
+func (e *Endpoint) respond(dst []byte, seq uint64, response []byte, stream bool) ([]byte, bool) {
 	if stream || Lines(len(response)) > uint64(e.resp.capacity) {
-		return e.streamResponse(seq, response)
+		return e.streamResponse(dst, seq, response)
 	}
 	client := e.m.Cores[e.client]
 	server := e.m.Cores[e.server]
@@ -467,7 +482,7 @@ func (e *Endpoint) respond(seq uint64, response []byte, stream bool) ([]byte, bo
 	// The client busy-waits through the server's send, then drains.
 	client.AddCycles(server.Cycles() - before)
 	for e.resp.Len() > 0 {
-		sseq, resp, err := e.resp.recvSeq(true)
+		sseq, resp, err := e.resp.recvSeq(dst)
 		if err != nil {
 			break
 		}
@@ -496,14 +511,14 @@ func (e *Endpoint) bulkChunkBytes() int {
 // streamResponse moves one bulk response across the response ring: the
 // server sends the header then each chunk, the client draining after every
 // send (both sides run inline here, each charged on its own core). It
-// reports whether the complete response was reassembled; any dropped frame
-// makes the caller retry the whole exchange.
-func (e *Endpoint) streamResponse(seq uint64, response []byte) ([]byte, bool) {
+// reports whether the complete response was reassembled behind dst; any
+// dropped frame makes the caller retry the whole exchange.
+func (e *Endpoint) streamResponse(dst []byte, seq uint64, response []byte) ([]byte, bool) {
 	client := e.m.Cores[e.client]
 	server := e.m.Cores[e.server]
 	chunk := e.bulkChunkBytes()
 
-	var got []byte
+	got := dst
 	var want uint64
 	sawHeader := false
 	// Every frame is built in e.bulk: sendSeq copies it into the ring, and
@@ -517,7 +532,7 @@ func (e *Endpoint) streamResponse(seq uint64, response []byte) ([]byte, bool) {
 		// The client busy-waits through the server's send, then drains.
 		client.AddCycles(server.Cycles() - before)
 		for e.resp.Len() > 0 {
-			sseq, frag, err := e.resp.recvSeq(false)
+			sseq, frag, err := e.resp.recvKept()
 			if err != nil {
 				break
 			}
@@ -529,9 +544,7 @@ func (e *Endpoint) streamResponse(seq uint64, response []byte) ([]byte, bool) {
 				if len(frag) == 9 {
 					want = binary.LittleEndian.Uint64(frag[1:])
 					sawHeader = true
-					if got == nil {
-						got = make([]byte, 0, want)
-					}
+					got = grow(dst, int(want))
 				}
 			case bulkData:
 				got = append(got, frag[1:]...)
@@ -544,7 +557,7 @@ func (e *Endpoint) streamResponse(seq uint64, response []byte) ([]byte, bool) {
 		e.bulk = append(append(e.bulk[:0], bulkData), response[off:end]...)
 		off = end
 	}
-	if !sawHeader || uint64(len(got)) != want {
+	if !sawHeader || uint64(len(got)-len(dst)) != want {
 		return nil, false
 	}
 	return got, true

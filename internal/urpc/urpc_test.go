@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -387,7 +388,7 @@ func TestCallStreamsWhatTheRingCannotHold(t *testing.T) {
 	for _, n := range []int{0, ring - 1, ring, ring + 1, 10 * ring} {
 		for _, budget := range []uint64{0, 1 << 30} {
 			_, before := ep.ChannelStats()
-			resp, err := ep.CallBudget([]byte{byte(n), byte(n >> 8)}, budget)
+			resp, err := ep.CallBudget(nil, []byte{byte(n), byte(n >> 8)}, budget)
 			if err != nil || len(resp) != n {
 				t.Fatalf("size %d, budget %d: %d bytes, %v", n, budget, len(resp), err)
 			}
@@ -405,7 +406,7 @@ func TestCallStreamsWhatTheRingCannotHold(t *testing.T) {
 	reg.Enable(fault.URPCDrop, fault.EveryNth(3))
 	const budget = 5 * DefaultTimeoutCycles
 	before := m.Cores[0].Cycles()
-	_, err := ep.CallBudget([]byte{byte(10 * ring % 256), byte(10 * ring >> 8)}, budget)
+	_, err := ep.CallBudget(nil, []byte{byte(10 * ring % 256), byte(10 * ring >> 8)}, budget)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("a stream that loses every third frame, under a budget: %v, want ErrBudget", err)
 	}
@@ -414,6 +415,78 @@ func TestCallStreamsWhatTheRingCannotHold(t *testing.T) {
 	}
 	if spent := m.Cores[0].Cycles() - before; spent > 2*budget {
 		t.Errorf("the abandoned call burned %d cycles on a budget of %d", spent, budget)
+	}
+}
+
+// TestCallBudgetAppendsBehindDst pins what CallBudget does with dst: the
+// response lands behind what dst holds, once, and those bytes are untouched —
+// with a stale frame of an earlier call waiting in the response ring, when
+// the request and then the response are lost (the handler runs once, the
+// retry answered from the duplicate cache), and when the response is
+// streamed because the ring cannot hold it.
+func TestCallBudgetAppendsBehindDst(t *testing.T) {
+	m := hw.NewMachine(hw.SmallTest())
+	reg := fault.New(4)
+	m.SetFaults(reg)
+	handled := 0
+	var last []byte // the handler's latest response, as it returned it
+	ep := Connect(m, 0, 1, 8, func(req []byte) []byte {
+		handled++
+		last = make([]byte, int(req[0])|int(req[1])<<8)
+		for i := range last {
+			last[i] = byte(i*7 + handled)
+		}
+		return last
+	})
+	prefix := []byte("+OK\r\n:1\r\n")
+	ring := 8 * PayloadPerLine
+	for _, c := range []struct {
+		name  string
+		size  int
+		stale bool                                // a frame of the call before waits in the response ring
+		drop  func(hit uint64, _ *rand.Rand) bool // fault.URPCDrop's policy
+	}{
+		{name: "one frame", size: 70},
+		{name: "behind a stale frame", size: 70, stale: true},
+		{name: "request, then response lost", size: 70, drop: func(hit uint64, _ *rand.Rand) bool { return hit == 1 || hit == 3 }},
+		{name: "streamed", size: 10 * ring},
+		{name: "streamed behind a stale frame", size: 10 * ring, stale: true},
+	} {
+		for _, room := range []int{0, c.size + 64} {
+			dst := append(make([]byte, 0, len(prefix)+room), prefix...)
+			if c.stale {
+				if err := ep.resp.sendSeq(ep.nextSeq-1, bytes.Repeat([]byte{0xee}, 90)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.drop != nil {
+				reg.Enable(fault.URPCDrop, c.drop)
+			}
+			before, retries := handled, ep.Retries()
+			got, err := ep.CallBudget(dst, []byte{byte(c.size), byte(c.size >> 8)}, 1<<30)
+			reg.Disable(fault.URPCDrop)
+			if err != nil {
+				t.Fatalf("%s, %d bytes of room: %v", c.name, room, err)
+			}
+			if !bytes.Equal(dst, prefix) {
+				t.Errorf("%s, %d bytes of room: dst reads %q after the call", c.name, room, dst)
+			}
+			if want := append(append([]byte(nil), prefix...), last...); !bytes.Equal(got, want) {
+				t.Errorf("%s, %d bytes of room: %d bytes came back, want the %d of dst and the response once", c.name, room, len(got), len(want))
+			}
+			if room > 0 && &got[0] != &dst[0] {
+				t.Errorf("%s: the response moved out of dst's %d bytes of room", c.name, room)
+			}
+			if handled-before != 1 {
+				t.Errorf("%s: the handler ran %d times", c.name, handled-before)
+			}
+			if lost := ep.Retries() - retries; (lost == 2) != (c.drop != nil) {
+				t.Errorf("%s: %d tries lost", c.name, lost)
+			}
+			if ep.Pending() != 0 {
+				t.Errorf("%s: %d frames left in the rings", c.name, ep.Pending())
+			}
+		}
 	}
 }
 
@@ -515,7 +588,7 @@ func TestCallBudgetNeverSleepsPastBudget(t *testing.T) {
 	reg.Enable(fault.URPCDrop, fault.Always())
 	budget := uint64(3 * DefaultTimeoutCycles)
 	before := m.Cores[0].Cycles()
-	_, err := ep.CallBudget([]byte("lost"), budget)
+	_, err := ep.CallBudget(nil, []byte("lost"), budget)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("budgeted call on dead channel: %v, want ErrBudget", err)
 	}
@@ -534,7 +607,7 @@ func TestCallBudgetNeverSleepsPastBudget(t *testing.T) {
 
 	// A healthy budgeted call completes normally and charges the round
 	// trip, not the budget.
-	resp, err := ep.CallBudget([]byte("ok"), budget)
+	resp, err := ep.CallBudget(nil, []byte("ok"), budget)
 	if err != nil || !bytes.Equal(resp, []byte("ok")) {
 		t.Fatalf("budgeted call on healthy channel: %q, %v", resp, err)
 	}
@@ -548,7 +621,7 @@ func TestCallBudgetZeroIsUnbudgeted(t *testing.T) {
 	ep := Connect(m, 0, 1, 8, func(req []byte) []byte { return req })
 	ep.MaxRetries = 2
 	reg.Enable(fault.URPCDrop, fault.Always())
-	_, err := ep.CallBudget([]byte("lost"), 0)
+	_, err := ep.CallBudget(nil, []byte("lost"), 0)
 	var te *TimeoutError
 	if !errors.As(err, &te) || te.Retries != 2 {
 		t.Fatalf("unbudgeted call must ride the full retry ladder, got %v", err)
@@ -702,7 +775,7 @@ func TestScriptedSequenceIsModelIdentical(t *testing.T) {
 		case 0, 1:
 			resp, err = ep.Call(req)
 		case 2:
-			resp, err = ep.CallBudget(req, 3*DefaultTimeoutCycles)
+			resp, err = ep.CallBudget(nil, req, 3*DefaultTimeoutCycles)
 		case 3:
 			resp, err = ep.CallBulk(req)
 		}

@@ -43,7 +43,7 @@ go build ./...
 echo "== size budgets (non-test Go lines, counted as the benchmark's repo.nontest_go_loc; document bytes) =="
 # What the tree may weigh. A PR that needs more raises the number here, in
 # the same diff, so lines and prose are spent knowingly and not by accretion.
-budget_loc=26469
+budget_loc=26514
 budget_design=45400
 budget_readme=25600
 budget_skill=15000
@@ -102,8 +102,9 @@ go test -count=20 -run 'TestScenarioLibrary/checkpoint-corruption-storm$' ./inte
 go test -race -count=5 ./internal/tlb ./internal/hw ./internal/core ./internal/stats
 # The batch path: the plan against what no rule may move, and against the
 # per-command model: runs, MGET parts joining them, and the prefix published
-# while the batch goes on.
-go test -race -count=5 -run 'TestPlanKeepsKeyOrder|TestBatchMatchesPerCommand|TestRunOfOneIsTheOldCommand|TestRepliesGoOutInArrivalOrder|TestMGetMatchesModel' ./internal/cluster
+# while the batch goes on; the arena a node keeps across frames (node state
+# under its mutex), and a response appended behind what dst holds.
+go test -race -count=5 -run 'TestPlanKeepsKeyOrder|TestBatchMatchesPerCommand|TestRunOfOneIsTheOldCommand|TestRepliesGoOutInArrivalOrder|TestMGetMatchesModel|TestNodeKeepsItsArena|TestCallBudgetAppendsBehindDst' ./internal/cluster ./internal/urpc
 # A fill's requests are one slab the reader, the writer and the workers share.
 go test -race -count=5 -run 'TestFillIsOneBatch|TestPartialCommandWaitsForTheNextFill|TestRepliesGoOutAsTheBackendAnswers|TestPipelineDepthBoundsWhatIsInFlight|TestBackendTakesAPrefix|TestPipelineIsOneFillAndOneWrite' ./internal/server
 
