@@ -16,10 +16,12 @@ import (
 const ringSlots = 256
 
 // claimThread spawns a process and claims a simulated core for its one
-// thread — how every agent of the cluster comes to own a core. The caller
-// owns proc.Exit.
+// thread — how every agent of the cluster comes to own a core. Its primary is
+// tagged, like every VAS the cluster switches between (the store VASes:
+// redis.ShardNames; fork views), so no switch of the serving path flushes the
+// TLB. The caller owns proc.Exit.
 func (r *Router) claimThread() (*core.Process, *core.Thread, error) {
-	proc, err := r.sys.NewProcess(core.Creds{UID: 1, GID: 1})
+	proc, err := r.sys.NewTaggedProcess(core.Creds{UID: 1, GID: 1})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -485,8 +485,7 @@ func TestVASCtlTagging(t *testing.T) {
 
 func TestTaggedPrimaries(t *testing.T) {
 	sys := testSystem(t)
-	sys.SetTagPrimaries(true)
-	_, th := spawn(t, sys)
+	th := taggedThread(t, sys)
 	vid, _ := th.VASCreate("v", 0o660)
 	sid, _ := th.SegAlloc("s", segBase(0), 1<<20, arch.PermRW)
 	if err := th.SegAttachVAS(vid, sid, arch.PermRW); err != nil {

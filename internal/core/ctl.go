@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"spacejmp/internal/arch"
 )
 
@@ -19,29 +21,46 @@ type SegCmd interface {
 
 type setTagCmd struct{}
 
-// SetTag requests a TLB tag (ASID) for a VAS; a fresh tag is assigned
-// (paper §4.4: the user passes hints to the kernel to request a tag).
-// Applying it to an already-tagged VAS keeps the existing tag.
+// SetTag requests a TLB tag (ASID) for a VAS; a free tag is taken from the
+// system's pool (paper §4.4: the user passes hints to the kernel to request a
+// tag). Applying it to an already-tagged VAS keeps the existing tag.
 func SetTag() VASCmd { return setTagCmd{} }
 
-func (setTagCmd) applyVAS(sys *System, v *VAS) error {
-	if v.Tag() == arch.ASIDFlush {
-		tag, err := sys.allocTag()
-		if err != nil {
-			return err
-		}
-		v.setTag(tag)
-	}
-	return nil
-}
+func (setTagCmd) applyVAS(sys *System, v *VAS) error { return sys.retag(v, true) }
 
 type clearTagCmd struct{}
 
-// ClearTag reverts a VAS to the reserved flush tag.
+// ClearTag reverts a VAS to the reserved flush tag. Its tag returns to the
+// pool now if nothing is attached, else at the next SetTag or vas_destroy.
 func ClearTag() VASCmd { return clearTagCmd{} }
 
-func (clearTagCmd) applyVAS(_ *System, v *VAS) error {
-	v.setTag(arch.ASIDFlush)
+func (clearTagCmd) applyVAS(sys *System, v *VAS) error { return sys.retag(v, false) }
+
+// retag gives v a tag from the pool (on) or reverts it to the flush tag. A
+// tag kept past ClearTag goes back through the pool, flushed, at the next
+// SetTag: shootdowns while the VAS was untagged did not reach it.
+func (sys *System) retag(v *VAS, on bool) error {
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	switch {
+	case v.destroyed:
+		return fmt.Errorf("%w: vas %d", ErrNotFound, v.ID)
+	case !on:
+		v.tag = arch.ASIDFlush
+		if len(v.atts) == 0 && v.attaching == 0 {
+			sys.releaseTagLocked(v.held)
+			v.held = arch.ASIDFlush
+		}
+	case v.tag == arch.ASIDFlush:
+		sys.releaseTagLocked(v.held)
+		tag, err := sys.takeTagLocked(v.held)
+		if err != nil {
+			return err
+		}
+		v.tag, v.held = tag, tag
+	}
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 
 	"spacejmp/internal/arch"
@@ -190,7 +191,11 @@ func (sys *System) Checkpoint() error {
 		return fmt.Errorf("%w: machine has no NVM superblock; configure mem.Config.NVMSuperblock", ErrInvalid)
 	}
 	sys.mu.Lock()
-	img := persistImage{NextVAS: sys.nextVAS, NextSeg: sys.nextSeg, NextASID: sys.nextASID}
+	img := persistImage{NextVAS: sys.nextVAS, NextSeg: sys.nextSeg}
+	// One past the highest tag held: the counter's next tag while none is freed.
+	for i := len(sys.tags) - 1; img.NextASID == 0; i-- {
+		img.NextASID = arch.ASID(i*64 + bits.Len64(sys.tags[i]))
+	}
 	persisted := map[SegID]bool{}
 	ephemeral := map[SegID]bool{}
 	for _, seg := range sys.segs {
@@ -450,8 +455,17 @@ func (sys *System) Restore() error {
 		segByID[seg.ID] = seg
 	}
 	for _, pv := range img.Vases {
-		v := &VAS{ID: pv.ID, Name: pv.Name, Owner: pv.Owner, Mode: pv.Mode,
-			tag: pv.Tag, atts: map[*Attachment]struct{}{}}
+		v := &VAS{ID: pv.ID, Name: pv.Name, Owner: pv.Owner, Mode: pv.Mode, atts: map[*Attachment]struct{}{}}
+		if pv.Tag != arch.ASIDFlush {
+			if pv.Tag > arch.MaxASID || pv.Tag >= img.NextASID {
+				return fmt.Errorf("%w: generation %d: vas %q holds tag %d", ErrCorruptCheckpoint, seq, pv.Name, pv.Tag)
+			}
+			// Its own tag unless a process of this system holds it.
+			if v.tag, err = sys.takeTagLocked(pv.Tag); err != nil {
+				return err
+			}
+			v.held = v.tag
+		}
 		for _, m := range pv.Segs {
 			seg, ok := segByID[m.Seg]
 			if !ok {
@@ -468,9 +482,6 @@ func (sys *System) Restore() error {
 	}
 	if img.NextSeg > sys.nextSeg {
 		sys.nextSeg = img.NextSeg
-	}
-	if img.NextASID > sys.nextASID {
-		sys.nextASID = img.NextASID
 	}
 	return nil
 }

@@ -113,6 +113,13 @@ func TestCheckpointRestoreAcrossPowerCycle(t *testing.T) {
 	if nvid <= vid {
 		t.Errorf("post-restore VAS id %d collides with restored id space", nvid)
 	}
+	// The restored VAS holds its tag in the pool: a new one gets another.
+	if err := t2.VASCtl(nvid, SetTag()); err != nil {
+		t.Fatal(err)
+	}
+	if nv, _ := sys2.vas(nvid); nv.Tag() == rv.Tag() || nv.Tag() == arch.ASIDFlush {
+		t.Errorf("post-restore tag %d, restored VAS's %d", nv.Tag(), rv.Tag())
+	}
 }
 
 func TestDRAMSegmentsNotPersisted(t *testing.T) {

@@ -31,7 +31,7 @@ type Process struct {
 	dead atomic.Bool
 
 	// primaryTag is the TLB tag of the primary address space (ASIDFlush
-	// unless System.SetTagPrimaries was enabled at process creation).
+	// unless NewTaggedProcess made the process).
 	primaryTag arch.ASID
 }
 

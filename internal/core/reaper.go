@@ -12,12 +12,15 @@ package core
 //   - segment locks held by the dead process's threads are forcibly
 //     released in reverse acquisition order, waking any thread blocked in
 //     Segment.acquire on another core;
-//   - the threads' cores are returned to the scheduler pool;
+//   - the threads' cores are returned to the scheduler pool, their TLBs
+//     flushed: a VAS's tag is shared by every process attached to it, and
+//     the next thread on the core must not hit this one's private pages;
 //   - attachments are destroyed: the VAS drops the attachment record, linked
 //     translation subtrees are unlinked, and the attachment's vmspace frees
 //     its page-table frames and VM-object references;
 //   - the primary vmspace and the private text/globals/stack segments are
-//     freed, returning their frames to the allocator.
+//     freed, returning their frames to the allocator, and the primary's TLB
+//     tag to the pool.
 //
 // PhysMem.CheckLeaks/VerifyInvariants is the test-side witness that the
 // reaper returns the machine to its pre-process frame accounting.
@@ -35,6 +38,7 @@ func (sys *System) reap(p *Process, threads []*Thread, atts []*Attachment) {
 		}
 		t.held = nil
 		t.cur = nil
+		t.Core.TLB.FlushAll()
 		sys.releaseCore(t.Core)
 	}
 	for _, a := range atts {
@@ -44,4 +48,7 @@ func (sys *System) reap(p *Process, threads []*Thread, atts []*Attachment) {
 	for _, m := range p.priv {
 		m.Seg.destroy()
 	}
+	sys.mu.Lock()
+	sys.releaseTagLocked(p.primaryTag)
+	sys.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -21,19 +22,21 @@ type System struct {
 	M *hw.Machine
 	P Personality
 
-	mu           sync.Mutex
-	vases        map[VASID]*VAS
-	vasByName    map[string]*VAS
-	segs         map[SegID]*Segment
-	segByName    map[string]*Segment
-	nextVAS      VASID
-	nextSeg      SegID
-	nextPID      int
-	nextASID     arch.ASID
-	coreInUse    []bool
-	segTier      mem.Tier
-	tagPrimaries bool
-	switches     atomic.Uint64 // total vas_switch count (Figure 9's switch rate); not under mu
+	mu        sync.Mutex
+	vases     map[VASID]*VAS
+	vasByName map[string]*VAS
+	segs      map[SegID]*Segment
+	segByName map[string]*Segment
+	nextVAS   VASID
+	nextSeg   SegID
+	nextPID   int
+	coreInUse []bool
+	segTier   mem.Tier
+	switches  atomic.Uint64 // total vas_switch count (Figure 9's switch rate); not under mu
+
+	// tags is the TLB tag pool, one bit per tag, set while a VAS or a primary
+	// holds it. Bit 0 (ASIDFlush) is set for good: it is never handed out.
+	tags [(int(arch.MaxASID) + 1) / 64]uint64
 
 	// ckptMu orders the NVM superblock's writer (Checkpoint) and readers
 	// (newestImage): shard nodes checkpoint from their own handlers, and two
@@ -45,14 +48,16 @@ type System struct {
 // NewSystem boots a SpaceJMP system on the given machine with the given
 // personality.
 func NewSystem(m *hw.Machine, p Personality) *System {
-	return &System{
+	sys := &System{
 		M: m, P: p,
 		vases: map[VASID]*VAS{}, vasByName: map[string]*VAS{},
 		segs: map[SegID]*Segment{}, segByName: map[string]*Segment{},
-		nextVAS: 1, nextSeg: 1, nextPID: 1, nextASID: 1,
+		nextVAS: 1, nextSeg: 1, nextPID: 1,
 		coreInUse: make([]bool, len(m.Cores)),
 		segTier:   mem.TierDRAM,
 	}
+	sys.tags[0] = 1 // ASIDFlush
+	return sys
 }
 
 // SetSegmentTier selects the memory tier backing subsequently created
@@ -63,26 +68,49 @@ func (sys *System) SetSegmentTier(t mem.Tier) {
 	sys.segTier = t
 }
 
-// SetTagPrimaries makes subsequently created processes' primary address
-// spaces TLB-tagged, so switching between a tagged VAS and the process's
-// own space retains translations in both directions — the configuration
-// behind the paper's tagged measurements (Table 2, Figure 10a).
-func (sys *System) SetTagPrimaries(v bool) {
-	sys.mu.Lock()
-	defer sys.mu.Unlock()
-	sys.tagPrimaries = v
+// takeTagLocked takes want from the pool, or the lowest free tag when want is
+// ASIDFlush or held — the order a counter gives until a tag is released. The
+// tag is flushed from every core before it is handed out (FlushASID advances
+// each TLB's epoch, so L0 copies die too): no translation cached under an
+// earlier holder survives. Caller holds sys.mu.
+func (sys *System) takeTagLocked(want arch.ASID) (arch.ASID, error) {
+	tag := want
+	if sys.tags[tag/64]&(1<<(tag%64)) != 0 {
+		tag = arch.ASIDFlush
+		for i, w := range sys.tags {
+			if w != ^uint64(0) {
+				tag = arch.ASID(i*64 + bits.TrailingZeros64(^w))
+				break
+			}
+		}
+		if tag == arch.ASIDFlush {
+			return 0, fmt.Errorf("%w: out of TLB tags", ErrBusy)
+		}
+	}
+	sys.tags[tag/64] |= 1 << (tag % 64)
+	for _, c := range sys.M.Cores {
+		c.TLB.FlushASID(tag)
+	}
+	return tag, nil
 }
 
-// allocTag hands out a fresh, never-reused TLB tag.
-func (sys *System) allocTag() (arch.ASID, error) {
+// releaseTagLocked returns tag to the pool; ASIDFlush is not the pool's.
+// Caller holds sys.mu.
+func (sys *System) releaseTagLocked(tag arch.ASID) {
+	if tag != arch.ASIDFlush {
+		sys.tags[tag/64] &^= 1 << (tag % 64)
+	}
+}
+
+// TagsInUse returns how many TLB tags VASes and primaries hold.
+func (sys *System) TagsInUse() int {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
-	if sys.nextASID >= arch.MaxASID {
-		return 0, fmt.Errorf("%w: out of TLB tags", ErrBusy)
+	n := -1 // ASIDFlush
+	for _, w := range sys.tags {
+		n += bits.OnesCount64(w)
 	}
-	tag := sys.nextASID
-	sys.nextASID++
-	return tag, nil
+	return n
 }
 
 // installShootdown arranges TLB invalidation across all cores when
@@ -170,23 +198,30 @@ func (sys *System) releaseCore(c *hw.Core) {
 
 // NewProcess creates a process with the traditional private segments (text,
 // globals, stack) mapped into a primary address space.
-func (sys *System) NewProcess(creds Creds) (*Process, error) {
+func (sys *System) NewProcess(creds Creds) (*Process, error) { return sys.newProcess(creds, false) }
+
+// NewTaggedProcess is NewProcess with a TLB-tagged primary address space, so
+// switching between it and a tagged VAS retains translations both ways — the
+// configuration behind the paper's tagged measurements (Table 2, Figure 10a)
+// and the cluster's. The tag goes back to the pool at exit.
+func (sys *System) NewTaggedProcess(creds Creds) (*Process, error) {
+	return sys.newProcess(creds, true)
+}
+
+func (sys *System) newProcess(creds Creds, tagged bool) (*Process, error) {
 	sys.mu.Lock()
 	pid := sys.nextPID
 	sys.nextPID++
-	sys.mu.Unlock()
-
-	p := &Process{PID: pid, Creds: creds, sys: sys, atts: map[Handle]*Attachment{}, nextHandle: 1}
-	sys.mu.Lock()
-	tagIt := sys.tagPrimaries
-	sys.mu.Unlock()
-	if tagIt {
-		tag, err := sys.allocTag()
-		if err != nil {
-			return nil, err
-		}
-		p.primaryTag = tag
+	tag, err := arch.ASIDFlush, error(nil)
+	if tagged {
+		tag, err = sys.takeTagLocked(arch.ASIDFlush)
 	}
+	sys.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+
+	p := &Process{PID: pid, Creds: creds, sys: sys, atts: map[Handle]*Attachment{}, nextHandle: 1, primaryTag: tag}
 	layout := []struct {
 		name string
 		base arch.VirtAddr
@@ -203,6 +238,9 @@ func (sys *System) NewProcess(creds Creds) (*Process, error) {
 	}
 	space, err := sys.buildSpace(p, nil)
 	if err != nil {
+		sys.mu.Lock()
+		sys.releaseTagLocked(p.primaryTag)
+		sys.mu.Unlock()
 		return nil, err
 	}
 	p.primary = space
@@ -450,8 +488,16 @@ func (t *Thread) VASDetach(h Handle) error {
 		}
 	}
 	delete(p.atts, h)
+	threads := p.threads
 	p.mu.Unlock()
 	a.destroy()
+	if tag := a.VAS.Tag(); tag != arch.ASIDFlush {
+		// The tag outlives these page tables: what they cached under it must
+		// not serve the process's next attachment of the VAS.
+		for _, th := range threads {
+			th.Core.TLB.FlushASID(tag)
+		}
+	}
 	return nil
 }
 
@@ -545,13 +591,14 @@ func (t *Thread) VASDestroy(vid VASID) error {
 	if err := sys.P.CheckVAS(t.Proc.Creds, v, arch.PermWrite); err != nil {
 		return err
 	}
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
 	if !v.markDestroyed() {
 		return fmt.Errorf("%w: vas %q has attachments", ErrBusy, v.Name)
 	}
-	sys.mu.Lock()
+	sys.releaseTagLocked(v.held) // tag commands hold sys.mu and skip a destroyed VAS
 	delete(sys.vases, v.ID)
 	delete(sys.vasByName, v.Name)
-	sys.mu.Unlock()
 	return nil
 }
 

@@ -31,7 +31,11 @@ type VAS struct {
 
 	mu   sync.Mutex
 	segs []SegMapping
-	tag  arch.ASID // TLB tag; ASIDFlush means untagged (§4.4)
+	tag  arch.ASID // the TLB tag switches load; ASIDFlush means untagged (§4.4)
+	// held is the pool tag the VAS owns: tag, or the one ClearTag took from
+	// switches while something was attached (a core may still run under it),
+	// kept until the next SetTag or vas_destroy. Written under sys.mu and mu.
+	held arch.ASID
 	atts map[*Attachment]struct{}
 	// attaching counts vas_attach calls between finding the VAS and
 	// registering the attachment they build; vas_destroy sets destroyed, which
@@ -52,12 +56,6 @@ func (v *VAS) Tag() arch.ASID {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.tag
-}
-
-func (v *VAS) setTag(t arch.ASID) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.tag = t
 }
 
 // Mappings returns a snapshot of the VAS's segment list.

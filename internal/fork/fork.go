@@ -130,7 +130,13 @@ func (e *Engine) Fork(th *core.Thread, node int, segName string) (*View, error) 
 		liveObj.CollapseCOW()
 		return nil, err
 	}
-	if err := th.SegAttachVAS(vid, fsid, arch.PermRead); err != nil {
+	err = th.SegAttachVAS(vid, fsid, arch.PermRead)
+	if err == nil {
+		// Tagged like every VAS the cluster switches between: a reader's switch
+		// into an untagged view would flush every tag on its core.
+		err = th.VASCtl(vid, core.SetTag())
+	}
+	if err != nil {
 		_ = th.VASDestroy(vid)
 		_ = th.SegFree(fsid)
 		liveObj.CollapseCOW()

@@ -34,6 +34,7 @@ type Names struct {
 	Seg      string // the shared data segment
 	ReadVAS  string // maps the segment read-only
 	WriteVAS string // maps the segment read-write
+	Tagged   bool   // CreateInstance gives both VASes a TLB tag
 }
 
 // DefaultNames is the single-store instance of §5.3.
@@ -45,6 +46,7 @@ func ShardNames(i int) Names {
 		Seg:      fmt.Sprintf("cluster.s%d.data", i),
 		ReadVAS:  fmt.Sprintf("cluster.s%d.read", i),
 		WriteVAS: fmt.Sprintf("cluster.s%d.write", i),
+		Tagged:   true, // the cluster switches between tagged VASes only
 	}
 }
 
@@ -56,6 +58,7 @@ func StandbyNames(i int) Names {
 		Seg:      fmt.Sprintf("cluster.s%d.standby.data", i),
 		ReadVAS:  fmt.Sprintf("cluster.s%d.standby.read", i),
 		WriteVAS: fmt.Sprintf("cluster.s%d.standby.write", i),
+		Tagged:   true,
 	}
 }
 
@@ -220,7 +223,8 @@ func (c *Client) bootstrap(segSize uint64, opts ...core.SegOption) error {
 
 // CreateInstance builds the store instance named by names: a segment of size
 // bytes at SegBase, a VAS mapping it read-write and a VAS mapping it
-// read-only. fill runs as under FillInstance and puts the store there —
+// read-only, both tagged before anything switches in if names.Tagged. fill
+// runs as under FillInstance and puts the store there —
 // CreateStore for a new one, the stores that copy an image in for a replica.
 // On any failure CreateInstance takes down what it built, so a failed attempt
 // leaves nothing under those names for the next one to trip over.
@@ -251,6 +255,11 @@ func CreateInstance(th *core.Thread, names Names, size uint64, fill func() error
 		vids = append(vids, vid)
 		if err := th.SegAttachVAS(vid, sid, v.perm); err != nil {
 			return err
+		}
+		if names.Tagged {
+			if err := th.VASCtl(vid, core.SetTag()); err != nil {
+				return err
+			}
 		}
 	}
 	return fillVAS(th, vids[0], fill)

@@ -53,10 +53,11 @@ func key(i int) string { return fmt.Sprintf("key:%06d", i%keyCount) }
 func MeasureCosts(mcfg hw.MachineConfig, tags bool, segSize uint64) (Costs, error) {
 	m := hw.NewMachine(mcfg)
 	sys := kernel.New(m)
+	newProcess := sys.NewProcess
 	if tags {
-		sys.SetTagPrimaries(true)
+		newProcess = sys.NewTaggedProcess
 	}
-	proc, err := sys.NewProcess(core.Creds{UID: 1, GID: 1})
+	proc, err := newProcess(core.Creds{UID: 1, GID: 1})
 	if err != nil {
 		return Costs{}, err
 	}

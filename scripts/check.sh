@@ -43,8 +43,8 @@ go build ./...
 echo "== size budgets (non-test Go lines, counted as the benchmark's repo.nontest_go_loc; document bytes) =="
 # What the tree may weigh. A PR that needs more raises the number here, in
 # the same diff, so lines and prose are spent knowingly and not by accretion.
-budget_loc=26514
-budget_design=45400
+budget_loc=26614
+budget_design=46500
 budget_readme=25600
 budget_skill=15000
 loc=$(find . -name '.?*' -prune -o -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)
@@ -98,8 +98,10 @@ go test -count=10 ./internal/cluster ./internal/chaos ./internal/server ./intern
 go test -count=20 -run 'TestScenarioLibrary/checkpoint-corruption-storm$' ./internal/chaos
 # The L0's protocol with remote flushes and with snapshots of a live machine;
 # the unlocked owner side of the TLB; a switch reading a process's death flag
-# without its mutex.
+# without its mutex; tags reused from the pool (core's TestReusedTagsIsolate
+# and friends), and the serving stack tagged and never out of tags.
 go test -race -count=5 ./internal/tlb ./internal/hw ./internal/core ./internal/stats
+go test -race -count=5 -run 'TestStackRunsTagged|TestStackNeverRunsOutOfTags' ./internal/cluster
 # The batch path: the plan against what no rule may move, and against the
 # per-command model: runs, MGET parts joining them, and the prefix published
 # while the batch goes on; the arena a node keeps across frames (node state
