@@ -411,6 +411,9 @@ func (s *Spec) Validate() error {
 	if s.Load.Tenants < 0 {
 		return specErr(-1, fmt.Sprintf("load.tenants: negative (%d)", s.Load.Tenants), ErrBadSpec)
 	}
+	if err := s.Load.CheckMix(); err != nil {
+		return specErr(-1, err.Error(), ErrBadSpec)
+	}
 	if s.Load.Auth && s.Load.Tenants == 0 {
 		return specErr(-1, "load.auth: requires load.tenants > 0", ErrBadSpec)
 	}

@@ -65,6 +65,9 @@ func TestParseSpecErrors(t *testing.T) {
 		{"removed degraded_reads", `{"name": "x", "cluster": {"replicate": true, "degraded_reads": true}}`, ErrBadSpec},
 		{"removed slots", `{"name": "x", "cluster": {"slots": 256}}`, ErrBadSpec},
 		{"trailing data", `{"name": "x"} {"name": "y"}`, ErrBadSpec},
+		// A load mix out of range is refused, not quietly replaced.
+		{"set percent past 100", `{"name": "x", "load": {"set_percent": 150}}`, ErrBadSpec},
+		{"set and mget past 100", `{"name": "x", "load": {"set_percent": 60, "mget_percent": 50}}`, ErrBadSpec},
 		{"unknown point", `{"name": "x", "steps": [{"point": "disk.on.fire", "policy": {"kind": "always"}}]}`, ErrUnknownPoint},
 		{"missing policy", `{"name": "x", "steps": [{"point": "urpc.drop"}]}`, ErrBadPolicy},
 		{"unknown policy", `{"name": "x", "steps": [{"point": "urpc.drop", "policy": {"kind": "sometimes"}}]}`, ErrBadPolicy},

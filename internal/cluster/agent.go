@@ -34,11 +34,6 @@ func (r *Router) claimThread() (*core.Process, *core.Thread, error) {
 	return proc, th, nil
 }
 
-// connect opens a urpc channel from an agent's core to remote node n.
-func (r *Router) connect(fromCore int, n *node) *urpc.Endpoint {
-	return urpc.Connect(r.sys.M, fromCore, n.coreID, ringSlots, n.handler)
-}
-
 // attachStore returns the client an agent holds, in cache, on the store
 // that serves node n over the VAS path: its own when co-resident, its
 // standby once promoted. The caller resolved n to one of the two, so the
@@ -65,32 +60,25 @@ func (r *Router) attachStore(th *core.Thread, cache map[int]*redis.Client, n *no
 // the client or the endpoint an agent's reach (or resolve) handed it — and
 // returns the reply's payload, an error reply as the ReplyError it decodes
 // to. On a client it is redis.Execute; over urpc it is the same command on
-// the wire, unbudgeted and unattributed, as one frame — or, for the one reply
-// that can outgrow the ring (a slot dump), the bulk framing under n.mu.
-// Either way redis.Run carries it out.
+// the wire, unbudgeted and unattributed, through n.call — a reply the ring
+// cannot hold (a slot dump) streams. Either way redis.RunAll carries it out.
 func (t target) run(n *node, argv ...string) (payload []byte, err error) {
 	var resp []byte
-	switch {
-	case t.client != nil:
+	if t.client != nil {
 		resp = redis.Execute(t.client, argv)
-	case argv[0] == redis.ClusterMigrate:
-		n.mu.Lock()
-		resp, err = n.callBulk(t.ep, redis.EncodeCommand(argv...))
-		n.mu.Unlock()
-	default:
-		resp, _, err = n.call(t.ep, redis.EncodeCommand(argv...), nil, 0)
-	}
-	if err != nil {
+	} else if resp, _, err = n.call(t.ep, redis.EncodeCommand(argv...), nil, 0); err != nil {
 		return nil, err
 	}
 	payload, _, err = redis.DecodeReply(resp)
 	return payload, err
 }
 
-// endpointSet is the monitor's or the engine's private endpoints to remote
-// nodes — probes, ships and slot copies must not queue behind data traffic
-// on the workers' channels — each connected on first use. The mutex is for
-// PendingFrames, which reads the set from outside the agent's goroutine.
+// endpointSet is an agent's private endpoints to remote nodes, each connected
+// on first use — a worker's data channels, the monitor's probes and ships,
+// the engine's slot copies, so none queues behind another's traffic. Only the
+// owning agent's goroutine calls to, so it reads the map without the mutex;
+// the mutex orders to's inserts against pending, which PendingFrames calls
+// from outside that goroutine.
 type endpointSet struct {
 	coreID int
 
@@ -98,18 +86,19 @@ type endpointSet struct {
 	eps map[int]*urpc.Endpoint
 }
 
-// to returns the endpoint to node n, connecting it on first use.
+// to returns the endpoint to node n, opening a urpc channel from the agent's
+// core on first use.
 func (s *endpointSet) to(r *Router, n *node) *urpc.Endpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ep := s.eps[n.id]
-	if ep == nil {
-		if s.eps == nil {
-			s.eps = map[int]*urpc.Endpoint{}
-		}
-		ep = r.connect(s.coreID, n)
-		s.eps[n.id] = ep
+	if ep := s.eps[n.id]; ep != nil {
+		return ep
 	}
+	ep := urpc.Connect(r.sys.M, s.coreID, n.coreID, ringSlots, n.handler)
+	s.mu.Lock()
+	if s.eps == nil {
+		s.eps = map[int]*urpc.Endpoint{}
+	}
+	s.eps[n.id] = ep
+	s.mu.Unlock()
 	return ep
 }
 

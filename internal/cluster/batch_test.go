@@ -64,12 +64,35 @@ func request(readonly bool, deadline uint64, args ...string) *server.Request {
 }
 
 // frames counts the request frames the worker has sent its nodes.
-func (g batchRig) frames() (n uint64) {
-	for _, ep := range g.w.endpoints {
+func (g batchRig) frames() uint64 { return g.w.eps.sends() }
+
+// sends counts the request frames sent on every endpoint of the set, read
+// under its mutex, as from outside the owning agent.
+func (s *endpointSet) sends() (n uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ep := range s.eps {
 		req, _ := ep.ChannelStats()
 		n += req.Sends
 	}
 	return n
+}
+
+// get returns the set's endpoint to node id, nil before first use.
+func (s *endpointSet) get(id int) *urpc.Endpoint {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.eps[id]
+}
+
+// put installs ep as the set's endpoint to node id, ahead of first use.
+func (s *endpointSet) put(id int, ep *urpc.Endpoint) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.eps == nil {
+		s.eps = map[int]*urpc.Endpoint{}
+	}
+	s.eps[id] = ep
 }
 
 func (g batchRig) switches() uint64 { return g.r.sys.Switches() }
@@ -634,8 +657,55 @@ func TestRetriedRunFrameAppliesOnce(t *testing.T) {
 			t.Errorf("DEL %d answered %q, want :1 — a frame applied twice answers :0", i, got)
 		}
 	}
-	if got := g.w.endpoints[1].Retries(); got != 1 {
+	if got := g.w.eps.get(1).Retries(); got != 1 {
 		t.Errorf("%d retries, want the one the dropped response cost", got)
+	}
+}
+
+// TestNodeJoinsRepliesThatOutgrewItsBuffer: a remote node renders a run with
+// redis.RunAll into the buffer it keeps and answers with the replies back to
+// back and nothing else. The first runs' small replies leave that buffer
+// small; the last run's first reply fits it and its 2 KiB replies outgrow it
+// mid-run, so the node joins them behind the one that fit. Every reply is
+// refExec's on a twin rig.
+func TestNodeJoinsRepliesThatOutgrewItsBuffer(t *testing.T) {
+	model, batch := newBatchRig(t, "urpc", nil), newBatchRig(t, "urpc", nil)
+	keys := newPipelines(batch.r, 7).keys[1]
+	n := batch.r.nodes[1]
+	responses := 0
+	batch.w.eps.put(1, urpc.Connect(batch.r.sys.M, batch.w.th.Core.ID, n.coreID, ringSlots, func(req []byte) []byte {
+		resp := n.handler(req)
+		var joined []byte
+		for _, c := range n.calls {
+			joined = append(joined, c.Reply...)
+		}
+		if !bytes.Equal(resp, joined) {
+			t.Errorf("the node answered %.60q, its replies back to back are %.60q", resp, joined)
+		}
+		responses++
+		return resp
+	}))
+	small, big := "$1\r\nv\r\n", strings.Repeat("b", 2<<10)
+	kept := 0
+	for i, argvs := range [][][]string{
+		{{"SET", keys[0], "v"}, {"GET", keys[0]}},
+		{{"SET", keys[1], big}, {"SET", keys[2], big}},
+		{{"GET", keys[0]}, {"GET", keys[1]}, {"GET", keys[2]}, {"GET", keys[0]}},
+	} {
+		kept = cap(n.out)
+		want, got := requests(argvs, false), requests(argvs, false)
+		for _, req := range want {
+			req.Finish(refExec(model.r, model.w, req))
+		}
+		batch.r.execBatch(batch.w, server.NewBatch(got))
+		for j := range got {
+			if g, w := got[j].Reply(), want[j].Reply(); !bytes.Equal(g, w) {
+				t.Fatalf("run %d, command %d %.40q: reply %.40q, want %.40q", i, j, argvs[j], g, w)
+			}
+		}
+	}
+	if kept < len(small) || kept >= len(big) || responses < 3 {
+		t.Fatalf("%d responses; the last run met a buffer of %d bytes, want one its first reply fits and its second outgrows", responses, kept)
 	}
 }
 
@@ -655,7 +725,7 @@ func TestNodeKeepsItsArena(t *testing.T) {
 	n := batch.r.nodes[1]
 	for _, g := range []batchRig{model, batch} {
 		n := g.r.nodes[1]
-		g.w.endpoints[1] = urpc.Connect(g.r.sys.M, g.w.th.Core.ID, n.coreID, 8<<10, func(req []byte) []byte {
+		g.w.eps.put(1, urpc.Connect(g.r.sys.M, g.w.th.Core.ID, n.coreID, 8<<10, func(req []byte) []byte {
 			resp := n.handler(req)
 			for _, c := range n.calls {
 				for _, a := range c.Args {
@@ -665,7 +735,7 @@ func TestNodeKeepsItsArena(t *testing.T) {
 				}
 			}
 			return resp
-		})
+		}))
 	}
 	key := gen.keys[1][0]
 	for i := 0; i < 200; i++ {

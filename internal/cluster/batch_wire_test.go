@@ -249,7 +249,7 @@ func TestCrashMidRun(t *testing.T) {
 	frames := func() (n uint64) {
 		r.nodes[2].mu.Lock()
 		defer r.nodes[2].mu.Unlock()
-		req, _ := r.workers[0].endpoints[2].ChannelStats()
+		req, _ := r.workers[0].eps.get(2).ChannelStats()
 		return req.Sends
 	}
 	before := frames()

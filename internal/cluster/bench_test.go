@@ -203,14 +203,7 @@ func BenchmarkRouterExecBatch(b *testing.B) {
 				pipes = mixedPipelines(gets)
 			}
 			w := r.workers[0]
-			frames := func() (n uint64) {
-				for _, ep := range w.endpoints {
-					req, _ := ep.ChannelStats()
-					n += req.Sends
-				}
-				return n
-			}
-			cycles, switches, sent := w.th.Core.Cycles(), r.sys.Switches(), frames()
+			cycles, switches, sent := w.th.Core.Cycles(), r.sys.Switches(), w.eps.sends()
 			cmds := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -227,7 +220,7 @@ func BenchmarkRouterExecBatch(b *testing.B) {
 			per := func(v uint64) float64 { return float64(v) / float64(cmds) }
 			b.ReportMetric(per(w.th.Core.Cycles()-cycles), "cycles/cmd")
 			b.ReportMetric(per(r.sys.Switches()-switches), "switches/cmd")
-			b.ReportMetric(per(frames()-sent), "frames/cmd")
+			b.ReportMetric(per(w.eps.sends()-sent), "frames/cmd")
 		})
 	}
 }

@@ -396,9 +396,8 @@ func (r *Router) Close() error {
 // a loss-free interconnect a drained cluster reports zero; the drain test
 // holds it to that. Safe to call while the cluster serves: every channel
 // into a node is only driven under that node's mutex, which this takes per
-// node, and the node/endpoint lists are read under the topology lock (the
-// monitor's and the engine's endpoint sets, which grow on first use, carry
-// their own mutex).
+// node, the node list is read under the topology lock, and each agent's
+// endpoint set, which grows on first use, under its own mutex.
 func (r *Router) PendingFrames() int {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
@@ -409,9 +408,7 @@ func (r *Router) PendingFrames() int {
 		}
 		n.mu.Lock()
 		for _, w := range r.workers {
-			if ep := w.endpoints[n.id]; ep != nil {
-				total += ep.Pending()
-			}
+			total += w.eps.pending(n.id)
 		}
 		if r.mon != nil {
 			total += r.mon.eps.pending(n.id)

@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -814,6 +815,75 @@ func TestNewFailureLeavesNothing(t *testing.T) {
 	for _, stage := range []string{"worker", "node", "wiring worker", "health monitor"} {
 		if !seen[stage] {
 			t.Errorf("no New failed at stage %q (saw %v)", stage, seen)
+		}
+	}
+}
+
+// TestFirstUseConnectsUnderPendingFrames: workers connect to a node added
+// mid-run on their first call into it, and the migration engine on its first
+// slot copy, while another goroutine polls PendingFrames, which reads every
+// agent's endpoint set. Under -race, an insert the set's mutex does not order
+// against that read shows. Drained, the cluster has no frame pending, and
+// every worker holds an endpoint to the new node.
+func TestFirstUseConnectsUnderPendingFrames(t *testing.T) {
+	hwCfg := hw.SmallTest()
+	hwCfg.CoresPerSocket = 4
+	r, err := New(kernel.New(hw.NewMachine(hwCfg)), Config{Nodes: 2, Workers: 2, Locals: 1, SegSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	stop := make(chan struct{})
+	var poller sync.WaitGroup
+	poller.Add(1)
+	go func() {
+		defer poller.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.PendingFrames()
+				runtime.Gosched()
+			}
+		}
+	}()
+	id, err := r.AddNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RebalanceInto(id); err != nil {
+		t.Fatal(err)
+	}
+	keys := keysOnNode(t, r, id, 16)
+	var traffic sync.WaitGroup
+	for conn := range len(r.workers) {
+		traffic.Add(1)
+		go func() {
+			defer traffic.Done()
+			for _, k := range keys {
+				req := server.NewRequest([]string{"SET", k, "v"})
+				for !r.Submit(uint64(conn), req) {
+				}
+				if got := req.Wait(); string(got) != "+OK\r\n" {
+					t.Errorf("connection %d: SET %s answered %q", conn, k, got)
+				}
+			}
+		}()
+	}
+	traffic.Wait()
+	close(stop)
+	poller.Wait()
+	if n := r.PendingFrames(); n != 0 {
+		t.Errorf("%d frames pending on a drained cluster", n)
+	}
+	for _, w := range r.workers {
+		if w.eps.get(id) == nil {
+			t.Errorf("worker %d never connected to node %d", w.id, id)
 		}
 	}
 }

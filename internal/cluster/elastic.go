@@ -5,15 +5,13 @@ import (
 	"fmt"
 
 	"spacejmp/internal/server"
-	"spacejmp/internal/urpc"
 )
 
 // AddNode spins up a new remote shard node mid-run: it claims a core,
 // bootstraps a store behind a urpc handler (replicated, with a standby,
-// when replication is on), connects every worker to it, and appends it to
-// the topology under the write lock. The new node owns zero slots — call
-// RebalanceInto (or MigrateSlot) to give it load. Returns the new node's
-// id.
+// when replication is on), and appends it to the topology under the write
+// lock; agents connect to it on first use. The new node owns zero slots —
+// call RebalanceInto (or MigrateSlot) to give it load. Returns its id.
 func (r *Router) AddNode() (int, error) {
 	r.lifecycleMu.Lock()
 	defer r.lifecycleMu.Unlock()
@@ -27,15 +25,8 @@ func (r *Router) AddNode() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("cluster: add node %d: %w", id, err)
 	}
-	eps := make([]*urpc.Endpoint, len(r.workers))
-	for i, w := range r.workers {
-		eps[i] = r.connect(w.th.Core.ID, n)
-	}
 	r.topoMu.Lock()
 	r.nodes = append(r.nodes, n)
-	for i, w := range r.workers {
-		w.endpoints[id] = eps[i]
-	}
 	r.topoMu.Unlock()
 	if n.replicated && r.mon != nil {
 		// Hand the node to the monitor: the first ship warms the standby,

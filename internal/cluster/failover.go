@@ -32,7 +32,7 @@ func (m *monitor) ship(r *Router, n *node) {
 	}
 	ep := m.eps.to(r, n)
 	n.mu.Lock()
-	resp, err := n.callBulk(ep, forkWire)
+	resp, _, err := n.callLocked(ep, forkWire, nil, 0)
 	if err != nil {
 		n.mu.Unlock()
 		r.ctr.Replication.ShipFailures.Add(1)

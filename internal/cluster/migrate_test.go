@@ -72,7 +72,9 @@ func TestPlacementTable(t *testing.T) {
 
 // TestMigrateSlot moves a populated slot local→remote and back: the data
 // must follow, the table version must bump per move, and the migration
-// counters must attribute both moves.
+// counters must attribute both moves. Its eight 4 KiB values make the remote
+// node's slot dump outgrow one ring, so the move back streams it through the
+// one call into a node.
 func TestMigrateSlot(t *testing.T) {
 	m, r, srv := startCluster(t, Config{Nodes: 3, Workers: 1, Locals: 2}, nil)
 	defer srv.Shutdown()
@@ -86,8 +88,9 @@ func TestMigrateSlot(t *testing.T) {
 
 	slot := 0 // owned by node 0 (local) at epoch 1
 	keys := keysInSlot(t, slot, 8)
+	value := func(i int) string { return fmt.Sprintf("v-%d-", i) + strings.Repeat(string(rune('a'+i)), 4<<10) }
 	for i, k := range keys {
-		if v, err := send(nc, br, "SET", k, fmt.Sprintf("v-%d", i)); err != nil || string(v) != "OK" {
+		if v, err := send(nc, br, "SET", k, value(i)); err != nil || string(v) != "OK" {
 			t.Fatalf("SET %s: %q %v", k, v, err)
 		}
 	}
@@ -96,8 +99,8 @@ func TestMigrateSlot(t *testing.T) {
 		t.Helper()
 		for i, k := range keys {
 			v, err := send(nc, br, "GET", k)
-			if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
-				t.Fatalf("%s: GET %s = %q, %v", stage, k, v, err)
+			if err != nil || string(v) != value(i) {
+				t.Fatalf("%s: GET %s = %.20q (%d bytes), %v", stage, k, v, len(v), err)
 			}
 		}
 	}
@@ -120,6 +123,9 @@ func TestMigrateSlot(t *testing.T) {
 		t.Fatalf("slot %d: owner %d version %d, want owner 1 version 3", slot, got, v)
 	}
 	verify("back on a local node")
+	if req, resp := r.eng.eps.get(2).ChannelStats(); resp.Sends <= req.Sends {
+		t.Fatalf("the engine's calls into node 2 sent %d frames for %d requests: the dump did not outgrow the ring", resp.Sends, req.Sends)
+	}
 
 	// Migrating a slot to its current owner is a no-op, not an error.
 	if err := r.MigrateSlot(slot, 1); err != nil {

@@ -286,8 +286,10 @@ func (n *node) noteProbe(ok bool) {
 // req is the channel's reassembly buffer, gone when the handler returns: the
 // frame's commands are decoded into the arena the node keeps (nothing here
 // keeps an argument past the handler), one larger than maxKeptWire into one
-// of its own. Their replies are rendered back to back, as the response, into
-// a buffer the node keeps, which the endpoint is done with by the next call.
+// of its own. RunAll renders their replies into a buffer the node keeps, which
+// the endpoint is done with by the next call. The response is that buffer as
+// it is when the replies fit it, else the replies joined behind those that
+// did, as append moves a slice.
 func (n *node) handler(req []byte) []byte {
 	if n.sys.M.Faults.FireAt(fault.ClusterNodeCrash, n.id) {
 		n.crashed.Store(true)
@@ -322,8 +324,18 @@ func (n *node) handler(req []byte) []byte {
 	if cap(n.out) > maxKeptWire {
 		n.out = nil
 	}
-	n.out = redis.RunFrame(n.client, calls, n.out[:0])
-	return n.out
+	out, total := redis.RunAll(n.client, calls, n.out[:0]), 0
+	for i := range calls {
+		total += len(calls[i].Reply)
+	}
+	if len(out) != total {
+		out = n.out[:0]
+		for i := range calls {
+			out = append(out, calls[i].Reply...)
+		}
+	}
+	n.out = out
+	return out
 }
 
 // forkReply takes the mutex-held half of a checkpoint ship: refresh the NVM
@@ -348,20 +360,25 @@ func (n *node) forkReply() []byte {
 	return redis.EncodeInt(int64(v.Gen()))
 }
 
-// call performs one serialized RPC into a remote node on the worker's
-// endpoint, reporting the cycles the urpc round trip alone cost the worker.
+// call performs one serialized RPC into a remote node on an agent's
+// endpoint, reporting the cycles the urpc round trip alone cost the caller.
 // budget, when nonzero, caps the cycles the retry loop may burn — the
 // caller's remaining deadline allowance (see urpc.CallBudget).
-//
-// A crashed node is fenced here: calls against a node known dead fail
-// without touching the channel, and a reply that raced with the crash — the
-// handler's nil tombstone arrives as an empty frame, or the crash bit was
-// set while the call was in flight — is refused as a timeout rather than
-// trusted. Late replies from a fenced primary never reach a client. The
-// response lands behind dst: a tombstone appends nothing.
 func (n *node) call(ep *urpc.Endpoint, wire, dst []byte, budget uint64) (resp []byte, cycles uint64, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.callLocked(ep, wire, dst, budget)
+}
+
+// callLocked is call for a caller already holding n.mu — a ship keeps it
+// across the fork and the delta truncation. It is the one crash fence:
+// calls against a node known dead fail without touching the channel, and a
+// reply that raced with the crash — the handler's nil tombstone arrives as an
+// empty frame, or the crash bit was set while the call was in flight — is
+// refused as a timeout rather than trusted. Late replies from a fenced
+// primary never reach a client. The response lands behind dst: a tombstone
+// appends nothing.
+func (n *node) callLocked(ep *urpc.Endpoint, wire, dst []byte, budget uint64) (resp []byte, cycles uint64, err error) {
 	if n.crashed.Load() {
 		return nil, 0, &urpc.TimeoutError{}
 	}
@@ -372,21 +389,6 @@ func (n *node) call(ep *urpc.Endpoint, wire, dst []byte, budget uint64) (resp []
 		return nil, cycles, &urpc.TimeoutError{}
 	}
 	return resp, cycles, err
-}
-
-// callBulk performs one multi-slot RPC into a remote node — a slot dump, a
-// ship's fork — for a caller holding n.mu (a ship keeps it across the fork
-// and the delta truncation), with the same crash fencing as call: a node
-// known dead fails fast, and a reply racing the crash is refused.
-func (n *node) callBulk(ep *urpc.Endpoint, wire []byte) ([]byte, error) {
-	if n.crashed.Load() {
-		return nil, &urpc.TimeoutError{}
-	}
-	resp, err := ep.CallBulk(wire)
-	if err == nil && (len(resp) == 0 || n.crashed.Load()) {
-		return nil, &urpc.TimeoutError{}
-	}
-	return resp, err
 }
 
 // shutdown closes a remote node's client and exits its process, once, and

@@ -18,9 +18,9 @@ import (
 
 // worker is one router worker: a goroutine owning a front-end core (via its
 // Thread), a RedisJMP client on every co-resident node's store, and a urpc
-// endpoint to every remote node. Only this goroutine drives the thread; the
-// endpoints' inline handlers drive node cores, serialized by each node's
-// mutex.
+// endpoint to each remote node it calls. Only this goroutine drives the
+// thread; the endpoints' inline handlers drive node cores, serialized by each
+// node's mutex.
 type worker struct {
 	id int
 	// queue carries batches; queued counts the commands in them, which is
@@ -36,11 +36,11 @@ type worker struct {
 	// clients holds the stores this worker serves by switching VAS, by
 	// node id: every co-resident node's (attached at wiring) and, after a
 	// promotion, a remote node's standby (attached on first use).
-	clients   map[int]*redis.Client
-	endpoints map[int]*urpc.Endpoint // remote nodes, by node id
-	frozen    map[int]*frozenReader  // frozen-view attachments, by node id
-	err       error                  // first error letting go of a store or view (reconcile, release)
-	removals  uint64                 // the Router.removals last reconciled against
+	clients  map[int]*redis.Client
+	eps      endpointSet           // remote nodes, connected on first use
+	frozen   map[int]*frozenReader // frozen-view attachments, by node id
+	err      error                 // first error letting go of a store or view (reconcile, release)
+	removals uint64                // the Router.removals last reconciled against
 
 	// bud is the deadline budget in force: the one of the command being
 	// started, then the tightest of the run being carried out. Armed against
@@ -89,27 +89,25 @@ func (r *Router) newWorker(id int) (*worker, error) {
 		return nil, err
 	}
 	return &worker{
-		id:        id,
-		queue:     make(chan *server.Batch, r.cfg.QueueDepth+1), // +1: RemoveNode's empty batch
-		ctr:       r.srv.Shards.Row(id),
-		proc:      proc,
-		th:        th,
-		clients:   map[int]*redis.Client{},
-		endpoints: map[int]*urpc.Endpoint{},
-		frozen:    map[int]*frozenReader{},
+		id:      id,
+		queue:   make(chan *server.Batch, r.cfg.QueueDepth+1), // +1: RemoveNode's empty batch
+		ctr:     r.srv.Shards.Row(id),
+		proc:    proc,
+		th:      th,
+		clients: map[int]*redis.Client{},
+		eps:     endpointSet{coreID: th.Core.ID},
+		frozen:  map[int]*frozenReader{},
 	}, nil
 }
 
-// wireWorker attaches the worker to every node: a client per co-resident
-// store (the first attachment bootstraps it), an endpoint per remote node.
+// wireWorker attaches the worker to every co-resident store (the first
+// attachment bootstraps it); remote nodes it connects to on first use.
 func (r *Router) wireWorker(w *worker) error {
 	for _, n := range r.nodes {
 		if n.local {
 			if _, err := r.attachStore(w.th, w.clients, n); err != nil {
 				return err
 			}
-		} else {
-			w.endpoints[n.id] = r.connect(w.th.Core.ID, n)
 		}
 	}
 	return nil
@@ -692,7 +690,7 @@ func (r *Router) resolve(w *worker, n *node, cmd *redis.Command, readonly bool) 
 		n.ctr.Timeouts.Add(1)
 		return target{refusal: redis.EncodeShardTimeout(n.id)}
 	}
-	ep := w.endpoints[n.id]
+	ep := w.eps.to(r, n)
 	// Deadline: refuse a dispatch the remaining budget cannot cover. One
 	// timeout window is the floor — a call that cannot even ride out its
 	// first busy-wait is doomed work, better failed fast and retried with

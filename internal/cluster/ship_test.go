@@ -86,6 +86,43 @@ func keysOnNode(t *testing.T, r *Router, node, n int) []string {
 	return keys
 }
 
+// TestShipForkIsOneFrameEachWay: a ship's CLUSTER.FORK answers with one
+// integer line through the one call into a node, so it costs the monitor's
+// endpoint one request frame and one response frame, not a header and a
+// chunk. Probes are held off, so the ship is all that endpoint carries.
+func TestShipForkIsOneFrameEachWay(t *testing.T) {
+	hwCfg := hw.SmallTest()
+	hwCfg.Mem.NVMSuperblock = 1 << 20
+	m := hw.NewMachine(hwCfg)
+	sys := kernel.New(m)
+	sys.EnableStats(1024)
+	cfg := replicatedConfig()
+	cfg.Replication.ShipEvery = 1 << 20
+	cfg.Replication.ShipInterval = time.Hour
+	cfg.Replication.ProbeInterval = time.Hour
+	r, err := New(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	waitFor(t, "boot ship", func() bool { return replSnap(m).Ships == 1 })
+	frames := func() (req, resp uint64) {
+		n := r.nodes[2]
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		rq, rs := r.mon.eps.get(2).ChannelStats()
+		return rq.Sends, rs.Sends
+	}
+	do(t, r, "SET", keysOnNode(t, r, 2, 1)[0], "v")
+	req, resp := frames()
+	if rep := pokeShip(t, m, r); rep.Ships != 2 || rep.ShipFailures != 0 {
+		t.Fatalf("after the poked ship: %+v", rep)
+	}
+	if gotReq, gotResp := frames(); gotReq-req != 1 || gotResp-resp != 1 {
+		t.Fatalf("one ship cost the monitor's endpoint %d request and %d response frames, want 1 and 1", gotReq-req, gotResp-resp)
+	}
+}
+
 // TestKillAfterDeltaShipsServesEveryWrite is the failover contract over a
 // standby that was built once and patched ever since: four rounds of SET,
 // overwrite with a shorter value and DEL, a poked ship after each — all four

@@ -57,7 +57,7 @@ func (m Mode) Local(i int, cfg Config) bool {
 type NodeInfo = server.NodeHealth
 
 // Topology returns every node's record (server.ClusterStatus), read under the
-// topology lock: AddNode appends nodes and worker endpoints concurrently.
+// topology lock: AddNode appends nodes concurrently.
 func (r *Router) Topology() []NodeInfo {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
@@ -87,9 +87,7 @@ func (r *Router) Topology() []NodeInfo {
 			}
 			info.Core = n.coreID
 			for _, w := range r.workers {
-				if w.endpoints[n.id] != nil && !r.sys.M.SameSocket(w.th.Core.ID, n.coreID) {
-					info.CrossSocket = true
-				}
+				info.CrossSocket = info.CrossSocket || !r.sys.M.SameSocket(w.th.Core.ID, n.coreID)
 			}
 		}
 		out[i] = info

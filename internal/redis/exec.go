@@ -49,22 +49,17 @@ func Run(c *Client, cmd *Command, args []string) []byte {
 // replies and what came before its free capacity is never touched. A reply
 // that does not fit starts a new chunk, carrying along only what of itself
 // was rendered, and the replies behind it go there; RunAll returns the chunk
-// it rendered its last reply into. A reply is never copied once rendered, so
-// a reader may take each one while the chunk fills behind it.
+// it rendered its last reply into, holding past what dst held only the
+// replies that went there: a switch that fails renders its members' error
+// replies again from the chunk they began in. A reply is never copied once
+// rendered, so a reader may take each one while the chunk fills behind it.
 //
 // A nil client serves only the store-less commands (PING, ECHO); commands
 // that need a store answer with an error reply. Commands another layer
 // answers are unknown here. Whether the sender may issue a command at all is
 // the caller's business: the router refuses ByNode rows arriving from a
 // connection before they get this far.
-func RunAll(c *Client, run []Call, dst []byte) []byte { return runAll(c, run, dst, false) }
-
-// RunFrame is RunAll rendering the replies back to back, behind what dst
-// holds, as one frame — a shard node's response to a run: when they outgrow
-// dst, the frame moves to a larger buffer, as append moves a slice.
-func RunFrame(c *Client, run []Call, dst []byte) []byte { return runAll(c, run, dst, true) }
-
-func runAll(c *Client, run []Call, dst []byte, frame bool) []byte {
+func RunAll(c *Client, run []Call, dst []byte) []byte {
 	for i := 0; i < len(run); {
 		if write := run[i].Cmd.Write; run[i].Cmd.By == ByStore && c != nil {
 			j, parse, h := i, 0, c.readH
@@ -74,50 +69,28 @@ func runAll(c *Client, run []Call, dst []byte, frame bool) []byte {
 			for ; j < len(run) && run[j].Cmd.By == ByStore && run[j].Cmd.Write == write; j++ {
 				parse += len(run[j].Cmd.Keys(run[j].Args))
 			}
-			members, mark := run[i:j], len(dst)
+			members, start := run[i:j], dst
 			err := c.in(h, parse, func() error {
 				more := parse // values still to come, for a chunk that has to grow
 				for k := range members {
 					m := &members[k]
 					more -= len(m.Cmd.Keys(m.Args))
-					dst = put(m, dst, c.apply(at(dst, frame), m.Cmd, m.Args, more), frame)
+					dst, m.Reply = PlaceReply(dst, c.apply(dst[len(dst):], m.Cmd, m.Args, more))
 				}
 				return nil
 			})
 			if err != nil {
-				if frame {
-					dst = dst[:mark]
-				}
+				dst = start
 				for k := range members {
-					dst = put(&members[k], dst, appendError(at(dst, frame), err.Error()), frame)
+					dst, members[k].Reply = PlaceReply(dst, appendError(dst[len(dst):], err.Error()))
 				}
 			}
 			i = j
 			continue
 		}
-		dst = put(&run[i], dst, runOther(at(dst, frame), c, run[i].Cmd, run[i].Args), frame)
+		dst, run[i].Reply = PlaceReply(dst, runOther(dst[len(dst):], c, run[i].Cmd, run[i].Args))
 		i++
 	}
-	return dst
-}
-
-// at is where the next reply is rendered: behind the replies in a frame, else
-// in the free capacity of dst's chunk.
-func at(dst []byte, frame bool) []byte {
-	if frame {
-		return dst
-	}
-	return dst[len(dst):]
-}
-
-// put leaves the reply a renderer appended to at(dst, frame) in c, and
-// returns the frame or chunk the next reply goes to.
-func put(c *Call, dst, out []byte, frame bool) []byte {
-	if frame {
-		c.Reply = out[len(dst):len(out):len(out)]
-		return out
-	}
-	dst, c.Reply = PlaceReply(dst, out)
 	return dst
 }
 

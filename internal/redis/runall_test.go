@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"spacejmp/internal/fault"
 )
 
 // TestRunAllIsTheRunOfRuns holds RunAll to its k = 1 case: seeded lists of
@@ -92,12 +94,10 @@ func TestRunAllIsTheRunOfRuns(t *testing.T) {
 // A reply is capped at its own length, so appending to one leaves the next
 // intact; what was in the chunk before is untouched; and a reply is never
 // copied once rendered, so the chunk RunAll returns holds its last replies and
-// nothing else. RunFrame, given the same sizes, answers with Run's replies
-// back to back behind what its buffer held.
+// nothing else.
 func TestRunAllIntoChunks(t *testing.T) {
 	_, a := newClient(t)
 	_, b := newClient(t)
-	_, f := newClient(t)
 	v := strings.Repeat("v", 1024)
 	var run []Call
 	add := func(args ...string) { run = append(run, Call{Cmd: Lookup(args), Args: args}) }
@@ -120,10 +120,8 @@ func TestRunAllIntoChunks(t *testing.T) {
 
 	for _, size := range []int{0, 1, 40, 700, 1100, 3000, 9000, 64 << 10} {
 		want := make([][]byte, len(run))
-		var frame []byte
 		for i, c := range run {
 			want[i] = Run(a, c.Cmd, c.Args)
-			frame = append(frame, want[i]...)
 		}
 		chunk := append(make([]byte, 0, 4+size), "head"...)
 		out := RunAll(b, run, chunk)
@@ -158,11 +156,6 @@ func TestRunAllIntoChunks(t *testing.T) {
 				t.Fatalf("chunk of %d: appending to reply %d changed reply %d", size, i, i+1)
 			}
 		}
-
-		got := RunFrame(f, run, append(make([]byte, 0, 4+size), "head"...))
-		if string(got[:4]) != "head" || !bytes.Equal(got[4:], frame) {
-			t.Fatalf("buffer of %d: RunFrame answered %.60q, want head then %.60q", size, got, frame)
-		}
 	}
 }
 
@@ -174,6 +167,39 @@ func replies(run []Call) [][]byte {
 		out[i] = run[i].Reply
 	}
 	return out
+}
+
+// TestFailedSwitchRestartsItsChunk: the switch out of a run of GETs fails
+// after their 1 KiB replies were rendered and outgrew the chunk. Every
+// member's reply is then the switch's error, rendered again from the chunk
+// the run began in, and RunAll returns that chunk holding the error replies
+// back to back and nothing else.
+func TestFailedSwitchRestartsItsChunk(t *testing.T) {
+	sys, c := newClient(t)
+	var run []Call
+	for i := range 3 {
+		k := fmt.Sprint("k", i)
+		if err := c.Set(k, []byte(strings.Repeat("v", 1024))); err != nil {
+			t.Fatal(err)
+		}
+		run = append(run, Call{Cmd: Lookup([]string{"GET", k}), Args: []string{"GET", k}})
+	}
+	reg := fault.New(1)
+	sys.M.SetFaults(reg)
+	reg.Enable(fault.CoreSyscallCrash, fault.OnNth(2)) // the switch in passes, the switch out fails
+	chunk := make([]byte, 0, 512)
+	out := RunAll(c, run, chunk)
+	var want []byte
+	for i := range run {
+		if !bytes.HasPrefix(run[i].Reply, []byte("-ERR")) {
+			t.Fatalf("reply %d: %.40q, want the failed switch's error", i, run[i].Reply)
+		}
+		want = append(want, run[i].Reply...)
+	}
+	if addr(out) != addr(chunk) || !bytes.Equal(out, want) {
+		t.Fatalf("RunAll returned %.80q (the chunk the run began in: %v), want the error replies back to back there",
+			out, addr(out) == addr(chunk))
+	}
 }
 
 // TestRunMemberFailsAlone: a SET the heap has no room for fails by itself —

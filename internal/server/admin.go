@@ -285,12 +285,7 @@ func serveStatsDelta(w http.ResponseWriter, r *http.Request, sys *core.System, c
 		http.Error(w, "bad cursor", http.StatusBadRequest)
 		return
 	}
-	base, ok := cursors.take(id)
-	if !ok {
-		http.Error(w, "unknown cursor (expired?)", http.StatusGone)
-		return
-	}
-
+	// wait first: a refused request must not consume a good cursor.
 	wait := 10 * time.Second
 	if s := r.URL.Query().Get("wait"); s != "" {
 		d, err := time.ParseDuration(s)
@@ -302,6 +297,11 @@ func serveStatsDelta(w http.ResponseWriter, r *http.Request, sys *core.System, c
 	}
 	if wait > 30*time.Second {
 		wait = 30 * time.Second
+	}
+	base, ok := cursors.take(id)
+	if !ok {
+		http.Error(w, "unknown cursor (expired?)", http.StatusGone)
+		return
 	}
 
 	deadline := time.Now().Add(wait)

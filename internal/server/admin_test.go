@@ -258,6 +258,10 @@ func TestAdminStatsDelta(t *testing.T) {
 	if code := getJSON("/stats/delta?cursor="+strconv.FormatUint(second.Cursor, 10)+"&wait=nope", nil); code != 400 {
 		t.Errorf("bad wait: status %d, want 400", code)
 	}
+	// A refused request leaves its cursor as it found it.
+	if code := getJSON("/stats/delta?cursor="+strconv.FormatUint(second.Cursor, 10)+"&wait=0s", nil); code != 200 {
+		t.Errorf("the cursor after a bad wait: status %d, want 200", code)
+	}
 }
 
 // stubCluster fakes a cluster router for the admin surface.

@@ -91,6 +91,15 @@ type LoadConfig struct {
 	Deadline time.Duration `json:"-"`
 }
 
+// CheckMix refuses a mix that cannot be drawn: SetPercent or MGetPercent
+// outside 0..100, or the two summing past 100.
+func (c LoadConfig) CheckMix() error {
+	if c.SetPercent < 0 || c.MGetPercent < 0 || c.SetPercent+c.MGetPercent > 100 {
+		return fmt.Errorf("load mix: set_percent %d, mget_percent %d: each 0..100, together at most 100", c.SetPercent, c.MGetPercent)
+	}
+	return nil
+}
+
 func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Conns <= 0 {
 		c.Conns = 64
@@ -100,12 +109,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.Requests <= 0 {
 		c.Requests = 256
-	}
-	if c.SetPercent < 0 || c.SetPercent > 100 {
-		c.SetPercent = 20
-	}
-	if c.MGetPercent < 0 || c.SetPercent+c.MGetPercent > 100 {
-		c.MGetPercent = 0
 	}
 	if c.MGetKeys <= 0 {
 		c.MGetKeys = 4
@@ -242,8 +245,12 @@ func ParseStaleProbe(val []byte) (uint64, bool) {
 // finishes its quota. Transport-level failures abort the run with an error
 // unless cfg.Reconnect is set, in which case the connection redials and
 // works through its remaining quota; error *replies* (busy, OOM) are
-// counted, not fatal either way.
+// counted, not fatal either way. A mix CheckMix refuses is an error before
+// anything dials.
 func RunLoad(cfg LoadConfig) (*LoadResult, error) {
+	if err := cfg.CheckMix(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	res := &LoadResult{}
 	var commands, gets, sets, mgets, busy, errCount, mismatches, disconnects atomic.Uint64

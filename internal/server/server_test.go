@@ -153,6 +153,25 @@ func TestServerProtocolErrorReply(t *testing.T) {
 	}
 }
 
+// TestRunLoadRefusesBadMix: a mix out of range is an error before the load
+// dials, not a quietly different mix — the server accepts no connection.
+func TestRunLoadRefusesBadMix(t *testing.T) {
+	sys := newSystem(t, nil)
+	_, srv := serve(t, sys, 1, 128, server.Config{})
+	for _, mix := range [][2]int{{150, 0}, {-1, 0}, {60, 50}, {20, -5}} {
+		cfg := server.LoadConfig{Addr: srv.Addr().String(), SetPercent: mix[0], MGetPercent: mix[1]}
+		if _, err := server.RunLoad(cfg); err == nil || !strings.Contains(err.Error(), "load mix") {
+			t.Errorf("set %d%%, mget %d%%: RunLoad returned %v, want the mix refused", mix[0], mix[1], err)
+		}
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sys.Stats().Dense().Server.ConnsAccepted; n != 0 {
+		t.Errorf("%d connections accepted; a refused mix must not dial", n)
+	}
+}
+
 // TestServerPipelinedLoad is the acceptance run: 64 concurrent connections,
 // pipeline depth 8, mixed GET/SET with binary values, over real TCP.
 func TestServerPipelinedLoad(t *testing.T) {

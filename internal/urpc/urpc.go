@@ -395,7 +395,7 @@ func (e *Endpoint) CallBudget(dst, request []byte, budget uint64) ([]byte, error
 // CallBulk is Call with the response always streamed in bounded multi-slot
 // chunks — a length header, then data chunks, the client consuming each as
 // it lands so the ring never overflows regardless of payload size — which
-// is what a ship or a slot dump costs in the model. Loss anywhere —
+// is what a bulk transfer costs in the model. Loss anywhere —
 // request, header, any chunk — surfaces as an incomplete reassembly and
 // retries the whole call; the duplicate cache re-streams the cached
 // response.
