@@ -68,6 +68,10 @@ func TestParseSpecErrors(t *testing.T) {
 		// A load mix out of range is refused, not quietly replaced.
 		{"set percent past 100", `{"name": "x", "load": {"set_percent": 150}}`, ErrBadSpec},
 		{"set and mget past 100", `{"name": "x", "load": {"set_percent": 60, "mget_percent": 50}}`, ErrBadSpec},
+		// So is a cluster's co-resident node count.
+		{"locals past the node count", `{"name": "x", "cluster": {"nodes": 3, "locals": 5}}`, ErrBadSpec},
+		{"locals past the default node count", `{"name": "x", "cluster": {"locals": 4}}`, ErrBadSpec},
+		{"negative locals", `{"name": "x", "cluster": {"locals": -1}}`, ErrBadSpec},
 		{"unknown point", `{"name": "x", "steps": [{"point": "disk.on.fire", "policy": {"kind": "always"}}]}`, ErrUnknownPoint},
 		{"missing policy", `{"name": "x", "steps": [{"point": "urpc.drop"}]}`, ErrBadPolicy},
 		{"unknown policy", `{"name": "x", "steps": [{"point": "urpc.drop", "policy": {"kind": "sometimes"}}]}`, ErrBadPolicy},

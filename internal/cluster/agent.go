@@ -12,7 +12,8 @@ import (
 // What the cluster's agents — router workers, the health monitor, the
 // migration engine — have in common.
 
-// ringSlots is the capacity of every urpc channel, in cache lines.
+// ringSlots is the capacity of every urpc channel, in cache lines. A frame
+// that outgrows it crosses in bursts.
 const ringSlots = 256
 
 // claimThread spawns a process and claims a simulated core for its one
@@ -60,8 +61,8 @@ func (r *Router) attachStore(th *core.Thread, cache map[int]*redis.Client, n *no
 // the client or the endpoint an agent's reach (or resolve) handed it — and
 // returns the reply's payload, an error reply as the ReplyError it decodes
 // to. On a client it is redis.Execute; over urpc it is the same command on
-// the wire, unbudgeted and unattributed, through n.call — a reply the ring
-// cannot hold (a slot dump) streams. Either way redis.RunAll carries it out.
+// the wire, unbudgeted and unattributed, through n.call, at any size (a
+// slot's import or dump). Either way redis.RunAll carries it out.
 func (t target) run(n *node, argv ...string) (payload []byte, err error) {
 	var resp []byte
 	if t.client != nil {

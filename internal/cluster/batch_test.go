@@ -64,16 +64,17 @@ func request(readonly bool, deadline uint64, args ...string) *server.Request {
 }
 
 // frames counts the request frames the worker has sent its nodes.
-func (g batchRig) frames() uint64 { return g.w.eps.sends() }
+func (g batchRig) frames() uint64 { return g.w.eps.frames() }
 
-// sends counts the request frames sent on every endpoint of the set, read
-// under its mutex, as from outside the owning agent.
-func (s *endpointSet) sends() (n uint64) {
+// frames counts the request frames the nodes received on every endpoint of
+// the set, however many bursts each took, read under its mutex, as from
+// outside the owning agent.
+func (s *endpointSet) frames() (n uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, ep := range s.eps {
 		req, _ := ep.ChannelStats()
-		n += req.Sends
+		n += req.Recvs
 	}
 	return n
 }
@@ -525,12 +526,12 @@ func TestRunBoundaries(t *testing.T) {
 				return []*server.Request{get(k[0][0]), request(false, 0, "MGET", k[0][1], k[0][2]), get(k[0][3])}
 			},
 			replies: []string{"$", "*2", "$"}, pairs: 1},
-		{name: "a frame that would outgrow the ring ends a run",
+		{name: "a run that outgrows the ring is one frame",
 			pipe: func(k [rigNodes][]string) []*server.Request {
 				return []*server.Request{
 					request(false, 0, "SET", k[1][0], big), request(false, 0, "SET", k[1][1], big), request(false, 0, "SET", k[1][2], big)}
 			},
-			replies: []string{"+OK", "+OK", "+OK"}, frames: 2},
+			replies: []string{"+OK", "+OK", "+OK"}, frames: 1},
 		{name: "a run's replies may outgrow the ring: the response is streamed",
 			setup: func(_ *testing.T, g batchRig) {
 				present, _ := rigKeys(g.r)
@@ -566,6 +567,35 @@ func TestRunBoundaries(t *testing.T) {
 				t.Errorf("%d frames, want %d", got, row.frames)
 			}
 		})
+	}
+}
+
+// TestValuesLargerThanTheRing: a SET and a GET of a value larger than a urpc
+// ring — 15 KiB, just past its 256 slots, and 200 KiB — answer over remote
+// nodes as over co-resident ones, alone and as one run that carries both.
+func TestValuesLargerThanTheRing(t *testing.T) {
+	vas, remote := newBatchRig(t, "vas", nil), newBatchRig(t, "urpc", nil)
+	for _, size := range []int{15 << 10, 200 << 10} {
+		val := make([]byte, size)
+		for i := range val {
+			val[i] = 'a' + byte(i%23)
+		}
+		key := fmt.Sprintf("big-%d", size)
+		for _, argvs := range [][][]string{
+			{{"SET", key, string(val)}},
+			{{"GET", key}},
+			{{"SET", key, string(val[1:])}, {"GET", key}},
+		} {
+			want, got := requests(argvs, false), requests(argvs, false)
+			vas.r.execBatch(vas.w, server.NewBatch(want))
+			remote.r.execBatch(remote.w, server.NewBatch(got))
+			for i := range got {
+				if g, w := got[i].Reply(), want[i].Reply(); !bytes.Equal(g, w) || w[0] == '-' {
+					t.Errorf("%d-byte value, %s: remote answered %.60q (%d bytes), co-resident %.60q (%d bytes)",
+						size, argvs[i][0], g, len(g), w, len(w))
+				}
+			}
+		}
 	}
 }
 

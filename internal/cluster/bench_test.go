@@ -203,7 +203,7 @@ func BenchmarkRouterExecBatch(b *testing.B) {
 				pipes = mixedPipelines(gets)
 			}
 			w := r.workers[0]
-			cycles, switches, sent := w.th.Core.Cycles(), r.sys.Switches(), w.eps.sends()
+			cycles, switches, sent := w.th.Core.Cycles(), r.sys.Switches(), w.eps.frames()
 			cmds := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -220,7 +220,7 @@ func BenchmarkRouterExecBatch(b *testing.B) {
 			per := func(v uint64) float64 { return float64(v) / float64(cmds) }
 			b.ReportMetric(per(w.th.Core.Cycles()-cycles), "cycles/cmd")
 			b.ReportMetric(per(r.sys.Switches()-switches), "switches/cmd")
-			b.ReportMetric(per(w.eps.sends()-sent), "frames/cmd")
+			b.ReportMetric(per(w.eps.frames()-sent), "frames/cmd")
 		})
 	}
 }

@@ -60,7 +60,8 @@ type Config struct {
 	// split (auto). See Mode.
 	Mode Mode
 	// Locals is how many nodes are co-resident in ModeAuto (nodes
-	// 0..Locals-1); 0 means half, rounded up.
+	// 0..Locals-1); 0 means half, rounded up. Validate refuses a negative
+	// count or one past Nodes.
 	Locals int
 	// QueueDepth bounds each worker's request queue.
 	QueueDepth int
@@ -143,8 +144,10 @@ type OverloadConfig struct {
 // WithDefaults sets nothing a rule forbids: what passes as written passes as
 // New runs on it.
 func (c Config) Validate() error {
-	rep, ov := c.Replication, c.Overload
+	rep, ov, nodes := c.Replication, c.Overload, c.WithDefaults().Nodes
 	switch {
+	case c.Locals < 0 || c.Locals > nodes:
+		return fmt.Errorf("cluster: locals: %d is not between 0 and the node count, %d", c.Locals, nodes)
 	case rep.FollowerReads && !rep.Enabled:
 		return errors.New("cluster: follower reads need replication (frozen fork views ride the replication engine)")
 	case rep.StaleBound < 0:
@@ -170,7 +173,7 @@ func (c Config) WithDefaults() Config {
 	if c.Mode == "" {
 		c.Mode = ModeAuto
 	}
-	if c.Locals <= 0 || c.Locals > c.Nodes {
+	if c.Locals == 0 {
 		c.Locals = (c.Nodes + 1) / 2
 	}
 	if c.QueueDepth <= 0 {

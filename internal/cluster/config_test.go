@@ -21,6 +21,9 @@ func TestConfigValidate(t *testing.T) {
 		want string // a piece of the error; "" for a config that stands
 	}{
 		{"zero config", func(*Config) {}, ""},
+		{"every node co-resident", func(c *Config) { c.Nodes, c.Locals = 3, 3 }, ""},
+		{"locals past the node count", func(c *Config) { c.Nodes, c.Locals = 3, 5 }, "locals: 5 is not between 0 and the node count, 3"},
+		{"negative locals", func(c *Config) { c.Locals = -1 }, "locals: -1"},
 		{"follower reads over replication", func(c *Config) { repl(c); c.Replication.FollowerReads = true }, ""},
 		{"follower reads without replication", func(c *Config) { c.Replication.FollowerReads = true }, "follower reads need replication"},
 		{"negative stale bound", func(c *Config) { repl(c); c.Replication.StaleBound = -time.Second }, "stale bound: negative"},

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -107,38 +108,25 @@ func (e *engine) dumpSlot(n *node, slot int) ([]redis.KV, error) {
 	if err != nil {
 		return nil, err
 	}
-	pairs, err := redis.DecodePairs(payload)
+	pairs, err := redis.DecodePairs(bytes.NewReader(payload))
 	if err != nil {
 		return nil, fmt.Errorf("migrate decode: %w", err)
 	}
 	return pairs, nil
 }
 
-// importChunkBytes is the flush threshold for one CLUSTER.IMPORT request:
-// the whole request must fit the urpc ring, so pairs stream in chunks
-// estimated well under it.
-const importChunkBytes = 4 << 10
-
-// importPairs replays a slot's pairs into the target in chunked
-// CLUSTER.IMPORT commands — sized for the ring whichever way the target is
-// reached.
+// importPairs replays a slot's pairs into the target in one CLUSTER.IMPORT,
+// and sends nothing for an empty slot.
 func (e *engine) importPairs(n *node, slot int, pairs []redis.KV) error {
-	for start := 0; start < len(pairs); {
-		end, est := start, 0
-		for end < len(pairs) && (end == start || est < importChunkBytes) {
-			est += len(pairs[end].Key) + len(pairs[end].Val) + 32
-			end++
-		}
-		chunk, err := redis.EncodePairs(pairs[start:end])
-		if err != nil {
-			return fmt.Errorf("import encode: %w", err)
-		}
-		if _, err := e.run(n, redis.ClusterImport, strconv.Itoa(slot), string(chunk)); err != nil {
-			return err
-		}
-		start = end
+	if len(pairs) == 0 {
+		return nil
 	}
-	return nil
+	payload, err := redis.EncodePairs(pairs)
+	if err != nil {
+		return fmt.Errorf("import encode: %w", err)
+	}
+	_, err = e.run(n, redis.ClusterImport, strconv.Itoa(slot), payload)
+	return err
 }
 
 // replay drains the migration's delta log onto the target and returns how
@@ -170,8 +158,7 @@ func (e *engine) cleanupSlot(n *node, slot int) error {
 //  1. publish the migration, so every write on the slot is recorded in the
 //     delta log (in store order) from before the copy starts;
 //  2. copy the slot's pairs off the source (checkpointed first on a
-//     replicated source) and stream them into the target in ring-sized
-//     chunks;
+//     replicated source) and import them into the target in one command;
 //  3. replay the delta accumulated during the copy;
 //  4. fence writes (-MOVED, retryable), take the topology write lock —
 //     which waits out every in-flight command, so the log is complete —

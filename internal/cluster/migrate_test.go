@@ -72,9 +72,9 @@ func TestPlacementTable(t *testing.T) {
 
 // TestMigrateSlot moves a populated slot local→remote and back: the data
 // must follow, the table version must bump per move, and the migration
-// counters must attribute both moves. Its eight 4 KiB values make the remote
-// node's slot dump outgrow one ring, so the move back streams it through the
-// one call into a node.
+// counters must attribute both moves. Its eight 4 KiB values outgrow one
+// ring, so the import onto the remote node and the dump back off it each
+// cross in more than one burst.
 func TestMigrateSlot(t *testing.T) {
 	m, r, srv := startCluster(t, Config{Nodes: 3, Workers: 1, Locals: 2}, nil)
 	defer srv.Shutdown()
@@ -115,6 +115,11 @@ func TestMigrateSlot(t *testing.T) {
 		t.Fatalf("table version = %d after one migrate, want 2", v)
 	}
 	verify("on remote node")
+	ep := r.eng.eps.get(2)
+	if req, _ := ep.ChannelStats(); req.Sends <= req.Recvs {
+		t.Fatalf("the engine's requests to node 2 took %d bursts for %d frames: the import did not outgrow the ring", req.Sends, req.Recvs)
+	}
+	_, dump := ep.ChannelStats()
 
 	if err := r.MigrateSlot(slot, 1); err != nil {
 		t.Fatalf("migrate %d → 1: %v", slot, err)
@@ -123,8 +128,9 @@ func TestMigrateSlot(t *testing.T) {
 		t.Fatalf("slot %d: owner %d version %d, want owner 1 version 3", slot, got, v)
 	}
 	verify("back on a local node")
-	if req, resp := r.eng.eps.get(2).ChannelStats(); resp.Sends <= req.Sends {
-		t.Fatalf("the engine's calls into node 2 sent %d frames for %d requests: the dump did not outgrow the ring", resp.Sends, req.Sends)
+	if _, resp := ep.ChannelStats(); resp.Sends-dump.Sends <= resp.Recvs-dump.Recvs {
+		t.Fatalf("node 2's responses to the move back took %d bursts for %d frames: the dump did not outgrow the ring",
+			resp.Sends-dump.Sends, resp.Recvs-dump.Recvs)
 	}
 
 	// Migrating a slot to its current owner is a no-op, not an error.
@@ -145,6 +151,34 @@ func TestMigrateSlot(t *testing.T) {
 	}
 	if mig.KeysMoved < uint64(2*len(keys)) || mig.BytesMoved == 0 {
 		t.Fatalf("migration volume = %+v, want >= %d keys", mig, 2*len(keys))
+	}
+}
+
+// TestMigrateSlotWithALargeValue moves a slot holding one 20 KiB value, which
+// outgrows the urpc ring, from a co-resident node to a remote one and back:
+// the value reads back intact after each move.
+func TestMigrateSlotWithALargeValue(t *testing.T) {
+	_, r, srv := startCluster(t, Config{Nodes: 3, Workers: 1, Locals: 2}, nil)
+	defer srv.Shutdown()
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+
+	slot, key := 0, keysInSlot(t, 0, 1)[0] // slot 0: node 0's, co-resident
+	value := strings.Repeat("0123456789abcdef", 20<<10/16)
+	if v, err := send(nc, br, "SET", key, value); err != nil || string(v) != "OK" {
+		t.Fatalf("SET: %q %v", v, err)
+	}
+	for _, to := range []int{2, 0} {
+		if err := r.MigrateSlot(slot, to); err != nil {
+			t.Fatalf("migrate %d → %d: %v", slot, to, err)
+		}
+		if v, err := send(nc, br, "GET", key); err != nil || string(v) != value {
+			t.Fatalf("after the move to node %d: GET = %.20q (%d bytes), %v", to, v, len(v), err)
+		}
 	}
 }
 

@@ -429,20 +429,20 @@ func (r *Router) execBatch(w *worker, b *server.Batch) {
 
 // walk carries out the planned steps, each member begun at its turn. What only
 // resolution knows still cuts a run: a member resolved another way than its
-// head, a refusal, a frame that would outgrow the ring. A part of a settled
-// MGET is not sent. A run forms in place, over members already carried out.
+// head, a refusal. A part of a settled MGET is not sent. A run forms in place,
+// over members already carried out.
 func (r *Router) walk(w *worker, b *server.Batch) {
 	p := &w.plan
-	run, size := p.members[:0], 0 // the run being formed, and its size on the wire
+	run := p.members[:0] // the run being formed
 	flush := func() {
 		if len(run) > 0 {
 			r.execRun(w, b, r.nodes[run[0].node], run)
-			run, size = run[:0], 0
+			run = run[:0]
 		}
 	}
 	for _, m := range p.members {
-		n, wire := r.nodes[m.node], redis.CommandSize(m.args)
-		if m.step || len(run) > 0 && run[0].t.ep != nil && urpc.Lines(size+wire) > ringSlots {
+		n := r.nodes[m.node]
+		if m.step {
 			flush()
 		}
 		if m.mig != nil {
@@ -457,7 +457,7 @@ func (r *Router) walk(w *worker, b *server.Batch) {
 		if len(run) > 0 && !m.t.joins(run[0].t) {
 			flush()
 		}
-		if run, size = append(run, m), size+wire; m.t.refusal != nil {
+		if run = append(run, m); m.t.refusal != nil {
 			flush()
 		}
 	}

@@ -136,7 +136,7 @@ func TestTargetRunSameOnBothRoutes(t *testing.T) {
 	// Dump every slot, import a chunk, clean a slot up.
 	dumped := 0
 	for slot := 0; slot < NumSlots; slot++ {
-		pairs, err := redis.DecodePairs(must(redis.ClusterMigrate, strconv.Itoa(slot), strconv.Itoa(NumSlots)))
+		pairs, err := redis.DecodePairs(bytes.NewReader(must(redis.ClusterMigrate, strconv.Itoa(slot), strconv.Itoa(NumSlots))))
 		if err != nil {
 			t.Fatalf("slot %d dump: %v", slot, err)
 		}
@@ -156,7 +156,7 @@ func TestTargetRunSameOnBothRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := must(redis.ClusterImport, "7", string(chunk)); string(got) != "3" {
+	if got := must(redis.ClusterImport, "7", chunk); string(got) != "3" {
 		t.Fatalf("import of 3 pairs answered %q", got)
 	}
 	slot := r.Slot("k3")
@@ -207,7 +207,7 @@ func TestTargetRunSameOnBothRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run(redis.ClusterImport, "0", string(chunk)); err == nil ||
+	if _, err := run(redis.ClusterImport, "0", chunk); err == nil ||
 		!strings.HasPrefix(err.Error(), "ERR import: set: redis: store segment full: ") {
 		t.Errorf("import into a full store: %v, want the store-full refusal", err)
 	}

@@ -1,10 +1,11 @@
 package redis
 
 import (
-	"bytes"
 	"encoding/gob"
 	"hash/fnv"
+	"io"
 	"strconv"
+	"strings"
 )
 
 // Slot-addressed operations for the cluster's placement layer. The key
@@ -30,15 +31,17 @@ type KV struct {
 }
 
 // EncodePairs and DecodePairs are the wire form of a run of pairs: the
-// payload of a CLUSTER.MIGRATE reply and the chunk a CLUSTER.IMPORT carries.
-func EncodePairs(pairs []KV) ([]byte, error) {
-	var buf bytes.Buffer
+// payload of a CLUSTER.MIGRATE reply and the argument a CLUSTER.IMPORT
+// carries. The encoding is built as the string an argument is, and decoded
+// from where it lies, so a slot's copy is not copied again on either side.
+func EncodePairs(pairs []KV) (string, error) {
+	var buf strings.Builder
 	err := gob.NewEncoder(&buf).Encode(pairs)
-	return buf.Bytes(), err
+	return buf.String(), err
 }
 
-func DecodePairs(data []byte) (pairs []KV, err error) {
-	err = gob.NewDecoder(bytes.NewReader(data)).Decode(&pairs)
+func DecodePairs(data io.Reader) (pairs []KV, err error) {
+	err = gob.NewDecoder(data).Decode(&pairs)
 	return pairs, err
 }
 
@@ -100,7 +103,7 @@ func (c *Client) DelSlot(slot, nslots int) (removed int, err error) {
 //     how many (the source after the flip, the target after a rollback).
 func (c *Client) slotCommand(dst []byte, op Op, args []string) []byte {
 	if op == OpClusterImport {
-		pairs, err := DecodePairs([]byte(args[2]))
+		pairs, err := DecodePairs(strings.NewReader(args[2]))
 		if err != nil {
 			return appendError(dst, "import: decode: "+err.Error())
 		}

@@ -56,35 +56,95 @@ func (t *Tenant) TakeToken() error {
 	return nil
 }
 
+// entry is one key's share of a tenant's budgets. Admission charges the
+// latest SET admitted on the key at once; what the store holds is learnt from
+// the replies as they settle, the latest-admitted write the store applied
+// taking precedence — one connection's writes reach the store, and its
+// replies go out, in the order they were admitted. While charges on the key
+// are unsettled the budgets keep what was admitted; when the last of them
+// settles they are set to what the store holds, and a key it no longer holds
+// leaves the map.
+type entry struct {
+	size     uint32 // what the budgets are charged for the key
+	stored   uint32 // what the store holds, as the settled replies say
+	held     bool   // whether it holds the key at all
+	written  uint64 // the admission number of the write stored and held come from
+	admitted uint64 // charges admitted on the key, which numbers them
+	pending  uint32 // of those, the ones not yet settled
+}
+
 // Charge is an admitted write's pending effect on a tenant's budgets, carried
 // with the request and settled with the store's reply. The zero Charge
 // settles nothing.
 type Charge struct {
-	t       *Tenant
-	key     string
-	size    *uint32 // the entry a SET charged; nil for a DEL
-	old     uint32  // its size before the SET
-	valLen  uint32  // and the SET's
-	existed bool
+	t      *Tenant
+	key    string
+	e      *entry // nil for a DEL of a key the tenant was charged nothing for
+	n      uint64 // the charge's admission number on e
+	valLen uint32 // a SET's value length
+	del    bool
 }
 
 // ChargeDel returns the charge of a DEL of key: nothing until the store
 // confirms the key went.
-func (t *Tenant) ChargeDel(key string) Charge { return Charge{t: t, key: key} }
+func (t *Tenant) ChargeDel(key string) Charge {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := Charge{t: t, key: key, del: true}
+	if e := t.sizes[key]; e != nil {
+		c.e, c.n = e, e.admit()
+	}
+	return c
+}
+
+// admit numbers a charge on e and counts it unsettled.
+func (e *entry) admit() uint64 {
+	e.admitted++
+	e.pending++
+	return e.admitted
+}
 
 var delOneReply = []byte(":1\r\n")
 
 // Settle commits or rolls back the charge on the store's reply: a DEL that
-// removed its key credits the budgets, a SET the store refused is undone.
+// removed its key credits the budgets, a SET the store refused is undone —
+// as soon as no other charge on the key is unsettled.
 func (c Charge) Settle(resp []byte) {
+	if c.t == nil {
+		return
+	}
+	applied := len(resp) == 0 || resp[0] != '-'
+	if c.del {
+		applied = bytes.Equal(resp, delOneReply)
+	}
+	t := c.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, n := c.e, c.n
 	switch {
-	case c.t == nil:
-	case c.size == nil:
-		if bytes.Equal(resp, delOneReply) {
-			c.t.SettleDel(c.key)
+	case e != nil:
+		e.pending--
+	case !applied:
+		return
+	default:
+		// A DEL admitted before the key was charged removed it, so it ran
+		// behind a SET admitted since: it counts as the latest write yet.
+		if e = t.sizes[c.key]; e == nil {
+			return
 		}
-	case len(resp) > 0 && resp[0] == '-':
-		c.Undo()
+		n = e.admitted
+	}
+	if applied && (n > e.written || c.e == nil) {
+		e.stored, e.held, e.written = c.valLen, !c.del, n
+	}
+	if e.pending > 0 {
+		return
+	}
+	t.bytes = t.bytes - uint64(e.size) + uint64(e.stored)
+	e.size = e.stored
+	if !e.held {
+		t.keys--
+		delete(t.sizes, c.key)
 	}
 }
 
@@ -93,10 +153,10 @@ func (c Charge) Settle(resp []byte) {
 // if the store rejects the write (full segment, shard error).
 func (t *Tenant) ChargeSet(key string, valLen int) (Charge, error) {
 	t.mu.Lock()
-	size, existed := t.sizes[key]
+	e, existed := t.sizes[key]
 	var old uint32
 	if existed {
-		old = *size
+		old = e.size
 	}
 	newBytes := t.bytes - uint64(old) + uint64(valLen)
 	newKeys := t.keys
@@ -116,44 +176,17 @@ func (t *Tenant) ChargeSet(key string, valLen int) (Charge, error) {
 		return Charge{}, err
 	}
 	t.bytes, t.keys = newBytes, newKeys
-	if existed {
-		*size = uint32(valLen)
-	} else {
+	if !existed {
 		// The map keeps a copy of the key: the caller's is cut from a
 		// connection's fill, which the entry would keep whole for as long as
-		// the key lives. Writing through the pointer after that never hands
-		// the map the caller's string again.
-		size = new(uint32)
-		*size = uint32(valLen)
-		t.sizes[strings.Clone(key)] = size
+		// the key lives.
+		e = &entry{}
+		t.sizes[strings.Clone(key)] = e
 	}
+	e.size = uint32(valLen)
+	n := e.admit()
 	t.mu.Unlock()
-	return Charge{t: t, key: key, size: size, old: old, valLen: uint32(valLen), existed: existed}, nil
-}
-
-// Undo reverses a SET's charge.
-func (c Charge) Undo() {
-	t := c.t
-	t.mu.Lock()
-	t.bytes += uint64(c.old) - uint64(c.valLen)
-	if c.existed {
-		*c.size = c.old
-	} else {
-		t.keys--
-		delete(t.sizes, c.key)
-	}
-	t.mu.Unlock()
-}
-
-// SettleDel credits a confirmed DEL back to the budgets.
-func (t *Tenant) SettleDel(key string) {
-	t.mu.Lock()
-	if size, ok := t.sizes[key]; ok {
-		t.bytes -= uint64(*size)
-		t.keys--
-		delete(t.sizes, key)
-	}
-	t.mu.Unlock()
+	return Charge{t: t, key: key, e: e, n: n, valLen: uint32(valLen)}, nil
 }
 
 // Count records one admitted command of n payload bytes in the tenant's

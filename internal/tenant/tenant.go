@@ -103,11 +103,11 @@ type Tenant struct {
 
 	// Quota state, under mu.
 	mu     sync.Mutex
-	bytes  uint64             // admitted live value bytes
-	keys   uint64             // admitted live keys
-	sizes  map[string]*uint32 // per-key admitted value size
-	tokens float64            // command-rate bucket level
-	filled time.Time          // last bucket refill
+	bytes  uint64            // admitted live value bytes
+	keys   uint64            // admitted live keys
+	sizes  map[string]*entry // per-key share of the budgets
+	tokens float64           // command-rate bucket level
+	filled time.Time         // last bucket refill
 }
 
 // ID returns the tenant's identifier.
@@ -153,7 +153,7 @@ func (r *Registry) Register(id, secret string, q Quotas) (*Tenant, error) {
 		cspace: caps.NewCSpace(),
 		quotas: q,
 		viewID: viewObjectID(redis.TenantKey(id, "view")),
-		sizes:  map[string]*uint32{},
+		sizes:  map[string]*entry{},
 		tokens: q.Burst,
 		filled: r.now(),
 	}

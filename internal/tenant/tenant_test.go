@@ -128,43 +128,147 @@ func TestByteAndKeyQuotas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	undoA, err := tn.ChargeSet("a", 60)
+	ok, refused, deleted := []byte("+OK\r\n"), []byte("-ERR segment full\r\n"), []byte(":1\r\n")
+	a, err := tn.ChargeSet("a", 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = undoA
+	a.Settle(ok)
 	if _, err := tn.ChargeSet("b", 60); !errors.Is(err, ErrOverQuota) {
 		t.Fatalf("over byte budget: err = %v, want ErrOverQuota", err)
 	}
 	// Overwriting a key charges the delta, not the sum.
-	if _, err := tn.ChargeSet("a", 90); err != nil {
+	a, err = tn.ChargeSet("a", 90)
+	if err != nil {
 		t.Fatalf("overwrite within budget: %v", err)
 	}
+	a.Settle(ok)
 	if b, k := tn.Usage(); b != 90 || k != 1 {
 		t.Fatalf("usage = (%d, %d), want (90, 1)", b, k)
 	}
 
-	undoB, err := tn.ChargeSet("b", 5)
+	b, err := tn.ChargeSet("b", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tn.ChargeSet("c", 1); !errors.Is(err, ErrOverQuota) {
 		t.Fatalf("over key budget: err = %v, want ErrOverQuota", err)
 	}
-	// A rolled-back charge frees its budget again.
-	undoB.Undo()
-	if _, err := tn.ChargeSet("c", 1); err != nil {
-		t.Fatalf("charge after rollback: %v", err)
+	// A refused charge frees its budget again.
+	b.Settle(refused)
+	c, err := tn.ChargeSet("c", 1)
+	if err != nil {
+		t.Fatalf("charge after a refusal: %v", err)
 	}
+	c.Settle(ok)
 
-	tn.SettleDel("a")
+	tn.ChargeDel("a").Settle(deleted)
 	if b, k := tn.Usage(); b != 1 || k != 1 {
 		t.Fatalf("usage after del = (%d, %d), want (1, 1)", b, k)
 	}
 	// Deleting an uncharged key is a no-op credit.
-	tn.SettleDel("never")
+	tn.ChargeDel("never").Settle(deleted)
 	if b, k := tn.Usage(); b != 1 || k != 1 {
 		t.Fatalf("usage after no-op del = (%d, %d), want (1, 1)", b, k)
+	}
+}
+
+// TestUsageFollowsTheStore: one connection's charges on one key — two SETs
+// and a DEL, in every arrival order — are admitted, then settle in arrival
+// order, each applied or refused as the store decided. Usage then reads what
+// the store holds, for a key the tenant never wrote and for one it holds —
+// and when two connections' charges settle out of the store's order.
+func TestUsageFollowsTheStore(t *testing.T) {
+	for _, order := range [][]string{{"SET", "SET", "DEL"}, {"SET", "DEL", "SET"}, {"DEL", "SET", "SET"}} {
+		for _, initial := range []int{-1, 5} { // -1: the store does not hold the key
+			for applied := 0; applied < 1<<len(order); applied++ {
+				tn, err := New(Config{}).Register("q", "s", Quotas{MaxBytes: 100, MaxKeys: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				held, size := initial >= 0, max(initial, 0)
+				if held {
+					c, _ := tn.ChargeSet("k", initial)
+					c.Settle([]byte("+OK\r\n"))
+				}
+				charges, lens, n := make([]Charge, len(order)), make([]int, len(order)), 0
+				for i, op := range order {
+					if op == "DEL" {
+						charges[i] = tn.ChargeDel("k")
+						continue
+					}
+					n += 10
+					lens[i] = n // the first SET 10 bytes, the second 20
+					if charges[i], err = tn.ChargeSet("k", lens[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, op := range order {
+					reply := "-BUSY slot migrating\r\n"
+					switch {
+					case applied>>i&1 == 0:
+					case op == "SET":
+						reply, held, size = "+OK\r\n", true, lens[i]
+					case held:
+						reply, held, size = ":1\r\n", false, 0
+					default:
+						reply = ":0\r\n"
+					}
+					charges[i].Settle([]byte(reply))
+				}
+				wantKeys := uint64(0)
+				if held {
+					wantKeys = 1
+				}
+				if b, k := tn.Usage(); b != uint64(size) || k != wantKeys {
+					t.Errorf("%v over a stored size of %d (-1: none), op i applied if bit i of %03b: usage (%d, %d), the store holds (%d, %d)",
+						order, initial, applied, b, k, size, wantKeys)
+				}
+			}
+		}
+	}
+
+	// Two connections writing one key settle in either order, not always the
+	// store's: the latest-admitted write the store applied is what it holds.
+	ok, refused, deleted := []byte("+OK\r\n"), []byte("-BUSY slot migrating\r\n"), []byte(":1\r\n")
+	type settle struct {
+		op    int // which admitted charge
+		reply []byte
+	}
+	for _, c := range []struct {
+		name    string
+		ops     []int // admitted in this order: a SET of so many bytes, or a DEL (0)
+		settles []settle
+		bytes   uint64
+		keys    uint64
+	}{
+		{"the later SET refused and settled first, the earlier applied",
+			[]int{10, 20}, []settle{{1, refused}, {0, ok}}, 10, 1},
+		{"both SETs applied, settled out of order",
+			[]int{10, 20}, []settle{{1, ok}, {0, ok}}, 20, 1},
+		{"a DEL admitted before the SET it removes, settled after it",
+			[]int{0, 10}, []settle{{1, ok}, {0, deleted}}, 0, 0},
+		{"a DEL admitted before the SET it removes, settled before it",
+			[]int{0, 10}, []settle{{0, deleted}, {1, ok}}, 0, 0},
+	} {
+		tn, err := New(Config{}).Register("q", "s", Quotas{MaxBytes: 100, MaxKeys: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		charges := make([]Charge, len(c.ops))
+		for i, n := range c.ops {
+			if n == 0 {
+				charges[i] = tn.ChargeDel("k")
+			} else if charges[i], err = tn.ChargeSet("k", n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range c.settles {
+			charges[s.op].Settle(s.reply)
+		}
+		if b, k := tn.Usage(); b != c.bytes || k != c.keys {
+			t.Errorf("%s: usage (%d, %d), the store holds (%d, %d)", c.name, b, k, c.bytes, c.keys)
+		}
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 
 // The urpc rungs of the ladder: a GET-shaped round trip (one request line,
 // a 64-byte value in two response lines) through Call and through CallBudget
-// into a buffer it reuses, and a 4 KiB response streamed through a 256-slot
-// ring by CallBulk. sim-cycles/op is the client core's charge per call — the
-// model's number, which how the host moves the bytes must not change.
+// into a buffer it reuses, and a 4 KiB response through CallBulk (which is
+// Call). sim-cycles/op is the client core's charge per call — the model's
+// number, which how the host moves the bytes must not change.
 func benchEndpoint(resp []byte) *Endpoint {
 	m := hw.NewMachine(hw.M1())
 	return Connect(m, 0, 2, 256, func([]byte) []byte { return resp })

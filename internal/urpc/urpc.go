@@ -19,7 +19,6 @@
 package urpc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -110,13 +109,15 @@ func Lines(n int) uint64 {
 	return uint64((n + PayloadPerLine - 1) / PayloadPerLine)
 }
 
-// Stats counts channel activity.
+// Stats counts channel activity. A frame crosses in bursts, each as many
+// of its lines as the ring has free slots for (one, for a frame that fits):
+// Sends, Drops and Delays count bursts, Recvs counts whole frames received.
 type Stats struct {
 	Sends  uint64
 	Recvs  uint64
 	Lines  uint64
-	Drops  uint64 // messages paid for but lost to fault injection
-	Delays uint64 // messages stalled by fault injection
+	Drops  uint64 // bursts paid for but lost to fault injection
+	Delays uint64 // bursts stalled by fault injection
 }
 
 // maxKeptFrame bounds the reassembly buffer a channel keeps between frames.
@@ -151,7 +152,7 @@ type Channel struct {
 	stats    Stats
 	capacity int
 	// frame is the reassembly buffer of a receiver that only looks at a
-	// frame until it receives the next one (see recvKept).
+	// frame until it receives the next one (an endpoint's request).
 	frame []byte
 }
 
@@ -175,20 +176,12 @@ func (c *Channel) CrossSocket() bool { return !c.m.SameSocket(c.tx, c.rx) }
 // Stats returns a snapshot of the channel's counters.
 func (c *Channel) Stats() Stats { return c.stats }
 
-// Send enqueues one message, charging the sending core one cache-line
-// transfer per line. A payload longer than one line is framed across that
-// many ring slots; Send fails when the frame does not fit in the ring's
-// free slots (the caller polls). An armed fault.URPCDrop point loses the
-// whole frame after the sender paid for it — exactly how a lossy
-// interconnect looks from the sending side.
-func (c *Channel) Send(payload []byte) error { return c.sendSeq(0, payload) }
-
-func (c *Channel) sendSeq(seq uint64, payload []byte) error {
-	lines := Lines(len(payload))
-	if c.count+int(lines) > c.capacity {
-		return fmt.Errorf("urpc: channel full (%d of %d slots free, frame needs %d)",
-			c.capacity-c.count, c.capacity, lines)
-	}
+// burst puts lines more of a frame into the ring's free slots, charging the
+// sender per line, and reports whether they survived fault.URPCDrop; end
+// says they close the frame. An empty payload is one empty line (the
+// 64-bit-key-in-header case). The payload is copied into the slots, so the
+// caller may reuse it as soon as burst returns.
+func (c *Channel) burst(seq uint64, payload []byte, lines uint64, end bool) bool {
 	c.m.Cores[c.tx].AddCycles(lines * c.perLine)
 	if c.m.Faults.Fire(fault.URPCDelay) {
 		c.m.Cores[c.tx].AddCycles(DelayCycles)
@@ -198,68 +191,74 @@ func (c *Channel) sendSeq(seq uint64, payload []byte) error {
 	c.stats.Lines += lines
 	if c.m.Faults.Fire(fault.URPCDrop) {
 		c.stats.Drops++
-		return nil
+		return false
 	}
-	// Fragment into cache-line slots. The final fragment carries the last
-	// flag the receiver reassembles on; an empty payload is one empty,
-	// last fragment (the 64-bit-key-in-header case). The payload is copied
-	// into the slots, so the caller may reuse it as soon as Send returns.
 	for i := uint64(0); i < lines; i++ {
 		slot := &c.ring[(c.head+c.count)%c.capacity]
-		slot.seq, slot.last = seq, i == lines-1
+		slot.seq, slot.last = seq, end && i == lines-1
 		slot.n = uint8(copy(slot.data[:], payload))
 		payload = payload[slot.n:]
 		c.count++
 	}
-	c.frames++
-	return nil
+	if end {
+		c.frames++
+	}
+	return true
 }
 
-// Recv dequeues the oldest message, reassembling its fragments and charging
-// the receiving core per line plus one dispatch. Fails when the ring holds
-// no complete frame. The message is the caller's own.
-func (c *Channel) Recv() ([]byte, error) {
-	_, payload, err := c.recvSeq(nil)
-	return payload, err
-}
-
-// recvSeq is Recv with the frame's sequence number, appending the frame
-// behind dst as append does. A nil dst gets one allocation of exactly the
-// frame's size that nothing else refers to.
-func (c *Channel) recvSeq(dst []byte) (uint64, []byte, error) {
-	if c.frames == 0 {
-		return 0, nil, fmt.Errorf("urpc: channel empty")
-	}
-	size, lines := 0, uint64(0)
-	for i := c.head; ; i = (i + 1) % c.capacity {
-		size += int(c.ring[i].n)
-		lines++
-		if c.ring[i].last {
-			break
-		}
-	}
-	payload := grow(dst, size)
-	seq := c.ring[c.head].seq
-	for i := uint64(0); i < lines; i++ {
+// take dequeues the slots of the frame at the head of the ring — through
+// its last line, or all the ring holds of it — charging the receiver per
+// line and, at the frame's end, one dispatch. The payload of a frame
+// numbered seq is appended behind dst, as append does; any other frame is
+// drained and dropped. It reports whether seq's frame ended.
+func (c *Channel) take(seq uint64, dst []byte) ([]byte, bool) {
+	keep, end, lines := c.ring[c.head].seq == seq, false, uint64(0)
+	for c.count > 0 && !end {
 		slot := &c.ring[c.head]
-		payload = append(payload, slot.data[:slot.n]...)
+		if keep {
+			dst = append(dst, slot.data[:slot.n]...)
+		}
+		end = slot.last
 		c.head = (c.head + 1) % c.capacity
 		c.count--
+		lines++
 	}
-	c.frames--
-	c.m.Cores[c.rx].AddCycles(lines*c.perLine + DispatchCycles)
-	c.stats.Recvs++
-	return seq, payload, nil
+	cost := lines * c.perLine
+	if end {
+		c.frames--
+		c.stats.Recvs++
+		cost += DispatchCycles
+	}
+	c.m.Cores[c.rx].AddCycles(cost)
+	return dst, keep && end
 }
 
-// recvKept is recvSeq into the channel's reassembly buffer: the frame is valid
-// until the next recvKept on this channel.
-func (c *Channel) recvKept() (uint64, []byte, error) {
-	seq, frame, err := c.recvSeq(c.frame[:0])
-	if cap(frame) <= maxKeptFrame {
-		c.frame = frame
+// transfer moves one frame of any size across the channel and returns it
+// appended behind dst, as append does (exactly the frame's size for a nil
+// dst). The sender fills the ring's free slots, the receiver drains them,
+// and so on until the last line is through: a frame that fits the ring is
+// one burst. Each side pays per line and the receiver one dispatch per
+// frame, however many bursts it took. A burst lost to
+// fault.URPCDrop loses the frame, and transfer reports false. Frames of
+// other sequence numbers found in the ring are drained and dropped.
+func (c *Channel) transfer(seq uint64, payload, dst []byte) ([]byte, bool) {
+	got := grow(dst, len(payload))
+	for left := Lines(len(payload)); ; {
+		n := min(left, uint64(c.capacity-c.count))
+		k := min(len(payload), int(n)*PayloadPerLine)
+		left -= n
+		sent := n == 0 || c.burst(seq, payload[:k], n, left == 0)
+		payload = payload[k:]
+		for c.count > 0 {
+			var end bool
+			if got, end = c.take(seq, got); end {
+				return got, true
+			}
+		}
+		if !sent {
+			return nil, false
+		}
 	}
-	return seq, frame, err
 }
 
 // grow returns dst with room for n more bytes: exactly n for a nil dst.
@@ -307,8 +306,6 @@ type Endpoint struct {
 	// GUPS's XOR updates are the in-repo example).
 	lastSeq  uint64
 	lastResp []byte
-
-	bulk []byte // server: the frame streamResponse is sending, reused
 
 	retries uint64 // total re-sends across all Calls
 }
@@ -370,12 +367,12 @@ func (e *Endpoint) backoff(try int) uint64 {
 // whole, and a retry of it is answered with the whole cached response.
 // After MaxRetries lost round trips Call returns ErrTimeout.
 //
-// The request is copied into the ring, so the caller may reuse it as soon
-// as Call returns. The response is the caller's own: one allocation of
-// exactly its size, which no later call — a retry served from the
-// duplicate cache included — reads or writes. A response too long for the
-// response ring is streamed as CallBulk streams every response.
-func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.exchange(nil, request, 0, false) }
+// Either frame may be of any size: one the ring cannot hold crosses in
+// ring-sized bursts. The request is copied into the ring, so the caller may
+// reuse it as soon as Call returns. The response is the caller's own: one
+// allocation of exactly its size, which no later call — a retry served from
+// the duplicate cache included — reads or writes.
+func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.exchange(nil, request, 0) }
 
 // CallBudget is Call under a cycle budget: budget == 0 is plain Call;
 // otherwise the retry loop is capped so the call never burns the client
@@ -389,24 +386,19 @@ func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.exchange(nil,
 // does (a nil dst: Call's owned response); what dst holds is never touched,
 // and a frame of an earlier try leaves nothing behind.
 func (e *Endpoint) CallBudget(dst, request []byte, budget uint64) ([]byte, error) {
-	return e.exchange(dst, request, budget, false)
+	return e.exchange(dst, request, budget)
 }
 
-// CallBulk is Call with the response always streamed in bounded multi-slot
-// chunks — a length header, then data chunks, the client consuming each as
-// it lands so the ring never overflows regardless of payload size — which
-// is what a bulk transfer costs in the model. Loss anywhere —
-// request, header, any chunk — surfaces as an incomplete reassembly and
-// retries the whole call; the duplicate cache re-streams the cached
-// response.
-func (e *Endpoint) CallBulk(request []byte) ([]byte, error) { return e.exchange(nil, request, 0, true) }
+// CallBulk is Call. It stays because the benchmark module (bench/micro.go)
+// prices a large response through it.
+func (e *Endpoint) CallBulk(request []byte) ([]byte, error) { return e.Call(request) }
 
-// exchange is the one round-trip loop behind Call, CallBudget and CallBulk:
-// send, let the server receive and handle (or answer a duplicate from its
-// cache), mirror the server's cycles into the client's busy-wait, move the
-// response back, and on loss back off and go again — under budget when
-// there is one. The response lands behind dst.
-func (e *Endpoint) exchange(dst, request []byte, budget uint64, stream bool) ([]byte, error) {
+// exchange is the one round-trip loop behind Call and CallBudget: move the
+// request across, let the server handle it (or answer a duplicate from its
+// cache), move the response back behind dst, mirror the server's cycles
+// into the client's busy-wait, and on loss back off and go again — under
+// budget when there is one.
+func (e *Endpoint) exchange(dst, request []byte, budget uint64) ([]byte, error) {
 	client := e.m.Cores[e.client]
 	server := e.m.Cores[e.server]
 	start := client.Cycles()
@@ -420,35 +412,25 @@ func (e *Endpoint) exchange(dst, request []byte, budget uint64, stream bool) ([]
 			e.retries++
 			e.m.Observer().URPCRetry(e.client, seq, uint64(try))
 		}
-		if err := e.req.sendSeq(seq, request); err != nil {
-			return nil, err
-		}
-		// Server side: receive, dispatch, handle. An empty request ring
-		// means the send was dropped in flight.
 		before := server.Cycles()
-		rseq, req, err := e.req.recvKept()
-		served := err == nil
-		var response []byte
-		if served {
-			if rseq != 0 && rseq == e.lastSeq {
-				response = e.lastResp // duplicate of an executed request
-			} else {
-				response = e.handler(req)
-				if rseq != 0 {
-					e.lastSeq, e.lastResp = rseq, response
-				}
+		req, ok := e.req.transfer(seq, request, e.req.frame[:0])
+		var resp []byte
+		if ok {
+			if cap(req) <= maxKeptFrame {
+				e.req.frame = req
 			}
+			if seq != e.lastSeq { // else a duplicate of an executed request
+				e.lastSeq, e.lastResp = seq, e.handler(req)
+			}
+			resp, ok = e.resp.transfer(seq, e.lastResp, dst)
 		}
-		// The client busy-waits while the server works.
+		// The client busy-waits while the server receives, works and answers.
 		client.AddCycles(server.Cycles() - before)
-		if served {
-			if got, ok := e.respond(dst, rseq, response, stream); ok {
-				return got, nil
-			}
+		if ok {
+			return resp, nil
 		}
-		// Nothing (or only stale traffic) arrived: time out and retry,
-		// backing off exponentially — but a budgeted call never sleeps
-		// past its remaining allowance.
+		// Something was lost: time out and retry, backing off exponentially —
+		// but a budgeted call never sleeps past its remaining allowance.
 		wait := e.backoff(try)
 		if budget != 0 {
 			spent := client.Cycles() - start
@@ -462,105 +444,6 @@ func (e *Endpoint) exchange(dst, request []byte, budget uint64, stream bool) ([]
 		client.AddCycles(wait)
 	}
 	return nil, &TimeoutError{Seq: seq, Retries: e.MaxRetries}
-}
-
-// respond is the response leg of one try, reassembled behind dst: a single
-// frame when the response fits the (drained) response ring and the caller
-// did not ask for a stream, the header and chunk stream otherwise. It
-// reports whether the response arrived whole; stale frames of earlier tries
-// are discarded on the way, each overwritten by the next frame.
-func (e *Endpoint) respond(dst []byte, seq uint64, response []byte, stream bool) ([]byte, bool) {
-	if stream || Lines(len(response)) > uint64(e.resp.capacity) {
-		return e.streamResponse(dst, seq, response)
-	}
-	client := e.m.Cores[e.client]
-	server := e.m.Cores[e.server]
-	before := server.Cycles()
-	if err := e.resp.sendSeq(seq, response); err != nil {
-		return nil, false
-	}
-	// The client busy-waits through the server's send, then drains.
-	client.AddCycles(server.Cycles() - before)
-	for e.resp.Len() > 0 {
-		sseq, resp, err := e.resp.recvSeq(dst)
-		if err != nil {
-			break
-		}
-		if sseq == seq {
-			return resp, true
-		}
-	}
-	return nil, false
-}
-
-// Bulk responses are streamed as kind-tagged frames so the client can tell a
-// length header from a data chunk even when loss reorders what arrives: one
-// header frame (total response length) followed by data chunks, each small
-// enough to fit the response ring, with the client draining between sends.
-const (
-	bulkHeader byte = 0
-	bulkData   byte = 1
-)
-
-// bulkChunkBytes is the largest data-chunk payload one streamed frame may
-// carry: the whole ring minus one slot of headroom, minus the kind tag.
-func (e *Endpoint) bulkChunkBytes() int {
-	return (e.resp.capacity-1)*PayloadPerLine - 1
-}
-
-// streamResponse moves one bulk response across the response ring: the
-// server sends the header then each chunk, the client draining after every
-// send (both sides run inline here, each charged on its own core). It
-// reports whether the complete response was reassembled behind dst; any
-// dropped frame makes the caller retry the whole exchange.
-func (e *Endpoint) streamResponse(dst []byte, seq uint64, response []byte) ([]byte, bool) {
-	client := e.m.Cores[e.client]
-	server := e.m.Cores[e.server]
-	chunk := e.bulkChunkBytes()
-
-	got := dst
-	var want uint64
-	sawHeader := false
-	// Every frame is built in e.bulk: sendSeq copies it into the ring, and
-	// the client has drained it by the time the next one is built.
-	e.bulk = binary.LittleEndian.AppendUint64(append(e.bulk[:0], bulkHeader), uint64(len(response)))
-	for off := 0; ; {
-		before := server.Cycles()
-		if err := e.resp.sendSeq(seq, e.bulk); err != nil {
-			return nil, false
-		}
-		// The client busy-waits through the server's send, then drains.
-		client.AddCycles(server.Cycles() - before)
-		for e.resp.Len() > 0 {
-			sseq, frag, err := e.resp.recvKept()
-			if err != nil {
-				break
-			}
-			if sseq != seq || len(frag) == 0 {
-				continue // stale traffic from an earlier exchange
-			}
-			switch frag[0] {
-			case bulkHeader:
-				if len(frag) == 9 {
-					want = binary.LittleEndian.Uint64(frag[1:])
-					sawHeader = true
-					got = grow(dst, int(want))
-				}
-			case bulkData:
-				got = append(got, frag[1:]...)
-			}
-		}
-		if off >= len(response) {
-			break
-		}
-		end := min(off+chunk, len(response))
-		e.bulk = append(append(e.bulk[:0], bulkData), response[off:end]...)
-		off = end
-	}
-	if !sawHeader || uint64(len(got)-len(dst)) != want {
-		return nil, false
-	}
-	return got, true
 }
 
 // CallLatency runs one call and returns the client-perceived latency in
