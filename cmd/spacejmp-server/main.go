@@ -107,7 +107,7 @@ func main() {
 	flag.DurationVar((*time.Duration)(&cl.BreakerCooldown), "breaker-cooldown", 0, fmt.Sprintf("open-breaker fail-fast window before a half-open probe (0 = default %v)", ov.BreakerCooldown))
 	flag.Parse()
 
-	if cl.Nodes <= 0 {
+	if cl.Nodes == 0 {
 		// No -cluster is the paper's single RedisJMP store: a cluster of one
 		// co-resident node, served on the VAS-switch path whatever -mode says.
 		cl.Nodes, cl.Mode = 1, string(cluster.ModeVAS)

@@ -72,6 +72,16 @@ func TestParseSpecErrors(t *testing.T) {
 		{"locals past the node count", `{"name": "x", "cluster": {"nodes": 3, "locals": 5}}`, ErrBadSpec},
 		{"locals past the default node count", `{"name": "x", "cluster": {"locals": 4}}`, ErrBadSpec},
 		{"negative locals", `{"name": "x", "cluster": {"locals": -1}}`, ErrBadSpec},
+		// And any negative count or period, which would otherwise run on its default.
+		{"negative nodes", `{"name": "x", "cluster": {"nodes": -2}}`, ErrBadSpec},
+		{"negative workers", `{"name": "x", "cluster": {"workers": -1}}`, ErrBadSpec},
+		{"negative queue depth", `{"name": "x", "cluster": {"queue_depth": -5}}`, ErrBadSpec},
+		{"negative migration delta log", `{"name": "x", "cluster": {"migration_delta_log": -1}}`, ErrBadSpec},
+		{"negative ship every", `{"name": "x", "cluster": {"ship_every": -1}}`, ErrBadSpec},
+		{"negative ship interval", `{"name": "x", "cluster": {"ship_interval": "-1s"}}`, ErrBadSpec},
+		{"negative probe interval", `{"name": "x", "cluster": {"probe_interval": "-1ms"}}`, ErrBadSpec},
+		{"negative probe threshold", `{"name": "x", "cluster": {"probe_threshold": -3}}`, ErrBadSpec},
+		{"negative delta log", `{"name": "x", "cluster": {"delta_log": -1}}`, ErrBadSpec},
 		{"unknown point", `{"name": "x", "steps": [{"point": "disk.on.fire", "policy": {"kind": "always"}}]}`, ErrUnknownPoint},
 		{"missing policy", `{"name": "x", "steps": [{"point": "urpc.drop"}]}`, ErrBadPolicy},
 		{"unknown policy", `{"name": "x", "steps": [{"point": "urpc.drop", "policy": {"kind": "sometimes"}}]}`, ErrBadPolicy},

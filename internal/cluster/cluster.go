@@ -146,6 +146,12 @@ type OverloadConfig struct {
 func (c Config) Validate() error {
 	rep, ov, nodes := c.Replication, c.Overload, c.WithDefaults().Nodes
 	switch {
+	case c.Nodes < 0 || c.Workers < 0 || c.QueueDepth < 0 || c.MigrationDeltaLog < 0:
+		return fmt.Errorf("cluster: nodes %d, workers %d, queue depth %d, migration delta log %d: none may be negative",
+			c.Nodes, c.Workers, c.QueueDepth, c.MigrationDeltaLog)
+	case rep.ShipEvery < 0 || rep.ShipInterval < 0 || rep.ProbeInterval < 0 || rep.ProbeThreshold < 0 || rep.DeltaLog < 0:
+		return fmt.Errorf("cluster: replication: ship every %d, ship interval %v, probe interval %v, probe threshold %d, delta log %d: none may be negative",
+			rep.ShipEvery, rep.ShipInterval, rep.ProbeInterval, rep.ProbeThreshold, rep.DeltaLog)
 	case c.Locals < 0 || c.Locals > nodes:
 		return fmt.Errorf("cluster: locals: %d is not between 0 and the node count, %d", c.Locals, nodes)
 	case rep.FollowerReads && !rep.Enabled:

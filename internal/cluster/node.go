@@ -371,13 +371,13 @@ func (n *node) call(ep *urpc.Endpoint, wire, dst []byte, budget uint64) (resp []
 }
 
 // callLocked is call for a caller already holding n.mu — a ship keeps it
-// across the fork and the delta truncation. It is the one crash fence:
-// calls against a node known dead fail without touching the channel, and a
-// reply that raced with the crash — the handler's nil tombstone arrives as an
-// empty frame, or the crash bit was set while the call was in flight — is
-// refused as a timeout rather than trusted. Late replies from a fenced
-// primary never reach a client. The response lands behind dst: a tombstone
-// appends nothing.
+// across the fork and the delta truncation, a worker until its run's writes
+// are in the delta log. It is the one crash fence: calls against a node known
+// dead fail without touching the channel, and a reply that raced with the
+// crash — the handler's nil tombstone arrives as an empty frame, or the crash
+// bit was set while the call was in flight — is refused as a timeout rather
+// than trusted. Late replies from a fenced primary never reach a client. The
+// response lands behind dst: a tombstone appends nothing.
 func (n *node) callLocked(ep *urpc.Endpoint, wire, dst []byte, budget uint64) (resp []byte, cycles uint64, err error) {
 	if n.crashed.Load() {
 		return nil, 0, &urpc.TimeoutError{}

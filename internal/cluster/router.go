@@ -847,8 +847,14 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 		r.ctr.LocalCycles.ObserveN((w.th.Core.Cycles()-before)/k, k)
 		n.ctr.Local.Add(k)
 	default:
+		// The node's mutex is held until the run's applied writes are in its
+		// delta log: the log keeps the order the store applied them in, and a
+		// ship, which forks and takes the window under the same mutex, takes
+		// exactly the writes its fork holds.
 		out := w.plan.replies()
-		resp, callCycles, err := n.call(t.ep, w.remoteWire(calls), out[len(out):], w.callBudget())
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		resp, callCycles, err := n.callLocked(t.ep, w.remoteWire(calls), out[len(out):], w.callBudget())
 		each := (w.th.Core.Cycles() - before) / uint64(len(calls))
 		if err == nil {
 			// The round trip by itself: transfers, dispatch, the node's work.
@@ -877,12 +883,9 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 }
 
 // bufferWrite records a successfully applied remote write (the caller
-// checked the command's Write flag) in the node's delta log — the
-// post-checkpoint tail a promotion replays — and pokes the monitor when
-// the window crosses the ship trigger. The append happens
-// after the node's mutex is released, so an entry can land just after a
-// concurrent ship truncated the window — harmless, because SET/DEL replay
-// is idempotent.
+// checked the command's Write flag and holds the node's mutex) in the node's
+// delta log — the post-checkpoint tail a promotion replays — and pokes the
+// monitor when the window crosses the ship trigger.
 func (r *Router) bufferWrite(n *node, args []string, resp []byte) {
 	if !n.replicated || len(resp) == 0 || resp[0] == '-' {
 		return

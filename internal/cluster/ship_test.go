@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"spacejmp/internal/hw"
 	"spacejmp/internal/kernel"
 	"spacejmp/internal/redis"
+	"spacejmp/internal/server"
 	"spacejmp/internal/stats"
 )
 
@@ -252,6 +254,126 @@ func TestInvalidatedViewRestoresWindowThenFullShip(t *testing.T) {
 	for i, key := range keys {
 		if got, _ := do(t, r, "GET", key); got != strings.Repeat(string(rune('a'+i/4)), 900-200*(i/4)) {
 			t.Fatalf("GET %s from the promoted standby: %d bytes of %q", key, len(got), got[:min(1, len(got))])
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PM.CheckLeaks(base); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaLogKeepsTheStoresOrder: two workers overwrite the same keys of the
+// replicated remote node with values of their own. The delta log must hold
+// the writes in the order the store applied them: the last entry per key is
+// the value the primary serves, and after a kill the promoted standby serves
+// that value. A log appended after the node's mutex is released can record
+// two workers' writes the other way round; that shows only when they
+// interleave in that window, so one clean run proves little, which is why the
+// test runs again under -race -count=5.
+func TestDeltaLogKeepsTheStoresOrder(t *testing.T) {
+	m, r, base := pokedShipCluster(t, nil)
+	keys := keysOnNode(t, r, 2, 4)
+	var wg sync.WaitGroup
+	for w := range uint64(2) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 120 { // two workers' writes stay inside the 256-entry log
+				req := server.NewRequest([]string{"SET", keys[i%len(keys)], fmt.Sprintf("w%d-%d", w, i)})
+				for !r.Submit(w, req) {
+				}
+				if v := req.Wait(); string(v) != "+OK\r\n" {
+					t.Errorf("worker %d SET %d: %q", w, i, v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	n := r.nodeByID(2)
+	entries, dropped := n.delta.take()
+	n.delta.restore(entries, dropped)
+	logged := map[string]string{}
+	for _, e := range entries {
+		logged[e[1]] = e[2]
+	}
+	want := map[string]string{}
+	for _, key := range keys {
+		if want[key], _ = do(t, r, "GET", key); logged[key] != want[key] {
+			t.Fatalf("%s: the primary serves %q, the delta log ends with %q (%d entries, %d dropped)", key, want[key], logged[key], len(entries), dropped)
+		}
+	}
+	if err := r.KillNode(2); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "standby promotion", func() bool { return replSnap(m).Promotions == 1 })
+	for _, key := range keys {
+		if got, _ := do(t, r, "GET", key); got != want[key] {
+			t.Fatalf("GET %s from the promoted standby: %q, want %q", key, got, want[key])
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PM.CheckLeaks(base); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedApplyThenKillServesEveryWrite: a ship to a warm standby whose
+// apply fails leaves the standby cold and puts back only the window since the
+// previous fork; the primary then dies before the next ship. Promotion
+// rebuilds the standby from the newest checkpoint in NVM and replays the
+// window, so that checkpoint must hold the writes the previous, successful
+// ship carried: a primary that checkpointed only for a cold standby would
+// lose them. The apply fails at its first frame allocation after the fork
+// (found as the node sends its fork reply, on the urpc delay point, which
+// never fires).
+func TestFailedApplyThenKillServesEveryWrite(t *testing.T) {
+	reg := fault.New(1)
+	m, r, base := pokedShipCluster(t, reg)
+	keys := keysOnNode(t, r, 2, 12)
+	set := func(from, to int) {
+		t.Helper()
+		for _, key := range keys[from:to] {
+			if v, _ := do(t, r, "SET", key, "v-"+key); v != "OK" {
+				t.Fatalf("SET %s: %q", key, v)
+			}
+		}
+	}
+	set(0, 4)
+	if rep := pokeShip(t, m, r); rep.Ships != 2 || rep.FullShips != 1 || rep.ShipFailures != 0 {
+		t.Fatalf("the warm ship: %+v", rep)
+	}
+	set(4, 8)
+	var forked, failed atomic.Bool
+	warm := r.forks.Current(2).Gen()
+	reg.Enable(fault.URPCDelay, func(uint64, *rand.Rand) bool {
+		if v := r.forks.Current(2); v != nil && v.Gen() > warm {
+			forked.Store(true)
+		}
+		return false
+	})
+	reg.Enable(fault.MemAlloc, func(uint64, *rand.Rand) bool { return forked.Load() && failed.CompareAndSwap(false, true) })
+	rep := pokeShip(t, m, r)
+	reg.Disable(fault.MemAlloc)
+	reg.Disable(fault.URPCDelay)
+	n := r.nodeByID(2)
+	if buffered, _ := n.delta.pending(); rep.ShipFailures != 1 || n.warm || buffered != 4 {
+		t.Fatalf("the ship whose apply failed: %+v, standby warm %v, %d writes buffered; want one failure, a cold standby and the 4 writes back", rep, n.warm, buffered)
+	}
+	set(8, 12)
+	if err := r.KillNode(2); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "standby promotion", func() bool { return replSnap(m).Promotions == 1 })
+	if rep := replSnap(m); rep.LostUpdates != 0 || rep.DeltaReplayed != 8 {
+		t.Fatalf("after the promotion: %+v; want the 8 buffered writes replayed, none lost", rep)
+	}
+	for _, key := range keys {
+		if got, _ := do(t, r, "GET", key); got != "v-"+key {
+			t.Fatalf("GET %s from the promoted standby: %q", key, got)
 		}
 	}
 	if err := r.Close(); err != nil {

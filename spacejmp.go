@@ -29,8 +29,8 @@
 //
 // The runtime heap (package mspace), the unsafe-pointer compiler analysis
 // (package safety, §4.3), and the paper's three applications (GUPS,
-// RedisJMP, SAMTools) live under internal/; the examples/ directory shows
-// the public API on each of the paper's motivating scenarios.
+// RedisJMP, SAMTools) live under internal/; the Example functions show the
+// public API on each of the paper's motivating scenarios.
 package spacejmp
 
 import (
