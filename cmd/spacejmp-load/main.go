@@ -12,15 +12,15 @@
 //	spacejmp-load [-addr host:port] [-conns n] [-pipeline n] [-n requests]
 //	              [-set-percent p] [-mget p] [-mget-keys n]
 //	              [-keys n] [-value bytes] [-seed s] [-reconnect]
-//	              [-tenants n] [-auth] [-cross-check n]
-//	              [-stale-reads] [-stale-bound d] [-stale-check n]
+//	              [-tenants n] [-cross-check n]
+//	              [-stale-reads] [-stale-bound d] [-deadline d]
 //
 // With -reconnect, a connection that loses its transport (a chaos scenario
 // dropping conns, a server mid-failover) redials and works through its
 // remaining quota instead of failing the run; survived disconnects are
 // reported alongside the verification counters.
 //
-// With -tenants N -auth, the load runs multi-tenant against a server booted
+// With -tenants N, the load runs multi-tenant against a server booted
 // with the same -tenants N: connection i authenticates as demo tenant
 // t(i%N) and works that tenant's view, values verified against the
 // tenant-qualified key so views never silently alias. With two or more
@@ -29,8 +29,8 @@
 // the run) as a cross-view leak.
 //
 // With -stale-reads, every connection opts into follower reads (READONLY)
-// against a cluster server running with -follower-reads, and interleaves
-// versioned staleness probes into the mix: each probe GET must return either
+// against a cluster server running with -follower-reads, and makes every 8th
+// command a versioned staleness probe: each probe GET must return either
 // a version no older than -stale-bound or the typed -STALE refusal. A stale
 // version served silently is a staleness-bound violation and fails the run.
 // Set -stale-bound to the server's bound plus shipping slack.
@@ -57,12 +57,10 @@ func main() {
 	flag.IntVar(&cfg.ValueSize, "value", 64, "value size in bytes")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "per-connection PRNG seed base")
 	flag.BoolVar(&cfg.Reconnect, "reconnect", false, "redial on transport failure instead of aborting the run")
-	flag.IntVar(&cfg.Tenants, "tenants", 0, "spread connections across n demo tenants (needs -auth)")
-	flag.BoolVar(&cfg.Auth, "auth", false, "AUTH each connection with its demo tenant credentials")
+	flag.IntVar(&cfg.Tenants, "tenants", 0, "spread connections across n demo tenants, each AUTHed as its tenant")
 	flag.IntVar(&cfg.CrossCheckEvery, "cross-check", 0, "probe another tenant's view every n commands (0 = default 32; needs 2+ tenants)")
 	flag.BoolVar(&cfg.StaleReads, "stale-reads", false, "opt connections into follower reads (READONLY) and verify the staleness bound with versioned probes")
 	flag.DurationVar(&cfg.StaleBound, "stale-bound", 0, "verifying staleness bound for probe GETs (0 = default 1s; set to server bound plus slack)")
-	flag.IntVar(&cfg.StaleCheckEvery, "stale-check", 0, "issue a staleness probe every n commands (0 = default 8)")
 	flag.DurationVar(&cfg.Deadline, "deadline", 0, "stamp every command with this deadline budget (DEADLINE prefix command; 0 = server default)")
 	flag.Parse()
 

@@ -307,7 +307,7 @@ func tenantIsolationUnderKill() *Spec {
 		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 4, Requests: 384,
 			SetPercent: 25, MGetPercent: 20, Keys: 256,
-			Tenants: 2, Auth: true, CrossCheckEvery: 16,
+			Tenants: 2, CrossCheckEvery: 16,
 		}},
 		Steps: []Step{
 			{Point: PointNodeKill, Target: intp(2), After: dur(200 * time.Millisecond)},
@@ -349,7 +349,7 @@ func shipUnderLoad() *Spec {
 		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 4, Requests: 384,
 			SetPercent: 60, Keys: 256,
-			StaleReads: true, StaleCheckEvery: 8,
+			StaleReads: true,
 		}, StaleBound: dur(2 * time.Second)},
 		Invariants: Invariants{Counters: map[string]Bound{
 			"cluster.replication.ships": atLeast(4),
@@ -409,7 +409,7 @@ func slowNodeBrownout() *Spec {
 		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 4, Requests: 4096,
 			SetPercent: 30, MGetPercent: 10, MGetKeys: 4, Keys: 256,
-			StaleReads: true, StaleCheckEvery: 8,
+			StaleReads: true,
 		}, StaleBound: dur(4 * time.Second)},
 		Steps: []Step{
 			{Point: "cluster.probe.drop", Target: intp(2), Policy: PolicySpec{Kind: "always"}, After: dur(50 * time.Millisecond), For: dur(300 * time.Millisecond)},
@@ -517,7 +517,7 @@ func tenantQuota() *Spec {
 		Load: LoadSpec{LoadConfig: server.LoadConfig{
 			Conns: 4, Pipeline: 4, Requests: 192,
 			SetPercent: 40, Keys: 96, ValueSize: 32,
-			Tenants: 2, Auth: true, CrossCheckEvery: 8,
+			Tenants: 2, CrossCheckEvery: 8,
 		}},
 		Invariants: Invariants{Counters: map[string]Bound{
 			"load.quota_rejected":      atLeast(1),

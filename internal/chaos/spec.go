@@ -408,17 +408,8 @@ func (s *Spec) Validate() error {
 	nodes := clCfg.Nodes
 	localNode := func(i int) bool { return clCfg.Mode.Local(i, clCfg) }
 
-	if s.Load.Tenants < 0 {
-		return specErr(-1, fmt.Sprintf("load.tenants: negative (%d)", s.Load.Tenants), ErrBadSpec)
-	}
-	if err := s.Load.CheckMix(); err != nil {
+	if err := s.Load.Check(); err != nil {
 		return specErr(-1, err.Error(), ErrBadSpec)
-	}
-	if s.Load.Auth && s.Load.Tenants == 0 {
-		return specErr(-1, "load.auth: requires load.tenants > 0", ErrBadSpec)
-	}
-	if s.Load.CrossCheckEvery > 0 && (!s.Load.Auth || s.Load.Tenants < 2) {
-		return specErr(-1, "load.cross_check_every: probes need auth and at least two tenants", ErrBadSpec)
 	}
 	if s.Load.StaleReads && !s.Cluster.FollowerReads {
 		return specErr(-1, "load.stale_reads: requires cluster.follower_reads", ErrBadSpec)
@@ -426,8 +417,8 @@ func (s *Spec) Validate() error {
 	if s.Load.StaleBound < 0 {
 		return specErr(-1, fmt.Sprintf("load.stale_bound: negative (%v)", time.Duration(s.Load.StaleBound)), ErrBadDuration)
 	}
-	if (s.Load.StaleBound != 0 || s.Load.StaleCheckEvery != 0) && !s.Load.StaleReads {
-		return specErr(-1, "load.stale_bound/stale_check_every: need load.stale_reads", ErrBadSpec)
+	if s.Load.StaleBound != 0 && !s.Load.StaleReads {
+		return specErr(-1, "load.stale_bound: needs load.stale_reads", ErrBadSpec)
 	}
 	if s.Cluster.Deadline < 0 {
 		return specErr(-1, fmt.Sprintf("cluster.deadline: negative (%v)", time.Duration(s.Cluster.Deadline)), ErrBadDuration)

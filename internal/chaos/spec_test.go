@@ -64,10 +64,17 @@ func TestParseSpecErrors(t *testing.T) {
 		{"removed queue_watermark", `{"name": "x", "cluster": {"replicate": true, "queue_watermark": 8}}`, ErrBadSpec},
 		{"removed degraded_reads", `{"name": "x", "cluster": {"replicate": true, "degraded_reads": true}}`, ErrBadSpec},
 		{"removed slots", `{"name": "x", "cluster": {"slots": 256}}`, ErrBadSpec},
+		{"removed auth", `{"name": "x", "load": {"tenants": 2, "auth": true}}`, ErrBadSpec},
+		{"removed stale_check_every", `{"name": "x", "cluster": {"follower_reads": true}, "load": {"stale_reads": true, "stale_check_every": 8}}`, ErrBadSpec},
 		{"trailing data", `{"name": "x"} {"name": "y"}`, ErrBadSpec},
 		// A load mix out of range is refused, not quietly replaced.
 		{"set percent past 100", `{"name": "x", "load": {"set_percent": 150}}`, ErrBadSpec},
 		{"set and mget past 100", `{"name": "x", "load": {"set_percent": 60, "mget_percent": 50}}`, ErrBadSpec},
+		// As is a negative load count, which would otherwise run on its default,
+		{"negative load conns", `{"name": "x", "load": {"conns": -5}}`, ErrBadSpec},
+		{"negative load tenants", `{"name": "x", "load": {"tenants": -2}}`, ErrBadSpec},
+		// and cross-tenant probes with no second tenant to probe.
+		{"cross checks on one tenant", `{"name": "x", "load": {"tenants": 1, "cross_check_every": 8}}`, ErrBadSpec},
 		// So is a cluster's co-resident node count.
 		{"locals past the node count", `{"name": "x", "cluster": {"nodes": 3, "locals": 5}}`, ErrBadSpec},
 		{"locals past the default node count", `{"name": "x", "cluster": {"locals": 4}}`, ErrBadSpec},

@@ -50,24 +50,23 @@ type LoadConfig struct {
 	// server.accept — while still holding the run to zero verification
 	// failures.
 	Reconnect bool `json:"reconnect,omitempty"`
-	// Tenants with Auth runs the load multi-tenant against a server booted
-	// with a demo registry: connection i authenticates as demo tenant
-	// i%Tenants (re-authenticating after every redial) and works its own
-	// view of the keyspace. Values are derived from the tenant-qualified
-	// key, so per-tenant keyspaces verify independently and any cross-view
-	// bleed is a value mismatch, not a silent match.
-	Tenants int  `json:"tenants,omitempty"`
-	Auth    bool `json:"auth,omitempty"`
+	// Tenants runs the load multi-tenant against a server booted with a
+	// demo registry: connection i authenticates as demo tenant i%Tenants
+	// (re-authenticating after every redial) and works its own view of the
+	// keyspace. Values are derived from the tenant-qualified key, so
+	// per-tenant keyspaces verify independently and any cross-view bleed is a
+	// value mismatch, not a silent match.
+	Tenants int `json:"tenants,omitempty"`
 	// CrossCheckEvery replaces every n'th command on a connection with a
 	// probe GET explicitly addressed at another tenant's view. The only
 	// correct answer is a -NOPERM denial; any other reply — nil included —
 	// means the capability check did not fire and counts as a cross-tenant
 	// leak (and a mismatch). 0 takes the default (32); <0 disables probes.
-	// Probes need Auth and at least two tenants.
+	// Probes need at least two tenants.
 	CrossCheckEvery int `json:"cross_check_every,omitempty"`
 	// StaleReads opts every connection into follower reads (READONLY is
-	// sent after each (re)dial, after AUTH) and interleaves staleness
-	// probes into the mix: each connection owns one probe key it SETs with
+	// sent after each (re)dial, after AUTH) and makes every 8th command a
+	// staleness probe: each connection owns one probe key it SETs with
 	// monotonically versioned values, and each probe GET must come back as
 	// either a version no older than StaleBound or the typed -STALE
 	// refusal. A version older than the bound served without -STALE is a
@@ -79,9 +78,6 @@ type LoadConfig struct {
 	// only counted when a probe returns a version superseded earlier than
 	// this long ago. 0 defaults to 1s.
 	StaleBound time.Duration `json:"-"`
-	// StaleCheckEvery issues a probe (alternating SET and GET) every n'th
-	// command on stale-read runs. 0 takes the default (8); <0 disables.
-	StaleCheckEvery int `json:"stale_check_every,omitempty"`
 	// Deadline sets a per-command deadline budget on every connection: the
 	// DEADLINE <ms> prefix command is sent after each (re)dial, so every
 	// subsequent command carries the budget and an overloaded server
@@ -91,48 +87,51 @@ type LoadConfig struct {
 	Deadline time.Duration `json:"-"`
 }
 
-// CheckMix refuses a mix that cannot be drawn: SetPercent or MGetPercent
-// outside 0..100, or the two summing past 100.
-func (c LoadConfig) CheckMix() error {
+// Check refuses a config the load cannot run as written instead of quietly
+// running another: SetPercent or MGetPercent outside 0..100 or the two summing
+// past 100, a negative count or duration (0 takes the default; only
+// CrossCheckEvery gives a negative value a meaning, "disabled"), and
+// cross-tenant probes without two tenants to probe between.
+func (c LoadConfig) Check() error {
 	if c.SetPercent < 0 || c.MGetPercent < 0 || c.SetPercent+c.MGetPercent > 100 {
 		return fmt.Errorf("load mix: set_percent %d, mget_percent %d: each 0..100, together at most 100", c.SetPercent, c.MGetPercent)
+	}
+	for _, f := range []struct {
+		name     string
+		negative bool
+		v        any
+	}{
+		{"conns", c.Conns < 0, c.Conns}, {"pipeline", c.Pipeline < 0, c.Pipeline},
+		{"requests", c.Requests < 0, c.Requests}, {"mget_keys", c.MGetKeys < 0, c.MGetKeys},
+		{"keys", c.Keys < 0, c.Keys}, {"value_size", c.ValueSize < 0, c.ValueSize},
+		{"tenants", c.Tenants < 0, c.Tenants},
+		{"stale_bound", c.StaleBound < 0, c.StaleBound}, {"deadline", c.Deadline < 0, c.Deadline},
+	} {
+		if f.negative {
+			return fmt.Errorf("load %s: negative (%v)", f.name, f.v)
+		}
+	}
+	if c.CrossCheckEvery > 0 && c.Tenants < 2 {
+		return fmt.Errorf("load cross_check_every: probes need at least two tenants, not %d", c.Tenants)
 	}
 	return nil
 }
 
+// withDefaults gives every knob left at 0 its default.
 func (c LoadConfig) withDefaults() LoadConfig {
-	if c.Conns <= 0 {
-		c.Conns = 64
-	}
-	if c.Pipeline <= 0 {
-		c.Pipeline = 8
-	}
-	if c.Requests <= 0 {
-		c.Requests = 256
-	}
-	if c.MGetKeys <= 0 {
-		c.MGetKeys = 4
-	}
-	if c.Keys <= 0 {
-		c.Keys = 512
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 64
+	for _, d := range []struct {
+		knob *int
+		def  int
+	}{{&c.Conns, 64}, {&c.Pipeline, 8}, {&c.Requests, 256}, {&c.MGetKeys, 4}, {&c.Keys, 512}, {&c.ValueSize, 64}, {&c.CrossCheckEvery, 32}} {
+		if *d.knob == 0 {
+			*d.knob = d.def
+		}
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Tenants < 0 {
-		c.Tenants = 0
-	}
-	if c.CrossCheckEvery == 0 {
-		c.CrossCheckEvery = 32
-	}
-	if c.StaleBound <= 0 {
+	if c.StaleBound == 0 {
 		c.StaleBound = time.Second
-	}
-	if c.StaleCheckEvery == 0 {
-		c.StaleCheckEvery = 8
 	}
 	return c
 }
@@ -193,414 +192,375 @@ func (r *LoadResult) Throughput() float64 {
 	return float64(r.Commands) / r.Elapsed.Seconds()
 }
 
-// ValueFor returns the deterministic value stored under key: binary bytes
-// (embedded CRLF and NUL included) padded to size.
-func ValueFor(key string, size int) []byte {
-	pattern := []byte("\r\n\x00\xff" + key + "|")
-	out := make([]byte, size)
-	for i := range out {
-		out[i] = pattern[i%len(pattern)]
-	}
-	return out
-}
-
-// StaleProbeValue encodes version seq of a staleness probe: a
+// staleProbeValue encodes version seq of a staleness probe: a
 // self-identifying header the verifier parses back, padded to size with the
 // same binary pattern ordinary values use.
-func StaleProbeValue(seq uint64, size int) []byte {
-	hdr := fmt.Sprintf("stale|%d|", seq)
-	if size < len(hdr) {
-		return []byte(hdr)
-	}
-	out := make([]byte, size)
-	copy(out, hdr)
-	pad := []byte("\r\n\x00\xff")
-	for i := len(hdr); i < size; i++ {
-		out[i] = pad[(i-len(hdr))%len(pad)]
+func staleProbeValue(seq uint64, size int) []byte {
+	out := fmt.Appendf(nil, "stale|%d|", seq)
+	for i := 0; len(out) < size; i++ {
+		out = append(out, "\r\n\x00\xff"[i%4])
 	}
 	return out
 }
 
-// ParseStaleProbe recovers the version from a probe value.
-func ParseStaleProbe(val []byte) (uint64, bool) {
-	rest, ok := bytes.CutPrefix(val, []byte("stale|"))
-	if !ok {
+// parseStaleProbe recovers the version from a probe value.
+func parseStaleProbe(val []byte) (uint64, bool) {
+	rest, probe := bytes.CutPrefix(val, []byte("stale|"))
+	digits, _, ended := bytes.Cut(rest, []byte("|"))
+	if !probe || !ended {
 		return 0, false
 	}
-	end := bytes.IndexByte(rest, '|')
-	if end <= 0 {
-		return 0, false
-	}
-	var seq uint64
-	for _, c := range rest[:end] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		seq = seq*10 + uint64(c-'0')
-	}
-	return seq, true
+	seq, err := strconv.ParseUint(string(digits), 10, 64)
+	return seq, err == nil
 }
 
 // RunLoad drives the server at cfg.Addr and blocks until every connection
 // finishes its quota. Transport-level failures abort the run with an error
 // unless cfg.Reconnect is set, in which case the connection redials and
 // works through its remaining quota; error *replies* (busy, OOM) are
-// counted, not fatal either way. A mix CheckMix refuses is an error before
+// counted, not fatal either way. A config Check refuses is an error before
 // anything dials.
 func RunLoad(cfg LoadConfig) (*LoadResult, error) {
-	if err := cfg.CheckMix(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	res := &LoadResult{}
-	var commands, gets, sets, mgets, busy, errCount, mismatches, disconnects atomic.Uint64
-	var quotaRejected, crossDenied, crossLeaks atomic.Uint64
-	var staleProbes, staleRejected, staleViolations atomic.Uint64
 	var lat stats.Hist
-
 	errs := make([]error, cfg.Conns)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i := 0; i < cfg.Conns; i++ {
+	for i := range cfg.Conns {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
-
-			// Tenant identity: connection i works as demo tenant i%N. The
-			// expected value of a key is derived from its tenant-qualified
-			// form, so every tenant's keyspace verifies independently.
-			var tid, secret, probeTarget string
-			if cfg.Auth && cfg.Tenants > 0 {
-				tid = tenant.DemoID(i % cfg.Tenants)
-				secret = tenant.DemoSecret(i % cfg.Tenants)
-				if cfg.Tenants > 1 {
-					probeTarget = tenant.DemoID((i + 1) % cfg.Tenants)
-				}
-			}
-			valKey := func(key string) string {
-				if tid == "" {
-					return key
-				}
-				return redis.TenantKey(tid, key)
-			}
-
-			var nc net.Conn
-			var br *bufio.Reader
-			var bw *bufio.Writer
-			defer func() {
-				if nc != nil {
-					nc.Close()
-				}
-			}()
-			// fail handles a transport-level failure: without Reconnect it
-			// records the error and aborts this connection's run; with it,
-			// the connection is abandoned (any unread in-flight replies with
-			// it), the disconnect is counted, and the caller retries on a
-			// fresh dial. The retry cap keeps a hard-down server from
-			// spinning forever.
-			const maxReconnects = 256
-			reconnects := 0
-			fail := func(err error) bool {
-				if nc != nil {
-					nc.Close()
-					nc = nil
-				}
-				if !cfg.Reconnect || reconnects >= maxReconnects {
-					errs[i] = err
-					return false
-				}
-				reconnects++
-				disconnects.Add(1)
-				time.Sleep(2 * time.Millisecond)
-				return true
-			}
-
-			const (
-				opGet = iota
-				opSet
-				opMGet
-				opProbe    // GET explicitly addressed at another tenant's view
-				opStaleSet // versioned write to this connection's staleness probe key
-				opStaleGet // read of the probe key: fresh version, bounded-old version, or -STALE
-			)
-			type sent struct {
-				op   int
-				keys []string // one key for GET/SET, several for MGET
-				seq  uint64   // probe version (opStaleSet)
-				at   time.Time
-			}
-			batch := make([]sent, 0, cfg.Pipeline)
-			issued := 0
-
-			// Staleness-probe state: this connection is the only writer of
-			// its probe key, so acked versions totally order what any view of
-			// the key may still legally serve. probeCommits holds acked
-			// writes young enough to be servable; older ones fold into
-			// floorSeq — the newest version every in-bound view must include.
-			type probeCommit struct {
-				seq uint64
-				at  time.Time
-			}
-			probeKey := fmt.Sprintf("stale.c%03d", i)
-			var probeCommits []probeCommit
-			var probeSeq, floorSeq uint64
-			probeWrite := true
-			// owed is what the connection owes the server after every
-			// (re)dial, in this order, before any data command: the tenant
-			// identity (a dial starts unauthenticated), the follower-read
-			// opt-in and the deadline budget are all per-connection state, so
-			// a redial re-issues them as a client library would. what
-			// prefixes the error when the server refuses one.
-			type prefix struct {
-				what string
-				wire []byte
-			}
-			var owed []prefix
-			if tid != "" {
-				owed = append(owed, prefix{"auth " + tid, redis.EncodeCommand("AUTH", tid, secret)})
-			}
-			if cfg.StaleReads {
-				owed = append(owed, prefix{"readonly", redis.EncodeCommand("READONLY")})
-			}
-			if cfg.Deadline > 0 {
-				ms := max(cfg.Deadline.Milliseconds(), 1)
-				owed = append(owed, prefix{"deadline", redis.EncodeCommand("DEADLINE", strconv.FormatInt(ms, 10))})
-			}
-		requests:
-			for remaining := cfg.Requests; remaining > 0; {
-				if nc == nil {
-					c, err := net.Dial("tcp", cfg.Addr)
-					if err != nil {
-						if fail(err) {
-							continue
-						}
-						return
-					}
-					// The server's buffer size: a pipeline leaves in one write.
-					nc, br, bw = c, bufio.NewReaderSize(c, ConnBufSize), bufio.NewWriterSize(c, ConnBufSize)
-					for _, p := range owed {
-						_, err := nc.Write(p.wire)
-						if err == nil {
-							_, _, err = redis.ReadReply(br)
-						}
-						if err == nil {
-							continue
-						}
-						if errors.As(err, new(redis.ReplyError)) {
-							// A refusal — rejected credentials, say — is a
-							// configuration error; redialing cannot help.
-							errs[i] = fmt.Errorf("%s: %w", p.what, err)
-							return
-						}
-						if fail(err) {
-							continue requests
-						}
-						return
-					}
-				}
-				n := cfg.Pipeline
-				if n > remaining {
-					n = remaining
-				}
-				batch = batch[:0]
-				writeErr := error(nil)
-				for j := 0; j < n; j++ {
-					draw := rng.Intn(100)
-					issued++
-					var s sent
-					var cmd []byte
-					switch {
-					case cfg.StaleReads && cfg.StaleCheckEvery > 0 && issued%cfg.StaleCheckEvery == 0:
-						if probeWrite {
-							probeSeq++
-							s = sent{op: opStaleSet, keys: []string{probeKey}, seq: probeSeq}
-							cmd = redis.EncodeCommand("SET", probeKey, string(StaleProbeValue(probeSeq, cfg.ValueSize)))
-						} else {
-							s = sent{op: opStaleGet, keys: []string{probeKey}}
-							cmd = redis.EncodeCommand("GET", probeKey)
-						}
-						probeWrite = !probeWrite
-					case probeTarget != "" && cfg.CrossCheckEvery > 0 && issued%cfg.CrossCheckEvery == 0:
-						key := redis.TenantKey(probeTarget, fmt.Sprintf("k%06d", rng.Intn(cfg.Keys)))
-						s = sent{op: opProbe, keys: []string{key}}
-						cmd = redis.EncodeCommand("GET", key)
-					case draw < cfg.SetPercent:
-						key := fmt.Sprintf("k%06d", rng.Intn(cfg.Keys))
-						s = sent{op: opSet, keys: []string{key}}
-						cmd = redis.EncodeCommand("SET", key, string(ValueFor(valKey(key), cfg.ValueSize)))
-					case draw < cfg.SetPercent+cfg.MGetPercent:
-						keys := make([]string, cfg.MGetKeys)
-						for k := range keys {
-							keys[k] = fmt.Sprintf("k%06d", rng.Intn(cfg.Keys))
-						}
-						s = sent{op: opMGet, keys: keys}
-						cmd = redis.EncodeCommand(append([]string{"MGET"}, keys...)...)
-					default:
-						key := fmt.Sprintf("k%06d", rng.Intn(cfg.Keys))
-						s = sent{op: opGet, keys: []string{key}}
-						cmd = redis.EncodeCommand("GET", key)
-					}
-					if _, err := bw.Write(cmd); err != nil {
-						writeErr = err
-						break
-					}
-					s.at = time.Now()
-					batch = append(batch, s)
-				}
-				if writeErr == nil {
-					writeErr = bw.Flush()
-				}
-				if writeErr != nil {
-					// Nothing from this batch was consumed; a reconnect
-					// retries the full remaining quota (with fresh draws —
-					// values are functions of their key, so verification
-					// does not care which commands land).
-					if fail(writeErr) {
-						continue
-					}
-					return
-				}
-				consumed := 0
-				var transportErr error
-				for _, s := range batch {
-					var err error
-					if s.op == opMGet {
-						var vals [][]byte
-						var nils []bool
-						vals, nils, err = redis.ReadArrayReply(br)
-						if err == nil {
-							if len(vals) != len(s.keys) {
-								mismatches.Add(1)
-							} else {
-								for k := range vals {
-									if !nils[k] && !bytes.Equal(vals[k], ValueFor(valKey(s.keys[k]), cfg.ValueSize)) {
-										mismatches.Add(1)
-									}
-								}
-							}
-						}
-					} else {
-						var val []byte
-						var isNil bool
-						val, isNil, err = redis.ReadReply(br)
-						if err == nil && s.op == opGet && !isNil && !bytes.Equal(val, ValueFor(valKey(s.keys[0]), cfg.ValueSize)) {
-							mismatches.Add(1)
-						}
-						if err == nil && s.op == opStaleGet {
-							// Any version at or past the floor (the newest
-							// write acked longer than the bound ago) is a
-							// legal bounded-stale answer; older than that,
-							// the server should have said -STALE instead.
-							staleProbes.Add(1)
-							now := time.Now()
-							for len(probeCommits) > 0 && now.Sub(probeCommits[0].at) > cfg.StaleBound {
-								if probeCommits[0].seq > floorSeq {
-									floorSeq = probeCommits[0].seq
-								}
-								probeCommits = probeCommits[1:]
-							}
-							switch seq, ok := ParseStaleProbe(val); {
-							case isNil:
-								if floorSeq > 0 {
-									staleViolations.Add(1)
-								}
-							case !ok:
-								mismatches.Add(1)
-							case seq < floorSeq:
-								staleViolations.Add(1)
-							}
-						}
-					}
-					var reply redis.ReplyError
-					switch {
-					case errors.As(err, &reply):
-						// Typed retryable refusals (-BUSY backpressure,
-						// -SHARDTIMEOUT mid-failover) count as busy;
-						// -QUOTA, -STALE, and a probe's expected -NOPERM
-						// have their own buckets; anything else is a hard
-						// error.
-						switch {
-						case s.op == opProbe && errors.Is(reply, redis.ErrNoPerm):
-							crossDenied.Add(1)
-						case errors.Is(reply, redis.ErrQuota):
-							quotaRejected.Add(1)
-						case errors.Is(reply, redis.ErrStale):
-							// The honest refusal of a follower read past the
-							// bound — the explicit alternative to serving a
-							// too-old value.
-							staleRejected.Add(1)
-						case redis.IsRetryableReply(reply):
-							busy.Add(1)
-						default:
-							errCount.Add(1)
-						}
-					case err != nil:
-						transportErr = err
-					default:
-						if s.op == opProbe {
-							// The store answered a cross-view address — the
-							// capability check did not fire. Nil or not,
-							// this is an isolation failure.
-							crossLeaks.Add(1)
-							mismatches.Add(1)
-						}
-						if s.op == opStaleSet {
-							// Acked: from now on every in-bound view must
-							// eventually include this version. The ack time
-							// is read after the reply, which only overstates
-							// the commit's age tolerance — never a false
-							// violation.
-							probeCommits = append(probeCommits, probeCommit{seq: s.seq, at: time.Now()})
-						}
-					}
-					if transportErr != nil {
-						break
-					}
-					lat.Observe(uint64(time.Since(s.at).Nanoseconds()))
-					commands.Add(1)
-					consumed++
-					switch s.op {
-					case opGet, opStaleGet:
-						gets.Add(1)
-					case opSet, opStaleSet:
-						sets.Add(1)
-					case opMGet:
-						mgets.Add(1)
-					}
-				}
-				remaining -= consumed
-				if transportErr != nil {
-					if fail(transportErr) {
-						continue
-					}
-					return
-				}
-			}
-			// Polite goodbye; the +OK confirms the server saw it.
-			if nc != nil {
-				if _, err := nc.Write(redis.EncodeCommand("QUIT")); err == nil {
-					redis.ReadReply(br)
-				}
-			}
-		}(i)
+			errs[i] = newLoadConn(&cfg, i, res, &lat).run()
+		}()
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
-	res.Commands = commands.Load()
-	res.Gets = gets.Load()
-	res.Sets = sets.Load()
-	res.MGets = mgets.Load()
-	res.Busy = busy.Load()
-	res.Errors = errCount.Load()
-	res.Mismatches = mismatches.Load()
-	res.Disconnects = disconnects.Load()
-	res.QuotaRejected = quotaRejected.Load()
-	res.CrossDenied = crossDenied.Load()
-	res.CrossLeaks = crossLeaks.Load()
-	res.StaleProbes = staleProbes.Load()
-	res.StaleRejected = staleRejected.Load()
-	res.StaleViolations = staleViolations.Load()
 	res.Latency = lat.Snap()
 	return res, errors.Join(errs...)
+}
+
+// What a connection sends. A probe is a GET explicitly addressed at another
+// tenant's view; a stale SET writes the next version of the connection's
+// staleness probe key, and a stale GET reads it back.
+const (
+	opGet = iota
+	opSet
+	opMGet
+	opProbe
+	opStaleSet
+	opStaleGet
+)
+
+const (
+	staleCheckEvery = 8   // a stale-read run probes every 8th command
+	maxReconnects   = 256 // a connection's redials: a hard-down server cannot spin a run forever
+)
+
+// sent is a command in flight, with what its reply is judged against.
+type sent struct {
+	op   int
+	keys []string // one key for GET/SET, several for MGET
+	seq  uint64   // probe version (opStaleSet)
+	at   time.Time
+}
+
+// loadConn is one verifying connection of a load run: it draws its commands
+// from its own generator, keeps a pipeline of them in flight, and judges each
+// reply into the run's shared result.
+type loadConn struct {
+	cfg *LoadConfig
+	res *LoadResult // counted with atomic adds: every connection writes it
+	lat *stats.Hist
+	rng *rand.Rand
+
+	// tenant is the demo tenant the connection works as ("" single-tenant)
+	// and probeTarget the one whose view its cross-checks address.
+	tenant, probeTarget string
+	// owed is what the connection owes the server after every (re)dial, in
+	// this order, before any data command: the tenant identity (a dial
+	// starts unauthenticated), the follower-read opt-in and the deadline
+	// budget are all per-connection state, so a redial re-issues them as a
+	// client library would.
+	owed [][]string
+
+	nc         net.Conn
+	br         *bufio.Reader
+	bw         *bufio.Writer
+	reconnects int
+	issued     int // commands drawn so far
+	batch      []sent
+
+	// Staleness-probe state: the connection is the only writer of its
+	// probe key, so acked versions totally order what any view of the key
+	// may still legally serve. commits holds acked writes (at their ack
+	// time) young enough to be servable; older ones fold into floorSeq — the
+	// newest version every in-bound view must include.
+	probeKey           string
+	probeSeq, floorSeq uint64
+	commits            []sent
+}
+
+func newLoadConn(cfg *LoadConfig, i int, res *LoadResult, lat *stats.Hist) *loadConn {
+	c := &loadConn{cfg: cfg, res: res, lat: lat, rng: rand.New(rand.NewSource(cfg.Seed + int64(i))),
+		probeKey: fmt.Sprintf("stale.c%03d", i)}
+	if cfg.Tenants > 0 {
+		c.tenant = tenant.DemoID(i % cfg.Tenants)
+		c.owed = append(c.owed, []string{"AUTH", c.tenant, tenant.DemoSecret(i % cfg.Tenants)})
+		if cfg.Tenants > 1 {
+			c.probeTarget = tenant.DemoID((i + 1) % cfg.Tenants)
+		}
+	}
+	if cfg.StaleReads {
+		c.owed = append(c.owed, []string{"READONLY"})
+	}
+	if cfg.Deadline > 0 {
+		c.owed = append(c.owed, []string{"DEADLINE", strconv.FormatInt(max(cfg.Deadline.Milliseconds(), 1), 10)})
+	}
+	return c
+}
+
+// run works through the connection's quota, one pipeline at a time, and says
+// goodbye; it returns what ended the connection early, if anything did.
+func (c *loadConn) run() error {
+	defer c.close()
+	for remaining := c.cfg.Requests; remaining > 0; {
+		err := c.dial()
+		if err == nil {
+			var n int
+			n, err = c.exchange(min(c.cfg.Pipeline, remaining))
+			remaining -= n
+		}
+		if err != nil && !c.redial(err) {
+			return err
+		}
+	}
+	// Polite goodbye; the +OK confirms the server saw it.
+	if _, err := c.nc.Write(redis.EncodeCommand("QUIT")); err == nil {
+		redis.ReadReply(c.br)
+	}
+	return nil
+}
+
+// dial connects, unless connected, and pays what the connection owes. The
+// error names the owed command the server refused or cut short.
+func (c *loadConn) dial() error {
+	if c.nc != nil {
+		return nil
+	}
+	nc, err := net.Dial("tcp", c.cfg.Addr)
+	if err != nil {
+		return err
+	}
+	// The server's buffer size: a pipeline leaves in one write.
+	c.nc, c.br, c.bw = nc, bufio.NewReaderSize(nc, ConnBufSize), bufio.NewWriterSize(nc, ConnBufSize)
+	for _, args := range c.owed {
+		_, err := nc.Write(redis.EncodeCommand(args...))
+		if err == nil {
+			_, _, err = redis.ReadReply(c.br)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", args[0], err)
+		}
+	}
+	return nil
+}
+
+// redial drops the connection after err, with any replies still unread, and
+// reports whether the run goes on over a fresh dial: only with Reconnect,
+// under the redial cap, and never after a refusal of what the connection owes
+// (rejected credentials, say), a configuration error no redial can help.
+func (c *loadConn) redial(err error) bool {
+	c.close()
+	if !c.cfg.Reconnect || c.reconnects >= maxReconnects || errors.As(err, new(redis.ReplyError)) {
+		return false
+	}
+	c.reconnects++
+	atomic.AddUint64(&c.res.Disconnects, 1)
+	time.Sleep(2 * time.Millisecond)
+	return true
+}
+
+func (c *loadConn) close() {
+	if c.nc != nil {
+		c.nc.Close()
+		c.nc = nil
+	}
+}
+
+// exchange sends the next n commands in one write and judges their replies
+// in order. It returns how many were judged and the transport error that cut
+// the pipeline short, if any; a reconnect draws afresh for the rest of the
+// quota, since values are functions of their key and verification does not
+// care which commands land.
+func (c *loadConn) exchange(n int) (int, error) {
+	c.batch = c.batch[:0]
+	for range n {
+		s, cmd := c.draw()
+		if _, err := c.bw.Write(cmd); err != nil {
+			return 0, err
+		}
+		s.at = time.Now()
+		c.batch = append(c.batch, s)
+	}
+	if err := c.bw.Flush(); err != nil {
+		return 0, err
+	}
+	for i := range c.batch {
+		if err := c.judge(&c.batch[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(c.batch), nil
+}
+
+// draw picks the next command and renders it. Every command takes one draw
+// from the connection's generator whatever it turns out to be, and its keys
+// take the draws after that, so a seed always replays the same commands.
+func (c *loadConn) draw() (sent, []byte) {
+	d := c.rng.Intn(100)
+	c.issued++
+	cfg := c.cfg
+	switch {
+	case cfg.StaleReads && c.issued%staleCheckEvery == 0:
+		if c.issued/staleCheckEvery%2 == 1 {
+			c.probeSeq++
+			return sent{op: opStaleSet, keys: []string{c.probeKey}, seq: c.probeSeq},
+				redis.EncodeCommand("SET", c.probeKey, string(staleProbeValue(c.probeSeq, cfg.ValueSize)))
+		}
+		return sent{op: opStaleGet, keys: []string{c.probeKey}}, redis.EncodeCommand("GET", c.probeKey)
+	case c.probeTarget != "" && cfg.CrossCheckEvery > 0 && c.issued%cfg.CrossCheckEvery == 0:
+		key := redis.TenantKey(c.probeTarget, c.key())
+		return sent{op: opProbe, keys: []string{key}}, redis.EncodeCommand("GET", key)
+	case d < cfg.SetPercent:
+		key := c.key()
+		return sent{op: opSet, keys: []string{key}}, redis.EncodeCommand("SET", key, string(c.value(key)))
+	case d < cfg.SetPercent+cfg.MGetPercent:
+		keys := make([]string, cfg.MGetKeys)
+		for k := range keys {
+			keys[k] = c.key()
+		}
+		return sent{op: opMGet, keys: keys}, redis.EncodeCommand(append([]string{"MGET"}, keys...)...)
+	}
+	key := c.key()
+	return sent{op: opGet, keys: []string{key}}, redis.EncodeCommand("GET", key)
+}
+
+func (c *loadConn) key() string { return fmt.Sprintf("k%06d", c.rng.Intn(c.cfg.Keys)) }
+
+// value is what key holds in the connection's view: binary bytes (embedded
+// CRLF and NUL included) drawn from the tenant-qualified key, so every
+// tenant's keyspace verifies independently, padded to ValueSize.
+func (c *loadConn) value(key string) []byte {
+	if c.tenant != "" {
+		key = redis.TenantKey(c.tenant, key)
+	}
+	pattern := "\r\n\x00\xff" + key + "|"
+	out := make([]byte, c.cfg.ValueSize)
+	for i := range out {
+		out[i] = pattern[i%len(pattern)]
+	}
+	return out
+}
+
+// judge reads the reply to s and counts what it earned: the command, its kind,
+// the buckets its outcome lands in, and its values that did not verify. It is
+// the one place a reply is classified, and every counter of the result but
+// Disconnects grows here and nowhere else. A transport error is returned and
+// counts nothing.
+func (c *loadConn) judge(s *sent) error {
+	vals, nils, err := c.read(s.op)
+	r := c.res
+	earned := make([]*uint64, 0, 4)
+	earned = append(earned, &r.Commands, [...]*uint64{opGet: &r.Gets, opStaleGet: &r.Gets,
+		opSet: &r.Sets, opStaleSet: &r.Sets, opMGet: &r.MGets}[s.op])
+	var bad uint64 // values that did not verify
+	var refusal redis.ReplyError
+	switch {
+	case errors.As(err, &refusal):
+		earned = append(earned, c.refused(s.op, refusal))
+	case err != nil:
+		return err
+	case s.op == opProbe:
+		// The store answered a cross-view address — the capability check
+		// did not fire. Nil or not, this is an isolation failure.
+		earned, bad = append(earned, &r.CrossLeaks), 1
+	case s.op == opStaleGet:
+		earned = append(earned, &r.StaleProbes)
+		if violated, wrong := c.stale(vals[0], nils[0]); violated {
+			earned = append(earned, &r.StaleViolations)
+		} else if wrong {
+			bad = 1
+		}
+	case s.op == opStaleSet:
+		// Acked: from now on every in-bound view must eventually include
+		// this version. The ack time is read after the reply, which only
+		// overstates the commit's age tolerance — never a false violation.
+		c.commits = append(c.commits, sent{seq: s.seq, at: time.Now()})
+	case s.op == opSet: // an ack carries nothing to verify
+	case len(vals) != len(s.keys):
+		bad = 1
+	default:
+		for k, val := range vals {
+			if !nils[k] && !bytes.Equal(val, c.value(s.keys[k])) {
+				bad++
+			}
+		}
+	}
+	c.lat.Observe(uint64(time.Since(s.at).Nanoseconds()))
+	for _, ctr := range earned {
+		if ctr != nil {
+			atomic.AddUint64(ctr, 1)
+		}
+	}
+	atomic.AddUint64(&r.Mismatches, bad)
+	return nil
+}
+
+// read reads the reply to a command of kind op: an MGET's array, or one value.
+func (c *loadConn) read(op int) ([][]byte, []bool, error) {
+	if op == opMGet {
+		return redis.ReadArrayReply(c.br)
+	}
+	val, isNil, err := redis.ReadReply(c.br)
+	return [][]byte{val}, []bool{isNil}, err
+}
+
+// refused sorts a refusal into its bucket: typed retryable refusals (-BUSY
+// backpressure, -SHARDTIMEOUT mid-failover, -DEADLINE) are busy; -QUOTA,
+// -STALE — the honest refusal of a follower read past the bound — and a
+// probe's expected -NOPERM have their own; anything else is a hard error.
+func (c *loadConn) refused(op int, reply redis.ReplyError) *uint64 {
+	switch {
+	case op == opProbe && errors.Is(reply, redis.ErrNoPerm):
+		return &c.res.CrossDenied
+	case errors.Is(reply, redis.ErrQuota):
+		return &c.res.QuotaRejected
+	case errors.Is(reply, redis.ErrStale):
+		return &c.res.StaleRejected
+	case redis.IsRetryableReply(reply):
+		return &c.res.Busy
+	}
+	return &c.res.Errors
+}
+
+// stale judges a probe GET's answer: any version at or past the floor (the
+// newest write acked longer than the bound ago) is a legal bounded-stale
+// answer; an older one, nil included (version 0: the key unwritten), should
+// have been a -STALE refusal instead. A value that is no probe version is
+// wrong.
+func (c *loadConn) stale(val []byte, isNil bool) (violated, wrong bool) {
+	now := time.Now()
+	for len(c.commits) > 0 && now.Sub(c.commits[0].at) > c.cfg.StaleBound {
+		c.floorSeq = max(c.floorSeq, c.commits[0].seq)
+		c.commits = c.commits[1:]
+	}
+	seq, ok := parseStaleProbe(val)
+	if !ok && !isNil {
+		return false, true
+	}
+	return seq < c.floorSeq, false
 }

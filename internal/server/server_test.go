@@ -153,16 +153,40 @@ func TestServerProtocolErrorReply(t *testing.T) {
 	}
 }
 
-// TestRunLoadRefusesBadMix: a mix out of range is an error before the load
-// dials, not a quietly different mix — the server accepts no connection.
+// TestRunLoadRefusesBadMix: a config out of range — a mix, a negative count
+// or duration, cross-tenant probes without two tenants — is an error before
+// the load dials, not a quietly different load: the server accepts no
+// connection.
 func TestRunLoadRefusesBadMix(t *testing.T) {
 	sys := newSystem(t, nil)
 	_, srv := serve(t, sys, 1, 128, server.Config{})
-	for _, mix := range [][2]int{{150, 0}, {-1, 0}, {60, 50}, {20, -5}} {
-		cfg := server.LoadConfig{Addr: srv.Addr().String(), SetPercent: mix[0], MGetPercent: mix[1]}
-		if _, err := server.RunLoad(cfg); err == nil || !strings.Contains(err.Error(), "load mix") {
-			t.Errorf("set %d%%, mget %d%%: RunLoad returned %v, want the mix refused", mix[0], mix[1], err)
+	for _, tc := range []struct {
+		cfg  server.LoadConfig
+		want string
+	}{
+		{server.LoadConfig{SetPercent: 150}, "load mix"},
+		{server.LoadConfig{SetPercent: -1}, "load mix"},
+		{server.LoadConfig{SetPercent: 60, MGetPercent: 50}, "load mix"},
+		{server.LoadConfig{SetPercent: 20, MGetPercent: -5}, "load mix"},
+		{server.LoadConfig{Conns: -5}, "load conns: negative"},
+		{server.LoadConfig{Pipeline: -1}, "load pipeline: negative"},
+		{server.LoadConfig{Requests: -1}, "load requests: negative"},
+		{server.LoadConfig{MGetKeys: -4}, "load mget_keys: negative"},
+		{server.LoadConfig{Keys: -512}, "load keys: negative"},
+		{server.LoadConfig{ValueSize: -64}, "load value_size: negative"},
+		{server.LoadConfig{Tenants: -2}, "load tenants: negative"},
+		{server.LoadConfig{StaleReads: true, StaleBound: -time.Second}, "load stale_bound: negative (-1s)"},
+		{server.LoadConfig{Deadline: -time.Millisecond}, "load deadline: negative (-1ms)"},
+		{server.LoadConfig{Tenants: 1, CrossCheckEvery: 8}, "load cross_check_every"},
+	} {
+		tc.cfg.Addr = srv.Addr().String()
+		if _, err := server.RunLoad(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: RunLoad returned %v, want %q", tc.cfg, err, tc.want)
 		}
+	}
+	// A negative CrossCheckEvery is "no probes", not a mistake.
+	if err := (server.LoadConfig{Tenants: 2, CrossCheckEvery: -1}).Check(); err != nil {
+		t.Errorf("cross checks disabled: %v", err)
 	}
 	if err := srv.Shutdown(); err != nil {
 		t.Fatal(err)

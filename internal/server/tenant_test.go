@@ -281,7 +281,7 @@ func TestTenantLoadGeneratorProbes(t *testing.T) {
 		Addr:  srv.Addr().String(),
 		Conns: 4, Pipeline: 2, Requests: 64,
 		SetPercent: 30, Keys: 32,
-		Tenants: 2, Auth: true, CrossCheckEvery: 8,
+		Tenants: 2, CrossCheckEvery: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
