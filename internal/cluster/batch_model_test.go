@@ -93,9 +93,6 @@ func refExecOn(r *Router, w *worker, n *node, cmd *redis.Command, args []string,
 	if errReply != nil {
 		return errReply
 	}
-	if cmd.Write {
-		r.bufferWrite(n, args, resp)
-	}
 	return resp
 }
 

@@ -249,6 +249,7 @@ func New(sys *core.System, cfg Config) (*Router, error) {
 		// Headroom in the channel capacities for nodes added later.
 		r.shipCh = make(chan int, cfg.Nodes*4)
 		r.suspectCh = make(chan int, cfg.Nodes*16)
+		r.idleCh = make(chan struct{})
 		r.forks = fork.New(sys, r.obs)
 	}
 	r.obs.InstallClusterSlots(NumSlots)
@@ -483,8 +484,9 @@ type Router struct {
 	// (worker.reconcile).
 	removals atomic.Uint64
 
-	shipCh    chan int // monitor pokes: write-count ship triggers
-	suspectCh chan int // monitor pokes: data-path timeout evidence
+	shipCh    chan int      // monitor pokes: write-count ship triggers
+	suspectCh chan int      // monitor pokes: data-path timeout evidence
+	idleCh    chan struct{} // a send lands once the monitor is between two steps
 
 	workerWG  sync.WaitGroup
 	mgrWG     sync.WaitGroup

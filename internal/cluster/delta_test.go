@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -36,46 +38,96 @@ func TestDeltaLogKeepsOrder(t *testing.T) {
 	}
 }
 
-// Past the bound order is unrecoverable: the log keeps the prefix that fit,
-// counts everything after it — also entries that would fit again had the
-// log not overflowed — and starts over once the window is taken.
+// Past the bound order is unrecoverable: the record that does not fit and
+// every record kept before it are dropped, at the log's head, and recording
+// starts over behind them. A take hands out the hole with what follows it,
+// and the log starts over.
 func TestDeltaLogOverflowPoisons(t *testing.T) {
 	l := deltaLog{bound: 3}
 	for i := 0; i < 3; i++ {
 		l.record(deltaEntry(i))
 	}
-	for i := 3; i < 10; i++ {
-		if got := l.record(deltaEntry(i)); got != 0 {
-			t.Fatalf("record %d past the bound returned length %d, want 0", i, got)
+	if got := l.record(deltaEntry(3)); got != 0 {
+		t.Fatalf("record past the bound returned length %d, want 0", got)
+	}
+	for i := 4; i < 6; i++ {
+		if got := l.record(deltaEntry(i)); got != i-3 {
+			t.Fatalf("record %d behind the hole returned length %d, want %d", i, got, i-3)
 		}
 	}
-	if b, d := l.pending(); b != 3 || d != 7 {
-		t.Fatalf("pending = %d buffered, %d dropped; want 3, 7", b, d)
+	if b, d := l.pending(); b != 2 || d != 4 {
+		t.Fatalf("pending = %d buffered, %d dropped; want 2, 4", b, d)
 	}
 	got, dropped := l.take()
-	if dropped != 7 || !reflect.DeepEqual(got, deltaEntries(0, 3)) {
-		t.Fatalf("take = %v (%d dropped), want the 3-entry prefix and 7 dropped", got, dropped)
+	if dropped != 4 || !reflect.DeepEqual(got, deltaEntries(4, 6)) {
+		t.Fatalf("take = %v (%d dropped), want entries 4..5 behind 4 dropped", got, dropped)
 	}
 	if got := l.record(deltaEntry(10)); got != 1 {
-		t.Fatalf("record after the poisoned window was taken returned %d, want 1", got)
+		t.Fatalf("record after the poisoned log was taken returned %d, want 1", got)
 	}
 }
 
-// A window whose replay target turned out not to hold it goes back ahead of
-// what was recorded in the meantime, and its dropped count is not forgotten.
-func TestDeltaLogRestoreGoesAhead(t *testing.T) {
-	l := deltaLog{bound: 16}
+// drop(k) forgets the first k records, dropped ones first, as a landed ship
+// does for the records its image holds: what was recorded later stays, in
+// order, and the log replays again once no dropped record is left. The log
+// keeps its own copy of each argument list, in an array it reuses once the
+// log is empty; no later record overwrites a kept one, also against a model
+// of 20 000 records and random drops.
+func TestDeltaLogDropKeepsLaterRecords(t *testing.T) {
+	l := deltaLog{bound: 4}
+	for i := 0; i < 5; i++ { // the fifth overflows: all five dropped
+		l.record(deltaEntry(i))
+	}
+	l.record(deltaEntry(5))
+	l.record(deltaEntry(6))
+	l.drop(3)
+	if b, d := l.pending(); b != 2 || d != 2 {
+		t.Fatalf("after drop(3): %d buffered, %d dropped; want 2, 2", b, d)
+	}
+	args := deltaEntry(7)
+	l.record(args)
+	args[2] = "rewritten" // as a node's arena rewrites its slab
+	l.drop(3)
+	if b, d := l.pending(); b != 2 || d != 0 {
+		t.Fatalf("after drop(3) past the hole: %d buffered, %d dropped; want 2, 0", b, d)
+	}
+	if got, dropped := l.take(); dropped != 0 || !reflect.DeepEqual(got, deltaEntries(6, 8)) {
+		t.Fatalf("take = %v (%d dropped), want entries 6..7", got, dropped)
+	}
+
+	// The array is reused once the log is empty, and only then: records
+	// kept at its end survive the ones recorded after them.
+	l = deltaLog{bound: 64}
 	for i := 0; i < 4; i++ {
 		l.record(deltaEntry(i))
 	}
-	taken, dropped := l.take()
-	for i := 4; i < 6; i++ {
+	l.drop(4)
+	for i := 4; i < 14; i++ {
 		l.record(deltaEntry(i))
 	}
-	l.restore(taken, dropped+2)
-	got, dropped := l.take()
-	if dropped != 2 || !reflect.DeepEqual(got, deltaEntries(0, 6)) {
-		t.Fatalf("after restore, take = %v (%d dropped), want entries 0..5 in order and 2 dropped", got, dropped)
+	l.drop(8)
+	for i := 14; i < 30; i++ {
+		l.record(deltaEntry(i))
+	}
+	if got, _ := l.take(); !reflect.DeepEqual(got, deltaEntries(12, 30)) {
+		t.Fatalf("take = %v, want entries 12..29", got)
+	}
+
+	l = deltaLog{bound: 1 << 20}
+	var model [][]string
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		if rng.Intn(64) == 0 {
+			k := rng.Intn(len(model) + 1)
+			l.drop(uint64(k))
+			model = model[k:]
+			continue
+		}
+		l.record(deltaEntry(i))
+		model = append(model, deltaEntry(i))
+	}
+	if got, _ := l.take(); !slices.EqualFunc(got, model, slices.Equal[[]string]) {
+		t.Fatalf("the log keeps %d records that differ from the model's %d", len(got), len(model))
 	}
 }
 

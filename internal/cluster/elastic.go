@@ -40,10 +40,10 @@ func (r *Router) AddNode() (int, error) {
 // RemoveNode drains node id — migrating every slot it owns to the
 // least-loaded remaining nodes — then decommissions it: the routing entry
 // is tombstoned under the topology lock, every worker lets go of what it
-// holds on the node, the node's process exits (a promoted node's already
-// died, at crash time), and both its store and its standby are destroyed — after the drain neither holds a key the cluster
-// still routes to, whichever of the two was serving. The node id is never
-// reused.
+// holds on the node, the monitor finishes any step it was taking on it, the
+// node's process exits (a promoted node's already died, at crash time), and
+// both its store and its standby are destroyed — after the drain neither
+// holds a key the cluster still routes to. The node id is never reused.
 func (r *Router) RemoveNode(id int) error {
 	r.lifecycleMu.Lock()
 	defer r.lifecycleMu.Unlock()
@@ -93,6 +93,11 @@ func (r *Router) RemoveNode(id int) error {
 	}
 	for _, b := range syncs {
 		b.Wait(0)
+	}
+	// Wait out a ship into, or a promotion of, the standby: the monitor's
+	// next step finds no removed node.
+	if r.mon != nil {
+		r.idleCh <- struct{}{}
 	}
 	if err := n.shutdown(); err != nil {
 		return fmt.Errorf("cluster: remove node %d: %w", id, err)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"spacejmp/internal/core"
@@ -14,35 +13,25 @@ import (
 var forkWire = redis.EncodeCommand(redis.ClusterFork)
 
 // ship moves one checkpoint generation from node n's primary to its
-// standby, in two phases. Phase one holds the node's mutex just long enough
-// for the primary to fork a frozen COW view of its store and for the delta
-// window to be truncated: everything buffered before the fork is inside the
-// frozen image, and nothing can slip between the fork and the truncation.
-// Phase two runs with the mutex released — the primary is already serving
-// writes again (they fault and break COW into private frames) while the
-// monitor extracts from the frozen view the pages written since the
+// standby. One call into the node forks a frozen COW view of its store and
+// answers with the view's generation and the delta-log records it holds.
+// Then, with the primary serving writes again (they break COW into private
+// frames), the monitor extracts from the view the pages written since the
 // generation the standby holds and patches it with them — or, when the view
 // was not forked over exactly that generation (the first ship, a standby lost
 // to a failed apply, a fork nobody got to extract), every page, and rebuilds
-// it. If the extraction or apply fails, the taken window is restored: those
-// writes are still newer than whatever image the standby holds.
+// it. Only an applied image drops its records from the log.
 func (m *monitor) ship(r *Router, n *node) {
 	if n.serving() != servingPrimary {
 		return
 	}
-	ep := m.eps.to(r, n)
-	n.mu.Lock()
-	resp, _, err := n.callLocked(ep, forkWire, nil, 0)
+	resp, _, err := n.call(m.eps.to(r, n), forkWire, nil, 0)
 	if err != nil {
-		n.mu.Unlock()
 		r.ctr.Replication.ShipFailures.Add(1)
 		m.noteFailure(r, n)
 		return
 	}
-	entries, dropped := n.delta.take()
-	n.mu.Unlock()
-
-	gen, err := parseForkReply(resp)
+	gen, records, err := parseForkReply(resp)
 	var view *fork.View
 	if err == nil {
 		if view = r.forks.Current(n.id); view == nil || view.Gen() != gen {
@@ -59,34 +48,34 @@ func (m *monitor) ship(r *Router, n *node) {
 	if err != nil {
 		// The primary answered but could not produce (or we could not
 		// apply) a usable view — a checkpoint fault, not dead-node
-		// evidence. Keep the window for the next attempt.
-		n.delta.restore(entries, dropped)
+		// evidence.
 		r.ctr.Replication.ShipFailures.Add(1)
 		return
 	}
+	n.delta.drop(records)
 	n.held = gen
 	r.ctr.Fork.ShipNs.Observe(uint64(time.Since(start).Nanoseconds())) // extract + apply, all off the node mutex
 	r.obs.ClusterShip(n.id, uint64(len(img.Data)), img.Base == 0)
 }
 
-// parseForkReply extracts the fork generation from the node's integer
-// reply; a shard error reply surfaces as the contained ReplyError.
-func parseForkReply(resp []byte) (uint64, error) {
+// parseForkReply reads forkReply's answer; a shard error reply surfaces as
+// the contained ReplyError.
+func parseForkReply(resp []byte) (gen, records uint64, err error) {
 	v, _, err := redis.DecodeReply(resp)
-	if err != nil {
-		return 0, err
+	if err == nil {
+		_, err = fmt.Sscan(string(v), &gen, &records)
 	}
-	return strconv.ParseUint(string(v), 10, 64)
+	return gen, records, err
 }
 
-// promote fails node n's range over to its standby. The standby is rebuilt
-// from the last shipped generation (or, if no ship ever landed, from the
-// newest generation still in the shared NVM superblock — the primary's
-// store frames survive its process), the bounded post-checkpoint delta is
-// replayed in order, and the routing entry flips under the topology lock.
-// If the delta window overflowed, replaying a suffix would reorder history:
-// promotion degrades to checkpoint-only and every buffered update is
-// counted lost. If no valid image exists at all, the range is degraded.
+// promote fails node n's range over to its standby: a cold one (no ship
+// landed, or the last apply failed) is rebuilt from the newest generation in
+// the shared NVM superblock (the primary's store frames survive its process),
+// the node's delta log — slot copies included — is replayed in order, and
+// the routing entry flips under the topology lock. If the log overflowed,
+// replaying what follows the hole would reorder history: promotion is
+// checkpoint-only and every logged update counts lost. If no valid image
+// exists at all, the range is degraded.
 func (m *monitor) promote(r *Router, n *node) {
 	n.setState(StatePromoting, r.obs)
 	// Fence outstanding frozen views first: once the standby takes over,

@@ -58,6 +58,8 @@ func (r *Router) runMonitor() {
 			for _, n := range r.replicatedNodes() {
 				m.probe(r, n)
 			}
+		case <-r.idleCh:
+			// RemoveNode waits out whatever step was under way.
 		}
 	}
 }

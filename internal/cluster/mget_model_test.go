@@ -233,7 +233,7 @@ func newMGetRig(t *testing.T) *mgetRig {
 	n.mu.Lock()
 	resp := n.handler(forkWire)
 	n.mu.Unlock()
-	if _, err := parseForkReply(resp); err != nil {
+	if _, _, err := parseForkReply(resp); err != nil {
 		t.Fatalf("fork: %v", err)
 	}
 	rig.set(t, present[rigFrozen][0], rigValue(present[rigFrozen][0], 2))

@@ -157,8 +157,8 @@ func (e *engine) cleanupSlot(n *node, slot int) error {
 //
 //  1. publish the migration, so every write on the slot is recorded in the
 //     delta log (in store order) from before the copy starts;
-//  2. copy the slot's pairs off the source (checkpointed first on a
-//     replicated source) and import them into the target in one command;
+//  2. copy the slot's pairs off the source and import them into the target
+//     in one command;
 //  3. replay the delta accumulated during the copy;
 //  4. fence writes (-MOVED, retryable), take the topology write lock —
 //     which waits out every in-flight command, so the log is complete —

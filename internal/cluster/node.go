@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -135,10 +136,10 @@ type node struct {
 	// remote dispatch.
 	breaker *overload.Breaker
 
-	// mu serializes the workers' calls into this node: urpc handlers run
-	// inline in the calling goroutine, and the node's core and thread
-	// tolerate exactly one driver at a time. The monitor's checkpoint ship
-	// holds it too, so a shipped image is a quiescent-store snapshot.
+	// mu serializes the agents' calls into this node (node.call): urpc
+	// handlers run inline in the calling goroutine, and the node's core and
+	// thread tolerate exactly one driver at a time. So an apply and its log
+	// record are one step, as are a fork and its count of the log.
 	mu sync.Mutex
 
 	// Replication and failover (replicated remote nodes only).
@@ -164,11 +165,11 @@ type node struct {
 	calls []redis.Call
 	out   []byte
 
-	// delta buffers post-checkpoint writes for replay at promotion,
-	// bounded by Config.DeltaLog; overflow switches the node's failover to
-	// checkpoint-only and counts the updates that can no longer be
-	// replayed in order.
-	delta deltaLog
+	// delta is what the handler applied since the image the standby holds,
+	// replayed at promotion; every shipEvery records it pokes shipCh.
+	delta     deltaLog
+	shipEvery int
+	shipCh    chan int
 }
 
 func (n *node) curState() NodeState { return NodeState(n.state.Load()) }
@@ -197,6 +198,7 @@ func (r *Router) newNode(id int, local bool) (*node, error) {
 		n.standby = redis.StandbyNames(id)
 		n.forks = r.forks
 		n.delta.bound = r.cfg.Replication.DeltaLog
+		n.shipEvery, n.shipCh = r.cfg.Replication.ShipEvery, r.shipCh
 		opts = append(opts, core.WithTier(mem.TierNVM))
 	}
 	client, err := redis.NewClientNamed(th, r.cfg.SegSize, n.names, opts...)
@@ -274,19 +276,18 @@ func (n *node) noteProbe(ok bool) {
 //     a machine losing power with a consistent store in NVM (the paper's §5.3
 //     survival claim);
 //   - CLUSTER.FORK: fork a frozen COW view of the store and reply with the
-//     fork generation. The expensive image extraction happens later, off the
-//     node mutex, through the fork engine;
-//   - before a replicated primary dumps a slot (CLUSTER.MIGRATE): checkpoint
-//     and validate the store's image, so the slot copy and the replication
-//     image can never disagree about frozen state.
+//     fork generation (forkReply). The expensive image extraction happens
+//     later, off the node mutex, through the fork engine;
+//   - on a replicated primary, log every command it applied that changed the
+//     store (log), so whoever sent it, the standby is owed it.
 //
 // It runs with the node's core active (under n.mu), so the decode, the VAS
 // switches, and the table walks are all charged to the node — and, because
 // the urpc client busy-waits, mirrored into the calling worker's latency.
 // req is the channel's reassembly buffer, gone when the handler returns: the
-// frame's commands are decoded into the arena the node keeps (nothing here
-// keeps an argument past the handler), one larger than maxKeptWire into one
-// of its own. RunAll renders their replies into a buffer the node keeps, which
+// frame's commands are decoded into the arena the node keeps (the delta log
+// copies what it keeps of the slab), one larger than maxKeptWire into one of
+// its own. RunAll renders their replies into a buffer the node keeps, which
 // the endpoint is done with by the next call. The response is that buffer as
 // it is when the replies fit it, else the replies joined behind those that
 // did, as append moves a slice.
@@ -310,16 +311,8 @@ func (n *node) handler(req []byte) []byte {
 		calls, rest = append(calls, redis.Call{Cmd: redis.Lookup(args), Args: args}), tail
 	}
 	n.calls = calls
-	switch cmd := calls[0].Cmd; {
-	case cmd.Op == redis.OpClusterFork:
+	if calls[0].Cmd.Op == redis.OpClusterFork {
 		return n.forkReply()
-	case cmd.Op == redis.OpClusterMigrate && n.replicated:
-		if err := n.sys.Checkpoint(); err != nil {
-			return redis.EncodeError("migrate: checkpoint: " + err.Error())
-		}
-		if _, err := n.sys.CheckpointSegment(n.names.Seg); err != nil {
-			return redis.EncodeError("migrate: " + err.Error())
-		}
 	}
 	if cap(n.out) > maxKeptWire {
 		n.out = nil
@@ -327,6 +320,7 @@ func (n *node) handler(req []byte) []byte {
 	out, total := redis.RunAll(n.client, calls, n.out[:0]), 0
 	for i := range calls {
 		total += len(calls[i].Reply)
+		n.log(&calls[i])
 	}
 	if len(out) != total {
 		out = n.out[:0]
@@ -338,14 +332,25 @@ func (n *node) handler(req []byte) []byte {
 	return out
 }
 
+// log records in a replicated primary's delta log a command it applied that
+// changed the store: a write, a slot copy's import or cleanup.
+func (n *node) log(c *redis.Call) {
+	op := c.Cmd.Op
+	if !n.replicated || len(c.Reply) == 0 || c.Reply[0] == '-' ||
+		!c.Cmd.Write && op != redis.OpClusterImport && op != redis.OpClusterCleanup {
+		return
+	}
+	if k := n.delta.record(c.Args); k > 0 && k%n.shipEvery == 0 {
+		poke(n.shipCh, n.id)
+	}
+}
+
 // forkReply takes the mutex-held half of a checkpoint ship: refresh the NVM
 // superblock's metadata generation (cheap — frame addresses, not page
 // contents; it keeps promotion's superblock fallback current), then fork a
-// frozen COW view of the store and answer with its generation. Runs on the
-// node's core with the store quiescent (the caller holds n.mu) — but unlike
-// the old image-in-reply ship, the caller releases the mutex the moment
-// this returns; page extraction reads the immutable frozen frames with the
-// primary already serving again.
+// frozen COW view of the store and answer "<generation> <records>": the
+// view's generation and the delta-log records it holds, all of them (the
+// caller holds n.mu). Extraction reads the frozen frames after the call.
 func (n *node) forkReply() []byte {
 	if n.forks == nil {
 		return redis.EncodeError("fork: replication disabled on this node")
@@ -357,28 +362,23 @@ func (n *node) forkReply() []byte {
 	if err != nil {
 		return redis.EncodeError("fork: " + err.Error())
 	}
-	return redis.EncodeInt(int64(v.Gen()))
+	buffered, dropped := n.delta.pending()
+	return redis.EncodeSimple(fmt.Sprintf("%d %d", v.Gen(), uint64(buffered)+dropped))
 }
 
 // call performs one serialized RPC into a remote node on an agent's
-// endpoint, reporting the cycles the urpc round trip alone cost the caller.
-// budget, when nonzero, caps the cycles the retry loop may burn — the
-// caller's remaining deadline allowance (see urpc.CallBudget).
+// endpoint, under n.mu, reporting the cycles the urpc round trip alone cost
+// the caller. budget, when nonzero, caps the cycles the retry loop may burn —
+// the caller's remaining deadline allowance (see urpc.CallBudget). It is the
+// one crash fence: calls against a node known dead fail without touching the
+// channel, and a reply that raced with the crash — the handler's nil
+// tombstone arrives as an empty frame, or the crash bit was set while the
+// call was in flight — is refused as a timeout rather than trusted. Late
+// replies from a fenced primary never reach a client. The response lands
+// behind dst: a tombstone appends nothing.
 func (n *node) call(ep *urpc.Endpoint, wire, dst []byte, budget uint64) (resp []byte, cycles uint64, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.callLocked(ep, wire, dst, budget)
-}
-
-// callLocked is call for a caller already holding n.mu — a ship keeps it
-// across the fork and the delta truncation, a worker until its run's writes
-// are in the delta log. It is the one crash fence: calls against a node known
-// dead fail without touching the channel, and a reply that raced with the
-// crash — the handler's nil tombstone arrives as an empty frame, or the crash
-// bit was set while the call was in flight — is refused as a timeout rather
-// than trusted. Late replies from a fenced primary never reach a client. The
-// response lands behind dst: a tombstone appends nothing.
-func (n *node) callLocked(ep *urpc.Endpoint, wire, dst []byte, budget uint64) (resp []byte, cycles uint64, err error) {
 	if n.crashed.Load() {
 		return nil, 0, &urpc.TimeoutError{}
 	}

@@ -264,7 +264,7 @@ func TestResolveTable(t *testing.T) {
 					n.mu.Lock()
 					resp := n.handler(forkWire)
 					n.mu.Unlock()
-					if _, err := parseForkReply(resp); err != nil {
+					if _, _, err := parseForkReply(resp); err != nil {
 						t.Fatalf("fork: %v", err)
 					}
 				}

@@ -847,14 +847,8 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 		r.ctr.LocalCycles.ObserveN((w.th.Core.Cycles()-before)/k, k)
 		n.ctr.Local.Add(k)
 	default:
-		// The node's mutex is held until the run's applied writes are in its
-		// delta log: the log keeps the order the store applied them in, and a
-		// ship, which forks and takes the window under the same mutex, takes
-		// exactly the writes its fork holds.
 		out := w.plan.replies()
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		resp, callCycles, err := n.callLocked(t.ep, w.remoteWire(calls), out[len(out):], w.callBudget())
+		resp, callCycles, err := n.call(t.ep, w.remoteWire(calls), out[len(out):], w.callBudget())
 		each := (w.th.Core.Cycles() - before) / uint64(len(calls))
 		if err == nil {
 			// The round trip by itself: transfers, dispatch, the node's work.
@@ -875,23 +869,7 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 				continue
 			}
 			r.obs.ClusterRemote(n.id, each)
-			if c.Cmd.Write {
-				r.bufferWrite(n, c.Args, c.Reply)
-			}
 		}
-	}
-}
-
-// bufferWrite records a successfully applied remote write (the caller
-// checked the command's Write flag and holds the node's mutex) in the node's
-// delta log — the post-checkpoint tail a promotion replays — and pokes the
-// monitor when the window crosses the ship trigger.
-func (r *Router) bufferWrite(n *node, args []string, resp []byte) {
-	if !n.replicated || len(resp) == 0 || resp[0] == '-' {
-		return
-	}
-	if buffered := n.delta.record(args); buffered > 0 && buffered%r.cfg.Replication.ShipEvery == 0 {
-		poke(r.shipCh, n.id)
 	}
 }
 

@@ -23,7 +23,13 @@ import (
 // once the boot ship — the one full ship a healthy node ever needs — landed.
 func pokedShipCluster(t *testing.T, reg *fault.Registry) (*hw.Machine, *Router, uint64) {
 	t.Helper()
-	hwCfg := hw.SmallTest()
+	return pokedShipClusterOn(t, reg, hw.SmallTest())
+}
+
+// pokedShipClusterOn is pokedShipCluster on a machine of the caller's
+// choosing: one with a core to spare for the migration engine.
+func pokedShipClusterOn(t *testing.T, reg *fault.Registry, hwCfg hw.MachineConfig) (*hw.Machine, *Router, uint64) {
+	t.Helper()
 	hwCfg.Mem.NVMSuperblock = 1 << 20
 	m := hw.NewMachine(hwCfg)
 	if reg != nil {
@@ -193,13 +199,13 @@ func TestKillAfterDeltaShipsServesEveryWrite(t *testing.T) {
 }
 
 // TestInvalidatedViewRestoresWindowThenFullShip fences node 2's view in the
-// one window that matters: after its CLUSTER.FORK made the view and truncated
+// one window that matters: after its CLUSTER.FORK made the view and counted
 // the delta log, before the monitor extracted it. (The fence rides the urpc
 // delay point, whose policy runs as the node sends the fork reply; it never
-// fires.) That ship must fail with the window put back; the standby still
-// holds the generation before the lost one, so the next ship cannot be a
-// delta and is a full rebuild; the one after that is a delta again. The
-// promoted standby then serves every write.
+// fires.) That ship must fail with the log still holding the writes; the
+// standby still holds the generation before the lost one, so the next ship
+// cannot be a delta and is a full rebuild; the one after that is a delta
+// again. The promoted standby then serves every write.
 func TestInvalidatedViewRestoresWindowThenFullShip(t *testing.T) {
 	reg := fault.New(1)
 	m, r, base := pokedShipCluster(t, reg)
@@ -292,16 +298,17 @@ func TestDeltaLogKeepsTheStoresOrder(t *testing.T) {
 	}
 	wg.Wait()
 	n := r.nodeByID(2)
-	entries, dropped := n.delta.take()
-	n.delta.restore(entries, dropped)
+	n.delta.mu.Lock()
+	entries, dropped := len(n.delta.entries), n.delta.dropped
 	logged := map[string]string{}
-	for _, e := range entries {
+	for _, e := range n.delta.entries {
 		logged[e[1]] = e[2]
 	}
+	n.delta.mu.Unlock()
 	want := map[string]string{}
 	for _, key := range keys {
 		if want[key], _ = do(t, r, "GET", key); logged[key] != want[key] {
-			t.Fatalf("%s: the primary serves %q, the delta log ends with %q (%d entries, %d dropped)", key, want[key], logged[key], len(entries), dropped)
+			t.Fatalf("%s: the primary serves %q, the delta log ends with %q (%d entries, %d dropped)", key, want[key], logged[key], entries, dropped)
 		}
 	}
 	if err := r.KillNode(2); err != nil {
@@ -322,8 +329,8 @@ func TestDeltaLogKeepsTheStoresOrder(t *testing.T) {
 }
 
 // TestFailedApplyThenKillServesEveryWrite: a ship to a warm standby whose
-// apply fails leaves the standby cold and puts back only the window since the
-// previous fork; the primary then dies before the next ship. Promotion
+// apply fails leaves the standby cold and the log holding only what the node
+// applied since the previous fork; the primary then dies before the next ship. Promotion
 // rebuilds the standby from the newest checkpoint in NVM and replays the
 // window, so that checkpoint must hold the writes the previous, successful
 // ship carried: a primary that checkpointed only for a cold standby would
@@ -381,5 +388,150 @@ func TestFailedApplyThenKillServesEveryWrite(t *testing.T) {
 	}
 	if err := m.PM.CheckLeaks(base); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// eightCores is the small machine with a core for the migration engine
+// beside the workers, node 2 and the monitor.
+func eightCores() hw.MachineConfig {
+	hwCfg := hw.SmallTest()
+	hwCfg.CoresPerSocket = 4
+	return hwCfg
+}
+
+// killAndPromote kills node 2 and waits for its standby to serve.
+func killAndPromote(t *testing.T, m *hw.Machine, r *Router) stats.ReplicationSnap {
+	t.Helper()
+	if err := r.KillNode(2); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "standby promotion", func() bool { return replSnap(m).Promotions == 1 })
+	return replSnap(m)
+}
+
+// TestSlotMovedOntoAReplicatedNodeSurvivesItsKill moves a slot of 8 keys from
+// a co-resident node onto replicated node 2 and kills node 2 before any ship
+// after the move. The slot's import reached node 2 from the migration engine,
+// not from a worker: the node logs it all the same, and the promoted standby
+// serves every key, with nothing lost.
+func TestSlotMovedOntoAReplicatedNodeSurvivesItsKill(t *testing.T) {
+	m, r, base := pokedShipClusterOn(t, nil, eightCores())
+	slot := 0
+	for r.Owner(slot) != 0 {
+		slot++
+	}
+	keys := keysInSlot(t, slot, 8)
+	for _, key := range keys {
+		if v, _ := do(t, r, "SET", key, "v-"+key); v != "OK" {
+			t.Fatalf("SET %s: %q", key, v)
+		}
+	}
+	if err := r.MigrateSlot(slot, 2); err != nil {
+		t.Fatal(err)
+	}
+	if rep := killAndPromote(t, m, r); rep.LostUpdates != 0 || rep.Ships != 1 {
+		t.Fatalf("after the promotion: %+v; want nothing lost and only the boot ship", rep)
+	}
+	missing := 0
+	for _, key := range keys {
+		if got, isNil := do(t, r, "GET", key); isNil || got != "v-"+key {
+			missing++
+		}
+	}
+	if missing > 0 {
+		t.Fatalf("%d of %d keys moved onto node 2 do not read back from its promoted standby", missing, len(keys))
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PM.CheckLeaks(base); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteSurvivesItsSlotMovingOffAndBack: a key shipped to node 2's
+// standby moves with its slot to node 0 and is deleted there; node 2 dies
+// and its slot comes back onto the promoted standby. The slot's cleanup on
+// node 2 is in node 2's log, so the standby no longer holds the key, and the
+// empty slot moving back cannot bring the old value back.
+func TestDeleteSurvivesItsSlotMovingOffAndBack(t *testing.T) {
+	m, r, base := pokedShipClusterOn(t, nil, eightCores())
+	key := keysOnNode(t, r, 2, 1)[0]
+	slot := r.Slot(key)
+	if v, _ := do(t, r, "SET", key, "old"); v != "OK" {
+		t.Fatalf("SET: %q", v)
+	}
+	if rep := pokeShip(t, m, r); rep.Ships != 2 || rep.ShipFailures != 0 {
+		t.Fatalf("the ship of the key: %+v", rep)
+	}
+	if err := r.MigrateSlot(slot, 0); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := do(t, r, "DEL", key); v != "1" {
+		t.Fatalf("DEL on node 0: %q", v)
+	}
+	if rep := killAndPromote(t, m, r); rep.LostUpdates != 0 {
+		t.Fatalf("after the promotion: %+v; want nothing lost", rep)
+	}
+	if err := r.MigrateSlot(slot, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, isNil := do(t, r, "GET", key); !isNil {
+		t.Fatalf("GET of the deleted key after its slot came back to node 2: %q", got)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PM.CheckLeaks(base); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemoveNodeWaitsOutTheMonitor removes replicated node 2 while SETs keep
+// coming and every logged record pokes a ship: the drain's last cleanup can
+// start a ship that is still applying into the standby when the drain ends.
+// RemoveNode must wait it out, or destroying the standby finds it attached.
+// The race is narrow, hence 20 rounds.
+func TestRemoveNodeWaitsOutTheMonitor(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		hwCfg := eightCores()
+		hwCfg.Mem.NVMSuperblock = 1 << 20
+		m := hw.NewMachine(hwCfg)
+		sys := kernel.New(m)
+		sys.EnableStats(1024)
+		base := m.PM.AllocatedBytes()
+		cfg := replicatedConfig()
+		cfg.Replication.ShipEvery = 1
+		cfg.Replication.ShipInterval = time.Millisecond
+		r, err := New(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				submitWait(r, []string{"SET", fmt.Sprintf("k-%d", i%512), "v"})
+			}
+		}()
+		err = r.RemoveNode(2)
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := m.PM.CheckLeaks(base); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 	}
 }

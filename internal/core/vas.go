@@ -51,6 +51,13 @@ type VAS struct {
 	locks []SegMapping
 }
 
+// CurrentMode returns the VAS's mode bits, as vas_ctl SetMode last left them.
+func (v *VAS) CurrentMode() uint16 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.Mode
+}
+
 // Tag returns the VAS's TLB tag (ASIDFlush if untagged).
 func (v *VAS) Tag() arch.ASID {
 	v.mu.Lock()

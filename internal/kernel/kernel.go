@@ -32,7 +32,7 @@ const (
 type ACL struct {
 	mu      sync.Mutex
 	Owner   core.Creds
-	Mode    uint16 // e.g. 0o640
+	Mode    uint16 // e.g. 0o640; a VAS's ACL is checked under the VAS's own
 	entries map[uint32]arch.Perm
 }
 
@@ -71,17 +71,20 @@ func modePerm(bits uint16) arch.Perm {
 }
 
 // Check authorizes creds for the wanted permissions.
-func (a *ACL) Check(creds core.Creds, want arch.Perm) error {
+func (a *ACL) Check(creds core.Creds, want arch.Perm) error { return a.check(creds, want, a.Mode) }
+
+// check is Check under the given mode bits.
+func (a *ACL) check(creds core.Creds, want arch.Perm, mode uint16) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var granted arch.Perm
 	switch {
 	case creds.UID == a.Owner.UID:
-		granted = modePerm(a.Mode >> 6)
+		granted = modePerm(mode >> 6)
 	case creds.GID == a.Owner.GID:
-		granted = modePerm(a.Mode >> 3)
+		granted = modePerm(mode >> 3)
 	default:
-		granted = modePerm(a.Mode)
+		granted = modePerm(mode)
 	}
 	if extra, ok := a.entries[creds.UID]; ok {
 		granted |= extra
@@ -116,13 +119,14 @@ func (Personality) SwitchBookkeeping(tagged bool) uint64 {
 	return bookkeepingUntagged
 }
 
-// CheckVAS consults the VAS's ACL.
+// CheckVAS consults the VAS's ACL under the VAS's mode as it is now, which
+// vas_ctl SetMode changes.
 func (Personality) CheckVAS(creds core.Creds, v *core.VAS, want arch.Perm) error {
 	acl, ok := v.Security.(*ACL)
 	if !ok {
 		return fmt.Errorf("%w: vas %q has no ACL", core.ErrDenied, v.Name)
 	}
-	return acl.Check(creds, want)
+	return acl.check(creds, want, v.CurrentMode())
 }
 
 // CheckSeg consults the segment's ACL.
