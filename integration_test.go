@@ -350,26 +350,31 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestSetModeChangesWhoMayAttach: the DragonFly ACL checks a VAS under the
-// mode vas_ctl SetMode last gave it, not the one it was created with.
+// TestSetModeChangesWhoMayAttach: each personality checks a VAS under the
+// mode vas_ctl SetMode last gave it, not the one it was created with — the
+// DragonFly ACL, and the Barrelfish service's grants to those who hold no
+// capability.
 func TestSetModeChangesWhoMayAttach(t *testing.T) {
-	sys := NewDragonFly(DefaultMachine())
-	owner, member := newThread(t, sys, 1), newThread(t, sys, 2) // one group
-	vid, err := owner.VASCreate("moded", 0o666)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := owner.VASCtl(vid, SetMode(0o600)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := member.VASAttach(vid); !errors.Is(err, ErrDenied) {
-		t.Fatalf("attach by a group member after SetMode(0o600): %v, want ErrDenied", err)
-	}
-	if err := owner.VASCtl(vid, SetMode(0o660)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := member.VASAttach(vid); err != nil {
-		t.Fatalf("attach by a group member after SetMode(0o660): %v", err)
+	barrelfish, _ := NewBarrelfish(DefaultMachine())
+	for _, sys := range []*System{NewDragonFly(DefaultMachine()), barrelfish} {
+		name := sys.P.Name()
+		owner, member := newThread(t, sys, 1), newThread(t, sys, 2) // one group
+		vid, err := owner.VASCreate("moded", 0o666)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := owner.VASCtl(vid, SetMode(0o600)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := member.VASAttach(vid); !errors.Is(err, ErrDenied) {
+			t.Fatalf("%s: attach by a group member after SetMode(0o600): %v, want ErrDenied", name, err)
+		}
+		if err := owner.VASCtl(vid, SetMode(0o660)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := member.VASAttach(vid); err != nil {
+			t.Fatalf("%s: attach by a group member after SetMode(0o660): %v", name, err)
+		}
 	}
 }
 

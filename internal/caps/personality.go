@@ -33,11 +33,11 @@ type Service struct {
 
 	mu      sync.Mutex
 	cspaces map[uint32]*CSpace // per-UID dispatcher capability spaces
-	// modeGrants records rights implied by an object's Unix-style creation
-	// mode for group members and everyone else, published in the service's
-	// registry (Barrelfish has no ambient UID model; the mode argument of
-	// vas_create is honored by the service minting these virtual grants).
-	modeGrants map[grantKey]modeGrant
+	// ownerGIDs records each object's owner group, published in the
+	// service's registry. Barrelfish has no ambient UID model: the service
+	// honors an object's Unix-style mode by granting its rights for group
+	// members and everyone else to those who hold no capability (check).
+	ownerGIDs map[grantKey]uint32
 }
 
 type grantKey struct {
@@ -45,15 +45,13 @@ type grantKey struct {
 	objID uint64
 }
 
-type modeGrant struct {
-	ownerGID uint32
-	group    Right
-	others   Right
-}
+// segMode is the mode every segment is checked under: owner and group
+// read-write, like the DragonFly personality's segment ACL.
+const segMode = 0o660
 
 // NewService boots the user-space service over a capability kernel.
 func NewService(k *Kernel) *Service {
-	return &Service{kernel: k, cspaces: map[uint32]*CSpace{}, modeGrants: map[grantKey]modeGrant{}}
+	return &Service{kernel: k, cspaces: map[uint32]*CSpace{}, ownerGIDs: map[grantKey]uint32{}}
 }
 
 // CSpaceOf returns (creating on demand) the capability space of a UID's
@@ -83,23 +81,20 @@ func modeRights(bits uint16) Right {
 	return r
 }
 
-// register creates the owner capability for a new object and publishes the
-// mode-derived grants.
-func (s *Service) register(kind Type, objID uint64, owner core.Creds, mode uint16) {
+// register creates the owner capability for a new object and publishes its
+// owner group.
+func (s *Service) register(kind Type, objID uint64, owner core.Creds) {
 	cs := s.CSpaceOf(owner.UID)
 	cs.Insert(&Capability{Type: kind, Rights: RightsAll, ObjID: objID})
 	s.mu.Lock()
-	s.modeGrants[grantKey{kind, objID}] = modeGrant{
-		ownerGID: owner.GID,
-		group:    modeRights(mode >> 3),
-		others:   modeRights(mode),
-	}
+	s.ownerGIDs[grantKey{kind, objID}] = owner.GID
 	s.mu.Unlock()
 }
 
 // check authorizes creds for rights on an object: first by capability
-// possession, then by the published mode grants.
-func (s *Service) check(kind Type, objID uint64, creds core.Creds, want Right) error {
+// possession, then by what the object's mode, as the caller reads it now,
+// grants its owner group and everyone else.
+func (s *Service) check(kind Type, objID uint64, mode uint16, creds core.Creds, want Right) error {
 	cs := s.CSpaceOf(creds.UID)
 	if _, ok := cs.Find(func(c *Capability) bool {
 		return c.Type == kind && c.ObjID == objID && c.Rights.Allows(want)
@@ -107,13 +102,13 @@ func (s *Service) check(kind Type, objID uint64, creds core.Creds, want Right) e
 		return nil
 	}
 	s.mu.Lock()
-	g, ok := s.modeGrants[grantKey{kind, objID}]
+	gid, ok := s.ownerGIDs[grantKey{kind, objID}]
 	s.mu.Unlock()
 	if ok {
-		if creds.GID == g.ownerGID && g.group.Allows(want) {
+		if creds.GID == gid && modeRights(mode>>3).Allows(want) {
 			return nil
 		}
-		if g.others.Allows(want) {
+		if modeRights(mode).Allows(want) {
 			return nil
 		}
 	}
@@ -168,27 +163,27 @@ func (Personality) SwitchBookkeeping(tagged bool) uint64 {
 	return bookkeepingUntagged
 }
 
-// CheckVAS requires a VAS capability (or a mode grant) with the rights
-// matching the requested permissions.
+// CheckVAS requires a VAS capability with the rights matching the requested
+// permissions, or a grant of the VAS's mode as it is now, which vas_ctl
+// SetMode changes.
 func (p Personality) CheckVAS(creds core.Creds, v *core.VAS, want arch.Perm) error {
-	return p.Service.check(TypeVAS, uint64(v.ID), creds, PermRights(want))
+	return p.Service.check(TypeVAS, uint64(v.ID), v.CurrentMode(), creds, PermRights(want))
 }
 
-// CheckSeg requires a Segment capability (or a mode grant).
+// CheckSeg requires a Segment capability, or a grant of segMode.
 func (p Personality) CheckSeg(creds core.Creds, seg *core.Segment, want arch.Perm) error {
-	return p.Service.check(TypeSegment, uint64(seg.ID), creds, PermRights(want))
+	return p.Service.check(TypeSegment, uint64(seg.ID), segMode, creds, PermRights(want))
 }
 
 // VASCreated registers the owner capability in the service.
 func (p Personality) VASCreated(creds core.Creds, v *core.VAS) {
-	p.Service.register(TypeVAS, uint64(v.ID), creds, v.Mode)
+	p.Service.register(TypeVAS, uint64(v.ID), creds)
 	v.Security = p.Service
 }
 
-// SegCreated registers the owner capability. Segments default to
-// owner+group access like the DragonFly personality's 0660 ACL.
+// SegCreated registers the owner capability.
 func (p Personality) SegCreated(creds core.Creds, seg *core.Segment) {
-	p.Service.register(TypeSegment, uint64(seg.ID), creds, 0o660)
+	p.Service.register(TypeSegment, uint64(seg.ID), creds)
 	seg.Security = p.Service
 }
 

@@ -211,9 +211,9 @@ func checkpointCorruptionStorm() *Spec {
 // elasticAddRemove is the elastic-membership exercise: grow the cluster by
 // one node mid-run (the add step rebalances a fair share of slots onto it
 // under the live verifying load), then drain and retire that same node. The
-// load must verify cleanly throughout — a command racing a slot flip may
-// only ever see a retryable -MOVED, never a wrong answer — and both
-// membership changes must land in the trace.
+// load must verify cleanly throughout — a command racing a slot flip waits
+// it out and is answered by the new owner, never with a wrong answer — and
+// both membership changes must land in the trace.
 //
 // Core budget on the small (4-core) machine: worker on core 0, the one
 // remote seed node on core 1, the migration engine claims core 2, and the

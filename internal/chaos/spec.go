@@ -240,19 +240,18 @@ func (s Step) target() int {
 // package's defaults. It mirrors cluster.Config field by field so a
 // scenario file can pin any knob a test can.
 type ClusterSpec struct {
-	Nodes             int      `json:"nodes,omitempty"`
-	Workers           int      `json:"workers,omitempty"`
-	Mode              string   `json:"mode,omitempty"`
-	Locals            int      `json:"locals,omitempty"`
-	QueueDepth        int      `json:"queue_depth,omitempty"`
-	SegSize           uint64   `json:"seg_size,omitempty"`
-	Replicate         bool     `json:"replicate,omitempty"`
-	ShipEvery         int      `json:"ship_every,omitempty"`
-	ShipInterval      Duration `json:"ship_interval,omitempty"`
-	ProbeInterval     Duration `json:"probe_interval,omitempty"`
-	ProbeThreshold    int      `json:"probe_threshold,omitempty"`
-	DeltaLog          int      `json:"delta_log,omitempty"`
-	MigrationDeltaLog int      `json:"migration_delta_log,omitempty"`
+	Nodes          int      `json:"nodes,omitempty"`
+	Workers        int      `json:"workers,omitempty"`
+	Mode           string   `json:"mode,omitempty"`
+	Locals         int      `json:"locals,omitempty"`
+	QueueDepth     int      `json:"queue_depth,omitempty"`
+	SegSize        uint64   `json:"seg_size,omitempty"`
+	Replicate      bool     `json:"replicate,omitempty"`
+	ShipEvery      int      `json:"ship_every,omitempty"`
+	ShipInterval   Duration `json:"ship_interval,omitempty"`
+	ProbeInterval  Duration `json:"probe_interval,omitempty"`
+	ProbeThreshold int      `json:"probe_threshold,omitempty"`
+	DeltaLog       int      `json:"delta_log,omitempty"`
 	// FollowerReads routes READONLY-connection reads to frozen fork views
 	// of replicated remote nodes, bounded by StaleBound (see
 	// cluster.ReplicationConfig).
@@ -279,13 +278,12 @@ func (c ClusterSpec) Config() (cluster.Config, error) {
 		return cluster.Config{}, err
 	}
 	cfg := cluster.Config{
-		Nodes:             c.Nodes,
-		Workers:           c.Workers,
-		Mode:              mode,
-		Locals:            c.Locals,
-		QueueDepth:        c.QueueDepth,
-		SegSize:           c.SegSize,
-		MigrationDeltaLog: c.MigrationDeltaLog,
+		Nodes:      c.Nodes,
+		Workers:    c.Workers,
+		Mode:       mode,
+		Locals:     c.Locals,
+		QueueDepth: c.QueueDepth,
+		SegSize:    c.SegSize,
 		Replication: cluster.ReplicationConfig{
 			Enabled:        c.Replicate,
 			ShipEvery:      c.ShipEvery,

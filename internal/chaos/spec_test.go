@@ -64,6 +64,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"removed queue_watermark", `{"name": "x", "cluster": {"replicate": true, "queue_watermark": 8}}`, ErrBadSpec},
 		{"removed degraded_reads", `{"name": "x", "cluster": {"replicate": true, "degraded_reads": true}}`, ErrBadSpec},
 		{"removed slots", `{"name": "x", "cluster": {"slots": 256}}`, ErrBadSpec},
+		{"removed migration_delta_log", `{"name": "x", "cluster": {"migration_delta_log": 4096}}`, ErrBadSpec},
 		{"removed auth", `{"name": "x", "load": {"tenants": 2, "auth": true}}`, ErrBadSpec},
 		{"removed stale_check_every", `{"name": "x", "cluster": {"follower_reads": true}, "load": {"stale_reads": true, "stale_check_every": 8}}`, ErrBadSpec},
 		{"trailing data", `{"name": "x"} {"name": "y"}`, ErrBadSpec},
@@ -83,7 +84,6 @@ func TestParseSpecErrors(t *testing.T) {
 		{"negative nodes", `{"name": "x", "cluster": {"nodes": -2}}`, ErrBadSpec},
 		{"negative workers", `{"name": "x", "cluster": {"workers": -1}}`, ErrBadSpec},
 		{"negative queue depth", `{"name": "x", "cluster": {"queue_depth": -5}}`, ErrBadSpec},
-		{"negative migration delta log", `{"name": "x", "cluster": {"migration_delta_log": -1}}`, ErrBadSpec},
 		{"negative ship every", `{"name": "x", "cluster": {"ship_every": -1}}`, ErrBadSpec},
 		{"negative ship interval", `{"name": "x", "cluster": {"ship_interval": "-1s"}}`, ErrBadSpec},
 		{"negative probe interval", `{"name": "x", "cluster": {"probe_interval": "-1ms"}}`, ErrBadSpec},

@@ -59,8 +59,8 @@ func (r *Router) attachStore(th *core.Thread, cache map[int]*redis.Client, n *no
 
 // run executes one command on the copy of node n's range that t reaches —
 // the client or the endpoint an agent's reach (or resolve) handed it — and
-// returns the reply's payload, an error reply as the ReplyError it decodes
-// to. On a client it is redis.Execute; over urpc it is the same command on
+// returns the reply's payload, nil for a nil reply, an error reply as the
+// ReplyError it decodes to. On a client it is redis.Execute; over urpc it is the same command on
 // the wire, unbudgeted and unattributed, through n.call, at any size (a
 // slot's import or dump). Either way redis.RunAll carries it out.
 func (t target) run(n *node, argv ...string) (payload []byte, err error) {

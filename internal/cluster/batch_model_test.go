@@ -56,21 +56,11 @@ func refRoute(r *Router, w *worker, req *server.Request) []byte {
 
 func refExec1(r *Router, w *worker, cmd *redis.Command, args []string, readonly bool) []byte {
 	slot := r.Slot(args[cmd.FirstKey])
-	n := r.nodes[r.Owner(slot)]
+	resp := refExecOn(r, w, r.nodes[r.Owner(slot)], cmd, args, readonly)
 	if mig := r.migs[slot].Load(); mig != nil && cmd.Write {
-		mig.mu.Lock()
-		defer mig.mu.Unlock()
-		if mig.fenced.Load() {
-			r.ctr.Migration.MovedRetries.Add(1)
-			return redis.EncodeMoved(slot, mig.dst)
-		}
-		resp := refExecOn(r, w, n, cmd, args, readonly)
-		if len(resp) > 0 && resp[0] != '-' {
-			mig.delta.record(args)
-		}
-		return resp
+		mig.touch(cmd.Keys(args))
 	}
-	return refExecOn(r, w, n, cmd, args, readonly)
+	return resp
 }
 
 func refExecOn(r *Router, w *worker, n *node, cmd *redis.Command, args []string, readonly bool) []byte {

@@ -351,8 +351,8 @@ func TestRunOfOneIsTheOldCommand(t *testing.T) {
 // must have, and what the pipeline may cost: switch pairs on the worker's
 // core and frames to the nodes (each of which is a switch pair on the node's
 // core), which is what says how the commands grouped. The rows for the
-// barriers — a write on a migrating slot, PING, CLUSTER SLOTS — put the same
-// nodes' commands on both sides of the barrier: they would group without it.
+// barriers — PING, CLUSTER SLOTS — put the same nodes' commands on both sides
+// of the barrier: they would group without it.
 func TestRunBoundaries(t *testing.T) {
 	type row struct {
 		name    string
@@ -374,13 +374,10 @@ func TestRunBoundaries(t *testing.T) {
 			g.r.nodes[nid].breaker = b
 		}
 	}
-	migrating := func(key func(k [rigNodes][]string) string, fenced bool) func(*testing.T, batchRig) {
+	migrating := func(key func(k [rigNodes][]string) string) func(*testing.T, batchRig) {
 		return func(_ *testing.T, g batchRig) {
 			present, _ := rigKeys(g.r)
-			slot := g.r.Slot(key(present))
-			mig := &migration{slot: slot, src: g.r.Owner(slot), dst: rigLocal, delta: deltaLog{bound: 16}}
-			mig.fenced.Store(fenced)
-			g.r.migs[slot].Store(mig)
+			g.r.migs[g.r.Slot(key(present))].Store(&migration{})
 		}
 	}
 	rows := []row{
@@ -434,18 +431,12 @@ func TestRunBoundaries(t *testing.T) {
 				return []*server.Request{get(k[0][1]), set(k[0][0]), request(false, 0, "MGET", k[0][0], k[1][0]), get(k[0][2])}
 			},
 			replies: []string{"$", "+OK", "*2\r\n$1\r\nv\r\n", "$"}, pairs: 3, frames: 1},
-		{name: "fenced slot: -MOVED, and the reads behind it run on",
-			setup: migrating(func(k [rigNodes][]string) string { return k[1][0] }, true),
-			pipe: func(k [rigNodes][]string) []*server.Request {
-				return []*server.Request{set(k[1][0]), get(k[1][0]), get(k[1][1])}
-			},
-			replies: []string{"-MOVED", "$", "$"}, frames: 1},
-		{name: "a write on a migrating slot runs alone, under the migration's mutex",
-			setup: migrating(func(k [rigNodes][]string) string { return k[1][1] }, false),
+		{name: "a write on a migrating slot rides its node's run",
+			setup: migrating(func(k [rigNodes][]string) string { return k[1][1] }),
 			pipe: func(k [rigNodes][]string) []*server.Request {
 				return []*server.Request{get(k[0][0]), set(k[1][0]), set(k[1][1]), get(k[0][1]), set(k[1][2])}
 			},
-			replies: []string{"$", "+OK", "+OK", "$", "+OK"}, pairs: 2, frames: 3},
+			replies: []string{"$", "+OK", "+OK", "$", "+OK"}, pairs: 1, frames: 1},
 		{name: "an MGET across nodes joins each node's run",
 			pipe: func(k [rigNodes][]string) []*server.Request {
 				return []*server.Request{get(k[0][0]), get(k[1][1]), request(false, 0, "MGET", k[0][1], k[1][0]), get(k[0][3]), get(k[1][2])}

@@ -76,11 +76,6 @@ type Config struct {
 	// deadline-aware dispatch, and graceful read degradation to frozen fork
 	// views. See OverloadConfig.
 	Overload OverloadConfig
-
-	// MigrationDeltaLog bounds the per-slot write buffer a live slot
-	// migration accumulates while copying; on overflow the migration
-	// aborts and rolls back rather than lose ordered replay.
-	MigrationDeltaLog int
 }
 
 // ReplicationConfig groups the replication and failover knobs. Enabled
@@ -146,9 +141,9 @@ type OverloadConfig struct {
 func (c Config) Validate() error {
 	rep, ov, nodes := c.Replication, c.Overload, c.WithDefaults().Nodes
 	switch {
-	case c.Nodes < 0 || c.Workers < 0 || c.QueueDepth < 0 || c.MigrationDeltaLog < 0:
-		return fmt.Errorf("cluster: nodes %d, workers %d, queue depth %d, migration delta log %d: none may be negative",
-			c.Nodes, c.Workers, c.QueueDepth, c.MigrationDeltaLog)
+	case c.Nodes < 0 || c.Workers < 0 || c.QueueDepth < 0:
+		return fmt.Errorf("cluster: nodes %d, workers %d, queue depth %d: none may be negative",
+			c.Nodes, c.Workers, c.QueueDepth)
 	case rep.ShipEvery < 0 || rep.ShipInterval < 0 || rep.ProbeInterval < 0 || rep.ProbeThreshold < 0 || rep.DeltaLog < 0:
 		return fmt.Errorf("cluster: replication: ship every %d, ship interval %v, probe interval %v, probe threshold %d, delta log %d: none may be negative",
 			rep.ShipEvery, rep.ShipInterval, rep.ProbeInterval, rep.ProbeThreshold, rep.DeltaLog)
@@ -187,9 +182,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.SegSize == 0 {
 		c.SegSize = 8 << 20
-	}
-	if c.MigrationDeltaLog <= 0 {
-		c.MigrationDeltaLog = 4096
 	}
 	if c.Replication.ShipEvery <= 0 {
 		c.Replication.ShipEvery = 128
@@ -455,8 +447,8 @@ type Router struct {
 	table atomic.Pointer[SlotTable]
 
 	// migs holds the in-flight migration per slot (nil when none). A
-	// worker that routes a write onto a migrating slot serializes through
-	// the migration's mutex so the delta log matches store order.
+	// worker's write on a migrating slot touches its keys there once it
+	// ran (execRun), and the engine recopies them.
 	migs [NumSlots]atomic.Pointer[migration]
 
 	// eng is the lazily built migration engine (one core, claimed at the

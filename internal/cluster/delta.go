@@ -8,10 +8,9 @@ import (
 // deltaLog is a bounded, ordered log of writes already applied to one copy
 // of a key range and still owed to another: what a replicated node applied
 // since the image its standby holds, which promotion replays onto the
-// standby, and a slot migration's writes during the copy, which the engine
-// replays onto the target. A record past the bound drops itself and every
-// record kept before it (none replays in order any more) to the log's head,
-// which only drop or take clears; recording goes on behind them.
+// standby. A record past the bound drops itself and every record kept
+// before it (none replays in order any more) to the log's head, which only
+// drop or take clears; recording goes on behind them.
 type deltaLog struct {
 	bound int // fixed at construction
 

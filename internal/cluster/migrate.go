@@ -5,29 +5,45 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 
 	"spacejmp/internal/core"
 	"spacejmp/internal/redis"
 )
 
 // migration is one in-flight slot move, published in Router.migs while the
-// copy runs. Workers that route a write onto the slot serialize through mu
-// and append the applied command to delta — the bounded log the engine
-// replays onto the target before flipping ownership; if it overflows, the
-// engine aborts and rolls back rather than replay a truncated log. fenced
-// flips just before the table install: from then on writes get the
-// retryable -MOVED while reads keep serving the still-authoritative source.
+// copy runs: the keys the slot's writes touched since the engine last took
+// them, whatever each write answered. The engine recopies each one from the
+// source to the target (recopy), so a write that timed out, or whose reply
+// never reached its client, is copied like any other.
 type migration struct {
-	slot, src, dst int
+	mu      sync.Mutex
+	touched map[string]struct{}
+}
 
-	fenced atomic.Bool
+// touch adds keys to the set, each cloned when it is new there: a key cut
+// from a connection's fill would keep the whole fill alive.
+func (m *migration) touch(keys []string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, k := range keys {
+		if _, ok := m.touched[k]; !ok {
+			if m.touched == nil {
+				m.touched = map[string]struct{}{}
+			}
+			m.touched[strings.Clone(k)] = struct{}{}
+		}
+	}
+}
 
-	// mu makes a worker's execute-then-record on the migrating slot one
-	// step, so the log's order is exactly the source store's apply order.
-	mu    sync.Mutex
-	delta deltaLog
+// take empties the set and returns what it held.
+func (m *migration) take() map[string]struct{} {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	keys := m.touched
+	m.touched = nil
+	return keys
 }
 
 // engine is the migration agent: its own process, thread and core (claimed
@@ -129,20 +145,36 @@ func (e *engine) importPairs(n *node, slot int, pairs []redis.KV) error {
 	return err
 }
 
-// replay drains the migration's delta log onto the target and returns how
-// many entries it applied. The target is resolved once per window — also
-// for an empty one, so ownership never flips onto a node that stopped
-// serving during the copy.
-func (e *engine) replay(mig *migration, n *node) (uint64, error) {
-	entries, dropped := mig.delta.take()
-	if dropped > 0 {
-		return 0, errors.New("delta log overflow")
-	}
-	t, err := e.reach(n)
+// recopy copies each key the migration's writes touched since the last
+// round from the source to the target — a GET on src, then a SET, or a DEL
+// for a key src no longer holds, on dst — and returns how many it copied.
+// Both ends are resolved every round, also an empty one, so ownership never
+// flips while either has stopped serving.
+func (e *engine) recopy(mig *migration, src, dst *node) (uint64, error) {
+	s, err := e.reach(src)
 	if err != nil {
 		return 0, err
 	}
-	return replay(n, t, entries)
+	d, err := e.reach(dst)
+	if err != nil {
+		return 0, err
+	}
+	var copied uint64
+	for k := range mig.take() {
+		v, err := s.run(src, "GET", k)
+		if err != nil {
+			return copied, err
+		}
+		argv := []string{"DEL", k}
+		if v != nil {
+			argv = []string{"SET", k, string(v)}
+		}
+		if _, err := d.run(dst, argv...); err != nil {
+			return copied, err
+		}
+		copied++
+	}
+	return copied, nil
 }
 
 // cleanupSlot deletes a node's copy of a slot (the source after a flip, or
@@ -155,22 +187,22 @@ func (e *engine) cleanupSlot(n *node, slot int) error {
 // MigrateSlot moves one placement slot to node dst while the cluster keeps
 // serving:
 //
-//  1. publish the migration, so every write on the slot is recorded in the
-//     delta log (in store order) from before the copy starts;
+//  1. publish the migration, so every write on the slot touches its key in
+//     the migration's set from before the copy starts;
 //  2. copy the slot's pairs off the source and import them into the target
 //     in one command;
-//  3. replay the delta accumulated during the copy;
-//  4. fence writes (-MOVED, retryable), take the topology write lock —
-//     which waits out every in-flight command, so the log is complete —
-//     replay the final delta, install the slot table with ownership
-//     flipped and the version bumped;
+//  3. recopy the keys touched during the copy, a few rounds while writes
+//     still flow;
+//  4. take the topology write lock — which waits out every in-flight
+//     command, so the set is complete — recopy the last keys, install the
+//     slot table with ownership flipped and the version bumped;
 //  5. delete the source's copy (best effort — the source no longer owns
 //     the slot either way).
 //
-// Any copy/replay failure rolls back: the target's partial copy is
-// deleted, the table stays as it was, and the source remains
-// authoritative. A delta-log overflow (Config.MigrationDeltaLog) aborts
-// the same way rather than replay a truncated log.
+// No command on the slot is refused: a write that arrives during step 4
+// waits out the lock, as every command does, and runs on the new owner.
+// Any copy or recopy failure rolls back: the target's partial copy is
+// deleted, the table stays as it was, and the source remains authoritative.
 func (r *Router) MigrateSlot(slot, dst int) error {
 	r.lifecycleMu.Lock()
 	defer r.lifecycleMu.Unlock()
@@ -214,7 +246,7 @@ func (r *Router) migrateSlotLocked(slot, dst int) error {
 	// Published under the topology write lock, which waits out every
 	// in-flight command: a write that looked before the record was there
 	// has reached the store before the dump below reads it.
-	mig := &migration{slot: slot, src: src, dst: dst, delta: deltaLog{bound: r.cfg.MigrationDeltaLog}}
+	mig := &migration{}
 	r.topoMu.Lock()
 	r.migs[slot].Store(mig)
 	r.topoMu.Unlock()
@@ -240,31 +272,30 @@ func (r *Router) migrateSlotLocked(slot, dst int) error {
 		return fail(true, fmt.Errorf("import: %w", err))
 	}
 
-	// Pre-drain: shrink the delta while writes still flow, so the fenced
-	// window (where writers see -MOVED) stays short.
-	var replayed uint64
+	// Pre-drain: shrink the set while writes still flow, so the last round,
+	// which every command waits out, stays short.
+	var recopied uint64
 	for i := 0; i < 8; i++ {
-		applied, err := e.replay(mig, dstN)
+		copied, err := e.recopy(mig, srcN, dstN)
 		if err != nil {
-			return fail(true, fmt.Errorf("replay: %w", err))
+			return fail(true, fmt.Errorf("recopy: %w", err))
 		}
-		replayed += applied
-		if applied < 16 {
+		recopied += copied
+		if copied < 16 {
 			break
 		}
 	}
 
-	// Fence, then take the topology write lock: acquiring it waits out
-	// every in-flight command (workers hold the read side end to end), so
-	// after this the delta log is final.
-	mig.fenced.Store(true)
+	// Acquiring the topology write lock waits out every in-flight command
+	// (workers hold the read side end to end), so after this the set is
+	// final.
 	r.topoMu.Lock()
-	applied, err := e.replay(mig, dstN)
+	copied, err := e.recopy(mig, srcN, dstN)
 	if err != nil {
 		r.topoMu.Unlock()
-		return fail(true, fmt.Errorf("final replay: %w", err))
+		return fail(true, fmt.Errorf("final recopy: %w", err))
 	}
-	replayed += applied
+	recopied += copied
 	t := r.Table().clone()
 	t.Owners[slot] = dst
 	r.installTable(t)
@@ -281,6 +312,6 @@ func (r *Router) migrateSlotLocked(slot, dst int) error {
 	// best effort — a failure leaves dead keys on a node that no longer
 	// owns the slot, which the normal path never reads.
 	_ = e.cleanupSlot(srcN, slot)
-	r.obs.ClusterSlotMoved(slot, src, dst, uint64(len(pairs)), moved, replayed)
+	r.obs.ClusterSlotMoved(slot, src, dst, uint64(len(pairs)), moved, recopied)
 	return nil
 }

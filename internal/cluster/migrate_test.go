@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -184,8 +185,8 @@ func TestMigrateSlotWithALargeValue(t *testing.T) {
 
 // TestMigrateSlotUnderLoad races a writer against repeated ownership flips
 // of its slot: every write must either apply exactly once or come back as
-// a retryable refusal (-MOVED/-BUSY), and after the dust settles every key
-// must read back the last acknowledged value — zero mismatches.
+// a retryable refusal (-BUSY), and after the dust settles every key must
+// read back the last acknowledged value — zero mismatches.
 func TestMigrateSlotUnderLoad(t *testing.T) {
 	_, r, srv := startCluster(t, Config{Nodes: 3, Workers: 1, Locals: 2}, nil)
 	defer srv.Shutdown()
@@ -502,6 +503,78 @@ func TestMigrateTargetCrashed(t *testing.T) {
 	mig := snap.Cluster.Migration
 	if mig == nil || mig.SlotMoves != 0 || mig.SlotMoveFailures != 2 {
 		t.Fatalf("migration counters = %+v, want 0 moves / 2 failures", mig)
+	}
+}
+
+// TestTimedOutWriteOnAMigratingSlotReachesTheTarget writes a key on a slot
+// migrating off remote node 1 while node 1's every answer is lost: the node
+// applies the SET, and its client gets -SHARDTIMEOUT. The write touched its
+// key all the same, so the last recopy leaves the target reading what the
+// source reads — a reader that saw the new value before the flip sees it
+// after. A DEL is recopied as a DEL.
+func TestTimedOutWriteOnAMigratingSlotReachesTheTarget(t *testing.T) {
+	reg := fault.New(5)
+	g := newBatchRig(t, "urpc", reg)
+	r := g.r
+	exec := func(args ...string) []byte {
+		req := request(false, 0, args...)
+		r.execBatch(g.w, server.NewBatch([]*server.Request{req}))
+		return req.Reply()
+	}
+	key := "k"
+	for i := 0; r.Owner(r.Slot(key)) != 1; i++ {
+		key = fmt.Sprintf("k%d", i)
+	}
+	if got := exec("SET", key, "old"); string(got) != "+OK\r\n" {
+		t.Fatalf("SET old: %q", got)
+	}
+
+	slot, src, dst := r.Slot(key), r.nodes[1], r.nodes[0]
+	mig := &migration{}
+	r.migs[slot].Store(mig)
+	defer r.migs[slot].Store(nil)
+	r.lifecycleMu.Lock()
+	defer r.lifecycleMu.Unlock()
+	e, err := r.ensureEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := e.dumpSlot(src, slot)
+	if err == nil {
+		err = e.importPairs(dst, slot, pairs)
+	}
+	if err != nil {
+		t.Fatalf("copy: %v", err)
+	}
+
+	reg.Enable(fault.URPCDrop, fault.FromNth(2)) // the request lands; every answer is lost
+	got := exec("SET", key, "new")
+	reg.Disable(fault.URPCDrop)
+	if !bytes.HasPrefix(got, []byte("-SHARDTIMEOUT")) {
+		t.Fatalf("SET new with every answer lost: %q, want -SHARDTIMEOUT", got)
+	}
+	if _, err := e.recopy(mig, src, dst); err != nil {
+		t.Fatalf("final recopy: %v", err)
+	}
+	at := func(n *node) []byte {
+		v, err := e.run(n, "GET", key)
+		if err != nil {
+			t.Fatalf("GET on node %d: %v", n.id, err)
+		}
+		return v
+	}
+	if s, d := at(src), at(dst); string(s) != "new" || string(d) != "new" {
+		t.Fatalf("after the last recopy the source holds %q, the target %q; want both \"new\"", s, d)
+	}
+
+	if got := exec("DEL", key); string(got) != ":1\r\n" {
+		t.Fatalf("DEL: %q", got)
+	}
+	if copied, err := e.recopy(mig, src, dst); copied != 1 || err != nil {
+		t.Fatalf("recopy of the DEL: %d keys, %v", copied, err)
+	}
+	if s, d := at(src), at(dst); s != nil || d != nil {
+		t.Fatalf("after the DEL's recopy the source holds %q, the target %q; want both nil", s, d)
 	}
 }
 

@@ -19,8 +19,7 @@ const NumSlots = 256
 // by installing a fresh copy with Version bumped — never by mutating a
 // published table.
 type SlotTable struct {
-	// Version increments on every ownership change. Commands that raced a
-	// flip see -MOVED and retry against the next version.
+	// Version increments on every ownership change.
 	Version uint64
 	// Owners maps slot → node id.
 	Owners [NumSlots]int

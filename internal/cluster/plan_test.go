@@ -16,8 +16,9 @@ import (
 // TestPlanKeepsKeyOrder states, apart from any rule, what a plan must not move.
 
 // refStep is a step as the rule states it: a barrier — a command the router
-// answers (node -1) or a write on a migrating slot — runs alone, and nothing
-// crosses it; a run is one node's members, all reads or all writes.
+// answers (node -1) — runs alone, and nothing crosses it; a run is one node's
+// members, all reads or all writes. A write on a migrating slot is a member
+// like any other.
 type refStep struct {
 	barrier bool
 	node    int
@@ -26,11 +27,13 @@ type refStep struct {
 }
 
 // refMember is a command at its place in the batch, or a part of an MGET
-// across nodes: that node's keys, in key order.
+// across nodes: that node's keys, in key order. mig is the migration a write
+// on a migrating slot touches its key in; nil for any other member.
 type refMember struct {
 	at   int
 	args []string
 	cmd  *redis.Command
+	mig  *migration
 }
 
 // conflicts reports whether two members of a node must keep their order: both
@@ -87,8 +90,7 @@ func refPlan(reqs []*server.Request, locate func(string) (int, *migration)) []re
 		seg = nil
 	}
 	for i, req := range reqs {
-		one := refStep{node: -1, write: req.Cmd.Write, members: []refMember{{i, req.Args, req.Cmd}}}
-		var mig *migration
+		one := refStep{node: -1, write: req.Cmd.Write, members: []refMember{{i, req.Args, req.Cmd, nil}}}
 		switch {
 		case req.Cmd.By != redis.ByStore:
 			one.barrier = true
@@ -103,12 +105,14 @@ func refPlan(reqs []*server.Request, locate func(string) (int, *migration)) []re
 				if len(parts) > 1 {
 					args = append([]string{req.Cmd.Name}, parts[n]...)
 				}
-				seg = append(seg, refStep{node: n, members: []refMember{{i, args, req.Cmd}}})
+				seg = append(seg, refStep{node: n, members: []refMember{{i, args, req.Cmd, nil}}})
 			}
 			continue
 		default:
-			one.node, mig = locate(req.Args[req.Cmd.FirstKey])
-			one.barrier = mig != nil && req.Cmd.Write
+			var mig *migration
+			if one.node, mig = locate(req.Args[req.Cmd.FirstKey]); req.Cmd.Write {
+				one.members[0].mig = mig
+			}
 		}
 		if !one.barrier {
 			seg = append(seg, one)
@@ -126,16 +130,16 @@ func refPlan(reqs []*server.Request, locate func(string) (int, *migration)) []re
 func planned(p *plan, reqs []*server.Request, locate func(string) (int, *migration)) (steps []refStep) {
 	for lo, hi := 0, 0; lo < len(reqs); lo = hi {
 		if req := reqs[lo]; req.Cmd.By != redis.ByStore {
-			steps = append(steps, refStep{barrier: true, node: -1, write: req.Cmd.Write, members: []refMember{{lo, req.Args, req.Cmd}}})
+			steps = append(steps, refStep{barrier: true, node: -1, write: req.Cmd.Write, members: []refMember{{lo, req.Args, req.Cmd, nil}}})
 			hi = lo + 1
 			continue
 		}
 		hi = p.make(reqs, lo, locate)
 		for _, m := range p.members {
 			if m.step {
-				steps = append(steps, refStep{barrier: m.mig != nil, node: m.node, write: m.req.Cmd.Write})
+				steps = append(steps, refStep{node: m.node, write: m.req.Cmd.Write})
 			}
-			steps[len(steps)-1].members = append(steps[len(steps)-1].members, refMember{m.at, m.args, m.req.Cmd})
+			steps[len(steps)-1].members = append(steps[len(steps)-1].members, refMember{m.at, m.args, m.req.Cmd, m.mig})
 		}
 	}
 	return steps
@@ -144,14 +148,14 @@ func planned(p *plan, reqs []*server.Request, locate func(string) (int, *migrati
 func equalSteps(a, b []refStep) bool {
 	return slices.EqualFunc(a, b, func(x, y refStep) bool {
 		return x.barrier == y.barrier && x.node == y.node && x.write == y.write &&
-			slices.EqualFunc(x.members, y.members, func(m, n refMember) bool { return m.at == n.at && slices.Equal(m.args, n.args) })
+			slices.EqualFunc(x.members, y.members, func(m, n refMember) bool { return m.at == n.at && slices.Equal(m.args, n.args) && m.mig == n.mig })
 	})
 }
 
 // planAlphabet is the small scope the planner is tested in: GET, SET and DEL
 // on two keys per node of three, an MGET across the nodes (its keys out of
-// node order), a PING and a write on a migrating slot. No machine is built:
-// the planner reads nothing but its arguments.
+// node order), a PING, and a write and a read on a migrating slot. No machine
+// is built: the planner reads nothing but its arguments.
 func planAlphabet() ([]*server.Request, func(string) (int, *migration)) {
 	mig := &migration{}
 	locate := func(key string) (int, *migration) {
@@ -165,7 +169,7 @@ func planAlphabet() ([]*server.Request, func(string) (int, *migration)) {
 		alphabet = append(alphabet, request(false, 0, "GET", k), request(false, 0, "SET", k, "v"), request(false, 0, "DEL", k))
 	}
 	alphabet = append(alphabet, request(false, 0, "MGET", "b2", "a1", "a0", "a2"),
-		request(false, 0, "PING"), request(false, 0, "SET", "m1", "v"))
+		request(false, 0, "PING"), request(false, 0, "SET", "m1", "v"), request(false, 0, "GET", "m1"))
 	return alphabet, locate
 }
 
@@ -203,7 +207,8 @@ func argvs(batch []*server.Request) (out [][]string) {
 // TestPlanMatchesTheRule holds plan.make to refPlan on every batch of up to
 // four commands of planAlphabet, which says, against the reference: each
 // node's members in VAS phases; barriers in place, nothing crossing them; an
-// MGET's parts in node-id order, each with its node's keys in key order.
+// MGET's parts in node-id order, each with its node's keys in key order; and
+// the migration on a migrating slot's write alone.
 func TestPlanMatchesTheRule(t *testing.T) {
 	alphabet, locate := planAlphabet()
 	var p plan

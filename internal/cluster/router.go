@@ -257,10 +257,10 @@ const minReplyBytes = 64
 
 // member is a command of the stretch, at its place in the batch, or a part of
 // an MGET across nodes, whose fan is then fans[fan-1]: node owns its keys, args
-// is what runs. The plan is steps: each starts at a member marked step and is
-// a run, one node's members, all reads or all writes, or a barrier, a write on
-// a slot migrating (mig) off its node, run alone. The walk sets bud, the
-// member's budget, and t, where it runs.
+// is what runs, and mig, for a write on a slot migrating off node, is the
+// migration its keys touch once it ran. The plan is steps: each starts at a
+// member marked step and is a run, one node's members, all reads or all
+// writes. The walk sets bud, the member's budget, and t, where it runs.
 type member struct {
 	req  *server.Request
 	at   int
@@ -285,11 +285,10 @@ type fan struct {
 
 // make plans the stretch of store commands that starts at reqs[lo] and returns
 // where it ends. It is pure: locate says which node owns a key and, while its
-// slot migrates, the migration; nothing is counted or resolved. A write on a
-// migrating slot is a barrier; between two, a segment goes node by node (runs).
+// slot migrates, the migration; nothing is counted or resolved. The stretch
+// goes node by node (runs).
 func (p *plan) make(reqs []*server.Request, lo int, locate func(key string) (int, *migration)) (hi int) {
 	p.members, p.fans, p.argv, p.owners, p.elems = p.members[:0], p.fans[:0], p.argv[:0], p.owners[:0], p.elems[:0]
-	seg := 0 // where the segment being gathered starts in members
 	for hi = lo; hi < len(reqs) && reqs[hi].Cmd.By == redis.ByStore; hi++ {
 		m := member{req: reqs[hi], at: hi, args: reqs[hi].Args}
 		if m.req.Cmd.Op == redis.OpMGet {
@@ -297,17 +296,16 @@ func (p *plan) make(reqs []*server.Request, lo int, locate func(key string) (int
 			continue
 		}
 		var mig *migration
-		if m.node, mig = locate(m.args[m.req.Cmd.FirstKey]); mig != nil && m.req.Cmd.Write {
-			p.runs(seg)
-			m.step, m.mig, seg = true, mig, len(p.members)+1
+		if m.node, mig = locate(m.args[m.req.Cmd.FirstKey]); m.req.Cmd.Write {
+			m.mig = mig
 		}
 		p.members = append(p.members, m)
 	}
-	p.runs(seg)
+	p.runs()
 	return hi
 }
 
-// mget adds an MGET to the segment: whole when one node owns every key, else
+// mget adds an MGET to the stretch: whole when one node owns every key, else
 // as a fan of parts, one per owning node in node-id order, each an MGET of that
 // node's keys in key order (a migrating slot's keys are its source's).
 func (p *plan) mget(m member, locate func(string) (int, *migration)) {
@@ -343,24 +341,24 @@ func (p *plan) mget(m member, locate func(string) (int, *migration)) {
 	}
 }
 
-// runs orders the segment gathered at members[seg:] node by node, nodes in
-// the order they first appear — a member moves ahead only across other nodes',
+// runs orders the stretch gathered in members node by node, nodes in the
+// order they first appear — a member moves ahead only across other nodes',
 // disjoint keys, so the two commute — and each node's members in VAS phases,
 // one run each, as reads and writes use different VASes of a store. The first
 // phase is in the VAS of the node's first member; each takes, in arrival
 // order, every member left in its VAS that no member left ahead of it
 // conflicts with: one sharing a key where either writes, or any write, so
 // SET/DEL keep their order. Phases alternate until the node is laid out.
-func (p *plan) runs(seg int) {
+func (p *plan) runs() {
 	end := len(p.members)
-	for i := seg; i < end; i++ {
+	for i := 0; i < end; i++ {
 		if n := p.members[i].node; n >= 0 { // else laid out with an earlier node's
 			for write, left := p.members[i].req.Cmd.Write, true; left; write = !write {
 				left = p.phase(n, i, end, write)
 			}
 		}
 	}
-	p.members = append(p.members[:seg], p.members[end:]...)
+	p.members = append(p.members[:0], p.members[end:]...)
 }
 
 // phase lays out node n's next run: of its members in members[i:end], those
@@ -412,7 +410,7 @@ func (r *Router) execBatch(w *worker, b *server.Batch) {
 	p.done, p.answered = append(p.done[:0], make([]bool, len(b.Reqs))...), 0
 	for lo, hi := 0, 0; lo < len(b.Reqs); lo = hi {
 		if req := b.Reqs[lo]; req.Cmd.By != redis.ByStore {
-			r.execAlone(w, b, member{req: req, at: lo}, nil)
+			r.execAlone(w, b, member{req: req, at: lo})
 			hi = lo + 1
 			continue
 		}
@@ -445,10 +443,6 @@ func (r *Router) walk(w *worker, b *server.Batch) {
 		if m.step {
 			flush()
 		}
-		if m.mig != nil {
-			r.execAlone(w, b, m, n)
-			continue
-		}
 		if !r.begin(w, n, &m) {
 			r.finish(w, &m, nil)
 			p.publish(b)
@@ -464,15 +458,12 @@ func (r *Router) walk(w *worker, b *server.Batch) {
 	flush()
 }
 
-// execAlone carries out a write on a slot migrating off node n or, with no
-// migration, a command the router answers itself or refuses.
-func (r *Router) execAlone(w *worker, b *server.Batch, m member, n *node) {
+// execAlone carries out a command the router answers itself or refuses.
+func (r *Router) execAlone(w *worker, b *server.Batch, m member) {
 	cmd, args := m.req.Cmd, m.req.Args
 	m.bud = w.arm(m.req)
 	var reply []byte
 	switch {
-	case m.mig != nil:
-		reply = r.migratingWrite(w, n, m.mig, m.req)
 	case cmd.Op == redis.OpClusterSlots:
 		reply = r.clusterSlotsReply()
 	case cmd.Op == redis.OpClusterNodes:
@@ -548,8 +539,12 @@ func (r *Router) execRun(w *worker, b *server.Batch, n *node, run []member) {
 // finish answers m's request with reply, charging its way out (the per-mode
 // cycle deltas sit between the two edge charges) and recording what its budget
 // has left. A part answers only as its fan's last back; reply is nil for a
-// part not sent.
+// part not sent. A write on a migrating slot touches its keys first, whatever
+// it answered: a write that timed out may still have reached the store.
 func (r *Router) finish(w *worker, m *member, reply []byte) {
+	if m.mig != nil {
+		m.mig.touch(m.req.Cmd.Keys(m.args))
+	}
 	if m.fan != 0 {
 		if reply = w.plan.partBack(m, reply); reply == nil {
 			return
@@ -790,28 +785,6 @@ func (w *worker) callBudget() uint64 {
 		rem = 1
 	}
 	return rem
-}
-
-// migratingWrite serves a write on a slot migrating off node n: serialized
-// through the migration's mutex, executed on the source and recorded in the
-// delta log as one atomic step, so replay order on the target matches store
-// order on the source exactly. Once the migration is fenced (the flip is
-// imminent), the write gets the retryable -MOVED; reads keep serving from the
-// still-authoritative source until the flip, so no slot ever goes dark. The
-// caller holds the topology read lock.
-func (r *Router) migratingWrite(w *worker, n *node, mig *migration, req *server.Request) []byte {
-	mig.mu.Lock()
-	defer mig.mu.Unlock()
-	if mig.fenced.Load() {
-		r.ctr.Migration.MovedRetries.Add(1)
-		return redis.EncodeMoved(mig.slot, mig.dst)
-	}
-	one := [1]redis.Call{{Cmd: req.Cmd, Args: req.Args}}
-	r.serve(w, n, r.resolve(w, n, req.Cmd, req.Readonly), one[:])
-	if resp := one[0].Reply; len(resp) > 0 && resp[0] != '-' {
-		mig.delta.record(req.Args)
-	}
-	return one[0].Reply
 }
 
 // serve carries out calls — one command, or a run resolve gave one answer

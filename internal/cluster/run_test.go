@@ -422,7 +422,7 @@ func TestFailedApplyLeavesNothingBehind(t *testing.T) {
 // TestMigrationWaitsOutInFlightWrites pins when a migration's record becomes
 // visible: not while a command that began before it is still in flight. Such
 // a command looked for the record, found none, and will write without
-// logging; if the engine published and dumped the slot in that window the
+// touching its key; if the engine published and dumped the slot in that window the
 // write would land on the source after the dump and be lost at the flip
 // (TestMigrateSlotUnderLoad caught it once in a few hundred runs on a busy
 // box: "after flips: GET … want …"). The in-flight command is modelled by

@@ -3,8 +3,10 @@ package cluster
 import (
 	"bufio"
 	"fmt"
+	"maps"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,18 +16,17 @@ import (
 
 // TestSubmittedArgsOwnTheirMemory pins the contract between the connection
 // reader and everything behind Backend.Submit: a command's arguments are
-// immutable and self-owned. The router keeps them long after the reader has
-// moved on — in the node's replication delta and in a live migration's
-// delta log — so arguments that aliased the connection's read buffer would
+// immutable and self-owned. They are kept long after the reader has moved on
+// — in the node's replication delta and, as keys, in a live migration's
+// touched set — so arguments that aliased the connection's read buffer would
 // read back as whatever command came through the buffer later. 10 000
 // distinct SETs are pipelined down one connection into a replicated remote
 // node whose slot has a migration in flight; every retained entry must
-// still say what was sent.
+// still say what was sent, and the set must hold exactly the keys written.
 func TestSubmittedArgsOwnTheirMemory(t *testing.T) {
 	const n = 10000
 	_, r, srv := startCluster(t, Config{
 		Nodes: 3, Workers: 2, Mode: ModeAuto, Locals: 2,
-		MigrationDeltaLog: 2 * n,
 		Replication: ReplicationConfig{
 			Enabled: true,
 			// Nothing ships during the test: the window must hold it all.
@@ -40,7 +41,7 @@ func TestSubmittedArgsOwnTheirMemory(t *testing.T) {
 		slot++
 	}
 	keys := keysInSlot(t, slot, 16)
-	mig := &migration{slot: slot, src: remote, dst: 0, delta: deltaLog{bound: 2 * n}}
+	mig := &migration{}
 	r.migs[slot].Store(mig)
 	defer r.migs[slot].Store(nil)
 
@@ -88,9 +89,7 @@ func TestSubmittedArgsOwnTheirMemory(t *testing.T) {
 		t.Fatalf("replication delta dropped %d entries", dropped)
 	}
 	check("replication delta", entries)
-	migrated, overflow := mig.delta.take()
-	if overflow != 0 {
-		t.Fatal("migration delta log overflowed")
+	if touched := slices.Sorted(maps.Keys(mig.take())); !slices.Equal(touched, slices.Sorted(slices.Values(keys))) {
+		t.Fatalf("the migration's touched set holds %q, the SETs wrote %q", touched, keys)
 	}
-	check("migration delta log", migrated)
 }

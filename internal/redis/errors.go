@@ -6,7 +6,7 @@ import (
 )
 
 // Typed RESP error replies. Redis convention puts a machine-readable code
-// in the reply's first word ("-BUSY ...", "-MOVED ..."); the cluster layer
+// in the reply's first word ("-BUSY ...", "-STALE ..."); the cluster layer
 // follows it so the load generator and tests can match replies on sentinel
 // errors instead of scraping message text. A decoded ReplyError matches a
 // sentinel via errors.Is whenever its leading code word agrees — the
@@ -15,7 +15,6 @@ const (
 	codeShardTimeout  = "SHARDTIMEOUT"
 	codeShardDegraded = "SHARDDEGRADED"
 	codeBusy          = "BUSY"
-	codeMoved         = "MOVED"
 	codeNoPerm        = "NOPERM"
 	codeQuota         = "QUOTA"
 	codeStale         = "STALE"
@@ -33,10 +32,6 @@ var (
 	ErrShardDegraded = ReplyError(codeShardDegraded + " shard degraded: no recoverable replica")
 	// ErrBusy is the serving layer's backpressure rejection.
 	ErrBusy = ReplyError(codeBusy + " server busy, retry")
-	// ErrMoved is a command that raced a slot migration's ownership flip —
-	// the slot's keys now live on another node; retrying routes against the
-	// new slot table.
-	ErrMoved = ReplyError(codeMoved + " slot moved, retry")
 	// ErrNoPerm is a capability denial: the connection's tenant holds no
 	// capability covering the addressed view (paper §4.2 — a segment attach
 	// outside the caller's ACL fails at the check, not as a missing key).
@@ -66,7 +61,7 @@ func (e ReplyError) Is(target error) bool {
 		return false
 	}
 	switch t {
-	case ErrShardTimeout, ErrShardDegraded, ErrBusy, ErrMoved, ErrNoPerm, ErrQuota, ErrStale, ErrDeadline:
+	case ErrShardTimeout, ErrShardDegraded, ErrBusy, ErrNoPerm, ErrQuota, ErrStale, ErrDeadline:
 		return replyCode(string(e)) == replyCode(string(t))
 	}
 	return string(e) == string(t)
@@ -92,13 +87,6 @@ func EncodeShardDegraded(node int, detail string) []byte {
 // EncodeBusy renders the serving layer's backpressure rejection.
 func EncodeBusy(detail string) []byte {
 	return replyLine('-', codeBusy, " ", detail)
-}
-
-// EncodeMoved renders the retryable slot-moved reply, in Redis cluster
-// shape ("-MOVED <slot> <node>"): the command raced an ownership flip and
-// should be retried — the router re-resolves against the new slot table.
-func EncodeMoved(slot, node int) []byte {
-	return replyLine('-', codeMoved, " ", strconv.Itoa(slot), " node-", strconv.Itoa(node))
 }
 
 // EncodeNoPerm renders the capability-denial reply. detail says which view
@@ -132,7 +120,7 @@ func EncodeDeadline(detail string) []byte {
 // that a fresh request would reset) rather than reporting a hard failure.
 func IsRetryableReply(e ReplyError) bool {
 	switch replyCode(string(e)) {
-	case codeBusy, codeShardTimeout, codeMoved, codeDeadline:
+	case codeBusy, codeShardTimeout, codeDeadline:
 		return true
 	}
 	return false

@@ -681,7 +681,6 @@ func TestEncodersAgainstModel(t *testing.T) {
 		refEncodeError(fmt.Sprintf("unknown command '%s'", "NOPE")))
 	same("EncodeWrongArity", redis.EncodeWrongArity("GeT"),
 		refEncodeError(fmt.Sprintf("wrong number of arguments for '%s' command", "get")))
-	same("EncodeMoved", redis.EncodeMoved(12, 3), []byte("-MOVED 12 node-3\r\n"))
 	same("EncodeShardTimeout", redis.EncodeShardTimeout(2),
 		[]byte("-SHARDTIMEOUT shard timeout: node 2 unreachable, retry\r\n"))
 	same("EncodeShardDegraded", redis.EncodeShardDegraded(2, "why"), []byte("-SHARDDEGRADED node 2 degraded: why\r\n"))

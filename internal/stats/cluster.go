@@ -55,8 +55,7 @@ type migrationCounters struct {
 	SlotMoveFailures atomic.Uint64 // migrations aborted and rolled back
 	KeysMoved        atomic.Uint64 // keys copied into migration targets
 	BytesMoved       atomic.Uint64 // key+value payload bytes streamed during migrations
-	DeltaReplayed    atomic.Uint64 // writes replayed from migration delta logs
-	MovedRetries     atomic.Uint64 // -MOVED refusals sent to commands racing a flip
+	DeltaReplayed    atomic.Uint64 // keys recopied because a write touched them during the copy
 	NodesAdded       atomic.Uint64 // nodes joined mid-run
 	NodesRemoved     atomic.Uint64 // nodes drained and retired mid-run
 	SlotKeys         slotKeys      // key count seen when each slot last migrated
@@ -180,16 +179,17 @@ func (s *Sink) ClusterPromotion(node int, replayed, lost uint64) {
 }
 
 // ClusterSlotMoved records one completed slot migration: keys and payload
-// bytes streamed to the new owner, delta-log writes replayed during the
-// copy, and the slot's key count at flip time. Traced. Safe on nil.
-func (s *Sink) ClusterSlotMoved(slot, src, dst int, keys, bytes, replayed uint64) {
+// bytes streamed to the new owner, keys recopied because a write touched
+// them during the copy, and the slot's key count at flip time. Traced. Safe
+// on nil.
+func (s *Sink) ClusterSlotMoved(slot, src, dst int, keys, bytes, recopied uint64) {
 	if s == nil {
 		return
 	}
 	s.live.Cluster.Migration.SlotMoves.Add(1)
 	s.live.Cluster.Migration.KeysMoved.Add(keys)
 	s.live.Cluster.Migration.BytesMoved.Add(bytes)
-	s.live.Cluster.Migration.DeltaReplayed.Add(replayed)
+	s.live.Cluster.Migration.DeltaReplayed.Add(recopied)
 	if table := s.live.Cluster.Migration.SlotKeys.table.Load(); table != nil && slot >= 0 && slot < len(*table) {
 		(*table)[slot].Store(keys)
 	}

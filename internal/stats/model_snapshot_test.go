@@ -139,7 +139,6 @@ func refDelta(s, before *Snapshot) *Snapshot {
 				KeysMoved:        m.KeysMoved - bm.KeysMoved,
 				BytesMoved:       m.BytesMoved - bm.BytesMoved,
 				DeltaReplayed:    m.DeltaReplayed - bm.DeltaReplayed,
-				MovedRetries:     m.MovedRetries - bm.MovedRetries,
 				NodesAdded:       m.NodesAdded - bm.NodesAdded,
 				NodesRemoved:     m.NodesRemoved - bm.NodesRemoved,
 				// Point-in-time counts, not monotonic: carry the later view.
@@ -285,7 +284,6 @@ func TestDeltaMatchesReference(t *testing.T) {
 				case 3:
 					s.Cluster().Overload.DeadlineExpired.Add(1)
 				case 4:
-					s.Cluster().Migration.MovedRetries.Add(1)
 					s.ClusterNodeAdded(0)
 				}
 			case 3: // the substrate only

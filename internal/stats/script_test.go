@@ -90,7 +90,6 @@ func countServing(s *Sink, i int, k uint64) {
 	cl.Replication.Probes.Add(2)
 	cl.Replication.ProbeFailures.Add(1 + k%2)
 	cl.Replication.LostUpdates.Add(1)
-	cl.Migration.MovedRetries.Add(1)
 	cl.Fork.FollowerReads.Add(1)
 	cl.Fork.StaleRejected.Add(1)
 	cl.Fork.ShipNs.Observe(30000 + k)

@@ -133,8 +133,7 @@ type ReplicationSnap struct {
 }
 
 // MigrationSnap is the elastic-membership side of the cluster layer: slot
-// migrations, node join/leave, and the -MOVED retries clients absorbed
-// while slots flipped. SlotKeys maps slot → key count observed when that
+// migrations and node join/leave. SlotKeys maps slot → key count observed when that
 // slot last migrated (point-in-time, not monotonic).
 type MigrationSnap struct {
 	SlotMoves        uint64         `json:"slot_moves"`
@@ -142,7 +141,6 @@ type MigrationSnap struct {
 	KeysMoved        uint64         `json:"keys_moved"`
 	BytesMoved       uint64         `json:"bytes_moved"`
 	DeltaReplayed    uint64         `json:"delta_replayed"`
-	MovedRetries     uint64         `json:"moved_retries"`
 	NodesAdded       uint64         `json:"nodes_added"`
 	NodesRemoved     uint64         `json:"nodes_removed"`
 	SlotKeys         map[int]uint64 `json:"slot_keys,omitempty" stats:"carry"`
