@@ -172,11 +172,11 @@ func slowReplica() *Spec {
 	}
 }
 
-// checkpointCorruptionStorm tears every checkpoint header (the serving path
-// never writes through the checkpoint's persistence hook, so client data is
-// untouched), then crashes the replicated node: with no valid generation to
-// promote from, the range must degrade — loudly, as terminal
-// -SHARDDEGRADED errors — rather than serve stale data as fresh.
+// checkpointCorruptionStorm tears every checkpoint header (each cold ship's,
+// so the standby never warms, and the one the promotion writes; client data
+// never goes through the hook), then crashes the replicated node: with no
+// valid generation to promote from, the range must degrade — loudly, as
+// terminal -SHARDDEGRADED errors — rather than serve stale data as fresh.
 func checkpointCorruptionStorm() *Spec {
 	return &Spec{
 		Name:        "checkpoint-corruption-storm",

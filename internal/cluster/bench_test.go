@@ -9,6 +9,7 @@ import (
 	"spacejmp/internal/core"
 	"spacejmp/internal/hw"
 	"spacejmp/internal/kernel"
+	"spacejmp/internal/mem"
 	"spacejmp/internal/redis"
 	"spacejmp/internal/server"
 )
@@ -340,15 +341,10 @@ func BenchmarkApplyImage(b *testing.B) {
 	b.ReportMetric(float64(data), "data-pages")
 }
 
-// BenchmarkShipDelta is one steady-state ship of the same 16 MiB store as the
-// monitor and the fork engine see it: fork, 128 SETs of 1 KiB against the view
-// (untimed: they are the node's work), extract the pages written since the
-// generation the standby holds, patch the standing standby with them.
-// sim-cycles/op is the monitor core's charge for the extract and the patch —
-// BenchmarkApplyImage's is the same for a full rebuild — and pages/op how
-// many pages a ship moved.
-func BenchmarkShipDelta(b *testing.B) {
-	g := newShipRig(b, 16<<20)
+// shipBenchStore fills a ship rig's store with BenchmarkApplyImage's 2 500
+// keys of 1 KiB and returns the node's work between two forks: 128 SETs of
+// 1 KiB over them, each value changed.
+func shipBenchStore(b *testing.B, g *shipRig) (write128 func()) {
 	value := make([]byte, 1024)
 	for i := range value {
 		value[i] = byte(i%251 + 1)
@@ -362,19 +358,35 @@ func BenchmarkShipDelta(b *testing.B) {
 	for i := 0; i < keys; i++ {
 		set(i)
 	}
-	g.ship() // the one full ship
-	var cycles uint64
-	pages, next := 0, 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := g.fork()
-		b.StopTimer()
+	next := 0
+	return func() {
 		for w := 0; w < 128; w++ {
 			value[0]++
 			set(next)
 			next += 37
 		}
+	}
+}
+
+// BenchmarkShipDelta is one steady-state ship of the same 16 MiB store as the
+// monitor and the fork engine see it: fork, 128 SETs of 1 KiB against the view
+// (untimed: they are the node's work), extract the pages written since the
+// generation the standby holds, patch the standing standby with them.
+// sim-cycles/op is the monitor core's charge for the extract and the patch —
+// BenchmarkApplyImage's is the same for a full rebuild — and pages/op how
+// many pages a ship moved.
+func BenchmarkShipDelta(b *testing.B) {
+	g := newShipRig(b, 16<<20)
+	write128 := shipBenchStore(b, g)
+	g.ship() // the one full ship
+	var cycles uint64
+	pages := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := g.fork()
+		b.StopTimer()
+		write128()
 		b.StartTimer()
 		start := g.th.Core.Cycles()
 		img, err := g.forks.Image(v, g.n.held)
@@ -392,4 +404,35 @@ func BenchmarkShipDelta(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 	g.close()
+}
+
+// BenchmarkForkReply is the half of a ship that holds the node mutex, on
+// BenchmarkShipDelta's store, here in NVM as a replicated primary's is: 128
+// SETs of 1 KiB (untimed), then the node's CLUSTER.FORK reply. warm: the
+// standby holds a generation, so the reply forks and nothing more; cold: it
+// holds none, so the reply writes a superblock generation first. Host time
+// and allocations only.
+func BenchmarkForkReply(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		held uint64
+	}{{"warm", 1}, {"cold", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := newShipRig(b, 16<<20, core.WithTier(mem.TierNVM))
+			write128 := shipBenchStore(b, g)
+			n := &node{sys: g.sys, th: g.th, names: g.names, forks: g.forks, held: bc.held}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				write128()
+				b.StartTimer()
+				if reply := n.forkReply(); reply[0] == '-' {
+					b.Fatalf("fork reply: %s", reply)
+				}
+			}
+			b.StopTimer()
+			g.close()
+		})
+	}
 }

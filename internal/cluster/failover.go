@@ -53,7 +53,6 @@ func (m *monitor) ship(r *Router, n *node) {
 		return
 	}
 	n.delta.drop(records)
-	n.held = gen
 	r.ctr.Fork.ShipNs.Observe(uint64(time.Since(start).Nanoseconds())) // extract + apply, all off the node mutex
 	r.obs.ClusterShip(n.id, uint64(len(img.Data)), img.Base == 0)
 }
@@ -68,22 +67,31 @@ func parseForkReply(resp []byte) (gen, records uint64, err error) {
 	return gen, records, err
 }
 
-// promote fails node n's range over to its standby: a cold one (no ship
-// landed, or the last apply failed) is rebuilt from the newest generation in
-// the shared NVM superblock (the primary's store frames survive its process),
-// the node's delta log — slot copies included — is replayed in order, and
+// promote fails node n's range over to its standby. Past the fence, taking
+// the topology lock waits out the stretches that resolved the primary, so no
+// write lands on it after the log is taken. A cold standby (no ship landed, or
+// the last apply failed) is rebuilt from a generation written into the shared
+// NVM superblock now (the primary's store frames survive its process), never
+// an older one: the sweeps of later forks may have freed frames it names.
+// Then the node's delta log — slot copies included — is replayed in order, and
 // the routing entry flips under the topology lock. If the log overflowed,
 // replaying what follows the hole would reorder history: promotion is
-// checkpoint-only and every logged update counts lost. If no valid image
-// exists at all, the range is degraded.
+// checkpoint-only and every logged update counts lost. If no generation can be
+// written and read, the range is degraded.
 func (m *monitor) promote(r *Router, n *node) {
 	n.setState(StatePromoting, r.obs)
+	r.topoMu.Lock() // workers hold the read side for a whole stretch
+	r.topoMu.Unlock()
 	// Fence outstanding frozen views first: once the standby takes over,
 	// views of the dead primary are semantically stale in a way no
 	// staleness bound covers — follower reads must fall back immediately.
 	r.forks.InvalidateNode(n.id, "promotion")
-	if !n.warm {
-		img, err := r.sys.CheckpointSegment(n.names.Seg)
+	if n.held == 0 {
+		var img *core.SegmentImage
+		err := r.sys.Checkpoint()
+		if err == nil {
+			img, err = r.sys.CheckpointSegment(n.names.Seg)
+		}
 		if err == nil {
 			err = m.applyImage(n, img)
 		}

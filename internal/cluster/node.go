@@ -152,9 +152,8 @@ type node struct {
 	lost       atomic.Uint64
 	cause      atomic.Pointer[string] // degradation cause, for health reports
 
-	// Bookkeeping only the monitor goroutine touches.
-	warm  bool   // the standby holds a validated image (applyImage)
-	held  uint64 // the fork generation that image is (ship); 0: cold, or built from the superblock
+	// Bookkeeping only the monitor goroutine touches (forkReply runs in its call).
+	held  uint64 // the generation the standby holds a validated image of (applyImage); 0: cold
 	fails int    // consecutive probe failures
 	skip  int    // probe-backoff ticks remaining
 
@@ -345,18 +344,20 @@ func (n *node) log(c *redis.Call) {
 	}
 }
 
-// forkReply takes the mutex-held half of a checkpoint ship: refresh the NVM
-// superblock's metadata generation (cheap — frame addresses, not page
-// contents; it keeps promotion's superblock fallback current), then fork a
-// frozen COW view of the store and answer "<generation> <records>": the
-// view's generation and the delta-log records it holds, all of them (the
-// caller holds n.mu). Extraction reads the frozen frames after the call.
+// forkReply takes the mutex-held half of a ship: fork a frozen COW view of
+// the store and answer "<generation> <records>": the view's generation and
+// the delta-log records it holds, all of them (the caller holds n.mu). A ship
+// to a cold standby first writes a superblock generation naming the view's
+// frames, so no standby warms where none can be written; a warm ship writes
+// none. Extraction reads the frozen frames after the call.
 func (n *node) forkReply() []byte {
 	if n.forks == nil {
 		return redis.EncodeError("fork: replication disabled on this node")
 	}
-	if err := n.sys.Checkpoint(); err != nil {
-		return redis.EncodeError("fork: checkpoint: " + err.Error())
+	if n.held == 0 {
+		if err := n.sys.Checkpoint(); err != nil {
+			return redis.EncodeError("fork: checkpoint: " + err.Error())
+		}
 	}
 	v, err := n.forks.Fork(n.th, n.id, n.names.Seg)
 	if err != nil {

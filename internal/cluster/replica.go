@@ -14,18 +14,18 @@ import (
 // store segment in its own globally named store instance
 // (redis.StandbyNames) — up to a checkpointed segment image: the image's
 // pages are stored in page order and the store root is validated before the
-// standby is declared warm. A delta (over img.Base, which must be the
-// generation ship recorded the standby as holding) is stored into the
-// standing instance. A full image replaces it (Restore semantics — replace,
-// not merge): the previous standby, if any, is destroyed and the instance
-// built again around the same stores; a failed build leaves no instance
-// behind (redis.CreateInstance). Any failure leaves the standby cold and
-// holding no generation: a torn patch is never promoted, and the next ship is
-// a full one. The standby lives in DRAM — it models a replica machine's RAM,
+// standby is recorded as holding img.Seq. A delta (over img.Base, which must
+// be the generation the standby holds) is stored into the standing instance.
+// A full image replaces it (Restore semantics — replace, not merge): the
+// previous standby, if any, is destroyed and the instance built again around
+// the same stores; a failed build leaves no instance behind
+// (redis.CreateInstance). Any failure leaves the standby cold, holding no
+// generation: a torn patch is never promoted, and the next ship is a full
+// one. The standby lives in DRAM — it models a replica machine's RAM,
 // and must not be swept into the next checkpoint generation (NVM only).
 func (m *monitor) applyImage(n *node, img *core.SegmentImage) error {
 	held := n.held
-	n.warm, n.held = false, 0
+	n.held = 0
 	fresh := img.Base == 0
 	fill := func() error {
 		for i, idx := range img.Index {
@@ -71,6 +71,6 @@ func (m *monitor) applyImage(n *node, img *core.SegmentImage) error {
 	if err != nil {
 		return fmt.Errorf("standby: %w", err)
 	}
-	n.warm = true
+	n.held = img.Seq
 	return nil
 }

@@ -291,14 +291,14 @@ func TestFailedApplyLeavesNothingBehind(t *testing.T) {
 			continue // an allocation the apply survives losing
 		}
 		failed++
-		if n.warm {
-			t.Fatalf("allocation %d failed (%v) and the standby is still called warm", nth, err)
+		if n.held != 0 {
+			t.Fatalf("allocation %d failed (%v) and the standby still holds generation %d", nth, err, n.held)
 		}
 		if next := mon.applyImage(n, img); next != nil {
 			t.Fatalf("allocation %d failed (%v); the next, fault-free apply: %v", nth, err, next)
 		}
-		if !n.warm {
-			t.Fatalf("after allocation %d failed, a clean apply left the standby cold", nth)
+		if n.held != img.Seq {
+			t.Fatalf("after allocation %d failed, a clean apply left the standby at generation %d", nth, n.held)
 		}
 	}
 	if failed < 3 {
@@ -375,8 +375,8 @@ func TestFailedApplyLeavesNothingBehind(t *testing.T) {
 		}
 		if err != nil {
 			failed++
-			if n.warm || n.held != 0 {
-				t.Fatalf("allocation %d failed the patch (%v) and the standby is still warm (%v) at generation %d", nth, err, n.warm, n.held)
+			if n.held != 0 {
+				t.Fatalf("allocation %d failed the patch (%v) and the standby still holds generation %d", nth, err, n.held)
 			}
 			if again := mon.applyImage(n, delta); again == nil {
 				t.Fatalf("allocation %d failed the patch (%v); the same delta then applied over the torn standby", nth, err)
@@ -385,8 +385,8 @@ func TestFailedApplyLeavesNothingBehind(t *testing.T) {
 			if ierr != nil || next.Base != 0 {
 				t.Fatalf("image for the cold standby: %v, over generation %d; want a full one", ierr, next.Base)
 			}
-			if err := mon.applyImage(n, next); err != nil || !n.warm {
-				t.Fatalf("allocation %d failed the patch; the full rebuild after it: %v (warm %v)", nth, err, n.warm)
+			if err := mon.applyImage(n, next); err != nil || n.held != v2.Gen() {
+				t.Fatalf("allocation %d failed the patch; the full rebuild after it: %v (holding generation %d)", nth, err, n.held)
 			}
 			standbyIsV2(fmt.Sprintf("after allocation %d failed the patch and the rebuild", nth))
 		}

@@ -25,7 +25,7 @@ import (
 // one this loop never visits) so the differential below can hold the delta
 // patch to it.
 func refApplyImage(m *monitor, n *node, img *core.SegmentImage) error {
-	n.warm = false
+	n.held = 0
 	if err := redis.DestroyNamed(m.th, n.standby); err != nil && !errors.Is(err, core.ErrNotFound) {
 		return fmt.Errorf("standby teardown: %w", err)
 	}
@@ -55,7 +55,7 @@ func refApplyImage(m *monitor, n *node, img *core.SegmentImage) error {
 	if err != nil {
 		return fmt.Errorf("standby: %w", err)
 	}
-	n.warm = true
+	n.held = img.Seq
 	return nil
 }
 
@@ -75,15 +75,17 @@ type shipRig struct {
 	base  uint64 // bytes allocated before the rig
 }
 
-func newShipRig(t testing.TB, segSize uint64) *shipRig {
+func newShipRig(t testing.TB, segSize uint64, opts ...core.SegOption) *shipRig {
 	t.Helper()
-	sys := kernel.New(hw.NewMachine(hw.SmallTest()))
+	hwCfg := hw.SmallTest()
+	hwCfg.Mem.NVMSuperblock = 1 << 20
+	sys := kernel.New(hw.NewMachine(hwCfg))
 	g := &shipRig{t: t, sys: sys, names: redis.ShardNames(0), base: sys.M.PM.AllocatedBytes()}
 	var err error
 	if g.proc, g.th, err = (&Router{sys: sys}).claimThread(); err != nil {
 		t.Fatal(err)
 	}
-	if g.c, err = redis.NewClientNamed(g.th, segSize, g.names); err != nil {
+	if g.c, err = redis.NewClientNamed(g.th, segSize, g.names, opts...); err != nil {
 		t.Fatal(err)
 	}
 	g.forks = fork.New(sys, nil)

@@ -23,12 +23,13 @@ import (
 // once the boot ship — the one full ship a healthy node ever needs — landed.
 func pokedShipCluster(t *testing.T, reg *fault.Registry) (*hw.Machine, *Router, uint64) {
 	t.Helper()
-	return pokedShipClusterOn(t, reg, hw.SmallTest())
+	return pokedShipClusterOn(t, reg, hw.SmallTest(), replicatedConfig())
 }
 
-// pokedShipClusterOn is pokedShipCluster on a machine of the caller's
-// choosing: one with a core to spare for the migration engine.
-func pokedShipClusterOn(t *testing.T, reg *fault.Registry, hwCfg hw.MachineConfig) (*hw.Machine, *Router, uint64) {
+// pokedShipClusterOn is pokedShipCluster on a machine and a replicated
+// configuration of the caller's choosing: one with a core to spare for the
+// migration engine, one with another probe threshold.
+func pokedShipClusterOn(t *testing.T, reg *fault.Registry, hwCfg hw.MachineConfig, cfg Config) (*hw.Machine, *Router, uint64) {
 	t.Helper()
 	hwCfg.Mem.NVMSuperblock = 1 << 20
 	m := hw.NewMachine(hwCfg)
@@ -38,7 +39,6 @@ func pokedShipClusterOn(t *testing.T, reg *fault.Registry, hwCfg hw.MachineConfi
 	sys := kernel.New(m)
 	sys.EnableStats(1024)
 	base := m.PM.AllocatedBytes()
-	cfg := replicatedConfig()
 	cfg.Replication.ShipEvery = 1 << 20
 	cfg.Replication.ShipInterval = time.Hour
 	r, err := New(sys, cfg)
@@ -328,61 +328,173 @@ func TestDeltaLogKeepsTheStoresOrder(t *testing.T) {
 	}
 }
 
-// TestFailedApplyThenKillServesEveryWrite: a ship to a warm standby whose
-// apply fails leaves the standby cold and the log holding only what the node
-// applied since the previous fork; the primary then dies before the next ship. Promotion
-// rebuilds the standby from the newest checkpoint in NVM and replays the
-// window, so that checkpoint must hold the writes the previous, successful
-// ship carried: a primary that checkpointed only for a cold standby would
-// lose them. The apply fails at its first frame allocation after the fork
-// (found as the node sends its fork reply, on the urpc delay point, which
-// never fires).
-func TestFailedApplyThenKillServesEveryWrite(t *testing.T) {
-	reg := fault.New(1)
-	m, r, base := pokedShipCluster(t, reg)
-	keys := keysOnNode(t, r, 2, 12)
-	set := func(from, to int) {
-		t.Helper()
-		for _, key := range keys[from:to] {
-			if v, _ := do(t, r, "SET", key, "v-"+key); v != "OK" {
-				t.Fatalf("SET %s: %q", key, v)
-			}
-		}
-	}
-	set(0, 4)
-	if rep := pokeShip(t, m, r); rep.Ships != 2 || rep.FullShips != 1 || rep.ShipFailures != 0 {
-		t.Fatalf("the warm ship: %+v", rep)
-	}
-	set(4, 8)
+// failApply pokes one ship of node 2 whose apply fails at its first frame
+// allocation after the fork (found as the node sends its fork reply, on the
+// urpc delay point, which never fires) and returns its outcome.
+func failApply(t *testing.T, reg *fault.Registry, m *hw.Machine, r *Router) stats.ReplicationSnap {
+	t.Helper()
 	var forked, failed atomic.Bool
-	warm := r.forks.Current(2).Gen()
+	last := r.forks.Current(2).Gen()
 	reg.Enable(fault.URPCDelay, func(uint64, *rand.Rand) bool {
-		if v := r.forks.Current(2); v != nil && v.Gen() > warm {
+		if v := r.forks.Current(2); v != nil && v.Gen() > last {
 			forked.Store(true)
 		}
 		return false
 	})
+	defer reg.Disable(fault.URPCDelay)
 	reg.Enable(fault.MemAlloc, func(uint64, *rand.Rand) bool { return forked.Load() && failed.CompareAndSwap(false, true) })
-	rep := pokeShip(t, m, r)
-	reg.Disable(fault.MemAlloc)
-	reg.Disable(fault.URPCDelay)
-	n := r.nodeByID(2)
-	if buffered, _ := n.delta.pending(); rep.ShipFailures != 1 || n.warm || buffered != 4 {
-		t.Fatalf("the ship whose apply failed: %+v, standby warm %v, %d writes buffered; want one failure, a cold standby and the 4 writes back", rep, n.warm, buffered)
+	defer reg.Disable(fault.MemAlloc)
+	return pokeShip(t, m, r)
+}
+
+// TestFailedApplyThenKillServesEveryWrite: four warm ships, then a ship whose
+// apply fails, which leaves the standby cold and the log holding only what the
+// node applied since the previous landed fork; the primary then dies before
+// the next ship. Promotion rebuilds the standby from a generation it writes
+// into NVM then, and replays the window. One that read the generation the
+// last cold ship wrote would lose what the warm ships carried, and worse: the
+// sweeps of the forks since have freed frames that generation names. Round i
+// rewrites keys[50·i:] with values of 300 bytes, so the freed frames go back
+// into use for other pages.
+func TestFailedApplyThenKillServesEveryWrite(t *testing.T) {
+	reg := fault.New(1)
+	m, r, base := pokedShipCluster(t, reg)
+	keys := keysOnNode(t, r, 2, 300)
+	want := map[string]string{}
+	round := func(i int) {
+		t.Helper()
+		for _, key := range keys[50*i:] {
+			v := fmt.Sprintf("%d-%s-", i, key)
+			v += strings.Repeat("v", 300-len(v))
+			if got, _ := do(t, r, "SET", key, v); got != "OK" {
+				t.Fatalf("SET %s: %q", key, got)
+			}
+			want[key] = v
+		}
 	}
-	set(8, 12)
+	for i := 0; i < 4; i++ {
+		round(i)
+		if rep := pokeShip(t, m, r); rep.Ships != uint64(2+i) || rep.FullShips != 1 || rep.ShipFailures != 0 {
+			t.Fatalf("warm ship %d: %+v", i+1, rep)
+		}
+	}
+	round(4)
+	rep := failApply(t, reg, m, r)
+	n := r.nodeByID(2)
+	if buffered, _ := n.delta.pending(); rep.ShipFailures != 1 || n.held != 0 || buffered != 100 {
+		t.Fatalf("the ship whose apply failed: %+v, standby holding generation %d, %d writes buffered; want one failure, a cold standby and the 100 writes back", rep, n.held, buffered)
+	}
+	round(5)
 	if err := r.KillNode(2); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "standby promotion", func() bool { return replSnap(m).Promotions == 1 })
-	if rep := replSnap(m); rep.LostUpdates != 0 || rep.DeltaReplayed != 8 {
-		t.Fatalf("after the promotion: %+v; want the 8 buffered writes replayed, none lost", rep)
+	waitFor(t, "standby promotion", func() bool { return replSnap(m).Promotions == 1 || n.curState() == StateDegraded })
+	if cause := n.cause.Load(); cause != nil {
+		t.Fatalf("the range degraded: %s", *cause)
+	}
+	if rep := replSnap(m); rep.LostUpdates != 0 || rep.DeltaReplayed != 150 {
+		t.Fatalf("after the promotion: %+v; want the 150 buffered writes replayed, none lost", rep)
 	}
 	for _, key := range keys {
-		if got, _ := do(t, r, "GET", key); got != "v-"+key {
-			t.Fatalf("GET %s from the promoted standby: %q", key, got)
+		if got, _ := do(t, r, "GET", key); got != want[key] {
+			t.Fatalf("GET %s from the promoted standby: %q, want %q", key, got, want[key])
 		}
 	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PM.CheckLeaks(base); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmShipsWriteNoCheckpoint: only a ship to a cold standby writes a
+// superblock generation. After the boot ship, warm ships leave the newest
+// generation where it was (the one whose apply fails among them: it forked
+// for a warm standby), and the ship after the failed apply writes the next.
+func TestWarmShipsWriteNoCheckpoint(t *testing.T) {
+	reg := fault.New(1)
+	m, r, base := pokedShipCluster(t, reg)
+	n := r.nodeByID(2)
+	newest := func() uint64 {
+		t.Helper()
+		img, err := r.sys.CheckpointSegment(n.names.Seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img.Seq
+	}
+	boot := newest()
+	keys := keysOnNode(t, r, 2, 6)
+	for i, key := range keys {
+		if v, _ := do(t, r, "SET", key, "v-"+key); v != "OK" {
+			t.Fatalf("SET %s: %q", key, v)
+		}
+		if rep := pokeShip(t, m, r); rep.Ships != uint64(2+i) || rep.ShipFailures != 0 {
+			t.Fatalf("warm ship %d: %+v", i+1, rep)
+		}
+		if seq := newest(); seq != boot {
+			t.Fatalf("warm ship %d wrote generation %d; the boot ship's is %d", i+1, seq, boot)
+		}
+	}
+	if rep := failApply(t, reg, m, r); rep.ShipFailures != 1 || newest() != boot {
+		t.Fatalf("the warm ship whose apply failed: %+v, newest generation %d; want one failure and %d", rep, newest(), boot)
+	}
+	if rep := pokeShip(t, m, r); rep.FullShips != 2 || newest() <= boot {
+		t.Fatalf("the ship to the cold standby: %+v, newest generation %d; want a full ship and a generation past %d", rep, newest(), boot)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PM.CheckLeaks(base); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriteInFlightAcrossPromotionSurvives: probes to node 2 are lost while
+// its data path stays up, as in a partition, and a SET that resolved the
+// primary is held at the node's mutex until the monitor is promoting. The
+// write lands on the primary after the fence; the promotion waits it out
+// before it takes the log, so the acknowledged write is replayed into the
+// standby, not lost.
+func TestWriteInFlightAcrossPromotionSurvives(t *testing.T) {
+	reg := fault.New(1)
+	cfg := replicatedConfig()
+	cfg.Replication.ProbeThreshold = 10
+	m, r, base := pokedShipClusterOn(t, reg, hw.SmallTest(), cfg)
+	key := keysOnNode(t, r, 2, 1)[0]
+	if v, _ := do(t, r, "SET", key, "old"); v != "OK" {
+		t.Fatalf("SET %s: %q", key, v)
+	}
+	if rep := pokeShip(t, m, r); rep.Ships != 2 || rep.ShipFailures != 0 {
+		t.Fatalf("the warm ship: %+v", rep)
+	}
+	// The probes are lost before the test takes the node's mutex, so none
+	// waits on it; ten of them, backing off, take the monitor about 46 probe
+	// intervals, and the SET resolves long before.
+	reg.EnableAt(fault.ClusterProbeDrop, 2, "partition", fault.Always())
+	n := r.nodeByID(2)
+	n.mu.Lock()
+	reply := make(chan []byte, 1)
+	go func() { reply <- submitWait(r, []string{"SET", key, "new"}) }()
+	waitFor(t, "the promotion", func() bool { return n.curState() == StatePromoting })
+	n.mu.Unlock()
+	select {
+	case got := <-reply:
+		if string(got) != "+OK\r\n" {
+			t.Fatalf("SET %s new across the promotion: %q", key, got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the SET's reply")
+	}
+	waitFor(t, "standby promotion", func() bool { return replSnap(m).Promotions == 1 })
+	if rep := replSnap(m); rep.LostUpdates != 0 || rep.DeltaReplayed != 1 {
+		t.Fatalf("after the promotion: %+v; want the write replayed, none lost", rep)
+	}
+	if got, _ := do(t, r, "GET", key); got != "new" {
+		t.Fatalf("GET %s from the promoted standby: %q, want \"new\"", key, got)
+	}
+	reg.DisableAt(fault.ClusterProbeDrop, 2)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +527,7 @@ func killAndPromote(t *testing.T, m *hw.Machine, r *Router) stats.ReplicationSna
 // not from a worker: the node logs it all the same, and the promoted standby
 // serves every key, with nothing lost.
 func TestSlotMovedOntoAReplicatedNodeSurvivesItsKill(t *testing.T) {
-	m, r, base := pokedShipClusterOn(t, nil, eightCores())
+	m, r, base := pokedShipClusterOn(t, nil, eightCores(), replicatedConfig())
 	slot := 0
 	for r.Owner(slot) != 0 {
 		slot++
@@ -455,7 +567,7 @@ func TestSlotMovedOntoAReplicatedNodeSurvivesItsKill(t *testing.T) {
 // node 2 is in node 2's log, so the standby no longer holds the key, and the
 // empty slot moving back cannot bring the old value back.
 func TestDeleteSurvivesItsSlotMovingOffAndBack(t *testing.T) {
-	m, r, base := pokedShipClusterOn(t, nil, eightCores())
+	m, r, base := pokedShipClusterOn(t, nil, eightCores(), replicatedConfig())
 	key := keysOnNode(t, r, 2, 1)[0]
 	slot := r.Slot(key)
 	if v, _ := do(t, r, "SET", key, "old"); v != "OK" {

@@ -38,9 +38,9 @@ type System struct {
 	// holds it. Bit 0 (ASIDFlush) is set for good: it is never handed out.
 	tags [(int(arch.MaxASID) + 1) / 64]uint64
 
-	// ckptMu orders the NVM superblock's writer (Checkpoint) and readers
-	// (newestImage): shard nodes checkpoint from their own handlers, and two
-	// writers would pick the same generation slot.
+	// ckptMu orders the NVM superblock's writers (Checkpoint: a shard node's
+	// handler on a ship to a cold standby, the monitor on a cold promotion)
+	// and readers (newestImage): two writers would pick the same slot.
 	ckptMu  sync.Mutex
 	ckptBuf bytes.Buffer // Checkpoint's payload, reused under ckptMu
 }

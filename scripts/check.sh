@@ -43,8 +43,8 @@ go build ./...
 echo "== size budgets (non-test Go lines, counted as the benchmark's repo.nontest_go_loc; document bytes) =="
 # What the tree may weigh. A PR that needs more raises the number here, in
 # the same diff, so lines and prose are spent knowingly and not by accretion.
-budget_loc=25326
-budget_design=46500
+budget_loc=25335
+budget_design=46825
 budget_readme=25600
 budget_skill=15000
 loc=$(find . -name '.?*' -prune -o -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)
@@ -115,11 +115,12 @@ go test -race -count=5 -run 'TestStackRunsTagged|TestStackNeverRunsOutOfTags' ./
 # under its mutex), a response appended behind what dst holds, endpoints
 # connected on first use while PendingFrames reads every agent's set, values
 # and slot moves larger than a urpc ring; two workers' writes to one node
-# recorded in the order its store applied them, and a warm ship whose apply
-# failed, then a kill, losing no acknowledged write; slot copies onto and off a
+# recorded in the order its store applied them, and warm ships, one whose
+# apply failed, then a kill, losing no acknowledged write; warm ships writing no
+# checkpoint; a write in flight across a promotion; slot copies onto and off a
 # replicated node in its log, a removal waiting out the monitor's ship, and a
 # write on a migrating slot that timed out recopied onto the target.
-go test -race -count=5 -run 'TestPlanKeepsKeyOrder|TestBatchMatchesPerCommand|TestRunOfOneIsTheOldCommand|TestRepliesGoOutInArrivalOrder|TestMGetMatchesModel|TestNodeKeepsItsArena|TestCallBudgetAppendsBehindDst|TestFirstUseConnectsUnderPendingFrames|TestValuesLargerThanTheRing|TestMigrateSlotWithALargeValue|TestDeltaLogKeepsTheStoresOrder|TestFailedApplyThenKillServesEveryWrite|TestSlotMovedOntoAReplicatedNodeSurvivesItsKill|TestDeleteSurvivesItsSlotMovingOffAndBack|TestRemoveNodeWaitsOutTheMonitor|TestTimedOutWriteOnAMigratingSlotReachesTheTarget' ./internal/cluster ./internal/urpc
+go test -race -count=5 -run 'TestPlanKeepsKeyOrder|TestBatchMatchesPerCommand|TestRunOfOneIsTheOldCommand|TestRepliesGoOutInArrivalOrder|TestMGetMatchesModel|TestNodeKeepsItsArena|TestCallBudgetAppendsBehindDst|TestFirstUseConnectsUnderPendingFrames|TestValuesLargerThanTheRing|TestMigrateSlotWithALargeValue|TestDeltaLogKeepsTheStoresOrder|TestFailedApplyThenKillServesEveryWrite|TestWarmShipsWriteNoCheckpoint|TestWriteInFlightAcrossPromotionSurvives|TestSlotMovedOntoAReplicatedNodeSurvivesItsKill|TestDeleteSurvivesItsSlotMovingOffAndBack|TestRemoveNodeWaitsOutTheMonitor|TestTimedOutWriteOnAMigratingSlotReachesTheTarget' ./internal/cluster ./internal/urpc
 # A fill's requests are one slab the reader, the writer and the workers share;
 # a load's connections all count into one result.
 go test -race -count=5 -run 'TestFillIsOneBatch|TestPartialCommandWaitsForTheNextFill|TestRepliesGoOutAsTheBackendAnswers|TestPipelineDepthBoundsWhatIsInFlight|TestBackendTakesAPrefix|TestPipelineIsOneFillAndOneWrite|TestLoadCountsEachLie|TestLoadCommandStreamsPinned' ./internal/server
