@@ -3,6 +3,9 @@
 package cluster
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"slices"
 	"testing"
 
@@ -123,5 +126,40 @@ func TestMGetGroupAllocations(t *testing.T) {
 		if got > c.max {
 			t.Errorf("one MGET of 8 keys on node %d (-1: any) through a %s router: %.1f allocations, want at most %.0f", c.node, c.mode, got, c.max)
 		}
+	}
+}
+
+// TestPipelineAllocations gates what a fill of 16 GETs costs the heap on its
+// whole way: over loopback, through the connection layer, into a router of
+// three co-resident nodes and back. Two, the fill's arena — the string its
+// arguments are cut from, and their slab — made for each fill so that an
+// argument owns its memory. The fill's requests, the batch's pointers into
+// them, the batch and the reply chunk are the connection's, reused fill after
+// fill: made for each, they were four more (6).
+func TestPipelineAllocations(t *testing.T) {
+	_, _, srv := startCluster(t, Config{Nodes: 3, Workers: 1, Mode: ModeVAS}, nil)
+	defer srv.Shutdown()
+	nc, br := dial(t, srv)
+	var set, get, want []byte
+	for i := range 16 {
+		k, v := fmt.Sprintf("key:%02d", i), fmt.Sprintf("value-%02d", i)
+		set = redis.AppendCommand(set, "SET", k, v)
+		get = redis.AppendCommand(get, "GET", k)
+		want = append(want, redis.EncodeBulk([]byte(v))...)
+	}
+	got := make([]byte, len(want))
+	var err error
+	fill := func(wire []byte, n int) {
+		if _, err = nc.Write(wire); err == nil {
+			_, err = io.ReadFull(br, got[:n])
+		}
+	}
+	fill(set, 16*len("+OK\r\n"))
+	allocs := testing.AllocsPerRun(1000, func() { fill(get, len(got)) })
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("replies %q (%v), want %q", got, err, want)
+	}
+	if allocs > 2 {
+		t.Errorf("a fill of 16 GETs over three nodes: %.0f allocations, want at most 2", allocs)
 	}
 }

@@ -119,10 +119,12 @@ func (r *Router) wireWorker(w *worker) error {
 func (r *Router) runWorker(w *worker) {
 	defer r.workerWG.Done()
 	for b := range w.queue {
-		w.queued.Add(-int64(len(b.Reqs)))
+		// Read before execBatch: once it returns, b is the connection's again.
+		n, start := uint64(len(b.Reqs)), b.Start
+		w.queued.Add(-int64(n))
 		w.reconcile(r)
 		r.execBatch(w, b)
-		lat, n := uint64(time.Since(b.Start).Nanoseconds()), uint64(len(b.Reqs))
+		lat := uint64(time.Since(start).Nanoseconds())
 		w.ctr.Commands.Add(n)
 		r.srv.Commands.Add(n)
 		r.srv.LatencyNs.ObserveN(lat, n)
@@ -219,10 +221,9 @@ func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 // run's, a node's response, a frozen view's, a fan's join — and rendered
 // counts their bytes. A reply that outgrows a chunk starts the next
 // (redis.RunAll), so a rendered reply is never copied, and the writer sends
-// each while the chunk fills behind it. The chunks are the fill's: dropped
-// here when the batch is done, freed by the GC once the writer drops the fill.
-// The first is sized for the batch by perCmd, the reply bytes per command the
-// batches before rendered.
+// each while the chunk fills behind it. The first is the batch's Out, which
+// kept points at: the connection's, reused fill after fill. Those after it are
+// the fill's alone, freed by the GC once the writer has written it.
 //
 // behind is the planner's scratch (phase): keys cut from the fill's arena, so
 // reset wipes it like the rest.
@@ -236,17 +237,23 @@ type plan struct {
 	cut      [][]byte
 	done     []bool
 	answered int
+	kept     *[]byte
 	out      []byte
 	rendered int
 	perCmd   int
 }
 
-// replies returns the chunk the batch's next reply is rendered into: the first
-// is made for the batch at the first reply the worker renders, with what the
-// allocator rounds its size up to to spare.
+// replies returns the chunk the batch's next reply is rendered into. At the
+// first reply the worker renders, that is the batch's Out, grown first when it
+// has no room for the batch by perCmd, the reply bytes per command the batches
+// before rendered, within maxKeptWire: the connection keeps the larger one.
+// Outside a batch (the model) each reply is rendered into a chunk of its own.
 func (p *plan) replies() []byte {
-	if p.out == nil {
-		p.out = slices.Grow([]byte(nil), min(max(p.perCmd, minReplyBytes)*len(p.done), maxKeptWire))
+	if p.out == nil && p.kept != nil {
+		if want := min(max(p.perCmd, minReplyBytes)*len(p.done), maxKeptWire); cap(*p.kept) < want {
+			*p.kept = slices.Grow((*p.kept)[:0], want)
+		}
+		p.out = (*p.kept)[:0]
 	}
 	return p.out
 }
@@ -406,20 +413,21 @@ func (r *Router) locate(key string) (int, *migration) {
 // taken once for it: a slot flip or node append waits out the stretch, and the
 // next stretch, planned after it, sees it. Replies go out in arrival order.
 func (r *Router) execBatch(w *worker, b *server.Batch) {
-	p := &w.plan
-	p.done, p.answered = append(p.done[:0], make([]bool, len(b.Reqs))...), 0
-	for lo, hi := 0, 0; lo < len(b.Reqs); lo = hi {
-		if req := b.Reqs[lo]; req.Cmd.By != redis.ByStore {
+	// reqs, not b.Reqs: past the last Answered, b is the connection's again.
+	p, reqs := &w.plan, b.Reqs
+	p.done, p.answered, p.kept = append(p.done[:0], make([]bool, len(reqs))...), 0, &b.Out
+	for lo, hi := 0, 0; lo < len(reqs); lo = hi {
+		if req := reqs[lo]; req.Cmd.By != redis.ByStore {
 			r.execAlone(w, b, member{req: req, at: lo})
 			hi = lo + 1
 			continue
 		}
 		r.topoMu.RLock()
-		hi = p.make(b.Reqs, lo, r.locate)
+		hi = p.make(reqs, lo, r.locate)
 		r.walk(w, b)
 		r.topoMu.RUnlock()
 	}
-	if len(b.Reqs) == 0 {
+	if len(reqs) == 0 {
 		b.Answered(0) // RemoveNode's empty batch: taken up, nothing to answer
 	}
 	p.reset()
@@ -622,7 +630,7 @@ func (p *plan) reset() {
 	}
 	p.members, p.fans, p.argv, p.owners, p.behind = wipe(p.members), wipe(p.fans), wipe(p.argv), wipe(p.owners), wipe(p.behind)
 	p.elems, p.cut, p.done = wipe(p.elems), wipe(p.cut), wipe(p.done)
-	p.out, p.rendered = nil, 0
+	p.kept, p.out, p.rendered = nil, nil, 0
 }
 
 func wipe[S ~[]E, E any](s S) S {

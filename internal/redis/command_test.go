@@ -53,29 +53,39 @@ func wrongArities(c redis.Command, key string) [][]string {
 	return out
 }
 
-// captureBackend fakes the serving backend: it answers +OK and keeps every
-// request it was handed, so the test sees exactly what the front-end —
-// reader, table lookup, tenant admission — lets through and in what shape.
+// captureBackend fakes the serving backend: it answers +OK and keeps the
+// command and arguments of every request it was handed, so the test sees
+// exactly what the front-end — reader, table lookup, tenant admission — lets
+// through and in what shape. It copies them out: a request is its
+// connection's again once its batch is answered.
 type captureBackend struct {
 	mu   sync.Mutex
-	seen []*server.Request
+	seen []captured
+}
+
+type captured struct {
+	Cmd  *redis.Command
+	Args []string
 }
 
 func (b *captureBackend) Bind(uint64) uint64 { return 0 }
 func (b *captureBackend) Close() error       { return nil }
 func (b *captureBackend) SubmitBatch(_ uint64, batch *server.Batch) int {
+	n := len(batch.Reqs)
 	b.mu.Lock()
-	b.seen = append(b.seen, batch.Reqs...)
+	for _, r := range batch.Reqs {
+		b.seen = append(b.seen, captured{r.Cmd, r.Args})
+	}
 	b.mu.Unlock()
 	for _, r := range batch.Reqs {
 		r.Finish(redis.EncodeSimple("OK"))
 	}
-	batch.Answered(len(batch.Reqs))
-	return len(batch.Reqs)
+	batch.Answered(n)
+	return n
 }
 
 // take returns and forgets the requests seen so far.
-func (b *captureBackend) take() []*server.Request {
+func (b *captureBackend) take() []captured {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	seen := b.seen

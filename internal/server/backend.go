@@ -74,6 +74,10 @@ type Batch struct {
 	// Start is when the reader handed the batch over; backends use it for
 	// wall-latency accounting.
 	Start time.Time
+	// Out is the chunk the backend renders the batch's replies into first:
+	// the connection's, kept from fill to fill. A backend that needs a larger
+	// one stores it here, and the connection keeps that instead.
+	Out []byte
 
 	mu       sync.Mutex
 	progress sync.Cond // on mu: answered moved
@@ -96,8 +100,8 @@ func (b *Batch) init(reqs []*Request) {
 func (b *Batch) Answered(n int) {
 	b.mu.Lock()
 	b.answered = n
+	b.progress.Broadcast() // under mu: after the last, b is no longer the backend's
 	b.mu.Unlock()
-	b.progress.Broadcast()
 }
 
 // Wait blocks until the first n requests have been answered; Wait(0) until
@@ -149,7 +153,10 @@ func (r *Request) Wait() []byte {
 // The concurrency contract: SubmitBatch may be called from many connection
 // goroutines at once, must never block on simulated state, and must refuse
 // instead of queueing without bound — the conn layer turns a refusal into an
-// immediate busy reply.
+// immediate busy reply. Once a batch's last Answered is published, the batch,
+// its requests and its Out are the connection's again, to reuse for its next
+// fill: the backend reads and writes none of them after it, len(b.Reqs)
+// included. A request's arguments are its own, and may be kept.
 type Backend interface {
 	// Bind associates a new connection with the backend and returns the
 	// queue (shard, worker) id it landed on, for the accept trace.

@@ -286,11 +286,12 @@ type deadlineBackend struct{}
 func (deadlineBackend) Bind(uint64) uint64 { return 0 }
 func (deadlineBackend) Close() error       { return nil }
 func (deadlineBackend) SubmitBatch(_ uint64, batch *server.Batch) int {
+	n := len(batch.Reqs)
 	for _, r := range batch.Reqs {
 		r.Finish(redis.EncodeInt(int64(r.Deadline)))
 	}
-	batch.Answered(len(batch.Reqs))
-	return len(batch.Reqs)
+	batch.Answered(n)
+	return n
 }
 
 // TestDeadlineAtTheMachinesClock: with the rate left unset, DEADLINE <ms>

@@ -24,18 +24,24 @@ var (
 // from one arena sized from what the read brought in, not from this buffer.
 // The writer flushes when the second fills or no fill is queued, so it holds a
 // fill's replies for one write: a serve-mixed fill's average 33.6 KB. The
-// price is 128 KiB per connection.
+// price is 128 KiB per connection, and the spare fill it keeps: a reply chunk
+// of at most 64 KiB (cluster's maxKeptWire) and a slab of at most
+// PipelineDepth requests.
 const ConnBufSize = 64 << 10
 
-// fill is what the reader made of one buffer fill: every command it held, in
-// arrival order and in one allocation, and the batch the backend took of them
-// — nil when none needed a backend or it took none. The requests' arguments
-// are cut from the fill's arena and the backend renders their replies into
-// chunks of its own; both live as long as anyone keeps a piece, the writer
-// until it has written the fill.
+// fill is what the reader made of one buffer fill: its commands in arrival
+// order, in one slab (reqs); those of them bound for the backend (bound); and
+// the batch of them the backend took, its Reqs empty when it took none, whose
+// Out chunk their replies are rendered into first. A fill is the connection's,
+// reused fill after fill: once the writer has written it — the backend let go
+// of its batch at the last Answered — the writer clears reqs and bound, so
+// they pin nothing, and hands it back to the reader, Out and the slabs'
+// capacity kept. Only the arena the arguments are cut from is made per fill,
+// so whoever keeps an argument keeps it whole.
 type fill struct {
 	reqs  []Request
-	batch *Batch
+	bound []*Request
+	batch Batch
 }
 
 // serveConn runs one connection, a buffer fill at a time. This goroutine
@@ -55,7 +61,10 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 	// inflight counts the commands read and not yet answered. The reader
 	// never lets it pass depth — it waits on room, which the writer pokes
 	// after every fill — so fills, one command at least each, never blocks.
-	fills := make(chan fill, depth)
+	// free takes a written fill back to the reader, which makes a fill only
+	// when none is there. It keeps one: a closed-loop client reuses no more,
+	// and a streaming one that ran up depth fills leaves one pinned, not depth.
+	fills, free := make(chan *fill, depth), make(chan *fill, 1)
 	room := make(chan struct{}, 1)
 	var inflight atomic.Int64
 
@@ -68,7 +77,7 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 			answered := 0 // of the batch's requests
 			for i := range f.reqs {
 				r := &f.reqs[i]
-				if f.batch != nil && answered < len(f.batch.Reqs) && r == f.batch.Reqs[answered] {
+				if answered < len(f.batch.Reqs) && r == f.batch.Reqs[answered] {
 					// Replies go out as the backend answers, not when the
 					// whole batch is done: the client gets to work on them
 					// while the rest still runs.
@@ -82,7 +91,15 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 					_, werr = bw.Write(r.resp)
 				}
 			}
-			inflight.Add(-int64(len(f.reqs)))
+			n := len(f.reqs)
+			clear(f.reqs)
+			clear(f.bound)
+			f.reqs, f.bound, f.batch.Reqs = f.reqs[:0], f.bound[:0], nil
+			select {
+			case free <- f: // before room and the flush: the reader's next fill finds it
+			default:
+			}
+			inflight.Add(-int64(n))
 			select {
 			case room <- struct{}{}:
 			default:
@@ -95,39 +112,26 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 
 	c := connReader{s: s, ct: newConnTenant(s.cfg.Tenants), deadline: s.cfg.DeadlineCycles}
 	var commands uint64
-	// The fill being read, reused from fill to fill: copied out whole once
-	// the fill ends, then cleared so it pins nothing.
-	var scratch []Request
 	for open := true; open; {
 		// A full pipeline blocks here (never in a worker) until the writer
 		// catches up — TCP flow control does the rest.
-		free := depth - int(inflight.Load())
-		for ; free <= 0; free = depth - int(inflight.Load()) {
+		left := depth - int(inflight.Load())
+		for ; left <= 0; left = depth - int(inflight.Load()) {
 			<-room
 		}
-		scratch = scratch[:0]
-		nbound := 0 // of the fill's requests, those bound for the backend
 		// The fill's arguments, tenant keys included, are cut from one arena,
 		// made for this fill: whoever keeps an argument keeps it whole.
 		var arena redis.Arena
-		for len(scratch) < free {
-			var args []string
-			if len(scratch) > 0 {
-				// Behind the command the fill was read for: whatever else it
-				// holds whole. The rest waits for the next fill.
-				var ok bool
-				if args, ok = arena.ReadBufferedCommand(br); !ok {
-					break
-				}
-			} else if a, err := arena.ReadCommand(br); err == nil {
-				args = a
-			} else {
-				if errors.Is(err, redis.ErrProtocol) {
-					scratch = append(scratch, Request{resp: redis.EncodeError("protocol error: " + err.Error())})
-				}
-				open = false // clean close, truncation, or drain deadline
-				break
-			}
+		args, err := arena.ReadCommand(br)
+		// Taken once a command is in: the writer hands the fill that answered
+		// the last back before the client sees its replies.
+		var f *fill
+		select {
+		case f = <-free:
+		default:
+			f = &fill{}
+		}
+		for err == nil {
 			if s.faults.Fire(fault.SrvConnStall) {
 				time.Sleep(500 * time.Microsecond)
 			}
@@ -137,41 +141,47 @@ func (s *Server) serveConn(id uint64, nc net.Conn) {
 				break
 			}
 			commands++
-			scratch = append(scratch, c.request(args, &arena))
-			r := &scratch[len(scratch)-1]
-			if r.resp == nil {
-				nbound++
-			}
-			if r.Cmd.Op == redis.OpQuit {
+			if f.reqs = append(f.reqs, c.request(args, &arena)); f.reqs[len(f.reqs)-1].Cmd.Op == redis.OpQuit {
 				open = false
 				break
 			}
+			if len(f.reqs) == left {
+				break
+			}
+			// Behind the command the fill was read for: whatever else it
+			// holds whole. The rest waits for the next fill.
+			var ok bool
+			if args, ok = arena.ReadBufferedCommand(br); !ok {
+				break
+			}
 		}
-		if len(scratch) == 0 {
+		if err != nil {
+			if errors.Is(err, redis.ErrProtocol) {
+				f.reqs = append(f.reqs, Request{resp: redis.EncodeError("protocol error: " + err.Error())})
+			}
+			open = false // clean close, truncation, or drain deadline
+		}
+		if len(f.reqs) == 0 {
 			break // the connection ended between commands
 		}
 		// The fill's requests are one slab, shared by this goroutine, the
 		// writer and the backend's workers; bound points into it.
-		f := fill{reqs: make([]Request, len(scratch))}
-		copy(f.reqs, scratch)
-		clear(scratch)
-		if nbound > 0 {
-			bound := make([]*Request, 0, nbound)
-			for i := range f.reqs {
-				if f.reqs[i].resp == nil {
-					bound = append(bound, &f.reqs[i])
-				}
+		for i := range f.reqs {
+			if f.reqs[i].resp == nil {
+				f.bound = append(f.bound, &f.reqs[i])
 			}
-			f.batch = NewBatch(bound)
-			took := s.backend.SubmitBatch(id, f.batch)
+		}
+		if len(f.bound) > 0 {
+			f.batch.init(f.bound)
+			took := s.backend.SubmitBatch(id, &f.batch)
 			// Backpressure: what the saturated backend did not take fails
 			// fast with an error reply instead of buffering without bound.
-			s.ctr.Busy.Add(uint64(len(bound) - took))
-			for _, r := range bound[took:] {
+			s.ctr.Busy.Add(uint64(len(f.bound) - took))
+			for _, r := range f.bound[took:] {
 				r.resp = busyReply
 			}
 			if took == 0 {
-				f.batch = nil
+				f.batch.Reqs = nil
 			}
 		}
 		inflight.Add(int64(len(f.reqs)))
