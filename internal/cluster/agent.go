@@ -62,13 +62,18 @@ func (r *Router) attachStore(th *core.Thread, cache map[int]*redis.Client, n *no
 // returns the reply's payload, nil for a nil reply, an error reply as the
 // ReplyError it decodes to. On a client it is redis.Execute; over urpc it is the same command on
 // the wire, unbudgeted and unattributed, through n.call, at any size (a
-// slot's import or dump). Either way redis.RunAll carries it out.
+// slot's import or dump), its turn waited out at once. Either way
+// redis.RunAll carries it out.
 func (t target) run(n *node, argv ...string) (payload []byte, err error) {
 	var resp []byte
 	if t.client != nil {
 		resp = redis.Execute(t.client, argv)
-	} else if resp, _, err = n.call(t.ep, redis.EncodeCommand(argv...), nil, 0); err != nil {
-		return nil, err
+	} else {
+		var turn uint64
+		resp, turn, err = n.call(t.ep, redis.EncodeCommand(argv...), nil, 0)
+		if t.ep.ClientCore().AddCycles(turn); err != nil {
+			return nil, err
+		}
 	}
 	payload, _, err = redis.DecodeReply(resp)
 	return payload, err

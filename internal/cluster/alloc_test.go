@@ -163,3 +163,44 @@ func TestPipelineAllocations(t *testing.T) {
 		t.Errorf("a fill of 16 GETs over three nodes: %.0f allocations, want at most 2", allocs)
 	}
 }
+
+// TestJoinedMGetAllocations gates the chunk a joined MGET grows. A pipeline
+// of 16 MGETs over three co-resident nodes, 1 KiB values, renders three parts
+// and a join per MGET, ≈ 96 KiB a batch: more than a reply chunk keeps
+// (maxKeptWire), so the batch's replies outgrow it midway, at a join. The
+// join that has to grow makes room for the replies still to come, at the reply
+// bytes per command the batches before rendered, and the batch costs 3 — the
+// batch, its first chunk and the one the join grew — rather than a chunk per
+// join from there on (13, while the join grew for itself alone).
+func TestJoinedMGetAllocations(t *testing.T) {
+	r, gets := benchCluster(t, ModeVAS, 3)
+	value := string(bytes.Repeat([]byte{'v'}, 1024))
+	byNode := make([][]string, 3)
+	for _, get := range gets {
+		if resp := submitWait(r, []string{"SET", get[1], value}); string(resp) != "+OK\r\n" {
+			t.Fatalf("SET %s: %q", get[1], resp)
+		}
+		nid := r.Owner(r.Slot(get[1]))
+		byNode[nid] = append(byNode[nid], get[1])
+	}
+	reqs := make([]*server.Request, 16)
+	for i := range reqs {
+		args := []string{"MGET", byNode[0][i], byNode[1][i], byNode[2][i]}
+		reqs[i] = &server.Request{Args: args, Cmd: redis.Lookup(args)}
+	}
+	want := len("*3\r\n") + 3*len(redis.EncodeBulk([]byte(value)))
+	got := testing.AllocsPerRun(200, func() {
+		batch := server.NewBatch(reqs)
+		for r.SubmitBatch(1, batch) == 0 {
+		}
+		batch.Wait(len(reqs))
+		for _, req := range reqs {
+			if len(req.Reply()) != want {
+				t.Fatalf("MGET: %q", req.Reply())
+			}
+		}
+	})
+	if got > 3 {
+		t.Errorf("16 MGETs of 1 KiB values over three nodes: %.1f allocations, want at most 3", got)
+	}
+}

@@ -14,7 +14,9 @@ import (
 // (mget_model_test.go, where TestMGetMatchesModel holds the batch path's MGET
 // to it) and the wire is encoded afresh, so the differentials in batch_test.go
 // can hold the batch path to it: what a batch answers, what it leaves in the
-// stores, and exactly which switches and frames it saves.
+// stores, and exactly which switches and frames it saves. A call's node turn
+// is waited out as soon as it is posted (refCallNode's ready stamp), except
+// among an MGET's parts, which refMGet keeps in flight together.
 
 func refExec(r *Router, w *worker, req *server.Request) []byte {
 	w.bud = overload.Arm(req.Deadline, w.th.Core.Cycles())
@@ -79,24 +81,27 @@ func refExecOn(r *Router, w *worker, n *node, cmd *redis.Command, args []string,
 		refLocal(r, n, w.th.Core.Cycles()-before)
 		return resp
 	}
-	resp, errReply := refCallNode(r, w, n, t.ep, redis.EncodeCommand(args...))
-	if errReply != nil {
+	resp, errReply, ready := refCallNode(r, w, n, t.ep, redis.EncodeCommand(args...))
+	if w.th.Core.Await(ready); errReply != nil {
 		return errReply
 	}
 	return resp
 }
 
-func refCallNode(r *Router, w *worker, n *node, ep *urpc.Endpoint, wire []byte) (resp, errReply []byte) {
+// refCallNode posts wire to node n and returns, besides the reply, the stamp
+// on the worker's clock at which the node's turn is done.
+func refCallNode(r *Router, w *worker, n *node, ep *urpc.Endpoint, wire []byte) (resp, errReply []byte, ready uint64) {
 	before := w.th.Core.Cycles()
-	resp, callCycles, err := n.call(ep, wire, nil, w.callBudget())
-	total := w.th.Core.Cycles() - before
+	resp, turn, err := n.call(ep, wire, nil, w.callBudget())
+	now := w.th.Core.Cycles()
+	total := now - before + turn
 	n.noteOutcome(err)
 	if err != nil {
-		return nil, r.remoteError(n, err)
+		return nil, r.remoteError(n, err), now + turn
 	}
 	r.obs.ClusterRemote(n.id, total)
-	r.ctr.URPCCallCycles.Observe(callCycles)
-	return resp, nil
+	r.ctr.URPCCallCycles.Observe(total)
+	return resp, nil, now + turn
 }
 
 // refLocal counts one command served on node n's VAS path, as serve does.

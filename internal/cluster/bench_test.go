@@ -226,6 +226,54 @@ func BenchmarkRouterExecBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkFigure7Pipelined is Figure 7 under pipelining (EXPERIMENTS.md):
+// pipelines of depth GETs dealt round robin over the first nodes of a
+// three-node cluster, every node co-resident (vas: the worker switches into
+// each store) or every node remote (urpc: the stretch's frames in flight
+// together). cycles/cmd is the worker core's clock, all-cycles/cmd every
+// core's summed.
+func BenchmarkFigure7Pipelined(b *testing.B) {
+	for _, mode := range []Mode{ModeVAS, ModeURPC} {
+		for _, nodes := range []int{1, 2, 3} {
+			for _, depth := range []int{1, 4, 16} {
+				if nodes > depth {
+					continue
+				}
+				b.Run(fmt.Sprintf("%s/nodes=%d/depth=%d", mode, nodes, depth), func(b *testing.B) {
+					r, gets := benchCluster(b, mode, 3)
+					byNode := make([][][]string, 3)
+					for _, get := range gets {
+						nid := r.Owner(r.Slot(get[1]))
+						byNode[nid] = append(byNode[nid], get)
+					}
+					all := func() (sum uint64) {
+						for _, c := range r.sys.M.Cores {
+							sum += c.Cycles()
+						}
+						return sum
+					}
+					w := r.workers[0]
+					cycles, total, cmds := w.th.Core.Cycles(), all(), 0
+					b.ResetTimer()
+					for i := 0; cmds < b.N; i++ {
+						reqs := make([]*server.Request, depth)
+						for j := range reqs {
+							mine := byNode[j%nodes]
+							args := mine[(i*depth+j)/nodes%len(mine)]
+							reqs[j] = &server.Request{Args: args, Cmd: redis.Lookup(args)}
+						}
+						submitPipeline(b, r, reqs)
+						cmds += depth
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(w.th.Core.Cycles()-cycles)/float64(cmds), "cycles/cmd")
+					b.ReportMetric(float64(all()-total)/float64(cmds), "all-cycles/cmd")
+				})
+			}
+		}
+	}
+}
+
 // mixedPipelines is 64 seeded pipelines of 16 commands on the benchRouter
 // keys: 40 % GET, 40 % SET of a 64-byte value (so every GET still reads 64
 // bytes), 20 % MGET of 8 keys, each key drawn from all of them.

@@ -25,8 +25,9 @@ func (m *monitor) ship(r *Router, n *node) {
 	if n.serving() != servingPrimary {
 		return
 	}
-	resp, _, err := n.call(m.eps.to(r, n), forkWire, nil, 0)
-	if err != nil {
+	ep := m.eps.to(r, n)
+	resp, turn, err := n.call(ep, forkWire, nil, 0)
+	if ep.ClientCore().AddCycles(turn); err != nil {
 		r.ctr.Replication.ShipFailures.Add(1)
 		m.noteFailure(r, n)
 		return

@@ -24,7 +24,10 @@ import (
 // decoding, values copied out and encoded again — and long before a group
 // became a part riding its node's run. Kept verbatim (redis.DecodeArrayReply
 // went with its last caller; ReadArrayReply over the same bytes is the same
-// parser) so the differential below can hold the batch path to it.
+// parser) so the differential below can hold the batch path to it — but for
+// the clock: the groups sent to remote nodes are in flight together, and the
+// worker waits for the latest of them, not their sum, once every group has
+// gone out or one settled the command.
 
 func refMGet(r *Router, w *worker, cmd *redis.Command, keys []string, readonly bool) []byte {
 	groups := make(map[int][]int, len(r.nodes)) // node id → indices into keys
@@ -33,6 +36,8 @@ func refMGet(r *Router, w *worker, cmd *redis.Command, keys []string, readonly b
 		groups[nid] = append(groups[nid], i)
 	}
 	vals := make([][]byte, len(keys))
+	var ready uint64 // the latest remote group's
+	defer func() { w.th.Core.Await(ready) }()
 	for nid := 0; nid < len(r.nodes); nid++ {
 		idxs := groups[nid]
 		if len(idxs) == 0 {
@@ -48,8 +53,8 @@ func refMGet(r *Router, w *worker, cmd *redis.Command, keys []string, readonly b
 			return redis.EncodeDeadline(fmt.Sprintf(
 				"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
 		}
-		got, errReply := refMGetOn(r, w, r.nodes[nid], cmd, argv, readonly)
-		if errReply != nil {
+		got, errReply, at := refMGetOn(r, w, r.nodes[nid], cmd, argv, readonly)
+		if ready = max(ready, at); errReply != nil {
 			return errReply
 		}
 		for j, i := range idxs {
@@ -59,15 +64,17 @@ func refMGet(r *Router, w *worker, cmd *redis.Command, keys []string, readonly b
 	return redis.EncodeArray(vals)
 }
 
-func refMGetOn(r *Router, w *worker, n *node, cmd *redis.Command, argv []string, readonly bool) (got [][]byte, errReply []byte) {
+// refMGetOn reads one group; ready is its node's turn's stamp when the group
+// went out to a remote node, else 0.
+func refMGetOn(r *Router, w *worker, n *node, cmd *redis.Command, argv []string, readonly bool) (got [][]byte, errReply []byte, ready uint64) {
 	keys := argv[1:]
 	t := r.resolve(w, n, cmd, readonly)
 	switch {
 	case t.refusal != nil:
-		return nil, t.refusal
+		return nil, t.refusal, 0
 	case t.frozen != nil:
 		if got := refReadFrozen(r, w, t, keys); got != nil {
-			return got, nil
+			return got, nil, 0
 		}
 		return refMGetOn(r, w, n, cmd, argv, false)
 	case t.client != nil:
@@ -75,26 +82,26 @@ func refMGetOn(r *Router, w *worker, n *node, cmd *redis.Command, argv []string,
 		got, err := t.client.MGet(keys)
 		refLocal(r, n, w.th.Core.Cycles()-before)
 		if err != nil {
-			return nil, redis.EncodeError(err.Error())
+			return nil, redis.EncodeError(err.Error()), 0
 		}
-		return got, nil
+		return got, nil, 0
 	}
-	resp, errReply := refCallNode(r, w, n, t.ep, redis.EncodeCommand(argv...))
+	resp, errReply, ready := refCallNode(r, w, n, t.ep, redis.EncodeCommand(argv...))
 	if errReply != nil {
-		return nil, errReply
+		return nil, errReply, ready
 	}
 	got, _, err := redis.ReadArrayReply(bufio.NewReader(bytes.NewReader(resp)))
 	if err != nil {
 		var re redis.ReplyError
 		if errors.As(err, &re) {
-			return nil, []byte("-" + string(re) + "\r\n") // relay the shard's refusal
+			return nil, []byte("-" + string(re) + "\r\n"), ready // relay the shard's refusal
 		}
-		return nil, redis.EncodeError("shard protocol error: " + err.Error())
+		return nil, redis.EncodeError("shard protocol error: " + err.Error()), ready
 	}
 	if len(got) != len(keys) {
-		return nil, redis.EncodeError("shard protocol error: short MGET reply")
+		return nil, redis.EncodeError("shard protocol error: short MGET reply"), ready
 	}
-	return got, nil
+	return got, nil, ready
 }
 
 func refReadFrozen(r *Router, w *worker, t target, keys []string) [][]byte {

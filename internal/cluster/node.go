@@ -281,8 +281,8 @@ func (n *node) noteProbe(ok bool) {
 //     store (log), so whoever sent it, the standby is owed it.
 //
 // It runs with the node's core active (under n.mu), so the decode, the VAS
-// switches, and the table walks are all charged to the node — and, because
-// the urpc client busy-waits, mirrored into the calling worker's latency.
+// switches, and the table walks are all charged to the node — and, as the
+// node's turn the caller waits out, to the calling worker's latency.
 // req is the channel's reassembly buffer, gone when the handler returns: the
 // frame's commands are decoded into the arena the node keeps (the delta log
 // copies what it keeps of the slab), one larger than maxKeptWire into one of
@@ -368,8 +368,10 @@ func (n *node) forkReply() []byte {
 }
 
 // call performs one serialized RPC into a remote node on an agent's
-// endpoint, under n.mu, reporting the cycles the urpc round trip alone cost
-// the caller. budget, when nonzero, caps the cycles the retry loop may burn —
+// endpoint, under n.mu, split-phase (urpc.Endpoint.Post): the caller's core
+// pays its own lines, and the node's turn comes back for the caller to wait
+// out — at once, or a worker with other runs in flight at the end of its
+// stretch. budget, when nonzero, caps the cycles the retry loop may burn —
 // the caller's remaining deadline allowance (see urpc.CallBudget). It is the
 // one crash fence: calls against a node known dead fail without touching the
 // channel, and a reply that raced with the crash — the handler's nil
@@ -377,19 +379,17 @@ func (n *node) forkReply() []byte {
 // call was in flight — is refused as a timeout rather than trusted. Late
 // replies from a fenced primary never reach a client. The response lands
 // behind dst: a tombstone appends nothing.
-func (n *node) call(ep *urpc.Endpoint, wire, dst []byte, budget uint64) (resp []byte, cycles uint64, err error) {
+func (n *node) call(ep *urpc.Endpoint, wire, dst []byte, budget uint64) (resp []byte, turn uint64, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.crashed.Load() {
 		return nil, 0, &urpc.TimeoutError{}
 	}
-	before := ep.ClientCore().Cycles()
-	resp, err = ep.CallBudget(dst, wire, budget)
-	cycles = ep.ClientCore().Cycles() - before
+	resp, turn, err = ep.Post(dst, wire, budget)
 	if err == nil && (len(resp) == len(dst) || n.crashed.Load()) {
-		return nil, cycles, &urpc.TimeoutError{}
+		return nil, turn, &urpc.TimeoutError{}
 	}
-	return resp, cycles, err
+	return resp, turn, err
 }
 
 // shutdown closes a remote node's client and exits its process, once, and

@@ -227,6 +227,10 @@ func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 //
 // behind is the planner's scratch (phase): keys cut from the fill's arena, so
 // reset wipes it like the rest.
+//
+// posts are the stretch's remote runs in flight on the simulated clock, owed
+// the replies' ways out that wait on them, for the walk's collect. left counts
+// the requests not yet answered.
 type plan struct {
 	members  []member
 	fans     []fan
@@ -236,11 +240,31 @@ type plan struct {
 	elems    [][]byte
 	cut      [][]byte
 	done     []bool
+	posts    []flight
+	owed     []owed
 	answered int
+	left     int
 	kept     *[]byte
 	out      []byte
 	rendered int
 	perCmd   int
+}
+
+// flight is a remote run in flight: its node, and the stamp on the worker's
+// clock at which the node's turn for it is done. A node serves its runs one
+// at a time, so that is the later of the post's stamp and the node's previous
+// run's, plus the turn.
+type flight struct {
+	node  int
+	ready uint64
+}
+
+// owed is a reply's way out over the network edge, charged once the worker's
+// clock is at ready: the reply's size and its request's budget.
+type owed struct {
+	ready uint64
+	size  int
+	bud   overload.Budget
 }
 
 // replies returns the chunk the batch's next reply is rendered into. At the
@@ -282,8 +306,9 @@ type member struct {
 
 // fan is an MGET across nodes: begun by its first part, answered by its last.
 type fan struct {
-	owners  []int // each key's owning node, in key order
-	left    int   // parts not back yet
+	owners  []int  // each key's owning node, in key order
+	left    int    // parts not back yet
+	ready   uint64 // the latest ready stamp of a part posted (0: none)
 	started bool
 	bud     overload.Budget
 	elems   [][]byte // each key's element of the reply, once its part is back
@@ -415,7 +440,7 @@ func (r *Router) locate(key string) (int, *migration) {
 func (r *Router) execBatch(w *worker, b *server.Batch) {
 	// reqs, not b.Reqs: past the last Answered, b is the connection's again.
 	p, reqs := &w.plan, b.Reqs
-	p.done, p.answered, p.kept = append(p.done[:0], make([]bool, len(reqs))...), 0, &b.Out
+	p.done, p.answered, p.left, p.kept = append(p.done[:0], make([]bool, len(reqs))...), 0, len(reqs), &b.Out
 	for lo, hi := 0, 0; lo < len(reqs); lo = hi {
 		if req := reqs[lo]; req.Cmd.By != redis.ByStore {
 			r.execAlone(w, b, member{req: req, at: lo})
@@ -436,7 +461,9 @@ func (r *Router) execBatch(w *worker, b *server.Batch) {
 // walk carries out the planned steps, each member begun at its turn. What only
 // resolution knows still cuts a run: a member resolved another way than its
 // head, a refusal. A part of a settled MGET is not sent. A run forms in place,
-// over members already carried out.
+// over members already carried out. The stretch's remote runs are in flight
+// together on the simulated clock: each is posted as the walk reaches it, and
+// collected once the walk is through.
 func (r *Router) walk(w *worker, b *server.Batch) {
 	p := &w.plan
 	run := p.members[:0] // the run being formed
@@ -452,7 +479,7 @@ func (r *Router) walk(w *worker, b *server.Batch) {
 			flush()
 		}
 		if !r.begin(w, n, &m) {
-			r.finish(w, &m, nil)
+			r.finish(w, &m, nil, 0)
 			p.publish(b)
 			continue
 		}
@@ -464,6 +491,21 @@ func (r *Router) walk(w *worker, b *server.Batch) {
 		}
 	}
 	flush()
+	r.collect(w)
+}
+
+// collect waits out the stretch's posts, in the order their replies were
+// answered, which is the order the runs went out: the worker's clock goes to
+// a reply's ready stamp if it is behind it, and only then is the reply charged
+// its way out and its budget asked what it has left. Every post is some
+// reply's, so the clock ends past all of them.
+func (r *Router) collect(w *worker) {
+	p := &w.plan
+	for _, o := range p.owed {
+		w.th.Core.Await(o.ready)
+		r.edgeOut(w, o.size, o.bud)
+	}
+	p.posts, p.owed = p.posts[:0], p.owed[:0]
 }
 
 // execAlone carries out a command the router answers itself or refuses.
@@ -481,7 +523,7 @@ func (r *Router) execAlone(w *worker, b *server.Batch, m member) {
 	default:
 		reply = cmd.Refusal(args) // before any node is touched
 	}
-	r.finish(w, &m, reply)
+	r.finish(w, &m, reply, 0)
 	w.plan.publish(b)
 }
 
@@ -524,7 +566,8 @@ func (r *Router) begin(w *worker, n *node, m *member) bool {
 }
 
 // execRun carries out a run on node n under the tightest of its members'
-// budgets, finishes the members in order and publishes what that answered.
+// budgets, finishes the members in order and publishes what that answered;
+// a posted run's members are charged their way out at the collect.
 func (r *Router) execRun(w *worker, b *server.Batch, n *node, run []member) {
 	calls := w.calls[:0]
 	now := w.th.Core.Cycles()
@@ -535,41 +578,59 @@ func (r *Router) execRun(w *worker, b *server.Batch, n *node, run []member) {
 			w.bud = m.bud
 		}
 	}
-	r.serve(w, n, run[0].t, calls)
+	ready := r.serve(w, n, run[0].t, calls)
 	for i := range run {
-		r.finish(w, &run[i], calls[i].Reply)
+		r.finish(w, &run[i], calls[i].Reply, ready)
 	}
 	clear(calls)
 	w.calls = calls
 	w.plan.publish(b)
 }
 
-// finish answers m's request with reply, charging its way out (the per-mode
-// cycle deltas sit between the two edge charges) and recording what its budget
-// has left. A part answers only as its fan's last back; reply is nil for a
-// part not sent. A write on a migrating slot touches its keys first, whatever
-// it answered: a write that timed out may still have reached the store.
-func (r *Router) finish(w *worker, m *member, reply []byte) {
+// finish answers m's request with reply and charges its way out (the
+// per-mode cycle deltas sit between the two edge charges): now, or at the
+// collect when the reply waits on a run in flight, done at ready (0: none), or
+// on a part of its MGET that went out in one. A part answers only as its fan's
+// last back; reply is nil for a part not sent. A write on a migrating slot
+// touches its keys first, whatever it answered: a write that timed out may
+// still have reached the store.
+func (r *Router) finish(w *worker, m *member, reply []byte, ready uint64) {
+	p := &w.plan
 	if m.mig != nil {
 		m.mig.touch(m.req.Cmd.Keys(m.args))
 	}
 	if m.fan != 0 {
-		if reply = w.plan.partBack(m, reply); reply == nil {
+		f := &p.fans[m.fan-1]
+		f.ready = max(f.ready, ready)
+		if reply = p.partBack(m, reply); reply == nil {
 			return
 		}
+		ready = f.ready
 	}
-	w.th.Core.AddCycles(server.EdgeCycles(len(reply)))
-	if m.bud.Active() {
-		r.ctr.Overload.BudgetRemaining.Observe(m.bud.Remaining(w.th.Core.Cycles()))
+	if ready == 0 {
+		r.edgeOut(w, len(reply), m.bud)
+	} else {
+		p.owed = append(p.owed, owed{ready: ready, size: len(reply), bud: m.bud})
 	}
 	m.req.Finish(reply)
-	w.plan.done[m.at] = true
+	p.done[m.at] = true
+	p.left--
+}
+
+// edgeOut charges a reply of size bytes its way out over the network edge and
+// records what its request's budget has left.
+func (r *Router) edgeOut(w *worker, size int, bud overload.Budget) {
+	w.th.Core.AddCycles(server.EdgeCycles(size))
+	if bud.Active() {
+		r.ctr.Overload.BudgetRemaining.Observe(bud.Remaining(w.th.Core.Cycles()))
+	}
 }
 
 // partBack puts a part's reply elements at their keys' places in its fan and
 // returns the MGET's reply, joined in key order, once the last part is back.
 // The first part refused answers the whole MGET, and so does a malformed or
-// short reply: a partial MGET would read as missing keys.
+// short reply: a partial MGET would read as missing keys. A join that outgrows
+// the chunk makes room for the batch's replies still to come, at perCmd each.
 func (p *plan) partBack(m *member, reply []byte) []byte {
 	f := &p.fans[m.fan-1]
 	if f.reply == nil {
@@ -600,7 +661,7 @@ func (p *plan) partBack(m *member, reply []byte) []byte {
 		return f.reply
 	}
 	out := p.replies()
-	p.out, reply = redis.PlaceReply(out, redis.JoinArrayReply(out[len(out):], f.elems))
+	p.out, reply = redis.PlaceReply(out, redis.JoinArrayReply(out[len(out):], f.elems, (p.left-1)*max(p.perCmd, minReplyBytes)))
 	p.rendered += len(reply)
 	return reply
 }
@@ -629,7 +690,7 @@ func (p *plan) reset() {
 		p.perCmd = max(est, p.perCmd-p.perCmd/16)
 	}
 	p.members, p.fans, p.argv, p.owners, p.behind = wipe(p.members), wipe(p.fans), wipe(p.argv), wipe(p.owners), wipe(p.behind)
-	p.elems, p.cut, p.done = wipe(p.elems), wipe(p.cut), wipe(p.done)
+	p.elems, p.cut, p.done, p.posts, p.owed = wipe(p.elems), wipe(p.cut), wipe(p.done), wipe(p.posts), wipe(p.owed)
 	p.kept, p.out, p.rendered = nil, nil, 0
 }
 
@@ -803,10 +864,12 @@ func (w *worker) callBudget() uint64 {
 // lands in the batch's reply chunk, are cut apart in place (RESP is
 // self-delimiting); the outcome feeds the node's breaker, the cycles are
 // attributed to the urpc path and a transport failure is the ready-made error
-// reply — all per command, each charged an equal share of the run. A frozen
-// view is one switch in for the run (readFrozen); a refusal is only ever one
-// command's.
-func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
+// reply — all per command, each charged an equal share of the run's round
+// trip. The frame is posted: the worker pays its lines now and the node's turn
+// at the collect, and serve returns the stamp the turn is done at (0: nothing
+// went out). A frozen view is one switch in for the run (readFrozen); a
+// refusal is only ever one command's.
+func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) (ready uint64) {
 	before := w.th.Core.Cycles()
 	switch {
 	case t.refusal != nil:
@@ -815,7 +878,7 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 		if !r.readFrozen(w, t, calls) {
 			// The view could not be read after all: the primary answers each.
 			for i := range calls {
-				r.serve(w, n, r.resolve(w, n, calls[i].Cmd, false), calls[i:i+1])
+				ready = max(ready, r.serve(w, n, r.resolve(w, n, calls[i].Cmd, false), calls[i:i+1]))
 			}
 		}
 	case t.client != nil:
@@ -828,14 +891,23 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 		r.ctr.LocalCycles.ObserveN((w.th.Core.Cycles()-before)/k, k)
 		n.ctr.Local.Add(k)
 	default:
-		out := w.plan.replies()
-		resp, callCycles, err := n.call(t.ep, w.remoteWire(calls), out[len(out):], w.callBudget())
-		each := (w.th.Core.Cycles() - before) / uint64(len(calls))
+		p := &w.plan
+		out := p.replies()
+		resp, turn, err := n.call(t.ep, w.remoteWire(calls), out[len(out):], w.callBudget())
+		ready = w.th.Core.Cycles()
+		trip := ready - before + turn // the round trip by itself: transfers, dispatch, the node's work
+		each := trip / uint64(len(calls))
+		for _, f := range p.posts {
+			if f.node == n.id {
+				ready = max(ready, f.ready)
+			}
+		}
+		ready += turn
+		p.posts = append(p.posts, flight{node: n.id, ready: ready})
 		if err == nil {
-			// The round trip by itself: transfers, dispatch, the node's work.
-			r.ctr.URPCCallCycles.Observe(callCycles)
-			w.plan.out, resp = redis.PlaceReply(out, resp)
-			w.plan.rendered += len(resp)
+			r.ctr.URPCCallCycles.Observe(trip)
+			p.out, resp = redis.PlaceReply(out, resp)
+			p.rendered += len(resp)
 		}
 		for i := range calls {
 			c := &calls[i]
@@ -852,6 +924,7 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) {
 			r.obs.ClusterRemote(n.id, each)
 		}
 	}
+	return ready
 }
 
 // poke hands node id to the monitor on one of its channels without ever

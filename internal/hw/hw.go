@@ -376,6 +376,15 @@ func (c *Core) Cycles() uint64 { return c.cycles }
 // stats.CatOther category; use AddCyclesCat to attribute them precisely.
 func (c *Core) AddCycles(n uint64) { c.AddCyclesCat(stats.CatOther, n) }
 
+// Await moves the core's clock on to stamp if it is behind it — max(own,
+// stamp): the core waited for work that finishes at stamp, done meanwhile
+// elsewhere. The wait is charged as AddCycles charges.
+func (c *Core) Await(stamp uint64) {
+	if stamp > c.cycles {
+		c.AddCycles(stamp - c.cycles)
+	}
+}
+
 // AddCyclesCat charges work to the core, attributing it to the given
 // cycle-accounting category when observability is enabled.
 func (c *Core) AddCyclesCat(cat stats.Cat, n uint64) {

@@ -329,7 +329,7 @@ var codecs = []struct {
 			if err != nil {
 				return nil, err
 			}
-			joined := redis.JoinArrayReply(nil, elems)
+			joined := redis.JoinArrayReply(nil, elems, 0)
 			hdr := fmt.Sprintf("*%d\r\n", len(elems))
 			if !bytes.HasPrefix(joined, []byte(hdr)) || !bytes.HasPrefix(b[bytes.IndexByte(b, '\n')+1:], joined[len(hdr):]) {
 				return nil, fmt.Errorf("join(split(x)) = %q is not x behind a canonical header", joined)

@@ -696,13 +696,18 @@ func SplitArrayReply(dst [][]byte, data []byte) ([][]byte, error) {
 }
 
 // JoinArrayReply appends to dst an array reply of elements already encoded as
-// bulk strings — SplitArrayReply's, in whatever order the caller put them.
-func JoinArrayReply(dst []byte, elems [][]byte) []byte {
+// bulk strings — SplitArrayReply's, in whatever order the caller put them. more
+// is how many bytes the caller will append behind it: a dst that has to grow
+// makes room for them too, within 64 KiB.
+func JoinArrayReply(dst []byte, elems [][]byte, more int) []byte {
 	size := lenSize(len(elems))
 	for _, e := range elems {
 		size += len(e)
 	}
-	dst = appendLen(slices.Grow(dst, size), '*', len(elems))
+	if cap(dst)-len(dst) < size {
+		dst = slices.Grow(dst, size+min(more, 64<<10))
+	}
+	dst = appendLen(dst, '*', len(elems))
 	for _, e := range elems {
 		dst = append(dst, e...)
 	}

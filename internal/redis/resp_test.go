@@ -249,19 +249,19 @@ func TestArrayReplyRoundTrip(t *testing.T) {
 	if more, err := SplitArrayReply(elems[:1:1], wire); err != nil || len(more) != 5 || !bytes.Equal(more[1], elems[0]) {
 		t.Errorf("split appended to one element: %d elements, %v; want the element then the reply's four", len(more), err)
 	}
-	if joined := JoinArrayReply(nil, elems); !bytes.Equal(joined, wire) {
+	if joined := JoinArrayReply(nil, elems, 0); !bytes.Equal(joined, wire) {
 		t.Errorf("join(split(x)) = %q, want %q", joined, wire)
 	}
 	elems[0], elems[3] = elems[3], elems[0]
 	vals[0], vals[3] = vals[3], vals[0]
-	if joined := JoinArrayReply(nil, elems); !bytes.Equal(joined, EncodeArray(vals)) {
+	if joined := JoinArrayReply(nil, elems, 0); !bytes.Equal(joined, EncodeArray(vals)) {
 		t.Errorf("join of swapped elements = %q, want %q", joined, EncodeArray(vals))
 	}
 
 	if elems, err := SplitArrayReply(nil, EncodeArray(nil)); err != nil || len(elems) != 0 {
 		t.Errorf("empty array: %d elements, %v", len(elems), err)
 	}
-	if joined := JoinArrayReply(nil, nil); string(joined) != "*0\r\n" {
+	if joined := JoinArrayReply(nil, nil, 0); string(joined) != "*0\r\n" {
 		t.Errorf("join of nothing = %q", joined)
 	}
 }

@@ -7,7 +7,9 @@
 // Calls execute the server handler inline but attribute every cycle to the
 // correct simulated core: the client core is charged for its sends,
 // receives, and the busy-wait while the server works; the server core is
-// charged for its receives, dispatch, handler work, and sends. The paper's
+// charged for its receives, dispatch, handler work, and sends. Post splits
+// the busy-wait off: the client is charged its own lines and gets the
+// server's turn back, to wait out when it needs the response. The paper's
 // GUPS message-passing baseline (§5.2) is built on this layer too.
 //
 // The transport is lossy under fault injection: an armed fault.URPCDrop
@@ -372,7 +374,7 @@ func (e *Endpoint) backoff(try int) uint64 {
 // reuse it as soon as Call returns. The response is the caller's own: one
 // allocation of exactly its size, which no later call — a retry served from
 // the duplicate cache included — reads or writes.
-func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.exchange(nil, request, 0) }
+func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.CallBudget(nil, request, 0) }
 
 // CallBudget is Call under a cycle budget: budget == 0 is plain Call;
 // otherwise the retry loop is capped so the call never burns the client
@@ -386,27 +388,36 @@ func (e *Endpoint) Call(request []byte) ([]byte, error) { return e.exchange(nil,
 // does (a nil dst: Call's owned response); what dst holds is never touched,
 // and a frame of an earlier try leaves nothing behind.
 func (e *Endpoint) CallBudget(dst, request []byte, budget uint64) ([]byte, error) {
-	return e.exchange(dst, request, budget)
+	resp, turn, err := e.Post(dst, request, budget)
+	e.m.Cores[e.client].AddCycles(turn)
+	return resp, err
 }
 
 // CallBulk is Call. It stays because the benchmark module (bench/micro.go)
 // prices a large response through it.
 func (e *Endpoint) CallBulk(request []byte) ([]byte, error) { return e.Call(request) }
 
-// exchange is the one round-trip loop behind Call and CallBudget: move the
-// request across, let the server handle it (or answer a duplicate from its
-// cache), move the response back behind dst, mirror the server's cycles
-// into the client's busy-wait, and on loss back off and go again — under
-// budget when there is one.
-func (e *Endpoint) exchange(dst, request []byte, budget uint64) ([]byte, error) {
+// Post is CallBudget split in two on the simulated clock. The exchange is
+// complete when Post returns — the handler ran, at most once, and the
+// response is behind dst — but the client core is charged only its own line
+// transfers. The turn comes back uncharged: the cycles the server spent
+// receiving, working and answering, and every lost try's backoff. A caller
+// with several calls out waits for the latest of them, not their sum; Call
+// and CallBudget wait each out at once. Under a budget, lines and turn
+// together pass it by no more than the last try's own transfers.
+func (e *Endpoint) Post(dst, request []byte, budget uint64) (resp []byte, turn uint64, err error) {
+	// The one round-trip loop: move the request across, let the server
+	// handle it (or answer a duplicate from its cache), move the response
+	// back behind dst, add the server's cycles to the turn, and on loss back
+	// off and go again — under budget when there is one.
 	client := e.m.Cores[e.client]
 	server := e.m.Cores[e.server]
 	start := client.Cycles()
 	seq := e.nextSeq
 	e.nextSeq++
 	for try := 0; try <= e.MaxRetries; try++ {
-		if budget != 0 && client.Cycles()-start >= budget {
-			return nil, &BudgetError{Seq: seq, Budget: budget}
+		if budget != 0 && client.Cycles()-start+turn >= budget {
+			return nil, turn, &BudgetError{Seq: seq, Budget: budget}
 		}
 		if try > 0 {
 			e.retries++
@@ -414,7 +425,6 @@ func (e *Endpoint) exchange(dst, request []byte, budget uint64) ([]byte, error) 
 		}
 		before := server.Cycles()
 		req, ok := e.req.transfer(seq, request, e.req.frame[:0])
-		var resp []byte
 		if ok {
 			if cap(req) <= maxKeptFrame {
 				e.req.frame = req
@@ -424,26 +434,26 @@ func (e *Endpoint) exchange(dst, request []byte, budget uint64) ([]byte, error) 
 			}
 			resp, ok = e.resp.transfer(seq, e.lastResp, dst)
 		}
-		// The client busy-waits while the server receives, works and answers.
-		client.AddCycles(server.Cycles() - before)
+		// The server's turn: it receives, works and answers.
+		turn += server.Cycles() - before
 		if ok {
-			return resp, nil
+			return resp, turn, nil
 		}
 		// Something was lost: time out and retry, backing off exponentially —
 		// but a budgeted call never sleeps past its remaining allowance.
 		wait := e.backoff(try)
 		if budget != 0 {
-			spent := client.Cycles() - start
+			spent := client.Cycles() - start + turn
 			if spent >= budget {
-				return nil, &BudgetError{Seq: seq, Budget: budget}
+				return nil, turn, &BudgetError{Seq: seq, Budget: budget}
 			}
 			if rem := budget - spent; wait > rem {
 				wait = rem
 			}
 		}
-		client.AddCycles(wait)
+		turn += wait
 	}
-	return nil, &TimeoutError{Seq: seq, Retries: e.MaxRetries}
+	return nil, turn, &TimeoutError{Seq: seq, Retries: e.MaxRetries}
 }
 
 // CallLatency runs one call and returns the client-perceived latency in

@@ -811,3 +811,93 @@ func scriptedSequence(slots int) string {
 	return fmt.Sprintf("client=%d server=%d req=%+v resp=%+v retries=%d failed=%d sum=%d pending=%d",
 		m.Cores[0].Cycles(), m.Cores[2].Cycles(), reqStats, respStats, ep.Retries(), failed, sum, ep.Pending())
 }
+
+// TestPostIsCallSplitAtTheTurn: Post is CallBudget with the busy-wait handed
+// back. On two machines driven alike — one calling, one posting — through a
+// lossy channel, each call leaves the same response, the same server clock,
+// a non-idempotent handler run at most once, and a client clock that Post's
+// turn brings level with the caller's. A loss-free post charges the client
+// exactly its own lines and one dispatch. Under a budget on a channel that
+// loses everything, the backoff folded into the turn never passes the budget.
+func TestPostIsCallSplitAtTheTurn(t *testing.T) {
+	type side struct {
+		m       *hw.Machine
+		reg     *fault.Registry
+		ep      *Endpoint
+		applied uint64
+	}
+	newSide := func() *side {
+		s := &side{m: hw.NewMachine(hw.SmallTest()), reg: fault.New(47)}
+		s.m.SetFaults(s.reg)
+		s.ep = Connect(s.m, 0, 1, 8, func(req []byte) []byte {
+			s.applied++ // not idempotent: a second run of one request shows
+			return append(bytes.Repeat(req, 3), byte(s.applied))
+		})
+		s.reg.Enable(fault.URPCDrop, fault.Probability(0.2))
+		return s
+	}
+	call, post := newSide(), newSide()
+	client := func(s *side) uint64 { return s.m.Cores[0].Cycles() }
+	server := func(s *side) uint64 { return s.m.Cores[1].Cycles() }
+	for i := range 200 {
+		req := bytes.Repeat([]byte{byte(i)}, 1+i%150)
+		budget := uint64(0)
+		if i%2 == 0 {
+			budget = 4 * DefaultTimeoutCycles
+		}
+		c0, p0, applied := client(call), client(post), post.applied
+		want, werr := call.ep.CallBudget(nil, req, budget)
+		got, turn, gerr := post.ep.Post(nil, req, budget)
+		if !bytes.Equal(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("call %d: Post %q, %v; CallBudget %q, %v", i, got, gerr, want, werr)
+		}
+		if g, w := client(post)-p0+turn, client(call)-c0; g != w {
+			t.Fatalf("call %d: lines %d + turn %d = %d, CallBudget charged %d", i, client(post)-p0, turn, g, w)
+		}
+		post.m.Cores[0].AddCycles(turn)
+		if server(post) != server(call) || post.applied != call.applied {
+			t.Fatalf("call %d: server at %d, %d applied; the caller's at %d, %d", i, server(post), post.applied, server(call), call.applied)
+		}
+		if post.applied-applied > 1 {
+			t.Fatalf("call %d: applied %d times", i, post.applied-applied)
+		}
+	}
+	if post.ep.Retries() == 0 {
+		t.Fatal("no try was lost: the channel was not lossy")
+	}
+
+	s := newSide()
+	s.reg.Disable(fault.URPCDrop)
+	req := make([]byte, 3*PayloadPerLine)
+	c0, s0 := client(s), server(s)
+	resp, turn, err := s.ep.Post(nil, req, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perLine := s.m.Cfg.Cost.CacheLineXfer
+	if g, w := client(s)-c0, (Lines(len(req))+Lines(len(resp)))*perLine+DispatchCycles; g != w {
+		t.Errorf("a loss-free post charged the client %d cycles, want its lines and a dispatch, %d", g, w)
+	}
+	if g := server(s) - s0; turn != g {
+		t.Errorf("a loss-free post's turn is %d, the server worked %d", turn, g)
+	}
+
+	s.reg.Enable(fault.URPCDrop, fault.Always())
+	s.ep.MaxRetries = 64
+	for _, budget := range []uint64{1, DefaultTimeoutCycles / 3, 3 * DefaultTimeoutCycles} {
+		applied, c0, s0 := s.applied, client(s), server(s)
+		_, turn, err := s.ep.Post(nil, req, budget)
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("budget %d on a dead channel: %v, want ErrBudget", budget, err)
+		}
+		if backoff := turn - (server(s) - s0); backoff > budget {
+			t.Errorf("budget %d: %d cycles of backoff", budget, backoff)
+		}
+		if lines := client(s) - c0; lines+turn > budget+Lines(len(req))*perLine {
+			t.Errorf("budget %d: lines %d + turn %d pass it by more than one try's sends", budget, lines, turn)
+		}
+		if s.applied != applied {
+			t.Errorf("budget %d: a lost request was applied", budget)
+		}
+	}
+}
