@@ -139,7 +139,7 @@ func (g batchRig) kind(n *node, cmd *redis.Command, readonly bool) string {
 // the members that ride an earlier one's switch pair (a store's or a frozen
 // view's) or frame: each that follows one of its run served the same way.
 func (g batchRig) savings(pipe []*server.Request) (pairs, frames uint64) {
-	for _, s := range refPlan(pipe, g.r.locate) {
+	for _, s := range refPlan(pipe, func(k string) (int, *migration) { n, _ := g.r.locate(k); return n, nil }) {
 		for i := 1; i < len(s.members); i++ {
 			n, req, prev := g.r.nodes[s.node], pipe[s.members[i].at], pipe[s.members[i-1].at]
 			if kind := g.kind(n, req.Cmd, req.Readonly); kind == g.kind(n, prev.Cmd, prev.Readonly) {
@@ -281,26 +281,51 @@ func TestBatchMatchesPerCommand(t *testing.T) {
 	}
 }
 
-// pins reports whether the worker's plan still holds anything but a count,
-// in any buffer up to its capacity: after execBatch that would keep the
-// batch's requests (their fill, and the replies in it) or its MGETs' keys
-// reachable.
+// pins reports whether the worker's plan still holds a reference of any kind
+// — a pointer, a slice, a string — in a field, or in a buffer up to its
+// capacity: after execBatch that would keep the batch's requests (their fill,
+// and the replies in it) or its MGETs' keys reachable. A buffer of plain
+// values (indices, counts, stamps) is the worker's and holds nothing; one of
+// bytes is a reply chunk, the batch's.
 func (g batchRig) pins() bool {
 	v := reflect.ValueOf(g.w.plan)
 	for i := range v.NumField() {
-		switch f := v.Field(i); f.Kind() {
-		case reflect.Slice:
-			for all, j := f.Slice(0, f.Cap()), 0; j < all.Len(); j++ {
-				if !all.Index(j).IsZero() {
-					return true
-				}
+		f := v.Field(i)
+		if f.Kind() != reflect.Slice {
+			if refers(f.Type()) && !f.IsZero() {
+				return true
 			}
-		case reflect.Int: // a count holds nothing
-		default:
-			if !f.IsZero() {
+			continue
+		}
+		if elem := f.Type().Elem(); !refers(elem) {
+			if elem.Kind() == reflect.Uint8 && !f.IsNil() {
+				return true
+			}
+			continue
+		}
+		for all, j := f.Slice(0, f.Cap()), 0; j < all.Len(); j++ {
+			if !all.Index(j).IsZero() {
 				return true
 			}
 		}
+	}
+	return false
+}
+
+// refers reports whether a value of type t can hold a reference.
+func refers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return refers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if refers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.Slice, reflect.String, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface, reflect.UnsafePointer:
+		return true
 	}
 	return false
 }

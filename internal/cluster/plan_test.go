@@ -126,20 +126,36 @@ func refPlan(reqs []*server.Request, locate func(string) (int, *migration)) []re
 }
 
 // planned is what plan.make makes of reqs, stretch by stretch as execBatch
-// asks for it, in refPlan's terms.
+// asks for it, in refPlan's terms: a member's command is reqs[at], and a
+// write's migration is the one its slot has, as finish looks it up. Each key
+// looked up is a slot of its own here, holding what locate says of the key.
 func planned(p *plan, reqs []*server.Request, locate func(string) (int, *migration)) (steps []refStep) {
+	p.reset()
+	p.reqs = reqs
+	var migs []*migration // by slot
+	owner := func(k string) (int, int) {
+		n, mig := locate(k)
+		migs = append(migs, mig)
+		return n, len(migs) - 1
+	}
 	for lo, hi := 0, 0; lo < len(reqs); lo = hi {
 		if req := reqs[lo]; req.Cmd.By != redis.ByStore {
 			steps = append(steps, refStep{barrier: true, node: -1, write: req.Cmd.Write, members: []refMember{{lo, req.Args, req.Cmd, nil}}})
 			hi = lo + 1
 			continue
 		}
-		hi = p.make(reqs, lo, locate)
-		for _, m := range p.members {
-			if m.step {
-				steps = append(steps, refStep{node: m.node, write: m.req.Cmd.Write})
+		hi = p.make(lo, owner)
+		for i := range p.members {
+			m := &p.members[i]
+			cmd, args := p.reqs[m.at].Cmd, p.args(m)
+			var mig *migration
+			if cmd.Write {
+				mig = migs[m.slot]
 			}
-			steps[len(steps)-1].members = append(steps[len(steps)-1].members, refMember{m.at, m.args, m.req.Cmd, m.mig})
+			if m.step {
+				steps = append(steps, refStep{node: m.node, write: cmd.Write})
+			}
+			steps[len(steps)-1].members = append(steps[len(steps)-1].members, refMember{m.at, args, cmd, mig})
 		}
 	}
 	return steps
@@ -208,13 +224,27 @@ func argvs(batch []*server.Request) (out [][]string) {
 // four commands of planAlphabet, which says, against the reference: each
 // node's members in VAS phases; barriers in place, nothing crossing them; an
 // MGET's parts in node-id order, each with its node's keys in key order; and
-// the migration on a migrating slot's write alone.
+// the migration on a migrating slot's write alone. It checks besides that a
+// node's steps are together within a stretch, so that its previous run in
+// flight is the stretch's last (plan.lastNode).
 func TestPlanMatchesTheRule(t *testing.T) {
 	alphabet, locate := planAlphabet()
 	var p plan
 	everyBatch(t, alphabet, 4, func(batch []*server.Request) {
-		if got, want := planned(&p, batch, locate), refPlan(batch, locate); !equalSteps(got, want) {
+		got, want := planned(&p, batch, locate), refPlan(batch, locate)
+		if !equalSteps(got, want) {
 			t.Fatalf("%q:\n planned  %v\n the rule %v", argvs(batch), got, want)
+		}
+		var seen []int // the nodes whose steps the stretch has left behind
+		for i, s := range got {
+			switch {
+			case s.barrier:
+				seen = seen[:0]
+			case slices.Contains(seen, s.node):
+				t.Fatalf("%q: node %d's steps are not together within a stretch: %v", argvs(batch), s.node, got)
+			case i+1 < len(got) && got[i+1].node != s.node:
+				seen = append(seen, s.node)
+			}
 		}
 	})
 }

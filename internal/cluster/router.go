@@ -213,50 +213,48 @@ func (r *Router) SubmitBatch(connID uint64, b *server.Batch) int {
 }
 
 // plan is the batch in hand, a stretch at a time: planned (make), then walked
-// (walk), which fills in the members' budgets and targets, the fans' replies
-// (each part's cut apart in cut) and which requests are done, publishing the
-// prefix answered. Reused batch after batch: grouping allocates nothing.
+// (walk), which fills in the members' budgets, the fans' replies (each part's
+// cut apart in cut) and which requests are done, publishing the prefix
+// answered. Reused batch after batch: grouping allocates nothing.
 //
-// out is the chunk the batch's replies are rendered into — a co-resident
-// run's, a node's response, a frozen view's, a fan's join — and rendered
-// counts their bytes. A reply that outgrows a chunk starts the next
-// (redis.RunAll), so a rendered reply is never copied, and the writer sends
-// each while the chunk fills behind it. The first is the batch's Out, which
-// kept points at: the connection's, reused fill after fill. Those after it are
-// the fill's alone, freed by the GC once the writer has written it.
+// reqs is the batch's requests, which a member names by its index. out is the
+// chunk the batch's replies are rendered into — a co-resident run's, a node's
+// response, a frozen view's, a fan's join — and rendered counts their bytes. A
+// reply that outgrows a chunk starts the next (redis.RunAll), so a rendered
+// reply is never copied, and the writer sends each while the chunk fills
+// behind it. The first is the batch's Out (execBatch): the connection's, reused
+// fill after fill. Those after it are the fill's alone, freed by the GC once
+// the writer has written it.
 //
-// behind is the planner's scratch (phase): keys cut from the fill's arena, so
-// reset wipes it like the rest.
+// No buffer is cut back over references the batch put in it, so reset clears
+// each to its length: argv, elems and fans grow through the whole batch, and
+// behind (phase's scratch) and cut are cleared as they are cut back. members,
+// owners, done and owed hold plain values.
 //
-// posts are the stretch's remote runs in flight on the simulated clock, owed
-// the replies' ways out that wait on them, for the walk's collect. left counts
+// lastNode and lastReady are the stretch's latest remote run in flight on the
+// simulated clock: its node, and the stamp at which the node's turn for it is
+// done. runs lays each node's members out together within a stretch, so a
+// node's previous run in flight, if any, is that one. owed are the replies'
+// ways out that wait on runs in flight, for the walk's collect. left counts
 // the requests not yet answered.
 type plan struct {
-	members  []member
-	fans     []fan
-	argv     []string
-	owners   []int
-	behind   []string
-	elems    [][]byte
-	cut      [][]byte
-	done     []bool
-	posts    []flight
-	owed     []owed
-	answered int
-	left     int
-	kept     *[]byte
-	out      []byte
-	rendered int
-	perCmd   int
-}
-
-// flight is a remote run in flight: its node, and the stamp on the worker's
-// clock at which the node's turn for it is done. A node serves its runs one
-// at a time, so that is the later of the post's stamp and the node's previous
-// run's, plus the turn.
-type flight struct {
-	node  int
-	ready uint64
+	reqs      []*server.Request
+	members   []member
+	fans      []fan
+	argv      []string
+	owners    []int
+	behind    []string
+	elems     [][]byte
+	cut       [][]byte
+	done      []bool
+	lastNode  int
+	lastReady uint64
+	owed      []owed
+	answered  int
+	left      int
+	out       []byte
+	rendered  int
+	perCmd    int
 }
 
 // owed is a reply's way out over the network edge, charged once the worker's
@@ -267,41 +265,28 @@ type owed struct {
 	bud   overload.Budget
 }
 
-// replies returns the chunk the batch's next reply is rendered into. At the
-// first reply the worker renders, that is the batch's Out, grown first when it
-// has no room for the batch by perCmd, the reply bytes per command the batches
-// before rendered, within maxKeptWire: the connection keeps the larger one.
-// Outside a batch (the model) each reply is rendered into a chunk of its own.
-func (p *plan) replies() []byte {
-	if p.out == nil && p.kept != nil {
-		if want := min(max(p.perCmd, minReplyBytes)*len(p.done), maxKeptWire); cap(*p.kept) < want {
-			*p.kept = slices.Grow((*p.kept)[:0], want)
-		}
-		p.out = (*p.kept)[:0]
-	}
-	return p.out
-}
-
 // minReplyBytes is what a command's reply is taken to need before the worker
 // has rendered any.
 const minReplyBytes = 64
 
-// member is a command of the stretch, at its place in the batch, or a part of
-// an MGET across nodes, whose fan is then fans[fan-1]: node owns its keys, args
-// is what runs, and mig, for a write on a slot migrating off node, is the
-// migration its keys touch once it ran. The plan is steps: each starts at a
-// member marked step and is a run, one node's members, all reads or all
-// writes. The walk sets bud, the member's budget, and t, where it runs.
+// member is a command of the stretch, reqs[at], or a part of an MGET across
+// nodes, whose fan is then fans[fan-1] and whose arguments argv[lo:hi] (a
+// whole command's are its request's Args): node owns its keys, and slot is a
+// whole command's first key's. The plan is steps: each starts at a member
+// marked step and is a run, one node's members, all reads or all writes. The
+// walk sets bud, the member's budget.
 type member struct {
-	req  *server.Request
-	at   int
-	node int
-	args []string
-	fan  int
-	step bool
-	mig  *migration
-	bud  overload.Budget
-	t    target
+	at, node, slot, fan, lo, hi int
+	step                        bool
+	bud                         overload.Budget
+}
+
+// args are the arguments m runs with.
+func (p *plan) args(m *member) []string {
+	if m.fan == 0 {
+		return p.reqs[m.at].Args
+	}
+	return p.argv[m.lo:m.hi]
 }
 
 // fan is an MGET across nodes: begun by its first part, answered by its last.
@@ -316,58 +301,56 @@ type fan struct {
 }
 
 // make plans the stretch of store commands that starts at reqs[lo] and returns
-// where it ends. It is pure: locate says which node owns a key and, while its
-// slot migrates, the migration; nothing is counted or resolved. The stretch
-// goes node by node (runs).
-func (p *plan) make(reqs []*server.Request, lo int, locate func(key string) (int, *migration)) (hi int) {
-	p.members, p.fans, p.argv, p.owners, p.elems = p.members[:0], p.fans[:0], p.argv[:0], p.owners[:0], p.elems[:0]
-	for hi = lo; hi < len(reqs) && reqs[hi].Cmd.By == redis.ByStore; hi++ {
-		m := member{req: reqs[hi], at: hi, args: reqs[hi].Args}
-		if m.req.Cmd.Op == redis.OpMGet {
-			p.mget(m, locate)
-			continue
+// where it ends. It is pure: locate says a key's slot and the node owning it;
+// nothing is counted or resolved. The stretch goes node by node (runs).
+func (p *plan) make(lo int, locate func(key string) (node, slot int)) (hi int) {
+	p.members = p.members[:0]
+	for hi = lo; hi < len(p.reqs) && p.reqs[hi].Cmd.By == redis.ByStore; hi++ {
+		if cmd, args := p.reqs[hi].Cmd, p.reqs[hi].Args; cmd.Op == redis.OpMGet {
+			p.mget(hi, locate)
+		} else {
+			m := member{at: hi}
+			m.node, m.slot = locate(args[cmd.FirstKey])
+			p.members = append(p.members, m)
 		}
-		var mig *migration
-		if m.node, mig = locate(m.args[m.req.Cmd.FirstKey]); m.req.Cmd.Write {
-			m.mig = mig
-		}
-		p.members = append(p.members, m)
 	}
 	p.runs()
 	return hi
 }
 
-// mget adds an MGET to the stretch: whole when one node owns every key, else
-// as a fan of parts, one per owning node in node-id order, each an MGET of that
-// node's keys in key order (a migrating slot's keys are its source's).
-func (p *plan) mget(m member, locate func(string) (int, *migration)) {
-	keys, at := m.req.Cmd.Keys(m.args), len(p.owners)
+// mget adds the MGET reqs[at] to the stretch: whole when one node owns every
+// key, else as a fan of parts, one per owning node in node-id order, each an
+// MGET of that node's keys in key order (a migrating slot's keys are its
+// source's).
+func (p *plan) mget(at int, locate func(string) (int, int)) {
+	req, o := p.reqs[at], len(p.owners)
+	keys := req.Cmd.Keys(req.Args)
 	for _, k := range keys {
-		o, _ := locate(k)
-		p.owners = append(p.owners, o)
+		n, _ := locate(k)
+		p.owners = append(p.owners, n)
 	}
-	lo, hi := slices.Min(p.owners[at:]), slices.Max(p.owners[at:])
+	lo, hi := slices.Min(p.owners[o:]), slices.Max(p.owners[o:])
 	if lo == hi {
-		p.owners, m.node = p.owners[:at], lo
-		p.members = append(p.members, m)
+		p.owners = p.owners[:o]
+		p.members = append(p.members, member{at: at, node: lo})
 		return
 	}
 	e := len(p.elems)
 	p.elems = append(p.elems, make([][]byte, len(keys))...)
-	p.fans = append(p.fans, fan{owners: p.owners[at:], elems: p.elems[e:]})
+	p.fans = append(p.fans, fan{owners: p.owners[o:], elems: p.elems[e:]})
 	f := &p.fans[len(p.fans)-1]
-	for m.fan, m.node = len(p.fans), lo; m.node <= hi; m.node++ {
-		if !slices.Contains(f.owners, m.node) {
+	for n := lo; n <= hi; n++ {
+		if !slices.Contains(f.owners, n) {
 			continue
 		}
-		a := len(p.argv)
-		p.argv = append(p.argv, m.req.Cmd.Name)
+		m := member{at: at, node: n, fan: len(p.fans), lo: len(p.argv)}
+		p.argv = append(p.argv, req.Cmd.Name)
 		for i, o := range f.owners {
-			if o == m.node {
+			if o == n {
 				p.argv = append(p.argv, keys[i])
 			}
 		}
-		m.args = p.argv[a:]
+		m.hi = len(p.argv)
 		p.members = append(p.members, m)
 		f.left++
 	}
@@ -385,7 +368,7 @@ func (p *plan) runs() {
 	end := len(p.members)
 	for i := 0; i < end; i++ {
 		if n := p.members[i].node; n >= 0 { // else laid out with an earlier node's
-			for write, left := p.members[i].req.Cmd.Write, true; left; write = !write {
+			for write, left := p.reqs[p.members[i].at].Cmd.Write, true; left; write = !write {
 				left = p.phase(n, i, end, write)
 			}
 		}
@@ -399,6 +382,7 @@ func (p *plan) runs() {
 // p.behind gathers the keys of those left in the other VAS (a write left in
 // its own blocks every write behind it); a node in one VAS compares no key.
 func (p *plan) phase(n, i, end int, write bool) (left bool) {
+	clear(p.behind)
 	p.behind, left = p.behind[:0], false
 	step := true
 	for j := i; j < end; j++ {
@@ -406,11 +390,12 @@ func (p *plan) phase(n, i, end int, write bool) (left bool) {
 		if m.node != n {
 			continue
 		}
-		if m.req.Cmd.Write != write {
-			p.behind, left = append(p.behind, m.req.Cmd.Keys(m.args)...), true
+		cmd := p.reqs[m.at].Cmd
+		if cmd.Write != write {
+			p.behind, left = append(p.behind, cmd.Keys(p.args(m))...), true
 			continue
 		}
-		if len(p.behind) > 0 && slices.ContainsFunc(m.req.Cmd.Keys(m.args), func(k string) bool { return slices.Contains(p.behind, k) }) {
+		if len(p.behind) > 0 && slices.ContainsFunc(cmd.Keys(p.args(m)), func(k string) bool { return slices.Contains(p.behind, k) }) {
 			if write {
 				return true // every write behind it conflicts with it
 			}
@@ -424,11 +409,11 @@ func (p *plan) phase(n, i, end int, write bool) (left bool) {
 	return left
 }
 
-// locate is what plan.make asks of the topology, under its read lock: the
-// node owning key's slot and, while the slot migrates, the migration.
-func (r *Router) locate(key string) (int, *migration) {
-	slot := r.Slot(key)
-	return r.Owner(slot), r.migs[slot].Load()
+// locate is what plan.make asks of the topology, under its read lock: key's
+// slot and the node owning it.
+func (r *Router) locate(key string) (node, slot int) {
+	slot = r.Slot(key)
+	return r.Owner(slot), slot
 }
 
 // execBatch carries out a connection's batch. A command the router answers
@@ -440,15 +425,23 @@ func (r *Router) locate(key string) (int, *migration) {
 func (r *Router) execBatch(w *worker, b *server.Batch) {
 	// reqs, not b.Reqs: past the last Answered, b is the connection's again.
 	p, reqs := &w.plan, b.Reqs
-	p.done, p.answered, p.left, p.kept = append(p.done[:0], make([]bool, len(reqs))...), 0, len(reqs), &b.Out
+	p.reqs, p.done, p.answered, p.left = reqs, append(p.done[:0], make([]bool, len(reqs))...), 0, len(reqs)
 	for lo, hi := 0, 0; lo < len(reqs); lo = hi {
-		if req := reqs[lo]; req.Cmd.By != redis.ByStore {
-			r.execAlone(w, b, member{req: req, at: lo})
+		if reqs[lo].Cmd.By != redis.ByStore {
+			r.execAlone(w, b, member{at: lo})
 			hi = lo + 1
 			continue
 		}
+		// Replies start in b's Out, which the connection keeps: grown at the
+		// first stretch to perCmd (earlier batches' bytes a reply) a request.
+		if p.out == nil {
+			if want := min(max(p.perCmd, minReplyBytes)*len(reqs), maxKeptWire); cap(b.Out) < want {
+				b.Out = slices.Grow(b.Out[:0], want)
+			}
+			p.out = b.Out[:0]
+		}
 		r.topoMu.RLock()
-		hi = p.make(reqs, lo, r.locate)
+		hi = p.make(lo, r.locate)
 		r.walk(w, b)
 		r.topoMu.RUnlock()
 	}
@@ -461,32 +454,34 @@ func (r *Router) execBatch(w *worker, b *server.Batch) {
 // walk carries out the planned steps, each member begun at its turn. What only
 // resolution knows still cuts a run: a member resolved another way than its
 // head, a refusal. A part of a settled MGET is not sent. A run forms in place,
-// over members already carried out. The stretch's remote runs are in flight
-// together on the simulated clock: each is posted as the walk reaches it, and
-// collected once the walk is through.
+// over members already carried out, and where it runs is resolved for its
+// head. The stretch's remote runs are in flight together on the simulated
+// clock: each is posted as the walk reaches it, and collected once the walk is
+// through.
 func (r *Router) walk(w *worker, b *server.Batch) {
 	p := &w.plan
-	run := p.members[:0] // the run being formed
+	run, head := p.members[:0], target{} // the run being formed, and where it runs
 	flush := func() {
 		if len(run) > 0 {
-			r.execRun(w, b, r.nodes[run[0].node], run)
+			r.execRun(w, b, r.nodes[run[0].node], head, run)
 			run = run[:0]
 		}
 	}
 	for _, m := range p.members {
-		n := r.nodes[m.node]
 		if m.step {
 			flush()
 		}
-		if !r.begin(w, n, &m) {
+		t, ok := r.begin(w, r.nodes[m.node], &m)
+		if !ok {
 			r.finish(w, &m, nil, 0)
 			p.publish(b)
 			continue
 		}
-		if len(run) > 0 && !m.t.joins(run[0].t) {
+		if len(run) == 0 || !t.joins(head) {
 			flush()
+			head = t
 		}
-		if run = append(run, m); m.t.refusal != nil {
+		if run = append(run, m); t.refusal != nil {
 			flush()
 		}
 	}
@@ -494,24 +489,25 @@ func (r *Router) walk(w *worker, b *server.Batch) {
 	r.collect(w)
 }
 
-// collect waits out the stretch's posts, in the order their replies were
-// answered, which is the order the runs went out: the worker's clock goes to
-// a reply's ready stamp if it is behind it, and only then is the reply charged
-// its way out and its budget asked what it has left. Every post is some
-// reply's, so the clock ends past all of them.
+// collect waits out the stretch's runs in flight, in the order their replies
+// were answered, which is the order the runs went out: the worker's clock goes
+// to a reply's ready stamp if it is behind it, and only then is the reply
+// charged its way out and its budget asked what it has left. Every run in
+// flight is some reply's, so the clock ends past all of them.
 func (r *Router) collect(w *worker) {
 	p := &w.plan
 	for _, o := range p.owed {
 		w.th.Core.Await(o.ready)
 		r.edgeOut(w, o.size, o.bud)
 	}
-	p.posts, p.owed = p.posts[:0], p.owed[:0]
+	p.lastReady, p.owed = 0, p.owed[:0]
 }
 
 // execAlone carries out a command the router answers itself or refuses.
 func (r *Router) execAlone(w *worker, b *server.Batch, m member) {
-	cmd, args := m.req.Cmd, m.req.Args
-	m.bud = w.arm(m.req)
+	req := w.plan.reqs[m.at]
+	cmd, args := req.Cmd, req.Args
+	m.bud = w.arm(req)
 	var reply []byte
 	switch {
 	case cmd.Op == redis.OpClusterSlots:
@@ -539,17 +535,18 @@ func (w *worker) arm(req *server.Request) overload.Budget {
 	return w.bud
 }
 
-// begin begins m on node n and resolves where it runs. A part's budget is its
-// MGET's, armed by the first part begun, and re-checked by every part before
-// it resolves. false: the MGET is settled (a part was refused, or the budget
-// ran out), and this part is neither resolved nor sent.
-func (r *Router) begin(w *worker, n *node, m *member) bool {
+// begin begins m on node n and returns where it runs, resolved. A part's
+// budget is its MGET's, armed by the first part begun, and re-checked by every
+// part before it resolves. false: the MGET is settled (a part was refused, or
+// the budget ran out), and this part is neither resolved nor sent.
+func (r *Router) begin(w *worker, n *node, m *member) (target, bool) {
+	req := w.plan.reqs[m.at]
 	if m.fan == 0 {
-		m.bud = w.arm(m.req)
+		m.bud = w.arm(req)
 	} else {
 		f := &w.plan.fans[m.fan-1]
 		if !f.started {
-			f.started, f.bud = true, w.arm(m.req)
+			f.started, f.bud = true, w.arm(req)
 		}
 		w.bud, m.bud = f.bud, f.bud
 		if now := w.th.Core.Cycles(); f.reply == nil && w.bud.Exhausted(now) {
@@ -558,33 +555,32 @@ func (r *Router) begin(w *worker, n *node, m *member) bool {
 				"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
 		}
 		if f.reply != nil {
-			return false
+			return target{}, false
 		}
 	}
-	m.t = r.resolve(w, n, m.req.Cmd, m.req.Readonly)
-	return true
+	return r.resolve(w, n, req.Cmd, req.Readonly), true
 }
 
-// execRun carries out a run on node n under the tightest of its members'
-// budgets, finishes the members in order and publishes what that answered;
-// a posted run's members are charged their way out at the collect.
-func (r *Router) execRun(w *worker, b *server.Batch, n *node, run []member) {
-	calls := w.calls[:0]
+// execRun carries out a run on node n, where t says, under the tightest of its
+// members' budgets, finishes the members in order and publishes what that
+// answered; a posted run's members are charged their way out at the collect.
+func (r *Router) execRun(w *worker, b *server.Batch, n *node, t target, run []member) {
+	p, calls := &w.plan, w.calls[:0]
 	now := w.th.Core.Cycles()
 	for i := range run {
 		m := &run[i]
-		calls = append(calls, redis.Call{Cmd: m.req.Cmd, Args: m.args})
+		calls = append(calls, redis.Call{Cmd: p.reqs[m.at].Cmd, Args: p.args(m)})
 		if m.bud.Active() && (!w.bud.Active() || m.bud.Remaining(now) < w.bud.Remaining(now)) {
 			w.bud = m.bud
 		}
 	}
-	ready := r.serve(w, n, run[0].t, calls)
+	ready := r.serve(w, n, t, calls)
 	for i := range run {
 		r.finish(w, &run[i], calls[i].Reply, ready)
 	}
 	clear(calls)
 	w.calls = calls
-	w.plan.publish(b)
+	p.publish(b)
 }
 
 // finish answers m's request with reply and charges its way out (the
@@ -593,11 +589,16 @@ func (r *Router) execRun(w *worker, b *server.Batch, n *node, run []member) {
 // on a part of its MGET that went out in one. A part answers only as its fan's
 // last back; reply is nil for a part not sent. A write on a migrating slot
 // touches its keys first, whatever it answered: a write that timed out may
-// still have reached the store.
+// still have reached the store. Its migration is looked up here, by slot: only
+// the topology write lock, which the stretch holds off, publishes one, and a
+// failed move that clears it leaves a set nobody reads.
 func (r *Router) finish(w *worker, m *member, reply []byte, ready uint64) {
 	p := &w.plan
-	if m.mig != nil {
-		m.mig.touch(m.req.Cmd.Keys(m.args))
+	req := p.reqs[m.at]
+	if req.Cmd.Write {
+		if mig := r.migs[m.slot].Load(); mig != nil {
+			mig.touch(req.Cmd.Keys(req.Args))
+		}
 	}
 	if m.fan != 0 {
 		f := &p.fans[m.fan-1]
@@ -612,7 +613,7 @@ func (r *Router) finish(w *worker, m *member, reply []byte, ready uint64) {
 	} else {
 		p.owed = append(p.owed, owed{ready: ready, size: len(reply), bud: m.bud})
 	}
-	m.req.Finish(reply)
+	req.Finish(reply)
 	p.done[m.at] = true
 	p.left--
 }
@@ -635,7 +636,7 @@ func (p *plan) partBack(m *member, reply []byte) []byte {
 	f := &p.fans[m.fan-1]
 	if f.reply == nil {
 		elems, err := redis.SplitArrayReply(p.cut[:0], reply)
-		if err == nil && len(elems) != len(m.args)-1 {
+		if err == nil && len(elems) != m.hi-m.lo-1 {
 			err = errors.New("short MGET reply")
 		}
 		switch {
@@ -660,7 +661,7 @@ func (p *plan) partBack(m *member, reply []byte) []byte {
 	if f.reply != nil {
 		return f.reply
 	}
-	out := p.replies()
+	out := p.out
 	p.out, reply = redis.PlaceReply(out, redis.JoinArrayReply(out[len(out):], f.elems, (p.left-1)*max(p.perCmd, minReplyBytes)))
 	p.rendered += len(reply)
 	return reply
@@ -679,8 +680,9 @@ func (p *plan) publish(b *server.Batch) {
 	}
 }
 
-// reset lets go of the batch: past their lengths, too, the buffers would keep
-// its requests (their fill, and every reply in it) and MGET keys reachable.
+// reset lets go of the batch: its requests (their fill, and every reply in
+// it) and MGET keys would stay reachable through what the buffers hold, up to
+// their lengths.
 func (p *plan) reset() {
 	if p.rendered > 0 {
 		// A batch that rendered less than the last lowers the estimate by no
@@ -689,14 +691,12 @@ func (p *plan) reset() {
 		est := (p.rendered + len(p.done) - 1) / len(p.done)
 		p.perCmd = max(est, p.perCmd-p.perCmd/16)
 	}
-	p.members, p.fans, p.argv, p.owners, p.behind = wipe(p.members), wipe(p.fans), wipe(p.argv), wipe(p.owners), wipe(p.behind)
-	p.elems, p.cut, p.done, p.posts, p.owed = wipe(p.elems), wipe(p.cut), wipe(p.done), wipe(p.posts), wipe(p.owed)
-	p.kept, p.out, p.rendered = nil, nil, 0
-}
-
-func wipe[S ~[]E, E any](s S) S {
-	clear(s[:cap(s)])
-	return s[:0]
+	clear(p.fans)
+	clear(p.argv)
+	clear(p.behind)
+	clear(p.elems)
+	p.fans, p.argv, p.owners, p.behind, p.elems = p.fans[:0], p.argv[:0], p.owners[:0], p.behind[:0], p.elems[:0]
+	p.reqs, p.out, p.rendered = nil, nil, 0
 }
 
 // target is where one command runs, resolved once: exactly one of client,
@@ -823,7 +823,7 @@ func (r *Router) readFrozen(w *worker, t target, calls []redis.Call) bool {
 	var err error
 	p := &w.plan
 	for i := 0; i < len(calls) && err == nil; i++ {
-		c, out := &calls[i], p.replies()
+		c, out := &calls[i], p.out
 		var reply []byte
 		if reply, err = t.frozen.store.AppendReply(out[len(out):], c.Cmd.Keys(c.Args), c.Cmd.Op == redis.OpMGet, len(calls)-1-i); err == nil {
 			p.out, c.Reply = redis.PlaceReply(out, reply)
@@ -882,7 +882,7 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) (ready 
 			}
 		}
 	case t.client != nil:
-		w.plan.out = redis.RunAll(t.client, calls, w.plan.replies())
+		w.plan.out = redis.RunAll(t.client, calls, w.plan.out)
 		for i := range calls {
 			w.plan.rendered += len(calls[i].Reply)
 		}
@@ -892,18 +892,16 @@ func (r *Router) serve(w *worker, n *node, t target, calls []redis.Call) (ready 
 		n.ctr.Local.Add(k)
 	default:
 		p := &w.plan
-		out := p.replies()
+		out := p.out
 		resp, turn, err := n.call(t.ep, w.remoteWire(calls), out[len(out):], w.callBudget())
 		ready = w.th.Core.Cycles()
 		trip := ready - before + turn // the round trip by itself: transfers, dispatch, the node's work
 		each := trip / uint64(len(calls))
-		for _, f := range p.posts {
-			if f.node == n.id {
-				ready = max(ready, f.ready)
-			}
+		if p.lastNode == n.id {
+			ready = max(ready, p.lastReady)
 		}
 		ready += turn
-		p.posts = append(p.posts, flight{node: n.id, ready: ready})
+		p.lastNode, p.lastReady = n.id, ready
 		if err == nil {
 			r.ctr.URPCCallCycles.Observe(trip)
 			p.out, resp = redis.PlaceReply(out, resp)

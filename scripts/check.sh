@@ -43,8 +43,8 @@ go build ./...
 echo "== size budgets (non-test Go lines, counted as the benchmark's repo.nontest_go_loc; document bytes) =="
 # What the tree may weigh. A PR that needs more raises the number here, in
 # the same diff, so lines and prose are spent knowingly and not by accretion.
-budget_loc=25463
-budget_design=47811
+budget_loc=25461
+budget_design=48219
 budget_readme=25600
 budget_skill=15000
 loc=$(find . -name '.?*' -prune -o -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)
@@ -121,10 +121,11 @@ go test -race -count=5 -run 'TestStackRunsTagged|TestStackNeverRunsOutOfTags' ./
 # replicated node in its log, a removal waiting out the monitor's ship, a
 # write on a migrating slot that timed out recopied onto the target; arguments
 # that own their memory, and a connection's reply chunk reused fill after fill
-# with no backend touching a batch past its last Answered; a stretch's remote
+# with no backend touching a batch past its last Answered; a plan that pins
+# nothing of a finished batch, each node's steps together; a stretch's remote
 # runs in flight together on the worker's clock, and the split-phase call under
 # loss and a budget.
-go test -race -count=5 -run 'TestRemoteRunsOverlap|TestPostIsCallSplitAtTheTurn|TestSubmittedArgsOwnTheirMemory|TestConnectionReusesItsReplyChunk|TestPlanKeepsKeyOrder|TestBatchMatchesPerCommand|TestRunOfOneIsTheOldCommand|TestRepliesGoOutInArrivalOrder|TestMGetMatchesModel|TestNodeKeepsItsArena|TestCallBudgetAppendsBehindDst|TestFirstUseConnectsUnderPendingFrames|TestValuesLargerThanTheRing|TestMigrateSlotWithALargeValue|TestDeltaLogKeepsTheStoresOrder|TestFailedApplyThenKillServesEveryWrite|TestWarmShipsWriteNoCheckpoint|TestWriteInFlightAcrossPromotionSurvives|TestSlotMovedOntoAReplicatedNodeSurvivesItsKill|TestDeleteSurvivesItsSlotMovingOffAndBack|TestRemoveNodeWaitsOutTheMonitor|TestTimedOutWriteOnAMigratingSlotReachesTheTarget' ./internal/cluster ./internal/urpc
+go test -race -count=5 -run 'TestRemoteRunsOverlap|TestPostIsCallSplitAtTheTurn|TestSubmittedArgsOwnTheirMemory|TestConnectionReusesItsReplyChunk|TestPlanMatchesTheRule|TestPlanPinsNothingOfAFinishedBatch|TestPlanKeepsKeyOrder|TestBatchMatchesPerCommand|TestRunOfOneIsTheOldCommand|TestRepliesGoOutInArrivalOrder|TestMGetMatchesModel|TestNodeKeepsItsArena|TestCallBudgetAppendsBehindDst|TestFirstUseConnectsUnderPendingFrames|TestValuesLargerThanTheRing|TestMigrateSlotWithALargeValue|TestDeltaLogKeepsTheStoresOrder|TestFailedApplyThenKillServesEveryWrite|TestWarmShipsWriteNoCheckpoint|TestWriteInFlightAcrossPromotionSurvives|TestSlotMovedOntoAReplicatedNodeSurvivesItsKill|TestDeleteSurvivesItsSlotMovingOffAndBack|TestRemoveNodeWaitsOutTheMonitor|TestTimedOutWriteOnAMigratingSlotReachesTheTarget' ./internal/cluster ./internal/urpc
 # A fill's requests are one slab the reader, the writer and the workers share,
 # reused fill after fill; a load's connections all count into one result.
 go test -race -count=5 -run 'TestFillIsOneBatch|TestPartialCommandWaitsForTheNextFill|TestRepliesGoOutAsTheBackendAnswers|TestPipelineDepthBoundsWhatIsInFlight|TestBackendTakesAPrefix|TestPipelineIsOneFillAndOneWrite|TestLoadCountsEachLie|TestLoadCommandStreamsPinned' ./internal/server
